@@ -1,7 +1,7 @@
 //! Probe runs: execute candidate tilings on the real machine and turn
 //! the executor's reports into fit samples.
 
-use crate::features::per_tile_features;
+use crate::features::{per_tile_features, per_tile_skewed_features};
 use crate::{candidate_grids, fit, CalibrateError, LatencyModel, TileSample};
 use alp_loopir::LoopNest;
 use alp_runtime::{ExecOptions, Executor, Schedule};
@@ -98,66 +98,8 @@ pub fn probe_nest(
     let mut report = ProbeReport::default();
     for grid in selected {
         let exec = Executor::from_grid(nest, grid).map_err(runtime_err)?;
-        let store = exec.seeded_store(cfg.seed);
-        let mut opts = ExecOptions {
-            threads: cfg.threads,
-            schedule: Schedule::Static,
-            line_size: cfg.line_size,
-            track_touches: true,
-            ..ExecOptions::default()
-        };
-        // One tracked run for the measured distinct-line counts…
-        let touched = exec.run(&store, &opts).map_err(runtime_err)?;
-        // …then timed runs with tracking off, keeping each tile's
-        // fastest observation.
-        opts.track_touches = false;
-        let tiles = touched.per_tile.len();
-        let mut best_busy: Vec<Option<Duration>> = vec![None; tiles];
-        let mut barrier_ns_sum = 0.0f64;
-        let mut timed = 0usize;
-        for round in 0..cfg.warmup + cfg.trials.max(1) {
-            let run = exec.run(&store, &opts).map_err(runtime_err)?;
-            if round < cfg.warmup {
-                continue;
-            }
-            timed += 1;
-            if let Some(w) = run.mean_barrier_wait() {
-                barrier_ns_sum += w.as_secs_f64() * 1e9;
-            }
-            for t in &run.per_tile {
-                let slot = &mut best_busy[t.tile];
-                *slot = Some(slot.map_or(t.busy, |b| b.min(t.busy)));
-            }
-        }
-        let reps = touched.repetitions.max(1) as f64;
         let spans = per_tile_features(nest, grid, cfg.line_size)?;
-        for t in &touched.per_tile {
-            let Some(Some((span, iters))) = spans.get(t.tile) else {
-                continue;
-            };
-            let Some(busy) = best_busy[t.tile] else {
-                continue;
-            };
-            if *iters == 0 {
-                continue;
-            }
-            let lines = t.distinct_lines.map(|n| n as f64).unwrap_or(*span as f64);
-            report.samples.push(TileSample {
-                busy_ns: busy.as_secs_f64() * 1e9 / reps,
-                lines,
-                span_lines: *span as f64,
-                iters: *iters as f64,
-            });
-        }
-        report.merge(ProbeReport {
-            samples: Vec::new(),
-            barrier_ns: if timed > 0 {
-                barrier_ns_sum / timed as f64
-            } else {
-                0.0
-            },
-            runs: timed,
-        });
+        report.merge(probe_executor(&exec, &spans, cfg)?);
     }
     Ok(report)
 }
@@ -167,6 +109,13 @@ pub fn probe_nest(
 /// transformed `j = i·U` space) and extract per-tile samples labeled
 /// with the skewed span/iteration features.  Pooled with rectangular
 /// probes, these let one fitted model rank both candidate classes.
+///
+/// The pooled samples are comparable because every tile, rectangular
+/// or skewed, executes as rows on the same `Kernel::execute_row` loop,
+/// so `busy_ns` per iteration differs between the classes only through
+/// the lines a tile touches.  While rectangular tiles ran a per-point
+/// dot-product loop and only skewed tiles the row loop, the pooled fit
+/// blended two kernels into one `per_iter_ns`.
 pub fn probe_skewed(
     nest: &LoopNest,
     p: i128,
@@ -180,72 +129,78 @@ pub fn probe_skewed(
             "nest has no skewed candidate bases".into(),
         )));
     }
-    let selected: Vec<&alp_plan::SkewedCandidate> =
-        candidates.iter().take(cfg.max_grids.max(1)).collect();
-
     let mut report = ProbeReport::default();
-    for cand in selected {
+    for cand in candidates.iter().take(cfg.max_grids.max(1)) {
         let exec =
             Executor::from_transformed(nest, &cand.transform, &cand.grid).map_err(runtime_err)?;
-        let store = exec.seeded_store(cfg.seed);
-        let mut opts = ExecOptions {
-            threads: cfg.threads,
-            schedule: Schedule::Static,
-            line_size: cfg.line_size,
-            track_touches: true,
-            ..ExecOptions::default()
-        };
-        let touched = exec.run(&store, &opts).map_err(runtime_err)?;
-        opts.track_touches = false;
-        let tiles = touched.per_tile.len();
-        let mut best_busy: Vec<Option<Duration>> = vec![None; tiles];
-        let mut barrier_ns_sum = 0.0f64;
-        let mut timed = 0usize;
-        for round in 0..cfg.warmup + cfg.trials.max(1) {
-            let run = exec.run(&store, &opts).map_err(runtime_err)?;
-            if round < cfg.warmup {
-                continue;
-            }
-            timed += 1;
-            if let Some(w) = run.mean_barrier_wait() {
-                barrier_ns_sum += w.as_secs_f64() * 1e9;
-            }
-            for t in &run.per_tile {
-                let slot = &mut best_busy[t.tile];
-                *slot = Some(slot.map_or(t.busy, |b| b.min(t.busy)));
-            }
-        }
-        let reps = touched.repetitions.max(1) as f64;
-        let spans = crate::features::per_tile_skewed_features(nest, cand, cfg.line_size)?;
-        for t in &touched.per_tile {
-            let Some(Some((span, iters))) = spans.get(t.tile) else {
-                continue;
-            };
-            let Some(busy) = best_busy[t.tile] else {
-                continue;
-            };
-            if *iters == 0 {
-                continue;
-            }
-            let lines = t.distinct_lines.map(|n| n as f64).unwrap_or(*span as f64);
-            report.samples.push(TileSample {
-                busy_ns: busy.as_secs_f64() * 1e9 / reps,
-                lines,
-                span_lines: *span as f64,
-                iters: *iters as f64,
-            });
-        }
-        report.merge(ProbeReport {
-            samples: Vec::new(),
-            barrier_ns: if timed > 0 {
-                barrier_ns_sum / timed as f64
-            } else {
-                0.0
-            },
-            runs: timed,
-        });
+        let spans = per_tile_skewed_features(nest, cand, cfg.line_size)?;
+        report.merge(probe_executor(&exec, &spans, cfg)?);
     }
     Ok(report)
+}
+
+/// Probe one tiling: a tracked run for the measured distinct-line
+/// counts, then warm-up and timed runs with tracking off, keeping each
+/// tile's fastest observation.  `spans[tile]` is the tile's
+/// `(span, iters)` label (`None` for an empty tile).
+fn probe_executor(
+    exec: &Executor,
+    spans: &[Option<(i128, i128)>],
+    cfg: &ProbeConfig,
+) -> Result<ProbeReport, CalibrateError> {
+    let store = exec.seeded_store(cfg.seed);
+    let mut opts = ExecOptions {
+        threads: cfg.threads,
+        schedule: Schedule::Static,
+        line_size: cfg.line_size,
+        track_touches: true,
+        ..ExecOptions::default()
+    };
+    let touched = exec.run(&store, &opts).map_err(runtime_err)?;
+    opts.track_touches = false;
+    let mut best_busy: Vec<Option<Duration>> = vec![None; touched.per_tile.len()];
+    let mut barrier_ns_sum = 0.0f64;
+    let mut timed = 0usize;
+    for round in 0..cfg.warmup + cfg.trials.max(1) {
+        let run = exec.run(&store, &opts).map_err(runtime_err)?;
+        if round < cfg.warmup {
+            continue;
+        }
+        timed += 1;
+        if let Some(w) = run.mean_barrier_wait() {
+            barrier_ns_sum += w.as_secs_f64() * 1e9;
+        }
+        for t in &run.per_tile {
+            let slot = &mut best_busy[t.tile];
+            *slot = Some(slot.map_or(t.busy, |b| b.min(t.busy)));
+        }
+    }
+    let reps = touched.repetitions.max(1) as f64;
+    let mut samples = Vec::new();
+    for t in &touched.per_tile {
+        let Some(Some((span, iters))) = spans.get(t.tile) else {
+            continue;
+        };
+        let Some(busy) = best_busy[t.tile] else {
+            continue;
+        };
+        if *iters == 0 {
+            continue;
+        }
+        let lines = t.distinct_lines.map(|n| n as f64).unwrap_or(*span as f64);
+        samples.push(TileSample {
+            busy_ns: busy.as_secs_f64() * 1e9 / reps,
+            lines,
+            span_lines: *span as f64,
+            iters: *iters as f64,
+        });
+    }
+    Ok(ProbeReport {
+        samples,
+        // At least one round is timed (`trials.max(1)`).
+        barrier_ns: barrier_ns_sum / timed as f64,
+        runs: timed,
+    })
 }
 
 /// Probe several nests and fit one latency model from the pooled

@@ -74,6 +74,40 @@ impl IterBox {
             }
         }
     }
+
+    /// Visit the box as innermost rows, in row-major order.  `f`
+    /// receives a scratch coordinate vector with the prefix
+    /// `i₀..i_{n−2}` filled in (the last entry is unspecified) and the
+    /// inclusive innermost range `lo..=hi` — the callback shape of
+    /// [`TransformedDomain::for_each_row`](crate::TransformedDomain::for_each_row);
+    /// returning `false` stops the walk early.  Returns `true` when
+    /// every row was visited.  A box of depth 0 has no rows.
+    pub fn try_for_each_row(&self, mut f: impl FnMut(&mut [i64], i64, i64) -> bool) -> bool {
+        let Some(last) = self.lo.len().checked_sub(1) else {
+            return true;
+        };
+        if self.is_empty() {
+            return true;
+        }
+        let mut i = self.lo.clone();
+        loop {
+            if !f(&mut i, self.lo[last], self.hi[last]) {
+                return false;
+            }
+            let mut k = last;
+            loop {
+                if k == 0 {
+                    return true;
+                }
+                k -= 1;
+                i[k] += 1;
+                if i[k] <= self.hi[k] {
+                    break;
+                }
+                i[k] = self.lo[k];
+            }
+        }
+    }
 }
 
 /// Split the nest's parallel iteration space into `Π grid` rectangular
@@ -239,6 +273,42 @@ mod tests {
                 ni - 1, nj - 1
             )).unwrap();
             assert_disjoint_cover(&nest, &[gi, gj]);
+        }
+
+        /// Rows, expanded, are the point walk: same points, same
+        /// order, for depth 1..=3, empty boxes (a zero extent in any
+        /// dimension) and a walk stopped after `stop` rows.
+        #[test]
+        fn rows_expand_to_the_point_order(
+            dims in (1usize..=3).prop_flat_map(|d| {
+                proptest::collection::vec((-3i64..=3, 0i64..=4), d..=d)
+            }),
+            stop in 1usize..=20,
+        ) {
+            let bx = IterBox {
+                lo: dims.iter().map(|&(lo, _)| lo).collect(),
+                hi: dims.iter().map(|&(lo, extent)| lo + extent - 1).collect(),
+            };
+            let mut points = Vec::new();
+            bx.for_each_point(|p| points.push(p.to_vec()));
+
+            let last = dims.len() - 1;
+            let mut expanded = Vec::new();
+            let mut rows = 0usize;
+            let completed = bx.try_for_each_row(|i, lo, hi| {
+                for x in lo..=hi {
+                    i[last] = x;
+                    expanded.push(i.to_vec());
+                }
+                rows += 1;
+                rows < stop
+            });
+
+            let row_len = dims[last].1 as usize;
+            let total_rows = if points.is_empty() { 0 } else { points.len() / row_len };
+            prop_assert_eq!(completed, total_rows < stop);
+            prop_assert_eq!(rows, total_rows.min(stop));
+            prop_assert_eq!(&expanded[..], &points[..rows * row_len]);
         }
     }
 }

@@ -19,8 +19,7 @@
 //!   [`CancelToken`]; both are polled between tiles and *inside* the
 //!   kernel loop (the cancel flag every [`POLL_INTERVAL`] iterations,
 //!   the deadline clock every `DEADLINE_POLL_STRIDE`-th such poll), so
-//!   even a single runaway tile (e.g. an adversarial explicit-iteration
-//!   list) is interrupted promptly.  The run returns
+//!   even a single runaway tile is interrupted promptly.  The run returns
 //!   [`RuntimeError::DeadlineExceeded`] / [`RuntimeError::Cancelled`].
 //! * **Resource guard** — [`ExecOptions::memory_budget`] bounds the
 //!   bytes a run may allocate (array store + touch-tracking bitsets);
@@ -41,7 +40,7 @@ use crate::kernel::Kernel;
 use crate::report::{RunReport, Schedule, ThreadMetrics, TileMetrics};
 use crate::store::ArrayStore;
 use crate::sync::{CancelToken, CancellableBarrier};
-use crate::tiles::{explicit_tiles, rect_tiles, IterBox};
+use crate::tiles::{rect_tiles, IterBox};
 use crate::touch::TouchSet;
 use crate::RuntimeError;
 use alp_linalg::IVec;
@@ -49,7 +48,7 @@ use alp_loopir::{AccessKind, LoopNest};
 use alp_machine::ArrayLayout;
 use alp_plan::{Transform, TransformedDomain};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -149,59 +148,27 @@ pub trait FaultInjector: Send + Sync + std::fmt::Debug {
     fn after_tile(&self, tile: usize, rep: u64, store: &ArrayStore);
 }
 
-/// One unit of schedulable work.
+/// One unit of schedulable work: a tile, executed as innermost rows.
 #[derive(Debug, Clone)]
-enum Work {
-    /// A rectangular block of iterations.
-    Box(IterBox),
-    /// An explicit iteration list (from a codegen `Assignment`).
-    Points(Vec<Vec<i64>>),
-    /// A rectangular `j`-space block of a transformed (skewed) plan,
-    /// clipped against the shared transformed domain.  Points handed to
-    /// the kernel are *j-space* coordinates; the kernel must have been
-    /// built by [`Kernel::compile_transformed`].
-    Clipped {
-        /// The unclipped rectangular tile in `j`-space.
-        bx: IterBox,
-        /// The domain every tile of the plan clips against.
-        domain: Arc<TransformedDomain>,
-        /// Exact in-domain point count, precomputed at build time.
-        points: u64,
-    },
+struct Work {
+    /// The tile's box — in iteration space for a rectangular plan; in
+    /// `j`-space, not yet clipped, for a transformed one (whose kernel
+    /// was built by [`Kernel::compile_transformed`]).
+    bx: IterBox,
+    /// The domain every tile of a transformed plan clips against;
+    /// `None` for a rectangular plan, whose boxes are exact.
+    domain: Option<Arc<TransformedDomain>>,
+    /// Exact point count, precomputed at build time.
+    points: u64,
 }
 
 impl Work {
-    fn iterations(&self) -> u64 {
-        match self {
-            Work::Box(b) => b.volume(),
-            Work::Points(p) => p.len() as u64,
-            Work::Clipped { points, .. } => *points,
-        }
-    }
-
-    /// Visit points until `f` returns `false`; returns `false` when the
-    /// walk was stopped early.
-    fn try_for_each_point(&self, mut f: impl FnMut(&[i64]) -> bool) -> bool {
-        match self {
-            Work::Box(b) => b.try_for_each_point(f),
-            Work::Points(pts) => {
-                for p in pts {
-                    if !f(p) {
-                        return false;
-                    }
-                }
-                true
-            }
-            Work::Clipped { bx, domain, .. } => domain.for_each_row(bx, |j, lo, hi| {
-                let last = j.len() - 1;
-                for x in lo..=hi {
-                    j[last] = x;
-                    if !f(j) {
-                        return false;
-                    }
-                }
-                true
-            }),
+    /// Visit the tile's rows `(j[..last], lo..=hi)` until `f` returns
+    /// `false`; returns `false` when the walk was stopped early.
+    fn for_each_row(&self, f: impl FnMut(&mut [i64], i64, i64) -> bool) -> bool {
+        match &self.domain {
+            None => self.bx.try_for_each_row(f),
+            Some(domain) => domain.for_each_row(&self.bx, f),
         }
     }
 }
@@ -313,7 +280,7 @@ pub struct Executor {
     layout: ArrayLayout,
     kernel: Kernel,
     work: Vec<Work>,
-    /// Interior-tile extents λ (empty for explicit assignments).
+    /// Interior-tile extents λ.
     tile_extents: Vec<i128>,
     repetitions: u64,
     retry: RetryPolicy,
@@ -325,25 +292,28 @@ pub struct Executor {
 impl Executor {
     /// Partition the nest's iteration space over a rectangular virtual
     /// processor grid (one tile per grid cell, `assign_rect` numbering).
+    ///
+    /// The nest must be a *legal* doall — no dependence between
+    /// different iterations, accumulates aside — which this constructor
+    /// does not check (`alp-loopir`'s legality analysis does).  A tile
+    /// runs each innermost row statement by statement, which preserves
+    /// the order of statements *within* an iteration but not across
+    /// iterations of a row, so on a nest like `A[i]=B[i]; C[i]=A[i+1];`
+    /// the result differs from [`Executor::run_reference`] even on one
+    /// thread.
     pub fn from_grid(nest: &LoopNest, grid: &[i128]) -> Result<Executor, RuntimeError> {
         let layout = ArrayLayout::from_nest(nest);
         let kernel = Kernel::compile(nest, &layout)?;
         let (tiles, chunks) = rect_tiles(nest, grid)?;
-        Ok(Executor {
-            retry: RetryPolicy::Syntactic {
-                safe: syntactic_retry_safe(nest),
-            },
-            relaxed_stores: false,
-            nest: nest.clone(),
-            repetitions: reps(nest)?,
-            layout,
-            kernel,
-            work: tiles.into_iter().map(Work::Box).collect(),
-            // chunks are iterations per tile; λ is the inclusive extent
-            // (λ + 1 iterations), the convention of RectPartition and
-            // CostModel::cost_rect.
-            tile_extents: chunks.iter().map(|c| c - 1).collect(),
-        })
+        let work = tiles
+            .into_iter()
+            .map(|bx| Work {
+                points: bx.volume(),
+                bx,
+                domain: None,
+            })
+            .collect();
+        Executor::build(nest, layout, kernel, work, &chunks)
     }
 
     /// Build an executor straight from a saved [`alp_plan::PartitionPlan`]:
@@ -388,38 +358,22 @@ impl Executor {
         let domain = Arc::new(domain);
         let work = tiles
             .into_iter()
-            .map(|bx| Work::Clipped {
+            .map(|bx| Work {
                 points: u64::try_from(domain.count(&bx)).expect("tile point count fits u64"),
                 bx,
-                domain: Arc::clone(&domain),
+                domain: Some(Arc::clone(&domain)),
             })
             .collect();
-        Ok(Executor {
-            retry: RetryPolicy::Syntactic {
-                safe: syntactic_retry_safe(nest),
-            },
-            relaxed_stores: false,
-            nest: nest.clone(),
-            repetitions: reps(nest)?,
-            layout,
-            kernel,
-            work,
-            tile_extents: chunks.iter().map(|c| c - 1).collect(),
-        })
+        Executor::build(nest, layout, kernel, work, &chunks)
     }
 
-    /// Run an explicit per-processor iteration assignment (e.g. from
-    /// `alp_codegen::assign_rect` or `assign_para`).
-    pub fn from_assignment(
+    fn build(
         nest: &LoopNest,
-        assignment: &[Vec<IVec>],
+        layout: ArrayLayout,
+        kernel: Kernel,
+        work: Vec<Work>,
+        chunks: &[i128],
     ) -> Result<Executor, RuntimeError> {
-        let layout = ArrayLayout::from_nest(nest);
-        let kernel = Kernel::compile(nest, &layout)?;
-        let work = explicit_tiles(assignment)?
-            .into_iter()
-            .map(Work::Points)
-            .collect();
         Ok(Executor {
             retry: RetryPolicy::Syntactic {
                 safe: syntactic_retry_safe(nest),
@@ -430,7 +384,10 @@ impl Executor {
             layout,
             kernel,
             work,
-            tile_extents: Vec::new(),
+            // chunks are iterations per tile; λ is the inclusive extent
+            // (λ + 1 iterations), the convention of RectPartition and
+            // CostModel::cost_rect.
+            tile_extents: chunks.iter().map(|c| c - 1).collect(),
         })
     }
 
@@ -445,8 +402,7 @@ impl Executor {
     }
 
     /// Interior-tile extents λ, in the paper's inclusive convention
-    /// (a tile spans `λ_k + 1` iterations along dimension `k`); empty
-    /// for explicit assignments.
+    /// (a tile spans `λ_k + 1` iterations along dimension `k`).
     pub fn tile_extents(&self) -> &[i128] {
         &self.tile_extents
     }
@@ -555,10 +511,10 @@ impl Executor {
     pub fn run(&self, store: &ArrayStore, opts: &ExecOptions) -> Result<RunReport, RuntimeError> {
         self.check_budget(opts)?;
         let tiles = self.work.len();
-        let per_rep: u64 = self.work.iter().map(Work::iterations).sum();
+        let per_rep: u64 = self.work.iter().map(|w| w.points).sum();
         if tiles == 0 || self.repetitions == 0 || per_rep == 0 {
-            // Nothing to execute: an empty tile list, a zero-trip nest,
-            // or zero repetitions.  Report the empty run instead of
+            // Nothing to execute: no tiles, a zero-trip nest, or zero
+            // repetitions.  Report the empty run instead of
             // spawning workers against a zero-party barrier.
             return Ok(RunReport {
                 threads: 0,
@@ -585,7 +541,10 @@ impl Executor {
             deadline: opts.deadline.map(|d| (Instant::now() + d, d)),
         };
         let next_tile = AtomicUsize::new(0);
-        let total_lines = self.layout.total_lines();
+        // Nanoseconds each tile was busy in repetitions after the first,
+        // whichever thread ran it (8 B per tile, like `per_tile` itself
+        // outside the memory budget's store-and-bitsets accounting).
+        let late_busy: Vec<AtomicU64> = (0..tiles).map(|_| AtomicU64::new(0)).collect();
         let wall_start = Instant::now();
 
         let mut outs: Vec<ThreadOut> = crossbeam::scope(|scope| {
@@ -593,27 +552,9 @@ impl Executor {
                 .map(|t| {
                     let ctrl = &ctrl;
                     let next_tile = &next_tile;
+                    let late_busy = &late_busy[..];
                     scope.spawn(move |_| {
-                        let mut w = WorkerState {
-                            exec: self,
-                            ctrl,
-                            opts,
-                            store,
-                            thread: t,
-                            thread_touch: opts
-                                .track_touches
-                                .then(|| TouchSet::new(total_lines, opts.line_size)),
-                            scratch: opts
-                                .track_touches
-                                .then(|| TouchSet::new(total_lines, opts.line_size)),
-                            tile_metrics: Vec::new(),
-                            iterations: 0,
-                            busy: Duration::ZERO,
-                            barrier_wait: Duration::ZERO,
-                            rep_waits: Vec::new(),
-                            retries: 0,
-                            polls: 0,
-                        };
+                        let mut w = WorkerState::new(self, ctrl, opts, store, late_busy, t);
                         'reps: for rep in 0..self.repetitions {
                             match opts.schedule {
                                 Schedule::Static => {
@@ -713,6 +654,9 @@ impl Executor {
         let mut per_tile: Vec<TileMetrics> =
             outs.iter().flat_map(|o| o.tiles.iter().cloned()).collect();
         per_tile.sort_by_key(|m| m.tile);
+        for m in &mut per_tile {
+            m.busy += Duration::from_nanos(late_busy[m.tile].load(Ordering::Relaxed));
+        }
         // Per-repetition critical-path barrier cost: the slowest wait of
         // any thread for that repetition (threads that drained early
         // simply contribute fewer entries).
@@ -786,7 +730,9 @@ impl Executor {
     }
 
     /// Run on a seeded store and check the parallel result against the
-    /// sequential reference, bit for bit.
+    /// sequential reference, bit for bit.  A mismatch on a nest with a
+    /// cross-iteration dependence is expected, not an executor fault:
+    /// see the legality precondition on [`Executor::from_grid`].
     pub fn verify(&self, seed: u64, opts: &ExecOptions) -> Result<ExecOutcome, RuntimeError> {
         self.check_budget(opts)?;
         let store = self.seeded_store(seed);
@@ -830,6 +776,10 @@ struct WorkerState<'a> {
     thread_touch: Option<TouchSet>,
     scratch: Option<TouchSet>,
     tile_metrics: Vec<TileMetrics>,
+    /// Shared per-tile busy nanoseconds of repetitions after the first
+    /// (such a repetition may land on a thread that holds no metrics
+    /// row for the tile); folded into `per_tile` by `run`.
+    late_busy: &'a [AtomicU64],
     iterations: u64,
     busy: Duration,
     barrier_wait: Duration,
@@ -849,7 +799,38 @@ struct ThreadOut {
     polls: u64,
 }
 
-impl WorkerState<'_> {
+impl<'a> WorkerState<'a> {
+    fn new(
+        exec: &'a Executor,
+        ctrl: &'a RunControl<'a>,
+        opts: &'a ExecOptions,
+        store: &'a ArrayStore,
+        late_busy: &'a [AtomicU64],
+        thread: usize,
+    ) -> Self {
+        let touch_set = || {
+            opts.track_touches
+                .then(|| TouchSet::new(exec.layout.total_lines(), opts.line_size))
+        };
+        WorkerState {
+            exec,
+            ctrl,
+            opts,
+            store,
+            thread,
+            thread_touch: touch_set(),
+            scratch: touch_set(),
+            tile_metrics: Vec::new(),
+            late_busy,
+            iterations: 0,
+            busy: Duration::ZERO,
+            barrier_wait: Duration::ZERO,
+            rep_waits: Vec::new(),
+            retries: 0,
+            polls: 0,
+        }
+    }
+
     /// Execute one tile (with containment, polling, and bounded retry).
     /// Returns `false` when this worker must stop scheduling and drain.
     fn run_tile(&mut self, tile: usize, rep: u64) -> bool {
@@ -882,91 +863,21 @@ impl WorkerState<'_> {
     /// One attempt at a tile.  Returns `false` if a cancellation poll
     /// stopped the kernel loop mid-tile.
     fn run_tile_once(&mut self, tile: usize, rep: u64) -> bool {
-        let track = rep == 0 && self.scratch.is_some();
+        // Touches repeat identically every rep: track, and record the
+        // tile's metrics row, only in the first.
+        let first_rep = rep == 0;
         let t0 = Instant::now();
         let work = &self.exec.work[tile];
-        let kernel = &self.exec.kernel;
-        let store = self.store;
         #[cfg(feature = "chaos")]
         if let Some(inj) = &self.opts.fault_injector {
             inj.before_tile(tile, rep);
         }
-        let mut local = 0u64;
-        let mut local_polls = 0u64;
-        let ctrl = self.ctrl;
-        let relaxed = self.exec.relaxed_stores;
-        let completed = if track {
-            // Touches repeat identically every rep; track only the
-            // first.
-            let sc = self
-                .scratch
-                .as_mut()
-                .expect("track implies scratch is present");
-            sc.clear();
-            work.try_for_each_point(|i| {
-                kernel.for_each_access(i, |e, _w| sc.insert(e));
-                if relaxed {
-                    kernel.execute_relaxed(i, store);
-                } else {
-                    kernel.execute(i, store);
-                }
-                local += 1;
-                if local.is_multiple_of(POLL_INTERVAL) {
-                    local_polls += 1;
-                    ctrl.keep_going(local_polls.is_multiple_of(DEADLINE_POLL_STRIDE))
-                } else {
-                    true
-                }
-            })
-        } else if let Work::Clipped { bx, domain, .. } = work {
-            // Skewed fast path: whole clipped rows at a time, the inner
-            // loop a pointer bump per reference.  Rows are chunked to
-            // POLL_INTERVAL so cancellation latency matches the
-            // point-wise paths.
-            domain.for_each_row(bx, |j, lo, hi| {
-                let mut x = lo;
-                loop {
-                    let end = x.saturating_add(POLL_INTERVAL as i64 - 1).min(hi);
-                    if relaxed {
-                        kernel.execute_row_relaxed(j, x, end, store);
-                    } else {
-                        kernel.execute_row(j, x, end, store);
-                    }
-                    local += (end - x) as u64 + 1;
-                    local_polls += 1;
-                    if !ctrl.keep_going(local_polls.is_multiple_of(DEADLINE_POLL_STRIDE)) {
-                        return false;
-                    }
-                    if end == hi {
-                        return true;
-                    }
-                    x = end + 1;
-                }
-            })
-        } else if relaxed {
-            work.try_for_each_point(|i| {
-                kernel.execute_relaxed(i, store);
-                local += 1;
-                if local.is_multiple_of(POLL_INTERVAL) {
-                    local_polls += 1;
-                    ctrl.keep_going(local_polls.is_multiple_of(DEADLINE_POLL_STRIDE))
-                } else {
-                    true
-                }
-            })
+        // Atomic vs relaxed accumulates: resolved here, once per tile.
+        let completed = if self.exec.relaxed_stores {
+            self.run_rows::<true>(work, first_rep)
         } else {
-            work.try_for_each_point(|i| {
-                kernel.execute(i, store);
-                local += 1;
-                if local.is_multiple_of(POLL_INTERVAL) {
-                    local_polls += 1;
-                    ctrl.keep_going(local_polls.is_multiple_of(DEADLINE_POLL_STRIDE))
-                } else {
-                    true
-                }
-            })
+            self.run_rows::<false>(work, first_rep)
         };
-        self.polls += local_polls;
         let dt = t0.elapsed();
         self.busy += dt;
         if !completed {
@@ -974,34 +885,66 @@ impl WorkerState<'_> {
         }
         #[cfg(feature = "chaos")]
         if let Some(inj) = &self.opts.fault_injector {
-            inj.after_tile(tile, rep, store);
+            inj.after_tile(tile, rep, self.store);
         }
-        self.iterations += work.iterations();
-        if track {
-            let lines = self.scratch.as_ref().map(TouchSet::count);
-            if let (Some(tt), Some(sc)) = (self.thread_touch.as_mut(), self.scratch.as_ref()) {
+        self.iterations += work.points;
+        if first_rep {
+            let scratch = self.scratch.as_ref();
+            if let (Some(tt), Some(sc)) = (self.thread_touch.as_mut(), scratch) {
                 tt.merge(sc);
             }
             self.tile_metrics.push(TileMetrics {
                 tile,
                 thread: self.thread,
-                iterations: work.iterations(),
-                distinct_lines: lines,
+                iterations: work.points,
+                distinct_lines: scratch.map(TouchSet::count),
                 busy: dt,
             });
-        } else if rep == 0 {
-            // Touch tracking off: still record the first-rep tile row.
-            self.tile_metrics.push(TileMetrics {
-                tile,
-                thread: self.thread,
-                iterations: work.iterations(),
-                distinct_lines: None,
-                busy: dt,
-            });
-        } else if let Some(m) = self.tile_metrics.iter_mut().find(|m| m.tile == tile) {
-            m.busy += dt;
+        } else {
+            self.late_busy[tile].fetch_add(dt.as_nanos() as u64, Ordering::Relaxed);
         }
         true
+    }
+
+    /// The tile loop: the one place that calls into the kernel.  Rows
+    /// are cut so that a cancellation poll fires once per
+    /// [`POLL_INTERVAL`] iterations, counted across rows.  With `track`
+    /// (and touch tracking on) each cut's accesses are recorded in
+    /// `scratch` right before the cut executes, so a tracked run is
+    /// interrupted within the same interval as an untracked one.
+    fn run_rows<const RELAXED: bool>(&mut self, work: &Work, track: bool) -> bool {
+        let (kernel, store, ctrl) = (&self.exec.kernel, self.store, self.ctrl);
+        let mut scratch = self.scratch.as_mut().filter(|_| track);
+        if let Some(sc) = scratch.as_deref_mut() {
+            sc.clear();
+        }
+        let mut until_poll = POLL_INTERVAL;
+        let mut polls = 0u64;
+        let completed = work.for_each_row(|j, lo, hi| {
+            let mut x = lo;
+            loop {
+                let n = ((hi - x) as u64 + 1).min(until_poll);
+                let end = x + (n - 1) as i64;
+                if let Some(sc) = scratch.as_deref_mut() {
+                    kernel.for_each_row_access(j, x, end, |e| sc.insert(e));
+                }
+                kernel.execute_row::<RELAXED>(j, x, end, store);
+                until_poll -= n;
+                if until_poll == 0 {
+                    until_poll = POLL_INTERVAL;
+                    polls += 1;
+                    if !ctrl.keep_going(polls.is_multiple_of(DEADLINE_POLL_STRIDE)) {
+                        return false;
+                    }
+                }
+                if end == hi {
+                    return true;
+                }
+                x = end + 1;
+            }
+        });
+        self.polls += polls;
+        completed
     }
 
     fn finish(self) -> ThreadOut {
@@ -1109,4 +1052,32 @@ impl<'a> RefStmt<'a> {
 fn reps(nest: &LoopNest) -> Result<u64, RuntimeError> {
     u64::try_from(nest.seq_repetitions())
         .map_err(|_| RuntimeError::BadGrid("sequential repetition count overflows u64".into()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tracked_long_row_stops_within_one_poll_interval() {
+        // One tile, one row of 2^20 points, tracking on, stop already
+        // set: the tile must give up at its first poll having executed
+        // *and tracked* POLL_INTERVAL points — tracking the whole row
+        // up front would run a million inserts before any poll.
+        let nest = alp_loopir::parse("doall (i, 0, 1048575) { A[i] = B[i]; }").unwrap();
+        let exec = Executor::from_grid(&nest, &[1]).unwrap();
+        let ctrl = RunControl {
+            barrier: CancellableBarrier::new(1),
+            stop: AtomicBool::new(true),
+            reason: Mutex::new(None),
+            external: None,
+            deadline: None,
+        };
+        let (opts, store) = (ExecOptions::default(), exec.seeded_store(0));
+        assert!(opts.track_touches);
+        let mut w = WorkerState::new(&exec, &ctrl, &opts, &store, &[], 0);
+        assert!(!w.run_rows::<false>(&exec.work[0], true));
+        assert_eq!(w.polls, 1);
+        assert_eq!(w.scratch.as_ref().unwrap().count(), 2 * POLL_INTERVAL);
+    }
 }

@@ -1,13 +1,15 @@
-//! Lowering loop-nest statements into executable per-iteration kernels.
+//! Lowering loop-nest statements into executable row kernels.
 //!
 //! Every affine reference `A[Gī + ā]` combined with the array layout's
 //! base/strides folds into a single linear form over the *parallel*
 //! iteration vector: `element(ī) = c·ī + c₀` (subscripts range over
 //! parallel indices only — outer `doseq` loops just repeat the doall).
-//! Executing an iteration is then a handful of integer multiply-adds
-//! plus the f64 arithmetic, with no per-access layout lookups.
+//! A tile executes as innermost rows: one dot product per reference at
+//! the start of a row, then each element id advances by the
+//! reference's innermost coefficient, so an iteration costs one add
+//! per reference plus the f64 arithmetic.
 
-use crate::RuntimeError;
+use crate::{ArrayStore, RuntimeError};
 use alp_linalg::IMat;
 use alp_loopir::{AccessKind, ArrayRef, LoopNest};
 use alp_machine::ArrayLayout;
@@ -22,17 +24,6 @@ pub struct LinRef {
 }
 
 impl LinRef {
-    /// Flat element id for iteration `i`.
-    #[inline]
-    pub fn eval(&self, i: &[i64]) -> usize {
-        let mut e = self.constant;
-        for (c, x) in self.coeffs.iter().zip(i) {
-            e += c * x;
-        }
-        debug_assert!(e >= 0, "element id must be non-negative");
-        e as usize
-    }
-
     /// Element id (signed) at the row point `(j[..last], x)` — the last
     /// coordinate is taken from `x`, not from `j`.
     #[inline]
@@ -184,144 +175,105 @@ impl Kernel {
         &self.stmts
     }
 
-    /// Element ids touched by one iteration, write-likes flagged.
-    /// (Used by touch tracking; mirrors the simulator's access order:
-    /// rhs first, then the lhs write.)
-    pub fn for_each_access(&self, i: &[i64], mut f: impl FnMut(usize, bool)) {
-        for st in &self.stmts {
-            match st {
-                CompiledStmt::Assign { lhs, sources } => {
-                    for s in sources {
-                        f(s.eval(i), false);
-                    }
-                    f(lhs.eval(i), true);
+    /// Element ids touched by the row `(j[..last], x)`, `x` in
+    /// `lo..=hi`.  Used by touch tracking; visits point by point in the
+    /// simulator's access order (rhs first, then the lhs write).  Every
+    /// id is a fresh dot product, so the counts it feeds are
+    /// independent of `execute_row`'s stride arithmetic.
+    pub fn for_each_row_access(&self, j: &[i64], lo: i64, hi: i64, mut f: impl FnMut(usize)) {
+        for x in lo..=hi {
+            for st in &self.stmts {
+                let (CompiledStmt::Assign { lhs, sources }
+                | CompiledStmt::Accumulate { lhs, sources }) = st;
+                for s in sources {
+                    f(s.row_start(j, x) as usize);
                 }
-                CompiledStmt::Accumulate { lhs, sources } => {
-                    for s in sources {
-                        f(s.eval(i), false);
-                    }
-                    f(lhs.eval(i), true);
-                }
+                f(lhs.row_start(j, x) as usize);
             }
         }
     }
 
-    /// Execute one iteration against the shared store.  Accumulates go
-    /// through the atomic CAS loop — always sound.
-    #[inline]
-    pub fn execute(&self, i: &[i64], store: &crate::ArrayStore) {
-        self.exec_inner(i, store, false);
-    }
-
-    /// Execute one iteration with *relaxed* accumulate stores (plain
-    /// read-add-store, no CAS).  Sound only under a re-checked
+    /// Execute one contiguous row of iterations: the points
+    /// `(j[..last], x)` for `x` in `lo..=hi`, statement by statement
+    /// (legal doall iterations are independent, so distributing the
+    /// statements over the row preserves every intra-iteration order).
+    ///
+    /// Accumulates go through the atomic CAS loop — always sound —
+    /// unless `RELAXED`, which publishes them with a plain
+    /// read-add-store.  That is sound only under a re-checked
     /// certificate proving exact coverage and cross-tile write
     /// disjointness: then exactly one thread ever updates each
     /// destination element, and the CAS buys nothing.
     #[inline]
-    pub fn execute_relaxed(&self, i: &[i64], store: &crate::ArrayStore) {
-        self.exec_inner(i, store, true);
-    }
-
-    /// Execute one contiguous row of iterations: the points
-    /// `(j[0..last], x)` for `x` in `lo..=hi`.  Element ids advance by
-    /// each reference's innermost-coordinate stride, so the inner loop
-    /// is a pointer bump per reference plus the f64 arithmetic — no
-    /// per-point dot products.
-    #[inline]
-    pub fn execute_row(&self, j: &[i64], lo: i64, hi: i64, store: &crate::ArrayStore) {
-        self.exec_row_inner(j, lo, hi, store, false);
-    }
-
-    /// Row execution with relaxed accumulate stores; same soundness
-    /// contract as [`execute_relaxed`](Kernel::execute_relaxed).
-    #[inline]
-    pub fn execute_row_relaxed(&self, j: &[i64], lo: i64, hi: i64, store: &crate::ArrayStore) {
-        self.exec_row_inner(j, lo, hi, store, true);
-    }
-
-    fn exec_row_inner(
+    pub fn execute_row<const RELAXED: bool>(
         &self,
         j: &[i64],
         lo: i64,
         hi: i64,
-        store: &crate::ArrayStore,
-        relaxed: bool,
+        store: &ArrayStore,
     ) {
         if hi < lo {
             return;
         }
         let n = (hi - lo) as u64 + 1;
         for st in &self.stmts {
-            let (lhs, sources, accumulate) = match st {
-                CompiledStmt::Assign { lhs, sources } => (lhs, sources, false),
-                CompiledStmt::Accumulate { lhs, sources } => (lhs, sources, true),
-            };
-            let last = lhs.coeffs.len() - 1;
-            let lhs_step = lhs.coeffs[last];
-            let mut lhs_e = lhs.row_start(j, lo);
-            // (element, step) per source; small inline buffer covers
-            // every realistic statement without allocating per row.
-            let mut buf = [(0i64, 0i64); 8];
-            let mut spill;
-            let srcs: &mut [(i64, i64)] = if sources.len() <= buf.len() {
-                for (slot, s) in buf.iter_mut().zip(sources) {
-                    *slot = (s.row_start(j, lo), s.coeffs[last]);
+            match st {
+                CompiledStmt::Assign { lhs, sources } => {
+                    sweep_row(lhs, sources, j, lo, n, store, ArrayStore::set);
                 }
-                &mut buf[..sources.len()]
-            } else {
-                spill = sources
-                    .iter()
-                    .map(|s| (s.row_start(j, lo), s.coeffs[last]))
-                    .collect::<Vec<_>>();
-                &mut spill
-            };
-            for _ in 0..n {
-                let mut v = 0.0;
-                for (e, step) in srcs.iter_mut() {
-                    debug_assert!(*e >= 0, "element id must be non-negative");
-                    v += store.get(*e as usize);
-                    *e += *step;
+                CompiledStmt::Accumulate { lhs, sources } if RELAXED => {
+                    sweep_row(lhs, sources, j, lo, n, store, ArrayStore::add_relaxed);
                 }
-                debug_assert!(lhs_e >= 0, "element id must be non-negative");
-                if accumulate {
-                    if relaxed {
-                        store.add_relaxed(lhs_e as usize, v);
-                    } else {
-                        store.fetch_add(lhs_e as usize, v);
-                    }
-                } else {
-                    store.set(lhs_e as usize, v);
+                CompiledStmt::Accumulate { lhs, sources } => {
+                    sweep_row(lhs, sources, j, lo, n, store, ArrayStore::fetch_add);
                 }
-                lhs_e += lhs_step;
             }
         }
     }
+}
 
-    #[inline(always)]
-    fn exec_inner(&self, i: &[i64], store: &crate::ArrayStore, relaxed: bool) {
-        for st in &self.stmts {
-            match st {
-                CompiledStmt::Assign { lhs, sources } => {
-                    let mut v = 0.0;
-                    for s in sources {
-                        v += store.get(s.eval(i));
-                    }
-                    store.set(lhs.eval(i), v);
-                }
-                CompiledStmt::Accumulate { lhs, sources } => {
-                    let mut delta = 0.0;
-                    for s in sources {
-                        delta += store.get(s.eval(i));
-                    }
-                    if relaxed {
-                        store.add_relaxed(lhs.eval(i), delta);
-                    } else {
-                        store.fetch_add(lhs.eval(i), delta);
-                    }
-                }
-            }
+/// One statement over `n` points of a row starting at `(j[..last], lo)`:
+/// element ids advance by each reference's innermost-coordinate stride,
+/// so the loop is a pointer bump per reference plus the f64 arithmetic.
+#[inline(always)]
+fn sweep_row(
+    lhs: &LinRef,
+    sources: &[LinRef],
+    j: &[i64],
+    lo: i64,
+    n: u64,
+    store: &ArrayStore,
+    publish: impl Fn(&ArrayStore, usize, f64),
+) {
+    let last = lhs.coeffs.len() - 1;
+    let lhs_step = lhs.coeffs[last];
+    let mut lhs_e = lhs.row_start(j, lo);
+    // (element, step) per source; small inline buffer covers every
+    // realistic statement without allocating per row.
+    let mut buf = [(0i64, 0i64); 8];
+    let mut spill;
+    let srcs: &mut [(i64, i64)] = if sources.len() <= buf.len() {
+        for (slot, s) in buf.iter_mut().zip(sources) {
+            *slot = (s.row_start(j, lo), s.coeffs[last]);
         }
+        &mut buf[..sources.len()]
+    } else {
+        spill = sources
+            .iter()
+            .map(|s| (s.row_start(j, lo), s.coeffs[last]))
+            .collect::<Vec<_>>();
+        &mut spill
+    };
+    for _ in 0..n {
+        let mut v = 0.0;
+        for (e, step) in srcs.iter_mut() {
+            debug_assert!(*e >= 0, "element id must be non-negative");
+            v += store.get(*e as usize);
+            *e += *step;
+        }
+        debug_assert!(lhs_e >= 0, "element id must be non-negative");
+        publish(store, lhs_e as usize, v);
+        lhs_e += lhs_step;
     }
 }
 
@@ -363,7 +315,6 @@ fn lower_ref(r: &ArrayRef, layout: &ArrayLayout) -> Result<LinRef, RuntimeError>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ArrayStore;
     use alp_loopir::parse;
 
     #[test]
@@ -383,7 +334,8 @@ mod tests {
             let id = layout.array_id(&r.array).unwrap();
             for pt in nest.iteration_points() {
                 let i: Vec<i64> = pt.0.iter().map(|&x| x as i64).collect();
-                assert_eq!(lin.eval(&i) as u64, layout.line(id, &r.eval(&pt)));
+                let start = lin.row_start(&i, i[i.len() - 1]);
+                assert_eq!(start as u64, layout.line(id, &r.eval(&pt)));
             }
         }
     }
@@ -405,8 +357,8 @@ mod tests {
         let store = ArrayStore::zeroed(layout.total_lines());
         let a0 = layout.array_id("A").unwrap();
         store.set(layout.line(a0, &alp_linalg::IVec::new(&[2])) as usize, 9.0);
-        kernel.execute(&[2], &store);
-        kernel.execute(&[2], &store); // overwrite, not accumulate
+        kernel.execute_row::<false>(&[2], 2, 2, &store);
+        kernel.execute_row::<false>(&[2], 2, 2, &store); // overwrite, not accumulate
         let c0 = layout.array_id("C").unwrap();
         assert_eq!(
             store.get(layout.line(c0, &alp_linalg::IVec::new(&[2])) as usize),

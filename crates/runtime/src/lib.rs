@@ -254,13 +254,13 @@ mod tests {
 
     #[test]
     fn zero_iteration_tiles_return_empty_report() {
-        // The parser rejects zero-trip source loops, but an explicit
-        // assignment can still hand the executor tiles with no work:
-        // the run must return an empty report, not spawn threads
+        // The parser rejects zero-trip source loops, but a nest built
+        // or edited in memory can still hand the executor tiles with no
+        // work: the run must return an empty report, not spawn threads
         // against a 0-party barrier or divide by zero.
-        let nest = parse("doall (i, 0, 3) { A[i] = A[i]; }").unwrap();
-        let assignment: Vec<Vec<alp_linalg::IVec>> = vec![Vec::new(), Vec::new()];
-        let exec = Executor::from_assignment(&nest, &assignment).unwrap();
+        let mut nest = parse("doall (i, 0, 3) { A[i] = A[i]; }").unwrap();
+        nest.loops[0].upper = nest.loops[0].lower - 1;
+        let exec = Executor::from_grid(&nest, &[2]).unwrap();
         assert_eq!(exec.tile_count(), 2);
         let report = exec
             .run(&exec.seeded_store(0), &ExecOptions::default())
@@ -269,18 +269,6 @@ mod tests {
         assert_eq!(report.total_iterations, 0);
         assert!(report.per_thread.is_empty());
         assert!(report.per_tile.is_empty());
-    }
-
-    #[test]
-    fn empty_explicit_assignment_returns_empty_report() {
-        let nest = parse("doall (i, 0, 3) { A[i] = A[i]; }").unwrap();
-        let assignment: Vec<Vec<alp_linalg::IVec>> = Vec::new();
-        let exec = Executor::from_assignment(&nest, &assignment).unwrap();
-        let report = exec
-            .run(&exec.seeded_store(0), &ExecOptions::default())
-            .unwrap();
-        assert_eq!(report.threads, 0);
-        assert_eq!(report.total_iterations, 0);
     }
 
     #[test]
@@ -396,15 +384,75 @@ mod tests {
     }
 
     #[test]
-    fn explicit_assignment_path() {
-        let nest = example2();
-        let assignment = vec![
-            nest.iteration_points()[..100].to_vec(),
-            nest.iteration_points()[100..].to_vec(),
-        ];
-        let exec = Executor::from_assignment(&nest, &assignment).unwrap();
-        let outcome = exec.verify(7, &ExecOptions::default()).unwrap();
-        assert!(outcome.matches_reference);
-        assert_eq!(outcome.report.total_iterations, 256);
+    fn multi_statement_body_keeps_intra_iteration_order() {
+        // Rows run statement by statement, cut at poll boundaries; a
+        // legal doall whose second statement reads what the first wrote
+        // in the *same* iteration must still match the reference.
+        let nest = parse(
+            "doall (i, 0, 3) { doall (j, 0, 2047) {
+               A[i, j] = B[i, j] + B[i, j+1];
+               C[i, j] = A[i, j] + B[i+1, j];
+             } }",
+        )
+        .unwrap();
+        for grid in [[1, 1], [2, 2]] {
+            let exec = Executor::from_grid(&nest, &grid).unwrap();
+            let outcome = exec.verify(14, &ExecOptions::default()).unwrap();
+            assert!(outcome.matches_reference);
+        }
+    }
+
+    #[test]
+    fn cancellation_polls_count_iterations_not_rows() {
+        // RunReport documents one in-tile poll per POLL_INTERVAL
+        // iterations.  64 rows of 40 points, two tiles of 1280
+        // iterations, two repetitions: one poll per tile per repetition
+        // — for the rectangular plan and for the skewed one, whose rows
+        // are short enough that a poll per row would read 128.
+        let nest = parse(
+            "doseq (t, 0, 1) { doall (i, 0, 63) { doall (j, 0, 39) {
+               A[i, j] = B[i, j] + B[i+1, j];
+             } } }",
+        )
+        .unwrap();
+        let mut u = alp_linalg::IMat::identity(2);
+        u[(0, 1)] = 1;
+        let skew = alp_plan::Transform::new(u, alp_plan::fingerprint_hex(&nest)).unwrap();
+        for exec in [
+            Executor::from_grid(&nest, &[2, 1]).unwrap(),
+            Executor::from_transformed(&nest, &skew, &[2, 1]).unwrap(),
+        ] {
+            let report = exec.verify(12, &ExecOptions::default()).unwrap().report;
+            let per_rep: u64 = report
+                .per_tile
+                .iter()
+                .map(|t| t.iterations / POLL_INTERVAL)
+                .sum();
+            assert_eq!(per_rep, 2);
+            assert_eq!(report.cancellation_polls, per_rep * report.repetitions);
+        }
+    }
+
+    #[test]
+    fn per_tile_busy_accounts_for_every_repetition_under_dynamic() {
+        // Under self-scheduling a later repetition's tile may land on a
+        // thread that did not run it in repetition 0; its time must
+        // still reach the tile's row.
+        let nest = parse(
+            "doseq (t, 0, 15) { doall (i, 0, 63) {
+               l$A[0] = l$A[0] + B[i];
+             } }",
+        )
+        .unwrap();
+        let exec = Executor::from_grid(&nest, &[8]).unwrap();
+        let opts = ExecOptions {
+            threads: 2,
+            schedule: Schedule::Dynamic,
+            ..ExecOptions::default()
+        };
+        let report = exec.verify(13, &opts).unwrap().report;
+        let by_tile: std::time::Duration = report.per_tile.iter().map(|t| t.busy).sum();
+        let by_thread: std::time::Duration = report.per_thread.iter().map(|t| t.busy).sum();
+        assert_eq!(by_tile, by_thread);
     }
 }

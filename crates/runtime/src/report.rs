@@ -31,14 +31,16 @@ impl std::fmt::Display for Schedule {
 pub struct TileMetrics {
     /// Tile id (== the processor id of `assign_rect`'s numbering).
     pub tile: usize,
-    /// Thread that executed the tile.
+    /// Thread that executed the tile in the first repetition (under
+    /// [`Schedule::Dynamic`] a later repetition may run it elsewhere).
     pub thread: usize,
     /// Iterations in the tile (per repetition).
     pub iterations: u64,
     /// Distinct cache lines the tile touched, or `None` when touch
     /// tracking was off.
     pub distinct_lines: Option<u64>,
-    /// Time spent executing the tile, summed over repetitions.
+    /// Time spent executing the tile, summed over repetitions,
+    /// whichever thread ran each.
     pub busy: Duration,
 }
 

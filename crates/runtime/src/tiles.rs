@@ -3,35 +3,9 @@
 //! The rectangular enumerator lives in [`alp_plan::tiles`] — the single
 //! implementation shared with `alp-codegen`'s `assign_rect` and the
 //! machine simulator, so tile `t` here encloses precisely the iterations
-//! every other layer gives processor `t`.  This module re-exports it and
-//! adds the explicit-assignment conversion the executor also accepts.
-
-use crate::RuntimeError;
+//! every other layer gives processor `t`.  This module re-exports it.
 
 pub use alp_plan::{rect_tiles, IterBox};
-
-/// Explicit per-processor iteration lists, converted from a codegen
-/// [`Assignment`](alp_codegen::Assignment).
-pub fn explicit_tiles(
-    assignment: &[Vec<alp_linalg::IVec>],
-) -> Result<Vec<Vec<Vec<i64>>>, RuntimeError> {
-    assignment
-        .iter()
-        .map(|pts| {
-            pts.iter()
-                .map(|p| {
-                    p.0.iter()
-                        .map(|&x| {
-                            i64::try_from(x).map_err(|_| {
-                                RuntimeError::BadGrid(format!("iteration coord {x} overflows i64"))
-                            })
-                        })
-                        .collect()
-                })
-                .collect()
-        })
-        .collect()
-}
 
 #[cfg(test)]
 mod tests {
