@@ -46,7 +46,8 @@ pub enum RequestOp {
 }
 
 impl RequestOp {
-    fn parse(s: &str) -> Option<RequestOp> {
+    /// The operation a wire (or command-line) name denotes.
+    pub fn parse(s: &str) -> Option<RequestOp> {
         match s {
             "plan" => Some(RequestOp::Plan),
             "run" => Some(RequestOp::Run),

@@ -408,21 +408,15 @@ impl Compiler {
         &self,
         nest: &LoopNest,
     ) -> Result<(PartitionPlan, alp_analysis::Report), AlpError> {
-        let report = if self.check {
+        let (report, verdict) = if self.check {
             let report = alp_analysis::analyze(nest);
             if report.has_errors() {
                 return Err(AlpError::Illegal(report));
             }
-            report
+            let warnings = report.count(alp_analysis::Severity::Warning);
+            (report, LegalityVerdict::Checked { warnings })
         } else {
-            alp_analysis::Report::default()
-        };
-        let verdict = if self.check {
-            LegalityVerdict::Checked {
-                warnings: report.count(alp_analysis::Severity::Warning),
-            }
-        } else {
-            LegalityVerdict::Unchecked
+            (alp_analysis::Report::default(), LegalityVerdict::Unchecked)
         };
         if self.skewed {
             return Ok((self.plan_skewed(nest, verdict)?, report));
@@ -703,7 +697,6 @@ pub fn aligned_home(nest: &LoopNest, partition: &RectPartition) -> alp_machine::
     use alp_machine::TiledArrayHome;
 
     let layout = ArrayLayout::from_nest(nest);
-    let p: i128 = partition.proc_grid.iter().product();
     let mut arrays = Vec::new();
     let mut described = std::collections::HashSet::new();
     for class in classify(nest) {
@@ -750,7 +743,6 @@ pub fn aligned_home(nest: &LoopNest, partition: &RectPartition) -> alp_machine::
             owner_dim,
         });
     }
-    let _ = p;
     alp_machine::TiledHome::new(partition.proc_grid.clone(), arrays)
 }
 

@@ -702,3 +702,151 @@ fn serve_stats_reports_per_shard_occupancy() {
     assert_eq!(code, Some(0));
     daemon.wait().expect("daemon exits");
 }
+
+/// Exit 2 with the generated usage on stderr and nothing on stdout.
+/// Usage errors are found before any input is read, so no stdin is
+/// piped.
+fn assert_usage_error(args: &[&str]) {
+    let (stdout, stderr, code) = run_cli(args, None);
+    assert_eq!(code, Some(2), "{args:?}: {stderr}");
+    assert!(stderr.starts_with("usage:"), "{args:?}: {stderr}");
+    assert!(stdout.is_empty(), "{args:?}: {stdout}");
+}
+
+#[test]
+fn every_command_reports_malformed_command_lines_as_usage_errors() {
+    // One parser serves all eight commands, so each kind of malformed
+    // command line fails the same way everywhere: a value flag at the
+    // end of argv, a non-numeric value for a numeric flag, an unknown
+    // flag, a surplus positional, a missing required positional.
+    let cases: &[&[&str]] = &[
+        &["-", "-p"],
+        &["-p", "x", "-"],
+        &["-m", "4", "-"],
+        &["--param", "N", "-"],
+        &["--bogus", "-"],
+        &["a", "b"],
+        &[],
+        &["plan", "-", "--emit"],
+        &["plan", "-p", "x", "-"],
+        &["plan", "--bogus"],
+        &["plan", "a", "b"],
+        &["plan"],
+        &["run", "-", "--seed"],
+        &["run", "--threads", "x", "-"],
+        &["run", "--thread", "2", "-"],
+        &["run", "a", "b"],
+        &["run"],
+        &["certify", "plan.json", "--emit"],
+        &["certify", "--emitt", "x", "plan.json"],
+        &["certify", "a", "b"],
+        &["certify"],
+        &["calibrate", "--trials"],
+        &["calibrate", "--trials", "x"],
+        &["calibrate", "--bogus"],
+        &["calibrate", "a", "b"],
+        &["serve"],
+        &["serve", "--socket"],
+        &["serve", "--socket", "s", "--workers", "x"],
+        &["serve", "--socket", "s", "--bogus"],
+        &["serve", "--socket", "s", "a", "b"],
+        &["serve", "--socket", "s", "--connect", "--op", "bogus"],
+        &["serve", "--socket", "s", "--connect", "--op", "plan"],
+        &["store", "--bogus", "dir"],
+        &["store", "bogus", "dir"],
+        &["store", "verify", "dir", "extra"],
+        &["store", "verify"],
+        &["bench-serve", "--requests"],
+        &["bench-serve", "--requests", "x"],
+        &["bench-serve", "--bogus"],
+        &["bench-serve", "extra"],
+    ];
+    for args in cases {
+        assert_usage_error(args);
+    }
+}
+
+#[test]
+fn every_command_answers_help_with_its_usage() {
+    for cmd in [
+        "",
+        "plan",
+        "run",
+        "certify",
+        "calibrate",
+        "serve",
+        "store",
+        "bench-serve",
+    ] {
+        for help in ["--help", "-h"] {
+            let args: Vec<&str> = [cmd, help].into_iter().filter(|a| !a.is_empty()).collect();
+            assert_usage_error(&args);
+        }
+    }
+    // The usage is the command's own, generated from its flag table.
+    let (_, stderr, _) = run_cli(&["run", "--help"], None);
+    assert!(stderr.starts_with("usage: alp-cli run "), "{stderr}");
+    assert!(stderr.contains("--require-cert"), "{stderr}");
+    assert!(!stderr.contains("--via-server"), "{stderr}");
+}
+
+#[test]
+fn infeasible_requests_render_the_same_from_every_command() {
+    // One AlpError, one rendering: `error[CODE]` and the table's exit.
+    let line = "alp-cli: error[ALP0004]: infeasible: need at least one processor\n";
+    for args in [
+        &["-p", "0", "-"][..],
+        &["plan", "-p", "0", "-"],
+        &["run", "-p", "0", "-"],
+    ] {
+        let (_, stderr, code) = run_cli(args, Some(STENCIL));
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr, line, "{args:?}");
+    }
+}
+
+#[test]
+fn serve_client_accepts_the_long_processors_flag() {
+    let (mut daemon, sock) = spawn_serve(&[]);
+    let nest = "doall (i, 0, 63) { A[i] = A[i] + B[i]; }";
+    let (stdout, stderr, code) = serve_client(&sock, &["--processors", "4", "-"], Some(nest));
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert!(stdout.contains("tiles 4"), "{stdout}");
+    let (_, _, code) = serve_client(&sock, &["--op", "shutdown"], None);
+    assert_eq!(code, Some(0));
+    daemon.wait().expect("daemon exits");
+}
+
+#[test]
+fn simulating_a_nest_and_its_saved_plan_print_the_same_traffic() {
+    // Default-mode --simulate and --from-plan --simulate are one path:
+    // same nest, mesh and line size, same simulation block.
+    let traffic = |out: &str| -> Vec<String> {
+        out.lines()
+            .skip_while(|l| *l != "== simulation ==")
+            .filter(|l| !l.contains("aligned memory"))
+            .map(str::to_string)
+            .collect()
+    };
+    for (i, mesh) in [&[][..], &["-m", "2x4"]].into_iter().enumerate() {
+        let plan_path =
+            std::env::temp_dir().join(format!("alp-cli-sim-{}-{i}.plan.json", std::process::id()));
+        let plan_path = plan_path.to_str().expect("utf-8 temp path");
+        let common = [&["-p", "8"][..], mesh].concat();
+
+        let args = [&common[..], &["--simulate", "--line-size", "2", "-"]].concat();
+        let (direct, stderr, code) = run_cli(&args, Some(STENCIL));
+        assert_eq!(code, Some(0), "stderr: {stderr}");
+
+        let args = [&["plan"][..], &common, &["--emit", plan_path, "-"]].concat();
+        let (_, stderr, code) = run_cli(&args, Some(STENCIL));
+        assert_eq!(code, Some(0), "stderr: {stderr}");
+        let args = ["--from-plan", plan_path, "--simulate", "--line-size", "2"];
+        let (replayed, stderr, code) = run_cli(&args, None);
+        std::fs::remove_file(plan_path).ok();
+        assert_eq!(code, Some(0), "stderr: {stderr}");
+
+        assert_eq!(traffic(&direct).len(), 6, "{direct}");
+        assert_eq!(traffic(&direct), traffic(&replayed), "mesh {mesh:?}");
+    }
+}

@@ -268,3 +268,72 @@ fn warm_cache_compile_equals_cold_compile() {
         .expect("replay from plan");
     assert_eq!(replayed.code.clone(), fresh.code.clone());
 }
+
+#[test]
+fn daemon_and_facade_plan_the_same_bytes() {
+    // `alp_serve::pipeline::build_plan` (what the daemon's workers call)
+    // and `Compiler::plan` (what `alp-cli plan` calls) are two entry
+    // points to one planner: for every parameter the wire protocol can
+    // carry they must emit the same artifact, byte for byte.
+    use alp::serve::pipeline::{build_plan, PlanSpec};
+    let sources = [
+        GOLDEN_SOURCE,
+        GOLDEN_SOURCE_EX2,
+        // 1-D accumulate.
+        "doall (i, 0, 255) { A[i] = A[i] + B[i]; }",
+        // 3-D stencil.
+        "doall (i, 1, 24) { doall (j, 1, 24) { doall (k, 1, 24) {
+           A[i,j,k] = B[i-1,j,k] + B[i,j+1,k] + B[i,j,k-2];
+         } } }",
+        // Strided references.
+        "doall (i, 0, 63) { doall (j, 0, 63) { A[2*i,j] = B[2*i+1,3*j] + B[2*i,3*j+2]; } }",
+    ];
+    for source in sources {
+        let nest = parse(source).expect("source parses");
+        for processors in [1, 8, 24] {
+            for check in [true, false] {
+                for certified in [true, false] {
+                    let spec = PlanSpec {
+                        source: source.to_string(),
+                        processors,
+                        check,
+                        certify: certified,
+                    };
+                    let served = build_plan(&spec).expect("daemon plans");
+                    let mut compiler = Compiler::new(processors);
+                    if !check {
+                        compiler = compiler.unchecked();
+                    }
+                    let mut local = compiler.plan(&nest).expect("facade plans");
+                    if certified {
+                        let report = certify(&local).expect("plan certifies");
+                        local = local.with_certificate(report.certificate);
+                    }
+                    assert_eq!(
+                        served.to_json_string(),
+                        local.to_json_string(),
+                        "P = {processors}, check {check}, certify {certified}: {source}"
+                    );
+                }
+            }
+        }
+    }
+
+    // And they refuse the same nests, under the same stable code.
+    let racy = "doall (i, 0, 31) { A[0] = A[i]; }";
+    let spec = PlanSpec {
+        source: racy.to_string(),
+        processors: 8,
+        check: true,
+        certify: false,
+    };
+    assert_eq!(
+        build_plan(&spec).expect_err("daemon refuses").code,
+        "ALP0003"
+    );
+    let err = Compiler::new(8)
+        .plan(&parse(racy).expect("racy source parses"))
+        .expect_err("facade refuses");
+    assert!(matches!(err, AlpError::Illegal(_)), "{err}");
+    assert_eq!(err.code(), "ALP0003");
+}
