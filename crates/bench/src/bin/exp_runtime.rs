@@ -325,11 +325,14 @@ fn bench_skewed_case(
     let cands = skewed_candidates(nest, p, &ParaSearchConfig::default())
         .expect("nest has skewed candidates");
     let ranked = rank_skewed(nest, latency, &cands, 1).expect("skewed ranking");
-    let degenerate = skewed_ranking_is_degenerate(&ranked);
-    let (cand, ranked_by) = if degenerate {
-        (&cands[0], "analytic")
+    // A degenerate ranking is the analytic order, so its head is the
+    // Theorem-2 winner either way; the flag records which model decided.
+    let best = &ranked[0];
+    let cand = &cands[best.index];
+    let ranked_by = if ranking_is_degenerate(&ranked) {
+        "analytic"
     } else {
-        (&cands[ranked[0].index], "calibrated")
+        "calibrated"
     };
 
     let exec =
@@ -357,14 +360,13 @@ fn bench_skewed_case(
         .expect("fault-free run")
         .max_tile_footprint()
         .unwrap_or(0);
-    let features = skewed_grid_features(nest, cand, 1).expect("skewed features");
     let skewed_result = GridResult {
         label: "skewed",
         grid: cand.grid.clone(),
         wall,
         wall_median,
         model_cost: cand.analytic_cost as f64,
-        hybrid_cost: latency.hybrid_cost(&features).to_f64(),
+        hybrid_cost: best.hybrid_cost.to_f64(),
         measured_lines,
         matches: outcome.matches_reference,
     };
@@ -529,9 +531,9 @@ fn bench_cert_fastpath(nests: &[(&'static str, &LoopNest, Vec<i128>)]) -> Vec<Ce
     nests
         .iter()
         .map(|(name, nest, grid)| {
-            let (_, chunks) = rect_tiles(nest, grid).expect("benchmark grid is feasible");
+            let tiling = Tiling::new(nest, None, grid).expect("benchmark grid is feasible");
             let partition = RectPartition {
-                tile_extents: chunks.iter().map(|c| c - 1).collect(),
+                tile_extents: tiling.extents(),
                 proc_grid: grid.clone(),
                 cost: Rat::int(0),
             };

@@ -8,8 +8,7 @@ use crate::CalibrateError;
 use alp_footprint::CostModel;
 use alp_linalg::{IMat, IVec, Rat};
 use alp_loopir::LoopNest;
-use alp_partition::rect::factorizations;
-use alp_plan::{rect_tiles, IterBox, SkewedCandidate};
+use alp_plan::{IterBox, Tiling};
 use std::collections::HashMap;
 
 /// The feature vector the hybrid cost model scores one candidate
@@ -18,13 +17,14 @@ use std::collections::HashMap;
 pub struct GridFeatures {
     /// The candidate processor grid (one factor per parallel loop).
     pub grid: Vec<i128>,
-    /// Interior tile extents `λ_k` (inclusive), as `partition_rect`
-    /// derives them: a tile spans `ceil(n_k / g_k)` iterations.
+    /// Interior tile extents `λ_k` (inclusive): the tiling's chunk
+    /// sizes minus one.
     pub tile_extents: Vec<i128>,
     /// Non-empty tiles in the partition.
     pub tiles: i128,
-    /// Modeled worst-tile cumulative footprint (Theorem 4 /
-    /// [`CostModel::cost_rect`]) — the analytic objective's own value.
+    /// Modeled worst-tile cumulative footprint — the analytic
+    /// objective's own value (Theorem 4 / [`CostModel::cost_rect`] for
+    /// a rectangular candidate).
     pub lines: Rat,
     /// Worst-tile address envelope in cache lines: per referenced
     /// array, the span from the lowest to the highest line any
@@ -63,27 +63,37 @@ fn layouts(nest: &LoopNest) -> HashMap<String, Layout> {
 /// The address envelope (in lines) of one tile box: for each array, the
 /// min and max row-major address any reference evaluates to at any
 /// corner of the box, widened to whole lines and summed over arrays.
-fn tile_span_lines(
+///
+/// With `v = U⁻¹` the box lives in the transformed `j = i·U` space and
+/// its corners are mapped back through `v` before evaluating the
+/// references, so the envelope is taken over the pre-image
+/// parallelepiped.  Affine subscripts composed with a linear map are
+/// still affine in `j`, so corner evaluation stays exact for the
+/// unclipped box (a sound over-approximation of the clipped tile).
+fn span_lines(
     nest: &LoopNest,
     layouts: &HashMap<String, Layout>,
     tile: &IterBox,
+    v: Option<&IMat>,
     line_size: u64,
 ) -> i128 {
     let depth = tile.lo.len();
     let line = line_size.max(1) as i128;
     let mut envelope: HashMap<&str, (i128, i128)> = HashMap::new();
     for mask in 0u32..(1u32 << depth) {
-        let corner = IVec(
-            (0..depth)
-                .map(|k| {
-                    if mask & (1 << k) != 0 {
-                        tile.hi[k] as i128
-                    } else {
-                        tile.lo[k] as i128
-                    }
-                })
+        let at = |k: usize| {
+            i128::from(if mask & (1 << k) != 0 {
+                tile.hi[k]
+            } else {
+                tile.lo[k]
+            })
+        };
+        let corner = IVec(match v {
+            None => (0..depth).map(at).collect(),
+            Some(v) => (0..depth)
+                .map(|d| (0..depth).map(|k| at(k) * v[(k, d)]).sum())
                 .collect(),
-        );
+        });
         for r in nest.all_refs() {
             let Some(layout) = layouts.get(r.array.as_str()) else {
                 continue;
@@ -111,53 +121,59 @@ fn tile_span_lines(
         .sum()
 }
 
-/// Every factorization of `p` over the nest's parallel loops that is
-/// feasible (no dimension gets more processors than iterations) — the
-/// same candidate set `partition_rect` searches, in the same order.
-pub fn candidate_grids(nest: &LoopNest, p: i128) -> Vec<Vec<i128>> {
-    let trips: Vec<i128> = nest.loops.iter().map(|l| l.trip_count()).collect();
-    factorizations(p, nest.depth())
-        .into_iter()
-        .filter(|grid| grid.iter().zip(&trips).all(|(&g, &n)| g <= n))
+/// Per-tile `(span, iters)` labels for every tile of one tiling, indexed
+/// like the executor's tile numbering (`None` for a tile that owns no
+/// iteration) — the labels probe measurements are fitted against.  `v`
+/// is the inverse of the transform the tiling was built with, if any.
+pub(crate) fn per_tile_features(
+    nest: &LoopNest,
+    tiling: &Tiling,
+    v: Option<&IMat>,
+    line_size: u64,
+) -> Vec<Option<(i128, i128)>> {
+    let lay = layouts(nest);
+    (tiling.boxes().iter().enumerate())
+        .map(|(t, bx)| {
+            let points = tiling.points(t);
+            (points > 0).then(|| (span_lines(nest, &lay, bx, v, line_size), points.into()))
+        })
         .collect()
 }
 
-/// Compute the hybrid-cost features of one candidate grid.
-pub fn grid_features(
+/// Hybrid-cost features of one candidate tiling, rectangular or skewed:
+/// tiles are `grid` cells of `tiling` (rectangular in the transformed
+/// `j = i·U` space when it was built with a transform, whose inverse is
+/// `v`), iterations are counted exactly, and `lines` is the analytic
+/// objective's value for the candidate — Theorem 4 for a rectangular
+/// one, the parallelepiped Eq.-2 cost for a skewed one.  One feature
+/// vector shape scores both, so one fitted latency model ranks both
+/// classes.
+pub fn features(
     nest: &LoopNest,
-    model: &CostModel,
+    tiling: &Tiling,
+    v: Option<&IMat>,
     grid: &[i128],
+    lines: Rat,
     line_size: u64,
 ) -> Result<GridFeatures, CalibrateError> {
-    let (tiles, _chunks) = rect_tiles(nest, grid)?;
-    let trips: Vec<i128> = nest.loops.iter().map(|l| l.trip_count()).collect();
-    let tile_extents: Vec<i128> = grid
-        .iter()
-        .zip(&trips)
-        .map(|(&g, &n)| (n + g - 1) / g - 1)
-        .collect();
-    let lines = model.cost_rect(&tile_extents);
-    let lay = layouts(nest);
-    let mut span_lines = 0i128;
-    let mut iters = 0i128;
-    let mut nonempty = 0i128;
-    for t in &tiles {
-        if t.is_empty() {
-            continue;
-        }
-        nonempty += 1;
-        span_lines = span_lines.max(tile_span_lines(nest, &lay, t, line_size));
-        iters = iters.max(t.volume() as i128);
+    let (mut tiles, mut span_lines, mut iters) = (0i128, 0i128, 0i128);
+    for (span, points) in per_tile_features(nest, tiling, v, line_size)
+        .into_iter()
+        .flatten()
+    {
+        tiles += 1;
+        span_lines = span_lines.max(span);
+        iters = iters.max(points);
     }
-    if nonempty == 0 {
+    if tiles == 0 {
         return Err(CalibrateError::Degenerate(format!(
             "grid {grid:?} produces no non-empty tiles"
         )));
     }
     Ok(GridFeatures {
         grid: grid.to_vec(),
-        tile_extents,
-        tiles: nonempty,
+        tile_extents: tiling.extents(),
+        tiles,
         lines,
         span_lines,
         iters,
@@ -165,156 +181,17 @@ pub fn grid_features(
     })
 }
 
-/// The address envelope of one *transformed* tile: corners of the
-/// rectangular `j`-space box are mapped back through `V = U⁻¹` before
-/// evaluating the references, so the envelope is taken over the
-/// pre-image parallelepiped.  Affine subscripts composed with a linear
-/// map are still affine in `j`, so corner evaluation stays exact for
-/// the unclipped box (a sound over-approximation of the clipped tile).
-fn skewed_tile_span_lines(
+/// [`features`] of one rectangular candidate grid, its analytic lines
+/// the Theorem-4 cost of the grid's interior tile.
+pub fn grid_features(
     nest: &LoopNest,
-    layouts: &HashMap<String, Layout>,
-    tile: &IterBox,
-    v: &IMat,
-    line_size: u64,
-) -> i128 {
-    let depth = tile.lo.len();
-    let line = line_size.max(1) as i128;
-    let mut envelope: HashMap<&str, (i128, i128)> = HashMap::new();
-    for mask in 0u32..(1u32 << depth) {
-        let corner_i = IVec(
-            (0..depth)
-                .map(|d| {
-                    (0..depth)
-                        .map(|k| {
-                            let j = if mask & (1 << k) != 0 {
-                                tile.hi[k] as i128
-                            } else {
-                                tile.lo[k] as i128
-                            };
-                            j * v[(k, d)]
-                        })
-                        .sum()
-                })
-                .collect(),
-        );
-        for r in nest.all_refs() {
-            let Some(layout) = layouts.get(r.array.as_str()) else {
-                continue;
-            };
-            let subs = r.eval(&corner_i);
-            let addr: i128 = subs
-                .0
-                .iter()
-                .zip(&layout.lo)
-                .zip(&layout.stride)
-                .map(|((&s, &lo), &st)| (s - lo) * st)
-                .sum();
-            envelope
-                .entry(r.array.as_str())
-                .and_modify(|(mn, mx)| {
-                    *mn = (*mn).min(addr);
-                    *mx = (*mx).max(addr);
-                })
-                .or_insert((addr, addr));
-        }
-    }
-    envelope
-        .values()
-        .map(|&(mn, mx)| mx / line - mn / line + 1)
-        .sum()
-}
-
-/// Hybrid-cost features of one **skewed** candidate: tiles are
-/// rectangular in the transformed `j = i·U` space, iterations are
-/// counted over the exact clipped domain, and the analytic `lines`
-/// value is the parallelepiped Eq.-2 cost the candidate search already
-/// attached.  The same feature vector shape scores rectangular and
-/// skewed candidates, so one fitted latency model ranks both classes.
-pub fn skewed_grid_features(
-    nest: &LoopNest,
-    cand: &SkewedCandidate,
-    line_size: u64,
-) -> Result<GridFeatures, CalibrateError> {
-    let (tiles, _chunks, domain) = alp_plan::transformed_tiles(nest, &cand.transform, &cand.grid)?;
-    let lay = layouts(nest);
-    let v = cand.transform.v();
-    let mut span_lines = 0i128;
-    let mut iters = 0i128;
-    let mut nonempty = 0i128;
-    for t in &tiles {
-        let points = domain.count(t);
-        if points == 0 {
-            continue;
-        }
-        nonempty += 1;
-        span_lines = span_lines.max(skewed_tile_span_lines(nest, &lay, t, v, line_size));
-        iters = iters.max(points);
-    }
-    if nonempty == 0 {
-        return Err(CalibrateError::Degenerate(format!(
-            "skewed grid {:?} produces no non-empty tiles",
-            cand.grid
-        )));
-    }
-    Ok(GridFeatures {
-        grid: cand.grid.clone(),
-        tile_extents: cand.tile_extents.clone(),
-        tiles: nonempty,
-        lines: Rat::int(cand.analytic_cost),
-        span_lines,
-        iters,
-        reps: nest.seq_repetitions(),
-    })
-}
-
-/// Per-tile `(span, iters)` labels for one skewed candidate, indexed
-/// like the transformed executor's tile numbering (`None` for tiles the
-/// clipping empties) — the skewed analogue of [`per_tile_features`].
-pub(crate) fn per_tile_skewed_features(
-    nest: &LoopNest,
-    cand: &SkewedCandidate,
-    line_size: u64,
-) -> Result<Vec<Option<(i128, i128)>>, CalibrateError> {
-    let (tiles, _chunks, domain) = alp_plan::transformed_tiles(nest, &cand.transform, &cand.grid)?;
-    let lay = layouts(nest);
-    let v = cand.transform.v();
-    Ok(tiles
-        .iter()
-        .map(|t| {
-            let points = domain.count(t);
-            if points == 0 {
-                None
-            } else {
-                Some((skewed_tile_span_lines(nest, &lay, t, v, line_size), points))
-            }
-        })
-        .collect())
-}
-
-/// Per-tile span features for every tile of one grid, indexed like the
-/// executor's tile numbering — the labels probe measurements are fitted
-/// against.
-pub(crate) fn per_tile_features(
-    nest: &LoopNest,
+    model: &CostModel,
     grid: &[i128],
     line_size: u64,
-) -> Result<Vec<Option<(i128, i128)>>, CalibrateError> {
-    let (tiles, _chunks) = rect_tiles(nest, grid)?;
-    let lay = layouts(nest);
-    Ok(tiles
-        .iter()
-        .map(|t| {
-            if t.is_empty() {
-                None
-            } else {
-                Some((
-                    tile_span_lines(nest, &lay, t, line_size),
-                    t.volume() as i128,
-                ))
-            }
-        })
-        .collect())
+) -> Result<GridFeatures, CalibrateError> {
+    let tiling = Tiling::new(nest, None, grid)?;
+    let lines = model.cost_rect(&tiling.extents());
+    features(nest, &tiling, None, grid, lines, line_size)
 }
 
 #[cfg(test)]
@@ -331,18 +208,6 @@ mod tests {
              } }",
         )
         .unwrap()
-    }
-
-    #[test]
-    fn candidate_grids_match_partition_search() {
-        let nest = example2();
-        let grids = candidate_grids(&nest, 16);
-        assert!(grids.contains(&vec![1, 16]));
-        assert!(grids.contains(&vec![4, 4]));
-        assert!(grids.contains(&vec![16, 1]));
-        // Infeasible factor (more processors than iterations) filtered.
-        let tiny = parse("doall (i, 0, 3) { doall (j, 0, 63) { A[i,j] = A[i,j]; } }").unwrap();
-        assert!(candidate_grids(&tiny, 8).iter().all(|g| g[0] <= 4));
     }
 
     #[test]
@@ -372,6 +237,23 @@ mod tests {
     }
 
     #[test]
+    fn identity_transform_candidate_has_the_rectangular_features() {
+        // One extractor: the same grid tiled through the identity
+        // transform (clipped walk, corners mapped through V = I) yields
+        // the rectangular tile count, span and iteration features.
+        let nest = example2();
+        let model = CostModel::from_nest(&nest);
+        let identity =
+            alp_plan::Transform::new(IMat::identity(2), alp_plan::fingerprint_hex(&nest)).unwrap();
+        for grid in [[4, 4], [1, 16], [3, 5]] {
+            let rect = grid_features(&nest, &model, &grid, 1).unwrap();
+            let tiling = Tiling::new(&nest, Some(&identity), &grid).unwrap();
+            let skew = features(&nest, &tiling, Some(identity.v()), &grid, rect.lines, 1).unwrap();
+            assert_eq!(skew, rect);
+        }
+    }
+
+    #[test]
     fn span_respects_line_size() {
         let nest = example2();
         let model = CostModel::from_nest(&nest);
@@ -383,7 +265,8 @@ mod tests {
     #[test]
     fn per_tile_features_align_with_tiles() {
         let nest = example2();
-        let per = per_tile_features(&nest, &[4, 4], 1).unwrap();
+        let tiling = Tiling::new(&nest, None, &[4, 4]).unwrap();
+        let per = per_tile_features(&nest, &tiling, None, 1);
         assert_eq!(per.len(), 16);
         assert!(per.iter().all(|f| f.is_some()));
         // Interior tiles of a 512/4 × 512/4 split: 128×128 iterations.

@@ -15,10 +15,13 @@
 //!    `busy ≈ a + b·lines + s·span + d·iters` (coefficients clamped
 //!    non-negative, snapped to exact rationals) and average the barrier
 //!    cost into a per-repetition coefficient `c`.
-//! 3. **Re-rank** ([`rank_candidates`], [`choose_calibrated`]) — score
-//!    every feasible processor-grid factorization with the hybrid cost
+//! 3. **Re-rank** ([`rank`]) — score candidates with the hybrid cost
 //!    `a·tiles + reps·(b·lines + s·span + d·iters) + c·reps`
 //!    and pick the cheapest, breaking ties toward the analytic choice.
+//!    [`rank_candidates`] / [`choose_calibrated`] feed it every feasible
+//!    processor-grid factorization, [`rank_skewed`] the parallelepiped
+//!    candidates; both describe a candidate by the same [`features`]
+//!    of its [`Tiling`](alp_plan::Tiling).
 //!
 //! The fitted coefficients serialize to a versioned artifact
 //! ([`Calibration`]) and travel inside
@@ -42,12 +45,11 @@ mod probe;
 mod rank;
 
 pub use artifact::{Calibration, ARTIFACT_VERSION};
-pub use features::{candidate_grids, grid_features, skewed_grid_features, GridFeatures};
+pub use features::{features, grid_features, GridFeatures};
 pub use fit::{fit, LatencyModel, TileSample};
-pub use probe::{fit_nest, probe_nest, probe_skewed, ProbeConfig, ProbeReport};
+pub use probe::{fit_nest, probe_nest, ProbeConfig, ProbeReport};
 pub use rank::{
-    choose_calibrated, rank_candidates, rank_skewed, ranking_is_degenerate,
-    skewed_ranking_is_degenerate, RankedCandidate, RankedSkewed,
+    choose_calibrated, rank, rank_candidates, rank_skewed, ranking_is_degenerate, Ranked,
 };
 
 /// Everything that can go wrong probing, fitting, or (de)serializing a

@@ -1,9 +1,11 @@
 //! Probe runs: execute candidate tilings on the real machine and turn
 //! the executor's reports into fit samples.
 
-use crate::features::{per_tile_features, per_tile_skewed_features};
-use crate::{candidate_grids, fit, CalibrateError, LatencyModel, TileSample};
+use crate::features::per_tile_features;
+use crate::{fit, CalibrateError, LatencyModel, TileSample};
 use alp_loopir::LoopNest;
+use alp_partition::feasible_grids;
+use alp_plan::{Tiling, Transform};
 use alp_runtime::{ExecOptions, Executor, Schedule};
 use std::time::Duration;
 
@@ -78,7 +80,7 @@ pub fn probe_nest(
     p: i128,
     cfg: &ProbeConfig,
 ) -> Result<ProbeReport, CalibrateError> {
-    let grids = candidate_grids(nest, p);
+    let grids = feasible_grids(nest, p);
     if grids.is_empty() {
         return Err(CalibrateError::Plan(alp_plan::PlanError::Infeasible(
             format!("no feasible factorization of {p} processors for this nest"),
@@ -86,54 +88,36 @@ pub fn probe_nest(
     }
     // Evenly subsample so the probed set still spans the shape range
     // (strips at both ends, blocks in the middle).
-    let selected: Vec<&Vec<i128>> = if grids.len() <= cfg.max_grids.max(1) {
-        grids.iter().collect()
-    } else {
-        let n = cfg.max_grids.max(1);
-        (0..n)
-            .map(|k| &grids[k * (grids.len() - 1) / (n - 1).max(1)])
-            .collect()
-    };
-
-    let mut report = ProbeReport::default();
-    for grid in selected {
-        let exec = Executor::from_grid(nest, grid).map_err(runtime_err)?;
-        let spans = per_tile_features(nest, grid, cfg.line_size)?;
-        report.merge(probe_executor(&exec, &spans, cfg)?);
-    }
-    Ok(report)
+    let n = cfg.max_grids.max(1).min(grids.len());
+    let selected: Vec<(Option<&Transform>, &[i128])> = (0..n)
+        .map(|k| (None, &grids[k * (grids.len() - 1) / (n - 1).max(1)].0[..]))
+        .collect();
+    probe(nest, &selected, cfg)
 }
 
-/// Probe one nest's **skewed** candidates: run up to `max_grids`
-/// parallelepiped tilings natively (rectangular tiles in the
-/// transformed `j = i·U` space) and extract per-tile samples labeled
-/// with the skewed span/iteration features.  Pooled with rectangular
-/// probes, these let one fitted model rank both candidate classes.
+/// Run each tiling — a grid over the nest's iteration space, or over
+/// its image under a transform — natively and extract per-tile samples
+/// labeled with the tiling's span/iteration features.
 ///
-/// The pooled samples are comparable because every tile, rectangular
-/// or skewed, executes as rows on the same `Kernel::execute_row` loop,
+/// Samples of rectangular and skewed tilings are comparable because
+/// every tile executes as rows on the same `Kernel::execute_row` loop,
 /// so `busy_ns` per iteration differs between the classes only through
-/// the lines a tile touches.  While rectangular tiles ran a per-point
-/// dot-product loop and only skewed tiles the row loop, the pooled fit
-/// blended two kernels into one `per_iter_ns`.
-pub fn probe_skewed(
+/// the lines a tile touches.
+fn probe(
     nest: &LoopNest,
-    p: i128,
+    tilings: &[(Option<&Transform>, &[i128])],
     cfg: &ProbeConfig,
 ) -> Result<ProbeReport, CalibrateError> {
-    let candidates =
-        alp_plan::skewed_candidates(nest, p, &alp_partition::ParaSearchConfig::default())
-            .map_err(CalibrateError::Plan)?;
-    if candidates.is_empty() {
-        return Err(CalibrateError::Plan(alp_plan::PlanError::Infeasible(
-            "nest has no skewed candidate bases".into(),
-        )));
-    }
     let mut report = ProbeReport::default();
-    for cand in candidates.iter().take(cfg.max_grids.max(1)) {
-        let exec =
-            Executor::from_transformed(nest, &cand.transform, &cand.grid).map_err(runtime_err)?;
-        let spans = per_tile_skewed_features(nest, cand, cfg.line_size)?;
+    for &(transform, grid) in tilings {
+        let exec = match transform {
+            None => Executor::from_grid(nest, grid),
+            Some(t) => Executor::from_transformed(nest, t, grid),
+        }
+        .map_err(runtime_err)?;
+        let tiling = Tiling::new(nest, transform, grid)?;
+        let v = transform.map(Transform::v);
+        let spans = per_tile_features(nest, &tiling, v, cfg.line_size);
         report.merge(probe_executor(&exec, &spans, cfg)?);
     }
     Ok(report)
@@ -256,7 +240,14 @@ mod tests {
              } }",
         )
         .unwrap();
-        let report = probe_skewed(&nest, 4, &quick_cfg()).unwrap();
+        let cands =
+            alp_plan::skewed_candidates(&nest, 4, &alp_partition::ParaSearchConfig::default())
+                .unwrap();
+        assert!(!cands.is_empty());
+        let tilings: Vec<(Option<&Transform>, &[i128])> = (cands.iter().take(4))
+            .map(|c| (Some(&c.transform), &c.grid[..]))
+            .collect();
+        let report = probe(&nest, &tilings, &quick_cfg()).unwrap();
         assert!(report.runs >= 1);
         assert!(!report.samples.is_empty());
         for s in &report.samples {

@@ -1,151 +1,121 @@
 //! Re-ranking the candidate tilings with the hybrid cost model.
 
-use crate::features::skewed_grid_features;
-use crate::{candidate_grids, grid_features, CalibrateError, GridFeatures, LatencyModel};
+use crate::{features, grid_features, CalibrateError, GridFeatures, LatencyModel};
 use alp_footprint::CostModel;
 use alp_linalg::Rat;
 use alp_loopir::LoopNest;
-use alp_partition::RectPartition;
-use alp_plan::SkewedCandidate;
+use alp_partition::{feasible_grids, RectPartition};
+use alp_plan::{SkewedCandidate, Tiling};
 
 /// One candidate tiling scored under both objectives.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RankedCandidate {
+pub struct Ranked {
+    /// Which candidate this is: its position in the enumeration order
+    /// of [`feasible_grids`] for [`rank_candidates`], its index into
+    /// the caller's slice for [`rank_skewed`].
+    pub index: usize,
     /// The hybrid-cost features (grid, extents, lines, span, …).
     pub features: GridFeatures,
-    /// The analytic Theorem-4 objective (worst-tile footprint).
+    /// The analytic objective (worst-tile footprint): Theorem 4 for a
+    /// rectangular candidate, the parallelepiped Eq.-2 cost for a
+    /// skewed one.
     pub analytic_cost: Rat,
     /// The calibrated hybrid cost, in model nanoseconds.
     pub hybrid_cost: Rat,
 }
 
-/// True when the calibration carries no grid-discriminating signal:
-/// every candidate lands on the exact same hybrid cost.  For a fixed
-/// processor count the per-tile/per-iter/per-rep terms are constant
-/// across factorizations, so this happens precisely when the fitted
-/// per-line *and* per-span coefficients are zero — the model then
-/// ranks nothing, and any "calibrated" order out of it is an artifact
-/// of sort stability rather than a prediction.
-pub fn ranking_is_degenerate(ranked: &[RankedCandidate]) -> bool {
+/// True when the calibration carries no candidate-discriminating
+/// signal: every candidate lands on the exact same hybrid cost.  For
+/// the rectangular factorizations of a fixed processor count the
+/// per-tile/per-iter/per-rep terms are constant, so this happens
+/// precisely when the fitted per-line *and* per-span coefficients are
+/// zero — the model then ranks nothing, and any "calibrated" order out
+/// of it is an artifact of sort stability rather than a prediction.
+/// (Skewed candidates differ in tile count and worst-tile iterations,
+/// so for them only the all-zero model is signal-free.)
+pub fn ranking_is_degenerate(ranked: &[Ranked]) -> bool {
     ranked.len() > 1
         && ranked
             .windows(2)
             .all(|w| w[0].hybrid_cost == w[1].hybrid_cost)
 }
 
-/// Score every feasible processor-grid factorization of `p` under the
-/// calibrated model, best first.  A degenerate calibration (all hybrid
-/// costs tied — see [`ranking_is_degenerate`]) falls back to the
-/// analytic Theorem-4 order *explicitly*, and exact hybrid ties within
-/// a live calibration break the same way, so a no-signal model
-/// reproduces the analytic ranking instead of scrambling it.
+/// Score candidates under the calibrated model, best first.  A
+/// degenerate calibration (all hybrid costs tied — see
+/// [`ranking_is_degenerate`]) falls back to the analytic order
+/// *explicitly*, and exact hybrid ties within a live calibration break
+/// the same way (then by index), so a no-signal model reproduces the
+/// analytic ranking instead of scrambling it.
+pub fn rank(candidates: Vec<(usize, GridFeatures)>, latency: &LatencyModel) -> Vec<Ranked> {
+    let mut out: Vec<Ranked> = candidates
+        .into_iter()
+        .map(|(index, features)| Ranked {
+            index,
+            analytic_cost: features.lines,
+            hybrid_cost: latency.hybrid_cost(&features),
+            features,
+        })
+        .collect();
+    let degenerate = ranking_is_degenerate(&out);
+    out.sort_by(|a, b| {
+        let hybrid = if degenerate {
+            std::cmp::Ordering::Equal
+        } else {
+            a.hybrid_cost.cmp(&b.hybrid_cost)
+        };
+        hybrid
+            .then_with(|| a.analytic_cost.cmp(&b.analytic_cost))
+            .then_with(|| a.index.cmp(&b.index))
+    });
+    out
+}
+
+/// [`rank`] every feasible processor-grid factorization of `p`
+/// ([`feasible_grids`]).
 pub fn rank_candidates(
     nest: &LoopNest,
     model: &CostModel,
     latency: &LatencyModel,
     p: i128,
     line_size: u64,
-) -> Result<Vec<RankedCandidate>, CalibrateError> {
-    let grids = candidate_grids(nest, p);
+) -> Result<Vec<Ranked>, CalibrateError> {
+    let grids = feasible_grids(nest, p);
     if grids.is_empty() {
         return Err(CalibrateError::Plan(alp_plan::PlanError::Infeasible(
             format!("no feasible factorization of {p} processors for this nest"),
         )));
     }
-    let mut out = Vec::with_capacity(grids.len());
-    for grid in grids {
-        let features = grid_features(nest, model, &grid, line_size)?;
-        let analytic_cost = features.lines;
-        let hybrid_cost = latency.hybrid_cost(&features);
-        out.push(RankedCandidate {
-            features,
-            analytic_cost,
-            hybrid_cost,
-        });
+    let mut scored = Vec::with_capacity(grids.len());
+    for (index, (grid, _)) in grids.iter().enumerate() {
+        scored.push((index, grid_features(nest, model, grid, line_size)?));
     }
-    if ranking_is_degenerate(&out) {
-        out.sort_by_key(|c| c.analytic_cost);
-    } else {
-        out.sort_by(|a, b| {
-            a.hybrid_cost
-                .cmp(&b.hybrid_cost)
-                .then_with(|| a.analytic_cost.cmp(&b.analytic_cost))
-        });
-    }
-    Ok(out)
+    Ok(rank(scored, latency))
 }
 
-/// One skewed candidate scored under both objectives, remembering which
-/// entry of the caller's candidate slice it describes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RankedSkewed {
-    /// Index into the candidate slice passed to [`rank_skewed`].
-    pub index: usize,
-    /// The hybrid-cost features over the transformed tiles.
-    pub features: GridFeatures,
-    /// The parallelepiped Eq.-2 analytic cost.
-    pub analytic_cost: Rat,
-    /// The calibrated hybrid cost, in model nanoseconds.
-    pub hybrid_cost: Rat,
-}
-
-/// True when the calibration cannot tell the skewed candidates apart
-/// (all hybrid costs tied) — the skewed analogue of
-/// [`ranking_is_degenerate`].
-pub fn skewed_ranking_is_degenerate(ranked: &[RankedSkewed]) -> bool {
-    ranked.len() > 1
-        && ranked
-            .windows(2)
-            .all(|w| w[0].hybrid_cost == w[1].hybrid_cost)
-}
-
-/// Score skewed parallelepiped candidates under the calibrated hybrid
-/// cost, best first.  Candidates whose feature extraction fails (e.g. a
-/// grid whose clipping empties every tile) are dropped rather than
-/// failing the whole ranking.  A degenerate calibration falls back to
-/// the analytic parallelepiped order, exactly as the rectangular
-/// ranking does, so callers can report *which* model made the choice
-/// via [`skewed_ranking_is_degenerate`].
+/// [`rank`] skewed parallelepiped candidates.  Candidates whose feature
+/// extraction fails (e.g. a grid whose clipping empties every tile) are
+/// dropped rather than failing the whole ranking.
 pub fn rank_skewed(
     nest: &LoopNest,
     latency: &LatencyModel,
     candidates: &[SkewedCandidate],
     line_size: u64,
-) -> Result<Vec<RankedSkewed>, CalibrateError> {
-    let mut out = Vec::with_capacity(candidates.len());
-    for (index, cand) in candidates.iter().enumerate() {
-        let Ok(features) = skewed_grid_features(nest, cand, line_size) else {
-            continue;
-        };
-        let analytic_cost = features.lines;
-        let hybrid_cost = latency.hybrid_cost(&features);
-        out.push(RankedSkewed {
-            index,
-            features,
-            analytic_cost,
-            hybrid_cost,
-        });
-    }
-    if out.is_empty() {
+) -> Result<Vec<Ranked>, CalibrateError> {
+    let scored: Vec<(usize, GridFeatures)> = (candidates.iter().enumerate())
+        .filter_map(|(index, cand)| {
+            let tiling = Tiling::new(nest, Some(&cand.transform), &cand.grid).ok()?;
+            let lines = Rat::int(cand.analytic_cost);
+            let v = Some(cand.transform.v());
+            let f = features(nest, &tiling, v, &cand.grid, lines, line_size).ok()?;
+            Some((index, f))
+        })
+        .collect();
+    if scored.is_empty() {
         return Err(CalibrateError::Degenerate(
             "no skewed candidate produced usable features".into(),
         ));
     }
-    if skewed_ranking_is_degenerate(&out) {
-        out.sort_by(|a, b| {
-            a.analytic_cost
-                .cmp(&b.analytic_cost)
-                .then_with(|| a.index.cmp(&b.index))
-        });
-    } else {
-        out.sort_by(|a, b| {
-            a.hybrid_cost
-                .cmp(&b.hybrid_cost)
-                .then_with(|| a.analytic_cost.cmp(&b.analytic_cost))
-                .then_with(|| a.index.cmp(&b.index))
-        });
-    }
-    Ok(out)
+    Ok(rank(scored, latency))
 }
 
 /// The calibrated partitioner: like
@@ -153,7 +123,8 @@ pub fn rank_skewed(
 /// hybrid cost.  The returned partition carries the *analytic* cost of
 /// the chosen grid, so it stays comparable with uncalibrated plans.
 /// With a degenerate calibration the ranking is the analytic order, so
-/// the choice is exactly the analytic partitioner's.
+/// the choice is exactly the analytic partitioner's (first minimum in
+/// enumeration order).
 pub fn choose_calibrated(
     nest: &LoopNest,
     model: &CostModel,
@@ -277,7 +248,7 @@ mod tests {
                 .unwrap();
         assert!(!cands.is_empty());
         let ranked = rank_skewed(&nest, &model_with((2, 1), (1, 10)), &cands, 1).unwrap();
-        assert!(!skewed_ranking_is_degenerate(&ranked));
+        assert!(!ranking_is_degenerate(&ranked));
         for w in ranked.windows(2) {
             assert!(w[0].hybrid_cost <= w[1].hybrid_cost);
         }
@@ -308,7 +279,7 @@ mod tests {
             samples: 0,
         };
         let ranked = rank_skewed(&nest, &zero, &cands, 1).unwrap();
-        assert!(skewed_ranking_is_degenerate(&ranked));
+        assert!(ranking_is_degenerate(&ranked));
         for w in ranked.windows(2) {
             assert!(w[0].analytic_cost <= w[1].analytic_cost);
         }
@@ -320,7 +291,7 @@ mod tests {
         let cost = CostModel::from_nest(&nest);
         let latency = model_with((2, 1), (1, 10));
         let ranked = rank_candidates(&nest, &cost, &latency, 16, 1).unwrap();
-        assert_eq!(ranked.len(), candidate_grids(&nest, 16).len());
+        assert_eq!(ranked.len(), feasible_grids(&nest, 16).len());
         for w in ranked.windows(2) {
             assert!(w[0].hybrid_cost <= w[1].hybrid_cost);
         }

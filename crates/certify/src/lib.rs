@@ -3,14 +3,15 @@
 //! A [`Certificate`] records four facts about a plan, each proven here
 //! by exact integer reasoning (no floats, no sampling):
 //!
-//! 1. **Exact coverage** — the plan's rectangular tiles partition the
-//!    iteration space with no gap and no overlap.  Pairwise tile
-//!    disjointness and per-tile containment in the loop bounds are
-//!    Fourier–Motzkin feasibility questions over the tile/bound
-//!    inequalities ([`alp_linalg::fm`] + the bounded integer search of
-//!    [`alp_analysis::search`]); exactness then follows from an integer
-//!    volume count (disjoint + contained + volumes summing to the
-//!    space's volume ⇒ partition).
+//! 1. **Exact coverage** — the plan's tiles (its
+//!    [`Tiling`]) partition the iteration space with
+//!    no gap and no overlap.  Pairwise disjointness of the tile boxes
+//!    and, where the boxes are exact, per-tile containment in the loop
+//!    bounds are Fourier–Motzkin feasibility questions over the
+//!    tile/bound inequalities ([`alp_linalg::fm`] + the bounded integer
+//!    search of [`alp_analysis::search`]); exactness then follows from
+//!    an integer point count (disjoint + contained + counts summing to
+//!    the space's volume ⇒ partition).
 //! 2. **Cross-tile write disjointness** — per array, the write
 //!    footprints of distinct tiles are disjoint.  This is the PR-1
 //!    Diophantine dependence machinery applied pairwise to *symbolic
@@ -43,7 +44,7 @@ use alp_lattice::Lattice;
 use alp_linalg::fm::System;
 use alp_linalg::{integer_nullspace, solve_integer, IMat, IVec, Rat};
 use alp_loopir::{ArrayRef, LoopNest};
-use alp_plan::{rect_tiles, Certificate, IterBox, PartitionPlan, PlanError};
+use alp_plan::{Certificate, IterBox, PartitionPlan, PlanError, Tiling};
 
 /// Why a plan could not be certified, or why an embedded certificate
 /// was rejected on re-check.
@@ -144,38 +145,25 @@ impl CertifyReport {
 pub fn certify(plan: &PartitionPlan) -> Result<CertifyReport, CertifyError> {
     let nest = plan.nest()?;
     let mut notes = Vec::new();
-    let (coverage, write_disjoint) = match &plan.transform {
-        None => {
-            let (tiles, _) = rect_tiles(&nest, &plan.proc_grid)?;
-            let boxes: Vec<Box128> = tiles.iter().map(box128).collect();
-            let coverage = prove_coverage(&nest, &boxes, &mut notes);
-            let writes: Vec<ArrayRef> = nest.body.iter().map(|st| st.lhs.clone()).collect();
-            let wd = prove_write_disjoint(&writes, &boxes, &mut notes);
-            (coverage, wd)
-        }
-        Some(t) => {
-            // Skewed plan: coverage and write-disjointness are proven in
-            // the transformed j = i·U coordinates, where the tiles are
-            // rectangular again.  In-bounds and idempotence below stay
-            // in i-space — the transform is a bijection of the
-            // iteration set, so those facts are coordinate-free.
-            let (tiles, _, domain) = alp_plan::transformed_tiles(&nest, t, &plan.proc_grid)?;
-            let jboxes: Vec<Box128> = tiles.iter().map(box128).collect();
-            let coverage = prove_skewed_coverage(&nest, &domain, &tiles, &jboxes, &mut notes);
-            // Write refs composed with V = U⁻¹ address the same
-            // elements from j-points that the originals address from
-            // their pre-images; solving over the *unclipped* j-boxes
-            // over-approximates each tile's iterations, which can only
-            // refute (never spuriously prove) disjointness.
-            let writes: Vec<ArrayRef> = nest
-                .body
-                .iter()
-                .map(|st| transformed_ref(&st.lhs, t.v()))
-                .collect();
-            let wd = prove_write_disjoint(&writes, &jboxes, &mut notes);
-            (coverage, wd)
-        }
-    };
+    // Coverage and write-disjointness are proven in the coordinates the
+    // tiles are rectangular in — `j = i·U` for a skewed plan.  In-bounds
+    // and idempotence below stay in i-space: the transform is a
+    // bijection of the iteration set, so those facts are coordinate-free.
+    let tiling = plan.tiling(&nest)?;
+    let boxes: Vec<Box128> = tiling.boxes().iter().map(box128).collect();
+    let coverage = prove_coverage(&nest, &tiling, &boxes, &mut notes);
+    // Write refs composed with V = U⁻¹ address the same elements from
+    // j-points that the originals address from their pre-images;
+    // solving over the *unclipped* j-boxes over-approximates each
+    // tile's iterations, which can only refute (never spuriously
+    // prove) disjointness.
+    let writes: Vec<ArrayRef> = (nest.body.iter())
+        .map(|st| match &plan.transform {
+            None => st.lhs.clone(),
+            Some(t) => transformed_ref(&st.lhs, t.v()),
+        })
+        .collect();
+    let write_disjoint = prove_write_disjoint(&writes, &boxes, &mut notes);
     let in_bounds = prove_in_bounds(&nest, &mut notes);
     let idempotent = prove_idempotent(&nest, &mut notes);
     Ok(CertifyReport {
@@ -238,20 +226,24 @@ fn box_is_empty(b: &Box128) -> bool {
     b.iter().any(|&(l, h)| l > h)
 }
 
-fn box_volume(b: &Box128) -> u128 {
-    b.iter()
-        .map(|&(l, h)| if h < l { 0 } else { (h - l + 1) as u128 })
-        .product()
-}
-
 /// Fact 1: the tiles partition the iteration space exactly.
 ///
 /// * pairwise disjointness: the conjunction of two tile boxes has no
-///   integer point (FM feasibility over the 2·`l` inequalities);
-/// * containment: a tile point violating a loop bound is infeasible;
-/// * exactness: disjoint + contained tiles whose volumes sum to the
-///   space's volume leave no gap.
-fn prove_coverage(nest: &LoopNest, boxes: &[Box128], notes: &mut Vec<String>) -> bool {
+///   integer point (FM feasibility over the 2·`l` inequalities) —
+///   disjoint boxes have disjoint clippings;
+/// * containment, for an unclipped tiling: a tile point violating a
+///   loop bound is infeasible (a clipped tiling's walk emits in-domain
+///   points only, see
+///   [`TransformedDomain`](alp_plan::TransformedDomain));
+/// * exactness: disjoint + contained tiles whose point counts sum to
+///   the space's volume leave no gap (`U` is a bijection, so the count
+///   is the same in either space).
+fn prove_coverage(
+    nest: &LoopNest,
+    tiling: &Tiling,
+    boxes: &[Box128],
+    notes: &mut Vec<String>,
+) -> bool {
     let l = nest.depth();
     let mut ok = true;
     for a in 0..boxes.len() {
@@ -274,7 +266,7 @@ fn prove_coverage(nest: &LoopNest, boxes: &[Box128], notes: &mut Vec<String>) ->
         }
     }
     for (t, bx) in boxes.iter().enumerate() {
-        if box_is_empty(bx) {
+        if tiling.is_clipped() || box_is_empty(bx) {
             continue;
         }
         for (k, lp) in nest.loops.iter().enumerate() {
@@ -298,64 +290,14 @@ fn prove_coverage(nest: &LoopNest, boxes: &[Box128], notes: &mut Vec<String>) ->
             }
         }
     }
-    let covered: u128 = boxes.iter().map(box_volume).sum();
+    let covered: u128 = (0..tiling.len())
+        .map(|t| u128::from(tiling.points(t)))
+        .sum();
     let space = nest.iteration_count().max(0) as u128;
     if covered != space {
         notes.push(format!(
-            "coverage: tile volumes sum to {covered} but the iteration space has \
-             {space} points — the tiling leaves a gap"
-        ));
-        ok = false;
-    }
-    ok
-}
-
-/// Fact 1, skewed form: the rectangular `j`-space tiles, each clipped
-/// against the transformed domain, partition the iteration space
-/// exactly.
-///
-/// * pairwise disjointness of the (unclipped) `j`-boxes is the same FM
-///   feasibility question as the rectangular case — disjoint boxes have
-///   disjoint clippings;
-/// * exactness is an integer count: row clipping is exact
-///   (every emitted row contains precisely the in-domain points, see
-///   [`TransformedDomain`](alp_plan::TransformedDomain)), and `U` is a
-///   bijection, so the clipped counts summing to the `i`-space volume
-///   means no gap and — with disjointness — no overlap.
-fn prove_skewed_coverage(
-    nest: &LoopNest,
-    domain: &alp_plan::TransformedDomain,
-    tiles: &[alp_plan::IterBox],
-    jboxes: &[Box128],
-    notes: &mut Vec<String>,
-) -> bool {
-    let l = nest.depth();
-    let mut ok = true;
-    for a in 0..jboxes.len() {
-        if box_is_empty(&jboxes[a]) {
-            continue;
-        }
-        for b in (a + 1)..jboxes.len() {
-            if box_is_empty(&jboxes[b]) {
-                continue;
-            }
-            let mut sys = System::new(l);
-            constrain_box(&mut sys, &jboxes[a], identity_coeffs(l));
-            constrain_box(&mut sys, &jboxes[b], identity_coeffs(l));
-            if let Some(p) = find_integer_point(&sys) {
-                notes.push(format!(
-                    "coverage: transformed tiles {a} and {b} both contain j-point {p:?}"
-                ));
-                ok = false;
-            }
-        }
-    }
-    let covered: i128 = tiles.iter().map(|t| domain.count(t)).sum();
-    let space = nest.iteration_count();
-    if covered != space {
-        notes.push(format!(
-            "coverage: clipped transformed tiles hold {covered} points but the \
-             iteration space has {space} — the skewed tiling leaves a gap"
+            "coverage: the tiles hold {covered} points but the iteration space has \
+             {space} — the tiling leaves a gap"
         ));
         ok = false;
     }
@@ -601,8 +543,8 @@ mod tests {
 
     fn plan_with_grid(src: &str, grid: Vec<i128>) -> PartitionPlan {
         let nest = parse(src).unwrap();
-        let (_, chunks) = rect_tiles(&nest, &grid).unwrap();
-        let partition = alp_partition_stub(grid, chunks);
+        let extents = Tiling::new(&nest, None, &grid).unwrap().extents();
+        let partition = alp_partition_stub(grid, extents);
         PartitionPlan::build_with_partition(
             &nest,
             partition.proc_grid.iter().product(),
@@ -614,9 +556,12 @@ mod tests {
         .unwrap()
     }
 
-    fn alp_partition_stub(proc_grid: Vec<i128>, chunks: Vec<i128>) -> alp_partition::RectPartition {
+    fn alp_partition_stub(
+        proc_grid: Vec<i128>,
+        tile_extents: Vec<i128>,
+    ) -> alp_partition::RectPartition {
         alp_partition::RectPartition {
-            tile_extents: chunks.iter().map(|c| c - 1).collect(),
+            tile_extents,
             proc_grid,
             cost: Rat::int(0),
         }
@@ -766,9 +711,9 @@ mod tests {
     fn coverage_refutes_a_mismatched_grid() {
         // Hand-build a plan whose recorded grid leaves iterations
         // uncovered relative to a *different* nest… not possible via
-        // rect_tiles (it always partitions), so corrupt the grid after
-        // the fact: an extra processor axis entry makes rect_tiles
-        // fail, surfacing as a Plan error rather than a panic.
+        // a `Tiling` (it always partitions), so corrupt the grid after
+        // the fact: an extra processor axis entry is refused when the
+        // plan is read, surfacing as a Plan error rather than a panic.
         let mut plan = plan_for("doall (i, 0, 15) { A[i] = B[i]; }", 4);
         plan.proc_grid = vec![4, 4];
         assert!(matches!(certify(&plan), Err(CertifyError::Plan(_))));

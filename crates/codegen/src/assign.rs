@@ -12,10 +12,10 @@ pub type Assignment = Vec<Vec<IVec>>;
 /// coordinates `(c_0, …)` (row-major linearized) executes the product of
 /// its chunks.
 ///
-/// The tiles themselves come from [`alp_plan::rect_tiles`] — the one
-/// rectangular enumerator of the workspace — so this assignment, the
-/// native executor, and the machine simulator agree by construction on
-/// which iterations processor `t` owns.
+/// The tiles themselves are an [`alp_plan::Tiling`] — the one tile
+/// enumerator of the workspace — so this assignment, the native
+/// executor, and the machine simulator agree by construction on which
+/// iterations processor `t` owns.
 ///
 /// # Panics
 /// Panics if the grid depth mismatches the nest or any factor exceeds
@@ -30,16 +30,9 @@ pub fn assign_rect(nest: &LoopNest, grid: &[i128]) -> Assignment {
             "grid factor {g} invalid for loop {k} with {n} iterations"
         );
     }
-    let (tiles, _) =
-        alp_plan::rect_tiles(nest, grid).expect("asserts above uphold the enumerator's contract");
-    tiles
-        .iter()
-        .map(|tile| {
-            let mut pts = Vec::with_capacity(tile.volume() as usize);
-            tile.for_each_point(|i| pts.push(IVec(i.iter().map(|&x| x as i128).collect())));
-            pts
-        })
-        .collect()
+    alp_plan::Tiling::new(nest, None, grid)
+        .expect("asserts above uphold the enumerator's contract")
+        .assignment()
 }
 
 /// Slab assignment along a hyperplane normal `h` (communication-free
@@ -242,6 +235,25 @@ mod tests {
         assert_eq!(a.len(), 100);
         // Each tile: all 100 i values, one j value.
         assert!(a.iter().all(|t| t.len() == 100));
+    }
+
+    #[test]
+    fn rect_assignment_is_the_tilings_point_walk() {
+        // 7×5 space on a 2×3 grid: boundary tiles shrink, and processor
+        // `t` gets exactly the points of the tiling's box `t`, in order.
+        let nest = parse("doall (i, 0, 6) { doall (j, 10, 14) { A[i, j] = A[i, j]; } }").unwrap();
+        let grid = [2i128, 3];
+        let assignment = assign_rect(&nest, &grid);
+        let tiling = alp_plan::Tiling::new(&nest, None, &grid).unwrap();
+        assert_eq!(tiling.chunks(), [4, 2]);
+        assert_eq!(tiling.len(), assignment.len());
+        for (tile, pts) in tiling.boxes().iter().zip(&assignment) {
+            let mut mine: Vec<IVec> = Vec::new();
+            tile.for_each_point(|i| {
+                mine.push(IVec(i.iter().map(|&x| x as i128).collect()));
+            });
+            assert_eq!(&mine, pts);
+        }
     }
 
     #[test]

@@ -441,8 +441,8 @@ pub fn run_nest(
 ///
 /// The nest is reconstructed from the plan's embedded source (with its
 /// fingerprint re-verified) and the per-processor iteration lists come
-/// from the workspace's single tile enumerator
-/// ([`alp_plan::rect_tiles`]) on the plan's processor grid, so the
+/// from the plan's [`alp_plan::Tiling`] — for a skewed plan, each
+/// processor owns the pre-image of one clipped `j`-space tile — so the
 /// simulated machine executes exactly the tiles the native runtime and
 /// the generated code would.  `config.processors` is overridden to the
 /// plan's tile count; the plan's mesh is used unless `config` already
@@ -453,37 +453,7 @@ pub fn run_plan(
     home: &dyn HomeMap,
 ) -> Result<TrafficReport, alp_plan::PlanError> {
     let nest = plan.nest()?;
-    let assignment: Vec<Vec<IVec>> = match &plan.transform {
-        None => {
-            let (tiles, _) = alp_plan::rect_tiles(&nest, &plan.proc_grid)?;
-            tiles
-                .iter()
-                .map(|tile| {
-                    let mut pts = Vec::with_capacity(tile.volume() as usize);
-                    tile.for_each_point(|i| pts.push(IVec(i.iter().map(|&x| x as i128).collect())));
-                    pts
-                })
-                .collect()
-        }
-        Some(t) => {
-            // Skewed plan: each processor owns the pre-image of one
-            // clipped j-space tile.  The simulator consumes explicit
-            // i-space point lists, so parallelepiped tiles need no
-            // special handling past this mapping.
-            let (tiles, _, domain) = alp_plan::transformed_tiles(&nest, t, &plan.proc_grid)?;
-            tiles
-                .iter()
-                .map(|tile| {
-                    let mut pts = Vec::new();
-                    domain.for_each_point(tile, |j| {
-                        let i = t.to_i(j).expect("clipped j-point maps back in range");
-                        pts.push(IVec(i.iter().map(|&x| x as i128).collect()));
-                    });
-                    pts
-                })
-                .collect()
-        }
-    };
+    let assignment = plan.tiling(&nest)?.assignment();
     config.processors = assignment.len();
     if config.mesh.is_none() {
         config.mesh = plan.mesh;

@@ -30,6 +30,6 @@ pub use data::{align_arrays, mesh_placement, ArrayPartition, MeshPlacement};
 pub use para::{optimize_parallelepiped, para_candidates, ParaPartition, ParaSearchConfig};
 pub use program::{partition_program, ProgramPartition, ProgramStrategy};
 pub use rect::{
-    aspect_ratio_with_spread, cache_blocked_extents, optimal_aspect_ratio, partition_rect,
-    partition_rect_with_model, RectPartition, SpreadKind,
+    aspect_ratio_with_spread, cache_blocked_extents, feasible_grids, optimal_aspect_ratio,
+    partition_rect, partition_rect_with_model, try_partition_rect, RectPartition, SpreadKind,
 };

@@ -193,13 +193,51 @@ pub fn factorizations(p: i128, dims: usize) -> Vec<Vec<i128>> {
     out
 }
 
+/// The candidate set of the rectangular search: every ordered
+/// factorization of `p` over the nest's parallel loops in which no
+/// dimension gets more processors than iterations (`g_k ≤ n_k`), each
+/// with its interior tile extents `λ_k = ⌈n_k / g_k⌉ − 1`.  Empty when
+/// `p < 1`, the nest has no parallel loops, or no factorization fits.
+pub fn feasible_grids(nest: &LoopNest, p: i128) -> Vec<(Vec<i128>, Vec<i128>)> {
+    let trips: Vec<i128> = nest.loops.iter().map(|lp| lp.trip_count()).collect();
+    factorizations(p, nest.depth())
+        .into_iter()
+        .filter(|grid| grid.iter().zip(&trips).all(|(&g, &n)| g <= n))
+        .map(|grid| {
+            let extents = (grid.iter().zip(&trips))
+                .map(|(&g, &n)| (n + g - 1) / g - 1)
+                .collect();
+            (grid, extents)
+        })
+        .collect()
+}
+
 /// The discrete rectangular partitioner implemented in the Alewife
-/// compiler subset (§4): enumerate every factorization of `P` into a
-/// processor grid, derive the tile extents from the loop bounds, evaluate
-/// the Theorem-4 cost model, and keep the cheapest.
+/// compiler subset (§4): evaluate the Theorem-4 cost model on every
+/// candidate of [`feasible_grids`] and keep the cheapest (the first
+/// one, on ties).  `None` when the candidate set is empty.
 ///
 /// # Panics
-/// Panics if `p < 1` or the nest has no parallel loops.
+/// Panics if the model was built for a different depth.
+pub fn try_partition_rect(nest: &LoopNest, p: i128, model: &CostModel) -> Option<RectPartition> {
+    assert_eq!(model.depth(), nest.depth(), "model depth mismatch");
+    // `min_by_key` keeps the first of several equal minima.
+    feasible_grids(nest, p)
+        .into_iter()
+        .map(|(proc_grid, tile_extents)| RectPartition {
+            cost: model.cost_rect(&tile_extents),
+            proc_grid,
+            tile_extents,
+        })
+        .min_by_key(|c| c.cost)
+}
+
+/// [`try_partition_rect`] under the nest's own Theorem-4 model.
+///
+/// # Panics
+/// Panics if the nest has no feasible grid for `p` processors: `p < 1`,
+/// no parallel loops, or every factorization of `p` puts more
+/// processors than iterations on some loop.
 pub fn partition_rect(nest: &LoopNest, p: i128) -> RectPartition {
     partition_rect_with_model(nest, p, &CostModel::from_nest(nest))
 }
@@ -209,39 +247,10 @@ pub fn partition_rect(nest: &LoopNest, p: i128) -> RectPartition {
 /// ([`CostModel::with_sync_weight`]) or other customizations.
 ///
 /// # Panics
-/// Panics if `p < 1`, the nest has no parallel loops, or the model was
-/// built for a different depth.
+/// Panics like [`partition_rect`], or if the model was built for a
+/// different depth.
 pub fn partition_rect_with_model(nest: &LoopNest, p: i128, model: &CostModel) -> RectPartition {
-    assert!(p >= 1, "need at least one processor");
-    let l = nest.depth();
-    assert!(l >= 1, "nest has no parallel loops");
-    assert_eq!(model.depth(), l, "model depth mismatch");
-    let trips: Vec<i128> = nest.loops.iter().map(|lp| lp.trip_count()).collect();
-
-    let mut best: Option<RectPartition> = None;
-    for grid in factorizations(p, l) {
-        // Processors must not outnumber iterations along a dimension.
-        if grid.iter().zip(&trips).any(|(&g, &n)| g > n) {
-            continue;
-        }
-        // Tile spans ceil(n/g) iterations -> extent λ = ceil(n/g) - 1.
-        let extents: Vec<i128> = grid
-            .iter()
-            .zip(&trips)
-            .map(|(&g, &n)| (n + g - 1) / g - 1)
-            .collect();
-        let cost = model.cost_rect(&extents);
-        let cand = RectPartition {
-            proc_grid: grid,
-            tile_extents: extents,
-            cost,
-        };
-        match &best {
-            Some(b) if b.cost <= cand.cost => {}
-            _ => best = Some(cand),
-        }
-    }
-    best.expect("at least the trivial factorization survives")
+    try_partition_rect(nest, p, model).expect("no feasible processor grid for this nest")
 }
 
 #[cfg(test)]
@@ -355,6 +364,72 @@ mod tests {
         let part = partition_rect(&nest, 100);
         assert_eq!(part.proc_grid, vec![1, 100], "full i-extent strips");
         assert_eq!(part.tile_extents, vec![99, 0]);
+    }
+
+    #[test]
+    fn feasible_grids_are_the_factorizations_that_fit() {
+        let nest = parse(
+            "doall (i, 101, 612) { doall (j, 1, 512) {
+               A[i,j] = B[i+j,i-j-1] + B[i+j+4,i-j+3];
+             } }",
+        )
+        .unwrap();
+        let grids = feasible_grids(&nest, 16);
+        assert_eq!(grids.len(), factorizations(16, 2).len());
+        assert!(grids.contains(&(vec![1, 16], vec![511, 31])));
+        assert!(grids.contains(&(vec![4, 4], vec![127, 127])));
+        // A factor above the trip count is filtered; when every
+        // factorization has one, nothing is left.
+        let tiny = parse("doall (i, 0, 3) { doall (j, 0, 63) { A[i,j] = A[i,j]; } }").unwrap();
+        assert!(feasible_grids(&tiny, 8).iter().all(|(g, _)| g[0] <= 4));
+        let three = parse("doall (i, 0, 2) { A[i] = B[i]; }").unwrap();
+        assert!(feasible_grids(&three, 4).is_empty());
+        assert_eq!(
+            try_partition_rect(&three, 4, &CostModel::from_nest(&three)),
+            None
+        );
+        assert!(feasible_grids(&three, 0).is_empty());
+    }
+
+    #[test]
+    fn partition_rect_is_the_first_minimum_over_feasible_grids() {
+        // Examples 2, 8, 9 and 10, at processor counts with many ties.
+        for (src, p) in [
+            (
+                "doall (i, 101, 200) { doall (j, 1, 100) {
+                   A[i,j] = B[i+j,i-j-1] + B[i+j+4,i-j+3]; } }",
+                100,
+            ),
+            (
+                "doall (i, 1, 64) { doall (j, 1, 64) { doall (k, 1, 64) {
+                   A[i,j,k] = B[i-1,j,k+1] + B[i,j+1,k] + B[i+1,j-2,k-3]; } } }",
+                64,
+            ),
+            (
+                "doall (i, 1, 64) { doall (j, 1, 64) {
+                   A[i,j] = B[i-2,j] + B[i,j-1] + C[i+j,j] + C[i+j+1,j+3]; } }",
+                16,
+            ),
+            (
+                "doall (i, 1, 64) { doall (j, 1, 64) {
+                   A[i,j] = B[i+j,i-j] + B[i+j+4,i-j+2]
+                          + C[i,2*i,i+2*j-1] + C[i+1,2*i+2,i+2*j+1] + C[i,2*i,i+2*j+1]; } }",
+                24,
+            ),
+        ] {
+            let nest = parse(src).unwrap();
+            let model = CostModel::from_nest(&nest);
+            let grids = feasible_grids(&nest, p);
+            let costs: Vec<Rat> = grids.iter().map(|(_, e)| model.cost_rect(e)).collect();
+            let min = *costs.iter().min().unwrap();
+            let first = costs.iter().position(|c| *c == min).unwrap();
+            let best = RectPartition {
+                proc_grid: grids[first].0.clone(),
+                tile_extents: grids[first].1.clone(),
+                cost: min,
+            };
+            assert_eq!(partition_rect(&nest, p), best);
+        }
     }
 
     #[test]

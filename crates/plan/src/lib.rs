@@ -7,8 +7,10 @@
 //! * a **structural fingerprint** of the nest (stable FNV-1a over a
 //!   canonically-renamed rendering — invariant under loop-index
 //!   renaming, stable across platforms and Rust versions),
-//! * the chosen **rectangular partition** (processor grid and tile
-//!   extents) with the optimizer's Theorem-4 objective value,
+//! * the chosen **partition** — processor grid and tile extents, over
+//!   the iteration space itself or, with a unimodular [`Transform`]
+//!   attached, over its image `j = i·U` where skewed parallelepiped
+//!   tiles are rectangular — with the optimizer's objective value,
 //! * the predicted **Eq.-2 cumulative footprints** per uniformly
 //!   intersecting reference class,
 //! * the **legality verdict** and **provenance** (processor count,
@@ -20,9 +22,11 @@
 //! hand-rolled, float-free codec whose output is byte-deterministic —
 //! the golden-snapshot tests diff the exact bytes.  [`PlanCache`]
 //! memoizes plans by `(fingerprint, processors, mesh, checked)` with
-//! hit/miss/eviction counters, and [`rect_tiles`] is the single
-//! rectangular tile enumerator every consumer (codegen, runtime,
-//! machine simulation) shares.
+//! hit/miss/eviction counters, and a [`Tiling`]
+//! ([`PartitionPlan::tiling`]) is the one answer to "which iterations
+//! does tile `t` own, and in what row order" that every consumer
+//! (codegen, runtime, certifier, calibration, machine simulation) takes
+//! instead of branching on the plan's shape.
 
 #![warn(missing_docs)]
 
@@ -44,10 +48,8 @@ pub use plan::{
 };
 pub use shard::{Fetched, ShardOccupancy, ShardedCacheStats, ShardedPlanCache};
 pub use store::{PlanStore, RecoveryReport, StoreConfig, StoredEntry};
-pub use tiles::{rect_tiles, IterBox};
-pub use transform::{
-    skewed_candidates, transformed_tiles, SkewedCandidate, Transform, TransformedDomain,
-};
+pub use tiles::{IterBox, Tiling};
+pub use transform::{skewed_candidates, SkewedCandidate, Transform, TransformedDomain};
 
 /// Everything that can go wrong building, encoding, or decoding a plan.
 #[derive(Debug, Clone, PartialEq, Eq)]

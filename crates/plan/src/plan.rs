@@ -2,12 +2,15 @@
 
 use crate::fingerprint::fingerprint_hex;
 use crate::json::{self, Json, ObjWriter};
+use crate::tiles::Tiling;
 use crate::transform::{SkewedCandidate, Transform};
 use crate::PlanError;
-use alp_footprint::{cumulative_footprint_general, cumulative_footprint_rect, CostModel, Tile};
+use alp_footprint::{
+    cumulative_footprint_general, cumulative_footprint_rect, CostModel, RefClass, Tile,
+};
 use alp_linalg::{IMat, IVec, Rat};
 use alp_loopir::LoopNest;
-use alp_partition::{communication_free_normals, partition_rect, RectPartition};
+use alp_partition::{communication_free_normals, try_partition_rect, RectPartition};
 
 /// Current plan schema version.  Bump when the JSON layout changes;
 /// decoders refuse versions they do not understand (never panic).
@@ -204,19 +207,21 @@ impl PartitionPlan {
     /// under the Theorem-4 cost model, per-class footprint prediction,
     /// and the communication-free check.  The caller supplies the
     /// legality verdict (the analysis lives a layer above this crate).
+    /// Fails with [`PlanError::Infeasible`] when no factorization of
+    /// `processors` fits the nest's trip counts.
     pub fn build(
         nest: &LoopNest,
         processors: i128,
         mesh: Option<(usize, usize)>,
         legality: LegalityVerdict,
     ) -> Result<PartitionPlan, PlanError> {
-        if nest.depth() == 0 {
-            return Err(PlanError::Infeasible("nest has no parallel loops".into()));
-        }
-        if processors < 1 {
-            return Err(PlanError::Infeasible("need at least one processor".into()));
-        }
-        let partition = partition_rect(nest, processors);
+        feasible(nest, processors)?;
+        let partition = try_partition_rect(nest, processors, &CostModel::from_nest(nest))
+            .ok_or_else(|| {
+                PlanError::Infeasible(format!(
+                    "no feasible factorization of {processors} processors for this nest"
+                ))
+            })?;
         Self::build_with_partition(
             nest,
             processors,
@@ -239,31 +244,44 @@ impl PartitionPlan {
         partition: RectPartition,
         optimizer: &str,
     ) -> Result<PartitionPlan, PlanError> {
-        if nest.depth() == 0 {
-            return Err(PlanError::Infeasible("nest has no parallel loops".into()));
-        }
-        if processors < 1 {
-            return Err(PlanError::Infeasible("need at least one processor".into()));
-        }
-        if partition.proc_grid.len() != nest.depth() {
+        let (base, model) = Self::base(
+            nest,
+            processors,
+            mesh,
+            legality,
+            optimizer,
+            &partition.proc_grid,
+        )?;
+        Ok(PartitionPlan {
+            class_footprints: class_footprints(&model, |class| {
+                cumulative_footprint_rect(&partition.tile_extents, class)
+            }),
+            tile_extents: partition.tile_extents,
+            cost: partition.cost,
+            ..base
+        })
+    }
+
+    /// The validation preamble and the fields every plan fills the same
+    /// way; the shape-specific ones (`tile_extents`, `cost`,
+    /// `class_footprints`, `transform`) are left for the caller.
+    fn base(
+        nest: &LoopNest,
+        processors: i128,
+        mesh: Option<(usize, usize)>,
+        legality: LegalityVerdict,
+        optimizer: &str,
+        grid: &[i128],
+    ) -> Result<(PartitionPlan, CostModel), PlanError> {
+        feasible(nest, processors)?;
+        if grid.len() != nest.depth() {
             return Err(PlanError::BadGrid(format!(
                 "partition rank {} does not match nest depth {}",
-                partition.proc_grid.len(),
+                grid.len(),
                 nest.depth()
             )));
         }
-        let model = CostModel::from_nest(nest);
-        let class_footprints = model
-            .classes()
-            .iter()
-            .map(|cc| ClassFootprint {
-                array: cc.class.array.clone(),
-                refs: cc.class.len(),
-                shape_invariant: cc.shape_invariant,
-                footprint: cumulative_footprint_rect(&partition.tile_extents, &cc.class),
-            })
-            .collect();
-        Ok(PartitionPlan {
+        let plan = PartitionPlan {
             schema_version: BASE_VERSION,
             fingerprint: fingerprint_hex(nest),
             processors,
@@ -274,14 +292,15 @@ impl PartitionPlan {
             calibration: None,
             certificate: None,
             transform: None,
-            proc_grid: partition.proc_grid,
-            tile_extents: partition.tile_extents,
-            cost: partition.cost,
+            proc_grid: grid.to_vec(),
+            tile_extents: Vec::new(),
+            cost: Rat::ZERO,
             store_bytes: Some(store_bytes(nest)),
-            class_footprints,
+            class_footprints: Vec::new(),
             comm_free_normals: communication_free_normals(nest),
             source: nest.display(),
-        })
+        };
+        Ok((plan, CostModel::from_nest(nest)))
     }
 
     /// Mark the plan as chosen by a calibrated hybrid ranking and
@@ -325,19 +344,8 @@ impl PartitionPlan {
         candidate: &SkewedCandidate,
         optimizer: &str,
     ) -> Result<PartitionPlan, PlanError> {
-        if nest.depth() == 0 {
-            return Err(PlanError::Infeasible("nest has no parallel loops".into()));
-        }
-        if processors < 1 {
-            return Err(PlanError::Infeasible("need at least one processor".into()));
-        }
-        if candidate.grid.len() != nest.depth() {
-            return Err(PlanError::BadGrid(format!(
-                "candidate rank {} does not match nest depth {}",
-                candidate.grid.len(),
-                nest.depth()
-            )));
-        }
+        let (base, model) =
+            Self::base(nest, processors, mesh, legality, optimizer, &candidate.grid)?;
         // The tile actually executed: edge k is chunk_k · basis_k.
         let rows: Vec<IVec> = candidate
             .tile_extents
@@ -346,38 +354,23 @@ impl PartitionPlan {
             .map(|(k, &e)| candidate.basis.row(k).scale(e + 1))
             .collect();
         let lmat = IMat::from_row_vecs(&rows);
-        let model = CostModel::from_nest(nest);
         let tile = Tile::general(lmat.clone());
-        let class_footprints = model
-            .classes()
-            .iter()
-            .map(|cc| ClassFootprint {
-                array: cc.class.array.clone(),
-                refs: cc.class.len(),
-                shape_invariant: cc.shape_invariant,
-                footprint: Rat::int(cumulative_footprint_general(&tile, &cc.class)),
-            })
-            .collect();
-        let cost = Rat::int(model.cost_general(&lmat));
-        Ok(PartitionPlan {
-            schema_version: SCHEMA_VERSION,
-            fingerprint: fingerprint_hex(nest),
-            processors,
-            mesh,
-            legality,
-            optimizer: optimizer.into(),
-            chosen_by: ChosenBy::Analytic,
-            calibration: None,
-            certificate: None,
-            transform: Some(candidate.transform.clone()),
-            proc_grid: candidate.grid.clone(),
+        let plan = PartitionPlan {
+            class_footprints: class_footprints(&model, |class| {
+                Rat::int(cumulative_footprint_general(&tile, class))
+            }),
             tile_extents: candidate.tile_extents.clone(),
-            cost,
-            store_bytes: Some(store_bytes(nest)),
-            class_footprints,
-            comm_free_normals: communication_free_normals(nest),
-            source: nest.display(),
-        })
+            cost: Rat::int(model.cost_general(&lmat)),
+            ..base
+        };
+        Ok(plan.with_transform(candidate.transform.clone()))
+    }
+
+    /// The tiles this plan gives its processors: `proc_grid` over
+    /// `nest`, through the plan's transform when it has one.  `nest` is
+    /// the plan's own nest ([`PartitionPlan::nest`]).
+    pub fn tiling(&self, nest: &LoopNest) -> Result<Tiling, PlanError> {
+        Tiling::new(nest, self.transform.as_ref(), &self.proc_grid)
     }
 
     /// The plan's partition in `alp-partition`'s type.
@@ -395,8 +388,8 @@ impl PartitionPlan {
     }
 
     /// Reconstruct the nest from the embedded source and verify it
-    /// still matches the recorded fingerprint (integrity check against
-    /// hand-edited plan files).
+    /// still matches the recorded fingerprint and the grid's rank
+    /// (integrity checks against hand-edited plan files).
     pub fn nest(&self) -> Result<LoopNest, PlanError> {
         let nest = alp_loopir::parse(&self.source)
             .map_err(|e| PlanError::Schema(format!("embedded source does not parse: {e}")))?;
@@ -406,6 +399,13 @@ impl PartitionPlan {
                 expected: self.fingerprint.clone(),
                 found,
             });
+        }
+        if self.proc_grid.len() != nest.depth() {
+            return Err(PlanError::BadGrid(format!(
+                "grid has {} dims, nest has {} parallel loops",
+                self.proc_grid.len(),
+                nest.depth()
+            )));
         }
         Ok(nest)
     }
@@ -675,6 +675,11 @@ impl PartitionPlan {
                 tile_extents.len()
             )));
         }
+        if let Some(g) = proc_grid.iter().find(|&&g| g < 1) {
+            return Err(PlanError::Schema(format!(
+                "`proc_grid` factor {g} is not a positive processor count"
+            )));
+        }
         let transform = match v.get("transform") {
             None | Some(Json::Null) => None,
             Some(t @ Json::Obj(_)) => {
@@ -803,6 +808,35 @@ impl PartitionPlan {
     }
 }
 
+/// What every plan builder refuses up front.
+fn feasible(nest: &LoopNest, processors: i128) -> Result<(), PlanError> {
+    if nest.depth() == 0 {
+        return Err(PlanError::Infeasible("nest has no parallel loops".into()));
+    }
+    if processors < 1 {
+        return Err(PlanError::Infeasible("need at least one processor".into()));
+    }
+    Ok(())
+}
+
+/// One [`ClassFootprint`] per class of the model, its footprint at the
+/// plan's tile shape computed by `footprint`.
+fn class_footprints(
+    model: &CostModel,
+    footprint: impl Fn(&RefClass) -> Rat,
+) -> Vec<ClassFootprint> {
+    model
+        .classes()
+        .iter()
+        .map(|cc| ClassFootprint {
+            array: cc.class.array.clone(),
+            refs: cc.class.len(),
+            shape_invariant: cc.shape_invariant,
+            footprint: footprint(&cc.class),
+        })
+        .collect()
+}
+
 /// Execution-time array storage in bytes, mirroring the sizing rule of
 /// the runtime's `ArrayLayout` (per-array Π(hi−lo+1) elements, at least
 /// one element per referenced array, 8 bytes per f64).  Saturates at
@@ -910,7 +944,7 @@ mod tests {
         let b = 66u64 * 67 * 68;
         assert_eq!(plan.store_bytes, Some((a + b) * 8));
         let part = plan.rect_partition();
-        assert_eq!(part, partition_rect(&nest, 64));
+        assert_eq!(part, alp_partition::partition_rect(&nest, 64));
         // The embedded source reconstructs the very same nest.
         assert_eq!(plan.nest().unwrap(), nest);
     }

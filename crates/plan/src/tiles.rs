@@ -1,15 +1,17 @@
-//! The ONE rectangular tile enumerator of the workspace.
+//! The ONE tile enumerator of the workspace.
 //!
-//! Every consumer of a rectangular partition — `alp-codegen`'s
+//! Every consumer of a partition — `alp-codegen`'s
 //! iteration-to-processor assignment, `alp-runtime`'s native executor,
-//! `alp-machine`'s simulator driver — derives its tiles from this
+//! `alp-certify`'s coverage proof, `alp-calibrate`'s features,
+//! `alp-machine`'s simulator driver — takes a [`Tiling`] from this
 //! module, so "which iterations does processor `t` own?" has exactly one
-//! answer: the same ceiling-division chunking, the same row-major
-//! tile→processor numbering, and the same clamping at the upper
-//! boundary.  Empty boundary tiles are preserved to keep the numbering
-//! aligned with the processor grid.
+//! answer for rectangular and skewed plans alike: the same
+//! ceiling-division chunking, the same row-major tile→processor
+//! numbering, and the same clamping at the upper boundary.
 
+use crate::transform::{Transform, TransformedDomain};
 use crate::PlanError;
+use alp_linalg::IVec;
 use alp_loopir::LoopNest;
 
 /// An axis-aligned box of iterations, inclusive on both ends per
@@ -110,64 +112,174 @@ impl IterBox {
     }
 }
 
-/// Split the nest's parallel iteration space into `Π grid` rectangular
-/// tiles, one per virtual processor, row-major over the grid.
+/// Which iterations tile `t` owns, and in what row order: `Π grid`
+/// tiles, one per virtual processor, row-major over the grid (last
+/// dimension fastest), cut by ceiling division out of a bounding box
+/// and clamped at its upper boundary.  Empty boundary tiles are kept so
+/// the numbering stays aligned with the processor grid.
 ///
-/// Returns the tiles and the per-dimension chunk sizes (the tile
-/// extents λ of interior tiles plus one, in the paper's terms).
-pub fn rect_tiles(nest: &LoopNest, grid: &[i128]) -> Result<(Vec<IterBox>, Vec<i128>), PlanError> {
-    if grid.len() != nest.depth() {
-        return Err(PlanError::BadGrid(format!(
-            "grid has {} dims, nest has {} parallel loops",
-            grid.len(),
-            nest.depth()
-        )));
-    }
-    if grid.iter().any(|&g| g <= 0) {
-        return Err(PlanError::BadGrid(format!(
-            "grid extents must be positive, got {grid:?}"
-        )));
-    }
-    let chunks: Vec<i128> = nest
-        .loops
-        .iter()
-        .zip(grid)
-        .map(|(l, &g)| (l.trip_count() + g - 1) / g)
-        .collect();
+/// The bounding box is the loop bounds themselves for a rectangular
+/// plan, whose boxes are then *exact*; for a plan with a [`Transform`]
+/// it is the bounding box of the transformed domain, and every walk
+/// clips a box against that domain row by row.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Tiling {
+    boxes: Vec<IterBox>,
+    chunks: Vec<i128>,
+    /// `None` means the boxes are exact.
+    domain: Option<TransformedDomain>,
+}
 
-    let tiles_total: i128 = grid.iter().product();
-    let tiles_total = usize::try_from(tiles_total)
-        .map_err(|_| PlanError::BadGrid(format!("grid too large: {grid:?}")))?;
-
-    let to_i64 = |v: i128, what: &str| -> Result<i64, PlanError> {
-        i64::try_from(v).map_err(|_| PlanError::BadGrid(format!("{what} {v} overflows i64")))
-    };
-
-    let mut tiles = Vec::with_capacity(tiles_total);
-    let dims = grid.len();
-    let mut coord = vec![0i128; dims];
-    for _ in 0..tiles_total {
-        let mut lo = Vec::with_capacity(dims);
-        let mut hi = Vec::with_capacity(dims);
-        for (k, l) in nest.loops.iter().enumerate() {
-            let tile_lo = l.lower + coord[k] * chunks[k];
-            let tile_hi = (tile_lo + chunks[k] - 1).min(l.upper);
-            lo.push(to_i64(tile_lo, "tile bound")?);
-            hi.push(to_i64(tile_hi, "tile bound")?);
+impl Tiling {
+    /// Tile `nest` — or, with a transform, its image `j = i·U` — over
+    /// `grid`.  Fails with [`PlanError::BadGrid`] on a grid of the wrong
+    /// rank, a non-positive factor, or bounds that overflow `i64` /
+    /// a tile count that overflows `usize`, and with
+    /// [`PlanError::Transform`] when the transform does not fit the nest.
+    pub fn new(
+        nest: &LoopNest,
+        transform: Option<&Transform>,
+        grid: &[i128],
+    ) -> Result<Tiling, PlanError> {
+        if grid.len() != nest.depth() {
+            return Err(PlanError::BadGrid(format!(
+                "grid has {} dims, nest has {} parallel loops",
+                grid.len(),
+                nest.depth()
+            )));
         }
-        tiles.push(IterBox { lo, hi });
-        // Row-major increment over the grid (last dim fastest).
-        let mut k = dims;
-        while k > 0 {
-            k -= 1;
-            coord[k] += 1;
-            if coord[k] < grid[k] {
-                break;
+        if grid.iter().any(|&g| g <= 0) {
+            return Err(PlanError::BadGrid(format!(
+                "grid extents must be positive, got {grid:?}"
+            )));
+        }
+        let tiles_total = usize::try_from(grid.iter().product::<i128>())
+            .map_err(|_| PlanError::BadGrid(format!("grid too large: {grid:?}")))?;
+        let to_i64 = |v: i128, what: &str| {
+            i64::try_from(v).map_err(|_| PlanError::BadGrid(format!("{what} {v} overflows i64")))
+        };
+        // Original-space points are handed out as `i64`, whichever
+        // space the boxes live in.
+        for l in &nest.loops {
+            to_i64(l.lower, "loop bound")?;
+            to_i64(l.upper, "loop bound")?;
+        }
+        let domain = transform.map(|t| t.domain(nest)).transpose()?;
+        let bounds: Vec<(i128, i128)> = match &domain {
+            None => nest.loops.iter().map(|l| (l.lower, l.upper)).collect(),
+            Some(d) => (d.jlo().iter().zip(d.jhi()))
+                .map(|(&lo, &hi)| (i128::from(lo), i128::from(hi)))
+                .collect(),
+        };
+        let chunks: Vec<i128> = (bounds.iter().zip(grid))
+            .map(|(&(lo, hi), &g)| ((hi - lo + 1).max(0) + g - 1) / g)
+            .collect();
+
+        let mut boxes = Vec::with_capacity(tiles_total);
+        let mut coord = vec![0i128; grid.len()];
+        for _ in 0..tiles_total {
+            let mut bx = IterBox {
+                lo: Vec::with_capacity(grid.len()),
+                hi: Vec::with_capacity(grid.len()),
+            };
+            for (k, &(lo, hi)) in bounds.iter().enumerate() {
+                let tile_lo = lo + coord[k] * chunks[k];
+                bx.lo.push(to_i64(tile_lo, "tile bound")?);
+                bx.hi
+                    .push(to_i64((tile_lo + chunks[k] - 1).min(hi), "tile bound")?);
             }
-            coord[k] = 0;
+            boxes.push(bx);
+            // Row-major increment over the grid (last dim fastest).
+            for k in (0..grid.len()).rev() {
+                coord[k] += 1;
+                if coord[k] < grid[k] {
+                    break;
+                }
+                coord[k] = 0;
+            }
+        }
+        Ok(Tiling {
+            boxes,
+            chunks,
+            domain,
+        })
+    }
+
+    /// Number of tiles (`Π grid`, empty ones included).
+    pub fn len(&self) -> usize {
+        self.boxes.len()
+    }
+
+    /// True when the tiling has no tiles (never, for a tiling built by
+    /// [`Tiling::new`]: every grid factor is at least one).
+    pub fn is_empty(&self) -> bool {
+        self.boxes.is_empty()
+    }
+
+    /// The tiles' boxes, in tile order — iteration space for a
+    /// rectangular plan, `j`-space (not yet clipped) for a transformed
+    /// one.
+    pub fn boxes(&self) -> &[IterBox] {
+        &self.boxes
+    }
+
+    /// Iterations per interior tile along each dimension (the paper's
+    /// tile extents λ plus one).
+    pub fn chunks(&self) -> &[i128] {
+        &self.chunks
+    }
+
+    /// Interior tile extents λ in the paper's inclusive convention (a
+    /// tile spans `λ_k + 1` iterations): the chunk sizes minus one.
+    pub fn extents(&self) -> Vec<i128> {
+        self.chunks.iter().map(|c| c - 1).collect()
+    }
+
+    /// True when the boxes over-approximate the tiles and walks clip
+    /// them against a transformed domain.
+    pub fn is_clipped(&self) -> bool {
+        self.domain.is_some()
+    }
+
+    /// Exact number of iterations tile `t` owns.
+    pub fn points(&self, t: usize) -> u64 {
+        match &self.domain {
+            None => self.boxes[t].volume(),
+            Some(d) => u64::try_from(d.count(&self.boxes[t])).expect("tile point count fits u64"),
         }
     }
-    Ok((tiles, chunks))
+
+    /// Visit tile `t` as innermost rows `(x[..last], lo..=hi)` in
+    /// row-major order, in the coordinates of [`boxes`](Tiling::boxes),
+    /// until `f` returns `false`; returns `false` when the walk was
+    /// stopped early.
+    pub fn for_each_row(&self, t: usize, f: impl FnMut(&mut [i64], i64, i64) -> bool) -> bool {
+        match &self.domain {
+            None => self.boxes[t].try_for_each_row(f),
+            Some(d) => d.for_each_row(&self.boxes[t], f),
+        }
+    }
+
+    /// Visit every iteration tile `t` owns, in row order, as a point of
+    /// the **original** iteration space.
+    pub fn for_each_point(&self, t: usize, mut f: impl FnMut(&[i64])) {
+        match &self.domain {
+            None => self.boxes[t].for_each_point(f),
+            Some(d) => d.for_each_point(&self.boxes[t], |j| f(&d.to_i(j))),
+        }
+    }
+
+    /// Every tile's iterations as explicit original-space point lists —
+    /// the form the simulator and the code generator consume.
+    pub fn assignment(&self) -> Vec<Vec<IVec>> {
+        (0..self.len())
+            .map(|t| {
+                let mut pts = Vec::new();
+                self.for_each_point(t, |i| pts.push(IVec(i.iter().map(|&x| x.into()).collect())));
+                pts
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -180,11 +292,12 @@ mod tests {
     /// The partition invariant of the single enumerator: one tile per
     /// grid cell, and the tiles disjointly cover the iteration space.
     fn assert_disjoint_cover(nest: &LoopNest, grid: &[i128]) {
-        let (tiles, _) = rect_tiles(nest, grid).unwrap();
+        let tiling = Tiling::new(nest, None, grid).unwrap();
+        let tiles = tiling.boxes();
         let expected: i128 = grid.iter().product();
         assert_eq!(tiles.len() as i128, expected, "tile count == Π grid");
         let mut seen: HashSet<Vec<i64>> = HashSet::new();
-        for t in &tiles {
+        for t in tiles {
             t.for_each_point(|p| {
                 assert!(seen.insert(p.to_vec()), "iteration {p:?} covered twice");
             });
@@ -198,8 +311,8 @@ mod tests {
     fn disjoint_cover_ragged_2d() {
         // 7×5 space on a 2×3 grid: boundary tiles shrink.
         let nest = parse("doall (i, 0, 6) { doall (j, 10, 14) { A[i, j] = A[i, j]; } }").unwrap();
-        let (_, chunks) = rect_tiles(&nest, &[2, 3]).unwrap();
-        assert_eq!(chunks, vec![4, 2]);
+        let tiling = Tiling::new(&nest, None, &[2, 3]).unwrap();
+        assert_eq!(tiling.chunks(), [4, 2]);
         assert_disjoint_cover(&nest, &[2, 3]);
     }
 
@@ -207,16 +320,17 @@ mod tests {
     fn empty_boundary_tiles_preserved() {
         // 3 iterations on 4 processors: chunk 1, tile 3 is empty.
         let nest = parse("doall (i, 0, 2) { A[i] = A[i]; }").unwrap();
-        let (tiles, _) = rect_tiles(&nest, &[4]).unwrap();
-        assert_eq!(tiles.len(), 4);
-        assert!(tiles[3].is_empty());
+        let tiling = Tiling::new(&nest, None, &[4]).unwrap();
+        assert_eq!(tiling.len(), 4);
+        assert!(tiling.boxes()[3].is_empty());
         assert_disjoint_cover(&nest, &[4]);
     }
 
     #[test]
     fn row_major_numbering() {
         let nest = parse("doall (i, 0, 3) { doall (j, 0, 3) { A[i,j] = A[i,j]; } }").unwrap();
-        let (tiles, _) = rect_tiles(&nest, &[2, 2]).unwrap();
+        let tiling = Tiling::new(&nest, None, &[2, 2]).unwrap();
+        let tiles = tiling.boxes();
         // Tile 1 is (rows 0-1, cols 2-3): the j coordinate moves fastest.
         assert_eq!(tiles[1].lo, vec![0, 2]);
         assert_eq!(tiles[2].lo, vec![2, 0]);
@@ -225,8 +339,23 @@ mod tests {
     #[test]
     fn grid_dim_mismatch_rejected() {
         let nest = parse("doall (i, 0, 2) { A[i] = A[i]; }").unwrap();
-        assert!(rect_tiles(&nest, &[2, 2]).is_err());
-        assert!(rect_tiles(&nest, &[0]).is_err());
+        assert!(Tiling::new(&nest, None, &[2, 2]).is_err());
+        assert!(Tiling::new(&nest, None, &[0]).is_err());
+    }
+
+    #[test]
+    fn original_points_outside_i64_are_a_bad_grid_not_a_panic() {
+        // i + j stays small while i alone does not fit i64: the j-space
+        // boxes narrow fine, the points handed back would not.
+        let nest = parse(
+            "doall (i, 9223372036854775808, 9223372036854775811) {
+               doall (j, -9223372036854775808, -9223372036854775805) { A[i+j] = B[i+j]; } }",
+        )
+        .unwrap();
+        let u = alp_linalg::IMat::from_rows(&[&[1, 0], &[1, 1]]);
+        let t = Transform::new(u, crate::fingerprint_hex(&nest)).unwrap();
+        let err = Tiling::new(&nest, Some(&t), &[2, 2]).unwrap_err();
+        assert!(matches!(err, PlanError::BadGrid(_)), "{err}");
     }
 
     #[test]
@@ -273,6 +402,54 @@ mod tests {
                 ni - 1, nj - 1
             )).unwrap();
             assert_disjoint_cover(&nest, &[gi, gj]);
+        }
+
+        /// A rectangular tiling and the same grid run through the
+        /// identity transform are one tiling: same boxes, chunks, point
+        /// counts, row sequences and assignment — for depth 1..=3,
+        /// ragged boundary tiles and grids with more processors than
+        /// iterations along a dimension.
+        #[test]
+        fn identity_transform_tiles_like_no_transform(
+            dims in (1usize..=3).prop_flat_map(|d| {
+                proptest::collection::vec((-3i64..=3, 1i64..=5, 1i128..=6), d..=d)
+            }),
+        ) {
+            let names = ["i", "j", "k"];
+            let open: String = dims.iter().zip(names)
+                .map(|(&(lo, n, _), x)| format!("doall ({x}, {lo}, {}) {{ ", lo + n - 1))
+                .collect();
+            let subs = names[..dims.len()].join(", ");
+            let nest = parse(&format!(
+                "{open}A[{subs}] = A[{subs}]; {}", "} ".repeat(dims.len())
+            )).unwrap();
+            let grid: Vec<i128> = dims.iter().map(|d| d.2).collect();
+            let identity = Transform::new(
+                alp_linalg::IMat::identity(dims.len()),
+                crate::fingerprint_hex(&nest),
+            ).unwrap();
+
+            let rect = Tiling::new(&nest, None, &grid).unwrap();
+            let skew = Tiling::new(&nest, Some(&identity), &grid).unwrap();
+            prop_assert!(!rect.is_clipped() && skew.is_clipped());
+            prop_assert_eq!(rect.boxes(), skew.boxes());
+            prop_assert_eq!(rect.chunks(), skew.chunks());
+            prop_assert_eq!(rect.len() as i128, grid.iter().product::<i128>());
+            let rows = |tiling: &Tiling, t: usize| {
+                let mut rows = Vec::new();
+                tiling.for_each_row(t, |x, lo, hi| {
+                    rows.push((x[..x.len() - 1].to_vec(), lo, hi));
+                    true
+                });
+                rows
+            };
+            for t in 0..rect.len() {
+                prop_assert_eq!(rect.points(t), skew.points(t));
+                prop_assert_eq!(rows(&rect, t), rows(&skew, t));
+            }
+            prop_assert_eq!(rect.assignment(), skew.assignment());
+            let total: u64 = (0..rect.len()).map(|t| rect.points(t)).sum();
+            prop_assert_eq!(i128::from(total), nest.iteration_count());
         }
 
         /// Rows, expanded, are the point walk: same points, same

@@ -13,9 +13,9 @@
 //! The price of the rotation is that the *domain* — the image of the
 //! original rectangular bounds — is no longer rectangular: it is the
 //! polyhedron `{j : lo_d ≤ (j·V)_d ≤ hi_d}`.  [`TransformedDomain`]
-//! owns that polyhedron: its bounding box (which the tile enumerator
-//! chunks exactly like [`rect_tiles`](crate::rect_tiles) chunks the
-//! original space), membership tests, exact row enumeration with
+//! owns that polyhedron: its bounding box (which [`Tiling`](crate::Tiling)
+//! chunks exactly as it chunks the loop bounds of an untransformed
+//! plan), membership tests, exact row enumeration with
 //! per-row clipped trip bounds (each constraint resolves to an exact
 //! integer interval at the deepest `j`-level where it has a nonzero
 //! coefficient), and exact point counting.  Runtime execution and
@@ -323,6 +323,13 @@ impl TransformedDomain {
         true
     }
 
+    /// Map an in-domain `j` back to original coordinates (`i = j·V`).
+    pub(crate) fn to_i(&self, j: &[i64]) -> Vec<i64> {
+        // Unreachable expect: the point lies within the nest's bounds,
+        // which `Tiling::new` checked to fit `i64`.
+        map_point(&self.v, j).expect("in-domain point fits i64")
+    }
+
     /// Visit every in-domain point inside `bx` in row-major order.
     pub fn for_each_point(&self, bx: &IterBox, mut f: impl FnMut(&[i64])) {
         self.for_each_row(bx, |j, lo, hi| {
@@ -343,78 +350,6 @@ impl TransformedDomain {
             true
         });
         total
-    }
-}
-
-/// Split the transformed iteration space into `Π grid` rectangular
-/// `j`-space tiles, one per virtual processor, row-major over the grid
-/// — the skewed counterpart of [`rect_tiles`](crate::rect_tiles), with
-/// the same ceiling-division chunking and the same clamping of
-/// boundary tiles, applied to the domain's bounding box.
-///
-/// Returns the tiles and per-dimension chunk sizes.  Tiles are boxes
-/// of the *bounding box*; consumers intersect them with the domain via
-/// [`TransformedDomain::for_each_row`] (a tile wholly outside the
-/// domain simply enumerates zero rows).
-pub fn transformed_tiles(
-    nest: &LoopNest,
-    transform: &Transform,
-    grid: &[i128],
-) -> Result<(Vec<IterBox>, Vec<i128>, TransformedDomain), PlanError> {
-    if grid.len() != nest.depth() {
-        return Err(PlanError::BadGrid(format!(
-            "grid has {} dims, nest has {} parallel loops",
-            grid.len(),
-            nest.depth()
-        )));
-    }
-    if grid.iter().any(|&g| g <= 0) {
-        return Err(PlanError::BadGrid(format!(
-            "grid extents must be positive, got {grid:?}"
-        )));
-    }
-    let domain = transform.domain(nest)?;
-    let dims = grid.len();
-    let chunks: Vec<i128> = (0..dims)
-        .map(|k| {
-            let extent = (domain.jhi[k] as i128 - domain.jlo[k] as i128 + 1).max(0);
-            (extent + grid[k] - 1) / grid[k]
-        })
-        .collect();
-
-    let tiles_total: i128 = grid.iter().product();
-    let tiles_total = usize::try_from(tiles_total)
-        .map_err(|_| PlanError::BadGrid(format!("grid too large: {grid:?}")))?;
-
-    let mut tiles = Vec::with_capacity(tiles_total);
-    let mut coord = vec![0i128; dims];
-    for _ in 0..tiles_total {
-        let mut lo = Vec::with_capacity(dims);
-        let mut hi = Vec::with_capacity(dims);
-        for k in 0..dims {
-            let tile_lo = domain.jlo[k] as i128 + coord[k] * chunks[k];
-            let tile_hi = (tile_lo + chunks[k] - 1).min(domain.jhi[k] as i128);
-            lo.push(to_i64(tile_lo, "tile bound").map_err(bad_grid)?);
-            hi.push(to_i64(tile_hi, "tile bound").map_err(bad_grid)?);
-        }
-        tiles.push(IterBox { lo, hi });
-        let mut k = dims;
-        while k > 0 {
-            k -= 1;
-            coord[k] += 1;
-            if coord[k] < grid[k] {
-                break;
-            }
-            coord[k] = 0;
-        }
-    }
-    Ok((tiles, chunks, domain))
-}
-
-fn bad_grid(e: PlanError) -> PlanError {
-    match e {
-        PlanError::Transform(msg) => PlanError::BadGrid(msg),
-        other => other,
     }
 }
 
@@ -557,11 +492,12 @@ mod tests {
     /// The partition invariant for transformed tiles: exact disjoint
     /// cover of the original space through the bijection.
     fn assert_transformed_cover(nest: &LoopNest, t: &Transform, grid: &[i128]) {
-        let (tiles, _, domain) = transformed_tiles(nest, t, grid).unwrap();
+        let tiling = crate::Tiling::new(nest, Some(t), grid).unwrap();
+        let (tiles, domain) = (tiling.boxes(), t.domain(nest).unwrap());
         assert_eq!(tiles.len() as i128, grid.iter().product::<i128>());
         let mut seen: HashSet<Vec<i64>> = HashSet::new();
         let mut count: i128 = 0;
-        for bx in &tiles {
+        for bx in tiles {
             domain.for_each_point(bx, |j| {
                 assert!(domain.contains(j), "emitted point outside domain");
                 let i = t.to_i(j).expect("maps back");
@@ -584,7 +520,7 @@ mod tests {
     }
 
     #[test]
-    fn transformed_tiles_cover_example2_exactly() {
+    fn skewed_tiling_covers_example2_exactly() {
         let nest = example2();
         let basis = IMat::from_rows(&[&[1, 1], &[1, 0]]);
         let t = Transform::from_basis(&basis, &nest).unwrap();

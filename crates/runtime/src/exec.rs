@@ -40,16 +40,15 @@ use crate::kernel::Kernel;
 use crate::report::{RunReport, Schedule, ThreadMetrics, TileMetrics};
 use crate::store::ArrayStore;
 use crate::sync::{CancelToken, CancellableBarrier};
-use crate::tiles::{rect_tiles, IterBox};
 use crate::touch::TouchSet;
 use crate::RuntimeError;
 use alp_linalg::IVec;
 use alp_loopir::{AccessKind, LoopNest};
 use alp_machine::ArrayLayout;
-use alp_plan::{Transform, TransformedDomain};
+use alp_plan::{Tiling, Transform};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// How many kernel iterations run between two cooperative cancellation
@@ -146,31 +145,6 @@ pub trait FaultInjector: Send + Sync + std::fmt::Debug {
     /// Called after tile `tile` completes in repetition `rep`.  May
     /// corrupt `store` (silent-fault injection).
     fn after_tile(&self, tile: usize, rep: u64, store: &ArrayStore);
-}
-
-/// One unit of schedulable work: a tile, executed as innermost rows.
-#[derive(Debug, Clone)]
-struct Work {
-    /// The tile's box — in iteration space for a rectangular plan; in
-    /// `j`-space, not yet clipped, for a transformed one (whose kernel
-    /// was built by [`Kernel::compile_transformed`]).
-    bx: IterBox,
-    /// The domain every tile of a transformed plan clips against;
-    /// `None` for a rectangular plan, whose boxes are exact.
-    domain: Option<Arc<TransformedDomain>>,
-    /// Exact point count, precomputed at build time.
-    points: u64,
-}
-
-impl Work {
-    /// Visit the tile's rows `(j[..last], lo..=hi)` until `f` returns
-    /// `false`; returns `false` when the walk was stopped early.
-    fn for_each_row(&self, f: impl FnMut(&mut [i64], i64, i64) -> bool) -> bool {
-        match &self.domain {
-            None => self.bx.try_for_each_row(f),
-            Some(domain) => domain.for_each_row(&self.bx, f),
-        }
-    }
 }
 
 /// Why a run is winding down, recorded once by the first thread that
@@ -279,7 +253,11 @@ pub struct Executor {
     nest: LoopNest,
     layout: ArrayLayout,
     kernel: Kernel,
-    work: Vec<Work>,
+    /// Which rows each tile runs — in iteration space, or in `j`-space
+    /// for a transformed plan (whose kernel is composed with `U⁻¹`).
+    tiling: Tiling,
+    /// Exact iteration count per tile, precomputed at build time.
+    points: Vec<u64>,
     /// Interior-tile extents λ.
     tile_extents: Vec<i128>,
     repetitions: u64,
@@ -302,18 +280,7 @@ impl Executor {
     /// the result differs from [`Executor::run_reference`] even on one
     /// thread.
     pub fn from_grid(nest: &LoopNest, grid: &[i128]) -> Result<Executor, RuntimeError> {
-        let layout = ArrayLayout::from_nest(nest);
-        let kernel = Kernel::compile(nest, &layout)?;
-        let (tiles, chunks) = rect_tiles(nest, grid)?;
-        let work = tiles
-            .into_iter()
-            .map(|bx| Work {
-                points: bx.volume(),
-                bx,
-                domain: None,
-            })
-            .collect();
-        Executor::build(nest, layout, kernel, work, &chunks)
+        Executor::build(nest, None, grid)
     }
 
     /// Build an executor straight from a saved [`alp_plan::PartitionPlan`]:
@@ -351,29 +318,17 @@ impl Executor {
                 ),
             )));
         }
-        let layout = ArrayLayout::from_nest(nest);
-        let kernel = Kernel::compile_transformed(nest, &layout, transform.v())?;
-        let (tiles, chunks, domain) =
-            alp_plan::transformed_tiles(nest, transform, grid).map_err(RuntimeError::BadPlan)?;
-        let domain = Arc::new(domain);
-        let work = tiles
-            .into_iter()
-            .map(|bx| Work {
-                points: u64::try_from(domain.count(&bx)).expect("tile point count fits u64"),
-                bx,
-                domain: Some(Arc::clone(&domain)),
-            })
-            .collect();
-        Executor::build(nest, layout, kernel, work, &chunks)
+        Executor::build(nest, Some(transform), grid)
     }
 
     fn build(
         nest: &LoopNest,
-        layout: ArrayLayout,
-        kernel: Kernel,
-        work: Vec<Work>,
-        chunks: &[i128],
+        transform: Option<&Transform>,
+        grid: &[i128],
     ) -> Result<Executor, RuntimeError> {
+        let layout = ArrayLayout::from_nest(nest);
+        let kernel = Kernel::compile(nest, &layout, transform.map(Transform::v))?;
+        let tiling = Tiling::new(nest, transform, grid)?;
         Ok(Executor {
             retry: RetryPolicy::Syntactic {
                 safe: syntactic_retry_safe(nest),
@@ -383,11 +338,9 @@ impl Executor {
             repetitions: reps(nest)?,
             layout,
             kernel,
-            work,
-            // chunks are iterations per tile; λ is the inclusive extent
-            // (λ + 1 iterations), the convention of RectPartition and
-            // CostModel::cost_rect.
-            tile_extents: chunks.iter().map(|c| c - 1).collect(),
+            points: (0..tiling.len()).map(|t| tiling.points(t)).collect(),
+            tile_extents: tiling.extents(),
+            tiling,
         })
     }
 
@@ -398,7 +351,7 @@ impl Executor {
 
     /// Number of tiles (virtual processors).
     pub fn tile_count(&self) -> usize {
-        self.work.len()
+        self.tiling.len()
     }
 
     /// Interior-tile extents λ, in the paper's inclusive convention
@@ -492,8 +445,8 @@ impl Executor {
 
     fn resolve_threads(&self, opts: &ExecOptions) -> usize {
         match opts.threads {
-            0 => self.work.len().max(1),
-            t => t.min(self.work.len().max(1)),
+            0 => self.tiling.len().max(1),
+            t => t.min(self.tiling.len().max(1)),
         }
     }
 
@@ -510,8 +463,8 @@ impl Executor {
     /// see the module docs for the failure model.
     pub fn run(&self, store: &ArrayStore, opts: &ExecOptions) -> Result<RunReport, RuntimeError> {
         self.check_budget(opts)?;
-        let tiles = self.work.len();
-        let per_rep: u64 = self.work.iter().map(|w| w.points).sum();
+        let tiles = self.tiling.len();
+        let per_rep: u64 = self.points.iter().sum();
         if tiles == 0 || self.repetitions == 0 || per_rep == 0 {
             // Nothing to execute: no tiles, a zero-trip nest, or zero
             // repetitions.  Report the empty run instead of
@@ -867,16 +820,16 @@ impl<'a> WorkerState<'a> {
         // tile's metrics row, only in the first.
         let first_rep = rep == 0;
         let t0 = Instant::now();
-        let work = &self.exec.work[tile];
+        let points = self.exec.points[tile];
         #[cfg(feature = "chaos")]
         if let Some(inj) = &self.opts.fault_injector {
             inj.before_tile(tile, rep);
         }
         // Atomic vs relaxed accumulates: resolved here, once per tile.
         let completed = if self.exec.relaxed_stores {
-            self.run_rows::<true>(work, first_rep)
+            self.run_rows::<true>(tile, first_rep)
         } else {
-            self.run_rows::<false>(work, first_rep)
+            self.run_rows::<false>(tile, first_rep)
         };
         let dt = t0.elapsed();
         self.busy += dt;
@@ -887,7 +840,7 @@ impl<'a> WorkerState<'a> {
         if let Some(inj) = &self.opts.fault_injector {
             inj.after_tile(tile, rep, self.store);
         }
-        self.iterations += work.points;
+        self.iterations += points;
         if first_rep {
             let scratch = self.scratch.as_ref();
             if let (Some(tt), Some(sc)) = (self.thread_touch.as_mut(), scratch) {
@@ -896,7 +849,7 @@ impl<'a> WorkerState<'a> {
             self.tile_metrics.push(TileMetrics {
                 tile,
                 thread: self.thread,
-                iterations: work.points,
+                iterations: points,
                 distinct_lines: scratch.map(TouchSet::count),
                 busy: dt,
             });
@@ -912,7 +865,7 @@ impl<'a> WorkerState<'a> {
     /// (and touch tracking on) each cut's accesses are recorded in
     /// `scratch` right before the cut executes, so a tracked run is
     /// interrupted within the same interval as an untracked one.
-    fn run_rows<const RELAXED: bool>(&mut self, work: &Work, track: bool) -> bool {
+    fn run_rows<const RELAXED: bool>(&mut self, tile: usize, track: bool) -> bool {
         let (kernel, store, ctrl) = (&self.exec.kernel, self.store, self.ctrl);
         let mut scratch = self.scratch.as_mut().filter(|_| track);
         if let Some(sc) = scratch.as_deref_mut() {
@@ -920,7 +873,7 @@ impl<'a> WorkerState<'a> {
         }
         let mut until_poll = POLL_INTERVAL;
         let mut polls = 0u64;
-        let completed = work.for_each_row(|j, lo, hi| {
+        let completed = self.exec.tiling.for_each_row(tile, |j, lo, hi| {
             let mut x = lo;
             loop {
                 let n = ((hi - x) as u64 + 1).min(until_poll);
@@ -1076,7 +1029,7 @@ mod tests {
         let (opts, store) = (ExecOptions::default(), exec.seeded_store(0));
         assert!(opts.track_touches);
         let mut w = WorkerState::new(&exec, &ctrl, &opts, &store, &[], 0);
-        assert!(!w.run_rows::<false>(&exec.work[0], true));
+        assert!(!w.run_rows::<false>(0, true));
         assert_eq!(w.polls, 1);
         assert_eq!(w.scratch.as_ref().unwrap().count(), 2 * POLL_INTERVAL);
     }

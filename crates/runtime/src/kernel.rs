@@ -95,7 +95,18 @@ impl Kernel {
     /// parser produces for `+=`); it becomes the implicit read of the
     /// atomic add.  An accumulate lhs with *no* self-read degenerates to
     /// a plain overwrite; more than one self-read is rejected.
-    pub fn compile(nest: &LoopNest, layout: &ArrayLayout) -> Result<Kernel, RuntimeError> {
+    ///
+    /// With `v = U⁻¹` of a plan's transform, every linear form is then
+    /// rewritten into transformed coordinates `j̄ = ī·U` by composing
+    /// with `v` (`ī = j̄·V`).  The resulting kernel is executed with
+    /// *j-space* iteration vectors; element ids are identical to the
+    /// untransformed kernel's at the corresponding i-space point, so
+    /// layouts, stores and touch tracking are unchanged.
+    pub fn compile(
+        nest: &LoopNest,
+        layout: &ArrayLayout,
+        v: Option<&IMat>,
+    ) -> Result<Kernel, RuntimeError> {
         let mut stmts = Vec::with_capacity(nest.body.len());
         for st in &nest.body {
             let lhs = lower_ref(&st.lhs, layout)?;
@@ -135,24 +146,11 @@ impl Kernel {
                 stmts.push(CompiledStmt::Assign { lhs, sources });
             }
         }
-        Ok(Kernel { stmts })
-    }
-
-    /// Lower `nest` as [`compile`](Kernel::compile) does, then rewrite
-    /// every linear form into transformed coordinates `j̄ = ī·U` by
-    /// composing with `V = U⁻¹` (`ī = j̄·V`).  The resulting kernel is
-    /// executed with *j-space* iteration vectors; element ids are
-    /// identical to the original kernel's at the corresponding i-space
-    /// point, so layouts, stores and touch tracking are unchanged.
-    pub fn compile_transformed(
-        nest: &LoopNest,
-        layout: &ArrayLayout,
-        v: &IMat,
-    ) -> Result<Kernel, RuntimeError> {
-        let base = Kernel::compile(nest, layout)?;
+        let Some(v) = v else {
+            return Ok(Kernel { stmts });
+        };
         let map = |r: &LinRef| r.composed(v);
-        let stmts = base
-            .stmts
+        let stmts = stmts
             .iter()
             .map(|st| -> Result<CompiledStmt, RuntimeError> {
                 Ok(match st {
@@ -344,7 +342,7 @@ mod tests {
     fn accumulate_requires_single_self_read() {
         let nest = parse("doall (i, 0, 3) { l$C[i] = l$C[i] + l$C[i] + A[i]; }").unwrap();
         let layout = ArrayLayout::from_nest(&nest);
-        let err = Kernel::compile(&nest, &layout).unwrap_err();
+        let err = Kernel::compile(&nest, &layout, None).unwrap_err();
         assert!(matches!(err, RuntimeError::UnsupportedStatement(_)));
     }
 
@@ -352,7 +350,7 @@ mod tests {
     fn accumulate_without_self_read_is_overwrite() {
         let nest = parse("doall (i, 0, 3) { l$C[i] = A[i]; }").unwrap();
         let layout = ArrayLayout::from_nest(&nest);
-        let kernel = Kernel::compile(&nest, &layout).unwrap();
+        let kernel = Kernel::compile(&nest, &layout, None).unwrap();
         assert!(matches!(kernel.stmts()[0], CompiledStmt::Assign { .. }));
         let store = ArrayStore::zeroed(layout.total_lines());
         let a0 = layout.array_id("A").unwrap();

@@ -39,7 +39,6 @@ mod kernel;
 mod report;
 mod store;
 mod sync;
-mod tiles;
 mod touch;
 
 pub use exec::{
@@ -49,7 +48,6 @@ pub use kernel::{CompiledStmt, Kernel, LinRef};
 pub use report::{ModelComparison, RunReport, Schedule, ThreadMetrics, TileMetrics};
 pub use store::ArrayStore;
 pub use sync::{BarrierCancelled, CancelToken, CancellableBarrier};
-pub use tiles::{rect_tiles, IterBox};
 pub use touch::TouchSet;
 
 #[cfg(feature = "chaos")]

@@ -4,7 +4,8 @@
 //! count, and (b) execute every iteration exactly once per repetition.
 
 use alp_loopir::{parse, LoopNest};
-use alp_runtime::{rect_tiles, ExecOptions, Executor, Schedule};
+use alp_plan::Tiling;
+use alp_runtime::{ExecOptions, Executor, Schedule};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -66,10 +67,10 @@ fn nest_source(bounds: &Bounds, template: usize, seq: bool) -> String {
 }
 
 fn check_exact_cover(nest: &LoopNest, grid: &[i128]) {
-    let (tiles, _) = rect_tiles(nest, grid).unwrap();
+    let tiling = Tiling::new(nest, None, grid).unwrap();
     let mut covered: HashSet<Vec<i64>> = HashSet::new();
     let mut total = 0u64;
-    for tile in &tiles {
+    for tile in tiling.boxes() {
         tile.for_each_point(|i| {
             assert!(covered.insert(i.to_vec()), "iteration {i:?} covered twice");
             total += 1;

@@ -125,6 +125,35 @@ fn errors_map_to_stable_codes() {
     assert!(!refused.ok);
     assert_eq!(refused.code.as_deref(), Some("ALP0009"));
 
+    // More processors than a 1-D nest has iterations: infeasible, not a
+    // worker panic (`ALP0008`) — counted once per request, and the
+    // key's cache slot stays usable (the repeat is refused the same way
+    // and a feasible count on the same nest still plans).
+    let failures = |c: &mut Client, id| {
+        let stats = c.round_trip(&Request::control(id, RequestOp::Stats));
+        stats.stats.expect("stats payload").failures
+    };
+    let before = failures(&mut c, 5);
+    let mut crowded = Request::plan(6, "doall (i, 0, 2) { A[i] = B[i]; }");
+    crowded.plan.processors = 4;
+    for id in [6, 7] {
+        crowded.id = id;
+        let infeasible = c.round_trip(&crowded);
+        assert!(!infeasible.ok);
+        assert_eq!(infeasible.code.as_deref(), Some("ALP0004"));
+        let msg = infeasible.error.expect("diagnostic");
+        assert!(
+            msg.starts_with("infeasible: no feasible factorization"),
+            "{msg}"
+        );
+    }
+    assert_eq!(failures(&mut c, 8), before + 2);
+    crowded.plan.processors = 3;
+    crowded.id = 9;
+    let fits = c.round_trip(&crowded);
+    assert!(fits.ok, "3 processors fit 3 iterations: {:?}", fits.error);
+    assert_eq!(fits.tiles, Some(3));
+
     handle.shutdown();
 }
 

@@ -44,8 +44,9 @@
 //!   communication-free partitions, Abraham–Hudak baseline, data
 //!   alignment, mesh placement;
 //! * [`plan`] — the [`PartitionPlan`] artifact: stable nest
-//!   fingerprints, the single rectangular tile enumerator, a versioned
-//!   JSON schema, and the memoizing [`PlanCache`];
+//!   fingerprints, the single tile enumerator
+//!   ([`Tiling`](alp_plan::Tiling), rectangular and skewed plans
+//!   alike), a versioned JSON schema, and the memoizing [`PlanCache`];
 //! * [`machine`] — a deterministic cache-coherent multiprocessor
 //!   simulator (full-map MSI directory);
 //! * [`codegen`] — iteration assignment and per-processor code emission;
@@ -418,88 +419,72 @@ impl Compiler {
         } else {
             (alp_analysis::Report::default(), LegalityVerdict::Unchecked)
         };
-        if self.skewed {
-            return Ok((self.plan_skewed(nest, verdict)?, report));
-        }
-        let plan = match &self.calibration {
-            None => PartitionPlan::build(nest, self.processors, self.mesh, verdict)?,
-            Some(latency) => {
-                let model = alp_footprint::CostModel::from_nest(nest);
-                let partition =
-                    alp_calibrate::choose_calibrated(nest, &model, latency, self.processors, 1)?;
-                PartitionPlan::build_with_partition(
-                    nest,
-                    self.processors,
-                    self.mesh,
-                    verdict,
-                    partition,
-                    "rect-exhaustive+latency",
-                )?
-                .with_calibration(latency.clone().into())
-            }
+        // Pick — the analytic winner, or the head of the hybrid ranking
+        // when calibrated — then build; `+latency` marks a plan a
+        // calibration was attached to, whatever its coefficients.
+        let optimizer = |base: &str| match self.calibration {
+            Some(_) => format!("{base}+latency"),
+            None => base.to_string(),
         };
-        Ok((plan, report))
-    }
-
-    /// The skewed planning path: enumerate the §3.6 parallelepiped
-    /// candidates, pick one (hybrid latency cost when calibrated,
-    /// analytic objective otherwise), and record the winner's unimodular
-    /// transform in a schema-v4 plan.
-    fn plan_skewed(
-        &self,
-        nest: &LoopNest,
-        verdict: LegalityVerdict,
-    ) -> Result<PartitionPlan, AlpError> {
-        let cands = alp_plan::skewed_candidates(
-            nest,
-            self.processors,
-            &alp_partition::ParaSearchConfig::default(),
-        )?;
-        if cands.is_empty() {
-            return Err(AlpError::Infeasible(
-                "nest has no skewed parallelepiped candidate bases".into(),
-            ));
-        }
-        match &self.calibration {
+        let plan = if self.skewed {
+            let cands = alp_plan::skewed_candidates(
+                nest,
+                self.processors,
+                &alp_partition::ParaSearchConfig::default(),
+            )?;
+            if cands.is_empty() {
+                return Err(AlpError::Infeasible(
+                    "nest has no skewed parallelepiped candidate bases".into(),
+                ));
+            }
             // Candidates arrive sorted by the analytic parallelepiped
             // objective; the head is the Theorem-4 winner.
-            None => Ok(PartitionPlan::build_skewed(
+            let pick = match &self.calibration {
+                None => 0,
+                Some(latency) => alp_calibrate::rank_skewed(nest, latency, &cands, 1)?[0].index,
+            };
+            PartitionPlan::build_skewed(
                 nest,
                 self.processors,
                 self.mesh,
                 verdict,
-                &cands[0],
-                "para-exhaustive",
-            )?),
-            Some(latency) => {
-                let ranked = alp_calibrate::rank_skewed(nest, latency, &cands, 1)?;
-                // A degenerate (all-tied) ranking falls back to the
-                // analytic order; the provenance string records which
-                // model actually decided.
-                let degenerate = alp_calibrate::skewed_ranking_is_degenerate(&ranked);
-                let best = &cands[ranked[0].index];
-                let optimizer = if degenerate {
-                    "para-exhaustive"
-                } else {
-                    "para-exhaustive+latency"
-                };
-                Ok(PartitionPlan::build_skewed(
-                    nest,
-                    self.processors,
-                    self.mesh,
-                    verdict,
-                    best,
-                    optimizer,
-                )?
-                .with_calibration(latency.clone().into()))
+                &cands[pick],
+                &optimizer("para-exhaustive"),
+            )?
+        } else {
+            match &self.calibration {
+                None => PartitionPlan::build(nest, self.processors, self.mesh, verdict)?,
+                Some(latency) => {
+                    let model = alp_footprint::CostModel::from_nest(nest);
+                    let partition = alp_calibrate::choose_calibrated(
+                        nest,
+                        &model,
+                        latency,
+                        self.processors,
+                        1,
+                    )?;
+                    PartitionPlan::build_with_partition(
+                        nest,
+                        self.processors,
+                        self.mesh,
+                        verdict,
+                        partition,
+                        &optimizer("rect-exhaustive"),
+                    )?
+                }
             }
-        }
+        };
+        let plan = match &self.calibration {
+            Some(latency) => plan.with_calibration(latency.clone().into()),
+            None => plan,
+        };
+        Ok((plan, report))
     }
 
     /// Run the full pipeline on a nest.
     pub fn compile(&self, nest: LoopNest) -> Result<CompileResult, AlpError> {
         let (plan, report) = self.plan_with_report(&nest)?;
-        Ok(self.finish(nest, Arc::new(plan), report))
+        self.finish(nest, Arc::new(plan), report)
     }
 
     /// Run the full pipeline, memoizing the expensive phases (legality
@@ -515,12 +500,12 @@ impl Compiler {
     ) -> Result<CompileResult, AlpError> {
         let key = self.plan_key(&nest);
         if let Some(plan) = cache.get(&key) {
-            return Ok(self.finish(nest, plan, alp_analysis::Report::default()));
+            return self.finish(nest, plan, alp_analysis::Report::default());
         }
         let (plan, report) = self.plan_with_report(&nest)?;
         let plan = Arc::new(plan);
         cache.insert(key, Arc::clone(&plan));
-        Ok(self.finish(nest, plan, report))
+        self.finish(nest, plan, report)
     }
 
     /// Rebuild a full [`CompileResult`] from a saved plan without
@@ -530,22 +515,26 @@ impl Compiler {
     /// (a plan is self-contained provenance, not a request).
     pub fn compile_from_plan(&self, plan: &PartitionPlan) -> Result<CompileResult, AlpError> {
         let nest = plan.nest().map_err(AlpError::Plan)?;
-        Ok(self.finish(
+        self.finish(
             nest,
             Arc::new(plan.clone()),
             alp_analysis::Report::default(),
-        ))
+        )
     }
 
     /// The cheap backend phases, shared by every compile path: data
     /// alignment, mesh placement, and code emission from an
-    /// already-decided plan.
+    /// already-decided plan.  The plan's grid is validated against the
+    /// nest first (a [`Tiling`](alp_plan::Tiling) must exist for it), so
+    /// a damaged plan file is an `ALP0006` here and never reaches a
+    /// backend that indexes by it.
     fn finish(
         &self,
         nest: LoopNest,
         plan: Arc<PartitionPlan>,
         report: alp_analysis::Report,
-    ) -> CompileResult {
+    ) -> Result<CompileResult, AlpError> {
+        plan.tiling(&nest).map_err(AlpError::Plan)?;
         let partition = plan.rect_partition();
         // For a transformed plan the grid and extents live in `j`-space,
         // so the rectangular i-space backends (data alignment, SPMD rect
@@ -561,7 +550,7 @@ impl Compiler {
         let placement = plan
             .mesh
             .map(|mesh| mesh_placement(&partition.proc_grid, mesh));
-        CompileResult {
+        Ok(CompileResult {
             class_count: plan.class_footprints.len(),
             comm_free_normals: plan.comm_free_normals.clone(),
             nest,
@@ -571,7 +560,7 @@ impl Compiler {
             data_partitions,
             placement,
             code,
-        }
+        })
     }
 
     fn simulate_plan(&self, result: &CompileResult, home: &dyn HomeMap) -> TrafficReport {
@@ -751,10 +740,9 @@ pub mod prelude {
     pub use crate::{AlpError, CompileResult, Compiler, ExecutionSummary};
     pub use alp_analysis::{analyze, analyze_program, pair_conflict, Report, Witness};
     pub use alp_calibrate::{
-        choose_calibrated, fit, fit_nest, probe_nest, probe_skewed, rank_candidates, rank_skewed,
-        ranking_is_degenerate, skewed_grid_features, skewed_ranking_is_degenerate, CalibrateError,
-        Calibration, GridFeatures, LatencyModel, ProbeConfig, RankedCandidate, RankedSkewed,
-        TileSample,
+        choose_calibrated, fit, fit_nest, probe_nest, rank_candidates, rank_skewed,
+        ranking_is_degenerate, CalibrateError, Calibration, GridFeatures, LatencyModel,
+        ProbeConfig, Ranked, TileSample,
     };
     pub use alp_certify::{certify, recheck, CertifyError, CertifyReport};
     pub use alp_codegen::{assign_para, assign_rect, assign_slabs, emit_para_code, emit_rect_code};
@@ -780,9 +768,9 @@ pub mod prelude {
         ProgramPartition, ProgramStrategy, RectPartition, SpreadKind,
     };
     pub use alp_plan::{
-        fingerprint, fingerprint_hex, rect_tiles, skewed_candidates, transformed_tiles, CacheStats,
-        Certificate, ChosenBy, IterBox, LatencyCoefficients, LegalityVerdict, PartitionPlan,
-        PlanCache, PlanError, PlanKey, SkewedCandidate, Transform, TransformedDomain,
+        fingerprint, fingerprint_hex, skewed_candidates, CacheStats, Certificate, ChosenBy,
+        IterBox, LatencyCoefficients, LegalityVerdict, PartitionPlan, PlanCache, PlanError,
+        PlanKey, SkewedCandidate, Tiling, Transform, TransformedDomain,
     };
     pub use alp_runtime::{
         syntactic_retry_safe, CancelToken, ExecOptions, ExecOutcome, Executor, ModelComparison,

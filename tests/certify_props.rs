@@ -80,9 +80,10 @@ fn cases() -> impl Strategy<Value = Case> {
 
 fn plan_for(case: &Case) -> (LoopNest, PartitionPlan, Vec<IterBox>) {
     let nest = parse(&case.src).expect("generated source parses");
-    let (tiles, chunks) = rect_tiles(&nest, &case.grid).expect("grid matches depth");
+    let tiling = Tiling::new(&nest, None, &case.grid).expect("grid matches depth");
+    let tiles = tiling.boxes().to_vec();
     let partition = RectPartition {
-        tile_extents: chunks.iter().map(|c| c - 1).collect(),
+        tile_extents: tiling.extents(),
         proc_grid: case.grid.clone(),
         cost: Rat::int(0),
     };
@@ -197,6 +198,33 @@ proptest! {
         let certified = plan.with_certificate(report.certificate.clone());
         let proven = recheck(&certified).expect("fresh certificate re-verifies");
         prop_assert_eq!(proven, report.certificate);
+    }
+
+    #[test]
+    fn identity_transform_plans_certify_and_execute_like_rectangular_ones(case in cases()) {
+        // One `Tiling` behind both shapes: the same grid carried through
+        // the identity transform (clipped walk, kernels composed with
+        // V = I, coverage proven by point count) must prove the same
+        // facts and leave the same bits as the untransformed plan.
+        let (nest, rect, _) = plan_for(&case);
+        let identity = Transform::new(IMat::identity(nest.depth()), fingerprint_hex(&nest))
+            .expect("identity is unimodular");
+        let skew = rect.clone().with_transform(identity);
+        prop_assert_eq!(
+            certify(&rect).expect("certifies").certificate,
+            certify(&skew).expect("certifies").certificate
+        );
+        // One thread: the generated nests may race, and a race is only
+        // deterministic in a fixed tile order.
+        let opts = ExecOptions { threads: 1, ..ExecOptions::default() };
+        let mut stores = Vec::new();
+        for plan in [&rect, &skew] {
+            let exec = Executor::from_plan(plan).expect("lowers");
+            let store = exec.seeded_store(3);
+            exec.run(&store, &opts).expect("runs");
+            stores.push(store.snapshot().iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+        }
+        prop_assert_eq!(&stores[0], &stores[1]);
     }
 
     #[test]

@@ -521,6 +521,13 @@ fn serve_client_maps_plan_errors_to_standard_exits() {
     );
     assert_eq!(code, Some(4), "illegal doall keeps its exit: {stderr}");
     assert!(stderr.contains("error[ALP0003]"), "{stderr}");
+    let (_, stderr, code) = serve_client(
+        &sock,
+        &["--op", "plan", "-p", "4", "-"],
+        Some("doall (i, 0, 2) { A[i] = B[i]; }"),
+    );
+    assert_eq!(code, Some(1), "infeasible is exit 1, not a panic: {stderr}");
+    assert!(stderr.contains("error[ALP0004]"), "{stderr}");
     let (_, _, code) = serve_client(&sock, &["--op", "shutdown"], None);
     assert_eq!(code, Some(0));
     daemon.wait().expect("daemon exits");
@@ -802,6 +809,64 @@ fn infeasible_requests_render_the_same_from_every_command() {
         let (_, stderr, code) = run_cli(args, Some(STENCIL));
         assert_eq!(code, Some(1), "{args:?}: {stderr}");
         assert_eq!(stderr, line, "{args:?}");
+    }
+    // More processors than a 1-D nest has iterations: no factorization
+    // fits, which is the same refusal — not a panic in the search.
+    let line = "alp-cli: error[ALP0004]: infeasible: \
+                no feasible factorization of 4 processors for this nest\n";
+    for args in [
+        &["-p", "4", "-"][..],
+        &["plan", "-p", "4", "-"],
+        &["run", "-p", "4", "-"],
+    ] {
+        let (_, stderr, code) = run_cli(args, Some("doall (i, 0, 2) { A[i] = B[i]; }"));
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr, line, "{args:?}");
+    }
+}
+
+#[test]
+fn damaged_plan_grids_exit_1_with_alp0006() {
+    // A hand-edited `proc_grid` — a zero factor, or the wrong rank for
+    // the nest — is a plan-artifact error from every consumer, for
+    // rectangular and skewed plans alike; no backend indexes by it.
+    let skewed = include_str!("golden/example2.v4.plan.json");
+    let skewed_zero = skewed.replace("\"proc_grid\": [8, 4]", "\"proc_grid\": [0, 4]");
+    let skewed_rank = skewed
+        .replace("\"proc_grid\": [8, 4]", "\"proc_grid\": [8, 4, 1]")
+        .replace(
+            "\"tile_extents\": [127, 127]",
+            "\"tile_extents\": [127, 127, 0]",
+        )
+        .replace(
+            "[1, 0],\n      [1, -1]",
+            "[1, 0, 0],\n      [1, -1, 0],\n      [0, 0, 1]",
+        );
+    assert_ne!(skewed_zero, skewed);
+    assert!(skewed_rank.contains("[0, 0, 1]"));
+    for (name, plan) in [
+        (
+            "rect zero factor",
+            include_str!("corpus/ALP0006__zero_grid_factor.plan.json"),
+        ),
+        (
+            "rect rank mismatch",
+            include_str!("corpus/ALP0006__grid_rank_mismatch.plan.json"),
+        ),
+        ("skewed zero factor", &skewed_zero),
+        ("skewed rank mismatch", &skewed_rank),
+    ] {
+        for args in [
+            &["run", "--from-plan", "-"][..],
+            &["--from-plan", "-", "--simulate"],
+        ] {
+            let (_, stderr, code) = run_cli(args, Some(plan));
+            assert_eq!(code, Some(1), "{name} {args:?}: {stderr}");
+            assert!(
+                stderr.contains("error[ALP0006]"),
+                "{name} {args:?}: {stderr}"
+            );
+        }
     }
 }
 

@@ -152,6 +152,67 @@ fn calibrated_plan_round_trips_with_provenance() {
 }
 
 #[test]
+fn skewed_calibrated_plan_carries_transform_provenance_and_certificate() {
+    // The one planner path nothing else reaches: skewed candidates
+    // ranked by the hybrid cost.
+    let nest = parse(GOLDEN_SOURCE_EX2).expect("example 2 parses");
+    let live = LatencyModel {
+        per_tile_ns: Rat::int(1500),
+        per_line_ns: Rat::int(2),
+        per_span_line_ns: Rat::new(1, 10),
+        per_iter_ns: Rat::new(3, 4),
+        per_rep_ns: Rat::int(40_000),
+        samples: 32,
+    };
+    let compiler = Compiler::new(16).with_skewed_tiles();
+    let plan = compiler
+        .clone()
+        .with_calibration(live.clone())
+        .plan(&nest)
+        .expect("skewed calibrated plan builds");
+    assert!(!plan.transform.as_ref().expect("transform").is_identity());
+    assert_eq!(plan.optimizer, "para-exhaustive+latency");
+    assert_eq!(plan.chosen_by, ChosenBy::Calibrated);
+    assert_eq!(plan.calibration, Some(live.into()));
+
+    let cert = certify(&plan).expect("certifies").certificate;
+    assert!(cert.coverage && cert.write_disjoint && cert.in_bounds && cert.idempotent);
+    let certified = plan.with_certificate(cert);
+    let text = certified.to_json_string();
+    let back = PartitionPlan::from_json_str(&text).expect("decodes");
+    assert_eq!(back, certified);
+    assert_eq!(back.to_json_string(), text);
+    let outcome = Executor::from_plan(&back)
+        .expect("lowers")
+        .verify(7, &ExecOptions::default())
+        .expect("runs");
+    assert!(outcome.matches_reference);
+
+    // A calibration is provenance, whatever its coefficients: the
+    // all-zero model ranks nothing, so the analytic winner is chosen,
+    // and the plan still says a calibration was attached.
+    let zero = LatencyModel {
+        per_tile_ns: Rat::ZERO,
+        per_line_ns: Rat::ZERO,
+        per_span_line_ns: Rat::ZERO,
+        per_iter_ns: Rat::ZERO,
+        per_rep_ns: Rat::ZERO,
+        samples: 0,
+    };
+    let analytic = compiler.plan(&nest).expect("skewed plan builds");
+    let degenerate = compiler
+        .clone()
+        .with_calibration(zero)
+        .plan(&nest)
+        .expect("skewed plan with a no-signal calibration builds");
+    assert_eq!(analytic.optimizer, "para-exhaustive");
+    assert_eq!(degenerate.optimizer, "para-exhaustive+latency");
+    assert_eq!(degenerate.chosen_by, ChosenBy::Calibrated);
+    assert_eq!(degenerate.transform, analytic.transform);
+    assert_eq!(degenerate.proc_grid, analytic.proc_grid);
+}
+
+#[test]
 fn unknown_version_fails_with_diagnostic() {
     let bumped = GOLDEN_PLAN.replace("\"alp-plan\": 3", "\"alp-plan\": 7");
     let err = PartitionPlan::from_json_str(&bumped).expect_err("must reject");
@@ -239,7 +300,7 @@ fn malformed_corpus_is_rejected_with_stable_codes() {
         assert_eq!(err.code(), expected, "{name}");
         checked += 1;
     }
-    assert_eq!(checked, 16, "expected all corpus files to be exercised");
+    assert_eq!(checked, 18, "expected all corpus files to be exercised");
 }
 
 #[test]
