@@ -1011,6 +1011,17 @@ fn reps(nest: &LoopNest) -> Result<u64, RuntimeError> {
 mod tests {
     use super::*;
 
+    /// A one-thread run whose stop flag is already set.
+    fn stopped() -> RunControl<'static> {
+        RunControl {
+            barrier: CancellableBarrier::new(1),
+            stop: AtomicBool::new(true),
+            reason: Mutex::new(None),
+            external: None,
+            deadline: None,
+        }
+    }
+
     #[test]
     fn tracked_long_row_stops_within_one_poll_interval() {
         // One tile, one row of 2^20 points, tracking on, stop already
@@ -1019,18 +1030,44 @@ mod tests {
         // up front would run a million inserts before any poll.
         let nest = alp_loopir::parse("doall (i, 0, 1048575) { A[i] = B[i]; }").unwrap();
         let exec = Executor::from_grid(&nest, &[1]).unwrap();
-        let ctrl = RunControl {
-            barrier: CancellableBarrier::new(1),
-            stop: AtomicBool::new(true),
-            reason: Mutex::new(None),
-            external: None,
-            deadline: None,
-        };
+        let ctrl = stopped();
         let (opts, store) = (ExecOptions::default(), exec.seeded_store(0));
         assert!(opts.track_touches);
         let mut w = WorkerState::new(&exec, &ctrl, &opts, &store, &[], 0);
         assert!(!w.run_rows::<false>(0, true));
         assert_eq!(w.polls, 1);
         assert_eq!(w.scratch.as_ref().unwrap().count(), 2 * POLL_INTERVAL);
+    }
+
+    #[test]
+    fn interrupted_row_invariant_accumulate_publishes_its_prefix() {
+        // A row-invariant accumulate is summed in a register and
+        // published once per poll cut, so a tile stopped at its first
+        // poll must already have folded its first POLL_INTERVAL points
+        // into the cell: an interrupted tile leaves a prefix of its
+        // iterations in the store, not a sum that was never written.
+        let nest = alp_loopir::parse("doall (i, 0, 1048575) { l$S[0] = l$S[0] + A[i]; }").unwrap();
+        let exec = Executor::from_grid(&nest, &[1]).unwrap();
+        let (ctrl, opts) = (stopped(), ExecOptions::default());
+        let (s, a) = (
+            exec.layout.array_id("S").unwrap(),
+            exec.layout.array_id("A").unwrap(),
+        );
+        let line = |id, i: i128| exec.layout.line(id, &IVec::new(&[i])) as usize;
+        for relaxed in [false, true] {
+            let store = exec.seeded_store(3);
+            let init = store.snapshot();
+            let mut w = WorkerState::new(&exec, &ctrl, &opts, &store, &[], 0);
+            let completed = if relaxed {
+                w.run_rows::<true>(0, true)
+            } else {
+                w.run_rows::<false>(0, true)
+            };
+            assert!(!completed);
+            assert_eq!(w.polls, 1);
+            let prefix: f64 = (0..POLL_INTERVAL as i128).map(|i| init[line(a, i)]).sum();
+            assert!(prefix > 0.0);
+            assert_eq!(store.get(line(s, 0)), init[line(s, 0)] + prefix);
+        }
     }
 }

@@ -8,11 +8,25 @@
 //! the start of a row, then each element id advances by the
 //! reference's innermost coefficient, so an iteration costs one add
 //! per reference plus the f64 arithmetic.
+//!
+//! A row's `(element, step)` cursors sit in an array as long as the
+//! statement has sources, which the optimizer keeps in registers: one
+//! loop body, instantiated per width (a wider statement runs the same
+//! body over a per-thread slice).  An accumulate whose destination
+//! does not move along the row — `C[i,j]` over `k` — is summed in a
+//! register and published once per row cut, so at least every
+//! `POLL_INTERVAL` points.  The certified relaxed mode loads the cell,
+//! adds the points in row order and stores: no reassociation, exact
+//! for any data.  The atomic mode sums the cut's delta first and
+//! issues one `fetch_add`; that *does* reassociate, and leans on the
+//! exact-sum contract stated in `store.rs`.
 
+use crate::store::StoreMode;
 use crate::{ArrayStore, RuntimeError};
 use alp_linalg::IMat;
 use alp_loopir::{AccessKind, ArrayRef, LoopNest};
 use alp_machine::ArrayLayout;
+use std::cell::RefCell;
 
 /// A reference lowered to one linear form over the iteration vector.
 #[derive(Debug, Clone)]
@@ -215,24 +229,35 @@ impl Kernel {
         }
         let n = (hi - lo) as u64 + 1;
         for st in &self.stmts {
+            // One call per arm, so each `sweep_row` sees its mode as a
+            // constant and the per-point publish is branch-free.
             match st {
                 CompiledStmt::Assign { lhs, sources } => {
-                    sweep_row(lhs, sources, j, lo, n, store, ArrayStore::set);
+                    sweep_row(lhs, sources, j, lo, n, store, StoreMode::Set);
                 }
                 CompiledStmt::Accumulate { lhs, sources } if RELAXED => {
-                    sweep_row(lhs, sources, j, lo, n, store, ArrayStore::add_relaxed);
+                    sweep_row(lhs, sources, j, lo, n, store, StoreMode::Add);
                 }
                 CompiledStmt::Accumulate { lhs, sources } => {
-                    sweep_row(lhs, sources, j, lo, n, store, ArrayStore::fetch_add);
+                    sweep_row(lhs, sources, j, lo, n, store, StoreMode::FetchAdd);
                 }
             }
         }
     }
 }
 
-/// One statement over `n` points of a row starting at `(j[..last], lo)`:
-/// element ids advance by each reference's innermost-coordinate stride,
-/// so the loop is a pointer bump per reference plus the f64 arithmetic.
+/// `(element, step)` of one source along a row.
+type Cursor = (i64, i64);
+
+thread_local! {
+    /// Cursor storage for statements with more sources than
+    /// [`sweep_row`] has fixed widths for: grown once per thread, so no
+    /// source count allocates per row.
+    static SPILL: RefCell<Vec<Cursor>> = const { RefCell::new(Vec::new()) };
+}
+
+/// One statement over `n` points of a row starting at `(j[..last], lo)`;
+/// a row-invariant accumulate publishes once (see the module docs).
 #[inline(always)]
 fn sweep_row(
     lhs: &LinRef,
@@ -241,37 +266,71 @@ fn sweep_row(
     lo: i64,
     n: u64,
     store: &ArrayStore,
-    publish: impl Fn(&ArrayStore, usize, f64),
+    mode: StoreMode,
 ) {
     let last = lhs.coeffs.len() - 1;
-    let lhs_step = lhs.coeffs[last];
-    let mut lhs_e = lhs.row_start(j, lo);
-    // (element, step) per source; small inline buffer covers every
-    // realistic statement without allocating per row.
-    let mut buf = [(0i64, 0i64); 8];
-    let mut spill;
-    let srcs: &mut [(i64, i64)] = if sources.len() <= buf.len() {
-        for (slot, s) in buf.iter_mut().zip(sources) {
-            *slot = (s.row_start(j, lo), s.coeffs[last]);
-        }
-        &mut buf[..sources.len()]
+    let (mut dst, dst_step) = (lhs.row_start(j, lo), lhs.coeffs[last]);
+    debug_assert!(dst >= 0, "element id must be non-negative");
+    if dst_step != 0 || mode == StoreMode::Set {
+        fold_sources(sources, j, lo, n, store, |v| {
+            debug_assert!(dst >= 0, "element id must be non-negative");
+            store.publish(mode, dst as usize, v);
+            dst += dst_step;
+        });
+    } else if mode == StoreMode::Add {
+        let mut acc = store.get(dst as usize);
+        fold_sources(sources, j, lo, n, store, |v| acc += v);
+        store.set(dst as usize, acc);
     } else {
-        spill = sources
-            .iter()
-            .map(|s| (s.row_start(j, lo), s.coeffs[last]))
-            .collect::<Vec<_>>();
-        &mut spill
-    };
+        let mut delta = 0.0;
+        fold_sources(sources, j, lo, n, store, |v| delta += v);
+        store.fetch_add(dst as usize, delta);
+    }
+}
+
+/// Start the sources' cursors at `(j[..last], lo)` in an array whose
+/// length the compiler knows and run [`fold_row`] over them; past the
+/// widths listed, over the thread's `SPILL` slice.
+#[inline(always)]
+fn fold_sources(
+    sources: &[LinRef],
+    j: &[i64],
+    lo: i64,
+    n: u64,
+    store: &ArrayStore,
+    each: impl FnMut(f64),
+) {
+    let cursor = |s: &LinRef| (s.row_start(j, lo), s.coeffs[s.coeffs.len() - 1]);
+    macro_rules! widths {
+        ($($w:literal)*) => {
+            match sources.len() {
+                $($w => {
+                    let at: [Cursor; $w] = std::array::from_fn(|k| cursor(&sources[k]));
+                    fold_row(at, n, store, each)
+                })*
+                _ => SPILL.with_borrow_mut(|at| {
+                    at.clear();
+                    at.extend(sources.iter().map(cursor));
+                    fold_row(&mut at[..], n, store, each)
+                }),
+            }
+        };
+    }
+    widths!(0 1 2 3 4 5 6 7 8)
+}
+
+/// The row loop: per point, sum the sources left to right, bump each
+/// cursor by its step and hand the sum to `each`.
+#[inline(always)]
+fn fold_row(mut at: impl AsMut<[Cursor]>, n: u64, store: &ArrayStore, mut each: impl FnMut(f64)) {
     for _ in 0..n {
         let mut v = 0.0;
-        for (e, step) in srcs.iter_mut() {
+        for (e, step) in at.as_mut() {
             debug_assert!(*e >= 0, "element id must be non-negative");
             v += store.get(*e as usize);
             *e += *step;
         }
-        debug_assert!(lhs_e >= 0, "element id must be non-negative");
-        publish(store, lhs_e as usize, v);
-        lhs_e += lhs_step;
+        each(v);
     }
 }
 
@@ -336,6 +395,53 @@ mod tests {
                 assert_eq!(start as u64, layout.line(id, &r.eval(&pt)));
             }
         }
+    }
+
+    #[test]
+    fn nine_source_stencil_matches_reference() {
+        // One source past the widest register cursor array: the row
+        // loop runs over the thread's spill slice instead.
+        let nest = parse(
+            "doall (i, 1, 12) { doall (j, 1, 12) {
+               A[i,j] = B[i-1,j-1] + B[i-1,j] + B[i-1,j+1] + B[i,j-1] + B[i,j]
+                      + B[i,j+1] + B[i+1,j-1] + B[i+1,j] + B[i+1,j+1];
+             } }",
+        )
+        .unwrap();
+        let exec = crate::Executor::from_grid(&nest, &[2, 2]).unwrap();
+        let outcome = exec.verify(9, &crate::ExecOptions::default()).unwrap();
+        assert!(outcome.matches_reference);
+        assert_eq!(outcome.report.total_iterations, 144);
+    }
+
+    #[test]
+    fn relaxed_row_invariant_accumulate_is_the_sequential_left_fold() {
+        // Fractional data: any reassociation of the row's additions
+        // shows in the last bits.  The relaxed path must continue the
+        // cell's own fold, point by point.
+        let nest = parse("doall (i, 0, 99) { l$S[0] = l$S[0] + A[i] + B[i]; }").unwrap();
+        let layout = ArrayLayout::from_nest(&nest);
+        let kernel = Kernel::compile(&nest, &layout, None).unwrap();
+        let init: Vec<f64> = (1..=layout.total_lines())
+            .map(|k| k as f64 / 10.0)
+            .collect();
+        let store = ArrayStore::zeroed(layout.total_lines());
+        store.load_from(&init);
+        kernel.execute_row::<true>(&[0], 0, 99, &store);
+
+        let at = |name: &str, i: i128| {
+            let id = layout.array_id(name).unwrap();
+            layout.line(id, &alp_linalg::IVec::new(&[i])) as usize
+        };
+        let (mut fold, mut delta) = (init[at("S", 0)], 0.0);
+        for i in 0..100 {
+            let v = 0.0 + init[at("A", i)] + init[at("B", i)];
+            fold += v;
+            delta += v;
+        }
+        assert_eq!(store.get(at("S", 0)).to_bits(), fold.to_bits());
+        // The data does discriminate: summing the row first differs.
+        assert_ne!(fold.to_bits(), (init[at("S", 0)] + delta).to_bits());
     }
 
     #[test]

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! A native multithreaded executor for partitioned doall nests.
 //!
 //! Where `alp-machine` *simulates* the memory system of a partitioned

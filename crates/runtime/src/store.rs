@@ -6,6 +6,21 @@
 //! doalls never race on them); accumulates use a compare-exchange loop,
 //! the runtime analogue of the paper's fine-grain `l$` synchronization
 //! (Appendix A).
+//!
+//! # The accumulate contract
+//!
+//! Atomic accumulates land in whatever order threads interleave, and
+//! the kernel adds a row-invariant destination's points as one
+//! pre-summed delta per row cut, so the f64 additions into a cell are
+//! associated differently from [`run_reference`]'s left fold.  A run
+//! agrees with the reference bit for bit only when every such sum is
+//! *exact*; [`ArrayStore::seeded`] guarantees that with small
+//! integer-valued data, and callers who load their own values into an
+//! accumulated array take the obligation over.  The certified relaxed
+//! path ([`StoreMode::Add`]) is the exception: one thread owns each
+//! cell and folds into it in iteration order, for any data.
+//!
+//! [`run_reference`]: crate::Executor::run_reference
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -14,6 +29,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug)]
 pub struct ArrayStore {
     cells: Vec<AtomicU64>,
+}
+
+/// How a statement's value reaches its destination cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StoreMode {
+    /// [`ArrayStore::set`]: a plain assign.
+    Set,
+    /// [`ArrayStore::add_relaxed`]: a certified accumulate.
+    Add,
+    /// [`ArrayStore::fetch_add`]: an accumulate other tiles may race on.
+    FetchAdd,
 }
 
 /// The deterministic seed value for element `k` under `seed`: a
@@ -110,6 +136,16 @@ impl ArrayStore {
         let cell = &self.cells[idx];
         let cur = f64::from_bits(cell.load(Ordering::Relaxed));
         cell.store((cur + delta).to_bits(), Ordering::Relaxed);
+    }
+
+    /// Publish `v` into one element the way `mode` says.
+    #[inline(always)]
+    pub(crate) fn publish(&self, mode: StoreMode, idx: usize, v: f64) {
+        match mode {
+            StoreMode::Set => self.set(idx, v),
+            StoreMode::Add => self.add_relaxed(idx, v),
+            StoreMode::FetchAdd => self.fetch_add(idx, v),
+        }
     }
 
     /// Copy the current contents out as plain f64s.

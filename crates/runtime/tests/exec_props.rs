@@ -5,7 +5,7 @@
 
 use alp_loopir::{parse, LoopNest};
 use alp_plan::Tiling;
-use alp_runtime::{ExecOptions, Executor, Schedule};
+use alp_runtime::{ExecOptions, Executor, Schedule, POLL_INTERVAL};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -44,25 +44,21 @@ fn nest_source(bounds: &Bounds, template: usize, seq: bool) -> String {
         ),
         _ => format!("S[{acc_subs}] += B[{id_subs}];"),
     };
+    wrap_loops(bounds, seq, &body)
+}
+
+/// `body` inside one `doall i{k}` per dimension of `bounds`, the whole
+/// repeated three times by an outer `doseq` when `seq`.
+fn wrap_loops(bounds: &Bounds, seq: bool, body: &str) -> String {
     let mut src = String::new();
     if seq {
         src.push_str("doseq (t, 0, 2) {\n");
     }
     for (k, &(lo, trip)) in bounds.iter().enumerate() {
-        src.push_str(&format!(
-            "doall ({}, {}, {}) {{\n",
-            idx[k],
-            lo,
-            lo + trip - 1
-        ));
+        src.push_str(&format!("doall (i{k}, {lo}, {}) {{\n", lo + trip - 1));
     }
-    src.push_str(&body);
-    for _ in 0..depth {
-        src.push('}');
-    }
-    if seq {
-        src.push('}');
-    }
+    src.push_str(body);
+    src.push_str(&"}".repeat(bounds.len() + usize::from(seq)));
     src
 }
 
@@ -151,6 +147,74 @@ proptest! {
                     report.per_tile.iter().all(|t| t.distinct_lines.is_some()),
                     track_touches
                 );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn row_invariant_accumulates_execute_exactly(
+        spec in (1usize..=3).prop_flat_map(|d| (
+            proptest::collection::vec((-2i128..=2, 1i128..=3), d - 1..=d - 1),
+            (-2i128..=2, POLL_INTERVAL as i128 + 1..=2 * POLL_INTERVAL as i128 + 500),
+            proptest::collection::vec(any::<bool>(), d - 1..=d - 1),
+            grid_strategy(d),
+            1usize..=3,
+            any::<bool>(),
+            2usize..=4,
+        )),
+    ) {
+        // The destination never names the innermost index (and drops
+        // each outer one at random), so the kernel sums every row cut
+        // in a register and publishes it once.  Rows are longer than
+        // POLL_INTERVAL, so one row is several publishes; a grid that
+        // splits a dropped dimension has several threads publishing
+        // into the same cell.
+        let (mut bounds, inner, dropped, grid, sources, seq, threads) = spec;
+        bounds.push(inner);
+        let depth = bounds.len();
+        let idx: Vec<String> = (0..depth).map(|k| format!("i{k}")).collect();
+        let kept: Vec<&str> = (0..depth - 1)
+            .filter(|&k| !dropped[k])
+            .map(|k| idx[k].as_str())
+            .collect();
+        let dest = if kept.is_empty() { "0".to_string() } else { kept.join(", ") };
+        let ids = idx.join(", ");
+        let shifted = idx.iter().map(|n| format!("{n}+1")).collect::<Vec<_>>().join(", ");
+        let rhs = [format!("B[{ids}]"), format!("B[{shifted}]"), format!("D[{ids}]")];
+        let body = format!("l$S[{dest}] = l$S[{dest}] + {};", rhs[..sources].join(" + "));
+        let src = wrap_loops(&bounds, seq, &body);
+        let nest = parse(&src).unwrap();
+
+        // Writers stay disjoint exactly when no dropped dimension
+        // (the innermost included) is split.
+        let write_disjoint = grid[depth - 1] == 1
+            && (0..depth - 1).all(|k| !dropped[k] || grid[k] == 1);
+        let total = nest.iteration_count() * nest.seq_repetitions();
+        let mut reference: Option<Vec<u64>> = None;
+        for relaxed in [false, true] {
+            if relaxed && !write_disjoint {
+                continue;
+            }
+            let mut exec = Executor::from_grid(&nest, &grid).unwrap();
+            if relaxed {
+                exec.apply_certificate(true, false);
+            }
+            for schedule in [Schedule::Static, Schedule::Dynamic] {
+                let opts = ExecOptions { threads, schedule, ..ExecOptions::default() };
+                let store = exec.seeded_store(0x0A11_ACC5);
+                let expected = reference.get_or_insert_with(|| {
+                    bits(&exec.run_reference(&store.snapshot()))
+                });
+                let report = exec.run(&store, &opts).unwrap();
+                prop_assert!(
+                    bits(&store.snapshot()) == *expected,
+                    "parallel != sequential (relaxed {relaxed}, {schedule:?}, grid {grid:?}) for:\n{src}"
+                );
+                prop_assert_eq!(report.total_iterations as i128, total);
             }
         }
     }
