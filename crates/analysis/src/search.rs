@@ -14,7 +14,7 @@
 //! half-space direction.
 
 use alp_linalg::fm::{eliminate, Constraint, System};
-use alp_linalg::Rat;
+use alp_linalg::{gcd, lcm, Rat};
 
 /// Hard cap on the integers tried for one variable at one DFS node, and
 /// on total DFS nodes.  The dependence systems are bounded (independent
@@ -59,18 +59,6 @@ fn normalize(c: &Constraint) -> Option<Constraint> {
         ints.into_iter().map(Rat::int).collect(),
         Rat::int(bound),
     ))
-}
-
-fn gcd(a: i128, b: i128) -> i128 {
-    if b == 0 {
-        a.abs()
-    } else {
-        gcd(b, a % b)
-    }
-}
-
-fn lcm(a: i128, b: i128) -> i128 {
-    a / gcd(a, b) * b
 }
 
 /// Normalize every constraint and keep only the tightest bound per

@@ -3,8 +3,8 @@
 //! the same machine.
 
 use crate::{CalibrateError, LatencyModel};
-use alp_linalg::Rat;
-use alp_plan::json::{self, Json};
+use alp_plan::json::{self, Json, ObjWriter};
+use alp_plan::PlanError;
 
 /// Newest calibration schema version this build reads and writes.
 pub const ARTIFACT_VERSION: u32 = 1;
@@ -20,38 +20,6 @@ pub struct Calibration {
     pub trials: usize,
 }
 
-fn rat_str(r: &Rat) -> String {
-    format!("{}/{}", r.num(), r.den())
-}
-
-fn parse_rat(s: &str) -> Result<Rat, CalibrateError> {
-    let (num, den) = s
-        .split_once('/')
-        .ok_or_else(|| CalibrateError::Schema(format!("`{s}` is not a num/den rational")))?;
-    let num: i128 = num
-        .parse()
-        .map_err(|_| CalibrateError::Schema(format!("bad rational numerator `{num}`")))?;
-    let den: i128 = den
-        .parse()
-        .map_err(|_| CalibrateError::Schema(format!("bad rational denominator `{den}`")))?;
-    if den == 0 {
-        return Err(CalibrateError::Schema(
-            "rational with zero denominator".into(),
-        ));
-    }
-    Ok(Rat::new(num, den))
-}
-
-fn rat_field(v: &Json, key: &str) -> Result<Rat, CalibrateError> {
-    match v.get(key) {
-        Some(Json::Str(s)) => parse_rat(s),
-        Some(_) => Err(CalibrateError::Schema(format!(
-            "`{key}` must be a num/den rational string"
-        ))),
-        None => Err(CalibrateError::Schema(format!("missing field `{key}`"))),
-    }
-}
-
 fn count_field(v: &Json, key: &str) -> Result<u64, CalibrateError> {
     v.get(key)
         .and_then(Json::as_int)
@@ -64,31 +32,13 @@ impl Calibration {
     /// rationals only; encoding the same calibration twice is
     /// byte-identical.
     pub fn to_json_string(&self) -> String {
-        let mut out = String::from("{\n");
-        let mut field = |key: &str, val: String| {
-            out.push_str("  ");
-            json::write_string(&mut out, key);
-            out.push_str(": ");
-            out.push_str(&val);
-            out.push_str(",\n");
-        };
-        field("alp-calibration", ARTIFACT_VERSION.to_string());
-        let mut rat = |key: &str, r: &Rat| {
-            let mut s = String::new();
-            json::write_string(&mut s, &rat_str(r));
-            field(key, s);
-        };
-        rat("per_tile_ns", &self.model.per_tile_ns);
-        rat("per_line_ns", &self.model.per_line_ns);
-        rat("per_span_line_ns", &self.model.per_span_line_ns);
-        rat("per_iter_ns", &self.model.per_iter_ns);
-        rat("per_rep_ns", &self.model.per_rep_ns);
-        field("samples", self.model.samples.to_string());
-        field("threads", self.threads.to_string());
-        field("trials", self.trials.to_string());
-        // Drop the trailing comma, close the object.
-        out.truncate(out.len() - 2);
-        out.push_str("\n}\n");
+        let head = ObjWriter::new().field("alp-calibration", Json::Int(ARTIFACT_VERSION.into()));
+        let mut out = String::new();
+        (self.model.write_fields(head))
+            .field("threads", Json::Int(self.threads as i128))
+            .field("trials", Json::Int(self.trials as i128))
+            .render(&mut out, 0);
+        out.push('\n');
         out
     }
 
@@ -109,14 +59,12 @@ impl Calibration {
             });
         }
         Ok(Calibration {
-            model: LatencyModel {
-                per_tile_ns: rat_field(&v, "per_tile_ns")?,
-                per_line_ns: rat_field(&v, "per_line_ns")?,
-                per_span_line_ns: rat_field(&v, "per_span_line_ns")?,
-                per_iter_ns: rat_field(&v, "per_iter_ns")?,
-                per_rep_ns: rat_field(&v, "per_rep_ns")?,
-                samples: count_field(&v, "samples")?,
-            },
+            // The coefficient block is the plan's; its schema
+            // complaints are this artifact's.
+            model: LatencyModel::from_json(&v).map_err(|e| match e {
+                PlanError::Schema(m) => CalibrateError::Schema(m),
+                e => CalibrateError::Plan(e),
+            })?,
             threads: count_field(&v, "threads")? as usize,
             trials: count_field(&v, "trials")? as usize,
         })
@@ -126,6 +74,7 @@ impl Calibration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alp_linalg::Rat;
 
     fn sample() -> Calibration {
         Calibration {

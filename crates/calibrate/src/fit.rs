@@ -1,8 +1,7 @@
 //! Fitting the latency model from probe measurements.
 
-use crate::{CalibrateError, GridFeatures};
+use crate::{CalibrateError, LatencyModel};
 use alp_linalg::Rat;
-use alp_plan::LatencyCoefficients;
 
 /// One probe observation: what one tile cost per repetition, and the
 /// features the model explains it with.
@@ -14,80 +13,10 @@ pub struct TileSample {
     /// tracking was on, modeled otherwise).
     pub lines: f64,
     /// The tile's address envelope in lines (analytic, see
-    /// [`GridFeatures::span_lines`]).
+    /// [`GridFeatures::span_lines`](crate::GridFeatures::span_lines)).
     pub span_lines: f64,
     /// Iterations in the tile per repetition.
     pub iters: f64,
-}
-
-/// Fitted per-machine latency coefficients, all in nanoseconds and all
-/// non-negative exact rationals.
-///
-/// The in-memory twin of [`alp_plan::LatencyCoefficients`] — that type
-/// is the *plan provenance* (what gets serialized), this one is the
-/// *model* (what scores candidates).  They convert losslessly in both
-/// directions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LatencyModel {
-    /// Fixed dispatch/teardown overhead per tile (`a`).
-    pub per_tile_ns: Rat,
-    /// Cost per distinct cache line touched (`b`).
-    pub per_line_ns: Rat,
-    /// Cost per line of address envelope (`s`) — the locality term the
-    /// footprint model lacks.
-    pub per_span_line_ns: Rat,
-    /// Cost per iteration executed (`d`).
-    pub per_iter_ns: Rat,
-    /// Synchronization cost per outer repetition (`c`): the critical-
-    /// path barrier wait.
-    pub per_rep_ns: Rat,
-    /// Probe samples the fit consumed.
-    pub samples: u64,
-}
-
-impl LatencyModel {
-    /// The hybrid cost of one candidate tiling, in (model) nanoseconds:
-    ///
-    /// `a·tiles + reps·(b·lines + s·span + d·iters) + c·reps`
-    ///
-    /// Worst-tile features approximate the per-repetition critical
-    /// path; the per-tile term charges dispatch overhead for the whole
-    /// tile population.
-    pub fn hybrid_cost(&self, f: &GridFeatures) -> Rat {
-        let reps = Rat::int(f.reps);
-        self.per_tile_ns * Rat::int(f.tiles)
-            + reps
-                * (self.per_line_ns * f.lines
-                    + self.per_span_line_ns * Rat::int(f.span_lines)
-                    + self.per_iter_ns * Rat::int(f.iters))
-            + self.per_rep_ns * Rat::int(f.reps)
-    }
-}
-
-impl From<LatencyCoefficients> for LatencyModel {
-    fn from(c: LatencyCoefficients) -> Self {
-        LatencyModel {
-            per_tile_ns: c.per_tile_ns,
-            per_line_ns: c.per_line_ns,
-            per_span_line_ns: c.per_span_line_ns,
-            per_iter_ns: c.per_iter_ns,
-            per_rep_ns: c.per_rep_ns,
-            samples: c.samples,
-        }
-    }
-}
-
-impl From<LatencyModel> for LatencyCoefficients {
-    fn from(m: LatencyModel) -> Self {
-        LatencyCoefficients {
-            per_tile_ns: m.per_tile_ns,
-            per_line_ns: m.per_line_ns,
-            per_span_line_ns: m.per_span_line_ns,
-            per_iter_ns: m.per_iter_ns,
-            per_rep_ns: m.per_rep_ns,
-            samples: m.samples,
-        }
-    }
 }
 
 /// Minimum probe samples [`fit`] accepts — twice the parameter count,
@@ -314,9 +243,13 @@ mod tests {
 
     #[test]
     fn model_round_trips_through_plan_coefficients() {
+        // The fitted model *is* the plan's coefficient block: it goes
+        // through that codec unchanged.
         let m = fit(&synth(1500.0, 2.5, 0.125, 0.75), 42_000.0).unwrap();
-        let c: LatencyCoefficients = m.clone().into();
-        let back: LatencyModel = c.into();
+        let mut text = String::new();
+        m.write_fields(alp_plan::json::ObjWriter::new())
+            .render(&mut text, 0);
+        let back = LatencyModel::from_json(&alp_plan::json::parse(&text).unwrap()).unwrap();
         assert_eq!(back, m);
     }
 }

@@ -15,19 +15,20 @@
 //!    `busy ≈ a + b·lines + s·span + d·iters` (coefficients clamped
 //!    non-negative, snapped to exact rationals) and average the barrier
 //!    cost into a per-repetition coefficient `c`.
-//! 3. **Re-rank** ([`rank`]) — score candidates with the hybrid cost
-//!    `a·tiles + reps·(b·lines + s·span + d·iters) + c·reps`
-//!    and pick the cheapest, breaking ties toward the analytic choice.
-//!    [`rank_candidates`] / [`choose_calibrated`] feed it every feasible
-//!    processor-grid factorization, [`rank_skewed`] the parallelepiped
-//!    candidates; both describe a candidate by the same [`features`]
-//!    of its [`Tiling`](alp_plan::Tiling).
+//! 3. **Persist** ([`Calibration`]) — the fitted coefficients as a
+//!    versioned, byte-deterministic artifact `alp-cli plan --calibrated`
+//!    reads back.
 //!
-//! The fitted coefficients serialize to a versioned artifact
-//! ([`Calibration`]) and travel inside
-//! [`PartitionPlan`](alp_plan::PartitionPlan) provenance as
-//! [`LatencyCoefficients`](alp_plan::LatencyCoefficients), so a plan
-//! records *which* objective chose its tiling.
+//! That is all this crate does — probe, fit, artifact.  The fitted
+//! model *is* [`alp_plan::LatencyCoefficients`] ([`LatencyModel`] is
+//! its name here), and scoring candidates with it — the hybrid cost
+//! `a·tiles + reps·(b·lines + s·span + d·iters) + c·reps`, [`rank`]
+//! and its callers — belongs to the planner
+//! ([`PartitionPlan::choose`](alp_plan::PartitionPlan::choose)) in
+//! `alp-plan`; the names are re-exported here.  The artifact writes the
+//! coefficients through the same field codec as a plan's `calibration`
+//! provenance block, so a plan records *which* objective chose its
+//! tiling.
 //!
 //! The span term is what breaks the Example-2 tie: with the nest and
 //! processor count fixed, `tiles` and `reps` are constant across
@@ -39,18 +40,19 @@
 #![warn(missing_docs)]
 
 mod artifact;
-mod features;
 mod fit;
 mod probe;
-mod rank;
 
-pub use artifact::{Calibration, ARTIFACT_VERSION};
-pub use features::{features, grid_features, GridFeatures};
-pub use fit::{fit, LatencyModel, TileSample};
-pub use probe::{fit_nest, probe_nest, ProbeConfig, ProbeReport};
-pub use rank::{
-    choose_calibrated, rank, rank_candidates, rank_skewed, ranking_is_degenerate, Ranked,
+// The ranking the fitted model feeds lives with the planner
+// (`PartitionPlan::choose`); re-exported so `alp_calibrate::…` paths
+// keep resolving.
+pub use alp_plan::{
+    choose_calibrated, features, grid_features, rank, rank_candidates, rank_skewed,
+    ranking_is_degenerate, GridFeatures, LatencyCoefficients as LatencyModel, Ranked,
 };
+pub use artifact::{Calibration, ARTIFACT_VERSION};
+pub use fit::{fit, TileSample};
+pub use probe::{fit_nest, probe_nest, ProbeConfig, ProbeReport};
 
 /// Everything that can go wrong probing, fitting, or (de)serializing a
 /// calibration.
@@ -82,6 +84,18 @@ pub enum CalibrateError {
     Plan(alp_plan::PlanError),
     /// A probe run failed in the executor.
     Runtime(String),
+}
+
+impl CalibrateError {
+    /// The stable `ALP00xx` diagnostic code: the plan's own code for
+    /// plan plumbing failures, `ALP0010` for everything about the
+    /// calibration itself (artifact, probe, fit).
+    pub fn code(&self) -> &'static str {
+        match self {
+            CalibrateError::Plan(e) => e.code(),
+            _ => "ALP0010",
+        }
+    }
 }
 
 impl std::fmt::Display for CalibrateError {

@@ -1,11 +1,10 @@
 //! Probe runs: execute candidate tilings on the real machine and turn
 //! the executor's reports into fit samples.
 
-use crate::features::per_tile_features;
 use crate::{fit, CalibrateError, LatencyModel, TileSample};
 use alp_loopir::LoopNest;
 use alp_partition::feasible_grids;
-use alp_plan::{Tiling, Transform};
+use alp_plan::{per_tile_features, Tiling, Transform};
 use alp_runtime::{ExecOptions, Executor, Schedule};
 use std::time::Duration;
 

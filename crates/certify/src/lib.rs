@@ -77,6 +77,18 @@ pub enum CertifyError {
     Plan(PlanError),
 }
 
+impl CertifyError {
+    /// The stable `ALP00xx` diagnostic code: the plan's own code for a
+    /// plan that cannot be interpreted, `ALP0011` for a missing, stale
+    /// or tampered certificate.
+    pub fn code(&self) -> &'static str {
+        match self {
+            CertifyError::Plan(e) => e.code(),
+            _ => "ALP0011",
+        }
+    }
+}
+
 impl std::fmt::Display for CertifyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -4,11 +4,11 @@
 //! runs — so the same features score candidates at plan time and label
 //! probe measurements at calibration time.
 
-use crate::CalibrateError;
+use crate::tiles::{IterBox, Tiling};
+use crate::PlanError;
 use alp_footprint::CostModel;
 use alp_linalg::{IMat, IVec, Rat};
 use alp_loopir::LoopNest;
-use alp_plan::{IterBox, Tiling};
 use std::collections::HashMap;
 
 /// The feature vector the hybrid cost model scores one candidate
@@ -125,7 +125,7 @@ fn span_lines(
 /// like the executor's tile numbering (`None` for a tile that owns no
 /// iteration) — the labels probe measurements are fitted against.  `v`
 /// is the inverse of the transform the tiling was built with, if any.
-pub(crate) fn per_tile_features(
+pub fn per_tile_features(
     nest: &LoopNest,
     tiling: &Tiling,
     v: Option<&IMat>,
@@ -155,7 +155,7 @@ pub fn features(
     grid: &[i128],
     lines: Rat,
     line_size: u64,
-) -> Result<GridFeatures, CalibrateError> {
+) -> Result<GridFeatures, PlanError> {
     let (mut tiles, mut span_lines, mut iters) = (0i128, 0i128, 0i128);
     for (span, points) in per_tile_features(nest, tiling, v, line_size)
         .into_iter()
@@ -166,7 +166,7 @@ pub fn features(
         iters = iters.max(points);
     }
     if tiles == 0 {
-        return Err(CalibrateError::Degenerate(format!(
+        return Err(PlanError::BadGrid(format!(
             "grid {grid:?} produces no non-empty tiles"
         )));
     }
@@ -188,7 +188,7 @@ pub fn grid_features(
     model: &CostModel,
     grid: &[i128],
     line_size: u64,
-) -> Result<GridFeatures, CalibrateError> {
+) -> Result<GridFeatures, PlanError> {
     let tiling = Tiling::new(nest, None, grid)?;
     let lines = model.cost_rect(&tiling.extents());
     features(nest, &tiling, None, grid, lines, line_size)
@@ -244,7 +244,7 @@ mod tests {
         let nest = example2();
         let model = CostModel::from_nest(&nest);
         let identity =
-            alp_plan::Transform::new(IMat::identity(2), alp_plan::fingerprint_hex(&nest)).unwrap();
+            crate::Transform::new(IMat::identity(2), crate::fingerprint_hex(&nest)).unwrap();
         for grid in [[4, 4], [1, 16], [3, 5]] {
             let rect = grid_features(&nest, &model, &grid, 1).unwrap();
             let tiling = Tiling::new(&nest, Some(&identity), &grid).unwrap();

@@ -18,6 +18,15 @@
 //! * the nest's **canonical source**, so a plan file alone suffices to
 //!   re-execute or re-simulate the computation.
 //!
+//! [`PartitionPlan::choose`] is **the planner**: the one function that
+//! owns the tile-shape policy — the candidate set (feasible processor
+//! grids, or the skewed parallelepiped candidates), the pick (the
+//! analytic objective, or with [`LatencyCoefficients`] attached the head
+//! of the hybrid [`rank()`] over the candidates' [`GridFeatures`]), and
+//! the `+latency` / `chosen_by` label rule.  The facade, the CLI and the
+//! daemon bracket it with analysis and certification and decide nothing
+//! themselves.
+//!
 //! Plans serialize to a versioned JSON schema ([`json`]) with a
 //! hand-rolled, float-free codec whose output is byte-deterministic —
 //! the golden-snapshot tests diff the exact bytes.  [`PlanCache`]
@@ -26,25 +35,32 @@
 //! ([`PartitionPlan::tiling`]) is the one answer to "which iterations
 //! does tile `t` own, and in what row order" that every consumer
 //! (codegen, runtime, certifier, calibration, machine simulation) takes
-//! instead of branching on the plan's shape.
+//! instead of branching on the plan's shape.  Every [`PlanError`] names
+//! its own stable `ALP00xx` code ([`PlanError::code`]).
 
 #![warn(missing_docs)]
 
 pub mod cache;
+mod features;
 pub mod fingerprint;
 pub mod json;
 mod plan;
+mod rank;
 pub mod shard;
 pub mod store;
 pub mod tiles;
 pub mod transform;
 
 pub use cache::{CacheStats, PlanCache, PlanKey};
+pub use features::{features, grid_features, per_tile_features, GridFeatures};
 pub use fingerprint::{canonical_source, fingerprint, fingerprint_hex, fnv1a64};
 pub use json::{Json, JsonError};
 pub use plan::{
     Certificate, ChosenBy, ClassFootprint, LatencyCoefficients, LegalityVerdict, PartitionPlan,
     MIN_SCHEMA_VERSION, SCHEMA_VERSION,
+};
+pub use rank::{
+    choose_calibrated, rank, rank_candidates, rank_skewed, ranking_is_degenerate, Ranked,
 };
 pub use shard::{Fetched, ShardOccupancy, ShardedCacheStats, ShardedPlanCache};
 pub use store::{PlanStore, RecoveryReport, StoreConfig, StoredEntry};
@@ -88,6 +104,24 @@ pub enum PlanError {
     /// [`Schema`](PlanError::Schema) so tampered transforms map to the
     /// stable `ALP0013` diagnostic code.
     Transform(String),
+}
+
+impl PlanError {
+    /// The code of [`PlanError::Infeasible`], for callers that carry
+    /// infeasibility as a variant of their own.
+    pub const INFEASIBLE_CODE: &'static str = "ALP0004";
+
+    /// The stable `ALP00xx` diagnostic code: `ALP0004` infeasible,
+    /// `ALP0011` certificate block damage, `ALP0013` transform block
+    /// damage, `ALP0006` every other plan-artifact failure.
+    pub fn code(&self) -> &'static str {
+        match self {
+            PlanError::Infeasible(_) => Self::INFEASIBLE_CODE,
+            PlanError::Certificate(_) => "ALP0011",
+            PlanError::Transform(_) => "ALP0013",
+            _ => "ALP0006",
+        }
+    }
 }
 
 impl std::fmt::Display for PlanError {

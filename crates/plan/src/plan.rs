@@ -2,15 +2,18 @@
 
 use crate::fingerprint::fingerprint_hex;
 use crate::json::{self, Json, ObjWriter};
+use crate::rank::{choose_calibrated, rank_skewed};
 use crate::tiles::Tiling;
-use crate::transform::{SkewedCandidate, Transform};
+use crate::transform::{skewed_candidates, SkewedCandidate, Transform};
 use crate::PlanError;
 use alp_footprint::{
     cumulative_footprint_general, cumulative_footprint_rect, CostModel, RefClass, Tile,
 };
 use alp_linalg::{IMat, IVec, Rat};
 use alp_loopir::LoopNest;
-use alp_partition::{communication_free_normals, try_partition_rect, RectPartition};
+use alp_partition::{
+    communication_free_normals, try_partition_rect, ParaSearchConfig, RectPartition,
+};
 
 /// Current plan schema version.  Bump when the JSON layout changes;
 /// decoders refuse versions they do not understand (never panic).
@@ -83,10 +86,10 @@ impl ChosenBy {
     }
 }
 
-/// Fitted latency coefficients persisted as plan provenance: the hybrid
-/// cost re-ranking tiles as
-/// `a·tiles + b·lines + s·span + d·iters + c·reps` (all in
-/// nanoseconds, stored as exact rationals so the codec stays
+/// Fitted per-machine latency coefficients: the model
+/// [`hybrid_cost`](LatencyCoefficients::hybrid_cost) scores candidate
+/// tilings with, and the provenance a calibrated plan persists (all in
+/// nanoseconds, non-negative exact rationals so the codec stays
 /// float-free and byte-deterministic).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyCoefficients {
@@ -104,6 +107,39 @@ pub struct LatencyCoefficients {
     pub per_rep_ns: Rat,
     /// Number of measured tile samples the fit used.
     pub samples: u64,
+}
+
+impl LatencyCoefficients {
+    /// Append the six coefficient fields, in schema order — the one
+    /// encoder behind a plan's `calibration` block and the calibration
+    /// artifact.
+    pub fn write_fields(&self, w: ObjWriter) -> ObjWriter {
+        w.field("per_tile_ns", Json::Str(rat_str(&self.per_tile_ns)))
+            .field("per_line_ns", Json::Str(rat_str(&self.per_line_ns)))
+            .field(
+                "per_span_line_ns",
+                Json::Str(rat_str(&self.per_span_line_ns)),
+            )
+            .field("per_iter_ns", Json::Str(rat_str(&self.per_iter_ns)))
+            .field("per_rep_ns", Json::Str(rat_str(&self.per_rep_ns)))
+            .field("samples", Json::Int(self.samples as i128))
+    }
+
+    /// Decode the six coefficient fields from the object holding them
+    /// (the inverse of [`write_fields`](Self::write_fields)); other
+    /// fields of `v` are ignored.
+    pub fn from_json(v: &Json) -> Result<LatencyCoefficients, PlanError> {
+        Ok(LatencyCoefficients {
+            per_tile_ns: parse_rat(&str_field(v, "per_tile_ns")?)?,
+            per_line_ns: parse_rat(&str_field(v, "per_line_ns")?)?,
+            per_span_line_ns: parse_rat(&str_field(v, "per_span_line_ns")?)?,
+            per_iter_ns: parse_rat(&str_field(v, "per_iter_ns")?)?,
+            per_rep_ns: parse_rat(&str_field(v, "per_rep_ns")?)?,
+            samples: (v.get("samples").and_then(Json::as_int))
+                .and_then(|n| u64::try_from(n).ok())
+                .ok_or_else(|| PlanError::Schema("`samples` must be a count".into()))?,
+        })
+    }
 }
 
 /// The `alp-certify` verdicts embedded in a plan (schema ≥ 3): four
@@ -203,39 +239,94 @@ pub struct PartitionPlan {
 }
 
 impl PartitionPlan {
-    /// Run the §4 planning phases on a nest: rectangular partitioning
-    /// under the Theorem-4 cost model, per-class footprint prediction,
-    /// and the communication-free check.  The caller supplies the
-    /// legality verdict (the analysis lives a layer above this crate).
-    /// Fails with [`PlanError::Infeasible`] when no factorization of
-    /// `processors` fits the nest's trip counts.
+    /// The planner: run the §4 planning phases on a nest and persist the
+    /// decision.  This one function owns the tile-shape policy every
+    /// caller (facade, CLI, daemon) shares:
+    ///
+    /// * the **candidate set** — every feasible processor-grid
+    ///   factorization ([`feasible_grids`](alp_partition::feasible_grids)),
+    ///   or with `skewed` the non-identity parallelepiped bases of
+    ///   [`skewed_candidates`] under [`ParaSearchConfig::default`];
+    /// * the **pick** — the analytic winner (Theorem 4, or the
+    ///   parallelepiped Eq.-2 cost the skewed candidates arrive sorted
+    ///   by), or with `latency` the head of the hybrid [`rank`](crate::rank())
+    ///   at line size 1;
+    /// * the **label** — `rect-exhaustive` / `para-exhaustive`, with
+    ///   `+latency` and [`with_calibration`](Self::with_calibration)
+    ///   marking a plan a calibration was attached to, whatever its
+    ///   coefficients.
+    ///
+    /// The caller supplies the legality verdict (the analysis lives a
+    /// layer above this crate).  Fails with [`PlanError::Infeasible`]
+    /// when the candidate set is empty.
+    pub fn choose(
+        nest: &LoopNest,
+        processors: i128,
+        mesh: Option<(usize, usize)>,
+        legality: LegalityVerdict,
+        skewed: bool,
+        latency: Option<&LatencyCoefficients>,
+    ) -> Result<PartitionPlan, PlanError> {
+        feasible(nest, processors)?;
+        let optimizer = |base: &str| match latency {
+            Some(_) => format!("{base}+latency"),
+            None => base.to_string(),
+        };
+        let plan = if skewed {
+            let cands = skewed_candidates(nest, processors, &ParaSearchConfig::default())?;
+            if cands.is_empty() {
+                return Err(PlanError::Infeasible(
+                    "nest has no skewed parallelepiped candidate bases".into(),
+                ));
+            }
+            let pick = match latency {
+                None => 0,
+                Some(latency) => rank_skewed(nest, latency, &cands, 1)?[0].index,
+            };
+            Self::build_skewed(
+                nest,
+                processors,
+                mesh,
+                legality,
+                &cands[pick],
+                &optimizer("para-exhaustive"),
+            )?
+        } else {
+            let model = CostModel::from_nest(nest);
+            let partition = match latency {
+                None => try_partition_rect(nest, processors, &model)
+                    .ok_or_else(|| no_factorization(processors))?,
+                Some(latency) => choose_calibrated(nest, &model, latency, processors, 1)?,
+            };
+            Self::build_with_partition(
+                nest,
+                processors,
+                mesh,
+                legality,
+                partition,
+                &optimizer("rect-exhaustive"),
+            )?
+        };
+        Ok(match latency {
+            Some(latency) => plan.with_calibration(latency.clone()),
+            None => plan,
+        })
+    }
+
+    /// [`choose`](Self::choose) with rectangular tiles under the
+    /// analytic Theorem-4 objective.
     pub fn build(
         nest: &LoopNest,
         processors: i128,
         mesh: Option<(usize, usize)>,
         legality: LegalityVerdict,
     ) -> Result<PartitionPlan, PlanError> {
-        feasible(nest, processors)?;
-        let partition = try_partition_rect(nest, processors, &CostModel::from_nest(nest))
-            .ok_or_else(|| {
-                PlanError::Infeasible(format!(
-                    "no feasible factorization of {processors} processors for this nest"
-                ))
-            })?;
-        Self::build_with_partition(
-            nest,
-            processors,
-            mesh,
-            legality,
-            partition,
-            "rect-exhaustive",
-        )
+        Self::choose(nest, processors, mesh, legality, false, None)
     }
 
-    /// [`build`](Self::build) with a caller-chosen partition and
-    /// optimizer name — the hook a calibrated (or otherwise external)
-    /// ranker uses to persist its decision with the same footprint
-    /// predictions and provenance as the analytic path.
+    /// Persist a caller-chosen rectangular partition under a
+    /// caller-chosen optimizer name, with the same footprint predictions
+    /// and provenance [`choose`](Self::choose) records.
     pub fn build_with_partition(
         nest: &LoopNest,
         processors: i128,
@@ -470,14 +561,7 @@ impl PartitionPlan {
         if self.schema_version >= 2 {
             if let Some(c) = &self.calibration {
                 out.push_str("  \"calibration\": ");
-                ObjWriter::new()
-                    .field("per_tile_ns", Json::Str(rat_str(&c.per_tile_ns)))
-                    .field("per_line_ns", Json::Str(rat_str(&c.per_line_ns)))
-                    .field("per_span_line_ns", Json::Str(rat_str(&c.per_span_line_ns)))
-                    .field("per_iter_ns", Json::Str(rat_str(&c.per_iter_ns)))
-                    .field("per_rep_ns", Json::Str(rat_str(&c.per_rep_ns)))
-                    .field("samples", Json::Int(c.samples as i128))
-                    .render(&mut out, 1);
+                c.write_fields(ObjWriter::new()).render(&mut out, 1);
                 out.push_str(",\n");
             }
         }
@@ -607,19 +691,7 @@ impl PartitionPlan {
         };
         let calibration = match v.get("calibration") {
             None | Some(Json::Null) => None,
-            Some(c @ Json::Obj(_)) => Some(LatencyCoefficients {
-                per_tile_ns: parse_rat(&str_field(c, "per_tile_ns")?)?,
-                per_line_ns: parse_rat(&str_field(c, "per_line_ns")?)?,
-                per_span_line_ns: parse_rat(&str_field(c, "per_span_line_ns")?)?,
-                per_iter_ns: parse_rat(&str_field(c, "per_iter_ns")?)?,
-                per_rep_ns: parse_rat(&str_field(c, "per_rep_ns")?)?,
-                samples: int_field(c, "samples")
-                    .ok()
-                    .and_then(|n| u64::try_from(n).ok())
-                    .ok_or_else(|| {
-                        PlanError::Schema("`calibration.samples` must be a count".into())
-                    })?,
-            }),
+            Some(c @ Json::Obj(_)) => Some(LatencyCoefficients::from_json(c)?),
             Some(_) => {
                 return Err(PlanError::Schema(
                     "`calibration` must be null or an object of coefficients".into(),
@@ -809,7 +881,7 @@ impl PartitionPlan {
 }
 
 /// What every plan builder refuses up front.
-fn feasible(nest: &LoopNest, processors: i128) -> Result<(), PlanError> {
+pub(crate) fn feasible(nest: &LoopNest, processors: i128) -> Result<(), PlanError> {
     if nest.depth() == 0 {
         return Err(PlanError::Infeasible("nest has no parallel loops".into()));
     }
@@ -817,6 +889,14 @@ fn feasible(nest: &LoopNest, processors: i128) -> Result<(), PlanError> {
         return Err(PlanError::Infeasible("need at least one processor".into()));
     }
     Ok(())
+}
+
+/// Every factorization of `processors` puts more processors than
+/// iterations on some loop.
+pub(crate) fn no_factorization(processors: i128) -> PlanError {
+    PlanError::Infeasible(format!(
+        "no feasible factorization of {processors} processors for this nest"
+    ))
 }
 
 /// One [`ClassFootprint`] per class of the model, its footprint at the

@@ -1,11 +1,33 @@
 //! Re-ranking the candidate tilings with the hybrid cost model.
 
-use crate::{features, grid_features, CalibrateError, GridFeatures, LatencyModel};
+use crate::features::{features, grid_features, GridFeatures};
+use crate::plan::{no_factorization, LatencyCoefficients};
+use crate::tiles::Tiling;
+use crate::transform::SkewedCandidate;
+use crate::PlanError;
 use alp_footprint::CostModel;
 use alp_linalg::Rat;
 use alp_loopir::LoopNest;
 use alp_partition::{feasible_grids, RectPartition};
-use alp_plan::{SkewedCandidate, Tiling};
+
+impl LatencyCoefficients {
+    /// The hybrid cost of one candidate tiling, in (model) nanoseconds:
+    ///
+    /// `a·tiles + reps·(b·lines + s·span + d·iters) + c·reps`
+    ///
+    /// Worst-tile features approximate the per-repetition critical
+    /// path; the per-tile term charges dispatch overhead for the whole
+    /// tile population.
+    pub fn hybrid_cost(&self, f: &GridFeatures) -> Rat {
+        let reps = Rat::int(f.reps);
+        self.per_tile_ns * Rat::int(f.tiles)
+            + reps
+                * (self.per_line_ns * f.lines
+                    + self.per_span_line_ns * Rat::int(f.span_lines)
+                    + self.per_iter_ns * Rat::int(f.iters))
+            + self.per_rep_ns * Rat::int(f.reps)
+    }
+}
 
 /// One candidate tiling scored under both objectives.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,7 +68,7 @@ pub fn ranking_is_degenerate(ranked: &[Ranked]) -> bool {
 /// *explicitly*, and exact hybrid ties within a live calibration break
 /// the same way (then by index), so a no-signal model reproduces the
 /// analytic ranking instead of scrambling it.
-pub fn rank(candidates: Vec<(usize, GridFeatures)>, latency: &LatencyModel) -> Vec<Ranked> {
+pub fn rank(candidates: Vec<(usize, GridFeatures)>, latency: &LatencyCoefficients) -> Vec<Ranked> {
     let mut out: Vec<Ranked> = candidates
         .into_iter()
         .map(|(index, features)| Ranked {
@@ -75,15 +97,13 @@ pub fn rank(candidates: Vec<(usize, GridFeatures)>, latency: &LatencyModel) -> V
 pub fn rank_candidates(
     nest: &LoopNest,
     model: &CostModel,
-    latency: &LatencyModel,
+    latency: &LatencyCoefficients,
     p: i128,
     line_size: u64,
-) -> Result<Vec<Ranked>, CalibrateError> {
+) -> Result<Vec<Ranked>, PlanError> {
     let grids = feasible_grids(nest, p);
     if grids.is_empty() {
-        return Err(CalibrateError::Plan(alp_plan::PlanError::Infeasible(
-            format!("no feasible factorization of {p} processors for this nest"),
-        )));
+        return Err(no_factorization(p));
     }
     let mut scored = Vec::with_capacity(grids.len());
     for (index, (grid, _)) in grids.iter().enumerate() {
@@ -97,10 +117,10 @@ pub fn rank_candidates(
 /// dropped rather than failing the whole ranking.
 pub fn rank_skewed(
     nest: &LoopNest,
-    latency: &LatencyModel,
+    latency: &LatencyCoefficients,
     candidates: &[SkewedCandidate],
     line_size: u64,
-) -> Result<Vec<Ranked>, CalibrateError> {
+) -> Result<Vec<Ranked>, PlanError> {
     let scored: Vec<(usize, GridFeatures)> = (candidates.iter().enumerate())
         .filter_map(|(index, cand)| {
             let tiling = Tiling::new(nest, Some(&cand.transform), &cand.grid).ok()?;
@@ -111,7 +131,7 @@ pub fn rank_skewed(
         })
         .collect();
     if scored.is_empty() {
-        return Err(CalibrateError::Degenerate(
+        return Err(PlanError::Infeasible(
             "no skewed candidate produced usable features".into(),
         ));
     }
@@ -128,10 +148,10 @@ pub fn rank_skewed(
 pub fn choose_calibrated(
     nest: &LoopNest,
     model: &CostModel,
-    latency: &LatencyModel,
+    latency: &LatencyCoefficients,
     p: i128,
     line_size: u64,
-) -> Result<RectPartition, CalibrateError> {
+) -> Result<RectPartition, PlanError> {
     let ranked = rank_candidates(nest, model, latency, p, line_size)?;
     let best = &ranked[0];
     Ok(RectPartition {
@@ -156,8 +176,8 @@ mod tests {
         .unwrap()
     }
 
-    fn model_with(b: (i128, i128), s: (i128, i128)) -> LatencyModel {
-        LatencyModel {
+    fn model_with(b: (i128, i128), s: (i128, i128)) -> LatencyCoefficients {
+        LatencyCoefficients {
             per_tile_ns: Rat::int(1500),
             per_line_ns: Rat::new(b.0, b.1),
             per_span_line_ns: Rat::new(s.0, s.1),
@@ -195,7 +215,7 @@ mod tests {
     fn all_zero_model_falls_back_to_analytic_order() {
         let nest = example2();
         let cost = CostModel::from_nest(&nest);
-        let latency = LatencyModel {
+        let latency = LatencyCoefficients {
             per_tile_ns: Rat::ZERO,
             per_line_ns: Rat::ZERO,
             per_span_line_ns: Rat::ZERO,
@@ -244,7 +264,7 @@ mod tests {
     fn skewed_candidates_rank_under_the_hybrid_cost() {
         let nest = example2();
         let cands =
-            alp_plan::skewed_candidates(&nest, 16, &alp_partition::ParaSearchConfig::default())
+            crate::skewed_candidates(&nest, 16, &alp_partition::ParaSearchConfig::default())
                 .unwrap();
         assert!(!cands.is_empty());
         let ranked = rank_skewed(&nest, &model_with((2, 1), (1, 10)), &cands, 1).unwrap();
@@ -264,13 +284,13 @@ mod tests {
     fn degenerate_calibration_ranks_skewed_candidates_analytically() {
         let nest = example2();
         let cands =
-            alp_plan::skewed_candidates(&nest, 16, &alp_partition::ParaSearchConfig::default())
+            crate::skewed_candidates(&nest, 16, &alp_partition::ParaSearchConfig::default())
                 .unwrap();
         // Unlike rectangular factorizations of a fixed p, skewed
         // candidates differ in tile count and worst-tile iterations, so
         // even the per-tile/per-iter terms discriminate; only the
         // all-zero model is truly signal-free.
-        let zero = LatencyModel {
+        let zero = LatencyCoefficients {
             per_tile_ns: Rat::ZERO,
             per_line_ns: Rat::ZERO,
             per_span_line_ns: Rat::ZERO,

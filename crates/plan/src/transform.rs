@@ -24,6 +24,7 @@
 //! one answer.
 
 use crate::fingerprint::fingerprint_hex;
+use crate::plan::feasible;
 use crate::tiles::IterBox;
 use crate::PlanError;
 use alp_linalg::IMat;
@@ -384,12 +385,7 @@ pub fn skewed_candidates(
     p: i128,
     config: &ParaSearchConfig,
 ) -> Result<Vec<SkewedCandidate>, PlanError> {
-    if nest.depth() == 0 {
-        return Err(PlanError::Infeasible("nest has no parallel loops".into()));
-    }
-    if p < 1 {
-        return Err(PlanError::Infeasible("need at least one processor".into()));
-    }
+    feasible(nest, p)?;
     let identity = IMat::identity(nest.depth());
     let mut out = Vec::new();
     for cand in para_candidates(nest, p, config) {

@@ -104,6 +104,22 @@ pub enum RuntimeError {
     },
 }
 
+impl RuntimeError {
+    /// The stable `ALP00xx` diagnostic code: `ALP0007` deadline
+    /// exceeded / run cancelled, `ALP0008` contained tile fault,
+    /// `ALP0009` memory budget exceeded, the plan's own code for a plan
+    /// that cannot be executed, `ALP0005` every other lowering failure.
+    pub fn code(&self) -> &'static str {
+        match self {
+            RuntimeError::DeadlineExceeded { .. } | RuntimeError::Cancelled => "ALP0007",
+            RuntimeError::TileFailed { .. } => "ALP0008",
+            RuntimeError::ResourceExceeded { .. } => "ALP0009",
+            RuntimeError::BadPlan(e) => e.code(),
+            _ => "ALP0005",
+        }
+    }
+}
+
 impl std::fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -1,16 +1,42 @@
-//! The thin compile/execute pipeline behind the server, restated from
-//! the root facade on purpose: `alp-serve` must not depend on the root
-//! `alp` crate (whose binary links this crate back), so the two layers
-//! share the leaf crates and the `ALP000x` code contract instead of a
-//! type.  Every failure is folded into the `Clone`-able
-//! [`ServeError`], which is what lets one failed compile be handed to
-//! every coalesced waiter.
+//! The daemon's compile/execute pipeline: [`build_plan`] brackets the
+//! one planner, [`PartitionPlan::choose`], with parsing, the legality
+//! analysis and optional certification — the same bracket the root
+//! facade's `Compiler::plan` puts around it, which is why the two emit
+//! the same bytes.  (`alp-serve` cannot call the facade itself: the root
+//! `alp` crate's binary links this crate back.)  Every failure is folded
+//! into the `Clone`-able [`ServeError`] under the code its own layer
+//! assigns (`PlanError::code`, `RuntimeError::code`,
+//! `CertifyError::code`), which is what lets one failed compile be
+//! handed to every coalesced waiter.
 
 use crate::ServeError;
+use alp_certify::CertifyError;
 use alp_plan::{LegalityVerdict, PartitionPlan, PlanError, PlanKey};
 use alp_runtime::{ExecOptions, Executor, RuntimeError};
 use std::sync::Arc;
 use std::time::Duration;
+
+impl From<PlanError> for ServeError {
+    fn from(e: PlanError) -> Self {
+        let message = match &e {
+            PlanError::Infeasible(m) => format!("infeasible: {m}"),
+            e => e.to_string(),
+        };
+        ServeError::new(e.code(), message)
+    }
+}
+
+impl From<CertifyError> for ServeError {
+    fn from(e: CertifyError) -> Self {
+        ServeError::new(e.code(), format!("certification failed: {e}"))
+    }
+}
+
+impl From<RuntimeError> for ServeError {
+    fn from(e: RuntimeError) -> Self {
+        ServeError::new(e.code(), e.to_string())
+    }
+}
 
 /// Parameters of one plan request, normalized.
 #[derive(Debug, Clone)]
@@ -29,13 +55,16 @@ pub struct PlanSpec {
 }
 
 impl PlanSpec {
+    fn nest(&self) -> Result<alp_loopir::LoopNest, ServeError> {
+        alp_loopir::parse(&self.source).map_err(|e| ServeError::new("ALP0001", e.to_string()))
+    }
+
     /// The cache key for this spec: structural fingerprint plus every
     /// parameter that can change the plan.  Parse errors surface here
     /// (before admission) so malformed sources never occupy a queue
     /// slot.
     pub fn key(&self) -> Result<PlanKey, ServeError> {
-        let nest = alp_loopir::parse(&self.source)
-            .map_err(|e| ServeError::new("ALP0001", e.to_string()))?;
+        let nest = self.nest()?;
         Ok(PlanKey {
             fingerprint: alp_plan::fingerprint(&nest),
             processors: self.processors,
@@ -48,13 +77,10 @@ impl PlanSpec {
     }
 }
 
-/// Analysis + partitioning for one spec — the expensive phase the
-/// sharded cache memoizes.  Error codes match the root facade:
-/// `ALP0001` parse, `ALP0003` illegal doall, `ALP0004` infeasible,
-/// `ALP0006` other plan failures.
+/// Analysis + partitioning (+ certification) for one spec — the
+/// expensive phase the sharded cache memoizes.
 pub fn build_plan(spec: &PlanSpec) -> Result<PartitionPlan, ServeError> {
-    let nest =
-        alp_loopir::parse(&spec.source).map_err(|e| ServeError::new("ALP0001", e.to_string()))?;
+    let nest = spec.nest()?;
     let verdict = if spec.check {
         let report = alp_analysis::analyze(&nest);
         if report.has_errors() {
@@ -66,14 +92,9 @@ pub fn build_plan(spec: &PlanSpec) -> Result<PartitionPlan, ServeError> {
     } else {
         LegalityVerdict::Unchecked
     };
-    let plan =
-        PartitionPlan::build(&nest, spec.processors, None, verdict).map_err(|e| match e {
-            PlanError::Infeasible(m) => ServeError::new("ALP0004", format!("infeasible: {m}")),
-            other => ServeError::new("ALP0006", other.to_string()),
-        })?;
+    let plan = PartitionPlan::choose(&nest, spec.processors, None, verdict, false, None)?;
     if spec.certify {
-        let report = alp_certify::certify(&plan)
-            .map_err(|e| ServeError::new("ALP0011", format!("certification failed: {e}")))?;
+        let report = alp_certify::certify(&plan)?;
         return Ok(plan.with_certificate(report.certificate));
     }
     Ok(plan)
@@ -107,24 +128,10 @@ pub struct RunSummary {
     pub threads: usize,
 }
 
-/// Map an executor failure to its stable code: `ALP0007`
-/// deadline/cancel, `ALP0008` contained tile fault, `ALP0009` memory
-/// budget, `ALP0006` bad plan, `ALP0005` other lowering/run failures.
-fn runtime_error(e: RuntimeError) -> ServeError {
-    let code = match &e {
-        RuntimeError::DeadlineExceeded { .. } | RuntimeError::Cancelled => "ALP0007",
-        RuntimeError::TileFailed { .. } => "ALP0008",
-        RuntimeError::ResourceExceeded { .. } => "ALP0009",
-        RuntimeError::BadPlan(_) => "ALP0006",
-        _ => "ALP0005",
-    };
-    ServeError::new(code, e.to_string())
-}
-
 /// Natively execute a plan and check it against the sequential
 /// reference, under the request's deadline and memory budget.
 pub fn run_plan(plan: &Arc<PartitionPlan>, spec: &RunSpec) -> Result<RunSummary, ServeError> {
-    let exec = Executor::from_plan(plan).map_err(runtime_error)?;
+    let exec = Executor::from_plan(plan)?;
     #[allow(unused_mut)]
     let mut opts = ExecOptions {
         threads: spec.threads,
@@ -140,7 +147,7 @@ pub fn run_plan(plan: &Arc<PartitionPlan>, spec: &RunSpec) -> Result<RunSummary,
     }
     #[cfg(not(feature = "chaos"))]
     let _ = spec.fault_panic;
-    let outcome = exec.verify(spec.seed, &opts).map_err(runtime_error)?;
+    let outcome = exec.verify(spec.seed, &opts)?;
     Ok(RunSummary {
         matches_reference: outcome.matches_reference,
         iterations: outcome.report.total_iterations,

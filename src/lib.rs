@@ -100,7 +100,9 @@ pub enum AlpError {
     /// The nest cannot be lowered for native execution (`ALP0005`), or a
     /// run was stopped by the hardened executor: `ALP0007` for a missed
     /// deadline or caller cancellation, `ALP0008` for a contained tile
-    /// fault, `ALP0009` for an exceeded memory budget.
+    /// fault, `ALP0009` for an exceeded memory budget.  A plan the
+    /// executor cannot interpret (`RuntimeError::BadPlan`) keeps the
+    /// plan error's own code.
     Runtime(alp_runtime::RuntimeError),
     /// A saved partition plan could not be decoded or no longer matches
     /// its embedded source (`ALP0006`).  Structural transform damage
@@ -108,7 +110,8 @@ pub enum AlpError {
     /// wrong rank, stale fingerprint) reports `ALP0013` instead.
     Plan(PlanError),
     /// A calibration artifact could not be read, or calibration probing
-    /// / fitting failed (`ALP0010`).
+    /// / fitting failed (`ALP0010`; a wrapped plan error keeps its own
+    /// code).
     Calibration(alp_calibrate::CalibrateError),
     /// A plan certificate is missing, stale, or disagrees with fresh
     /// recomputation (`ALP0011`).  Structural certificate damage caught
@@ -138,29 +141,20 @@ impl AlpError {
     /// transform invalid (non-unimodular, wrong rank, or stale
     /// fingerprint).
     /// Codes never change meaning across releases; new variants get new
-    /// codes.
+    /// codes.  Each wrapped error type owns its part of the table
+    /// (`PlanError::code`, `RuntimeError::code`, `CertifyError::code`,
+    /// `CalibrateError::code`), and the plan service answers with the
+    /// same methods.
     pub fn code(&self) -> &'static str {
-        use alp_runtime::RuntimeError as R;
         match self {
             AlpError::Parse(_) => "ALP0001",
             AlpError::Ir(_) => "ALP0002",
             AlpError::Illegal(_) => "ALP0003",
-            AlpError::Infeasible(_) => "ALP0004",
-            AlpError::Runtime(R::DeadlineExceeded { .. } | R::Cancelled) => "ALP0007",
-            AlpError::Runtime(R::TileFailed { .. }) => "ALP0008",
-            AlpError::Runtime(R::ResourceExceeded { .. }) => "ALP0009",
-            AlpError::Runtime(R::BadPlan(PlanError::Transform(_))) => "ALP0013",
-            AlpError::Runtime(_) => "ALP0005",
-            // Structural certificate damage caught while decoding the
-            // plan file carries the certificate code, not the generic
-            // plan-artifact one.
-            AlpError::Plan(PlanError::Certificate(_)) => "ALP0011",
-            // Likewise, transform damage (non-unimodular `U`, det ≠ ±1,
-            // stale fingerprint) has its own stable code.
-            AlpError::Plan(PlanError::Transform(_)) => "ALP0013",
-            AlpError::Plan(_) => "ALP0006",
-            AlpError::Calibration(_) => "ALP0010",
-            AlpError::Certify(_) => "ALP0011",
+            AlpError::Infeasible(_) => PlanError::INFEASIBLE_CODE,
+            AlpError::Runtime(e) => e.code(),
+            AlpError::Plan(e) => e.code(),
+            AlpError::Calibration(e) => e.code(),
+            AlpError::Certify(e) => e.code(),
             AlpError::Overloaded { .. } => "ALP0012",
         }
     }
@@ -419,65 +413,14 @@ impl Compiler {
         } else {
             (alp_analysis::Report::default(), LegalityVerdict::Unchecked)
         };
-        // Pick — the analytic winner, or the head of the hybrid ranking
-        // when calibrated — then build; `+latency` marks a plan a
-        // calibration was attached to, whatever its coefficients.
-        let optimizer = |base: &str| match self.calibration {
-            Some(_) => format!("{base}+latency"),
-            None => base.to_string(),
-        };
-        let plan = if self.skewed {
-            let cands = alp_plan::skewed_candidates(
-                nest,
-                self.processors,
-                &alp_partition::ParaSearchConfig::default(),
-            )?;
-            if cands.is_empty() {
-                return Err(AlpError::Infeasible(
-                    "nest has no skewed parallelepiped candidate bases".into(),
-                ));
-            }
-            // Candidates arrive sorted by the analytic parallelepiped
-            // objective; the head is the Theorem-4 winner.
-            let pick = match &self.calibration {
-                None => 0,
-                Some(latency) => alp_calibrate::rank_skewed(nest, latency, &cands, 1)?[0].index,
-            };
-            PartitionPlan::build_skewed(
-                nest,
-                self.processors,
-                self.mesh,
-                verdict,
-                &cands[pick],
-                &optimizer("para-exhaustive"),
-            )?
-        } else {
-            match &self.calibration {
-                None => PartitionPlan::build(nest, self.processors, self.mesh, verdict)?,
-                Some(latency) => {
-                    let model = alp_footprint::CostModel::from_nest(nest);
-                    let partition = alp_calibrate::choose_calibrated(
-                        nest,
-                        &model,
-                        latency,
-                        self.processors,
-                        1,
-                    )?;
-                    PartitionPlan::build_with_partition(
-                        nest,
-                        self.processors,
-                        self.mesh,
-                        verdict,
-                        partition,
-                        &optimizer("rect-exhaustive"),
-                    )?
-                }
-            }
-        };
-        let plan = match &self.calibration {
-            Some(latency) => plan.with_calibration(latency.clone().into()),
-            None => plan,
-        };
+        let plan = PartitionPlan::choose(
+            nest,
+            self.processors,
+            self.mesh,
+            verdict,
+            self.skewed,
+            self.calibration.as_ref(),
+        )?;
         Ok((plan, report))
     }
 

@@ -142,7 +142,7 @@ fn calibrated_plan_round_trips_with_provenance() {
         .expect("calibrated plan builds");
     assert_eq!(plan.chosen_by, ChosenBy::Calibrated);
     assert_eq!(plan.optimizer, "rect-exhaustive+latency");
-    assert_eq!(plan.calibration, Some(latency.into()));
+    assert_eq!(plan.calibration, Some(latency));
     let text = plan.to_json_string();
     assert!(text.contains("\"chosen_by\": \"calibrated\""), "{text}");
     assert!(text.contains("\"calibration\""), "{text}");
@@ -173,7 +173,7 @@ fn skewed_calibrated_plan_carries_transform_provenance_and_certificate() {
     assert!(!plan.transform.as_ref().expect("transform").is_identity());
     assert_eq!(plan.optimizer, "para-exhaustive+latency");
     assert_eq!(plan.chosen_by, ChosenBy::Calibrated);
-    assert_eq!(plan.calibration, Some(live.into()));
+    assert_eq!(plan.calibration, Some(live));
 
     let cert = certify(&plan).expect("certifies").certificate;
     assert!(cert.coverage && cert.write_disjoint && cert.in_bounds && cert.idempotent);
@@ -330,6 +330,80 @@ fn warm_cache_compile_equals_cold_compile() {
     assert_eq!(replayed.code.clone(), fresh.code.clone());
 }
 
+/// The nests the planner-parity tests plan.
+const PARITY_SOURCES: [&str; 5] = [
+    GOLDEN_SOURCE,
+    GOLDEN_SOURCE_EX2,
+    // 1-D accumulate.
+    "doall (i, 0, 255) { A[i] = A[i] + B[i]; }",
+    // 3-D stencil.
+    "doall (i, 1, 24) { doall (j, 1, 24) { doall (k, 1, 24) {
+       A[i,j,k] = B[i-1,j,k] + B[i,j+1,k] + B[i,j,k-2];
+     } } }",
+    // Strided references.
+    "doall (i, 0, 63) { doall (j, 0, 63) { A[2*i,j] = B[2*i+1,3*j] + B[2*i,3*j+2]; } }",
+];
+
+#[test]
+fn facade_adds_no_decision_to_the_planner() {
+    // `Compiler::plan` is analysis + verdict around
+    // `PartitionPlan::choose`: whatever the request, the facade emits
+    // the planner's bytes (or refuses with the planner's error).
+    let live = LatencyModel {
+        per_tile_ns: Rat::int(1500),
+        per_line_ns: Rat::int(2),
+        per_span_line_ns: Rat::new(1, 10),
+        per_iter_ns: Rat::new(3, 4),
+        per_rep_ns: Rat::int(40_000),
+        samples: 32,
+    };
+    for source in PARITY_SOURCES {
+        let nest = parse(source).expect("source parses");
+        let warnings = analyze(&nest).count(alp::analysis::Severity::Warning);
+        for processors in [1, 8, 24] {
+            // Every request shape `Compiler` has.
+            for mode in 0..8 {
+                let (skewed, calibrated, check) = (mode & 1 != 0, mode & 2 != 0, mode & 4 == 0);
+                // The 3-D parallelepiped search is 10⁴ rectangular plans
+                // and its hybrid ranking walks every candidate's tiles
+                // (minutes): one analytic request per 3-D nest covers
+                // the path, the 2-D nests cover the matrix.
+                if nest.depth() > 2 && skewed && (calibrated || !check || processors != 8) {
+                    continue;
+                }
+                let mut compiler = Compiler::new(processors);
+                if skewed {
+                    compiler = compiler.with_skewed_tiles();
+                }
+                if calibrated {
+                    compiler = compiler.with_calibration(live.clone());
+                }
+                if !check {
+                    compiler = compiler.unchecked();
+                }
+                let verdict = match check {
+                    true => LegalityVerdict::Checked { warnings },
+                    false => LegalityVerdict::Unchecked,
+                };
+                let latency = calibrated.then_some(&live);
+                let bytes = |r: Result<PartitionPlan, AlpError>| {
+                    r.map(|plan| plan.to_json_string())
+                        .map_err(|e| (e.code(), e.to_string()))
+                };
+                assert_eq!(
+                    bytes(compiler.plan(&nest)),
+                    bytes(
+                        PartitionPlan::choose(&nest, processors, None, verdict, skewed, latency)
+                            .map_err(AlpError::from)
+                    ),
+                    "P = {processors}, skewed {skewed}, calibrated {calibrated}, \
+                     check {check}: {source}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn daemon_and_facade_plan_the_same_bytes() {
     // `alp_serve::pipeline::build_plan` (what the daemon's workers call)
@@ -337,19 +411,7 @@ fn daemon_and_facade_plan_the_same_bytes() {
     // points to one planner: for every parameter the wire protocol can
     // carry they must emit the same artifact, byte for byte.
     use alp::serve::pipeline::{build_plan, PlanSpec};
-    let sources = [
-        GOLDEN_SOURCE,
-        GOLDEN_SOURCE_EX2,
-        // 1-D accumulate.
-        "doall (i, 0, 255) { A[i] = A[i] + B[i]; }",
-        // 3-D stencil.
-        "doall (i, 1, 24) { doall (j, 1, 24) { doall (k, 1, 24) {
-           A[i,j,k] = B[i-1,j,k] + B[i,j+1,k] + B[i,j,k-2];
-         } } }",
-        // Strided references.
-        "doall (i, 0, 63) { doall (j, 0, 63) { A[2*i,j] = B[2*i+1,3*j] + B[2*i,3*j+2]; } }",
-    ];
-    for source in sources {
+    for source in PARITY_SOURCES {
         let nest = parse(source).expect("source parses");
         for processors in [1, 8, 24] {
             for check in [true, false] {
@@ -397,4 +459,122 @@ fn daemon_and_facade_plan_the_same_bytes() {
         .expect_err("facade refuses");
     assert!(matches!(err, AlpError::Illegal(_)), "{err}");
     assert_eq!(err.code(), "ALP0003");
+}
+
+#[test]
+fn daemon_and_facade_report_the_same_codes() {
+    // One `ALP00xx` table: each error type names its own code, and the
+    // facade (`AlpError::code`) and the daemon (`ServeError::from`) both
+    // delegate to it — one value of every variant, wrapped every way
+    // a layer can wrap it.
+    use alp::serve::ServeError;
+    use std::time::Duration;
+    let json = alp::plan::json::parse("{").expect_err("truncated JSON");
+    let (found, supported) = (9, 4);
+    let plan_errors = [
+        (PlanError::BadGrid("rank".into()), "ALP0006"),
+        (PlanError::Json(json.clone()), "ALP0006"),
+        (
+            PlanError::UnsupportedVersion { found, supported },
+            "ALP0006",
+        ),
+        (PlanError::Schema("field".into()), "ALP0006"),
+        (
+            PlanError::FingerprintMismatch {
+                expected: "a".into(),
+                found: "b".into(),
+            },
+            "ALP0006",
+        ),
+        (PlanError::Infeasible("no grid".into()), "ALP0004"),
+        (PlanError::Certificate("block".into()), "ALP0011"),
+        (PlanError::Transform("det 2".into()), "ALP0013"),
+    ];
+    let mut runtime_errors = vec![
+        (RuntimeError::UnknownArray("A".into()), "ALP0005"),
+        (RuntimeError::UnsupportedStatement("s".into()), "ALP0005"),
+        (RuntimeError::Overflow { array: "A".into() }, "ALP0005"),
+        (RuntimeError::BadGrid("rank".into()), "ALP0005"),
+        (
+            RuntimeError::TileFailed {
+                tile: 0,
+                rep: 0,
+                payload: "boom".into(),
+            },
+            "ALP0008",
+        ),
+        (
+            RuntimeError::DeadlineExceeded {
+                deadline: Duration::from_millis(1),
+            },
+            "ALP0007",
+        ),
+        (RuntimeError::Cancelled, "ALP0007"),
+        (
+            RuntimeError::ResourceExceeded {
+                required: 2,
+                budget: 1,
+            },
+            "ALP0009",
+        ),
+    ];
+    let mut certify_errors = vec![
+        (CertifyError::Missing, "ALP0011"),
+        (
+            CertifyError::Stale {
+                expected: "a".into(),
+                found: "b".into(),
+            },
+            "ALP0011",
+        ),
+        (
+            CertifyError::Mismatch {
+                fact: "coverage",
+                claimed: true,
+                proven: false,
+            },
+            "ALP0011",
+        ),
+    ];
+    let mut calibrate_errors = vec![
+        (CalibrateError::Json(json), "ALP0010"),
+        (CalibrateError::Schema("field".into()), "ALP0010"),
+        (
+            CalibrateError::UnsupportedVersion { found, supported },
+            "ALP0010",
+        ),
+        (
+            CalibrateError::NotEnoughSamples { got: 1, need: 8 },
+            "ALP0010",
+        ),
+        (CalibrateError::Degenerate("singular".into()), "ALP0010"),
+        (CalibrateError::Runtime("probe".into()), "ALP0010"),
+    ];
+    fn agree<E: Clone + std::fmt::Display>(e: &E, leaf: &str, code: &str)
+    where
+        ServeError: From<E>,
+        AlpError: From<E>,
+    {
+        assert_eq!(leaf, code, "{e}");
+        assert_eq!(ServeError::from(e.clone()).code, code, "daemon: {e}");
+        assert_eq!(AlpError::from(e.clone()).code(), code, "facade: {e}");
+    }
+    for (e, code) in plan_errors {
+        // A wrapped plan error keeps the plan's code.
+        runtime_errors.push((RuntimeError::BadPlan(e.clone()), code));
+        certify_errors.push((CertifyError::Plan(e.clone()), code));
+        calibrate_errors.push((CalibrateError::Plan(e.clone()), code));
+        agree(&e, e.code(), code);
+    }
+    for (e, code) in runtime_errors {
+        agree(&e, e.code(), code);
+    }
+    for (e, code) in certify_errors {
+        agree(&e, e.code(), code);
+    }
+    // The daemon takes no calibration (no wire field): facade only.
+    for (e, code) in calibrate_errors {
+        assert_eq!(e.code(), code, "{e}");
+        assert_eq!(AlpError::from(e).code(), code);
+    }
 }
