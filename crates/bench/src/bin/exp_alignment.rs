@@ -22,7 +22,7 @@ fn main() {
     );
 
     let assignment = assign_rect(&nest, &part.proc_grid);
-    let layout = ArrayLayout::from_nest(&nest);
+    let layout = ArrayLayout::from_nest(&nest).expect("arrays fit");
     let cfg = || MachineConfig {
         processors: p,
         cache: CacheConfig::Infinite,

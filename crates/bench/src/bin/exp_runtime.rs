@@ -39,8 +39,8 @@
 //! A hardening check re-times Example 8's optimal tiling with the
 //! executor's guards armed (deadline + cancel token + retry budget) to
 //! show the fault-free overhead of the hardened path stays within
-//! noise.  A final sweep drives `Compiler::compile_cached` over every
-//! (nest, P) pair to measure the plan cache.  `--json` additionally
+//! noise.  A final sweep plans every (nest, P) pair through a `PlanCache`
+//! and lowers what comes out, to measure the plan cache.  `--json` additionally
 //! writes `BENCH_runtime.json` with walls, footprints, rankings, the
 //! fitted coefficients, and the cache figures.
 
@@ -621,10 +621,11 @@ struct CacheSweep {
     stats: CacheStats,
 }
 
-/// Drive `compile_cached` over every (nest, P) key: one cold round that
-/// populates the cache, then `WARM_ROUNDS` rounds of pure hits.  The
-/// warm path skips parsing-side analysis and the partition search
-/// entirely and only re-runs alignment, placement, and code emission.
+/// Plan every (nest, P) key through one `PlanCache` and lower the
+/// result: one cold round that populates the cache, then `WARM_ROUNDS`
+/// rounds of pure hits.  The warm path skips the legality analysis and
+/// the partition search entirely and only re-runs alignment, placement,
+/// and code emission.
 fn bench_plan_cache(nests: &[(&'static str, &LoopNest)]) -> CacheSweep {
     const WARM_ROUNDS: usize = 5;
     // Alewife-scale machine sizes: the partition search a cold compile
@@ -639,8 +640,9 @@ fn bench_plan_cache(nests: &[(&'static str, &LoopNest)]) -> CacheSweep {
             for &p in &procs {
                 let compiler = Compiler::new(p);
                 let start = Instant::now();
-                let result = compiler
-                    .compile_cached((*nest).clone(), &mut cache)
+                let result = cache
+                    .get_or_try_insert_with(compiler.plan_key(nest), || compiler.plan(nest))
+                    .and_then(Compiler::lower)
                     .expect("sweep nests compile");
                 let elapsed = start.elapsed();
                 assert!(!result.code.is_empty());

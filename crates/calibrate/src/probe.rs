@@ -116,7 +116,7 @@ fn probe(
         .map_err(runtime_err)?;
         let tiling = Tiling::new(nest, transform, grid)?;
         let v = transform.map(Transform::v);
-        let spans = per_tile_features(nest, &tiling, v, cfg.line_size);
+        let spans = per_tile_features(nest, &tiling, v, cfg.line_size)?;
         report.merge(probe_executor(&exec, &spans, cfg)?);
     }
     Ok(report)

@@ -49,19 +49,15 @@ fn every_tamper_kind_is_rejected_with_alp0011() {
 #[test]
 fn flipped_verdict_bit_aborts_compiler_execute() {
     // The full production path: a semantically tampered plan decodes,
-    // compiles, and then `Compiler::execute` re-checks the certificate
+    // lowers, and then `Compiler::execute` re-checks the certificate
     // and refuses to run — the forged disjointness bit never reaches
     // `Executor::apply_certificate`.
     let honest = certified_plan_json();
     let bad = tamper_certificate(&honest, CertTamper::FlipDisjoint).expect("tamper applies");
     let plan = PartitionPlan::from_json_str(&bad).expect("semantic tamper survives decode");
 
-    let compiler = Compiler::new(16);
-    let result = compiler
-        .compile_from_plan(&plan)
-        .expect("tampered plan still compiles");
-    let err = compiler
-        .execute(&result, &alp_runtime::ExecOptions::default(), 1)
+    let result = Compiler::lower(plan).expect("tampered plan still lowers");
+    let err = Compiler::execute(&result.plan, &alp_runtime::ExecOptions::default(), 1)
         .expect_err("execute must refuse a tampered certificate");
     assert_eq!(err.code(), "ALP0011", "{err}");
     assert!(err.to_string().contains("tampered"), "{err}");

@@ -12,19 +12,23 @@
 //! * [`LoopNest`] — the nest itself, with optional outer sequential loops
 //!   (Fig. 9's `Doseq`), bounds, and a statement list;
 //! * a small text DSL ([`parse`]) so the paper's examples can be written
-//!   verbatim in tests, examples and benches.
+//!   verbatim in tests, examples and benches;
+//! * [`ArrayLayout`] — the row-major flattening of the nest's arrays into
+//!   line ids that the planner, the simulator and the runtime share.
 //!
 //! This is the `alp` equivalent of the Alewife compiler's WAIF front end
 //! (§4): everything downstream consumes only the `(G, ā)` pairs and the
 //! iteration-space geometry captured here.
 
 pub mod expr;
+pub mod layout;
 pub mod nest;
 pub mod parser;
 pub mod refs;
 pub mod span;
 
 pub use expr::AffineExpr;
+pub use layout::{ArrayLayout, LayoutOverflow};
 pub use nest::{LoopIndex, LoopNest, Statement};
 pub use parser::{parse, parse_program, parse_program_with_params, parse_with_params, ParseError};
 pub use refs::{AccessKind, ArrayRef};

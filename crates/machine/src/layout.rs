@@ -1,129 +1,8 @@
-//! Array memory layout and home-node assignment.
+//! Home-node assignment over the shared array layout.
 
-use alp_linalg::IVec;
-use alp_loopir::LoopNest;
-use std::collections::HashMap;
-
-/// Flattening of every array in a nest into dense line ids.
-///
-/// The simulator's cache/directory state is keyed by line id; with unit
-/// cache lines (§2.2) a line is exactly one array element.
-#[derive(Debug, Clone)]
-pub struct ArrayLayout {
-    arrays: Vec<ArrayInfo>,
-    by_name: HashMap<String, usize>,
-    total_lines: u64,
-}
-
-#[derive(Debug, Clone)]
-struct ArrayInfo {
-    name: String,
-    /// Inclusive (lo, hi) extent per dimension.
-    extents: Vec<(i128, i128)>,
-    /// Base line id.
-    base: u64,
-    /// Row-major strides.
-    strides: Vec<u64>,
-}
-
-impl ArrayLayout {
-    /// Lay out every array touched by the nest, with extents implied by
-    /// the loop bounds.
-    pub fn from_nest(nest: &LoopNest) -> Self {
-        let mut arrays = Vec::new();
-        let mut by_name = HashMap::new();
-        let mut base = 0u64;
-        // array_extents is a HashMap; iterate arrays() for a stable order.
-        let extents = nest.array_extents();
-        for name in nest.arrays() {
-            let ext = extents[&name].clone();
-            let dims: Vec<u64> = ext
-                .iter()
-                .map(|&(lo, hi)| (hi - lo + 1).max(0) as u64)
-                .collect();
-            let mut strides = vec![1u64; dims.len()];
-            for k in (0..dims.len().saturating_sub(1)).rev() {
-                strides[k] = strides[k + 1] * dims[k + 1];
-            }
-            let size: u64 = dims.iter().product::<u64>().max(1);
-            by_name.insert(name.clone(), arrays.len());
-            arrays.push(ArrayInfo {
-                name,
-                extents: ext,
-                base,
-                strides,
-            });
-            base += size;
-        }
-        ArrayLayout {
-            arrays,
-            by_name,
-            total_lines: base,
-        }
-    }
-
-    /// Total number of distinct lines (elements) across all arrays.
-    pub fn total_lines(&self) -> u64 {
-        self.total_lines
-    }
-
-    /// Array id for a name.
-    pub fn array_id(&self, name: &str) -> Option<usize> {
-        self.by_name.get(name).copied()
-    }
-
-    /// Array name for an id.
-    pub fn array_name(&self, id: usize) -> &str {
-        &self.arrays[id].name
-    }
-
-    /// Line id of an element.
-    ///
-    /// # Panics
-    /// Panics if the subscript is outside the array's extent (would be an
-    /// out-of-bounds access in the source program).
-    pub fn line(&self, array_id: usize, index: &IVec) -> u64 {
-        let a = &self.arrays[array_id];
-        debug_assert_eq!(index.len(), a.extents.len(), "rank mismatch");
-        let mut off = 0u64;
-        for (k, (&x, &(lo, hi))) in index.0.iter().zip(&a.extents).enumerate() {
-            assert!(
-                lo <= x && x <= hi,
-                "{}[{}] out of extent {:?}",
-                a.name,
-                index,
-                a.extents
-            );
-            off += (x - lo) as u64 * a.strides[k];
-        }
-        a.base + off
-    }
-
-    /// Number of arrays.
-    pub fn array_count(&self) -> usize {
-        self.arrays.len()
-    }
-
-    /// The inclusive extents of an array.
-    pub fn extents(&self, array_id: usize) -> &[(i128, i128)] {
-        &self.arrays[array_id].extents
-    }
-
-    /// Base line id of an array (its first element, lowest corner).
-    pub fn base(&self, array_id: usize) -> u64 {
-        self.arrays[array_id].base
-    }
-
-    /// Row-major element strides of an array, one per dimension.
-    ///
-    /// Together with [`ArrayLayout::base`] and the extent lower bounds
-    /// this lets callers (e.g. a runtime kernel compiler) fold the whole
-    /// element-id computation `base + Σ_d stride_d·(x_d − lo_d)` into an
-    /// affine form instead of calling [`ArrayLayout::line`] per access.
-    pub fn strides(&self, array_id: usize) -> &[u64] {
-        &self.arrays[array_id].strides
-    }
-}
+/// The row-major array layout, shared with the planner and the runtime
+/// (it lives in `alp-loopir`, the lowest crate all three depend on).
+pub use alp_loopir::ArrayLayout;
 
 /// Maps a line to the processor whose memory module stores it (the
 /// "home" node in a distributed-memory machine).
@@ -280,43 +159,6 @@ impl HomeMap for TiledHome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alp_loopir::parse;
-
-    #[test]
-    fn layout_flattening() {
-        let nest = parse("doall (i, 0, 9) { doall (j, 0, 4) { A[i,j] = B[i+j]; } }").unwrap();
-        let lay = ArrayLayout::from_nest(&nest);
-        assert_eq!(lay.array_count(), 2);
-        let a = lay.array_id("A").unwrap();
-        let b = lay.array_id("B").unwrap();
-        // A is 10x5 = 50 lines; B is i+j in 0..13 = 14 lines.
-        assert_eq!(lay.total_lines(), 50 + 14);
-        assert_eq!(lay.line(a, &IVec::new(&[0, 0])), 0);
-        assert_eq!(lay.line(a, &IVec::new(&[0, 4])), 4);
-        assert_eq!(lay.line(a, &IVec::new(&[1, 0])), 5);
-        assert_eq!(lay.line(a, &IVec::new(&[9, 4])), 49);
-        assert_eq!(lay.line(b, &IVec::new(&[0])), 50);
-        assert_eq!(lay.line(b, &IVec::new(&[13])), 63);
-    }
-
-    #[test]
-    fn layout_negative_extents() {
-        let nest = parse("doall (i, -5, 5) { A[i-2] = A[i-2]; }").unwrap();
-        let lay = ArrayLayout::from_nest(&nest);
-        let a = lay.array_id("A").unwrap();
-        assert_eq!(lay.extents(a), &[(-7, 3)]);
-        assert_eq!(lay.line(a, &IVec::new(&[-7])), 0);
-        assert_eq!(lay.line(a, &IVec::new(&[3])), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of extent")]
-    fn out_of_bounds_panics() {
-        let nest = parse("doall (i, 0, 9) { A[i] = A[i]; }").unwrap();
-        let lay = ArrayLayout::from_nest(&nest);
-        let a = lay.array_id("A").unwrap();
-        lay.line(a, &IVec::new(&[11]));
-    }
 
     #[test]
     fn block_home_covers_all_processors() {

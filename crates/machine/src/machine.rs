@@ -377,13 +377,27 @@ fn build_trace(nest: &LoopNest, layout: &ArrayLayout, iters: &[IVec]) -> Vec<Acc
 /// Traces are generated in parallel; the protocol then consumes them in
 /// a deterministic round-robin interleaving (one access per processor
 /// per round).
+///
+/// # Panics
+/// Panics if the nest's arrays do not fit a `u64` line id space
+/// ([`run_plan`] reports that as an error instead).
 pub fn run_nest(
     nest: &LoopNest,
     assignment: &[Vec<IVec>],
     config: MachineConfig,
     home: &dyn HomeMap,
 ) -> TrafficReport {
-    let layout = ArrayLayout::from_nest(nest);
+    let layout = ArrayLayout::from_nest(nest).expect("array layout fits u64");
+    simulate(nest, &layout, assignment, config, home)
+}
+
+fn simulate(
+    nest: &LoopNest,
+    layout: &ArrayLayout,
+    assignment: &[Vec<IVec>],
+    config: MachineConfig,
+    home: &dyn HomeMap,
+) -> TrafficReport {
     assert_eq!(
         assignment.len(),
         config.processors,
@@ -394,11 +408,10 @@ pub fn run_nest(
     // the assignment, not by thread timing).
     let mut traces: Vec<Vec<Access>> = Vec::with_capacity(assignment.len());
     if assignment.len() > 1 {
-        let layout_ref = &layout;
         let results: Vec<Vec<Access>> = crossbeam::scope(|scope| {
             let handles: Vec<_> = assignment
                 .iter()
-                .map(|iters| scope.spawn(move |_| build_trace(nest, layout_ref, iters)))
+                .map(|iters| scope.spawn(move |_| build_trace(nest, layout, iters)))
                 .collect();
             handles
                 .into_iter()
@@ -411,7 +424,7 @@ pub fn run_nest(
         traces.extend(
             assignment
                 .iter()
-                .map(|iters| build_trace(nest, &layout, iters)),
+                .map(|iters| build_trace(nest, layout, iters)),
         );
     }
 
@@ -453,12 +466,13 @@ pub fn run_plan(
     home: &dyn HomeMap,
 ) -> Result<TrafficReport, alp_plan::PlanError> {
     let nest = plan.nest()?;
+    let layout = ArrayLayout::from_nest(&nest)?;
     let assignment = plan.tiling(&nest)?.assignment();
     config.processors = assignment.len();
     if config.mesh.is_none() {
         config.mesh = plan.mesh;
     }
-    Ok(run_nest(&nest, &assignment, config, home))
+    Ok(simulate(&nest, &layout, &assignment, config, home))
 }
 
 #[cfg(test)]
@@ -558,7 +572,7 @@ mod tests {
     fn remote_local_accounting() {
         let nest = parse("doall (i, 0, 15) { A[i] = A[i]; }").unwrap();
         let assignment = rows_assignment(&nest, 4);
-        let layout = ArrayLayout::from_nest(&nest);
+        let layout = ArrayLayout::from_nest(&nest).unwrap();
         let home = BlockRowMajorHome::new(4, layout.total_lines());
         let cfg = MachineConfig {
             processors: 4,

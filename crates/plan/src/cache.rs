@@ -13,7 +13,7 @@
 //! and eviction counters are exposed through [`CacheStats`] for the
 //! bench harness.
 
-use crate::{PartitionPlan, PlanError};
+use crate::PartitionPlan;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -197,12 +197,13 @@ impl PlanCache {
     }
 
     /// Memoize: return the cached plan for `key`, or build one with
-    /// `make`, cache it, and return it.  A failed build caches nothing.
-    pub fn get_or_try_insert_with(
+    /// `make`, cache it, and return it.  A failed build caches nothing
+    /// and hands back the planner's own error, whichever layer's it is.
+    pub fn get_or_try_insert_with<E>(
         &mut self,
         key: PlanKey,
-        make: impl FnOnce() -> Result<PartitionPlan, PlanError>,
-    ) -> Result<Arc<PartitionPlan>, PlanError> {
+        make: impl FnOnce() -> Result<PartitionPlan, E>,
+    ) -> Result<Arc<PartitionPlan>, E> {
         if let Some(plan) = self.get(&key) {
             return Ok(plan);
         }
@@ -231,7 +232,7 @@ impl std::fmt::Debug for PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LegalityVerdict;
+    use crate::{LegalityVerdict, PlanError};
     use alp_loopir::parse;
 
     fn key(fp: u64) -> PlanKey {
@@ -259,7 +260,7 @@ mod tests {
             let p = cache
                 .get_or_try_insert_with(key(1), || {
                     built += 1;
-                    Ok(plan(63))
+                    Ok::<_, PlanError>(plan(63))
                 })
                 .unwrap();
             assert_eq!(p.tiles(), 4);
@@ -365,7 +366,7 @@ mod tests {
         assert!(cache.is_empty());
         // A later successful build fills the slot.
         cache
-            .get_or_try_insert_with(key(9), || Ok(plan(63)))
+            .get_or_try_insert_with(key(9), || Ok::<_, PlanError>(plan(63)))
             .unwrap();
         assert_eq!(cache.len(), 1);
     }

@@ -8,8 +8,7 @@ use crate::tiles::{IterBox, Tiling};
 use crate::PlanError;
 use alp_footprint::CostModel;
 use alp_linalg::{IMat, IVec, Rat};
-use alp_loopir::LoopNest;
-use std::collections::HashMap;
+use alp_loopir::{ArrayLayout, LoopNest};
 
 /// The feature vector the hybrid cost model scores one candidate
 /// processor grid by.
@@ -38,28 +37,6 @@ pub struct GridFeatures {
     pub reps: i128,
 }
 
-/// Row-major layout of one array: per-dimension lower bounds and
-/// strides, for linearizing subscript vectors into addresses.
-struct Layout {
-    lo: Vec<i128>,
-    stride: Vec<i128>,
-}
-
-fn layouts(nest: &LoopNest) -> HashMap<String, Layout> {
-    nest.array_extents()
-        .into_iter()
-        .map(|(name, dims)| {
-            let lo: Vec<i128> = dims.iter().map(|&(l, _)| l).collect();
-            let mut stride = vec![1i128; dims.len()];
-            for k in (0..dims.len().saturating_sub(1)).rev() {
-                let (l, h) = dims[k + 1];
-                stride[k] = stride[k + 1] * (h - l + 1);
-            }
-            (name, Layout { lo, stride })
-        })
-        .collect()
-}
-
 /// The address envelope (in lines) of one tile box: for each array, the
 /// min and max row-major address any reference evaluates to at any
 /// corner of the box, widened to whole lines and summed over arrays.
@@ -69,17 +46,19 @@ fn layouts(nest: &LoopNest) -> HashMap<String, Layout> {
 /// references, so the envelope is taken over the pre-image
 /// parallelepiped.  Affine subscripts composed with a linear map are
 /// still affine in `j`, so corner evaluation stays exact for the
-/// unclipped box (a sound over-approximation of the clipped tile).
+/// unclipped box (a sound over-approximation of the clipped tile) —
+/// whose corners may fall outside the arrays, hence signed addresses
+/// from the layout's strides rather than [`ArrayLayout::line`].
 fn span_lines(
     nest: &LoopNest,
-    layouts: &HashMap<String, Layout>,
+    layout: &ArrayLayout,
     tile: &IterBox,
     v: Option<&IMat>,
     line_size: u64,
 ) -> i128 {
     let depth = tile.lo.len();
     let line = line_size.max(1) as i128;
-    let mut envelope: HashMap<&str, (i128, i128)> = HashMap::new();
+    let mut envelope: Vec<Option<(i128, i128)>> = vec![None; layout.array_count()];
     for mask in 0u32..(1u32 << depth) {
         let at = |k: usize| {
             i128::from(if mask & (1 << k) != 0 {
@@ -95,28 +74,22 @@ fn span_lines(
                 .collect(),
         });
         for r in nest.all_refs() {
-            let Some(layout) = layouts.get(r.array.as_str()) else {
+            let Some(id) = layout.array_id(&r.array) else {
                 continue;
             };
             let subs = r.eval(&corner);
-            let addr: i128 = subs
-                .0
-                .iter()
-                .zip(&layout.lo)
-                .zip(&layout.stride)
-                .map(|((&s, &lo), &st)| (s - lo) * st)
+            let addr: i128 = (subs.0.iter())
+                .zip(layout.extents(id))
+                .zip(layout.strides(id))
+                .map(|((&s, &(lo, _)), &st)| (s - lo) * i128::from(st))
                 .sum();
-            envelope
-                .entry(r.array.as_str())
-                .and_modify(|(mn, mx)| {
-                    *mn = (*mn).min(addr);
-                    *mx = (*mx).max(addr);
-                })
-                .or_insert((addr, addr));
+            let (mn, mx) = envelope[id].unwrap_or((addr, addr));
+            envelope[id] = Some((mn.min(addr), mx.max(addr)));
         }
     }
     envelope
-        .values()
+        .iter()
+        .flatten()
         .map(|&(mn, mx)| mx / line - mn / line + 1)
         .sum()
 }
@@ -125,19 +98,21 @@ fn span_lines(
 /// like the executor's tile numbering (`None` for a tile that owns no
 /// iteration) — the labels probe measurements are fitted against.  `v`
 /// is the inverse of the transform the tiling was built with, if any.
+/// Fails with [`PlanError::Infeasible`] when the nest's arrays have no
+/// `u64` address space to take an envelope in.
 pub fn per_tile_features(
     nest: &LoopNest,
     tiling: &Tiling,
     v: Option<&IMat>,
     line_size: u64,
-) -> Vec<Option<(i128, i128)>> {
-    let lay = layouts(nest);
-    (tiling.boxes().iter().enumerate())
+) -> Result<Vec<Option<(i128, i128)>>, PlanError> {
+    let lay = ArrayLayout::from_nest(nest)?;
+    Ok((tiling.boxes().iter().enumerate())
         .map(|(t, bx)| {
             let points = tiling.points(t);
             (points > 0).then(|| (span_lines(nest, &lay, bx, v, line_size), points.into()))
         })
-        .collect()
+        .collect())
 }
 
 /// Hybrid-cost features of one candidate tiling, rectangular or skewed:
@@ -157,7 +132,7 @@ pub fn features(
     line_size: u64,
 ) -> Result<GridFeatures, PlanError> {
     let (mut tiles, mut span_lines, mut iters) = (0i128, 0i128, 0i128);
-    for (span, points) in per_tile_features(nest, tiling, v, line_size)
+    for (span, points) in per_tile_features(nest, tiling, v, line_size)?
         .into_iter()
         .flatten()
     {
@@ -254,6 +229,39 @@ mod tests {
     }
 
     #[test]
+    fn span_lines_on_the_paper_examples_are_pinned() {
+        // Read off the parent commit, before `span_lines` moved from a
+        // private layout twin onto the shared `ArrayLayout`: Examples 2,
+        // 8 and 10 under their 16- / 64- / 16-tile block grids, and
+        // Example 2's first skewed candidate (corners outside the
+        // arrays, so negative addresses are in play).
+        let example8 = "doall (i, 1, 64) { doall (j, 1, 64) { doall (k, 1, 64) {
+               A[i,j,k] = B[i-1,j,k+1] + B[i,j+1,k] + B[i+1,j-2,k-3];
+             } } }";
+        let example10 = "doall (i, 1, 64) { doall (j, 1, 64) {
+               A[i,j] = B[i+j,i-j] + B[i+j+4,i-j+2]
+                      + C[i,2*i,i+2*j-1] + C[i+1,2*i+2,i+2*j+1] + C[i,2*i,i+2*j+1];
+             } }";
+        for (nest, grid, unit_lines, eight_elem_lines) in [
+            (example2(), &[4, 4][..], 330_123, 41_267),
+            (parse(example8).unwrap(), &[4, 4, 4], 140_764, 17_596),
+            (parse(example10).unwrap(), &[4, 4], 407_845, 50_982),
+        ] {
+            let model = CostModel::from_nest(&nest);
+            let span = |line| grid_features(&nest, &model, grid, line).unwrap().span_lines;
+            assert_eq!((span(1), span(8)), (unit_lines, eight_elem_lines));
+        }
+        let nest = example2();
+        let config = alp_partition::ParaSearchConfig::default();
+        let skewed = &crate::skewed_candidates(&nest, 16, &config).unwrap()[0];
+        assert_eq!(skewed.grid, [8, 4]);
+        let tiling = Tiling::new(&nest, Some(&skewed.transform), &skewed.grid).unwrap();
+        let v = Some(skewed.transform.v());
+        let f = features(&nest, &tiling, v, &skewed.grid, Rat::ZERO, 1).unwrap();
+        assert_eq!(f.span_lines, 264_845);
+    }
+
+    #[test]
     fn span_respects_line_size() {
         let nest = example2();
         let model = CostModel::from_nest(&nest);
@@ -266,7 +274,7 @@ mod tests {
     fn per_tile_features_align_with_tiles() {
         let nest = example2();
         let tiling = Tiling::new(&nest, None, &[4, 4]).unwrap();
-        let per = per_tile_features(&nest, &tiling, None, 1);
+        let per = per_tile_features(&nest, &tiling, None, 1).unwrap();
         assert_eq!(per.len(), 16);
         assert!(per.iter().all(|f| f.is_some()));
         // Interior tiles of a 512/4 × 512/4 split: 128×128 iterations.

@@ -156,6 +156,12 @@ impl std::error::Error for PlanError {
     }
 }
 
+impl From<alp_loopir::LayoutOverflow> for PlanError {
+    fn from(e: alp_loopir::LayoutOverflow) -> Self {
+        PlanError::Infeasible(e.to_string())
+    }
+}
+
 impl From<JsonError> for PlanError {
     fn from(e: JsonError) -> Self {
         PlanError::Json(e)

@@ -10,7 +10,7 @@ use alp_footprint::{
     cumulative_footprint_general, cumulative_footprint_rect, CostModel, RefClass, Tile,
 };
 use alp_linalg::{IMat, IVec, Rat};
-use alp_loopir::LoopNest;
+use alp_loopir::{ArrayLayout, LoopNest};
 use alp_partition::{
     communication_free_normals, try_partition_rect, ParaSearchConfig, RectPartition,
 };
@@ -32,18 +32,18 @@ use alp_partition::{
 ///   `j = i·U` space, where skewed parallelepiped tiles are
 ///   rectangular.
 ///
-/// Decoding accepts [`MIN_SCHEMA_VERSION`]`..=`[`SCHEMA_VERSION`]; a
-/// decoded plan remembers the version it was written with and re-encodes
-/// under that same version, so pre-calibration and pre-certificate
-/// plans stay byte-stable through a decode/encode round trip.  Plans
-/// without a transform are written at version 3 — version 4's only
-/// addition is the transform block, so emitting the lowest
-/// representable version keeps older readers (and golden snapshots)
-/// working.
+/// Decoding accepts [`MIN_SCHEMA_VERSION`]`..=`[`SCHEMA_VERSION`].  One
+/// rule (`PartitionPlan::version`) picks the version a plan is written
+/// at: the lowest that can carry what the plan holds, never below the
+/// version it was decoded at or built with.  So pre-calibration and
+/// pre-certificate plans stay byte-stable through a decode/encode round
+/// trip, a plan without a transform stays at version 3 (older readers
+/// and golden snapshots keep working), and attaching a block an old
+/// version cannot carry raises the version instead of dropping the
+/// block.
 pub const SCHEMA_VERSION: u32 = 4;
 
-/// Version untransformed plans are written with (bumped to
-/// [`SCHEMA_VERSION`] by [`PartitionPlan::with_transform`]).
+/// Version freshly built plans start at.
 const BASE_VERSION: u32 = 3;
 
 /// Oldest plan schema version this build still decodes.
@@ -386,7 +386,12 @@ impl PartitionPlan {
             proc_grid: grid.to_vec(),
             tile_extents: Vec::new(),
             cost: Rat::ZERO,
-            store_bytes: Some(store_bytes(nest)),
+            // 8 bytes per f64 element; saturates when the arrays have no
+            // `u64` layout at all.
+            store_bytes: Some(
+                ArrayLayout::from_nest(nest)
+                    .map_or(u64::MAX, |layout| layout.total_lines().saturating_mul(8)),
+            ),
             class_footprints: Vec::new(),
             comm_free_normals: communication_free_normals(nest),
             source: nest.display(),
@@ -394,31 +399,47 @@ impl PartitionPlan {
         Ok((plan, CostModel::from_nest(nest)))
     }
 
+    /// The schema version this plan is written at: the lowest one that
+    /// can carry what the plan holds (see [`SCHEMA_VERSION`]'s history),
+    /// never below the version it was decoded at or built with.  The
+    /// next optional field is one more arm here.
+    fn version(&self) -> u32 {
+        let carries = if self.transform.is_some() {
+            4
+        } else if self.certificate.is_some() {
+            3
+        } else if self.calibration.is_some() || self.chosen_by != ChosenBy::Analytic {
+            2
+        } else {
+            MIN_SCHEMA_VERSION
+        };
+        carries.max(self.schema_version)
+    }
+
     /// Mark the plan as chosen by a calibrated hybrid ranking and
-    /// persist the fitted coefficients as provenance.
+    /// persist the fitted coefficients as provenance (schema ≥ 2).
     pub fn with_calibration(mut self, coefficients: LatencyCoefficients) -> Self {
         self.chosen_by = ChosenBy::Calibrated;
         self.calibration = Some(coefficients);
+        self.schema_version = self.version();
         self
     }
 
-    /// Attach a certificate.  Bumps the plan to schema version 3 when
-    /// necessary — older versions have no field to carry it, and a
-    /// silently dropped certificate would defeat the tamper evidence.
+    /// Attach a certificate (schema ≥ 3: a silently dropped certificate
+    /// would defeat the tamper evidence).
     pub fn with_certificate(mut self, certificate: Certificate) -> Self {
         self.certificate = Some(certificate);
-        self.schema_version = self.schema_version.max(3);
+        self.schema_version = self.version();
         self
     }
 
     /// Attach a unimodular transform, re-interpreting `proc_grid` and
-    /// `tile_extents` in the transformed `j = i·U` space.  Bumps the
-    /// plan to schema version 4 — older versions have no field to
-    /// carry it, and a silently dropped transform would change which
-    /// iterations each tile owns.
+    /// `tile_extents` in the transformed `j = i·U` space (schema ≥ 4: a
+    /// silently dropped transform would change which iterations each
+    /// tile owns).
     pub fn with_transform(mut self, transform: Transform) -> Self {
         self.transform = Some(transform);
-        self.schema_version = self.schema_version.max(SCHEMA_VERSION);
+        self.schema_version = self.version();
         self
     }
 
@@ -462,15 +483,6 @@ impl PartitionPlan {
     /// the plan's own nest ([`PartitionPlan::nest`]).
     pub fn tiling(&self, nest: &LoopNest) -> Result<Tiling, PlanError> {
         Tiling::new(nest, self.transform.as_ref(), &self.proc_grid)
-    }
-
-    /// The plan's partition in `alp-partition`'s type.
-    pub fn rect_partition(&self) -> RectPartition {
-        RectPartition {
-            proc_grid: self.proc_grid.clone(),
-            tile_extents: self.tile_extents.clone(),
-            cost: self.cost,
-        }
     }
 
     /// Total number of tiles.
@@ -519,9 +531,10 @@ impl PartitionPlan {
             })
             .collect::<Vec<_>>();
 
+        let version = self.version();
         let mut out = String::new();
         out.push_str("{\n");
-        push_field(&mut out, "alp-plan", Json::Int(self.schema_version as i128));
+        push_field(&mut out, "alp-plan", Json::Int(version.into()));
         push_field(&mut out, "fingerprint", Json::Str(self.fingerprint.clone()));
         push_field(&mut out, "processors", Json::Int(self.processors));
         push_field(
@@ -543,9 +556,9 @@ impl PartitionPlan {
             .render(&mut out, 1);
         out.push_str(",\n");
         push_field(&mut out, "optimizer", Json::Str(self.optimizer.clone()));
-        // Schema-2 fields: a plan decoded from a version-1 file
-        // re-encodes as version 1, without them, byte-stably.
-        if self.schema_version >= 2 {
+        // A plan decoded from a version-1 file re-encodes as version 1,
+        // without the field, byte-stably.
+        if version >= 2 {
             push_field(
                 &mut out,
                 "chosen_by",
@@ -558,38 +571,32 @@ impl PartitionPlan {
         if let Some(bytes) = self.store_bytes {
             push_field(&mut out, "store_bytes", Json::Int(bytes as i128));
         }
-        if self.schema_version >= 2 {
-            if let Some(c) = &self.calibration {
-                out.push_str("  \"calibration\": ");
-                c.write_fields(ObjWriter::new()).render(&mut out, 1);
-                out.push_str(",\n");
-            }
+        if let Some(c) = &self.calibration {
+            out.push_str("  \"calibration\": ");
+            c.write_fields(ObjWriter::new()).render(&mut out, 1);
+            out.push_str(",\n");
         }
-        if self.schema_version >= 3 {
-            if let Some(c) = &self.certificate {
-                out.push_str("  \"certificate\": ");
-                ObjWriter::new()
-                    .field("fingerprint", Json::Str(c.fingerprint.clone()))
-                    .field("coverage", Json::Bool(c.coverage))
-                    .field("write_disjoint", Json::Bool(c.write_disjoint))
-                    .field("in_bounds", Json::Bool(c.in_bounds))
-                    .field("idempotent", Json::Bool(c.idempotent))
-                    .render(&mut out, 1);
-                out.push_str(",\n");
-            }
+        if let Some(c) = &self.certificate {
+            out.push_str("  \"certificate\": ");
+            ObjWriter::new()
+                .field("fingerprint", Json::Str(c.fingerprint.clone()))
+                .field("coverage", Json::Bool(c.coverage))
+                .field("write_disjoint", Json::Bool(c.write_disjoint))
+                .field("in_bounds", Json::Bool(c.in_bounds))
+                .field("idempotent", Json::Bool(c.idempotent))
+                .render(&mut out, 1);
+            out.push_str(",\n");
         }
-        if self.schema_version >= 4 {
-            if let Some(t) = &self.transform {
-                out.push_str("  \"transform\": ");
-                ObjWriter::new()
-                    .field("fingerprint", Json::Str(t.fingerprint().into()))
-                    .field(
-                        "u",
-                        Json::Arr(t.u().row_vecs().iter().map(|r| int_arr(&r.0)).collect()),
-                    )
-                    .render(&mut out, 1);
-                out.push_str(",\n");
-            }
+        if let Some(t) = &self.transform {
+            out.push_str("  \"transform\": ");
+            ObjWriter::new()
+                .field("fingerprint", Json::Str(t.fingerprint().into()))
+                .field(
+                    "u",
+                    Json::Arr(t.u().row_vecs().iter().map(|r| int_arr(&r.0)).collect()),
+                )
+                .render(&mut out, 1);
+            out.push_str(",\n");
         }
         if classes.is_empty() {
             out.push_str("  \"class_footprints\": [],\n");
@@ -917,24 +924,6 @@ fn class_footprints(
         .collect()
 }
 
-/// Execution-time array storage in bytes, mirroring the sizing rule of
-/// the runtime's `ArrayLayout` (per-array Π(hi−lo+1) elements, at least
-/// one element per referenced array, 8 bytes per f64).  Saturates at
-/// `u64::MAX` instead of overflowing on absurd extents.
-fn store_bytes(nest: &LoopNest) -> u64 {
-    let total: u128 = nest
-        .array_extents()
-        .values()
-        .map(|ext| {
-            ext.iter()
-                .map(|&(lo, hi)| u128::try_from((hi - lo + 1).max(0)).unwrap_or(u128::MAX))
-                .fold(1u128, u128::saturating_mul)
-                .max(1)
-        })
-        .fold(0u128, u128::saturating_add);
-    u64::try_from(total.saturating_mul(8)).unwrap_or(u64::MAX)
-}
-
 fn push_field(out: &mut String, key: &str, value: Json) {
     out.push_str("  ");
     json::write_string(out, key);
@@ -1023,8 +1012,11 @@ mod tests {
         let a = 64u64 * 64 * 64;
         let b = 66u64 * 67 * 68;
         assert_eq!(plan.store_bytes, Some((a + b) * 8));
-        let part = plan.rect_partition();
-        assert_eq!(part, alp_partition::partition_rect(&nest, 64));
+        let part = alp_partition::partition_rect(&nest, 64);
+        assert_eq!(
+            (plan.proc_grid.clone(), plan.tile_extents.clone(), plan.cost),
+            (part.proc_grid, part.tile_extents, part.cost)
+        );
         // The embedded source reconstructs the very same nest.
         assert_eq!(plan.nest().unwrap(), nest);
     }
@@ -1231,6 +1223,75 @@ mod tests {
         let text = plan.to_json_string();
         assert!(text.contains("\"alp-plan\": 3"));
         assert!(!text.contains("\"transform\""));
+    }
+
+    #[test]
+    fn every_setter_order_writes_the_lowest_sufficient_version() {
+        // One rule for the written version: whatever subset of the three
+        // optional blocks is attached, in whatever order, to a fresh
+        // plan or to the frozen version-1 / version-2 snapshots, the
+        // plan is written at the lowest version that carries it all,
+        // never below where it started, and nothing attached is dropped
+        // on encode (a version-1 plan used to lose its calibration).
+        let fresh = PartitionPlan::build(&example8(), 64, Some((8, 8)), LegalityVerdict::Unchecked)
+            .unwrap();
+        let frozen = |text| PartitionPlan::from_json_str(text).unwrap();
+        let v1 = frozen(include_str!("../../../tests/golden/example8.v1.plan.json"));
+        let v2 = frozen(include_str!("../../../tests/golden/example8.v2.plan.json"));
+        assert_eq!(
+            [fresh.schema_version, v1.schema_version, v2.schema_version],
+            [3, 1, 2]
+        );
+        let skew = Transform::new(
+            IMat::from_rows(&[&[1, 1, 0], &[0, 1, 0], &[0, 0, 1]]),
+            fresh.fingerprint.clone(),
+        )
+        .unwrap();
+        // (block name, version that introduced it), indexed like `attach`.
+        let blocks = [("calibration", 2), ("certificate", 3), ("transform", 4)];
+        let attach = |s: usize, plan: PartitionPlan| match s {
+            0 => plan.with_calibration(coefficients()),
+            1 => {
+                let cert = certificate_for(&plan);
+                plan.with_certificate(cert)
+            }
+            _ => plan.with_transform(skew.clone()),
+        };
+        // Every ordered selection of distinct setters: 1 + 3 + 6 + 6.
+        let mut orders: Vec<Vec<usize>> = vec![Vec::new()];
+        for len in 0..3 {
+            for prefix in orders.clone().into_iter().filter(|o| o.len() == len) {
+                for s in (0..3).filter(|s| !prefix.contains(s)) {
+                    orders.push([&prefix[..], &[s]].concat());
+                }
+            }
+        }
+        assert_eq!(orders.len(), 16);
+        for base in [&fresh, &v1, &v2] {
+            for order in &orders {
+                let what = format!("from v{}, setters {order:?}", base.schema_version);
+                let mut plan = base.clone();
+                let mut version = base.schema_version;
+                for &s in order {
+                    plan = attach(s, plan);
+                    version = version.max(blocks[s].1);
+                    assert_eq!(plan.schema_version, version, "{what}");
+                }
+                let text = plan.to_json_string();
+                assert!(
+                    text.contains(&format!("\"alp-plan\": {version},")),
+                    "{what}"
+                );
+                assert_eq!(text.contains("\"chosen_by\""), version >= 2, "{what}");
+                for (s, (block, _)) in blocks.iter().enumerate() {
+                    let written = text.contains(&format!("\"{block}\": {{"));
+                    assert_eq!(written, order.contains(&s), "{what}: {block}");
+                }
+                let back = PartitionPlan::from_json_str(&text).unwrap();
+                assert_eq!(back, plan, "{what}");
+                assert_eq!(back.to_json_string(), text, "{what}");
+            }
+        }
     }
 
     #[test]

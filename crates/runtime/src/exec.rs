@@ -326,9 +326,20 @@ impl Executor {
         transform: Option<&Transform>,
         grid: &[i128],
     ) -> Result<Executor, RuntimeError> {
-        let layout = ArrayLayout::from_nest(nest);
+        let layout = ArrayLayout::from_nest(nest)?;
         let kernel = Kernel::compile(nest, &layout, transform.map(Transform::v))?;
         let tiling = Tiling::new(nest, transform, grid)?;
+        // The tiles partition the iteration space, so once its volume
+        // fits `u64` (the bounds fit `i64`: the tiling checked) no tile's
+        // point count nor `run`'s sum over them can wrap — a count that
+        // wrapped to zero would read as "nothing to execute".
+        (nest.loops.iter())
+            .try_fold(1u64, |n, l| {
+                n.checked_mul(u64::try_from(l.trip_count()).ok()?)
+            })
+            .ok_or_else(|| RuntimeError::Overflow {
+                array: "<iteration space>".into(),
+            })?;
         Ok(Executor {
             retry: RetryPolicy::Syntactic {
                 safe: syntactic_retry_safe(nest),
@@ -342,6 +353,11 @@ impl Executor {
             tile_extents: tiling.extents(),
             tiling,
         })
+    }
+
+    /// The nest this executor runs.
+    pub fn nest(&self) -> &LoopNest {
+        &self.nest
     }
 
     /// The memory layout shared by executor and simulator.
@@ -1020,6 +1036,45 @@ mod tests {
             external: None,
             deadline: None,
         }
+    }
+
+    #[test]
+    fn nests_beyond_u64_are_overflow_at_construction() {
+        // 2^32 × 2^32: an unchecked layout wraps the first nest's 2^64
+        // elements per array to a two-element store that passes any
+        // budget, and an unchecked count wraps the second's 2^64 points
+        // to "nothing to execute" — after which `verify` would walk the
+        // reference interpreter over them with no deadline.  Both must
+        // be refused by the constructors, in debug and release alike.
+        let bounds = "doall (i, 0, 4294967295) { doall (j, 0, 4294967295)";
+        for (body, what) in [
+            ("A[i,j] = B[i,j];", "A"),
+            ("l$S[0] = l$S[0] + A[0];", "<iteration space>"),
+        ] {
+            let nest = alp_loopir::parse(&format!("{bounds} {{ {body} }} }}")).unwrap();
+            let overflow = Some(RuntimeError::Overflow { array: what.into() });
+            for grid in [[1, 4], [2, 2], [1, 1]] {
+                assert_eq!(Executor::from_grid(&nest, &grid).err(), overflow, "{body}");
+            }
+            let plan = alp_plan::PartitionPlan::build(
+                &nest,
+                4,
+                None,
+                alp_plan::LegalityVerdict::Unchecked,
+            )
+            .unwrap();
+            assert_eq!(
+                plan.store_bytes,
+                Some(if what == "A" { u64::MAX } else { 16 })
+            );
+            assert_eq!(Executor::from_plan(&plan).err(), overflow, "{body}");
+        }
+        // A nest that is merely huge (2^40 points over 16 bytes) still
+        // lowers: stopping it is the deadline's job.
+        let huge = "doall (i, 0, 1048575) { doall (j, 0, 1048575) { l$S[0] = l$S[0] + A[0]; } }";
+        let exec = Executor::from_grid(&alp_loopir::parse(huge).unwrap(), &[2, 2]).unwrap();
+        assert_eq!(exec.points.iter().sum::<u64>(), 1 << 40);
+        assert_eq!(exec.store_bytes(), 16);
     }
 
     #[test]

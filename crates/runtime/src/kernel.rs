@@ -384,7 +384,7 @@ mod tests {
              } }",
         )
         .unwrap();
-        let layout = ArrayLayout::from_nest(&nest);
+        let layout = ArrayLayout::from_nest(&nest).unwrap();
         let refs = nest.all_refs();
         for r in &refs {
             let lin = lower_ref(r, &layout).unwrap();
@@ -420,7 +420,7 @@ mod tests {
         // shows in the last bits.  The relaxed path must continue the
         // cell's own fold, point by point.
         let nest = parse("doall (i, 0, 99) { l$S[0] = l$S[0] + A[i] + B[i]; }").unwrap();
-        let layout = ArrayLayout::from_nest(&nest);
+        let layout = ArrayLayout::from_nest(&nest).unwrap();
         let kernel = Kernel::compile(&nest, &layout, None).unwrap();
         let init: Vec<f64> = (1..=layout.total_lines())
             .map(|k| k as f64 / 10.0)
@@ -447,7 +447,7 @@ mod tests {
     #[test]
     fn accumulate_requires_single_self_read() {
         let nest = parse("doall (i, 0, 3) { l$C[i] = l$C[i] + l$C[i] + A[i]; }").unwrap();
-        let layout = ArrayLayout::from_nest(&nest);
+        let layout = ArrayLayout::from_nest(&nest).unwrap();
         let err = Kernel::compile(&nest, &layout, None).unwrap_err();
         assert!(matches!(err, RuntimeError::UnsupportedStatement(_)));
     }
@@ -455,7 +455,7 @@ mod tests {
     #[test]
     fn accumulate_without_self_read_is_overwrite() {
         let nest = parse("doall (i, 0, 3) { l$C[i] = A[i]; }").unwrap();
-        let layout = ArrayLayout::from_nest(&nest);
+        let layout = ArrayLayout::from_nest(&nest).unwrap();
         let kernel = Kernel::compile(&nest, &layout, None).unwrap();
         assert!(matches!(kernel.stmts()[0], CompiledStmt::Assign { .. }));
         let store = ArrayStore::zeroed(layout.total_lines());

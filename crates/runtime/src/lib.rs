@@ -63,7 +63,11 @@ pub enum RuntimeError {
     /// A statement has no executable lowering (e.g. an accumulate
     /// reading its own old value more than once).
     UnsupportedStatement(String),
-    /// Array addressing does not fit native integer arithmetic.
+    /// Array addressing does not fit native integer arithmetic: an
+    /// element id or coefficient beyond `i64`, arrays of more than 2⁶⁴
+    /// elements, or (as `<iteration space>`) more than 2⁶⁴ iterations
+    /// per repetition.  Reported by the constructors, before anything is
+    /// allocated or spawned.
     Overflow {
         /// The array whose address computation overflowed.
         array: String,
@@ -155,6 +159,12 @@ impl std::error::Error for RuntimeError {
             RuntimeError::BadPlan(e) => Some(e),
             _ => None,
         }
+    }
+}
+
+impl From<alp_loopir::LayoutOverflow> for RuntimeError {
+    fn from(e: alp_loopir::LayoutOverflow) -> Self {
+        RuntimeError::Overflow { array: e.array }
     }
 }
 

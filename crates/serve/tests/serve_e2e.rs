@@ -101,7 +101,14 @@ fn plan_run_stats_ping_over_the_socket() {
 #[test]
 fn errors_map_to_stable_codes() {
     let path = sock_path("errors");
-    let handle = Server::new(ServeConfig::default()).serve(&path).unwrap();
+    // One worker: every request below is served by the same thread, so
+    // each refusal also shows that worker is still serving afterwards.
+    let handle = Server::new(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .serve(&path)
+    .unwrap();
     let mut c = Client::connect(&path);
 
     let bad = c.round_trip(&Request::plan(1, "doall (i, 0"));
@@ -153,6 +160,40 @@ fn errors_map_to_stable_codes() {
     let fits = c.round_trip(&crowded);
     assert!(fits.ok, "3 processors fit 3 iterations: {:?}", fits.error);
     assert_eq!(fits.tiles, Some(3));
+
+    // Arrays of 2^64 elements: a lowering failure (`ALP0005`) before
+    // anything is allocated — not a two-element store that passes the
+    // budget and a worker wedged in the reference interpreter.  The
+    // plan itself is fine and stays cached; the worker moves on.
+    let before = failures(&mut c, 10);
+    let oversized = "doall (i, 0, 4294967295) { doall (j, 0, 4294967295) { A[i,j] = B[i,j]; } }";
+    let mut wedge = Request::run(11, oversized);
+    wedge.plan.processors = 4;
+    wedge.run.timeout_ms = Some(2000);
+    wedge.run.max_store_bytes = Some(1_000_000);
+    for id in [11, 12] {
+        wedge.id = id;
+        let refused = c.round_trip(&wedge);
+        assert!(!refused.ok);
+        assert_eq!(
+            refused.code.as_deref(),
+            Some("ALP0005"),
+            "{:?}",
+            refused.error
+        );
+    }
+    assert_eq!(failures(&mut c, 13), before + 2);
+    let mut planned = Request::plan(14, oversized);
+    planned.plan.processors = 4;
+    let planned = c.round_trip(&planned);
+    assert!(
+        planned.ok,
+        "the oversized nest still plans: {:?}",
+        planned.error
+    );
+    assert_eq!(planned.cache.as_deref(), Some("hit"));
+    let ran = c.round_trip(&Request::run(15, SRC));
+    assert_eq!(ran.matches_reference, Some(true), "{:?}", ran.error);
 
     handle.shutdown();
 }

@@ -26,9 +26,12 @@ fn main() {
     let result = compiler.compile(nest).expect("compiles");
 
     println!("== loop partitioning ==");
-    println!("  classes          : {}", result.class_count);
-    println!("  processor grid   : {:?}", result.partition.proc_grid);
-    println!("  tile extents λ   : {:?}", result.partition.tile_extents);
+    println!(
+        "  classes          : {}",
+        result.plan.class_footprints.len()
+    );
+    println!("  processor grid   : {:?}", result.plan.proc_grid);
+    println!("  tile extents λ   : {:?}", result.plan.tile_extents);
 
     println!("\n== data partitioning & alignment ==");
     for ap in &result.data_partitions {
@@ -43,19 +46,16 @@ fn main() {
         println!("  mesh {:?}, grid {:?}", pl.mesh, pl.grid);
         println!(
             "  avg neighbour hops (uniform weights): {:.2}",
-            pl.weighted_neighbor_hops(&vec![1.0; result.partition.proc_grid.len()])
+            pl.weighted_neighbor_hops(&vec![1.0; result.plan.proc_grid.len()])
         );
     }
 
     // --- Simulate three memory configurations. -------------------------
-    let assignment = assign_rect(&result.nest, &result.partition.proc_grid);
-    let layout = ArrayLayout::from_nest(&result.nest);
+    let assignment = assign_rect(&result.nest, &result.plan.proc_grid);
+    let layout = ArrayLayout::from_nest(&result.nest).expect("arrays fit");
     let cfg = || MachineConfig {
-        processors: p as usize,
-        cache: CacheConfig::Infinite,
         mesh: Some((4, 4)),
-        line_size: 1,
-        directory: DirectoryKind::FullMap,
+        ..MachineConfig::uniform(p as usize)
     };
 
     // (1) Naive block distribution of memory.
@@ -64,7 +64,7 @@ fn main() {
 
     // (2) Aligned distribution: element goes to the processor whose loop
     //     tile references it (same aspect ratio + offset, §4).
-    let grid = result.partition.proc_grid.clone();
+    let grid = result.plan.proc_grid.clone();
     let ext = layout.extents(0).to_vec(); // array A extents
     let chunks: Vec<i128> = grid
         .iter()

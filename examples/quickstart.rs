@@ -39,14 +39,16 @@ fn main() {
     }
 
     // 3. Full pipeline for 64 processors.
-    let compiler = Compiler::new(64).with_mesh(8, 8);
-    let result = compiler.compile(nest).expect("compiles");
+    let result = Compiler::new(64)
+        .with_mesh(8, 8)
+        .compile(nest)
+        .expect("compiles");
     println!("\n== chosen partition ==");
-    println!("  processor grid : {:?}", result.partition.proc_grid);
-    println!("  tile extents λ : {:?}", result.partition.tile_extents);
+    println!("  processor grid : {:?}", result.plan.proc_grid);
+    println!("  tile extents λ : {:?}", result.plan.tile_extents);
     println!(
         "  modeled cost   : {} data elements per tile",
-        result.partition.cost
+        result.plan.cost
     );
 
     // 4. Generated SPMD code.
@@ -54,7 +56,8 @@ fn main() {
 
     // 5. Simulate on the cache-coherent machine and compare with a naive
     //    partition.
-    let report = compiler.simulate_uniform(&result);
+    let report =
+        run_plan(&result.plan, MachineConfig::uniform(0), &UniformHome).expect("plan simulates");
     println!("== simulated (optimal partition) ==");
     println!("  accesses      : {}", report.total_accesses());
     println!("  cold misses   : {}", report.total_cold_misses());

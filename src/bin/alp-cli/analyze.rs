@@ -68,7 +68,7 @@ fn print_analysis(nest: &LoopNest) {
 fn print_partition(result: &CompileResult) {
     println!(
         "  grid {:?}, tile λ {:?}, modeled cost {}",
-        result.partition.proc_grid, result.partition.tile_extents, result.partition.cost
+        result.plan.proc_grid, result.plan.tile_extents, result.plan.cost
     );
     for ap in &result.data_partitions {
         println!(
@@ -106,8 +106,8 @@ fn run(args: &Args) -> Result<ExitCode, ExitCode> {
     let result = if let Some(path) = args.get::<String>("--from-plan") {
         // Report a saved plan without re-running analysis or the
         // optimizer; the plan's own processor count and mesh apply.
-        let plan = front::load_plan(&path)?;
-        let result = compiler.compile_from_plan(&plan).map_err(fail)?;
+        let result = Compiler::lower(front::load_plan(&path)?).map_err(fail)?;
+        let plan = &result.plan;
         println!("== plan {} (P = {}) ==", plan.fingerprint, plan.processors);
         print_partition(&result);
         result
@@ -152,7 +152,7 @@ fn run(args: &Args) -> Result<ExitCode, ExitCode> {
             println!(
                 "  mesh {:?}: avg neighbour hops {:.2}",
                 pl.mesh,
-                pl.weighted_neighbor_hops(&vec![1.0; result.partition.proc_grid.len()])
+                pl.weighted_neighbor_hops(&vec![1.0; result.plan.proc_grid.len()])
             );
         }
         if args.has("--para") && result.nest.depth() >= 2 {
@@ -167,7 +167,7 @@ fn run(args: &Args) -> Result<ExitCode, ExitCode> {
                     .map(|r| para.basis.row(r).0.clone())
                     .collect::<Vec<_>>(),
                 para.cost,
-                result.partition.cost
+                result.plan.cost
             );
         }
         result
@@ -178,13 +178,19 @@ fn run(args: &Args) -> Result<ExitCode, ExitCode> {
     }
     if args.has("--simulate") {
         println!("\n== simulation ==");
-        let report = front::simulate(&result.plan, mesh, line_size, &UniformHome)?;
+        let machine = MachineConfig {
+            mesh,
+            line_size,
+            // `run_plan` sets the processor count to the plan's tile count.
+            ..MachineConfig::uniform(0)
+        };
+        let report = run_plan(&result.plan, machine.clone(), &UniformHome).map_err(fail)?;
         front::print_traffic(&report);
         // Memory aligned to the loop partition, for a freshly planned
         // nest on a mesh.
         if mesh.is_some() && !args.has("--from-plan") {
-            let home = alp::aligned_home(&result.nest, &result.partition);
-            let aligned = front::simulate(&result.plan, mesh, line_size, &home)?;
+            let home = alp::aligned_home(&result.plan).map_err(fail)?;
+            let aligned = run_plan(&result.plan, machine, &home).map_err(fail)?;
             println!(
                 "  aligned memory  : {} remote misses / {} total, {} hops",
                 aligned.total_remote_misses(),

@@ -1,10 +1,9 @@
 //! What the commands share on the way in and out: reading sources and
-//! artifacts, the flag-driven [`Compiler`], certification, the machine
-//! simulation, and the one writer behind `--emit` / `--json`.
+//! artifacts, the flag-driven [`Compiler`], certification, the traffic
+//! printer, and the one writer behind `--emit` / `--json`.
 
 use crate::args::Args;
 use crate::report::{fail, fail_io};
-use alp::machine::{CacheConfig, DirectoryKind, HomeMap, MachineConfig};
 use alp::prelude::*;
 use std::collections::HashMap;
 use std::io::Read;
@@ -101,25 +100,6 @@ pub fn emit(path: &str, text: &str, what: &str) -> Result<(), ExitCode> {
         eprintln!("alp-cli: wrote {what} to {path}");
     }
     Ok(())
-}
-
-/// Simulate a plan's tiles on the machine model with memory laid out by
-/// `home` (the plan's own mesh applies when `mesh` is `None`).
-pub fn simulate(
-    plan: &PartitionPlan,
-    mesh: Option<(usize, usize)>,
-    line_size: u64,
-    home: &dyn HomeMap,
-) -> Result<TrafficReport, ExitCode> {
-    let cfg = MachineConfig {
-        // Overridden to the plan's tile count by run_plan.
-        processors: 0,
-        cache: CacheConfig::Infinite,
-        mesh,
-        line_size,
-        directory: DirectoryKind::FullMap,
-    };
-    alp::machine::run_plan(plan, cfg, home).map_err(fail)
 }
 
 pub fn print_traffic(report: &TrafficReport) {

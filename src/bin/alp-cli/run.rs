@@ -50,31 +50,33 @@ fn run(args: &Args) -> Result<ExitCode, ExitCode> {
     let compiler = front::compiler_from(args);
     let require_cert = args.has("--require-cert");
 
-    let result = if let Some(path) = args.get::<String>("--from-plan") {
+    let plan = if let Some(path) = args.get::<String>("--from-plan") {
         let plan = front::load_plan(&path)?;
         if require_cert && plan.certificate.is_none() {
             return Err(fail(CertifyError::Missing));
         }
-        compiler.compile_from_plan(&plan).map_err(fail)?
+        // A hand-edited grid is a plan-artifact error (`ALP0006`) here,
+        // not a lowering failure once the executor trips over it.
+        (plan.nest().and_then(|nest| plan.tiling(&nest))).map_err(fail)?;
+        plan
     } else {
         let (src, nest) = front::load_single_nest(args)?;
-        let result = compiler.compile(nest).map_err(|e| fail_in(&src, e))?;
-        eprint!("{}", result.report.render(&src));
+        let (plan, report) = (compiler.plan_with_report(&nest)).map_err(|e| fail_in(&src, e))?;
+        eprint!("{}", report.render(&src));
         if require_cert {
             // A DSL nest has no saved certificate to demand — certify it
             // in process and attach the proof, so execute() re-checks
             // the same path a saved certified plan takes.
-            let certified = front::certify_into((*result.plan).clone())?;
-            compiler.compile_from_plan(&certified).map_err(fail)?
+            front::certify_into(plan)?
         } else {
-            result
+            plan
         }
     };
     println!(
         "partition: grid {:?}, tile λ {:?}, modeled cost {}",
-        result.partition.proc_grid, result.partition.tile_extents, result.partition.cost
+        plan.proc_grid, plan.tile_extents, plan.cost
     );
-    if let Some(t) = &result.plan.transform {
+    if let Some(t) = &plan.transform {
         println!(
             "transform: skewed tiles, U rows {:?} (grid and λ are j-space)",
             (0..t.depth())
@@ -82,14 +84,14 @@ fn run(args: &Args) -> Result<ExitCode, ExitCode> {
                 .collect::<Vec<_>>()
         );
     }
-    if let Some(cert) = &result.plan.certificate {
+    if let Some(cert) = &plan.certificate {
         println!(
             "certificate: coverage {}, write-disjoint {}, in-bounds {}, idempotent {}",
             cert.coverage, cert.write_disjoint, cert.in_bounds, cert.idempotent
         );
     }
 
-    let summary = match compiler.execute(&result, &exec_opts, seed) {
+    let summary = match Compiler::execute(&plan, &exec_opts, seed) {
         Ok(s) => s,
         Err(e @ AlpError::Runtime(RuntimeError::ResourceExceeded { .. }))
             if args.has("--fallback-seq") =>
@@ -98,7 +100,7 @@ fn run(args: &Args) -> Result<ExitCode, ExitCode> {
             // directly (no threads, no touch bitsets, no snapshots).
             eprintln!("alp-cli: warning[{}]: {e}", e.code());
             eprintln!("alp-cli: falling back to a sequential interpreted run");
-            let exec = Executor::from_plan(&result.plan).map_err(fail)?;
+            let exec = Executor::from_plan(&plan).map_err(fail)?;
             let data = exec.run_sequential(seed);
             println!("\n== run (sequential fallback) ==");
             println!(

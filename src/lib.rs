@@ -25,10 +25,16 @@
 //! let ratio = optimal_aspect_ratio(&model).unwrap();
 //! assert_eq!(ratio, vec![Rat::int(2), Rat::int(3), Rat::int(4)]);
 //!
-//! // End-to-end: partition for 64 processors and simulate the machine.
+//! // End-to-end: partition for 64 processors, then lower the plan to
+//! // data partitions, placement and SPMD code.
 //! let result = Compiler::new(64).compile(nest).unwrap();
-//! assert_eq!(result.partition.tiles(), 64);
+//! assert_eq!(result.plan.tiles(), 64);
 //! ```
+//!
+//! [`Compiler`] is the §4 pipeline split at its one decision: the front
+//! half ([`Compiler::plan`]) chooses a [`PartitionPlan`], and everything
+//! after it — [`Compiler::lower`], [`Compiler::execute`], the simulator's
+//! [`run_plan`](alp_machine::run_plan) — is a function of the plan alone.
 //!
 //! The workspace crates, re-exported here:
 //!
@@ -46,7 +52,8 @@
 //! * [`plan`] — the [`PartitionPlan`] artifact: stable nest
 //!   fingerprints, the single tile enumerator
 //!   ([`Tiling`](alp_plan::Tiling), rectangular and skewed plans
-//!   alike), a versioned JSON schema, and the memoizing [`PlanCache`];
+//!   alike), a versioned JSON schema, and the memoizing
+//!   [`PlanCache`](alp_plan::PlanCache);
 //! * [`machine`] — a deterministic cache-coherent multiprocessor
 //!   simulator (full-map MSI directory);
 //! * [`codegen`] — iteration assignment and per-processor code emission;
@@ -72,11 +79,9 @@ pub use alp_runtime as runtime;
 pub use alp_serve as serve;
 
 use alp_loopir::{IrError, LoopNest, ParseError};
-use alp_machine::{
-    ArrayLayout, BlockRowMajorHome, HomeMap, MachineConfig, TrafficReport, UniformHome,
-};
-use alp_partition::{align_arrays, mesh_placement, ArrayPartition, MeshPlacement, RectPartition};
-use alp_plan::{LegalityVerdict, PartitionPlan, PlanCache, PlanError, PlanKey};
+use alp_machine::ArrayLayout;
+use alp_partition::{align_arrays, mesh_placement, ArrayPartition, MeshPlacement};
+use alp_plan::{LegalityVerdict, PartitionPlan, PlanError, PlanKey};
 use std::sync::Arc;
 
 /// Things that can go wrong in the pipeline.
@@ -249,8 +254,15 @@ impl From<alp_calibrate::CalibrateError> for AlpError {
     }
 }
 
-/// The compiler pipeline of §4 (Fig. 10): loop partitioning, data
-/// partitioning & alignment, placement, code generation.
+/// The compiler pipeline of §4 (Fig. 10), split at its one decision.
+/// The **front half** is a request: [`Compiler::plan`] runs the legality
+/// analysis and the tile-shape search under this compiler's parameters
+/// and returns the [`PartitionPlan`].  The **back half** reads nothing
+/// but a plan — its own processors, mesh, transform and certificate —
+/// so [`Compiler::lower`] (data alignment, placement, code),
+/// [`Compiler::execute`] (native run) and the simulator's
+/// [`run_plan`](alp_machine::run_plan) take no compiler at all, and a
+/// plan loaded from a file lowers exactly like a fresh one.
 #[derive(Debug, Clone)]
 pub struct Compiler {
     /// Number of processors to partition for.
@@ -273,26 +285,25 @@ pub struct Compiler {
     pub skewed: bool,
 }
 
-/// Everything the pipeline produces for one loop nest.
+/// What [`Compiler::lower`] makes of a plan: the plan itself, its nest,
+/// and what lowering adds.  The partition, the reference classes and
+/// the communication-free normals are the plan's own fields
+/// (`plan.proc_grid`, `plan.tile_extents`, `plan.cost`,
+/// `plan.class_footprints`, `plan.comm_free_normals`).
 #[derive(Debug, Clone)]
 pub struct CompileResult {
-    /// The analyzed nest.
+    /// The plan's nest ([`PartitionPlan::nest`]).
     pub nest: LoopNest,
     /// The partitioning decision as a serializable artifact — shared
-    /// (via [`Arc`]) with any [`PlanCache`] the compile went through.
+    /// (via [`Arc`]) with any [`PlanCache`](alp_plan::PlanCache) it came
+    /// out of.
     pub plan: Arc<PartitionPlan>,
-    /// Number of uniformly intersecting classes found.
-    pub class_count: usize,
-    /// The chosen rectangular partition.
-    pub partition: RectPartition,
-    /// Legality analysis findings (empty when compiled with
-    /// [`Compiler::unchecked`] or rebuilt from a cached/saved plan —
-    /// the plan's [`LegalityVerdict`] records the original verdict);
-    /// never contains errors — those abort [`Compiler::compile`] with
+    /// Legality analysis findings of [`Compiler::compile`] (empty when
+    /// compiled with [`Compiler::unchecked`] or lowered from a cached /
+    /// saved plan — the plan's [`LegalityVerdict`] records the original
+    /// verdict); never contains errors — those abort the compile with
     /// [`AlpError::Illegal`].
     pub report: alp_analysis::Report,
-    /// Communication-free hyperplane normals, if any exist.
-    pub comm_free_normals: Vec<alp_linalg::IVec>,
     /// Aligned data partitions, one per array.
     pub data_partitions: Vec<ArrayPartition>,
     /// Mesh placement of the processor grid (when a mesh is configured).
@@ -368,12 +379,6 @@ impl Compiler {
         self
     }
 
-    /// Parse and compile DSL source.
-    pub fn compile_src(&self, src: &str) -> Result<CompileResult, AlpError> {
-        let nest = alp_loopir::parse(src)?;
-        self.compile(nest)
-    }
-
     /// The cache key this compiler would use for a nest: the nest's
     /// structural fingerprint plus every parameter that can change the
     /// plan.
@@ -399,7 +404,10 @@ impl Compiler {
         self.plan_with_report(nest).map(|(plan, _)| plan)
     }
 
-    fn plan_with_report(
+    /// [`plan`](Compiler::plan) plus the legality findings behind the
+    /// plan's verdict (warnings only — errors are [`AlpError::Illegal`];
+    /// empty when [`unchecked`](Compiler::unchecked)).
+    pub fn plan_with_report(
         &self,
         nest: &LoopNest,
     ) -> Result<(PartitionPlan, alp_analysis::Report), AlpError> {
@@ -424,121 +432,55 @@ impl Compiler {
         Ok((plan, report))
     }
 
-    /// Run the full pipeline on a nest.
+    /// Run the full pipeline on a nest: plan it, then
+    /// [`lower`](Compiler::lower) the plan.  To memoize the expensive
+    /// half, plan through a cache —
+    /// `cache.get_or_try_insert_with(compiler.plan_key(&nest), ||
+    /// compiler.plan(&nest))` — and lower what comes out; lowering is
+    /// tens of microseconds, there is nothing to cache separately.
     pub fn compile(&self, nest: LoopNest) -> Result<CompileResult, AlpError> {
         let (plan, report) = self.plan_with_report(&nest)?;
-        self.finish(nest, Arc::new(plan), report)
+        Ok(CompileResult {
+            report,
+            ..Self::lower(plan)?
+        })
     }
 
-    /// Run the full pipeline, memoizing the expensive phases (legality
-    /// analysis, reference classification, tile-shape search) through a
-    /// [`PlanCache`].  A cache hit skips them all and rebuilds only the
-    /// cheap backend products (alignment, placement, code); its
-    /// diagnostics report is empty, with the original verdict preserved
-    /// in the plan's [`LegalityVerdict`].
-    pub fn compile_cached(
-        &self,
-        nest: LoopNest,
-        cache: &mut PlanCache,
-    ) -> Result<CompileResult, AlpError> {
-        let key = self.plan_key(&nest);
-        if let Some(plan) = cache.get(&key) {
-            return self.finish(nest, plan, alp_analysis::Report::default());
-        }
-        let (plan, report) = self.plan_with_report(&nest)?;
-        let plan = Arc::new(plan);
-        cache.insert(key, Arc::clone(&plan));
-        self.finish(nest, plan, report)
-    }
-
-    /// Rebuild a full [`CompileResult`] from a saved plan without
-    /// re-running analysis or the optimizer.  The nest comes from the
-    /// plan's embedded source and is verified against the recorded
-    /// fingerprint; the plan's own processor count and mesh are used
-    /// (a plan is self-contained provenance, not a request).
-    pub fn compile_from_plan(&self, plan: &PartitionPlan) -> Result<CompileResult, AlpError> {
-        let nest = plan.nest().map_err(AlpError::Plan)?;
-        self.finish(
-            nest,
-            Arc::new(plan.clone()),
-            alp_analysis::Report::default(),
-        )
-    }
-
-    /// The cheap backend phases, shared by every compile path: data
-    /// alignment, mesh placement, and code emission from an
-    /// already-decided plan.  The plan's grid is validated against the
-    /// nest first (a [`Tiling`](alp_plan::Tiling) must exist for it), so
-    /// a damaged plan file is an `ALP0006` here and never reaches a
-    /// backend that indexes by it.
-    fn finish(
-        &self,
-        nest: LoopNest,
-        plan: Arc<PartitionPlan>,
-        report: alp_analysis::Report,
-    ) -> Result<CompileResult, AlpError> {
-        plan.tiling(&nest).map_err(AlpError::Plan)?;
-        let partition = plan.rect_partition();
+    /// The cheap backend phases, for a fresh, cached or saved plan
+    /// alike: data alignment, mesh placement and code emission, from the
+    /// plan's own nest (embedded source, fingerprint re-verified),
+    /// processor count and mesh.  The plan's grid is validated against
+    /// the nest first (a [`Tiling`](alp_plan::Tiling) must exist for
+    /// it), so a damaged plan file is an `ALP0006` here and never
+    /// reaches a backend that indexes by it.
+    pub fn lower(plan: impl Into<Arc<PartitionPlan>>) -> Result<CompileResult, AlpError> {
+        let plan = plan.into();
+        let nest = plan.nest()?;
+        plan.tiling(&nest)?;
         // For a transformed plan the grid and extents live in `j`-space,
         // so the rectangular i-space backends (data alignment, SPMD rect
         // codegen) do not apply: alignment is skipped and the emitted
         // code is a note pointing at the native transformed executor.
         let (data_partitions, code) = match &plan.transform {
             None => (
-                align_arrays(&nest, &partition.tile_extents),
-                alp_codegen::emit_rect_code(&nest, &partition.proc_grid),
+                align_arrays(&nest, &plan.tile_extents),
+                alp_codegen::emit_rect_code(&nest, &plan.proc_grid),
             ),
-            Some(t) => (Vec::new(), transformed_code_note(t, &partition.proc_grid)),
+            Some(t) => (Vec::new(), transformed_code_note(t, &plan.proc_grid)),
         };
-        let placement = plan
-            .mesh
-            .map(|mesh| mesh_placement(&partition.proc_grid, mesh));
+        let placement = plan.mesh.map(|mesh| mesh_placement(&plan.proc_grid, mesh));
         Ok(CompileResult {
-            class_count: plan.class_footprints.len(),
-            comm_free_normals: plan.comm_free_normals.clone(),
             nest,
             plan,
-            partition,
-            report,
+            report: alp_analysis::Report::default(),
             data_partitions,
             placement,
             code,
         })
     }
 
-    fn simulate_plan(&self, result: &CompileResult, home: &dyn HomeMap) -> TrafficReport {
-        alp_machine::run_plan(
-            &result.plan,
-            MachineConfig {
-                // Overridden by run_plan to the plan's tile count.
-                processors: 0,
-                cache: alp_machine::CacheConfig::Infinite,
-                mesh: self.mesh,
-                line_size: 1,
-                directory: alp_machine::DirectoryKind::FullMap,
-            },
-            home,
-        )
-        .expect("a plan produced by this compiler round-trips")
-    }
-
-    /// Simulate the compiled partition on the machine model with uniform
-    /// (monolithic) memory — the §2.2 configuration.
-    pub fn simulate_uniform(&self, result: &CompileResult) -> TrafficReport {
-        self.simulate_plan(result, &UniformHome)
-    }
-
-    /// Simulate with block-distributed memory (no alignment) — the
-    /// baseline the alignment experiments improve on.
-    pub fn simulate_distributed(&self, result: &CompileResult) -> TrafficReport {
-        let layout = ArrayLayout::from_nest(&result.nest);
-        let p = usize::try_from(result.plan.tiles()).expect("tile count fits usize");
-        let home = BlockRowMajorHome::new(p, layout.total_lines());
-        self.simulate_plan(result, &home)
-    }
-
-    /// Natively execute the compiled partition on OS threads and check
-    /// the parallel result bitwise against a sequential reference run.
+    /// Natively execute a plan on OS threads and check the parallel
+    /// result bitwise against a sequential reference run.
     ///
     /// Arrays are materialized as real `f64` buffers seeded from `seed`
     /// (small integer values, so floating-point addition stays exact and
@@ -554,41 +496,31 @@ impl Compiler {
     /// verdicts — never the stored bits — configure the executor's
     /// relaxed-store fast path and certified retry policy.
     pub fn execute(
-        &self,
-        result: &CompileResult,
+        plan: &PartitionPlan,
         opts: &alp_runtime::ExecOptions,
         seed: u64,
     ) -> Result<ExecutionSummary, AlpError> {
-        let mut exec = alp_runtime::Executor::from_plan(&result.plan)?;
-        if result.plan.certificate.is_some() {
-            let proven = alp_certify::recheck(&result.plan)?;
+        let mut exec = alp_runtime::Executor::from_plan(plan)?;
+        if plan.certificate.is_some() {
+            let proven = alp_certify::recheck(plan)?;
             exec.apply_certificate(proven.coverage && proven.write_disjoint, proven.idempotent);
         }
         let certified_fastpath = exec.uses_relaxed_stores();
-        let extents = exec.tile_extents().to_vec();
         let outcome = exec.verify(seed, opts)?;
         // A transformed plan's tile extents are `j`-space quantities; the
         // cost model predicts i-space rectangular footprints, so the
         // comparison would be apples to oranges.
-        let model_comparison = if result.plan.transform.is_some() {
+        let model_comparison = if plan.transform.is_some() {
             None
         } else {
-            let model = alp_footprint::CostModel::from_nest(&result.nest);
-            outcome.report.compare_with_model(&model, &extents)
+            let model = alp_footprint::CostModel::from_nest(exec.nest());
+            (outcome.report).compare_with_model(&model, exec.tile_extents())
         };
         Ok(ExecutionSummary {
             outcome,
             model_comparison,
             certified_fastpath,
         })
-    }
-
-    /// Simulate with memory **aligned to the loop partition** (§4's data
-    /// partitioning + alignment): array tile `(c₀, c₁, …)` is stored on
-    /// the processor executing loop tile `(c₀, c₁, …)`.
-    pub fn simulate_aligned(&self, result: &CompileResult) -> TrafficReport {
-        let home = aligned_home(&result.nest, &result.partition);
-        self.simulate_plan(result, &home)
     }
 }
 
@@ -615,23 +547,25 @@ fn transformed_code_note(t: &alp_plan::Transform, grid: &[i128]) -> String {
     )
 }
 
-/// Build the aligned data distribution for a rectangular loop partition:
-/// each array's tiles get the aspect ratio of the loop tiles *mapped
-/// through its reference matrix* and land on the processor that owns the
-/// matching loop tile.
+/// Build the memory distribution **aligned to a rectangular plan** (§4's
+/// data partitioning + alignment), to simulate it with
+/// [`run_plan`](alp_machine::run_plan): each array's tiles get the
+/// aspect ratio of the loop tiles *mapped through its reference matrix*
+/// and land on the processor that owns the matching loop tile.
 ///
 /// Data dimensions whose subscript mixes several loop indices (skewed
 /// columns) are not distributed (grid factor 1) — the analysis cannot
 /// align them with a rectangular grid; `alp-partition`'s parallelepiped
 /// machinery covers those shapes analytically instead.
-pub fn aligned_home(nest: &LoopNest, partition: &RectPartition) -> alp_machine::TiledHome {
+pub fn aligned_home(plan: &PartitionPlan) -> Result<alp_machine::TiledHome, PlanError> {
     use alp_footprint::classify;
     use alp_machine::TiledArrayHome;
 
-    let layout = ArrayLayout::from_nest(nest);
+    let nest = plan.nest()?;
+    let layout = ArrayLayout::from_nest(&nest)?;
     let mut arrays = Vec::new();
     let mut described = std::collections::HashSet::new();
-    for class in classify(nest) {
+    for class in classify(&nest) {
         if !described.insert(class.array.clone()) {
             continue;
         }
@@ -643,11 +577,6 @@ pub fn aligned_home(nest: &LoopNest, partition: &RectPartition) -> alp_machine::
             .iter()
             .map(|&(lo, hi)| (hi - lo + 1).max(1) as u64)
             .product();
-        let base = {
-            // First line of this array: evaluate the lowest corner.
-            let corner = alp_linalg::IVec(extents.iter().map(|&(lo, _)| lo).collect());
-            layout.line(id, &corner)
-        };
         let d = class.g.cols();
         let mut chunks = vec![0i128; d];
         let mut owner_dim = vec![None; d];
@@ -658,7 +587,7 @@ pub fn aligned_home(nest: &LoopNest, partition: &RectPartition) -> alp_machine::
             let full = extents[k].1 - extents[k].0 + 1;
             match nz.as_slice() {
                 [r] if used_rows.insert(*r) => {
-                    let lam = partition.tile_extents[*r];
+                    let lam = plan.tile_extents[*r];
                     chunks[k] = ((lam + 1) * col[*r].abs()).max(1);
                     owner_dim[k] = Some(*r);
                 }
@@ -668,14 +597,14 @@ pub fn aligned_home(nest: &LoopNest, partition: &RectPartition) -> alp_machine::
             }
         }
         arrays.push(TiledArrayHome {
-            base,
+            base: layout.base(id),
             size,
             extents,
             chunks,
             owner_dim,
         });
     }
-    alp_machine::TiledHome::new(partition.proc_grid.clone(), arrays)
+    Ok(alp_machine::TiledHome::new(plan.proc_grid.clone(), arrays))
 }
 
 /// Convenient glob import for downstream users.
@@ -701,8 +630,8 @@ pub mod prelude {
         LoopNest,
     };
     pub use alp_machine::{
-        run_nest, ArrayLayout, BlockRowMajorHome, CacheConfig, DirectoryKind, MachineConfig,
-        TrafficReport, UniformHome,
+        run_nest, run_plan, ArrayLayout, BlockRowMajorHome, CacheConfig, DirectoryKind,
+        MachineConfig, TrafficReport, UniformHome,
     };
     pub use alp_partition::{
         abraham_hudak_rect, align_arrays, aspect_ratio_with_spread, communication_free_normals,

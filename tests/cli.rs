@@ -321,6 +321,34 @@ fn run_timeout_exits_6_with_alp0007() {
 }
 
 #[test]
+fn run_refuses_nests_beyond_u64_with_alp0005() {
+    // 2^32 × 2^32: the first nest's arrays (2^64 elements each) used to
+    // wrap to a two-element store, the second's 2^64 points to an empty
+    // run — either way past the budget and the deadline into a
+    // reference interpreter with neither.  Both are lowering failures,
+    // reported before anything is allocated or spawned (a regression
+    // here is a hang: the test harness's own timeout is the watchdog).
+    for body in ["A[i,j] = B[i,j];", "l$S[0] = l$S[0] + A[0];"] {
+        let nest = format!("doall (i, 0, 4294967295) {{ doall (j, 0, 4294967295) {{ {body} }} }}");
+        for require_cert in [false, true] {
+            let mut args = vec!["run", "-p", "4", "--no-check"];
+            args.extend(["--timeout-ms", "2000", "--max-store-bytes", "1000000"]);
+            if require_cert {
+                // Certifying 2^64 points is closed-form; it must not be
+                // what spins either.
+                args.push("--require-cert");
+            }
+            args.push("-");
+            let (stdout, stderr, code) = run_cli(&args, Some(&nest));
+            assert_eq!(code, Some(1), "{body}: {stderr}");
+            assert!(stderr.contains("error[ALP0005]"), "{body}: {stderr}");
+            assert!(stdout.contains("partition: grid"), "{body}: {stdout}");
+            assert!(!stdout.contains("== run"), "{body}: {stdout}");
+        }
+    }
+}
+
+#[test]
 fn run_over_budget_exits_8_with_alp0009() {
     let (_, stderr, code) = run_cli(
         &["run", "-p", "4", "--max-store-bytes", "10", "-"],

@@ -10,7 +10,7 @@ use alp::prelude::*;
 #[test]
 fn compiler_refuses_racy_nest() {
     let err = Compiler::new(4)
-        .compile_src("doall (i, 0, 15) { A[i] = A[i+1]; }")
+        .compile(parse("doall (i, 0, 15) { A[i] = A[i+1]; }").unwrap())
         .unwrap_err();
     match err {
         AlpError::Illegal(report) => {
@@ -25,9 +25,9 @@ fn compiler_refuses_racy_nest() {
 fn unchecked_compiles_racy_nest() {
     let result = Compiler::new(4)
         .unchecked()
-        .compile_src("doall (i, 0, 15) { A[i] = A[i+1]; }")
+        .compile(parse("doall (i, 0, 15) { A[i] = A[i+1]; }").unwrap())
         .unwrap();
-    assert_eq!(result.partition.tiles(), 4);
+    assert_eq!(result.plan.tiles(), 4);
     assert!(result.report.diagnostics.is_empty());
 }
 
@@ -36,10 +36,13 @@ fn compiler_accepts_accumulate_matmul() {
     // Fig. 11: the C-races flow only through fine-grain synchronized
     // accumulates, which Appendix A admits.
     let result = Compiler::new(8)
-        .compile_src(
-            "doall (i, 1, 8) { doall (j, 1, 8) { doall (k, 1, 8) {
+        .compile(
+            parse(
+                "doall (i, 1, 8) { doall (j, 1, 8) { doall (k, 1, 8) {
                l$C[i,j] = l$C[i,j] + A[i,k] + B[k,j];
              } } }",
+            )
+            .unwrap(),
         )
         .unwrap();
     assert!(!result.report.has_errors());
@@ -50,10 +53,13 @@ fn compiler_accepts_clean_stencil_reads() {
     // Example 8's shape: writes are identity, reads hit a different
     // array — no write/write or write/read conflicts.
     let result = Compiler::new(16)
-        .compile_src(
-            "doall (i, 1, 16) { doall (j, 1, 16) {
+        .compile(
+            parse(
+                "doall (i, 1, 16) { doall (j, 1, 16) {
                A[i,j] = B[i-1,j] + B[i,j+1];
              } }",
+            )
+            .unwrap(),
         )
         .unwrap();
     assert!(!result.report.has_errors());
@@ -63,7 +69,7 @@ fn compiler_accepts_clean_stencil_reads() {
 #[test]
 fn plain_reduction_is_refused_with_suggestion() {
     let err = Compiler::new(4)
-        .compile_src("doall (i, 0, 3) { doall (k, 0, 3) { C[i] = C[i] + A[i,k]; } }")
+        .compile(parse("doall (i, 0, 3) { doall (k, 0, 3) { C[i] = C[i] + A[i,k]; } }").unwrap())
         .unwrap_err();
     let AlpError::Illegal(report) = err else {
         panic!("expected Illegal")
@@ -120,7 +126,7 @@ fn exact_tester_matches_brute_force_on_compact_nests() {
 fn lint_only_findings_do_not_block_compilation() {
     // Rank-deficient read reference: warning, not error.
     let result = Compiler::new(4)
-        .compile_src("doall (i, 0, 7) { doall (j, 0, 7) { B[i,j] = A[i, 2*i, i+j]; } }")
+        .compile(parse("doall (i, 0, 7) { doall (j, 0, 7) { B[i,j] = A[i, 2*i, i+j]; } }").unwrap())
         .unwrap();
     assert!(result.report.has_warnings());
     assert!(!result.report.has_errors());

@@ -159,8 +159,15 @@ fn optimizer_beats_naive_on_machine() {
     }
 }
 
+/// Simulate a plan on its own mesh (infinite caches, unit lines) with
+/// memory laid out by `home`.
+fn simulate(plan: &PartitionPlan, home: &dyn alp::machine::HomeMap) -> TrafficReport {
+    run_plan(plan, MachineConfig::uniform(0), home).unwrap()
+}
+
 /// Alignment reduces remote misses on the distributed machine (the §4
-/// data-partitioning claim), using the facade's two simulation modes.
+/// data-partitioning claim): block-distributed memory against memory
+/// aligned to the loop partition.
 #[test]
 fn alignment_improves_locality() {
     let src = "doseq (t, 1, 2) {
@@ -171,8 +178,11 @@ fn alignment_improves_locality() {
     // The relaxation races across iterations (Jacobi-in-place); the
     // paper still partitions it, so opt out of the legality gate.
     let compiler = Compiler::new(16).with_mesh(4, 4).unchecked();
-    let result = compiler.compile_src(src).unwrap();
-    let dist = compiler.simulate_distributed(&result);
+    let plan = compiler.plan(&parse(src).unwrap()).unwrap();
+    let lines = ArrayLayout::from_nest(&plan.nest().unwrap())
+        .unwrap()
+        .total_lines();
+    let dist = simulate(&plan, &BlockRowMajorHome::new(16, lines));
     // Block row-major homes do not match the 2-D tiles: many remote
     // misses.
     assert!(dist.total_remote_misses() > 0);
@@ -180,7 +190,7 @@ fn alignment_improves_locality() {
 
     // The §4 aligned distribution strictly improves locality and hop
     // traffic.
-    let aligned = compiler.simulate_aligned(&result);
+    let aligned = simulate(&plan, &alp::aligned_home(&plan).unwrap());
     assert!(aligned.check_conservation());
     assert!(
         aligned.total_remote_misses() < dist.total_remote_misses(),
@@ -201,8 +211,8 @@ fn aligned_home_transposed_reference() {
                  A[i,j] = A[i,j] + B[j,i];
                } }";
     let compiler = Compiler::new(16).with_mesh(4, 4);
-    let result = compiler.compile_src(src).unwrap();
-    let aligned = compiler.simulate_aligned(&result);
+    let plan = compiler.plan(&parse(src).unwrap()).unwrap();
+    let aligned = simulate(&plan, &alp::aligned_home(&plan).unwrap());
     assert!(aligned.check_conservation());
     // A is perfectly aligned: its misses are local.  B is transposed;
     // its tiles are aligned through the transposed owner mapping, which

@@ -50,8 +50,8 @@ fn example2_end_to_end() {
 
     // Pipeline picks the strip partition.
     let result = Compiler::new(100).compile(nest).unwrap();
-    assert_eq!(result.partition.proc_grid, vec![1, 100]);
-    assert_eq!(result.comm_free_normals, vec![IVec::new(&[0, 1])]);
+    assert_eq!(result.plan.proc_grid, vec![1, 100]);
+    assert_eq!(result.plan.comm_free_normals, vec![IVec::new(&[0, 1])]);
 }
 
 /// Example 3: the parallelogram beats every rectangle, in the model and
@@ -312,12 +312,12 @@ fn pipeline_smoke_all_examples() {
            l$C[i,j] = l$C[i,j] + A[i,k] + B[k,j]; } } }",
     ];
     for src in sources {
-        let compiler = Compiler::new(16).with_mesh(4, 4);
-        let result = compiler
-            .compile_src(src)
+        let result = Compiler::new(16)
+            .with_mesh(4, 4)
+            .compile(parse(src).unwrap())
             .unwrap_or_else(|e| panic!("{src}: {e}"));
-        assert_eq!(result.partition.tiles(), 16, "{src}");
-        let report = compiler.simulate_uniform(&result);
+        assert_eq!(result.plan.tiles(), 16, "{src}");
+        let report = run_plan(&result.plan, MachineConfig::uniform(0), &UniformHome).unwrap();
         assert!(report.check_conservation(), "{src}");
         assert!(report.total_accesses() > 0, "{src}");
         assert!(!result.code.is_empty());

@@ -305,28 +305,30 @@ fn malformed_corpus_is_rejected_with_stable_codes() {
 
 #[test]
 fn warm_cache_compile_equals_cold_compile() {
+    // The memoized compile: plan through the cache, lower what comes
+    // out (lowering is too cheap to cache).
     let compiler = golden_compiler();
     let mut cache = PlanCache::new(8);
+    let mut memoized_compile = |nest: LoopNest| {
+        cache
+            .get_or_try_insert_with(compiler.plan_key(&nest), || compiler.plan(&nest))
+            .and_then(Compiler::lower)
+    };
 
-    let cold = compiler
-        .compile_cached(golden_nest(), &mut cache)
-        .expect("cold compile");
-    let warm = compiler
-        .compile_cached(golden_nest(), &mut cache)
-        .expect("warm compile");
+    let cold = memoized_compile(golden_nest()).expect("cold compile");
+    let warm = memoized_compile(golden_nest()).expect("warm compile");
 
     assert_eq!(cache.stats().misses, 1);
     assert_eq!(cache.stats().hits, 1);
+    assert!(std::sync::Arc::ptr_eq(&cold.plan, &warm.plan));
     assert_eq!(cold.plan.to_json_string(), warm.plan.to_json_string());
     assert_eq!(cold.code.clone(), warm.code.clone());
-    assert_eq!(cold.partition.proc_grid, warm.partition.proc_grid);
+    assert_eq!(cold.plan.proc_grid, warm.plan.proc_grid);
 
     // The cached plan and a from-plan compile agree with a fresh one.
     let fresh = compiler.compile(golden_nest()).expect("fresh compile");
     assert_eq!(fresh.plan.to_json_string(), warm.plan.to_json_string());
-    let replayed = compiler
-        .compile_from_plan(&warm.plan)
-        .expect("replay from plan");
+    let replayed = Compiler::lower(warm.plan).expect("replay from plan");
     assert_eq!(replayed.code.clone(), fresh.code.clone());
 }
 
@@ -343,6 +345,68 @@ const PARITY_SOURCES: [&str; 5] = [
     // Strided references.
     "doall (i, 0, 63) { doall (j, 0, 63) { A[2*i,j] = B[2*i+1,3*j] + B[2*i,3*j+2]; } }",
 ];
+
+#[test]
+fn lowering_reads_nothing_but_the_plan() {
+    // The back half is a function of the plan alone: a fresh plan and
+    // its decode(encode()) lower to the same data partitions, placement
+    // and code, and `compile` is `plan_with_report` + `lower` — under
+    // any request shape, on a mesh or off it, rectangular or skewed.
+    let same = |a: &CompileResult, b: &CompileResult, what: &str| {
+        assert_eq!(a.nest, b.nest, "{what}");
+        assert_eq!(a.plan, b.plan, "{what}");
+        assert_eq!(a.code, b.code, "{what}");
+        assert_eq!(a.data_partitions, b.data_partitions, "{what}");
+        assert_eq!(
+            format!("{:?}", a.placement),
+            format!("{:?}", b.placement),
+            "{what}"
+        );
+    };
+    for source in PARITY_SOURCES {
+        let nest = parse(source).expect("source parses");
+        for processors in [1, 8, 24] {
+            let plain = Compiler::new(processors);
+            // (`mesh_placement` asserts the mesh holds every processor.)
+            let mesh_w = if processors > 16 { 8 } else { 4 };
+            let mut compilers = vec![plain.clone(), plain.clone().with_mesh(mesh_w, 4)];
+            if nest.depth() == 2 {
+                compilers.push(plain.with_skewed_tiles());
+            }
+            for compiler in compilers {
+                let what = format!("{compiler:?}: {source}");
+                let (plan, report) = compiler.plan_with_report(&nest).expect("plans");
+                let fresh = Compiler::lower(plan.clone()).expect("fresh plan lowers");
+                let saved = PartitionPlan::from_json_str(&plan.to_json_string()).expect("decodes");
+                same(
+                    &fresh,
+                    &Compiler::lower(saved).expect("saved plan lowers"),
+                    &what,
+                );
+                assert!(fresh.report.diagnostics.is_empty(), "{what}");
+
+                let compiled = compiler.compile(nest.clone()).expect("compiles");
+                same(&compiled, &fresh, &what);
+                assert_eq!(compiled.nest, nest, "{what}");
+                assert_eq!(
+                    compiled.report.render(source),
+                    report.render(source),
+                    "{what}"
+                );
+                assert_eq!(
+                    compiled.placement.is_some(),
+                    compiler.mesh.is_some(),
+                    "{what}"
+                );
+                assert_eq!(
+                    compiled.data_partitions.is_empty(),
+                    compiler.skewed,
+                    "{what}"
+                );
+            }
+        }
+    }
+}
 
 #[test]
 fn facade_adds_no_decision_to_the_planner() {

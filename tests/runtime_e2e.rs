@@ -19,7 +19,7 @@ fn example8_executes_and_matches_model() {
     let compiler = Compiler::new(24);
     let result = compiler.compile(example8()).unwrap();
     // 24 processors factor into the paper's 2:3:4 tile proportions.
-    let mut sorted = result.partition.proc_grid.clone();
+    let mut sorted = result.plan.proc_grid.clone();
     sorted.sort_unstable();
     assert_eq!(sorted, vec![2, 3, 4]);
 
@@ -30,7 +30,7 @@ fn example8_executes_and_matches_model() {
         track_touches: true,
         ..ExecOptions::default()
     };
-    let summary = compiler.execute(&result, &opts, 0xE8).unwrap();
+    let summary = Compiler::execute(&result.plan, &opts, 0xE8).unwrap();
     assert!(
         summary.outcome.matches_reference,
         "parallel result differs from sequential reference"
@@ -63,7 +63,7 @@ fn example8_dynamic_schedule_agrees() {
         track_touches: false,
         ..ExecOptions::default()
     };
-    let summary = compiler.execute(&result, &opts, 7).unwrap();
+    let summary = Compiler::execute(&result.plan, &opts, 7).unwrap();
     assert!(summary.outcome.matches_reference);
     // Touch tracking off: no footprint measurement, no comparison.
     assert!(summary.model_comparison.is_none());
@@ -80,11 +80,10 @@ fn runtime_footprints_agree_with_simulator() {
          } }",
     )
     .unwrap();
-    let compiler = Compiler::new(16);
-    let result = compiler.compile(nest).unwrap();
-    let traffic = compiler.simulate_uniform(&result);
+    let result = Compiler::new(16).compile(nest).unwrap();
+    let traffic = run_plan(&result.plan, MachineConfig::uniform(0), &UniformHome).unwrap();
 
-    let exec = Executor::from_grid(&result.nest, &result.partition.proc_grid).unwrap();
+    let exec = Executor::from_grid(&result.nest, &result.plan.proc_grid).unwrap();
     let store = exec.seeded_store(3);
     let report = exec.run(&store, &ExecOptions::default()).unwrap();
     for (tile, (measured, cold)) in report.compare_with_traffic(&traffic).iter().enumerate() {
