@@ -83,18 +83,43 @@ fn dedup(sys: &System) -> System {
     out
 }
 
+/// What [`integer_point`] found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Answer {
+    /// An integer point satisfying every constraint.
+    Point(Vec<i128>),
+    /// Proven: no integer point satisfies the system.
+    Empty,
+    /// No point was found, but a DFS node's range reached `MAX_RANGE`
+    /// (or was unbounded and cut there) or the walk passed `MAX_NODES`,
+    /// so part of the region was never looked at: emptiness is **not**
+    /// proven.
+    GaveUp,
+}
+
 /// Find any integer point satisfying every constraint of `sys`, or
-/// `None` when no integer solution exists.  Exact: never reports a point
-/// that violates a constraint, never misses one when the feasible region
-/// is bounded (the dependence systems always are; unbounded directions
-/// are truncated at a large safety cap).
+/// `None` when none was found — [`integer_point`] with its give-up read
+/// as "no point".  That reading is unsound for a caller that takes
+/// `None` as a proof of emptiness; the dependence tester still does
+/// (ROADMAP, Correctness), the certifier does not.
 pub fn find_integer_point(sys: &System) -> Option<Vec<i128>> {
+    match integer_point(sys) {
+        Answer::Point(p) => Some(p),
+        Answer::Empty | Answer::GaveUp => None,
+    }
+}
+
+/// Decide whether an integer point satisfies every constraint of `sys`.
+/// Exact: never reports a point that violates a constraint, and answers
+/// [`Answer::Empty`] only when the whole feasible region was ruled out;
+/// a region too wide for the safety caps is [`Answer::GaveUp`].
+pub fn integer_point(sys: &System) -> Answer {
     let t = sys.vars;
     if t == 0 {
         return if sys.constraints.iter().all(|c| c.bound >= Rat::ZERO) {
-            Some(Vec::new())
+            Answer::Point(Vec::new())
         } else {
-            None
+            Answer::Empty
         };
     }
     // chain[r] mentions only variables 0..=r.
@@ -105,16 +130,25 @@ pub fn find_integer_point(sys: &System) -> Option<Vec<i128>> {
         let projected = eliminate(&chain[r + 1], r + 1);
         chain[r] = dedup(&projected);
         if chain[r].trivially_infeasible() {
-            return None;
+            return Answer::Empty;
         }
     }
     let mut assign = vec![0i128; t];
-    let mut nodes = 0usize;
-    if dfs(&chain, sys, 0, &mut assign, &mut nodes) {
-        Some(assign)
+    let mut walk = Walk::default();
+    if dfs(&chain, sys, 0, &mut assign, &mut walk) {
+        Answer::Point(assign)
+    } else if walk.gave_up {
+        Answer::GaveUp
     } else {
-        None
+        Answer::Empty
     }
+}
+
+/// What one search has spent, and whether a cap cut any of it short.
+#[derive(Default)]
+struct Walk {
+    nodes: usize,
+    gave_up: bool,
 }
 
 /// Enumerate integer values of variable `r` within the exact rational
@@ -125,10 +159,11 @@ fn dfs(
     original: &System,
     r: usize,
     assign: &mut [i128],
-    nodes: &mut usize,
+    walk: &mut Walk,
 ) -> bool {
-    *nodes += 1;
-    if *nodes > MAX_NODES {
+    walk.nodes += 1;
+    if walk.nodes > MAX_NODES {
+        walk.gave_up = true;
         return false;
     }
     let t = chain.len();
@@ -162,13 +197,16 @@ fn dfs(
             });
         }
     }
-    // The dependence systems are bounded; cap unbounded directions.
+    // The dependence systems are bounded; cap unbounded directions
+    // (what lies past the cap is not looked at).
+    walk.gave_up |= lo.is_none() || hi.is_none();
     let lo_i = lo.map_or(-MAX_RANGE, |q| q.ceil());
     let hi_i = hi.map_or(MAX_RANGE, |q| q.floor());
     if lo_i > hi_i {
         return false;
     }
     if (hi_i - lo_i) >= MAX_RANGE {
+        walk.gave_up = true;
         return false;
     }
     for v in lo_i..=hi_i {
@@ -177,7 +215,7 @@ fn dfs(
             if satisfies(original, assign) {
                 return true;
             }
-        } else if dfs(chain, original, r + 1, assign, nodes) {
+        } else if dfs(chain, original, r + 1, assign, walk) {
             return true;
         }
     }
@@ -219,7 +257,33 @@ mod tests {
         let mut s = System::new(1);
         s.ge(vec![r(1)], r(3));
         s.le(vec![r(1)], r(2));
-        assert!(find_integer_point(&s).is_none());
+        assert_eq!(integer_point(&s), Answer::Empty);
+    }
+
+    #[test]
+    fn a_range_past_the_cap_is_a_give_up_not_a_proof() {
+        // 0 ≤ x ≤ 2·10⁶ is full of integer points; the search looks at
+        // none of them and must say so.
+        let mut s = System::new(1);
+        s.ge(vec![r(1)], r(0));
+        s.le(vec![r(1)], r(2 * MAX_RANGE));
+        assert_eq!(integer_point(&s), Answer::GaveUp);
+        assert_eq!(find_integer_point(&s), None);
+        // A point found elsewhere still wins over a node that gave up.
+        let mut s = System::new(2);
+        s.ge(vec![r(1), r(0)], r(0));
+        s.le(vec![r(1), r(0)], r(1));
+        s.ge(vec![r(0), r(1)], r(0));
+        s.le(vec![r(-2 * MAX_RANGE), r(1)], r(0)); // y ≤ 2·10⁶·x
+        assert_eq!(integer_point(&s), Answer::Point(vec![0, 0]));
+        // A half-line is cut at the cap: finding nothing proves nothing.
+        let mut s = System::new(1);
+        s.ge(vec![r(2)], r(2 * MAX_RANGE + 1));
+        s.le(vec![r(2)], r(2 * MAX_RANGE + 1));
+        assert_eq!(integer_point(&s), Answer::Empty, "bounded: 2x = odd");
+        let mut s = System::new(1);
+        s.ge(vec![r(1)], r(MAX_RANGE + 1));
+        assert_eq!(integer_point(&s), Answer::GaveUp);
     }
 
     #[test]

@@ -83,7 +83,7 @@ fn main() {
     // Placement ablation: snake vs direct embedding of the grid.
     println!("\nplacement: average weighted neighbour hops on a 4x4 mesh");
     let weights = vec![1.0, 1.0];
-    let direct = mesh_placement(&part.proc_grid, (4, 4));
+    let direct = mesh_placement(&part.proc_grid, (4, 4)).expect("16 processors fit a 4x4 mesh");
     println!(
         "  grid-aware embedding: {:.2}",
         direct.weighted_neighbor_hops(&weights)

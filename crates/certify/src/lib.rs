@@ -36,10 +36,47 @@
 //! embedded in a plan against a fresh recomputation, rejecting stale
 //! fingerprints and flipped verdict bits — the tamper-evidence the
 //! executor's relaxed-store fast path and certified retry rely on.
+//!
+//! # Two procedures, one set of verdicts
+//!
+//! The four bits are computed by two procedures that must agree.
+//!
+//! * The **pairwise prover** (`prove_*`) is the description above: one
+//!   feasibility question per unordered pair of tiles, `O(T²)` of them,
+//!   each ending in a witness when it is refuted.  [`certify`] runs it:
+//!   a certificate is issued once, and only the prover can say *which*
+//!   tiles, iterations and elements refute a fact.
+//! * The **structural decider** (`decide_*`) reads the same verdicts off
+//!   the grid's `Σ g_k` cut points and keeps no witness.  Coverage: the
+//!   tiles are a product of per-dimension interval partitions, checked
+//!   in `O(Σ g_k + T·l)` integer comparisons.  Write-disjointness: two
+//!   points of the gridded box lie in different tiles iff some cut
+//!   `lo_k + m·c_k` separates them, so one integer search per ordered
+//!   pair of write references and split dimension — over the solution
+//!   lattice of `w₁(x) = w₂(y)` and the cut index `m` — replaces one per
+//!   pair of tiles.  In-bounds is interval arithmetic on the loop-bound
+//!   box; idempotence never depended on the tiles.  [`recheck`] runs
+//!   it: a certificate is re-checked at every execution, and the tamper
+//!   check must not cost what the proof cost.
+//!
+//! [`certify`] has not switched to the decider, and there is no option
+//! to make it: the prover is the only producer of counterexample notes,
+//! and the benchmark's `compile-cold` window stores one sample per
+//! completed operation, so a faster `certify` reads as a memory
+//! regression until that window is bounded (ROADMAP, "Certification in
+//! time linear in tiles").  Until then `tests/certify_props.rs` holds
+//! the two to the same verdicts on random plans.
+//!
+//! **Fail closed.**  An integer search that gives up
+//! ([`Answer::GaveUp`]) proves nothing, so either procedure records the
+//! fact as `false`; and where the two disagree — they ask differently
+//! sized questions, so one can give up where the other does not —
+//! [`recheck`] refuses the certificate (`ALP0011`) rather than trust
+//! either side.
 
 #![warn(missing_docs)]
 
-use alp_analysis::search::find_integer_point;
+use alp_analysis::search::{integer_point, Answer};
 use alp_lattice::Lattice;
 use alp_linalg::fm::System;
 use alp_linalg::{integer_nullspace, solve_integer, IMat, IVec, Rat};
@@ -164,18 +201,7 @@ pub fn certify(plan: &PartitionPlan) -> Result<CertifyReport, CertifyError> {
     let tiling = plan.tiling(&nest)?;
     let boxes: Vec<Box128> = tiling.boxes().iter().map(box128).collect();
     let coverage = prove_coverage(&nest, &tiling, &boxes, &mut notes);
-    // Write refs composed with V = U⁻¹ address the same elements from
-    // j-points that the originals address from their pre-images;
-    // solving over the *unclipped* j-boxes over-approximates each
-    // tile's iterations, which can only refute (never spuriously
-    // prove) disjointness.
-    let writes: Vec<ArrayRef> = (nest.body.iter())
-        .map(|st| match &plan.transform {
-            None => st.lhs.clone(),
-            Some(t) => transformed_ref(&st.lhs, t.v()),
-        })
-        .collect();
-    let write_disjoint = prove_write_disjoint(&writes, &boxes, &mut notes);
+    let write_disjoint = prove_write_disjoint(&write_refs(&nest, plan), &boxes, &mut notes);
     let in_bounds = prove_in_bounds(&nest, &mut notes);
     let idempotent = prove_idempotent(&nest, &mut notes);
     Ok(CertifyReport {
@@ -190,12 +216,18 @@ pub fn certify(plan: &PartitionPlan) -> Result<CertifyReport, CertifyError> {
     })
 }
 
-/// Validate the certificate embedded in a plan: recompute all four
-/// facts and require exact agreement (a certificate claiming *less*
-/// than is provable is just as tampered as one claiming more).
+/// Validate the certificate embedded in a plan: decide all four facts
+/// afresh (the structural decider, not the prover — see the module
+/// doc) and require exact agreement (a certificate claiming *less* than
+/// is decidable is just as tampered as one claiming more).
 ///
-/// Returns the freshly proven certificate on success, so callers gate
-/// the fast path on what was *re-proven*, never on the stored bits.
+/// **Fails closed:** where the decider and the prover that issued the
+/// certificate disagree — a search that gave up on one side only, tile
+/// boxes the decider does not recognise as its grid — the answer is
+/// [`CertifyError::Mismatch`] (`ALP0011`), never a silent acceptance.
+///
+/// Returns the freshly decided certificate on success, so callers gate
+/// the fast path on what was *re-decided*, never on the stored bits.
 pub fn recheck(plan: &PartitionPlan) -> Result<Certificate, CertifyError> {
     let cert = plan.certificate.as_ref().ok_or(CertifyError::Missing)?;
     if cert.fingerprint != plan.fingerprint {
@@ -204,7 +236,7 @@ pub fn recheck(plan: &PartitionPlan) -> Result<Certificate, CertifyError> {
             found: cert.fingerprint.clone(),
         });
     }
-    let fresh = certify(plan)?.certificate;
+    let fresh = decide(plan)?;
     for (fact, claimed, proven) in [
         ("coverage", cert.coverage, fresh.coverage),
         ("write_disjoint", cert.write_disjoint, fresh.write_disjoint),
@@ -222,6 +254,48 @@ pub fn recheck(plan: &PartitionPlan) -> Result<Certificate, CertifyError> {
     Ok(fresh)
 }
 
+/// The four verdict bits by the structural decision procedure: no
+/// question per tile pair, no witness notes.
+fn decide(plan: &PartitionPlan) -> Result<Certificate, CertifyError> {
+    let nest = plan.nest()?;
+    let tiling = plan.tiling(&nest)?;
+    let boxes: Vec<Box128> = tiling.boxes().iter().map(box128).collect();
+    let (grid, chunks) = (&plan.proc_grid, tiling.chunks());
+    Ok(Certificate {
+        fingerprint: plan.fingerprint.clone(),
+        coverage: decide_coverage(&nest, &tiling, grid, chunks, &boxes),
+        write_disjoint: decide_write_disjoint(
+            &write_refs(&nest, plan),
+            tiling.bounds(),
+            grid,
+            chunks,
+        ),
+        in_bounds: decide_in_bounds(&nest),
+        idempotent: prove_idempotent(&nest, &mut Vec::new()),
+    })
+}
+
+/// The nest's write references in the coordinates the tiles are
+/// rectangular in.  Composed with V = U⁻¹ they address the same
+/// elements from j-points that the originals address from their
+/// pre-images; solving over the *unclipped* j-boxes over-approximates
+/// each tile's iterations, which can only refute (never spuriously
+/// prove) disjointness.
+fn write_refs(nest: &LoopNest, plan: &PartitionPlan) -> Vec<ArrayRef> {
+    (nest.body.iter())
+        .map(|st| match &plan.transform {
+            None => st.lhs.clone(),
+            Some(t) => transformed_ref(&st.lhs, t.v()),
+        })
+        .collect()
+}
+
+/// A search that gave up has proven nothing: the fact reads `false`.
+fn gave_up(fact: &str, notes: &mut Vec<String>) -> bool {
+    notes.push(format!("{fact}: search gave up, not proven"));
+    false
+}
+
 /// An inclusive per-dimension iteration box in exact `i128` arithmetic
 /// (tile boxes arrive as `i64` [`IterBox`]es; loop-bound boxes are
 /// native `i128`).
@@ -232,6 +306,11 @@ fn box128(b: &IterBox) -> Box128 {
         .zip(&b.hi)
         .map(|(&l, &h)| (i128::from(l), i128::from(h)))
         .collect()
+}
+
+/// The loop bounds as a box.
+fn loop_box(nest: &LoopNest) -> Box128 {
+    nest.loops.iter().map(|lp| (lp.lower, lp.upper)).collect()
 }
 
 fn box_is_empty(b: &Box128) -> bool {
@@ -269,11 +348,15 @@ fn prove_coverage(
             let mut sys = System::new(l);
             constrain_box(&mut sys, &boxes[a], identity_coeffs(l));
             constrain_box(&mut sys, &boxes[b], identity_coeffs(l));
-            if let Some(p) = find_integer_point(&sys) {
-                notes.push(format!(
-                    "coverage: tiles {a} and {b} both contain iteration {p:?}"
-                ));
-                ok = false;
+            match integer_point(&sys) {
+                Answer::Empty => {}
+                Answer::GaveUp => ok = gave_up("coverage", notes),
+                Answer::Point(p) => {
+                    notes.push(format!(
+                        "coverage: tiles {a} and {b} both contain iteration {p:?}"
+                    ));
+                    ok = false;
+                }
             }
         }
     }
@@ -292,19 +375,22 @@ fn prove_coverage(
                 } else {
                     sys.ge(coeffs, Rat::int(bound));
                 }
-                if let Some(p) = find_integer_point(&sys) {
-                    notes.push(format!(
-                        "coverage: tile {t} escapes the `{}` bounds {side} at iteration {p:?}",
-                        lp.name
-                    ));
-                    ok = false;
+                match integer_point(&sys) {
+                    Answer::Empty => {}
+                    Answer::GaveUp => ok = gave_up("coverage", notes),
+                    Answer::Point(p) => {
+                        notes.push(format!(
+                            "coverage: tile {t} escapes the `{}` bounds {side} at iteration \
+                             {p:?}",
+                            lp.name
+                        ));
+                        ok = false;
+                    }
                 }
             }
         }
     }
-    let covered: u128 = (0..tiling.len())
-        .map(|t| u128::from(tiling.points(t)))
-        .sum();
+    let covered = covered_points(tiling, boxes);
     let space = nest.iteration_count().max(0) as u128;
     if covered != space {
         notes.push(format!(
@@ -314,6 +400,124 @@ fn prove_coverage(
         ok = false;
     }
     ok
+}
+
+/// Points the tiles hold: box volumes where the boxes are exact, the
+/// clipped walk's own counts where they over-approximate.
+fn covered_points(tiling: &Tiling, boxes: &[Box128]) -> u128 {
+    if tiling.is_clipped() {
+        return (0..tiling.len())
+            .map(|t| u128::from(tiling.points(t)))
+            .sum();
+    }
+    let volume =
+        |b: &Box128| -> u128 { b.iter().map(|&(l, h)| (h - l + 1).max(0) as u128).product() };
+    boxes.iter().map(volume).sum()
+}
+
+/// Fact 1, decided from the grid's cuts.  Along each dimension with
+/// iterations the `g` chunk intervals `[lo + t·c, min(lo + (t+1)·c − 1,
+/// hi)]` start at `lo`, follow one another and reach `hi` iff `c ≥ 1`
+/// and `g·c ≥ trip`; the tiles are then a product of per-dimension
+/// interval partitions — pairwise disjoint, contained, gap-free — iff
+/// box `t` (row-major) *is* the product of its coordinates' intervals.
+/// The point count stays as the clipped case's exactness step.
+fn decide_coverage(
+    nest: &LoopNest,
+    tiling: &Tiling,
+    grid: &[i128],
+    chunks: &[i128],
+    boxes: &[Box128],
+) -> bool {
+    let (bounds, l) = (tiling.bounds(), grid.len());
+    let cuts_partition = (0..l).all(|k| {
+        let trip = bounds[k].1 - bounds[k].0 + 1;
+        trip <= 0 || (chunks[k] >= 1 && grid[k] * chunks[k] >= trip)
+    });
+    if !cuts_partition || boxes.len() as i128 != grid.iter().product::<i128>() {
+        return false;
+    }
+    let mut coord = vec![0i128; l];
+    for bx in boxes {
+        let is_the_product = (0..l).all(|k| {
+            let lo = bounds[k].0 + coord[k] * chunks[k];
+            bx[k] == (lo, (lo + chunks[k] - 1).min(bounds[k].1))
+        });
+        if !is_the_product {
+            return false;
+        }
+        // Row-major increment over the grid (last dim fastest).
+        for k in (0..l).rev() {
+            coord[k] += 1;
+            if coord[k] < grid[k] {
+                break;
+            }
+            coord[k] = 0;
+        }
+    }
+    covered_points(tiling, boxes) == nest.iteration_count().max(0) as u128
+}
+
+/// Fact 2, decided once per ordered pair of write references instead of
+/// once per tile pair.  Two points of the gridded box lie in different
+/// tiles iff some cut `lo_k + m·c_k` (`1 ≤ m ≤ g_k − 1`) separates them,
+/// so per split dimension one search over the [`conflict_lattice`]'s
+/// coefficients and the cut index `m` asks for `x, y ∈ bounds` with
+/// `x_k < cut ≤ y_k`; the reverse orientation is the reversed pair's
+/// question.  Same coordinates and same over-approximation (unclipped
+/// boxes) as [`prove_write_disjoint`].
+fn decide_write_disjoint(
+    writes: &[ArrayRef],
+    bounds: &[(i128, i128)],
+    grid: &[i128],
+    chunks: &[i128],
+) -> bool {
+    let l = bounds.len();
+    for w1 in writes {
+        for w2 in writes.iter().filter(|w2| w2.array == w1.array) {
+            let Some(lattice) = conflict_lattice(w1, w2, l) else {
+                continue;
+            };
+            // The cut index `m` is the unknown after the lattice's own.
+            let m = lattice.1.len();
+            let mut within = System::new(m + 1);
+            for (q, &(lo, hi)) in bounds.iter().chain(bounds).enumerate() {
+                constrain_coord(&mut within, &lattice, q, lo, hi);
+            }
+            for k in (0..l).filter(|&k| grid[k] >= 2) {
+                // x_k − c_k·m ≤ lo_k − 1, y_k − c_k·m ≥ lo_k, 1 ≤ m ≤ g_k − 1.
+                let mut sys = within.clone();
+                let mut below = coord_row(&lattice, k, m + 1);
+                let mut above = coord_row(&lattice, l + k, m + 1);
+                let mut index = vec![Rat::int(0); m + 1];
+                (below[m], above[m], index[m]) =
+                    (Rat::int(-chunks[k]), Rat::int(-chunks[k]), Rat::int(1));
+                sys.le(below, Rat::int(bounds[k].0 - 1 - lattice.0[k]));
+                sys.ge(above, Rat::int(bounds[k].0 - lattice.0[l + k]));
+                sys.ge(index.clone(), Rat::int(1));
+                sys.le(index, Rat::int(grid[k] - 1));
+                if integer_point(&sys) != Answer::Empty {
+                    return false;
+                }
+            }
+        }
+    }
+    true
+}
+
+/// Fact 3, decided by interval arithmetic: the range of an affine
+/// subscript over the loop-bound box is exact.
+fn decide_in_bounds(nest: &LoopNest) -> bool {
+    let extents = nest.array_extents();
+    let full = loop_box(nest);
+    nest.all_refs().iter().all(|r| {
+        extents.get(&r.array).is_none_or(|ext| {
+            (r.subscripts.iter().zip(ext)).all(|(sub, &(lo, hi))| {
+                let (min, max) = affine_range(sub, &full);
+                lo <= min && max <= hi
+            })
+        })
+    })
 }
 
 /// Rewrite a reference's subscripts from original coordinates `ī` to
@@ -354,16 +558,19 @@ fn prove_write_disjoint(writes: &[ArrayRef], boxes: &[Box128], notes: &mut Vec<S
                     {
                         continue;
                     }
-                    if let Some((i1, i2)) = box_conflict(w1, &boxes[a], w2, &boxes[b]) {
-                        notes.push(format!(
-                            "write-disjoint: tiles {a} and {b} both write {}{:?} \
-                             (iterations {:?} and {:?})",
-                            w1.array,
-                            w1.eval(&i1).0,
-                            i1.0,
-                            i2.0
-                        ));
-                        return false;
+                    match box_conflict(w1, &boxes[a], w2, &boxes[b]) {
+                        Answer::Empty => {}
+                        Answer::GaveUp => return gave_up("write-disjoint", notes),
+                        Answer::Point(x) => {
+                            let (i1, i2) = x.split_at(x.len() / 2);
+                            notes.push(format!(
+                                "write-disjoint: tiles {a} and {b} both write {}{:?} \
+                                 (iterations {i1:?} and {i2:?})",
+                                w1.array,
+                                w1.eval(&IVec(i1.to_vec())).0,
+                            ));
+                            return false;
+                        }
                     }
                 }
             }
@@ -378,7 +585,7 @@ fn prove_write_disjoint(writes: &[ArrayRef], boxes: &[Box128], notes: &mut Vec<S
 fn prove_in_bounds(nest: &LoopNest, notes: &mut Vec<String>) -> bool {
     let l = nest.depth();
     let extents = nest.array_extents();
-    let full: Box128 = nest.loops.iter().map(|lp| (lp.lower, lp.upper)).collect();
+    let full = loop_box(nest);
     let mut ok = true;
     for r in nest.all_refs() {
         let Some(ext) = extents.get(&r.array) else {
@@ -395,13 +602,17 @@ fn prove_in_bounds(nest: &LoopNest, notes: &mut Vec<String>) -> bool {
                 } else {
                     sys.ge(coeffs.clone(), Rat::int(escape - sub.constant));
                 }
-                if let Some(p) = find_integer_point(&sys) {
-                    notes.push(format!(
-                        "in-bounds: {} subscript {d} escapes [{lo}, {hi}] {side} at \
-                         iteration {p:?}",
-                        r.array
-                    ));
-                    ok = false;
+                match integer_point(&sys) {
+                    Answer::Empty => {}
+                    Answer::GaveUp => ok = gave_up("in-bounds", notes),
+                    Answer::Point(p) => {
+                        notes.push(format!(
+                            "in-bounds: {} subscript {d} escapes [{lo}, {hi}] {side} at \
+                             iteration {p:?}",
+                            r.array
+                        ));
+                        ok = false;
+                    }
                 }
             }
         }
@@ -415,7 +626,7 @@ fn prove_in_bounds(nest: &LoopNest, notes: &mut Vec<String>) -> bool {
 /// read and write regions apart, where the syntactic array-name rule
 /// cannot.
 fn prove_idempotent(nest: &LoopNest, notes: &mut Vec<String>) -> bool {
-    let full: Box128 = nest.loops.iter().map(|lp| (lp.lower, lp.upper)).collect();
+    let full = loop_box(nest);
     let writes: Vec<&ArrayRef> = nest.body.iter().map(|st| &st.lhs).collect();
     for st in &nest.body {
         for r in &st.rhs {
@@ -423,16 +634,19 @@ fn prove_idempotent(nest: &LoopNest, notes: &mut Vec<String>) -> bool {
                 if r.array != w.array {
                     continue;
                 }
-                if let Some((i1, i2)) = box_conflict(r, &full, w, &full) {
-                    notes.push(format!(
-                        "idempotence: iteration {:?} reads {}{:?}, which iteration \
-                         {:?} writes — a re-run could observe partial output",
-                        i1.0,
-                        r.array,
-                        r.eval(&i1).0,
-                        i2.0
-                    ));
-                    return false;
+                match box_conflict(r, &full, w, &full) {
+                    Answer::Empty => {}
+                    Answer::GaveUp => return gave_up("idempotence", notes),
+                    Answer::Point(x) => {
+                        let (i1, i2) = x.split_at(x.len() / 2);
+                        notes.push(format!(
+                            "idempotence: iteration {i1:?} reads {}{:?}, which iteration \
+                             {i2:?} writes — a re-run could observe partial output",
+                            r.array,
+                            r.eval(&IVec(i1.to_vec())).0,
+                        ));
+                        return false;
+                    }
                 }
             }
         }
@@ -441,22 +655,47 @@ fn prove_idempotent(nest: &LoopNest, notes: &mut Vec<String>) -> bool {
 }
 
 /// The PR-1 stacked Diophantine solve over symbolic boxes: is there
-/// `ī₁ ∈ box1`, `ī₂ ∈ box2` with `r1(ī₁) == r2(ī₂)`?  `x·M = b` with
-/// `M = [G₁; −G₂]`, particular solution + reduced nullspace basis, then
-/// a bounded integer search of the solution lattice inside the two
-/// boxes.  No disequality: equal iterations count as a conflict here
-/// (the callers that need distinctness pass disjoint boxes).
-fn box_conflict(
-    r1: &ArrayRef,
-    box1: &Box128,
-    r2: &ArrayRef,
-    box2: &Box128,
-) -> Option<(IVec, IVec)> {
+/// `ī₁ ∈ box1`, `ī₂ ∈ box2` with `r1(ī₁) == r2(ī₂)`?  A bounded integer
+/// search of the [`conflict_lattice`] inside the two boxes; a point is
+/// returned as `x = (ī₁ | ī₂)`.  No disequality: equal iterations count
+/// as a conflict here (the callers that need distinctness pass disjoint
+/// boxes).
+fn box_conflict(r1: &ArrayRef, box1: &Box128, r2: &ArrayRef, box2: &Box128) -> Answer {
     let l = box1.len();
     debug_assert_eq!(box2.len(), l, "boxes of one nest have equal rank");
+    let Some(lattice) = conflict_lattice(r1, r2, l) else {
+        return Answer::Empty;
+    };
+    let (x0, basis) = &lattice;
+    let mut sys = System::new(basis.len());
+    for (k, &(lo, hi)) in box1.iter().chain(box2).enumerate() {
+        constrain_coord(&mut sys, &lattice, k, lo, hi);
+    }
+    match integer_point(&sys) {
+        Answer::Point(c) => {
+            let mut x: Vec<i128> = x0.0.clone();
+            for (r, n) in basis.iter().enumerate() {
+                for (k, xv) in x.iter_mut().enumerate() {
+                    *xv += c[r] * n[k];
+                }
+            }
+            Answer::Point(x)
+        }
+        other => other,
+    }
+}
+
+/// A particular solution and a reduced basis of the lattice around it.
+type ConflictLattice = (IVec, Vec<IVec>);
+
+/// Every `x = (ī₁ | ī₂)` with `r1(ī₁) == r2(ī₂)`: the stacked system
+/// `x·M = b`, `M = [G₁; −G₂]`, over the `2·l` coordinates.  `None` when
+/// the two references never name one element (or are malformed —
+/// mismatched dimensions are for other layers to diagnose).
+fn conflict_lattice(r1: &ArrayRef, r2: &ArrayRef, l: usize) -> Option<ConflictLattice> {
     let d = r1.dim();
     if d != r2.dim() {
-        return None; // malformed pairing; other layers diagnose it
+        return None;
     }
     let g1 = r1.g_matrix();
     let g2 = r2.g_matrix();
@@ -477,21 +716,22 @@ fn box_conflict(
             .reduced_basis()
             .row_vecs()
     };
-    let mut sys = System::new(basis.len());
-    for k in 0..2 * l {
-        let (lo, hi) = if k < l { box1[k] } else { box2[k - l] };
-        let coeffs: Vec<Rat> = basis.iter().map(|n| Rat::int(n[k])).collect();
-        sys.le(coeffs.clone(), Rat::int(hi - x0[k]));
-        sys.ge(coeffs, Rat::int(lo - x0[k]));
-    }
-    let c = find_integer_point(&sys)?;
-    let mut x: Vec<i128> = x0.0.clone();
-    for (r, n) in basis.iter().enumerate() {
-        for (k, xv) in x.iter_mut().enumerate() {
-            *xv += c[r] * n[k];
-        }
-    }
-    Some((IVec(x[..l].to_vec()), IVec(x[l..].to_vec())))
+    Some((x0, basis))
+}
+
+/// Coordinate `k` of a lattice point as a row over `vars` unknowns, the
+/// first `basis.len()` of them the lattice coefficients.
+fn coord_row((_, basis): &ConflictLattice, k: usize, vars: usize) -> Vec<Rat> {
+    let mut row: Vec<Rat> = basis.iter().map(|n| Rat::int(n[k])).collect();
+    row.resize(vars, Rat::int(0));
+    row
+}
+
+/// Add `lo ≤ x_k ≤ hi` for coordinate `k` of a lattice point.
+fn constrain_coord(sys: &mut System, lattice: &ConflictLattice, k: usize, lo: i128, hi: i128) {
+    let row = coord_row(lattice, k, sys.vars);
+    sys.le(row.clone(), Rat::int(hi - lattice.0[k]));
+    sys.ge(row, Rat::int(lo - lattice.0[k]));
 }
 
 /// Exact interval image of each subscript over each box; disjoint in
@@ -717,6 +957,105 @@ mod tests {
         let report = certify(&plan).unwrap();
         assert!(report.certificate.coverage, "{:?}", report.notes);
         assert!(report.certificate.write_disjoint, "{:?}", report.notes);
+    }
+
+    /// (decider, prover) on the tiling of `nest` over `grid`, after
+    /// `corrupt` has had its way with the boxes and chunks both read.
+    fn coverage_verdicts(
+        nest: &LoopNest,
+        grid: &[i128],
+        corrupt: impl FnOnce(&mut Vec<Box128>, &mut Vec<i128>),
+    ) -> (bool, bool) {
+        let tiling = Tiling::new(nest, None, grid).unwrap();
+        let mut boxes: Vec<Box128> = tiling.boxes().iter().map(box128).collect();
+        let mut chunks = tiling.chunks().to_vec();
+        corrupt(&mut boxes, &mut chunks);
+        (
+            decide_coverage(nest, &tiling, grid, &chunks, &boxes),
+            prove_coverage(nest, &tiling, &boxes, &mut Vec::new()),
+        )
+    }
+
+    #[test]
+    fn coverage_decision_and_proof_agree_on_hand_corrupted_boxes() {
+        // `Tiling::new` always partitions, so neither procedure has a
+        // reachable refutation: corrupt the boxes by hand.  7×5 on a
+        // 2×3 grid, chunks [4, 2]: tile 0 is i∈[0,3] × j∈[10,11], tile 5
+        // is i∈[4,6] × j∈[14,14].
+        let nest = parse("doall (i, 0, 6) { doall (j, 10, 14) { A[i,j] = B[i,j]; } }").unwrap();
+        let verdicts = |corrupt: fn(&mut Vec<Box128>, &mut Vec<i128>)| {
+            coverage_verdicts(&nest, &[2, 3], corrupt)
+        };
+        assert_eq!(verdicts(|_, _| {}), (true, true), "untouched");
+        assert_eq!(verdicts(|b, _| b[0][1].1 += 1), (false, false), "overlap");
+        assert_eq!(verdicts(|b, _| b[0][1].1 -= 1), (false, false), "gap");
+        assert_eq!(verdicts(|b, _| b[5][1].1 += 1), (false, false), "escape");
+        assert_eq!(
+            verdicts(|b, c| {
+                c[0] = 0;
+                b.iter_mut().for_each(|bx| bx[0] = (0, -1));
+            }),
+            (false, false),
+            "a chunk of 0 on a dimension that has iterations"
+        );
+        // Swapped out of row-major order the boxes still partition the
+        // space, which is all the prover asks; the decider also holds
+        // them to the grid's numbering, and `recheck` fails closed on
+        // the difference.
+        assert_eq!(verdicts(|b, _| b.swap(0, 1)), (false, true), "swapped");
+    }
+
+    #[test]
+    fn coverage_holds_on_empty_trailing_tiles_and_a_zero_trip_nest() {
+        // 3 iterations on 4 processors: tile 3 is empty.
+        let nest = parse("doall (i, 0, 2) { A[i] = B[i]; }").unwrap();
+        assert_eq!(coverage_verdicts(&nest, &[4], |_, _| {}), (true, true));
+        // The parser refuses `lower > upper`; a nest built in memory
+        // can still have a loop with nothing to cover.
+        let mut nest = parse("doall (i, 0, 3) { doall (j, 0, 3) { A[i,j] = B[i,j]; } }").unwrap();
+        nest.loops[0].upper = -1;
+        assert_eq!(nest.iteration_count(), 0);
+        assert_eq!(coverage_verdicts(&nest, &[2, 2], |_, _| {}), (true, true));
+        assert!(decide_in_bounds(&nest) && prove_in_bounds(&nest, &mut Vec::new()));
+        let writes: Vec<ArrayRef> = nest.body.iter().map(|st| st.lhs.clone()).collect();
+        let tiling = Tiling::new(&nest, None, &[2, 2]).unwrap();
+        assert!(decide_write_disjoint(
+            &writes,
+            tiling.bounds(),
+            &[2, 2],
+            tiling.chunks()
+        ));
+    }
+
+    #[test]
+    fn a_search_that_gives_up_proves_nothing() {
+        // Every j-tile accumulates into S[0] and every iteration reads
+        // it back, but a loop of 2²⁰ iterations is wider than the
+        // integer search looks: the give-up used to read "no conflict".
+        let src = "doall (i, 0, 1048575) { doall (j, 0, 1048575) {
+                     l$S[0] = l$S[0] + A[0]; } }";
+        let plan = plan_with_grid(src, vec![1, 4]);
+        let report = certify(&plan).unwrap();
+        assert!(report.certificate.coverage && report.certificate.in_bounds);
+        assert!(!report.certificate.write_disjoint && !report.certificate.idempotent);
+        for fact in ["write-disjoint", "idempotence"] {
+            let note = format!("{fact}: search gave up, not proven");
+            assert!(report.notes.contains(&note), "{:?}", report.notes);
+        }
+        // The decider gives up on the same question, and a certificate
+        // issued before the fix no longer passes.
+        let certified = plan.clone().with_certificate(report.certificate.clone());
+        assert_eq!(recheck(&certified).unwrap(), report.certificate);
+        let mut old = report.certificate;
+        (old.write_disjoint, old.idempotent) = (true, true);
+        assert!(matches!(
+            recheck(&plan.with_certificate(old)),
+            Err(CertifyError::Mismatch {
+                fact: "write_disjoint",
+                claimed: true,
+                proven: false,
+            })
+        ));
     }
 
     #[test]

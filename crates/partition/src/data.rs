@@ -163,15 +163,16 @@ impl MeshPlacement {
 /// virtual processors — which share the most boundary — are mesh
 /// neighbours.
 ///
-/// # Panics
-/// Panics if the mesh is too small for the processor count.
-pub fn mesh_placement(grid: &[i128], mesh: (usize, usize)) -> MeshPlacement {
+/// Fails, with the message to show, when the mesh has fewer nodes than
+/// the grid has processors.
+pub fn mesh_placement(grid: &[i128], mesh: (usize, usize)) -> Result<MeshPlacement, String> {
     let total: i128 = grid.iter().product();
-    let cap = (mesh.0 * mesh.1) as i128;
-    assert!(
-        total <= cap,
-        "mesh {mesh:?} too small for {total} processors"
-    );
+    if total > mesh.0 as i128 * mesh.1 as i128 {
+        return Err(format!(
+            "a {}x{} mesh is too small for the {total} processors of grid {grid:?}",
+            mesh.0, mesh.1
+        ));
+    }
 
     // Direct 2-D embedding when the grid matches the mesh orientation.
     let active: Vec<i128> = grid.iter().copied().filter(|&g| g > 1).collect();
@@ -201,11 +202,11 @@ pub fn mesh_placement(grid: &[i128], mesh: (usize, usize)) -> MeshPlacement {
                 let (x, y) = (full[i0] as usize, full[i1] as usize);
                 coords.push(if t { (y, x) } else { (x, y) });
             }
-            return MeshPlacement {
+            return Ok(MeshPlacement {
                 mesh,
                 grid: grid.to_vec(),
                 coords,
-            };
+            });
         }
     }
 
@@ -220,11 +221,11 @@ pub fn mesh_placement(grid: &[i128], mesh: (usize, usize)) -> MeshPlacement {
         };
         coords.push((col, row));
     }
-    MeshPlacement {
+    Ok(MeshPlacement {
         mesh,
         grid: grid.to_vec(),
         coords,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -273,41 +274,43 @@ mod tests {
 
     #[test]
     fn mesh_direct_2d() {
-        let pl = mesh_placement(&[4, 4], (4, 4));
+        let pl = mesh_placement(&[4, 4], (4, 4)).unwrap();
         // Grid neighbours are mesh neighbours: average weighted hops = 1.
         assert!((pl.weighted_neighbor_hops(&[1.0, 1.0]) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn mesh_transposed_2d() {
-        let pl = mesh_placement(&[8, 2], (2, 8));
+        let pl = mesh_placement(&[8, 2], (2, 8)).unwrap();
         assert!((pl.weighted_neighbor_hops(&[1.0, 1.0]) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn mesh_snake_1d() {
-        let pl = mesh_placement(&[16], (4, 4));
+        let pl = mesh_placement(&[16], (4, 4)).unwrap();
         // Snake keeps consecutive processors adjacent.
         assert!((pl.weighted_neighbor_hops(&[1.0]) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn mesh_3d_grid_snakes() {
-        let pl = mesh_placement(&[2, 2, 4], (4, 4));
+        let pl = mesh_placement(&[2, 2, 4], (4, 4)).unwrap();
         // Not all neighbours can be adjacent; hops stay bounded.
         let h = pl.weighted_neighbor_hops(&[1.0, 1.0, 1.0]);
         assert!((1.0..=4.0).contains(&h), "hops {h}");
     }
 
     #[test]
-    #[should_panic(expected = "too small")]
     fn mesh_capacity_checked() {
-        mesh_placement(&[8, 8], (4, 4));
+        let err = mesh_placement(&[8, 8], (4, 4)).unwrap_err();
+        assert!(err.contains("too small"), "{err}");
+        assert!(mesh_placement(&[4, 6], (4, 4)).is_err());
+        assert!(mesh_placement(&[4, 6], (3, 8)).is_ok(), "24 on 24, snaked");
     }
 
     #[test]
     fn grid_coords_roundtrip() {
-        let pl = mesh_placement(&[3, 4], (4, 4));
+        let pl = mesh_placement(&[3, 4], (4, 4)).unwrap();
         for p in 0..12usize {
             assert_eq!(pl.linear(&pl.grid_coords(p)), p);
         }

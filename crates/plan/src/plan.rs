@@ -12,7 +12,7 @@ use alp_footprint::{
 use alp_linalg::{IMat, IVec, Rat};
 use alp_loopir::{ArrayLayout, LoopNest};
 use alp_partition::{
-    communication_free_normals, try_partition_rect, ParaSearchConfig, RectPartition,
+    communication_free_normals, mesh_placement, try_partition_rect, ParaSearchConfig, RectPartition,
 };
 
 /// Current plan schema version.  Bump when the JSON layout changes;
@@ -258,7 +258,8 @@ impl PartitionPlan {
     ///
     /// The caller supplies the legality verdict (the analysis lives a
     /// layer above this crate).  Fails with [`PlanError::Infeasible`]
-    /// when the candidate set is empty.
+    /// when the candidate set is empty, or when `mesh` has fewer nodes
+    /// than the picked grid has processors.
     pub fn choose(
         nest: &LoopNest,
         processors: i128,
@@ -371,6 +372,9 @@ impl PartitionPlan {
                 grid.len(),
                 nest.depth()
             )));
+        }
+        if let Some(mesh) = mesh {
+            mesh_placement(grid, mesh).map_err(PlanError::Infeasible)?;
         }
         let plan = PartitionPlan {
             schema_version: BASE_VERSION,

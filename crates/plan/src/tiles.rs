@@ -125,6 +125,7 @@ impl IterBox {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tiling {
     boxes: Vec<IterBox>,
+    bounds: Vec<(i128, i128)>,
     chunks: Vec<i128>,
     /// `None` means the boxes are exact.
     domain: Option<TransformedDomain>,
@@ -200,6 +201,7 @@ impl Tiling {
         }
         Ok(Tiling {
             boxes,
+            bounds,
             chunks,
             domain,
         })
@@ -221,6 +223,13 @@ impl Tiling {
     /// one.
     pub fn boxes(&self) -> &[IterBox] {
         &self.boxes
+    }
+
+    /// The inclusive bounding box the grid cuts, per dimension, in the
+    /// coordinates of [`boxes`](Tiling::boxes): the loop bounds, or the
+    /// bounding box of the transformed domain.
+    pub fn bounds(&self) -> &[(i128, i128)] {
+        &self.bounds
     }
 
     /// Iterations per interior tile along each dimension (the paper's

@@ -468,7 +468,11 @@ impl Compiler {
             ),
             Some(t) => (Vec::new(), transformed_code_note(t, &plan.proc_grid)),
         };
-        let placement = plan.mesh.map(|mesh| mesh_placement(&plan.proc_grid, mesh));
+        // The planner refuses a mesh its grid does not fit; a plan file
+        // can still carry one.
+        let placement = (plan.mesh)
+            .map(|mesh| mesh_placement(&plan.proc_grid, mesh).map_err(PlanError::BadGrid))
+            .transpose()?;
         Ok(CompileResult {
             nest,
             plan,

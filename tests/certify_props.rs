@@ -35,28 +35,39 @@ fn affine_src(coeffs: &[i128], names: &[&str], k: i128) -> String {
     s
 }
 
-/// A random small nest (as source text) plus a processor grid for it.
+/// A random small nest (as source text), a processor grid for it, and
+/// optionally a unimodular transform to tile it under.
 #[derive(Debug, Clone)]
 struct Case {
     src: String,
     grid: Vec<i128>,
+    /// `U` as a product of shears `row a += s · row b` applied to the
+    /// identity (always unimodular); empty tiles the nest as it stands.
+    shears: Vec<(usize, usize, i128)>,
 }
 
-/// Depth-1/2 nests with tiny extents, three body shapes (disjoint
-/// arrays, a same-array read, two writes to one array), coefficients
-/// in `[-2, 2]`, offsets in `[-3, 3]`, grid factors in `[1, 3]` —
-/// small enough that every fact is enumerable, varied enough to hit
-/// proven and refuted outcomes of each fact.
+/// Depth-1..3 nests with tiny extents, five body shapes (disjoint
+/// arrays, a same-array read, two writes to one array, an `l$`
+/// accumulate, an accumulate beside an assignment), coefficients in
+/// `[-2, 2]`, offsets in `[-3, 3]`, grid factors in `[1, 4]` — more
+/// processors than iterations along a loop included — and, on every
+/// other nest of depth ≥ 2, up to two random shears: small enough that
+/// every fact is enumerable, varied enough to hit proven and refuted
+/// outcomes of each fact.
 fn cases() -> impl Strategy<Value = Case> {
-    (1usize..=2).prop_flat_map(|depth| {
+    (1usize..=3).prop_flat_map(|depth| {
         let sub = || (pvec(-2i128..=2, depth), -3i128..=3);
         (
             pvec((-2i128..=2, 2i128..=4), depth),
-            pvec(1i128..=3, depth),
-            (0usize..=2, sub(), sub(), sub()),
+            pvec(1i128..=4, depth),
+            (0usize..=4, sub(), sub(), sub()),
+            (
+                proptest::bool::ANY,
+                pvec((0..depth, 0..depth, -2i128..=2), 1..=2),
+            ),
         )
-            .prop_map(move |(loops, grid, (kind, w, r1, r2))| {
-                let names: &[&str] = &["i", "j"][..depth];
+            .prop_map(move |(loops, grid, (kind, w, r1, r2), (skew, shears))| {
+                let names: &[&str] = &["i", "j", "k"][..depth];
                 let open: String = loops
                     .iter()
                     .enumerate()
@@ -68,20 +79,25 @@ fn cases() -> impl Strategy<Value = Case> {
                 let body = match kind {
                     0 => format!("A[{ws}] = B[{r1s}] + B[{r2s}];"),
                     1 => format!("A[{ws}] = A[{r1s}] + B[{r2s}];"),
-                    _ => format!("A[{ws}] = B[{r1s}]; A[{r2s}] = B[{ws}];"),
+                    2 => format!("A[{ws}] = B[{r1s}]; A[{r2s}] = B[{ws}];"),
+                    3 => format!("l$A[{ws}] = l$A[{ws}] + B[{r1s}];"),
+                    _ => format!("l$A[{ws}] = l$A[{ws}] + B[{r1s}]; C[{r2s}] = B[{ws}];"),
                 };
                 Case {
                     src: format!("{open}{body} {}", "} ".repeat(depth)),
                     grid,
+                    shears: (shears.into_iter())
+                        .filter(|&(a, b, _)| skew && a != b)
+                        .collect(),
                 }
             })
     })
 }
 
-fn plan_for(case: &Case) -> (LoopNest, PartitionPlan, Vec<IterBox>) {
+/// The case's nest under its grid, rectangular: the transform left out.
+fn rect_plan_for(case: &Case) -> (LoopNest, PartitionPlan) {
     let nest = parse(&case.src).expect("generated source parses");
     let tiling = Tiling::new(&nest, None, &case.grid).expect("grid matches depth");
-    let tiles = tiling.boxes().to_vec();
     let partition = RectPartition {
         tile_extents: tiling.extents(),
         proc_grid: case.grid.clone(),
@@ -96,25 +112,40 @@ fn plan_for(case: &Case) -> (LoopNest, PartitionPlan, Vec<IterBox>) {
         "prop-fixed-grid",
     )
     .expect("plan builds");
-    (nest, plan, tiles)
+    (nest, plan)
+}
+
+/// The case's plan: [`rect_plan_for`], carried through the case's
+/// transform when it has one (the same grid then cuts `j`-space).
+fn plan_for(case: &Case) -> (LoopNest, PartitionPlan) {
+    let (nest, plan) = rect_plan_for(case);
+    if case.shears.is_empty() {
+        return (nest, plan);
+    }
+    let mut u = IMat::identity(nest.depth());
+    for &(a, b, s) in &case.shears {
+        for c in 0..nest.depth() {
+            u[(a, c)] += s * u[(b, c)];
+        }
+    }
+    let transform = Transform::new(u, fingerprint_hex(&nest)).expect("shears are unimodular");
+    (nest, plan.with_transform(transform))
 }
 
 /// Ground truth by enumeration: (coverage, write_disjoint, in_bounds,
 /// idempotent), each computed from explicit point/element sets.
-fn brute_force(nest: &LoopNest, tiles: &[IterBox]) -> (bool, bool, bool, bool) {
+/// `tiles[t]` lists the original-space iterations tile `t` owns.
+fn brute_force(nest: &LoopNest, tiles: &[Vec<IVec>]) -> (bool, bool, bool, bool) {
     let space: HashSet<Vec<i128>> = nest.iteration_points().into_iter().map(|p| p.0).collect();
 
     // Coverage: the multiset of tile points equals the space exactly.
     let mut seen: HashMap<Vec<i128>, usize> = HashMap::new();
     let mut coverage = true;
-    for t in tiles {
-        t.for_each_point(|p| {
-            let p: Vec<i128> = p.iter().map(|&x| i128::from(x)).collect();
-            if !space.contains(&p) {
-                coverage = false;
-            }
-            *seen.entry(p).or_insert(0) += 1;
-        });
+    for p in tiles.iter().flatten() {
+        if !space.contains(&p.0) {
+            coverage = false;
+        }
+        *seen.entry(p.0.clone()).or_insert(0) += 1;
     }
     if seen.len() != space.len() || seen.values().any(|&c| c != 1) {
         coverage = false;
@@ -125,12 +156,11 @@ fn brute_force(nest: &LoopNest, tiles: &[IterBox]) -> (bool, bool, bool, bool) {
         .iter()
         .map(|t| {
             let mut s = HashSet::new();
-            t.for_each_point(|p| {
-                let iv = IVec(p.iter().map(|&x| i128::from(x)).collect());
+            for iv in t {
                 for st in &nest.body {
-                    s.insert((st.lhs.array.clone(), st.lhs.eval(&iv).0));
+                    s.insert((st.lhs.array.clone(), st.lhs.eval(iv).0));
                 }
-            });
+            }
             s
         })
         .collect();
@@ -176,15 +206,21 @@ proptest! {
 
     #[test]
     fn certifier_verdicts_match_brute_force_enumeration(case in cases()) {
-        let (nest, plan, tiles) = plan_for(&case);
+        let (nest, plan) = plan_for(&case);
+        let tiles = plan.tiling(&nest).expect("grid matches depth").assignment();
         let report = certify(&plan).expect("well-formed plan certifies");
         let cert = &report.certificate;
         let (coverage, write_disjoint, in_bounds, idempotent) = brute_force(&nest, &tiles);
+        // Under a transform the certifier reasons about the unclipped
+        // `j`-boxes, so it may refuse to prove writes disjoint that
+        // are; it must never prove ones that are not.
+        let refused = !case.shears.is_empty() && !cert.write_disjoint;
+        let claimed = if refused { write_disjoint } else { cert.write_disjoint };
         prop_assert_eq!(
-            (cert.coverage, cert.write_disjoint, cert.in_bounds, cert.idempotent),
+            (cert.coverage, claimed, cert.in_bounds, cert.idempotent),
             (coverage, write_disjoint, in_bounds, idempotent),
-            "certifier disagrees with enumeration on `{}` grid {:?}: {:?}",
-            case.src, case.grid, report.notes
+            "certifier disagrees with enumeration on `{}` grid {:?} shears {:?}: {:?}",
+            case.src, case.grid, case.shears, report.notes
         );
     }
 
@@ -192,8 +228,10 @@ proptest! {
     fn certified_plans_survive_their_own_recheck(case in cases()) {
         // certify → embed → recheck is the round trip `plan --certify`
         // followed by `run --require-cert` takes; it must always agree
-        // with itself, whatever the verdicts are.
-        let (_, plan, _) = plan_for(&case);
+        // with itself, whatever the verdicts are.  `certify` is the
+        // pairwise prover and `recheck` the structural decider, so this
+        // is also *the* differential between the two.
+        let (_, plan) = plan_for(&case);
         let report = certify(&plan).expect("well-formed plan certifies");
         let certified = plan.with_certificate(report.certificate.clone());
         let proven = recheck(&certified).expect("fresh certificate re-verifies");
@@ -206,7 +244,7 @@ proptest! {
         // the identity transform (clipped walk, kernels composed with
         // V = I, coverage proven by point count) must prove the same
         // facts and leave the same bits as the untransformed plan.
-        let (nest, rect, _) = plan_for(&case);
+        let (nest, rect) = rect_plan_for(&case);
         let identity = Transform::new(IMat::identity(nest.depth()), fingerprint_hex(&nest))
             .expect("identity is unimodular");
         let skew = rect.clone().with_transform(identity);
@@ -232,7 +270,7 @@ proptest! {
         // The legacy array-name-granularity rule may refuse nests the
         // element-precise proof accepts (e.g. `A[i] = A[i+32]`), but it
         // must never accept a nest the dataflow proof refutes.
-        let (nest, plan, _) = plan_for(&case);
+        let (nest, plan) = plan_for(&case);
         if syntactic_retry_safe(&nest) {
             let report = certify(&plan).expect("well-formed plan certifies");
             prop_assert!(

@@ -416,6 +416,33 @@ fn certify_attaches_certificate_to_bare_plan() {
 }
 
 #[test]
+fn a_search_that_gave_up_certifies_nothing() {
+    // Every j-tile accumulates into S[0], but a loop of 2²⁰ iterations
+    // is wider than the integer search looks, and its give-up used to
+    // read "no conflict": `write_disjoint: true, idempotent: true`.
+    let nest = "doall (i, 0, 1048575) { doall (j, 0, 1048575) { l$S[0] = l$S[0] + A[0]; } }";
+    let (plan, stderr, code) = run_cli(&["plan", "-p", "4", "--certify", "-"], Some(nest));
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert!(plan.contains("\"write_disjoint\": false"), "{plan}");
+    assert!(plan.contains("\"idempotent\": false"), "{plan}");
+    for fact in ["write-disjoint", "idempotence"] {
+        let note = format!("certify: {fact}: search gave up, not proven");
+        assert!(stderr.contains(&note), "{stderr}");
+    }
+    let (stdout, stderr, code) = run_cli(&["certify", "-"], Some(&plan));
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert!(stdout.contains("write-disjoint false"), "{stdout}");
+
+    // The certificate a build without the fix issued for that plan
+    // claims both facts; it is refused, not verified.
+    let old = include_str!("corpus/ALP0011__cert_gave_up_read_as_proven.plan.json");
+    let (stdout, stderr, code) = run_cli(&["certify", "-"], Some(old));
+    assert_eq!(code, Some(9), "stdout: {stdout} stderr: {stderr}");
+    assert!(stderr.contains("error[ALP0011]"), "{stderr}");
+    assert!(!stdout.contains("verified"), "{stdout}");
+}
+
+#[test]
 fn run_require_cert_takes_certified_fast_path() {
     // A disjoint stencil plan certifies cleanly; --require-cert then
     // runs accumulate-free stores relaxed and still matches bitwise.
@@ -896,6 +923,41 @@ fn damaged_plan_grids_exit_1_with_alp0006() {
             );
         }
     }
+}
+
+#[test]
+fn planning_for_a_mesh_smaller_than_the_grid_exits_1_with_alp0004() {
+    // 24 processors do not fit 16 mesh nodes: infeasible, from the
+    // default command (which used to panic placing them) and `plan`
+    // (which used to emit the plan) alike.
+    for args in [
+        &["-p", "24", "-m", "4x4", "-"][..],
+        &["plan", "-p", "24", "-m", "4x4", "-"],
+    ] {
+        let (stdout, stderr, code) = run_cli(args, Some(STENCIL));
+        assert_eq!(code, Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains("error[ALP0004]"), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("4x4 mesh is too small"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(!stdout.contains("\"proc_grid\""), "{args:?}: {stdout}");
+    }
+}
+
+#[test]
+fn a_saved_plan_whose_mesh_is_smaller_than_its_grid_exits_1_with_alp0006() {
+    // A plan file can still carry what the planner now refuses; it is
+    // a plan-artifact error when lowered, not a panic.
+    let golden = include_str!("golden/example8.plan.json");
+    let plan = golden.replace("\"mesh\": [8, 8]", "\"mesh\": [4, 4]");
+    assert_ne!(plan, golden, "replacement must hit");
+    let (_, stderr, code) = run_cli(&["--from-plan", "-"], Some(&plan));
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("error[ALP0006]"), "{stderr}");
+    assert!(stderr.contains("4x4 mesh is too small"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 #[test]

@@ -300,7 +300,7 @@ fn malformed_corpus_is_rejected_with_stable_codes() {
         assert_eq!(err.code(), expected, "{name}");
         checked += 1;
     }
-    assert_eq!(checked, 18, "expected all corpus files to be exercised");
+    assert_eq!(checked, 19, "expected all corpus files to be exercised");
 }
 
 #[test]
@@ -367,7 +367,7 @@ fn lowering_reads_nothing_but_the_plan() {
         let nest = parse(source).expect("source parses");
         for processors in [1, 8, 24] {
             let plain = Compiler::new(processors);
-            // (`mesh_placement` asserts the mesh holds every processor.)
+            // (The planner refuses a mesh that does not hold every processor.)
             let mesh_w = if processors > 16 { 8 } else { 4 };
             let mut compilers = vec![plain.clone(), plain.clone().with_mesh(mesh_w, 4)];
             if nest.depth() == 2 {
