@@ -7,7 +7,6 @@
 //! quote them directly.
 
 use std::fmt::Display;
-use std::time::Duration;
 
 /// Print an experiment header.
 pub fn header(id: &str, title: &str) {
@@ -44,30 +43,6 @@ impl Table {
     }
 }
 
-/// Detected hardware parallelism (1 when detection fails).  Experiment
-/// binaries record this next to their thread count so a reader can tell
-/// real parallel speedup from interleaved execution on an oversubscribed
-/// box.
-pub fn detected_cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Minimum and median of a set of wall-clock samples.  The minimum is
-/// the noise floor (the run least disturbed by the OS); the median shows
-/// how far typical runs sit above it.  Panics on an empty slice.
-pub fn min_median(walls: &[Duration]) -> (Duration, Duration) {
-    assert!(!walls.is_empty(), "min_median needs at least one sample");
-    let mut sorted = walls.to_vec();
-    sorted.sort();
-    let mid = sorted.len() / 2;
-    let median = if sorted.len() % 2 == 1 {
-        sorted[mid]
-    } else {
-        (sorted[mid - 1] + sorted[mid]) / 2
-    };
-    (sorted[0], median)
-}
-
 /// Format a ratio as a percentage string.
 pub fn pct(num: u64, den: u64) -> String {
     if den == 0 {
@@ -94,22 +69,6 @@ mod tests {
     fn pct_formatting() {
         assert_eq!(pct(1, 4), "25.0%");
         assert_eq!(pct(1, 0), "n/a");
-    }
-
-    #[test]
-    fn min_median_odd_and_even() {
-        let ms = |n| Duration::from_millis(n);
-        let (min, med) = min_median(&[ms(5), ms(1), ms(3)]);
-        assert_eq!((min, med), (ms(1), ms(3)));
-        let (min, med) = min_median(&[ms(8), ms(2), ms(4), ms(6)]);
-        assert_eq!((min, med), (ms(2), ms(5)));
-        let (min, med) = min_median(&[ms(7)]);
-        assert_eq!((min, med), (ms(7), ms(7)));
-    }
-
-    #[test]
-    fn detected_cores_is_positive() {
-        assert!(detected_cores() >= 1);
     }
 
     #[test]

@@ -47,8 +47,8 @@ mod probe;
 // (`PartitionPlan::choose`); re-exported so `alp_calibrate::…` paths
 // keep resolving.
 pub use alp_plan::{
-    choose_calibrated, features, grid_features, rank, rank_candidates, rank_skewed,
-    ranking_is_degenerate, GridFeatures, LatencyCoefficients as LatencyModel, Ranked,
+    choose_calibrated, features, rank, rank_candidates, rank_skewed, ranking_is_degenerate,
+    GridFeatures, LatencyCoefficients as LatencyModel, Ranked,
 };
 pub use artifact::{Calibration, ARTIFACT_VERSION};
 pub use fit::{fit, TileSample};

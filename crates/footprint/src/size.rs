@@ -3,7 +3,6 @@
 
 use crate::tile::Tile;
 use alp_linalg::{max_independent_columns, smith_normal_form, IMat, IVec};
-use alp_loopir::ArrayRef;
 use std::collections::HashSet;
 
 /// Exact footprint size: the number of distinct data elements
@@ -17,12 +16,6 @@ pub fn single_footprint_exact(tile: &Tile, g: &IMat) -> usize {
         seen.insert(g.apply_row(&i).expect("depth"));
     }
     seen.len()
-}
-
-/// Exact footprint of a concrete reference (enumerates actual data
-/// points, offset included — used by the simulator cross-checks).
-pub fn reference_footprint_exact(tile: &Tile, r: &ArrayRef) -> HashSet<IVec> {
-    tile.points().iter().map(|i| r.eval(i)).collect()
 }
 
 /// The paper's determinant estimate of a footprint size (Eq. 2,

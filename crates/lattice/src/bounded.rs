@@ -104,11 +104,6 @@ impl BoundedLattice {
         }
     }
 
-    /// The translation coefficients `u` with `t = Σ uᵢāᵢ`, if integral.
-    pub fn translate_coefficients(&self, t: &IVec) -> Option<IVec> {
-        solve_integer(&self.basis, t)
-    }
-
     /// Lemma 3, exact form: `|L ∪ (L + t)| = 2·Π(λⱼ+1) − Π(λⱼ+1−|uⱼ|)`
     /// where `t = Σ uⱼāⱼ`.
     ///

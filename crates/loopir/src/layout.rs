@@ -103,11 +103,6 @@ impl ArrayLayout {
         self.by_name.get(name).copied()
     }
 
-    /// Array name for an id.
-    pub fn array_name(&self, id: usize) -> &str {
-        &self.arrays[id].name
-    }
-
     /// Line id of an element.
     ///
     /// # Panics

@@ -119,20 +119,6 @@ impl RunReport {
         Some(total / self.barrier_waits.len() as u32)
     }
 
-    /// Mean distinct-line count over non-empty tiles.
-    pub fn mean_tile_footprint(&self) -> Option<f64> {
-        let counts: Vec<u64> = self
-            .per_tile
-            .iter()
-            .filter(|t| t.iterations > 0)
-            .filter_map(|t| t.distinct_lines)
-            .collect();
-        if counts.is_empty() {
-            return None;
-        }
-        Some(counts.iter().sum::<u64>() as f64 / counts.len() as f64)
-    }
-
     /// Compare measured per-tile footprints against the model's
     /// cumulative-footprint prediction for tiles of `tile_extents`
     /// (Theorem 4 / Eq. 2).

@@ -138,9 +138,7 @@ impl Transport {
     }
 }
 
-/// The splitmix64 stream behind the jitter (same generator as the load
-/// generator's, restated to keep this crate's layering: the client must
-/// not depend on loadgen).
+/// The splitmix64 stream behind the jitter.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;

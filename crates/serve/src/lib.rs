@@ -24,10 +24,6 @@
 //!   served inline from the connection reader, bypassing the queue
 //!   entirely — so a saturated worker pool still answers every request
 //!   whose plan is already cached.
-//! * **Load generator** ([`loadgen`]) — an in-process traffic source
-//!   driving tens of thousands of concurrent requests over a
-//!   hot/warm/cold Zipf fingerprint mix, measuring p50/p99 latency,
-//!   plans/sec, and hit/coalesce/shed counts for `BENCH_serve.json`.
 //!
 //! The crate depends only on the leaf pipeline crates (`alp-loopir`,
 //! `alp-analysis`, `alp-plan`, `alp-runtime`), not on the root `alp`
@@ -38,13 +34,11 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod loadgen;
 pub mod pipeline;
 pub mod protocol;
 pub mod server;
 
 pub use client::{Client, ClientConfig, ClientError};
-pub use loadgen::{run_loadgen, LoadGenConfig, LoadGenReport};
 pub use protocol::{Request, RequestOp, Response, PROTOCOL_VERSION};
 pub use server::{DrainOutcome, ServeConfig, Server, ServerStats};
 
@@ -89,11 +83,6 @@ impl ServeError {
             "ALP0015",
             "server draining: new work refused; retry against a live instance",
         )
-    }
-
-    /// True when this is the `ALP0012` shed error.
-    pub fn is_overloaded(&self) -> bool {
-        self.code == "ALP0012"
     }
 
     /// True when this is the `ALP0015` draining refusal.

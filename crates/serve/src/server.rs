@@ -48,7 +48,6 @@
 use crate::pipeline::{build_plan, run_plan};
 use crate::protocol::{Request, RequestOp, Response};
 use crate::ServeError;
-use alp_plan::json::parse;
 use alp_plan::{Fetched, Json, PlanStore, RecoveryReport, ShardedPlanCache};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
@@ -200,12 +199,6 @@ impl ServerStats {
             refused: f("refused"),
             replayed: f("replayed"),
         }
-    }
-
-    /// Decode from an encoded stats line.
-    pub fn decode_str(s: &str) -> Result<ServerStats, ServeError> {
-        let v = parse(s).map_err(|e| ServeError::new("ALP0006", e.to_string()))?;
-        Ok(ServerStats::decode(&v))
     }
 
     /// Total shed requests.
@@ -718,16 +711,6 @@ impl Server {
     /// Current counters.
     pub fn stats(&self) -> ServerStats {
         self.inner.stats()
-    }
-
-    /// Would a request of this class be admitted right now?  (Exposed
-    /// for tests; the socket path re-checks atomically at submit.)
-    pub fn would_admit(&self, op: &RequestOp) -> bool {
-        let limit = match op {
-            RequestOp::Run => self.inner.cfg.run_limit(),
-            _ => self.inner.cfg.queue_cap,
-        };
-        self.inner.depth.load(Ordering::Relaxed) < limit
     }
 
     /// Bind `path` and serve until a `shutdown` request arrives.

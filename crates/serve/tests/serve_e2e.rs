@@ -4,7 +4,7 @@
 //! under total overload, and graceful shutdown.
 
 use alp_serve::pipeline::PlanSpec;
-use alp_serve::{LoadGenConfig, Request, RequestOp, Response, ServeConfig, Server};
+use alp_serve::{Request, RequestOp, Response, ServeConfig, Server};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -325,46 +325,83 @@ fn run_high_water_sheds_runs_only() {
 }
 
 #[test]
-fn loadgen_smoke_accounts_for_every_request() {
-    let path = sock_path("loadgen");
-    let cfg = LoadGenConfig {
-        clients: 4,
-        window: 16,
-        requests: 200,
-        corpus: 24,
-        hot: 4,
-        run_percent: 10,
-        ..LoadGenConfig::default()
-    };
-    let report = alp_serve::run_loadgen(
-        &cfg,
-        ServeConfig {
-            workers: 2,
-            ..ServeConfig::default()
-        },
-        &path,
-    )
-    .expect("loadgen runs");
-    assert_eq!(report.sent, 200);
-    assert_eq!(report.ok + report.errors + report.shed, 200);
-    assert_eq!(report.hits + report.coalesced + report.computed, report.ok);
+fn pipelined_mixed_traffic_accounts_for_every_request() {
+    const CONNECTIONS: u64 = 4;
+    const WINDOW: u64 = 50;
+    const NESTS: u64 = 24;
+    let path = sock_path("pipelined");
+    let handle = Server::new(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    })
+    .serve(&path)
+    .unwrap();
+
+    // Each connection writes its whole window before reading anything
+    // back.  Request k names nest k² mod 24, so a few nests are hot;
+    // every tenth request is a run.
+    let joins: Vec<_> = (0..CONNECTIONS)
+        .map(|conn| {
+            let path = path.clone();
+            std::thread::spawn(move || {
+                let mut c = Client::connect(&path);
+                for k in conn * WINDOW..(conn + 1) * WINDOW {
+                    let nest = (k * k) % NESTS;
+                    // Distinct trip counts are distinct fingerprints.
+                    let source = format!(
+                        "doall (i, 0, {}) {{ doall (j, 0, 15) {{ A[i,j] = B[i,j] + A[i,j]; }} }}",
+                        15 + nest
+                    );
+                    let mut req = if k % 10 == 0 {
+                        Request::run(k as i128, &source)
+                    } else {
+                        Request::plan(k as i128, &source)
+                    };
+                    req.run.threads = 1;
+                    c.send(&req);
+                }
+                (0..WINDOW).map(|_| c.recv()).collect::<Vec<Response>>()
+            })
+        })
+        .collect();
+    let responses: Vec<Response> = joins
+        .into_iter()
+        .flat_map(|j| j.join().expect("client thread"))
+        .collect();
+    let stats = handle.shutdown();
+
+    let sent = CONNECTIONS * WINDOW;
+    fn count(responses: &[Response], pred: impl Fn(&Response) -> bool) -> u64 {
+        responses.iter().filter(|r| pred(r)).count() as u64
+    }
+    let is_shed = |r: &Response| r.code.as_deref() == Some("ALP0012");
+    let ok = count(&responses, |r| r.ok);
+    let shed = count(&responses, |r| !r.ok && is_shed(r));
+    let errors = count(&responses, |r| !r.ok && !is_shed(r));
+    let mut ids: Vec<i128> = responses.iter().map(|r| r.id).collect();
+    ids.sort_unstable();
     assert!(
-        report.computed <= 24,
-        "at most one compile per corpus entry"
+        ids.into_iter().eq(0..sent as i128),
+        "one answer per request"
     );
-    assert!(report.p50_us <= report.p99_us && report.p99_us <= report.max_us);
-    assert!(report.cores >= 1);
-    assert_eq!(report.max_concurrent, 64);
+    assert_eq!(ok + errors + shed, sent);
+    let fetched = |how: &str| count(&responses, |r| r.ok && r.cache.as_deref() == Some(how));
+    let computed = fetched("computed");
+    assert_eq!(fetched("hit") + fetched("coalesced") + computed, ok);
+    let distinct: std::collections::HashSet<u64> = (0..sent).map(|k| (k * k) % NESTS).collect();
+    assert!(
+        computed <= distinct.len() as u64,
+        "at most one compile per distinct nest"
+    );
     // Server-side and client-side views agree on sheds.
-    assert_eq!(report.server.shed(), report.shed);
+    assert_eq!(stats.shed(), shed);
     // Batch draining never invents or loses work: batch tails are a
     // subset of the queue-bound jobs (everything sent minus sheds and
     // inline answers), and at most WORKER_BATCH-1 = 7 of every 8.
-    let queued = report.sent as u64 - report.shed as u64 - report.server.inline_hits;
+    let queued = sent - shed - stats.inline_hits;
     assert!(
-        report.server.batched <= queued.saturating_sub(queued.div_ceil(8)),
+        stats.batched <= queued.saturating_sub(queued.div_ceil(8)),
         "batch tails ({}) exceed what {queued} queued jobs can produce",
-        report.server.batched
+        stats.batched
     );
-    assert!(!path.exists(), "loadgen cleans up its socket");
 }

@@ -9,7 +9,6 @@
 //! alp-cli calibrate [OPTIONS] [FILE|-]  # fit a latency model from probe runs
 //! alp-cli serve --socket PATH [...]     # the plan service (daemon / --connect)
 //! alp-cli store verify|stats|compact DIR
-//! alp-cli bench-serve [OPTIONS]         # load-generate against a server
 //! ```
 //!
 //! Every command is one row of [`COMMANDS`]: its flags, its positional
@@ -47,7 +46,6 @@
 
 mod analyze;
 mod args;
-mod bench_serve;
 mod calibrate;
 mod certify;
 mod front;
@@ -62,7 +60,7 @@ use std::process::ExitCode;
 
 /// Every command; the first row is the default mode, chosen when the
 /// first argument names no other.
-pub static COMMANDS: [Command; 8] = [
+pub static COMMANDS: [Command; 7] = [
     analyze::COMMAND,
     plan::COMMAND,
     run::COMMAND,
@@ -70,7 +68,6 @@ pub static COMMANDS: [Command; 8] = [
     calibrate::COMMAND,
     serve::COMMAND,
     store::COMMAND,
-    bench_serve::COMMAND,
 ];
 
 fn main() -> ExitCode {

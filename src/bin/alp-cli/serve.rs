@@ -66,7 +66,7 @@ const SIGTERM: i32 = 15;
 /// Install the handlers and start the watcher.  The returned flag is
 /// set by the first signal; the second exits the process with 12, from
 /// the watcher's own thread so that it cuts a blocking drain short.
-pub fn drain_signals(who: &'static str) -> Arc<AtomicBool> {
+fn drain_signals() -> Arc<AtomicBool> {
     // SAFETY: `signal` is the C library's; `note_signal` has the handler
     // ABI and is async-signal-safe (one atomic add, no allocation, no
     // locks), and the handlers are installed before any thread that
@@ -80,7 +80,7 @@ pub fn drain_signals(who: &'static str) -> Arc<AtomicBool> {
     std::thread::spawn(move || loop {
         let seen = SIGNALS.load(Ordering::SeqCst);
         if seen >= 2 {
-            eprintln!("alp-cli: {who}: second signal — aborting drain (exit 12)");
+            eprintln!("alp-cli: serve: second signal — aborting drain (exit 12)");
             std::process::exit(EXIT_DRAINING as i32);
         }
         if seen == 1 {
@@ -113,7 +113,7 @@ pub fn call_server(
 }
 
 fn daemon(sock: &str, cfg: ServeConfig) -> Result<ExitCode, ExitCode> {
-    let stop = drain_signals("serve");
+    let stop = drain_signals();
     let drain_deadline_ms = cfg.drain_deadline_ms;
     let store = cfg.store_dir.clone();
     let (server, recovery) = Server::try_new(cfg).map_err(|e| {

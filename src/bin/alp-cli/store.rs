@@ -1,7 +1,8 @@
 //! `alp-cli store`: offline plan-store maintenance.  `verify` scans the
 //! journal read-only and exits 11 (`ALP0014`) when any frame is
 //! corrupt; `stats` prints the same summary but always exits 0;
-//! `compact` rewrites the live set into one fresh segment.
+//! `compact` rewrites the live set into one fresh segment.  All three
+//! refuse a directory that does not exist (exit 1) and create nothing.
 
 use crate::args::{Args, Command, Positional};
 use crate::report::{fail_code, fail_io};
@@ -22,6 +23,12 @@ fn run(args: &Args) -> Result<ExitCode, ExitCode> {
     let action = args.positional(0).expect("store takes two words");
     let dir = args.positional(1).expect("store takes two words");
     let io = |e| fail_io(format_args!("store: {dir}"), e);
+    // Maintenance is for a store that exists: scanning a mistyped path
+    // would verify an empty journal, and opening it would create one.
+    // An unknown action stays a usage error whatever DIR is.
+    if matches!(action, "verify" | "stats" | "compact") {
+        std::fs::read_dir(dir).map_err(io)?;
+    }
     match action {
         "verify" | "stats" => {
             let report = PlanStore::scan(Path::new(dir)).map_err(io)?;

@@ -589,24 +589,48 @@ fn serve_client_maps_plan_errors_to_standard_exits() {
 }
 
 #[test]
-fn bench_serve_smoke_emits_schema_complete_json() {
-    let (stdout, stderr, code) = run_cli(
-        &["bench-serve", "--smoke", "--requests", "120", "--json", "-"],
-        None,
+fn bench_serve_is_not_a_command() {
+    // The ledger (BENCHMARK.json) is the only benchmark.  A word that
+    // names no command is the default mode's input file.
+    let (_, stderr, code) = run_cli(&["--help"], None);
+    assert_eq!(code, Some(2));
+    let footer = stderr.lines().last().expect("usage footer");
+    assert_eq!(
+        footer,
+        "commands (alp-cli <COMMAND> --help): plan, run, certify, calibrate, serve, store"
     );
-    assert_eq!(code, Some(0), "stderr: {stderr}");
-    for field in [
-        "\"bench\": \"serve\"",
-        "\"p50\"",
-        "\"p99\"",
-        "\"plans_per_sec\"",
-        "\"shed\"",
-        "\"coalesced\"",
-        "\"oversubscribed\"",
-        "\"max_concurrent\"",
-    ] {
-        assert!(stdout.contains(field), "missing {field} in {stdout}");
+    let (stdout, stderr, code) = run_cli(&["bench-serve"], None);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.starts_with("alp-cli: bench-serve: No such file or directory"),
+        "{stderr}"
+    );
+    assert!(stdout.is_empty(), "{stdout}");
+}
+
+#[test]
+fn store_maintenance_refuses_a_directory_that_does_not_exist() {
+    let dir = std::env::temp_dir().join(format!("alp-cli-no-such-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.to_str().unwrap();
+    for action in ["verify", "stats", "compact"] {
+        let (stdout, stderr, code) = run_cli(&["store", action, path], None);
+        assert_eq!(code, Some(1), "{action}: {stdout}{stderr}");
+        assert!(
+            stderr.starts_with(&format!(
+                "alp-cli: store: {path}: No such file or directory"
+            )),
+            "{action}: {stderr}"
+        );
+        assert!(stdout.is_empty(), "{action}: {stdout}");
+        assert!(!dir.exists(), "{action} created {path}");
     }
+    // An empty store that exists is a clean one.
+    std::fs::create_dir(&dir).expect("create the store directory");
+    let (stdout, stderr, code) = run_cli(&["store", "verify", path], None);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("0 live plan(s)"), "{stdout}");
 }
 
 /// Send `sig` to a child process by PID (no libc crate in the test
@@ -777,7 +801,7 @@ fn assert_usage_error(args: &[&str]) {
 
 #[test]
 fn every_command_reports_malformed_command_lines_as_usage_errors() {
-    // One parser serves all eight commands, so each kind of malformed
+    // One parser serves all seven commands, so each kind of malformed
     // command line fails the same way everywhere: a value flag at the
     // end of argv, a non-numeric value for a numeric flag, an unknown
     // flag, a surplus positional, a missing required positional.
@@ -818,10 +842,6 @@ fn every_command_reports_malformed_command_lines_as_usage_errors() {
         &["store", "bogus", "dir"],
         &["store", "verify", "dir", "extra"],
         &["store", "verify"],
-        &["bench-serve", "--requests"],
-        &["bench-serve", "--requests", "x"],
-        &["bench-serve", "--bogus"],
-        &["bench-serve", "extra"],
     ];
     for args in cases {
         assert_usage_error(args);
@@ -830,16 +850,7 @@ fn every_command_reports_malformed_command_lines_as_usage_errors() {
 
 #[test]
 fn every_command_answers_help_with_its_usage() {
-    for cmd in [
-        "",
-        "plan",
-        "run",
-        "certify",
-        "calibrate",
-        "serve",
-        "store",
-        "bench-serve",
-    ] {
+    for cmd in ["", "plan", "run", "certify", "calibrate", "serve", "store"] {
         for help in ["--help", "-h"] {
             let args: Vec<&str> = [cmd, help].into_iter().filter(|a| !a.is_empty()).collect();
             assert_usage_error(&args);

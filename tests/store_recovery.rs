@@ -30,9 +30,12 @@ fn tmp_path(tag: &str) -> PathBuf {
     ))
 }
 
-/// The same structurally distinct corpus the serve benchmark uses.
+/// Structurally distinct 2-D nests: distinct trip counts give distinct
+/// fingerprints.
 fn source(rank: usize) -> String {
-    alp::serve::loadgen::corpus_source(rank)
+    let outer = 15 + rank;
+    let inner = 15 + (rank * 7) % 17;
+    format!("doall (i, 0, {outer}) {{ doall (j, 0, {inner}) {{ A[i,j] = B[i,j] + A[i,j]; }} }}")
 }
 
 /// One certified plan request over an open connection.
