@@ -39,6 +39,89 @@ pub struct Witness {
     pub element: IVec,
 }
 
+/// Def. 4's system, solved once: every `x = (ī₁ | ī₂)` with
+/// `r1(ī₁) == r2(ī₂)`, as a particular solution `x₀` of the stacked
+/// `x·M = b` (`M = [G₁; −G₂]`, `b = ā₂ − ā₁`) plus the integer span of a
+/// reduced null-space basis `N` (reduced so that a search over the
+/// coefficients `c` of `x = x₀ + c·N` stays small).  Bounds, tile boxes
+/// and cuts are rows over those coefficients, built by
+/// [`row`](ConflictLattice::row) / [`constrain`](ConflictLattice::constrain).
+#[derive(Debug, Clone)]
+pub struct ConflictLattice {
+    x0: IVec,
+    basis: Vec<IVec>,
+}
+
+impl ConflictLattice {
+    /// The lattice for two references of a depth-`l` nest; `None` when
+    /// they never name one element, bounds aside (or are malformed —
+    /// mismatched dimensions are for other layers to diagnose).
+    pub fn new(r1: &ArrayRef, r2: &ArrayRef, l: usize) -> Option<ConflictLattice> {
+        let d = r1.dim();
+        if d != r2.dim() {
+            return None;
+        }
+        let g1 = r1.g_matrix();
+        let g2 = r2.g_matrix();
+        let mut m = IMat::zeros(2 * l, d);
+        for r in 0..l {
+            for c in 0..d {
+                m[(r, c)] = g1[(r, c)];
+                m[(l + r, c)] = -g2[(r, c)];
+            }
+        }
+        let b = r2.offset().sub(&r1.offset()).expect("dims match");
+        let x0 = solve_integer(&m, &b)?;
+        let null = integer_nullspace(&m);
+        let basis = if null.is_empty() {
+            Vec::new()
+        } else {
+            Lattice::new(IMat::from_row_vecs(&null))
+                .reduced_basis()
+                .row_vecs()
+        };
+        Some(ConflictLattice { x0, basis })
+    }
+
+    /// Number of free coefficients `c_r` (the basis' size).
+    pub fn rank(&self) -> usize {
+        self.basis.len()
+    }
+
+    /// Coordinate `k` of `x₀`.
+    pub fn origin(&self, k: usize) -> i128 {
+        self.x0[k]
+    }
+
+    /// The coefficient part of coordinate `k` (`x_k − x₀[k]`) as a row
+    /// over `vars` unknowns, the first [`rank`](Self::rank) of them the
+    /// lattice's own.
+    pub fn row(&self, k: usize, vars: usize) -> Vec<Rat> {
+        let mut row: Vec<Rat> = self.basis.iter().map(|n| Rat::int(n[k])).collect();
+        row.resize(vars, Rat::int(0));
+        row
+    }
+
+    /// Add `lo ≤ x_k ≤ hi` to a system whose first unknowns are the
+    /// lattice's coefficients.
+    pub fn constrain(&self, sys: &mut System, k: usize, lo: i128, hi: i128) {
+        let row = self.row(k, sys.vars);
+        sys.le(row.clone(), Rat::int(hi - self.x0[k]));
+        sys.ge(row, Rat::int(lo - self.x0[k]));
+    }
+
+    /// Materialize `x = x₀ + Σ c_r·N_r`.
+    pub fn point(&self, coeffs: &[i128]) -> Vec<i128> {
+        let mut x = self.x0.0.clone();
+        for (c, n) in coeffs.iter().zip(&self.basis) {
+            for (k, xv) in x.iter_mut().enumerate() {
+                *xv += c * n[k];
+            }
+        }
+        x
+    }
+}
+
 /// Exact conflict test between two references **to the same array**:
 /// returns a witness pair of *distinct* doall iterations `(ī₁, ī₂)` with
 /// `r1(ī₁) == r2(ī₂)`, both within the nest's doall bounds, or `None`
@@ -49,42 +132,16 @@ pub fn pair_conflict(nest: &LoopNest, r1: &ArrayRef, r2: &ArrayRef) -> Option<Wi
         return None;
     }
     debug_assert_eq!(r1.array, r2.array, "conflict test across different arrays");
-    let d = r1.dim();
-    if d != r2.dim() {
-        return None; // malformed nests are reported by other lints
-    }
-
-    // Stacked system x·M = b over x = (ī₁ | ī₂).
-    let g1 = r1.g_matrix();
-    let g2 = r2.g_matrix();
-    let mut m = IMat::zeros(2 * l, d);
-    for r in 0..l {
-        for c in 0..d {
-            m[(r, c)] = g1[(r, c)];
-            m[(l + r, c)] = -g2[(r, c)];
-        }
-    }
-    let b = r2.offset().sub(&r1.offset()).expect("dims match");
-
-    // Particular solution: no lattice point at all ⇒ the references can
-    // never touch the same element, bounds aside.
-    let x0 = solve_integer(&m, &b)?;
-    // Solution lattice: reduced basis keeps DFS coefficients small.
-    let null = integer_nullspace(&m);
-    let basis = if null.is_empty() {
-        Vec::new()
-    } else {
-        Lattice::new(IMat::from_row_vecs(&null))
-            .reduced_basis()
-            .row_vecs()
-    };
+    // No lattice point at all ⇒ the references can never touch the same
+    // element (malformed nests are reported by other lints).
+    let lattice = ConflictLattice::new(r1, r2, l)?;
 
     // The two signs of the first differing level are symmetric when the
     // references are interchangeable (structural equality ignores spans).
     let signs: &[i128] = if r1 == r2 { &[1] } else { &[1, -1] };
     for mlevel in 0..l {
         for &s in signs {
-            if let Some(x) = solve_branch(nest, &x0, &basis, mlevel, s) {
+            if let Some(x) = solve_branch(nest, &lattice, mlevel, s) {
                 let iter1 = IVec(x[..l].to_vec());
                 let iter2 = IVec(x[l..].to_vec());
                 let element = r1.eval(&iter1);
@@ -101,28 +158,28 @@ pub fn pair_conflict(nest: &LoopNest, r1: &ArrayRef, r2: &ArrayRef) -> Option<Wi
 }
 
 /// Search the branch "iterations agree below level `m`, differ at `m`
-/// with sign `s`": a conjunctive system over the nullspace coefficients.
+/// with sign `s`": a conjunctive system over the lattice coefficients.
 fn solve_branch(
     nest: &LoopNest,
-    x0: &IVec,
-    basis: &[IVec],
+    lattice: &ConflictLattice,
     m: usize,
     s: i128,
 ) -> Option<Vec<i128>> {
     let l = nest.depth();
-    let t = basis.len();
+    let t = lattice.rank();
     let mut sys = System::new(t);
-    // Box: lo_k ≤ x0[k] + Σ_r c_r·N_r[k] ≤ hi_k for all 2l coordinates.
+    // Box: lo_k ≤ x_k ≤ hi_k for all 2l coordinates.
     for k in 0..2 * l {
         let lp = &nest.loops[k % l];
-        let coeffs: Vec<Rat> = basis.iter().map(|n| Rat::int(n[k])).collect();
-        sys.le(coeffs.clone(), Rat::int(lp.upper - x0[k]));
-        sys.ge(coeffs, Rat::int(lp.lower - x0[k]));
+        lattice.constrain(&mut sys, k, lp.lower, lp.upper);
     }
     // δ_j = x_j − x_{l+j}: zero below m, `s`-signed ≥ 1 at m.
     for j in 0..=m {
-        let coeffs: Vec<Rat> = basis.iter().map(|n| Rat::int(n[j] - n[l + j])).collect();
-        let base = x0[j] - x0[l + j];
+        let coeffs: Vec<Rat> = (lattice.row(j, t).into_iter())
+            .zip(lattice.row(l + j, t))
+            .map(|(a, b)| a - b)
+            .collect();
+        let base = lattice.origin(j) - lattice.origin(l + j);
         if j < m {
             sys.le(coeffs.clone(), Rat::int(-base));
             sys.ge(coeffs, Rat::int(-base));
@@ -131,15 +188,7 @@ fn solve_branch(
             sys.ge(signed, Rat::int(1 - s * base));
         }
     }
-    let c = find_integer_point(&sys)?;
-    // Materialize x = x0 + Σ c_r·N_r.
-    let mut x: Vec<i128> = x0.0.clone();
-    for (r, n) in basis.iter().enumerate() {
-        for (k, xv) in x.iter_mut().enumerate() {
-            *xv += c[r] * n[k];
-        }
-    }
-    Some(x)
+    find_integer_point(&sys).map(|c| lattice.point(&c))
 }
 
 /// Brute-force conflict oracle for differential testing: enumerate every

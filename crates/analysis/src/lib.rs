@@ -25,7 +25,7 @@ pub mod diag;
 pub mod lint;
 pub mod search;
 
-pub use dep::{brute_force_conflict, pair_conflict, witness_is_valid, Witness};
+pub use dep::{brute_force_conflict, pair_conflict, witness_is_valid, ConflictLattice, Witness};
 pub use diag::{Diagnostic, Note, Report, Rule, Severity};
 
 use alp_linalg::IVec;

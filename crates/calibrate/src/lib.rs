@@ -1,11 +1,14 @@
 //! # alp-calibrate — measured-latency calibration for the partitioner
 //!
 //! The Theorem-4 objective ranks candidate tilings by the cumulative
-//! footprint of one tile — a pure *capacity* proxy.  On real machines
-//! that proxy can invert: Example 2's column strips minimize distinct
-//! lines but spread each tile's accesses across a huge address
-//! envelope, and the measured wall time favors the blocked tiling the
-//! model ranks second.  This crate closes the loop:
+//! footprint of one tile — a pure *capacity* proxy.  Two shapes the
+//! proxy holds nearly equal need not cost the same on a real memory
+//! system: Example 2's column strips minimize distinct lines but sweep
+//! an address envelope more than twice as wide as the square blocks the
+//! model ranks second, which the line count does not charge for.
+//! (Which of the two runs faster is unresolved: no instrument runs one
+//! nest under both tilings — ROADMAP, "Close the model loop".)  This
+//! crate is the empirical side:
 //!
 //! 1. **Probe** ([`probe_nest`]) — run the candidate tilings of a nest
 //!    on the actual machine, collecting per-tile busy times, measured
@@ -33,9 +36,8 @@
 //! The span term is what breaks the Example-2 tie: with the nest and
 //! processor count fixed, `tiles` and `reps` are constant across
 //! candidate grids and strips genuinely touch *fewer* distinct lines
-//! than blocks — but their per-tile address envelope (`span`) is an
-//! order of magnitude wider, which is exactly what the measured busy
-//! times punish.
+//! than blocks — but their per-tile address envelope (`span`) is
+//! wider, and a fit that gives `s` weight charges them for it.
 
 #![warn(missing_docs)]
 

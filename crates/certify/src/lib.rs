@@ -77,9 +77,9 @@
 #![warn(missing_docs)]
 
 use alp_analysis::search::{integer_point, Answer};
-use alp_lattice::Lattice;
+use alp_analysis::ConflictLattice;
 use alp_linalg::fm::System;
-use alp_linalg::{integer_nullspace, solve_integer, IMat, IVec, Rat};
+use alp_linalg::{IMat, IVec, Rat};
 use alp_loopir::{ArrayRef, LoopNest};
 use alp_plan::{Certificate, IterBox, PartitionPlan, PlanError, Tiling};
 
@@ -461,7 +461,7 @@ fn decide_coverage(
 /// Fact 2, decided once per ordered pair of write references instead of
 /// once per tile pair.  Two points of the gridded box lie in different
 /// tiles iff some cut `lo_k + m·c_k` (`1 ≤ m ≤ g_k − 1`) separates them,
-/// so per split dimension one search over the [`conflict_lattice`]'s
+/// so per split dimension one search over the [`ConflictLattice`]'s
 /// coefficients and the cut index `m` asks for `x, y ∈ bounds` with
 /// `x_k < cut ≤ y_k`; the reverse orientation is the reversed pair's
 /// question.  Same coordinates and same over-approximation (unclipped
@@ -475,25 +475,25 @@ fn decide_write_disjoint(
     let l = bounds.len();
     for w1 in writes {
         for w2 in writes.iter().filter(|w2| w2.array == w1.array) {
-            let Some(lattice) = conflict_lattice(w1, w2, l) else {
+            let Some(lattice) = ConflictLattice::new(w1, w2, l) else {
                 continue;
             };
             // The cut index `m` is the unknown after the lattice's own.
-            let m = lattice.1.len();
+            let m = lattice.rank();
             let mut within = System::new(m + 1);
             for (q, &(lo, hi)) in bounds.iter().chain(bounds).enumerate() {
-                constrain_coord(&mut within, &lattice, q, lo, hi);
+                lattice.constrain(&mut within, q, lo, hi);
             }
             for k in (0..l).filter(|&k| grid[k] >= 2) {
                 // x_k − c_k·m ≤ lo_k − 1, y_k − c_k·m ≥ lo_k, 1 ≤ m ≤ g_k − 1.
                 let mut sys = within.clone();
-                let mut below = coord_row(&lattice, k, m + 1);
-                let mut above = coord_row(&lattice, l + k, m + 1);
+                let mut below = lattice.row(k, m + 1);
+                let mut above = lattice.row(l + k, m + 1);
                 let mut index = vec![Rat::int(0); m + 1];
                 (below[m], above[m], index[m]) =
                     (Rat::int(-chunks[k]), Rat::int(-chunks[k]), Rat::int(1));
-                sys.le(below, Rat::int(bounds[k].0 - 1 - lattice.0[k]));
-                sys.ge(above, Rat::int(bounds[k].0 - lattice.0[l + k]));
+                sys.le(below, Rat::int(bounds[k].0 - 1 - lattice.origin(k)));
+                sys.ge(above, Rat::int(bounds[k].0 - lattice.origin(l + k)));
                 sys.ge(index.clone(), Rat::int(1));
                 sys.le(index, Rat::int(grid[k] - 1));
                 if integer_point(&sys) != Answer::Empty {
@@ -656,82 +656,24 @@ fn prove_idempotent(nest: &LoopNest, notes: &mut Vec<String>) -> bool {
 
 /// The PR-1 stacked Diophantine solve over symbolic boxes: is there
 /// `ī₁ ∈ box1`, `ī₂ ∈ box2` with `r1(ī₁) == r2(ī₂)`?  A bounded integer
-/// search of the [`conflict_lattice`] inside the two boxes; a point is
+/// search of the [`ConflictLattice`] inside the two boxes; a point is
 /// returned as `x = (ī₁ | ī₂)`.  No disequality: equal iterations count
 /// as a conflict here (the callers that need distinctness pass disjoint
 /// boxes).
 fn box_conflict(r1: &ArrayRef, box1: &Box128, r2: &ArrayRef, box2: &Box128) -> Answer {
     let l = box1.len();
     debug_assert_eq!(box2.len(), l, "boxes of one nest have equal rank");
-    let Some(lattice) = conflict_lattice(r1, r2, l) else {
+    let Some(lattice) = ConflictLattice::new(r1, r2, l) else {
         return Answer::Empty;
     };
-    let (x0, basis) = &lattice;
-    let mut sys = System::new(basis.len());
+    let mut sys = System::new(lattice.rank());
     for (k, &(lo, hi)) in box1.iter().chain(box2).enumerate() {
-        constrain_coord(&mut sys, &lattice, k, lo, hi);
+        lattice.constrain(&mut sys, k, lo, hi);
     }
     match integer_point(&sys) {
-        Answer::Point(c) => {
-            let mut x: Vec<i128> = x0.0.clone();
-            for (r, n) in basis.iter().enumerate() {
-                for (k, xv) in x.iter_mut().enumerate() {
-                    *xv += c[r] * n[k];
-                }
-            }
-            Answer::Point(x)
-        }
+        Answer::Point(c) => Answer::Point(lattice.point(&c)),
         other => other,
     }
-}
-
-/// A particular solution and a reduced basis of the lattice around it.
-type ConflictLattice = (IVec, Vec<IVec>);
-
-/// Every `x = (ī₁ | ī₂)` with `r1(ī₁) == r2(ī₂)`: the stacked system
-/// `x·M = b`, `M = [G₁; −G₂]`, over the `2·l` coordinates.  `None` when
-/// the two references never name one element (or are malformed —
-/// mismatched dimensions are for other layers to diagnose).
-fn conflict_lattice(r1: &ArrayRef, r2: &ArrayRef, l: usize) -> Option<ConflictLattice> {
-    let d = r1.dim();
-    if d != r2.dim() {
-        return None;
-    }
-    let g1 = r1.g_matrix();
-    let g2 = r2.g_matrix();
-    let mut m = IMat::zeros(2 * l, d);
-    for r in 0..l {
-        for c in 0..d {
-            m[(r, c)] = g1[(r, c)];
-            m[(l + r, c)] = -g2[(r, c)];
-        }
-    }
-    let b = r2.offset().sub(&r1.offset()).expect("dims match");
-    let x0 = solve_integer(&m, &b)?;
-    let null = integer_nullspace(&m);
-    let basis = if null.is_empty() {
-        Vec::new()
-    } else {
-        Lattice::new(IMat::from_row_vecs(&null))
-            .reduced_basis()
-            .row_vecs()
-    };
-    Some((x0, basis))
-}
-
-/// Coordinate `k` of a lattice point as a row over `vars` unknowns, the
-/// first `basis.len()` of them the lattice coefficients.
-fn coord_row((_, basis): &ConflictLattice, k: usize, vars: usize) -> Vec<Rat> {
-    let mut row: Vec<Rat> = basis.iter().map(|n| Rat::int(n[k])).collect();
-    row.resize(vars, Rat::int(0));
-    row
-}
-
-/// Add `lo ≤ x_k ≤ hi` for coordinate `k` of a lattice point.
-fn constrain_coord(sys: &mut System, lattice: &ConflictLattice, k: usize, lo: i128, hi: i128) {
-    let row = coord_row(lattice, k, sys.vars);
-    sys.le(row.clone(), Rat::int(hi - lattice.0[k]));
-    sys.ge(row, Rat::int(lo - lattice.0[k]));
 }
 
 /// Exact interval image of each subscript over each box; disjoint in

@@ -29,9 +29,10 @@
 //!
 //! Plans serialize to a versioned JSON schema ([`json`]) with a
 //! hand-rolled, float-free codec whose output is byte-deterministic —
-//! the golden-snapshot tests diff the exact bytes.  [`PlanCache`]
-//! memoizes plans by `(fingerprint, processors, mesh, checked)` with
-//! hit/miss/eviction counters, and a [`Tiling`]
+//! the golden-snapshot tests diff the exact bytes.
+//! [`ShardedPlanCache::get_or_compute`] memoizes plans by [`PlanKey`]
+//! (fingerprint plus every parameter that can change the plan) with
+//! hit/miss/coalesced/eviction counters, and a [`Tiling`]
 //! ([`PartitionPlan::tiling`]) is the one answer to "which iterations
 //! does tile `t` own, and in what row order" that every consumer
 //! (codegen, runtime, certifier, calibration, machine simulation) takes
@@ -51,7 +52,7 @@ pub mod store;
 pub mod tiles;
 pub mod transform;
 
-pub use cache::{CacheStats, PlanCache, PlanKey};
+pub use cache::PlanKey;
 pub use features::{features, grid_features, per_tile_features, GridFeatures};
 pub use fingerprint::{canonical_source, fingerprint, fingerprint_hex, fnv1a64};
 pub use json::{Json, JsonError};

@@ -1,30 +1,30 @@
-//! A sharded, coalescing front for the plan cache — the concurrent
-//! heart of `alp-serve`.
+//! The plan cache: a sharded, coalescing LRU — the concurrent heart of
+//! `alp-serve`, and with one shard the single-threaded memoizer.
 //!
-//! [`PlanCache`] is a single-threaded LRU: correct behind one mutex,
-//! but a server with N handler threads would serialize every lookup on
-//! that one lock.  [`ShardedPlanCache`] splits the key space over
-//! independent shards (each its own mutex around a private
-//! [`PlanCache`]), so lookups for different fingerprints proceed in
-//! parallel and a slow *compile* on one shard never blocks hits on
-//! another — the compile itself always runs **outside** the shard lock.
+//! Behind one mutex, a server with N handler threads would serialize
+//! every lookup on that one lock.  [`ShardedPlanCache`] splits the key
+//! space over independent shards (each its own mutex around a private
+//! LRU map), so lookups for different fingerprints proceed in parallel
+//! and a slow *compile* on one shard never blocks hits on another — the
+//! compile itself always runs **outside** the shard lock.
 //!
 //! The second concurrency problem a server has is the *thundering
 //! herd*: N simultaneous requests for the same cold [`PlanKey`] would
-//! each pay the full compile.  [`ShardedPlanCache::get_or_compute`]
-//! (`PlanCache::get_or_try_insert_with` generalized across threads)
-//! coalesces them: the first requester becomes the **leader** and
-//! compiles; the rest find the in-flight slot and block on its condvar
-//! until the leader publishes.  Exactly one compile runs per in-flight
-//! key, and every waiter receives the same `Arc`'d plan (or the same
-//! error — failures are shared but never cached).
+//! each pay the full compile.  [`ShardedPlanCache::get_or_compute`] —
+//! the only memoizer in the tree — coalesces them: the first requester
+//! becomes the **leader** and compiles; the rest find the in-flight
+//! slot and block on its condvar until the leader publishes.  Exactly
+//! one compile runs per in-flight key, and every waiter receives the
+//! same `Arc`'d plan (or the same error — failures are shared but never
+//! cached).
 //!
 //! A leader that *panics* mid-compile publishes an `Abandoned` state
 //! from its drop guard; waiters then re-enter the protocol (one of
 //! them becomes the new leader) instead of deadlocking.  This is what
 //! keeps a chaos-injected tile panic from poisoning a shard.
 
-use crate::{PartitionPlan, PlanCache, PlanError, PlanKey};
+use crate::cache::Lru;
+use crate::{PartitionPlan, PlanError, PlanKey};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -68,18 +68,6 @@ pub struct ShardedCacheStats {
     pub evictions: u64,
 }
 
-impl ShardedCacheStats {
-    /// Hits as a fraction of all lookups (0 when no lookups yet).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses + self.coalesced;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// State of one in-flight compile slot.
 enum Slot<E> {
     /// The leader is still compiling.
@@ -97,7 +85,7 @@ struct InFlight<E> {
 }
 
 struct ShardState<E> {
-    cache: PlanCache,
+    cache: Lru,
     inflight: HashMap<PlanKey, Arc<InFlight<E>>>,
     // Request-level counters live per shard, under the same lock the
     // lookup already holds — no extra synchronization, and the stats
@@ -173,7 +161,7 @@ impl<E: Clone> ShardedPlanCache<E> {
             shards: (0..shards)
                 .map(|_| {
                     Mutex::new(ShardState {
-                        cache: PlanCache::new(per_shard),
+                        cache: Lru::new(per_shard),
                         inflight: HashMap::new(),
                         hits: 0,
                         misses: 0,
@@ -211,7 +199,7 @@ impl<E: Clone> ShardedPlanCache<E> {
                 total.hits += st.hits;
                 total.misses += st.misses;
                 total.coalesced += st.coalesced;
-                total.evictions += st.cache.stats().evictions;
+                total.evictions += st.cache.evictions;
             }
         }
         total
@@ -406,8 +394,64 @@ mod tests {
         assert!(cache.get_cached(&key(1)).is_some());
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.coalesced), (2, 1, 0));
-        assert!((s.hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(cache.len(), 1);
+    }
+
+    // The per-shard LRU, through a cache of one shard.
+
+    #[test]
+    fn distinct_params_do_not_alias() {
+        let cache: ShardedPlanCache = ShardedPlanCache::new(1, 8);
+        cache.warm(key(1), Arc::new(plan(63)));
+        let vary = |change: fn(&mut PlanKey)| {
+            let mut other = key(1);
+            change(&mut other);
+            other
+        };
+        let others = [
+            key(2),
+            vary(|k| k.checked = false),
+            vary(|k| k.mesh = Some((2, 2))),
+            vary(|k| k.calibrated = true),
+            vary(|k| k.skewed = true),
+            vary(|k| k.certified = true),
+        ];
+        for other in &others {
+            assert!(cache.get_cached(other).is_none(), "{other:?}");
+        }
+        assert!(cache.get_cached(&key(1)).is_some());
+    }
+
+    #[test]
+    fn peek_refreshes_recency_without_counting() {
+        let cache: ShardedPlanCache = ShardedPlanCache::new(1, 2);
+        assert!(cache.warm(key(1), Arc::new(plan(63))));
+        assert!(cache.warm(key(2), Arc::new(plan(127))));
+        // Re-warming a present key is a peek: it keeps the entry ...
+        assert!(!cache.warm(key(1), Arc::new(plan(63))));
+        assert_eq!(
+            cache.stats(),
+            ShardedCacheStats::default(),
+            "and never counts"
+        );
+        // ... and refreshes it, so key 2 is now the LRU victim.
+        cache.warm(key(3), Arc::new(plan(255)));
+        assert!(cache.get_cached(&key(2)).is_none());
+        assert!(cache.get_cached(&key(1)).is_some());
+    }
+
+    #[test]
+    fn lru_eviction() {
+        let cache: ShardedPlanCache = ShardedPlanCache::new(1, 2);
+        cache.warm(key(1), Arc::new(plan(63)));
+        cache.warm(key(2), Arc::new(plan(127)));
+        cache.get_cached(&key(1)); // refresh 1; 2 becomes LRU
+        cache.warm(key(3), Arc::new(plan(255)));
+        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.stats().evictions, 1);
+        assert!(cache.get_cached(&key(2)).is_none(), "LRU entry evicted");
+        assert!(cache.get_cached(&key(1)).is_some());
+        assert!(cache.get_cached(&key(3)).is_some());
     }
 
     #[test]

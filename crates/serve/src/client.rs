@@ -147,23 +147,27 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// One step of decorrelated jitter: the next sleep, in
+/// `[base, base + max(3·prev, base))` capped.  The *previous* sleep (not
+/// the attempt index) scales the window, which decorrelates clients
+/// that started in sync.
+fn next_backoff(rng: &mut u64, prev_ms: u64, base_ms: u64, cap_ms: u64) -> u64 {
+    let span = prev_ms.max(1).saturating_mul(3).max(base_ms.max(1));
+    (base_ms + splitmix64(rng) % span).min(cap_ms.max(base_ms))
+}
+
 /// The pure backoff schedule: `n` decorrelated-jitter sleeps for a
 /// seed.  Exposed so tests can assert the client's recorded sleeps
 /// against the closed form (determinism is part of the contract).
 pub fn backoff_schedule(seed: u64, base_ms: u64, cap_ms: u64, n: usize) -> Vec<u64> {
     let mut state = seed;
-    let mut prev = base_ms.max(1);
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        // Decorrelated jitter: sleep in [base, prev*3], capped.  The
-        // *previous* sleep (not the attempt index) scales the window,
-        // which decorrelates clients that started in sync.
-        let span = prev.saturating_mul(3).max(base_ms.max(1));
-        let sleep = (base_ms + splitmix64(&mut state) % span).min(cap_ms.max(base_ms));
-        out.push(sleep);
-        prev = sleep.max(1);
-    }
-    out
+    let mut prev = base_ms;
+    (0..n)
+        .map(|_| {
+            prev = next_backoff(&mut state, prev, base_ms, cap_ms);
+            prev
+        })
+        .collect()
 }
 
 /// A reconnecting, retrying client for one serve socket.  One instance
@@ -182,7 +186,7 @@ impl Client {
     /// A client for the daemon at `path`.
     pub fn new(path: &Path, cfg: ClientConfig) -> Client {
         let rng = cfg.seed;
-        let prev_sleep = cfg.base_backoff_ms.max(1);
+        let prev_sleep = cfg.base_backoff_ms;
         Client {
             path: path.to_path_buf(),
             cfg,
@@ -301,11 +305,9 @@ impl Client {
     /// Sleep the next decorrelated-jitter step, recorded, clipped to
     /// the overall deadline.
     fn backoff(&mut self, start: Instant, overall: Option<Duration>) -> Result<(), ClientError> {
-        let base = self.cfg.base_backoff_ms;
-        let cap = self.cfg.backoff_cap_ms.max(base);
-        let span = self.prev_sleep.saturating_mul(3).max(base.max(1));
-        let sleep_ms = (base + splitmix64(&mut self.rng) % span).min(cap);
-        self.prev_sleep = sleep_ms.max(1);
+        let (base, cap) = (self.cfg.base_backoff_ms, self.cfg.backoff_cap_ms);
+        let sleep_ms = next_backoff(&mut self.rng, self.prev_sleep, base, cap);
+        self.prev_sleep = sleep_ms;
         self.sleeps.push(sleep_ms);
         let mut sleep = Duration::from_millis(sleep_ms);
         if let Some(d) = overall {

@@ -7,8 +7,9 @@
 //! This crate turns that into a daemon:
 //!
 //! * **Wire protocol** ([`protocol`]) — newline-delimited JSON frames
-//!   over a local Unix socket, versioned like the plan codec.  Ops:
-//!   `plan`, `run`, `stats`, `ping`, `shutdown`.
+//!   over a local Unix socket, versioned like the plan codec and read
+//!   through a size bound ([`server::MAX_REQUEST_BYTES`]).  Ops: `plan`,
+//!   `run`, `stats`, `ping`, `shutdown`.
 //! * **Sharded, coalescing cache** — the server fronts
 //!   [`ShardedPlanCache`](alp_plan::ShardedPlanCache): per-shard locks
 //!   keyed by the structural fingerprint, and N concurrent requests
@@ -26,10 +27,12 @@
 //!   whose plan is already cached.
 //!
 //! The crate depends only on the leaf pipeline crates (`alp-loopir`,
-//! `alp-analysis`, `alp-plan`, `alp-runtime`), not on the root `alp`
-//! facade — the facade's CLI links *this* crate, and the error-code
-//! contract (`ALP0001`…`ALP0012`) is small enough to restate at the
-//! boundary ([`ServeError`]).
+//! `alp-analysis`, `alp-plan`, `alp-certify`, `alp-runtime`), not on the
+//! root `alp` facade — the facade's CLI links *this* crate, and the
+//! error-code contract (`ALP0001`…`ALP0015`: the pipeline crates name
+//! their own codes, and this one adds the shed, `ALP0012`, and the
+//! drain refusal, `ALP0015`) is small enough to restate at the boundary
+//! ([`ServeError`]).
 
 #![warn(missing_docs)]
 
@@ -42,13 +45,13 @@ pub use client::{Client, ClientConfig, ClientError};
 pub use protocol::{Request, RequestOp, Response, PROTOCOL_VERSION};
 pub use server::{DrainOutcome, ServeConfig, Server, ServerStats};
 
-/// A serve-layer error: a stable `ALP000x` code plus a rendered
+/// A serve-layer error: a stable `ALP00xx` code plus a rendered
 /// message.  `Clone` so one failed compile can be shared verbatim with
-/// every coalesced waiter (the root `AlpError` owns non-cloneable
-/// diagnostics and cannot cross that boundary).
+/// every coalesced waiter (the root `AlpError` lives above this crate
+/// and cannot cross that boundary).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeError {
-    /// Stable machine-readable code (`ALP0001`…`ALP0012`).
+    /// Stable machine-readable code (`ALP0001`…`ALP0015`).
     pub code: String,
     /// Human-readable rendering of the underlying failure.
     pub message: String,

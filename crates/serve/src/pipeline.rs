@@ -11,6 +11,7 @@
 
 use crate::ServeError;
 use alp_certify::CertifyError;
+use alp_loopir::LoopNest;
 use alp_plan::{LegalityVerdict, PartitionPlan, PlanError, PlanKey};
 use alp_runtime::{ExecOptions, Executor, RuntimeError};
 use std::sync::Arc;
@@ -55,17 +56,15 @@ pub struct PlanSpec {
 }
 
 impl PlanSpec {
-    fn nest(&self) -> Result<alp_loopir::LoopNest, ServeError> {
-        alp_loopir::parse(&self.source).map_err(|e| ServeError::new("ALP0001", e.to_string()))
-    }
-
-    /// The cache key for this spec: structural fingerprint plus every
-    /// parameter that can change the plan.  Parse errors surface here
-    /// (before admission) so malformed sources never occupy a queue
-    /// slot.
-    pub fn key(&self) -> Result<PlanKey, ServeError> {
-        let nest = self.nest()?;
-        Ok(PlanKey {
+    /// Parse the source and name its cache slot, once: the nest, and
+    /// its structural fingerprint plus every parameter that can change
+    /// the plan.  Everything a request needs from its source comes out
+    /// of this one call — the server resolves on the reader thread and
+    /// hands the result to the worker.
+    pub fn resolve(&self) -> Result<(LoopNest, PlanKey), ServeError> {
+        let nest = alp_loopir::parse(&self.source)
+            .map_err(|e| ServeError::new("ALP0001", e.to_string()))?;
+        let key = PlanKey {
             fingerprint: alp_plan::fingerprint(&nest),
             processors: self.processors,
             mesh: None,
@@ -73,31 +72,43 @@ impl PlanSpec {
             calibrated: false,
             skewed: false,
             certified: self.certify,
-        })
+        };
+        Ok((nest, key))
+    }
+
+    /// The cache key for this spec: the key half of [`PlanSpec::resolve`].
+    pub fn key(&self) -> Result<PlanKey, ServeError> {
+        self.resolve().map(|(_, key)| key)
+    }
+
+    /// Analysis + partitioning (+ certification) of this spec's
+    /// [resolved](PlanSpec::resolve) nest — the expensive phase the
+    /// sharded cache memoizes.
+    pub(crate) fn build(&self, nest: &LoopNest) -> Result<PartitionPlan, ServeError> {
+        let verdict = if self.check {
+            let report = alp_analysis::analyze(nest);
+            if report.has_errors() {
+                return Err(ServeError::new("ALP0003", report.render("").trim_end()));
+            }
+            LegalityVerdict::Checked {
+                warnings: report.count(alp_analysis::Severity::Warning),
+            }
+        } else {
+            LegalityVerdict::Unchecked
+        };
+        let plan = PartitionPlan::choose(nest, self.processors, None, verdict, false, None)?;
+        if self.certify {
+            let report = alp_certify::certify(&plan)?;
+            return Ok(plan.with_certificate(report.certificate));
+        }
+        Ok(plan)
     }
 }
 
-/// Analysis + partitioning (+ certification) for one spec — the
-/// expensive phase the sharded cache memoizes.
+/// [`PlanSpec::resolve`] then plan: one spec, source to plan.
 pub fn build_plan(spec: &PlanSpec) -> Result<PartitionPlan, ServeError> {
-    let nest = spec.nest()?;
-    let verdict = if spec.check {
-        let report = alp_analysis::analyze(&nest);
-        if report.has_errors() {
-            return Err(ServeError::new("ALP0003", report.render("").trim_end()));
-        }
-        LegalityVerdict::Checked {
-            warnings: report.count(alp_analysis::Severity::Warning),
-        }
-    } else {
-        LegalityVerdict::Unchecked
-    };
-    let plan = PartitionPlan::choose(&nest, spec.processors, None, verdict, false, None)?;
-    if spec.certify {
-        let report = alp_certify::certify(&plan)?;
-        return Ok(plan.with_certificate(report.certificate));
-    }
-    Ok(plan)
+    let (nest, _) = spec.resolve()?;
+    spec.build(&nest)
 }
 
 /// Execution knobs of one run request.

@@ -19,6 +19,18 @@
 //!    fast with the stable `ALP0012` code and were never partially
 //!    executed — retrying is always safe.
 //!
+//! ## One request path
+//!
+//! A request is read as one bounded frame ([`MAX_REQUEST_BYTES`]; a
+//! longer one, or one that is not UTF-8, is an `ALP0006` counted under
+//! `malformed`, and the connection goes on), and its source is resolved
+//! — parsed and fingerprinted ([`PlanSpec::resolve`]) — once, on the
+//! reader thread.  The resolution rides in the queued job, so the worker
+//! plans the nest it was handed; a worker, an in-process
+//! [`Server::handle_now`] and the prewarm loop fetch through one
+//! function (memoize, then journal what was computed), one function
+//! words the plan reply, one answers the control ops.
+//!
 //! Within an admitted request, the hardened executor's own guards
 //! apply: per-request deadline (`ALP0007`) and memory budget
 //! (`ALP0009`).  A tile panic (chaos-injected or real) is contained by
@@ -36,25 +48,29 @@
 //! storm (`replayed` counter; corrupt tail frames are quarantined with
 //! `ALP0014`, never fatal).
 //!
-//! Shutdown is a two-phase drain rather than a cliff: a protocol
-//! `shutdown` (or the daemon's SIGTERM) flips the server to
-//! **draining** — new `plan`/`run` requests are refused with
+//! Shutdown is a two-phase drain rather than a cliff, and the
+//! lifecycle is one word that only moves forward (serving → draining →
+//! stopped): a protocol `shutdown` (or the daemon's SIGTERM) moves the
+//! server to **draining** — new `plan`/`run` requests are refused with
 //! `ALP0015` (`stats`/`ping` still answer) while workers finish
 //! everything already admitted.  [`ServerHandle::finish`] bounds the
 //! drain with a deadline; past it, still-queued jobs are answered with
 //! `ALP0015` *unexecuted* and the journal is fsynced before the
 //! process exits.
 
-use crate::pipeline::{build_plan, run_plan};
+use crate::pipeline::{run_plan, PlanSpec};
 use crate::protocol::{Request, RequestOp, Response};
 use crate::ServeError;
-use alp_plan::{Fetched, Json, PlanStore, RecoveryReport, ShardedPlanCache};
+use alp_loopir::LoopNest;
+use alp_plan::{
+    Fetched, Json, PartitionPlan, PlanKey, PlanStore, RecoveryReport, ShardedPlanCache,
+};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -76,7 +92,7 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Specs to compile before accepting traffic (deterministic warm
     /// cache for tests and benchmarks).
-    pub prewarm: Vec<crate::pipeline::PlanSpec>,
+    pub prewarm: Vec<PlanSpec>,
     /// Directory of the durable plan journal; `None` disables
     /// persistence.  Computed plans are appended, startup replays.
     pub store_dir: Option<PathBuf>,
@@ -101,119 +117,112 @@ impl Default for ServeConfig {
     }
 }
 
-impl ServeConfig {
-    fn run_limit(&self) -> usize {
-        self.run_high_water
-            .unwrap_or(self.queue_cap / 2)
-            .min(self.queue_cap)
-    }
+/// Declares [`ServerStats`], its codec and its live form from one list
+/// of counters: the struct's fields, the keys `encode` writes (in this
+/// order), the keys `decode` reads and the atomics a server bumps are
+/// the same names by construction.
+macro_rules! server_stats {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Cumulative server counters, exposed through the `stats` op.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct ServerStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl ServerStats {
+            /// Encode as a single-line JSON object.
+            pub fn encode(&self) -> String {
+                let fields = [$(format!("\"{}\": {}", stringify!($name), self.$name)),*];
+                format!("{{{}}}", fields.join(", "))
+            }
+
+            /// Decode from the JSON value embedded in a `stats`
+            /// response; absent fields read as zero.
+            pub fn decode(v: &Json) -> ServerStats {
+                let f = |key: &str| v.get(key).and_then(Json::as_int).unwrap_or(0).max(0) as u64;
+                ServerStats {
+                    $($name: f(stringify!($name)),)*
+                }
+            }
+        }
+
+        /// [`ServerStats`] while the server runs.  The cache counts its
+        /// own four under the shard locks; theirs here stay zero and
+        /// [`Inner::stats`] overlays them.
+        #[derive(Default)]
+        struct Counters {
+            $($name: AtomicU64,)*
+        }
+
+        impl Counters {
+            fn snapshot(&self) -> ServerStats {
+                ServerStats {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+    };
 }
 
-/// Cumulative server counters, exposed through the `stats` op and the
-/// load generator.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
+server_stats! {
     /// Cache hits (inline fast path plus worker-path hits).
-    pub hits: u64,
+    hits,
     /// Compile leaders (each built one plan).
-    pub misses: u64,
+    misses,
     /// Requests that waited on another request's in-flight compile.
-    pub coalesced: u64,
+    coalesced,
     /// LRU evictions across shards.
-    pub evictions: u64,
+    evictions,
     /// Subset of `hits` answered on reader threads without queueing.
-    pub inline_hits: u64,
+    inline_hits,
     /// `plan` requests shed with `ALP0012`.
-    pub shed_plan: u64,
+    shed_plan,
     /// `run` requests shed with `ALP0012`.
-    pub shed_run: u64,
+    shed_run,
     /// Successful runs.
-    pub runs_ok: u64,
+    runs_ok,
     /// Requests that failed in the pipeline (any code but `ALP0012`).
-    pub failures: u64,
+    failures,
     /// Queue depth at snapshot time.
-    pub depth: u64,
+    depth,
     /// Jobs drained as the *tail* of a worker-wakeup batch: a waking
     /// worker takes every queued job with a distinct plan key (up to a
     /// small cap) instead of one job per wakeup, and this counts the
     /// extras beyond the first.
-    pub batched: u64,
-    /// Malformed or oversized request frames (undecodable JSON, bad
-    /// version, frames past the size limit) — answered with `ALP0006`
-    /// but counted here so an operator can see protocol abuse.
-    pub malformed: u64,
+    batched,
+    /// Malformed or oversized request frames (undecodable JSON, bytes
+    /// that are not UTF-8, bad version, frames past the size limit) —
+    /// answered with `ALP0006` but counted here so an operator can see
+    /// protocol abuse.
+    malformed,
     /// Queued jobs shed unexecuted because the client's propagated
     /// deadline passed before a worker reached them (`ALP0007`).
-    pub expired: u64,
+    expired,
     /// Requests refused with `ALP0015` while draining (including jobs
     /// abandoned past the drain deadline).
-    pub refused: u64,
+    refused,
     /// Plans re-warmed from the durable journal at startup.
-    pub replayed: u64,
+    replayed,
 }
 
 impl ServerStats {
-    /// Encode as a single-line JSON object.
-    pub fn encode(&self) -> String {
-        format!(
-            "{{\"hits\": {}, \"misses\": {}, \"coalesced\": {}, \"evictions\": {}, \
-             \"inline_hits\": {}, \"shed_plan\": {}, \"shed_run\": {}, \"runs_ok\": {}, \
-             \"failures\": {}, \"depth\": {}, \"batched\": {}, \"malformed\": {}, \
-             \"expired\": {}, \"refused\": {}, \"replayed\": {}}}",
-            self.hits,
-            self.misses,
-            self.coalesced,
-            self.evictions,
-            self.inline_hits,
-            self.shed_plan,
-            self.shed_run,
-            self.runs_ok,
-            self.failures,
-            self.depth,
-            self.batched,
-            self.malformed,
-            self.expired,
-            self.refused,
-            self.replayed
-        )
-    }
-
-    /// Decode from the JSON value embedded in a `stats` response;
-    /// absent fields read as zero.
-    pub fn decode(v: &Json) -> ServerStats {
-        let f = |key: &str| v.get(key).and_then(Json::as_int).unwrap_or(0).max(0) as u64;
-        ServerStats {
-            hits: f("hits"),
-            misses: f("misses"),
-            coalesced: f("coalesced"),
-            evictions: f("evictions"),
-            inline_hits: f("inline_hits"),
-            shed_plan: f("shed_plan"),
-            shed_run: f("shed_run"),
-            runs_ok: f("runs_ok"),
-            failures: f("failures"),
-            depth: f("depth"),
-            batched: f("batched"),
-            malformed: f("malformed"),
-            expired: f("expired"),
-            refused: f("refused"),
-            replayed: f("replayed"),
-        }
-    }
-
     /// Total shed requests.
     pub fn shed(&self) -> u64 {
         self.shed_plan + self.shed_run
     }
 }
 
+/// What [`PlanSpec::resolve`] made of a request's source.
+type Resolved = Result<(LoopNest, PlanKey), ServeError>;
+
 struct Job {
     req: Request,
-    /// Plan key computed on the reader thread at admission time (None
-    /// when the spec is undecodable); lets the worker's batch drain
-    /// check fingerprint distinctness without re-parsing under the
-    /// queue lock.
-    key: Option<alp_plan::PlanKey>,
+    /// The reader thread's resolution of `req.plan`, made once at
+    /// admission: the inline fast path needed the key, the worker's
+    /// batch drain compares keys without re-parsing under the queue
+    /// lock, and the worker plans the nest (or reports the parse error)
+    /// it carries instead of resolving again.
+    resolved: Resolved,
     /// Absolute expiry derived from the client's `deadline_ms` at
     /// admission; a worker sheds the job unexecuted once past it.
     expires: Option<Instant>,
@@ -221,52 +230,48 @@ struct Job {
 }
 
 impl Job {
-    fn expired(&self) -> bool {
-        self.expires.is_some_and(|t| Instant::now() > t)
+    fn key(&self) -> Option<PlanKey> {
+        self.resolved.as_ref().ok().map(|(_, key)| *key)
     }
 }
 
-/// Request frames longer than this are counted as malformed and
-/// refused without parsing — a corrupt or hostile peer cannot make the
-/// reader buffer unbounded JSON.
-const MAX_REQUEST_BYTES: usize = 1 << 20;
+/// The longest request frame (newline excluded) the server reads.  The
+/// reader stops one byte past it, answers `ALP0006` and discards the
+/// rest of the frame unstored, so a corrupt or hostile peer cannot make
+/// it buffer unbounded JSON — with or without a newline in sight.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// The server's lifecycle, one monotone word.  `Draining` refuses new
+/// plan/run work (`ALP0015`) while workers finish what was already
+/// admitted; `Stopped` ends the accept loop, and whatever a worker
+/// still finds queued after it — the drain deadline passed — is
+/// answered `ALP0015` instead of executed.
+#[derive(Clone, Copy)]
+enum Phase {
+    Serving,
+    Draining,
+    Stopped,
+}
 
 struct Inner {
     cfg: ServeConfig,
     cache: ShardedPlanCache<ServeError>,
     queue: Mutex<VecDeque<Job>>,
     cv: Condvar,
-    depth: AtomicUsize,
-    shutdown: AtomicBool,
-    /// Drain phase: refuse new plan/run work (`ALP0015`) while workers
-    /// finish what was already admitted.
-    draining: AtomicBool,
-    /// Set when the drain deadline passed: workers answer remaining
-    /// queued jobs with `ALP0015` instead of executing them.
-    abort: AtomicBool,
+    /// The furthest [`Phase`] reached.
+    phase: AtomicU8,
     /// Workers currently executing a batch (drain completion is
     /// "queue empty AND busy == 0", not just an empty queue).
     busy: AtomicUsize,
-    /// Parked `wait()` callers; notified when draining begins.
+    /// Parked `wait()` and `finish()` callers: notified when the phase
+    /// advances, and once draining whenever a worker ends a batch.
     drain_mx: Mutex<()>,
     drain_cv: Condvar,
     /// Durable journal of computed plans, when configured.
     store: Option<Mutex<PlanStore>>,
-    /// Bound socket path, once serving; lets a protocol `shutdown`
-    /// wake the blocking accept loop with a throwaway connection.
-    sock: Mutex<Option<PathBuf>>,
-    inline_hits: AtomicU64,
-    shed_plan: AtomicU64,
-    shed_run: AtomicU64,
-    runs_ok: AtomicU64,
-    failures: AtomicU64,
-    batched: AtomicU64,
-    malformed: AtomicU64,
-    expired: AtomicU64,
-    refused: AtomicU64,
-    /// Journal entries re-warmed into the cache at startup (fixed at
-    /// construction).
-    replayed: u64,
+    /// `depth` follows the queue under its lock; `replayed` is fixed at
+    /// construction.
+    n: Counters,
 }
 
 /// Max jobs one worker wakeup drains.  Small enough that a batch never
@@ -275,68 +280,64 @@ struct Inner {
 const WORKER_BATCH: usize = 8;
 
 impl Inner {
-    /// Process one plan/run request end to end (worker side; admission
-    /// already happened or was bypassed by a direct caller).
-    fn handle_now(&self, req: &Request) -> Response {
+    /// Answer a control op (`ping` / `stats` / `shutdown`).
+    fn control(&self, req: &Request) -> Response {
         match req.op {
-            RequestOp::Ping | RequestOp::Shutdown => Response::ok(req.id),
             RequestOp::Stats => {
                 Response::stats_with_shards(req.id, self.stats(), self.cache.per_shard())
             }
-            RequestOp::Plan | RequestOp::Run => {
-                let key = match req.plan.key() {
-                    Ok(k) => k,
-                    Err(e) => {
-                        self.failures.fetch_add(1, Ordering::Relaxed);
-                        return Response::err(req.id, &e);
-                    }
-                };
-                let spec = req.plan.clone();
-                let fetched = self.cache.get_or_compute(key, move || build_plan(&spec));
-                let (plan, how) = match fetched {
-                    Ok(x) => x,
-                    Err(e) => {
-                        self.failures.fetch_add(1, Ordering::Relaxed);
-                        return Response::err(req.id, &e);
-                    }
-                };
-                if how == Fetched::Computed {
-                    self.journal(&key, &plan);
-                }
-                match req.op {
-                    RequestOp::Plan => Response::plan_ok(
-                        req.id,
-                        how.label(),
-                        &plan.fingerprint,
-                        plan.tiles(),
-                        req.want_plan.then(|| plan.to_json_string()),
-                    ),
-                    _ => match run_plan(&plan, &req.run) {
-                        Ok(run) => {
-                            self.runs_ok.fetch_add(1, Ordering::Relaxed);
-                            Response::run_ok(
-                                req.id,
-                                how.label(),
-                                &plan.fingerprint,
-                                plan.tiles(),
-                                &run,
-                            )
-                        }
-                        Err(e) => {
-                            self.failures.fetch_add(1, Ordering::Relaxed);
-                            Response::err(req.id, &e)
-                        }
-                    },
-                }
-            }
+            _ => Response::ok(req.id),
         }
+    }
+
+    /// Answer a plan/run request from the resolution of its spec —
+    /// the reader thread's, carried by the [`Job`], or an in-process
+    /// caller's own.  Every pipeline failure, the resolution's included,
+    /// counts one `failures` here.
+    fn answer(&self, req: &Request, resolved: Resolved) -> Response {
+        let outcome = resolved.and_then(|(nest, key)| {
+            let (plan, how) = self.fetch(key, || req.plan.build(&nest))?;
+            if req.op != RequestOp::Run {
+                return Ok(plan_reply(req, &plan, how));
+            }
+            let run = run_plan(&plan, &req.run)?;
+            self.n.runs_ok.fetch_add(1, Ordering::Relaxed);
+            Ok(Response::run_ok(
+                req.id,
+                how.label(),
+                &plan.fingerprint,
+                plan.tiles(),
+                &run,
+            ))
+        });
+        outcome.unwrap_or_else(|e| {
+            self.n.failures.fetch_add(1, Ordering::Relaxed);
+            Response::err(req.id, &e)
+        })
+    }
+
+    /// The plan under `key`: cached, awaited from another request's
+    /// in-flight compile, or made here — and then journaled, whoever
+    /// asked (a worker, an in-process caller, the prewarm loop): the
+    /// store must cover everything computed, or a restart would
+    /// cold-start exactly the plans that matter most.
+    fn fetch(
+        &self,
+        key: PlanKey,
+        make: impl FnOnce() -> Result<PartitionPlan, ServeError>,
+    ) -> Result<(Arc<PartitionPlan>, Fetched), ServeError> {
+        let (plan, how) = self.cache.get_or_compute(key, make)?;
+        if how == Fetched::Computed {
+            self.journal(&key, &plan);
+        }
+        Ok((plan, how))
     }
 
     /// Append a freshly computed plan to the durable journal, if one is
     /// configured.  Journaling is best-effort: the serving path never
     /// fails because the disk did — the plan is already cached and the
     /// response already correct — but each incident is logged.
-    fn journal(&self, key: &alp_plan::PlanKey, plan: &Arc<alp_plan::PartitionPlan>) {
+    fn journal(&self, key: &PlanKey, plan: &Arc<PartitionPlan>) {
         if let Some(store) = &self.store {
             if let Ok(mut s) = store.lock() {
                 if let Err(e) = s.append(key, plan) {
@@ -346,13 +347,26 @@ impl Inner {
         }
     }
 
-    /// Flip to the draining phase: refuse new plan/run work, wake
-    /// workers (so idle ones observe the flag) and any parked `wait()`.
-    fn begin_drain(&self) {
+    fn reached(&self, phase: Phase) -> bool {
+        self.phase.load(Ordering::SeqCst) >= phase as u8
+    }
+
+    /// Move on to `phase` (never back) and wake whoever waits on it:
+    /// idle workers, and any parked `wait()` or `finish()`.  Each is
+    /// woken through the lock it checks the phase under, so one that
+    /// saw the old phase is already waiting when the wake-up comes.
+    fn advance(&self, phase: Phase) {
         let _g = self.drain_mx.lock().expect("drain lock");
-        self.draining.store(true, Ordering::SeqCst);
+        self.phase.fetch_max(phase as u8, Ordering::SeqCst);
+        drop(self.queue.lock());
         self.cv.notify_all();
         self.drain_cv.notify_all();
+    }
+
+    /// Count and word one `ALP0015` refusal.
+    fn refuse(&self) -> ServeError {
+        self.n.refused.fetch_add(1, Ordering::Relaxed);
+        ServeError::draining()
     }
 
     /// True when no admitted work remains: nothing queued and no worker
@@ -363,31 +377,29 @@ impl Inner {
     }
 
     /// Admission: push the job or shed it with `ALP0012` (or refuse it
-    /// with `ALP0015` once draining).  The depth check and the push are
-    /// atomic under the queue lock, so the bound is exact.
+    /// with `ALP0015` once draining).  The phase check, the depth check
+    /// and the push are atomic under the queue lock, so the bound is
+    /// exact and nothing is admitted behind a drain.
     fn submit(&self, job: Job) -> Result<(), ServeError> {
-        let limit = match job.req.op {
-            RequestOp::Run => self.cfg.run_limit(),
-            _ => self.cfg.queue_cap,
+        let cap = self.cfg.queue_cap;
+        let (limit, shed) = match job.req.op {
+            RequestOp::Run => (
+                self.cfg.run_high_water.unwrap_or(cap / 2).min(cap),
+                &self.n.shed_run,
+            ),
+            _ => (cap, &self.n.shed_plan),
         };
         let mut q = self.queue.lock().expect("queue lock");
-        if self.draining.load(Ordering::SeqCst) {
-            drop(q);
-            self.refused.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::draining());
+        if self.reached(Phase::Draining) {
+            return Err(self.refuse());
         }
         let depth = q.len();
-        if depth >= limit || self.shutdown.load(Ordering::SeqCst) {
-            drop(q);
-            let ctr = match job.req.op {
-                RequestOp::Run => &self.shed_run,
-                _ => &self.shed_plan,
-            };
-            ctr.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::overloaded(depth, self.cfg.queue_cap));
+        if depth >= limit {
+            shed.fetch_add(1, Ordering::Relaxed);
+            return Err(ServeError::overloaded(depth, cap));
         }
         q.push_back(job);
-        self.depth.store(q.len(), Ordering::Relaxed);
+        self.n.depth.store(q.len() as u64, Ordering::Relaxed);
         drop(q);
         self.cv.notify_one();
         Ok(())
@@ -400,17 +412,7 @@ impl Inner {
             misses: c.misses,
             coalesced: c.coalesced,
             evictions: c.evictions,
-            inline_hits: self.inline_hits.load(Ordering::Relaxed),
-            shed_plan: self.shed_plan.load(Ordering::Relaxed),
-            shed_run: self.shed_run.load(Ordering::Relaxed),
-            runs_ok: self.runs_ok.load(Ordering::Relaxed),
-            failures: self.failures.load(Ordering::Relaxed),
-            depth: self.depth.load(Ordering::Relaxed) as u64,
-            batched: self.batched.load(Ordering::Relaxed),
-            malformed: self.malformed.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-            refused: self.refused.load(Ordering::Relaxed),
-            replayed: self.replayed,
+            ..self.n.snapshot()
         }
     }
 
@@ -421,129 +423,151 @@ impl Inner {
     /// already taken: by the time a later wakeup reaches that job its
     /// leader has published the plan, so it resolves as a cache hit
     /// instead of serializing behind an identical compile in the same
-    /// batch.  On shutdown, workers finish what is queued, then exit.
+    /// batch.  Past `Serving`, workers finish what is queued, then exit.
     /// Each job runs under panic containment so a handler bug drops one
     /// response, never a worker.
     fn worker(&self) {
         loop {
             let batch = {
-                let mut q = self.queue.lock().expect("queue lock");
-                loop {
-                    if !q.is_empty() {
-                        let mut batch: Vec<Job> = Vec::new();
-                        while batch.len() < WORKER_BATCH {
-                            let dup = match q.front().and_then(|j| j.key) {
-                                Some(k) => batch.iter().any(|b| b.key == Some(k)),
-                                None => false,
-                            };
-                            if dup {
-                                break;
-                            }
-                            match q.pop_front() {
-                                Some(j) => batch.push(j),
-                                None => break,
-                            }
-                        }
-                        self.depth.store(q.len(), Ordering::Relaxed);
-                        self.batched
-                            .fetch_add((batch.len() - 1) as u64, Ordering::Relaxed);
-                        // Claimed under the queue lock, so a drain
-                        // observer never sees "queue empty" between a
-                        // pop and the busy increment.
-                        self.busy.fetch_add(1, Ordering::SeqCst);
-                        break batch;
-                    }
-                    if self.shutdown.load(Ordering::SeqCst) || self.draining.load(Ordering::SeqCst)
-                    {
-                        return;
-                    }
-                    q = self.cv.wait(q).expect("queue lock");
+                let idle = |q: &mut VecDeque<Job>| q.is_empty() && !self.reached(Phase::Draining);
+                let q = self.queue.lock().expect("queue lock");
+                let mut q = self.cv.wait_while(q, idle).expect("queue lock");
+                if q.is_empty() {
+                    return;
                 }
+                let mut batch: Vec<Job> = Vec::new();
+                while batch.len() < WORKER_BATCH {
+                    let Some(key) = q.front().map(Job::key) else {
+                        break;
+                    };
+                    if key.is_some() && batch.iter().any(|b| b.key() == key) {
+                        break;
+                    }
+                    batch.extend(q.pop_front());
+                }
+                let tail = (batch.len() - 1) as u64;
+                self.n.depth.store(q.len() as u64, Ordering::Relaxed);
+                self.n.batched.fetch_add(tail, Ordering::Relaxed);
+                // Claimed under the queue lock, so a drain observer
+                // never sees "queue empty" between a pop and the busy
+                // increment.
+                self.busy.fetch_add(1, Ordering::SeqCst);
+                batch
             };
             for job in batch {
-                let resp = if self.abort.load(Ordering::SeqCst) {
+                let answered = if self.reached(Phase::Stopped) {
                     // Drain deadline passed: answer fast, execute
                     // nothing.  The job never started, so the client's
                     // retry policy treats it like a shed.
-                    self.refused.fetch_add(1, Ordering::Relaxed);
-                    Response::err(job.req.id, &ServeError::draining())
-                } else if job.expired() {
-                    self.expired.fetch_add(1, Ordering::Relaxed);
-                    Response::err(
-                        job.req.id,
-                        &ServeError::new(
-                            "ALP0007",
-                            "client deadline passed while queued; shed unexecuted",
-                        ),
-                    )
+                    Err(self.refuse())
+                } else if job.expires.is_some_and(|t| Instant::now() > t) {
+                    self.n.expired.fetch_add(1, Ordering::Relaxed);
+                    Err(ServeError::new(
+                        "ALP0007",
+                        "client deadline passed while queued; shed unexecuted",
+                    ))
                 } else {
-                    catch_unwind(AssertUnwindSafe(|| self.handle_now(&job.req))).unwrap_or_else(
+                    catch_unwind(AssertUnwindSafe(|| self.answer(&job.req, job.resolved))).map_err(
                         |_| {
-                            self.failures.fetch_add(1, Ordering::Relaxed);
-                            Response::err(
-                                job.req.id,
-                                &ServeError::new(
-                                    "ALP0008",
-                                    "request handler panicked; fault contained",
-                                ),
-                            )
+                            self.n.failures.fetch_add(1, Ordering::Relaxed);
+                            ServeError::new("ALP0008", "request handler panicked; fault contained")
                         },
                     )
                 };
+                let resp = answered.unwrap_or_else(|e| Response::err(job.req.id, &e));
                 write_line(&job.out, &resp);
             }
             self.busy.fetch_sub(1, Ordering::SeqCst);
-            if self.draining.load(Ordering::SeqCst) {
+            if self.reached(Phase::Draining) {
+                // Through the drain lock: `finish` has either not looked
+                // at the queue yet or is already waiting.
+                drop(self.drain_mx.lock());
                 self.drain_cv.notify_all();
             }
         }
     }
 
-    /// Per-connection reader: decode frames, answer control ops and
-    /// inline cache hits directly, hand the rest to admission.
+    /// Per-connection reader: read bounded frames, answer control ops
+    /// and inline cache hits directly, hand the rest to admission.
     fn connection(self: &Arc<Self>, stream: UnixStream) {
-        let reader = match stream.try_clone() {
-            Ok(s) => BufReader::new(s),
-            Err(_) => return,
+        let Ok(mut reader) = stream.try_clone().map(BufReader::new) else {
+            return;
         };
         let out = Arc::new(Mutex::new(stream));
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
+        let mut frame = Vec::new();
+        loop {
+            frame.clear();
+            // The largest legal frame is the limit plus its newline, so
+            // one byte more without a newline is an oversized frame.
+            let mut bounded = (&mut reader).take(MAX_REQUEST_BYTES as u64 + 1);
+            match bounded.read_until(b'\n', &mut frame) {
+                Ok(0) | Err(_) => break,
+                Ok(_) => {}
             }
-            if line.len() > MAX_REQUEST_BYTES {
-                self.malformed.fetch_add(1, Ordering::Relaxed);
-                write_line(
-                    &out,
-                    &Response::err(
-                        0,
-                        &ServeError::new(
-                            "ALP0006",
-                            format!(
-                                "request frame of {} bytes exceeds the {} byte limit",
-                                line.len(),
-                                MAX_REQUEST_BYTES
-                            ),
-                        ),
-                    ),
-                );
-                continue;
-            }
-            let req = match Request::decode(&line) {
-                Ok(r) => r,
+            let oversized = frame.len() > MAX_REQUEST_BYTES && !frame.ends_with(b"\n");
+            let decoded = if oversized {
+                Err(ServeError::new(
+                    "ALP0006",
+                    format!("request frame exceeds the {MAX_REQUEST_BYTES} byte limit"),
+                ))
+            } else {
+                match std::str::from_utf8(&frame).map(str::trim) {
+                    Ok("") => continue,
+                    Ok(line) => Request::decode(line),
+                    Err(e) => Err(ServeError::new(
+                        "ALP0006",
+                        format!("bad request frame: {e}"),
+                    )),
+                }
+            };
+            let req = match decoded {
+                Ok(req) => req,
                 Err(e) => {
-                    self.malformed.fetch_add(1, Ordering::Relaxed);
+                    self.n.malformed.fetch_add(1, Ordering::Relaxed);
                     write_line(&out, &Response::err(0, &e));
+                    // Answered at once; what is left of an oversized
+                    // frame is then read past without being stored, and
+                    // the connection survives it like any other
+                    // malformed frame.
+                    if oversized && reader.skip_until(b'\n').is_err() {
+                        break;
+                    }
                     continue;
                 }
             };
             match req.op {
-                RequestOp::Ping => write_line(&out, &Response::ok(req.id)),
-                RequestOp::Stats => write_line(
-                    &out,
-                    &Response::stats_with_shards(req.id, self.stats(), self.cache.per_shard()),
-                ),
+                RequestOp::Plan | RequestOp::Run => {
+                    if self.reached(Phase::Draining) {
+                        write_line(&out, &Response::err(req.id, &self.refuse()));
+                        continue;
+                    }
+                    let resolved = req.plan.resolve();
+                    // Tier 1: answer cached plans inline — no queue,
+                    // no admission, works even under total overload.
+                    if let (RequestOp::Plan, Ok((_, key))) = (&req.op, &resolved) {
+                        if let Some(plan) = self.cache.get_cached(key) {
+                            self.n.inline_hits.fetch_add(1, Ordering::Relaxed);
+                            write_line(&out, &plan_reply(&req, &plan, Fetched::Hit));
+                            continue;
+                        }
+                    }
+                    // Tiers 2–3: bounded queue with class-based limits.
+                    // A source that did not parse queues too — a worker
+                    // reports it, so the reader stays responsive and
+                    // admission sheds it like any other request.
+                    let id = req.id;
+                    let expires = req
+                        .deadline_ms
+                        .map(|d| Instant::now() + Duration::from_millis(d));
+                    if let Err(e) = self.submit(Job {
+                        req,
+                        resolved,
+                        expires,
+                        out: Arc::clone(&out),
+                    }) {
+                        write_line(&out, &Response::err(id, &e));
+                    }
+                }
                 RequestOp::Shutdown => {
                     // Drain first, ack second: once the client reads
                     // the ack, refusal of new work is already in
@@ -551,62 +575,26 @@ impl Inner {
                     // ping still answer; plan/run get `ALP0015`) while
                     // the daemon's `wait()`/`finish()` bounds the
                     // drain and performs the actual stop.
-                    self.begin_drain();
-                    write_line(&out, &Response::ok(req.id));
+                    self.advance(Phase::Draining);
+                    write_line(&out, &self.control(&req));
                     break;
                 }
-                RequestOp::Plan | RequestOp::Run => {
-                    if self.draining.load(Ordering::SeqCst) || self.shutdown.load(Ordering::SeqCst)
-                    {
-                        self.refused.fetch_add(1, Ordering::Relaxed);
-                        write_line(&out, &Response::err(req.id, &ServeError::draining()));
-                        continue;
-                    }
-                    // The key is computed once here, on the reader
-                    // thread: the inline fast path needs it, and the
-                    // worker batch drain reuses it for fingerprint
-                    // distinctness without re-parsing.  Parse errors
-                    // (key: None) fall through to handle_now via a
-                    // worker so the reader stays responsive; they are
-                    // cheap to re-derive.
-                    let key = req.plan.key().ok();
-                    // Tier 1: answer cached plans inline — no queue,
-                    // no admission, works even under total overload.
-                    if req.op == RequestOp::Plan {
-                        if let Some(k) = &key {
-                            if let Some(plan) = self.cache.get_cached(k) {
-                                self.inline_hits.fetch_add(1, Ordering::Relaxed);
-                                write_line(
-                                    &out,
-                                    &Response::plan_ok(
-                                        req.id,
-                                        Fetched::Hit.label(),
-                                        &plan.fingerprint,
-                                        plan.tiles(),
-                                        req.want_plan.then(|| plan.to_json_string()),
-                                    ),
-                                );
-                                continue;
-                            }
-                        }
-                    }
-                    // Tiers 2–3: bounded queue with class-based limits.
-                    let id = req.id;
-                    let expires = req
-                        .deadline_ms
-                        .map(|d| Instant::now() + Duration::from_millis(d));
-                    if let Err(e) = self.submit(Job {
-                        req,
-                        key,
-                        expires,
-                        out: Arc::clone(&out),
-                    }) {
-                        write_line(&out, &Response::err(id, &e));
-                    }
-                }
+                _ => write_line(&out, &self.control(&req)),
             }
         }
     }
+}
+
+/// The reply to a `plan` request, from the inline hit and the worker
+/// alike.
+fn plan_reply(req: &Request, plan: &PartitionPlan, how: Fetched) -> Response {
+    Response::plan_ok(
+        req.id,
+        how.label(),
+        &plan.fingerprint,
+        plan.tiles(),
+        req.want_plan.then(|| plan.to_json_string()),
+    )
 }
 
 fn write_line(out: &Arc<Mutex<UnixStream>>, resp: &Response) {
@@ -650,62 +638,44 @@ impl Server {
             }
             None => (None, None),
         };
-        let mut replayed = 0u64;
-        if let Some(r) = &report {
-            // Later journal entries supersede earlier ones per key (the
-            // store already resolved that); warm every survivor.
-            for e in &r.live {
-                if cache.warm(e.key, Arc::clone(&e.plan)) {
-                    replayed += 1;
-                }
-            }
-        }
+        // Later journal entries supersede earlier ones per key (the
+        // store already resolved that); warm every survivor.
+        let live = report.iter().flat_map(|r| &r.live);
+        let replayed = live
+            .filter(|e| cache.warm(e.key, Arc::clone(&e.plan)))
+            .count();
         let inner = Arc::new(Inner {
             cache,
             queue: Mutex::new(VecDeque::new()),
             cv: Condvar::new(),
-            depth: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
-            abort: AtomicBool::new(false),
+            phase: AtomicU8::new(Phase::Serving as u8),
             busy: AtomicUsize::new(0),
             drain_mx: Mutex::new(()),
             drain_cv: Condvar::new(),
             store,
-            sock: Mutex::new(None),
-            inline_hits: AtomicU64::new(0),
-            shed_plan: AtomicU64::new(0),
-            shed_run: AtomicU64::new(0),
-            runs_ok: AtomicU64::new(0),
-            failures: AtomicU64::new(0),
-            batched: AtomicU64::new(0),
-            malformed: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            refused: AtomicU64::new(0),
-            replayed,
+            n: Counters {
+                replayed: AtomicU64::new(replayed as u64),
+                ..Counters::default()
+            },
             cfg,
         });
         for spec in &inner.cfg.prewarm {
-            if let Ok(key) = spec.key() {
-                let spec = spec.clone();
-                // Prewarmed plans are journaled like any other compute:
-                // the store must cover the hot set, or a restart would
-                // cold-start exactly the plans that matter most.
-                if let Ok((plan, how)) = inner.cache.get_or_compute(key, move || build_plan(&spec))
-                {
-                    if how == Fetched::Computed {
-                        inner.journal(&key, &plan);
-                    }
-                }
+            if let Ok((nest, key)) = spec.resolve() {
+                let _ = inner.fetch(key, || spec.build(&nest));
             }
         }
         Ok((Server { inner }, report))
     }
 
     /// Process one request synchronously, bypassing admission (the
-    /// caller owns its own thread).  Control ops work too.
+    /// caller owns its own thread).  Control ops work too; a `shutdown`
+    /// is only acknowledged — draining is the socket's and the
+    /// [`ServerHandle`]'s business.
     pub fn handle_now(&self, req: &Request) -> Response {
-        self.inner.handle_now(req)
+        match req.op {
+            RequestOp::Plan | RequestOp::Run => self.inner.answer(req, req.plan.resolve()),
+            _ => self.inner.control(req),
+        }
     }
 
     /// Current counters.
@@ -723,7 +693,6 @@ impl Server {
         }
         let listener = UnixListener::bind(path)?;
         let inner = self.inner;
-        *inner.sock.lock().expect("sock lock") = Some(path.to_path_buf());
         let workers: Vec<JoinHandle<()>> = (0..inner.cfg.workers.max(1))
             .map(|_| {
                 let inner = Arc::clone(&inner);
@@ -734,7 +703,7 @@ impl Server {
             let inner = Arc::clone(&inner);
             std::thread::spawn(move || {
                 for stream in listener.incoming() {
-                    if inner.shutdown.load(Ordering::SeqCst) {
+                    if inner.reached(Phase::Stopped) {
                         break;
                     }
                     let Ok(stream) = stream else { break };
@@ -790,12 +759,12 @@ impl ServerHandle {
     /// `shutdown` request arrived, a drain began, or
     /// [`ServerHandle::shutdown`] was called.
     pub fn is_shutting_down(&self) -> bool {
-        self.inner.shutdown.load(Ordering::SeqCst) || self.inner.draining.load(Ordering::SeqCst)
+        self.inner.reached(Phase::Draining)
     }
 
     /// True once the graceful drain has begun.
     pub fn is_draining(&self) -> bool {
-        self.inner.draining.load(Ordering::SeqCst)
+        self.inner.reached(Phase::Draining)
     }
 
     /// Begin the graceful drain without blocking: new plan/run work is
@@ -803,7 +772,7 @@ impl ServerHandle {
     /// Idempotent.  Call [`ServerHandle::finish`] (or
     /// [`ServerHandle::shutdown`]) to bound the drain and stop.
     pub fn begin_drain(&self) {
-        self.inner.begin_drain();
+        self.inner.advance(Phase::Draining);
     }
 
     /// Bounded graceful stop: begin the drain (idempotent), wait up to
@@ -812,36 +781,18 @@ impl ServerHandle {
     /// socket file.  Past the deadline, still-queued jobs are answered
     /// `ALP0015` unexecuted and counted as `abandoned`.
     pub fn finish(mut self, deadline: Duration) -> DrainOutcome {
-        let start = Instant::now();
-        self.inner.begin_drain();
-        let mut drained = true;
-        {
-            let mut g = self.inner.drain_mx.lock().expect("drain lock");
-            while !self.inner.queue_idle() {
-                let elapsed = start.elapsed();
-                if elapsed >= deadline {
-                    drained = false;
-                    break;
-                }
-                let (ng, _) = self
-                    .inner
-                    .drain_cv
-                    .wait_timeout(g, (deadline - elapsed).min(Duration::from_millis(20)))
-                    .expect("drain lock");
-                g = ng;
-            }
-        }
-        let abandoned = if drained {
-            0
-        } else {
-            let n = self.inner.queue.lock().expect("queue lock").len();
-            // Workers answer the leftovers with `ALP0015` on their way
-            // out instead of executing them.
-            self.inner.abort.store(true, Ordering::SeqCst);
-            n
+        self.inner.advance(Phase::Draining);
+        let drained = {
+            let g = self.inner.drain_mx.lock().expect("drain lock");
+            let busy = |_: &mut ()| !self.inner.queue_idle();
+            let waited = self.inner.drain_cv.wait_timeout_while(g, deadline, busy);
+            !waited.expect("drain lock").1.timed_out()
         };
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        self.inner.cv.notify_all();
+        // Drained, nothing is queued and nothing can be any more; cut
+        // short, workers answer the leftovers with `ALP0015` on their
+        // way out instead of executing them.
+        let abandoned = self.inner.queue.lock().expect("queue lock").len();
+        self.inner.advance(Phase::Stopped);
         // Wake the blocking accept with a throwaway connection.
         let _ = UnixStream::connect(&self.path);
         if let Some(a) = self.accept.take() {
@@ -872,21 +823,19 @@ impl ServerHandle {
         self.finish(deadline).stats
     }
 
-    /// Block until a drain begins (a client sent `shutdown`, a signal
-    /// handler called [`ServerHandle::begin_drain`], or someone set the
-    /// shutdown flag), then run the bounded drain and clean up — the
-    /// daemon's main thread parks here.
+    /// Block until a drain begins (a client sent `shutdown`, or a signal
+    /// handler called [`ServerHandle::begin_drain`]), then run the
+    /// bounded drain and clean up — the daemon's main thread parks here.
     pub fn wait(self) -> ServerStats {
-        {
-            let mut g = self.inner.drain_mx.lock().expect("drain lock");
-            while !self.inner.draining.load(Ordering::SeqCst)
-                && !self.inner.shutdown.load(Ordering::SeqCst)
-            {
-                g = self.inner.drain_cv.wait(g).expect("drain lock");
-            }
-        }
-        let deadline = Duration::from_millis(self.inner.cfg.drain_deadline_ms);
-        self.finish(deadline).stats
+        let g = self.inner.drain_mx.lock().expect("drain lock");
+        let serving = |_: &mut ()| !self.inner.reached(Phase::Draining);
+        drop(
+            self.inner
+                .drain_cv
+                .wait_while(g, serving)
+                .expect("drain lock"),
+        );
+        self.shutdown()
     }
 }
 
@@ -894,10 +843,10 @@ impl ServerHandle {
 mod tests {
     use super::*;
 
-    /// Preload the queue with plan requests for `sources`, set the
-    /// shutdown flag, and run one worker to completion: every batch the
-    /// worker takes is observable through the `batched` counter, with
-    /// no socket or timing in the loop.
+    /// Preload the queue with plan requests for `sources`, begin the
+    /// drain, and run one worker to completion: every batch the worker
+    /// takes is observable through the `batched` counter, with no
+    /// socket or timing in the loop.
     fn drain_once(sources: &[&str]) -> (ServerStats, Vec<UnixStream>) {
         let server = Server::new(ServeConfig {
             workers: 1,
@@ -909,33 +858,32 @@ mod tests {
             let mut q = inner.queue.lock().expect("queue lock");
             for (i, src) in sources.iter().enumerate() {
                 let req = Request::plan(i as i128, src);
-                let key = req.plan.key().ok();
+                let resolved = req.plan.resolve();
                 let (a, b) = UnixStream::pair().expect("socketpair");
                 readers.push(b);
                 q.push_back(Job {
                     req,
-                    key,
+                    resolved,
                     expires: None,
                     out: Arc::new(Mutex::new(a)),
                 });
             }
         }
-        // The worker drains everything queued, then exits on the flag.
-        inner.shutdown.store(true, Ordering::SeqCst);
+        // The worker drains everything queued, then exits on the phase.
+        inner.advance(Phase::Draining);
         inner.worker();
         (inner.stats(), readers)
     }
 
-    fn responses(readers: Vec<UnixStream>) -> usize {
-        let mut answered = 0;
+    fn responses(readers: Vec<UnixStream>) -> Vec<Response> {
+        let mut answered = Vec::new();
         for r in readers {
             // Drop the server-side writer clones first: worker already
             // ran, so the response (if any) is buffered in the socket.
             r.set_nonblocking(true).expect("nonblocking");
             let mut line = String::new();
             if BufReader::new(r).read_line(&mut line).is_ok() && !line.trim().is_empty() {
-                Response::decode(&line).expect("response decodes");
-                answered += 1;
+                answered.push(Response::decode(&line).expect("response decodes"));
             }
         }
         answered
@@ -952,7 +900,7 @@ mod tests {
         let (stats, readers) = drain_once(&refs);
         assert_eq!(stats.batched, 3, "one wakeup, four distinct jobs");
         assert_eq!(stats.misses, 4, "each distinct nest compiled once");
-        assert_eq!(responses(readers), 4, "every job answered");
+        assert_eq!(responses(readers).len(), 4, "every job answered");
     }
 
     #[test]
@@ -967,7 +915,7 @@ mod tests {
         assert_eq!(stats.batched, 2, "two batches of two");
         assert_eq!(stats.misses, 3, "three distinct nests compiled");
         assert_eq!(stats.hits, 1, "the repeated key hits the cache");
-        assert_eq!(responses(readers), 4);
+        assert_eq!(responses(readers).len(), 4);
     }
 
     #[test]
@@ -979,18 +927,14 @@ mod tests {
         // already inside.
         let server = Server::new(ServeConfig::default());
         let inner = Arc::clone(&server.inner);
-        inner.begin_drain();
+        inner.advance(Phase::Draining);
         let req = Request::plan(1, "doall (i, 0, 63) { A[i] = A[i]; }");
         let key = req.plan.key().expect("key");
         {
             let inner = Arc::clone(&inner);
             std::thread::spawn(move || {
                 let _ = catch_unwind(AssertUnwindSafe(|| {
-                    inner
-                        .cache
-                        .get_or_compute(key, || -> Result<_, ServeError> {
-                            panic!("injected leader death")
-                        })
+                    inner.fetch(key, || panic!("injected leader death"))
                 }));
             })
             .join()
@@ -998,9 +942,21 @@ mod tests {
         }
         // The successor — an admitted job a worker is draining — takes
         // over the abandoned slot and completes.
-        let resp = inner.handle_now(&req);
+        let resp = server.handle_now(&req);
         assert!(resp.ok, "{resp:?}");
         assert_eq!(resp.cache.as_deref(), Some("computed"), "{resp:?}");
+    }
+
+    #[test]
+    fn the_worker_reports_the_parse_error_the_reader_saw() {
+        // The job carries the reader thread's resolution, not a key: a
+        // source that did not parse must still come out of the worker
+        // as its own `ALP0001`, counted once.
+        let (stats, readers) = drain_once(&["doall (i, 0"]);
+        let answers = responses(readers);
+        assert_eq!(answers.len(), 1);
+        assert_eq!(answers[0].code.as_deref(), Some("ALP0001"), "{answers:?}");
+        assert_eq!((stats.failures, stats.misses), (1, 0), "{stats:?}");
     }
 
     #[test]
@@ -1012,6 +968,6 @@ mod tests {
         let (stats, readers) = drain_once(&refs);
         // Two wakeups: a full batch of WORKER_BATCH, then the 3 left.
         assert_eq!(stats.batched, (WORKER_BATCH - 1 + 2) as u64);
-        assert_eq!(responses(readers), WORKER_BATCH + 3);
+        assert_eq!(responses(readers).len(), WORKER_BATCH + 3);
     }
 }

@@ -4,11 +4,13 @@
 //! under total overload, and graceful shutdown.
 
 use alp_serve::pipeline::PlanSpec;
+use alp_serve::server::MAX_REQUEST_BYTES;
 use alp_serve::{Request, RequestOp, Response, ServeConfig, Server};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 const SRC: &str = "doall (i, 0, 63) { A[i] = A[i] + B[i]; }";
 
@@ -220,6 +222,41 @@ fn malformed_frames_are_answered_not_fatal() {
     // The connection survives protocol violations.
     assert!(c.round_trip(&Request::control(9, RequestOp::Ping)).ok);
     handle.shutdown();
+}
+
+#[test]
+fn a_frame_with_no_newline_is_answered_at_the_size_limit() {
+    let path = sock_path("endless");
+    let handle = Server::new(ServeConfig::default()).serve(&path).unwrap();
+    let mut c = Client::connect(&path);
+    // A reader that waits for the newline buffers this frame for ever
+    // and never answers: the timeout turns that hang into a failure.
+    let timeout = Some(Duration::from_secs(10));
+    c.reader.get_ref().set_read_timeout(timeout).unwrap();
+    c.writer
+        .write_all(&vec![b'x'; MAX_REQUEST_BYTES + 1])
+        .expect("send");
+    let r = c.recv();
+    assert_eq!(r.code.as_deref(), Some("ALP0006"), "{r:?}");
+    let stats = Client::connect(&path).round_trip(&Request::control(1, RequestOp::Stats));
+    assert_eq!(stats.stats.expect("stats payload").malformed, 1);
+    // The rest of the frame is read past, not stored; after its newline
+    // the same connection serves again.
+    c.writer.write_all(b"still the same frame\n").expect("send");
+    assert!(c.round_trip(&Request::control(2, RequestOp::Ping)).ok);
+    assert_eq!(handle.shutdown().malformed, 1, "one frame, counted once");
+}
+
+#[test]
+fn a_frame_that_is_not_utf8_is_malformed_not_fatal() {
+    let path = sock_path("utf8");
+    let handle = Server::new(ServeConfig::default()).serve(&path).unwrap();
+    let mut c = Client::connect(&path);
+    c.writer.write_all(b"\xff\xfe\n").expect("send");
+    let r = c.recv();
+    assert_eq!(r.code.as_deref(), Some("ALP0006"), "{r:?}");
+    assert!(c.round_trip(&Request::control(1, RequestOp::Ping)).ok);
+    assert_eq!(handle.shutdown().malformed, 1);
 }
 
 #[test]

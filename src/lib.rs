@@ -53,7 +53,7 @@
 //!   fingerprints, the single tile enumerator
 //!   ([`Tiling`](alp_plan::Tiling), rectangular and skewed plans
 //!   alike), a versioned JSON schema, and the memoizing
-//!   [`PlanCache`](alp_plan::PlanCache);
+//!   [`ShardedPlanCache`](alp_plan::ShardedPlanCache);
 //! * [`machine`] — a deterministic cache-coherent multiprocessor
 //!   simulator (full-map MSI directory);
 //! * [`codegen`] — iteration assignment and per-processor code emission;
@@ -89,8 +89,10 @@ use std::sync::Arc;
 /// Every variant has a stable machine-readable code ([`AlpError::code`])
 /// and chains to its underlying cause through
 /// [`std::error::Error::source`]; wrapped parse/IR errors keep their
-/// source spans intact.
-#[derive(Debug)]
+/// source spans intact.  `Clone`, so a
+/// [`ShardedPlanCache<AlpError>`](alp_plan::ShardedPlanCache) can hand
+/// one failed plan to every caller that waited on it.
+#[derive(Debug, Clone)]
 pub enum AlpError {
     /// DSL parse failure (`ALP0001`).
     Parse(ParseError),
@@ -295,8 +297,8 @@ pub struct CompileResult {
     /// The plan's nest ([`PartitionPlan::nest`]).
     pub nest: LoopNest,
     /// The partitioning decision as a serializable artifact — shared
-    /// (via [`Arc`]) with any [`PlanCache`](alp_plan::PlanCache) it came
-    /// out of.
+    /// (via [`Arc`]) with any
+    /// [`ShardedPlanCache`](alp_plan::ShardedPlanCache) it came out of.
     pub plan: Arc<PartitionPlan>,
     /// Legality analysis findings of [`Compiler::compile`] (empty when
     /// compiled with [`Compiler::unchecked`] or lowered from a cached /
@@ -434,8 +436,9 @@ impl Compiler {
 
     /// Run the full pipeline on a nest: plan it, then
     /// [`lower`](Compiler::lower) the plan.  To memoize the expensive
-    /// half, plan through a cache —
-    /// `cache.get_or_try_insert_with(compiler.plan_key(&nest), ||
+    /// half, plan through a cache ([`ShardedPlanCache::new(1,
+    /// n)`](alp_plan::ShardedPlanCache::new) is the single-threaded one)
+    /// — `cache.get_or_compute(compiler.plan_key(&nest), ||
     /// compiler.plan(&nest))` — and lower what comes out; lowering is
     /// tens of microseconds, there is nothing to cache separately.
     pub fn compile(&self, nest: LoopNest) -> Result<CompileResult, AlpError> {
@@ -644,9 +647,9 @@ pub mod prelude {
         ProgramPartition, ProgramStrategy, RectPartition, SpreadKind,
     };
     pub use alp_plan::{
-        fingerprint, fingerprint_hex, skewed_candidates, CacheStats, Certificate, ChosenBy,
-        IterBox, LatencyCoefficients, LegalityVerdict, PartitionPlan, PlanCache, PlanError,
-        PlanKey, SkewedCandidate, Tiling, Transform, TransformedDomain,
+        fingerprint, fingerprint_hex, skewed_candidates, Certificate, ChosenBy, Fetched, IterBox,
+        LatencyCoefficients, LegalityVerdict, PartitionPlan, PlanError, PlanKey, ShardedPlanCache,
+        SkewedCandidate, Tiling, Transform, TransformedDomain,
     };
     pub use alp_runtime::{
         syntactic_retry_safe, CancelToken, ExecOptions, ExecOutcome, Executor, ModelComparison,

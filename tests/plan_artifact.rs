@@ -308,15 +308,17 @@ fn warm_cache_compile_equals_cold_compile() {
     // The memoized compile: plan through the cache, lower what comes
     // out (lowering is too cheap to cache).
     let compiler = golden_compiler();
-    let mut cache = PlanCache::new(8);
-    let mut memoized_compile = |nest: LoopNest| {
-        cache
-            .get_or_try_insert_with(compiler.plan_key(&nest), || compiler.plan(&nest))
-            .and_then(Compiler::lower)
+    let cache: ShardedPlanCache<AlpError> = ShardedPlanCache::new(1, 8);
+    let memoized_compile = |nest: LoopNest| {
+        let (plan, how) =
+            cache.get_or_compute(compiler.plan_key(&nest), || compiler.plan(&nest))?;
+        Compiler::lower(plan).map(|compiled| (compiled, how))
     };
 
-    let cold = memoized_compile(golden_nest()).expect("cold compile");
-    let warm = memoized_compile(golden_nest()).expect("warm compile");
+    let (cold, how) = memoized_compile(golden_nest()).expect("cold compile");
+    assert_eq!(how, Fetched::Computed);
+    let (warm, how) = memoized_compile(golden_nest()).expect("warm compile");
+    assert_eq!(how, Fetched::Hit);
 
     assert_eq!(cache.stats().misses, 1);
     assert_eq!(cache.stats().hits, 1);
@@ -470,8 +472,9 @@ fn facade_adds_no_decision_to_the_planner() {
 
 #[test]
 fn daemon_and_facade_plan_the_same_bytes() {
-    // `alp_serve::pipeline::build_plan` (what the daemon's workers call)
-    // and `Compiler::plan` (what `alp-cli plan` calls) are two entry
+    // `alp_serve::pipeline::build_plan` (the resolve-then-plan a daemon
+    // request goes through) and `Compiler::plan` (what `alp-cli plan`
+    // calls) are two entry
     // points to one planner: for every parameter the wire protocol can
     // carry they must emit the same artifact, byte for byte.
     use alp::serve::pipeline::{build_plan, PlanSpec};
