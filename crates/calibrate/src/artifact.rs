@@ -3,8 +3,7 @@
 //! the same machine.
 
 use crate::{CalibrateError, LatencyModel};
-use alp_plan::json::{self, Json, ObjWriter};
-use alp_plan::PlanError;
+use alp_plan::json::{self, Item};
 
 /// Newest calibration schema version this build reads and writes.
 pub const ARTIFACT_VERSION: u32 = 1;
@@ -20,53 +19,35 @@ pub struct Calibration {
     pub trials: usize,
 }
 
-fn count_field(v: &Json, key: &str) -> Result<u64, CalibrateError> {
-    v.get(key)
-        .and_then(Json::as_int)
-        .and_then(|n| u64::try_from(n).ok())
-        .ok_or_else(|| CalibrateError::Schema(format!("`{key}` must be a count")))
-}
-
 impl Calibration {
     /// Canonical encoding — fixed field order, two-space indent, exact
     /// rationals only; encoding the same calibration twice is
     /// byte-identical.
     pub fn to_json_string(&self) -> String {
-        let head = ObjWriter::new().field("alp-calibration", Json::Int(ARTIFACT_VERSION.into()));
-        let mut out = String::new();
-        (self.model.write_fields(head))
-            .field("threads", Json::Int(self.threads as i128))
-            .field("trials", Json::Int(self.trials as i128))
-            .render(&mut out, 0);
-        out.push('\n');
-        out
+        json::pretty(|w| {
+            w.field("alp-calibration").int(ARTIFACT_VERSION);
+            self.model.write_fields(w);
+            w.field("threads").int(self.threads);
+            w.field("trials").int(self.trials);
+        })
     }
 
     /// Decode a calibration artifact, rejecting unknown versions and
     /// malformed coefficients with a diagnostic.
     pub fn from_json_str(s: &str) -> Result<Calibration, CalibrateError> {
         let v = json::parse(s)?;
-        let version = v
-            .get("alp-calibration")
-            .and_then(Json::as_int)
-            .ok_or_else(|| {
-                CalibrateError::Schema("missing `alp-calibration` schema version field".into())
-            })?;
-        if version != ARTIFACT_VERSION as i128 {
+        let f = Item::root(&v);
+        let found: i128 = f.req("alp-calibration", Item::int)?;
+        if found != ARTIFACT_VERSION.into() {
             return Err(CalibrateError::UnsupportedVersion {
-                found: version,
+                found,
                 supported: ARTIFACT_VERSION,
             });
         }
         Ok(Calibration {
-            // The coefficient block is the plan's; its schema
-            // complaints are this artifact's.
-            model: LatencyModel::from_json(&v).map_err(|e| match e {
-                PlanError::Schema(m) => CalibrateError::Schema(m),
-                e => CalibrateError::Plan(e),
-            })?,
-            threads: count_field(&v, "threads")? as usize,
-            trials: count_field(&v, "trials")? as usize,
+            model: LatencyModel::from_json(f)?,
+            threads: f.req("threads", Item::int)?,
+            trials: f.req("trials", Item::int)?,
         })
     }
 }
@@ -122,6 +103,8 @@ mod tests {
             ("\"per_rep_ns\": \"42000/1\"", "\"per_rep_ns\": \"1/0\""),
             ("\"samples\": 36", "\"samples\": -1"),
             ("\"per_tile_ns\": \"1507/1000\"", "\"per_tile_ns\": 2"),
+            ("\"threads\": 8", "\"threads\": \"8\""),
+            ("\"trials\": 5", "\"trials\": 18446744073709551616"),
         ] {
             let bad = good.replace(from, to);
             assert_ne!(bad, good, "replacement `{from}` did not apply");

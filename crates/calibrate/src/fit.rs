@@ -246,10 +246,9 @@ mod tests {
         // The fitted model *is* the plan's coefficient block: it goes
         // through that codec unchanged.
         let m = fit(&synth(1500.0, 2.5, 0.125, 0.75), 42_000.0).unwrap();
-        let mut text = String::new();
-        m.write_fields(alp_plan::json::ObjWriter::new())
-            .render(&mut text, 0);
-        let back = LatencyModel::from_json(&alp_plan::json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, m);
+        use alp_plan::json::{line, parse, Item};
+        let doc = parse(&line(|w| m.write_fields(w))).unwrap();
+        let back = LatencyModel::from_json(Item::root(&doc));
+        assert_eq!(back, Ok(m));
     }
 }

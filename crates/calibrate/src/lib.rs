@@ -142,6 +142,12 @@ impl From<alp_plan::JsonError> for CalibrateError {
     }
 }
 
+impl From<alp_plan::json::FieldError> for CalibrateError {
+    fn from(e: alp_plan::json::FieldError) -> Self {
+        CalibrateError::Schema(e.to_string())
+    }
+}
+
 impl From<alp_plan::PlanError> for CalibrateError {
     fn from(e: alp_plan::PlanError) -> Self {
         CalibrateError::Plan(e)

@@ -1,28 +1,40 @@
-//! A minimal JSON reader/writer for the plan schema — hand-rolled so the
-//! workspace stays dependency-free (no serde).
+//! The tree's one JSON codec — hand-rolled so the workspace stays
+//! dependency-free (no serde).  Every JSON object the tree reads or
+//! writes goes through here: the plan file, the calibration file, the
+//! journal's frame payloads and the serve wire's frames.
 //!
-//! The subset is exactly what [`PartitionPlan`](crate::PartitionPlan)
-//! needs: objects, arrays, strings, `i128` integers, booleans, and
-//! `null`.  Floating-point literals are rejected — every quantity in a
-//! plan is exact (integers and `num/den` rationals), which is also what
-//! makes the encoding canonical and byte-stable.
+//! The subset is what those four need: objects, arrays, strings, `i128`
+//! integers, booleans, and `null`.  Floating-point literals are
+//! rejected — every quantity is exact (integers and `num/den`
+//! rationals), which is also what makes the encoding canonical and
+//! byte-stable.
 //!
-//! The writer emits a deterministic pretty form (two-space indent, fixed
-//! field order chosen by the encoder), so encoding the same plan twice
-//! yields byte-identical text — the property the golden-snapshot test
-//! pins down.
+//! Three parts.  [`parse`] turns text into a [`Json`] tree.  [`Item`] is
+//! the **typed field reader** over that tree: required or optional,
+//! string / bool / object / array / integer *into the caller's integer
+//! type*.  An absent (or `null`) optional field is `None`; a present
+//! field of the wrong type, or an integer outside the target type's
+//! range, is a [`FieldError`] naming the key — never a default, never
+//! an `as` truncation.  [`ObjWriter`] is the **streaming
+//! object writer**: it writes straight into the output `String` (no
+//! intermediate tree) in the field order the encoder chooses, in one of
+//! two layouts — the plan file's two-space pretty form or the one-line
+//! form of the wire and the journal — so encoding the same value twice
+//! yields byte-identical text, the property the golden snapshots and
+//! the pinned wire bytes hold it to.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt::Write as _;
 
-/// A parsed JSON value (plan-schema subset).
+/// A parsed JSON value.  Decoders take values out of it through
+/// [`Item`]'s readers only.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// An integer (the schema has no floats).
+    /// An integer (the codec has no floats).
     Int(i128),
     /// A string.
     Str(String),
@@ -31,48 +43,6 @@ pub enum Json {
     /// An object.  Insertion order is not preserved — encoders list
     /// fields explicitly, so lookup order is all that matters.
     Obj(BTreeMap<String, Json>),
-}
-
-impl Json {
-    /// Object field access.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// The integer value, if this is an integer.
-    pub fn as_int(&self) -> Option<i128> {
-        match self {
-            Json::Int(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The bool value, if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The element list, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 /// Where and why a JSON parse failed.
@@ -147,14 +117,8 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, text: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
-            self.pos += text.len();
-            Ok(value)
-        } else if self.bytes.len() - self.pos < text.len() {
-            Err(self.eof_err())
-        } else {
-            Err(self.err(format!("expected `{text}`")))
-        }
+        text.bytes().try_for_each(|b| self.expect(b))?;
+        Ok(value)
     }
 
     fn value(&mut self) -> Result<Json, JsonError> {
@@ -171,69 +135,66 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
+    /// `open`, then comma-separated members each taken by `member`,
+    /// then `close`.
+    fn members(
+        &mut self,
+        (open, close): (u8, u8),
+        mut member: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.expect(open)?;
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(Json::Obj(map));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            if map.insert(key.clone(), val).is_some() {
-                return Err(self.err(format!("duplicate object key `{key}`")));
-            }
+            member(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
-                Some(b'}') => {
+                Some(c) if c == close => {
                     self.pos += 1;
-                    return Ok(Json::Obj(map));
+                    return Ok(());
                 }
                 Some(c) => {
-                    return Err(self.err(format!(
-                        "expected `,` or `}}` in object, found `{}`",
-                        c as char
-                    )))
+                    let (close, c) = (close as char, c as char);
+                    return Err(self.err(format!("expected `,` or `{close}`, found `{c}`")));
                 }
                 None => return Err(self.eof_err()),
             }
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(out));
-        }
-        loop {
-            self.skip_ws();
-            out.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(out));
+    fn object(&mut self) -> Result<Json, JsonError> {
+        let mut map = BTreeMap::new();
+        self.members((b'{', b'}'), |p| {
+            let key = p.string()?;
+            p.skip_ws();
+            p.expect(b':')?;
+            p.skip_ws();
+            let val = p.value()?;
+            match map.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert(val);
+                    Ok(())
                 }
-                Some(c) => {
-                    return Err(self.err(format!(
-                        "expected `,` or `]` in array, found `{}`",
-                        c as char
-                    )))
+                Entry::Occupied(slot) => {
+                    Err(p.err(format!("duplicate object key `{}`", slot.key())))
                 }
-                None => return Err(self.eof_err()),
             }
-        }
+        })?;
+        Ok(Json::Obj(map))
+    }
+
+    fn array(&mut self) -> Result<Json, JsonError> {
+        let mut out = Vec::new();
+        self.members((b'[', b']'), |p| {
+            out.push(p.value()?);
+            Ok(())
+        })?;
+        Ok(Json::Arr(out))
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -250,9 +211,7 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     match self.peek() {
                         None => return Err(self.eof_err()),
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
+                        Some(c @ (b'"' | b'\\' | b'/')) => out.push(c as char),
                         Some(b'n') => out.push('\n'),
                         Some(b't') => out.push('\t'),
                         Some(b'r') => out.push('\r'),
@@ -312,71 +271,139 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Serialize with deterministic two-space-indented pretty-printing.
-///
-/// Objects are written through [`ObjWriter`] in the field order the
-/// encoder chooses; this function renders `Json` values (arrays of
-/// scalars inline, everything else indented).
-pub fn write_value(out: &mut String, v: &Json, indent: usize) {
-    match v {
-        Json::Null => out.push_str("null"),
-        Json::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-        Json::Int(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Json::Str(s) => write_string(out, s),
-        Json::Arr(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-            } else if items.iter().all(is_scalar) {
-                out.push('[');
-                for (i, it) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    write_value(out, it, indent);
-                }
-                out.push(']');
-            } else {
-                out.push_str("[\n");
-                for (i, it) in items.iter().enumerate() {
-                    pad(out, indent + 1);
-                    write_value(out, it, indent + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                pad(out, indent);
-                out.push(']');
-            }
-        }
-        Json::Obj(map) => {
-            if map.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push_str("{\n");
-            for (i, (k, val)) in map.iter().enumerate() {
-                pad(out, indent + 1);
-                write_string(out, k);
-                out.push_str(": ");
-                write_value(out, val, indent + 1);
-                if i + 1 < map.len() {
-                    out.push(',');
-                }
-                out.push('\n');
-            }
-            pad(out, indent);
-            out.push('}');
+/// What a typed read found wrong with one field.  It names the key, so
+/// each caller's own error (`PlanError::{Schema, Certificate,
+/// Transform}`, `CalibrateError::Schema`, the wire's `ALP0006`, a
+/// journal quarantine reason) can say which field to fix.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FieldError {
+    /// The offending key (`key[]` for an array's element; empty for the
+    /// document itself).
+    pub key: String,
+    /// What is wrong with it.
+    pub problem: String,
+}
+
+impl std::fmt::Display for FieldError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.key.is_empty() {
+            write!(f, "the document {}", self.problem)
+        } else {
+            write!(f, "`{}` {}", self.key, self.problem)
         }
     }
 }
 
-fn is_scalar(v: &Json) -> bool {
-    matches!(v, Json::Null | Json::Bool(_) | Json::Int(_) | Json::Str(_))
+impl std::error::Error for FieldError {}
+
+/// One value met while decoding — the document, a field or an array
+/// element — with the key it is reported under.  Its readers are the
+/// only way a decoder takes a value out of a [`Json`], and they hold
+/// every artifact the tree reads to one rule: an absent (or `null`)
+/// optional field is `None`; a value of the wrong type, or an integer
+/// outside the caller's integer type, is refused, never defaulted or
+/// truncated.
+#[derive(Debug, Clone, Copy)]
+pub struct Item<'a> {
+    key: &'a str,
+    element: bool,
+    value: &'a Json,
+}
+
+impl<'a> Item<'a> {
+    /// The document itself.
+    pub fn root(value: &'a Json) -> Item<'a> {
+        Item {
+            key: "",
+            element: false,
+            value,
+        }
+    }
+
+    /// The error that refuses this value: for the readers below, and for
+    /// a caller's reader built on them (a `num/den` rational, an enum
+    /// spelled as a string) to refuse what it cannot take.
+    pub fn refuse(&self, problem: impl Into<String>) -> FieldError {
+        FieldError {
+            key: format!("{}{}", self.key, if self.element { "[]" } else { "" }),
+            problem: problem.into(),
+        }
+    }
+
+    /// A string.
+    pub fn str(self) -> Result<&'a str, FieldError> {
+        match self.value {
+            Json::Str(s) => Ok(s),
+            _ => Err(self.refuse("must be a string")),
+        }
+    }
+
+    /// A bool.
+    pub fn bool(self) -> Result<bool, FieldError> {
+        match self.value {
+            Json::Bool(b) => Ok(*b),
+            _ => Err(self.refuse("must be a bool")),
+        }
+    }
+
+    /// An integer that fits `T`.
+    pub fn int<T: TryFrom<i128>>(self) -> Result<T, FieldError> {
+        let Json::Int(n) = *self.value else {
+            return Err(self.refuse("must be an integer"));
+        };
+        T::try_from(n).map_err(|_| {
+            let ty = std::any::type_name::<T>();
+            self.refuse(format!("is {n}, outside the range of {ty}"))
+        })
+    }
+
+    /// An array, each element taken by `read`.
+    pub fn list<T>(
+        self,
+        read: impl FnMut(Item<'a>) -> Result<T, FieldError>,
+    ) -> Result<Vec<T>, FieldError> {
+        let Json::Arr(items) = self.value else {
+            return Err(self.refuse("must be an array"));
+        };
+        let element = |value| Item {
+            key: self.key,
+            element: true,
+            value,
+        };
+        items.iter().map(element).map(read).collect()
+    }
+
+    /// Field `key` of an object, which must be there, taken by `read`.
+    pub fn req<T>(
+        self,
+        key: &'a str,
+        read: impl FnOnce(Item<'a>) -> Result<T, FieldError>,
+    ) -> Result<T, FieldError> {
+        self.opt(key, read)?.ok_or_else(|| FieldError {
+            key: key.to_string(),
+            problem: "is missing".to_string(),
+        })
+    }
+
+    /// Field `key` of an object, or `None` when it does not carry one.
+    pub fn opt<T>(
+        self,
+        key: &'a str,
+        read: impl FnOnce(Item<'a>) -> Result<T, FieldError>,
+    ) -> Result<Option<T>, FieldError> {
+        let Json::Obj(fields) = self.value else {
+            return Err(self.refuse("must be an object"));
+        };
+        match fields.get(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(value) => read(Item {
+                key,
+                element: false,
+                value,
+            })
+            .map(Some),
+        }
+    }
 }
 
 fn pad(out: &mut String, indent: usize) {
@@ -385,69 +412,195 @@ fn pad(out: &mut String, indent: usize) {
     }
 }
 
-/// Write a JSON string literal with escaping.
-pub fn write_string(out: &mut String, s: &str) {
+/// Write a JSON string literal with escaping: the stretches between
+/// escapes are copied whole (every byte that needs one is ASCII, so
+/// the cuts fall on character boundaries).
+fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\r' => "\\r",
+            0..=0x1f => "\\u",
+            _ => continue,
+        };
+        out.push_str(&s[copied..i]);
+        out.push_str(escape);
+        if escape == "\\u" {
+            let _ = write!(out, "{b:04x}");
         }
+        copied = i + 1;
     }
+    out.push_str(&s[copied..]);
     out.push('"');
 }
 
-/// An object writer that preserves the encoder's field order (unlike
-/// `Json::Obj`, whose `BTreeMap` sorts keys) — this is what keeps the
-/// emitted schema human-readable *and* byte-deterministic.
-pub struct ObjWriter {
-    fields: Vec<(String, Json)>,
+/// Streams one object straight into the output text, fields in the
+/// order the encoder calls [`field`](ObjWriter::field) — which is what
+/// keeps every emitted artifact human-readable *and* byte-deterministic.
+/// There are two layouts, and everything nested in an object shares its
+/// layout: [`pretty()`], the plan file's (two-space indent, one field a
+/// line), and [`line()`], the wire's and the journal's (`", "`-separated,
+/// no newline anywhere).
+#[derive(Debug)]
+pub struct ObjWriter<'o> {
+    out: &'o mut String,
+    /// Indent of the closing brace in the pretty layout; `None` in the
+    /// one-line layout.
+    indent: Option<usize>,
+    empty: bool,
 }
 
-impl ObjWriter {
-    /// Start an object.
-    pub fn new() -> Self {
-        ObjWriter { fields: Vec::new() }
+/// The object `fields` writes, in the pretty layout, as the text of a
+/// file: newline-terminated.
+pub fn pretty(fields: impl FnOnce(&mut ObjWriter<'_>)) -> String {
+    // A plan is about a kilobyte, a frame about a hundred bytes: start
+    // there instead of doubling up from nothing.
+    let mut out = String::with_capacity(1024);
+    ObjWriter::write(&mut out, Some(0), fields);
+    out.push('\n');
+    out
+}
+
+/// The object `fields` writes, in the one-line layout.
+pub fn line(fields: impl FnOnce(&mut ObjWriter<'_>)) -> String {
+    let mut out = String::with_capacity(128);
+    ObjWriter::write(&mut out, None, fields);
+    out
+}
+
+impl ObjWriter<'_> {
+    fn write(out: &mut String, indent: Option<usize>, fields: impl FnOnce(&mut ObjWriter<'_>)) {
+        out.push('{');
+        let mut w = ObjWriter {
+            out,
+            indent,
+            empty: true,
+        };
+        fields(&mut w);
+        let empty = w.empty;
+        close(out, indent, empty, '}');
     }
 
-    /// Append a field (encoder-chosen order is preserved verbatim).
-    pub fn field(mut self, key: &str, value: Json) -> Self {
-        self.fields.push((key.to_string(), value));
-        self
+    /// Begin field `key`; the returned writer takes its value.
+    pub fn field(&mut self, key: &str) -> ValueWriter<'_> {
+        let indent = self.indent.map(|i| i + 1);
+        separate(self.out, indent, self.empty);
+        self.empty = false;
+        // Keys are the encoder's own literals, never input.
+        debug_assert!(!key.bytes().any(|b| matches!(b, b'"' | b'\\' | 0..=0x1f)));
+        self.out.push('"');
+        self.out.push_str(key);
+        self.out.push_str("\": ");
+        ValueWriter {
+            out: self.out,
+            indent,
+        }
     }
 
-    /// Render the object at the given indent level.
-    pub fn render(&self, out: &mut String, indent: usize) {
-        if self.fields.is_empty() {
-            out.push_str("{}");
-            return;
+    /// Field `key` when there is a value for it, no field otherwise: how
+    /// an encoder says "absent".
+    pub fn opt<'s, T>(
+        &'s mut self,
+        key: &str,
+        value: Option<T>,
+        write: impl FnOnce(ValueWriter<'s>, T),
+    ) {
+        if let Some(value) = value {
+            write(self.field(key), value);
         }
-        out.push_str("{\n");
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            pad(out, indent + 1);
-            write_string(out, k);
-            out.push_str(": ");
-            write_value(out, v, indent + 1);
-            if i + 1 < self.fields.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
+    }
+}
+
+/// What goes between `{`/`[` and the first member, or between two
+/// members, the next of which sits at `indent`.
+fn separate(out: &mut String, indent: Option<usize>, first: bool) {
+    match (indent, first) {
+        (Some(_), true) => out.push('\n'),
+        (Some(_), false) => out.push_str(",\n"),
+        (None, true) => {}
+        (None, false) => out.push_str(", "),
+    }
+    pad(out, indent.unwrap_or(0));
+}
+
+/// The closing `}`/`]` at `indent`, on a line of its own when the
+/// pretty layout spread members above it.
+fn close(out: &mut String, indent: Option<usize>, empty: bool, bracket: char) {
+    if let (Some(indent), false) = (indent, empty) {
+        out.push('\n');
         pad(out, indent);
-        out.push('}');
     }
+    out.push(bracket);
 }
 
-impl Default for ObjWriter {
-    fn default() -> Self {
-        Self::new()
+/// Takes one value: a field's or an array element's.  The integer
+/// writers are bounded like [`Item::int`] reads, so nothing but an
+/// integer type fits — the codec has no floats.
+#[derive(Debug)]
+pub struct ValueWriter<'o> {
+    out: &'o mut String,
+    /// Indent of the line the value starts on (pretty layout).
+    indent: Option<usize>,
+}
+
+impl ValueWriter<'_> {
+    /// A string.
+    pub fn str(self, s: &str) {
+        write_string(self.out, s);
+    }
+
+    /// An integer.
+    pub fn int<T: TryFrom<i128> + std::fmt::Display>(self, n: T) {
+        let _ = write!(self.out, "{n}");
+    }
+
+    /// A bool.
+    pub fn bool(self, b: bool) {
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// `null`.
+    pub fn null(self) {
+        self.out.push_str("null");
+    }
+
+    /// An array of integers, inline (`[1, 2]`) in both layouts.
+    pub fn ints<T: TryFrom<i128> + std::fmt::Display>(self, items: impl IntoIterator<Item = T>) {
+        self.out.push('[');
+        for (i, n) in items.into_iter().enumerate() {
+            separate(self.out, None, i == 0);
+            let _ = write!(self.out, "{n}");
+        }
+        self.out.push(']');
+    }
+
+    /// An object of the fields `fields` writes.
+    pub fn obj(self, fields: impl FnOnce(&mut ObjWriter<'_>)) {
+        ObjWriter::write(self.out, self.indent, fields);
+    }
+
+    /// An array of objects or arrays, each element written by `write`:
+    /// one element a line in the pretty layout.
+    pub fn list<T>(
+        self,
+        items: impl IntoIterator<Item = T>,
+        mut write: impl FnMut(ValueWriter<'_>, T),
+    ) {
+        let indent = self.indent.map(|i| i + 1);
+        self.out.push('[');
+        let mut empty = true;
+        for item in items {
+            separate(self.out, indent, empty);
+            empty = false;
+            let out = &mut *self.out;
+            write(ValueWriter { out, indent }, item);
+        }
+        close(self.out, self.indent, empty, ']');
     }
 }
 
@@ -458,10 +611,12 @@ mod tests {
     #[test]
     fn parses_nested_document() {
         let v = parse(r#"{"a": [1, -2, 3], "b": {"c": "x\ny", "d": true}, "e": null}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[1], Json::Int(-2));
-        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ny"));
-        assert_eq!(v.get("b").unwrap().get("d").unwrap().as_bool(), Some(true));
-        assert_eq!(v.get("e"), Some(&Json::Null));
+        let f = Item::root(&v);
+        let a: Vec<i128> = f.req("a", |a| a.list(Item::int)).unwrap();
+        assert_eq!(a, [1, -2, 3]);
+        assert_eq!(f.req("b", |b| b.req("c", Item::str)), Ok("x\ny"));
+        assert_eq!(f.req("b", |b| b.req("d", Item::bool)), Ok(true));
+        assert_eq!(f.opt("e", Item::str), Ok(None), "null reads as absent");
     }
 
     #[test]
@@ -502,26 +657,131 @@ mod tests {
 
     #[test]
     fn string_escapes_round_trip() {
+        let text = "a\"b\\c\nd\u{1}é—\t\r";
         let mut out = String::new();
-        write_string(&mut out, "a\"b\\c\nd\u{1}");
+        write_string(&mut out, text);
+        assert_eq!(out, r#""a\"b\\c\nd\u0001é—\t\r""#);
         let back = parse(&out).unwrap();
-        assert_eq!(back.as_str(), Some("a\"b\\c\nd\u{1}"));
-    }
-
-    #[test]
-    fn writer_is_deterministic() {
-        let v = parse(r#"{"b": [1, 2], "a": {"z": 1, "y": [true, null]}}"#).unwrap();
-        let mut one = String::new();
-        write_value(&mut one, &v, 0);
-        let mut two = String::new();
-        write_value(&mut two, &parse(&one).unwrap(), 0);
-        assert_eq!(one, two);
+        assert_eq!(Item::root(&back).str(), Ok(text));
     }
 
     #[test]
     fn big_integers_survive() {
-        let n = i128::MAX;
-        let v = parse(&format!("[{n}]")).unwrap();
-        assert_eq!(v.as_arr().unwrap()[0].as_int(), Some(n));
+        let v = parse(&format!("[{}]", i128::MAX)).unwrap();
+        assert_eq!(Item::root(&v).list(Item::int), Ok(vec![i128::MAX]));
+    }
+
+    /// The three-row table of DESIGN.md "Codec", one row a block.
+    #[test]
+    fn absent_is_none_and_mistyped_or_out_of_range_is_refused_by_key() {
+        let two_64 = u64::MAX as i128 + 1;
+        let v = parse(&format!(
+            r#"{{"n": 7, "s": "7", "neg": -5, "big": {two_64}, "xs": [1, "2"], "nil": null}}"#
+        ))
+        .unwrap();
+        let f = Item::root(&v);
+        let problem = |e: FieldError| format!("{e}");
+
+        assert_eq!(f.opt("gone", Item::int::<u64>), Ok(None));
+        assert_eq!(f.opt("nil", Item::bool), Ok(None));
+        assert_eq!(
+            problem(f.req("gone", Item::str).unwrap_err()),
+            "`gone` is missing"
+        );
+
+        assert_eq!(f.req("n", Item::int::<u8>), Ok(7));
+        assert_eq!(
+            problem(f.opt("s", Item::int::<u64>).unwrap_err()),
+            "`s` must be an integer"
+        );
+        assert_eq!(
+            problem(f.req("n", Item::str).unwrap_err()),
+            "`n` must be a string"
+        );
+        assert_eq!(
+            problem(f.req("n", Item::bool).unwrap_err()),
+            "`n` must be a bool"
+        );
+        assert_eq!(
+            problem(f.req("n", |n| n.opt("k", Item::str)).unwrap_err()),
+            "`n` must be an object"
+        );
+        assert_eq!(
+            problem(f.req("n", |n| n.list(Item::int::<i128>)).unwrap_err()),
+            "`n` must be an array"
+        );
+        assert_eq!(
+            problem(f.req("xs", |xs| xs.list(Item::int::<i128>)).unwrap_err()),
+            "`xs[]` must be an integer"
+        );
+        assert_eq!(
+            problem(Item::root(&v).str().unwrap_err()),
+            "the document must be a string"
+        );
+
+        assert_eq!(
+            problem(f.req("neg", Item::int::<u64>).unwrap_err()),
+            "`neg` is -5, outside the range of u64"
+        );
+        assert_eq!(
+            problem(f.req("big", Item::int::<u64>).unwrap_err()),
+            "`big` is 18446744073709551616, outside the range of u64"
+        );
+        assert_eq!(f.req("big", Item::int::<i128>), Ok(two_64));
+    }
+
+    fn sample(w: &mut ObjWriter<'_>) {
+        w.field("s").str("a\"b");
+        w.field("n").int(-3);
+        w.field("t").bool(true);
+        w.field("z").null();
+        w.field("xs").ints([1u64, 2]);
+        w.field("none").ints(Vec::<usize>::new());
+        w.field("o").obj(|o| o.field("k").int(1u8));
+        w.field("e").obj(|_| {});
+        w.field("rows")
+            .list([[1i128, 0], [0, 1]], |v, row| v.ints(row));
+        w.field("objs")
+            .list([5usize, 6], |v, n| v.obj(|o| o.field("n").int(n)));
+        w.field("nothing").list(Vec::<u8>::new(), |v, n| v.int(n));
+    }
+
+    #[test]
+    fn the_writer_has_two_layouts_and_both_parse_back() {
+        let line = line(sample);
+        assert_eq!(
+            line,
+            r#"{"s": "a\"b", "n": -3, "t": true, "z": null, "xs": [1, 2], "none": [], "o": {"k": 1}, "e": {}, "rows": [[1, 0], [0, 1]], "objs": [{"n": 5}, {"n": 6}], "nothing": []}"#
+        );
+        let pretty = pretty(sample);
+        let expected = r#"{
+  "s": "a\"b",
+  "n": -3,
+  "t": true,
+  "z": null,
+  "xs": [1, 2],
+  "none": [],
+  "o": {
+    "k": 1
+  },
+  "e": {},
+  "rows": [
+    [1, 0],
+    [0, 1]
+  ],
+  "objs": [
+    {
+      "n": 5
+    },
+    {
+      "n": 6
+    }
+  ],
+  "nothing": []
+}
+"#;
+        assert_eq!(pretty, expected);
+        assert_eq!(parse(&line), parse(&pretty));
+        assert_eq!(super::pretty(|_| {}), "{}\n");
     }
 }

@@ -27,9 +27,10 @@
 //! daemon bracket it with analysis and certification and decide nothing
 //! themselves.
 //!
-//! Plans serialize to a versioned JSON schema ([`json`]) with a
-//! hand-rolled, float-free codec whose output is byte-deterministic —
-//! the golden-snapshot tests diff the exact bytes.
+//! Plans serialize to a versioned JSON schema through [`json`], the
+//! tree's one hand-rolled, float-free codec (the journal, the wire and
+//! the calibration file use it too), whose output is byte-deterministic
+//! — the golden-snapshot tests diff the exact bytes.
 //! [`ShardedPlanCache::get_or_compute`] memoizes plans by [`PlanKey`]
 //! (fingerprint plus every parameter that can change the plan) with
 //! hit/miss/coalesced/eviction counters, and a [`Tiling`]
@@ -166,5 +167,14 @@ impl From<alp_loopir::LayoutOverflow> for PlanError {
 impl From<JsonError> for PlanError {
     fn from(e: JsonError) -> Self {
         PlanError::Json(e)
+    }
+}
+
+/// A field the codec refused is a schema violation, unless the decoder
+/// says which block it damaged ([`PlanError::Certificate`],
+/// [`PlanError::Transform`]).
+impl From<json::FieldError> for PlanError {
+    fn from(e: json::FieldError) -> Self {
+        PlanError::Schema(e.to_string())
     }
 }

@@ -1,7 +1,7 @@
 //! The [`PartitionPlan`] artifact and its versioned JSON schema.
 
 use crate::fingerprint::fingerprint_hex;
-use crate::json::{self, Json, ObjWriter};
+use crate::json::{self, FieldError, Item, ObjWriter, ValueWriter};
 use crate::rank::{choose_calibrated, rank_skewed};
 use crate::tiles::Tiling;
 use crate::transform::{skewed_candidates, SkewedCandidate, Transform};
@@ -113,31 +113,27 @@ impl LatencyCoefficients {
     /// Append the six coefficient fields, in schema order — the one
     /// encoder behind a plan's `calibration` block and the calibration
     /// artifact.
-    pub fn write_fields(&self, w: ObjWriter) -> ObjWriter {
-        w.field("per_tile_ns", Json::Str(rat_str(&self.per_tile_ns)))
-            .field("per_line_ns", Json::Str(rat_str(&self.per_line_ns)))
-            .field(
-                "per_span_line_ns",
-                Json::Str(rat_str(&self.per_span_line_ns)),
-            )
-            .field("per_iter_ns", Json::Str(rat_str(&self.per_iter_ns)))
-            .field("per_rep_ns", Json::Str(rat_str(&self.per_rep_ns)))
-            .field("samples", Json::Int(self.samples as i128))
+    pub fn write_fields(&self, w: &mut ObjWriter<'_>) {
+        w.field("per_tile_ns").str(&rat_str(&self.per_tile_ns));
+        w.field("per_line_ns").str(&rat_str(&self.per_line_ns));
+        w.field("per_span_line_ns")
+            .str(&rat_str(&self.per_span_line_ns));
+        w.field("per_iter_ns").str(&rat_str(&self.per_iter_ns));
+        w.field("per_rep_ns").str(&rat_str(&self.per_rep_ns));
+        w.field("samples").int(self.samples);
     }
 
     /// Decode the six coefficient fields from the object holding them
     /// (the inverse of [`write_fields`](Self::write_fields)); other
     /// fields of `v` are ignored.
-    pub fn from_json(v: &Json) -> Result<LatencyCoefficients, PlanError> {
+    pub fn from_json(v: Item<'_>) -> Result<LatencyCoefficients, FieldError> {
         Ok(LatencyCoefficients {
-            per_tile_ns: parse_rat(&str_field(v, "per_tile_ns")?)?,
-            per_line_ns: parse_rat(&str_field(v, "per_line_ns")?)?,
-            per_span_line_ns: parse_rat(&str_field(v, "per_span_line_ns")?)?,
-            per_iter_ns: parse_rat(&str_field(v, "per_iter_ns")?)?,
-            per_rep_ns: parse_rat(&str_field(v, "per_rep_ns")?)?,
-            samples: (v.get("samples").and_then(Json::as_int))
-                .and_then(|n| u64::try_from(n).ok())
-                .ok_or_else(|| PlanError::Schema("`samples` must be a count".into()))?,
+            per_tile_ns: v.req("per_tile_ns", rat)?,
+            per_line_ns: v.req("per_line_ns", rat)?,
+            per_span_line_ns: v.req("per_span_line_ns", rat)?,
+            per_iter_ns: v.req("per_iter_ns", rat)?,
+            per_rep_ns: v.req("per_rep_ns", rat)?,
+            samples: v.req("samples", Item::int)?,
         })
     }
 }
@@ -520,113 +516,67 @@ impl PartitionPlan {
     /// Encode as the versioned JSON schema.  Byte-deterministic: the
     /// same plan always yields the same text (golden-snapshot safe).
     pub fn to_json_string(&self) -> String {
-        let classes = self
-            .class_footprints
-            .iter()
-            .map(|c| {
-                let mut s = String::new();
-                ObjWriter::new()
-                    .field("array", Json::Str(c.array.clone()))
-                    .field("refs", Json::Int(c.refs as i128))
-                    .field("shape_invariant", Json::Bool(c.shape_invariant))
-                    .field("footprint", Json::Str(rat_str(&c.footprint)))
-                    .render(&mut s, 2);
-                s
-            })
-            .collect::<Vec<_>>();
-
         let version = self.version();
-        let mut out = String::new();
-        out.push_str("{\n");
-        push_field(&mut out, "alp-plan", Json::Int(version.into()));
-        push_field(&mut out, "fingerprint", Json::Str(self.fingerprint.clone()));
-        push_field(&mut out, "processors", Json::Int(self.processors));
-        push_field(
-            &mut out,
-            "mesh",
+        json::pretty(|w| {
+            w.field("alp-plan").int(version);
+            w.field("fingerprint").str(&self.fingerprint);
+            w.field("processors").int(self.processors);
             match self.mesh {
-                Some((w, h)) => Json::Arr(vec![Json::Int(w as i128), Json::Int(h as i128)]),
-                None => Json::Null,
-            },
-        );
-        let (checked, warnings) = match self.legality {
-            LegalityVerdict::Checked { warnings } => (true, warnings as i128),
-            LegalityVerdict::Unchecked => (false, 0),
-        };
-        out.push_str("  \"legality\": ");
-        ObjWriter::new()
-            .field("checked", Json::Bool(checked))
-            .field("warnings", Json::Int(warnings))
-            .render(&mut out, 1);
-        out.push_str(",\n");
-        push_field(&mut out, "optimizer", Json::Str(self.optimizer.clone()));
-        // A plan decoded from a version-1 file re-encodes as version 1,
-        // without the field, byte-stably.
-        if version >= 2 {
-            push_field(
-                &mut out,
-                "chosen_by",
-                Json::Str(self.chosen_by.as_str().into()),
-            );
-        }
-        push_field(&mut out, "proc_grid", int_arr(&self.proc_grid));
-        push_field(&mut out, "tile_extents", int_arr(&self.tile_extents));
-        push_field(&mut out, "cost", Json::Str(rat_str(&self.cost)));
-        if let Some(bytes) = self.store_bytes {
-            push_field(&mut out, "store_bytes", Json::Int(bytes as i128));
-        }
-        if let Some(c) = &self.calibration {
-            out.push_str("  \"calibration\": ");
-            c.write_fields(ObjWriter::new()).render(&mut out, 1);
-            out.push_str(",\n");
-        }
-        if let Some(c) = &self.certificate {
-            out.push_str("  \"certificate\": ");
-            ObjWriter::new()
-                .field("fingerprint", Json::Str(c.fingerprint.clone()))
-                .field("coverage", Json::Bool(c.coverage))
-                .field("write_disjoint", Json::Bool(c.write_disjoint))
-                .field("in_bounds", Json::Bool(c.in_bounds))
-                .field("idempotent", Json::Bool(c.idempotent))
-                .render(&mut out, 1);
-            out.push_str(",\n");
-        }
-        if let Some(t) = &self.transform {
-            out.push_str("  \"transform\": ");
-            ObjWriter::new()
-                .field("fingerprint", Json::Str(t.fingerprint().into()))
-                .field(
-                    "u",
-                    Json::Arr(t.u().row_vecs().iter().map(|r| int_arr(&r.0)).collect()),
-                )
-                .render(&mut out, 1);
-            out.push_str(",\n");
-        }
-        if classes.is_empty() {
-            out.push_str("  \"class_footprints\": [],\n");
-        } else {
-            out.push_str("  \"class_footprints\": [\n");
-            for (i, c) in classes.iter().enumerate() {
-                out.push_str("    ");
-                out.push_str(c);
-                out.push_str(if i + 1 < classes.len() { ",\n" } else { "\n" });
+                Some((width, height)) => w.field("mesh").ints([width, height]),
+                None => w.field("mesh").null(),
             }
-            out.push_str("  ],\n");
-        }
-        push_field(
-            &mut out,
-            "comm_free_normals",
-            Json::Arr(
-                self.comm_free_normals
-                    .iter()
-                    .map(|v| int_arr(&v.0))
-                    .collect(),
-            ),
-        );
-        out.push_str("  \"source\": ");
-        json::write_string(&mut out, &self.source);
-        out.push_str("\n}\n");
-        out
+            let (checked, warnings) = match self.legality {
+                LegalityVerdict::Checked { warnings } => (true, warnings),
+                LegalityVerdict::Unchecked => (false, 0),
+            };
+            w.field("legality").obj(|legality| {
+                legality.field("checked").bool(checked);
+                legality.field("warnings").int(warnings);
+            });
+            w.field("optimizer").str(&self.optimizer);
+            // A plan decoded from a version-1 file re-encodes as version
+            // 1, without the field, byte-stably.
+            let chosen_by = (version >= 2).then_some(self.chosen_by.as_str());
+            w.opt("chosen_by", chosen_by, ValueWriter::str);
+            w.field("proc_grid").ints(self.proc_grid.iter().copied());
+            w.field("tile_extents")
+                .ints(self.tile_extents.iter().copied());
+            w.field("cost").str(&rat_str(&self.cost));
+            w.opt("store_bytes", self.store_bytes, ValueWriter::int);
+            w.opt("calibration", self.calibration.as_ref(), |block, c| {
+                block.obj(|block| c.write_fields(block))
+            });
+            w.opt("certificate", self.certificate.as_ref(), |block, c| {
+                block.obj(|block| {
+                    block.field("fingerprint").str(&c.fingerprint);
+                    block.field("coverage").bool(c.coverage);
+                    block.field("write_disjoint").bool(c.write_disjoint);
+                    block.field("in_bounds").bool(c.in_bounds);
+                    block.field("idempotent").bool(c.idempotent);
+                })
+            });
+            w.opt("transform", self.transform.as_ref(), |block, t| {
+                block.obj(|block| {
+                    block.field("fingerprint").str(t.fingerprint());
+                    let rows = t.u().row_vecs();
+                    block.field("u").list(rows, |row, r| row.ints(r.0));
+                })
+            });
+            w.field("class_footprints")
+                .list(&self.class_footprints, |class, c| {
+                    class.obj(|class| {
+                        class.field("array").str(&c.array);
+                        class.field("refs").int(c.refs);
+                        class.field("shape_invariant").bool(c.shape_invariant);
+                        class.field("footprint").str(&rat_str(&c.footprint));
+                    })
+                });
+            w.field("comm_free_normals")
+                .list(&self.comm_free_normals, |normal, n| {
+                    normal.ints(n.0.iter().copied())
+                });
+            w.field("source").str(&self.source);
+        })
     }
 
     /// Decode a plan from JSON text.
@@ -634,123 +584,62 @@ impl PartitionPlan {
     /// Fails with a diagnostic (never panics) on malformed or truncated
     /// JSON, an unknown schema version, or missing/mistyped fields.
     pub fn from_json_str(src: &str) -> Result<PartitionPlan, PlanError> {
-        let v = json::parse(src).map_err(PlanError::Json)?;
-        if !matches!(v, Json::Obj(_)) {
-            return Err(PlanError::Schema("top level is not an object".into()));
-        }
-        let version = v
-            .get("alp-plan")
-            .and_then(Json::as_int)
-            .ok_or_else(|| PlanError::Schema("missing `alp-plan` schema version field".into()))?;
-        if version < MIN_SCHEMA_VERSION as i128 || version > SCHEMA_VERSION as i128 {
-            return Err(PlanError::UnsupportedVersion {
-                found: version,
+        let v = json::parse(src)?;
+        let f = Item::root(&v);
+        let found: i128 = f.req("alp-plan", Item::int)?;
+        let schema_version = u32::try_from(found)
+            .ok()
+            .filter(|v| (MIN_SCHEMA_VERSION..=SCHEMA_VERSION).contains(v))
+            .ok_or(PlanError::UnsupportedVersion {
+                found,
                 supported: SCHEMA_VERSION,
-            });
-        }
-        // Unreachable expect: range-checked against the u32 consts above.
-        let schema_version = u32::try_from(version).expect("version fits u32");
-        let fingerprint = str_field(&v, "fingerprint")?;
-        let processors = int_field(&v, "processors")?;
-        let mesh = match v.get("mesh") {
-            None | Some(Json::Null) => None,
-            Some(Json::Arr(items)) if items.len() == 2 => {
-                let w = items[0]
-                    .as_int()
-                    .and_then(|n| usize::try_from(n).ok())
-                    .ok_or_else(|| PlanError::Schema("mesh width is not a usize".into()))?;
-                let h = items[1]
-                    .as_int()
-                    .and_then(|n| usize::try_from(n).ok())
-                    .ok_or_else(|| PlanError::Schema("mesh height is not a usize".into()))?;
-                Some((w, h))
-            }
-            Some(_) => return Err(PlanError::Schema("`mesh` must be null or [w, h]".into())),
-        };
-        let legality = {
-            let l = v
-                .get("legality")
-                .ok_or_else(|| PlanError::Schema("missing `legality`".into()))?;
-            let checked = l
-                .get("checked")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| PlanError::Schema("`legality.checked` must be a bool".into()))?;
-            if checked {
-                let warnings = l
-                    .get("warnings")
-                    .and_then(Json::as_int)
-                    .and_then(|n| usize::try_from(n).ok())
-                    .ok_or_else(|| {
-                        PlanError::Schema("`legality.warnings` must be a count".into())
-                    })?;
-                LegalityVerdict::Checked { warnings }
-            } else {
-                LegalityVerdict::Unchecked
-            }
-        };
-        let optimizer = str_field(&v, "optimizer")?;
+            })?;
+        let fingerprint = f.req("fingerprint", Item::str)?.to_string();
+        let processors = f.req("processors", Item::int)?;
+        let mesh = f.opt("mesh", |m| match m.list(Item::int::<usize>)?[..] {
+            [w, h] => Ok((w, h)),
+            _ => Err(m.refuse("must be null or [w, h]")),
+        })?;
+        let legality = f.req("legality", |l| {
+            Ok(match l.req("checked", Item::bool)? {
+                true => LegalityVerdict::Checked {
+                    warnings: l.req("warnings", Item::int)?,
+                },
+                false => LegalityVerdict::Unchecked,
+            })
+        })?;
+        let optimizer = f.req("optimizer", Item::str)?.to_string();
         // Optional (schema ≥ 2): absent in version-1 plans.
-        let chosen_by = match v.get("chosen_by") {
-            None => ChosenBy::Analytic,
-            Some(Json::Str(s)) if s == "analytic" => ChosenBy::Analytic,
-            Some(Json::Str(s)) if s == "calibrated" => ChosenBy::Calibrated,
-            Some(_) => {
-                return Err(PlanError::Schema(
-                    "`chosen_by` must be \"analytic\" or \"calibrated\"".into(),
-                ))
-            }
-        };
-        let calibration = match v.get("calibration") {
-            None | Some(Json::Null) => None,
-            Some(c @ Json::Obj(_)) => Some(LatencyCoefficients::from_json(c)?),
-            Some(_) => {
-                return Err(PlanError::Schema(
-                    "`calibration` must be null or an object of coefficients".into(),
-                ))
-            }
-        };
-        let certificate = match v.get("certificate") {
-            None | Some(Json::Null) => None,
-            Some(c @ Json::Obj(_)) => {
-                let bool_field = |key: &str| {
-                    c.get(key).and_then(Json::as_bool).ok_or_else(|| {
-                        PlanError::Certificate(format!(
-                            "certificate block is missing or mistypes `{key}`"
-                        ))
-                    })
-                };
-                let cert = Certificate {
-                    fingerprint: c
-                        .get("fingerprint")
-                        .and_then(Json::as_str)
-                        .map(str::to_owned)
-                        .ok_or_else(|| {
-                            PlanError::Certificate(
-                                "certificate block is missing or mistypes `fingerprint`".into(),
-                            )
-                        })?,
-                    coverage: bool_field("coverage")?,
-                    write_disjoint: bool_field("write_disjoint")?,
-                    in_bounds: bool_field("in_bounds")?,
-                    idempotent: bool_field("idempotent")?,
-                };
-                if cert.fingerprint != fingerprint {
-                    return Err(PlanError::Certificate(format!(
-                        "certificate was issued for fingerprint {} but the plan's \
-                         fingerprint is {fingerprint}; re-certify with `alp-cli certify`",
-                        cert.fingerprint
-                    )));
-                }
-                Some(cert)
-            }
-            Some(_) => {
-                return Err(PlanError::Certificate(
-                    "certificate must be null or an object of proven facts".into(),
-                ))
-            }
-        };
-        let proc_grid = int_arr_field(&v, "proc_grid")?;
-        let tile_extents = int_arr_field(&v, "tile_extents")?;
+        let chosen_by = f.opt("chosen_by", |c| match c.str()? {
+            "analytic" => Ok(ChosenBy::Analytic),
+            "calibrated" => Ok(ChosenBy::Calibrated),
+            _ => Err(c.refuse("must be \"analytic\" or \"calibrated\"")),
+        })?;
+        let calibration = f.opt("calibration", LatencyCoefficients::from_json)?;
+        let certificate = f
+            .opt("certificate", |c| {
+                Ok(Certificate {
+                    fingerprint: c.req("fingerprint", Item::str)?.to_string(),
+                    coverage: c.req("coverage", Item::bool)?,
+                    write_disjoint: c.req("write_disjoint", Item::bool)?,
+                    in_bounds: c.req("in_bounds", Item::bool)?,
+                    idempotent: c.req("idempotent", Item::bool)?,
+                })
+            })
+            .map_err(|e| PlanError::Certificate(e.to_string()))?;
+        if let Some(cert) = certificate
+            .as_ref()
+            .filter(|c| c.fingerprint != fingerprint)
+        {
+            return Err(PlanError::Certificate(format!(
+                "certificate was issued for fingerprint {} but the plan's \
+                 fingerprint is {fingerprint}; re-certify with `alp-cli certify`",
+                cert.fingerprint
+            )));
+        }
+        let ints = |xs: Item<'_>| xs.list(Item::int::<i128>);
+        let proc_grid = f.req("proc_grid", ints)?;
+        let tile_extents = f.req("tile_extents", ints)?;
         if proc_grid.is_empty() || proc_grid.len() != tile_extents.len() {
             return Err(PlanError::Schema(format!(
                 "proc_grid ({}) and tile_extents ({}) must be nonempty and equal length",
@@ -763,38 +652,21 @@ impl PartitionPlan {
                 "`proc_grid` factor {g} is not a positive processor count"
             )));
         }
-        let transform = match v.get("transform") {
-            None | Some(Json::Null) => None,
-            Some(t @ Json::Obj(_)) => {
-                let fp = t
-                    .get("fingerprint")
-                    .and_then(Json::as_str)
-                    .map(str::to_owned)
-                    .ok_or_else(|| {
-                        PlanError::Transform(
-                            "transform block is missing or mistypes `fingerprint`".into(),
-                        )
-                    })?;
-                let rows = t.get("u").and_then(Json::as_arr).ok_or_else(|| {
-                    PlanError::Transform("transform block is missing or mistypes `u`".into())
-                })?;
+        let transform = f
+            .opt("transform", |t| {
+                let fp = t.req("fingerprint", Item::str)?.to_string();
+                Ok((fp, t.req("u", |u| u.list(ints))?))
+            })
+            .map_err(|e| PlanError::Transform(e.to_string()))?;
+        let transform = match transform {
+            None => None,
+            Some((fp, rows)) => {
                 let n = rows.len();
-                let mut entries = Vec::with_capacity(n * n);
-                for r in rows {
-                    let row = r.as_arr().ok_or_else(|| {
-                        PlanError::Transform("transform matrix row is not an array".into())
-                    })?;
-                    if row.len() != n {
-                        return Err(PlanError::Transform(format!(
-                            "transform matrix is not square: {n} rows but a row of {}",
-                            row.len()
-                        )));
-                    }
-                    for x in row {
-                        entries.push(x.as_int().ok_or_else(|| {
-                            PlanError::Transform("transform matrix entry is not an integer".into())
-                        })?);
-                    }
+                if let Some(row) = rows.iter().find(|row| row.len() != n) {
+                    return Err(PlanError::Transform(format!(
+                        "transform matrix is not square: {n} rows but a row of {}",
+                        row.len()
+                    )));
                 }
                 if n != proc_grid.len() {
                     return Err(PlanError::Transform(format!(
@@ -808,67 +680,9 @@ impl PartitionPlan {
                          fingerprint is {fingerprint}; re-plan with `alp-cli plan --skewed`"
                     )));
                 }
-                Some(Transform::new(IMat::from_vec(n, n, entries), fp)?)
-            }
-            Some(_) => {
-                return Err(PlanError::Transform(
-                    "transform must be null or an object".into(),
-                ))
+                Some(Transform::new(IMat::from_vec(n, n, rows.concat()), fp)?)
             }
         };
-        let cost = parse_rat(&str_field(&v, "cost")?)?;
-        // Optional: absent in plans written before the field existed.
-        let store_bytes =
-            match v.get("store_bytes") {
-                None => None,
-                Some(b) => Some(b.as_int().and_then(|n| u64::try_from(n).ok()).ok_or_else(
-                    || PlanError::Schema("`store_bytes` must be a non-negative integer".into()),
-                )?),
-            };
-        let class_footprints = v
-            .get("class_footprints")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| PlanError::Schema("missing `class_footprints` array".into()))?
-            .iter()
-            .map(|c| {
-                Ok(ClassFootprint {
-                    array: str_field(c, "array")?,
-                    refs: int_field(c, "refs").and_then(|n| {
-                        usize::try_from(n)
-                            .map_err(|_| PlanError::Schema("`refs` is not a count".into()))
-                    })?,
-                    shape_invariant: c
-                        .get("shape_invariant")
-                        .and_then(Json::as_bool)
-                        .ok_or_else(|| {
-                            PlanError::Schema("class missing `shape_invariant`".into())
-                        })?,
-                    footprint: parse_rat(&str_field(c, "footprint")?)?,
-                })
-            })
-            .collect::<Result<Vec<_>, PlanError>>()?;
-        let comm_free_normals = v
-            .get("comm_free_normals")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| PlanError::Schema("missing `comm_free_normals` array".into()))?
-            .iter()
-            .map(|n| {
-                n.as_arr()
-                    .map(|items| {
-                        items
-                            .iter()
-                            .map(|x| {
-                                x.as_int().ok_or_else(|| {
-                                    PlanError::Schema("normal component is not an integer".into())
-                                })
-                            })
-                            .collect::<Result<Vec<_>, _>>()
-                            .map(IVec)
-                    })
-                    .ok_or_else(|| PlanError::Schema("normal is not an array".into()))?
-            })
-            .collect::<Result<Vec<_>, PlanError>>()?;
-        let source = str_field(&v, "source")?;
         Ok(PartitionPlan {
             schema_version,
             fingerprint,
@@ -876,17 +690,29 @@ impl PartitionPlan {
             mesh,
             legality,
             optimizer,
-            chosen_by,
+            chosen_by: chosen_by.unwrap_or_default(),
             calibration,
             certificate,
             transform,
             proc_grid,
             tile_extents,
-            cost,
-            store_bytes,
-            class_footprints,
-            comm_free_normals,
-            source,
+            cost: f.req("cost", rat)?,
+            // Optional: absent in plans written before the field existed.
+            store_bytes: f.opt("store_bytes", Item::int)?,
+            class_footprints: f.req("class_footprints", |classes| {
+                classes.list(|c| {
+                    Ok(ClassFootprint {
+                        array: c.req("array", Item::str)?.to_string(),
+                        refs: c.req("refs", Item::int)?,
+                        shape_invariant: c.req("shape_invariant", Item::bool)?,
+                        footprint: c.req("footprint", rat)?,
+                    })
+                })
+            })?,
+            comm_free_normals: f.req("comm_free_normals", |normals| {
+                normals.list(|n| ints(n).map(IVec))
+            })?,
+            source: f.req("source", Item::str)?.to_string(),
         })
     }
 }
@@ -928,61 +754,18 @@ fn class_footprints(
         .collect()
 }
 
-fn push_field(out: &mut String, key: &str, value: Json) {
-    out.push_str("  ");
-    json::write_string(out, key);
-    out.push_str(": ");
-    json::write_value(out, &value, 1);
-    out.push_str(",\n");
-}
-
-fn int_arr(xs: &[i128]) -> Json {
-    Json::Arr(xs.iter().map(|&x| Json::Int(x)).collect())
-}
-
 fn rat_str(r: &Rat) -> String {
     format!("{}/{}", r.num(), r.den())
 }
 
-fn parse_rat(s: &str) -> Result<Rat, PlanError> {
-    let (num, den) = s
-        .split_once('/')
-        .ok_or_else(|| PlanError::Schema(format!("`{s}` is not a num/den rational")))?;
-    let num: i128 = num
-        .parse()
-        .map_err(|_| PlanError::Schema(format!("bad rational numerator `{num}`")))?;
-    let den: i128 = den
-        .parse()
-        .map_err(|_| PlanError::Schema(format!("bad rational denominator `{den}`")))?;
-    if den == 0 {
-        return Err(PlanError::Schema("rational with zero denominator".into()));
+/// Reads a `"num/den"` exact rational.
+fn rat(item: Item<'_>) -> Result<Rat, FieldError> {
+    let s = item.str()?;
+    let parts = s.split_once('/');
+    match parts.map(|(num, den)| (num.parse::<i128>(), den.parse::<i128>())) {
+        Some((Ok(num), Ok(den))) if den != 0 => Ok(Rat::new(num, den)),
+        _ => Err(item.refuse(format!("is `{s}`, not a num/den rational"))),
     }
-    Ok(Rat::new(num, den))
-}
-
-fn str_field(v: &Json, key: &str) -> Result<String, PlanError> {
-    v.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| PlanError::Schema(format!("missing string field `{key}`")))
-}
-
-fn int_field(v: &Json, key: &str) -> Result<i128, PlanError> {
-    v.get(key)
-        .and_then(Json::as_int)
-        .ok_or_else(|| PlanError::Schema(format!("missing integer field `{key}`")))
-}
-
-fn int_arr_field(v: &Json, key: &str) -> Result<Vec<i128>, PlanError> {
-    v.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| PlanError::Schema(format!("missing array field `{key}`")))?
-        .iter()
-        .map(|x| {
-            x.as_int()
-                .ok_or_else(|| PlanError::Schema(format!("`{key}` element is not an integer")))
-        })
-        .collect()
 }
 
 #[cfg(test)]

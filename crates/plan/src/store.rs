@@ -52,7 +52,7 @@
 //! (e.g. after calibration) simply appends.
 
 use crate::fingerprint::fnv1a64;
-use crate::json::{self, Json};
+use crate::json::{self, FieldError, Item};
 use crate::{PartitionPlan, PlanKey};
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -201,77 +201,86 @@ fn retriable(kind: io::ErrorKind) -> bool {
 
 /// Encode one record's frame payload (single-line envelope JSON).
 fn encode_payload(seq: u64, key: &PlanKey, plan: &PartitionPlan) -> Vec<u8> {
-    let (mesh_rows, mesh_cols) = match key.mesh {
-        Some((r, c)) => (r as i128, c as i128),
-        None => (-1, -1),
-    };
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"alp-store\": {STORE_VERSION}, \"seq\": {seq}, \"fingerprint\": {}, \
-         \"processors\": {}, \"mesh_rows\": {mesh_rows}, \"mesh_cols\": {mesh_cols}, \
-         \"checked\": {}, \"calibrated\": {}, \"skewed\": {}, \"certified\": {}, \"plan\": ",
-        key.fingerprint, key.processors, key.checked, key.calibrated, key.skewed, key.certified,
-    ));
-    json::write_string(&mut out, &plan.to_json_string());
-    out.push('}');
-    out.into_bytes()
+    json::line(|w| {
+        w.field("alp-store").int(STORE_VERSION);
+        w.field("seq").int(seq);
+        w.field("fingerprint").int(key.fingerprint);
+        w.field("processors").int(key.processors);
+        match key.mesh {
+            Some((rows, cols)) => {
+                w.field("mesh_rows").int(rows);
+                w.field("mesh_cols").int(cols);
+            }
+            None => {
+                w.field("mesh_rows").int(-1);
+                w.field("mesh_cols").int(-1);
+            }
+        }
+        w.field("checked").bool(key.checked);
+        w.field("calibrated").bool(key.calibrated);
+        w.field("skewed").bool(key.skewed);
+        w.field("certified").bool(key.certified);
+        w.field("plan").str(&plan.to_json_string());
+    })
+    .into_bytes()
+}
+
+/// A frame's checksum: over the length prefix and the payload.
+fn checksum(len: [u8; 4], payload: &[u8]) -> u64 {
+    let mut sum_input = Vec::with_capacity(4 + payload.len());
+    sum_input.extend_from_slice(&len);
+    sum_input.extend_from_slice(payload);
+    fnv1a64(&sum_input)
 }
 
 /// Frame a payload: length, checksum over length + payload, payload.
 fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    let len = payload.len() as u32;
-    let mut sum_input = Vec::with_capacity(4 + payload.len());
-    sum_input.extend_from_slice(&len.to_le_bytes());
-    sum_input.extend_from_slice(payload);
-    let checksum = fnv1a64(&sum_input);
+    let len = (payload.len() as u32).to_le_bytes();
     let mut frame = Vec::with_capacity(HEADER + payload.len());
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(&checksum.to_le_bytes());
+    frame.extend_from_slice(&len);
+    frame.extend_from_slice(&checksum(len, payload).to_le_bytes());
     frame.extend_from_slice(payload);
     frame
 }
 
-fn decode_payload(payload: &[u8]) -> Result<(u64, PlanKey, PartitionPlan), String> {
+fn decode_payload(payload: &[u8]) -> Result<StoredEntry, String> {
     let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
     let j = json::parse(text).map_err(|e| format!("payload is not JSON: {e}"))?;
-    let version = j
-        .get("alp-store")
-        .and_then(Json::as_int)
-        .ok_or("missing alp-store version")?;
-    if version != STORE_VERSION {
-        return Err(format!("unsupported store version {version}"));
-    }
-    let int = |field: &str| {
-        j.get(field)
-            .and_then(Json::as_int)
-            .ok_or(format!("missing integer field {field:?}"))
-    };
-    let flag = |field: &str| {
-        j.get(field)
-            .and_then(Json::as_bool)
-            .ok_or(format!("missing bool field {field:?}"))
-    };
-    let seq = int("seq")? as u64;
-    let mesh = match (int("mesh_rows")?, int("mesh_cols")?) {
-        (r, c) if r >= 0 && c >= 0 => Some((r as usize, c as usize)),
-        _ => None,
-    };
-    let key = PlanKey {
-        fingerprint: int("fingerprint")? as u64,
-        processors: int("processors")?,
-        mesh,
-        checked: flag("checked")?,
-        calibrated: flag("calibrated")?,
-        skewed: flag("skewed")?,
-        certified: flag("certified")?,
-    };
-    let plan_text = j
-        .get("plan")
-        .and_then(Json::as_str)
-        .ok_or("missing plan field")?;
+    let (seq, key, plan_text) = decode_envelope(Item::root(&j)).map_err(|e| e.to_string())?;
     let plan =
         PartitionPlan::from_json_str(plan_text).map_err(|e| format!("embedded plan: {e}"))?;
-    Ok((seq, key, plan))
+    Ok(StoredEntry {
+        seq,
+        key,
+        plan: Arc::new(plan),
+    })
+}
+
+/// The envelope around the plan text: a frame that passed its checksum
+/// is still refused when a field is missing, mistyped or does not fit
+/// the key's own integer types — replaying a fingerprint `k + 2⁶⁴`
+/// under `k` would warm the cache with another nest's plan.
+fn decode_envelope(f: Item<'_>) -> Result<(u64, PlanKey, &str), FieldError> {
+    f.req("alp-store", |v| match v.int::<i128>()? {
+        STORE_VERSION => Ok(()),
+        other => Err(v.refuse(format!("version {other} is not supported"))),
+    })?;
+    // "No mesh" travels as -1, -1.
+    let dim = |d: Item<'_>| match d.int::<i128>()? {
+        -1 => Ok(None),
+        _ => d.int::<usize>().map(Some),
+    };
+    let mesh = f.req("mesh_rows", dim)?.zip(f.req("mesh_cols", dim)?);
+    let key = PlanKey {
+        fingerprint: f.req("fingerprint", Item::int)?,
+        processors: f.req("processors", Item::int)?,
+        mesh,
+        checked: f.req("checked", Item::bool)?,
+        calibrated: f.req("calibrated", Item::bool)?,
+        skewed: f.req("skewed", Item::bool)?,
+        certified: f.req("certified", Item::bool)?,
+    };
+    Ok((f.req("seq", Item::int)?, key, f.req("plan", Item::str)?))
 }
 
 struct SegmentScan {
@@ -283,76 +292,59 @@ struct SegmentScan {
     bad: Option<String>,
 }
 
+/// The frame at the head of `rest`: its entry and its length, `None` at
+/// the segment's end, or why it is bad.
+fn read_frame(rest: &[u8]) -> Result<Option<(StoredEntry, usize)>, String> {
+    if rest.is_empty() {
+        return Ok(None);
+    }
+    if rest.len() < HEADER {
+        let got = rest.len();
+        return Err(format!("truncated frame header ({got} of {HEADER} bytes)"));
+    }
+    let prefix: [u8; 4] = rest[..4].try_into().expect("4 bytes");
+    let len = u32::from_le_bytes(prefix);
+    if len > MAX_FRAME_BYTES {
+        return Err(format!("implausible frame length {len}"));
+    }
+    let end = HEADER + len as usize;
+    if end > rest.len() {
+        let got = rest.len() - HEADER;
+        return Err(format!("truncated frame payload ({got} of {len} bytes)"));
+    }
+    let stored = u64::from_le_bytes(rest[4..HEADER].try_into().expect("8 bytes"));
+    if checksum(prefix, &rest[HEADER..end]) != stored {
+        return Err("frame checksum mismatch".to_string());
+    }
+    let entry = decode_payload(&rest[HEADER..end])
+        .map_err(|reason| format!("undecodable frame payload: {reason}"))?;
+    Ok(Some((entry, end)))
+}
+
 /// Walk one segment's bytes; never fails, just stops at the first bad
 /// frame.
 fn scan_segment(buf: &[u8]) -> SegmentScan {
     let mut entries = Vec::new();
-    if buf.len() < MAGIC.len() || &buf[..MAGIC.len()] != MAGIC {
-        return SegmentScan {
-            entries,
-            good_len: 0,
-            bad: Some("bad segment header".to_string()),
-        };
-    }
-    let mut pos = MAGIC.len();
-    loop {
-        if pos == buf.len() {
-            return SegmentScan {
-                entries,
-                good_len: pos as u64,
-                bad: None,
-            };
-        }
-        let bad = |reason: String| SegmentScan {
-            entries: Vec::new(),
-            good_len: pos as u64,
-            bad: Some(reason),
-        };
-        if buf.len() - pos < HEADER {
-            let mut s = bad(format!(
-                "truncated frame header ({} of {HEADER} bytes)",
-                buf.len() - pos
-            ));
-            s.entries = entries;
-            return s;
-        }
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().expect("4 bytes"));
-        if len > MAX_FRAME_BYTES {
-            let mut s = bad(format!("implausible frame length {len}"));
-            s.entries = entries;
-            return s;
-        }
-        let end = pos + HEADER + len as usize;
-        if end > buf.len() {
-            let mut s = bad(format!(
-                "truncated frame payload ({} of {len} bytes)",
-                buf.len() - pos - HEADER
-            ));
-            s.entries = entries;
-            return s;
-        }
-        let stored = u64::from_le_bytes(buf[pos + 4..pos + HEADER].try_into().expect("8 bytes"));
-        let mut sum_input = Vec::with_capacity(4 + len as usize);
-        sum_input.extend_from_slice(&buf[pos..pos + 4]);
-        sum_input.extend_from_slice(&buf[pos + HEADER..end]);
-        if fnv1a64(&sum_input) != stored {
-            let mut s = bad("frame checksum mismatch".to_string());
-            s.entries = entries;
-            return s;
-        }
-        match decode_payload(&buf[pos + HEADER..end]) {
-            Ok((seq, key, plan)) => entries.push(StoredEntry {
-                seq,
-                key,
-                plan: Arc::new(plan),
-            }),
-            Err(reason) => {
-                let mut s = bad(format!("undecodable frame payload: {reason}"));
-                s.entries = entries;
-                return s;
+    let mut pos = 0;
+    let bad = if buf.starts_with(MAGIC) {
+        pos = MAGIC.len();
+        loop {
+            match read_frame(&buf[pos..]) {
+                Ok(Some((entry, len))) => {
+                    entries.push(entry);
+                    pos += len;
+                }
+                Ok(None) => break None,
+                Err(reason) => break Some(reason),
             }
         }
-        pos = end;
+    } else {
+        Some("bad segment header".to_string())
+    };
+    SegmentScan {
+        entries,
+        good_len: pos as u64,
+        bad,
     }
 }
 
@@ -811,6 +803,39 @@ mod tests {
         let k0 = after.live.iter().find(|e| e.key == key(0)).unwrap();
         assert_eq!(k0.plan.to_json_string(), plan(255).to_json_string());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_checksum_valid_frame_with_an_out_of_range_key_is_quarantined_not_replayed() {
+        // `k + 2⁶⁴` and `-1` both narrowed to a valid `u64` under `as`:
+        // the frame replayed under a key it was never stored under.
+        let honest = String::from_utf8(encode_payload(1, &key(5), &plan(63))).unwrap();
+        for (field, from, forged) in [
+            (
+                "fingerprint",
+                "\"fingerprint\": 5,",
+                "\"fingerprint\": 18446744073709551621,",
+            ),
+            ("fingerprint", "\"fingerprint\": 5,", "\"fingerprint\": -1,"),
+            ("seq", "\"seq\": 1,", "\"seq\": -1,"),
+            ("mesh_rows", "\"mesh_rows\": -1,", "\"mesh_rows\": -7,"),
+        ] {
+            let payload = honest.replacen(from, forged, 1);
+            assert_ne!(payload, honest, "{forged} did not apply");
+            let dir = tmp_dir("forged");
+            fs::create_dir_all(&dir).unwrap();
+            let mut segment = MAGIC.to_vec();
+            segment.extend(encode_frame(&encode_payload(0, &key(9), &plan(31))));
+            segment.extend(encode_frame(payload.as_bytes()));
+            fs::write(seg_path(&dir, 1), segment).unwrap();
+            let report = PlanStore::scan(&dir).unwrap();
+            assert_eq!(report.quarantined.len(), 1, "{forged}");
+            let reason = &report.quarantined[0].reason;
+            assert!(reason.contains(&format!("`{field}`")), "{forged}: {reason}");
+            let replayed: Vec<u64> = report.live.iter().map(|e| e.key.fingerprint).collect();
+            assert_eq!(replayed, [9], "{forged}: only the honest frame replays");
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -78,6 +78,14 @@ impl ServeError {
         )
     }
 
+    /// The `ALP0006` answer to a frame that cannot be taken: oversized,
+    /// not UTF-8, not JSON, the wrong protocol version, or — where the
+    /// codec's [`FieldError`](alp_plan::json::FieldError) lands — a field
+    /// that is missing, mistyped or out of its type's range.
+    pub fn bad_frame(what: impl std::fmt::Display) -> Self {
+        ServeError::new("ALP0006", format!("bad frame: {what}"))
+    }
+
     /// The `ALP0015` refusal sent while the server is draining: the
     /// request was never admitted, so retrying (against a replacement
     /// instance) is always safe.
@@ -101,3 +109,9 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
+
+impl From<alp_plan::json::FieldError> for ServeError {
+    fn from(e: alp_plan::json::FieldError) -> Self {
+        ServeError::bad_frame(e)
+    }
+}

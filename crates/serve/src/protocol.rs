@@ -17,15 +17,19 @@
 //! {"id": 8, "ok": false, "code": "ALP0012", "error": "server overloaded: …"}
 //! ```
 //!
-//! The codec is hand-rolled on `alp_plan::json` (no serde, no floats,
-//! byte-deterministic output) and every frame is a single line — the
-//! framing IS the newline, so a reader never needs lookahead.
+//! Frames are read and written by [`alp_plan::json`], the tree's one
+//! codec (no serde, no floats, byte-deterministic output), in its
+//! one-line layout: a frame is a single line — the framing IS the
+//! newline, so a reader never needs lookahead.  Its rule for a field
+//! holds here as in a plan file: absent is the default, present but
+//! mistyped or outside its type's range is refused (`ALP0006`, naming
+//! the key) — `"processors": "64"` is not planned for 16.
 
 use crate::pipeline::{PlanSpec, RunSpec, RunSummary};
 use crate::server::ServerStats;
 use crate::ServeError;
-use alp_plan::json::{parse, write_string};
-use alp_plan::Json;
+use alp_plan::json::{self, parse, FieldError, Item, ValueWriter};
+use alp_plan::ShardOccupancy;
 
 /// Version of this wire protocol; bumped on incompatible change.
 pub const PROTOCOL_VERSION: i128 = 1;
@@ -46,16 +50,23 @@ pub enum RequestOp {
 }
 
 impl RequestOp {
+    /// The operation's wire (and command-line) name.
+    pub fn name(&self) -> &'static str {
+        match self {
+            RequestOp::Plan => "plan",
+            RequestOp::Run => "run",
+            RequestOp::Stats => "stats",
+            RequestOp::Ping => "ping",
+            RequestOp::Shutdown => "shutdown",
+        }
+    }
+
     /// The operation a wire (or command-line) name denotes.
     pub fn parse(s: &str) -> Option<RequestOp> {
-        match s {
-            "plan" => Some(RequestOp::Plan),
-            "run" => Some(RequestOp::Run),
-            "stats" => Some(RequestOp::Stats),
-            "ping" => Some(RequestOp::Ping),
-            "shutdown" => Some(RequestOp::Shutdown),
-            _ => None,
-        }
+        use RequestOp::*;
+        [Plan, Run, Stats, Ping, Shutdown]
+            .into_iter()
+            .find(|op| op.name() == s)
     }
 }
 
@@ -120,110 +131,84 @@ impl Request {
     /// (`ALP0006` — same family as other artifact-decode failures),
     /// except an unsupported version which names itself.
     pub fn decode(line: &str) -> Result<Request, ServeError> {
-        let bad = |m: &str| ServeError::new("ALP0006", format!("bad request frame: {m}"));
-        let v = parse(line).map_err(|e| bad(&e.to_string()))?;
-        let version = v
-            .get("alp-serve")
-            .and_then(Json::as_int)
-            .ok_or_else(|| bad("missing \"alp-serve\" version field"))?;
-        if version != PROTOCOL_VERSION {
-            return Err(bad(&format!(
-                "protocol version {version} not supported (this server speaks \
+        let v = parse(line).map_err(ServeError::bad_frame)?;
+        let f = Item::root(&v);
+        f.req("alp-serve", |v| match v.int::<i128>()? {
+            PROTOCOL_VERSION => Ok(()),
+            other => Err(v.refuse(format!(
+                "protocol version {other} not supported (this server speaks \
                  {PROTOCOL_VERSION})"
-            )));
-        }
-        let id = v.get("id").and_then(Json::as_int).unwrap_or(0);
-        let op = v
-            .get("op")
-            .and_then(Json::as_str)
-            .and_then(RequestOp::parse)
-            .ok_or_else(|| bad("missing or unknown \"op\""))?;
-        let source = v.get("source").and_then(Json::as_str).unwrap_or("");
+            ))),
+        })?;
+        let id = f.opt("id", Item::int)?.unwrap_or(0);
+        let op = f.req("op", |op| {
+            RequestOp::parse(op.str()?).ok_or_else(|| op.refuse("is not an operation"))
+        })?;
+        let source = f.opt("source", Item::str)?.unwrap_or("");
         if matches!(op, RequestOp::Plan | RequestOp::Run) && source.is_empty() {
-            return Err(bad("\"source\" is required for plan/run"));
+            return Err(ServeError::bad_frame("`source` is required for plan/run"));
         }
-        let int = |key: &str| v.get(key).and_then(Json::as_int);
-        let fault_panic = match (int("fault_tile"), int("fault_rep")) {
-            (Some(tile), rep) => Some((tile.max(0) as usize, rep.unwrap_or(0).max(0) as u64)),
-            (None, _) => None,
-        };
+        let fault_rep = f.opt("fault_rep", Item::int)?.unwrap_or(0);
         Ok(Request {
             id,
             op,
             plan: PlanSpec {
                 source: source.to_string(),
-                processors: int("processors").unwrap_or(DEFAULT_PROCESSORS),
-                check: !v.get("no_check").and_then(Json::as_bool).unwrap_or(false),
-                certify: v.get("certify").and_then(Json::as_bool).unwrap_or(false),
+                processors: f
+                    .opt("processors", Item::int)?
+                    .unwrap_or(DEFAULT_PROCESSORS),
+                check: !f.opt("no_check", Item::bool)?.unwrap_or(false),
+                certify: f.opt("certify", Item::bool)?.unwrap_or(false),
             },
             run: RunSpec {
-                threads: int("threads").unwrap_or(0).max(0) as usize,
-                seed: int("seed").unwrap_or(0).max(0) as u64,
-                timeout_ms: int("timeout_ms").map(|t| t.max(0) as u64),
-                max_store_bytes: int("max_store_bytes").map(|b| b.max(0) as u64),
-                fault_panic,
+                threads: f.opt("threads", Item::int)?.unwrap_or(0),
+                seed: f.opt("seed", Item::int)?.unwrap_or(0),
+                timeout_ms: f.opt("timeout_ms", Item::int)?,
+                max_store_bytes: f.opt("max_store_bytes", Item::int)?,
+                fault_panic: (f.opt("fault_tile", Item::int)?).map(|tile| (tile, fault_rep)),
             },
-            want_plan: v.get("want_plan").and_then(Json::as_bool).unwrap_or(false),
-            deadline_ms: int("deadline_ms").map(|d| d.max(0) as u64),
+            want_plan: f.opt("want_plan", Item::bool)?.unwrap_or(false),
+            deadline_ms: f.opt("deadline_ms", Item::int)?,
         })
     }
 
     /// Encode this request as one wire line (no trailing newline).
     pub fn encode(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"alp-serve\": {PROTOCOL_VERSION}, \"id\": {}, \"op\": ",
-            self.id
-        ));
-        let op = match self.op {
-            RequestOp::Plan => "plan",
-            RequestOp::Run => "run",
-            RequestOp::Stats => "stats",
-            RequestOp::Ping => "ping",
-            RequestOp::Shutdown => "shutdown",
-        };
-        write_string(&mut out, op);
-        if matches!(self.op, RequestOp::Plan | RequestOp::Run) {
-            out.push_str(", \"source\": ");
-            write_string(&mut out, &self.plan.source);
-            out.push_str(&format!(", \"processors\": {}", self.plan.processors));
-            if !self.plan.check {
-                out.push_str(", \"no_check\": true");
+        // A flag travels only when set, a count only when not its default.
+        let set = |flag: bool| flag.then_some(true);
+        json::line(|w| {
+            w.field("alp-serve").int(PROTOCOL_VERSION);
+            w.field("id").int(self.id);
+            w.field("op").str(self.op.name());
+            if matches!(self.op, RequestOp::Plan | RequestOp::Run) {
+                w.field("source").str(&self.plan.source);
+                w.field("processors").int(self.plan.processors);
+                w.opt("no_check", set(!self.plan.check), ValueWriter::bool);
+                w.opt("certify", set(self.plan.certify), ValueWriter::bool);
+                w.opt("want_plan", set(self.want_plan), ValueWriter::bool);
+                w.opt("deadline_ms", self.deadline_ms, ValueWriter::int);
             }
-            if self.plan.certify {
-                out.push_str(", \"certify\": true");
+            if self.op == RequestOp::Run {
+                let run = &self.run;
+                if run.threads != 0 {
+                    w.field("threads").int(run.threads);
+                }
+                if run.seed != 0 {
+                    w.field("seed").int(run.seed);
+                }
+                w.opt("timeout_ms", run.timeout_ms, ValueWriter::int);
+                w.opt("max_store_bytes", run.max_store_bytes, ValueWriter::int);
+                if let Some((tile, rep)) = run.fault_panic {
+                    w.field("fault_tile").int(tile);
+                    w.field("fault_rep").int(rep);
+                }
             }
-            if self.want_plan {
-                out.push_str(", \"want_plan\": true");
-            }
-            if let Some(d) = self.deadline_ms {
-                out.push_str(&format!(", \"deadline_ms\": {d}"));
-            }
-        }
-        if self.op == RequestOp::Run {
-            if self.run.threads != 0 {
-                out.push_str(&format!(", \"threads\": {}", self.run.threads));
-            }
-            if self.run.seed != 0 {
-                out.push_str(&format!(", \"seed\": {}", self.run.seed));
-            }
-            if let Some(t) = self.run.timeout_ms {
-                out.push_str(&format!(", \"timeout_ms\": {t}"));
-            }
-            if let Some(b) = self.run.max_store_bytes {
-                out.push_str(&format!(", \"max_store_bytes\": {b}"));
-            }
-            if let Some((tile, rep)) = self.run.fault_panic {
-                out.push_str(&format!(", \"fault_tile\": {tile}, \"fault_rep\": {rep}"));
-            }
-        }
-        out.push('}');
-        out
+        })
     }
 }
 
 /// One decoded response frame.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Response {
     /// Correlation id echoed from the request.
     pub id: i128,
@@ -246,60 +231,51 @@ pub struct Response {
     pub stats: Option<ServerStats>,
     /// Per-shard cache occupancy and hit counters (`stats` op) — the
     /// observable behind `--cache-capacity` tuning.
-    pub shards: Option<Vec<alp_plan::ShardOccupancy>>,
+    pub shards: Option<Vec<ShardOccupancy>>,
     /// Stable error code on failure.
     pub code: Option<String>,
     /// Error message on failure.
     pub error: Option<String>,
 }
 
-fn encode_shard(out: &mut String, s: &alp_plan::ShardOccupancy) {
-    out.push_str(&format!(
-        "{{\"len\": {}, \"capacity\": {}, \"hits\": {}, \"misses\": {}, \"coalesced\": {}}}",
-        s.len, s.capacity, s.hits, s.misses, s.coalesced
-    ));
+fn encode_shard(shard: ValueWriter<'_>, s: &ShardOccupancy) {
+    shard.obj(|w| {
+        w.field("len").int(s.len);
+        w.field("capacity").int(s.capacity);
+        w.field("hits").int(s.hits);
+        w.field("misses").int(s.misses);
+        w.field("coalesced").int(s.coalesced);
+    })
 }
 
-fn decode_shard(v: &Json) -> alp_plan::ShardOccupancy {
-    let int = |key: &str| v.get(key).and_then(Json::as_int).unwrap_or(0);
-    alp_plan::ShardOccupancy {
-        len: int("len").max(0) as usize,
-        capacity: int("capacity").max(0) as usize,
-        hits: int("hits").max(0) as u64,
-        misses: int("misses").max(0) as u64,
-        coalesced: int("coalesced").max(0) as u64,
-    }
+/// Absent counters read as zero: a newer peer may drop one.
+fn decode_shard(f: Item<'_>) -> Result<ShardOccupancy, FieldError> {
+    Ok(ShardOccupancy {
+        len: f.opt("len", Item::int)?.unwrap_or(0),
+        capacity: f.opt("capacity", Item::int)?.unwrap_or(0),
+        hits: f.opt("hits", Item::int)?.unwrap_or(0),
+        misses: f.opt("misses", Item::int)?.unwrap_or(0),
+        coalesced: f.opt("coalesced", Item::int)?.unwrap_or(0),
+    })
 }
 
 impl Response {
-    fn base(id: i128, ok: bool) -> Response {
-        Response {
-            id,
-            ok,
-            cache: None,
-            fingerprint: None,
-            tiles: None,
-            plan: None,
-            matches_reference: None,
-            iterations: None,
-            stats: None,
-            shards: None,
-            code: None,
-            error: None,
-        }
-    }
-
     /// A bare success (ping/shutdown acks).
     pub fn ok(id: i128) -> Response {
-        Response::base(id, true)
+        Response {
+            id,
+            ok: true,
+            ..Response::default()
+        }
     }
 
     /// A failure carrying the error's stable code.
     pub fn err(id: i128, e: &ServeError) -> Response {
         Response {
+            id,
             code: Some(e.code.clone()),
             error: Some(e.message.clone()),
-            ..Response::base(id, false)
+            ..Response::default()
         }
     }
 
@@ -316,7 +292,7 @@ impl Response {
             fingerprint: Some(fingerprint.to_string()),
             tiles: Some(tiles),
             plan: plan_json,
-            ..Response::base(id, true)
+            ..Response::ok(id)
         }
     }
 
@@ -339,7 +315,7 @@ impl Response {
     pub fn stats(id: i128, stats: ServerStats) -> Response {
         Response {
             stats: Some(stats),
-            ..Response::base(id, true)
+            ..Response::ok(id)
         }
     }
 
@@ -347,7 +323,7 @@ impl Response {
     pub fn stats_with_shards(
         id: i128,
         stats: ServerStats,
-        shards: Vec<alp_plan::ShardOccupancy>,
+        shards: Vec<ShardOccupancy>,
     ) -> Response {
         Response {
             shards: Some(shards),
@@ -357,80 +333,42 @@ impl Response {
 
     /// Encode this response as one wire line (no trailing newline).
     pub fn encode(&self) -> String {
-        let mut out = format!("{{\"id\": {}, \"ok\": {}", self.id, self.ok);
-        if let Some(c) = &self.cache {
-            out.push_str(", \"cache\": ");
-            write_string(&mut out, c);
-        }
-        if let Some(fp) = &self.fingerprint {
-            out.push_str(", \"fingerprint\": ");
-            write_string(&mut out, fp);
-        }
-        if let Some(t) = self.tiles {
-            out.push_str(&format!(", \"tiles\": {t}"));
-        }
-        if let Some(m) = self.matches_reference {
-            out.push_str(&format!(", \"matches_reference\": {m}"));
-        }
-        if let Some(i) = self.iterations {
-            out.push_str(&format!(", \"iterations\": {i}"));
-        }
-        if let Some(s) = &self.stats {
-            out.push_str(&format!(", \"stats\": {}", s.encode()));
-        }
-        if let Some(shards) = &self.shards {
-            out.push_str(", \"shards\": [");
-            for (i, s) in shards.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                encode_shard(&mut out, s);
-            }
-            out.push(']');
-        }
-        if let Some(p) = &self.plan {
-            out.push_str(", \"plan\": ");
-            write_string(&mut out, p);
-        }
-        if let Some(c) = &self.code {
-            out.push_str(", \"code\": ");
-            write_string(&mut out, c);
-        }
-        if let Some(e) = &self.error {
-            out.push_str(", \"error\": ");
-            write_string(&mut out, e);
-        }
-        out.push('}');
-        out
+        let (matches, stats, shards) = (self.matches_reference, &self.stats, &self.shards);
+        json::line(|w| {
+            w.field("id").int(self.id);
+            w.field("ok").bool(self.ok);
+            w.opt("cache", self.cache.as_deref(), ValueWriter::str);
+            w.opt("fingerprint", self.fingerprint.as_deref(), ValueWriter::str);
+            w.opt("tiles", self.tiles, ValueWriter::int);
+            w.opt("matches_reference", matches, ValueWriter::bool);
+            w.opt("iterations", self.iterations, ValueWriter::int);
+            w.opt("stats", stats.as_ref(), |v, s| v.obj(|w| s.write_fields(w)));
+            w.opt("shards", shards.as_ref(), |v, s| v.list(s, encode_shard));
+            w.opt("plan", self.plan.as_deref(), ValueWriter::str);
+            w.opt("code", self.code.as_deref(), ValueWriter::str);
+            w.opt("error", self.error.as_deref(), ValueWriter::str);
+        })
     }
 
-    /// Decode one response line.
+    /// Decode one response line.  Every field but `ok` may be absent (a
+    /// newer server may add or drop one); none may be mistyped.
     pub fn decode(line: &str) -> Result<Response, ServeError> {
-        let bad = |m: &str| ServeError::new("ALP0006", format!("bad response frame: {m}"));
-        let v = parse(line).map_err(|e| bad(&e.to_string()))?;
-        let str_field = |key: &str| v.get(key).and_then(Json::as_str).map(str::to_string);
+        let v = parse(line).map_err(ServeError::bad_frame)?;
+        let f = Item::root(&v);
+        let text = |s: Item<'_>| s.str().map(str::to_string);
         Ok(Response {
-            id: v.get("id").and_then(Json::as_int).unwrap_or(0),
-            ok: v
-                .get("ok")
-                .and_then(Json::as_bool)
-                .ok_or_else(|| bad("missing \"ok\""))?,
-            cache: str_field("cache"),
-            fingerprint: str_field("fingerprint"),
-            tiles: v.get("tiles").and_then(Json::as_int),
-            plan: str_field("plan"),
-            matches_reference: v.get("matches_reference").and_then(Json::as_bool),
-            iterations: v
-                .get("iterations")
-                .and_then(Json::as_int)
-                .map(|i| i.max(0) as u64),
-            stats: v.get("stats").map(ServerStats::decode),
-            shards: v
-                .get("shards")
-                .and_then(Json::as_arr)
-                .map(|arr| arr.iter().map(decode_shard).collect()),
-            code: str_field("code"),
-            error: str_field("error"),
+            id: f.opt("id", Item::int)?.unwrap_or(0),
+            ok: f.req("ok", Item::bool)?,
+            cache: f.opt("cache", text)?,
+            fingerprint: f.opt("fingerprint", text)?,
+            tiles: f.opt("tiles", Item::int)?,
+            plan: f.opt("plan", text)?,
+            matches_reference: f.opt("matches_reference", Item::bool)?,
+            iterations: f.opt("iterations", Item::int)?,
+            stats: f.opt("stats", ServerStats::decode)?,
+            shards: f.opt("shards", |s| s.list(decode_shard))?,
+            code: f.opt("code", text)?,
+            error: f.opt("error", text)?,
         })
     }
 }
@@ -498,14 +436,14 @@ mod tests {
     #[test]
     fn shard_occupancy_round_trips() {
         let shards = vec![
-            alp_plan::ShardOccupancy {
+            ShardOccupancy {
                 len: 3,
                 capacity: 64,
                 hits: 10,
                 misses: 2,
                 coalesced: 1,
             },
-            alp_plan::ShardOccupancy {
+            ShardOccupancy {
                 len: 0,
                 capacity: 64,
                 hits: 0,
@@ -533,7 +471,74 @@ mod tests {
         assert_eq!(err.code, "ALP0006");
         assert!(err.message.contains("version 99"));
         let err = Request::decode("{\"op\": \"ping\"}").unwrap_err();
-        assert!(err.message.contains("version"));
+        assert!(err.message.contains("`alp-serve` is missing"), "{err}");
+    }
+
+    #[test]
+    fn a_mistyped_or_out_of_range_field_is_refused_by_key() {
+        // Each of these used to be answered `ok: true` for a request the
+        // client did not make: 16 processors, seed 0, one thread.
+        let two_64_plus_1 = "18446744073709551617";
+        for (field, key) in [
+            ("\"processors\": \"64\"", "processors"),
+            ("\"seed\": -5", "seed"),
+            (&format!("\"threads\": {two_64_plus_1}"), "threads"),
+            ("\"timeout_ms\": -1", "timeout_ms"),
+            ("\"max_store_bytes\": true", "max_store_bytes"),
+            ("\"fault_tile\": -3", "fault_tile"),
+            ("\"fault_rep\": -1", "fault_rep"),
+            ("\"deadline_ms\": -1", "deadline_ms"),
+            ("\"id\": \"7\"", "id"),
+            ("\"no_check\": 1", "no_check"),
+            ("\"certify\": \"yes\"", "certify"),
+            ("\"want_plan\": 0", "want_plan"),
+        ] {
+            let frame =
+                format!("{{\"alp-serve\": 1, \"op\": \"run\", \"source\": \"{SRC}\", {field}}}");
+            let err = Request::decode(&frame).expect_err(&frame);
+            assert_eq!(err.code, "ALP0006", "{frame}");
+            assert!(err.message.contains(&format!("`{key}`")), "{frame}: {err}");
+        }
+        for frame in [
+            "{\"alp-serve\": \"1\", \"op\": \"ping\"}",
+            "{\"alp-serve\": 1, \"op\": 7}",
+            "{\"alp-serve\": 1, \"op\": \"dance\"}",
+            "{\"alp-serve\": 1, \"op\": \"plan\", \"source\": 3}",
+            "[1]",
+        ] {
+            assert_eq!(Request::decode(frame).expect_err(frame).code, "ALP0006");
+        }
+        // Absent (or null) is still the default, and the full range of
+        // each type still decodes.
+        let frame = format!(
+            "{{\"alp-serve\": 1, \"op\": \"run\", \"source\": \"{SRC}\", \"threads\": null, \
+             \"seed\": {}, \"fault_tile\": 2}}",
+            u64::MAX
+        );
+        let d = Request::decode(&frame).expect("in range");
+        assert_eq!((d.id, d.plan.processors, d.run.threads), (0, 16, 0));
+        assert_eq!((d.run.seed, d.run.timeout_ms), (u64::MAX, None));
+        assert_eq!(d.run.fault_panic, Some((2, 0)));
+    }
+
+    #[test]
+    fn responses_tolerate_absent_fields_but_not_clamped_ones() {
+        let d =
+            Response::decode("{\"ok\": true, \"stats\": {\"hits\": 3}, \"shards\": [{}]}").unwrap();
+        assert_eq!(d.id, 0);
+        let stats = d.stats.expect("stats");
+        assert_eq!((stats.hits, stats.misses), (3, 0));
+        assert_eq!(d.shards.expect("shards")[0].capacity, 0);
+        for frame in [
+            "{\"ok\": true, \"iterations\": -1}",
+            "{\"ok\": true, \"stats\": {\"hits\": -3}}",
+            "{\"ok\": true, \"shards\": [{\"len\": -1}]}",
+            "{\"ok\": true, \"shards\": {}}",
+            "{\"ok\": 1}",
+            "{\"id\": 4}",
+        ] {
+            assert_eq!(Response::decode(frame).expect_err(frame).code, "ALP0006");
+        }
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //! ## One request path
 //!
 //! A request is read as one bounded frame ([`MAX_REQUEST_BYTES`]; a
-//! longer one, or one that is not UTF-8, is an `ALP0006` counted under
-//! `malformed`, and the connection goes on), and its source is resolved
+//! longer one, one that is not UTF-8, or one the codec refuses is an
+//! `ALP0006` counted under `malformed`, and the connection goes on),
+//! and its source is resolved
 //! — parsed and fingerprinted ([`PlanSpec::resolve`]) — once, on the
 //! reader thread.  The resolution rides in the queued job, so the worker
 //! plans the nest it was handed; a worker, an in-process
@@ -62,9 +63,8 @@ use crate::pipeline::{run_plan, PlanSpec};
 use crate::protocol::{Request, RequestOp, Response};
 use crate::ServeError;
 use alp_loopir::LoopNest;
-use alp_plan::{
-    Fetched, Json, PartitionPlan, PlanKey, PlanStore, RecoveryReport, ShardedPlanCache,
-};
+use alp_plan::json::{self, FieldError, Item, ObjWriter};
+use alp_plan::{Fetched, PartitionPlan, PlanKey, PlanStore, RecoveryReport, ShardedPlanCache};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -132,17 +132,20 @@ macro_rules! server_stats {
         impl ServerStats {
             /// Encode as a single-line JSON object.
             pub fn encode(&self) -> String {
-                let fields = [$(format!("\"{}\": {}", stringify!($name), self.$name)),*];
-                format!("{{{}}}", fields.join(", "))
+                json::line(|w| self.write_fields(w))
             }
 
-            /// Decode from the JSON value embedded in a `stats`
-            /// response; absent fields read as zero.
-            pub fn decode(v: &Json) -> ServerStats {
-                let f = |key: &str| v.get(key).and_then(Json::as_int).unwrap_or(0).max(0) as u64;
-                ServerStats {
-                    $($name: f(stringify!($name)),)*
-                }
+            /// Append every counter, in declaration order.
+            pub(crate) fn write_fields(&self, w: &mut ObjWriter<'_>) {
+                $(w.field(stringify!($name)).int(self.$name);)*
+            }
+
+            /// Decode from the object embedded in a `stats` response;
+            /// absent fields read as zero.
+            pub fn decode(f: Item<'_>) -> Result<ServerStats, FieldError> {
+                Ok(ServerStats {
+                    $($name: f.opt(stringify!($name), Item::int)?.unwrap_or(0),)*
+                })
             }
         }
 
@@ -191,9 +194,10 @@ server_stats! {
     /// extras beyond the first.
     batched,
     /// Malformed or oversized request frames (undecodable JSON, bytes
-    /// that are not UTF-8, bad version, frames past the size limit) —
-    /// answered with `ALP0006` but counted here so an operator can see
-    /// protocol abuse.
+    /// that are not UTF-8, bad version, a field that is mistyped or
+    /// outside its type's range, frames past the size limit) — answered
+    /// with `ALP0006` but counted here so an operator can see protocol
+    /// abuse.
     malformed,
     /// Queued jobs shed unexecuted because the client's propagated
     /// deadline passed before a worker reached them (`ALP0007`).
@@ -506,18 +510,14 @@ impl Inner {
             }
             let oversized = frame.len() > MAX_REQUEST_BYTES && !frame.ends_with(b"\n");
             let decoded = if oversized {
-                Err(ServeError::new(
-                    "ALP0006",
-                    format!("request frame exceeds the {MAX_REQUEST_BYTES} byte limit"),
-                ))
+                Err(ServeError::bad_frame(format_args!(
+                    "request exceeds the {MAX_REQUEST_BYTES} byte limit"
+                )))
             } else {
                 match std::str::from_utf8(&frame).map(str::trim) {
                     Ok("") => continue,
                     Ok(line) => Request::decode(line),
-                    Err(e) => Err(ServeError::new(
-                        "ALP0006",
-                        format!("bad request frame: {e}"),
-                    )),
+                    Err(e) => Err(ServeError::bad_frame(e)),
                 }
             };
             let req = match decoded {

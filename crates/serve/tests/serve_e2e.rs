@@ -260,6 +260,29 @@ fn a_frame_that_is_not_utf8_is_malformed_not_fatal() {
 }
 
 #[test]
+fn a_frame_with_a_mistyped_field_is_refused_not_defaulted() {
+    let path = sock_path("mistyped");
+    let handle = Server::new(ServeConfig::default()).serve(&path).unwrap();
+    let mut c = Client::connect(&path);
+    // A string where the processor count goes: this used to be planned
+    // for the default 16 tiles and answered `ok: true`.
+    let frame =
+        format!("{{\"alp-serve\": 1, \"id\": 5, \"op\": \"plan\", \"source\": \"{SRC}\", \"processors\": \"64\"}}\n");
+    c.writer.write_all(frame.as_bytes()).expect("send");
+    let r = c.recv();
+    assert_eq!(r.code.as_deref(), Some("ALP0006"), "{r:?}");
+    assert!(
+        r.error.as_deref().unwrap_or("").contains("`processors`"),
+        "{r:?}"
+    );
+    // The connection serves the next request, and nothing was planned.
+    let stats = c.round_trip(&Request::control(6, RequestOp::Stats));
+    let stats = stats.stats.expect("stats payload");
+    assert_eq!((stats.malformed, stats.misses, stats.hits), (1, 0, 0));
+    assert_eq!(handle.shutdown().malformed, 1);
+}
+
+#[test]
 fn concurrent_same_key_requests_coalesce_to_one_compile() {
     const CLIENTS: usize = 12;
     let path = sock_path("coalesce");
