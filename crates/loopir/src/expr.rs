@@ -1,6 +1,7 @@
 //! Affine subscript expressions.
 
 use alp_linalg::IVec;
+use std::fmt;
 
 /// One affine subscript: `c₁·i₁ + c₂·i₂ + … + c_l·i_l + constant`.
 ///
@@ -102,38 +103,37 @@ impl AffineExpr {
         self.coeffs.iter().all(|&c| c == 0)
     }
 
+    /// Render into `out`, index `k` spelled as the `k`-th of `names`.
+    pub fn render<N: fmt::Display>(
+        &self,
+        out: &mut impl fmt::Write,
+        names: impl Iterator<Item = N>,
+    ) -> fmt::Result {
+        let mut empty = true;
+        for (&c, n) in self.coeffs.iter().zip(names) {
+            let plus = if c > 0 && !empty { "+" } else { "" };
+            match c {
+                0 => continue,
+                1 => write!(out, "{plus}{n}")?,
+                -1 => write!(out, "-{n}")?,
+                c => write!(out, "{plus}{c}*{n}")?,
+            }
+            empty = false;
+        }
+        if self.constant != 0 || empty {
+            let plus = if self.constant >= 0 && !empty {
+                "+"
+            } else {
+                ""
+            };
+            write!(out, "{plus}{}", self.constant)?;
+        }
+        Ok(())
+    }
+
     /// Render using the given index names.
     pub fn display(&self, names: &[String]) -> String {
-        let mut s = String::new();
-        for (c, n) in self.coeffs.iter().zip(names) {
-            match *c {
-                0 => {}
-                1 => {
-                    if !s.is_empty() {
-                        s.push('+');
-                    }
-                    s.push_str(n);
-                }
-                -1 => {
-                    s.push('-');
-                    s.push_str(n);
-                }
-                c if c > 0 => {
-                    if !s.is_empty() {
-                        s.push('+');
-                    }
-                    s.push_str(&format!("{c}*{n}"));
-                }
-                c => s.push_str(&format!("{c}*{n}")),
-            }
-        }
-        if self.constant != 0 || s.is_empty() {
-            if self.constant >= 0 && !s.is_empty() {
-                s.push('+');
-            }
-            s.push_str(&self.constant.to_string());
-        }
-        s
+        crate::rendered(|s| self.render(s, names.iter()))
     }
 }
 

@@ -34,6 +34,14 @@ pub use parser::{parse, parse_program, parse_program_with_params, parse_with_par
 pub use refs::{AccessKind, ArrayRef};
 pub use span::{line_col, line_text, Span};
 
+/// The text a renderer writes, as a `String` (which never refuses a
+/// write).
+fn rendered(render: impl FnOnce(&mut String) -> std::fmt::Result) -> String {
+    let mut out = String::new();
+    render(&mut out).expect("writing to a String does not fail");
+    out
+}
+
 /// Errors raised while constructing or validating IR.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IrError {

@@ -5,6 +5,7 @@ use crate::span::Span;
 use crate::IrError;
 use alp_linalg::IVec;
 use std::collections::HashMap;
+use std::fmt;
 
 /// One loop level: `Doall (name, lower, upper)` with unit stride (§2.1).
 ///
@@ -231,55 +232,49 @@ impl LoopNest {
         }
     }
 
+    /// Render in the DSL syntax into `out`, sequential index `k` spelled
+    /// as the `k`-th of `seq_names` and parallel index `k` as the `k`-th
+    /// of `names`.  This is the one renderer: [`display`](Self::display)
+    /// is it with the nest's own names into a `String`, and the plan
+    /// fingerprint is it with positional names into a hash.
+    pub fn render<W: fmt::Write, N: fmt::Display>(
+        &self,
+        out: &mut W,
+        seq_names: impl Iterator<Item = N>,
+        names: impl Iterator<Item = N> + Clone,
+    ) -> fmt::Result {
+        let pad = |out: &mut W, indent| (0..indent).try_for_each(|_| out.write_str("  "));
+        let seq = self.seq_loops.iter().zip(seq_names).map(|h| ("doseq", h));
+        let par = self.loops.iter().zip(names.clone()).map(|h| ("doall", h));
+        for (indent, (keyword, (l, name))) in seq.chain(par).enumerate() {
+            pad(out, indent)?;
+            writeln!(out, "{keyword} ({name}, {}, {}) {{", l.lower, l.upper)?;
+        }
+        let depth = self.seq_loops.len() + self.loops.len();
+        for st in &self.body {
+            pad(out, depth)?;
+            st.lhs.render(out, names.clone())?;
+            let accumulates = st.lhs.kind == AccessKind::Accumulate;
+            out.write_str(if accumulates { " += " } else { " = " })?;
+            out.write_str(if st.rhs.is_empty() { "0" } else { "" })?;
+            for (k, r) in st.rhs.iter().enumerate() {
+                out.write_str(if k > 0 { " + " } else { "" })?;
+                r.render(out, names.clone())?;
+            }
+            out.write_str(";\n")?;
+        }
+        (0..depth).rev().try_for_each(|indent| {
+            pad(out, indent)?;
+            out.write_str("}\n")
+        })
+    }
+
     /// Pretty-print in the DSL syntax.
     pub fn display(&self) -> String {
-        let names = self.index_names();
-        let mut s = String::new();
-        let mut indent = 0usize;
-        for l in &self.seq_loops {
-            s.push_str(&format!(
-                "{}doseq ({}, {}, {}) {{\n",
-                "  ".repeat(indent),
-                l.name,
-                l.lower,
-                l.upper
-            ));
-            indent += 1;
+        fn own(loops: &[LoopIndex]) -> impl Iterator<Item = &String> + Clone {
+            loops.iter().map(|l| &l.name)
         }
-        for l in &self.loops {
-            s.push_str(&format!(
-                "{}doall ({}, {}, {}) {{\n",
-                "  ".repeat(indent),
-                l.name,
-                l.lower,
-                l.upper
-            ));
-            indent += 1;
-        }
-        for st in &self.body {
-            let rhs: Vec<String> = st.rhs.iter().map(|r| r.display(&names)).collect();
-            let op = if st.lhs.kind == AccessKind::Accumulate {
-                "+="
-            } else {
-                "="
-            };
-            s.push_str(&format!(
-                "{}{} {} {};\n",
-                "  ".repeat(indent),
-                st.lhs.display(&names),
-                op,
-                if rhs.is_empty() {
-                    "0".to_string()
-                } else {
-                    rhs.join(" + ")
-                }
-            ));
-        }
-        while indent > 0 {
-            indent -= 1;
-            s.push_str(&format!("{}}}\n", "  ".repeat(indent)));
-        }
-        s
+        crate::rendered(|s| self.render(s, own(&self.seq_loops), own(&self.loops)))
     }
 
     fn validate(&self) -> Result<(), IrError> {
@@ -298,7 +293,7 @@ impl LoopNest {
         }
         let depth = self.depth();
         let mut dims: HashMap<&str, usize> = HashMap::new();
-        for r in self.all_refs() {
+        for r in self.body.iter().flat_map(Statement::refs) {
             for sub in &r.subscripts {
                 if sub.depth() != depth {
                     return Err(IrError::DepthMismatch {

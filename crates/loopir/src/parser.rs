@@ -95,13 +95,7 @@ pub fn parse_with_params(
     src: &str,
     params: &HashMap<String, i128>,
 ) -> Result<LoopNest, ParseError> {
-    let tokens = tokenize(src)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        params,
-        src,
-    };
+    let mut p = Parser::new(src, params)?;
     let nest = p.parse_nest()?;
     p.expect_eof()?;
     Ok(nest)
@@ -119,13 +113,7 @@ pub fn parse_program_with_params(
     src: &str,
     params: &HashMap<String, i128>,
 ) -> Result<Vec<LoopNest>, ParseError> {
-    let tokens = tokenize(src)?;
-    let mut p = Parser {
-        tokens,
-        pos: 0,
-        params,
-        src,
-    };
+    let mut p = Parser::new(src, params)?;
     let mut nests = Vec::new();
     loop {
         nests.push(p.parse_nest()?);
@@ -160,86 +148,62 @@ pub fn parse_program_with_params(
     Ok(nests)
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
-    Ident(String),
+/// A token; identifiers borrow their text from the source.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tok<'a> {
+    Ident(&'a str),
     Int(i128),
     Sym(char),
     PlusEq,
     AccSigil, // `l$`
 }
 
-#[derive(Debug, Clone)]
-struct Spanned {
-    tok: Tok,
+#[derive(Debug, Clone, Copy)]
+struct Spanned<'a> {
+    tok: Tok<'a>,
     offset: usize,
     end: usize,
 }
 
-fn tokenize(src: &str) -> Result<Vec<Spanned>, ParseError> {
+fn tokenize(src: &str) -> Result<Vec<Spanned<'_>>, ParseError> {
     let bytes = src.as_bytes();
+    // The length of the run of bytes from `start` that satisfy `keep`.
+    let run = |start: usize, keep: fn(&u8) -> bool| {
+        let rest = &bytes[start..];
+        rest.iter().position(|b| !keep(b)).unwrap_or(rest.len())
+    };
     let mut out = Vec::new();
     let mut i = 0usize;
     while i < bytes.len() {
         let c = bytes[i] as char;
-        match c {
-            ' ' | '\t' | '\n' | '\r' => i += 1,
+        let (tok, len) = match c {
+            ' ' | '\t' | '\n' | '\r' => {
+                i += 1;
+                continue;
+            }
             '/' if bytes.get(i + 1) == Some(&b'/') => {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    i += 1;
-                }
+                i += run(i, |&b| b != b'\n');
+                continue;
             }
             '0'..='9' => {
-                let start = i;
-                while i < bytes.len() && bytes[i].is_ascii_digit() {
-                    i += 1;
-                }
-                let n: i128 = src[start..i]
+                let len = run(i, u8::is_ascii_digit);
+                let n = src[i..i + len]
                     .parse()
-                    .map_err(|_| ParseError::at("integer literal out of range", start, src))?;
-                out.push(Spanned {
-                    tok: Tok::Int(n),
-                    offset: start,
-                    end: i,
-                });
+                    .map_err(|_| ParseError::at("integer literal out of range", i, src))?;
+                (Tok::Int(n), len)
             }
             'a'..='z' | 'A'..='Z' | '_' => {
-                let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
-                    i += 1;
-                }
-                let word = &src[start..i];
+                let len = run(i, |&b| b.is_ascii_alphanumeric() || b == b'_');
                 // `l$` accumulate sigil.
-                if word == "l" && bytes.get(i) == Some(&b'$') {
-                    i += 1;
-                    out.push(Spanned {
-                        tok: Tok::AccSigil,
-                        offset: start,
-                        end: i,
-                    });
+                if &src[i..i + len] == "l" && bytes.get(i + 1) == Some(&b'$') {
+                    (Tok::AccSigil, 2)
                 } else {
-                    out.push(Spanned {
-                        tok: Tok::Ident(word.to_string()),
-                        offset: start,
-                        end: i,
-                    });
+                    (Tok::Ident(&src[i..i + len]), len)
                 }
             }
-            '+' if bytes.get(i + 1) == Some(&b'=') => {
-                out.push(Spanned {
-                    tok: Tok::PlusEq,
-                    offset: i,
-                    end: i + 2,
-                });
-                i += 2;
-            }
+            '+' if bytes.get(i + 1) == Some(&b'=') => (Tok::PlusEq, 2),
             '(' | ')' | '{' | '}' | '[' | ']' | ',' | ';' | '=' | '+' | '-' | '*' => {
-                out.push(Spanned {
-                    tok: Tok::Sym(c),
-                    offset: i,
-                    end: i + 1,
-                });
-                i += 1;
+                (Tok::Sym(c), 1)
             }
             other => {
                 return Err(ParseError::at(
@@ -248,21 +212,36 @@ fn tokenize(src: &str) -> Result<Vec<Spanned>, ParseError> {
                     src,
                 ))
             }
-        }
+        };
+        out.push(Spanned {
+            tok,
+            offset: i,
+            end: i + len,
+        });
+        i += len;
     }
     Ok(out)
 }
 
 struct Parser<'a> {
-    tokens: Vec<Spanned>,
+    tokens: Vec<Spanned<'a>>,
     pos: usize,
     params: &'a HashMap<String, i128>,
     src: &'a str,
 }
 
-impl Parser<'_> {
-    fn peek(&self) -> Option<&Tok> {
-        self.tokens.get(self.pos).map(|s| &s.tok)
+impl<'a> Parser<'a> {
+    fn new(src: &'a str, params: &'a HashMap<String, i128>) -> Result<Self, ParseError> {
+        Ok(Parser {
+            tokens: tokenize(src)?,
+            pos: 0,
+            params,
+            src,
+        })
+    }
+
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.tokens.get(self.pos).map(|s| s.tok)
     }
 
     fn offset(&self) -> usize {
@@ -279,8 +258,8 @@ impl Parser<'_> {
             .map_or(self.src.len(), |s| s.end)
     }
 
-    fn bump(&mut self) -> Option<Tok> {
-        let t = self.tokens.get(self.pos).map(|s| s.tok.clone());
+    fn bump(&mut self) -> Option<Tok<'a>> {
+        let t = self.peek();
         self.pos += 1;
         t
     }
@@ -317,7 +296,7 @@ impl Parser<'_> {
         // Headers: doseq* doall+
         loop {
             match self.peek() {
-                Some(Tok::Ident(w)) if w == "doseq" => {
+                Some(Tok::Ident("doseq")) => {
                     if !loops.is_empty() {
                         return self.err("doseq must enclose all doall loops");
                     }
@@ -327,7 +306,7 @@ impl Parser<'_> {
                     seq_strides.push(s);
                     opened += 1;
                 }
-                Some(Tok::Ident(w)) if w == "doall" => {
+                Some(Tok::Ident("doall")) => {
                     self.bump();
                     let (l, s) = self.parse_header()?;
                     loops.push(l);
@@ -356,10 +335,9 @@ impl Parser<'_> {
             return self.err("expected at least one doall loop");
         }
         // Body statements.
-        let index_names: Vec<String> = loops.iter().map(|l| l.name.clone()).collect();
         let mut body = Vec::new();
         while !matches!(self.peek(), Some(Tok::Sym('}')) | None) {
-            body.push(self.parse_statement(&index_names)?);
+            body.push(self.parse_statement(&loops)?);
         }
         for _ in 0..opened {
             self.expect_sym('}')?;
@@ -474,7 +452,7 @@ impl Parser<'_> {
                     self.err("expected integer after `-`")
                 }
             },
-            Some(Tok::Ident(name)) => match self.params.get(&name) {
+            Some(Tok::Ident(name)) => match self.params.get(name) {
                 Some(&v) => Ok(v),
                 None => {
                     self.pos -= 1;
@@ -488,9 +466,9 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_statement(&mut self, names: &[String]) -> Result<Statement, ParseError> {
+    fn parse_statement(&mut self, loops: &[LoopIndex]) -> Result<Statement, ParseError> {
         let stmt_start = self.offset();
-        let (mut lhs, _) = self.parse_ref(names, AccessKind::Write)?;
+        let (mut lhs, _) = self.parse_ref(loops, AccessKind::Write)?;
         let acc = match self.bump() {
             Some(Tok::Sym('=')) => false,
             Some(Tok::PlusEq) => true,
@@ -524,13 +502,13 @@ impl Parser<'_> {
                     self.bump();
                     if matches!(self.peek(), Some(Tok::Sym('*'))) {
                         self.bump();
-                        let (r, _) = self.parse_ref(names, AccessKind::Read)?;
+                        let (r, _) = self.parse_ref(loops, AccessKind::Read)?;
                         rhs.push(r);
                     }
                     // else: pure constant term, no reference
                 }
                 Some(Tok::Ident(_)) | Some(Tok::AccSigil) => {
-                    let (r, _) = self.parse_ref(names, AccessKind::Read)?;
+                    let (r, _) = self.parse_ref(loops, AccessKind::Read)?;
                     rhs.push(r);
                 }
                 _ => return self.err("expected term on right-hand side"),
@@ -563,7 +541,7 @@ impl Parser<'_> {
     /// `[l$]Name[affine, affine, …]`
     fn parse_ref(
         &mut self,
-        names: &[String],
+        loops: &[LoopIndex],
         default_kind: AccessKind,
     ) -> Result<(ArrayRef, usize), ParseError> {
         let ref_start = self.offset();
@@ -583,7 +561,7 @@ impl Parser<'_> {
         self.expect_sym('[')?;
         let mut subs = Vec::new();
         loop {
-            subs.push(self.parse_affine(names)?);
+            subs.push(self.parse_affine(loops)?);
             match self.bump() {
                 Some(Tok::Sym(',')) => continue,
                 Some(Tok::Sym(']')) => break,
@@ -599,8 +577,8 @@ impl Parser<'_> {
     }
 
     /// Sum of `[int *] index` and integer terms with `+`/`-` signs.
-    fn parse_affine(&mut self, names: &[String]) -> Result<AffineExpr, ParseError> {
-        let depth = names.len();
+    fn parse_affine(&mut self, loops: &[LoopIndex]) -> Result<AffineExpr, ParseError> {
+        let depth = loops.len();
         let mut expr = AffineExpr::constant(depth, 0);
         loop {
             let mut sign = 1i128;
@@ -623,7 +601,7 @@ impl Parser<'_> {
                         self.bump();
                         match self.bump() {
                             Some(Tok::Ident(id)) => {
-                                let k = self.index_of(&id, names)?;
+                                let k = self.index_of(id, loops)?;
                                 expr.coeffs[k] =
                                     self.add_term(expr.coeffs[k], sign, n, term_start)?;
                             }
@@ -637,7 +615,7 @@ impl Parser<'_> {
                     }
                 }
                 Some(Tok::Ident(id)) => {
-                    let k = self.index_of(&id, names)?;
+                    let k = self.index_of(id, loops)?;
                     expr.coeffs[k] = self.add_term(expr.coeffs[k], sign, 1, term_start)?;
                 }
                 _ => {
@@ -661,8 +639,8 @@ impl Parser<'_> {
             .ok_or_else(|| ParseError::at("affine subscript term overflows i128", at, self.src))
     }
 
-    fn index_of(&self, id: &str, names: &[String]) -> Result<usize, ParseError> {
-        match names.iter().position(|n| n == id) {
+    fn index_of(&self, id: &str, loops: &[LoopIndex]) -> Result<usize, ParseError> {
+        match loops.iter().position(|l| l.name == id) {
             Some(k) => Ok(k),
             None => match self.params.get(id) {
                 // A parameter in a subscript acts as a constant — not

@@ -3,6 +3,7 @@
 use crate::expr::AffineExpr;
 use crate::span::Span;
 use alp_linalg::{IMat, IVec};
+use std::fmt;
 
 /// How a reference touches memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -126,15 +127,26 @@ impl ArrayRef {
         (reduced, keep)
     }
 
+    /// Render into `out`, index `k` spelled as the `k`-th of `names`.
+    pub fn render<N: fmt::Display>(
+        &self,
+        out: &mut impl fmt::Write,
+        names: impl Iterator<Item = N> + Clone,
+    ) -> fmt::Result {
+        if self.kind == AccessKind::Accumulate {
+            out.write_str("l$")?;
+        }
+        write!(out, "{}[", self.array)?;
+        for (k, sub) in self.subscripts.iter().enumerate() {
+            out.write_str(if k > 0 { ", " } else { "" })?;
+            sub.render(out, names.clone())?;
+        }
+        out.write_char(']')
+    }
+
     /// Render with the given index names, e.g. `B[i+j, i-j-1]`.
     pub fn display(&self, names: &[String]) -> String {
-        let subs: Vec<String> = self.subscripts.iter().map(|s| s.display(names)).collect();
-        let sigil = if self.kind == AccessKind::Accumulate {
-            "l$"
-        } else {
-            ""
-        };
-        format!("{sigil}{}[{}]", self.array, subs.join(", "))
+        crate::rendered(|s| self.render(s, names.iter()))
     }
 }
 

@@ -14,37 +14,67 @@
 //! is a complete canonicalization.
 
 use alp_loopir::LoopNest;
+use std::fmt;
+
+/// A running 64-bit FNV-1a hash; as a [`fmt::Write`] it is a sink the
+/// nest renders into.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(Self::PRIME);
+        }
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
+}
 
 /// 64-bit FNV-1a over a byte string.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
+    let mut hash = Fnv1a(Fnv1a::OFFSET);
+    hash.update(bytes);
+    hash.0
+}
+
+/// Index `k` named by its position: `i0`, `s1`.
+struct Positional(char, usize);
+
+impl fmt::Display for Positional {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}{}", self.0, self.1)
     }
-    h
+}
+
+/// The nest's DSL rendering with positional index names, into `out`.
+fn render_canonical(nest: &LoopNest, out: &mut impl fmt::Write) {
+    let positional = |prefix| (0..).map(move |k| Positional(prefix, k));
+    nest.render(out, positional('s'), positional('i'))
+        .expect("neither a String nor a hash refuses a write");
 }
 
 /// The canonical textual form the fingerprint hashes: the nest's DSL
 /// rendering with positional index names.
 pub fn canonical_source(nest: &LoopNest) -> String {
-    let mut canon = nest.clone();
-    for (k, l) in canon.seq_loops.iter_mut().enumerate() {
-        l.name = format!("s{k}");
-        l.span = None;
-    }
-    for (k, l) in canon.loops.iter_mut().enumerate() {
-        l.name = format!("i{k}");
-        l.span = None;
-    }
-    canon.display()
+    let mut text = String::new();
+    render_canonical(nest, &mut text);
+    text
 }
 
-/// Structural fingerprint of a nest (see the module docs).
+/// Structural fingerprint of a nest (see the module docs): the hash of
+/// [`canonical_source`], rendered straight into the hash.
 pub fn fingerprint(nest: &LoopNest) -> u64 {
-    fnv1a64(canonical_source(nest).as_bytes())
+    let mut hash = Fnv1a(Fnv1a::OFFSET);
+    render_canonical(nest, &mut hash);
+    hash.0
 }
 
 /// [`fingerprint`] rendered as the 16-digit lowercase hex string used in

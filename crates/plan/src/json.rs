@@ -238,13 +238,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str, so
-                    // boundaries are valid).
+                    // Take the whole run of ordinary bytes up to the next
+                    // `"` or `\`: both are ASCII, so the run ends on a
+                    // scalar boundary, and each byte is validated once.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let stop = |b: &u8| matches!(b, b'"' | b'\\');
+                    let run = &rest[..rest.iter().position(stop).unwrap_or(rest.len())];
+                    let s = std::str::from_utf8(run).map_err(|_| self.err("invalid UTF-8"))?;
+                    out.push_str(s);
+                    self.pos += run.len();
                 }
             }
         }
@@ -663,6 +665,27 @@ mod tests {
         assert_eq!(out, r#""a\"b\\c\nd\u0001é—\t\r""#);
         let back = parse(&out).unwrap();
         assert_eq!(Item::root(&back).str(), Ok(text));
+    }
+
+    /// Decode is linear in the document.  A scan that is quadratic in a
+    /// string's length takes minutes here, so the watchdog the suite runs
+    /// under is the assertion.
+    #[test]
+    fn a_four_mebibyte_string_parses_to_its_length() {
+        const LEN: usize = 4 << 20;
+        let plain = format!("{{\"s\": \"{}é\"}}", "x".repeat(LEN - 2));
+        let v = parse(&plain).unwrap();
+        let s = Item::root(&v).req("s", Item::str).unwrap();
+        assert_eq!((s.len(), s.chars().count()), (LEN, LEN - 1));
+        let escapes = format!("[\"{}\"]", "\\n".repeat(LEN));
+        let v = parse(&escapes).unwrap();
+        let lines = Item::root(&v).list(Item::str).unwrap();
+        assert_eq!(lines[0].len(), LEN);
+        assert!(lines[0].bytes().all(|b| b == b'\n'));
+        // A run cut short by the end of the input is still an error, at
+        // the end of the input.
+        let cut = &plain[..plain.len() / 2];
+        assert_eq!(parse(cut).unwrap_err().offset, cut.len());
     }
 
     #[test]

@@ -265,6 +265,7 @@ impl PartitionPlan {
         latency: Option<&LatencyCoefficients>,
     ) -> Result<PartitionPlan, PlanError> {
         feasible(nest, processors)?;
+        let model = CostModel::from_nest(nest);
         let optimizer = |base: &str| match latency {
             Some(_) => format!("{base}+latency"),
             None => base.to_string(),
@@ -280,28 +281,29 @@ impl PartitionPlan {
                 None => 0,
                 Some(latency) => rank_skewed(nest, latency, &cands, 1)?[0].index,
             };
-            Self::build_skewed(
+            Self::skewed(
                 nest,
                 processors,
                 mesh,
                 legality,
                 &cands[pick],
                 &optimizer("para-exhaustive"),
+                &model,
             )?
         } else {
-            let model = CostModel::from_nest(nest);
             let partition = match latency {
                 None => try_partition_rect(nest, processors, &model)
                     .ok_or_else(|| no_factorization(processors))?,
                 Some(latency) => choose_calibrated(nest, &model, latency, processors, 1)?,
             };
-            Self::build_with_partition(
+            Self::rect(
                 nest,
                 processors,
                 mesh,
                 legality,
                 partition,
                 &optimizer("rect-exhaustive"),
+                &model,
             )?
         };
         Ok(match latency {
@@ -332,16 +334,28 @@ impl PartitionPlan {
         partition: RectPartition,
         optimizer: &str,
     ) -> Result<PartitionPlan, PlanError> {
-        let (base, model) = Self::base(
-            nest,
-            processors,
-            mesh,
-            legality,
-            optimizer,
-            &partition.proc_grid,
-        )?;
+        feasible(nest, processors)?;
+        let model = CostModel::from_nest(nest);
+        Self::rect(
+            nest, processors, mesh, legality, partition, optimizer, &model,
+        )
+    }
+
+    /// [`build_with_partition`](Self::build_with_partition) of a nest
+    /// already found feasible, under the `model` already built from it.
+    fn rect(
+        nest: &LoopNest,
+        processors: i128,
+        mesh: Option<(usize, usize)>,
+        legality: LegalityVerdict,
+        partition: RectPartition,
+        optimizer: &str,
+        model: &CostModel,
+    ) -> Result<PartitionPlan, PlanError> {
+        let grid = &partition.proc_grid;
+        let base = Self::base(nest, processors, mesh, legality, optimizer, grid)?;
         Ok(PartitionPlan {
-            class_footprints: class_footprints(&model, |class| {
+            class_footprints: class_footprints(model, |class| {
                 cumulative_footprint_rect(&partition.tile_extents, class)
             }),
             tile_extents: partition.tile_extents,
@@ -350,9 +364,10 @@ impl PartitionPlan {
         })
     }
 
-    /// The validation preamble and the fields every plan fills the same
-    /// way; the shape-specific ones (`tile_extents`, `cost`,
-    /// `class_footprints`, `transform`) are left for the caller.
+    /// The grid checks and the fields every plan fills the same way;
+    /// the shape-specific ones (`tile_extents`, `cost`,
+    /// `class_footprints`, `transform`) are left for the caller, who
+    /// has found the nest feasible.
     fn base(
         nest: &LoopNest,
         processors: i128,
@@ -360,8 +375,7 @@ impl PartitionPlan {
         legality: LegalityVerdict,
         optimizer: &str,
         grid: &[i128],
-    ) -> Result<(PartitionPlan, CostModel), PlanError> {
-        feasible(nest, processors)?;
+    ) -> Result<PartitionPlan, PlanError> {
         if grid.len() != nest.depth() {
             return Err(PlanError::BadGrid(format!(
                 "partition rank {} does not match nest depth {}",
@@ -372,7 +386,7 @@ impl PartitionPlan {
         if let Some(mesh) = mesh {
             mesh_placement(grid, mesh).map_err(PlanError::Infeasible)?;
         }
-        let plan = PartitionPlan {
+        Ok(PartitionPlan {
             schema_version: BASE_VERSION,
             fingerprint: fingerprint_hex(nest),
             processors,
@@ -395,8 +409,7 @@ impl PartitionPlan {
             class_footprints: Vec::new(),
             comm_free_normals: communication_free_normals(nest),
             source: nest.display(),
-        };
-        Ok((plan, CostModel::from_nest(nest)))
+        })
     }
 
     /// The schema version this plan is written at: the lowest one that
@@ -456,8 +469,25 @@ impl PartitionPlan {
         candidate: &SkewedCandidate,
         optimizer: &str,
     ) -> Result<PartitionPlan, PlanError> {
-        let (base, model) =
-            Self::base(nest, processors, mesh, legality, optimizer, &candidate.grid)?;
+        feasible(nest, processors)?;
+        let model = CostModel::from_nest(nest);
+        Self::skewed(
+            nest, processors, mesh, legality, candidate, optimizer, &model,
+        )
+    }
+
+    /// [`build_skewed`](Self::build_skewed) of a nest already found
+    /// feasible, under the `model` already built from it.
+    fn skewed(
+        nest: &LoopNest,
+        processors: i128,
+        mesh: Option<(usize, usize)>,
+        legality: LegalityVerdict,
+        candidate: &SkewedCandidate,
+        optimizer: &str,
+        model: &CostModel,
+    ) -> Result<PartitionPlan, PlanError> {
+        let base = Self::base(nest, processors, mesh, legality, optimizer, &candidate.grid)?;
         // The tile actually executed: edge k is chunk_k · basis_k.
         let rows: Vec<IVec> = candidate
             .tile_extents
@@ -468,7 +498,7 @@ impl PartitionPlan {
         let lmat = IMat::from_row_vecs(&rows);
         let tile = Tile::general(lmat.clone());
         let plan = PartitionPlan {
-            class_footprints: class_footprints(&model, |class| {
+            class_footprints: class_footprints(model, |class| {
                 Rat::int(cumulative_footprint_general(&tile, class))
             }),
             tile_extents: candidate.tile_extents.clone(),

@@ -283,6 +283,32 @@ fn a_frame_with_a_mistyped_field_is_refused_not_defaulted() {
 }
 
 #[test]
+fn a_frame_at_the_size_limit_is_answered_promptly() {
+    let path = sock_path("limit");
+    let handle = Server::new(ServeConfig::default()).serve(&path).unwrap();
+    let mut c = Client::connect(&path);
+    // The largest legal frame, nearly all of it one string: a decoder
+    // that is quadratic in a string's length holds this connection's
+    // reader for twenty seconds.  The timeout turns that into a failure.
+    let head = "{\"alp-serve\": 1, \"id\": 9, \"op\": \"plan\", \"source\": \"";
+    let mut frame = String::from(head);
+    frame.push_str(&"x".repeat(MAX_REQUEST_BYTES - head.len() - 2));
+    frame.push_str("\"}");
+    assert_eq!(frame.len(), MAX_REQUEST_BYTES);
+    frame.push('\n');
+    let timeout = Some(Duration::from_secs(2));
+    c.reader.get_ref().set_read_timeout(timeout).unwrap();
+    c.writer.write_all(frame.as_bytes()).expect("send");
+    let r = c.recv();
+    // Well-formed and within the limit, so it is decoded and its source
+    // parsed: one identifier is not a loop nest.
+    assert_eq!((r.id, r.code.as_deref()), (9, Some("ALP0001")), "{r:?}");
+    assert!(c.round_trip(&Request::control(10, RequestOp::Ping)).ok);
+    let stats = handle.shutdown();
+    assert_eq!((stats.malformed, stats.failures), (0, 1));
+}
+
+#[test]
 fn concurrent_same_key_requests_coalesce_to_one_compile() {
     const CLIENTS: usize = 12;
     let path = sock_path("coalesce");
