@@ -79,7 +79,7 @@
 use alp_analysis::search::{integer_point, Answer};
 use alp_analysis::ConflictLattice;
 use alp_linalg::fm::System;
-use alp_linalg::{IMat, IVec, Rat};
+use alp_linalg::{IVec, Rat};
 use alp_loopir::{ArrayRef, LoopNest};
 use alp_plan::{Certificate, IterBox, PartitionPlan, PlanError, Tiling};
 
@@ -201,7 +201,10 @@ pub fn certify(plan: &PartitionPlan) -> Result<CertifyReport, CertifyError> {
     let tiling = plan.tiling(&nest)?;
     let boxes: Vec<Box128> = tiling.boxes().iter().map(box128).collect();
     let coverage = prove_coverage(&nest, &tiling, &boxes, &mut notes);
-    let write_disjoint = prove_write_disjoint(&write_refs(&nest, plan), &boxes, &mut notes);
+    let write_disjoint = match write_refs(&nest, plan) {
+        Some(writes) => prove_write_disjoint(&writes, &boxes, &mut notes),
+        None => gave_up("write-disjoint", &mut notes),
+    };
     let in_bounds = prove_in_bounds(&nest, &mut notes);
     let idempotent = prove_idempotent(&nest, &mut notes);
     Ok(CertifyReport {
@@ -264,12 +267,8 @@ fn decide(plan: &PartitionPlan) -> Result<Certificate, CertifyError> {
     Ok(Certificate {
         fingerprint: plan.fingerprint.clone(),
         coverage: decide_coverage(&nest, &tiling, grid, chunks, &boxes),
-        write_disjoint: decide_write_disjoint(
-            &write_refs(&nest, plan),
-            tiling.bounds(),
-            grid,
-            chunks,
-        ),
+        write_disjoint: write_refs(&nest, plan)
+            .is_some_and(|writes| decide_write_disjoint(&writes, tiling.bounds(), grid, chunks)),
         in_bounds: decide_in_bounds(&nest),
         idempotent: prove_idempotent(&nest, &mut Vec::new()),
     })
@@ -280,12 +279,18 @@ fn decide(plan: &PartitionPlan) -> Result<Certificate, CertifyError> {
 /// elements from j-points that the originals address from their
 /// pre-images; solving over the *unclipped* j-boxes over-approximates
 /// each tile's iterations, which can only refute (never spuriously
-/// prove) disjointness.
-fn write_refs(nest: &LoopNest, plan: &PartitionPlan) -> Vec<ArrayRef> {
+/// prove) disjointness.  `None` when a composed coefficient overflows:
+/// nothing is proven about such a plan.
+fn write_refs(nest: &LoopNest, plan: &PartitionPlan) -> Option<Vec<ArrayRef>> {
     (nest.body.iter())
-        .map(|st| match &plan.transform {
-            None => st.lhs.clone(),
-            Some(t) => transformed_ref(&st.lhs, t.v()),
+        .map(|st| {
+            let mut w = st.lhs.clone();
+            if let Some(t) = &plan.transform {
+                for sub in &mut w.subscripts {
+                    *sub = sub.composed(t.v())?;
+                }
+            }
+            Some(w)
         })
         .collect()
 }
@@ -302,15 +307,7 @@ fn gave_up(fact: &str, notes: &mut Vec<String>) -> bool {
 type Box128 = Vec<(i128, i128)>;
 
 fn box128(b: &IterBox) -> Box128 {
-    b.lo.iter()
-        .zip(&b.hi)
-        .map(|(&l, &h)| (i128::from(l), i128::from(h)))
-        .collect()
-}
-
-/// The loop bounds as a box.
-fn loop_box(nest: &LoopNest) -> Box128 {
-    nest.loops.iter().map(|lp| (lp.lower, lp.upper)).collect()
+    b.bounds().collect()
 }
 
 fn box_is_empty(b: &Box128) -> bool {
@@ -506,33 +503,20 @@ fn decide_write_disjoint(
 }
 
 /// Fact 3, decided by interval arithmetic: the range of an affine
-/// subscript over the loop-bound box is exact.
+/// subscript over the loop-bound box is exact — and a range or extent
+/// beyond `i128` is not in bounds of anything.
 fn decide_in_bounds(nest: &LoopNest) -> bool {
-    let extents = nest.array_extents();
-    let full = loop_box(nest);
+    let Ok(extents) = nest.try_array_extents() else {
+        return false;
+    };
+    let full: Box128 = nest.bounds().collect();
     nest.all_refs().iter().all(|r| {
         extents.get(&r.array).is_none_or(|ext| {
             (r.subscripts.iter().zip(ext)).all(|(sub, &(lo, hi))| {
-                let (min, max) = affine_range(sub, &full);
-                lo <= min && max <= hi
+                (sub.range(full.iter().copied())).is_some_and(|(min, max)| lo <= min && max <= hi)
             })
         })
     })
-}
-
-/// Rewrite a reference's subscripts from original coordinates `ī` to
-/// transformed coordinates `j̄ = ī·U` by composing with `V = U⁻¹`
-/// (`ī = j̄·V`): the coefficient on `j_k` becomes `Σ_d V[k][d]·c_d`,
-/// constants unchanged.  `ref'(j̄) = ref(j̄·V)` exactly.
-fn transformed_ref(r: &ArrayRef, v: &IMat) -> ArrayRef {
-    let mut out = r.clone();
-    for sub in &mut out.subscripts {
-        let n = sub.coeffs.len();
-        sub.coeffs = (0..n)
-            .map(|k| (0..n).map(|d| v[(k, d)] * sub.coeffs[d]).sum())
-            .collect();
-    }
-    out
 }
 
 /// Fact 2: per array, the write footprints of distinct tiles are
@@ -584,8 +568,11 @@ fn prove_write_disjoint(writes: &[ArrayRef], boxes: &[Box128], notes: &mut Vec<S
 /// dimension per side.
 fn prove_in_bounds(nest: &LoopNest, notes: &mut Vec<String>) -> bool {
     let l = nest.depth();
-    let extents = nest.array_extents();
-    let full = loop_box(nest);
+    let Ok(extents) = nest.try_array_extents() else {
+        notes.push("in-bounds: an array extent overflows i128".into());
+        return false;
+    };
+    let full: Box128 = nest.bounds().collect();
     let mut ok = true;
     for r in nest.all_refs() {
         let Some(ext) = extents.get(&r.array) else {
@@ -626,7 +613,7 @@ fn prove_in_bounds(nest: &LoopNest, notes: &mut Vec<String>) -> bool {
 /// read and write regions apart, where the syntactic array-name rule
 /// cannot.
 fn prove_idempotent(nest: &LoopNest, notes: &mut Vec<String>) -> bool {
-    let full = loop_box(nest);
+    let full: Box128 = nest.bounds().collect();
     let writes: Vec<&ArrayRef> = nest.body.iter().map(|st| &st.lhs).collect();
     for st in &nest.body {
         for r in &st.rhs {
@@ -683,26 +670,13 @@ fn footprint_boxes_disjoint(r1: &ArrayRef, b1: &Box128, r2: &ArrayRef, b2: &Box1
     if r1.dim() != r2.dim() {
         return true;
     }
-    for d in 0..r1.dim() {
-        let (lo1, hi1) = affine_range(&r1.subscripts[d], b1);
-        let (lo2, hi2) = affine_range(&r2.subscripts[d], b2);
-        if hi1 < lo2 || hi2 < lo1 {
-            return true;
-        }
-    }
-    false
-}
-
-/// `[min, max]` of an affine form over an inclusive box.
-fn affine_range(expr: &alp_loopir::AffineExpr, b: &Box128) -> (i128, i128) {
-    let mut lo = expr.constant;
-    let mut hi = expr.constant;
-    for (k, &c) in expr.coeffs.iter().enumerate() {
-        let (a, z) = (c * b[k].0, c * b[k].1);
-        lo += a.min(z);
-        hi += a.max(z);
-    }
-    (lo, hi)
+    // A range beyond `i128` rejects nothing: the solve settles it.
+    (r1.subscripts.iter().zip(&r2.subscripts)).any(|(s1, s2)| {
+        let ranges = s1
+            .range(b1.iter().copied())
+            .zip(s2.range(b2.iter().copied()));
+        ranges.is_some_and(|((lo1, hi1), (lo2, hi2))| hi1 < lo2 || hi2 < lo1)
+    })
 }
 
 /// Coefficient rows selecting each variable in turn (`x_k` alone).
@@ -727,6 +701,7 @@ fn constrain_box(sys: &mut System, b: &Box128, selectors: Vec<Vec<Rat>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alp_linalg::IMat;
     use alp_loopir::parse;
     use alp_plan::LegalityVerdict;
 

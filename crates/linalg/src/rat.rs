@@ -78,15 +78,6 @@ impl Rat {
         }
     }
 
-    /// Multiplicative inverse.
-    ///
-    /// # Panics
-    /// Panics on zero.
-    pub fn recip(&self) -> Rat {
-        assert_ne!(self.num, 0, "reciprocal of zero");
-        Rat::new(self.den, self.num)
-    }
-
     /// Floor to an integer.
     pub fn floor(&self) -> i128 {
         self.num.div_euclid(self.den)
@@ -194,7 +185,6 @@ mod tests {
         assert_eq!(a * b, Rat::new(1, 6));
         assert_eq!(a / b, Rat::new(3, 2));
         assert_eq!(-a, Rat::new(-1, 2));
-        assert_eq!(a.recip(), Rat::int(2));
     }
 
     #[test]

@@ -74,17 +74,6 @@ impl RMat {
         self.cols
     }
 
-    /// Demote to an integer matrix if every entry is integral.
-    pub fn to_int(&self) -> Option<IMat> {
-        let mut out = IMat::zeros(self.rows, self.cols);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out[(i, j)] = self[(i, j)].to_integer()?;
-            }
-        }
-        Some(out)
-    }
-
     /// Matrix product.
     pub fn mul(&self, other: &RMat) -> Result<RMat> {
         if self.cols != other.rows {
@@ -248,14 +237,6 @@ mod tests {
             RMat::from_int(&m).det().unwrap(),
             Rat::int(m.det().unwrap())
         );
-    }
-
-    #[test]
-    fn to_int_round_trip() {
-        let m = IMat::from_rows(&[&[1, 2], &[3, 4]]);
-        assert_eq!(RMat::from_int(&m).to_int(), Some(m));
-        let half = RMat::from_rows(&[&[r(1, 2)]]);
-        assert_eq!(half.to_int(), None);
     }
 
     fn arb_invertible(n: usize) -> impl Strategy<Value = RMat> {

@@ -1,6 +1,6 @@
 //! Affine subscript expressions.
 
-use alp_linalg::IVec;
+use alp_linalg::{IMat, IVec};
 use std::fmt;
 
 /// One affine subscript: `c₁·i₁ + c₂·i₂ + … + c_l·i_l + constant`.
@@ -97,6 +97,30 @@ impl AffineExpr {
                 .sum::<i128>()
     }
 
+    /// Exact `[min, max]` over the inclusive box `bx`, one `(lo, hi)` per
+    /// index; `None` when a bound does not fit `i128`.
+    pub fn range(&self, bx: impl IntoIterator<Item = (i128, i128)>) -> Option<(i128, i128)> {
+        range_over(self.constant, self.coeffs.iter().copied().zip(bx))
+    }
+
+    /// Rewrite from original coordinates `ī` to transformed coordinates
+    /// `j̄ = ī·U`: with `V = U⁻¹` and row-vector convention `ī = j̄·V`,
+    /// the coefficient on `j_k` becomes `Σ_d V[k][d]·c_d`; the constant
+    /// is unchanged.  `self.composed(V)` at `j̄` is `self` at `j̄·V`.
+    /// `None` when a coefficient does not fit `i128`.
+    pub fn composed(&self, v: &IMat) -> Option<AffineExpr> {
+        debug_assert_eq!(v.rows(), self.depth(), "transform rank is the nest depth");
+        let coeff = |k| {
+            (self.coeffs.iter().enumerate()).try_fold(0i128, |c, (d, &cd)| {
+                c.checked_add(v[(k, d)].checked_mul(cd)?)
+            })
+        };
+        Some(AffineExpr {
+            coeffs: (0..self.depth()).map(coeff).collect::<Option<_>>()?,
+            constant: self.constant,
+        })
+    }
+
     /// True when no loop index appears (a pure constant subscript —
     /// Example 1's droppable dimensions).
     pub fn is_constant(&self) -> bool {
@@ -137,9 +161,40 @@ impl AffineExpr {
     }
 }
 
+/// `[min, max]` of `constant + Σ c·x` over `lo ≤ x ≤ hi` per
+/// `(c, (lo, hi))` term, in checked arithmetic: an affine form takes its
+/// extremes at the box's corners, coefficient by coefficient.  The one
+/// range every subscript and every [`ElementForm`](crate::ElementForm)
+/// goes through.
+pub(crate) fn range_over(
+    constant: i128,
+    terms: impl Iterator<Item = (i128, (i128, i128))>,
+) -> Option<(i128, i128)> {
+    let (mut min, mut max) = (constant, constant);
+    for (c, (lo, hi)) in terms {
+        let (a, z) = (c.checked_mul(lo)?, c.checked_mul(hi)?);
+        min = min.checked_add(a.min(z))?;
+        max = max.checked_add(a.max(z))?;
+    }
+    Some((min, max))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn range_is_exact_and_checked() {
+        let e = AffineExpr::new(vec![1, -2], 3); // i - 2j + 3
+        assert_eq!(e.range([(0, 4), (-1, 5)]), Some((3 - 10, 3 + 4 + 2)));
+        assert_eq!(
+            AffineExpr::constant(2, 7).range([(0, 9), (0, 9)]),
+            Some((7, 7))
+        );
+        // 2^126 · 4 and MAX + 1 do not fit: refused, not wrapped.
+        assert_eq!(AffineExpr::new(vec![1 << 126], 0).range([(0, 4)]), None);
+        assert_eq!(AffineExpr::new(vec![1], i128::MAX).range([(0, 1)]), None);
+    }
 
     #[test]
     fn builders() {

@@ -28,7 +28,7 @@ pub mod refs;
 pub mod span;
 
 pub use expr::AffineExpr;
-pub use layout::{ArrayLayout, LayoutOverflow};
+pub use layout::{AccessStream, ArrayLayout, ElementForm, LayoutOverflow};
 pub use nest::{LoopIndex, LoopNest, Statement};
 pub use parser::{parse, parse_program, parse_program_with_params, parse_with_params, ParseError};
 pub use refs::{AccessKind, ArrayRef};

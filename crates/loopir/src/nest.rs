@@ -2,7 +2,7 @@
 
 use crate::refs::{AccessKind, ArrayRef};
 use crate::span::Span;
-use crate::IrError;
+use crate::{IrError, LayoutOverflow};
 use alp_linalg::IVec;
 use std::collections::HashMap;
 use std::fmt;
@@ -149,12 +149,14 @@ impl LoopNest {
         self.seq_loops.iter().map(LoopIndex::trip_count).product()
     }
 
+    /// The loop bounds as an inclusive box, one `(lower, upper)` per index.
+    pub fn bounds(&self) -> impl Iterator<Item = (i128, i128)> + '_ {
+        self.loops.iter().map(|l| (l.lower, l.upper))
+    }
+
     /// Every reference in the body, writes and reads.
     pub fn all_refs(&self) -> Vec<&ArrayRef> {
-        self.body
-            .iter()
-            .flat_map(|s| std::iter::once(&s.lhs).chain(s.rhs.iter()))
-            .collect()
+        self.body.iter().flat_map(Statement::refs).collect()
     }
 
     /// Distinct array names, in first-appearance order.
@@ -169,25 +171,18 @@ impl LoopNest {
     }
 
     /// For each array, the extent of each dimension implied by the loop
-    /// bounds (the smallest box covering every touched element) — used by
-    /// the simulator to lay arrays out in memory.
-    pub fn array_extents(&self) -> HashMap<String, Vec<(i128, i128)>> {
+    /// bounds (the smallest box covering every touched element) — what
+    /// [`ArrayLayout`](crate::ArrayLayout) lays the arrays out by.
+    /// Fails, naming the array, when an extent does not fit `i128`.
+    pub fn try_array_extents(&self) -> Result<HashMap<String, Vec<(i128, i128)>>, LayoutOverflow> {
         let mut out: HashMap<String, Vec<(i128, i128)>> = HashMap::new();
         for r in self.all_refs() {
-            let lo_hi: Vec<(i128, i128)> = r
-                .subscripts
-                .iter()
-                .map(|s| {
-                    let mut lo = s.constant;
-                    let mut hi = s.constant;
-                    for (k, &c) in s.coeffs.iter().enumerate() {
-                        let (a, b) = (c * self.loops[k].lower, c * self.loops[k].upper);
-                        lo += a.min(b);
-                        hi += a.max(b);
-                    }
-                    (lo, hi)
-                })
-                .collect();
+            let lo_hi = (r.subscripts.iter())
+                .map(|s| s.range(self.bounds()))
+                .collect::<Option<Vec<_>>>()
+                .ok_or_else(|| LayoutOverflow {
+                    array: r.array.clone(),
+                })?;
             out.entry(r.array.clone())
                 .and_modify(|ext| {
                     for (e, n) in ext.iter_mut().zip(&lo_hi) {
@@ -197,7 +192,16 @@ impl LoopNest {
                 })
                 .or_insert(lo_hi);
         }
-        out
+        Ok(out)
+    }
+
+    /// [`try_array_extents`](Self::try_array_extents) for callers with no
+    /// error to return.
+    ///
+    /// # Panics
+    /// Panics when an extent does not fit `i128`.
+    pub fn array_extents(&self) -> HashMap<String, Vec<(i128, i128)>> {
+        self.try_array_extents().expect("array extents fit i128")
     }
 
     /// Iterate over every point of the iteration space (outermost index

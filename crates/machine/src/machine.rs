@@ -323,48 +323,8 @@ impl<'h> Machine<'h> {
     }
 }
 
-/// One logical memory access of the loop body.
+/// One logical memory access of the loop body: `(element, write-like)`.
 type Access = (u64, bool);
-
-/// Generate processor `p`'s access trace for one repetition of the doall
-/// body: for each assigned iteration, every right-hand-side reference
-/// (reads; accumulates are write-like, Appendix A) then the left-hand
-/// side.
-fn build_trace(nest: &LoopNest, layout: &ArrayLayout, iters: &[IVec]) -> Vec<Access> {
-    let mut trace = Vec::with_capacity(iters.len() * nest.body.len() * 2);
-    // Pre-resolve array ids per statement.  The left-hand side is always
-    // write-like (plain store or atomic accumulate); right-hand-side
-    // accumulates are write-like too (Appendix A).
-    type RhsRef<'a> = (usize, bool, &'a alp_loopir::ArrayRef);
-    let resolved: Vec<(usize, Vec<RhsRef>)> = nest
-        .body
-        .iter()
-        .map(|st| {
-            let lhs_id = layout.array_id(&st.lhs.array).expect("laid out");
-            let rhs: Vec<RhsRef> = st
-                .rhs
-                .iter()
-                .map(|r| {
-                    (
-                        layout.array_id(&r.array).expect("laid out"),
-                        r.kind.is_write_like(),
-                        r,
-                    )
-                })
-                .collect();
-            (lhs_id, rhs)
-        })
-        .collect();
-    for i in iters {
-        for (st, (lhs_id, rhs)) in nest.body.iter().zip(&resolved) {
-            for (id, w, r) in rhs {
-                trace.push((layout.line(*id, &r.eval(i)), *w));
-            }
-            trace.push((layout.line(*lhs_id, &st.lhs.eval(i)), true));
-        }
-    }
-    trace
-}
 
 /// Simulate a partitioned loop nest.
 ///
@@ -379,21 +339,11 @@ fn build_trace(nest: &LoopNest, layout: &ArrayLayout, iters: &[IVec]) -> Vec<Acc
 /// per round).
 ///
 /// # Panics
-/// Panics if the nest's arrays do not fit a `u64` line id space
-/// ([`run_plan`] reports that as an error instead).
+/// Panics if the nest's arrays do not fit a `u64` line id space, or its
+/// points and address forms `i64` ([`run_plan`] reports those as errors
+/// instead).
 pub fn run_nest(
     nest: &LoopNest,
-    assignment: &[Vec<IVec>],
-    config: MachineConfig,
-    home: &dyn HomeMap,
-) -> TrafficReport {
-    let layout = ArrayLayout::from_nest(nest).expect("array layout fits u64");
-    simulate(nest, &layout, assignment, config, home)
-}
-
-fn simulate(
-    nest: &LoopNest,
-    layout: &ArrayLayout,
     assignment: &[Vec<IVec>],
     config: MachineConfig,
     home: &dyn HomeMap,
@@ -403,30 +353,51 @@ fn simulate(
         config.processors,
         "one iteration list per processor"
     );
+    let layout = ArrayLayout::from_nest(nest).expect("array layout fits u64");
+    let accesses = layout.accesses(nest, None).expect("addresses fit i64");
+    // Each listed point is a row of one iteration.
+    let trace = |p: usize| {
+        let mut out = Vec::with_capacity(assignment[p].len() * accesses.refs().len());
+        let mut j = vec![0i64; nest.depth()];
+        for i in &assignment[p] {
+            for (to, &from) in j.iter_mut().zip(&i.0) {
+                *to = i64::try_from(from).expect("iteration point fits i64");
+            }
+            let x = j[j.len() - 1];
+            accesses.for_each(&j, x, x, |element, write| out.push((element, write)));
+        }
+        out
+    };
+    simulate(nest, trace, config, home)
+}
 
+/// Run the protocol over one trace per processor: `trace(p)` is
+/// processor `p`'s accesses for one repetition of the doall body — for
+/// each iteration, every right-hand-side reference then the left-hand
+/// side, as an [`alp_loopir::AccessStream`] issues them.
+fn simulate(
+    nest: &LoopNest,
+    trace: impl Fn(usize) -> Vec<Access> + Sync,
+    config: MachineConfig,
+    home: &dyn HomeMap,
+) -> TrafficReport {
     // Parallel trace generation (deterministic: output order is fixed by
     // the assignment, not by thread timing).
-    let mut traces: Vec<Vec<Access>> = Vec::with_capacity(assignment.len());
-    if assignment.len() > 1 {
-        let results: Vec<Vec<Access>> = crossbeam::scope(|scope| {
-            let handles: Vec<_> = assignment
-                .iter()
-                .map(|iters| scope.spawn(move |_| build_trace(nest, layout, iters)))
+    let traces: Vec<Vec<Access>> = if config.processors > 1 {
+        crossbeam::scope(|scope| {
+            let trace = &trace;
+            let handles: Vec<_> = (0..config.processors)
+                .map(|p| scope.spawn(move |_| trace(p)))
                 .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("trace worker"))
                 .collect()
         })
-        .expect("crossbeam scope");
-        traces.extend(results);
+        .expect("crossbeam scope")
     } else {
-        traces.extend(
-            assignment
-                .iter()
-                .map(|iters| build_trace(nest, layout, iters)),
-        );
-    }
+        (0..config.processors).map(trace).collect()
+    };
 
     let reps = nest.seq_repetitions().max(1) as u64;
     let mut machine = Machine::new(config, home);
@@ -453,13 +424,13 @@ fn simulate(
 /// Simulate a saved [`alp_plan::PartitionPlan`] directly.
 ///
 /// The nest is reconstructed from the plan's embedded source (with its
-/// fingerprint re-verified) and the per-processor iteration lists come
-/// from the plan's [`alp_plan::Tiling`] — for a skewed plan, each
-/// processor owns the pre-image of one clipped `j`-space tile — so the
-/// simulated machine executes exactly the tiles the native runtime and
-/// the generated code would.  `config.processors` is overridden to the
-/// plan's tile count; the plan's mesh is used unless `config` already
-/// sets one.
+/// fingerprint re-verified) and each processor's trace comes from
+/// walking its tile of the plan's [`alp_plan::Tiling`] row by row — for
+/// a skewed plan, the clipped `j`-space rows under forms composed with
+/// `U⁻¹` — so the simulated machine executes exactly the tiles, in
+/// exactly the order, the native runtime and the generated code would.
+/// `config.processors` is overridden to the plan's tile count; the
+/// plan's mesh is used unless `config` already sets one.
 pub fn run_plan(
     plan: &alp_plan::PartitionPlan,
     mut config: MachineConfig,
@@ -467,12 +438,22 @@ pub fn run_plan(
 ) -> Result<TrafficReport, alp_plan::PlanError> {
     let nest = plan.nest()?;
     let layout = ArrayLayout::from_nest(&nest)?;
-    let assignment = plan.tiling(&nest)?.assignment();
-    config.processors = assignment.len();
+    let tiling = plan.tiling(&nest)?;
+    let v = plan.transform.as_ref().map(alp_plan::Transform::v);
+    let accesses = layout.accesses(&nest, v)?;
+    config.processors = tiling.len();
     if config.mesh.is_none() {
         config.mesh = plan.mesh;
     }
-    Ok(simulate(&nest, &layout, &assignment, config, home))
+    let trace = |t: usize| {
+        let mut out = Vec::with_capacity(tiling.points(t) as usize * accesses.refs().len());
+        tiling.for_each_row(t, |j, lo, hi| {
+            accesses.for_each(j, lo, hi, |element, write| out.push((element, write)));
+            true
+        });
+        out
+    };
+    Ok(simulate(&nest, trace, config, home))
 }
 
 #[cfg(test)]
@@ -488,6 +469,55 @@ mod tests {
         let mut out: Vec<Vec<IVec>> = pts.chunks(chunk).map(|c| c.to_vec()).collect();
         out.resize(p, Vec::new());
         out
+    }
+
+    #[test]
+    fn run_plan_is_run_nest_over_the_tilings_assignment() {
+        // The row walk under (composed) forms issues exactly the
+        // accesses, in exactly the order, that interpreting the tiling's
+        // explicit point lists does: Examples 2, 8 and 10 (a `doseq`
+        // around the last), rectangular, and the skewed Example-2 golden.
+        let build = |src: &str, p| {
+            let legality = alp_plan::LegalityVerdict::Unchecked;
+            alp_plan::PartitionPlan::build(&parse(src).unwrap(), p, None, legality).unwrap()
+        };
+        let golden = include_str!("../../../tests/golden/example2.v4.plan.json");
+        let plans = [
+            build(
+                "doall (i, 101, 200) { doall (j, 1, 100) {
+                   A[i,j] = B[i+j,i-j-1] + B[i+j+4,i-j+3]; } }",
+                16,
+            ),
+            build(
+                "doall (i, 1, 24) { doall (j, 1, 24) { doall (k, 1, 24) {
+                   A[i,j,k] = B[i-1,j,k+1] + B[i,j+1,k] + B[i+1,j-2,k-3]; } } }",
+                8,
+            ),
+            build(
+                "doseq (t, 0, 1) { doall (i, 1, 32) { doall (j, 1, 32) {
+                   A[i,j] = B[i+j,i-j] + B[i+j+4,i-j+2]
+                          + C[i,2*i,i+2*j-1] + C[i+1,2*i+2,i+2*j+1] + C[i,2*i,i+2*j+1]; } } }",
+                16,
+            ),
+            alp_plan::PartitionPlan::from_json_str(golden).unwrap(),
+        ];
+        assert!(plans[3].transform.is_some());
+        for (k, plan) in plans.iter().enumerate() {
+            let nest = plan.nest().unwrap();
+            let assignment = plan.tiling(&nest).unwrap().assignment();
+            // The golden is 512 × 512 points: one line size is enough.
+            for line_size in [1, 8].into_iter().take(if k == 3 { 1 } else { 2 }) {
+                let cfg = |processors| MachineConfig {
+                    mesh: plan.mesh,
+                    ..MachineConfig::uniform(processors).with_line_size(line_size)
+                };
+                let by_rows = run_plan(plan, cfg(0), &UniformHome).unwrap();
+                let by_points = run_nest(&nest, &assignment, cfg(assignment.len()), &UniformHome);
+                assert_eq!(by_rows.per_processor, by_points.per_processor);
+                assert_eq!(by_rows.repetitions, by_points.repetitions);
+                assert!(by_rows.total_accesses() > 0);
+            }
+        }
     }
 
     #[test]

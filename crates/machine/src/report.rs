@@ -130,15 +130,6 @@ impl TrafficReport {
         }
     }
 
-    /// Worst-per-processor misses (load imbalance indicator).
-    pub fn max_processor_misses(&self) -> u64 {
-        self.per_processor
-            .iter()
-            .map(ProcessorCounters::misses)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Consistency invariant: hits + misses == accesses, per processor.
     pub fn check_conservation(&self) -> bool {
         self.per_processor
@@ -171,7 +162,6 @@ mod tests {
         assert_eq!(r.total_cold_misses(), 2);
         assert!(r.check_conservation());
         assert!((r.miss_rate() - 0.2).abs() < 1e-12);
-        assert_eq!(r.max_processor_misses(), 3);
     }
 
     #[test]

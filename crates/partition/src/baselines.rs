@@ -144,15 +144,6 @@ pub fn in_abraham_hudak_domain(nest: &LoopNest) -> bool {
     }
 }
 
-/// Count of write-like references (used by experiments to report
-/// invalidation-heavy nests).
-pub fn write_reference_count(nest: &LoopNest) -> usize {
-    nest.all_refs()
-        .iter()
-        .filter(|r| r.kind.is_write_like())
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,11 +225,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn write_counts() {
-        let nest = parse("doall (i, 0, 9) { l$C[i] = l$C[i] + A[i]; }").unwrap();
-        assert_eq!(write_reference_count(&nest), 2);
     }
 }

@@ -90,42 +90,14 @@ pub fn unimodular_bases(n: usize, max: i128) -> Vec<IMat> {
 ///
 /// Returns the best tile found over all candidate bases, including the
 /// rectangular basis (identity), so the result is never worse than the
-/// best rectangle the same λ-rounding would produce.
+/// best rectangle the same λ-rounding would produce: the head of
+/// [`para_candidates`].
 pub fn optimize_parallelepiped(
     nest: &LoopNest,
     p: i128,
     config: &ParaSearchConfig,
 ) -> ParaPartition {
-    assert!(p >= 1, "need at least one processor");
-    let model = CostModel::from_nest(nest);
-    let l = nest.depth();
-    let volume_target = (nest.iteration_count() / p).max(1);
-    let bases = unimodular_bases(l, config.max_entry);
-    assert!(!bases.is_empty(), "identity basis always qualifies");
-
-    let evaluate = |basis: &IMat| -> Option<ParaPartition> {
-        best_scaling_for_basis(&model, basis, volume_target)
-    };
-
-    let best = if bases.len() > 64 && config.threads > 1 {
-        // Parallel sweep over candidate bases.
-        let chunks: Vec<&[IMat]> = bases.chunks(bases.len().div_ceil(config.threads)).collect();
-        crossbeam::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| {
-                    scope.spawn(move |_| chunk.iter().filter_map(evaluate).min_by_key(|c| c.cost))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .filter_map(|h| h.join().expect("sweep worker panicked"))
-                .min_by_key(|c| c.cost)
-        })
-        .expect("crossbeam scope")
-    } else {
-        bases.iter().filter_map(evaluate).min_by_key(|c| c.cost)
-    };
+    let best = para_candidates(nest, p, config).into_iter().next();
     best.expect("identity basis evaluates")
 }
 
@@ -133,17 +105,36 @@ pub fn optimize_parallelepiped(
 /// first — the hook a downstream ranker (the plan crate's skewed-tile
 /// enumerator, the calibrated hybrid re-ranking) uses to score the
 /// whole `(H, γ, λ)` candidate class instead of just the analytic
-/// winner.  Ties break toward earlier bases (the canonical enumeration
-/// order, which lists the identity first), so the order is
-/// deterministic.
+/// winner.  The one sweep: chunked over `config.threads` when the
+/// candidate set is large, gathered in enumeration order, then sorted
+/// stably, so ties break toward earlier bases (the canonical
+/// enumeration lists the identity first) and the order is deterministic.
 pub fn para_candidates(nest: &LoopNest, p: i128, config: &ParaSearchConfig) -> Vec<ParaPartition> {
     assert!(p >= 1, "need at least one processor");
     let model = CostModel::from_nest(nest);
     let volume_target = (nest.iteration_count() / p).max(1);
-    let mut out: Vec<ParaPartition> = unimodular_bases(nest.depth(), config.max_entry)
-        .iter()
-        .filter_map(|basis| best_scaling_for_basis(&model, basis, volume_target))
-        .collect();
+    let bases = unimodular_bases(nest.depth(), config.max_entry);
+    assert!(!bases.is_empty(), "identity basis always qualifies");
+
+    let evaluate = |chunk: &[IMat]| -> Vec<ParaPartition> {
+        (chunk.iter())
+            .filter_map(|basis| best_scaling_for_basis(&model, basis, volume_target))
+            .collect()
+    };
+    let mut out = if bases.len() > 64 && config.threads > 1 {
+        crossbeam::scope(|scope| {
+            let handles: Vec<_> = (bases.chunks(bases.len().div_ceil(config.threads)))
+                .map(|chunk| scope.spawn(move |_| evaluate(chunk)))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("sweep worker panicked"))
+                .collect()
+        })
+        .expect("crossbeam scope")
+    } else {
+        evaluate(&bases)
+    };
     out.sort_by_key(|c| c.cost);
     out
 }

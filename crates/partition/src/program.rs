@@ -48,15 +48,20 @@ pub struct ProgramPartition {
     pub redistribution: i128,
 }
 
-/// Size (in elements) of every array touched by a nest.
+/// Size (in elements) of every array touched by a nest, saturated at
+/// `u64::MAX`: no layout holds a larger array, and a nest with an
+/// extent beyond `i128` counts every array it touches as that large.
 fn array_sizes(nest: &LoopNest) -> HashMap<String, i128> {
-    nest.array_extents()
-        .into_iter()
+    const CAP: i128 = u64::MAX as i128;
+    let Ok(extents) = nest.try_array_extents() else {
+        return nest.arrays().into_iter().map(|a| (a, CAP)).collect();
+    };
+    (extents.into_iter())
         .map(|(a, ext)| {
-            (
-                a,
-                ext.iter().map(|&(lo, hi)| (hi - lo + 1).max(0)).product(),
-            )
+            let widths = ext
+                .iter()
+                .map(|&(lo, hi)| hi.saturating_sub(lo).saturating_add(1));
+            (a, widths.fold(1, |n: i128, w| n.saturating_mul(w).min(CAP)))
         })
         .collect()
 }
@@ -208,6 +213,25 @@ mod tests {
         let s1 = partition_rect(&nests[1], 16);
         let solo_total = s0.cost + s1.cost;
         assert!(prog.total_cost <= solo_total + Rat::int(1));
+    }
+
+    #[test]
+    fn unsizeable_arrays_saturate_the_redistribution_cost() {
+        // 2^126·7 does not fit i128: both arrays of phase 1 count as
+        // u64::MAX elements, and the common grid wins without a panic.
+        let nests = parse_program(
+            "doall (i, 0, 7) { doall (j, 0, 7) {
+               A[85070591730234615865843651857942052864*i, j] = B[i, j]; } }
+             doall (i, 0, 7) { doall (j, 0, 7) {
+               B[i, j] = A[i, j] + A[i, j+1] + A[i, j+2] + A[i, j+3]; } }",
+        )
+        .unwrap();
+        let sizes = array_sizes(&nests[0]);
+        assert_eq!(sizes["A"], u64::MAX as i128);
+        assert_eq!(array_sizes(&nests[1])["B"], 64);
+        let prog = partition_program(&nests, 4);
+        assert_eq!(prog.strategy, ProgramStrategy::CommonGrid);
+        assert_eq!(prog.redistribution, 2 * u64::MAX as i128);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 use crate::tiles::{IterBox, Tiling};
 use crate::PlanError;
 use alp_footprint::CostModel;
-use alp_linalg::{IMat, IVec, Rat};
-use alp_loopir::{ArrayLayout, LoopNest};
+use alp_linalg::{IMat, Rat};
+use alp_loopir::{ArrayLayout, ElementForm, LayoutOverflow, LoopNest};
 
 /// The feature vector the hybrid cost model scores one candidate
 /// processor grid by.
@@ -28,8 +28,8 @@ pub struct GridFeatures {
     /// Worst-tile address envelope in cache lines: per referenced
     /// array, the span from the lowest to the highest line any
     /// reference touches anywhere in the tile, summed over arrays.
-    /// Affine subscripts reach their extremes at tile-box corners, so
-    /// the envelope is exact from `2^depth` corner evaluations.
+    /// Exact: each reference's [`ElementForm`] is affine, so its range
+    /// over the tile box is taken coefficient by coefficient.
     pub span_lines: i128,
     /// Worst-tile iterations per repetition.
     pub iters: i128,
@@ -38,60 +38,33 @@ pub struct GridFeatures {
 }
 
 /// The address envelope (in lines) of one tile box: for each array, the
-/// min and max row-major address any reference evaluates to at any
-/// corner of the box, widened to whole lines and summed over arrays.
+/// min and max row-major address — counted from the array's own first
+/// element — any of its references' forms takes over the box, widened
+/// to whole lines and summed over arrays.
 ///
-/// With `v = U⁻¹` the box lives in the transformed `j = i·U` space and
-/// its corners are mapped back through `v` before evaluating the
-/// references, so the envelope is taken over the pre-image
-/// parallelepiped.  Affine subscripts composed with a linear map are
-/// still affine in `j`, so corner evaluation stays exact for the
-/// unclipped box (a sound over-approximation of the clipped tile) —
-/// whose corners may fall outside the arrays, hence signed addresses
-/// from the layout's strides rather than [`ArrayLayout::line`].
+/// The forms are [`ArrayLayout::form`]s, composed with `V = U⁻¹` when
+/// the box lives in the transformed `j = i·U` space, so the envelope is
+/// taken over the pre-image parallelepiped.  A form's range over a box
+/// is exact for the unclipped box (a sound over-approximation of the
+/// clipped tile) — whose corners may fall outside the arrays, hence
+/// signed addresses rather than [`ArrayLayout::line`].  `None` when an
+/// address does not fit `i128`.
 fn span_lines(
-    nest: &LoopNest,
-    layout: &ArrayLayout,
+    forms: &[(usize, i128, ElementForm)],
+    arrays: usize,
     tile: &IterBox,
-    v: Option<&IMat>,
     line_size: u64,
-) -> i128 {
-    let depth = tile.lo.len();
+) -> Option<i128> {
     let line = line_size.max(1) as i128;
-    let mut envelope: Vec<Option<(i128, i128)>> = vec![None; layout.array_count()];
-    for mask in 0u32..(1u32 << depth) {
-        let at = |k: usize| {
-            i128::from(if mask & (1 << k) != 0 {
-                tile.hi[k]
-            } else {
-                tile.lo[k]
-            })
-        };
-        let corner = IVec(match v {
-            None => (0..depth).map(at).collect(),
-            Some(v) => (0..depth)
-                .map(|d| (0..depth).map(|k| at(k) * v[(k, d)]).sum())
-                .collect(),
-        });
-        for r in nest.all_refs() {
-            let Some(id) = layout.array_id(&r.array) else {
-                continue;
-            };
-            let subs = r.eval(&corner);
-            let addr: i128 = (subs.0.iter())
-                .zip(layout.extents(id))
-                .zip(layout.strides(id))
-                .map(|((&s, &(lo, _)), &st)| (s - lo) * i128::from(st))
-                .sum();
-            let (mn, mx) = envelope[id].unwrap_or((addr, addr));
-            envelope[id] = Some((mn.min(addr), mx.max(addr)));
-        }
+    let mut envelope: Vec<Option<(i128, i128)>> = vec![None; arrays];
+    for (id, base, form) in forms {
+        let (lo, hi) = form.range(tile.bounds())?;
+        let (lo, hi) = (lo - base, hi - base);
+        let (mn, mx) = envelope[*id].unwrap_or((lo, hi));
+        envelope[*id] = Some((mn.min(lo), mx.max(hi)));
     }
-    envelope
-        .iter()
-        .flatten()
-        .map(|&(mn, mx)| mx / line - mn / line + 1)
-        .sum()
+    let spans = envelope.iter().flatten();
+    Some(spans.map(|&(mn, mx)| mx / line - mn / line + 1).sum())
 }
 
 /// Per-tile `(span, iters)` labels for every tile of one tiling, indexed
@@ -107,12 +80,20 @@ pub fn per_tile_features(
     line_size: u64,
 ) -> Result<Vec<Option<(i128, i128)>>, PlanError> {
     let lay = ArrayLayout::from_nest(nest)?;
-    Ok((tiling.boxes().iter().enumerate())
-        .map(|(t, bx)| {
-            let points = tiling.points(t);
-            (points > 0).then(|| (span_lines(nest, &lay, bx, v, line_size), points.into()))
+    let forms = (nest.all_refs().into_iter())
+        .map(|r| {
+            let id = lay.array_id(&r.array).expect("laid out from this nest");
+            Ok((id, lay.base(id).into(), lay.form(r, v)?))
         })
-        .collect())
+        .collect::<Result<Vec<_>, LayoutOverflow>>()?;
+    (tiling.boxes().iter().enumerate())
+        .map(|(t, bx)| match tiling.points(t) {
+            0 => Ok(None),
+            points => span_lines(&forms, lay.array_count(), bx, line_size)
+                .map(|span| Some((span, points.into())))
+                .ok_or_else(|| PlanError::Infeasible("tile addresses overflow i128".into())),
+        })
+        .collect()
 }
 
 /// Hybrid-cost features of one candidate tiling, rectangular or skewed:
@@ -259,6 +240,57 @@ mod tests {
         let v = Some(skewed.transform.v());
         let f = features(&nest, &tiling, v, &skewed.grid, Rat::ZERO, 1).unwrap();
         assert_eq!(f.span_lines, 264_845);
+    }
+
+    /// The enumeration `span_lines` used to run: every reference
+    /// interpreted at all `2^depth` corners of the box (mapped back
+    /// through `v`), array-relative, min and max per array.
+    fn span_by_corners(nest: &LoopNest, tile: &IterBox, v: Option<&IMat>, line: i128) -> i128 {
+        let (lay, depth) = (ArrayLayout::from_nest(nest).unwrap(), tile.lo.len());
+        let mut envelope = vec![None; lay.array_count()];
+        for mask in 0u32..(1 << depth) {
+            let at = |k: usize| i128::from([tile.lo[k], tile.hi[k]][(mask >> k & 1) as usize]);
+            let j = alp_linalg::IVec((0..depth).map(at).collect());
+            let corner = v.map_or(j.clone(), |v| v.apply_row(&j).unwrap());
+            for r in nest.all_refs() {
+                let id = lay.array_id(&r.array).unwrap();
+                // Row-major by hand: strides are the suffix products of
+                // the extents' widths.
+                let mut addr = 0i128;
+                for (&x, &(lo, hi)) in r.eval(&corner).0.iter().zip(lay.extents(id)) {
+                    addr = addr * (hi - lo + 1) + (x - lo);
+                }
+                let (mn, mx) = envelope[id].unwrap_or((addr, addr));
+                envelope[id] = Some((mn.min(addr), mx.max(addr)));
+            }
+        }
+        let spans = envelope.iter().flatten();
+        spans
+            .map(|&(mn, mx): &(i128, i128)| mx / line - mn / line + 1)
+            .sum()
+    }
+
+    #[test]
+    fn span_is_the_envelope_of_the_box_corners() {
+        let nest = example2();
+        let config = alp_partition::ParaSearchConfig::default();
+        let skewed = crate::skewed_candidates(&nest, 16, &config).unwrap();
+        let rect = [vec![4, 4], vec![1, 16], vec![3, 5]].map(|g| (None, g));
+        let skew = skewed
+            .iter()
+            .take(3)
+            .map(|c| (Some(&c.transform), c.grid.clone()));
+        for (transform, grid) in rect.into_iter().chain(skew) {
+            let tiling = Tiling::new(&nest, transform, &grid).unwrap();
+            let v = transform.map(crate::Transform::v);
+            for line in [1u64, 8] {
+                let per = per_tile_features(&nest, &tiling, v, line).unwrap();
+                for (bx, f) in tiling.boxes().iter().zip(per) {
+                    let Some((span, _)) = f else { continue };
+                    assert_eq!(span, span_by_corners(&nest, bx, v, line.into()), "{grid:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,11 @@ pub struct IterBox {
 }
 
 impl IterBox {
+    /// The box as inclusive `(lo, hi)` pairs per dimension, in `i128`.
+    pub fn bounds(&self) -> impl Iterator<Item = (i128, i128)> + '_ {
+        (self.lo.iter().zip(&self.hi)).map(|(&l, &h)| (l.into(), h.into()))
+    }
+
     /// Number of iterations in the box (0 when empty).
     pub fn volume(&self) -> u64 {
         self.lo
@@ -167,7 +172,7 @@ impl Tiling {
         }
         let domain = transform.map(|t| t.domain(nest)).transpose()?;
         let bounds: Vec<(i128, i128)> = match &domain {
-            None => nest.loops.iter().map(|l| (l.lower, l.upper)).collect(),
+            None => nest.bounds().collect(),
             Some(d) => (d.jlo().iter().zip(d.jhi()))
                 .map(|(&lo, &hi)| (i128::from(lo), i128::from(hi)))
                 .collect(),

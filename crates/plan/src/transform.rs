@@ -28,7 +28,7 @@ use crate::plan::feasible;
 use crate::tiles::IterBox;
 use crate::PlanError;
 use alp_linalg::IMat;
-use alp_loopir::LoopNest;
+use alp_loopir::{AffineExpr, LoopNest};
 use alp_partition::{para_candidates, ParaSearchConfig};
 
 /// A unimodular change of loop basis, bound to the structural
@@ -136,21 +136,14 @@ impl Transform {
                 nest.depth()
             )));
         }
-        let lo: Vec<i128> = nest.loops.iter().map(|l| l.lower).collect();
-        let hi: Vec<i128> = nest.loops.iter().map(|l| l.upper).collect();
-        // Interval arithmetic over `j_k = Σ_d i_d·U[d][k]`: each term's
-        // range is the min/max of the two corner products.
+        let (lo, hi): (Vec<i128>, Vec<i128>) = nest.bounds().unzip();
+        // `j_k = Σ_d i_d·U[d][k]` is affine in `ī`: its exact range over
+        // the loop-bound box.
         let mut jlo = Vec::with_capacity(n);
         let mut jhi = Vec::with_capacity(n);
         for k in 0..n {
-            let mut min = 0i128;
-            let mut max = 0i128;
-            for d in 0..n {
-                let a = lo[d] * self.u[(d, k)];
-                let b = hi[d] * self.u[(d, k)];
-                min += a.min(b);
-                max += a.max(b);
-            }
+            let (min, max) = (AffineExpr::new(self.u.col(k).0, 0).range(nest.bounds()))
+                .ok_or_else(|| PlanError::Transform("transformed bound overflows i128".into()))?;
             jlo.push(to_i64(min, "transformed bound")?);
             jhi.push(to_i64(max, "transformed bound")?);
         }
@@ -553,6 +546,22 @@ mod tests {
         });
         assert!(!done);
         assert_eq!(visited, 2);
+    }
+
+    #[test]
+    fn a_transformed_bound_that_overflows_is_refused() {
+        // j1 = 2^100·i + j: past i64 for i ≤ 1024, past i128 for
+        // i ≤ 2^62 — an error either way, never a wrapped box.
+        for (hi, what) in [("1024", "overflows i64"), ("4611686018427387904", "i128")] {
+            let src = format!("doall (i, 0, {hi}) {{ doall (j, 0, 3) {{ A[i,j] = A[i,j]; }} }}");
+            let nest = parse(&src).unwrap();
+            let u = IMat::from_rows(&[&[1, 1 << 100], &[0, 1]]);
+            let t = Transform::new(u, fingerprint_hex(&nest)).unwrap();
+            match t.domain(&nest) {
+                Err(PlanError::Transform(m)) => assert!(m.contains(what), "{m}"),
+                other => panic!("{hi}: {other:?}"),
+            }
+        }
     }
 
     #[test]

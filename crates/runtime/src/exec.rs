@@ -666,7 +666,7 @@ impl Executor {
         for _rep in 0..self.repetitions {
             for pt in self.nest.iteration_points() {
                 for st in &stmts {
-                    let lhs = self.line_of(st.stmt, &pt);
+                    let lhs = self.line_of_ref(&st.stmt.lhs, &pt);
                     match st.mode {
                         RefMode::Accumulate => {
                             let mut delta = 0.0;
@@ -720,15 +720,9 @@ impl Executor {
         })
     }
 
-    fn line_of(&self, st: &alp_loopir::Statement, pt: &IVec) -> usize {
+    fn line_of_ref(&self, r: &alp_loopir::ArrayRef, pt: &IVec) -> usize {
         // Unreachable expect: the layout was built from this same nest,
         // so every array the body names has an id.
-        let id = self.layout.array_id(&st.lhs.array).expect("known array");
-        self.layout.line(id, &st.lhs.eval(pt)) as usize
-    }
-
-    fn line_of_ref(&self, r: &alp_loopir::ArrayRef, pt: &IVec) -> usize {
-        // Unreachable expect: same invariant as `line_of`.
         let id = self.layout.array_id(&r.array).expect("known array");
         self.layout.line(id, &r.eval(pt)) as usize
     }
@@ -895,7 +889,9 @@ impl<'a> WorkerState<'a> {
                 let n = ((hi - x) as u64 + 1).min(until_poll);
                 let end = x + (n - 1) as i64;
                 if let Some(sc) = scratch.as_deref_mut() {
-                    kernel.for_each_row_access(j, x, end, |e| sc.insert(e));
+                    kernel
+                        .touches
+                        .for_each(j, x, end, |e, _| sc.insert(e as usize));
                 }
                 kernel.execute_row::<RELAXED>(j, x, end, store);
                 until_poll -= n;

@@ -1,13 +1,13 @@
 //! Lowering loop-nest statements into executable row kernels.
 //!
-//! Every affine reference `A[Gī + ā]` combined with the array layout's
-//! base/strides folds into a single linear form over the *parallel*
-//! iteration vector: `element(ī) = c·ī + c₀` (subscripts range over
-//! parallel indices only — outer `doseq` loops just repeat the doall).
-//! A tile executes as innermost rows: one dot product per reference at
-//! the start of a row, then each element id advances by the
-//! reference's innermost coefficient, so an iteration costs one add
-//! per reference plus the f64 arithmetic.
+//! Every affine reference `A[Gī + ā]` meets the array layout in
+//! [`ArrayLayout::form`], which folds it into one linear form over the
+//! *parallel* iteration vector, `element(ī) = c·ī + c₀`
+//! ([`ElementForm`], shared with the simulator and the planner).  A
+//! tile executes as innermost rows: one dot product per reference at
+//! the start of a row, then each element id advances by the form's
+//! innermost step, so an iteration costs one add per reference plus
+//! the f64 arithmetic.
 //!
 //! A row's `(element, step)` cursors sit in an array as long as the
 //! statement has sources, which the optimizer keeps in registers: one
@@ -24,55 +24,9 @@
 use crate::store::StoreMode;
 use crate::{ArrayStore, RuntimeError};
 use alp_linalg::IMat;
-use alp_loopir::{AccessKind, ArrayRef, LoopNest};
+use alp_loopir::{AccessKind, AccessStream, ArrayRef, ElementForm, LoopNest};
 use alp_machine::ArrayLayout;
 use std::cell::RefCell;
-
-/// A reference lowered to one linear form over the iteration vector.
-#[derive(Debug, Clone)]
-pub struct LinRef {
-    /// Coefficient per parallel loop index.
-    coeffs: Vec<i64>,
-    /// Constant term (absorbs the array base and extent lower bounds).
-    constant: i64,
-}
-
-impl LinRef {
-    /// Element id (signed) at the row point `(j[..last], x)` — the last
-    /// coordinate is taken from `x`, not from `j`.
-    #[inline]
-    fn row_start(&self, j: &[i64], x: i64) -> i64 {
-        let last = self.coeffs.len() - 1;
-        let mut e = self.constant + self.coeffs[last] * x;
-        for (c, y) in self.coeffs[..last].iter().zip(j) {
-            e += c * y;
-        }
-        e
-    }
-
-    /// Rewrite the linear form from original coordinates `ī` to
-    /// transformed coordinates `j̄ = ī·U`: with `V = U⁻¹` and row-vector
-    /// convention `ī = j̄·V`, the coefficient on `j_k` becomes
-    /// `Σ_d V[k][d]·c_d`.  The constant term is unchanged.
-    fn composed(&self, v: &IMat) -> Result<LinRef, RuntimeError> {
-        let n = self.coeffs.len();
-        debug_assert_eq!(v.rows(), n, "transform rank must match nest depth");
-        let mut coeffs = Vec::with_capacity(n);
-        for k in 0..n {
-            let mut c = 0i128;
-            for (d, &cd) in self.coeffs.iter().enumerate() {
-                c += v[(k, d)] * cd as i128;
-            }
-            coeffs.push(i64::try_from(c).map_err(|_| RuntimeError::Overflow {
-                array: String::from("<transformed kernel>"),
-            })?);
-        }
-        Ok(LinRef {
-            coeffs,
-            constant: self.constant,
-        })
-    }
-}
 
 /// One statement, classified for parallel execution.
 #[derive(Debug, Clone)]
@@ -81,17 +35,17 @@ pub enum CompiledStmt {
     /// other iteration touches `lhs`, so a relaxed store suffices.
     Assign {
         /// Destination element.
-        lhs: LinRef,
+        lhs: ElementForm,
         /// Source elements, summed.
-        sources: Vec<LinRef>,
+        sources: Vec<ElementForm>,
     },
     /// `lhs += Σ sources` — an Appendix-A accumulate.  The self-read is
     /// implicit in the atomic add, so `sources` excludes it.
     Accumulate {
         /// Destination element (atomically updated).
-        lhs: LinRef,
+        lhs: ElementForm,
         /// Source elements, summed into the delta.
-        sources: Vec<LinRef>,
+        sources: Vec<ElementForm>,
     },
 }
 
@@ -99,6 +53,10 @@ pub enum CompiledStmt {
 #[derive(Debug, Clone)]
 pub struct Kernel {
     stmts: Vec<CompiledStmt>,
+    /// What a row touches, for touch tracking: the stream the simulator
+    /// builds its traces from, in the kernel's coordinates, each
+    /// distinct form once (an accumulate's self-read is its lhs).
+    pub(crate) touches: AccessStream,
 }
 
 impl Kernel {
@@ -110,10 +68,9 @@ impl Kernel {
     /// atomic add.  An accumulate lhs with *no* self-read degenerates to
     /// a plain overwrite; more than one self-read is rejected.
     ///
-    /// With `v = U⁻¹` of a plan's transform, every linear form is then
-    /// rewritten into transformed coordinates `j̄ = ī·U` by composing
-    /// with `v` (`ī = j̄·V`).  The resulting kernel is executed with
-    /// *j-space* iteration vectors; element ids are identical to the
+    /// With `v = U⁻¹` of a plan's transform, every form is composed
+    /// with it (`ī = j̄·V`) and the kernel is executed with *j-space*
+    /// iteration vectors `j̄ = ī·U`; element ids are identical to the
     /// untransformed kernel's at the corresponding i-space point, so
     /// layouts, stores and touch tracking are unchanged.
     pub fn compile(
@@ -121,11 +78,19 @@ impl Kernel {
         layout: &ArrayLayout,
         v: Option<&IMat>,
     ) -> Result<Kernel, RuntimeError> {
+        let unknown = |r: &&ArrayRef| layout.array_id(&r.array).is_none();
+        if let Some(r) = nest.all_refs().into_iter().find(unknown) {
+            return Err(RuntimeError::UnknownArray(r.array.clone()));
+        }
+        let accesses = layout.accesses(nest, v)?;
+        let mut forms = accesses.refs().iter().map(|(form, _)| form.clone());
         let mut stmts = Vec::with_capacity(nest.body.len());
         for st in &nest.body {
-            let lhs = lower_ref(&st.lhs, layout)?;
+            // The stream issues a statement's rhs in order, then its lhs.
+            let rhs: Vec<ElementForm> = forms.by_ref().take(st.rhs.len()).collect();
+            let lhs = forms.next().expect("one form per reference");
             if st.lhs.kind == AccessKind::Accumulate {
-                let is_self = |r: &&ArrayRef| {
+                let is_self = |r: &ArrayRef| {
                     r.kind == AccessKind::Accumulate
                         && r.array == st.lhs.array
                         && r.subscripts == st.lhs.subscripts
@@ -135,16 +100,11 @@ impl Kernel {
                     0 => {
                         // No old-value read: sequential semantics are a
                         // plain overwrite.
-                        let sources = lower_refs(&st.rhs, layout)?;
-                        stmts.push(CompiledStmt::Assign { lhs, sources });
+                        stmts.push(CompiledStmt::Assign { lhs, sources: rhs });
                     }
                     1 => {
-                        let others: Vec<&ArrayRef> =
-                            st.rhs.iter().filter(|r| !is_self(r)).collect();
-                        let sources = others
-                            .iter()
-                            .map(|r| lower_ref(r, layout))
-                            .collect::<Result<_, _>>()?;
+                        let others = st.rhs.iter().zip(rhs).filter(|(r, _)| !is_self(r));
+                        let sources = others.map(|(_, form)| form).collect();
                         stmts.push(CompiledStmt::Accumulate { lhs, sources });
                     }
                     n => {
@@ -156,53 +116,18 @@ impl Kernel {
                     }
                 }
             } else {
-                let sources = lower_refs(&st.rhs, layout)?;
-                stmts.push(CompiledStmt::Assign { lhs, sources });
+                stmts.push(CompiledStmt::Assign { lhs, sources: rhs });
             }
         }
-        let Some(v) = v else {
-            return Ok(Kernel { stmts });
-        };
-        let map = |r: &LinRef| r.composed(v);
-        let stmts = stmts
-            .iter()
-            .map(|st| -> Result<CompiledStmt, RuntimeError> {
-                Ok(match st {
-                    CompiledStmt::Assign { lhs, sources } => CompiledStmt::Assign {
-                        lhs: map(lhs)?,
-                        sources: sources.iter().map(map).collect::<Result<_, _>>()?,
-                    },
-                    CompiledStmt::Accumulate { lhs, sources } => CompiledStmt::Accumulate {
-                        lhs: map(lhs)?,
-                        sources: sources.iter().map(map).collect::<Result<_, _>>()?,
-                    },
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(Kernel { stmts })
+        Ok(Kernel {
+            stmts,
+            touches: accesses.distinct(),
+        })
     }
 
     /// The compiled statements, in source order.
     pub fn stmts(&self) -> &[CompiledStmt] {
         &self.stmts
-    }
-
-    /// Element ids touched by the row `(j[..last], x)`, `x` in
-    /// `lo..=hi`.  Used by touch tracking; visits point by point in the
-    /// simulator's access order (rhs first, then the lhs write).  Every
-    /// id is a fresh dot product, so the counts it feeds are
-    /// independent of `execute_row`'s stride arithmetic.
-    pub fn for_each_row_access(&self, j: &[i64], lo: i64, hi: i64, mut f: impl FnMut(usize)) {
-        for x in lo..=hi {
-            for st in &self.stmts {
-                let (CompiledStmt::Assign { lhs, sources }
-                | CompiledStmt::Accumulate { lhs, sources }) = st;
-                for s in sources {
-                    f(s.row_start(j, x) as usize);
-                }
-                f(lhs.row_start(j, x) as usize);
-            }
-        }
     }
 
     /// Execute one contiguous row of iterations: the points
@@ -260,16 +185,15 @@ thread_local! {
 /// a row-invariant accumulate publishes once (see the module docs).
 #[inline(always)]
 fn sweep_row(
-    lhs: &LinRef,
-    sources: &[LinRef],
+    lhs: &ElementForm,
+    sources: &[ElementForm],
     j: &[i64],
     lo: i64,
     n: u64,
     store: &ArrayStore,
     mode: StoreMode,
 ) {
-    let last = lhs.coeffs.len() - 1;
-    let (mut dst, dst_step) = (lhs.row_start(j, lo), lhs.coeffs[last]);
+    let (mut dst, dst_step) = (lhs.row_start(j, lo), lhs.step());
     debug_assert!(dst >= 0, "element id must be non-negative");
     if dst_step != 0 || mode == StoreMode::Set {
         fold_sources(sources, j, lo, n, store, |v| {
@@ -293,14 +217,14 @@ fn sweep_row(
 /// widths listed, over the thread's `SPILL` slice.
 #[inline(always)]
 fn fold_sources(
-    sources: &[LinRef],
+    sources: &[ElementForm],
     j: &[i64],
     lo: i64,
     n: u64,
     store: &ArrayStore,
     each: impl FnMut(f64),
 ) {
-    let cursor = |s: &LinRef| (s.row_start(j, lo), s.coeffs[s.coeffs.len() - 1]);
+    let cursor = |s: &ElementForm| (s.row_start(j, lo), s.step());
     macro_rules! widths {
         ($($w:literal)*) => {
             match sources.len() {
@@ -334,68 +258,10 @@ fn fold_row(mut at: impl AsMut<[Cursor]>, n: u64, store: &ArrayStore, mut each: 
     }
 }
 
-fn lower_refs(refs: &[ArrayRef], layout: &ArrayLayout) -> Result<Vec<LinRef>, RuntimeError> {
-    refs.iter().map(|r| lower_ref(r, layout)).collect()
-}
-
-/// Fold a reference's subscripts through the layout's strides:
-/// `element(ī) = base + Σ_d stride_d · (sub_d(ī) − lo_d)`.
-fn lower_ref(r: &ArrayRef, layout: &ArrayLayout) -> Result<LinRef, RuntimeError> {
-    let id = layout
-        .array_id(&r.array)
-        .ok_or_else(|| RuntimeError::UnknownArray(r.array.clone()))?;
-    let strides = layout.strides(id);
-    let extents = layout.extents(id);
-    let depth = r.subscripts.first().map_or(0, |s| s.coeffs.len());
-
-    let mut coeffs = vec![0i128; depth];
-    let mut constant = layout.base(id) as i128;
-    for (d, sub) in r.subscripts.iter().enumerate() {
-        let stride = strides[d] as i128;
-        for (k, &c) in sub.coeffs.iter().enumerate() {
-            coeffs[k] += stride * c;
-        }
-        constant += stride * (sub.constant - extents[d].0);
-    }
-
-    let narrow = |v: i128| -> Result<i64, RuntimeError> {
-        i64::try_from(v).map_err(|_| RuntimeError::Overflow {
-            array: r.array.clone(),
-        })
-    };
-    Ok(LinRef {
-        coeffs: coeffs.into_iter().map(narrow).collect::<Result<_, _>>()?,
-        constant: narrow(constant)?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use alp_loopir::parse;
-
-    #[test]
-    fn linref_matches_layout_line() {
-        // Every compiled element id must equal the interpreted
-        // layout.line(eval(i)) on every iteration.
-        let nest = parse(
-            "doall (i, 2, 5) { doall (j, -1, 3) {
-               A[2*i, i+2*j-1] = B[j+6, i] + A[2*i, i+2*j-1];
-             } }",
-        )
-        .unwrap();
-        let layout = ArrayLayout::from_nest(&nest).unwrap();
-        let refs = nest.all_refs();
-        for r in &refs {
-            let lin = lower_ref(r, &layout).unwrap();
-            let id = layout.array_id(&r.array).unwrap();
-            for pt in nest.iteration_points() {
-                let i: Vec<i64> = pt.0.iter().map(|&x| x as i64).collect();
-                let start = lin.row_start(&i, i[i.len() - 1]);
-                assert_eq!(start as u64, layout.line(id, &r.eval(&pt)));
-            }
-        }
-    }
 
     #[test]
     fn nine_source_stencil_matches_reference() {
@@ -442,6 +308,37 @@ mod tests {
         assert_eq!(store.get(at("S", 0)).to_bits(), fold.to_bits());
         // The data does discriminate: summing the row first differs.
         assert_ne!(fold.to_bits(), (init[at("S", 0)] + delta).to_bits());
+    }
+
+    #[test]
+    fn touch_stream_issues_an_accumulates_destination_once() {
+        // The simulator's stream has the self-read (a write-like access
+        // of its own); the tracker's does not — `C[i,j]` is the element
+        // the lhs inserts anyway.
+        let nest = parse(
+            "doall (i, 0, 3) { doall (j, 0, 3) { doall (k, 0, 3) {
+               l$C[i,j] = l$C[i,j] + A[i,k] + B[k,j];
+             } } }",
+        )
+        .unwrap();
+        let layout = ArrayLayout::from_nest(&nest).unwrap();
+        let kernel = Kernel::compile(&nest, &layout, None).unwrap();
+        assert_eq!(layout.accesses(&nest, None).unwrap().refs().len(), 4);
+        assert_eq!(kernel.touches.refs().len(), 3);
+        let CompiledStmt::Accumulate { lhs, sources } = &kernel.stmts()[0] else {
+            panic!("an accumulate");
+        };
+        let tracked: Vec<&ElementForm> = kernel.touches.refs().iter().map(|(f, _)| f).collect();
+        assert_eq!(tracked, [lhs, &sources[0], &sources[1]]);
+    }
+
+    #[test]
+    fn a_layout_that_lacks_an_array_is_refused() {
+        let nest = parse("doall (i, 0, 3) { A[i] = B[i]; }").unwrap();
+        let other = parse("doall (i, 0, 3) { A[i] = A[i]; }").unwrap();
+        let layout = ArrayLayout::from_nest(&other).unwrap();
+        let err = Kernel::compile(&nest, &layout, None).unwrap_err();
+        assert!(matches!(err, RuntimeError::UnknownArray(a) if a == "B"));
     }
 
     #[test]

@@ -349,6 +349,61 @@ fn run_refuses_nests_beyond_u64_with_alp0005() {
 }
 
 #[test]
+fn extents_beyond_i128_are_refused_like_arrays_beyond_u64() {
+    // `coefficient × bound` past i128 (2^126·4, 10^20·10^20): the extent
+    // used to panic the debug profile and wrap in release — `A` laid out
+    // as one element, `store_bytes` 48, `--simulate` dead on an
+    // out-of-extent assert.  Now both are the layout overflow the
+    // 2^32 × 2^32 nests already are, in every command.
+    for (bounds, coeff, simulate_code) in [
+        ("0, 4", "85070591730234615865843651857942052864", "ALP0004"),
+        // This one's loop bound alone does not fit `i64`, which lowering
+        // reports about the grid before `--simulate` asks for a layout.
+        (
+            "0, 100000000000000000000",
+            "100000000000000000000",
+            "ALP0006",
+        ),
+    ] {
+        let nest = format!("doall (i, {bounds}) {{ A[{coeff}*i] = B[i]; }}");
+        let (stdout, stderr, code) = run_cli(&["plan", "-p", "4", "-"], Some(&nest));
+        assert_eq!(code, Some(0), "{nest}: {stderr}");
+        assert!(
+            stdout.contains("\"store_bytes\": 18446744073709551615,"),
+            "{nest}: {stdout}"
+        );
+        let budget = ["--timeout-ms", "2000", "--max-store-bytes", "1000000"];
+        let run = [&["run", "-p", "4"][..], &budget, &["-"]].concat();
+        for (args, want) in [
+            (&run[..], "ALP0005"),
+            (&["-p", "4", "--simulate", "-"], simulate_code),
+        ] {
+            let (_, stderr, code) = run_cli(args, Some(&nest));
+            assert_eq!(code, Some(1), "{nest} {args:?}: {stderr}");
+            assert!(
+                stderr.contains(&format!("error[{want}]")),
+                "{nest} {args:?}: {stderr}"
+            );
+            assert!(!stderr.contains("panicked"), "{nest} {args:?}: {stderr}");
+        }
+    }
+    // A two-phase program whose phases prefer different grids sizes the
+    // shared arrays for the redistribution cost: an array that cannot be
+    // sized counts as the largest a layout holds, 2^64 − 1 elements.
+    let program = "doall (i, 0, 7) { doall (j, 0, 7) {
+           A[85070591730234615865843651857942052864*i, j] = B[i, j]; } }
+         doall (i, 0, 7) { doall (j, 0, 7) {
+           B[i, j] = A[i, j] + A[i, j+1] + A[i, j+2] + A[i, j+3]; } }";
+    let (stdout, stderr, code) = run_cli(&["-p", "4", "-"], Some(program));
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        stdout.contains("redistribution 36893488147419103230)"),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn run_over_budget_exits_8_with_alp0009() {
     let (_, stderr, code) = run_cli(
         &["run", "-p", "4", "--max-store-bytes", "10", "-"],
