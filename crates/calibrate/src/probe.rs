@@ -99,9 +99,9 @@ pub fn probe_nest(
 /// labeled with the tiling's span/iteration features.
 ///
 /// Samples of rectangular and skewed tilings are comparable because
-/// every tile executes as rows on the same `Kernel::execute_row` loop,
-/// so `busy_ns` per iteration differs between the classes only through
-/// the lines a tile touches.
+/// every tile executes as rows of the nest's own space through the same
+/// kernel, so `busy_ns` per iteration differs between the classes only
+/// through the lines a tile touches.
 fn probe(
     nest: &LoopNest,
     tilings: &[(Option<&Transform>, &[i128])],

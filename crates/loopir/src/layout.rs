@@ -241,6 +241,12 @@ impl ElementForm {
         self.coeffs[self.coeffs.len() - 1]
     }
 
+    /// What one step along index `d` adds to the element id.
+    #[inline]
+    pub fn coeff(&self, d: usize) -> i64 {
+        self.coeffs[d]
+    }
+
     /// Exact `[min, max]` of the (signed) element id over the inclusive
     /// box `bx`, one `(lo, hi)` per index — whose corners may lie outside
     /// the arrays, as a skewed tile's do.  `None` past `i128`.

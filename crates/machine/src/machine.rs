@@ -425,12 +425,12 @@ fn simulate(
 ///
 /// The nest is reconstructed from the plan's embedded source (with its
 /// fingerprint re-verified) and each processor's trace comes from
-/// walking its tile of the plan's [`alp_plan::Tiling`] row by row — for
-/// a skewed plan, the clipped `j`-space rows under forms composed with
-/// `U⁻¹` — so the simulated machine executes exactly the tiles, in
-/// exactly the order, the native runtime and the generated code would.
-/// `config.processors` is overridden to the plan's tile count; the
-/// plan's mesh is used unless `config` already sets one.
+/// walking its tile of the plan's [`alp_plan::Tiling`] row by row under
+/// the nest's own forms.  That walk runs in the nest's own coordinates
+/// and order for a skewed plan too, so the simulated machine executes
+/// exactly the tiles, in exactly the order, the native runtime and the
+/// generated code do.  `config.processors` is overridden to the plan's
+/// tile count; the plan's mesh is used unless `config` already sets one.
 pub fn run_plan(
     plan: &alp_plan::PartitionPlan,
     mut config: MachineConfig,
@@ -439,16 +439,15 @@ pub fn run_plan(
     let nest = plan.nest()?;
     let layout = ArrayLayout::from_nest(&nest)?;
     let tiling = plan.tiling(&nest)?;
-    let v = plan.transform.as_ref().map(alp_plan::Transform::v);
-    let accesses = layout.accesses(&nest, v)?;
+    let accesses = layout.accesses(&nest, None)?;
     config.processors = tiling.len();
     if config.mesh.is_none() {
         config.mesh = plan.mesh;
     }
     let trace = |t: usize| {
         let mut out = Vec::with_capacity(tiling.points(t) as usize * accesses.refs().len());
-        tiling.for_each_row(t, |j, lo, hi| {
-            accesses.for_each(j, lo, hi, |element, write| out.push((element, write)));
+        tiling.for_each_row(t, |i, lo, hi| {
+            accesses.for_each(i, lo, hi, |element, write| out.push((element, write)));
             true
         });
         out
@@ -473,10 +472,10 @@ mod tests {
 
     #[test]
     fn run_plan_is_run_nest_over_the_tilings_assignment() {
-        // The row walk under (composed) forms issues exactly the
-        // accesses, in exactly the order, that interpreting the tiling's
-        // explicit point lists does: Examples 2, 8 and 10 (a `doseq`
-        // around the last), rectangular, and the skewed Example-2 golden.
+        // The row walk issues exactly the accesses, in exactly the
+        // order, that interpreting the tiling's explicit point lists
+        // does: Examples 2, 8 and 10 (a `doseq` around the last),
+        // rectangular, and the skewed Example-2 golden.
         let build = |src: &str, p| {
             let legality = alp_plan::LegalityVerdict::Unchecked;
             alp_plan::PartitionPlan::build(&parse(src).unwrap(), p, None, legality).unwrap()

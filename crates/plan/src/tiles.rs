@@ -125,8 +125,10 @@ impl IterBox {
 ///
 /// The bounding box is the loop bounds themselves for a rectangular
 /// plan, whose boxes are then *exact*; for a plan with a [`Transform`]
-/// it is the bounding box of the transformed domain, and every walk
-/// clips a box against that domain row by row.
+/// it is the bounding box of the transformed domain, and a tile is the
+/// set of in-bounds `ī` whose image `ī·U` lies in its box.  Either way
+/// every walk — rows, points, counts — runs in the nest's own
+/// coordinates and order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tiling {
     boxes: Vec<IterBox>,
@@ -263,10 +265,10 @@ impl Tiling {
         }
     }
 
-    /// Visit tile `t` as innermost rows `(x[..last], lo..=hi)` in
-    /// row-major order, in the coordinates of [`boxes`](Tiling::boxes),
-    /// until `f` returns `false`; returns `false` when the walk was
-    /// stopped early.
+    /// Visit tile `t` as innermost rows `(i[..last], lo..=hi)` of the
+    /// nest's **own** iteration space, in lexicographic order — a skewed
+    /// tile too, whose box only decides which points it owns — until `f`
+    /// returns `false`; returns `false` when the walk was stopped early.
     pub fn for_each_row(&self, t: usize, f: impl FnMut(&mut [i64], i64, i64) -> bool) -> bool {
         match &self.domain {
             None => self.boxes[t].try_for_each_row(f),
@@ -274,12 +276,11 @@ impl Tiling {
         }
     }
 
-    /// Visit every iteration tile `t` owns, in row order, as a point of
-    /// the **original** iteration space.
-    pub fn for_each_point(&self, t: usize, mut f: impl FnMut(&[i64])) {
+    /// Visit every iteration tile `t` owns, in row order.
+    pub fn for_each_point(&self, t: usize, f: impl FnMut(&[i64])) {
         match &self.domain {
             None => self.boxes[t].for_each_point(f),
-            Some(d) => d.for_each_point(&self.boxes[t], |j| f(&d.to_i(j))),
+            Some(d) => d.for_each_point(&self.boxes[t], f),
         }
     }
 

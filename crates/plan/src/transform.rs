@@ -1,27 +1,22 @@
-//! Unimodular loop transforms: skewed parallelepiped tiles executed as
-//! rectangular tiles over a transformed iteration space.
+//! Unimodular loop transforms: skewed parallelepiped tiles cut as
+//! rectangular boxes of a transformed iteration space.
 //!
 //! The paper's hyperparallelepiped tiles `(H, γ, λ)` with `H ≠ I`
 //! (§3.7, Examples 2 and 10) are parallelograms in the original
-//! iteration space.  Rather than teach every downstream layer to clip
-//! and walk slanted boxes, we apply a **unimodular change of basis**:
+//! iteration space.  A **unimodular change of basis** makes them boxes:
 //! with row-vector convention `j = i·U` (and the exact integer inverse
 //! `i = j·V`, `V = U⁻¹`, which exists because `det U = ±1`), a tile
 //! whose edges are the scaled basis vectors `λ_k·B_k` becomes the
 //! axis-aligned box with extents `λ_k` in `j`-space when `U = B⁻¹`.
 //!
-//! The price of the rotation is that the *domain* — the image of the
-//! original rectangular bounds — is no longer rectangular: it is the
-//! polyhedron `{j : lo_d ≤ (j·V)_d ≤ hi_d}`.  [`TransformedDomain`]
-//! owns that polyhedron: its bounding box (which [`Tiling`](crate::Tiling)
-//! chunks exactly as it chunks the loop bounds of an untransformed
-//! plan), membership tests, exact row enumeration with
-//! per-row clipped trip bounds (each constraint resolves to an exact
-//! integer interval at the deepest `j`-level where it has a nonzero
-//! coefficient), and exact point counting.  Runtime execution and
-//! certificate re-proving both walk rows through this one enumerator,
-//! so "which transformed iterations does tile `t` own?" has exactly
-//! one answer.
+//! The transform decides which iterations a tile owns, not the order
+//! they run in.  The *domain* — the image of the original rectangular
+//! bounds — is the polyhedron `{j : lo_d ≤ (j·V)_d ≤ hi_d}`, and
+//! [`TransformedDomain`] owns it: its bounding box (which
+//! [`Tiling`](crate::Tiling) chunks exactly as it chunks the loop bounds
+//! of an untransformed plan), and the one walk of a box's share of it —
+//! exact rows of the nest's own iteration space, in its own
+//! lexicographic order — behind row execution, point lists and counts.
 
 use crate::fingerprint::fingerprint_hex;
 use crate::plan::feasible;
@@ -126,7 +121,10 @@ impl Transform {
         map_point(&self.v, j)
     }
 
-    /// The image of the nest's rectangular bounds in `j`-space.
+    /// The image of the nest's rectangular bounds in `j`-space, and the
+    /// walk that enumerates a `j`-box's share of it in original
+    /// coordinates.  Fails when a transformed bound, or any sum the walk
+    /// forms, does not fit `i64`.
     pub fn domain(&self, nest: &LoopNest) -> Result<TransformedDomain, PlanError> {
         let n = self.depth();
         if n != nest.depth() {
@@ -136,7 +134,6 @@ impl Transform {
                 nest.depth()
             )));
         }
-        let (lo, hi): (Vec<i128>, Vec<i128>) = nest.bounds().unzip();
         // `j_k = Σ_d i_d·U[d][k]` is affine in `ī`: its exact range over
         // the loop-bound box.
         let mut jlo = Vec::with_capacity(n);
@@ -147,23 +144,35 @@ impl Transform {
             jlo.push(to_i64(min, "transformed bound")?);
             jhi.push(to_i64(max, "transformed bound")?);
         }
-        // Each original-bound constraint pair is enforced at the deepest
-        // j-level with a nonzero coefficient; V is nonsingular, so every
-        // column has one.
-        let level = (0..n)
-            .map(|d| {
-                (0..n)
-                    .rfind(|&k| self.v[(k, d)] != 0)
-                    .expect("V is nonsingular")
-            })
-            .collect();
+        let (lo, hi): (Vec<i128>, Vec<i128>) = nest.bounds().unzip();
+        // Every sum the walk forms — a partial `Σ i_d·U[d][k]`, a box
+        // bound minus one — is at most twice `Σ_d max|i_d|·|U[d][k]|`
+        // in magnitude: bounding that once keeps the walk in `i64`.
+        for k in 0..n {
+            let reach = (0..n).try_fold(0i128, |acc, d| {
+                let i = lo[d].unsigned_abs().max(hi[d].unsigned_abs());
+                let term = i128::try_from(i)
+                    .ok()?
+                    .checked_mul(self.u[(d, k)].checked_abs()?)?;
+                acc.checked_add(term)
+            });
+            if reach.is_none_or(|r| r > i128::from(i64::MAX / 2)) {
+                return Err(PlanError::Transform(format!(
+                    "the walk over transformed dimension {k} overflows i64"
+                )));
+            }
+        }
+        let to_i64s = |xs: Vec<i128>, what| -> Result<Vec<i64>, PlanError> {
+            xs.into_iter().map(|x| to_i64(x, what)).collect()
+        };
+        let u = (0..n).flat_map(|d| self.u.row(d).0).collect();
         Ok(TransformedDomain {
+            u: to_i64s(u, "transform entry")?,
             v: self.v.clone(),
-            lo,
-            hi,
+            lo: to_i64s(lo, "loop bound")?,
+            hi: to_i64s(hi, "loop bound")?,
             jlo,
             jhi,
-            level,
         })
     }
 }
@@ -189,7 +198,7 @@ fn to_i64(v: i128, what: &str) -> Result<i64, PlanError> {
     i64::try_from(v).map_err(|_| PlanError::Transform(format!("{what} {v} overflows i64")))
 }
 
-fn div_floor(a: i128, b: i128) -> i128 {
+fn div_floor(a: i64, b: i64) -> i64 {
     let q = a / b;
     if a % b != 0 && (a < 0) != (b < 0) {
         q - 1
@@ -198,7 +207,7 @@ fn div_floor(a: i128, b: i128) -> i128 {
     }
 }
 
-fn div_ceil(a: i128, b: i128) -> i128 {
+fn div_ceil(a: i64, b: i64) -> i64 {
     let q = a / b;
     if a % b != 0 && (a < 0) == (b < 0) {
         q + 1
@@ -211,23 +220,37 @@ fn div_ceil(a: i128, b: i128) -> i128 {
 /// [`Transform`]: the polyhedron `{j : lo_d ≤ (j·V)_d ≤ hi_d ∀d}`,
 /// together with its axis-aligned bounding box in `j`-space.
 ///
-/// Row enumeration is **exact**: every constraint is applied as an
-/// integer interval at the deepest `j`-level where its `V` coefficient
-/// is nonzero (all deeper coefficients are zero there, so the partial
-/// sum is final and the division bound is tight).  At the innermost
-/// level all constraints are resolved, so each emitted row
-/// `(j₀,…,j_{n−2}, jlo..=jhi)` contains exactly the in-domain points —
-/// the executor's pointer-bump inner loop needs no per-point test.
+/// A `j`-box is walked in the nest's **own** coordinates: its share of
+/// the domain is the set of in-bounds `ī` whose image `ī·U` lies in the
+/// box, scanned as lexicographic rows of `ī` — the order the paper's
+/// parallelepiped code (and `emit_para_code`) scans a tile in.  A
+/// level's range is the loop bounds and the box's bounding box in `ī`,
+/// narrowed by each of the box's 2·l inequalities with the deeper
+/// indices relaxed to their range; at the innermost level nothing is
+/// relaxed, so each row `(i₀,…,i_{n−2}, lo..=hi)` is the exact integer
+/// interval the inequalities leave and holds exactly the tile's points.
+/// Every sum is `i64` (bounded once by [`Transform::domain`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransformedDomain {
+    /// `U` row-major: `j_k = Σ_d i_d·u[d·n + k]`.
+    u: Vec<i64>,
     v: IMat,
-    lo: Vec<i128>,
-    hi: Vec<i128>,
+    /// The nest's loop bounds.
+    lo: Vec<i64>,
+    hi: Vec<i64>,
     jlo: Vec<i64>,
     jhi: Vec<i64>,
-    /// For each original dimension `d`, the deepest level `k` with
-    /// `V[k][d] ≠ 0` — where the `d` bounds pair resolves exactly.
-    level: Vec<usize>,
+}
+
+/// One box's walk: its inequalities and, per level, what the indices
+/// below it can still contribute.
+struct BoxWalk {
+    blo: Vec<i64>,
+    bhi: Vec<i64>,
+    /// The box's bounding box in `ī`, within the loop bounds.
+    ibox: Vec<(i64, i64)>,
+    /// `rest[m·n + k]`: the range of `Σ_{d>m} i_d·U[d][k]` over `ibox`.
+    rest: Vec<(i64, i64)>,
 }
 
 impl TransformedDomain {
@@ -246,21 +269,10 @@ impl TransformedDomain {
         self.v.rows()
     }
 
-    /// True when `j` maps back inside the original bounds.
-    pub fn contains(&self, j: &[i64]) -> bool {
-        (0..self.v.cols()).all(|d| {
-            let s: i128 = j
-                .iter()
-                .enumerate()
-                .map(|(k, &jk)| jk as i128 * self.v[(k, d)])
-                .sum();
-            self.lo[d] <= s && s <= self.hi[d]
-        })
-    }
-
-    /// Visit every maximal in-domain row inside `bx` in row-major order.
-    /// `f` receives a scratch coordinate vector with the prefix
-    /// `j₀..j_{n−2}` filled in (the last entry is unspecified) and the
+    /// Visit the in-domain points whose image lies in the `j`-box `bx`
+    /// as maximal rows of the original iteration space, in lexicographic
+    /// order.  `f` receives a scratch point with the prefix
+    /// `i₀..i_{n−2}` filled in (the last entry is unspecified) and the
     /// inclusive innermost range `lo..=hi`; returning `false` stops the
     /// walk early.  Returns `true` when every row was visited.
     pub fn for_each_row(
@@ -270,73 +282,114 @@ impl TransformedDomain {
     ) -> bool {
         let n = self.depth();
         debug_assert_eq!(bx.lo.len(), n);
-        let mut j = vec![0i64; n];
-        self.walk(bx, 0, &mut j, &mut f)
+        // Points of the domain have `j` inside its bounding box, so the
+        // box's own bounds can be clipped to it.
+        let blo: Vec<i64> = (bx.lo.iter().zip(&self.jlo))
+            .map(|(&b, &j)| b.max(j))
+            .collect();
+        let bhi: Vec<i64> = (bx.hi.iter().zip(&self.jhi))
+            .map(|(&b, &j)| b.min(j))
+            .collect();
+        if blo.iter().zip(&bhi).any(|(l, h)| l > h) {
+            return true;
+        }
+        let jbox = || (blo.iter().zip(&bhi)).map(|(&l, &h)| (i128::from(l), i128::from(h)));
+        let mut ibox = Vec::with_capacity(n);
+        for d in 0..n {
+            // `i_d = Σ_k j_k·V[k][d]` over the box, within the loop
+            // bounds: narrowed only when nonempty, so inside them.
+            let (mut lo, mut hi) = (i128::from(self.lo[d]), i128::from(self.hi[d]));
+            if let Some((a, b)) = AffineExpr::new(self.v.col(d).0, 0).range(jbox()) {
+                (lo, hi) = (lo.max(a), hi.min(b));
+            }
+            if lo > hi {
+                return true;
+            }
+            ibox.push((lo as i64, hi as i64));
+        }
+        let mut rest = vec![(0, 0); n * n];
+        for k in 0..n {
+            let (mut min, mut max) = (0, 0);
+            for m in (0..n).rev() {
+                rest[m * n + k] = (min, max);
+                let c = self.u[m * n + k];
+                let (a, b) = (ibox[m].0 * c, ibox[m].1 * c);
+                (min, max) = (min + a.min(b), max + a.max(b));
+            }
+        }
+        let walk = BoxWalk {
+            blo,
+            bhi,
+            ibox,
+            rest,
+        };
+        // `sums[m·n + k]`: `Σ_{d<m} i_d·U[d][k]` for the current prefix.
+        let (mut i, mut sums) = (vec![0i64; n], vec![0i64; n * n]);
+        self.walk(&walk, 0, &mut i, &mut sums, &mut f)
     }
 
     fn walk<F: FnMut(&mut [i64], i64, i64) -> bool>(
         &self,
-        bx: &IterBox,
-        level: usize,
-        j: &mut Vec<i64>,
+        w: &BoxWalk,
+        m: usize,
+        i: &mut [i64],
+        sums: &mut [i64],
         f: &mut F,
     ) -> bool {
         let n = self.depth();
-        let mut lo = bx.lo[level] as i128;
-        let mut hi = bx.hi[level] as i128;
-        for d in 0..n {
-            if self.level[d] != level {
-                continue;
-            }
-            let c = self.v[(level, d)];
-            let s: i128 = (0..level).map(|k| j[k] as i128 * self.v[(k, d)]).sum();
-            let a = self.lo[d] - s;
-            let b = self.hi[d] - s;
-            let (l2, h2) = if c > 0 {
-                (div_ceil(a, c), div_floor(b, c))
-            } else {
-                (div_ceil(b, c), div_floor(a, c))
-            };
-            lo = lo.max(l2);
-            hi = hi.min(h2);
-        }
-        if lo > hi {
-            return true;
-        }
-        // Clipped within the box's i64 bounds, so the narrowing is safe.
-        let (lo, hi) = (lo as i64, hi as i64);
-        if level + 1 == n {
-            return f(j, lo, hi);
+        let (lo, hi) = self.level(w, m, &sums[m * n..(m + 1) * n]);
+        if m + 1 == n {
+            return lo > hi || f(i, lo, hi);
         }
         for x in lo..=hi {
-            j[level] = x;
-            if !self.walk(bx, level + 1, j, f) {
+            i[m] = x;
+            for k in 0..n {
+                sums[(m + 1) * n + k] = sums[m * n + k] + x * self.u[m * n + k];
+            }
+            if !self.walk(w, m + 1, i, sums, f) {
                 return false;
             }
         }
         true
     }
 
-    /// Map an in-domain `j` back to original coordinates (`i = j·V`).
-    pub(crate) fn to_i(&self, j: &[i64]) -> Vec<i64> {
-        // Unreachable expect: the point lies within the nest's bounds,
-        // which `Tiling::new` checked to fit `i64`.
-        map_point(&self.v, j).expect("in-domain point fits i64")
+    /// The range of `i_m` given the prefix sums `s`: every inequality
+    /// `blo_k ≤ s_k + U[m][k]·i_m + r ≤ bhi_k` must hold for some `r` the
+    /// deeper indices can still add (none at the innermost level, where
+    /// the range is exact).
+    #[inline]
+    fn level(&self, w: &BoxWalk, m: usize, s: &[i64]) -> (i64, i64) {
+        let n = self.depth();
+        let (mut lo, mut hi) = w.ibox[m];
+        for (k, &s) in s.iter().enumerate() {
+            let (rmin, rmax) = w.rest[m * n + k];
+            let (a, b) = (w.blo[k] - (s + rmax), w.bhi[k] - (s + rmin));
+            let c = self.u[m * n + k];
+            let (l, h) = match c.signum() {
+                0 if a > 0 || b < 0 => return (1, 0),
+                0 => continue,
+                1 => (div_ceil(a, c), div_floor(b, c)),
+                _ => (div_ceil(b, c), div_floor(a, c)),
+            };
+            (lo, hi) = (lo.max(l), hi.min(h));
+        }
+        (lo, hi)
     }
 
-    /// Visit every in-domain point inside `bx` in row-major order.
+    /// Visit every in-domain point of `bx` in row order, in original
+    /// coordinates.
     pub fn for_each_point(&self, bx: &IterBox, mut f: impl FnMut(&[i64])) {
-        self.for_each_row(bx, |j, lo, hi| {
-            let n = j.len();
+        self.for_each_row(bx, |i, lo, hi| {
+            let n = i.len();
             for x in lo..=hi {
-                j[n - 1] = x;
-                f(j);
+                i[n - 1] = x;
+                f(i);
             }
             true
         });
     }
 
-    /// Exact number of in-domain points inside `bx`.
+    /// Exact number of in-domain points of `bx`.
     pub fn count(&self, bx: &IterBox) -> i128 {
         let mut total: i128 = 0;
         self.for_each_row(bx, |_, lo, hi| {
@@ -478,34 +531,59 @@ mod tests {
         assert_eq!(p1[1] - p0[1], 0);
     }
 
-    /// The partition invariant for transformed tiles: exact disjoint
-    /// cover of the original space through the bijection.
+    /// The `j`-space walk the original-coordinate walk replaced, by its
+    /// definition: every `j` of the box whose pre-image `j·V` lies in the
+    /// loop bounds, mapped through `to_i`.
+    fn j_space_points(nest: &LoopNest, t: &Transform, bx: &IterBox) -> HashSet<Vec<i64>> {
+        let mut points = HashSet::new();
+        bx.for_each_point(|j| {
+            let i = t.to_i(j).expect("maps back");
+            let bounds = nest.loops.iter().zip(&i);
+            if bounds
+                .clone()
+                .all(|(l, &x)| (l.lower..=l.upper).contains(&x.into()))
+            {
+                points.insert(i);
+            }
+        });
+        points
+    }
+
+    /// The partition invariant for transformed tiles: each tile's walk
+    /// is exactly its `j`-box's pre-image, as lexicographic rows of the
+    /// original space, and the tiles cover that space disjointly.
     fn assert_transformed_cover(nest: &LoopNest, t: &Transform, grid: &[i128]) {
         let tiling = crate::Tiling::new(nest, Some(t), grid).unwrap();
-        let (tiles, domain) = (tiling.boxes(), t.domain(nest).unwrap());
-        assert_eq!(tiles.len() as i128, grid.iter().product::<i128>());
+        assert_eq!(tiling.len() as i128, grid.iter().product::<i128>());
         let mut seen: HashSet<Vec<i64>> = HashSet::new();
-        let mut count: i128 = 0;
-        for bx in tiles {
-            domain.for_each_point(bx, |j| {
-                assert!(domain.contains(j), "emitted point outside domain");
-                let i = t.to_i(j).expect("maps back");
-                for (d, l) in nest.loops.iter().enumerate() {
-                    assert!(
-                        (i[d] as i128) >= l.lower && (i[d] as i128) <= l.upper,
-                        "point {i:?} outside original bounds"
-                    );
+        for (tile, bx) in tiling.boxes().iter().enumerate() {
+            let (mut prefixes, mut points) = (Vec::new(), Vec::new());
+            tiling.for_each_row(tile, |i, lo, hi| {
+                assert!(lo <= hi, "an empty row is not emitted");
+                let last = i.len() - 1;
+                prefixes.push(i[..last].to_vec());
+                for x in lo..=hi {
+                    i[last] = x;
+                    points.push(i.to_vec());
                 }
-                assert!(seen.insert(i), "original point covered twice");
-                count += 1;
+                true
             });
-            assert_eq!(domain.count(bx), {
-                let mut c = 0i128;
-                domain.for_each_point(bx, |_| c += 1);
-                c
-            });
+            // One row per prefix, and points strictly increasing: rows
+            // in lexicographic order, no point twice.
+            assert!(prefixes.windows(2).all(|w| w[0] < w[1]), "{prefixes:?}");
+            assert!(points.windows(2).all(|w| w[0] < w[1]), "{points:?}");
+            let want = j_space_points(nest, t, bx);
+            assert_eq!(points.len(), want.len());
+            assert!(points.iter().all(|p| want.contains(p)));
+            assert_eq!(tiling.points(tile), want.len() as u64);
+            let mut walked = Vec::new();
+            tiling.for_each_point(tile, |i| walked.push(i.to_vec()));
+            assert_eq!(walked, points);
+            for p in points {
+                assert!(seen.insert(p), "original point covered twice");
+            }
         }
-        assert_eq!(count, nest.iteration_count(), "exact cover");
+        assert_eq!(seen.len() as i128, nest.iteration_count(), "exact cover");
     }
 
     #[test]
@@ -519,24 +597,33 @@ mod tests {
 
     #[test]
     fn row_enumeration_is_clipped_exactly() {
-        // A triangular j-space domain: U=[[1,1],[0,1]] on a small square.
+        // U=[[1,1],[0,1]] on a small square: j = (i, i+j).
         let nest = parse("doall (i, 0, 3) { doall (j, 0, 3) { A[i,j] = A[i,j]; } }").unwrap();
         let t = Transform::new(skew2(), fingerprint_hex(&nest)).unwrap();
         let domain = t.domain(&nest).unwrap();
-        // j0 = i ∈ [0,3]; j1 = i + j ∈ [0,6].
         assert_eq!(domain.jlo(), &[0, 0]);
         assert_eq!(domain.jhi(), &[3, 6]);
+        let rows = |bx: &IterBox| {
+            let mut rows = Vec::new();
+            domain.for_each_row(bx, |i, lo, hi| {
+                rows.push((i[0], lo, hi));
+                true
+            });
+            rows
+        };
+        // The box j1 = i + j ≤ 3 is the triangle below the antidiagonal,
+        // walked as rows of `j`: the clip follows the skew.
+        let lower = IterBox {
+            lo: vec![0, 0],
+            hi: vec![3, 3],
+        };
+        assert_eq!(rows(&lower), [(0, 0, 3), (1, 0, 2), (2, 0, 1), (3, 0, 0)]);
+        assert_eq!(domain.count(&lower), 10);
         let whole = IterBox {
             lo: domain.jlo().to_vec(),
             hi: domain.jhi().to_vec(),
         };
-        let mut rows = Vec::new();
-        domain.for_each_row(&whole, |j, lo, hi| {
-            rows.push((j[0], lo, hi));
-            true
-        });
-        // Row at j0 = x is j1 ∈ [x, x+3]: the clip follows the skew.
-        assert_eq!(rows, vec![(0, 0, 3), (1, 1, 4), (2, 2, 5), (3, 3, 6)]);
+        assert_eq!(rows(&whole), [(0, 0, 3), (1, 0, 3), (2, 0, 3), (3, 0, 3)]);
         assert_eq!(domain.count(&whole), nest.iteration_count());
         // Early stop propagates.
         let mut visited = 0;
@@ -562,6 +649,20 @@ mod tests {
                 other => panic!("{hi}: {other:?}"),
             }
         }
+        // j1 = i + j fits i64 up to i = 2^62, but a row bound is a box
+        // bound minus a partial sum: refused up front, not wrapped mid-walk.
+        let near = |hi: &str| {
+            let src = format!("doall (i, 0, {hi}) {{ doall (j, 0, 3) {{ A[i,j] = A[i,j]; }} }}");
+            let nest = parse(&src).unwrap();
+            Transform::new(skew2(), fingerprint_hex(&nest))
+                .unwrap()
+                .domain(&nest)
+        };
+        match near("4611686018427387904") {
+            Err(PlanError::Transform(m)) => assert!(m.contains("walk"), "{m}"),
+            other => panic!("{other:?}"),
+        }
+        assert!(near("1152921504606846976").is_ok());
     }
 
     #[test]
@@ -591,29 +692,47 @@ mod tests {
         assert_transformed_cover(&nest, &best.transform, &best.grid);
     }
 
+    /// A unimodular matrix: elementary row operations on the identity —
+    /// negate a row, swap two, or add a multiple of one to another.
+    fn unimodular(depth: usize, ops: &[(usize, usize, i128)]) -> IMat {
+        let mut m: Vec<Vec<i128>> = (0..depth).map(|k| IMat::identity(depth).row(k).0).collect();
+        for &(a, b, by) in ops {
+            let (a, b) = (a % depth, b % depth);
+            if a == b {
+                m[a].iter_mut().for_each(|x| *x = -*x);
+            } else if by == 0 {
+                m.swap(a, b);
+            } else {
+                let add = m[a].clone();
+                m[b].iter_mut().zip(add).for_each(|(x, y)| *x += by * y);
+            }
+        }
+        IMat::from_vec(depth, depth, m.concat())
+    }
+
     proptest! {
-        /// Random small unimodular transforms over random 2-D nests:
-        /// the transformed tiling is always an exact disjoint cover of
-        /// the original iteration space (bijectivity + exact clipping).
+        /// Random small unimodular transforms over random 2-D and 3-D
+        /// nests: each tile's walk is its `j`-box's pre-image (the
+        /// `j`-space walk's point set and count) as lexicographic rows of
+        /// the original space, and the tiles cover it exactly.
         #[test]
         fn random_transform_tiles_always_cover(
-            ni in 1i64..=7, nj in 1i64..=7,
-            o0 in -3i64..=3, o1 in -3i64..=3,
-            s in -2i128..=2, flip in proptest::bool::ANY,
-            gi in 1i128..=3, gj in 1i128..=3,
+            dims in (2usize..=3).prop_flat_map(|d| {
+                proptest::collection::vec((-3i64..=3, 1i64..=(if d == 2 { 7 } else { 4 }), 1i128..=3), d..=d)
+            }),
+            ops in proptest::collection::vec((0usize..3, 0usize..3, -2i128..=2), 0..=4),
         ) {
+            let names = ["i", "j", "k"];
+            let open: String = dims.iter().zip(names)
+                .map(|(&(lo, n, _), x)| format!("doall ({x}, {lo}, {}) {{ ", lo + n - 1))
+                .collect();
+            let subs = names[..dims.len()].join(", ");
             let nest = parse(&format!(
-                "doall (i, {}, {}) {{ doall (j, {}, {}) {{ A[i,j] = A[i,j]; }} }}",
-                o0, o0 + ni - 1, o1, o1 + nj - 1
+                "{open}A[{subs}] = A[{subs}]; {}", "} ".repeat(dims.len())
             )).unwrap();
-            // [[1,s],[0,1]] (optionally row-swapped) is always unimodular.
-            let u = if flip {
-                IMat::from_rows(&[&[0, 1], &[1, s]])
-            } else {
-                IMat::from_rows(&[&[1, s], &[0, 1]])
-            };
-            let t = Transform::new(u, fingerprint_hex(&nest)).unwrap();
-            assert_transformed_cover(&nest, &t, &[gi, gj]);
+            let t = Transform::new(unimodular(dims.len(), &ops), fingerprint_hex(&nest)).unwrap();
+            let grid: Vec<i128> = dims.iter().map(|d| d.2).collect();
+            assert_transformed_cover(&nest, &t, &grid);
         }
     }
 }

@@ -36,7 +36,7 @@
 //!   read-after-write nest would feed the second attempt its own
 //!   output).
 
-use crate::kernel::Kernel;
+use crate::kernel::{Kernel, JAM};
 use crate::report::{RunReport, Schedule, ThreadMetrics, TileMetrics};
 use crate::store::ArrayStore;
 use crate::sync::{CancelToken, CancellableBarrier};
@@ -253,8 +253,8 @@ pub struct Executor {
     nest: LoopNest,
     layout: ArrayLayout,
     kernel: Kernel,
-    /// Which rows each tile runs — in iteration space, or in `j`-space
-    /// for a transformed plan (whose kernel is composed with `U⁻¹`).
+    /// Which rows each tile runs, in the nest's own coordinates (a
+    /// transformed plan's boxes only decide which points a tile owns).
     tiling: Tiling,
     /// Exact iteration count per tile, precomputed at build time.
     points: Vec<u64>,
@@ -297,13 +297,12 @@ impl Executor {
     }
 
     /// Partition the *transformed* space `j = i·U` over a rectangular
-    /// grid: tiles are rectangular in `j`, clipped exactly against the
-    /// image of the nest's bounds, and the kernel's linear forms are
-    /// composed with `U⁻¹` so each `j`-point reads and writes exactly
-    /// the elements its pre-image `i`-point would.  The sequential
-    /// reference ([`Executor::run_reference`]) still interprets the nest
-    /// in original coordinates, so verification stays an independent
-    /// end-to-end differential check.
+    /// grid: tile `t` owns the in-bounds `ī` whose image `ī·U` lies in
+    /// its `j`-box, and runs them as rows of the nest's own iteration
+    /// space, in its own order, through the same uncomposed kernel as a
+    /// rectangular plan.  The sequential reference
+    /// ([`Executor::run_reference`]) interprets the nest directly, so
+    /// verification stays an independent end-to-end differential check.
     pub fn from_transformed(
         nest: &LoopNest,
         transform: &Transform,
@@ -327,7 +326,7 @@ impl Executor {
         grid: &[i128],
     ) -> Result<Executor, RuntimeError> {
         let layout = ArrayLayout::from_nest(nest)?;
-        let kernel = Kernel::compile(nest, &layout, transform.map(Transform::v))?;
+        let kernel = Kernel::compile(nest, &layout)?;
         let tiling = Tiling::new(nest, transform, grid)?;
         // The tiles partition the iteration space, so once its volume
         // fits `u64` (the bounds fit `i64`: the tiling checked) no tile's
@@ -875,40 +874,55 @@ impl<'a> WorkerState<'a> {
     /// (and touch tracking on) each cut's accesses are recorded in
     /// `scratch` right before the cut executes, so a tracked run is
     /// interrupted within the same interval as an untracked one.
+    ///
+    /// A [jamming](Kernel::jams) kernel's rows are held back until
+    /// [`JAM`] consecutive ones of one range can run together; a shorter
+    /// run of them — at a range change, a new prefix, or the tile's
+    /// end — runs row by row, in order.
     fn run_rows<const RELAXED: bool>(&mut self, tile: usize, track: bool) -> bool {
-        let (kernel, store, ctrl) = (&self.exec.kernel, self.store, self.ctrl);
-        let mut scratch = self.scratch.as_mut().filter(|_| track);
-        if let Some(sc) = scratch.as_deref_mut() {
+        let exec = self.exec;
+        let scratch = self.scratch.as_mut().filter(|_| track);
+        let mut cuts = Cuts {
+            kernel: &exec.kernel,
+            store: self.store,
+            ctrl: self.ctrl,
+            scratch,
+            until_poll: POLL_INTERVAL,
+            polls: 0,
+        };
+        if let Some(sc) = cuts.scratch.as_deref_mut() {
             sc.clear();
         }
-        let mut until_poll = POLL_INTERVAL;
-        let mut polls = 0u64;
-        let completed = self.exec.tiling.for_each_row(tile, |j, lo, hi| {
-            let mut x = lo;
-            loop {
-                let n = ((hi - x) as u64 + 1).min(until_poll);
-                let end = x + (n - 1) as i64;
-                if let Some(sc) = scratch.as_deref_mut() {
-                    kernel
-                        .touches
-                        .for_each(j, x, end, |e, _| sc.insert(e as usize));
-                }
-                kernel.execute_row::<RELAXED>(j, x, end, store);
-                until_poll -= n;
-                if until_poll == 0 {
-                    until_poll = POLL_INTERVAL;
-                    polls += 1;
-                    if !ctrl.keep_going(polls.is_multiple_of(DEADLINE_POLL_STRIDE)) {
-                        return false;
+        let completed = if !exec.kernel.jams() {
+            exec.tiling
+                .for_each_row(tile, |i, lo, hi| cuts.run::<RELAXED, 1>(i, lo, hi))
+        } else {
+            // `held` rows from `first` (stepping the next-outer index)
+            // over `range`, not yet run.
+            let depth = exec.nest.depth();
+            let across = depth - 2;
+            let (mut first, mut held, mut range) = (vec![0; depth], 0, (0, 0));
+            let walked = exec.tiling.for_each_row(tile, |i, lo, hi| {
+                let next = held > 0
+                    && (lo, hi) == range
+                    && i[..across] == first[..across]
+                    && i[across] == first[across] + held as i64;
+                if next {
+                    held += 1;
+                    if held < JAM {
+                        return true;
                     }
+                    held = 0;
+                    return cuts.run::<RELAXED, JAM>(&mut first, lo, hi);
                 }
-                if end == hi {
-                    return true;
-                }
-                x = end + 1;
-            }
-        });
-        self.polls += polls;
+                let ran = cuts.run_each::<RELAXED>(&mut first, held, range);
+                first.copy_from_slice(i);
+                (held, range) = (1, (lo, hi));
+                ran
+            });
+            walked && cuts.run_each::<RELAXED>(&mut first, held, range)
+        };
+        self.polls += cuts.polls;
         completed
     }
 
@@ -929,6 +943,87 @@ impl<'a> WorkerState<'a> {
             retries: self.retries,
             polls: self.polls,
         }
+    }
+}
+
+/// One tile attempt's poll cuts: rows — or [`JAM`] rows at once — are
+/// cut so that a cancellation poll fires once per [`POLL_INTERVAL`]
+/// points, counted across rows (a jammed cut rounds up to whole
+/// columns, so a poll may come up to `JAM − 1` points late).
+struct Cuts<'a> {
+    kernel: &'a Kernel,
+    store: &'a ArrayStore,
+    ctrl: &'a RunControl<'a>,
+    scratch: Option<&'a mut TouchSet>,
+    until_poll: u64,
+    polls: u64,
+}
+
+impl Cuts<'_> {
+    /// Run `ROWS` (1, or [`JAM`] through the jammed kernel) rows from
+    /// `i`, stepping its next-outer index, over `lo..=hi`.  Returns
+    /// `false` when a poll stops the tile.
+    fn run<const RELAXED: bool, const ROWS: usize>(
+        &mut self,
+        i: &mut [i64],
+        lo: i64,
+        hi: i64,
+    ) -> bool {
+        let mut x = lo;
+        loop {
+            let columns = ((hi - x) as u64 + 1).min(self.until_poll.div_ceil(ROWS as u64));
+            let end = x + (columns - 1) as i64;
+            if let Some(sc) = self.scratch.as_deref_mut() {
+                let touches = &self.kernel.touches;
+                if ROWS == 1 {
+                    touches.for_each(i, x, end, |e, _| sc.insert(e as usize));
+                } else {
+                    let across = i.len() - 2;
+                    let base = i[across];
+                    for r in 0..ROWS as i64 {
+                        i[across] = base + r;
+                        touches.for_each(i, x, end, |e, _| sc.insert(e as usize));
+                    }
+                    i[across] = base;
+                }
+            }
+            if ROWS == 1 {
+                self.kernel.execute_row::<RELAXED>(i, x, end, self.store);
+            } else {
+                self.kernel.execute_jammed::<RELAXED>(i, x, end, self.store);
+            }
+            self.until_poll = self.until_poll.saturating_sub(columns * ROWS as u64);
+            if self.until_poll == 0 {
+                self.until_poll = POLL_INTERVAL;
+                self.polls += 1;
+                if !self
+                    .ctrl
+                    .keep_going(self.polls.is_multiple_of(DEADLINE_POLL_STRIDE))
+                {
+                    return false;
+                }
+            }
+            if end == hi {
+                return true;
+            }
+            x = end + 1;
+        }
+    }
+
+    /// Run `rows` held rows from `first`, stepping its next-outer
+    /// index, one at a time, in order.
+    fn run_each<const RELAXED: bool>(
+        &mut self,
+        first: &mut [i64],
+        rows: usize,
+        (lo, hi): (i64, i64),
+    ) -> bool {
+        let across = first.len() - 2;
+        let base = first[across];
+        (0..rows as i64).all(|r| {
+            first[across] = base + r;
+            self.run::<RELAXED, 1>(first, lo, hi)
+        })
     }
 }
 
@@ -1097,28 +1192,52 @@ mod tests {
         // poll must already have folded its first POLL_INTERVAL points
         // into the cell: an interrupted tile leaves a prefix of its
         // iterations in the store, not a sum that was never written.
-        let nest = alp_loopir::parse("doall (i, 0, 1048575) { l$S[0] = l$S[0] + A[i]; }").unwrap();
-        let exec = Executor::from_grid(&nest, &[1]).unwrap();
-        let (ctrl, opts) = (stopped(), ExecOptions::default());
-        let (s, a) = (
-            exec.layout.array_id("S").unwrap(),
-            exec.layout.array_id("A").unwrap(),
-        );
-        let line = |id, i: i128| exec.layout.line(id, &IVec::new(&[i])) as usize;
-        for relaxed in [false, true] {
-            let store = exec.seeded_store(3);
-            let init = store.snapshot();
-            let mut w = WorkerState::new(&exec, &ctrl, &opts, &store, &[], 0);
-            let completed = if relaxed {
-                w.run_rows::<true>(0, true)
-            } else {
-                w.run_rows::<false>(0, true)
-            };
-            assert!(!completed);
-            assert_eq!(w.polls, 1);
-            let prefix: f64 = (0..POLL_INTERVAL as i128).map(|i| init[line(a, i)]).sum();
-            assert!(prefix > 0.0);
-            assert_eq!(store.get(line(s, 0)), init[line(s, 0)] + prefix);
+        // A jammed group counts its points across its JAM rows: each
+        // row's cell holds that row's first POLL_INTERVAL / JAM points.
+        for (src, grid, rows) in [
+            (
+                "doall (i, 0, 1048575) { l$S[0] = l$S[0] + A[i]; }",
+                &[1][..],
+                1,
+            ),
+            (
+                "doall (i, 0, 3) { doall (j, 0, 262143) { l$S[i] = l$S[i] + A[i,j]; } }",
+                &[1, 1][..],
+                JAM,
+            ),
+        ] {
+            let exec = Executor::from_grid(&alp_loopir::parse(src).unwrap(), grid).unwrap();
+            assert_eq!(exec.kernel.jams(), rows == JAM);
+            let (ctrl, opts) = (stopped(), ExecOptions::default());
+            let (s, a) = (
+                exec.layout.array_id("S").unwrap(),
+                exec.layout.array_id("A").unwrap(),
+            );
+            let line = |id, i: &[i128]| exec.layout.line(id, &IVec::new(i)) as usize;
+            for relaxed in [false, true] {
+                let store = exec.seeded_store(3);
+                let init = store.snapshot();
+                let mut w = WorkerState::new(&exec, &ctrl, &opts, &store, &[], 0);
+                let completed = if relaxed {
+                    w.run_rows::<true>(0, true)
+                } else {
+                    w.run_rows::<false>(0, true)
+                };
+                assert!(!completed);
+                assert_eq!(w.polls, 1);
+                // Row `r` folds `A[r, j]` (`A[j]`) into `S[r]`.
+                let points = (POLL_INTERVAL / rows as u64) as i128;
+                for r in 0..rows as i128 {
+                    let a_at = |j| match rows {
+                        1 => line(a, &[j]),
+                        _ => line(a, &[r, j]),
+                    };
+                    let prefix: f64 = (0..points).map(|j| init[a_at(j)]).sum();
+                    let cell = line(s, &[r]);
+                    assert!(prefix > 0.0);
+                    assert_eq!(store.get(cell), init[cell] + prefix, "{src} row {r}");
+                }
+            }
         }
     }
 }

@@ -45,7 +45,7 @@ mod touch;
 pub use exec::{
     syntactic_retry_safe, ExecOptions, ExecOutcome, Executor, RetryPolicy, POLL_INTERVAL,
 };
-pub use kernel::{CompiledStmt, Kernel};
+pub use kernel::{CompiledStmt, Kernel, JAM};
 pub use report::{ModelComparison, RunReport, Schedule, ThreadMetrics, TileMetrics};
 pub use store::ArrayStore;
 pub use sync::{BarrierCancelled, CancelToken, CancellableBarrier};

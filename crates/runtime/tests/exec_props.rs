@@ -266,10 +266,10 @@ proptest! {
             1usize..=4,
         )),
     ) {
-        // The skewed executor — rectangular tiles in j = i·U, kernels
-        // composed with U⁻¹, rows clipped exactly — must be bitwise
-        // equal to the i-space sequential reference for EVERY
-        // unimodular U, and must execute each iteration exactly once.
+        // The skewed executor — rectangular tiles in j = i·U, each
+        // walked as exact rows of the original space — must be bitwise
+        // equal to the sequential reference for EVERY unimodular U,
+        // and must execute each iteration exactly once.
         let (bounds, grid, ops, template, seq, threads) = spec;
         let src = nest_source(&bounds, template, seq);
         let nest = parse(&src).unwrap();
@@ -326,5 +326,36 @@ proptest! {
         let skewed = Executor::from_transformed(&nest, &t, &grid).unwrap();
         let outcome = skewed.verify(0x57A1_DE00, &opts).unwrap();
         prop_assert!(outcome.matches_reference, "skewed != sequential for U={:?}\n{src}", t.u());
+    }
+}
+
+/// A skewed accumulate whose tiles write disjoint cells: `U` maps
+/// `i + j` to `j₀` and the grid cuts only `j₀`, so every cell `S[i+j]`
+/// lies in one tile — the write disjointness a certificate proves, here
+/// by construction (this crate does not depend on the certifier; the
+/// root `certify_props` suite runs certified skewed plans).  On
+/// fractional data the relaxed run must be the reference bit for bit:
+/// each cell folds its points in the nest's own order, `i` ascending.
+/// (A walk in `j`-space order folds them `j` ascending — `i` descending
+/// along a cell's antidiagonal — and misses the bits.)
+#[test]
+fn a_certified_skewed_accumulate_folds_each_cell_in_the_references_order() {
+    let src = "doall (i, 1, 40) { doall (j, 1, 40) { l$S[i+j] = l$S[i+j] + A[i,j] + B[j]; } }";
+    let nest = parse(src).unwrap();
+    let u = alp_linalg::IMat::from_rows(&[&[1, 0], &[1, 1]]);
+    let t = alp_plan::Transform::new(u, alp_plan::fingerprint_hex(&nest)).unwrap();
+    let mut exec = Executor::from_transformed(&nest, &t, &[4, 1]).unwrap();
+    exec.apply_certificate(true, false);
+    let lines = exec.layout().total_lines();
+    let init: Vec<f64> = (1..=lines).map(|k| k as f64 / 10.0).collect();
+    for threads in [1, 4] {
+        let store = alp_runtime::ArrayStore::zeroed(lines);
+        store.load_from(&init);
+        let opts = ExecOptions {
+            threads,
+            ..ExecOptions::default()
+        };
+        exec.run(&store, &opts).unwrap();
+        assert_eq!(bits(&store.snapshot()), bits(&exec.run_reference(&init)));
     }
 }

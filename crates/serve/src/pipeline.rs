@@ -140,12 +140,15 @@ pub struct RunSummary {
 }
 
 /// Natively execute a plan and check it against the sequential
-/// reference, under the request's deadline and memory budget.
+/// reference, under the request's deadline and memory budget.  The
+/// summary reports no touch counts, so the run tracks none: the budget
+/// counts the store, which is all it allocates.
 pub fn run_plan(plan: &Arc<PartitionPlan>, spec: &RunSpec) -> Result<RunSummary, ServeError> {
     let exec = Executor::from_plan(plan)?;
     #[allow(unused_mut)]
     let mut opts = ExecOptions {
         threads: spec.threads,
+        track_touches: false,
         deadline: spec.timeout_ms.map(Duration::from_millis),
         memory_budget: spec.max_store_bytes,
         ..ExecOptions::default()
@@ -164,4 +167,34 @@ pub fn run_plan(plan: &Arc<PartitionPlan>, spec: &RunSpec) -> Result<RunSummary,
         iterations: outcome.report.total_iterations,
         threads: outcome.report.threads,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_run_is_budgeted_for_its_store_alone() {
+        // Touch bitsets would add two per thread on top of the store;
+        // a run that tracks nothing fits a budget of the store's bytes.
+        let spec = PlanSpec {
+            source: "doall (i, 0, 63) { doall (j, 0, 63) { A[i,j] = B[i,j]; } }".into(),
+            processors: 4,
+            check: true,
+            certify: false,
+        };
+        let plan = Arc::new(build_plan(&spec).unwrap());
+        let store_bytes = Executor::from_plan(&plan).unwrap().store_bytes();
+        let run = |budget| {
+            let spec = RunSpec {
+                max_store_bytes: Some(budget),
+                ..RunSpec::default()
+            };
+            run_plan(&plan, &spec)
+        };
+        let summary = run(store_bytes).unwrap();
+        assert!(summary.matches_reference);
+        assert_eq!(summary.iterations, 64 * 64);
+        assert_eq!(run(store_bytes - 1).unwrap_err().code, "ALP0009");
+    }
 }
