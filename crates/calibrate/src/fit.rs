@@ -247,7 +247,8 @@ mod tests {
         // through that codec unchanged.
         let m = fit(&synth(1500.0, 2.5, 0.125, 0.75), 42_000.0).unwrap();
         use alp_plan::json::{line, parse, Item};
-        let doc = parse(&line(|w| m.write_fields(w))).unwrap();
+        let text = line(|w| m.write_fields(w));
+        let doc = parse(&text).unwrap();
         let back = LatencyModel::from_json(Item::root(&doc));
         assert_eq!(back, Ok(m));
     }

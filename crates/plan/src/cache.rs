@@ -10,11 +10,13 @@
 //! plans.  `Lru` is what each of its shards holds under the shard
 //! lock: plans behind [`Arc`] (a hit is one reference-count bump and
 //! every consumer sees the same immutable artifact), least-recently-used
-//! eviction at a fixed capacity, and a count of the evictions.  Hits,
-//! misses and coalesced waits are per request, so the shard counts them.
+//! eviction at a fixed capacity, and a count of the evictions; the
+//! shard's text index is an `Lru` of its own.  Hits, misses and
+//! coalesced waits are per request, so the shard counts them.
 
 use crate::PartitionPlan;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// What a cached plan is keyed by: the structural nest fingerprint plus
@@ -44,22 +46,23 @@ pub struct PlanKey {
     pub certified: bool,
 }
 
-struct Entry {
-    plan: Arc<PartitionPlan>,
+struct Entry<V> {
+    value: V,
     last_used: u64,
 }
 
-/// One shard's LRU map of finished plans.
-pub(crate) struct Lru {
-    map: HashMap<PlanKey, Entry>,
+/// One shard's LRU map: of finished plans by key, or of the text index's
+/// items by request hash.
+pub(crate) struct Lru<K = PlanKey, V = Arc<PartitionPlan>> {
+    map: HashMap<K, Entry<V>>,
     capacity: usize,
     tick: u64,
     /// Entries evicted to make room, over the map's lifetime.
     pub(crate) evictions: u64,
 }
 
-impl Lru {
-    /// A map holding at most `capacity` plans (minimum 1).
+impl<K: Copy + Eq + Hash, V: Clone> Lru<K, V> {
+    /// A map holding at most `capacity` entries (minimum 1).
     pub(crate) fn new(capacity: usize) -> Self {
         Lru {
             map: HashMap::new(),
@@ -69,36 +72,36 @@ impl Lru {
         }
     }
 
-    /// Number of cached plans.
+    /// Number of entries.
     pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
-    /// Maximum number of plans this map will hold.
+    /// Maximum number of entries this map will hold.
     pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Snapshot of every cached entry, most-recently-used last.
-    pub(crate) fn entries(&self) -> Vec<(PlanKey, Arc<PartitionPlan>)> {
-        let mut all: Vec<(&PlanKey, &Entry)> = self.map.iter().collect();
+    /// Snapshot of every entry, most-recently-used last.
+    pub(crate) fn entries(&self) -> Vec<(K, V)> {
+        let mut all: Vec<(&K, &Entry<V>)> = self.map.iter().collect();
         all.sort_by_key(|(_, e)| e.last_used);
         all.into_iter()
-            .map(|(k, e)| (*k, Arc::clone(&e.plan)))
+            .map(|(k, e)| (*k, e.value.clone()))
             .collect()
     }
 
-    /// Look up a plan, refreshing its recency.
-    pub(crate) fn peek(&mut self, key: &PlanKey) -> Option<Arc<PartitionPlan>> {
+    /// Look up an entry, refreshing its recency.
+    pub(crate) fn peek(&mut self, key: &K) -> Option<&V> {
         self.tick += 1;
         self.map.get_mut(key).map(|e| {
             e.last_used = self.tick;
-            Arc::clone(&e.plan)
+            &e.value
         })
     }
 
-    /// Insert a plan, evicting the least-recently-used entry when full.
-    pub(crate) fn insert(&mut self, key: PlanKey, plan: Arc<PartitionPlan>) {
+    /// Insert an entry, evicting the least-recently-used one when full.
+    pub(crate) fn insert(&mut self, key: K, value: V) {
         self.tick += 1;
         if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
             if let Some(victim) = self
@@ -114,7 +117,7 @@ impl Lru {
         self.map.insert(
             key,
             Entry {
-                plan,
+                value,
                 last_used: self.tick,
             },
         );

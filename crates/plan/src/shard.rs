@@ -22,13 +22,31 @@
 //! from its drop guard; waiters then re-enter the protocol (one of
 //! them becomes the new leader) instead of deadlocking.  This is what
 //! keeps a chaos-injected tile panic from poisoning a shard.
+//!
+//! The third is the price of a repeat.  A key is a fingerprint, and a
+//! fingerprint needs a parse of the request's text; a server that has
+//! seen a text before should know its key by the text.  So each shard
+//! also keeps a text index: for every recorded request whose hash (of
+//! its text and the key's other parameters) falls on the shard, the
+//! text and the key it parsed to ([`ShardedPlanCache::record_text`]).
+//! [`ShardedPlanCache::key_by_text`] gives that key back with no parse,
+//! and only after comparing text and parameters exactly.  The index
+//! remembers parses, not plans: the key of a plan since evicted simply
+//! misses, and the caller parses after all.  A shard's index holds at
+//! most as many texts as the shard holds plans, each of at most
+//! [`MAX_TEXT_BYTES`], and drops the least recently used to make room.
 
 use crate::cache::Lru;
 use crate::{PartitionPlan, PlanError, PlanKey};
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::{Arc, Condvar, Mutex};
+
+/// The longest request text the text index records.  A longer one is
+/// parsed every time it comes, so the index holds at most the cache's
+/// capacity times this many bytes of text, however long the requests.
+pub const MAX_TEXT_BYTES: usize = 4 << 10;
 
 /// How a [`get_or_compute`](ShardedPlanCache::get_or_compute) call was
 /// satisfied.
@@ -87,6 +105,10 @@ struct InFlight<E> {
 struct ShardState<E> {
     cache: Lru,
     inflight: HashMap<PlanKey, Arc<InFlight<E>>>,
+    /// The text index: a recorded request's text and the key it parsed
+    /// to, by the request's hash — for the requests whose hash falls on
+    /// this shard, wherever their plans live.
+    texts: Lru<u64, (Box<str>, PlanKey)>,
     // Request-level counters live per shard, under the same lock the
     // lookup already holds — no extra synchronization, and the stats
     // endpoint can expose per-shard hit rates for live capacity tuning.
@@ -145,6 +167,8 @@ impl<E> Drop for LeaderGuard<'_, E> {
 /// machinery; it only needs to be `Clone + Send`.
 pub struct ShardedPlanCache<E = PlanError> {
     shards: Vec<Mutex<ShardState<E>>>,
+    /// Keyed per cache, so request texts cannot be chosen to collide.
+    text_hasher: RandomState,
 }
 
 impl<E: Clone> ShardedPlanCache<E> {
@@ -163,12 +187,14 @@ impl<E: Clone> ShardedPlanCache<E> {
                     Mutex::new(ShardState {
                         cache: Lru::new(per_shard),
                         inflight: HashMap::new(),
+                        texts: Lru::new(per_shard),
                         hits: 0,
                         misses: 0,
                         coalesced: 0,
                     })
                 })
                 .collect(),
+            text_hasher: RandomState::new(),
         }
     }
 
@@ -249,7 +275,58 @@ impl<E: Clone> ShardedPlanCache<E> {
     fn shard_for(&self, key: &PlanKey) -> &Mutex<ShardState<E>> {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+        self.shard_at(h.finish())
+    }
+
+    fn shard_at(&self, hash: u64) -> &Mutex<ShardState<E>> {
+        &self.shards[(hash as usize) % self.shards.len()]
+    }
+
+    /// What a request is indexed under: a hash of its source text and of
+    /// every parameter of its key but the fingerprint, which only a parse
+    /// of the text would give.
+    fn text_hash(&self, source: &str, key: PlanKey) -> u64 {
+        self.text_hasher.hash_one((
+            source,
+            PlanKey {
+                fingerprint: 0,
+                ..key
+            },
+        ))
+    }
+
+    /// The key a request recorded by [`record_text`] parsed to: `source`
+    /// exactly as that request sent it, with `key(f)` its key when `f` is
+    /// the fingerprint of `source`.  There is no parse and no
+    /// fingerprint: the request's hash finds a recorded text and key, and
+    /// the answer needs that text to equal `source` and that key to equal
+    /// `key` of its own fingerprint.  Nothing counts, and the plan under
+    /// the key may have been evicted since: a caller looks it up as it
+    /// would after a parse.
+    ///
+    /// [`record_text`]: ShardedPlanCache::record_text
+    pub fn key_by_text(&self, source: &str, key: impl Fn(u64) -> PlanKey) -> Option<PlanKey> {
+        if source.len() > MAX_TEXT_BYTES {
+            return None;
+        }
+        let hash = self.text_hash(source, key(0));
+        let mut st = self.shard_at(hash).lock().expect("shard lock");
+        let (text, found) = st.texts.peek(&hash)?;
+        (**text == *source && key(found.fingerprint) == *found).then_some(*found)
+    }
+
+    /// Record that `source` parsed to `key`, so that [`key_by_text`]
+    /// gives the key back without a parse.  A source longer than
+    /// [`MAX_TEXT_BYTES`] is not recorded; a full shard index drops its
+    /// least recently used text first.
+    ///
+    /// [`key_by_text`]: ShardedPlanCache::key_by_text
+    pub fn record_text(&self, source: &str, key: PlanKey) {
+        if source.len() > MAX_TEXT_BYTES {
+            return;
+        }
+        let hash = self.text_hash(source, key);
+        (self.shard_at(hash).lock().expect("shard lock").texts).insert(hash, (source.into(), key));
     }
 
     /// Cache-only lookup: a hit counts and refreshes recency; a miss
@@ -259,7 +336,7 @@ impl<E: Clone> ShardedPlanCache<E> {
     /// here without ever touching the admission queue.
     pub fn get_cached(&self, key: &PlanKey) -> Option<Arc<PartitionPlan>> {
         let mut st = self.shard_for(key).lock().expect("shard lock");
-        let found = st.cache.peek(key);
+        let found = st.cache.peek(key).cloned();
         if found.is_some() {
             st.hits += 1;
         }
@@ -289,7 +366,7 @@ impl<E: Clone> ShardedPlanCache<E> {
                 if let Some(f) = st.inflight.get(&key).map(Arc::clone) {
                     st.coalesced += 1;
                     f
-                } else if let Some(plan) = st.cache.peek(&key) {
+                } else if let Some(plan) = st.cache.peek(&key).cloned() {
                     st.hits += 1;
                     return Ok((plan, Fetched::Hit));
                 } else {
@@ -477,6 +554,91 @@ mod tests {
         for fp in 0..32u64 {
             assert!(cache.get_cached(&key(fp)).is_some(), "fp {fp}");
         }
+    }
+
+    fn texts(cache: &ShardedPlanCache) -> usize {
+        (cache.shards.iter())
+            .map(|s| s.lock().expect("shard lock").texts.len())
+            .sum()
+    }
+
+    fn certified(fp: u64) -> PlanKey {
+        PlanKey {
+            certified: true,
+            ..key(fp)
+        }
+    }
+
+    #[test]
+    fn a_text_gives_its_key_only_with_its_own_parameters() {
+        let cache: ShardedPlanCache = ShardedPlanCache::new(4, 16);
+        assert_eq!(cache.key_by_text("a", key), None);
+        cache.record_text("a", key(1));
+        assert_eq!(cache.key_by_text("a", key), Some(key(1)));
+        assert_eq!(cache.key_by_text("a ", key), None);
+        assert_eq!(cache.key_by_text("a", certified), None);
+        // Another text of the same key is recorded beside it.
+        cache.record_text("b", key(1));
+        assert_eq!(cache.key_by_text("a", key), Some(key(1)));
+        assert_eq!(cache.key_by_text("b", key), Some(key(1)));
+        assert_eq!(texts(&cache), 2);
+        // The index remembers parses, not plans, and counts nothing.
+        assert!(cache.get_cached(&key(1)).is_none());
+        assert_eq!(cache.stats(), ShardedCacheStats::default());
+    }
+
+    /// A hash that matches answers nothing by itself: items planted the
+    /// way a collision would leave them put one request's text and key
+    /// under another request's hash, and the exact comparison refuses
+    /// both.
+    #[test]
+    fn a_hash_match_alone_answers_nothing() {
+        let cache: ShardedPlanCache = ShardedPlanCache::new(2, 8);
+        cache.record_text("a", key(1));
+        let plant = |source: &str, params: PlanKey| {
+            let hash = cache.text_hash(source, params);
+            let mut st = cache.shard_at(hash).lock().unwrap();
+            st.texts.insert(hash, ("a".into(), key(1)));
+        };
+        plant("a", certified(0));
+        assert_eq!(cache.key_by_text("a", certified), None, "other parameters");
+        plant("b", key(0));
+        assert_eq!(cache.key_by_text("b", key), None, "another text");
+        assert_eq!(cache.key_by_text("a", key), Some(key(1)));
+    }
+
+    #[test]
+    fn the_text_index_holds_no_more_texts_than_entries() {
+        // 4 shards of 2 plans, filled eight times over; every plan is
+        // recorded under one text, and every third under a second one.
+        let cache: ShardedPlanCache = ShardedPlanCache::new(4, 8);
+        let again = |fp: u64| format!("again {fp}");
+        for fp in 0..64u64 {
+            cache.get_or_compute(key(fp), || Ok(plan(63))).unwrap();
+            cache.record_text(&format!("text {fp}"), key(fp));
+            if fp % 3 == 0 {
+                cache.record_text(&again(fp), key(fp));
+            }
+        }
+        assert_eq!(cache.len(), 8);
+        assert!(texts(&cache) <= cache.len(), "{} texts", texts(&cache));
+        for fp in 0..64u64 {
+            for text in [format!("text {fp}"), again(fp)] {
+                let found = cache.key_by_text(&text, key);
+                assert!(found.is_none() || found == Some(key(fp)), "{text}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_text_over_the_limit_is_not_recorded() {
+        let cache: ShardedPlanCache = ShardedPlanCache::new(1, 8);
+        let long = "x".repeat(MAX_TEXT_BYTES + 1);
+        cache.record_text(&long, key(1));
+        assert_eq!((texts(&cache), cache.key_by_text(&long, key)), (0, None));
+        let longest = &long[1..];
+        cache.record_text(longest, key(2));
+        assert_eq!(cache.key_by_text(longest, key), Some(key(2)));
     }
 
     #[test]

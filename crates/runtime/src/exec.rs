@@ -42,8 +42,7 @@ use crate::store::ArrayStore;
 use crate::sync::{CancelToken, CancellableBarrier};
 use crate::touch::TouchSet;
 use crate::RuntimeError;
-use alp_linalg::IVec;
-use alp_loopir::{AccessKind, LoopNest};
+use alp_loopir::{AccessKind, ArrayRef, LoopNest};
 use alp_machine::ArrayLayout;
 use alp_plan::{Tiling, Transform};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -661,23 +660,27 @@ impl Executor {
     /// that the parallel result must match bit for bit.
     pub fn run_reference(&self, init: &[f64]) -> Vec<f64> {
         let mut data = init.to_vec();
-        let stmts: Vec<RefStmt> = self.nest.body.iter().map(RefStmt::new).collect();
+        let layout = &self.layout;
+        let stmts: Vec<RefStmt> = (self.nest.body.iter())
+            .map(|st| RefStmt::new(st, layout))
+            .collect();
         for _rep in 0..self.repetitions {
             for pt in self.nest.iteration_points() {
+                let line = |&(id, r): &(usize, &ArrayRef)| layout.line(id, &r.eval(&pt)) as usize;
                 for st in &stmts {
-                    let lhs = self.line_of_ref(&st.stmt.lhs, &pt);
+                    let lhs = line(&st.lhs);
                     match st.mode {
                         RefMode::Accumulate => {
                             let mut delta = 0.0;
                             for r in &st.sources {
-                                delta += data[self.line_of_ref(r, &pt)];
+                                delta += data[line(r)];
                             }
                             data[lhs] += delta;
                         }
                         RefMode::Assign => {
                             let mut v = 0.0;
                             for r in &st.sources {
-                                v += data[self.line_of_ref(r, &pt)];
+                                v += data[line(r)];
                             }
                             data[lhs] = v;
                         }
@@ -717,13 +720,6 @@ impl Executor {
             report,
             matches_reference,
         })
-    }
-
-    fn line_of_ref(&self, r: &alp_loopir::ArrayRef, pt: &IVec) -> usize {
-        // Unreachable expect: the layout was built from this same nest,
-        // so every array the body names has an id.
-        let id = self.layout.array_id(&r.array).expect("known array");
-        self.layout.line(id, &r.eval(pt)) as usize
     }
 }
 
@@ -1078,33 +1074,35 @@ enum RefMode {
 
 /// A statement pre-classified for the interpreted reference path, using
 /// the same accumulate rule as the kernel compiler but none of its code.
+/// Each reference carries its array id, looked up once.
 struct RefStmt<'a> {
-    stmt: &'a alp_loopir::Statement,
+    lhs: (usize, &'a ArrayRef),
     mode: RefMode,
-    sources: Vec<&'a alp_loopir::ArrayRef>,
+    sources: Vec<(usize, &'a ArrayRef)>,
 }
 
 impl<'a> RefStmt<'a> {
-    fn new(st: &'a alp_loopir::Statement) -> Self {
-        let is_self = |r: &alp_loopir::ArrayRef| {
+    fn new(st: &'a alp_loopir::Statement, layout: &ArrayLayout) -> Self {
+        // Unreachable expect: the layout was built from this same nest,
+        // so every array the body names has an id.
+        let with_id = |r: &'a ArrayRef| (layout.array_id(&r.array).expect("known array"), r);
+        let is_self = |r: &ArrayRef| {
             r.kind == AccessKind::Accumulate
                 && r.array == st.lhs.array
                 && r.subscripts == st.lhs.subscripts
         };
-        if st.lhs.kind == AccessKind::Accumulate
-            && st.rhs.iter().filter(|r| is_self(r)).count() == 1
-        {
-            RefStmt {
-                stmt: st,
-                mode: RefMode::Accumulate,
-                sources: st.rhs.iter().filter(|r| !is_self(r)).collect(),
-            }
+        let accumulate = st.lhs.kind == AccessKind::Accumulate
+            && st.rhs.iter().filter(|r| is_self(r)).count() == 1;
+        let (mode, sources) = if accumulate {
+            let sources = st.rhs.iter().filter(|r| !is_self(r)).map(with_id);
+            (RefMode::Accumulate, sources.collect())
         } else {
-            RefStmt {
-                stmt: st,
-                mode: RefMode::Assign,
-                sources: st.rhs.iter().collect(),
-            }
+            (RefMode::Assign, st.rhs.iter().map(with_id).collect())
+        };
+        RefStmt {
+            lhs: with_id(&st.lhs),
+            mode,
+            sources,
         }
     }
 }
@@ -1117,6 +1115,7 @@ fn reps(nest: &LoopNest) -> Result<u64, RuntimeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alp_linalg::IVec;
 
     /// A one-thread run whose stop flag is already set.
     fn stopped() -> RunControl<'static> {

@@ -64,16 +64,23 @@ impl PlanSpec {
     pub fn resolve(&self) -> Result<(LoopNest, PlanKey), ServeError> {
         let nest = alp_loopir::parse(&self.source)
             .map_err(|e| ServeError::new("ALP0001", e.to_string()))?;
-        let key = PlanKey {
-            fingerprint: alp_plan::fingerprint(&nest),
+        let key = self.key_for(alp_plan::fingerprint(&nest));
+        Ok((nest, key))
+    }
+
+    /// The cache key of this spec were its source's fingerprint
+    /// `fingerprint`: what a lookup by the text alone checks a recorded
+    /// key against.
+    pub(crate) fn key_for(&self, fingerprint: u64) -> PlanKey {
+        PlanKey {
+            fingerprint,
             processors: self.processors,
             mesh: None,
             checked: self.check,
             calibrated: false,
             skewed: false,
             certified: self.certify,
-        };
-        Ok((nest, key))
+        }
     }
 
     /// The cache key for this spec: the key half of [`PlanSpec::resolve`].

@@ -24,13 +24,18 @@
 //! A request is read as one bounded frame ([`MAX_REQUEST_BYTES`]; a
 //! longer one, one that is not UTF-8, or one the codec refuses is an
 //! `ALP0006` counted under `malformed`, and the connection goes on),
-//! and its source is resolved
-//! — parsed and fingerprinted ([`PlanSpec::resolve`]) — once, on the
-//! reader thread.  The resolution rides in the queued job, so the worker
-//! plans the nest it was handed; a worker, an in-process
-//! [`Server::handle_now`] and the prewarm loop fetch through one
-//! function (memoize, then journal what was computed), one function
-//! words the plan reply, one answers the control ops.
+//! and its spec is resolved to a key once, on the reader thread: a
+//! source text the cache has recorded gives its key by the text alone
+//! ([`ShardedPlanCache::key_by_text`]: no parse, no fingerprint); any
+//! other is parsed and fingerprinted ([`PlanSpec::resolve`]), and its
+//! key is recorded for the next time.  A hit counts where its plan is
+//! taken, never at resolution, so a request shed after it counts none.
+//! The resolution rides in the queued job, so the worker plans the nest
+//! it was handed; the socket reader, an in-process
+//! [`Server::handle_now`] and the prewarm loop resolve through one
+//! function and take the plan through one more (memoize, then journal
+//! what was computed), one function words the plan reply, one answers
+//! the control ops.
 //!
 //! Within an admitted request, the hardened executor's own guards
 //! apply: per-request deadline (`ALP0007`) and memory budget
@@ -216,8 +221,23 @@ impl ServerStats {
     }
 }
 
-/// What [`PlanSpec::resolve`] made of a request's source.
-type Resolved = Result<(LoopNest, PlanKey), ServeError>;
+/// What [`Inner::resolve`] made of a plan or run request's spec.
+enum Resolved {
+    /// The key an earlier request of exactly this text parsed to, known
+    /// without a parse.
+    Known(PlanKey),
+    /// What [`PlanSpec::resolve`] made of the source.
+    Parsed(Result<(LoopNest, PlanKey), ServeError>),
+}
+
+impl Resolved {
+    fn key(&self) -> Option<PlanKey> {
+        match self {
+            Resolved::Known(key) | Resolved::Parsed(Ok((_, key))) => Some(*key),
+            Resolved::Parsed(Err(_)) => None,
+        }
+    }
+}
 
 struct Job {
     req: Request,
@@ -235,7 +255,7 @@ struct Job {
 
 impl Job {
     fn key(&self) -> Option<PlanKey> {
-        self.resolved.as_ref().ok().map(|(_, key)| *key)
+        self.resolved.key()
     }
 }
 
@@ -294,13 +314,43 @@ impl Inner {
         }
     }
 
+    /// A request's key by its text alone, when the cache has recorded the
+    /// text; otherwise the source is parsed and fingerprinted, and the
+    /// key it gives is recorded for the next time.
+    fn resolve(&self, spec: &PlanSpec) -> Resolved {
+        if let Some(key) = self.cache.key_by_text(&spec.source, |f| spec.key_for(f)) {
+            return Resolved::Known(key);
+        }
+        let parsed = spec.resolve();
+        if let Ok((_, key)) = &parsed {
+            self.cache.record_text(&spec.source, *key);
+        }
+        Resolved::Parsed(parsed)
+    }
+
+    /// The plan for `spec`, from its resolution.  A known key whose plan
+    /// is no longer cached parses the source after all.
+    fn plan(
+        &self,
+        spec: &PlanSpec,
+        resolved: Resolved,
+    ) -> Result<(Arc<PartitionPlan>, Fetched), ServeError> {
+        let (nest, key) = match resolved {
+            Resolved::Known(key) => match self.cache.get_cached(&key) {
+                Some(plan) => return Ok((plan, Fetched::Hit)),
+                None => spec.resolve()?,
+            },
+            Resolved::Parsed(parsed) => parsed?,
+        };
+        self.fetch(key, || spec.build(&nest))
+    }
+
     /// Answer a plan/run request from the resolution of its spec —
     /// the reader thread's, carried by the [`Job`], or an in-process
     /// caller's own.  Every pipeline failure, the resolution's included,
     /// counts one `failures` here.
     fn answer(&self, req: &Request, resolved: Resolved) -> Response {
-        let outcome = resolved.and_then(|(nest, key)| {
-            let (plan, how) = self.fetch(key, || req.plan.build(&nest))?;
+        let outcome = self.plan(&req.plan, resolved).and_then(|(plan, how)| {
             if req.op != RequestOp::Run {
                 return Ok(plan_reply(req, &plan, how));
             }
@@ -541,11 +591,11 @@ impl Inner {
                         write_line(&out, &Response::err(req.id, &self.refuse()));
                         continue;
                     }
-                    let resolved = req.plan.resolve();
+                    let resolved = self.resolve(&req.plan);
                     // Tier 1: answer cached plans inline — no queue,
                     // no admission, works even under total overload.
-                    if let (RequestOp::Plan, Ok((_, key))) = (&req.op, &resolved) {
-                        if let Some(plan) = self.cache.get_cached(key) {
+                    if let (RequestOp::Plan, Some(key)) = (&req.op, resolved.key()) {
+                        if let Some(plan) = self.cache.get_cached(&key) {
                             self.n.inline_hits.fetch_add(1, Ordering::Relaxed);
                             write_line(&out, &plan_reply(&req, &plan, Fetched::Hit));
                             continue;
@@ -660,9 +710,7 @@ impl Server {
             cfg,
         });
         for spec in &inner.cfg.prewarm {
-            if let Ok((nest, key)) = spec.resolve() {
-                let _ = inner.fetch(key, || spec.build(&nest));
-            }
+            let _ = inner.plan(spec, inner.resolve(spec));
         }
         Ok((Server { inner }, report))
     }
@@ -673,7 +721,9 @@ impl Server {
     /// [`ServerHandle`]'s business.
     pub fn handle_now(&self, req: &Request) -> Response {
         match req.op {
-            RequestOp::Plan | RequestOp::Run => self.inner.answer(req, req.plan.resolve()),
+            RequestOp::Plan | RequestOp::Run => {
+                self.inner.answer(req, self.inner.resolve(&req.plan))
+            }
             _ => self.inner.control(req),
         }
     }
@@ -858,7 +908,7 @@ mod tests {
             let mut q = inner.queue.lock().expect("queue lock");
             for (i, src) in sources.iter().enumerate() {
                 let req = Request::plan(i as i128, src);
-                let resolved = req.plan.resolve();
+                let resolved = inner.resolve(&req.plan);
                 let (a, b) = UnixStream::pair().expect("socketpair");
                 readers.push(b);
                 q.push_back(Job {

@@ -386,6 +386,9 @@ fn overload_sheds_runs_before_plans_and_serves_cached_inline() {
     assert_eq!(stats.shed_plan, 1);
     assert_eq!(stats.shed_run, 1);
     assert_eq!(stats.inline_hits, 1);
+    // The shed run's plan was cached, but it was never served: only the
+    // inline plan counts as a hit.
+    assert_eq!(stats.hits, 1);
 }
 
 #[test]
