@@ -50,19 +50,9 @@ impl Rat {
         self.den
     }
 
-    /// True when the value is an integer.
-    pub fn is_integer(&self) -> bool {
-        self.den == 1
-    }
-
     /// True when the value is zero.
     pub fn is_zero(&self) -> bool {
         self.num == 0
-    }
-
-    /// The integer value, if integral.
-    pub fn to_integer(&self) -> Option<i128> {
-        self.is_integer().then_some(self.num)
     }
 
     /// Nearest `f64` (used only for reporting and heuristic search seeds).
@@ -202,13 +192,6 @@ mod tests {
         assert!(Rat::new(1, 3) < Rat::new(1, 2));
         assert!(Rat::new(-1, 2) < Rat::new(-1, 3));
         assert!(Rat::int(2) > Rat::new(3, 2));
-    }
-
-    #[test]
-    fn integer_conversion() {
-        assert_eq!(Rat::new(6, 3).to_integer(), Some(2));
-        assert_eq!(Rat::new(5, 3).to_integer(), None);
-        assert!(Rat::new(6, 3).is_integer());
     }
 
     fn arb_rat() -> impl Strategy<Value = Rat> {

@@ -195,15 +195,6 @@ impl LoopNest {
         Ok(out)
     }
 
-    /// [`try_array_extents`](Self::try_array_extents) for callers with no
-    /// error to return.
-    ///
-    /// # Panics
-    /// Panics when an extent does not fit `i128`.
-    pub fn array_extents(&self) -> HashMap<String, Vec<(i128, i128)>> {
-        self.try_array_extents().expect("array extents fit i128")
-    }
-
     /// Iterate over every point of the iteration space (outermost index
     /// slowest).  Intended for exhaustive validation on small nests.
     pub fn iteration_points(&self) -> Vec<IVec> {
@@ -367,7 +358,7 @@ mod tests {
     #[test]
     fn extents() {
         let n = example2();
-        let ext = n.array_extents();
+        let ext = n.try_array_extents().unwrap();
         assert_eq!(ext["A"], vec![(101, 200), (1, 100)]);
         // B subscripts: i+j in [102, 300]; i-j-1 in [0, 198];
         // i+j+4 in [106, 304]; i-j+3 in [4, 202] -> union.

@@ -133,7 +133,7 @@ proptest! {
 
     #[test]
     fn array_extents_cover_all_accesses(nest in arb_nest()) {
-        let ext = nest.array_extents();
+        let ext = nest.try_array_extents().unwrap();
         for i in nest.iteration_points().iter().take(64) {
             for r in nest.all_refs() {
                 let d = r.eval(i);

@@ -93,7 +93,8 @@ proptest! {
         let r = run_nest(&nest, &assignment, MachineConfig::uniform(p), &UniformHome);
         // Each processor cold-misses each distinct element at most once.
         let total_elems: i128 = nest
-            .array_extents()
+            .try_array_extents()
+            .unwrap()
             .values()
             .map(|e| e.iter().map(|&(lo, hi)| hi - lo + 1).product::<i128>())
             .sum();

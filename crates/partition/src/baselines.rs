@@ -4,8 +4,8 @@
 //!   Hudak's compile-time rectangular partitioner \[6\] for their program
 //!   class (every reference of the form `A[i₁+c₁, …, i_d+c_d]` to a
 //!   single array).  The paper proves (Example 8) that the footprint
-//!   framework reproduces its answers; the agreement test lives in
-//!   `tests/` and the `exp_example8` experiment.
+//!   framework reproduces its answers; the agreement is checked in
+//!   `tests/paper_examples.rs` and E6 of `tests/paper_tables`.
 //! * [`naive_partition`] — the by-rows / by-columns / square-blocks
 //!   strawmen of §1 and Example 2.
 

@@ -11,8 +11,8 @@
 //! partition exists, and the optimizer of [`crate::rect`] /
 //! [`crate::para`] takes over (the case \[7\] does not handle).
 
-use alp_footprint::{classify, CostModel};
-use alp_linalg::{integer_nullspace, solve_rational, IMat, IVec, Rat};
+use alp_footprint::classify;
+use alp_linalg::{integer_nullspace, solve_rational, IMat, IVec};
 use alp_loopir::LoopNest;
 
 /// Iteration-space translation vectors for every offset pair of every
@@ -80,34 +80,36 @@ pub fn is_communication_free(nest: &LoopNest) -> bool {
     !communication_free_normals(nest).is_empty()
 }
 
-/// Check a claimed normal: slab tiles orthogonal to `h` must have
-/// shape-independent traffic, i.e. the model traffic of a slab tile along
-/// `h` is zero.  (Used by tests and the `exp_comm_free` experiment.)
-pub fn normal_internalizes_all_overlap(nest: &LoopNest, h: &IVec) -> bool {
-    let ts = translation_vectors(nest);
-    ts.iter().all(|t| t.dot(h).expect("depth") == 0)
-}
-
-/// Model coherence traffic of the slab partition along `h` for `p`
-/// processors (0 for a true communication-free normal).  Returns `None`
-/// when `h` is not axis-aligned and the rectangular model cannot express
-/// the slab (callers then verify by simulation instead).
-pub fn slab_traffic_rect(nest: &LoopNest, h: &IVec, p: i128) -> Option<Rat> {
-    let k = (0..h.len()).find(|&k| h[k] != 0)?;
-    if h.0.iter().enumerate().any(|(i, &x)| i != k && x != 0) {
-        return None; // not axis-aligned
-    }
-    let model = CostModel::from_nest(nest);
-    let mut lambda: Vec<i128> = nest.loops.iter().map(|l| l.trip_count() - 1).collect();
-    let n = nest.loops[k].trip_count();
-    lambda[k] = (n + p - 1) / p - 1;
-    Some(model.coherence_traffic_rect(&lambda))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alp_footprint::CostModel;
+    use alp_linalg::Rat;
     use alp_loopir::parse;
+
+    /// Check a claimed normal: slab tiles orthogonal to `h` must have
+    /// shape-independent traffic, i.e. the model traffic of a slab tile along
+    /// `h` is zero.
+    fn normal_internalizes_all_overlap(nest: &LoopNest, h: &IVec) -> bool {
+        let ts = translation_vectors(nest);
+        ts.iter().all(|t| t.dot(h).expect("depth") == 0)
+    }
+
+    /// Model coherence traffic of the slab partition along `h` for `p`
+    /// processors (0 for a true communication-free normal).  Returns `None`
+    /// when `h` is not axis-aligned and the rectangular model cannot express
+    /// the slab (callers then verify by simulation instead).
+    fn slab_traffic_rect(nest: &LoopNest, h: &IVec, p: i128) -> Option<Rat> {
+        let k = (0..h.len()).find(|&k| h[k] != 0)?;
+        if h.0.iter().enumerate().any(|(i, &x)| i != k && x != 0) {
+            return None; // not axis-aligned
+        }
+        let model = CostModel::from_nest(nest);
+        let mut lambda: Vec<i128> = nest.loops.iter().map(|l| l.trip_count() - 1).collect();
+        let n = nest.loops[k].trip_count();
+        lambda[k] = (n + p - 1) / p - 1;
+        Some(model.coherence_traffic_rect(&lambda))
+    }
 
     #[test]
     fn example2_strips_along_i() {

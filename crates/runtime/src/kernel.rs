@@ -42,7 +42,7 @@ pub const JAM: usize = 4;
 
 /// One statement, classified for parallel execution.
 #[derive(Debug, Clone)]
-pub enum CompiledStmt {
+enum CompiledStmt {
     /// `lhs = Σ sources` — a plain overwrite.  Legal doalls guarantee no
     /// other iteration touches `lhs`, so a relaxed store suffices.
     Assign {
@@ -142,11 +142,6 @@ impl Kernel {
             jams,
             touches: accesses.distinct(),
         })
-    }
-
-    /// The compiled statements, in source order.
-    pub fn stmts(&self) -> &[CompiledStmt] {
-        &self.stmts
     }
 
     /// True when rows may run [`JAM`] at a time through
@@ -546,7 +541,7 @@ mod tests {
         let kernel = Kernel::compile(&nest, &layout).unwrap();
         assert_eq!(layout.accesses(&nest, None).unwrap().refs().len(), 4);
         assert_eq!(kernel.touches.refs().len(), 3);
-        let CompiledStmt::Accumulate { lhs, sources } = &kernel.stmts()[0] else {
+        let CompiledStmt::Accumulate { lhs, sources } = &kernel.stmts[0] else {
             panic!("an accumulate");
         };
         let tracked: Vec<&ElementForm> = kernel.touches.refs().iter().map(|(f, _)| f).collect();
@@ -575,7 +570,7 @@ mod tests {
         let nest = parse("doall (i, 0, 3) { l$C[i] = A[i]; }").unwrap();
         let layout = ArrayLayout::from_nest(&nest).unwrap();
         let kernel = Kernel::compile(&nest, &layout).unwrap();
-        assert!(matches!(kernel.stmts()[0], CompiledStmt::Assign { .. }));
+        assert!(matches!(kernel.stmts[0], CompiledStmt::Assign { .. }));
         let store = ArrayStore::zeroed(layout.total_lines());
         let a0 = layout.array_id("A").unwrap();
         store.set(layout.line(a0, &alp_linalg::IVec::new(&[2])) as usize, 9.0);

@@ -174,7 +174,7 @@ fn brute_force(nest: &LoopNest, tiles: &[Vec<IVec>]) -> (bool, bool, bool, bool)
     }
 
     // In-bounds and idempotence over the full iteration box.
-    let extents = nest.array_extents();
+    let extents = nest.try_array_extents().unwrap();
     let mut in_bounds = true;
     let mut reads: HashSet<(String, Vec<i128>)> = HashSet::new();
     let mut writes: HashSet<(String, Vec<i128>)> = HashSet::new();

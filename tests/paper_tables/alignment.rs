@@ -2,12 +2,17 @@
 //! alignment turns remote misses into local ones, and mesh placement
 //! keeps the halo exchange short.
 
+use crate::{header, pct, Table};
 use alp::machine::FnHome;
 use alp::prelude::*;
-use alp_bench::{header, pct, Table};
 
-fn main() {
-    header("E12", "data partitioning, alignment and placement (§4)");
+pub fn run() -> String {
+    let mut out = String::new();
+    header(
+        &mut out,
+        "E12",
+        "data partitioning, alignment and placement (§4)",
+    );
     let src = "doseq (t, 1, 4) {
                  doall (i, 1, 64) { doall (j, 1, 64) {
                    A[i,j] = A[i-1,j] + A[i+1,j] + A[i,j-1] + A[i,j+1];
@@ -16,9 +21,11 @@ fn main() {
     let nest = parse(src).unwrap();
     let p = 16usize;
     let part = partition_rect(&nest, p as i128);
-    println!(
+    outln!(
+        out,
         "loop partition: grid {:?}, tile λ {:?}\n",
-        part.proc_grid, part.tile_extents
+        part.proc_grid,
+        part.tile_extents
     );
 
     let assignment = assign_rect(&nest, &part.proc_grid);
@@ -57,38 +64,48 @@ fn main() {
     let scrambled = FnHome(move |line: u64| ((line * 7 + 3) % 16) as usize);
     let r_scrambled = run_nest(&nest, &assignment, cfg(), &scrambled);
 
-    let t = Table::new(&[
-        ("data layout", 18),
-        ("misses", 8),
-        ("remote", 8),
-        ("remote frac", 11),
-        ("hop traffic", 11),
-    ]);
+    let t = Table::new(
+        &mut out,
+        &[
+            ("data layout", 18),
+            ("misses", 8),
+            ("remote", 8),
+            ("remote frac", 11),
+            ("hop traffic", 11),
+        ],
+    );
     for (name, r) in [
         ("scrambled", &r_scrambled),
         ("block row-major", &r_block),
         ("aligned (ours)", &r_aligned),
     ] {
-        t.row(&[
-            &name,
-            &r.total_misses(),
-            &r.total_remote_misses(),
-            &pct(r.total_remote_misses(), r.total_misses()),
-            &r.total_hop_traffic(),
-        ]);
+        t.row(
+            &mut out,
+            &[
+                &name,
+                &r.total_misses(),
+                &r.total_remote_misses(),
+                &pct(r.total_remote_misses(), r.total_misses()),
+                &r.total_hop_traffic(),
+            ],
+        );
     }
     assert!(r_aligned.total_remote_misses() < r_block.total_remote_misses());
     assert!(r_block.total_remote_misses() < r_scrambled.total_remote_misses());
 
     // Placement ablation: snake vs direct embedding of the grid.
-    println!("\nplacement: average weighted neighbour hops on a 4x4 mesh");
+    outln!(
+        out,
+        "\nplacement: average weighted neighbour hops on a 4x4 mesh"
+    );
     let weights = vec![1.0, 1.0];
     let direct = mesh_placement(&part.proc_grid, (4, 4)).expect("16 processors fit a 4x4 mesh");
-    println!(
+    outln!(
+        out,
         "  grid-aware embedding: {:.2}",
         direct.weighted_neighbor_hops(&weights)
     );
-    println!(
+    outln!(out,
         "\nalignment reduces remote misses {} -> {} ({} of misses stay local);\nthe halo (tile boundary) is the only remote traffic, as §4 intends.",
         r_block.total_remote_misses(),
         r_aligned.total_remote_misses(),
@@ -97,4 +114,5 @@ fn main() {
             r_aligned.total_misses()
         )
     );
+    out
 }

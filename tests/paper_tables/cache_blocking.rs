@@ -4,13 +4,14 @@
 //! that the data fits in the cache."  Measured with the finite-cache
 //! simulator.
 
+use crate::{header, Table};
 use alp::prelude::*;
-use alp_bench::{header, Table};
 use alp_codegen::block_assignment;
 use alp_partition::cache_blocked_extents;
 
-fn main() {
-    header("E19", "cache-capacity tile blocking (§2.2)");
+pub fn run() -> String {
+    let mut out = String::new();
+    header(&mut out, "E19", "cache-capacity tile blocking (§2.2)");
     // A kernel with genuine 2-D reuse: B is reused along j, C along i.
     let src = "doall (i, 0, 63) { doall (j, 0, 63) {
                  A[i,j] = B[i] + C[j];
@@ -23,7 +24,8 @@ fn main() {
     let grid = vec![4i128, 1];
     let tile_extents = vec![15i128, 63];
     let assignment = assign_rect(&nest, &grid);
-    println!(
+    outln!(
+        out,
         "partition: grid {:?}, per-processor tile {:?} iterations\n",
         grid,
         tile_extents.iter().map(|&x| x + 1).collect::<Vec<_>>()
@@ -39,20 +41,26 @@ fn main() {
         directory: DirectoryKind::FullMap,
     };
 
-    let t = Table::new(&[
-        ("execution order", 24),
-        ("capacity misses", 15),
-        ("total misses", 12),
-        ("miss rate", 9),
-    ]);
+    let t = Table::new(
+        &mut out,
+        &[
+            ("execution order", 24),
+            ("capacity misses", 15),
+            ("total misses", 12),
+            ("miss rate", 9),
+        ],
+    );
     // Unblocked lexicographic order.
     let base = run_nest(&nest, &assignment, cfg(), &UniformHome);
-    t.row(&[
-        &"lexicographic",
-        &base.total_capacity_misses(),
-        &base.total_misses(),
-        &format!("{:.3}", base.miss_rate()),
-    ]);
+    t.row(
+        &mut out,
+        &[
+            &"lexicographic",
+            &base.total_capacity_misses(),
+            &base.total_misses(),
+            &format!("{:.3}", base.miss_rate()),
+        ],
+    );
 
     // Cache-blocked order, sized by the model.
     let model = CostModel::from_nest(&nest);
@@ -62,22 +70,28 @@ fn main() {
     let sub_sizes: Vec<i128> = sub.iter().map(|&x| x + 1).collect();
     let blocked = block_assignment(&assignment, &sub_sizes);
     let br = run_nest(&nest, &blocked, cfg(), &UniformHome);
-    t.row(&[
-        &format!("blocked {sub_sizes:?}"),
-        &br.total_capacity_misses(),
-        &br.total_misses(),
-        &format!("{:.3}", br.miss_rate()),
-    ]);
+    t.row(
+        &mut out,
+        &[
+            &format!("blocked {sub_sizes:?}"),
+            &br.total_capacity_misses(),
+            &br.total_misses(),
+            &format!("{:.3}", br.miss_rate()),
+        ],
+    );
 
     // A coarser blocking for contrast (clipped to the 16-row tile).
     let too_big = block_assignment(&assignment, &[32, 32]);
     let tr = run_nest(&nest, &too_big, cfg(), &UniformHome);
-    t.row(&[
-        &"blocked [32, 32]",
-        &tr.total_capacity_misses(),
-        &tr.total_misses(),
-        &format!("{:.3}", tr.miss_rate()),
-    ]);
+    t.row(
+        &mut out,
+        &[
+            &"blocked [32, 32]",
+            &tr.total_capacity_misses(),
+            &tr.total_misses(),
+            &format!("{:.3}", tr.miss_rate()),
+        ],
+    );
 
     assert!(
         br.total_capacity_misses() < base.total_capacity_misses(),
@@ -85,10 +99,12 @@ fn main() {
         br.total_capacity_misses(),
         base.total_capacity_misses()
     );
-    println!(
+    outln!(
+        out,
         "\nmodel-sized blocks (footprint ≤ cache) cut capacity misses {:.1}x;\n\
          the partition itself (who owns what) never changed — §2.2's claim\n\
          that small caches rescale the tile, not reshape the partition.",
         base.total_capacity_misses() as f64 / br.total_capacity_misses().max(1) as f64
     );
+    out
 }

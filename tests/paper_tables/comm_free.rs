@@ -2,11 +2,16 @@
 //! whenever their conditions hold, the framework finds a zero-coherence
 //! partition; when they don't, it still returns a traffic-minimal one.
 
+use crate::{header, Table};
 use alp::prelude::*;
-use alp_bench::{header, Table};
 
-fn main() {
-    header("E10", "communication-free partitions (R&S [7]) and beyond");
+pub fn run() -> String {
+    let mut out = String::new();
+    header(
+        &mut out,
+        "E10",
+        "communication-free partitions (R&S [7]) and beyond",
+    );
     let cases: Vec<(&str, &str, bool)> = vec![
         (
             "Example 2 (diagonal refs)",
@@ -41,14 +46,17 @@ fn main() {
         ),
     ];
 
-    let t = Table::new(&[
-        ("nest", 28),
-        ("comm-free?", 10),
-        ("paper/R&S", 9),
-        ("normals", 16),
-        ("sim coherence", 13),
-        ("sim invalid.", 12),
-    ]);
+    let t = Table::new(
+        &mut out,
+        &[
+            ("nest", 28),
+            ("comm-free?", 10),
+            ("paper/R&S", 9),
+            ("normals", 16),
+            ("sim coherence", 13),
+            ("sim invalid.", 12),
+        ],
+    );
     for (name, src, expected) in cases {
         let nest = parse(src).unwrap();
         let normals = communication_free_normals(&nest);
@@ -80,17 +88,21 @@ fn main() {
             );
             assert_eq!(report.total_invalidations(), 0, "{name}");
         }
-        t.row(&[
-            &name,
-            &found,
-            &expected,
-            &format!(
-                "{:?}",
-                normals.iter().map(|h| h.to_string()).collect::<Vec<_>>()
-            ),
-            &report.total_coherence_misses(),
-            &report.total_invalidations(),
-        ]);
+        t.row(
+            &mut out,
+            &[
+                &name,
+                &found,
+                &expected,
+                &format!(
+                    "{:?}",
+                    normals.iter().map(|h| h.to_string()).collect::<Vec<_>>()
+                ),
+                &report.total_coherence_misses(),
+                &report.total_invalidations(),
+            ],
+        );
     }
-    println!("\ncomm-free cases simulate to exactly zero coherence traffic;\nnon-comm-free cases still get the traffic-minimal rectangle (the case\n[7] does not handle — §5).");
+    outln!(out, "\ncomm-free cases simulate to exactly zero coherence traffic;\nnon-comm-free cases still get the traffic-minimal rectangle (the case\n[7] does not handle — §5).");
+    out
 }

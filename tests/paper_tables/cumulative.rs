@@ -2,11 +2,13 @@
 //! intersecting pair `B[i+j,j]`, `B[i+j+1,j+2]`: Theorem 2's determinant
 //! sum vs exact enumeration.
 
+use crate::{header, rel_err, Table};
 use alp::prelude::*;
-use alp_bench::{header, rel_err, Table};
 
-fn main() {
+pub fn run() -> String {
+    let mut out = String::new();
     header(
+        &mut out,
         "E5",
         "cumulative footprint (Theorem 2) vs exact enumeration",
     );
@@ -18,9 +20,12 @@ fn main() {
     .unwrap();
     let classes = classify(&nest);
     let b = classes.iter().find(|c| c.array == "B").unwrap();
-    println!("class B: spread â = {}\n", b.spread());
+    outln!(out, "class B: spread â = {}\n", b.spread());
 
-    let t = Table::new(&[("tile L (rows)", 26), ("thm2", 7), ("exact", 7), ("err", 7)]);
+    let t = Table::new(
+        &mut out,
+        &[("tile L (rows)", 26), ("thm2", 7), ("exact", 7), ("err", 7)],
+    );
     let tiles: Vec<IMat> = vec![
         IMat::from_rows(&[&[10, 4], &[2, 8]]),
         IMat::from_rows(&[&[8, 0], &[0, 8]]),
@@ -35,31 +40,41 @@ fn main() {
         let exact = cumulative_footprint_exact(&tile, b);
         let e = rel_err(thm2 as f64, exact as f64);
         max_err = max_err.max(e);
-        t.row(&[
-            &format!("{:?},{:?}", l.row(0).0, l.row(1).0),
-            &thm2,
-            &exact,
-            &format!("{:.1}%", 100.0 * e),
-        ]);
+        t.row(
+            &mut out,
+            &[
+                &format!("{:?},{:?}", l.row(0).0, l.row(1).0),
+                &thm2,
+                &exact,
+                &format!("{:.1}%", 100.0 * e),
+            ],
+        );
     }
-    println!("\nmax relative error {:.1}% — the paper's approximation is \"reasonable\nif the constant terms are small compared to the tile size\" (§3.5)", 100.0 * max_err);
+    outln!(out, "\nmax relative error {:.1}% — the paper's approximation is \"reasonable\nif the constant terms are small compared to the tile size\" (§3.5)", 100.0 * max_err);
     assert!(
         max_err < 0.35,
         "Theorem 2 should stay in the right ballpark"
     );
 
     // Error shrinks as tiles grow (the asymptotic claim).
-    println!("\nscaling: relative error vs tile size (square tiles)");
-    let t = Table::new(&[("side", 6), ("thm2", 8), ("exact", 8), ("err", 7)]);
+    outln!(out, "\nscaling: relative error vs tile size (square tiles)");
+    let t = Table::new(
+        &mut out,
+        &[("side", 6), ("thm2", 8), ("exact", 8), ("err", 7)],
+    );
     for side in [4i128, 8, 16, 32, 64] {
         let tile = Tile::rect(&[side, side]);
         let thm2 = cumulative_footprint_general(&tile, b);
         let exact = cumulative_footprint_exact(&tile, b);
-        t.row(&[
-            &side,
-            &thm2,
-            &exact,
-            &format!("{:.1}%", 100.0 * rel_err(thm2 as f64, exact as f64)),
-        ]);
+        t.row(
+            &mut out,
+            &[
+                &side,
+                &thm2,
+                &exact,
+                &format!("{:.1}%", 100.0 * rel_err(thm2 as f64, exact as f64)),
+            ],
+        );
     }
+    out
 }

@@ -5,11 +5,16 @@
 //! Dir_i-NB (pointer eviction) vs Dir_i-B (broadcast) on a widely-read
 //! boundary.
 
+use crate::{header, Table};
 use alp::prelude::*;
-use alp_bench::{header, Table};
 
-fn main() {
-    header("E16", "directory organization under wide read-sharing");
+pub fn run() -> String {
+    let mut out = String::new();
+    header(
+        &mut out,
+        "E16",
+        "directory organization under wide read-sharing",
+    );
     // A broadcast-heavy kernel: every processor reads row 0 of B (a
     // shared coefficient row) each sweep, then updates its own tile.
     let src = "doseq (t, 1, 4) {
@@ -22,13 +27,16 @@ fn main() {
     // Split i only: all 16 processors share every B[0,j] element.
     let assignment = assign_rect(&nest, &[16, 1]);
 
-    let t = Table::new(&[
-        ("directory", 22),
-        ("misses", 8),
-        ("coherence", 9),
-        ("invalidations", 13),
-        ("overflows", 9),
-    ]);
+    let t = Table::new(
+        &mut out,
+        &[
+            ("directory", 22),
+            ("misses", 8),
+            ("coherence", 9),
+            ("invalidations", 13),
+            ("overflows", 9),
+        ],
+    );
     let mut results = Vec::new();
     for (name, dir) in [
         ("full-map", DirectoryKind::FullMap),
@@ -52,13 +60,16 @@ fn main() {
             &UniformHome,
         );
         assert!(report.check_conservation());
-        t.row(&[
-            &name,
-            &report.total_misses(),
-            &report.total_coherence_misses(),
-            &report.total_invalidations(),
-            &report.total_directory_overflows(),
-        ]);
+        t.row(
+            &mut out,
+            &[
+                &name,
+                &report.total_misses(),
+                &report.total_coherence_misses(),
+                &report.total_invalidations(),
+                &report.total_directory_overflows(),
+            ],
+        );
         results.push((name, report));
     }
     let full = &results[0].1;
@@ -79,7 +90,8 @@ fn main() {
         b4.total_misses() <= nb4.total_misses(),
         "broadcast never evicts readers of a read-only line"
     );
-    println!(
+    outln!(
+        out,
         "\n16 readers per line of B[0,*]: with 4 pointers, eviction (NB) thrashes\n\
          ({} misses vs {} full-map); the broadcast variant keeps readers cached\n\
          ({} misses) at the cost of imprecise invalidations — the trade-off\n\
@@ -92,10 +104,13 @@ fn main() {
 
     // And the partitioner indeed avoids it: splitting j gives each
     // processor a private slice of B[0,*].
-    println!("\nwith the optimizer's grid (splits j too):");
+    outln!(out, "\nwith the optimizer's grid (splits j too):");
     let part = partition_rect(&nest, p as i128);
     let opt_assign = assign_rect(&nest, &part.proc_grid);
-    let t = Table::new(&[("directory", 22), ("misses", 8), ("overflows", 9)]);
+    let t = Table::new(
+        &mut out,
+        &[("directory", 22), ("misses", 8), ("overflows", 9)],
+    );
     for (name, dir) in [
         ("full-map", DirectoryKind::FullMap),
         (
@@ -109,14 +124,19 @@ fn main() {
             MachineConfig::uniform(p).with_directory(dir),
             &UniformHome,
         );
-        t.row(&[
-            &name,
-            &report.total_misses(),
-            &report.total_directory_overflows(),
-        ]);
+        t.row(
+            &mut out,
+            &[
+                &name,
+                &report.total_misses(),
+                &report.total_directory_overflows(),
+            ],
+        );
     }
-    println!(
+    outln!(
+        out,
         "\ngrid {:?}: B[0,*] sharing drops to the j-boundary only.",
         part.proc_grid
     );
+    out
 }

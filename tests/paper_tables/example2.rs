@@ -4,26 +4,34 @@
 //! Paper: 104 vs 140 cache misses per tile (B-class footprints), and
 //! partition a has zero coherence traffic.
 
+use crate::{header, Table};
 use alp::prelude::*;
-use alp_bench::{header, Table};
 
-fn main() {
-    header("E2", "Example 2 / Fig. 3: strips vs blocks, 100 processors");
+pub fn run() -> String {
+    let mut out = String::new();
+    header(
+        &mut out,
+        "E2",
+        "Example 2 / Fig. 3: strips vs blocks, 100 processors",
+    );
     let src = "doall (i, 101, 200) { doall (j, 1, 100) {
                  A[i,j] = B[i+j,i-j-1] + B[i+j+4,i-j+3];
                } }";
     let nest = parse(src).unwrap();
     let model = CostModel::from_nest(&nest);
 
-    let t = Table::new(&[
-        ("partition", 18),
-        ("model/tile", 10),
-        ("sim/tile", 9),
-        ("B-class", 8),
-        ("paper", 6),
-        ("invalidations", 13),
-        ("coherence", 9),
-    ]);
+    let t = Table::new(
+        &mut out,
+        &[
+            ("partition", 18),
+            ("model/tile", 10),
+            ("sim/tile", 9),
+            ("B-class", 8),
+            ("paper", 6),
+            ("invalidations", 13),
+            ("coherence", 9),
+        ],
+    );
     for (name, grid, paper) in [
         ("a: strips 1x100", vec![1i128, 100], 104i128),
         ("b: blocks 10x10", vec![10, 10], 140),
@@ -43,21 +51,25 @@ fn main() {
         );
         let per_tile = report.total_cold_misses() / 100;
         let b_class = per_tile as i128 - 100;
-        t.row(&[
-            &name,
-            &modeled,
-            &per_tile,
-            &b_class,
-            &paper,
-            &report.total_invalidations(),
-            &report.total_coherence_misses(),
-        ]);
+        t.row(
+            &mut out,
+            &[
+                &name,
+                &modeled,
+                &per_tile,
+                &b_class,
+                &paper,
+                &report.total_invalidations(),
+                &report.total_coherence_misses(),
+            ],
+        );
         assert_eq!(b_class, paper, "per-tile B-class misses match the paper");
     }
 
     // The framework's own choice.
     let part = partition_rect(&nest, 100);
-    println!(
+    outln!(
+        out,
         "\npartition_rect picks grid {:?} (the paper's partition a); \
          communication-free normals: {:?}",
         part.proc_grid,
@@ -73,8 +85,11 @@ fn main() {
                      A[i,j] = B[i+j,i-j-1] + B[i+j+4,i-j+3];
                    } } }";
     let seq = parse(seq_src).unwrap();
-    println!("\nwith 3 repetitions (Fig. 9 pattern):");
-    let t = Table::new(&[("partition", 18), ("total misses", 12), ("coherence", 9)]);
+    outln!(out, "\nwith 3 repetitions (Fig. 9 pattern):");
+    let t = Table::new(
+        &mut out,
+        &[("partition", 18), ("total misses", 12), ("coherence", 9)],
+    );
     for (name, grid) in [
         ("a: strips 1x100", vec![1i128, 100]),
         ("b: blocks 10x10", vec![10, 10]),
@@ -85,10 +100,14 @@ fn main() {
             MachineConfig::uniform(100),
             &UniformHome,
         );
-        t.row(&[
-            &name,
-            &report.total_misses(),
-            &report.total_coherence_misses(),
-        ]);
+        t.row(
+            &mut out,
+            &[
+                &name,
+                &report.total_misses(),
+                &report.total_coherence_misses(),
+            ],
+        );
     }
+    out
 }

@@ -3,18 +3,20 @@
 //! Doseq variant, and the shape sweep showing the model's minimum is the
 //! machine's minimum.
 
+use crate::{header, Table};
 use alp::prelude::*;
-use alp_bench::{header, Table};
 
-fn main() {
-    header("E6", "Example 8: 3-D stencil, ratio 2:3:4");
+pub fn run() -> String {
+    let mut out = String::new();
+    header(&mut out, "E6", "Example 8: 3-D stencil, ratio 2:3:4");
     let src = "doall (i, 1, 64) { doall (j, 1, 64) { doall (k, 1, 64) {
                  A[i,j,k] = B[i-1,j,k+1] + B[i,j+1,k] + B[i+1,j-2,k-3];
                } } }";
     let nest = parse(src).unwrap();
     let model = CostModel::from_nest(&nest);
     let ratio = optimal_aspect_ratio(&model).unwrap();
-    println!(
+    outln!(
+        out,
         "closed-form aspect ratio: {} (paper: 2 : 3 : 4)\n",
         ratio
             .iter()
@@ -25,14 +27,17 @@ fn main() {
     assert_eq!(ratio, vec![Rat::int(2), Rat::int(3), Rat::int(4)]);
 
     // Shape sweep on 64 processors: model vs simulated misses per tile.
-    println!("shape sweep (P = 64, iteration space 64^3):");
-    let t = Table::new(&[
-        ("grid", 12),
-        ("tile", 12),
-        ("model/tile", 10),
-        ("sim/tile", 10),
-        ("traffic/tile", 12),
-    ]);
+    outln!(out, "shape sweep (P = 64, iteration space 64^3):");
+    let t = Table::new(
+        &mut out,
+        &[
+            ("grid", 12),
+            ("tile", 12),
+            ("model/tile", 10),
+            ("sim/tile", 10),
+            ("traffic/tile", 12),
+        ],
+    );
     let mut results: Vec<(Vec<i128>, i128, u64)> = Vec::new();
     for grid in [
         vec![64i128, 1, 1],
@@ -53,19 +58,25 @@ fn main() {
             &UniformHome,
         );
         let per_tile = report.total_cold_misses() / 64;
-        t.row(&[
-            &format!("{:?}", grid),
-            &format!("{}x{}x{}", extents[0] + 1, extents[1] + 1, extents[2] + 1),
-            &cost,
-            &per_tile,
-            &traffic,
-        ]);
+        t.row(
+            &mut out,
+            &[
+                &format!("{:?}", grid),
+                &format!("{}x{}x{}", extents[0] + 1, extents[1] + 1, extents[2] + 1),
+                &cost,
+                &per_tile,
+                &traffic,
+            ],
+        );
         results.push((grid, cost.floor(), per_tile));
     }
     // Model's best grid is also the machine's best grid.
     let best_model = results.iter().min_by_key(|r| r.1).unwrap().0.clone();
     let best_machine = results.iter().min_by_key(|r| r.2).unwrap().0.clone();
-    println!("\nmodel minimum at grid {best_model:?}, machine minimum at grid {best_machine:?}");
+    outln!(
+        out,
+        "\nmodel minimum at grid {best_model:?}, machine minimum at grid {best_machine:?}"
+    );
     assert_eq!(
         best_model, best_machine,
         "model and machine agree on the winner"
@@ -80,7 +91,8 @@ fn main() {
     .unwrap();
     let ours = partition_rect(&ah_nest, 64);
     let ah = abraham_hudak_rect(&ah_nest, 64).unwrap();
-    println!(
+    outln!(
+        out,
         "\nAbraham-Hudak agreement: ours {:?} vs A&H {:?} -> {}",
         ours.proc_grid,
         ah.proc_grid,
@@ -93,14 +105,20 @@ fn main() {
     assert_eq!(ours.proc_grid, ah.proc_grid);
 
     // Fig. 9: coherence traffic under repetition, optimal vs slab shape.
-    println!("\nFig. 9 (doseq-wrapped, 3 sweeps, P = 8, 16^3 space): coherence traffic");
+    outln!(
+        out,
+        "\nFig. 9 (doseq-wrapped, 3 sweeps, P = 8, 16^3 space): coherence traffic"
+    );
     let seq = parse(
         "doseq (t, 1, 3) { doall (i, 1, 16) { doall (j, 1, 16) { doall (k, 1, 16) {
            A[i,j,k] = A[i-1,j,k+1] + A[i,j+1,k] + A[i+1,j-2,k-3];
          } } } }",
     )
     .unwrap();
-    let t = Table::new(&[("grid", 12), ("coherence", 10), ("invalidations", 13)]);
+    let t = Table::new(
+        &mut out,
+        &[("grid", 12), ("coherence", 10), ("invalidations", 13)],
+    );
     for grid in [vec![8i128, 1, 1], vec![2, 2, 2], vec![1, 2, 4]] {
         let report = run_nest(
             &seq,
@@ -108,18 +126,23 @@ fn main() {
             MachineConfig::uniform(8),
             &UniformHome,
         );
-        t.row(&[
-            &format!("{:?}", grid),
-            &report.total_coherence_misses(),
-            &report.total_invalidations(),
-        ]);
+        t.row(
+            &mut out,
+            &[
+                &format!("{:?}", grid),
+                &report.total_coherence_misses(),
+                &report.total_invalidations(),
+            ],
+        );
     }
 
     // Bonus: the framework finds Example 8's hidden communication-free
     // skewed family (translations span only 2 of 3 dimensions).
     let normals = communication_free_normals(&nest);
-    println!(
+    outln!(
+        out,
         "\nbeyond the paper: communication-free normals exist for Example 8: {:?}",
         normals.iter().map(|h| h.to_string()).collect::<Vec<_>>()
     );
+    out
 }

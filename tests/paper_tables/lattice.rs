@@ -1,13 +1,18 @@
 //! E9: Theorem 3 and Lemma 3 — bounded-lattice intersection and union
 //! size against brute force, over random bases.
 
+use crate::{header, Table};
 use alp::prelude::*;
-use alp_bench::{header, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn main() {
-    header("E9", "Theorem 3 / Lemma 3: bounded lattices vs brute force");
+pub fn run() -> String {
+    let mut out = String::new();
+    header(
+        &mut out,
+        "E9",
+        "Theorem 3 / Lemma 3: bounded lattices vs brute force",
+    );
     let mut rng = StdRng::seed_from_u64(0xA1E31FE);
 
     let trials = 500;
@@ -42,23 +47,35 @@ fn main() {
         assert_eq!(exact, brute_union, "Lemma 3 mismatch: basis {basis} t {tt}");
         lemma3_checked += 1;
     }
-    println!("Theorem 3 verified on {thm3_checked} random instances");
-    println!("Lemma 3 (exact form) verified on {lemma3_checked} random instances");
+    outln!(out, "Theorem 3 verified on {thm3_checked} random instances");
+    outln!(
+        out,
+        "Lemma 3 (exact form) verified on {lemma3_checked} random instances"
+    );
 
     // Lemma 3's approximation quality.
-    println!("\nLemma 3 approximation vs exact (unit basis, growing bounds):");
-    let t = Table::new(&[("λ", 6), ("u", 10), ("exact", 7), ("approx", 7)]);
+    outln!(
+        out,
+        "\nLemma 3 approximation vs exact (unit basis, growing bounds):"
+    );
+    let t = Table::new(
+        &mut out,
+        &[("λ", 6), ("u", 10), ("exact", 7), ("approx", 7)],
+    );
     for lam in [3i128, 7, 15, 31] {
         let bl = BoundedLattice::new(IMat::identity(2), vec![lam, lam]).unwrap();
         let u = IVec::new(&[2, 3]);
         let exact = bl.union_size_translate_exact(&u);
         let approx = bl.union_size_translate_approx(&u).unwrap();
-        t.row(&[&lam, &format!("{u}"), &exact, &approx]);
+        t.row(&mut out, &[&lam, &format!("{u}"), &exact, &approx]);
         assert!((approx - exact).abs() <= 6, "corner term only");
     }
 
     // Example 10's class-2 membership decisions via Theorem 3.
-    println!("\nExample 10, array C: Theorem 3 decides which references intersect:");
+    outln!(
+        out,
+        "\nExample 10, array C: Theorem 3 decides which references intersect:"
+    );
     let g = IMat::from_rows(&[&[1, 2, 1], &[0, 0, 2]]);
     let bl = BoundedLattice::new(g, vec![20, 20]).unwrap();
     for (t, expect) in [
@@ -66,7 +83,11 @@ fn main() {
         (IVec::new(&[1, 2, 2]), false),
     ] {
         let got = bl.intersects_translate(&t);
-        println!("  offset diff {t}: intersecting = {got} (paper: {expect})");
+        outln!(
+            out,
+            "  offset diff {t}: intersecting = {got} (paper: {expect})"
+        );
         assert_eq!(got, expect);
     }
+    out
 }

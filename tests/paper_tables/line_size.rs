@@ -3,11 +3,16 @@
 //! tiles contiguous in the fastest-varying dimension, and false sharing
 //! punishes tiles that cut across lines.
 
+use crate::{header, Table};
 use alp::prelude::*;
-use alp_bench::{header, Table};
 
-fn main() {
-    header("E15", "cache-line size: spatial locality vs false sharing");
+pub fn run() -> String {
+    let mut out = String::new();
+    header(
+        &mut out,
+        "E15",
+        "cache-line size: spatial locality vs false sharing",
+    );
     // Row-major arrays: the j dimension is contiguous.
     let src = "doseq (t, 1, 2) {
                  doall (i, 0, 63) { doall (j, 0, 63) {
@@ -17,15 +22,21 @@ fn main() {
     let nest = parse(src).unwrap();
     let p = 16usize;
 
-    println!("per-partition misses as the line grows (64x64, P = 16, 2 sweeps):\n");
-    let t = Table::new(&[
-        ("grid", 10),
-        ("line", 5),
-        ("cold", 7),
-        ("coherence", 9),
-        ("invalidations", 13),
-        ("total", 7),
-    ]);
+    outln!(
+        out,
+        "per-partition misses as the line grows (64x64, P = 16, 2 sweeps):\n"
+    );
+    let t = Table::new(
+        &mut out,
+        &[
+            ("grid", 10),
+            ("line", 5),
+            ("cold", 7),
+            ("coherence", 9),
+            ("invalidations", 13),
+            ("total", 7),
+        ],
+    );
     let mut summary: Vec<(String, u64, u64)> = Vec::new();
     for grid in [vec![16i128, 1], vec![4, 4], vec![1, 16]] {
         let assignment = assign_rect(&nest, &grid);
@@ -37,14 +48,17 @@ fn main() {
                 &UniformHome,
             );
             assert!(report.check_conservation());
-            t.row(&[
-                &format!("{:?}", grid),
-                &line,
-                &report.total_cold_misses(),
-                &report.total_coherence_misses(),
-                &report.total_invalidations(),
-                &report.total_misses(),
-            ]);
+            t.row(
+                &mut out,
+                &[
+                    &format!("{:?}", grid),
+                    &line,
+                    &report.total_cold_misses(),
+                    &report.total_coherence_misses(),
+                    &report.total_invalidations(),
+                    &report.total_misses(),
+                ],
+            );
             if line == 16 {
                 summary.push((
                     format!("{grid:?}"),
@@ -62,20 +76,26 @@ fn main() {
     // cuts every line across 4 processors: false sharing.
     let rows = summary.iter().find(|s| s.0 == "[16, 1]").expect("present");
     let cols = summary.iter().find(|s| s.0 == "[1, 16]").expect("present");
-    println!(
+    outln!(
+        out,
         "\nat line size 16: splitting i (lines intact) -> {} misses, {} invalidations;\n\
          splitting j (lines cut) -> {} misses, {} invalidations.",
-        rows.1, rows.2, cols.1, cols.2
+        rows.1,
+        rows.2,
+        cols.1,
+        cols.2
     );
     assert!(
         rows.1 < cols.1,
         "line-preserving tiles must win at large line size"
     );
     assert!(rows.2 <= cols.2);
-    println!(
+    outln!(
+        out,
         "\nwith multi-element lines the effective footprint is counted in lines:\n\
          tiles whose boundaries respect line boundaries (split only slow\n\
          dimensions) keep both the spatial-locality gain and coherence-free\n\
          boundaries — [6]'s adjustment, reproduced on the simulator."
     );
+    out
 }

@@ -2,12 +2,14 @@
 //! constraint (§2.1) — how the three partition families trade traffic
 //! against balance.
 
+use crate::{header, Table};
 use alp::prelude::*;
-use alp_bench::{header, Table};
 use alp_codegen::assignment_stats;
 
-fn main() {
+pub fn run() -> String {
+    let mut out = String::new();
     header(
+        &mut out,
         "E18",
         "load balance: rectangles vs slabs vs parallelepipeds",
     );
@@ -17,42 +19,51 @@ fn main() {
     let nest = parse(src).unwrap();
     let p = 16i128;
 
-    let t = Table::new(&[
-        ("partition", 26),
-        ("tiles", 6),
-        ("min", 6),
-        ("max", 6),
-        ("imbalance", 9),
-        ("misses", 8),
-    ]);
+    let t = Table::new(
+        &mut out,
+        &[
+            ("partition", 26),
+            ("tiles", 6),
+            ("min", 6),
+            ("max", 6),
+            ("imbalance", 9),
+            ("misses", 8),
+        ],
+    );
 
     // Rectangle.
     let rect = partition_rect(&nest, p);
     let ra = assign_rect(&nest, &rect.proc_grid);
     let rs = assignment_stats(&ra);
     let rr = run_nest(&nest, &ra, MachineConfig::uniform(p as usize), &UniformHome);
-    t.row(&[
-        &format!("rect {:?}", rect.proc_grid),
-        &rs.nonempty,
-        &rs.min,
-        &rs.max,
-        &format!("{:.3}", rs.imbalance),
-        &rr.total_cold_misses(),
-    ]);
+    t.row(
+        &mut out,
+        &[
+            &format!("rect {:?}", rect.proc_grid),
+            &rs.nonempty,
+            &rs.min,
+            &rs.max,
+            &format!("{:.3}", rs.imbalance),
+            &rr.total_cold_misses(),
+        ],
+    );
 
     // Communication-free slabs.
     let normals = communication_free_normals(&nest);
     let sa = assign_slabs(&nest, &normals[0], p);
     let ss = assignment_stats(&sa);
     let sr = run_nest(&nest, &sa, MachineConfig::uniform(p as usize), &UniformHome);
-    t.row(&[
-        &format!("slabs h={}", normals[0]),
-        &ss.nonempty,
-        &ss.min,
-        &ss.max,
-        &format!("{:.3}", ss.imbalance),
-        &sr.total_cold_misses(),
-    ]);
+    t.row(
+        &mut out,
+        &[
+            &format!("slabs h={}", normals[0]),
+            &ss.nonempty,
+            &ss.min,
+            &ss.max,
+            &format!("{:.3}", ss.imbalance),
+            &sr.total_cold_misses(),
+        ],
+    );
 
     // Parallelepiped cells (lattice tiling, boundary fragments and all).
     let para = optimize_parallelepiped(&nest, p, &ParaSearchConfig::default());
@@ -65,16 +76,20 @@ fn main() {
         MachineConfig::uniform(procs.min(128)),
         &UniformHome,
     );
-    t.row(&[
-        &format!("para cells ({} tiles)", cells.len()),
-        &ps.nonempty,
-        &ps.min,
-        &ps.max,
-        &format!("{:.3}", ps.imbalance),
-        &pr.total_cold_misses(),
-    ]);
+    t.row(
+        &mut out,
+        &[
+            &format!("para cells ({} tiles)", cells.len()),
+            &ps.nonempty,
+            &ps.min,
+            &ps.max,
+            &format!("{:.3}", ps.imbalance),
+            &pr.total_cold_misses(),
+        ],
+    );
 
-    println!(
+    outln!(
+        out,
         "\nthe paper keeps rectangles 'because it is easy to produce efficient\n\
          code' and because parallelogram load balancing 'is harder' (§3.1):\n\
          measured — rectangles balance perfectly ({:.3}), slabs stay close\n\
@@ -88,4 +103,5 @@ fn main() {
     );
     assert!(rs.imbalance <= ss.imbalance);
     assert!(ss.imbalance <= ps.imbalance + 1.0);
+    out
 }

@@ -1,11 +1,16 @@
 //! E3: Example 3 — parallelogram tiles beat every rectangle for
 //! `A[i,j] = B[i,j] + B[i+1,j+3]`.
 
+use crate::{header, Table};
 use alp::prelude::*;
-use alp_bench::{header, Table};
 
-fn main() {
-    header("E3", "Example 3: parallelogram vs all rectangles, P = 16");
+pub fn run() -> String {
+    let mut out = String::new();
+    header(
+        &mut out,
+        "E3",
+        "Example 3: parallelogram vs all rectangles, P = 16",
+    );
     let src = "doall (i, 1, 64) { doall (j, 1, 64) {
                  A[i,j] = B[i,j] + B[i+1,j+3];
                } }";
@@ -14,7 +19,10 @@ fn main() {
     let model = CostModel::from_nest(&nest);
 
     // Every rectangular grid.
-    let t = Table::new(&[("tile", 24), ("modeled cost", 12), ("sim misses", 10)]);
+    let t = Table::new(
+        &mut out,
+        &[("tile", 24), ("modeled cost", 12), ("sim misses", 10)],
+    );
     let mut best_rect = u64::MAX;
     for grid in [
         vec![1i128, 16],
@@ -32,11 +40,14 @@ fn main() {
             &UniformHome,
         );
         best_rect = best_rect.min(report.total_cold_misses());
-        t.row(&[
-            &format!("rect {}x{}", extents[0] + 1, extents[1] + 1),
-            &cost,
-            &report.total_cold_misses(),
-        ]);
+        t.row(
+            &mut out,
+            &[
+                &format!("rect {}x{}", extents[0] + 1, extents[1] + 1),
+                &cost,
+                &report.total_cold_misses(),
+            ],
+        );
     }
 
     // The parallelepiped search.
@@ -48,7 +59,8 @@ fn main() {
             threads: 4,
         },
     );
-    println!(
+    outln!(
+        out,
         "\nparallelepiped search winner: basis rows {:?}, modeled cost {}",
         (0..2)
             .map(|r| para.basis.row(r).0.clone())
@@ -69,7 +81,8 @@ fn main() {
     // Boundary misses = misses beyond the compulsory A+B volume
     // (64*64 for A, 64*66... exactly: distinct elements of each array).
     let compulsory = 64 * 64 + 65 * 67; // |A| + |B extent box touched|
-    println!(
+    outln!(
+        out,
         "simulated: best rectangle {} vs parallelogram slabs {} (boundary misses {} vs {})",
         best_rect,
         slab_report.total_cold_misses(),
@@ -77,5 +90,6 @@ fn main() {
         slab_report.total_cold_misses() as i64 - compulsory,
     );
     assert!(slab_report.total_cold_misses() < best_rect);
-    println!("\npaper: \"parallelogram tiles result in a lower cost of memory access\ncompared to any rectangular partition\" — confirmed.");
+    outln!(out, "\npaper: \"parallelogram tiles result in a lower cost of memory access\ncompared to any rectangular partition\" — confirmed.");
+    out
 }

@@ -2,11 +2,16 @@
 //! per-phase-plus-redistribution decision for multi-phase programs
 //! (§4's compiler setting).
 
+use crate::{header, Table};
 use alp::prelude::*;
-use alp_bench::{header, Table};
 
-fn main() {
-    header("E17", "multi-phase programs: common grid vs redistribution");
+pub fn run() -> String {
+    let mut out = String::new();
+    header(
+        &mut out,
+        "E17",
+        "multi-phase programs: common grid vs redistribution",
+    );
     let cases: Vec<(&str, &str)> = vec![
         (
             "ADI row+col sweeps (shared A)",
@@ -30,37 +35,45 @@ fn main() {
         ),
     ];
 
-    let t = Table::new(&[
-        ("program", 30),
-        ("strategy", 10),
-        ("grids", 22),
-        ("cost", 8),
-        ("alt cost", 8),
-        ("redist", 7),
-    ]);
+    let t = Table::new(
+        &mut out,
+        &[
+            ("program", 30),
+            ("strategy", 10),
+            ("grids", 22),
+            ("cost", 8),
+            ("alt cost", 8),
+            ("redist", 7),
+        ],
+    );
     for (name, src) in cases {
         let nests = parse_program(src).unwrap();
         let prog = partition_program(&nests, 16);
-        t.row(&[
-            &name,
-            &format!("{:?}", prog.strategy),
-            &format!(
-                "{:?}",
-                prog.phases
-                    .iter()
-                    .map(|p| p.proc_grid.clone())
-                    .collect::<Vec<_>>()
-            ),
-            &prog.total_cost,
-            &prog.alternative_cost,
-            &prog.redistribution,
-        ]);
+        t.row(
+            &mut out,
+            &[
+                &name,
+                &format!("{:?}", prog.strategy),
+                &format!(
+                    "{:?}",
+                    prog.phases
+                        .iter()
+                        .map(|p| p.proc_grid.clone())
+                        .collect::<Vec<_>>()
+                ),
+                &prog.total_cost,
+                &prog.alternative_cost,
+                &prog.redistribution,
+            ],
+        );
         assert!(prog.total_cost <= prog.alternative_cost);
     }
 
-    println!(
+    outln!(
+        out,
         "\nconflicting phases over a shared array choose the compromise grid\n\
          (redistribution dominates); phases over disjoint arrays or with the\n\
          same preference keep their solo optima at zero redistribution."
     );
+    out
 }

@@ -1,12 +1,13 @@
 //! E1 + E14: the affine reference model (Example 1) and the uniformly
 //! intersecting classification of Appendix B.
 
+use crate::{header, Table};
 use alp::prelude::*;
-use alp_bench::{header, Table};
 use alp_footprint::class::{intersecting, uniformly_generated, uniformly_intersecting};
 
-fn main() {
-    header("E1", "reference model: Example 1");
+pub fn run() -> String {
+    let mut out = String::new();
+    header(&mut out, "E1", "reference model: Example 1");
     let nest = parse(
         "doall (i1, 0, 9) { doall (i2, 0, 9) { doall (i3, 0, 9) {
            A[i3+2, 5, i2-1, 4] = A[i3+2, 5, i2-1, 4];
@@ -14,17 +15,25 @@ fn main() {
     )
     .unwrap();
     let r = &nest.body[0].lhs;
-    println!("reference A(i3+2, 5, i2-1, 4) in a triply nested loop:");
-    println!("G =\n{}", r.g_matrix());
-    println!("a = {}", r.offset());
+    outln!(
+        out,
+        "reference A(i3+2, 5, i2-1, 4) in a triply nested loop:"
+    );
+    outln!(out, "G =\n{}", r.g_matrix());
+    outln!(out, "a = {}", r.offset());
     let (red, kept) = r.drop_constant_subscripts();
-    println!(
+    outln!(
+        out,
         "zero columns dropped -> effective dimension {} (kept subscripts {:?})\n",
         red.dim(),
         kept
     );
 
-    header("E14", "Appendix B: uniformly intersecting classification");
+    header(
+        &mut out,
+        "E14",
+        "Appendix B: uniformly intersecting classification",
+    );
     let cases: Vec<(&str, &str, bool)> = vec![
         // (source with exactly two refs, description, expected uniformly intersecting)
         (
@@ -68,14 +77,17 @@ fn main() {
             false,
         ),
     ];
-    let t = Table::new(&[
-        ("pair", 28),
-        ("unif.gen", 9),
-        ("intersect", 9),
-        ("unif.int", 9),
-        ("paper", 6),
-        ("ok", 3),
-    ]);
+    let t = Table::new(
+        &mut out,
+        &[
+            ("pair", 28),
+            ("unif.gen", 9),
+            ("intersect", 9),
+            ("unif.int", 9),
+            ("paper", 6),
+            ("ok", 3),
+        ],
+    );
     for (src, desc, expected) in cases {
         let nest = parse(src).unwrap();
         let refs = nest.all_refs();
@@ -83,15 +95,19 @@ fn main() {
         let ug = uniformly_generated(a, b);
         let ix = intersecting(a, b);
         let ui = uniformly_intersecting(a, b);
-        t.row(&[
-            &desc,
-            &ug,
-            &ix,
-            &ui,
-            &expected,
-            &if ui == expected { "yes" } else { "NO" },
-        ]);
+        t.row(
+            &mut out,
+            &[
+                &desc,
+                &ug,
+                &ix,
+                &ui,
+                &expected,
+                &if ui == expected { "yes" } else { "NO" },
+            ],
+        );
         assert_eq!(ui, expected, "{desc}");
     }
-    println!("\nall classifications match Appendix B");
+    outln!(out, "\nall classifications match Appendix B");
+    out
 }
