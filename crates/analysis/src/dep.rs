@@ -13,7 +13,7 @@
 //! uses (Def. 4).  The full solution set is `x₀ + c·N` for the integer
 //! nullspace basis `N`; intersecting that lattice with the bounds box and
 //! the disequality `ī₁ ≠ ī₂` is delegated to [`crate::search`], yielding
-//! a concrete **witness pair** of iterations rather than a bare yes/no.
+//! a concrete **witness pair** of iterations or a proof that none exists.
 //!
 //! The disequality is handled exactly by branching on the first loop
 //! level `m` where the iterations differ and the sign of the difference:
@@ -21,7 +21,7 @@
 //! system.  For a reference tested against itself the two signs are
 //! symmetric and only one is searched.
 
-use crate::search::find_integer_point;
+use crate::search::integer_point;
 use alp_lattice::Lattice;
 use alp_linalg::fm::System;
 use alp_linalg::{integer_nullspace, solve_integer, IMat, IVec, Rat};
@@ -42,9 +42,9 @@ pub struct Witness {
 /// Def. 4's system, solved once: every `x = (ī₁ | ī₂)` with
 /// `r1(ī₁) == r2(ī₂)`, as a particular solution `x₀` of the stacked
 /// `x·M = b` (`M = [G₁; −G₂]`, `b = ā₂ − ā₁`) plus the integer span of a
-/// reduced null-space basis `N` (reduced so that a search over the
-/// coefficients `c` of `x = x₀ + c·N` stays small).  Bounds, tile boxes
-/// and cuts are rows over those coefficients, built by
+/// reduced null-space basis `N` (reduced so that the search's systems
+/// over the coefficients `c` of `x = x₀ + c·N` keep small coefficients).
+/// Bounds, tile boxes and cuts are rows over those coefficients, built by
 /// [`row`](ConflictLattice::row) / [`constrain`](ConflictLattice::constrain).
 #[derive(Debug, Clone)]
 pub struct ConflictLattice {
@@ -71,8 +71,13 @@ impl ConflictLattice {
             }
         }
         let b = r2.offset().sub(&r1.offset()).expect("dims match");
-        let x0 = solve_integer(&m, &b)?;
-        let null = integer_nullspace(&m);
+        ConflictLattice::solutions(&m, &b)
+    }
+
+    /// Every integer `x` with `x·m = b` — `None` when there is none.
+    pub(crate) fn solutions(m: &IMat, b: &IVec) -> Option<ConflictLattice> {
+        let x0 = solve_integer(m, b)?;
+        let null = integer_nullspace(m);
         let basis = if null.is_empty() {
             Vec::new()
         } else {
@@ -188,7 +193,7 @@ fn solve_branch(
             sys.ge(signed, Rat::int(1 - s * base));
         }
     }
-    find_integer_point(&sys).map(|c| lattice.point(&c))
+    integer_point(&sys).map(|c| lattice.point(&c))
 }
 
 /// Brute-force conflict oracle for differential testing: enumerate every

@@ -1,225 +1,171 @@
 //! Integer feasibility of a conjunctive rational inequality system.
 //!
-//! The dependence tester reduces "do two distinct in-bounds iterations
-//! touch the same element" to: does an integer point satisfy a small
-//! system `C·x ≤ b` over the lattice coefficients?  This module answers
-//! that exactly: a Fourier–Motzkin elimination chain gives exact rational
-//! bounds for each variable given the ones already fixed, and a DFS
-//! enumerates the integers inside those bounds, backtracking when a
-//! prefix admits a rational completion but no integer one.
+//! The dependence tester and the certifier reduce their questions — do
+//! two distinct in-bounds iterations touch one element, do two tiles
+//! share a point — to: does an integer point satisfy a small system
+//! `C·x ≤ b`?  [`integer_point`] answers with a point or with a proof
+//! that there is none, by an Omega-test-style elimination (Pugh, CACM
+//! 1992) that never enumerates a variable's range:
 //!
-//! The systems here are tiny (≤ 2·l variables, a few dozen constraints),
-//! but FM doubles pessimistically per elimination, so each projection is
-//! normalized and deduplicated to keep only the tightest bound per
-//! half-space direction.
+//! * every constraint is scaled to a primitive integer direction and its
+//!   bound floored, which keeps the integer points and makes multiples
+//!   of one half-space comparable;
+//! * a variable whose upper bounds, or whose lower bounds, all have
+//!   coefficient 1 is eliminated exactly: every integer point of its
+//!   Fourier–Motzkin shadow extends to an integer value of it;
+//! * otherwise the dark shadow ([`dark_shadow`]) is tried, whose integer
+//!   points extend too, and then Pugh's splinters: the few equalities
+//!   `b·x_k = β + i` on which a point the dark shadow misses must lie,
+//!   each parametrized over its integer solutions (the HNF step of
+//!   [`ConflictLattice`]) and so one variable smaller.
+//!
+//! Every step removes a variable — an eliminated one is no longer
+//! mentioned, a splinter's plane has one dimension fewer — so the
+//! recursion ends without a cap on ranges or nodes, however wide the
+//! loops are.
 
-use alp_linalg::fm::{eliminate, Constraint, System};
-use alp_linalg::{gcd, lcm, Rat};
+use crate::ConflictLattice;
+use alp_linalg::fm::{dark_shadow, eliminate, Constraint, System};
+use alp_linalg::{gcd, lcm, IMat, IVec, Rat};
 
-/// Hard cap on the integers tried for one variable at one DFS node, and
-/// on total DFS nodes.  The dependence systems are bounded (independent
-/// lattice rows intersected with a finite box), so these are safety
-/// valves, not tuning knobs.
-const MAX_RANGE: i128 = 1_000_000;
-const MAX_NODES: usize = 4_000_000;
-
-/// Scale a constraint so its coefficient vector is a primitive integer
-/// vector (gcd 1), which makes syntactically different multiples of the
-/// same half-space comparable.
-fn normalize(c: &Constraint) -> Option<Constraint> {
-    // Common denominator.
-    let mut den = 1i128;
-    for q in c.coeffs.iter().chain(std::iter::once(&c.bound)) {
-        den = lcm(den, q.den());
-    }
-    let mut ints: Vec<i128> = c.coeffs.iter().map(|q| q.num() * (den / q.den())).collect();
-    let mut bound = c.bound.num() * (den / c.bound.den());
-    // Divide by the gcd of the coefficients only (not the bound): the
-    // bound then floors to the tightest integer form later; here we keep
-    // it rational to stay exact.
-    let g = ints.iter().fold(0i128, |a, &v| gcd(a, v.abs()));
-    if g > 1 {
-        for v in &mut ints {
-            *v /= g;
-        }
-        return Some(Constraint::new(
-            ints.into_iter().map(Rat::int).collect(),
-            Rat::new(bound, g),
-        ));
-    }
-    if g == 0 {
-        // Trivial constraint 0 ≤ bound: keep only if it proves
-        // infeasibility; the caller checks `trivially_infeasible`.
-        if bound >= 0 {
-            return None;
-        }
-        bound = -1; // canonical "false"
-    }
-    Some(Constraint::new(
-        ints.into_iter().map(Rat::int).collect(),
-        Rat::int(bound),
-    ))
-}
-
-/// Normalize every constraint and keep only the tightest bound per
-/// direction.
-fn dedup(sys: &System) -> System {
-    let mut out = System::new(sys.vars);
-    let mut best: Vec<(Vec<Rat>, Rat)> = Vec::new();
-    for c in &sys.constraints {
-        let Some(n) = normalize(c) else { continue };
-        match best.iter_mut().find(|(dir, _)| *dir == n.coeffs) {
-            Some((_, b)) => {
-                if n.bound < *b {
-                    *b = n.bound;
-                }
-            }
-            None => best.push((n.coeffs, n.bound)),
-        }
-    }
-    for (coeffs, bound) in best {
-        out.constraints.push(Constraint::new(coeffs, bound));
-    }
-    out
-}
-
-/// What [`integer_point`] found.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Answer {
-    /// An integer point satisfying every constraint.
-    Point(Vec<i128>),
-    /// Proven: no integer point satisfies the system.
-    Empty,
-    /// No point was found, but a DFS node's range reached `MAX_RANGE`
-    /// (or was unbounded and cut there) or the walk passed `MAX_NODES`,
-    /// so part of the region was never looked at: emptiness is **not**
-    /// proven.
-    GaveUp,
-}
-
-/// Find any integer point satisfying every constraint of `sys`, or
-/// `None` when none was found — [`integer_point`] with its give-up read
-/// as "no point".  That reading is unsound for a caller that takes
-/// `None` as a proof of emptiness; the dependence tester still does
-/// (ROADMAP, Correctness), the certifier does not.
-pub fn find_integer_point(sys: &System) -> Option<Vec<i128>> {
-    match integer_point(sys) {
-        Answer::Point(p) => Some(p),
-        Answer::Empty | Answer::GaveUp => None,
-    }
-}
-
-/// Decide whether an integer point satisfies every constraint of `sys`.
-/// Exact: never reports a point that violates a constraint, and answers
-/// [`Answer::Empty`] only when the whole feasible region was ruled out;
-/// a region too wide for the safety caps is [`Answer::GaveUp`].
-pub fn integer_point(sys: &System) -> Answer {
-    let t = sys.vars;
-    if t == 0 {
-        return if sys.constraints.iter().all(|c| c.bound >= Rat::ZERO) {
-            Answer::Point(Vec::new())
-        } else {
-            Answer::Empty
-        };
-    }
-    // chain[r] mentions only variables 0..=r.
-    let mut chain: Vec<System> = Vec::with_capacity(t);
-    chain.resize(t, System::new(t));
-    chain[t - 1] = dedup(sys);
-    for r in (0..t - 1).rev() {
-        let projected = eliminate(&chain[r + 1], r + 1);
-        chain[r] = dedup(&projected);
-        if chain[r].trivially_infeasible() {
-            return Answer::Empty;
-        }
-    }
-    let mut assign = vec![0i128; t];
-    let mut walk = Walk::default();
-    if dfs(&chain, sys, 0, &mut assign, &mut walk) {
-        Answer::Point(assign)
-    } else if walk.gave_up {
-        Answer::GaveUp
+/// An integer point satisfying every constraint of `sys`, or `None`:
+/// then no integer point does.
+pub fn integer_point(sys: &System) -> Option<Vec<i128>> {
+    let sys = dedup(sys)?;
+    let Some((k, exact)) = pick(&sys) else {
+        return Some(vec![0; sys.vars]);
+    };
+    let point = if exact {
+        integer_point(&eliminate(&sys, k)).map(|p| extend(&sys, k, p))
     } else {
-        Answer::Empty
-    }
+        // No integer point in the real shadow, none at all.
+        integer_point(&eliminate(&sys, k))?;
+        integer_point(&dark_shadow(&sys, k))
+            .map(|p| extend(&sys, k, p))
+            .or_else(|| splinters(&sys, k).find_map(|(dir, rhs)| on_plane(&sys, &dir, rhs)))
+    };
+    debug_assert!(point.as_ref().is_none_or(|p| satisfies(&sys, p)));
+    point
 }
 
-/// What one search has spent, and whether a cap cut any of it short.
-#[derive(Default)]
-struct Walk {
-    nodes: usize,
-    gave_up: bool,
+/// Scale a constraint to a primitive integer direction (gcd 1) and floor
+/// its bound: the same integer points.  A constraint with no variable
+/// keeps its bound's sign.
+fn normalize(c: &Constraint) -> (Vec<i128>, i128) {
+    let den = (c.coeffs.iter().chain([&c.bound])).fold(1, |d, q| lcm(d, q.den()));
+    let scaled = |q: &Rat| q.num() * (den / q.den());
+    let ints: Vec<i128> = c.coeffs.iter().map(scaled).collect();
+    let g = ints.iter().fold(0, |a, &v| gcd(a, v)).max(1);
+    let dir = ints.into_iter().map(|v| v / g).collect();
+    (dir, scaled(&c.bound).div_euclid(g))
 }
 
-/// Enumerate integer values of variable `r` within the exact rational
-/// interval implied by `chain[r]` under the partial assignment, recursing
-/// on the next variable.
-fn dfs(
-    chain: &[System],
-    original: &System,
-    r: usize,
-    assign: &mut [i128],
-    walk: &mut Walk,
-) -> bool {
-    walk.nodes += 1;
-    if walk.nodes > MAX_NODES {
-        walk.gave_up = true;
-        return false;
-    }
-    let t = chain.len();
-    let sys = &chain[r];
-    // Residual interval for x_r given x_0..x_{r-1}.
-    let mut lo: Option<Rat> = None;
-    let mut hi: Option<Rat> = None;
+/// Normalize every constraint and keep the tightest bound per direction;
+/// `None` when a constraint without variables is false.
+fn dedup(sys: &System) -> Option<System> {
+    let mut best: Vec<(Vec<i128>, i128)> = Vec::new();
     for c in &sys.constraints {
-        let mut residual = c.bound;
-        for (&coeff, &v) in c.coeffs.iter().zip(&assign[..r]) {
-            residual = residual - coeff * Rat::int(v);
-        }
-        let a = c.coeffs[r];
-        if a.is_zero() {
-            // Constraint is fully determined by the prefix.
-            if residual < Rat::ZERO {
-                return false;
+        let (dir, bound) = normalize(c);
+        if dir.iter().all(|&v| v == 0) {
+            if bound < 0 {
+                return None;
             }
             continue;
         }
-        let b = residual / a;
-        if a > Rat::ZERO {
-            hi = Some(match hi {
-                Some(h) if h <= b => h,
-                _ => b,
-            });
-        } else {
-            lo = Some(match lo {
-                Some(l) if l >= b => l,
-                _ => b,
-            });
+        match best.iter_mut().find(|(d, _)| *d == dir) {
+            Some((_, b)) => *b = bound.min(*b),
+            None => best.push((dir, bound)),
         }
     }
-    // The dependence systems are bounded; cap unbounded directions
-    // (what lies past the cap is not looked at).
-    walk.gave_up |= lo.is_none() || hi.is_none();
-    let lo_i = lo.map_or(-MAX_RANGE, |q| q.ceil());
-    let hi_i = hi.map_or(MAX_RANGE, |q| q.floor());
-    if lo_i > hi_i {
-        return false;
+    let mut out = System::new(sys.vars);
+    for (dir, bound) in best {
+        out.le(dir.into_iter().map(Rat::int).collect(), Rat::int(bound));
     }
-    if (hi_i - lo_i) >= MAX_RANGE {
-        walk.gave_up = true;
-        return false;
-    }
-    for v in lo_i..=hi_i {
-        assign[r] = v;
-        if r + 1 == t {
-            if satisfies(original, assign) {
-                return true;
+    Some(out)
+}
+
+/// The variable to eliminate next, and whether its elimination is exact
+/// (its upper or its lower coefficients are all 1, an absent side
+/// included): an exact one if there is one, and the one pairing the
+/// fewest constraints; `None` when no constraint mentions a variable.
+fn pick(sys: &System) -> Option<(usize, bool)> {
+    (0..sys.vars)
+        .filter_map(|k| {
+            let (mut lowers, mut uppers, mut unit_lower, mut unit_upper) = (0, 0, true, true);
+            for a in sys.constraints.iter().map(|c| c.coeffs[k].num()) {
+                if a > 0 {
+                    (uppers, unit_upper) = (uppers + 1, unit_upper && a == 1);
+                } else if a < 0 {
+                    (lowers, unit_lower) = (lowers + 1, unit_lower && a == -1);
+                }
             }
-        } else if dfs(chain, original, r + 1, assign, walk) {
-            return true;
+            let exact = unit_lower || unit_upper;
+            (lowers + uppers > 0).then_some((!exact, lowers * uppers, k))
+        })
+        .min()
+        .map(|(inexact, _, k)| (k, !inexact))
+}
+
+/// `p` with `x_k` set, nearest 0, so that it satisfies every constraint
+/// of the normalized `sys` — `p` being an integer point of `x_k`'s exact
+/// or dark shadow, such a value exists.
+fn extend(sys: &System, k: usize, mut p: Vec<i128>) -> Vec<i128> {
+    p[k] = 0;
+    let (mut lo, mut hi) = (i128::MIN, i128::MAX);
+    for c in &sys.constraints {
+        let a = c.coeffs[k].num();
+        if a == 0 {
+            continue;
+        }
+        let fixed: i128 = c.coeffs.iter().zip(&p).map(|(q, v)| q.num() * v).sum();
+        let rest = c.bound.num() - fixed;
+        if a > 0 {
+            hi = hi.min(rest.div_euclid(a));
+        } else {
+            lo = lo.max(Rat::new(rest, a).ceil());
         }
     }
-    false
+    debug_assert!(lo <= hi, "a shadow point extends");
+    p[k] = lo.max(hi.min(0));
+    p
+}
+
+/// Pugh's splinters of the normalized `sys` on `x_k`: an integer point
+/// outside the dark shadow lies on `c·x = bound − i` for a lower bound
+/// `c` (coefficient `−b` on `x_k`) and some `0 ≤ i ≤ (m·b − m − b)/m`,
+/// `m` the largest coefficient of `x_k` in an upper bound.
+fn splinters(sys: &System, k: usize) -> impl Iterator<Item = (Vec<i128>, i128)> + '_ {
+    let m = (sys.constraints.iter()).map(|c| c.coeffs[k].num()).max();
+    let m = m.expect("an inexact variable has upper bounds");
+    (sys.constraints.iter())
+        .filter(move |c| c.coeffs[k].num() < 0)
+        .flat_map(move |c| {
+            let b = -c.coeffs[k].num();
+            let dir: Vec<i128> = c.coeffs.iter().map(Rat::num).collect();
+            let bound = c.bound.num();
+            (0..=(m * b - m - b).div_euclid(m)).map(move |i| (dir.clone(), bound - i))
+        })
+}
+
+/// An integer point of `sys` on the hyperplane `dir·x = rhs`: the plane's
+/// integer solutions `x₀ + Σ t_r·N_r` substituted into `sys` leave a
+/// system over the `t_r`, one variable fewer.
+fn on_plane(sys: &System, dir: &[i128], rhs: i128) -> Option<Vec<i128>> {
+    let column = IMat::from_vec(dir.len(), 1, dir.to_vec());
+    let plane = ConflictLattice::solutions(&column, &IVec(vec![rhs]))?;
+    let t = plane.rank();
+    let mut sub = System::new(t);
+    for c in &sys.constraints {
+        let (mut coeffs, mut bound) = (vec![Rat::ZERO; t], c.bound);
+        for (k, &a) in c.coeffs.iter().enumerate() {
+            for (s, n) in coeffs.iter_mut().zip(plane.row(k, t)) {
+                *s = *s + a * n;
+            }
+            bound = bound - a * Rat::int(plane.origin(k));
+        }
+        sub.le(coeffs, bound);
+    }
+    integer_point(&sub).map(|t| plane.point(&t))
 }
 
 /// Check a full assignment against the original system.
@@ -248,7 +194,7 @@ mod tests {
         s.le(vec![r(1), r(0)], r(5));
         s.ge(vec![r(0), r(1)], r(-1));
         s.le(vec![r(0), r(1)], r(1));
-        let p = find_integer_point(&s).unwrap();
+        let p = integer_point(&s).unwrap();
         assert!(satisfies(&s, &p));
     }
 
@@ -257,33 +203,59 @@ mod tests {
         let mut s = System::new(1);
         s.ge(vec![r(1)], r(3));
         s.le(vec![r(1)], r(2));
-        assert_eq!(integer_point(&s), Answer::Empty);
+        assert_eq!(integer_point(&s), None);
     }
 
     #[test]
-    fn a_range_past_the_cap_is_a_give_up_not_a_proof() {
-        // 0 ≤ x ≤ 2·10⁶ is full of integer points; the search looks at
-        // none of them and must say so.
+    fn wide_and_unbounded_ranges_are_decided() {
+        // 0 ≤ x ≤ 2⁶⁰: no value is enumerated, so width costs nothing.
         let mut s = System::new(1);
         s.ge(vec![r(1)], r(0));
-        s.le(vec![r(1)], r(2 * MAX_RANGE));
-        assert_eq!(integer_point(&s), Answer::GaveUp);
-        assert_eq!(find_integer_point(&s), None);
-        // A point found elsewhere still wins over a node that gave up.
+        s.le(vec![r(1)], r(1 << 60));
+        assert_eq!(integer_point(&s), Some(vec![0]));
         let mut s = System::new(2);
         s.ge(vec![r(1), r(0)], r(0));
         s.le(vec![r(1), r(0)], r(1));
-        s.ge(vec![r(0), r(1)], r(0));
-        s.le(vec![r(-2 * MAX_RANGE), r(1)], r(0)); // y ≤ 2·10⁶·x
-        assert_eq!(integer_point(&s), Answer::Point(vec![0, 0]));
-        // A half-line is cut at the cap: finding nothing proves nothing.
+        s.ge(vec![r(0), r(1)], r(1 << 40));
+        s.le(vec![r(-(1 << 50)), r(1)], r(0)); // y ≤ 2⁵⁰·x
+        let p = integer_point(&s).unwrap();
+        assert!(satisfies(&s, &p) && p[0] == 1, "{p:?}");
+        // 2x = odd, however far out, has no integer point.
         let mut s = System::new(1);
-        s.ge(vec![r(2)], r(2 * MAX_RANGE + 1));
-        s.le(vec![r(2)], r(2 * MAX_RANGE + 1));
-        assert_eq!(integer_point(&s), Answer::Empty, "bounded: 2x = odd");
+        s.ge(vec![r(2)], r((1 << 61) + 1));
+        s.le(vec![r(2)], r((1 << 61) + 1));
+        assert_eq!(integer_point(&s), None);
+        // Half-lines and free variables have points.
+        let mut s = System::new(2);
+        s.ge(vec![r(1), r(0)], r(1 << 62));
+        assert_eq!(integer_point(&s), Some(vec![1 << 62, 0]));
         let mut s = System::new(1);
-        s.ge(vec![r(1)], r(MAX_RANGE + 1));
-        assert_eq!(integer_point(&s), Answer::GaveUp);
+        s.le(vec![r(3)], r(-7));
+        assert_eq!(integer_point(&s), Some(vec![-3]));
+    }
+
+    #[test]
+    fn the_omega_nightmare_has_no_integer_point() {
+        // Pugh's example: 27 ≤ 11x + 13y ≤ 45, −10 ≤ 7x − 9y ≤ 4 has a
+        // real shadow but no integer point; neither variable has a unit
+        // coefficient, so only the dark shadow and the splinters decide.
+        let mut s = System::new(2);
+        s.ge(vec![r(11), r(13)], r(27));
+        s.le(vec![r(11), r(13)], r(45));
+        s.ge(vec![r(7), r(-9)], r(-10));
+        s.le(vec![r(7), r(-9)], r(4));
+        assert_eq!(integer_point(&s), None);
+        let mut brute = (-10..=10).flat_map(|x| (-10..=10).map(move |y| [x, y]));
+        assert!(brute.all(|p| !satisfies(&s, &p)));
+        // Widened to −11 ≤ 7x − 9y it holds (1, 2), and the search
+        // returns a point of it.
+        let mut wide = System::new(2);
+        wide.ge(vec![r(11), r(13)], r(27));
+        wide.le(vec![r(11), r(13)], r(45));
+        wide.ge(vec![r(7), r(-9)], r(-11));
+        wide.le(vec![r(7), r(-9)], r(4));
+        let p = integer_point(&wide).expect("(1, 2) satisfies it");
+        assert!(satisfies(&wide, &p), "{p:?}");
     }
 
     #[test]
@@ -292,13 +264,13 @@ mod tests {
         let mut s = System::new(1);
         s.ge(vec![r(1)], Rat::new(1, 2));
         s.le(vec![r(1)], Rat::new(2, 3));
-        assert!(find_integer_point(&s).is_none());
+        assert!(integer_point(&s).is_none());
     }
 
     #[test]
-    fn backtracks_on_integrality() {
-        // x + 2y = 1 (as two inequalities), 0 ≤ x ≤ 4, 0 ≤ y ≤ 4:
-        // needs x odd; x=0 fails, x=1,y=0 works.
+    fn equalities_without_a_unit_coefficient_go_through_a_splinter() {
+        // x + 2y = 1 needs x odd; 3x + 5y = 1 with 0 ≤ x, y ≤ 4 has
+        // (2, −1) only outside the box, and 3x + 5y = 13 has (1, 2).
         let mut s = System::new(2);
         s.le(vec![r(1), r(2)], r(1));
         s.ge(vec![r(1), r(2)], r(1));
@@ -306,8 +278,18 @@ mod tests {
         s.le(vec![r(1), r(0)], r(4));
         s.ge(vec![r(0), r(1)], r(0));
         s.le(vec![r(0), r(1)], r(4));
-        let p = find_integer_point(&s).unwrap();
+        let p = integer_point(&s).unwrap();
         assert_eq!(p[0] + 2 * p[1], 1);
+        for (rhs, want) in [(1, None), (13, Some(vec![1, 2]))] {
+            let mut s = System::new(2);
+            s.le(vec![r(3), r(5)], r(rhs));
+            s.ge(vec![r(3), r(5)], r(rhs));
+            s.ge(vec![r(1), r(0)], r(0));
+            s.le(vec![r(1), r(0)], r(4));
+            s.ge(vec![r(0), r(1)], r(0));
+            s.le(vec![r(0), r(1)], r(4));
+            assert_eq!(integer_point(&s), want, "3x + 5y = {rhs}");
+        }
     }
 
     #[test]
@@ -320,7 +302,7 @@ mod tests {
         s.le(vec![r(1), r(0)], r(10));
         s.ge(vec![r(0), r(1)], r(0));
         s.le(vec![r(0), r(1)], r(10));
-        let p = find_integer_point(&s).unwrap();
+        let p = integer_point(&s).unwrap();
         assert_eq!(p[0] - p[1], 3);
         assert!((0..=10).contains(&p[0]) && (0..=10).contains(&p[1]));
     }
@@ -328,18 +310,18 @@ mod tests {
     #[test]
     fn zero_vars() {
         let s = System::new(0);
-        assert_eq!(find_integer_point(&s), Some(vec![]));
+        assert_eq!(integer_point(&s), Some(vec![]));
         let mut bad = System::new(0);
         bad.le(vec![], r(-1));
-        assert!(find_integer_point(&bad).is_none());
+        assert!(integer_point(&bad).is_none());
     }
 
     #[test]
-    fn dedup_keeps_tightest() {
+    fn dedup_keeps_tightest_and_floors() {
         let mut s = System::new(1);
-        s.le(vec![r(2)], r(10)); // x ≤ 5
-        s.le(vec![r(1)], r(3)); // x ≤ 3 (tighter)
-        let d = dedup(&s);
+        s.le(vec![r(2)], r(11)); // x ≤ 5
+        s.le(vec![r(1)], Rat::new(7, 2)); // x ≤ 3 (tighter)
+        let d = dedup(&s).unwrap();
         assert_eq!(d.constraints.len(), 1);
         assert_eq!(d.constraints[0].bound, r(3));
     }

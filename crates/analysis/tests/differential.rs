@@ -1,11 +1,16 @@
 //! Differential validation of the exact dependence tester against a
-//! brute-force oracle that enumerates every iteration pair.
+//! brute-force oracle that enumerates every iteration pair, and of the
+//! integer search beneath it against one that enumerates every point of
+//! a box.
 //!
 //! Trip counts stay small (≤ 6) so the oracle is exhaustive; the exact
 //! tester must agree on the verdict for every pair, and every witness it
 //! produces must be a genuine in-bounds distinct-iteration conflict.
 
+use alp_analysis::search::{integer_point, satisfies};
 use alp_analysis::{brute_force_conflict, pair_conflict, witness_is_valid};
+use alp_linalg::fm::System;
+use alp_linalg::Rat;
 use alp_loopir::{AccessKind, AffineExpr, ArrayRef, LoopIndex, LoopNest, Statement};
 
 /// Deterministic xorshift-free LCG (no external RNG crates available in
@@ -149,4 +154,90 @@ fn random_nests_agree_with_oracle() {
         let nest = LoopNest::new(loops, body).expect("bounds are non-empty by construction");
         check_all_pairs(&nest, &format!("random case {case}"));
     }
+}
+
+/// Every point of the box `[lo_k, hi_k]`, row-major.
+fn box_points(bounds: &[(i128, i128)]) -> Vec<Vec<i128>> {
+    bounds.iter().fold(vec![Vec::new()], |points, &(lo, hi)| {
+        (points.iter())
+            .flat_map(|p| (lo..=hi).map(move |v| [p.as_slice(), &[v]].concat()))
+            .collect()
+    })
+}
+
+/// Random 1–3-variable systems inside a box in [−6, 6], with 1–4 extra
+/// inequalities or equalities whose coefficients lie in [−4, 4]: most
+/// variables have a coefficient other than ±1 somewhere, so the dark
+/// shadow and the splinters decide many of them.  The search must agree
+/// with brute force over the box and return only points of the system.
+/// Lifted by a variable `z ∈ [0, 2²¹]` tied to the others with unit
+/// coefficients (`z ≥ Σ x_k`, `z + x_0 ≤ 2²¹`, satisfiable for every
+/// point of the box), each system keeps its verdict.
+#[test]
+fn random_systems_agree_with_the_box_and_lift_to_2_pow_21() {
+    let r = Rat::int;
+    let mut rng = Lcg(0x5eed_cafe_f00d_0002);
+    let (mut feasible, mut empty) = (0, 0);
+    for case in 0..3000 {
+        let vars = rng.range(1, 3) as usize;
+        let bounds: Vec<(i128, i128)> = (0..vars)
+            .map(|_| {
+                let lo = rng.range(-6, 6);
+                (lo, rng.range(lo, 6))
+            })
+            .collect();
+        let mut sys = System::new(vars);
+        for (k, &(lo, hi)) in bounds.iter().enumerate() {
+            let unit: Vec<Rat> = (0..vars).map(|j| r(i128::from(j == k))).collect();
+            sys.ge(unit.clone(), r(lo));
+            sys.le(unit, r(hi));
+        }
+        for _ in 0..rng.range(1, 4) {
+            let coeffs: Vec<Rat> = (0..vars).map(|_| r(rng.range(-4, 4))).collect();
+            let bound = r(rng.range(-12, 12));
+            match rng.range(0, 2) {
+                0 => sys.le(coeffs, bound),
+                1 => sys.ge(coeffs, bound),
+                _ => {
+                    sys.le(coeffs.clone(), bound);
+                    sys.ge(coeffs, bound);
+                }
+            }
+        }
+        let brute = box_points(&bounds).into_iter().find(|p| satisfies(&sys, p));
+        let found = integer_point(&sys);
+        assert_eq!(found.is_some(), brute.is_some(), "case {case}: {sys:?}");
+        if let Some(p) = &found {
+            assert!(satisfies(&sys, p), "case {case}: {p:?} outside {sys:?}");
+            feasible += 1;
+        } else {
+            empty += 1;
+        }
+
+        let wide = 1i128 << 21;
+        let mut lifted = System::new(vars + 1);
+        for c in &sys.constraints {
+            lifted.le([c.coeffs.as_slice(), &[r(0)]].concat(), c.bound);
+        }
+        let z = |x: Vec<Rat>, zc| [x, vec![r(zc)]].concat();
+        lifted.ge(z(vec![r(0); vars], 1), r(0));
+        lifted.le(z(vec![r(0); vars], 1), r(wide));
+        lifted.ge(z(vec![r(-1); vars], 1), r(0));
+        let mut first = vec![r(0); vars];
+        first[0] = r(1);
+        lifted.le(z(first, 1), r(wide));
+        let point = integer_point(&lifted);
+        assert_eq!(point.is_some(), found.is_some(), "case {case} lifted");
+        if let Some(p) = point {
+            assert!(
+                satisfies(&lifted, &p),
+                "case {case}: {p:?} outside the lift"
+            );
+        }
+    }
+    // Both verdicts are well represented.
+    assert!(
+        feasible > 500 && empty > 500,
+        "{feasible} feasible, {empty} empty"
+    );
 }

@@ -8,8 +8,8 @@
 //!    no gap and no overlap.  Pairwise disjointness of the tile boxes
 //!    and, where the boxes are exact, per-tile containment in the loop
 //!    bounds are Fourier–Motzkin feasibility questions over the
-//!    tile/bound inequalities ([`alp_linalg::fm`] + the bounded integer
-//!    search of [`alp_analysis::search`]); exactness then follows from
+//!    tile/bound inequalities (the exact integer search of
+//!    [`alp_analysis::search`]); exactness then follows from
 //!    an integer point count (disjoint + contained + counts summing to
 //!    the space's volume ⇒ partition).
 //! 2. **Cross-tile write disjointness** — per array, the write
@@ -20,9 +20,8 @@
 //!    whole loop-bound box, and no `ī₁ ≠ ī₂` disequality (iterations
 //!    in distinct tiles are distinct once coverage holds).
 //! 3. **In-bounds accesses** — every affine reference stays inside its
-//!    array's extents for every iteration, checked per subscript
-//!    dimension by the infeasibility of `bounds ∧ subscript < lo` and
-//!    `bounds ∧ subscript > hi`.
+//!    array's extents for every iteration: the exact range of each
+//!    subscript over the loop-bound box lies within the extent.
 //! 4. **Generalized idempotence** — a dataflow replacement for the
 //!    executor's syntactic retry rule: the nest is re-runnable iff no
 //!    read of any statement can touch a location any statement writes
@@ -54,10 +53,12 @@
 //!   `lo_k + m·c_k` separates them, so one integer search per ordered
 //!   pair of write references and split dimension — over the solution
 //!   lattice of `w₁(x) = w₂(y)` and the cut index `m` — replaces one per
-//!   pair of tiles.  In-bounds is interval arithmetic on the loop-bound
-//!   box; idempotence never depended on the tiles.  [`recheck`] runs
-//!   it: a certificate is re-checked at every execution, and the tamper
-//!   check must not cost what the proof cost.
+//!   pair of tiles.  [`recheck`] runs it: a certificate is re-checked at
+//!   every execution, and the tamper check must not cost what the proof
+//!   cost.
+//!
+//! In-bounds (interval arithmetic on the loop-bound box) and idempotence
+//! never depended on the tiles, so both procedures share them.
 //!
 //! [`certify`] has not switched to the decider, and there is no option
 //! to make it: the prover is the only producer of counterexample notes,
@@ -65,18 +66,13 @@
 //! completed operation, so a faster `certify` reads as a memory
 //! regression until that window is bounded (ROADMAP, "Certification in
 //! time linear in tiles").  Until then `tests/certify_props.rs` holds
-//! the two to the same verdicts on random plans.
-//!
-//! **Fail closed.**  An integer search that gives up
-//! ([`Answer::GaveUp`]) proves nothing, so either procedure records the
-//! fact as `false`; and where the two disagree — they ask differently
-//! sized questions, so one can give up where the other does not —
-//! [`recheck`] refuses the certificate (`ALP0011`) rather than trust
-//! either side.
+//! the two to the same verdicts on random plans.  Every integer question
+//! either side asks ends in a point or a proof of emptiness, so the two
+//! agree by construction wherever their questions are equivalent.
 
 #![warn(missing_docs)]
 
-use alp_analysis::search::{integer_point, Answer};
+use alp_analysis::search::integer_point;
 use alp_analysis::ConflictLattice;
 use alp_linalg::fm::System;
 use alp_linalg::{IVec, Rat};
@@ -203,9 +199,15 @@ pub fn certify(plan: &PartitionPlan) -> Result<CertifyReport, CertifyError> {
     let coverage = prove_coverage(&nest, &tiling, &boxes, &mut notes);
     let write_disjoint = match write_refs(&nest, plan) {
         Some(writes) => prove_write_disjoint(&writes, &boxes, &mut notes),
-        None => gave_up("write-disjoint", &mut notes),
+        None => {
+            notes.push("write-disjoint: a composed write subscript overflows i128".into());
+            false
+        }
     };
-    let in_bounds = prove_in_bounds(&nest, &mut notes);
+    let in_bounds = decide_in_bounds(&nest);
+    if !in_bounds {
+        notes.push("in-bounds: an array extent overflows i128".into());
+    }
     let idempotent = prove_idempotent(&nest, &mut notes);
     Ok(CertifyReport {
         certificate: Certificate {
@@ -225,9 +227,9 @@ pub fn certify(plan: &PartitionPlan) -> Result<CertifyReport, CertifyError> {
 /// is decidable is just as tampered as one claiming more).
 ///
 /// **Fails closed:** where the decider and the prover that issued the
-/// certificate disagree — a search that gave up on one side only, tile
-/// boxes the decider does not recognise as its grid — the answer is
-/// [`CertifyError::Mismatch`] (`ALP0011`), never a silent acceptance.
+/// certificate disagree — tile boxes the decider does not recognise as
+/// its grid — the answer is [`CertifyError::Mismatch`] (`ALP0011`),
+/// never a silent acceptance.
 ///
 /// Returns the freshly decided certificate on success, so callers gate
 /// the fast path on what was *re-decided*, never on the stored bits.
@@ -295,12 +297,6 @@ fn write_refs(nest: &LoopNest, plan: &PartitionPlan) -> Option<Vec<ArrayRef>> {
         .collect()
 }
 
-/// A search that gave up has proven nothing: the fact reads `false`.
-fn gave_up(fact: &str, notes: &mut Vec<String>) -> bool {
-    notes.push(format!("{fact}: search gave up, not proven"));
-    false
-}
-
 /// An inclusive per-dimension iteration box in exact `i128` arithmetic
 /// (tile boxes arrive as `i64` [`IterBox`]es; loop-bound boxes are
 /// native `i128`).
@@ -345,15 +341,11 @@ fn prove_coverage(
             let mut sys = System::new(l);
             constrain_box(&mut sys, &boxes[a], identity_coeffs(l));
             constrain_box(&mut sys, &boxes[b], identity_coeffs(l));
-            match integer_point(&sys) {
-                Answer::Empty => {}
-                Answer::GaveUp => ok = gave_up("coverage", notes),
-                Answer::Point(p) => {
-                    notes.push(format!(
-                        "coverage: tiles {a} and {b} both contain iteration {p:?}"
-                    ));
-                    ok = false;
-                }
+            if let Some(p) = integer_point(&sys) {
+                notes.push(format!(
+                    "coverage: tiles {a} and {b} both contain iteration {p:?}"
+                ));
+                ok = false;
             }
         }
     }
@@ -372,17 +364,12 @@ fn prove_coverage(
                 } else {
                     sys.ge(coeffs, Rat::int(bound));
                 }
-                match integer_point(&sys) {
-                    Answer::Empty => {}
-                    Answer::GaveUp => ok = gave_up("coverage", notes),
-                    Answer::Point(p) => {
-                        notes.push(format!(
-                            "coverage: tile {t} escapes the `{}` bounds {side} at iteration \
-                             {p:?}",
-                            lp.name
-                        ));
-                        ok = false;
-                    }
+                if let Some(p) = integer_point(&sys) {
+                    notes.push(format!(
+                        "coverage: tile {t} escapes the `{}` bounds {side} at iteration {p:?}",
+                        lp.name
+                    ));
+                    ok = false;
                 }
             }
         }
@@ -493,7 +480,7 @@ fn decide_write_disjoint(
                 sys.ge(above, Rat::int(bounds[k].0 - lattice.origin(l + k)));
                 sys.ge(index.clone(), Rat::int(1));
                 sys.le(index, Rat::int(grid[k] - 1));
-                if integer_point(&sys) != Answer::Empty {
+                if integer_point(&sys).is_some() {
                     return false;
                 }
             }
@@ -504,7 +491,8 @@ fn decide_write_disjoint(
 
 /// Fact 3, decided by interval arithmetic: the range of an affine
 /// subscript over the loop-bound box is exact — and a range or extent
-/// beyond `i128` is not in bounds of anything.
+/// beyond `i128` is not in bounds of anything.  The extents are the hull
+/// of the nest's own references, so that is the only refutation.
 fn decide_in_bounds(nest: &LoopNest) -> bool {
     let Ok(extents) = nest.try_array_extents() else {
         return false;
@@ -542,69 +530,21 @@ fn prove_write_disjoint(writes: &[ArrayRef], boxes: &[Box128], notes: &mut Vec<S
                     {
                         continue;
                     }
-                    match box_conflict(w1, &boxes[a], w2, &boxes[b]) {
-                        Answer::Empty => {}
-                        Answer::GaveUp => return gave_up("write-disjoint", notes),
-                        Answer::Point(x) => {
-                            let (i1, i2) = x.split_at(x.len() / 2);
-                            notes.push(format!(
-                                "write-disjoint: tiles {a} and {b} both write {}{:?} \
-                                 (iterations {i1:?} and {i2:?})",
-                                w1.array,
-                                w1.eval(&IVec(i1.to_vec())).0,
-                            ));
-                            return false;
-                        }
+                    if let Some(x) = box_conflict(w1, &boxes[a], w2, &boxes[b]) {
+                        let (i1, i2) = x.split_at(x.len() / 2);
+                        notes.push(format!(
+                            "write-disjoint: tiles {a} and {b} both write {}{:?} \
+                             (iterations {i1:?} and {i2:?})",
+                            w1.array,
+                            w1.eval(&IVec(i1.to_vec())).0,
+                        ));
+                        return false;
                     }
                 }
             }
         }
     }
     true
-}
-
-/// Fact 3: every reference stays inside its array's extents for all
-/// in-bounds iterations, one FM feasibility question per subscript
-/// dimension per side.
-fn prove_in_bounds(nest: &LoopNest, notes: &mut Vec<String>) -> bool {
-    let l = nest.depth();
-    let Ok(extents) = nest.try_array_extents() else {
-        notes.push("in-bounds: an array extent overflows i128".into());
-        return false;
-    };
-    let full: Box128 = nest.bounds().collect();
-    let mut ok = true;
-    for r in nest.all_refs() {
-        let Some(ext) = extents.get(&r.array) else {
-            continue;
-        };
-        for (d, sub) in r.subscripts.iter().enumerate() {
-            let (lo, hi) = ext[d];
-            let coeffs: Vec<Rat> = sub.coeffs.iter().map(|&c| Rat::int(c)).collect();
-            for (escape, side) in [(lo - 1, "below"), (hi + 1, "above")] {
-                let mut sys = System::new(l);
-                constrain_box(&mut sys, &full, identity_coeffs(l));
-                if side == "below" {
-                    sys.le(coeffs.clone(), Rat::int(escape - sub.constant));
-                } else {
-                    sys.ge(coeffs.clone(), Rat::int(escape - sub.constant));
-                }
-                match integer_point(&sys) {
-                    Answer::Empty => {}
-                    Answer::GaveUp => ok = gave_up("in-bounds", notes),
-                    Answer::Point(p) => {
-                        notes.push(format!(
-                            "in-bounds: {} subscript {d} escapes [{lo}, {hi}] {side} at \
-                             iteration {p:?}",
-                            r.array
-                        ));
-                        ok = false;
-                    }
-                }
-            }
-        }
-    }
-    ok
 }
 
 /// Fact 4: no read can touch a location any statement writes, so
@@ -621,19 +561,15 @@ fn prove_idempotent(nest: &LoopNest, notes: &mut Vec<String>) -> bool {
                 if r.array != w.array {
                     continue;
                 }
-                match box_conflict(r, &full, w, &full) {
-                    Answer::Empty => {}
-                    Answer::GaveUp => return gave_up("idempotence", notes),
-                    Answer::Point(x) => {
-                        let (i1, i2) = x.split_at(x.len() / 2);
-                        notes.push(format!(
-                            "idempotence: iteration {i1:?} reads {}{:?}, which iteration \
-                             {i2:?} writes — a re-run could observe partial output",
-                            r.array,
-                            r.eval(&IVec(i1.to_vec())).0,
-                        ));
-                        return false;
-                    }
+                if let Some(x) = box_conflict(r, &full, w, &full) {
+                    let (i1, i2) = x.split_at(x.len() / 2);
+                    notes.push(format!(
+                        "idempotence: iteration {i1:?} reads {}{:?}, which iteration \
+                         {i2:?} writes — a re-run could observe partial output",
+                        r.array,
+                        r.eval(&IVec(i1.to_vec())).0,
+                    ));
+                    return false;
                 }
             }
         }
@@ -642,25 +578,20 @@ fn prove_idempotent(nest: &LoopNest, notes: &mut Vec<String>) -> bool {
 }
 
 /// The PR-1 stacked Diophantine solve over symbolic boxes: is there
-/// `ī₁ ∈ box1`, `ī₂ ∈ box2` with `r1(ī₁) == r2(ī₂)`?  A bounded integer
+/// `ī₁ ∈ box1`, `ī₂ ∈ box2` with `r1(ī₁) == r2(ī₂)`?  An exact integer
 /// search of the [`ConflictLattice`] inside the two boxes; a point is
 /// returned as `x = (ī₁ | ī₂)`.  No disequality: equal iterations count
 /// as a conflict here (the callers that need distinctness pass disjoint
 /// boxes).
-fn box_conflict(r1: &ArrayRef, box1: &Box128, r2: &ArrayRef, box2: &Box128) -> Answer {
+fn box_conflict(r1: &ArrayRef, box1: &Box128, r2: &ArrayRef, box2: &Box128) -> Option<Vec<i128>> {
     let l = box1.len();
     debug_assert_eq!(box2.len(), l, "boxes of one nest have equal rank");
-    let Some(lattice) = ConflictLattice::new(r1, r2, l) else {
-        return Answer::Empty;
-    };
+    let lattice = ConflictLattice::new(r1, r2, l)?;
     let mut sys = System::new(lattice.rank());
     for (k, &(lo, hi)) in box1.iter().chain(box2).enumerate() {
         lattice.constrain(&mut sys, k, lo, hi);
     }
-    match integer_point(&sys) {
-        Answer::Point(c) => Answer::Point(lattice.point(&c)),
-        other => other,
-    }
+    integer_point(&sys).map(|c| lattice.point(&c))
 }
 
 /// Exact interval image of each subscript over each box; disjoint in
@@ -933,7 +864,7 @@ mod tests {
         nest.loops[0].upper = -1;
         assert_eq!(nest.iteration_count(), 0);
         assert_eq!(coverage_verdicts(&nest, &[2, 2], |_, _| {}), (true, true));
-        assert!(decide_in_bounds(&nest) && prove_in_bounds(&nest, &mut Vec::new()));
+        assert!(decide_in_bounds(&nest));
         let writes: Vec<ArrayRef> = nest.body.iter().map(|st| st.lhs.clone()).collect();
         let tiling = Tiling::new(&nest, None, &[2, 2]).unwrap();
         assert!(decide_write_disjoint(
@@ -944,23 +875,43 @@ mod tests {
         ));
     }
 
+    /// The integers of a note, in order.
+    fn numbers(note: &str) -> Vec<i128> {
+        (note.split(|c: char| !c.is_ascii_digit() && c != '-'))
+            .filter_map(|w| w.parse().ok())
+            .collect()
+    }
+
     #[test]
-    fn a_search_that_gives_up_proves_nothing() {
+    fn a_wide_accumulate_is_refuted_with_witnesses() {
         // Every j-tile accumulates into S[0] and every iteration reads
-        // it back, but a loop of 2²⁰ iterations is wider than the
-        // integer search looks: the give-up used to read "no conflict".
+        // it back.  A loop of 2²⁰ iterations is no wider for the exact
+        // search than one of four: both facts come back refuted with a
+        // tile pair and iterations that really collide.
         let src = "doall (i, 0, 1048575) { doall (j, 0, 1048575) {
                      l$S[0] = l$S[0] + A[0]; } }";
         let plan = plan_with_grid(src, vec![1, 4]);
         let report = certify(&plan).unwrap();
         assert!(report.certificate.coverage && report.certificate.in_bounds);
         assert!(!report.certificate.write_disjoint && !report.certificate.idempotent);
-        for fact in ["write-disjoint", "idempotence"] {
-            let note = format!("{fact}: search gave up, not proven");
-            assert!(report.notes.contains(&note), "{:?}", report.notes);
-        }
-        // The decider gives up on the same question, and a certificate
-        // issued before the fix no longer passes.
+        let note = |fact: &str| {
+            let found = report.notes.iter().find(|n| n.starts_with(fact));
+            numbers(found.unwrap_or_else(|| panic!("no {fact} note: {:?}", report.notes)))
+        };
+        let tiling = plan.tiling(&plan.nest().unwrap()).unwrap();
+        let within = |t: i128, i: &[i128]| {
+            let bx = box128(&tiling.boxes()[t as usize]);
+            (bx.iter().zip(i)).all(|(&(lo, hi), v)| (lo..=hi).contains(v))
+        };
+        // "tiles a and b both write S[0] (iterations [i, j] and [i, j])"
+        let w = note("write-disjoint: tiles ");
+        assert!(w[0] != w[1] && w[2] == 0, "{w:?}");
+        assert!(within(w[0], &w[3..5]) && within(w[1], &w[5..7]), "{w:?}");
+        // "iteration [i, j] reads S[0], which iteration [i, j] writes"
+        let r = note("idempotence: iteration ");
+        assert_eq!(r.len(), 5, "{r:?}");
+        // The decider refutes the same facts, and a certificate the
+        // capped search once issued (claiming both) is refused.
         let certified = plan.clone().with_certificate(report.certificate.clone());
         assert_eq!(recheck(&certified).unwrap(), report.certificate);
         let mut old = report.certificate;

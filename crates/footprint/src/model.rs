@@ -159,61 +159,6 @@ impl CostModel {
         self.cost_rect(lambda) - base_all
     }
 
-    /// Estimated **coherence traffic** of a rectangular tile: the spread
-    /// terms of Theorem 4, but only along dimensions where neighbouring
-    /// tiles exist (`λ_i + 1 <` trip count).
-    ///
-    /// A spread term along a dimension the tile spans completely is
-    /// boundary data with no owner on the other side — extra *cold*
-    /// misses but no sharing.  This is why Example 2's strip partition
-    /// (104 misses per tile) still has **zero coherence traffic**: its
-    /// only spread term points along the fully-spanned `i` dimension.
-    /// Rank-deficient classes (no per-dimension decomposition) fall back
-    /// to their full shape-dependent traffic, an upper bound.
-    pub fn coherence_traffic_rect(&self, lambda: &[i128]) -> Rat {
-        assert_eq!(lambda.len(), self.depth, "tile depth mismatch");
-        use alp_linalg::{max_independent_columns, solve_rational, IVec};
-        let mut total = Rat::ZERO;
-        for cc in self.active_classes() {
-            let g = &cc.class.g;
-            let keep = max_independent_columns(g);
-            let g_red = g.select_columns(&keep);
-            let spread = cc.class.spread();
-            let spread_red = IVec(keep.iter().map(|&k| spread[k]).collect());
-            let decomposed = (g_red.rows() == g_red.cols() && g_red.is_nonsingular())
-                .then(|| solve_rational(&g_red, &spread_red))
-                .flatten();
-            match decomposed {
-                Some(u) => {
-                    for (i, ui) in u.iter().enumerate().take(self.depth) {
-                        if lambda[i] + 1 >= self.trips[i] {
-                            continue; // tile spans the dimension: no neighbour
-                        }
-                        let mut term = ui.abs();
-                        for (j, &lam) in lambda.iter().enumerate() {
-                            if j != i {
-                                term = term * Rat::int(lam + 1);
-                            }
-                        }
-                        total = total + term;
-                    }
-                }
-                None => {
-                    // Fallback: whole shape-dependent excess of this class.
-                    let mut zero_spread_class = cc.class.clone();
-                    let first = zero_spread_class.offsets[0].clone();
-                    for o in zero_spread_class.offsets.iter_mut() {
-                        *o = first.clone();
-                    }
-                    let full = cumulative_footprint_rect(lambda, &cc.class);
-                    let base = cumulative_footprint_rect(lambda, &zero_spread_class);
-                    total = total + (full - base);
-                }
-            }
-        }
-        total
-    }
-
     /// Exact total footprint by enumeration (validation path; cost is
     /// `O(classes × tile points)`).
     pub fn cost_exact(&self, tile: &Tile) -> usize {

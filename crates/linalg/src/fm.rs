@@ -4,8 +4,9 @@
 //! Two consumers share this machinery: `alp-codegen` derives scanning
 //! bounds for parallelepiped tiles (§3.7 notes that rectangular tiles
 //! make code generation easy; this module is what "hard" costs for the
-//! general case), and `alp-analysis` bounds the coefficient search when
-//! intersecting a dependence-solution lattice with the loop bounds.
+//! general case), and `alp-analysis`'s exact integer search eliminates
+//! variables with [`eliminate`] and, where no elimination is exact, tries
+//! the [`dark_shadow`] before splitting the question.
 
 use crate::rat::Rat;
 
@@ -107,6 +108,22 @@ impl System {
 /// Fourier–Motzkin; exponential in the worst case, fine for tile systems
 /// (≤ 2·l constraints).
 pub fn eliminate(sys: &System, k: usize) -> System {
+    combine(sys, k, |_, _| Rat::ZERO)
+}
+
+/// Pugh's *dark shadow* of `x_k`: [`eliminate`] with the bound of each
+/// pair `a·x_k ≤ α`, `β ≤ b·x_k` lowered by `(a−1)(b−1)`.  For integer
+/// coefficients and bounds, every integer point of the dark shadow
+/// extends to an integer `x_k`; where `a` or `b` is 1 it is the real
+/// shadow.
+pub fn dark_shadow(sys: &System, k: usize) -> System {
+    combine(sys, k, |a, b| (a - Rat::ONE) * (b - Rat::ONE))
+}
+
+/// Every upper constraint on `x_k` paired with every lower one, each
+/// pair's bound lowered by `slack(a, b)` of its two coefficients on
+/// `x_k` (made positive).
+fn combine(sys: &System, k: usize, slack: impl Fn(Rat, Rat) -> Rat) -> System {
     let mut uppers = Vec::new(); // c_k > 0
     let mut lowers = Vec::new(); // c_k < 0
     let mut rest = Vec::new();
@@ -131,7 +148,7 @@ pub fn eliminate(sys: &System, k: usize) -> System {
             let coeffs: Vec<Rat> = (0..sys.vars)
                 .map(|j| (-cl) * u.coeffs[j] + au * l.coeffs[j])
                 .collect();
-            let bound = (-cl) * u.bound + au * l.bound;
+            let bound = (-cl) * u.bound + au * l.bound - slack(au, -cl);
             let c = Constraint::new(coeffs, bound);
             debug_assert!(c.coeffs[k].is_zero());
             if !(c.is_trivial() && c.bound >= Rat::ZERO) {
@@ -184,6 +201,22 @@ mod tests {
         s.ge(vec![r(1)], r(3));
         let e = eliminate(&s, 0);
         assert!(e.trivially_infeasible());
+    }
+
+    #[test]
+    fn dark_shadow_keeps_only_pairs_with_room_for_an_integer() {
+        // y − 1 ≤ 2x ≤ y holds an integer x for every y; 2x = y only
+        // for even y, so its dark shadow is empty though its real one
+        // is all of y.
+        let mut s = System::new(2);
+        s.le(vec![r(2), r(-1)], r(0));
+        s.ge(vec![r(2), r(-1)], r(-1));
+        assert!(!dark_shadow(&s, 0).trivially_infeasible());
+        let mut s = System::new(2);
+        s.le(vec![r(2), r(-1)], r(0));
+        s.ge(vec![r(2), r(-1)], r(0));
+        assert!(!eliminate(&s, 0).trivially_infeasible());
+        assert!(dark_shadow(&s, 0).trivially_infeasible());
     }
 
     #[test]

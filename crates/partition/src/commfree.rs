@@ -83,8 +83,6 @@ pub fn is_communication_free(nest: &LoopNest) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alp_footprint::CostModel;
-    use alp_linalg::Rat;
     use alp_loopir::parse;
 
     /// Check a claimed normal: slab tiles orthogonal to `h` must have
@@ -93,22 +91,6 @@ mod tests {
     fn normal_internalizes_all_overlap(nest: &LoopNest, h: &IVec) -> bool {
         let ts = translation_vectors(nest);
         ts.iter().all(|t| t.dot(h).expect("depth") == 0)
-    }
-
-    /// Model coherence traffic of the slab partition along `h` for `p`
-    /// processors (0 for a true communication-free normal).  Returns `None`
-    /// when `h` is not axis-aligned and the rectangular model cannot express
-    /// the slab (callers then verify by simulation instead).
-    fn slab_traffic_rect(nest: &LoopNest, h: &IVec, p: i128) -> Option<Rat> {
-        let k = (0..h.len()).find(|&k| h[k] != 0)?;
-        if h.0.iter().enumerate().any(|(i, &x)| i != k && x != 0) {
-            return None; // not axis-aligned
-        }
-        let model = CostModel::from_nest(nest);
-        let mut lambda: Vec<i128> = nest.loops.iter().map(|l| l.trip_count() - 1).collect();
-        let n = nest.loops[k].trip_count();
-        lambda[k] = (n + p - 1) / p - 1;
-        Some(model.coherence_traffic_rect(&lambda))
     }
 
     #[test]
@@ -125,8 +107,6 @@ mod tests {
         assert_eq!(normals, vec![IVec::new(&[0, 1])]);
         assert!(is_communication_free(&nest));
         assert!(normal_internalizes_all_overlap(&nest, &normals[0]));
-        // The slab partition along h has zero model traffic.
-        assert_eq!(slab_traffic_rect(&nest, &normals[0], 100), Some(Rat::ZERO));
     }
 
     #[test]

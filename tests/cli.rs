@@ -472,29 +472,47 @@ fn certify_attaches_certificate_to_bare_plan() {
 
 #[test]
 fn a_search_that_gave_up_certifies_nothing() {
-    // Every j-tile accumulates into S[0], but a loop of 2²⁰ iterations
-    // is wider than the integer search looks, and its give-up used to
-    // read "no conflict": `write_disjoint: true, idempotent: true`.
+    // Every j-tile accumulates into S[0].  A loop of 2²⁰ iterations was
+    // wider than the old capped integer search looked, and its give-up
+    // read "no conflict": `write_disjoint: true, idempotent: true`.  The
+    // exact search refutes both facts with a tile pair and iterations.
     let nest = "doall (i, 0, 1048575) { doall (j, 0, 1048575) { l$S[0] = l$S[0] + A[0]; } }";
     let (plan, stderr, code) = run_cli(&["plan", "-p", "4", "--certify", "-"], Some(nest));
     assert_eq!(code, Some(0), "stderr: {stderr}");
     assert!(plan.contains("\"write_disjoint\": false"), "{plan}");
     assert!(plan.contains("\"idempotent\": false"), "{plan}");
-    for fact in ["write-disjoint", "idempotence"] {
-        let note = format!("certify: {fact}: search gave up, not proven");
-        assert!(stderr.contains(&note), "{stderr}");
-    }
+    let note = |prefix: &str| {
+        let line = stderr.lines().find(|l| l.starts_with(prefix));
+        line.unwrap_or_else(|| panic!("no `{prefix}` note: {stderr}"))
+    };
+    let tiles = note("alp-cli: certify: write-disjoint: tiles ");
+    assert!(tiles.contains(" both write S[0] (iterations ["), "{tiles}");
+    let reads = note("alp-cli: certify: idempotence: iteration [");
+    assert!(reads.contains("reads S[0], which iteration ["), "{reads}");
     let (stdout, stderr, code) = run_cli(&["certify", "-"], Some(&plan));
     assert_eq!(code, Some(0), "stderr: {stderr}");
     assert!(stdout.contains("write-disjoint false"), "{stdout}");
 
-    // The certificate a build without the fix issued for that plan
-    // claims both facts; it is refused, not verified.
+    // The certificate a build with the capped search issued for that
+    // plan claims both facts; it is refused, not verified.
     let old = include_str!("corpus/ALP0011__cert_gave_up_read_as_proven.plan.json");
     let (stdout, stderr, code) = run_cli(&["certify", "-"], Some(old));
     assert_eq!(code, Some(9), "stdout: {stdout} stderr: {stderr}");
     assert!(stderr.contains("error[ALP0011]"), "{stderr}");
     assert!(!stdout.contains("verified"), "{stdout}");
+}
+
+#[test]
+fn check_refuses_a_race_in_a_loop_of_2_pow_21() {
+    // Every iteration writes A[0].  2²¹ iterations are past the range
+    // the old capped search enumerated, and its give-up passed the nest.
+    let (_, stderr, code) = run_cli(
+        &["--check", "-"],
+        Some("doall (i, 0, 2097151) { A[0] = B[i]; }"),
+    );
+    assert_eq!(code, Some(4), "stderr: {stderr}");
+    assert!(stderr.contains("error[doall-race]"), "{stderr}");
+    assert!(stderr.contains("i="), "{stderr}");
 }
 
 #[test]
