@@ -75,7 +75,7 @@
 use alp_analysis::search::integer_point;
 use alp_analysis::ConflictLattice;
 use alp_linalg::fm::System;
-use alp_linalg::{IVec, Rat};
+use alp_linalg::{walk_box, IVec, Rat};
 use alp_loopir::{ArrayRef, LoopNest};
 use alp_plan::{Certificate, IterBox, PartitionPlan, PlanError, Tiling};
 
@@ -421,25 +421,17 @@ fn decide_coverage(
     if !cuts_partition || boxes.len() as i128 != grid.iter().product::<i128>() {
         return false;
     }
-    let mut coord = vec![0i128; l];
-    for bx in boxes {
-        let is_the_product = (0..l).all(|k| {
+    let mut boxes_in_order = boxes.iter();
+    let last: Vec<i128> = grid.iter().map(|g| g - 1).collect();
+    // Row-major over the grid (last dim fastest).
+    let products = walk_box(&vec![0; l], &last, &mut vec![0; l], |coord| {
+        let bx = boxes_in_order.next().expect("one box per grid cell");
+        (0..l).all(|k| {
             let lo = bounds[k].0 + coord[k] * chunks[k];
             bx[k] == (lo, (lo + chunks[k] - 1).min(bounds[k].1))
-        });
-        if !is_the_product {
-            return false;
-        }
-        // Row-major increment over the grid (last dim fastest).
-        for k in (0..l).rev() {
-            coord[k] += 1;
-            if coord[k] < grid[k] {
-                break;
-            }
-            coord[k] = 0;
-        }
-    }
-    covered_points(tiling, boxes) == nest.iteration_count().max(0) as u128
+        })
+    });
+    products && covered_points(tiling, boxes) == nest.iteration_count().max(0) as u128
 }
 
 /// Fact 2, decided once per ordered pair of write references instead of

@@ -106,31 +106,23 @@ fn accumulate_nest_fails_fast_despite_retry_budget() {
 }
 
 #[test]
-fn later_repetition_panic_is_never_retried() {
-    // Even on a retry-safe nest, only first-repetition tiles may be
-    // retried: by rep 1 other tiles' rep-0 writes are visible and the
-    // conservative rule refuses to reason about them.
+fn later_repetition_panic_is_retried() {
+    // A retry-safe nest reads no array it writes, so re-running a tile
+    // at repetition 1 recomputes the values it was writing, whatever
+    // the other tiles published at repetition 0.
     let nest = alp_loopir::parse("doseq (t, 0, 1) { doall (i, 0, 15) { A[i] = B[i] + B[i+1]; } }")
         .unwrap();
     let exec = Executor::from_grid(&nest, &[4]).unwrap();
     assert!(exec.retry_safe());
-    let (opts, _plan) = with_faults(FaultPlan::new().with_panic(2, 1));
+    let (opts, plan) = with_faults(FaultPlan::new().with_panic(2, 1));
     let opts = ExecOptions {
         max_retries: 3,
         ..opts
     };
-    let err = exec.run(&exec.seeded_store(3), &opts).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            RuntimeError::TileFailed {
-                tile: 2,
-                rep: 1,
-                ..
-            }
-        ),
-        "{err}"
-    );
+    let outcome = exec.verify(3, &opts).unwrap();
+    assert!(outcome.matches_reference);
+    assert_eq!(outcome.report.retries, 1);
+    assert_eq!(plan.fired_count(), 1);
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Iteration-to-processor assignment.
 
-use alp_linalg::{IMat, IVec, RMat, Rat};
+use alp_linalg::{solve_rational, IMat, IVec, Rat};
 use alp_loopir::LoopNest;
 use std::collections::HashMap;
 
@@ -71,22 +71,19 @@ pub fn assign_slabs(nest: &LoopNest, h: &IVec, p: i128) -> Assignment {
 /// # Panics
 /// Panics if `L` is singular.
 pub fn assign_para(nest: &LoopNest, l_matrix: &IMat) -> (Assignment, HashMap<Vec<i128>, usize>) {
-    let linv = RMat::from_int(l_matrix)
-        .inverse()
-        .expect("tile matrix must be nonsingular");
     let l = nest.depth();
+    let linv = inverse_rows(l_matrix);
     let mut cells: HashMap<Vec<i128>, usize> = HashMap::new();
     let mut out: Assignment = Vec::new();
     for i in nest.iteration_points() {
         // Tile coordinates a = i · L⁻¹ (exact rationals), cell = floor(a).
-        let mut cell = Vec::with_capacity(l);
-        for col in 0..l {
-            let mut acc = Rat::ZERO;
-            for row in 0..l {
-                acc = acc + Rat::int(i[row]) * linv[(row, col)];
-            }
-            cell.push(acc.floor());
-        }
+        let cell: Vec<i128> = (0..l)
+            .map(|col| {
+                let terms = i.0.iter().zip(&linv);
+                let a = terms.fold(Rat::ZERO, |acc, (&x, row)| acc + Rat::int(x) * row[col]);
+                a.floor()
+            })
+            .collect();
         let next = cells.len();
         let id = *cells.entry(cell).or_insert(next);
         if id == out.len() {
@@ -95,6 +92,18 @@ pub fn assign_para(nest: &LoopNest, l_matrix: &IMat) -> (Assignment, HashMap<Vec
         out[id].push(i);
     }
     (out, cells)
+}
+
+/// The rows of `L⁻¹`: row `r` is the `x` with `x·L = e_r`.
+///
+/// # Panics
+/// Panics if `L` is singular.
+pub(crate) fn inverse_rows(l_matrix: &IMat) -> Vec<Vec<Rat>> {
+    assert!(l_matrix.is_nonsingular(), "tile matrix must be nonsingular");
+    let unit = IMat::identity(l_matrix.rows());
+    (0..unit.rows())
+        .map(|r| solve_rational(l_matrix, &unit.row(r)).expect("a nonsingular system solves"))
+        .collect()
 }
 
 /// Reorder one processor's iterations into sub-blocks of the given

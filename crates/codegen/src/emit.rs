@@ -1,7 +1,8 @@
 //! Readable per-processor loop-nest emission.
 
+use crate::assign::inverse_rows;
 use crate::fm::{eliminate, System};
-use alp_linalg::{IMat, RMat, Rat};
+use alp_linalg::{IMat, Rat};
 use alp_loopir::LoopNest;
 
 /// Emit pseudo-code for a rectangular partition: the SPMD loop a
@@ -68,14 +69,12 @@ pub fn emit_rect_code(nest: &LoopNest, grid: &[i128]) -> String {
 pub fn emit_para_code(nest: &LoopNest, l_matrix: &IMat) -> String {
     let l = nest.depth();
     assert_eq!(l_matrix.rows(), l, "tile depth mismatch");
-    let linv = RMat::from_int(l_matrix)
-        .inverse()
-        .expect("tile must be nonsingular");
+    let linv = inverse_rows(l_matrix);
     // Constraints over iteration variables x: for each tile coordinate
     // column c: 0 ≤ Σ_r x_r·linv[r][c] ≤ 1.
     let mut sys = System::new(l);
     for c in 0..l {
-        let coeffs: Vec<Rat> = (0..l).map(|r| linv[(r, c)]).collect();
+        let coeffs: Vec<Rat> = linv.iter().map(|row| row[c]).collect();
         sys.ge(coeffs.clone(), Rat::ZERO);
         sys.le(coeffs, Rat::ONE);
     }

@@ -2,7 +2,7 @@
 //! §3.4.1, §3.8).
 
 use crate::tile::Tile;
-use alp_linalg::{max_independent_columns, smith_normal_form, IMat, IVec};
+use alp_linalg::{max_independent_columns, smith_normal_form, walk_box, IMat, IVec};
 use std::collections::HashSet;
 
 /// Exact footprint size: the number of distinct data elements
@@ -128,28 +128,16 @@ pub(crate) fn combinations(m: usize, k: usize) -> Vec<Vec<usize>> {
     if k > m {
         return out;
     }
-    let mut idx: Vec<usize> = (0..k).collect();
-    loop {
-        out.push(idx.clone());
-        // Advance.
-        let mut i = k;
-        loop {
-            if i == 0 {
-                return out;
-            }
-            i -= 1;
-            if idx[i] != i + m - k {
-                break;
-            }
-            if i == 0 {
-                return out;
-            }
+    // Position `j` of a subset lies in `j..=m−k+j`; the increasing
+    // tuples of that box, in its order, are the subsets.
+    let (lo, hi): (Vec<usize>, Vec<usize>) = (0..k).map(|j| (j, m - k + j)).unzip();
+    walk_box(&lo, &hi, &mut vec![0; k], |idx| {
+        if idx.windows(2).all(|w| w[0] < w[1]) {
+            out.push(idx.to_vec());
         }
-        idx[i] += 1;
-        for j in i + 1..k {
-            idx[j] = idx[j - 1] + 1;
-        }
-    }
+        true
+    });
+    out
 }
 
 #[cfg(test)]

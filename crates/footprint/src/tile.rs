@@ -1,7 +1,7 @@
 //! Iteration-space tiles (Defs. 1–2, Props. 2–3).
 
 use alp_lattice::Parallelepiped;
-use alp_linalg::{IMat, IVec};
+use alp_linalg::{walk_box, IMat, IVec};
 
 /// A hyperparallelepiped loop tile, represented by the paper's `L` matrix
 /// (Def. 2): the rows of `L` are the edge vectors of the tile at the
@@ -78,28 +78,15 @@ impl Tile {
 
     /// Enumerate the iterations of the tile at the origin.
     pub fn points(&self) -> Vec<IVec> {
-        if let Some(ext) = self.rect_extents() {
-            // Fast path: iterate the box directly.
-            let n = ext.len();
-            let mut out = Vec::new();
-            let mut x = vec![0i128; n];
-            loop {
-                out.push(IVec(x.clone()));
-                let mut k = 0;
-                loop {
-                    if k == n {
-                        return out;
-                    }
-                    x[k] += 1;
-                    if x[k] <= ext[k] {
-                        break;
-                    }
-                    x[k] = 0;
-                    k += 1;
-                }
-            }
-        }
-        Parallelepiped::new(self.l.clone()).integer_points()
+        let Some(ext) = self.rect_extents() else {
+            return Parallelepiped::new(self.l.clone()).integer_points();
+        };
+        let mut out = Vec::new();
+        walk_box(&vec![0; ext.len()], &ext, &mut vec![0; ext.len()], |x| {
+            out.push(IVec(x.to_vec()));
+            true
+        });
+        out
     }
 
     /// The data-space parallelepiped `S(LG)` for a reference matrix `G`.

@@ -1,6 +1,6 @@
 //! Bounded lattices: Definition 9, Theorem 3 and Lemma 3 of the paper.
 
-use alp_linalg::{solve_integer, IMat, IVec, LinalgError, Result};
+use alp_linalg::{solve_integer, walk_box, IMat, IVec, LinalgError, Result};
 use std::collections::HashSet;
 
 /// A bounded lattice `L(ā₁,…,āₗ, λ₁,…,λₗ) = {Σ lᵢāᵢ : lᵢ ∈ Z, 0 ≤ lᵢ ≤ λᵢ}`
@@ -58,23 +58,11 @@ impl BoundedLattice {
     pub fn points(&self) -> Vec<IVec> {
         let mut out = Vec::new();
         let l = self.dim();
-        let mut coeff = vec![0i128; l];
-        loop {
-            out.push(self.basis.apply_row(&IVec(coeff.clone())).expect("shape"));
-            // Odometer increment over the coefficient box.
-            let mut k = 0;
-            loop {
-                if k == l {
-                    return out;
-                }
-                coeff[k] += 1;
-                if coeff[k] <= self.bounds[k] {
-                    break;
-                }
-                coeff[k] = 0;
-                k += 1;
-            }
-        }
+        walk_box(&vec![0; l], &self.bounds, &mut vec![0; l], |coeff| {
+            out.push(self.basis.apply_row(&IVec(coeff.to_vec())).expect("shape"));
+            true
+        });
+        out
     }
 
     /// Membership test: integer coefficients within the bounds.

@@ -9,7 +9,7 @@
 //! lookup elsewhere; we provide exact enumeration for all cases plus the
 //! `l = 2, d = 1` closed form it alludes to.
 
-use alp_linalg::{gcd, IMat, IVec};
+use alp_linalg::{gcd, walk_box, IMat, IVec};
 use std::collections::HashSet;
 
 /// Exact size of the footprint of the rectangular tile
@@ -24,24 +24,12 @@ use std::collections::HashSet;
 pub fn count_rect_footprint_exact(g: &IMat, bounds: &[i128]) -> usize {
     assert_eq!(bounds.len(), g.rows(), "bounds/nesting mismatch");
     assert!(bounds.iter().all(|&b| b >= 0), "negative bound");
-    let l = g.rows();
-    let mut seen: HashSet<IVec> = HashSet::new();
-    let mut i = vec![0i128; l];
-    loop {
-        seen.insert(g.apply_row(&IVec(i.clone())).expect("shape"));
-        let mut k = 0;
-        loop {
-            if k == l {
-                return seen.len();
-            }
-            i[k] += 1;
-            if i[k] <= bounds[k] {
-                break;
-            }
-            i[k] = 0;
-            k += 1;
-        }
-    }
+    let (mut seen, l) = (HashSet::new(), bounds.len());
+    walk_box(&vec![0; l], bounds, &mut vec![0; l], |i| {
+        seen.insert(g.apply_row(&IVec(i.to_vec())).expect("shape"));
+        true
+    });
+    seen.len()
 }
 
 /// Exact number of **distinct values** of `Σ c_k·i_k` over the box
@@ -93,25 +81,13 @@ pub fn count_distinct_affine_values(coeffs: &[i128], bounds: &[i128]) -> i128 {
 }
 
 fn enumerate_values(active: &[(i128, i128)]) -> i128 {
-    let mut seen: HashSet<i128> = HashSet::new();
-    let n = active.len();
-    let mut idx = vec![0i128; n];
-    loop {
-        let v: i128 = active.iter().zip(&idx).map(|(&(c, _), &i)| c * i).sum();
-        seen.insert(v);
-        let mut k = 0;
-        loop {
-            if k == n {
-                return seen.len() as i128;
-            }
-            idx[k] += 1;
-            if idx[k] <= active[k].1 {
-                break;
-            }
-            idx[k] = 0;
-            k += 1;
-        }
-    }
+    let (mut seen, n) = (HashSet::<i128>::new(), active.len());
+    let (coeffs, bounds): (Vec<i128>, Vec<i128>) = active.iter().copied().unzip();
+    walk_box(&vec![0; n], &bounds, &mut vec![0; n], |idx| {
+        seen.insert(coeffs.iter().zip(&*idx).map(|(&c, &i)| c * i).sum());
+        true
+    });
+    seen.len() as i128
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Parallelepipeds `S(Q)` in the data space (Def. 7) and their integer
 //! points.
 
-use alp_linalg::{solve_rational, IMat, IVec, Rat};
+use alp_linalg::{solve_rational, walk_box, IMat, IVec, Rat};
 
 /// The closed parallelepiped `S(Q) = {Σ aᵢ·q̄ᵢ : 0 ≤ aᵢ ≤ 1}` spanned by
 /// the rows of `Q` (Def. 7 of the paper).
@@ -72,31 +72,19 @@ impl Parallelepiped {
     /// for the ≤4-dimensional data spaces of loop analysis and used mainly
     /// for validating the determinant estimates.
     pub fn integer_points(&self) -> Vec<IVec> {
-        let bb = self.bounding_box();
         let mut out = Vec::new();
-        let n = bb.len();
-        if n == 0 {
+        let (lo, hi): (Vec<i128>, Vec<i128>) = self.bounding_box().into_iter().unzip();
+        if lo.is_empty() {
             return out;
         }
-        let mut x: Vec<i128> = bb.iter().map(|&(lo, _)| lo).collect();
-        loop {
-            let v = IVec(x.clone());
+        walk_box(&lo, &hi, &mut vec![0; lo.len()], |x| {
+            let v = IVec(x.to_vec());
             if self.contains(&v) {
                 out.push(v);
             }
-            let mut k = 0;
-            loop {
-                if k == n {
-                    return out;
-                }
-                x[k] += 1;
-                if x[k] <= bb[k].1 {
-                    break;
-                }
-                x[k] = bb[k].0;
-                k += 1;
-            }
-        }
+            true
+        });
+        out
     }
 
     /// Exact count of integer points in a 2-D parallelogram via Pick's

@@ -7,8 +7,10 @@
 //! matrices `G`, tile matrices `L`, lattice bases — and needs *exact*
 //! arithmetic: determinants (footprint volumes, Eq. 2 of the paper),
 //! Hermite/Smith normal forms (lattice membership, Lemma 2), unimodularity
-//! tests (Theorem 1), rational inverses (tile definitions, Def. 2) and
-//! integer nullspaces (communication-free hyperplanes).
+//! tests (Theorem 1), rational solves (Theorem 4's `u`, a tile's
+//! `L⁻¹`), integer nullspaces (communication-free hyperplanes), and the
+//! one lexicographic walk over a coordinate box ([`walk_box`]) that
+//! tiles, bounded lattices, footprints and processor grids enumerate by.
 //!
 //! All matrices here are dense and small (loop nests rarely exceed depth 4
 //! and array rank 4), so the implementation favours exactness and clarity
@@ -25,20 +27,20 @@ pub mod hnf;
 pub mod mat;
 pub mod num;
 pub mod rat;
-pub mod rmat;
 pub mod snf;
 pub mod solve;
 pub mod vec;
+pub mod walk;
 
 pub use fm::{eliminate, Constraint, System};
 pub use hnf::{column_hnf, row_hnf, Hnf};
 pub use mat::IMat;
 pub use num::{gcd, gcd_many, lcm, xgcd};
 pub use rat::Rat;
-pub use rmat::RMat;
 pub use snf::{smith_normal_form, Snf};
 pub use solve::{integer_nullspace, max_independent_columns, solve_integer, solve_rational};
 pub use vec::IVec;
+pub use walk::walk_box;
 
 /// Errors produced by exact linear-algebra routines.
 #[derive(Debug, Clone, PartialEq, Eq)]

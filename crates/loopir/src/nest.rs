@@ -3,7 +3,7 @@
 use crate::refs::{AccessKind, ArrayRef};
 use crate::span::Span;
 use crate::{IrError, LayoutOverflow};
-use alp_linalg::IVec;
+use alp_linalg::{walk_box, IVec};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -198,33 +198,16 @@ impl LoopNest {
     /// Iterate over every point of the iteration space (outermost index
     /// slowest).  Intended for exhaustive validation on small nests.
     pub fn iteration_points(&self) -> Vec<IVec> {
-        let l = self.depth();
         let mut out = Vec::new();
-        if l == 0 {
+        if self.depth() == 0 {
             return out;
         }
-        let mut i: Vec<i128> = self.loops.iter().map(|lp| lp.lower).collect();
-        if self.loops.iter().any(|lp| lp.trip_count() == 0) {
-            return out;
-        }
-        loop {
-            out.push(IVec(i.clone()));
-            let mut k = l;
-            loop {
-                if k == 0 {
-                    return out;
-                }
-                k -= 1;
-                i[k] += 1;
-                if i[k] <= self.loops[k].upper {
-                    break;
-                }
-                i[k] = self.loops[k].lower;
-                if k == 0 {
-                    return out;
-                }
-            }
-        }
+        let (lo, hi): (Vec<i128>, Vec<i128>) = self.bounds().unzip();
+        walk_box(&lo, &hi, &mut vec![0; lo.len()], |i| {
+            out.push(IVec(i.to_vec()));
+            true
+        });
+        out
     }
 
     /// Render in the DSL syntax into `out`, sequential index `k` spelled

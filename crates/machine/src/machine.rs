@@ -402,14 +402,12 @@ fn simulate(
     let reps = nest.seq_repetitions().max(1) as u64;
     let mut machine = Machine::new(config, home);
     for _ in 0..reps {
-        let mut cursors = vec![0usize; traces.len()];
+        let mut cursors: Vec<_> = traces.iter().map(|trace| trace.iter()).collect();
         loop {
             let mut progressed = false;
-            for (p, trace) in traces.iter().enumerate() {
-                if cursors[p] < trace.len() {
-                    let (addr, write) = trace[cursors[p]];
+            for (p, cursor) in cursors.iter_mut().enumerate() {
+                if let Some(&(addr, write)) = cursor.next() {
                     machine.access(p, addr, write);
-                    cursors[p] += 1;
                     progressed = true;
                 }
             }

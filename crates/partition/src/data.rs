@@ -12,7 +12,7 @@
 //!   so the embedding should keep grid neighbours at small hop distance.
 
 use alp_footprint::classify;
-use alp_linalg::{max_independent_columns, IVec};
+use alp_linalg::{max_independent_columns, walk_box, IVec};
 use alp_loopir::LoopNest;
 use std::collections::HashMap;
 
@@ -112,21 +112,22 @@ impl MeshPlacement {
     pub fn weighted_neighbor_hops(&self, weights: &[f64]) -> f64 {
         let dims = self.grid.len();
         assert_eq!(weights.len(), dims, "one weight per grid dimension");
-        let total: i128 = self.grid.iter().product();
         let mut sum = 0.0;
         let mut count = 0.0;
-        for p in 0..total as usize {
-            let gp = self.grid_coords(p);
+        let last: Vec<i128> = self.grid.iter().map(|g| g - 1).collect();
+        walk_box(&vec![0; dims], &last, &mut vec![0; dims], |gp| {
+            let p = self.linear(gp);
             for k in 0..dims {
                 if (gp[k] + 1) < self.grid[k] {
-                    let mut gq = gp.clone();
+                    let mut gq = gp.to_vec();
                     gq[k] += 1;
                     let q = self.linear(&gq);
                     sum += weights[k] * self.hops(p, q) as f64;
                     count += weights[k];
                 }
             }
-        }
+            true
+        });
         if count == 0.0 {
             0.0
         } else {
@@ -187,21 +188,17 @@ pub fn mesh_placement(grid: &[i128], mesh: (usize, usize)) -> Result<MeshPlaceme
             None
         };
         if let Some(t) = transpose {
+            let mut it = grid.iter().enumerate().filter(|(_, &g)| g > 1);
+            let (i0, _) = it.next().expect("two active dims");
+            let (i1, _) = it.next().expect("two active dims");
             let mut coords = Vec::with_capacity(total as usize);
-            for p in 0..total as usize {
-                // Recover the 2-D coordinates from the full grid.
-                let mut rem = p as i128;
-                let mut full = vec![0i128; grid.len()];
-                for k in (0..grid.len()).rev() {
-                    full[k] = rem % grid[k];
-                    rem /= grid[k];
-                }
-                let mut it = grid.iter().enumerate().filter(|(_, &g)| g > 1);
-                let (i0, _) = it.next().expect("two active dims");
-                let (i1, _) = it.next().expect("two active dims");
+            // The grid in processor order: row-major, last dim fastest.
+            let (n, last): (usize, Vec<i128>) = (grid.len(), grid.iter().map(|g| g - 1).collect());
+            walk_box(&vec![0; n], &last, &mut vec![0; n], |full| {
                 let (x, y) = (full[i0] as usize, full[i1] as usize);
                 coords.push(if t { (y, x) } else { (x, y) });
-            }
+                true
+            });
             return Ok(MeshPlacement {
                 mesh,
                 grid: grid.to_vec(),

@@ -12,7 +12,7 @@
 //! threads when the candidate set is large (depth 3).
 
 use alp_footprint::{CostModel, Tile};
-use alp_linalg::IMat;
+use alp_linalg::{walk_box, IMat};
 use alp_loopir::LoopNest;
 
 /// Search configuration for the parallelepiped optimizer.
@@ -51,38 +51,21 @@ pub struct ParaPartition {
 /// canonical form (first nonzero of each row positive, rows
 /// lexicographically sorted) — those variants describe the same tiling.
 pub fn unimodular_bases(n: usize, max: i128) -> Vec<IMat> {
-    let range: Vec<i128> = (-max..=max).collect();
-    let total = range.len().pow((n * n) as u32);
     let mut out = Vec::new();
-    'outer: for code in 0..total {
-        let mut c = code;
-        let mut entries = Vec::with_capacity(n * n);
-        for _ in 0..n * n {
-            entries.push(range[c % range.len()]);
-            c /= range.len();
-        }
-        let m = IMat::from_vec(n, n, entries);
+    // Walk the entries reversed, so entry (0, 0) varies fastest: that
+    // order breaks `para_candidates`' cost ties, so it picks the plans.
+    let (lo, hi) = (vec![-max; n * n], vec![max; n * n]);
+    walk_box(&lo, &hi, &mut vec![0; n * n], |reversed| {
+        let m = IMat::from_vec(n, n, reversed.iter().rev().copied().collect());
         // Canonical form: each row's first nonzero entry positive, rows
-        // sorted.
+        // sorted (descending keeps the identity canonical).
         let rows = m.row_vecs();
-        for r in rows.iter() {
-            match r.0.iter().find(|&&x| x != 0) {
-                Some(&x) if x > 0 => {}
-                _ => continue 'outer,
-            }
-        }
-        let sorted = {
-            let mut s = rows.clone();
-            s.sort_by(|a, b| b.cmp(a)); // descending keeps the identity canonical
-            s == rows
-        };
-        if !sorted {
-            continue;
-        }
-        if m.is_unimodular() {
+        let positive = (rows.iter()).all(|r| r.0.iter().find(|&&x| x != 0).is_some_and(|&x| x > 0));
+        if positive && rows.windows(2).all(|w| w[0] >= w[1]) && m.is_unimodular() {
             out.push(m);
         }
-    }
+        true
+    });
     out
 }
 
@@ -274,6 +257,30 @@ mod tests {
         let bases3 = unimodular_bases(3, 1);
         assert!(bases3.contains(&IMat::identity(3)));
         assert!(bases3.len() > 10);
+    }
+
+    #[test]
+    fn unimodular_bases_keep_their_order() {
+        // Entry (0, 0) varies fastest.  `para_candidates` breaks cost
+        // ties toward earlier bases, so this order picks the skewed plans.
+        let entries = |m: &IMat| m.entries().collect::<Vec<_>>();
+        let bases: Vec<_> = unimodular_bases(2, 1).iter().map(entries).collect();
+        assert_eq!(
+            bases,
+            [
+                [1, 0, 1, -1],
+                [1, 1, 1, 0],
+                [1, -1, 0, 1],
+                [1, 0, 0, 1],
+                [1, 1, 0, 1]
+            ]
+        );
+        let bases3 = unimodular_bases(3, 1);
+        let mut fnv: u64 = 0xcbf2_9ce4_8422_2325;
+        for x in bases3.iter().flat_map(IMat::entries) {
+            fnv = (fnv ^ (x + 1) as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+        assert_eq!((bases3.len(), fnv), (145, 0x52ca_9a32_e29f_25c3));
     }
 
     #[test]

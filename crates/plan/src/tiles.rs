@@ -11,7 +11,7 @@
 
 use crate::transform::{Transform, TransformedDomain};
 use crate::PlanError;
-use alp_linalg::IVec;
+use alp_linalg::{walk_box, IVec};
 use alp_loopir::LoopNest;
 
 /// An axis-aligned box of iterations, inclusive on both ends per
@@ -47,39 +47,10 @@ impl IterBox {
     /// Visit every iteration in row-major order (outermost dimension
     /// slowest), reusing one scratch vector.
     pub fn for_each_point(&self, mut f: impl FnMut(&[i64])) {
-        self.try_for_each_point(|p| {
+        walk_box(&self.lo, &self.hi, &mut vec![0; self.lo.len()], |p| {
             f(p);
             true
         });
-    }
-
-    /// Like [`for_each_point`](IterBox::for_each_point), but stops as
-    /// soon as `f` returns `false` (e.g. on a cooperative cancellation
-    /// poll).  Returns `true` when every point was visited, `false`
-    /// when the walk was stopped early.
-    pub fn try_for_each_point(&self, mut f: impl FnMut(&[i64]) -> bool) -> bool {
-        if self.is_empty() {
-            return true;
-        }
-        let l = self.lo.len();
-        let mut i = self.lo.clone();
-        loop {
-            if !f(&i) {
-                return false;
-            }
-            let mut k = l;
-            loop {
-                if k == 0 {
-                    return true;
-                }
-                k -= 1;
-                i[k] += 1;
-                if i[k] <= self.hi[k] {
-                    break;
-                }
-                i[k] = self.lo[k];
-            }
-        }
     }
 
     /// Visit the box as innermost rows, in row-major order.  `f`
@@ -93,27 +64,12 @@ impl IterBox {
         let Some(last) = self.lo.len().checked_sub(1) else {
             return true;
         };
-        if self.is_empty() {
+        let (lo, hi) = (self.lo[last], self.hi[last]);
+        if lo > hi {
             return true;
         }
         let mut i = self.lo.clone();
-        loop {
-            if !f(&mut i, self.lo[last], self.hi[last]) {
-                return false;
-            }
-            let mut k = last;
-            loop {
-                if k == 0 {
-                    return true;
-                }
-                k -= 1;
-                i[k] += 1;
-                if i[k] <= self.hi[k] {
-                    break;
-                }
-                i[k] = self.lo[k];
-            }
-        }
+        walk_box(&self.lo[..last], &self.hi[..last], &mut i, |i| f(i, lo, hi))
     }
 }
 
@@ -183,9 +139,7 @@ impl Tiling {
             .map(|(&(lo, hi), &g)| ((hi - lo + 1).max(0) + g - 1) / g)
             .collect();
 
-        let mut boxes = Vec::with_capacity(tiles_total);
-        let mut coord = vec![0i128; grid.len()];
-        for _ in 0..tiles_total {
+        let tile = |coord: &[i128]| -> Result<IterBox, PlanError> {
             let mut bx = IterBox {
                 lo: Vec::with_capacity(grid.len()),
                 hi: Vec::with_capacity(grid.len()),
@@ -196,16 +150,17 @@ impl Tiling {
                 bx.hi
                     .push(to_i64((tile_lo + chunks[k] - 1).min(hi), "tile bound")?);
             }
-            boxes.push(bx);
-            // Row-major increment over the grid (last dim fastest).
-            for k in (0..grid.len()).rev() {
-                coord[k] += 1;
-                if coord[k] < grid[k] {
-                    break;
-                }
-                coord[k] = 0;
-            }
-        }
+            Ok(bx)
+        };
+        let mut boxes = Vec::with_capacity(tiles_total);
+        let mut built = Ok(());
+        // Row-major over the grid (last dim fastest).
+        let (n, last): (usize, Vec<i128>) = (grid.len(), grid.iter().map(|g| g - 1).collect());
+        walk_box(&vec![0; n], &last, &mut vec![0; n], |coord| {
+            built = tile(coord).map(|bx| boxes.push(bx));
+            built.is_ok()
+        });
+        built?;
         Ok(Tiling {
             boxes,
             bounds,
@@ -382,28 +337,6 @@ mod tests {
         let mut pts = Vec::new();
         b.for_each_point(|p| pts.push(p.to_vec()));
         assert_eq!(pts, vec![[1, 5], [1, 6], [2, 5], [2, 6]]);
-    }
-
-    #[test]
-    fn try_for_each_point_stops_early() {
-        let b = IterBox {
-            lo: vec![0, 0],
-            hi: vec![9, 9],
-        };
-        let mut seen = 0u64;
-        let completed = b.try_for_each_point(|_| {
-            seen += 1;
-            seen < 7
-        });
-        assert!(!completed);
-        assert_eq!(seen, 7);
-        // An uninterrupted walk reports completion, as does an empty box.
-        assert!(b.try_for_each_point(|_| true));
-        let empty = IterBox {
-            lo: vec![1],
-            hi: vec![0],
-        };
-        assert!(empty.try_for_each_point(|_| false));
     }
 
     proptest! {

@@ -111,16 +111,6 @@ impl Transform {
         self.u == IMat::identity(self.u.rows())
     }
 
-    /// Map an original point to transformed coordinates (`j = i·U`).
-    pub fn to_j(&self, i: &[i64]) -> Option<Vec<i64>> {
-        map_point(&self.u, i)
-    }
-
-    /// Map a transformed point back (`i = j·V`).
-    pub fn to_i(&self, j: &[i64]) -> Option<Vec<i64>> {
-        map_point(&self.v, j)
-    }
-
     /// The image of the nest's rectangular bounds in `j`-space, and the
     /// walk that enumerates a `j`-box's share of it in original
     /// coordinates.  Fails when a transformed bound, or any sum the walk
@@ -175,23 +165,6 @@ impl Transform {
             jhi,
         })
     }
-}
-
-/// `x·M` with overflow checking, narrowing back to `i64`.
-fn map_point(m: &IMat, x: &[i64]) -> Option<Vec<i64>> {
-    if x.len() != m.rows() {
-        return None;
-    }
-    (0..m.cols())
-        .map(|k| {
-            let s: i128 = x
-                .iter()
-                .enumerate()
-                .map(|(d, &xd)| xd as i128 * m[(d, k)])
-                .sum();
-            i64::try_from(s).ok()
-        })
-        .collect()
 }
 
 fn to_i64(v: i128, what: &str) -> Result<i64, PlanError> {
@@ -468,6 +441,7 @@ pub fn skewed_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alp_linalg::IVec;
     use alp_loopir::parse;
     use proptest::prelude::*;
     use std::collections::HashSet;
@@ -503,13 +477,13 @@ mod tests {
     }
 
     #[test]
-    fn to_j_to_i_round_trip() {
+    fn u_and_v_map_a_point_both_ways() {
         let nest = example2();
         let t = Transform::new(skew2(), fingerprint_hex(&nest)).unwrap();
-        let i = [101, 1];
-        let j = t.to_j(&i).unwrap();
-        assert_eq!(j, vec![101, 102]);
-        assert_eq!(t.to_i(&j).unwrap(), i.to_vec());
+        let i = IVec::new(&[101, 1]);
+        let j = t.u().apply_row(&i).unwrap();
+        assert_eq!(j, IVec::new(&[101, 102]));
+        assert_eq!(t.v().apply_row(&j).unwrap(), i);
         assert!(!t.is_identity());
         assert!(Transform::new(IMat::identity(2), t.fingerprint().into())
             .unwrap()
@@ -525,25 +499,26 @@ mod tests {
         let basis = IMat::from_rows(&[&[1, 1], &[1, 0]]);
         let t = Transform::from_basis(&basis, &nest).unwrap();
         assert_eq!(t.v(), &basis);
-        let p0 = t.to_j(&[200, 50]).unwrap();
-        let p1 = t.to_j(&[203, 53]).unwrap(); // +3·(1,1)
+        let p0 = t.u().apply_row(&IVec::new(&[200, 50])).unwrap();
+        let p1 = t.u().apply_row(&IVec::new(&[203, 53])).unwrap(); // +3·(1,1)
         assert_eq!(p1[0] - p0[0], 3);
         assert_eq!(p1[1] - p0[1], 0);
     }
 
     /// The `j`-space walk the original-coordinate walk replaced, by its
     /// definition: every `j` of the box whose pre-image `j·V` lies in the
-    /// loop bounds, mapped through `to_i`.
+    /// loop bounds.
     fn j_space_points(nest: &LoopNest, t: &Transform, bx: &IterBox) -> HashSet<Vec<i64>> {
         let mut points = HashSet::new();
         bx.for_each_point(|j| {
-            let i = t.to_i(j).expect("maps back");
-            let bounds = nest.loops.iter().zip(&i);
-            if bounds
-                .clone()
-                .all(|(l, &x)| (l.lower..=l.upper).contains(&x.into()))
+            let j = IVec(j.iter().map(|&x| x.into()).collect());
+            let i = t.v().apply_row(&j).expect("maps back").0;
+            if nest
+                .bounds()
+                .zip(&i)
+                .all(|((lo, hi), x)| (lo..=hi).contains(x))
             {
-                points.insert(i);
+                points.insert(i.iter().map(|&x| x as i64).collect());
             }
         });
         points

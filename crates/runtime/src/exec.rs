@@ -27,14 +27,15 @@
 //!   [`RuntimeError::ResourceExceeded`] instead of OOM-ing mid-flight.
 //! * **Bounded retry** — with [`ExecOptions::max_retries`] > 0, a
 //!   contained panic in a *retry-safe* tile is re-executed in place on
-//!   the surviving worker.  Retry safety is deliberately conservative
-//!   (see [`Executor::retry_safe`]): only first-repetition tiles of
-//!   nests whose statements are plain assigns reading only arrays the
-//!   nest never writes.  Everything else fails fast, because a partial
-//!   attempt may already have published state a re-run would observe
-//!   (an accumulate has folded deltas into shared cells; a
-//!   read-after-write nest would feed the second attempt its own
-//!   output).
+//!   the surviving worker, at any repetition.  Retry safety is one bit
+//!   (see [`Executor::retry_safe`]): by default a nest whose statements
+//!   are plain assigns reading only arrays the nest never writes, so a
+//!   re-run recomputes the values the first attempt was writing; a
+//!   re-checked certificate replaces it with its idempotence verdict.
+//!   Everything else fails fast, because a partial attempt may already
+//!   have published state a re-run would observe (an accumulate has
+//!   folded deltas into shared cells; a read-after-write nest would feed
+//!   the second attempt its own output).
 
 use crate::kernel::{Kernel, JAM};
 use crate::report::{RunReport, Schedule, ThreadMetrics, TileMetrics};
@@ -207,45 +208,6 @@ impl RunControl<'_> {
     }
 }
 
-/// The single decision point for whether a contained tile panic may be
-/// re-executed in place.  Both the legacy syntactic rule and a
-/// certificate-backed verdict flow through here, so the worker loop
-/// never re-derives idempotence inline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetryPolicy {
-    /// The conservative array-name rule of [`syntactic_retry_safe`]:
-    /// retry only first-repetition tiles of nests it accepts (a later
-    /// repetition may observe the previous repetition's output).
-    Syntactic {
-        /// Whether the rule accepted the nest.
-        safe: bool,
-    },
-    /// An element-precise dataflow verdict from a re-checked plan
-    /// certificate: a certified-idempotent nest reads nothing any tile
-    /// writes, so a re-run at *any* repetition recomputes identical
-    /// values.
-    Certified {
-        /// The certificate's (re-proven) idempotence verdict.
-        idempotent: bool,
-    },
-}
-
-impl RetryPolicy {
-    /// May a tile of repetition `rep` be re-executed after a contained
-    /// panic?
-    pub fn eligible(&self, rep: u64) -> bool {
-        match *self {
-            RetryPolicy::Syntactic { safe } => safe && rep == 0,
-            RetryPolicy::Certified { idempotent } => idempotent,
-        }
-    }
-
-    /// Whether the nest is retryable at all (repetition 0).
-    pub fn retryable(&self) -> bool {
-        self.eligible(0)
-    }
-}
-
 /// A nest compiled and partitioned, ready to run any number of times.
 #[derive(Debug)]
 pub struct Executor {
@@ -260,7 +222,11 @@ pub struct Executor {
     /// Interior-tile extents λ.
     tile_extents: Vec<i128>,
     repetitions: u64,
-    retry: RetryPolicy,
+    /// Whether re-running a partially executed tile recomputes the same
+    /// values, at any repetition: the single retry decision.  The
+    /// syntactic rule's answer until a certificate's re-proven verdict
+    /// replaces it.
+    idempotent: bool,
     /// Certified fast path: accumulate via plain read-add-store instead
     /// of atomic CAS.  Set only by [`Executor::apply_certificate`].
     relaxed_stores: bool,
@@ -339,9 +305,7 @@ impl Executor {
                 array: "<iteration space>".into(),
             })?;
         Ok(Executor {
-            retry: RetryPolicy::Syntactic {
-                safe: syntactic_retry_safe(nest),
-            },
+            idempotent: syntactic_retry_safe(nest),
             relaxed_stores: false,
             nest: nest.clone(),
             repetitions: reps(nest)?,
@@ -374,24 +338,20 @@ impl Executor {
         &self.tile_extents
     }
 
-    /// Whether a contained tile panic may be retried at all (see the
-    /// module docs and [`ExecOptions::max_retries`]).  Under the default
-    /// [`RetryPolicy::Syntactic`]: every statement is a plain assign and
-    /// no statement reads an array the nest writes, so re-running a
-    /// partially executed tile recomputes exactly the same values.
-    /// Accumulate nests are never syntactically retry-safe — a partial
-    /// attempt has already folded deltas into shared cells and a re-run
-    /// would double-count them — and neither are read-after-write nests,
-    /// whose second attempt could observe the first attempt's output.
-    /// [`Executor::apply_certificate`] upgrades the policy to an
+    /// Whether a contained tile panic may be retried, at any repetition
+    /// (see the module docs and [`ExecOptions::max_retries`]).  By
+    /// default the syntactic rule of [`syntactic_retry_safe`]: every
+    /// statement is a plain assign and no statement reads an array the
+    /// nest writes, so re-running a partially executed tile recomputes
+    /// exactly the same values.  Accumulate nests are never
+    /// syntactically retry-safe — a partial attempt has already folded
+    /// deltas into shared cells and a re-run would double-count them —
+    /// and neither are read-after-write nests, whose second attempt
+    /// could observe the first attempt's output.
+    /// [`Executor::apply_certificate`] replaces the answer with an
     /// element-precise certified verdict.
     pub fn retry_safe(&self) -> bool {
-        self.retry.retryable()
-    }
-
-    /// The active retry decision point.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
+        self.idempotent
     }
 
     /// Consume a *re-checked* plan certificate's verdicts.
@@ -409,7 +369,7 @@ impl Executor {
     /// otherwise unlock an unsound path.
     pub fn apply_certificate(&mut self, write_disjoint: bool, idempotent: bool) {
         self.relaxed_stores = write_disjoint;
-        self.retry = RetryPolicy::Certified { idempotent };
+        self.idempotent = idempotent;
     }
 
     /// True when a certificate unlocked the plain-store accumulate path.
@@ -802,10 +762,8 @@ impl<'a> WorkerState<'a> {
                 Err(payload) => {
                     let payload = payload_string(payload.as_ref());
                     // Retry only when re-execution is provably
-                    // idempotent — the policy (syntactic or certified)
-                    // is the single decision point.
-                    let retryable = self.exec.retry.eligible(rep);
-                    if retryable && attempts < self.opts.max_retries {
+                    // idempotent.
+                    if self.exec.idempotent && attempts < self.opts.max_retries {
                         attempts += 1;
                         self.retries += 1;
                         continue;

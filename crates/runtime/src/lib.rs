@@ -42,9 +42,7 @@ mod store;
 mod sync;
 mod touch;
 
-pub use exec::{
-    syntactic_retry_safe, ExecOptions, ExecOutcome, Executor, RetryPolicy, POLL_INTERVAL,
-};
+pub use exec::{syntactic_retry_safe, ExecOptions, ExecOutcome, Executor, POLL_INTERVAL};
 pub use kernel::{Kernel, JAM};
 pub use report::{ModelComparison, RunReport, Schedule, ThreadMetrics, TileMetrics};
 pub use store::ArrayStore;
@@ -390,22 +388,21 @@ mod tests {
     }
 
     #[test]
-    fn retry_policy_is_the_single_decision_point() {
-        // Syntactic: only first-repetition tiles of accepted nests.
+    fn retry_safety_is_one_bit_a_certificate_replaces() {
+        // The syntactic rule's answer until a re-proven verdict arrives,
+        // which replaces it either way.
         let safe = parse("doall (i, 0, 3) { A[i] = B[i]; }").unwrap();
-        let exec = Executor::from_grid(&safe, &[2]).unwrap();
-        assert_eq!(exec.retry_policy(), RetryPolicy::Syntactic { safe: true });
-        assert!(exec.retry_policy().eligible(0));
-        assert!(!exec.retry_policy().eligible(1));
-        // Certified idempotence holds at any repetition; a refuted
-        // verdict blocks retry entirely.
         let mut exec = Executor::from_grid(&safe, &[2]).unwrap();
-        exec.apply_certificate(true, true);
-        assert!(exec.retry_policy().eligible(0));
-        assert!(exec.retry_policy().eligible(3));
+        assert!(exec.retry_safe());
         exec.apply_certificate(true, false);
-        assert!(!exec.retry_policy().eligible(0));
         assert!(!exec.retry_safe());
+        // Reads and writes of `A` the bounds keep apart: refused by the
+        // array-name rule, accepted by an element-precise certificate.
+        let apart = parse("doall (i, 0, 3) { A[i] = A[i+4]; }").unwrap();
+        let mut exec = Executor::from_grid(&apart, &[2]).unwrap();
+        assert!(!exec.retry_safe());
+        exec.apply_certificate(true, true);
+        assert!(exec.retry_safe());
     }
 
     #[test]

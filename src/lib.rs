@@ -546,9 +546,9 @@ fn transformed_code_note(t: &alp_plan::Transform, grid: &[i128]) -> String {
         "// skewed plan: tiles are rectangular in the transformed space j = i*U\n\
          // U =\n{}\n\
          // j-space processor grid: {:?}\n\
-         // execute natively with alp-runtime (Executor::from_plan); the\n\
-         // inner loop is a unit-stride row in j-space, clipped per-row to\n\
-         // the image of the original bounds.\n",
+         // execute natively with alp-runtime (Executor::from_plan); a\n\
+         // tile runs as rows of the nest's own i, in its own order, each\n\
+         // row clipped to the points whose image lies in the tile's box.\n",
         rows.join("\n"),
         grid,
     )
@@ -653,6 +653,6 @@ pub mod prelude {
     };
     pub use alp_runtime::{
         syntactic_retry_safe, CancelToken, ExecOptions, ExecOutcome, Executor, ModelComparison,
-        RetryPolicy, RunReport, RuntimeError, Schedule,
+        RunReport, RuntimeError, Schedule,
     };
 }
