@@ -53,24 +53,46 @@ impl IterBox {
         });
     }
 
-    /// Visit the box as innermost rows, in row-major order.  `f`
-    /// receives a scratch coordinate vector with the prefix
-    /// `i₀..i_{n−2}` filled in (the last entry is unspecified) and the
-    /// inclusive innermost range `lo..=hi` — the callback shape of
-    /// [`TransformedDomain::for_each_row`](crate::TransformedDomain::for_each_row);
-    /// returning `false` stops the walk early.  Returns `true` when
-    /// every row was visited.  A box of depth 0 has no rows.
-    pub fn try_for_each_row(&self, mut f: impl FnMut(&mut [i64], i64, i64) -> bool) -> bool {
-        let Some(last) = self.lo.len().checked_sub(1) else {
-            return true;
-        };
-        let (lo, hi) = (self.lo[last], self.hi[last]);
-        if lo > hi {
+    /// Visit the box as panels, in row-major order: one per outer
+    /// prefix `i₀..i_{n−3}`, spanning the whole next-outer extent (see
+    /// [`Tiling::for_each_panel`] for the callback).  Returns `true` when
+    /// every panel was visited.  A box of depth 0 has none.
+    pub fn for_each_panel(&self, mut f: impl FnMut(&mut [i64], u64, i64, i64) -> bool) -> bool {
+        let n = self.lo.len();
+        if n == 0 || self.lo.iter().zip(&self.hi).any(|(l, h)| l > h) {
             return true;
         }
+        let (lo, hi) = (self.lo[n - 1], self.hi[n - 1]);
         let mut i = self.lo.clone();
-        walk_box(&self.lo[..last], &self.hi[..last], &mut i, |i| f(i, lo, hi))
+        let Some(across) = n.checked_sub(2) else {
+            return f(&mut i, 1, lo, hi);
+        };
+        let first = self.lo[across];
+        let rows = self.hi[across].abs_diff(first) + 1;
+        walk_box(&self.lo[..across], &self.hi[..across], &mut i, |i| {
+            i[across] = first;
+            f(i, rows, lo, hi)
+        })
     }
+}
+
+/// Run `f` over the rows of the panel `(i, rows, lo, hi)`, in order,
+/// until it returns `false`; returns `false` when it did.
+fn panel_rows(
+    i: &mut [i64],
+    rows: u64,
+    lo: i64,
+    hi: i64,
+    f: &mut impl FnMut(&mut [i64], i64, i64) -> bool,
+) -> bool {
+    let Some(across) = i.len().checked_sub(2) else {
+        return f(i, lo, hi);
+    };
+    let first = i[across];
+    (0..rows as i64).all(|r| {
+        i[across] = first + r;
+        f(i, lo, hi)
+    })
 }
 
 /// Which iterations tile `t` owns, and in what row order: `Π grid`
@@ -220,22 +242,48 @@ impl Tiling {
         }
     }
 
-    /// Visit tile `t` as innermost rows `(i[..last], lo..=hi)` of the
-    /// nest's **own** iteration space, in lexicographic order — a skewed
-    /// tile too, whose box only decides which points it owns — until `f`
-    /// returns `false`; returns `false` when the walk was stopped early.
-    pub fn for_each_row(&self, t: usize, f: impl FnMut(&mut [i64], i64, i64) -> bool) -> bool {
+    /// Visit tile `t` as *panels* of the nest's **own** iteration space,
+    /// in lexicographic order, until `f` returns `false`; returns `false`
+    /// when the walk was stopped early.  A panel is a run of consecutive
+    /// rows that step the next-outer index and share the outer prefix and
+    /// the innermost range: `f` receives a scratch point with the prefix
+    /// `i₀..i_{n−2}` of its first row filled in (the last entry is
+    /// unspecified; `f` may change both), its row count and the inclusive
+    /// range `lo..=hi`.  An exact box gives one panel per outer prefix; a
+    /// clipped tile a maximal run of non-empty rows of one range, which
+    /// for a skewed tile is often a single row.  A nest of depth 1 has
+    /// one-row panels.
+    pub fn for_each_panel(
+        &self,
+        t: usize,
+        f: impl FnMut(&mut [i64], u64, i64, i64) -> bool,
+    ) -> bool {
         match &self.domain {
-            None => self.boxes[t].try_for_each_row(f),
-            Some(d) => d.for_each_row(&self.boxes[t], f),
+            None => self.boxes[t].for_each_panel(f),
+            Some(d) => d.for_each_panel(&self.boxes[t], f),
         }
     }
 
+    /// Visit tile `t` as innermost rows `(i[..last], lo..=hi)`: its
+    /// [panels](Tiling::for_each_panel) row by row, in the same order.
+    pub fn for_each_row(&self, t: usize, mut f: impl FnMut(&mut [i64], i64, i64) -> bool) -> bool {
+        self.for_each_panel(t, |i, rows, lo, hi| panel_rows(i, rows, lo, hi, &mut f))
+    }
+
     /// Visit every iteration tile `t` owns, in row order.
-    pub fn for_each_point(&self, t: usize, f: impl FnMut(&[i64])) {
+    pub fn for_each_point(&self, t: usize, mut f: impl FnMut(&[i64])) {
         match &self.domain {
             None => self.boxes[t].for_each_point(f),
-            Some(d) => d.for_each_point(&self.boxes[t], f),
+            Some(_) => {
+                self.for_each_row(t, |i, lo, hi| {
+                    let last = i.len() - 1;
+                    for x in lo..=hi {
+                        i[last] = x;
+                        f(i);
+                    }
+                    true
+                });
+            }
         }
     }
 
@@ -400,40 +448,104 @@ mod tests {
             prop_assert_eq!(i128::from(total), nest.iteration_count());
         }
 
-        /// Rows, expanded, are the point walk: same points, same
-        /// order, for depth 1..=3, empty boxes (a zero extent in any
-        /// dimension) and a walk stopped after `stop` rows.
+        /// Panels, expanded row by row, are the point walk: the points
+        /// an independent walk gives (the box's own for a rectangular
+        /// tiling, the nest's points whose image lies in the box for a
+        /// skewed one), in the same order; no two adjacent panels could
+        /// have been one; a nest of depth 1 has one-row panels; and a
+        /// walk stopped after `stop` panels says so.  Depth 1..=3, grids
+        /// that do not divide the trip counts, empty boundary tiles.
         #[test]
-        fn rows_expand_to_the_point_order(
+        fn panels_expand_to_the_point_order(
             dims in (1usize..=3).prop_flat_map(|d| {
-                proptest::collection::vec((-3i64..=3, 0i64..=4), d..=d)
+                proptest::collection::vec((-3i64..=3, 1i64..=6, 1i128..=4), d..=d)
             }),
-            stop in 1usize..=20,
+            shears in proptest::collection::vec((0usize..3, 0usize..3, -2i128..=2), 0..=3),
+            skewed in any::<bool>(),
+            stop in 1usize..=8,
         ) {
-            let bx = IterBox {
-                lo: dims.iter().map(|&(lo, _)| lo).collect(),
-                hi: dims.iter().map(|&(lo, extent)| lo + extent - 1).collect(),
-            };
-            let mut points = Vec::new();
-            bx.for_each_point(|p| points.push(p.to_vec()));
-
-            let last = dims.len() - 1;
-            let mut expanded = Vec::new();
-            let mut rows = 0usize;
-            let completed = bx.try_for_each_row(|i, lo, hi| {
-                for x in lo..=hi {
-                    i[last] = x;
-                    expanded.push(i.to_vec());
+            let names = ["i", "j", "k"];
+            let depth = dims.len();
+            let open: String = dims.iter().zip(names)
+                .map(|(&(lo, n, _), x)| format!("doall ({x}, {lo}, {}) {{ ", lo + n - 1))
+                .collect();
+            let subs = names[..depth].join(", ");
+            let nest = parse(&format!(
+                "{open}A[{subs}] = A[{subs}]; {}", "} ".repeat(depth)
+            )).unwrap();
+            let grid: Vec<i128> = dims.iter().map(|d| d.2).collect();
+            // `U`: the identity sheared row by row, so unimodular.
+            let mut u = alp_linalg::IMat::identity(depth);
+            for &(a, b, by) in shears.iter().filter(|s| skewed && s.0 % depth != s.1 % depth) {
+                for c in 0..depth {
+                    let add = by * u[(a % depth, c)];
+                    u[(b % depth, c)] += add;
                 }
-                rows += 1;
-                rows < stop
-            });
+            }
+            let transform = Transform::new(u.clone(), crate::fingerprint_hex(&nest)).unwrap();
+            let tiling = Tiling::new(&nest, skewed.then_some(&transform), &grid).unwrap();
+            for t in 0..tiling.len() {
+                let bx = &tiling.boxes()[t];
+                let mut want = Vec::new();
+                if skewed {
+                    for p in nest.iteration_points() {
+                        let j = u.apply_row(&p).unwrap();
+                        if bx.bounds().zip(&j.0).all(|((lo, hi), x)| (lo..=hi).contains(x)) {
+                            want.push(p.0.iter().map(|&x| x as i64).collect::<Vec<i64>>());
+                        }
+                    }
+                } else {
+                    bx.for_each_point(|p| want.push(p.to_vec()));
+                }
 
-            let row_len = dims[last].1 as usize;
-            let total_rows = if points.is_empty() { 0 } else { points.len() / row_len };
-            prop_assert_eq!(completed, total_rows < stop);
-            prop_assert_eq!(rows, total_rows.min(stop));
-            prop_assert_eq!(&expanded[..], &points[..rows * row_len]);
+                let (last, mut got, mut panels) = (depth - 1, Vec::new(), Vec::new());
+                let completed = tiling.for_each_panel(t, |i, rows, lo, hi| {
+                    assert!(rows >= 1 && lo <= hi, "an empty panel");
+                    panels.push((i[..last].to_vec(), rows, lo, hi));
+                    true
+                });
+                prop_assert!(completed);
+                for (prefix, rows, lo, hi) in &panels {
+                    let mut i = prefix.clone();
+                    i.push(0);
+                    for r in 0..*rows as i64 {
+                        if let Some(across) = last.checked_sub(1) {
+                            i[across] = prefix[across] + r;
+                        }
+                        for x in *lo..=*hi {
+                            i[last] = x;
+                            got.push(i.clone());
+                        }
+                    }
+                }
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(tiling.points(t), want.len() as u64);
+                let mut rows = Vec::new();
+                tiling.for_each_row(t, |i, lo, hi| {
+                    rows.extend((lo..=hi).map(|x| [&i[..last], &[x]].concat()));
+                    true
+                });
+                prop_assert_eq!(&rows, &want);
+
+                for w in panels.windows(2) {
+                    let ((p, rows, lo, hi), (q, _, qlo, qhi)) = (&w[0], &w[1]);
+                    let mergeable = match last.checked_sub(1) {
+                        None => true,
+                        Some(a) => p[..a] == q[..a] && q[a] == p[a] + *rows as i64,
+                    };
+                    prop_assert!(!(mergeable && (lo, hi) == (qlo, qhi)), "{:?}", panels);
+                }
+                if depth == 1 {
+                    prop_assert!(panels.iter().all(|p| p.1 == 1));
+                }
+                let mut visited = 0;
+                let completed = tiling.for_each_panel(t, |_, _, _, _| {
+                    visited += 1;
+                    visited < stop
+                });
+                prop_assert_eq!(completed, panels.len() < stop);
+                prop_assert_eq!(visited, panels.len().min(stop));
+            }
         }
     }
 }

@@ -244,14 +244,15 @@ impl TransformedDomain {
 
     /// Visit the in-domain points whose image lies in the `j`-box `bx`
     /// as maximal rows of the original iteration space, in lexicographic
-    /// order.  `f` receives a scratch point with the prefix
-    /// `i₀..i_{n−2}` filled in (the last entry is unspecified) and the
-    /// inclusive innermost range `lo..=hi`; returning `false` stops the
-    /// walk early.  Returns `true` when every row was visited.
-    pub fn for_each_row(
+    /// order, grouped into panels: maximal runs of consecutive non-empty
+    /// rows with one innermost range (the callback of
+    /// [`Tiling::for_each_panel`](crate::Tiling::for_each_panel)).
+    /// Returning `false` stops the walk early.  Returns `true` when every
+    /// panel was visited.
+    pub fn for_each_panel(
         &self,
         bx: &IterBox,
-        mut f: impl FnMut(&mut [i64], i64, i64) -> bool,
+        mut f: impl FnMut(&mut [i64], u64, i64, i64) -> bool,
     ) -> bool {
         let n = self.depth();
         debug_assert_eq!(bx.lo.len(), n);
@@ -301,7 +302,7 @@ impl TransformedDomain {
         self.walk(&walk, 0, &mut i, &mut sums, &mut f)
     }
 
-    fn walk<F: FnMut(&mut [i64], i64, i64) -> bool>(
+    fn walk<F: FnMut(&mut [i64], u64, i64, i64) -> bool>(
         &self,
         w: &BoxWalk,
         m: usize,
@@ -312,18 +313,44 @@ impl TransformedDomain {
         let n = self.depth();
         let (lo, hi) = self.level(w, m, &sums[m * n..(m + 1) * n]);
         if m + 1 == n {
-            return lo > hi || f(i, lo, hi);
+            // Depth 1: the one row is its own panel.
+            return lo > hi || f(i, 1, lo, hi);
         }
+        // At the next-outer level, consecutive rows of one range are
+        // held in `run` — `(first, rows, range)` — until one differs.
+        let mut run: Option<(i64, u64, (i64, i64))> = None;
         for x in lo..=hi {
             i[m] = x;
             for k in 0..n {
                 sums[(m + 1) * n + k] = sums[m * n + k] + x * self.u[m * n + k];
             }
-            if !self.walk(w, m + 1, i, sums, f) {
-                return false;
+            if m + 2 < n {
+                if !self.walk(w, m + 1, i, sums, f) {
+                    return false;
+                }
+                continue;
+            }
+            let range = self.level(w, m + 1, &sums[(m + 1) * n..]);
+            match &mut run {
+                Some((_, rows, held)) if *held == range => *rows += 1,
+                _ => {
+                    if let Some((first, rows, (a, b))) = run.take() {
+                        i[m] = first;
+                        if !f(i, rows, a, b) {
+                            return false;
+                        }
+                    }
+                    run = (range.0 <= range.1).then_some((x, 1, range));
+                }
             }
         }
-        true
+        match run {
+            Some((first, rows, (a, b))) => {
+                i[m] = first;
+                f(i, rows, a, b)
+            }
+            None => true,
+        }
     }
 
     /// The range of `i_m` given the prefix sums `s`: every inequality
@@ -349,24 +376,11 @@ impl TransformedDomain {
         (lo, hi)
     }
 
-    /// Visit every in-domain point of `bx` in row order, in original
-    /// coordinates.
-    pub fn for_each_point(&self, bx: &IterBox, mut f: impl FnMut(&[i64])) {
-        self.for_each_row(bx, |i, lo, hi| {
-            let n = i.len();
-            for x in lo..=hi {
-                i[n - 1] = x;
-                f(i);
-            }
-            true
-        });
-    }
-
     /// Exact number of in-domain points of `bx`.
     pub fn count(&self, bx: &IterBox) -> i128 {
         let mut total: i128 = 0;
-        self.for_each_row(bx, |_, lo, hi| {
-            total += (hi - lo + 1) as i128;
+        self.for_each_panel(bx, |_, rows, lo, hi| {
+            total += i128::from(rows) * i128::from(hi - lo + 1);
             true
         });
         total
@@ -578,31 +592,34 @@ mod tests {
         let domain = t.domain(&nest).unwrap();
         assert_eq!(domain.jlo(), &[0, 0]);
         assert_eq!(domain.jhi(), &[3, 6]);
-        let rows = |bx: &IterBox| {
-            let mut rows = Vec::new();
-            domain.for_each_row(bx, |i, lo, hi| {
-                rows.push((i[0], lo, hi));
+        let panels = |bx: &IterBox| {
+            let mut panels = Vec::new();
+            domain.for_each_panel(bx, |i, rows, lo, hi| {
+                panels.push((i[0], rows, lo, hi));
                 true
             });
-            rows
+            panels
         };
         // The box j1 = i + j ≤ 3 is the triangle below the antidiagonal,
-        // walked as rows of `j`: the clip follows the skew.
+        // walked as rows of `j`: the clip follows the skew, so no two
+        // rows share a range and each is a panel of its own.
         let lower = IterBox {
             lo: vec![0, 0],
             hi: vec![3, 3],
         };
-        assert_eq!(rows(&lower), [(0, 0, 3), (1, 0, 2), (2, 0, 1), (3, 0, 0)]);
+        let staircase = [(0, 1, 0, 3), (1, 1, 0, 2), (2, 1, 0, 1), (3, 1, 0, 0)];
+        assert_eq!(panels(&lower), staircase);
         assert_eq!(domain.count(&lower), 10);
+        // The whole domain's rows all span 0..=3: one panel of four.
         let whole = IterBox {
             lo: domain.jlo().to_vec(),
             hi: domain.jhi().to_vec(),
         };
-        assert_eq!(rows(&whole), [(0, 0, 3), (1, 0, 3), (2, 0, 3), (3, 0, 3)]);
+        assert_eq!(panels(&whole), [(0, 4, 0, 3)]);
         assert_eq!(domain.count(&whole), nest.iteration_count());
         // Early stop propagates.
         let mut visited = 0;
-        let done = domain.for_each_row(&whole, |_, _, _| {
+        let done = domain.for_each_panel(&lower, |_, _, _, _| {
             visited += 1;
             visited < 2
         });

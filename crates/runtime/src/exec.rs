@@ -37,7 +37,7 @@
 //!   folded deltas into shared cells; a read-after-write nest would feed
 //!   the second attempt its own output).
 
-use crate::kernel::{Kernel, JAM};
+use crate::kernel::{self, Kernel, JAM};
 use crate::report::{RunReport, Schedule, ThreadMetrics, TileMetrics};
 use crate::store::ArrayStore;
 use crate::sync::{CancelToken, CancellableBarrier};
@@ -822,23 +822,16 @@ impl<'a> WorkerState<'a> {
         true
     }
 
-    /// The tile loop: the one place that calls into the kernel.  Rows
-    /// are cut so that a cancellation poll fires once per
-    /// [`POLL_INTERVAL`] iterations, counted across rows.  With `track`
-    /// (and touch tracking on) each cut's accesses are recorded in
-    /// `scratch` right before the cut executes, so a tracked run is
-    /// interrupted within the same interval as an untracked one.
-    ///
-    /// A [jamming](Kernel::jams) kernel's rows are held back until
-    /// [`JAM`] consecutive ones of one range can run together; a shorter
-    /// run of them — at a range change, a new prefix, or the tile's
-    /// end — runs row by row, in order.
+    /// The tile loop: the one place that calls into the kernel, a
+    /// panel at a time.  With `track` (and touch tracking on) each
+    /// cut's accesses are recorded in `scratch` right before the cut
+    /// executes, so a tracked run is interrupted within the same
+    /// interval as an untracked one.
     fn run_rows<const RELAXED: bool>(&mut self, tile: usize, track: bool) -> bool {
-        let exec = self.exec;
+        let (exec, store) = (self.exec, self.store);
         let scratch = self.scratch.as_mut().filter(|_| track);
-        let mut cuts = Cuts {
+        let mut cuts = TileCuts {
             kernel: &exec.kernel,
-            store: self.store,
             ctrl: self.ctrl,
             scratch,
             until_poll: POLL_INTERVAL,
@@ -847,35 +840,10 @@ impl<'a> WorkerState<'a> {
         if let Some(sc) = cuts.scratch.as_deref_mut() {
             sc.clear();
         }
-        let completed = if !exec.kernel.jams() {
-            exec.tiling
-                .for_each_row(tile, |i, lo, hi| cuts.run::<RELAXED, 1>(i, lo, hi))
-        } else {
-            // `held` rows from `first` (stepping the next-outer index)
-            // over `range`, not yet run.
-            let depth = exec.nest.depth();
-            let across = depth - 2;
-            let (mut first, mut held, mut range) = (vec![0; depth], 0, (0, 0));
-            let walked = exec.tiling.for_each_row(tile, |i, lo, hi| {
-                let next = held > 0
-                    && (lo, hi) == range
-                    && i[..across] == first[..across]
-                    && i[across] == first[across] + held as i64;
-                if next {
-                    held += 1;
-                    if held < JAM {
-                        return true;
-                    }
-                    held = 0;
-                    return cuts.run::<RELAXED, JAM>(&mut first, lo, hi);
-                }
-                let ran = cuts.run_each::<RELAXED>(&mut first, held, range);
-                first.copy_from_slice(i);
-                (held, range) = (1, (lo, hi));
-                ran
-            });
-            walked && cuts.run_each::<RELAXED>(&mut first, held, range)
-        };
+        let completed = exec.tiling.for_each_panel(tile, |i, rows, lo, hi| {
+            exec.kernel
+                .execute_panel::<RELAXED>(i, rows, lo, hi, store, &mut cuts)
+        });
         self.polls += cuts.polls;
         completed
     }
@@ -904,80 +872,45 @@ impl<'a> WorkerState<'a> {
 /// cut so that a cancellation poll fires once per [`POLL_INTERVAL`]
 /// points, counted across rows (a jammed cut rounds up to whole
 /// columns, so a poll may come up to `JAM − 1` points late).
-struct Cuts<'a> {
+struct TileCuts<'a> {
     kernel: &'a Kernel,
-    store: &'a ArrayStore,
     ctrl: &'a RunControl<'a>,
     scratch: Option<&'a mut TouchSet>,
     until_poll: u64,
     polls: u64,
 }
 
-impl Cuts<'_> {
-    /// Run `ROWS` (1, or [`JAM`] through the jammed kernel) rows from
-    /// `i`, stepping its next-outer index, over `lo..=hi`.  Returns
-    /// `false` when a poll stops the tile.
-    fn run<const RELAXED: bool, const ROWS: usize>(
-        &mut self,
-        i: &mut [i64],
-        lo: i64,
-        hi: i64,
-    ) -> bool {
-        let mut x = lo;
-        loop {
-            let columns = ((hi - x) as u64 + 1).min(self.until_poll.div_ceil(ROWS as u64));
-            let end = x + (columns - 1) as i64;
-            if let Some(sc) = self.scratch.as_deref_mut() {
-                let touches = &self.kernel.touches;
-                if ROWS == 1 {
-                    touches.for_each(i, x, end, |e, _| sc.insert(e as usize));
-                } else {
-                    let across = i.len() - 2;
-                    let base = i[across];
-                    for r in 0..ROWS as i64 {
-                        i[across] = base + r;
-                        touches.for_each(i, x, end, |e, _| sc.insert(e as usize));
-                    }
-                    i[across] = base;
-                }
-            }
-            if ROWS == 1 {
-                self.kernel.execute_row::<RELAXED>(i, x, end, self.store);
+impl kernel::Cuts for TileCuts<'_> {
+    fn begin(&mut self, i: &mut [i64], rows: usize, x: i64, hi: i64) -> i64 {
+        debug_assert!(rows == 1 || rows == JAM);
+        let columns = ((hi - x) as u64 + 1).min(self.until_poll.div_ceil(rows as u64));
+        let end = x + (columns - 1) as i64;
+        if let Some(sc) = self.scratch.as_deref_mut() {
+            let touches = &self.kernel.touches;
+            if rows == 1 {
+                touches.for_each(i, x, end, |e, _| sc.insert(e as usize));
             } else {
-                self.kernel.execute_jammed::<RELAXED>(i, x, end, self.store);
-            }
-            self.until_poll = self.until_poll.saturating_sub(columns * ROWS as u64);
-            if self.until_poll == 0 {
-                self.until_poll = POLL_INTERVAL;
-                self.polls += 1;
-                if !self
-                    .ctrl
-                    .keep_going(self.polls.is_multiple_of(DEADLINE_POLL_STRIDE))
-                {
-                    return false;
+                let across = i.len() - 2;
+                let base = i[across];
+                for r in 0..rows as i64 {
+                    i[across] = base + r;
+                    touches.for_each(i, x, end, |e, _| sc.insert(e as usize));
                 }
+                i[across] = base;
             }
-            if end == hi {
-                return true;
-            }
-            x = end + 1;
         }
+        end
     }
 
-    /// Run `rows` held rows from `first`, stepping its next-outer
-    /// index, one at a time, in order.
-    fn run_each<const RELAXED: bool>(
-        &mut self,
-        first: &mut [i64],
-        rows: usize,
-        (lo, hi): (i64, i64),
-    ) -> bool {
-        let across = first.len() - 2;
-        let base = first[across];
-        (0..rows as i64).all(|r| {
-            first[across] = base + r;
-            self.run::<RELAXED, 1>(first, lo, hi)
-        })
+    fn end(&mut self, points: u64) -> bool {
+        self.until_poll = self.until_poll.saturating_sub(points);
+        if self.until_poll > 0 {
+            return true;
+        }
+        self.until_poll = POLL_INTERVAL;
+        self.polls += 1;
+        self.ctrl
+            .keep_going(self.polls.is_multiple_of(DEADLINE_POLL_STRIDE))
     }
 }
 
@@ -1140,6 +1073,63 @@ mod tests {
         assert!(!w.run_rows::<false>(0, true));
         assert_eq!(w.polls, 1);
         assert_eq!(w.scratch.as_ref().unwrap().count(), 2 * POLL_INTERVAL);
+    }
+
+    #[test]
+    fn a_tile_of_short_rows_stops_within_one_poll_interval() {
+        // Rows of 48 (and 47) points, seven to a panel: one jammed group
+        // and three rows on their own, or seven rows on their own.  A
+        // stopped tile must give up at its first poll, POLL_INTERVAL
+        // points in — a jammed cut rounds up to whole columns, so up to
+        // JAM − 1 more.  All-ones data: each point adds one to its cell.
+        for len in [48, 47] {
+            for (dest, jams) in [("S[i,j]", true), ("S[i]", false)] {
+                let src = format!(
+                    "doall (i, 0, 3) {{ doall (j, 0, 6) {{ doall (k, 0, {}) {{
+                       l${dest} = l${dest} + A[i,j,k]; }} }} }}",
+                    len - 1
+                );
+                let exec = Executor::from_grid(&alp_loopir::parse(&src).unwrap(), &[1, 1, 1]);
+                let exec = exec.unwrap();
+                assert_eq!(exec.kernel.jams(), jams);
+                let (ctrl, opts) = (stopped(), ExecOptions::default());
+                let store = ArrayStore::zeroed(exec.layout.total_lines());
+                store.load_from(&vec![1.0; store.len()]);
+                let mut w = WorkerState::new(&exec, &ctrl, &opts, &store, &[], 0);
+                assert!(!w.run_rows::<false>(0, false));
+                assert_eq!(w.polls, 1);
+                let ran = store.snapshot().iter().sum::<f64>() as u64 - store.len() as u64;
+                let slack = if jams { JAM as u64 - 1 } else { 0 };
+                assert!(
+                    (POLL_INTERVAL..=POLL_INTERVAL + slack).contains(&ran),
+                    "{src}: {ran} points"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_fixed_nest_polls_as_often_as_it_always_has() {
+        // Panels of 23 rows of 47 points (five jammed groups, three rows
+        // on their own) on two tiles, and a skewed plan of the same nest
+        // whose panels are single rows: the count of polls is the cut
+        // sequence's fingerprint, pinned as the row-by-row executor
+        // counted it.
+        let src = "doall (i, 0, 39) { doall (j, 0, 22) { doall (k, 0, 46) {
+                     l$C[i,j] = l$C[i,j] + A[i,k] + B[k,j]; } } }";
+        let nest = alp_loopir::parse(src).unwrap();
+        let rect = Executor::from_grid(&nest, &[2, 1, 1]).unwrap();
+        let u = alp_linalg::IMat::from_rows(&[&[1, 0, 0], &[0, 1, 0], &[0, 1, 1]]);
+        let t = Transform::new(u, alp_plan::fingerprint_hex(&nest)).unwrap();
+        let skewed = Executor::from_transformed(&nest, &t, &[2, 3, 1]).unwrap();
+        let polls = |exec: &Executor| {
+            let opts = ExecOptions {
+                threads: 1,
+                ..ExecOptions::default()
+            };
+            (exec.run(&exec.seeded_store(1), &opts).unwrap()).cancellation_polls
+        };
+        assert_eq!((polls(&rect), polls(&skewed)), (42, 40));
     }
 
     #[test]

@@ -1,76 +1,91 @@
-//! Lowering loop-nest statements into executable row kernels.
+//! Lowering loop-nest statements into executable panel kernels.
 //!
 //! Every affine reference `A[Gī + ā]` meets the array layout in
 //! [`ArrayLayout::form`], which folds it into one linear form over the
 //! *parallel* iteration vector, `element(ī) = c·ī + c₀`
 //! ([`ElementForm`], shared with the simulator and the planner).  The
-//! forms are the nest's own, uncomposed: every tile, skewed or not, is
-//! walked as rows of the original iteration space.  A tile executes as
-//! innermost rows: one dot product per reference at the start of a row,
-//! then each element id advances by the form's innermost step, so an
-//! iteration costs one add per reference plus the f64 arithmetic.
+//! forms are the nest's own, uncomposed: every tile, skewed or not, runs
+//! as the *panels* of [`alp_plan::Tiling::for_each_panel`] — runs of
+//! rows of the original iteration space that step the next-outer index
+//! over one innermost range.  A panel costs one dot product per
+//! reference; a row further on adds the form's next-outer coefficient,
+//! a point further along its innermost step.
 //!
-//! A row's `(element, step)` cursors sit in an array as long as the
-//! statement has sources, which the optimizer keeps in registers: one
-//! loop body, instantiated per width (a wider statement runs the same
-//! body over a per-thread slice).  An accumulate whose destination
-//! does not move along the row — `C[i,j]` over `k` — is summed in a
-//! register and published once per row cut, so at least every
-//! `POLL_INTERVAL` points.  The certified relaxed mode loads the cell,
-//! adds the points in row order and stores: no reassociation, exact
-//! for any data.  The atomic mode sums the cut's delta first and
-//! issues one `fetch_add`; that *does* reassociate, and leans on the
-//! exact-sum contract stated in `store.rs`.
+//! The executor cuts a panel's rows so that it polls every
+//! `POLL_INTERVAL` points.  When every reference steps one element along
+//! a row (each stencil of the ledger), `Kernel::compile` picks the *unit*
+//! loop form: a cut checks each reference's row once, by slicing the store,
+//! and the loop indexes the slices with no per-point check.  Other steps
+//! — zero, negative, a column — take the indexed form, whose references
+//! share the whole store so that each keeps just its element and step
+//! in a register.  One loop body is instantiated per source count; a
+//! wider statement collects its references per cut.
 //!
-//! Such a reduction is one dependent chain of adds per row.  When the
-//! destination does move across consecutive rows (`C[i,j]` over `k`
-//! steps with `j`, `S[i]` over `j` with `i`), the kernel *jams* [`JAM`]
-//! consecutive rows of equal range: one cursor per source plus a
-//! per-row offset (a source with offset 0 is loaded once per point for
-//! all rows), and one register accumulator per row.  Each cell is still
-//! folded point by point in row order, so the relaxed mode stays exact
-//! for any data; the atomic mode issues one `fetch_add` per row per cut.
+//! An accumulate whose destination does not move along the row —
+//! `C[i,j]` over `k` — is summed in a register and published once per
+//! cut.  The certified relaxed mode loads the cell, adds the points in
+//! row order and stores: no reassociation, exact for any data.  The
+//! atomic mode sums the cut's delta first and issues one `fetch_add`;
+//! that *does* reassociate, and leans on the exact-sum contract stated
+//! in `store.rs`.  Such a reduction is one dependent chain of adds per
+//! row.  When the destination does move across rows (`C[i,j]` over `k`
+//! steps with `j`, `S[i]` over `j` with `i`), the kernel *jams* a
+//! panel's rows [`JAM`] at a time, and runs the rest one by one: one
+//! slice per source over the group's elements (a source that does not
+//! move across rows is loaded once per point for all of them), and one
+//! register accumulator per row.  Each cell is still folded point by
+//! point in row order, so the relaxed mode stays exact for any data;
+//! the atomic mode issues one `fetch_add` per row per cut.
 
-use crate::store::StoreMode;
+use crate::store::{load, StoreMode};
 use crate::{ArrayStore, RuntimeError};
 use alp_loopir::{AccessKind, AccessStream, ArrayRef, ElementForm, LoopNest};
 use alp_machine::ArrayLayout;
 use std::cell::RefCell;
+use std::sync::atomic::AtomicU64;
 
 /// How many consecutive rows a jammed reduction runs together.
 pub const JAM: usize = 4;
 
 /// One statement, classified for parallel execution.
 #[derive(Debug, Clone)]
-enum CompiledStmt {
-    /// `lhs = Σ sources` — a plain overwrite.  Legal doalls guarantee no
+struct CompiledStmt {
+    /// `lhs += Σ sources`, an Appendix-A accumulate (the self-read is
+    /// implicit in the add, so `sources` excludes it), rather than
+    /// `lhs = Σ sources`, a plain overwrite: legal doalls guarantee no
     /// other iteration touches `lhs`, so a relaxed store suffices.
-    Assign {
-        /// Destination element.
-        lhs: ElementForm,
-        /// Source elements, summed.
-        sources: Vec<ElementForm>,
-    },
-    /// `lhs += Σ sources` — an Appendix-A accumulate.  The self-read is
-    /// implicit in the atomic add, so `sources` excludes it.
-    Accumulate {
-        /// Destination element (atomically updated).
-        lhs: ElementForm,
-        /// Source elements, summed into the delta.
-        sources: Vec<ElementForm>,
-    },
+    accumulate: bool,
+    /// Destination element.
+    lhs: ElementForm,
+    /// Source elements, summed left to right.
+    sources: Vec<ElementForm>,
 }
 
 /// A compiled nest body: the statements of one iteration.
 #[derive(Debug, Clone)]
 pub struct Kernel {
     stmts: Vec<CompiledStmt>,
-    /// Whether [`Kernel::execute_jammed`] may run [`JAM`] rows at once.
+    /// The unit loop form: every source steps one element along a row,
+    /// and so does every destination not summed in a register.
+    unit: bool,
+    /// Whether a panel runs [`JAM`] rows at a time.
     jams: bool,
     /// What a row touches, for touch tracking: the stream the simulator
     /// builds its traces from, each distinct form once (an accumulate's
     /// self-read is its lhs).
     pub(crate) touches: AccessStream,
+}
+
+/// How the executor cuts a panel, and what it does around each cut:
+/// its poll cadence and touch tracking.
+pub(crate) trait Cuts {
+    /// The last column, at most `hi`, of the cut of `rows` rows from `i`
+    /// (stepping its next-outer index) that starts at column `x`;
+    /// called right before the cut runs.
+    fn begin(&mut self, i: &mut [i64], rows: usize, x: i64, hi: i64) -> i64;
+    /// Called after a cut of `points` points ran; `false` stops the
+    /// panel.
+    fn end(&mut self, points: u64) -> bool;
 }
 
 impl Kernel {
@@ -99,61 +114,72 @@ impl Kernel {
             // The stream issues a statement's rhs in order, then its lhs.
             let rhs: Vec<ElementForm> = forms.by_ref().take(st.rhs.len()).collect();
             let lhs = forms.next().expect("one form per reference");
-            if st.lhs.kind == AccessKind::Accumulate {
-                let is_self = |r: &ArrayRef| {
-                    r.kind == AccessKind::Accumulate
-                        && r.array == st.lhs.array
-                        && r.subscripts == st.lhs.subscripts
-                };
-                let self_count = st.rhs.iter().filter(|r| is_self(r)).count();
-                match self_count {
-                    0 => {
-                        // No old-value read: sequential semantics are a
-                        // plain overwrite.
-                        stmts.push(CompiledStmt::Assign { lhs, sources: rhs });
-                    }
-                    1 => {
-                        let others = st.rhs.iter().zip(rhs).filter(|(r, _)| !is_self(r));
-                        let (refs, sources): (Vec<&ArrayRef>, _) = others.unzip();
-                        reads_own_array |= refs.iter().any(|r| r.array == st.lhs.array);
-                        stmts.push(CompiledStmt::Accumulate { lhs, sources });
-                    }
-                    n => {
-                        return Err(RuntimeError::UnsupportedStatement(format!(
-                            "accumulate of `{}` reads its own old value {n} times; \
-                             only one self-read is executable",
-                            st.lhs.array
-                        )));
-                    }
+            let is_self = |r: &ArrayRef| {
+                r.kind == AccessKind::Accumulate
+                    && r.array == st.lhs.array
+                    && r.subscripts == st.lhs.subscripts
+            };
+            let self_reads = match st.lhs.kind {
+                AccessKind::Accumulate => st.rhs.iter().filter(|r| is_self(r)).count(),
+                _ => 0,
+            };
+            let (accumulate, sources) = match self_reads {
+                // No old-value read: sequential semantics are a plain
+                // overwrite.
+                0 => (false, rhs),
+                1 => {
+                    let others = st.rhs.iter().zip(rhs).filter(|(r, _)| !is_self(r));
+                    let (refs, sources): (Vec<&ArrayRef>, _) = others.unzip();
+                    reads_own_array |= refs.iter().any(|r| r.array == st.lhs.array);
+                    (true, sources)
                 }
-            } else {
-                stmts.push(CompiledStmt::Assign { lhs, sources: rhs });
-            }
+                n => {
+                    return Err(RuntimeError::UnsupportedStatement(format!(
+                        "accumulate of `{}` reads its own old value {n} times; \
+                         only one self-read is executable",
+                        st.lhs.array
+                    )));
+                }
+            };
+            stmts.push(CompiledStmt {
+                accumulate,
+                lhs,
+                sources,
+            });
         }
+        let unit = stmts.iter().all(|st| {
+            let summed = st.accumulate && st.lhs.step() == 0;
+            st.sources.iter().all(|s| s.step() == 1) && (summed || st.lhs.step() == 1)
+        });
         let across = nest.depth().checked_sub(2);
         let jams = match (&stmts[..], across) {
-            ([CompiledStmt::Accumulate { lhs, .. }], Some(d)) => {
-                lhs.step() == 0 && lhs.coeff(d) != 0 && !reads_own_array
+            ([st], Some(d)) => {
+                st.accumulate && st.lhs.step() == 0 && st.lhs.coeff(d) != 0 && !reads_own_array
             }
             _ => false,
         };
         Ok(Kernel {
             stmts,
+            unit,
             jams,
             touches: accesses.distinct(),
         })
     }
 
-    /// True when rows may run [`JAM`] at a time through
-    /// [`Kernel::execute_jammed`] (see [`Kernel::compile`]).
+    /// True when a panel runs [`JAM`] rows at a time (see
+    /// [`Kernel::compile`]).
     pub fn jams(&self) -> bool {
         self.jams
     }
 
-    /// Execute one contiguous row of iterations: the points
-    /// `(j[..last], x)` for `x` in `lo..=hi`, statement by statement
-    /// (legal doall iterations are independent, so distributing the
-    /// statements over the row preserves every intra-iteration order).
+    /// Execute the panel of `rows` rows from `(i[..last], lo..=hi)`,
+    /// stepping its next-outer index, in the cuts `cuts` ends: [`JAM`]
+    /// rows at a time when the kernel jams, the rest one by one, in
+    /// order; each cut statement by statement (legal doall iterations
+    /// are independent, so distributing the statements over a cut
+    /// preserves every intra-iteration order).  Returns `false` when
+    /// `cuts` stopped the panel; `i`'s next-outer entry is left
+    /// unspecified.
     ///
     /// Accumulates go through the atomic CAS loop — always sound —
     /// unless `RELAXED`, which publishes them with a plain
@@ -161,192 +187,223 @@ impl Kernel {
     /// certificate proving exact coverage and cross-tile write
     /// disjointness: then exactly one thread ever updates each
     /// destination element, and the CAS buys nothing.
-    #[inline]
-    pub fn execute_row<const RELAXED: bool>(
+    pub(crate) fn execute_panel<const RELAXED: bool>(
         &self,
-        j: &[i64],
+        i: &mut [i64],
+        rows: u64,
         lo: i64,
         hi: i64,
         store: &ArrayStore,
+        cuts: &mut impl Cuts,
+    ) -> bool {
+        let across = i.len().checked_sub(2);
+        let first = across.map_or(0, |d| i[d]);
+        PANEL.with_borrow_mut(|panel| {
+            panel.clear();
+            let forms = self
+                .stmts
+                .iter()
+                .flat_map(|st| [&st.lhs].into_iter().chain(&st.sources));
+            panel.extend(forms.map(|f| Cursor {
+                at: f.row_start(i, lo),
+                step: f.step(),
+                across: across.map_or(0, |d| f.coeff(d)),
+            }));
+            let mut r = 0;
+            while r < rows {
+                let group = if self.jams && rows - r >= JAM as u64 {
+                    JAM
+                } else {
+                    1
+                };
+                if let Some(d) = across {
+                    i[d] = first + r as i64;
+                }
+                let mut x = lo;
+                loop {
+                    let end = cuts.begin(i, group, x, hi);
+                    let (cut, n) = ((r as i64, x - lo), (end - x) as usize + 1);
+                    match (group, self.unit) {
+                        (JAM, _) => self.run_cut::<RELAXED, JAM, false>(panel, cut, n, store),
+                        (_, true) => self.run_cut::<RELAXED, 1, true>(panel, cut, n, store),
+                        _ => self.run_cut::<RELAXED, 1, false>(panel, cut, n, store),
+                    }
+                    if !cuts.end((n * group) as u64) {
+                        return false;
+                    }
+                    if end == hi {
+                        break;
+                    }
+                    x = end + 1;
+                }
+                r += group as u64;
+            }
+            true
+        })
+    }
+
+    /// Every statement over the `n` points of `ROWS` rows that start
+    /// `cut = (rows, columns)` into the panel whose cursors are `panel`.
+    #[inline(always)]
+    fn run_cut<const RELAXED: bool, const ROWS: usize, const UNIT: bool>(
+        &self,
+        mut panel: &[Cursor],
+        cut: (i64, i64),
+        n: usize,
+        store: &ArrayStore,
     ) {
-        if hi < lo {
-            return;
-        }
-        let n = (hi - lo) as u64 + 1;
         for st in &self.stmts {
-            // One call per arm, so each `sweep_row` sees its mode as a
+            let (lhs, rest) = panel.split_first().expect("a cursor per reference");
+            let (srcs, rest) = rest.split_at(st.sources.len());
+            panel = rest;
+            let lhs = lhs.moved(cut);
+            // One call per arm, so each `sweep` sees its mode as a
             // constant and the per-point publish is branch-free.
-            match st {
-                CompiledStmt::Assign { lhs, sources } => {
-                    sweep_row(lhs, sources, j, lo, n, store, StoreMode::Set);
-                }
-                CompiledStmt::Accumulate { lhs, sources } if RELAXED => {
-                    sweep_row(lhs, sources, j, lo, n, store, StoreMode::Add);
-                }
-                CompiledStmt::Accumulate { lhs, sources } => {
-                    sweep_row(lhs, sources, j, lo, n, store, StoreMode::FetchAdd);
-                }
+            match (st.accumulate, RELAXED) {
+                (false, _) => sweep::<ROWS, UNIT>(lhs, srcs, cut, n, store, StoreMode::Set),
+                (true, true) => sweep::<ROWS, UNIT>(lhs, srcs, cut, n, store, StoreMode::Add),
+                (true, false) => sweep::<ROWS, UNIT>(lhs, srcs, cut, n, store, StoreMode::FetchAdd),
             }
         }
     }
+}
 
-    /// Execute the [`JAM`] consecutive rows `(j[..last−1], j[last−1] + r,
-    /// x)`, `r` in `0..JAM`, `x` in `lo..=hi`, of a [jamming](Kernel::jams)
-    /// kernel together — with the cells, and the publish modes, that
-    /// [`Kernel::execute_row`] on each row in turn would fold into them.
-    ///
-    /// # Panics
-    /// Panics if the kernel does not jam.
-    #[inline]
-    pub fn execute_jammed<const RELAXED: bool>(
-        &self,
-        j: &[i64],
-        lo: i64,
-        hi: i64,
-        store: &ArrayStore,
-    ) {
-        let (true, [CompiledStmt::Accumulate { lhs, sources }]) = (self.jams, &self.stmts[..])
-        else {
-            panic!("execute_jammed on a kernel that does not jam");
+/// A reference's element at a panel's (or a cut's) first point, and
+/// what a step along the row and one across rows add to it.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    at: i64,
+    step: i64,
+    across: i64,
+}
+
+impl Cursor {
+    /// The cursor `rows` rows and `columns` points further on.
+    #[inline(always)]
+    fn moved(&self, (rows, columns): (i64, i64)) -> Cursor {
+        let at = self.at + rows * self.across + columns * self.step;
+        Cursor { at, ..*self }
+    }
+}
+
+thread_local! {
+    /// The current panel's cursors, statement by statement, the lhs
+    /// before the sources: grown once per thread, so no panel
+    /// allocates.
+    static PANEL: RefCell<Vec<Cursor>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A reference over one cut: the cells it touches, checked once, and
+/// its current element's offset in them.
+struct Src<'s> {
+    cells: &'s [AtomicU64],
+    at: i64,
+    step: i64,
+    across: i64,
+}
+
+impl<'s> Src<'s> {
+    /// The reference `c` over `ROWS` rows of `n` points from `cut`: in
+    /// the unit form the row's cells, in the indexed form of one row the
+    /// whole store (a slice per reference spills the registers of a
+    /// four-source statement), and over a jammed group the group's.
+    #[inline(always)]
+    fn new<const ROWS: usize, const UNIT: bool>(
+        c: &Cursor,
+        cut: (i64, i64),
+        n: usize,
+        store: &'s ArrayStore,
+    ) -> Src<'s> {
+        let Cursor { at, step, across } = c.moved(cut);
+        let (first, len) = match (UNIT, ROWS) {
+            (true, _) => (at, n),
+            (false, 1) => (0, store.len()),
+            _ => {
+                let (down, along) = (across * (ROWS as i64 - 1), step * (n as i64 - 1));
+                let len = down.unsigned_abs() + along.unsigned_abs() + 1;
+                (at + down.min(0) + along.min(0), len as usize)
+            }
         };
-        if hi < lo {
-            return;
+        let cells = store.cells(first, len);
+        Src {
+            cells,
+            at: at - first,
+            step,
+            across,
         }
-        let n = (hi - lo) as u64 + 1;
-        if RELAXED {
-            sweep_jammed(lhs, sources, j, lo, n, store, StoreMode::Add);
-        } else {
-            sweep_jammed(lhs, sources, j, lo, n, store, StoreMode::FetchAdd);
+    }
+
+    /// Row `r`'s cell at point `p`.
+    #[inline(always)]
+    fn cell<const UNIT: bool>(&self, p: usize, r: usize) -> &'s AtomicU64 {
+        match UNIT {
+            true => &self.cells[p],
+            false => &self.cells[(self.at + r as i64 * self.across) as usize],
         }
     }
 }
 
-/// `(element, step)` of one source along a row.
-type Cursor = (i64, i64);
-
-/// `(element, step, offset to the next row)` of one source along
-/// [`JAM`] jammed rows.
-type JamCursor = (i64, i64, i64);
-
-thread_local! {
-    /// Cursor storage for statements with more sources than
-    /// [`sweep_row`] has fixed widths for: grown once per thread, so no
-    /// source count allocates per row.
-    static SPILL: RefCell<Vec<Cursor>> = const { RefCell::new(Vec::new()) };
-    /// The same for [`sweep_jammed`].
-    static JAM_SPILL: RefCell<Vec<JamCursor>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Start the sources' cursors with `$cursor` in an array whose length
-/// the compiler knows and run `$fold` over them (bound to `$at`); past
-/// the widths listed, over the thread's `$spill` slice.
-macro_rules! with_cursors {
-    ($sources:ident, $cursor:ident: $ty:ty, $spill:ident, |$at:ident| $fold:expr; $($w:literal)*) => {
+/// Collect the sources' [`Src`]s, built by `$src`, in an array whose
+/// length the compiler knows and run `$fold` over them (bound to `$at`);
+/// past the widths listed, in a vector.
+macro_rules! with_sources {
+    ($sources:ident, $src:ident, |$at:ident| $fold:expr; $($w:literal)*) => {
         match $sources.len() {
             $($w => {
-                let $at: [$ty; $w] = std::array::from_fn(|k| $cursor(&$sources[k]));
+                let $at: [Src; $w] = std::array::from_fn(|k| $src(&$sources[k]));
                 $fold
             })*
-            _ => $spill.with_borrow_mut(|spill| {
-                spill.clear();
-                spill.extend($sources.iter().map($cursor));
-                let $at = &mut spill[..];
+            _ => {
+                let $at: Vec<Src> = $sources.iter().map($src).collect();
                 $fold
-            }),
+            }
         }
     };
 }
 
-/// One statement over `n` points of a row starting at `(j[..last], lo)`;
-/// a row-invariant accumulate publishes once (see the module docs).
+/// One statement over `n` points of `ROWS` rows from `cut`, `lhs`
+/// already moved there; a destination that does not move along the
+/// row is summed in a register per row and published once (see the
+/// module docs).
 #[inline(always)]
-fn sweep_row(
-    lhs: &ElementForm,
-    sources: &[ElementForm],
-    j: &[i64],
-    lo: i64,
-    n: u64,
+fn sweep<const ROWS: usize, const UNIT: bool>(
+    lhs: Cursor,
+    sources: &[Cursor],
+    cut: (i64, i64),
+    n: usize,
     store: &ArrayStore,
     mode: StoreMode,
 ) {
-    let (mut dst, dst_step) = (lhs.row_start(j, lo), lhs.step());
-    debug_assert!(dst >= 0, "element id must be non-negative");
-    if dst_step != 0 || mode == StoreMode::Set {
-        fold_sources(sources, j, lo, n, store, |v| {
-            debug_assert!(dst >= 0, "element id must be non-negative");
-            store.publish(mode, dst as usize, v);
-            dst += dst_step;
-        });
-    } else if mode == StoreMode::Add {
-        let mut acc = store.get(dst as usize);
-        fold_sources(sources, j, lo, n, store, |v| acc += v);
-        store.set(dst as usize, acc);
-    } else {
-        let mut delta = 0.0;
-        fold_sources(sources, j, lo, n, store, |v| delta += v);
-        store.fetch_add(dst as usize, delta);
+    let src = |c: &Cursor| Src::new::<ROWS, UNIT>(c, cut, n, store);
+    if ROWS == 1 && (lhs.step != 0 || mode == StoreMode::Set) {
+        let mut dst = Src::new::<1, UNIT>(&lhs, (0, 0), n, store);
+        let each = |p, v: [f64; ROWS]| {
+            mode.publish(dst.cell::<UNIT>(p, 0), v[0]);
+            dst.at += dst.step;
+        };
+        with_sources!(sources, src, |at| fold::<ROWS, UNIT>(at, n, each); 0 1 2 3 4 5 6 7 8);
+        return;
     }
-}
-
-/// Start the sources' cursors at `(j[..last], lo)` and run [`fold_row`]
-/// over them.
-#[inline(always)]
-fn fold_sources(
-    sources: &[ElementForm],
-    j: &[i64],
-    lo: i64,
-    n: u64,
-    store: &ArrayStore,
-    each: impl FnMut(f64),
-) {
-    let cursor = |s: &ElementForm| (s.row_start(j, lo), s.step());
-    with_cursors!(sources, cursor: Cursor, SPILL, |at| fold_row(at, n, store, each); 0 1 2 3 4 5 6 7 8)
-}
-
-/// The row loop: per point, sum the sources left to right, bump each
-/// cursor by its step and hand the sum to `each`.
-#[inline(always)]
-fn fold_row(mut at: impl AsMut<[Cursor]>, n: u64, store: &ArrayStore, mut each: impl FnMut(f64)) {
-    for _ in 0..n {
-        let mut v = 0.0;
-        for (e, step) in at.as_mut() {
-            debug_assert!(*e >= 0, "element id must be non-negative");
-            v += store.get(*e as usize);
-            *e += *step;
-        }
-        each(v);
-    }
-}
-
-/// A row-invariant accumulate over `n` points of [`JAM`] rows starting
-/// at `(j[..last], lo)`: one register accumulator per row, published
-/// once, as [`sweep_row`] publishes each row's.
-#[inline(always)]
-fn sweep_jammed(
-    lhs: &ElementForm,
-    sources: &[ElementForm],
-    j: &[i64],
-    lo: i64,
-    n: u64,
-    store: &ArrayStore,
-    mode: StoreMode,
-) {
-    let (first, across) = (lhs.row_start(j, lo), lhs.coeff(j.len() - 2));
-    let dst: [usize; JAM] = std::array::from_fn(|r| {
-        let e = first + r as i64 * across;
+    let cells: [usize; ROWS] = std::array::from_fn(|r| {
+        let e = lhs.at + r as i64 * lhs.across;
         debug_assert!(e >= 0, "element id must be non-negative");
         e as usize
     });
     let mut acc = match mode {
-        StoreMode::Add => dst.map(|e| store.get(e)),
-        _ => [0.0; JAM],
+        StoreMode::Add => cells.map(|e| store.get(e)),
+        _ => [0.0; ROWS],
     };
-    fold_jammed(sources, j, lo, n, store, |v| {
+    let each = |_, v: [f64; ROWS]| {
         for (acc, v) in acc.iter_mut().zip(v) {
             *acc += v;
         }
-    });
-    for (e, acc) in dst.into_iter().zip(acc) {
+    };
+    if ROWS == 1 {
+        with_sources!(sources, src, |at| fold::<ROWS, UNIT>(at, n, each); 0 1 2 3 4 5 6 7 8);
+    } else {
+        with_sources!(sources, src, |at| fold::<ROWS, UNIT>(at, n, each); 0 1 2 3 4);
+    }
+    for (e, acc) in cells.into_iter().zip(acc) {
         match mode {
             StoreMode::Add => store.set(e, acc),
             _ => store.fetch_add(e, acc),
@@ -354,47 +411,30 @@ fn sweep_jammed(
     }
 }
 
-/// Start the sources' jammed cursors at `(j[..last], lo)` and run
-/// [`fold_rows`] over them.
+/// The point loop: per point `p`, in order, each row's sum of the
+/// sources left to right, handed to `each` — a source that does not
+/// move across rows is loaded once for all of them.
 #[inline(always)]
-fn fold_jammed(
-    sources: &[ElementForm],
-    j: &[i64],
-    lo: i64,
-    n: u64,
-    store: &ArrayStore,
-    each: impl FnMut([f64; JAM]),
+fn fold<'s, const ROWS: usize, const UNIT: bool>(
+    mut src: impl AsMut<[Src<'s>]>,
+    n: usize,
+    mut each: impl FnMut(usize, [f64; ROWS]),
 ) {
-    let across = j.len() - 2;
-    let cursor = |s: &ElementForm| (s.row_start(j, lo), s.step(), s.coeff(across));
-    with_cursors!(sources, cursor: JamCursor, JAM_SPILL, |at| fold_rows(at, n, store, each); 0 1 2 3 4)
-}
-
-/// [`fold_row`] over [`JAM`] rows at once: per point, each row's sum of
-/// the sources left to right — a source that does not move across rows
-/// is loaded once for all of them.
-#[inline(always)]
-fn fold_rows(
-    mut at: impl AsMut<[JamCursor]>,
-    n: u64,
-    store: &ArrayStore,
-    mut each: impl FnMut([f64; JAM]),
-) {
-    for _ in 0..n {
-        let mut v = [0.0; JAM];
-        for (e, step, across) in at.as_mut() {
-            debug_assert!(*e >= 0, "element id must be non-negative");
-            if *across == 0 {
-                let x = store.get(*e as usize);
+    let src = src.as_mut();
+    for p in 0..n {
+        let mut v = [0.0; ROWS];
+        for s in src.iter_mut() {
+            if ROWS == 1 || s.across == 0 {
+                let x = load(s.cell::<UNIT>(p, 0));
                 v.iter_mut().for_each(|v| *v += x);
             } else {
                 for (r, v) in v.iter_mut().enumerate() {
-                    *v += store.get((*e + r as i64 * *across) as usize);
+                    *v += load(s.cell::<UNIT>(p, r));
                 }
             }
-            *e += *step;
+            s.at += s.step;
         }
-        each(v);
+        each(p, v);
     }
 }
 
@@ -402,6 +442,18 @@ fn fold_rows(
 mod tests {
     use super::*;
     use alp_loopir::parse;
+
+    /// Cuts that run a panel whole.
+    struct Whole;
+
+    impl Cuts for Whole {
+        fn begin(&mut self, _: &mut [i64], _: usize, _: i64, hi: i64) -> i64 {
+            hi
+        }
+        fn end(&mut self, _: u64) -> bool {
+            true
+        }
+    }
 
     #[test]
     fn nine_source_stencil_matches_reference() {
@@ -433,7 +485,7 @@ mod tests {
             .collect();
         let store = ArrayStore::zeroed(layout.total_lines());
         store.load_from(&init);
-        kernel.execute_row::<true>(&[0], 0, 99, &store);
+        assert!(kernel.execute_panel::<true>(&mut [0], 1, 0, 99, &store, &mut Whole));
 
         let at = |name: &str, i: i128| {
             let id = layout.array_id(name).unwrap();
@@ -541,7 +593,13 @@ mod tests {
         let kernel = Kernel::compile(&nest, &layout).unwrap();
         assert_eq!(layout.accesses(&nest, None).unwrap().refs().len(), 4);
         assert_eq!(kernel.touches.refs().len(), 3);
-        let CompiledStmt::Accumulate { lhs, sources } = &kernel.stmts[0] else {
+        let CompiledStmt {
+            accumulate: true,
+            lhs,
+            sources,
+            ..
+        } = &kernel.stmts[0]
+        else {
             panic!("an accumulate");
         };
         let tracked: Vec<&ElementForm> = kernel.touches.refs().iter().map(|(f, _)| f).collect();
@@ -570,12 +628,14 @@ mod tests {
         let nest = parse("doall (i, 0, 3) { l$C[i] = A[i]; }").unwrap();
         let layout = ArrayLayout::from_nest(&nest).unwrap();
         let kernel = Kernel::compile(&nest, &layout).unwrap();
-        assert!(matches!(kernel.stmts[0], CompiledStmt::Assign { .. }));
+        assert!(!kernel.stmts[0].accumulate);
         let store = ArrayStore::zeroed(layout.total_lines());
         let a0 = layout.array_id("A").unwrap();
         store.set(layout.line(a0, &alp_linalg::IVec::new(&[2])) as usize, 9.0);
-        kernel.execute_row::<false>(&[2], 2, 2, &store);
-        kernel.execute_row::<false>(&[2], 2, 2, &store); // overwrite, not accumulate
+        for _ in 0..2 {
+            // Overwrite, not accumulate.
+            assert!(kernel.execute_panel::<false>(&mut [2], 1, 2, 2, &store, &mut Whole));
+        }
         let c0 = layout.array_id("C").unwrap();
         assert_eq!(
             store.get(layout.line(c0, &alp_linalg::IVec::new(&[2])) as usize),

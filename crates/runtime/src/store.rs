@@ -42,6 +42,28 @@ pub(crate) enum StoreMode {
     FetchAdd,
 }
 
+impl StoreMode {
+    /// Publish `v` into `cell` the way the mode says.
+    #[inline(always)]
+    pub(crate) fn publish(self, cell: &AtomicU64, v: f64) {
+        let add = |cur: u64| (f64::from_bits(cur) + v).to_bits();
+        match self {
+            StoreMode::Set => cell.store(v.to_bits(), Ordering::Relaxed),
+            StoreMode::Add => cell.store(add(cell.load(Ordering::Relaxed)), Ordering::Relaxed),
+            StoreMode::FetchAdd => {
+                // A CAS loop that never gives up: the update is `Some`.
+                let _ = cell.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| Some(add(c)));
+            }
+        }
+    }
+}
+
+/// The f64 in `cell`.
+#[inline(always)]
+pub(crate) fn load(cell: &AtomicU64) -> f64 {
+    f64::from_bits(cell.load(Ordering::Relaxed))
+}
+
 /// The deterministic seed value for element `k` under `seed`: a
 /// SplitMix64-style mix of (seed, index), reduced to 0..=255.
 ///
@@ -103,27 +125,19 @@ impl ArrayStore {
     /// Read one element.
     #[inline]
     pub fn get(&self, idx: usize) -> f64 {
-        f64::from_bits(self.cells[idx].load(Ordering::Relaxed))
+        load(&self.cells[idx])
     }
 
     /// Overwrite one element.
     #[inline]
     pub fn set(&self, idx: usize, v: f64) {
-        self.cells[idx].store(v.to_bits(), Ordering::Relaxed);
+        StoreMode::Set.publish(&self.cells[idx], v);
     }
 
     /// Atomically add `delta` to one element (CAS loop).
     #[inline]
     pub fn fetch_add(&self, idx: usize, delta: f64) {
-        let cell = &self.cells[idx];
-        let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            let new = (f64::from_bits(cur) + delta).to_bits();
-            match cell.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
+        StoreMode::FetchAdd.publish(&self.cells[idx], delta);
     }
 
     /// Add `delta` to one element with a plain read-modify-write (no
@@ -133,27 +147,23 @@ impl ArrayStore {
     /// exactly that proof.
     #[inline]
     pub fn add_relaxed(&self, idx: usize, delta: f64) {
-        let cell = &self.cells[idx];
-        let cur = f64::from_bits(cell.load(Ordering::Relaxed));
-        cell.store((cur + delta).to_bits(), Ordering::Relaxed);
+        StoreMode::Add.publish(&self.cells[idx], delta);
     }
 
-    /// Publish `v` into one element the way `mode` says.
-    #[inline(always)]
-    pub(crate) fn publish(&self, mode: StoreMode, idx: usize, v: f64) {
-        match mode {
-            StoreMode::Set => self.set(idx, v),
-            StoreMode::Add => self.add_relaxed(idx, v),
-            StoreMode::FetchAdd => self.fetch_add(idx, v),
-        }
+    /// The `len` cells from element `first` on: one bounds check for a
+    /// run of elements the kernel then indexes.
+    ///
+    /// # Panics
+    /// Panics unless the store holds every one of them.
+    #[inline]
+    pub(crate) fn cells(&self, first: i64, len: usize) -> &[AtomicU64] {
+        debug_assert!(first >= 0, "element id must be non-negative");
+        &self.cells[first as usize..][..len]
     }
 
     /// Copy the current contents out as plain f64s.
     pub fn snapshot(&self) -> Vec<f64> {
-        self.cells
-            .iter()
-            .map(|c| f64::from_bits(c.load(Ordering::Relaxed)))
-            .collect()
+        self.cells.iter().map(load).collect()
     }
 
     /// Overwrite the whole store from a plain f64 slice.

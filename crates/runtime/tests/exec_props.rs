@@ -359,3 +359,119 @@ fn a_certified_skewed_accumulate_folds_each_cell_in_the_references_order() {
         assert_eq!(bits(&store.snapshot()), bits(&exec.run_reference(&init)));
     }
 }
+
+/// One source of the step-sign differential, by what a step along the
+/// innermost index `x` adds to its element id: one (`B[.., x]`, and
+/// `F[70-.., x]`, which steps back across rows), zero (`D[..]`, and
+/// `E[0]`, which does not move across rows either), minus one
+/// (`B[.., 70-x]`, the `B[i,70-j]` case) or a whole column (`C[x, ..]`,
+/// the `C[j,i]` case).
+fn step_source(kind: usize, outer: &[String], x: &str) -> String {
+    let (sep, outer_back) = match outer.is_empty() {
+        true => ("", String::new()),
+        false => (
+            ", ",
+            outer
+                .iter()
+                .map(|o| format!("70-{o}"))
+                .collect::<Vec<_>>()
+                .join(", "),
+        ),
+    };
+    let outer = outer.join(", ");
+    match kind {
+        0 => format!("B[{outer}{sep}{x}]"),
+        1 => format!("D[{outer}{sep}0]"),
+        2 => "E[0]".to_string(),
+        3 => format!("B[{outer}{sep}70-{x}]"),
+        4 => format!("C[{x}{sep}{outer}]"),
+        _ => format!("F[{outer_back}{sep}{x}]"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn every_step_sign_executes_like_the_reference(
+        spec in (1usize..=3).prop_flat_map(|d| (
+            proptest::collection::vec((-2i128..=2, 1i128..=9), d..=d),
+            proptest::collection::vec(1i128..=3, d..=d),
+            0usize..4,
+            proptest::collection::vec(0usize..6, 1..=4),
+            proptest::collection::vec((0usize..3, 0usize..3, -2i128..=2), 0..=3),
+            1usize..=3,
+        )),
+    ) {
+        // Destinations: a row-invariant accumulate `S[..]` (jammed from
+        // depth 2), or a write whose step is one (`A[.., x]`), minus one
+        // (`A[.., 70-x]`) or a column (`A[x, ..]`), the first of them as
+        // an accumulate of its own cell.  Trip counts 1..=9 give
+        // one-point rows and panels whose row count is no multiple of
+        // JAM.
+        let (bounds, mut grid, dest, kinds, shears, threads) = spec;
+        let depth = bounds.len();
+        let idx: Vec<String> = (0..depth).map(|k| format!("i{k}")).collect();
+        let (outer, x) = (idx[..depth - 1].join(", "), &idx[depth - 1]);
+        let sep = if outer.is_empty() { "" } else { ", " };
+        let rhs: Vec<String> = kinds.iter().map(|&k| step_source(k, &idx[..depth - 1], x)).collect();
+        let rhs = rhs.join(" + ");
+        let body = match dest {
+            0 => {
+                let s = if outer.is_empty() { "0" } else { outer.as_str() };
+                format!("l$S[{s}] = l$S[{s}] + {rhs};")
+            }
+            1 => format!("l$A[{outer}{sep}{x}] = l$A[{outer}{sep}{x}] + {rhs};"),
+            2 => format!("A[{outer}{sep}70-{x}] = {rhs};"),
+            _ => format!("A[{x}{sep}{outer}] = {rhs};"),
+        };
+        let src = wrap_loops(&bounds, false, &body);
+        let nest = parse(&src).unwrap();
+
+        // A skewed plan whose `U` never lets the innermost index into
+        // an outer `j`: a tile then holds each outer prefix's whole
+        // rows, so with the innermost dimension uncut the tiles write
+        // disjoint cells and the relaxed path is sound.
+        let mut u = alp_linalg::IMat::identity(depth);
+        for &(a, b, by) in &shears {
+            let (a, b) = (a % depth, b % depth);
+            if a != b && b != depth - 1 {
+                for c in 0..depth {
+                    let add = by * u[(a, c)];
+                    u[(b, c)] += add;
+                }
+            }
+        }
+        let t = alp_plan::Transform::new(u, alp_plan::fingerprint_hex(&nest)).unwrap();
+        if dest == 0 {
+            grid[depth - 1] = 1;
+        }
+        let lines = Executor::from_grid(&nest, &grid).unwrap().layout().total_lines();
+        let fractional: Vec<f64> = (1..=lines).map(|k| k as f64 / 10.0).collect();
+        for skewed in [false, true] {
+            for relaxed in [false, true] {
+                let mut exec = match skewed {
+                    false => Executor::from_grid(&nest, &grid).unwrap(),
+                    true => Executor::from_transformed(&nest, &t, &grid).unwrap(),
+                };
+                exec.apply_certificate(relaxed, false);
+                let opts = ExecOptions { threads, ..ExecOptions::default() };
+                let seeded = exec.seeded_store(0x5_7E95).snapshot();
+                // The atomic path reassociates a cut's additions: exact
+                // only on integer data.  The relaxed path is the
+                // reference's own fold, for any data.
+                let data: &[&[f64]] = if relaxed { &[&seeded, &fractional] } else { &[&seeded] };
+                for init in data {
+                    let store = alp_runtime::ArrayStore::zeroed(lines);
+                    store.load_from(init);
+                    let report = exec.run(&store, &opts).unwrap();
+                    prop_assert!(
+                        bits(&store.snapshot()) == bits(&exec.run_reference(init)),
+                        "skewed {skewed}, relaxed {relaxed}, grid {grid:?}, U={:?}:\n{src}", t.u()
+                    );
+                    prop_assert_eq!(report.total_iterations as i128, nest.iteration_count());
+                }
+            }
+        }
+    }
+}
