@@ -136,6 +136,22 @@ impl ArrayLayout {
         a.base + off
     }
 
+    /// The array holding line `line`, and the element's index in it: the
+    /// inverse of [`line`](ArrayLayout::line) (`None` past the last
+    /// array).
+    pub fn element(&self, line: u64) -> Option<(usize, IVec)> {
+        if line >= self.total_lines {
+            return None;
+        }
+        let id = self.arrays.partition_point(|a| a.base <= line) - 1;
+        let a = &self.arrays[id];
+        let off = line - a.base;
+        let index = (a.extents.iter().zip(&a.strides))
+            .map(|(&(lo, hi), &stride)| lo + ((off / stride) % (hi - lo + 1) as u64) as i128)
+            .collect();
+        Some((id, IVec(index)))
+    }
+
     /// Number of arrays.
     pub fn array_count(&self) -> usize {
         self.arrays.len()
@@ -435,6 +451,13 @@ mod tests {
         assert_eq!(lay.line(a, &IVec::new(&[9, 4])), 49);
         assert_eq!(lay.line(b, &IVec::new(&[0])), 50);
         assert_eq!(lay.line(b, &IVec::new(&[13])), 63);
+        // `element` inverts `line` on every line, and nothing lies past
+        // the last array.
+        for line in 0..lay.total_lines() {
+            let (id, index) = lay.element(line).unwrap();
+            assert_eq!(lay.line(id, &index), line);
+        }
+        assert_eq!(lay.element(64), None);
     }
 
     #[test]
@@ -445,6 +468,7 @@ mod tests {
         assert_eq!(lay.extents(a), &[(-7, 3)]);
         assert_eq!(lay.line(a, &IVec::new(&[-7])), 0);
         assert_eq!(lay.line(a, &IVec::new(&[3])), 10);
+        assert_eq!(lay.element(0), Some((a, IVec::new(&[-7]))));
     }
 
     #[test]

@@ -14,12 +14,16 @@
 //! * a small text DSL ([`parse`]) so the paper's examples can be written
 //!   verbatim in tests, examples and benches;
 //! * [`ArrayLayout`] — the row-major flattening of the nest's arrays into
-//!   line ids that the planner, the simulator and the runtime share.
+//!   line ids that the planner, the simulator and the runtime share;
+//! * [`ArrayPartition`] and [`MeshPlacement`] — where `alp-partition`
+//!   puts each array's data tiles and each processor (§4), described
+//!   here so the simulator reads what the compiler emits.
 //!
 //! This is the `alp` equivalent of the Alewife compiler's WAIF front end
 //! (§4): everything downstream consumes only the `(G, ā)` pairs and the
 //! iteration-space geometry captured here.
 
+pub mod distribution;
 pub mod expr;
 pub mod layout;
 pub mod nest;
@@ -27,6 +31,7 @@ pub mod parser;
 pub mod refs;
 pub mod span;
 
+pub use distribution::{mesh_placement, ArrayPartition, MeshPlacement};
 pub use expr::AffineExpr;
 pub use layout::{AccessStream, ArrayLayout, ElementForm, LayoutOverflow};
 pub use nest::{LoopIndex, LoopNest, Statement};

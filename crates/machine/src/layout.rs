@@ -3,6 +3,7 @@
 /// The row-major array layout, shared with the planner and the runtime
 /// (it lives in `alp-loopir`, the lowest crate all three depend on).
 pub use alp_loopir::ArrayLayout;
+use alp_loopir::ArrayPartition;
 
 /// Maps a line to the processor whose memory module stores it (the
 /// "home" node in a distributed-memory machine).
@@ -46,9 +47,8 @@ impl HomeMap for BlockRowMajorHome {
     }
 }
 
-/// A home map backed by an explicit closure (used by the alignment
-/// experiments, which place array tiles on the processors that own the
-/// matching loop tiles).
+/// A home map backed by an explicit closure (E12's scrambled layout, the
+/// worst case alignment is measured against).
 pub struct FnHome<F: Fn(u64) -> usize + Sync>(pub F);
 
 impl<F: Fn(u64) -> usize + Sync> HomeMap for FnHome<F> {
@@ -57,102 +57,59 @@ impl<F: Fn(u64) -> usize + Sync> HomeMap for FnHome<F> {
     }
 }
 
-/// Per-array description for [`TiledHome`]: how one array's elements are
-/// tiled onto the **loop** processor grid.
-#[derive(Debug, Clone)]
-pub struct TiledArrayHome {
-    /// First line id of the array.
-    pub base: u64,
-    /// Number of lines.
-    pub size: u64,
-    /// Inclusive extents per dimension (same as the layout's).
-    pub extents: Vec<(i128, i128)>,
-    /// Elements per data tile along each dimension (≥ 1).
-    pub chunks: Vec<i128>,
-    /// For each data dimension, the loop-grid dimension whose coordinate
-    /// this data dimension determines (`None` = not distributed).  This
-    /// handles transposed references (`A[j, i]`): data dim 0 can feed
-    /// loop-grid dim 1.
-    pub owner_dim: Vec<Option<usize>>,
-}
-
-/// Aligned data distribution (§4): each array is cut into tiles with the
-/// same aspect ratio as the loop tiles, and the tile whose coordinates
-/// match loop tile `(c₀, c₁, …)` lives on that loop tile's processor.
-///
-/// Lines outside every described array (or data dimensions with no
-/// owner) default toward processor 0's coordinates.
+/// Aligned data distribution (§4): each array's data tiles, as its
+/// [`ArrayPartition`] describes them, live on the processor of the
+/// matching loop tile.  Along a distributed dimension the data tile is
+/// clamped to the grid, so indices beyond the loop's image stay with the
+/// edge tile that reads them; every other dimension sits at grid
+/// coordinate 0, and so do lines of arrays without a partition.
 #[derive(Debug, Clone)]
 pub struct TiledHome {
-    arrays: Vec<TiledArrayHome>,
+    layout: ArrayLayout,
+    /// The partition of each layout array, by array id.
+    arrays: Vec<Option<ArrayPartition>>,
     /// The loop-partition processor grid (row-major linearization).
     grid: Vec<i128>,
-    processors: usize,
 }
 
 impl TiledHome {
-    /// Build from the loop grid and per-array tilings.
+    /// Lay `layout`'s arrays out by `partitions` over the processor
+    /// `grid`.
     ///
     /// # Panics
-    /// Panics if shapes disagree, a chunk is < 1, or an owner dimension
-    /// is out of range.
-    pub fn new(grid: Vec<i128>, arrays: Vec<TiledArrayHome>) -> Self {
-        let processors: i128 = grid.iter().product();
-        assert!(processors >= 1, "empty grid");
-        for a in &arrays {
-            assert_eq!(a.extents.len(), a.chunks.len(), "chunk rank mismatch");
-            assert_eq!(a.extents.len(), a.owner_dim.len(), "owner rank mismatch");
-            assert!(a.chunks.iter().all(|&c| c >= 1), "chunks must be >= 1");
-            for od in a.owner_dim.iter().flatten() {
-                assert!(*od < grid.len(), "owner dim out of range");
+    /// Panics if an owner dimension is out of the grid's range.
+    pub fn new(grid: Vec<i128>, layout: ArrayLayout, partitions: &[ArrayPartition]) -> Self {
+        let mut arrays = vec![None; layout.array_count()];
+        for part in partitions {
+            assert!(
+                part.owner.iter().all(|&r| r < grid.len()),
+                "owner dim out of range"
+            );
+            if let Some(id) = layout.array_id(&part.array) {
+                arrays[id] = Some(part.clone());
             }
         }
         TiledHome {
+            layout,
             arrays,
-            processors: processors as usize,
             grid,
         }
-    }
-
-    /// Number of processors.
-    pub fn processors(&self) -> usize {
-        self.processors
     }
 }
 
 impl HomeMap for TiledHome {
     fn home(&self, line: u64) -> usize {
-        for a in &self.arrays {
-            if line < a.base || line >= a.base + a.size {
-                continue;
-            }
-            // Unflatten row-major.
-            let mut rem = line - a.base;
-            let dims: Vec<u64> = a
-                .extents
-                .iter()
-                .map(|&(lo, hi)| (hi - lo + 1).max(1) as u64)
-                .collect();
-            let mut idx = vec![0i128; dims.len()];
-            for k in (0..dims.len()).rev() {
-                idx[k] = (rem % dims[k]) as i128 + a.extents[k].0;
-                rem /= dims[k];
-            }
-            // Loop-grid coordinates implied by the owned data dimensions.
-            let mut coords = vec![0i128; self.grid.len()];
-            for (k, &i) in idx.iter().enumerate() {
-                if let Some(r) = a.owner_dim[k] {
-                    let c = ((i - a.extents[k].0) / a.chunks[k]).min(self.grid[r] - 1);
-                    coords[r] = c.max(0);
-                }
-            }
-            let mut p = 0i128;
-            for (r, &c) in coords.iter().enumerate() {
-                p = p * self.grid[r] + c;
-            }
-            return (p as usize).min(self.processors - 1);
+        let Some((id, index)) = self.layout.element(line) else {
+            return 0;
+        };
+        let Some(part) = &self.arrays[id] else {
+            return 0;
+        };
+        let mut coords = vec![0i128; self.grid.len()];
+        for (j, (&k, &r)) in part.dims.iter().zip(&part.owner).enumerate() {
+            coords[r] = part.tile(j, index[k]).clamp(0, self.grid[r] - 1);
         }
-        0
+        (coords.iter().zip(&self.grid)).fold(0, |p, (&c, &g)| p * g + c) as usize
     }
 }
 
@@ -184,19 +141,35 @@ mod tests {
         assert_eq!(h.home(7), 1);
     }
 
+    /// A home over the one array `A` of `src`, partitioned along `dims`
+    /// (owned by `owner`) with the given origins and periods.
+    fn tiled(
+        src: &str,
+        grid: &[i128],
+        dims: &[usize],
+        owner: &[usize],
+        origin: &[i128],
+        period: &[i128],
+    ) -> TiledHome {
+        let layout = ArrayLayout::from_nest(&alp_loopir::parse(src).unwrap()).unwrap();
+        let part = ArrayPartition {
+            array: "A".into(),
+            tile_extents: vec![],
+            dims: dims.to_vec(),
+            offset: alp_linalg::IVec::new(&vec![0; layout.extents(0).len()]),
+            owner: owner.to_vec(),
+            origin: origin.to_vec(),
+            period: period.to_vec(),
+        };
+        TiledHome::new(grid.to_vec(), layout, &[part])
+    }
+
+    const SQUARE: &str = "doall (i, 0, 7) { doall (j, 0, 7) { A[i,j] = A[i,j]; } }";
+
     #[test]
     fn tiled_home_2d() {
         // 8x8 array, 2x2 grid, 4x4 tiles.
-        let th = TiledHome::new(
-            vec![2, 2],
-            vec![TiledArrayHome {
-                base: 0,
-                size: 64,
-                extents: vec![(0, 7), (0, 7)],
-                chunks: vec![4, 4],
-                owner_dim: vec![Some(0), Some(1)],
-            }],
-        );
+        let th = tiled(SQUARE, &[2, 2], &[0, 1], &[0, 1], &[0, 0], &[4, 4]);
         // (0,0) -> p0; (0,4) -> p1; (4,0) -> p2; (7,7) -> p3.
         assert_eq!(th.home(0), 0);
         assert_eq!(th.home(4), 1);
@@ -209,16 +182,7 @@ mod tests {
     #[test]
     fn tiled_home_transposed_reference() {
         // Data dim 0 feeds loop-grid dim 1 and vice versa (A[j,i]).
-        let th = TiledHome::new(
-            vec![2, 2],
-            vec![TiledArrayHome {
-                base: 0,
-                size: 64,
-                extents: vec![(0, 7), (0, 7)],
-                chunks: vec![4, 4],
-                owner_dim: vec![Some(1), Some(0)],
-            }],
-        );
+        let th = tiled(SQUARE, &[2, 2], &[0, 1], &[1, 0], &[0, 0], &[4, 4]);
         // Element (0, 4): data dim 1 tile 1 -> loop coord 0 = 1 -> p2.
         assert_eq!(th.home(4), 2);
         // Element (4, 0): data dim 0 tile 1 -> loop coord 1 = 1 -> p1.
@@ -226,51 +190,38 @@ mod tests {
     }
 
     #[test]
-    fn tiled_home_clamps_ragged_edge() {
-        // 10 elements, chunks of 4, grid 3: element 9 is in tile 2 (not 3).
-        let th = TiledHome::new(
-            vec![3],
-            vec![TiledArrayHome {
-                base: 0,
-                size: 10,
-                extents: vec![(0, 9)],
-                chunks: vec![4],
-                owner_dim: vec![Some(0)],
-            }],
+    fn tiled_home_clamps_to_the_grid() {
+        // Elements 0..=9, tiles of 4 from 1, grid 3: element 0 lies before
+        // tile 0 and element 9 in tile 2; both stay on the grid.
+        let th = tiled(
+            "doall (i, 0, 9) { A[i] = A[i]; }",
+            &[3],
+            &[0],
+            &[0],
+            &[1],
+            &[4],
         );
-        assert_eq!(th.home(9), 2);
-        assert_eq!(th.home(0), 0);
-        assert_eq!(th.home(4), 1);
+        let homes: Vec<usize> = (0..10).map(|l| th.home(l)).collect();
+        assert_eq!(homes, [0, 0, 0, 0, 0, 1, 1, 1, 1, 2]);
     }
 
     #[test]
-    fn tiled_home_negative_extents() {
-        let th = TiledHome::new(
-            vec![2],
-            vec![TiledArrayHome {
-                base: 0,
-                size: 10,
-                extents: vec![(-5, 4)],
-                chunks: vec![5],
-                owner_dim: vec![Some(0)],
-            }],
-        );
+    fn tiled_home_negative_extents_and_periods() {
+        let src = "doall (i, -5, 4) { A[i] = A[i]; }";
+        let th = tiled(src, &[2], &[0], &[0], &[-5], &[5]);
         assert_eq!(th.home(0), 0); // element -5
         assert_eq!(th.home(5), 1); // element 0
+                                   // Counted down from element 4: 4..0 on p0, -1..-5 on p1.
+        let th = tiled(src, &[2], &[0], &[0], &[4], &[-5]);
+        assert_eq!(th.home(9), 0); // element 4
+        assert_eq!(th.home(5), 0); // element 0
+        assert_eq!(th.home(4), 1); // element -1
     }
 
     #[test]
     fn tiled_home_undistributed_dim() {
-        let th = TiledHome::new(
-            vec![2, 2],
-            vec![TiledArrayHome {
-                base: 0,
-                size: 16,
-                extents: vec![(0, 3), (0, 3)],
-                chunks: vec![2, 4],
-                owner_dim: vec![Some(0), None],
-            }],
-        );
+        let src = "doall (i, 0, 3) { doall (j, 0, 3) { A[i,j] = A[i,j]; } }";
+        let th = tiled(src, &[2, 2], &[0], &[0], &[0], &[2]);
         // Only data dim 0 distributes: rows 0-1 -> loop coord (0,0) = p0,
         // rows 2-3 -> (1,0) = p2.
         assert_eq!(th.home(0), 0);
@@ -281,15 +232,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "owner dim out of range")]
     fn tiled_home_owner_bound() {
-        TiledHome::new(
-            vec![2],
-            vec![TiledArrayHome {
-                base: 0,
-                size: 4,
-                extents: vec![(0, 3)],
-                chunks: vec![1],
-                owner_dim: vec![Some(3)],
-            }],
+        tiled(
+            "doall (i, 0, 3) { A[i] = A[i]; }",
+            &[2],
+            &[0],
+            &[3],
+            &[0],
+            &[1],
         );
     }
 }

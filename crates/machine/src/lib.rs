@@ -26,8 +26,6 @@ pub mod machine;
 pub mod report;
 
 pub use cache::{Cache, CacheConfig};
-pub use layout::{
-    ArrayLayout, BlockRowMajorHome, FnHome, HomeMap, TiledArrayHome, TiledHome, UniformHome,
-};
+pub use layout::{ArrayLayout, BlockRowMajorHome, FnHome, HomeMap, TiledHome, UniformHome};
 pub use machine::{run_nest, run_plan, DirectoryKind, Machine, MachineConfig};
 pub use report::{MissKind, ProcessorCounters, TrafficReport};

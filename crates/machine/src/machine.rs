@@ -4,7 +4,7 @@ use crate::cache::{Cache, CacheConfig, LineState, LocalMiss};
 use crate::layout::{ArrayLayout, HomeMap};
 use crate::report::{ProcessorCounters, TrafficReport};
 use alp_linalg::IVec;
-use alp_loopir::LoopNest;
+use alp_loopir::{mesh_placement, LoopNest, MeshPlacement};
 use std::collections::HashMap;
 
 /// Machine configuration.
@@ -15,8 +15,10 @@ pub struct MachineConfig {
     pub processors: usize,
     /// Cache geometry (shared by all processors).
     pub cache: CacheConfig,
-    /// Optional 2-D mesh (width, height) for hop-weighted traffic;
-    /// processor `p` sits at `(p % w, p / w)`.
+    /// Optional 2-D mesh (width, height) for hop-weighted traffic; the
+    /// processors sit where [`mesh_placement`] puts their grid —
+    /// [`run_plan`]'s is the plan's, [`run_nest`]'s the 1-D grid of its
+    /// iteration lists.
     pub mesh: Option<(usize, usize)>,
     /// Elements per cache line.  The paper assumes 1 (§2.2) and notes
     /// that larger lines "can be included as suggested in \[6\]"; values
@@ -99,6 +101,7 @@ struct DirEntry {
 /// A cache-coherent multiprocessor executing memory access traces.
 pub struct Machine<'h> {
     config: MachineConfig,
+    placement: Option<MeshPlacement>,
     home: &'h dyn HomeMap,
     caches: Vec<Cache>,
     directory: HashMap<u64, DirEntry>,
@@ -106,11 +109,17 @@ pub struct Machine<'h> {
 }
 
 impl<'h> Machine<'h> {
-    /// Build a machine.
+    /// Build a machine whose processors sit on the mesh where
+    /// `placement` puts them (no placement: hops are free).
     ///
     /// # Panics
-    /// Panics if `processors` is 0 or exceeds 128.
-    pub fn new(config: MachineConfig, home: &'h dyn HomeMap) -> Self {
+    /// Panics if `processors` is 0 or exceeds 128, or, at its first hop,
+    /// when the placement leaves a processor out.
+    pub fn new(
+        config: MachineConfig,
+        placement: Option<MeshPlacement>,
+        home: &'h dyn HomeMap,
+    ) -> Self {
         assert!(
             (1..=128).contains(&config.processors),
             "processors must be in 1..=128 (full-map bitmask)"
@@ -121,6 +130,7 @@ impl<'h> Machine<'h> {
         let counters = vec![ProcessorCounters::default(); config.processors];
         Machine {
             config,
+            placement,
             home,
             caches,
             directory: HashMap::new(),
@@ -129,14 +139,7 @@ impl<'h> Machine<'h> {
     }
 
     fn hops(&self, a: usize, b: usize) -> u64 {
-        match self.config.mesh {
-            None => 0,
-            Some((w, _)) => {
-                let (ax, ay) = (a % w, a / w);
-                let (bx, by) = (b % w, b / w);
-                (ax.abs_diff(bx) + ay.abs_diff(by)) as u64
-            }
-        }
+        self.placement.as_ref().map_or(0, |pl| pl.hops(a, b) as u64)
     }
 
     /// Issue one access from processor `p` to element address `addr`.
@@ -339,9 +342,9 @@ type Access = (u64, bool);
 /// per round).
 ///
 /// # Panics
-/// Panics if the nest's arrays do not fit a `u64` line id space, or its
-/// points and address forms `i64` ([`run_plan`] reports those as errors
-/// instead).
+/// Panics if the nest's arrays do not fit a `u64` line id space, its
+/// points and address forms do not fit `i64`, or its processors do not
+/// fit the mesh ([`run_plan`] reports those as errors instead).
 pub fn run_nest(
     nest: &LoopNest,
     assignment: &[Vec<IVec>],
@@ -368,19 +371,26 @@ pub fn run_nest(
         }
         out
     };
-    simulate(nest, trace, config, home)
+    let grid = [config.processors as i128];
+    simulate(nest, trace, config, &grid, home).expect("processors fit the mesh")
 }
 
 /// Run the protocol over one trace per processor: `trace(p)` is
 /// processor `p`'s accesses for one repetition of the doall body — for
 /// each iteration, every right-hand-side reference then the left-hand
-/// side, as an [`alp_loopir::AccessStream`] issues them.
+/// side, as an [`alp_loopir::AccessStream`] issues them.  Processors sit
+/// on the mesh where [`mesh_placement`] puts `grid`; a mesh too small for
+/// it fails before any trace is built.
 fn simulate(
     nest: &LoopNest,
     trace: impl Fn(usize) -> Vec<Access> + Sync,
     config: MachineConfig,
+    grid: &[i128],
     home: &dyn HomeMap,
-) -> TrafficReport {
+) -> Result<TrafficReport, String> {
+    let placement = (config.mesh)
+        .map(|mesh| mesh_placement(grid, mesh))
+        .transpose()?;
     // Parallel trace generation (deterministic: output order is fixed by
     // the assignment, not by thread timing).
     let traces: Vec<Vec<Access>> = if config.processors > 1 {
@@ -400,7 +410,7 @@ fn simulate(
     };
 
     let reps = nest.seq_repetitions().max(1) as u64;
-    let mut machine = Machine::new(config, home);
+    let mut machine = Machine::new(config, placement, home);
     for _ in 0..reps {
         let mut cursors: Vec<_> = traces.iter().map(|trace| trace.iter()).collect();
         loop {
@@ -416,7 +426,7 @@ fn simulate(
             }
         }
     }
-    machine.into_report(reps)
+    Ok(machine.into_report(reps))
 }
 
 /// Simulate a saved [`alp_plan::PartitionPlan`] directly.
@@ -428,7 +438,9 @@ fn simulate(
 /// and order for a skewed plan too, so the simulated machine executes
 /// exactly the tiles, in exactly the order, the native runtime and the
 /// generated code do.  `config.processors` is overridden to the plan's
-/// tile count; the plan's mesh is used unless `config` already sets one.
+/// tile count; the plan's mesh is used unless `config` already sets one,
+/// and the plan's grid is placed on it by [`mesh_placement`] (a mesh too
+/// small for the grid is a [`PlanError::BadGrid`](alp_plan::PlanError)).
 pub fn run_plan(
     plan: &alp_plan::PartitionPlan,
     mut config: MachineConfig,
@@ -439,9 +451,7 @@ pub fn run_plan(
     let tiling = plan.tiling(&nest)?;
     let accesses = layout.accesses(&nest, None)?;
     config.processors = tiling.len();
-    if config.mesh.is_none() {
-        config.mesh = plan.mesh;
-    }
+    config.mesh = config.mesh.or(plan.mesh);
     let trace = |t: usize| {
         let mut out = Vec::with_capacity(tiling.points(t) as usize * accesses.refs().len());
         tiling.for_each_row(t, |i, lo, hi| {
@@ -450,7 +460,7 @@ pub fn run_plan(
         });
         out
     };
-    Ok(simulate(&nest, trace, config, home))
+    simulate(&nest, trace, config, &plan.proc_grid, home).map_err(alp_plan::PlanError::BadGrid)
 }
 
 #[cfg(test)]
@@ -515,6 +525,43 @@ mod tests {
                 assert!(by_rows.total_accesses() > 0);
             }
         }
+    }
+
+    #[test]
+    fn hops_are_counted_on_the_placement_of_the_grid() {
+        // Every line homed at processor 0 and no sharing: each miss costs
+        // a request and a reply between its processor and 0, on the mesh
+        // position `mesh_placement` gives the plan's grid — or, for
+        // `run_nest`'s lists, a 1-D grid.
+        let nest = parse("doall (i, 0, 7) { doall (j, 0, 7) { A[i,j] = A[i,j]; } }").unwrap();
+        let legality = alp_plan::LegalityVerdict::Unchecked;
+        let plan = alp_plan::PartitionPlan::build(&nest, 8, Some((4, 2)), legality).unwrap();
+        let expected = |r: &TrafficReport, pl: MeshPlacement| -> u64 {
+            (r.per_processor.iter().enumerate())
+                .map(|(p, c)| 2 * pl.hops(p, 0) as u64 * c.remote_misses)
+                .sum()
+        };
+        let by_plan = run_plan(&plan, MachineConfig::uniform(0), &UniformHome).unwrap();
+        let placed = mesh_placement(&plan.proc_grid, (4, 2)).unwrap();
+        assert_eq!(by_plan.total_hop_traffic(), expected(&by_plan, placed));
+        assert!(by_plan.total_hop_traffic() > 0);
+
+        let lists = plan.tiling(&nest).unwrap().assignment();
+        let cfg = MachineConfig {
+            mesh: Some((4, 2)),
+            ..MachineConfig::uniform(8)
+        };
+        let by_lists = run_nest(&nest, &lists, cfg, &UniformHome);
+        let snaked = mesh_placement(&[8], (4, 2)).unwrap();
+        assert_eq!(by_lists.total_hop_traffic(), expected(&by_lists, snaked));
+
+        // A mesh too small for the plan's grid is the grid's error.
+        let cfg = MachineConfig {
+            mesh: Some((2, 2)),
+            ..MachineConfig::uniform(0)
+        };
+        let err = run_plan(&plan, cfg, &UniformHome).unwrap_err();
+        assert!(matches!(err, alp_plan::PlanError::BadGrid(_)), "{err:?}");
     }
 
     #[test]
@@ -670,7 +717,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "processors must be in")]
     fn processor_bound() {
-        let _ = Machine::new(MachineConfig::uniform(129), &UniformHome);
+        let _ = Machine::new(MachineConfig::uniform(129), None, &UniformHome);
     }
 
     #[test]

@@ -1,228 +1,95 @@
-//! Data partitioning, alignment and placement (§4's other two compiler
-//! phases).
+//! Data partitioning and alignment, and placement (§4's other two
+//! compiler phases).
 //!
-//! * **Data partitioning & alignment** — arrays are tiled with the same
-//!   aspect ratio as the loop tiles that touch them, aligned so that the
-//!   tile a processor's iterations mostly reference is the tile stored in
-//!   its local memory module.  The alignment offset per class is the
-//!   component-wise median of the offsets — the minimizer of the
-//!   cumulative spread `a⁺` (footnote 2).
-//! * **Placement** — virtual processors (grid coordinates) are embedded
-//!   in Alewife's 2-D mesh; neighbouring tiles exchange boundary data,
-//!   so the embedding should keep grid neighbours at small hop distance.
+//! * **Data partitioning & alignment** ([`align_arrays`]) — each array
+//!   is cut into data tiles that follow the loop tiles through its
+//!   reference matrix, aligned so that the tile a processor's iterations
+//!   reference is the tile stored in its local memory module.  The
+//!   alignment offset is the class's component-wise median offset — the
+//!   minimizer of the cumulative spread `a⁺` (footnote 2).
+//! * **Placement** ([`mesh_placement`]) — virtual processors (grid
+//!   coordinates) are embedded in Alewife's 2-D mesh; neighbouring tiles
+//!   exchange boundary data, so the embedding keeps grid neighbours at
+//!   small hop distance.
+//!
+//! The decisions are made here; their descriptions, [`ArrayPartition`]
+//! and [`MeshPlacement`], live in `alp-loopir`, where the simulator
+//! reads them.
 
 use alp_footprint::classify;
-use alp_linalg::{max_independent_columns, walk_box, IVec};
+use alp_linalg::IVec;
 use alp_loopir::LoopNest;
-use std::collections::HashMap;
-
-/// The data-space tiling chosen for one array.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArrayPartition {
-    /// Array name.
-    pub array: String,
-    /// Extents of one data tile per (kept) array dimension.
-    pub tile_extents: Vec<i128>,
-    /// Which array dimensions the extents apply to (others are
-    /// replicated/sequential — constant subscripts).
-    pub dims: Vec<usize>,
-    /// Alignment offset added before tiling: data element `x` goes to the
-    /// tile of `x − offset`.
-    pub offset: IVec,
-}
+pub use alp_loopir::{mesh_placement, ArrayPartition, MeshPlacement};
+use std::collections::HashSet;
 
 /// Derive aligned data partitions from a rectangular loop partition
 /// (tile extents `lambda`, one loop tile per processor).
 ///
-/// For each array we use its *first* uniformly intersecting class (the
-/// one carrying most reuse) to map the loop tile into the data space:
-/// dimension `k` of the array gets extent `Σ_r λ_r·|G_{r,k}|` (the image
-/// of the loop tile edge lengths), and the alignment offset is the
-/// median member offset.
+/// Each array follows its *first* uniformly intersecting class (the one
+/// carrying most reuse), with the median member offset `ā`.  Array
+/// dimension `k` is distributed when column `k` of `G` has exactly one
+/// nonzero `G_rk`, in a loop dimension `r` no earlier column claimed:
+/// data tile `c` along `k` then holds what the median-offset reference
+/// touches from loop tile `c` along `r` — origin `lo_r·G_rk + ā_k`,
+/// signed period `(λ_r+1)·G_rk`.  A constant, mixed (several loop
+/// indices) or already-claimed column is not distributed, nor is one
+/// whose tile does not fit `i128` (its array has no layout either).
 pub fn align_arrays(nest: &LoopNest, lambda: &[i128]) -> Vec<ArrayPartition> {
-    let mut seen: HashMap<String, ArrayPartition> = HashMap::new();
-    let mut order: Vec<String> = Vec::new();
-    for class in classify(nest) {
-        if seen.contains_key(&class.array) {
-            continue;
-        }
-        let keep = max_independent_columns(&class.g);
-        let d = class.g.cols();
-        // Image extents: loop tile edge r has length λ_r along iteration
-        // axis r; its data-space image along array dim k is λ_r·|G_{r,k}|.
-        let extents: Vec<i128> = keep
-            .iter()
-            .map(|&k| {
-                (0..class.g.rows())
-                    .map(|r| lambda[r].abs() * class.g[(r, k)].abs())
-                    .sum()
-            })
-            .collect();
-        // Median offset per dimension (minimizes a⁺).
-        let offset = IVec(
-            (0..d)
-                .map(|k| {
-                    let mut col: Vec<i128> = class.offsets.iter().map(|a| a[k]).collect();
-                    col.sort_unstable();
-                    col[col.len() / 2]
-                })
-                .collect(),
-        );
-        order.push(class.array.clone());
-        seen.insert(
-            class.array.clone(),
-            ArrayPartition {
-                array: class.array.clone(),
-                tile_extents: extents,
-                dims: keep,
-                offset,
-            },
-        );
-    }
-    order
+    let mut seen = HashSet::new();
+    classify(nest)
         .into_iter()
-        .map(|a| seen.remove(&a).expect("inserted"))
-        .collect()
-}
-
-/// An embedding of virtual processors (grid coordinates) into a 2-D mesh.
-#[derive(Debug, Clone)]
-pub struct MeshPlacement {
-    /// Mesh width and height.
-    pub mesh: (usize, usize),
-    /// Processor-grid shape being embedded.
-    pub grid: Vec<i128>,
-    /// `coords[p] = (x, y)` mesh position of virtual processor `p`
-    /// (row-major over the grid).
-    pub coords: Vec<(usize, usize)>,
-}
-
-impl MeshPlacement {
-    /// Manhattan distance between two virtual processors.
-    pub fn hops(&self, p: usize, q: usize) -> usize {
-        let (ax, ay) = self.coords[p];
-        let (bx, by) = self.coords[q];
-        ax.abs_diff(bx) + ay.abs_diff(by)
-    }
-
-    /// Average hop distance between grid neighbours, weighted per grid
-    /// dimension (weights = per-dimension boundary traffic, e.g. the
-    /// spread coefficients).  Lower is better; the communication latency
-    /// on the mesh is proportional to this.
-    pub fn weighted_neighbor_hops(&self, weights: &[f64]) -> f64 {
-        let dims = self.grid.len();
-        assert_eq!(weights.len(), dims, "one weight per grid dimension");
-        let mut sum = 0.0;
-        let mut count = 0.0;
-        let last: Vec<i128> = self.grid.iter().map(|g| g - 1).collect();
-        walk_box(&vec![0; dims], &last, &mut vec![0; dims], |gp| {
-            let p = self.linear(gp);
-            for k in 0..dims {
-                if (gp[k] + 1) < self.grid[k] {
-                    let mut gq = gp.to_vec();
-                    gq[k] += 1;
-                    let q = self.linear(&gq);
-                    sum += weights[k] * self.hops(p, q) as f64;
-                    count += weights[k];
+        .filter(|class| seen.insert(class.array.clone()))
+        .map(|class| {
+            let offset = IVec(
+                (0..class.g.cols())
+                    .map(|k| {
+                        let mut col: Vec<i128> = class.offsets.iter().map(|a| a[k]).collect();
+                        col.sort_unstable();
+                        col[col.len() / 2]
+                    })
+                    .collect(),
+            );
+            let mut part = ArrayPartition {
+                array: class.array,
+                tile_extents: Vec::new(),
+                dims: Vec::new(),
+                offset,
+                owner: Vec::new(),
+                origin: Vec::new(),
+                period: Vec::new(),
+            };
+            for k in 0..class.g.cols() {
+                let col = class.g.col(k);
+                let mut nonzero = (0..col.len()).filter(|&r| col[r] != 0);
+                let (Some(r), None) = (nonzero.next(), nonzero.next()) else {
+                    continue;
+                };
+                if part.owner.contains(&r) {
+                    continue;
                 }
+                let g = col[r];
+                let tile = || {
+                    Some((
+                        lambda[r].checked_mul(g.abs())?,
+                        nest.loops[r]
+                            .lower
+                            .checked_mul(g)?
+                            .checked_add(part.offset[k])?,
+                        lambda[r].checked_add(1)?.checked_mul(g)?,
+                    ))
+                };
+                let Some((extent, origin, period)) = tile() else {
+                    continue;
+                };
+                part.tile_extents.push(extent);
+                part.dims.push(k);
+                part.owner.push(r);
+                part.origin.push(origin);
+                part.period.push(period);
             }
-            true
-        });
-        if count == 0.0 {
-            0.0
-        } else {
-            sum / count
-        }
-    }
-
-    /// Grid coordinates of virtual processor `p` (row-major).
-    pub fn grid_coords(&self, p: usize) -> Vec<i128> {
-        let mut rem = p as i128;
-        let mut out = vec![0i128; self.grid.len()];
-        for k in (0..self.grid.len()).rev() {
-            out[k] = rem % self.grid[k];
-            rem /= self.grid[k];
-        }
-        out
-    }
-
-    /// Linear id of grid coordinates.
-    pub fn linear(&self, g: &[i128]) -> usize {
-        let mut p = 0i128;
-        for (k, &gk) in g.iter().enumerate() {
-            p = p * self.grid[k] + gk;
-        }
-        p as usize
-    }
-}
-
-/// Embed an l-dimensional processor grid into a `mesh_w × mesh_h` mesh.
-///
-/// 1-D and 2-D grids embed directly (2-D grids must fit the mesh after
-/// an optional transpose); higher-dimensional grids are linearized in
-/// row-major order and laid out boustrophedon (snake) so consecutive
-/// virtual processors — which share the most boundary — are mesh
-/// neighbours.
-///
-/// Fails, with the message to show, when the mesh has fewer nodes than
-/// the grid has processors.
-pub fn mesh_placement(grid: &[i128], mesh: (usize, usize)) -> Result<MeshPlacement, String> {
-    let total: i128 = grid.iter().product();
-    if total > mesh.0 as i128 * mesh.1 as i128 {
-        return Err(format!(
-            "a {}x{} mesh is too small for the {total} processors of grid {grid:?}",
-            mesh.0, mesh.1
-        ));
-    }
-
-    // Direct 2-D embedding when the grid matches the mesh orientation.
-    let active: Vec<i128> = grid.iter().copied().filter(|&g| g > 1).collect();
-    if active.len() == 2 {
-        let (a, b) = (active[0] as usize, active[1] as usize);
-        let fits = |w: usize, h: usize| a <= w && b <= h;
-        let transpose = if fits(mesh.0, mesh.1) {
-            Some(false)
-        } else if fits(mesh.1, mesh.0) {
-            Some(true)
-        } else {
-            None
-        };
-        if let Some(t) = transpose {
-            let mut it = grid.iter().enumerate().filter(|(_, &g)| g > 1);
-            let (i0, _) = it.next().expect("two active dims");
-            let (i1, _) = it.next().expect("two active dims");
-            let mut coords = Vec::with_capacity(total as usize);
-            // The grid in processor order: row-major, last dim fastest.
-            let (n, last): (usize, Vec<i128>) = (grid.len(), grid.iter().map(|g| g - 1).collect());
-            walk_box(&vec![0; n], &last, &mut vec![0; n], |full| {
-                let (x, y) = (full[i0] as usize, full[i1] as usize);
-                coords.push(if t { (y, x) } else { (x, y) });
-                true
-            });
-            return Ok(MeshPlacement {
-                mesh,
-                grid: grid.to_vec(),
-                coords,
-            });
-        }
-    }
-
-    // Snake layout of the linearized order.
-    let mut coords = Vec::with_capacity(total as usize);
-    for p in 0..total as usize {
-        let row = p / mesh.0;
-        let col = if row.is_multiple_of(2) {
-            p % mesh.0
-        } else {
-            mesh.0 - 1 - (p % mesh.0)
-        };
-        coords.push((col, row));
-    }
-    Ok(MeshPlacement {
-        mesh,
-        grid: grid.to_vec(),
-        coords,
-    })
+            part
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -251,15 +118,43 @@ mod tests {
             IVec::new(&[0, 0]),
             "median of {{-1,0,0,0,1}} per dim"
         );
+        // Loop tiles start at 1 and step by λ+1.
+        assert_eq!(
+            (a.owner.clone(), a.origin.clone()),
+            (vec![0, 1], vec![1, 1])
+        );
+        assert_eq!(a.period, vec![8, 16]);
     }
 
     #[test]
-    fn align_skewed_reference() {
-        // B[i+j, j]: loop tile (λi, λj) images to (λi+λj, λj).
-        let nest = parse("doall (i, 1, 64) { doall (j, 1, 64) { A[i,j] = B[i+j,j]; } }").unwrap();
+    fn mixed_and_repeated_columns_are_not_distributed() {
+        // B[i+j, j]: column 0 mixes i and j; only dimension 1 follows a
+        // loop tile.  C[i, 2*i, j]: column 1 repeats i, which column 0
+        // already claimed.
+        let nest =
+            parse("doall (i, 1, 64) { doall (j, 1, 64) { A[i,j] = B[i+j,j] + C[i,2*i,j]; } }")
+                .unwrap();
         let parts = align_arrays(&nest, &[8, 4]);
         let b = parts.iter().find(|p| p.array == "B").unwrap();
-        assert_eq!(b.tile_extents, vec![12, 4]);
+        assert_eq!((b.dims.clone(), b.tile_extents.clone()), (vec![1], vec![4]));
+        assert_eq!(b.owner, vec![1]);
+        let c = parts.iter().find(|p| p.array == "C").unwrap();
+        assert_eq!((c.dims.clone(), c.owner.clone()), (vec![0, 2], vec![0, 1]));
+    }
+
+    #[test]
+    fn reversed_and_strided_subscripts_keep_their_sign() {
+        // B[257-i]: tile 0 holds 256 down to 193; B[2*j+1]: 3, 5, …, 17.
+        let nest =
+            parse("doall (i, 1, 256) { doall (j, 1, 32) { A[i,j] = B[257-i] + C[2*j+1]; } }")
+                .unwrap();
+        let parts = align_arrays(&nest, &[63, 7]);
+        let b = parts.iter().find(|p| p.array == "B").unwrap();
+        assert_eq!((b.origin.clone(), b.period.clone()), (vec![256], vec![-64]));
+        assert_eq!(b.tile_extents, vec![63]);
+        let c = parts.iter().find(|p| p.array == "C").unwrap();
+        assert_eq!((c.origin.clone(), c.period.clone()), (vec![3], vec![16]));
+        assert_eq!(c.tile_extents, vec![14]);
     }
 
     #[test]
@@ -267,49 +162,6 @@ mod tests {
         let nest = parse("doall (i, 1, 64) { A[i] = A[i+4] + A[i+6]; }").unwrap();
         let parts = align_arrays(&nest, &[15]);
         assert_eq!(parts[0].offset, IVec::new(&[4]), "median of 0,4,6");
-    }
-
-    #[test]
-    fn mesh_direct_2d() {
-        let pl = mesh_placement(&[4, 4], (4, 4)).unwrap();
-        // Grid neighbours are mesh neighbours: average weighted hops = 1.
-        assert!((pl.weighted_neighbor_hops(&[1.0, 1.0]) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mesh_transposed_2d() {
-        let pl = mesh_placement(&[8, 2], (2, 8)).unwrap();
-        assert!((pl.weighted_neighbor_hops(&[1.0, 1.0]) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mesh_snake_1d() {
-        let pl = mesh_placement(&[16], (4, 4)).unwrap();
-        // Snake keeps consecutive processors adjacent.
-        assert!((pl.weighted_neighbor_hops(&[1.0]) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mesh_3d_grid_snakes() {
-        let pl = mesh_placement(&[2, 2, 4], (4, 4)).unwrap();
-        // Not all neighbours can be adjacent; hops stay bounded.
-        let h = pl.weighted_neighbor_hops(&[1.0, 1.0, 1.0]);
-        assert!((1.0..=4.0).contains(&h), "hops {h}");
-    }
-
-    #[test]
-    fn mesh_capacity_checked() {
-        let err = mesh_placement(&[8, 8], (4, 4)).unwrap_err();
-        assert!(err.contains("too small"), "{err}");
-        assert!(mesh_placement(&[4, 6], (4, 4)).is_err());
-        assert!(mesh_placement(&[4, 6], (3, 8)).is_ok(), "24 on 24, snaked");
-    }
-
-    #[test]
-    fn grid_coords_roundtrip() {
-        let pl = mesh_placement(&[3, 4], (4, 4)).unwrap();
-        for p in 0..12usize {
-            assert_eq!(pl.linear(&pl.grid_coords(p)), p);
-        }
+        assert_eq!(parts[0].origin, vec![5]);
     }
 }

@@ -6,7 +6,7 @@
 //! cargo run --example alewife_pipeline
 //! ```
 
-use alp::machine::FnHome;
+use alp::machine::HomeMap;
 use alp::prelude::*;
 
 fn main() {
@@ -50,43 +50,18 @@ fn main() {
         );
     }
 
-    // --- Simulate three memory configurations. -------------------------
-    let assignment = assign_rect(&result.nest, &result.plan.proc_grid);
-    let layout = ArrayLayout::from_nest(&result.nest).expect("arrays fit");
-    let cfg = || MachineConfig {
-        mesh: Some((4, 4)),
-        ..MachineConfig::uniform(p as usize)
+    // --- Simulate two memory configurations on the plan's mesh. ---------
+    let simulate = |home: &dyn HomeMap| {
+        run_plan(&result.plan, MachineConfig::uniform(0), home).expect("the plan simulates")
     };
+    let layout = ArrayLayout::from_nest(&result.nest).expect("arrays fit");
 
     // (1) Naive block distribution of memory.
-    let block = BlockRowMajorHome::new(p as usize, layout.total_lines());
-    let r_block = run_nest(&result.nest, &assignment, cfg(), &block);
+    let r_block = simulate(&BlockRowMajorHome::new(p as usize, layout.total_lines()));
 
-    // (2) Aligned distribution: element goes to the processor whose loop
-    //     tile references it (same aspect ratio + offset, §4).
-    let grid = result.plan.proc_grid.clone();
-    let ext = layout.extents(0).to_vec(); // array A extents
-    let chunks: Vec<i128> = grid
-        .iter()
-        .zip(&ext)
-        .map(|(&g, &(lo, hi))| (hi - lo + 1 + g - 1) / g)
-        .collect();
-    let a_id = layout.array_id("A").expect("A exists");
-    let total_a: u64 = ext.iter().map(|&(lo, hi)| (hi - lo + 1) as u64).product();
-    let aligned = FnHome(move |line: u64| {
-        if line >= total_a {
-            return 0; // other arrays (none here)
-        }
-        // Recover (x, y) from the row-major line id.
-        let w = (ext[1].1 - ext[1].0 + 1) as u64;
-        let x = (line / w) as i128 + ext[0].0;
-        let y = (line % w) as i128 + ext[1].0;
-        let cx = ((x - ext[0].0) / chunks[0]).min(grid[0] - 1);
-        let cy = ((y - ext[1].0) / chunks[1]).min(grid[1] - 1);
-        (cx * grid[1] + cy) as usize
-    });
-    let _ = a_id;
-    let r_aligned = run_nest(&result.nest, &assignment, cfg(), &aligned);
+    // (2) Aligned distribution: each element lives with the loop tile
+    //     that references it — the data partitions printed above (§4).
+    let r_aligned = simulate(&alp::aligned_home(&result.plan).expect("a rectangular plan"));
 
     println!("\n== simulated remote traffic (4 repetitions, 4x4 mesh) ==");
     println!(

@@ -186,9 +186,10 @@ fn run(args: &Args) -> Result<ExitCode, ExitCode> {
         };
         let report = run_plan(&result.plan, machine.clone(), &UniformHome).map_err(fail)?;
         front::print_traffic(&report);
-        // Memory aligned to the loop partition, for a freshly planned
-        // nest on a mesh.
-        if mesh.is_some() && !args.has("--from-plan") {
+        // Memory laid out by the data partitions `lower` printed, for a
+        // rectangular plan on a mesh.
+        let on_mesh = mesh.or(result.plan.mesh).is_some();
+        if on_mesh && result.plan.transform.is_none() {
             let home = alp::aligned_home(&result.plan).map_err(fail)?;
             let aligned = run_plan(&result.plan, machine, &home).map_err(fail)?;
             println!(

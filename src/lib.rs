@@ -457,33 +457,7 @@ impl Compiler {
     /// it), so a damaged plan file is an `ALP0006` here and never
     /// reaches a backend that indexes by it.
     pub fn lower(plan: impl Into<Arc<PartitionPlan>>) -> Result<CompileResult, AlpError> {
-        let plan = plan.into();
-        let nest = plan.nest()?;
-        plan.tiling(&nest)?;
-        // For a transformed plan the grid and extents live in `j`-space,
-        // so the rectangular i-space backends (data alignment, SPMD rect
-        // codegen) do not apply: alignment is skipped and the emitted
-        // code is a note pointing at the native transformed executor.
-        let (data_partitions, code) = match &plan.transform {
-            None => (
-                align_arrays(&nest, &plan.tile_extents),
-                alp_codegen::emit_rect_code(&nest, &plan.proc_grid),
-            ),
-            Some(t) => (Vec::new(), transformed_code_note(t, &plan.proc_grid)),
-        };
-        // The planner refuses a mesh its grid does not fit; a plan file
-        // can still carry one.
-        let placement = (plan.mesh)
-            .map(|mesh| mesh_placement(&plan.proc_grid, mesh).map_err(PlanError::BadGrid))
-            .transpose()?;
-        Ok(CompileResult {
-            nest,
-            plan,
-            report: alp_analysis::Report::default(),
-            data_partitions,
-            placement,
-            code,
-        })
+        Ok(lower_plan(plan.into())?)
     }
 
     /// Natively execute a plan on OS threads and check the parallel
@@ -531,6 +505,36 @@ impl Compiler {
     }
 }
 
+/// [`Compiler::lower`], in the plan's own error type.
+fn lower_plan(plan: Arc<PartitionPlan>) -> Result<CompileResult, PlanError> {
+    let nest = plan.nest()?;
+    plan.tiling(&nest)?;
+    // For a transformed plan the grid and extents live in `j`-space,
+    // so the rectangular i-space backends (data alignment, SPMD rect
+    // codegen) do not apply: alignment is skipped and the emitted
+    // code is a note pointing at the native transformed executor.
+    let (data_partitions, code) = match &plan.transform {
+        None => (
+            align_arrays(&nest, &plan.tile_extents),
+            alp_codegen::emit_rect_code(&nest, &plan.proc_grid),
+        ),
+        Some(t) => (Vec::new(), transformed_code_note(t, &plan.proc_grid)),
+    };
+    // The planner refuses a mesh its grid does not fit; a plan file
+    // can still carry one.
+    let placement = (plan.mesh)
+        .map(|mesh| mesh_placement(&plan.proc_grid, mesh).map_err(PlanError::BadGrid))
+        .transpose()?;
+    Ok(CompileResult {
+        nest,
+        plan,
+        report: alp_analysis::Report::default(),
+        data_partitions,
+        placement,
+        code,
+    })
+}
+
 /// The `code` string for a transformed (skewed) plan: rectangular SPMD
 /// emission is an i-space backend, so instead of misrepresenting the
 /// `j`-space grid as loop bounds, describe the transform and point at
@@ -554,64 +558,27 @@ fn transformed_code_note(t: &alp_plan::Transform, grid: &[i128]) -> String {
     )
 }
 
-/// Build the memory distribution **aligned to a rectangular plan** (§4's
-/// data partitioning + alignment), to simulate it with
-/// [`run_plan`](alp_machine::run_plan): each array's tiles get the
-/// aspect ratio of the loop tiles *mapped through its reference matrix*
-/// and land on the processor that owns the matching loop tile.
+/// The memory distribution [`Compiler::lower`] emits for a rectangular
+/// plan, to simulate it with [`run_plan`](alp_machine::run_plan): each
+/// array's data tiles, as its
+/// [`data_partitions`](CompileResult::data_partitions) entry describes
+/// them, live on the processor of the matching loop tile.
 ///
-/// Data dimensions whose subscript mixes several loop indices (skewed
-/// columns) are not distributed (grid factor 1) — the analysis cannot
-/// align them with a rectangular grid; `alp-partition`'s parallelepiped
-/// machinery covers those shapes analytically instead.
+/// A transformed plan lowers to no data partition, so it is refused
+/// ([`PlanError::Infeasible`]) rather than homed at processor 0.
 pub fn aligned_home(plan: &PartitionPlan) -> Result<alp_machine::TiledHome, PlanError> {
-    use alp_footprint::classify;
-    use alp_machine::TiledArrayHome;
-
-    let nest = plan.nest()?;
-    let layout = ArrayLayout::from_nest(&nest)?;
-    let mut arrays = Vec::new();
-    let mut described = std::collections::HashSet::new();
-    for class in classify(&nest) {
-        if !described.insert(class.array.clone()) {
-            continue;
-        }
-        let Some(id) = layout.array_id(&class.array) else {
-            continue;
-        };
-        let extents = layout.extents(id).to_vec();
-        let size: u64 = extents
-            .iter()
-            .map(|&(lo, hi)| (hi - lo + 1).max(1) as u64)
-            .product();
-        let d = class.g.cols();
-        let mut chunks = vec![0i128; d];
-        let mut owner_dim = vec![None; d];
-        let mut used_rows = std::collections::HashSet::new();
-        for k in 0..d {
-            let col = class.g.col(k);
-            let nz: Vec<usize> = (0..col.len()).filter(|&r| col[r] != 0).collect();
-            let full = extents[k].1 - extents[k].0 + 1;
-            match nz.as_slice() {
-                [r] if used_rows.insert(*r) => {
-                    let lam = plan.tile_extents[*r];
-                    chunks[k] = ((lam + 1) * col[*r].abs()).max(1);
-                    owner_dim[k] = Some(*r);
-                }
-                _ => {
-                    chunks[k] = full.max(1);
-                }
-            }
-        }
-        arrays.push(TiledArrayHome {
-            base: layout.base(id),
-            size,
-            extents,
-            chunks,
-            owner_dim,
-        });
+    if plan.transform.is_some() {
+        return Err(PlanError::Infeasible(
+            "a skewed plan has no aligned data partition: §4's alignment is rectangular".into(),
+        ));
     }
-    Ok(alp_machine::TiledHome::new(plan.proc_grid.clone(), arrays))
+    let lowered = lower_plan(Arc::new(plan.clone()))?;
+    let layout = ArrayLayout::from_nest(&lowered.nest)?;
+    Ok(alp_machine::TiledHome::new(
+        plan.proc_grid.clone(),
+        layout,
+        &lowered.data_partitions,
+    ))
 }
 
 /// Convenient glob import for downstream users.

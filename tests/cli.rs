@@ -1059,11 +1059,11 @@ fn serve_client_accepts_the_long_processors_flag() {
 #[test]
 fn simulating_a_nest_and_its_saved_plan_print_the_same_traffic() {
     // Default-mode --simulate and --from-plan --simulate are one path:
-    // same nest, mesh and line size, same simulation block.
+    // same nest, mesh and line size, same simulation block, aligned
+    // memory included on a mesh.
     let traffic = |out: &str| -> Vec<String> {
         out.lines()
             .skip_while(|l| *l != "== simulation ==")
-            .filter(|l| !l.contains("aligned memory"))
             .map(str::to_string)
             .collect()
     };
@@ -1085,7 +1085,13 @@ fn simulating_a_nest_and_its_saved_plan_print_the_same_traffic() {
         std::fs::remove_file(plan_path).ok();
         assert_eq!(code, Some(0), "stderr: {stderr}");
 
-        assert_eq!(traffic(&direct).len(), 6, "{direct}");
+        assert_eq!(traffic(&direct).len(), 6 + i, "{direct}");
+        assert_eq!(
+            traffic(&direct)
+                .iter()
+                .any(|l| l.contains("aligned memory")),
+            i == 1
+        );
         assert_eq!(traffic(&direct), traffic(&replayed), "mesh {mesh:?}");
     }
 }

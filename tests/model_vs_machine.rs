@@ -7,7 +7,9 @@
 //! cumulative footprint, and the model's *ranking* of partitions matches
 //! the machine's.
 
+use alp::machine::HomeMap;
 use alp::prelude::*;
+use proptest::prelude::*;
 
 /// Infinite caches: each processor's cold misses are exactly the size of
 /// its tile's cumulative footprint.
@@ -225,4 +227,141 @@ fn aligned_home_transposed_reference() {
         local * 2 >= aligned.total_misses() / 2,
         "some locality retained"
     );
+}
+
+/// A reversed subscript counts its data tiles down from the loop's
+/// first iteration: `B[257-i]` puts `B[256..=193]` with loop tile 0,
+/// and the only remote misses are the halo.  Loop tile `c` (64 rows of
+/// `i`) also reads `B[256-i]`, one element past its block into tile
+/// `c+1`'s: `B[192-64c]` for `c` = 0, 1, 2 (tile 3's `B[0]` lies beyond
+/// the loop's image and stays with it), in each of the 4 columns.
+#[test]
+fn reversed_subscripts_are_homed_with_their_loop_tiles() {
+    let src = "doall (i, 1, 256) { doall (j, 1, 4) {
+                 A[i,j] = B[257-i,j] + B[256-i,j];
+               } }";
+    let plan = Compiler::new(16)
+        .with_mesh(4, 4)
+        .plan(&parse(src).unwrap())
+        .unwrap();
+    assert_eq!(plan.proc_grid, vec![4, 4]);
+    let aligned = simulate(&plan, &alp::aligned_home(&plan).unwrap());
+    assert_eq!(aligned.total_misses(), 2064);
+    assert_eq!(aligned.total_remote_misses(), 3 * 4);
+}
+
+/// A skewed plan lowers to no data partition, so it has no aligned
+/// memory to simulate.
+#[test]
+fn aligned_home_refuses_a_skewed_plan() {
+    let golden = include_str!("golden/example2.v4.plan.json");
+    let plan = PartitionPlan::from_json_str(golden).unwrap();
+    assert!(plan.transform.is_some());
+    assert!(Compiler::lower(plan.clone())
+        .unwrap()
+        .data_partitions
+        .is_empty());
+    let err = alp::aligned_home(&plan).unwrap_err();
+    assert!(matches!(err, PlanError::Infeasible(_)), "{err:?}");
+}
+
+/// Subscripts for one array: each dimension one loop index times ±1 or
+/// ±2 (so indices repeat and transpose as they fall), optionally one
+/// more dimension mixing the first and last index, and 1–3 references
+/// differing in their constants.
+fn arb_array(depth: usize) -> impl Strategy<Value = (Vec<(usize, i128)>, bool, Vec<Vec<i128>>)> {
+    use proptest::collection::vec as pvec;
+    let coeff = prop_oneof![Just(-2i128), Just(-1), Just(1), Just(2)];
+    (pvec((0..depth, coeff), 1..=3), any::<bool>()).prop_flat_map(|(cols, mixed)| {
+        let dims = cols.len() + usize::from(mixed);
+        let consts = pvec(pvec(-3i128..=3, dims), 1..=3);
+        (Just(cols), Just(mixed), consts)
+    })
+}
+
+fn arb_nest() -> impl Strategy<Value = LoopNest> {
+    use alp::loopir::{AffineExpr, ArrayRef, LoopIndex, Statement};
+    use proptest::collection::vec as pvec;
+    (1usize..=3).prop_flat_map(|depth| {
+        let bounds = pvec((-3i128..=3, 0i128..=11), depth);
+        (bounds, pvec(arb_array(depth), 1..=2)).prop_map(move |(bounds, arrays)| {
+            let loops = (bounds.iter().enumerate())
+                .map(|(r, &(lo, n))| LoopIndex::new(format!("i{r}"), lo, lo + n))
+                .collect();
+            let unit = |r: usize, c: i128| {
+                let mut v = vec![0; depth];
+                v[r] = c;
+                v
+            };
+            let lhs = (0..depth).map(|r| AffineExpr::new(unit(r, 1), 0)).collect();
+            let mut rhs = Vec::new();
+            for (a, (cols, mixed, consts)) in arrays.into_iter().enumerate() {
+                let mut rows: Vec<Vec<i128>> = cols.iter().map(|&(r, c)| unit(r, c)).collect();
+                if mixed {
+                    let mut both = unit(0, 1);
+                    both[depth - 1] += 1;
+                    rows.push(both);
+                }
+                for k in consts {
+                    let subs = (rows.iter().zip(k))
+                        .map(|(row, k)| AffineExpr::new(row.clone(), k))
+                        .collect();
+                    rhs.push(ArrayRef::new(format!("B{a}"), subs, AccessKind::Read));
+                }
+            }
+            let lhs = ArrayRef::new("A", lhs, AccessKind::Write);
+            LoopNest::new(loops, vec![Statement::new(lhs, rhs)]).unwrap()
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On a rectangular plan, the element every iteration touches through
+    /// its array's median offset is homed on the processor whose grid
+    /// coordinate is the iteration's tile along every dimension the
+    /// array's partition distributes.
+    #[test]
+    fn every_median_element_is_homed_with_its_iteration_s_tile(
+        nest in arb_nest(),
+        processors in 1i128..=16,
+    ) {
+        let plan = Compiler::new(processors).unchecked().plan(&nest);
+        prop_assume!(plan.is_ok());
+        let plan = plan.unwrap();
+        let lowered = Compiler::lower(plan.clone()).unwrap();
+        let home = alp::aligned_home(&plan).unwrap();
+        let layout = ArrayLayout::from_nest(&nest).unwrap();
+        let classes = classify(&nest);
+        let grid = &plan.proc_grid;
+        let coords = |mut p: usize| {
+            let mut c = vec![0usize; grid.len()];
+            for r in (0..grid.len()).rev() {
+                c[r] = p % grid[r] as usize;
+                p /= grid[r] as usize;
+            }
+            c
+        };
+        for (t, points) in plan.tiling(&nest).unwrap().assignment().iter().enumerate() {
+            let tile = coords(t);
+            for part in &lowered.data_partitions {
+                let class = classes.iter().find(|c| c.array == part.array).unwrap();
+                for (&k, &r) in part.dims.iter().zip(&part.owner) {
+                    let col = class.g.col(k);
+                    prop_assert!((0..col.len()).all(|s| (col[s] != 0) == (s == r)));
+                }
+                let id = layout.array_id(&part.array).unwrap();
+                for i in points {
+                    let x = IVec((0..class.g.cols())
+                        .map(|k| (0..i.len()).map(|r| i[r] * class.g[(r, k)]).sum::<i128>() + part.offset[k])
+                        .collect());
+                    let homed = coords(home.home(layout.line(id, &x)));
+                    for &r in &part.owner {
+                        prop_assert_eq!(homed[r], tile[r], "{} at {:?} (tile {:?})", part.array, x, tile);
+                    }
+                }
+            }
+        }
+    }
 }

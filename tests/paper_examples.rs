@@ -323,3 +323,68 @@ fn pipeline_smoke_all_examples() {
         assert!(!result.code.is_empty());
     }
 }
+
+/// The §4 data partitions `lower` emits for the paper's examples on 16
+/// processors (4x4 mesh).  An array whose every column follows one loop
+/// index of its own keeps the same tile extents, dimensions and median
+/// offset it always had; a mixed (`B[i+j, …]`) or repeated-index
+/// (`C[i, 2*i, …]`) column is not distributed.
+#[test]
+fn aligned_data_partitions_on_the_paper_examples() {
+    /// Array, tile extents, distributed dimensions, offset.
+    type Partition<'a> = (&'a str, &'a [i128], &'a [usize], &'a [i128]);
+    let examples: [(&str, &[Partition]); 5] = [
+        (
+            "doall (i, 101, 200) { doall (j, 1, 100) { A[i,j] = B[i+j,i-j-1] + B[i+j+4,i-j+3]; } }",
+            &[("A", &[24, 24], &[0, 1], &[0, 0]), ("B", &[], &[], &[4, 3])],
+        ),
+        (
+            "doall (i, 1, 64) { doall (j, 1, 64) { A[i,j] = B[i,j] + B[i+1,j+3]; } }",
+            &[
+                ("A", &[7, 31], &[0, 1], &[0, 0]),
+                ("B", &[7, 31], &[0, 1], &[1, 3]),
+            ],
+        ),
+        (
+            "doall (i, 1, 64) { doall (j, 1, 64) { doall (k, 1, 64) {
+               A[i,j,k] = B[i-1,j,k+1] + B[i,j+1,k] + B[i+1,j-2,k-3]; } } }",
+            &[
+                ("A", &[15, 31, 31], &[0, 1, 2], &[0, 0, 0]),
+                ("B", &[15, 31, 31], &[0, 1, 2], &[0, 0, 0]),
+            ],
+        ),
+        (
+            "doall (i, 1, 64) { doall (j, 1, 64) {
+               A[i,j] = B[i+j,i-j] + B[i+j+4,i-j+2]
+                      + C[i,2*i,i+2*j-1] + C[i+1,2*i+2,i+2*j+1] + C[i,2*i,i+2*j+1]; } }",
+            &[
+                ("A", &[15, 15], &[0, 1], &[0, 0]),
+                ("B", &[], &[], &[4, 2]),
+                ("C", &[15], &[0], &[0, 0, 1]),
+            ],
+        ),
+        (
+            "doseq (t, 1, 4) { doall (i, 1, 64) { doall (j, 1, 64) {
+               A[i,j] = A[i-1,j] + A[i+1,j] + A[i,j-1] + A[i,j+1]; } } }",
+            &[("A", &[15, 15], &[0, 1], &[0, 0])],
+        ),
+    ];
+    for (src, want) in examples {
+        let result = Compiler::new(16)
+            .with_mesh(4, 4)
+            .unchecked()
+            .compile(parse(src).unwrap())
+            .unwrap();
+        let got: Vec<_> = (result.data_partitions.iter())
+            .map(|p| {
+                (
+                    p.array.as_str(),
+                    &p.tile_extents[..],
+                    &p.dims[..],
+                    &p.offset.0[..],
+                )
+            })
+            .collect();
+        assert_eq!(got, want, "{src}");
+    }
+}
