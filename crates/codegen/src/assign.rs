@@ -72,7 +72,12 @@ pub fn assign_slabs(nest: &LoopNest, h: &IVec, p: i128) -> Assignment {
 /// Panics if `L` is singular.
 pub fn assign_para(nest: &LoopNest, l_matrix: &IMat) -> (Assignment, HashMap<Vec<i128>, usize>) {
     let l = nest.depth();
-    let linv = inverse_rows(l_matrix);
+    assert!(l_matrix.is_nonsingular(), "tile matrix must be nonsingular");
+    // Row `r` of `L⁻¹` is the `x` with `x·L = e_r`.
+    let unit = IMat::identity(l);
+    let linv: Vec<Vec<Rat>> = (0..l)
+        .map(|r| solve_rational(l_matrix, &unit.row(r)).expect("a nonsingular system solves"))
+        .collect();
     let mut cells: HashMap<Vec<i128>, usize> = HashMap::new();
     let mut out: Assignment = Vec::new();
     for i in nest.iteration_points() {
@@ -92,18 +97,6 @@ pub fn assign_para(nest: &LoopNest, l_matrix: &IMat) -> (Assignment, HashMap<Vec
         out[id].push(i);
     }
     (out, cells)
-}
-
-/// The rows of `L⁻¹`: row `r` is the `x` with `x·L = e_r`.
-///
-/// # Panics
-/// Panics if `L` is singular.
-pub(crate) fn inverse_rows(l_matrix: &IMat) -> Vec<Vec<Rat>> {
-    assert!(l_matrix.is_nonsingular(), "tile matrix must be nonsingular");
-    let unit = IMat::identity(l_matrix.rows());
-    (0..unit.rows())
-        .map(|r| solve_rational(l_matrix, &unit.row(r)).expect("a nonsingular system solves"))
-        .collect()
 }
 
 /// Reorder one processor's iterations into sub-blocks of the given

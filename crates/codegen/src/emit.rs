@@ -1,163 +1,154 @@
-//! Readable per-processor loop-nest emission.
+//! The one per-processor code emitter.
 
-use crate::assign::inverse_rows;
-use crate::fm::{eliminate, System};
-use alp_linalg::{IMat, Rat};
+use alp_linalg::fm::{eliminate, Constraint, System};
+use alp_linalg::{gcd_many, lcm, Rat};
 use alp_loopir::LoopNest;
+use alp_plan::{PlanError, Tiling, Transform};
 
-/// Emit pseudo-code for a rectangular partition: the SPMD loop a
-/// processor with grid coordinates `(p_0, …)` executes.
+/// The SPMD loops processor `(p0, …)` of `grid` runs: the points of its
+/// tile of [`Tiling::new(nest, transform, grid)`](Tiling::new), in the
+/// nest's own coordinates and order, inside the nest's `doseq` loops
+/// with a barrier per repetition.
 ///
-/// Rectangular tiles need only `min`/`max` clamps — the "easy code
-/// generation" §3.7 credits them with.
-pub fn emit_rect_code(nest: &LoopNest, grid: &[i128]) -> String {
-    assert_eq!(grid.len(), nest.depth(), "grid depth mismatch");
-    let mut s = String::new();
-    s.push_str("// SPMD code for processor with grid coordinates (");
-    for k in 0..grid.len() {
-        if k > 0 {
-            s.push_str(", ");
-        }
-        s.push_str(&format!("p{k}"));
+/// The tile is one system over the iteration `ī` and the grid
+/// coordinates `p`: the loop bounds `lo ≤ ī ≤ hi` and the tile box
+/// `b_k + c_k·p_k ≤ (ī·U)_k ≤ b_k + c_k·p_k + c_k − 1`, whose cuts
+/// `(b_k, c_k)` are the tiling's [`bounds`](Tiling::bounds) and
+/// [`chunks`](Tiling::chunks), with `U = I` when there is no transform.
+/// Fourier–Motzkin eliminates `ī` innermost-out, so loop `k`'s bounds
+/// mention only `p` and the indices outside it.  A rectangular tile gets
+/// two bounds a side, `max`/`min` clamps (§3.7's "easy code
+/// generation"); a skewed one `ceil`/`floor` of more.  Identical
+/// constraints are printed once.
+///
+/// Fails as [`Tiling::new`] does on a grid or transform that does not
+/// fit the nest.
+pub fn emit_code(
+    nest: &LoopNest,
+    transform: Option<&Transform>,
+    grid: &[i128],
+) -> Result<String, PlanError> {
+    let tiling = Tiling::new(nest, transform, grid)?;
+    let n = nest.depth();
+    // Variables: the indices `ī` are `x_0..x_{n−1}`, the grid
+    // coordinates `p` are `x_n..x_{2n−1}`.
+    let mut sys = System::new(2 * n);
+    for (d, (lo, hi)) in nest.bounds().enumerate() {
+        let x: Vec<Rat> = (0..2 * n).map(|v| Rat::int((v == d).into())).collect();
+        sys.ge(x.clone(), Rat::int(lo));
+        sys.le(x, Rat::int(hi));
     }
-    s.push_str(&format!(")  — grid {:?}\n", grid));
-    let mut indent = 0usize;
-    for (k, (lp, &g)) in nest.loops.iter().zip(grid).enumerate() {
-        let n = lp.trip_count();
-        let chunk = (n + g - 1) / g;
-        s.push_str(&format!(
-            "{}for {} in max({lo}, {lo} + p{k}*{chunk}) ..= min({hi}, {lo} + (p{k}+1)*{chunk} - 1) {{\n",
-            "  ".repeat(indent),
-            lp.name,
-            lo = lp.lower,
-            hi = lp.upper,
-        ));
-        indent += 1;
+    let cuts = tiling.bounds().iter().zip(tiling.chunks());
+    for (k, (&(b, _), &c)) in cuts.enumerate() {
+        let u = |d: usize| transform.map_or((d == k).into(), |t| t.u()[(d, k)]);
+        let p = |m: usize| if m == k { -c } else { 0 };
+        let row: Vec<Rat> = (0..n).map(u).chain((0..n).map(p)).map(Rat::int).collect();
+        sys.ge(row.clone(), Rat::int(b));
+        sys.le(row, Rat::int(b + c - 1));
     }
-    let names = nest.index_names();
+    // levels[k] bounds x_k given p and x_0..x_{k−1}.
+    let mut levels = vec![sys];
+    for k in (1..n).rev() {
+        levels.push(eliminate(levels.last().expect("nonempty"), k));
+    }
+    levels.reverse();
+
+    let mut names = nest.index_names();
+    names.extend((0..n).map(|k| format!("p{k}")));
+    let mut out = format!(
+        "// SPMD code for processor with grid coordinates ({})  — grid {grid:?}\n",
+        names[n..].join(", ")
+    );
+    if let Some(t) = transform {
+        let rows: Vec<Vec<i128>> = (0..n).map(|r| t.u().row(r).0).collect();
+        let i = names[..n].join(", ");
+        out.push_str(&format!("// tiles are boxes of ({i})*U, U = {rows:?}\n"));
+    }
+    let mut line = |depth: usize, text: String| {
+        out.push_str(&"  ".repeat(depth));
+        out.push_str(&text);
+        out.push('\n');
+    };
+    let seq = nest.seq_loops.len();
+    for (depth, l) in nest.seq_loops.iter().enumerate() {
+        let (t, lo, hi) = (&l.name, l.lower, l.upper);
+        line(depth, format!("for {t} in {lo} ..= {hi} {{"));
+    }
+    for (k, sys) in levels.iter().enumerate() {
+        let (lo, hi) = solved_for(sys, k, &names);
+        line(seq + k, format!("for {} in {lo} ..= {hi} {{", names[k]));
+    }
     for st in &nest.body {
-        let rhs: Vec<String> = st.rhs.iter().map(|r| r.display(&names)).collect();
-        s.push_str(&format!(
-            "{}{} = {};\n",
-            "  ".repeat(indent),
-            st.lhs.display(&names),
-            if rhs.is_empty() {
-                "0".into()
-            } else {
-                rhs.join(" + ")
-            }
-        ));
+        let rhs: Vec<String> = st.rhs.iter().map(|r| r.display(&names[..n])).collect();
+        let rhs = if rhs.is_empty() {
+            "0".into()
+        } else {
+            rhs.join(" + ")
+        };
+        line(seq + n, format!("{} = {rhs};", st.lhs.display(&names[..n])));
     }
-    while indent > 0 {
-        indent -= 1;
-        s.push_str(&format!("{}}}\n", "  ".repeat(indent)));
+    for depth in (0..seq + n).rev() {
+        if depth + 1 == seq {
+            line(seq, "barrier;".into());
+        }
+        line(depth, "}".into());
     }
-    s
+    Ok(out)
 }
 
-/// Emit pseudo-code scanning one parallelepiped tile `L` anchored at a
-/// symbolic origin, using Fourier–Motzkin elimination to derive the
-/// nested loop bounds.
-///
-/// The tile is `{ā·L : 0 ≤ ā ≤ 1}`; in iteration coordinates the
-/// constraints are `0 ≤ ī·L⁻¹ ≤ 1` componentwise.  Variables are
-/// eliminated innermost-out so that loop `k`'s bounds mention only
-/// `i_0..i_{k-1}`.
+/// [`emit_code`] for a plan without a transform.
 ///
 /// # Panics
-/// Panics if `L` is singular.
-pub fn emit_para_code(nest: &LoopNest, l_matrix: &IMat) -> String {
-    let l = nest.depth();
-    assert_eq!(l_matrix.rows(), l, "tile depth mismatch");
-    let linv = inverse_rows(l_matrix);
-    // Constraints over iteration variables x: for each tile coordinate
-    // column c: 0 ≤ Σ_r x_r·linv[r][c] ≤ 1.
-    let mut sys = System::new(l);
-    for c in 0..l {
-        let coeffs: Vec<Rat> = linv.iter().map(|row| row[c]).collect();
-        sys.ge(coeffs.clone(), Rat::ZERO);
-        sys.le(coeffs, Rat::ONE);
-    }
-    // Progressive elimination: systems[k] has variables 0..=k live.
-    let mut systems = vec![sys];
-    for k in (1..l).rev() {
-        let prev = systems.last().expect("nonempty");
-        systems.push(eliminate(prev, k));
-    }
-    systems.reverse(); // systems[k] now bounds variable k given 0..k-1
+/// Panics when [`Tiling::new`] refuses `grid` for `nest`.
+pub fn emit_rect_code(nest: &LoopNest, grid: &[i128]) -> String {
+    emit_code(nest, None, grid).expect("the grid tiles the nest")
+}
 
-    let names = nest.index_names();
-    let mut out = String::new();
-    out.push_str(&format!(
-        "// Scanning the tile at the origin with edge rows L = {:?}\n",
-        (0..l)
-            .map(|r| l_matrix.row(r).0.clone())
-            .collect::<Vec<_>>()
-    ));
-    let mut indent = 0usize;
-    for k in 0..l {
-        let sys_k = &systems[k];
-        let mut lowers: Vec<String> = Vec::new();
-        let mut uppers: Vec<String> = Vec::new();
-        for cst in &sys_k.constraints {
-            let ck = cst.coeffs[k];
-            if ck.is_zero() {
-                continue;
-            }
-            // Σ_{j<k} c_j x_j + c_k x_k ≤ b
-            //   =>  x_k ≤ (b − Σ c_j x_j)/c_k   (c_k > 0)
-            //   =>  x_k ≥ (b − Σ c_j x_j)/c_k   (c_k < 0)
-            let mut terms = format!("{}", cst.bound / ck);
-            for (name, &cj0) in names.iter().zip(cst.coeffs.iter()).take(k) {
-                let cj = cj0 / ck;
-                if cj.is_zero() {
-                    continue;
+/// Loop `k`'s bounds in `sys`, `(lower, upper)`: every distinct
+/// constraint on `x_k` solved for it, a `max` of lower and a `min` of
+/// upper bounds over the other variables `names`.
+fn solved_for(sys: &System, k: usize, names: &[String]) -> (String, String) {
+    let mut seen: Vec<Vec<i128>> = Vec::new();
+    let (mut lowers, mut uppers) = (Vec::new(), Vec::new());
+    for c in sys.constraints.iter().filter(|c| !c.coeffs[k].is_zero()) {
+        let row = integral(c);
+        if seen.contains(&row) {
+            continue;
+        }
+        // Σ a_j·x_j ≤ d  ⇒  x_k ≤ (d − Σ_{j≠k} a_j·x_j)/a_k when a_k > 0,
+        // x_k ≥ that when a_k < 0.
+        let (a, s) = (&row[..names.len()], row[k].signum());
+        let mut e = (row[names.len()] * s).to_string();
+        for (j, name) in names.iter().enumerate().filter(|&(j, _)| j != k) {
+            let v = -a[j] * s;
+            if v != 0 {
+                e.push_str(&format!(" {} {name}", if v > 0 { '+' } else { '-' }));
+                if v.abs() != 1 {
+                    e.push_str(&format!("*{}", v.abs()));
                 }
-                terms.push_str(&format!(" - ({cj})*{name}"));
-            }
-            if ck > Rat::ZERO {
-                uppers.push(format!("floor({terms})"));
-            } else {
-                lowers.push(format!("ceil({terms})"));
             }
         }
-        let lo = match lowers.len() {
-            0 => "-inf".to_string(),
-            1 => lowers.remove(0),
-            _ => format!("max({})", lowers.join(", ")),
-        };
-        let hi = match uppers.len() {
-            0 => "+inf".to_string(),
-            1 => uppers.remove(0),
-            _ => format!("min({})", uppers.join(", ")),
-        };
-        out.push_str(&format!(
-            "{}for {} in {} ..= {} {{\n",
-            "  ".repeat(indent),
-            names[k],
-            lo,
-            hi
-        ));
-        indent += 1;
+        if a[k].abs() != 1 {
+            let round = if s > 0 { "floor" } else { "ceil" };
+            e = format!("{round}(({e})/{})", a[k].abs());
+        }
+        if s > 0 { &mut uppers } else { &mut lowers }.push(e);
+        seen.push(row);
     }
-    for st in &nest.body {
-        let rhs: Vec<String> = st.rhs.iter().map(|r| r.display(&names)).collect();
-        out.push_str(&format!(
-            "{}{} = {};\n",
-            "  ".repeat(indent),
-            st.lhs.display(&names),
-            if rhs.is_empty() {
-                "0".into()
-            } else {
-                rhs.join(" + ")
-            }
-        ));
-    }
-    while indent > 0 {
-        indent -= 1;
-        out.push_str(&format!("{}}}\n", "  ".repeat(indent)));
-    }
-    out
+    let clamp = |f: &str, terms: Vec<String>| match &terms[..] {
+        [one] => one.clone(),
+        _ => format!("{f}({})", terms.join(", ")),
+    };
+    (clamp("max", lowers), clamp("min", uppers))
+}
+
+/// `c`'s coefficients, then its bound, as coprime integers.
+fn integral(c: &Constraint) -> Vec<i128> {
+    let all = c.coeffs.iter().chain([&c.bound]);
+    let scale = Rat::int(all.clone().fold(1, |m, r| lcm(m, r.den())));
+    let row: Vec<i128> = all.map(|&r| (r * scale).num()).collect();
+    let g = gcd_many(&row);
+    row.into_iter().map(|v| v / g).collect()
 }
 
 #[cfg(test)]
@@ -183,34 +174,25 @@ mod tests {
     }
 
     #[test]
-    fn para_code_rect_tile_degenerates_to_box() {
+    fn skewed_inner_bounds_mention_the_outer_index() {
         let nest = parse("doall (i, 0, 63) { doall (j, 0, 63) { A[i,j] = A[i,j]; } }").unwrap();
-        let code = emit_para_code(&nest, &IMat::diag(&[4, 8]));
-        // Outer: 0 ≤ i ≤ 4; inner: 0 ≤ j ≤ 8.
-        assert!(code.contains("for i in ceil(0) ..= floor(4)"), "{code}");
-        assert!(code.contains("for j in ceil(0) ..= floor(8)"), "{code}");
-    }
-
-    #[test]
-    fn para_code_skewed_bounds_mention_outer_var() {
-        let nest = parse("doall (i, 0, 63) { doall (j, 0, 63) { A[i,j] = A[i,j]; } }").unwrap();
-        // Example 6 tile: rows (4,4), (3,0).
-        let code = emit_para_code(&nest, &IMat::from_rows(&[&[4, 4], &[3, 0]]));
-        // Inner loop bounds must reference i.
-        let inner = code
-            .lines()
-            .find(|l| l.trim_start().starts_with("for j"))
-            .unwrap();
+        let u = alp_linalg::IMat::from_rows(&[&[1, 0], &[1, 1]]);
+        let t = Transform::new(u, alp_plan::fingerprint_hex(&nest)).unwrap();
+        let code = emit_code(&nest, Some(&t), &[2, 2]).unwrap();
+        assert!(code.contains("U = [[1, 0], [1, 1]]"), "{code}");
+        let inner = code.lines().find(|l| l.contains("for j")).unwrap();
         assert!(
-            inner.contains('i'),
+            inner.contains("- i"),
             "inner bounds should mention i: {inner}"
         );
     }
 
     #[test]
-    #[should_panic(expected = "nonsingular")]
-    fn para_code_rejects_singular() {
-        let nest = parse("doall (i, 0, 3) { doall (j, 0, 3) { A[i,j] = A[i,j]; } }").unwrap();
-        emit_para_code(&nest, &IMat::from_rows(&[&[1, 1], &[2, 2]]));
+    fn a_grid_that_does_not_fit_is_refused() {
+        let nest = parse("doall (i, 0, 3) { A[i] = A[i]; }").unwrap();
+        assert!(matches!(
+            emit_code(&nest, None, &[2, 2]),
+            Err(PlanError::BadGrid(_))
+        ));
     }
 }

@@ -3,25 +3,20 @@
 //! The analysis side of `alp` decides tile *shapes*; this crate turns a
 //! shape into executable structure:
 //!
-//! * [`assign`] — exact iteration-to-processor assignment for
-//!   rectangular grids, hyperplane slabs, and general parallelepiped
-//!   tilings (every iteration lands on exactly one processor — the
-//!   property the simulator needs, and a property test here);
-//! * [`emit`] — human-readable per-processor loop nests.  Rectangular
-//!   tiles emit directly (the reason §3.7 calls them "easy code
-//!   generation"); parallelepiped tiles go through the small
-//!   Fourier–Motzkin eliminator in [`fm`] to derive scanning bounds.
+//! * [`assign`] — iteration-to-processor assignment: rectangular grids
+//!   (an [`alp_plan::Tiling`]'s point lists), hyperplane slabs, and
+//!   parallelepiped lattice cells, with load-balance statistics and an
+//!   exact-cover check;
+//! * [`emit`] — the per-processor loop nest of a plan's own tiles,
+//!   rectangular and skewed alike: [`emit_code`] scans the tile of
+//!   processor `p` with bounds that Fourier–Motzkin
+//!   ([`alp_linalg::fm`]) derives from the tiling's cuts.
 
 pub mod assign;
 pub mod emit;
 
-/// Re-export of the Fourier–Motzkin eliminator, which moved to
-/// `alp-linalg` so that `alp-analysis` can share it.
-pub use alp_linalg::fm;
-
-pub use alp_linalg::fm::{eliminate, Constraint, System};
 pub use assign::{
     assign_para, assign_rect, assign_slabs, assignment_stats, block_assignment, block_iterations,
     is_exact_cover, Assignment, AssignmentStats,
 };
-pub use emit::{emit_para_code, emit_rect_code};
+pub use emit::{emit_code, emit_rect_code};

@@ -1,8 +1,9 @@
 //! A small exact Fourier–Motzkin eliminator over rational linear
 //! inequalities.
 //!
-//! Two consumers share this machinery: `alp-codegen` derives scanning
-//! bounds for parallelepiped tiles (§3.7 notes that rectangular tiles
+//! Two consumers share this machinery: `alp-codegen`'s one emitter,
+//! `emit_code`, eliminates a tile's iteration indices innermost-out to
+//! print the loops processor `p` runs (§3.7 notes that rectangular tiles
 //! make code generation easy; this module is what "hard" costs for the
 //! general case), and `alp-analysis`'s exact integer search eliminates
 //! variables with [`eliminate`] and, where no elimination is exact, tries
@@ -106,7 +107,7 @@ impl System {
 /// every lower constraint, producing a system over the remaining
 /// variables (coefficients of `x_k` become zero).  Standard
 /// Fourier–Motzkin; exponential in the worst case, fine for tile systems
-/// (≤ 2·l constraints).
+/// (4·l constraints over `l` indices and `l` grid coordinates).
 pub fn eliminate(sys: &System, k: usize) -> System {
     combine(sys, k, |_, _| Rat::ZERO)
 }

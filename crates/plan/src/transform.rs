@@ -195,8 +195,8 @@ fn div_ceil(a: i64, b: i64) -> i64 {
 ///
 /// A `j`-box is walked in the nest's **own** coordinates: its share of
 /// the domain is the set of in-bounds `ī` whose image `ī·U` lies in the
-/// box, scanned as lexicographic rows of `ī` — the order the paper's
-/// parallelepiped code (and `emit_para_code`) scans a tile in.  A
+/// box, scanned as lexicographic rows of `ī` — the order in which the
+/// loops `alp-codegen`'s `emit_code` prints scan the tile.  A
 /// level's range is the loop bounds and the box's bounding box in `ī`,
 /// narrowed by each of the box's 2·l inequalities with the deeper
 /// indices relaxed to their range; at the innermost level nothing is

@@ -115,8 +115,12 @@ fn example3() {
         rect_report.total_cold_misses(),
         slab_report.total_cold_misses()
     );
-    println!(
-        "  generated bounds for the skewed tile:\n{}",
-        emit_para_code(&nest, para.tile.l_matrix())
-    );
+    // The code `lower` emits for the skewed plan: each processor scans
+    // its own tile, clipped to the loop bounds.
+    let skewed = Compiler::new(p)
+        .with_skewed_tiles()
+        .unchecked()
+        .compile(nest)
+        .expect("a skewed plan for 16 processors");
+    println!("  code for the skewed plan:\n{}", skewed.code);
 }

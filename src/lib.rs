@@ -306,11 +306,15 @@ pub struct CompileResult {
     /// verdict); never contains errors — those abort the compile with
     /// [`AlpError::Illegal`].
     pub report: alp_analysis::Report,
-    /// Aligned data partitions, one per array.
+    /// Aligned data partitions, one per array (none for a skewed plan:
+    /// §4's alignment is rectangular).
     pub data_partitions: Vec<ArrayPartition>,
     /// Mesh placement of the processor grid (when a mesh is configured).
     pub placement: Option<MeshPlacement>,
-    /// SPMD pseudo-code for the chosen partition.
+    /// The SPMD loops processor `(p0, …)` runs
+    /// ([`emit_code`](alp_codegen::emit_code)): its tile of the plan's
+    /// own [`Tiling`](alp_plan::Tiling), rectangular or skewed, in the
+    /// order the runtime walks it, inside the nest's `doseq` loops.
     pub code: String,
 }
 
@@ -450,12 +454,14 @@ impl Compiler {
     }
 
     /// The cheap backend phases, for a fresh, cached or saved plan
-    /// alike: data alignment, mesh placement and code emission, from the
-    /// plan's own nest (embedded source, fingerprint re-verified),
-    /// processor count and mesh.  The plan's grid is validated against
-    /// the nest first (a [`Tiling`](alp_plan::Tiling) must exist for
-    /// it), so a damaged plan file is an `ALP0006` here and never
-    /// reaches a backend that indexes by it.
+    /// alike: code emission, data alignment and mesh placement, from the
+    /// plan's own nest (embedded source, fingerprint re-verified), grid,
+    /// transform and mesh.  Every plan gets the loops of its own tiles
+    /// ([`CompileResult::code`]); a rectangular one also gets its data
+    /// partitions.  The emitter tiles the nest first (a
+    /// [`Tiling`](alp_plan::Tiling) must exist for the grid), so a
+    /// damaged plan file is an `ALP0006` here and never reaches a
+    /// backend that indexes by it.
     pub fn lower(plan: impl Into<Arc<PartitionPlan>>) -> Result<CompileResult, AlpError> {
         Ok(lower_plan(plan.into())?)
     }
@@ -508,17 +514,14 @@ impl Compiler {
 /// [`Compiler::lower`], in the plan's own error type.
 fn lower_plan(plan: Arc<PartitionPlan>) -> Result<CompileResult, PlanError> {
     let nest = plan.nest()?;
-    plan.tiling(&nest)?;
-    // For a transformed plan the grid and extents live in `j`-space,
-    // so the rectangular i-space backends (data alignment, SPMD rect
-    // codegen) do not apply: alignment is skipped and the emitted
-    // code is a note pointing at the native transformed executor.
-    let (data_partitions, code) = match &plan.transform {
-        None => (
-            align_arrays(&nest, &plan.tile_extents),
-            alp_codegen::emit_rect_code(&nest, &plan.proc_grid),
-        ),
-        Some(t) => (Vec::new(), transformed_code_note(t, &plan.proc_grid)),
+    // The emitter tiles the nest by the plan's own grid and transform
+    // first, so a grid that does not fit is refused here.
+    let code = alp_codegen::emit_code(&nest, plan.transform.as_ref(), &plan.proc_grid)?;
+    // §4's alignment is rectangular: a transformed plan's grid and
+    // extents live in `j`-space, and its arrays get no partition yet.
+    let data_partitions = match &plan.transform {
+        None => align_arrays(&nest, &plan.tile_extents),
+        Some(_) => Vec::new(),
     };
     // The planner refuses a mesh its grid does not fit; a plan file
     // can still carry one.
@@ -533,29 +536,6 @@ fn lower_plan(plan: Arc<PartitionPlan>) -> Result<CompileResult, PlanError> {
         placement,
         code,
     })
-}
-
-/// The `code` string for a transformed (skewed) plan: rectangular SPMD
-/// emission is an i-space backend, so instead of misrepresenting the
-/// `j`-space grid as loop bounds, describe the transform and point at
-/// the native executor that runs it.
-fn transformed_code_note(t: &alp_plan::Transform, grid: &[i128]) -> String {
-    let rows: Vec<String> = (0..t.depth())
-        .map(|r| {
-            let row: Vec<String> = (0..t.depth()).map(|c| t.u()[(r, c)].to_string()).collect();
-            format!("//   [ {} ]", row.join(" "))
-        })
-        .collect();
-    format!(
-        "// skewed plan: tiles are rectangular in the transformed space j = i*U\n\
-         // U =\n{}\n\
-         // j-space processor grid: {:?}\n\
-         // execute natively with alp-runtime (Executor::from_plan); a\n\
-         // tile runs as rows of the nest's own i, in its own order, each\n\
-         // row clipped to the points whose image lies in the tile's box.\n",
-        rows.join("\n"),
-        grid,
-    )
 }
 
 /// The memory distribution [`Compiler::lower`] emits for a rectangular
@@ -591,7 +571,7 @@ pub mod prelude {
         ProbeConfig, Ranked, TileSample,
     };
     pub use alp_certify::{certify, recheck, CertifyError, CertifyReport};
-    pub use alp_codegen::{assign_para, assign_rect, assign_slabs, emit_para_code, emit_rect_code};
+    pub use alp_codegen::{assign_para, assign_rect, assign_slabs, emit_code, emit_rect_code};
     pub use alp_footprint::{
         classify, cumulative_footprint_exact, cumulative_footprint_general,
         cumulative_footprint_rect, single_footprint_estimate, single_footprint_exact, CostModel,

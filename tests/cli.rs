@@ -83,6 +83,41 @@ fn code_flag_prints_spmd_loop() {
 }
 
 #[test]
+fn code_repeats_the_scan_once_per_doseq_iteration_with_a_barrier() {
+    // The runtime and the simulator run the doall body 4 times; the
+    // code says so.
+    let (stdout, stderr, code) = run_cli(
+        &["-p", "4", "--code", "--no-check", "-"],
+        Some(
+            "doseq (t, 0, 3) { doall (i, 1, 64) { doall (j, 1, 64) {
+               A[i,j] = B[i-1,j] + B[i+1,j]; } } }",
+        ),
+    );
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    let emitted = stdout.split("== code ==\n").nth(1).expect("a code block");
+    let want = "for t in 0 ..= 3 {\n  for i in max(1, 1 + p0*64) ..= min(64, 64 + p0*64) {\n    \
+                for j in max(1, 1 + p1*16) ..= min(64, 16 + p1*16) {\n      \
+                A[i, j] = B[i-1, j] + B[i+1, j];\n    }\n  }\n  barrier;\n}\n";
+    assert!(emitted.contains(want), "{emitted}");
+}
+
+#[test]
+fn a_saved_skewed_plan_lowers_to_loops() {
+    let (stdout, stderr, code) = run_cli(
+        &["--from-plan", "-", "--code"],
+        Some(include_str!("golden/example2.v4.plan.json")),
+    );
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    let emitted = stdout.split("== code ==\n").nth(1).expect("a code block");
+    assert!(!emitted.contains("// skewed plan:"), "{emitted}");
+    assert!(emitted.contains("U = [[1, 0], [1, -1]]"), "{emitted}");
+    for index in ["i", "j"] {
+        let head = format!("for {index} in max(");
+        assert!(emitted.contains(&head), "{emitted}");
+    }
+}
+
+#[test]
 fn racy_nest_is_refused_with_exit_4() {
     let (_, stderr, code) = run_cli(
         &["-p", "4", "-"],
