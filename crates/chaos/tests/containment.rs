@@ -11,8 +11,10 @@
 
 use alp::AlpError;
 use alp_chaos::FaultPlan;
-use alp_runtime::{CancelToken, ExecOptions, Executor, RuntimeError, Schedule};
-use std::sync::Arc;
+use alp_runtime::{CancelToken, ExecOptions, Executor, FaultInjector, RuntimeError, Schedule};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 /// A retry-safe 2-D stencil (plain assigns, disjoint read/write arrays)
@@ -227,5 +229,53 @@ fn seeded_plans_reproduce_identical_outcomes() {
     };
     for seed in 0..6 {
         assert_eq!(describe(seed), describe(seed), "seed {seed} not stable");
+    }
+}
+
+/// Records which thread ran each tile, and panics in tile `fail`.
+#[derive(Debug)]
+struct Witness {
+    fail: usize,
+    ran: Mutex<Vec<(usize, ThreadId)>>,
+}
+
+impl FaultInjector for Witness {
+    fn before_tile(&self, tile: usize, _rep: u64) {
+        (self.ran.lock().unwrap()).push((tile, std::thread::current().id()));
+        if tile == self.fail {
+            panic!("injected panic in tile {tile}");
+        }
+    }
+    fn after_tile(&self, _tile: usize, _rep: u64, _store: &alp_runtime::ArrayStore) {}
+}
+
+/// Worker 0 runs on the calling thread.  A tile panic there, or on the
+/// one spawned worker, returns `TileFailed` at one thread and at two,
+/// and the caller is not unwound.
+#[test]
+fn a_tile_panic_at_one_or_two_threads_leaves_the_caller_standing() {
+    let exec = stencil();
+    let caller = std::thread::current().id();
+    for (threads, fail) in [(1, 0), (1, 3), (2, 0), (2, 1)] {
+        let witness = Arc::new(Witness {
+            fail,
+            ran: Mutex::new(Vec::new()),
+        });
+        let opts = ExecOptions {
+            threads,
+            fault_injector: Some(witness.clone()),
+            ..ExecOptions::default()
+        };
+        let run = catch_unwind(AssertUnwindSafe(|| exec.run(&exec.seeded_store(1), &opts)));
+        let err = run.expect("the caller is not unwound").unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::TileFailed { tile, rep: 0, .. } if tile == fail),
+            "threads {threads}, tile {fail}: {err}"
+        );
+        let ran = witness.ran.lock().unwrap();
+        // Static schedule: worker t runs tiles t, t + threads, …
+        for &(tile, thread) in ran.iter() {
+            assert_eq!(thread == caller, tile % threads == 0, "{ran:?}");
+        }
     }
 }

@@ -2,9 +2,9 @@
 //! Theorems 2 & 4).
 
 use crate::class::RefClass;
-use crate::size::zonotope_volume;
+use crate::size::{combinations, zonotope_volume};
 use crate::tile::Tile;
-use alp_linalg::{max_independent_columns, solve_rational, IMat, IVec, Rat};
+use alp_linalg::{lcm, max_independent_columns, solve_rational, IMat, IVec, Rat};
 use std::collections::HashSet;
 
 /// Exact cumulative footprint: `|⋃_r F(r)|` counted by enumerating every
@@ -63,38 +63,111 @@ pub fn cumulative_footprint_general(tile: &Tile, class: &RefClass) -> i128 {
 /// zonotope form of [`cumulative_footprint_general`] when `â` is not in
 /// the row space of the reduced `G` (possible when the per-component
 /// max/min of Def. 8 come from different references) or when the reduced
-/// `G` is not square.
+/// `G` is not square.  This is [`RectFootprint::new`] evaluated once;
+/// a caller pricing many tiles of one class keeps the [`RectFootprint`].
 pub fn cumulative_footprint_rect(lambda: &[i128], class: &RefClass) -> Rat {
-    let keep = max_independent_columns(&class.g);
-    if keep.is_empty() {
-        return Rat::ONE;
-    }
-    let g_red = class.g.select_columns(&keep);
-    let spread_red = restrict(&class.spread(), &keep);
-    let l = lambda.len();
-    if g_red.rows() == g_red.cols() && g_red.is_nonsingular() {
-        if let Some(u) = solve_rational(&g_red, &spread_red) {
-            let mut total = Rat::ZERO;
-            // Base term: Π (λⱼ+1).
-            let mut base = Rat::ONE;
-            for &lam in lambda {
-                base = base * Rat::int(lam + 1);
+    RectFootprint::new(class).at(lambda)
+}
+
+/// [`cumulative_footprint_rect`] of one class as coefficients of the
+/// tile extents: everything it needs but `λ`, computed once per class
+/// (the kept columns, `u`, the subset determinants), so that pricing a
+/// tile is a few products of its extents.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RectFootprint(Form);
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Form {
+    /// No column of `G` is independent: a constant reference, one
+    /// element whatever the tile.
+    Constant,
+    /// Reduced `G` square and nonsingular: `|uᵢ| = num[i] / den`, over
+    /// the least common denominator of the `uᵢ`.
+    Nonsingular { num: Vec<i128>, den: i128 },
+    /// The zonotope fallback.  With `L = diag(λ)` the `r`-subset `S` of
+    /// the rows of `[L·G_red; â]` has determinant
+    /// `Π_{k∈S} λₖ · det([G_red; â]_S)`, so the volume is a sum of
+    /// `|det|`-weighted products of extents: one term per subset whose
+    /// determinant is not zero — the `λ` rows it takes, `|det|`, and
+    /// whether it takes `â`.
+    Zonotope(Vec<(Vec<usize>, i128, bool)>),
+}
+
+impl RectFootprint {
+    /// The coefficients of `class`'s Theorem-4 footprint.
+    pub fn new(class: &RefClass) -> Self {
+        let keep = max_independent_columns(&class.g);
+        if keep.is_empty() {
+            return RectFootprint(Form::Constant);
+        }
+        let g_red = class.g.select_columns(&keep);
+        let spread_red = restrict(&class.spread(), &keep);
+        if g_red.rows() == g_red.cols() && g_red.is_nonsingular() {
+            if let Some(u) = solve_rational(&g_red, &spread_red) {
+                let den = u.iter().fold(1, |den, ui| lcm(den, ui.den()));
+                let num = u.iter().map(|ui| ui.num().abs() * (den / ui.den()));
+                return RectFootprint(Form::Nonsingular {
+                    num: num.collect(),
+                    den,
+                });
             }
-            total = total + base;
-            for (i, ui) in u.iter().enumerate().take(l) {
-                let mut term = ui.abs();
-                for (j, &lam) in lambda.iter().enumerate() {
-                    if j != i {
-                        term = term * Rat::int(lam + 1);
+        }
+        let depth = g_red.rows();
+        let mut rows = g_red.row_vecs();
+        if !spread_red.is_zero() {
+            rows.push(spread_red);
+        }
+        let terms = combinations(rows.len(), g_red.cols())
+            .into_iter()
+            .filter_map(|mut subset| {
+                let sub = IMat::from_row_vecs(
+                    &subset.iter().map(|&k| rows[k].clone()).collect::<Vec<_>>(),
+                );
+                let det = sub.det().expect("square").abs();
+                let takes_spread = subset.last() == Some(&depth);
+                subset.retain(|&k| k < depth);
+                (det != 0).then_some((subset, det, takes_spread))
+            })
+            .collect();
+        RectFootprint(Form::Zonotope(terms))
+    }
+
+    /// The class's footprint for a rectangular tile with extents
+    /// `lambda`: exactly [`cumulative_footprint_rect`]`(lambda, class)`.
+    pub fn at(&self, lambda: &[i128]) -> Rat {
+        self.eval(lambda, true)
+    }
+
+    /// The spread-free part of [`at`](Self::at): the footprint of one
+    /// member alone, `Π(λⱼ+1)` when `G` reduces to a nonsingular matrix
+    /// and the zonotope of `L·G_red` otherwise.
+    pub fn base_at(&self, lambda: &[i128]) -> Rat {
+        self.eval(lambda, false)
+    }
+
+    fn eval(&self, lambda: &[i128], with_spread: bool) -> Rat {
+        match &self.0 {
+            Form::Constant => Rat::ONE,
+            Form::Nonsingular { num, den } => {
+                let side = |j: usize| lambda[j] + 1;
+                let mut total = den * (0..lambda.len()).map(side).product::<i128>();
+                if with_spread {
+                    for (i, &n) in num.iter().enumerate().filter(|(_, &n)| n != 0) {
+                        let others = (0..lambda.len()).filter(|&j| j != i);
+                        total += n * others.map(side).product::<i128>();
                     }
                 }
-                total = total + term;
+                Rat::new(total, *den)
             }
-            return total;
+            Form::Zonotope(terms) => Rat::int(
+                terms
+                    .iter()
+                    .filter(|(_, _, takes_spread)| with_spread || !takes_spread)
+                    .map(|(rows, det, _)| det * rows.iter().map(|&k| lambda[k]).product::<i128>())
+                    .sum(),
+            ),
         }
     }
-    let tile = Tile::rect(lambda);
-    Rat::int(cumulative_footprint_general(&tile, class))
 }
 
 /// Keep only the listed components of a vector.
@@ -423,6 +496,91 @@ mod tests {
             prop_assert!(est <= exact);
             prop_assert!(exact - est <= 6 * (li + lj + a1 + a2) + 6,
                 "est {} exact {}", est, exact);
+        }
+
+        /// Random classes of every branch: full rank (`kind` 0),
+        /// rank-deficient (1), zero spread over any `G` (2) and
+        /// nonsingular `G` of determinant at least 2, where `u` is
+        /// mostly fractional (3).  On random extents the coefficients
+        /// give Theorem 4 exactly where `G` reduces to a nonsingular
+        /// matrix and the zonotope volume of Theorem 2 elsewhere, and
+        /// their base term is the footprint of the class with its
+        /// spread removed.
+        #[test]
+        fn coefficients_price_every_class_like_the_theorems(
+            kind in 0u8..4, d in 1usize..=3, members in 1usize..=3,
+            e in proptest::collection::vec(-3i128..=3, 9),
+            o in proptest::collection::vec(-3i128..=3, 9),
+            lam in proptest::collection::vec(0i128..=9, 3),
+        ) {
+            let g = match kind {
+                // Fewer array dimensions than loops, or at depth 1 a
+                // constant reference.
+                1 if d == 1 => IMat::zeros(1, 1),
+                1 => IMat::from_vec(d, d - 1, e[..d * (d - 1)].to_vec()),
+                2 => IMat::from_vec(d, d, e[..d * d].to_vec()),
+                3 => IMat::from_vec(d, d, (0..d * d).map(|x| match (x / d, x % d) {
+                    (i, j) if i == j => 2 + e[x].rem_euclid(2),
+                    (i, j) if i < j => e[x],
+                    _ => 0,
+                }).collect()),
+                _ => {
+                    let g = IMat::from_vec(d, d, e[..d * d].to_vec());
+                    (0..)
+                        .map(|c| g.add(&IMat::identity(d).scale(c)).unwrap())
+                        .find(IMat::is_nonsingular)
+                        .unwrap()
+                }
+            };
+            let l = g.cols();
+            let offsets: Vec<IVec> = (0..members)
+                .map(|r| if kind == 2 { 0 } else { r * l })
+                .map(|at| IVec(o[at..at + l].to_vec()))
+                .collect();
+            let class = RefClass {
+                array: "A".into(),
+                g,
+                kinds: vec![alp_loopir::AccessKind::Read; members],
+                offsets,
+            };
+            let lam = &lam[..d];
+            let coefficients = RectFootprint::new(&class);
+            let (at, base) = (coefficients.at(lam), coefficients.base_at(lam));
+            prop_assert_eq!(at, cumulative_footprint_rect(lam, &class));
+            let keep = max_independent_columns(&class.g);
+            if kind == 0 || kind == 3 {
+                prop_assert_eq!(keep.len(), d);
+            }
+            if keep.is_empty() {
+                prop_assert_eq!((at, base), (Rat::ONE, Rat::ONE));
+                prop_assert_eq!(cumulative_footprint_general(&Tile::rect(lam), &class), 1);
+            } else if keep.len() == d {
+                let g_red = class.g.select_columns(&keep);
+                let u = solve_rational(&g_red, &restrict(&class.spread(), &keep)).unwrap();
+                let sides = |skip: usize| {
+                    let mut p = Rat::ONE;
+                    for (_, &x) in lam.iter().enumerate().filter(|&(j, _)| j != skip) {
+                        p = p * Rat::int(x + 1);
+                    }
+                    p
+                };
+                let mut thm4 = sides(d);
+                for (i, ui) in u.iter().enumerate() {
+                    thm4 = thm4 + ui.abs() * sides(i);
+                }
+                prop_assert_eq!(at, thm4, "G = {} u = {:?}", class.g, u);
+                prop_assert_eq!(base, sides(d));
+            } else {
+                let tile = Tile::rect(lam);
+                let general = cumulative_footprint_general(&tile, &class);
+                prop_assert_eq!(at, Rat::int(general), "G = {}", class.g);
+                let spread_free = RefClass {
+                    offsets: vec![class.offsets[0].clone()],
+                    kinds: vec![alp_loopir::AccessKind::Read],
+                    ..class.clone()
+                };
+                prop_assert_eq!(base, Rat::int(cumulative_footprint_general(&tile, &spread_free)));
+            }
         }
     }
 }

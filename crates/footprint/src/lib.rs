@@ -36,7 +36,7 @@ pub mod tile;
 pub use class::{classify, cumulative_spread, spread, RefClass};
 pub use cumulative::{
     cumulative_footprint_exact, cumulative_footprint_general, cumulative_footprint_rect,
-    cumulative_footprint_rect_exact_lattice,
+    cumulative_footprint_rect_exact_lattice, RectFootprint,
 };
 pub use model::{ClassCost, CostModel};
 pub use size::{single_footprint_estimate, single_footprint_exact, single_footprint_exact_l2};

@@ -2,9 +2,7 @@
 //! tile shape (§3.5–3.6).
 
 use crate::class::{classify, RefClass};
-use crate::cumulative::{
-    cumulative_footprint_exact, cumulative_footprint_general, cumulative_footprint_rect,
-};
+use crate::cumulative::{cumulative_footprint_exact, cumulative_footprint_general, RectFootprint};
 use crate::tile::Tile;
 use alp_linalg::{IMat, Rat};
 use alp_loopir::LoopNest;
@@ -20,6 +18,10 @@ pub struct ClassCost {
     /// case 3: single-reference classes whose `G` has independent rows —
     /// their footprint is exactly the iteration count by Theorem 5).
     pub shape_invariant: bool,
+    /// The class's Theorem-4 footprint as coefficients of the tile
+    /// extents, computed once: [`CostModel::cost_rect`] and
+    /// [`CostModel::traffic_rect`] evaluate it for each tile they price.
+    pub rect: RectFootprint,
 }
 
 /// Total cumulative footprint of a loop nest as a function of the tile.
@@ -39,8 +41,8 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Build the model: classify references and mark shape-invariant
-    /// classes.
+    /// Build the model: classify references, mark shape-invariant
+    /// classes and compute each class's Theorem-4 coefficients.
     pub fn from_nest(nest: &LoopNest) -> Self {
         let depth = nest.depth();
         let trips = nest.loops.iter().map(|l| l.trip_count()).collect();
@@ -51,6 +53,7 @@ impl CostModel {
                 let zero_spread = class.spread().is_zero();
                 ClassCost {
                     shape_invariant: rows_independent && zero_spread,
+                    rect: RectFootprint::new(&class),
                     class,
                 }
             })
@@ -118,7 +121,7 @@ impl CostModel {
         assert_eq!(lambda.len(), self.depth, "tile depth mismatch");
         let mut total = Rat::ZERO;
         for cc in &self.classes {
-            total = total + cumulative_footprint_rect(lambda, &cc.class) * self.class_weight(cc);
+            total = total + cc.rect.at(lambda) * self.class_weight(cc);
         }
         total
     }
@@ -149,12 +152,7 @@ impl CostModel {
             // Base term of Theorem 4: Π(λ+1) for full-rank classes; for
             // rank-deficient classes the whole footprint scales with the
             // boundary, so the base is the spread-free footprint.
-            let mut zero_spread_class = cc.class.clone();
-            let first = zero_spread_class.offsets[0].clone();
-            for o in zero_spread_class.offsets.iter_mut() {
-                *o = first.clone();
-            }
-            base_all = base_all + cumulative_footprint_rect(lambda, &zero_spread_class);
+            base_all = base_all + cc.rect.base_at(lambda);
         }
         self.cost_rect(lambda) - base_all
     }

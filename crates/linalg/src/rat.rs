@@ -20,6 +20,11 @@ impl Rat {
     /// # Panics
     /// Panics if `den == 0`.
     pub fn new(num: i128, den: i128) -> Self {
+        if den == 1 {
+            // Already in lowest terms: integer arithmetic, the common
+            // case of the footprint sums, pays no gcd.
+            return Rat { num, den };
+        }
         assert_ne!(den, 0, "zero denominator");
         let g = gcd(num, den);
         let (mut num, mut den) = if g == 0 { (0, 1) } else { (num / g, den / g) };

@@ -109,6 +109,10 @@ pub fn integer_nullspace(a: &IMat) -> Vec<IVec> {
 ///
 /// Returns the 0-based column indices, in increasing order.
 pub fn max_independent_columns(g: &IMat) -> Vec<usize> {
+    if g.rank() == g.cols() {
+        // Every column raises the rank: the greedy pick keeps them all.
+        return (0..g.cols()).collect();
+    }
     let mut keep: Vec<usize> = Vec::new();
     let mut rank = 0usize;
     for j in 0..g.cols() {

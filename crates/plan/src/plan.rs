@@ -6,9 +6,7 @@ use crate::rank::{choose_calibrated, rank_skewed};
 use crate::tiles::Tiling;
 use crate::transform::{skewed_candidates, SkewedCandidate, Transform};
 use crate::PlanError;
-use alp_footprint::{
-    cumulative_footprint_general, cumulative_footprint_rect, CostModel, RefClass, Tile,
-};
+use alp_footprint::{cumulative_footprint_general, ClassCost, CostModel, Tile};
 use alp_linalg::{IMat, IVec, Rat};
 use alp_loopir::{ArrayLayout, LoopNest};
 use alp_partition::{
@@ -355,9 +353,7 @@ impl PartitionPlan {
         let grid = &partition.proc_grid;
         let base = Self::base(nest, processors, mesh, legality, optimizer, grid)?;
         Ok(PartitionPlan {
-            class_footprints: class_footprints(model, |class| {
-                cumulative_footprint_rect(&partition.tile_extents, class)
-            }),
+            class_footprints: class_footprints(model, |cc| cc.rect.at(&partition.tile_extents)),
             tile_extents: partition.tile_extents,
             cost: partition.cost,
             ..base
@@ -498,8 +494,8 @@ impl PartitionPlan {
         let lmat = IMat::from_row_vecs(&rows);
         let tile = Tile::general(lmat.clone());
         let plan = PartitionPlan {
-            class_footprints: class_footprints(model, |class| {
-                Rat::int(cumulative_footprint_general(&tile, class))
+            class_footprints: class_footprints(model, |cc| {
+                Rat::int(cumulative_footprint_general(&tile, &cc.class))
             }),
             tile_extents: candidate.tile_extents.clone(),
             cost: Rat::int(model.cost_general(&lmat)),
@@ -770,7 +766,7 @@ pub(crate) fn no_factorization(processors: i128) -> PlanError {
 /// plan's tile shape computed by `footprint`.
 fn class_footprints(
     model: &CostModel,
-    footprint: impl Fn(&RefClass) -> Rat,
+    footprint: impl Fn(&ClassCost) -> Rat,
 ) -> Vec<ClassFootprint> {
     model
         .classes()
@@ -779,7 +775,7 @@ fn class_footprints(
             array: cc.class.array.clone(),
             refs: cc.class.len(),
             shape_invariant: cc.shape_invariant,
-            footprint: footprint(&cc.class),
+            footprint: footprint(cc),
         })
         .collect()
 }

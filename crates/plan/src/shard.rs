@@ -1,10 +1,11 @@
-//! The plan cache: a sharded, coalescing LRU — the concurrent heart of
-//! `alp-serve`, and with one shard the single-threaded memoizer.
+//! The plan cache: a sharded, coalescing SIEVE cache — the concurrent
+//! heart of `alp-serve`, and with one shard the single-threaded
+//! memoizer.
 //!
 //! Behind one mutex, a server with N handler threads would serialize
 //! every lookup on that one lock.  [`ShardedPlanCache`] splits the key
 //! space over independent shards (each its own mutex around a private
-//! LRU map), so lookups for different fingerprints proceed in parallel
+//! SIEVE map, see [`crate::cache`]), so lookups for different fingerprints proceed in parallel
 //! and a slow *compile* on one shard never blocks hits on another — the
 //! compile itself always runs **outside** the shard lock.
 //!
@@ -34,9 +35,11 @@
 //! remembers parses, not plans: the key of a plan since evicted simply
 //! misses, and the caller parses after all.  A shard's index holds at
 //! most as many texts as the shard holds plans, each of at most
-//! [`MAX_TEXT_BYTES`], and drops the least recently used to make room.
+//! [`MAX_TEXT_BYTES`], and makes room by the plans' own SIEVE rule: a
+//! text asked for since the hand last passed it stays, the first one
+//! not asked for goes.
 
-use crate::cache::Lru;
+use crate::cache::Sieve;
 use crate::{PartitionPlan, PlanError, PlanKey};
 use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::collections::HashMap;
@@ -73,7 +76,7 @@ impl Fetched {
 
 /// Cumulative counters for the sharded cache.  `hits`, `misses`, and
 /// `coalesced` are request-level (one per `get_or_compute` /
-/// `get_cached` call); `evictions` is summed from the per-shard LRUs.
+/// `get_cached` call); `evictions` is summed from the per-shard SIEVE maps.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardedCacheStats {
     /// Calls answered directly from a shard's cache.
@@ -82,7 +85,8 @@ pub struct ShardedCacheStats {
     pub misses: u64,
     /// Calls that waited on another thread's in-flight compile.
     pub coalesced: u64,
-    /// LRU evictions across all shards.
+    /// Plans evicted across all shards: each the first unvisited entry
+    /// its shard's SIEVE hand reached when a new key needed the room.
     pub evictions: u64,
 }
 
@@ -103,12 +107,12 @@ struct InFlight<E> {
 }
 
 struct ShardState<E> {
-    cache: Lru,
+    cache: Sieve,
     inflight: HashMap<PlanKey, Arc<InFlight<E>>>,
     /// The text index: a recorded request's text and the key it parsed
     /// to, by the request's hash — for the requests whose hash falls on
     /// this shard, wherever their plans live.
-    texts: Lru<u64, (Box<str>, PlanKey)>,
+    texts: Sieve<u64, (Box<str>, PlanKey)>,
     // Request-level counters live per shard, under the same lock the
     // lookup already holds — no extra synchronization, and the stats
     // endpoint can expose per-shard hit rates for live capacity tuning.
@@ -123,7 +127,8 @@ struct ShardState<E> {
 pub struct ShardOccupancy {
     /// Plans currently cached in this shard.
     pub len: usize,
-    /// The shard's LRU capacity.
+    /// The most plans the shard's SIEVE map holds before a new key
+    /// evicts one.
     pub capacity: usize,
     /// Lookups this shard answered from cache.
     pub hits: u64,
@@ -159,7 +164,7 @@ impl<E> Drop for LeaderGuard<'_, E> {
     }
 }
 
-/// A sharded LRU plan cache with cross-thread request coalescing.
+/// A sharded SIEVE plan cache with cross-thread request coalescing.
 ///
 /// The error type `E` is generic (default [`PlanError`]) so callers
 /// with richer error currencies — the serve layer shares whole
@@ -185,9 +190,9 @@ impl<E: Clone> ShardedPlanCache<E> {
             shards: (0..shards)
                 .map(|_| {
                     Mutex::new(ShardState {
-                        cache: Lru::new(per_shard),
+                        cache: Sieve::new(per_shard),
                         inflight: HashMap::new(),
-                        texts: Lru::new(per_shard),
+                        texts: Sieve::new(per_shard),
                         hits: 0,
                         misses: 0,
                         coalesced: 0,
@@ -253,10 +258,12 @@ impl<E: Clone> ShardedPlanCache<E> {
     /// Insert a plan without touching the request counters: the replay
     /// path of the durable store, which re-warms the cache before any
     /// request has been seen.  Returns `false` when the key was already
-    /// present (the existing entry is kept).
+    /// present (the existing entry is kept).  Warming is not a visit:
+    /// a warmed plan nobody asks for goes the first time the SIEVE hand
+    /// reaches it, and a present one keeps its bit as it was.
     pub fn warm(&self, key: PlanKey, plan: Arc<PartitionPlan>) -> bool {
         let mut st = self.shard_for(&key).lock().expect("shard lock");
-        if st.cache.peek(&key).is_some() {
+        if st.cache.contains(&key) {
             return false;
         }
         st.cache.insert(key, plan);
@@ -318,7 +325,7 @@ impl<E: Clone> ShardedPlanCache<E> {
     /// Record that `source` parsed to `key`, so that [`key_by_text`]
     /// gives the key back without a parse.  A source longer than
     /// [`MAX_TEXT_BYTES`] is not recorded; a full shard index drops its
-    /// least recently used text first.
+    /// first text the SIEVE hand finds unvisited.
     ///
     /// [`key_by_text`]: ShardedPlanCache::key_by_text
     pub fn record_text(&self, source: &str, key: PlanKey) {
@@ -329,7 +336,7 @@ impl<E: Clone> ShardedPlanCache<E> {
         (self.shard_at(hash).lock().expect("shard lock").texts).insert(hash, (source.into(), key));
     }
 
-    /// Cache-only lookup: a hit counts and refreshes recency; a miss
+    /// Cache-only lookup: a hit counts and marks the entry visited; a miss
     /// counts nothing (the caller decides whether to queue a compute,
     /// which will do its own accounting).  This is the server's inline
     /// fast path — under overload, cached plans are still served from
@@ -474,61 +481,69 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
-    // The per-shard LRU, through a cache of one shard.
+    // The per-shard SIEVE map, through a cache of one shard.
 
     #[test]
-    fn distinct_params_do_not_alias() {
-        let cache: ShardedPlanCache = ShardedPlanCache::new(1, 8);
-        cache.warm(key(1), Arc::new(plan(63)));
-        let vary = |change: fn(&mut PlanKey)| {
-            let mut other = key(1);
-            change(&mut other);
-            other
-        };
-        let others = [
-            key(2),
-            vary(|k| k.checked = false),
-            vary(|k| k.mesh = Some((2, 2))),
-            vary(|k| k.calibrated = true),
-            vary(|k| k.skewed = true),
-            vary(|k| k.certified = true),
-        ];
-        for other in &others {
-            assert!(cache.get_cached(other).is_none(), "{other:?}");
-        }
-        assert!(cache.get_cached(&key(1)).is_some());
-    }
-
-    #[test]
-    fn peek_refreshes_recency_without_counting() {
+    fn warming_is_not_a_visit() {
         let cache: ShardedPlanCache = ShardedPlanCache::new(1, 2);
         assert!(cache.warm(key(1), Arc::new(plan(63))));
         assert!(cache.warm(key(2), Arc::new(plan(127))));
-        // Re-warming a present key is a peek: it keeps the entry ...
+        // Re-warming a present key keeps the entry ...
         assert!(!cache.warm(key(1), Arc::new(plan(63))));
         assert_eq!(
             cache.stats(),
             ShardedCacheStats::default(),
             "and never counts"
         );
-        // ... and refreshes it, so key 2 is now the LRU victim.
+        // ... and marks nothing: key 1, warmed twice and never asked
+        // for, is the hand's first victim.
         cache.warm(key(3), Arc::new(plan(255)));
-        assert!(cache.get_cached(&key(2)).is_none());
-        assert!(cache.get_cached(&key(1)).is_some());
+        assert_eq!(cache.stats().evictions, 1);
+        assert!(cache.get_cached(&key(1)).is_none());
+        assert!(cache.get_cached(&key(2)).is_some());
+        assert!(cache.get_cached(&key(3)).is_some());
     }
 
     #[test]
-    fn lru_eviction() {
+    fn a_visited_plan_outlives_an_unvisited_one() {
         let cache: ShardedPlanCache = ShardedPlanCache::new(1, 2);
         cache.warm(key(1), Arc::new(plan(63)));
         cache.warm(key(2), Arc::new(plan(127)));
-        cache.get_cached(&key(1)); // refresh 1; 2 becomes LRU
+        cache.get_cached(&key(1)); // visit 1; 2 is never asked for
         cache.warm(key(3), Arc::new(plan(255)));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
-        assert!(cache.get_cached(&key(2)).is_none(), "LRU entry evicted");
+        assert!(
+            cache.get_cached(&key(2)).is_none(),
+            "unvisited entry evicted"
+        );
         assert!(cache.get_cached(&key(1)).is_some());
         assert!(cache.get_cached(&key(3)).is_some());
+    }
+
+    /// Where SIEVE and LRU part: a plan asked for once keeps its place
+    /// against a newer plan nobody asked for, even when the newer one
+    /// is the more recently used.
+    #[test]
+    fn a_new_plan_nobody_asked_for_goes_before_an_old_visited_one() {
+        let cache: ShardedPlanCache = ShardedPlanCache::new(1, 3);
+        for fp in 1..=3 {
+            cache.warm(key(fp), Arc::new(plan(63)));
+        }
+        cache.get_cached(&key(1));
+        // Both rules evict 2 here; the hand clears 1's bit on the way
+        // and stops at 3.
+        cache.warm(key(4), Arc::new(plan(127)));
+        assert!(cache.get_cached(&key(2)).is_none());
+        cache.get_cached(&key(3));
+        // LRU's victim would now be 1, the least recently used.  The
+        // hand clears 3's bit and evicts 4, never asked for.
+        cache.warm(key(5), Arc::new(plan(255)));
+        assert_eq!(cache.stats().evictions, 2);
+        assert!(cache.get_cached(&key(4)).is_none(), "SIEVE's victim");
+        for fp in [1, 3, 5] {
+            assert!(cache.get_cached(&key(fp)).is_some(), "fp {fp}");
+        }
     }
 
     #[test]

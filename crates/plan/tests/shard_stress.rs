@@ -139,11 +139,11 @@ fn slow_compile_does_not_block_sibling_keys() {
     slow.join().unwrap();
 }
 
-/// Per-shard LRU eviction: overflow a known shard set and confirm the
-/// least-recently-used keys (and only those) are gone, while total
-/// occupancy respects the per-shard capacity.
+/// Per-shard SIEVE eviction: overflow a known shard set and confirm the
+/// keys nobody asked for since they came (and only those) are gone,
+/// while total occupancy respects the per-shard capacity.
 #[test]
-fn lru_eviction_is_per_shard_correct() {
+fn sieve_eviction_is_per_shard_correct() {
     // 1 shard × capacity 4 makes eviction order fully observable.
     let cache: ShardedPlanCache = ShardedPlanCache::new(1, 4);
     for fp in 0..4u64 {
@@ -151,18 +151,21 @@ fn lru_eviction_is_per_shard_correct() {
             .get_or_compute(key(fp), || Ok(build_plan(63)))
             .unwrap();
     }
-    // Refresh 0 and 1; 2 becomes LRU.
+    // Visit 0, 1 and 3; 2 is the one entry nobody asked for.
     assert!(cache.get_cached(&key(0)).is_some());
     assert!(cache.get_cached(&key(1)).is_some());
     cache
         .get_or_compute(key(3), || panic!("hit"))
-        .expect("hit refreshes 3");
+        .expect("hit visits 3");
     cache
         .get_or_compute(key(4), || Ok(build_plan(127)))
         .unwrap();
     assert_eq!(cache.len(), 4, "capacity respected");
     assert_eq!(cache.stats().evictions, 1);
-    assert!(cache.get_cached(&key(2)).is_none(), "LRU victim evicted");
+    assert!(
+        cache.get_cached(&key(2)).is_none(),
+        "unvisited victim evicted"
+    );
     for fp in [0u64, 1, 3, 4] {
         assert!(cache.get_cached(&key(fp)).is_some(), "fp {fp} survives");
     }

@@ -1,6 +1,7 @@
-//! The parallel executor: P OS threads running a compiled kernel over
-//! the tiles of a partition, with a barrier at the end of each outer
-//! sequential repetition.
+//! The parallel executor: P workers — the calling thread and P − 1
+//! scoped OS threads — running a compiled kernel over the tiles of a
+//! partition, with a barrier at the end of each outer sequential
+//! repetition.
 //!
 //! # Failure model
 //!
@@ -43,6 +44,7 @@ use crate::store::ArrayStore;
 use crate::sync::{CancelToken, CancellableBarrier};
 use crate::touch::TouchSet;
 use crate::RuntimeError;
+use alp_linalg::IVec;
 use alp_loopir::{AccessKind, ArrayRef, LoopNest};
 use alp_machine::ArrayLayout;
 use alp_plan::{Tiling, Transform};
@@ -431,6 +433,15 @@ impl Executor {
 
     /// Execute the nest in parallel, mutating `store` in place.
     ///
+    /// Of the run's workers, worker 0 runs on the calling thread and the
+    /// other `threads − 1` on scoped OS threads, so a one-thread run
+    /// spawns none.  Every worker, the caller's included, runs under the
+    /// same containment: a panic inside a tile is that tile's
+    /// [`RuntimeError::TileFailed`], and an unwind outside any tile is
+    /// `TileFailed { tile: usize::MAX, .. }`; neither reaches the caller
+    /// as a panic, and both cancel the barrier so no worker is left
+    /// waiting.
+    ///
     /// Fails (with every worker thread joined and the store in an
     /// unspecified partial state) on a contained tile panic, a missed
     /// deadline, external cancellation, or an exceeded memory budget —
@@ -474,92 +485,91 @@ impl Executor {
         let late_busy: Vec<AtomicU64> = (0..tiles).map(|_| AtomicU64::new(0)).collect();
         let wall_start = Instant::now();
 
-        let mut outs: Vec<ThreadOut> = crossbeam::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let ctrl = &ctrl;
-                    let next_tile = &next_tile;
-                    let late_busy = &late_busy[..];
-                    scope.spawn(move |_| {
-                        let mut w = WorkerState::new(self, ctrl, opts, store, late_busy, t);
-                        'reps: for rep in 0..self.repetitions {
-                            match opts.schedule {
-                                Schedule::Static => {
-                                    let mut tile = t;
-                                    while tile < tiles {
-                                        if !w.run_tile(tile, rep) {
-                                            break 'reps;
-                                        }
-                                        tile += threads;
-                                    }
-                                }
-                                Schedule::Dynamic => loop {
-                                    let tile = next_tile.fetch_add(1, Ordering::SeqCst);
-                                    if tile >= tiles {
-                                        break;
-                                    }
-                                    if !w.run_tile(tile, rep) {
-                                        break 'reps;
-                                    }
-                                },
-                            }
-                            // End-of-doall barrier: no thread starts
-                            // repetition r+1 until all finish r.  A
-                            // cancelled barrier means the run is being
-                            // torn down — drain with partial metrics.
-                            // The time parked here is measured per
-                            // repetition: it is the synchronization
-                            // cost (load imbalance + barrier mechanics)
-                            // a latency calibration fits against.
-                            let wait_start = Instant::now();
-                            let Ok(leader) = ctrl.barrier.wait() else {
+        let worker = |t: usize| {
+            let mut w = WorkerState::new(self, &ctrl, opts, store, &late_busy, t);
+            'reps: for rep in 0..self.repetitions {
+                match opts.schedule {
+                    Schedule::Static => {
+                        let mut tile = t;
+                        while tile < tiles {
+                            if !w.run_tile(tile, rep) {
                                 break 'reps;
-                            };
-                            let mut waited = wait_start.elapsed();
-                            if opts.schedule == Schedule::Dynamic {
-                                if leader {
-                                    next_tile.store(0, Ordering::SeqCst);
-                                }
-                                let wait_start = Instant::now();
-                                if ctrl.barrier.wait().is_err() {
-                                    w.barrier_wait += waited;
-                                    w.rep_waits.push(waited);
-                                    break 'reps;
-                                }
-                                waited += wait_start.elapsed();
                             }
-                            w.barrier_wait += waited;
-                            w.rep_waits.push(waited);
+                            tile += threads;
                         }
-                        w.finish()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .filter_map(|h| match h.join() {
-                    Ok(out) => Some(out),
-                    Err(payload) => {
-                        // A worker panicked *outside* the per-tile
-                        // containment (a bug in metrics bookkeeping,
-                        // not in a kernel).  Surface it as a structured
-                        // failure rather than poisoning the caller.
-                        ctrl.fail(RuntimeError::TileFailed {
-                            tile: usize::MAX,
-                            rep: 0,
-                            payload: format!(
-                                "worker panicked outside tile containment: {}",
-                                payload_string(payload.as_ref())
-                            ),
-                        });
-                        None
                     }
-                })
-                .collect()
+                    Schedule::Dynamic => loop {
+                        let tile = next_tile.fetch_add(1, Ordering::SeqCst);
+                        if tile >= tiles {
+                            break;
+                        }
+                        if !w.run_tile(tile, rep) {
+                            break 'reps;
+                        }
+                    },
+                }
+                // End-of-doall barrier: no thread starts repetition r+1
+                // until all finish r.  A cancelled barrier means the run
+                // is being torn down — drain with partial metrics.  The
+                // time parked here is measured per repetition: it is the
+                // synchronization cost (load imbalance + barrier
+                // mechanics) a latency calibration fits against.
+                let wait_start = Instant::now();
+                let Ok(leader) = ctrl.barrier.wait() else {
+                    break 'reps;
+                };
+                let mut waited = wait_start.elapsed();
+                if opts.schedule == Schedule::Dynamic {
+                    if leader {
+                        next_tile.store(0, Ordering::SeqCst);
+                    }
+                    let wait_start = Instant::now();
+                    if ctrl.barrier.wait().is_err() {
+                        w.barrier_wait += waited;
+                        w.rep_waits.push(waited);
+                        break 'reps;
+                    }
+                    waited += wait_start.elapsed();
+                }
+                w.barrier_wait += waited;
+                w.rep_waits.push(waited);
+            }
+            w.finish()
+        };
+        // A worker that unwinds outside the per-tile containment (a bug
+        // in metrics bookkeeping, not in a kernel) fails the run, which
+        // cancels the barrier the others may be parked at, so they drain
+        // and join instead of waiting for a party that never comes.
+        let contained = |t: usize| match catch_unwind(AssertUnwindSafe(|| worker(t))) {
+            Ok(out) => Some(out),
+            Err(payload) => {
+                ctrl.fail(RuntimeError::TileFailed {
+                    tile: usize::MAX,
+                    rep: 0,
+                    payload: format!(
+                        "worker panicked outside tile containment: {}",
+                        payload_string(payload.as_ref())
+                    ),
+                });
+                None
+            }
+        };
+
+        // Worker 0 is the calling thread; only the other `threads − 1`
+        // are spawned, so a one-thread run starts no thread at all.
+        let mut outs: Vec<ThreadOut> = crossbeam::scope(|scope| {
+            let contained = &contained;
+            let handles: Vec<_> = (1..threads)
+                .map(|t| scope.spawn(move |_| contained(t)))
+                .collect();
+            let mut outs: Vec<ThreadOut> = contained(0).into_iter().collect();
+            for h in handles {
+                // `contained` catches every unwind, so a join never errs.
+                outs.extend(h.join().expect("contained worker"));
+            }
+            outs
         })
-        // The shim's scope only errs when a child panic escaped an
-        // explicit join; every handle above *is* joined, so propagate
-        // as a structured error just in case rather than panicking.
+        // Only an unwind that escaped `contained` reaches here.
         .map_err(|payload| RuntimeError::TileFailed {
             tile: usize::MAX,
             rep: 0,
@@ -615,18 +625,26 @@ impl Executor {
     }
 
     /// Execute the nest *sequentially* from `init`, interpreting the IR
-    /// directly (`ArrayRef::eval` + `ArrayLayout::line`) rather than
-    /// through the compiled kernel — an independent implementation path
-    /// that the parallel result must match bit for bit.
+    /// directly (each `ArrayRef` subscript's `AffineExpr::eval` +
+    /// `ArrayLayout::line`) rather than through the compiled kernel — an
+    /// independent implementation path that the parallel result must
+    /// match bit for bit.
     pub fn run_reference(&self, init: &[f64]) -> Vec<f64> {
         let mut data = init.to_vec();
         let layout = &self.layout;
         let stmts: Vec<RefStmt> = (self.nest.body.iter())
             .map(|st| RefStmt::new(st, layout))
             .collect();
+        // Every subscript is evaluated into this one vector, so the walk
+        // allocates per point (the point itself), not per reference.
+        let mut index = IVec(Vec::new());
         for _rep in 0..self.repetitions {
             for pt in self.nest.iteration_points() {
-                let line = |&(id, r): &(usize, &ArrayRef)| layout.line(id, &r.eval(&pt)) as usize;
+                let mut line = |&(id, r): &(usize, &ArrayRef)| {
+                    index.0.clear();
+                    index.0.extend(r.subscripts.iter().map(|s| s.eval(&pt)));
+                    layout.line(id, &index) as usize
+                };
                 for st in &stmts {
                     let lhs = line(&st.lhs);
                     match st.mode {
@@ -1006,7 +1024,6 @@ fn reps(nest: &LoopNest) -> Result<u64, RuntimeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alp_linalg::IVec;
 
     /// A one-thread run whose stop flag is already set.
     fn stopped() -> RunControl<'static> {

@@ -179,7 +179,7 @@ server_stats! {
     misses,
     /// Requests that waited on another request's in-flight compile.
     coalesced,
-    /// LRU evictions across shards.
+    /// SIEVE evictions across shards.
     evictions,
     /// Subset of `hits` answered on reader threads without queueing.
     inline_hits,
