@@ -557,6 +557,29 @@ mod tests {
     }
 
     #[test]
+    fn distinct_params_do_not_alias() {
+        let cache: ShardedPlanCache = ShardedPlanCache::new(1, 8);
+        cache.warm(key(1), Arc::new(plan(63)));
+        let vary = |change: fn(&mut PlanKey)| {
+            let mut other = key(1);
+            change(&mut other);
+            other
+        };
+        let others = [
+            key(2),
+            vary(|k| k.checked = false),
+            vary(|k| k.mesh = Some((2, 2))),
+            vary(|k| k.calibrated = true),
+            vary(|k| k.skewed = true),
+            vary(|k| k.certified = true),
+        ];
+        for other in &others {
+            assert!(cache.get_cached(other).is_none(), "{other:?}");
+        }
+        assert!(cache.get_cached(&key(1)).is_some());
+    }
+
+    #[test]
     fn distinct_keys_do_not_alias_across_shards() {
         let cache: ShardedPlanCache = ShardedPlanCache::new(8, 64);
         for fp in 0..32u64 {
