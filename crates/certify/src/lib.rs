@@ -317,8 +317,8 @@ fn box_is_empty(b: &Box128) -> bool {
 ///   disjoint boxes have disjoint clippings;
 /// * containment, for an unclipped tiling: a tile point violating a
 ///   loop bound is infeasible (a clipped tiling's walk emits in-domain
-///   points only, see
-///   [`TransformedDomain`](alp_plan::TransformedDomain));
+///   points only: the loop bounds are among the rows it walks, see
+///   [`Tiling::loop_rows`](alp_plan::Tiling::loop_rows));
 /// * exactness: disjoint + contained tiles whose point counts sum to
 ///   the space's volume leave no gap (`U` is a bijection, so the count
 ///   is the same in either space).

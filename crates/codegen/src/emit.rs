@@ -1,7 +1,5 @@
 //! The one per-processor code emitter.
 
-use alp_linalg::fm::{eliminate, Constraint, System};
-use alp_linalg::{gcd_many, lcm, Rat};
 use alp_loopir::LoopNest;
 use alp_plan::{PlanError, Tiling, Transform};
 
@@ -10,16 +8,12 @@ use alp_plan::{PlanError, Tiling, Transform};
 /// nest's own coordinates and order, inside the nest's `doseq` loops
 /// with a barrier per repetition.
 ///
-/// The tile is one system over the iteration `ī` and the grid
-/// coordinates `p`: the loop bounds `lo ≤ ī ≤ hi` and the tile box
-/// `b_k + c_k·p_k ≤ (ī·U)_k ≤ b_k + c_k·p_k + c_k − 1`, whose cuts
-/// `(b_k, c_k)` are the tiling's [`bounds`](Tiling::bounds) and
-/// [`chunks`](Tiling::chunks), with `U = I` when there is no transform.
-/// Fourier–Motzkin eliminates `ī` innermost-out, so loop `k`'s bounds
-/// mention only `p` and the indices outside it.  A rectangular tile gets
-/// two bounds a side, `max`/`min` clamps (§3.7's "easy code
-/// generation"); a skewed one `ceil`/`floor` of more.  Identical
-/// constraints are printed once.
+/// Loop `k`'s bounds are the tiling's own
+/// [`loop_rows(k)`](Tiling::loop_rows) — the rows
+/// [`Tiling::for_each_panel`] walks — each solved for `i_k` over `p` and
+/// the indices outside it: a rectangular tile gets two bounds a side,
+/// `max`/`min` clamps (§3.7's "easy code generation"); a skewed one
+/// `ceil`/`floor` of more.
 ///
 /// Fails as [`Tiling::new`] does on a grid or transform that does not
 /// fit the nest.
@@ -30,29 +24,6 @@ pub fn emit_code(
 ) -> Result<String, PlanError> {
     let tiling = Tiling::new(nest, transform, grid)?;
     let n = nest.depth();
-    // Variables: the indices `ī` are `x_0..x_{n−1}`, the grid
-    // coordinates `p` are `x_n..x_{2n−1}`.
-    let mut sys = System::new(2 * n);
-    for (d, (lo, hi)) in nest.bounds().enumerate() {
-        let x: Vec<Rat> = (0..2 * n).map(|v| Rat::int((v == d).into())).collect();
-        sys.ge(x.clone(), Rat::int(lo));
-        sys.le(x, Rat::int(hi));
-    }
-    let cuts = tiling.bounds().iter().zip(tiling.chunks());
-    for (k, (&(b, _), &c)) in cuts.enumerate() {
-        let u = |d: usize| transform.map_or((d == k).into(), |t| t.u()[(d, k)]);
-        let p = |m: usize| if m == k { -c } else { 0 };
-        let row: Vec<Rat> = (0..n).map(u).chain((0..n).map(p)).map(Rat::int).collect();
-        sys.ge(row.clone(), Rat::int(b));
-        sys.le(row, Rat::int(b + c - 1));
-    }
-    // levels[k] bounds x_k given p and x_0..x_{k−1}.
-    let mut levels = vec![sys];
-    for k in (1..n).rev() {
-        levels.push(eliminate(levels.last().expect("nonempty"), k));
-    }
-    levels.reverse();
-
     let mut names = nest.index_names();
     names.extend((0..n).map(|k| format!("p{k}")));
     let mut out = format!(
@@ -74,8 +45,8 @@ pub fn emit_code(
         let (t, lo, hi) = (&l.name, l.lower, l.upper);
         line(depth, format!("for {t} in {lo} ..= {hi} {{"));
     }
-    for (k, sys) in levels.iter().enumerate() {
-        let (lo, hi) = solved_for(sys, k, &names);
+    for k in 0..n {
+        let (lo, hi) = solved_for(tiling.loop_rows(k), k, &names);
         line(seq + k, format!("for {} in {lo} ..= {hi} {{", names[k]));
     }
     for st in &nest.body {
@@ -104,17 +75,16 @@ pub fn emit_rect_code(nest: &LoopNest, grid: &[i128]) -> String {
     emit_code(nest, None, grid).expect("the grid tiles the nest")
 }
 
-/// Loop `k`'s bounds in `sys`, `(lower, upper)`: every distinct
-/// constraint on `x_k` solved for it, a `max` of lower and a `min` of
-/// upper bounds over the other variables `names`.
-fn solved_for(sys: &System, k: usize, names: &[String]) -> (String, String) {
-    let mut seen: Vec<Vec<i128>> = Vec::new();
+/// Loop `k`'s bounds from its `rows` (`Σ a_j·x_j ≤ d` over the
+/// variables `names`, then `d`), `(lower, upper)`: each row solved for
+/// `x_k`, a `max` of lower and a `min` of upper bounds.
+fn solved_for<'a>(
+    rows: impl Iterator<Item = &'a [i128]>,
+    k: usize,
+    names: &[String],
+) -> (String, String) {
     let (mut lowers, mut uppers) = (Vec::new(), Vec::new());
-    for c in sys.constraints.iter().filter(|c| !c.coeffs[k].is_zero()) {
-        let row = integral(c);
-        if seen.contains(&row) {
-            continue;
-        }
+    for row in rows {
         // Σ a_j·x_j ≤ d  ⇒  x_k ≤ (d − Σ_{j≠k} a_j·x_j)/a_k when a_k > 0,
         // x_k ≥ that when a_k < 0.
         let (a, s) = (&row[..names.len()], row[k].signum());
@@ -133,22 +103,12 @@ fn solved_for(sys: &System, k: usize, names: &[String]) -> (String, String) {
             e = format!("{round}(({e})/{})", a[k].abs());
         }
         if s > 0 { &mut uppers } else { &mut lowers }.push(e);
-        seen.push(row);
     }
     let clamp = |f: &str, terms: Vec<String>| match &terms[..] {
         [one] => one.clone(),
         _ => format!("{f}({})", terms.join(", ")),
     };
     (clamp("max", lowers), clamp("min", uppers))
-}
-
-/// `c`'s coefficients, then its bound, as coprime integers.
-fn integral(c: &Constraint) -> Vec<i128> {
-    let all = c.coeffs.iter().chain([&c.bound]);
-    let scale = Rat::int(all.clone().fold(1, |m, r| lcm(m, r.den())));
-    let row: Vec<i128> = all.map(|&r| (r * scale).num()).collect();
-    let g = gcd_many(&row);
-    row.into_iter().map(|v| v / g).collect()
 }
 
 #[cfg(test)]

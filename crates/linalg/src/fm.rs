@@ -1,11 +1,12 @@
 //! A small exact Fourier–Motzkin eliminator over rational linear
 //! inequalities.
 //!
-//! Two consumers share this machinery: `alp-codegen`'s one emitter,
-//! `emit_code`, eliminates a tile's iteration indices innermost-out to
-//! print the loops processor `p` runs (§3.7 notes that rectangular tiles
-//! make code generation easy; this module is what "hard" costs for the
-//! general case), and `alp-analysis`'s exact integer search eliminates
+//! Two consumers share this machinery: `alp-plan`'s `Tiling::new`
+//! eliminates a tile's iteration indices innermost-out, once, into the
+//! loop bounds that every walk of the tile evaluates and `alp-codegen`'s
+//! `emit_code` prints (§3.7 notes that rectangular tiles make code
+//! generation easy; this module is what "hard" costs for the general
+//! case), and `alp-analysis`'s exact integer search eliminates
 //! variables with [`eliminate`] and, where no elimination is exact, tries
 //! the [`dark_shadow`] before splitting the question.
 
@@ -127,19 +128,17 @@ pub fn dark_shadow(sys: &System, k: usize) -> System {
 fn combine(sys: &System, k: usize, slack: impl Fn(Rat, Rat) -> Rat) -> System {
     let mut uppers = Vec::new(); // c_k > 0
     let mut lowers = Vec::new(); // c_k < 0
-    let mut rest = Vec::new();
+    let mut out = System::new(sys.vars);
     for c in &sys.constraints {
         let ck = c.coeffs[k];
         if ck > Rat::ZERO {
-            uppers.push(c.clone());
+            uppers.push(c);
         } else if ck < Rat::ZERO {
-            lowers.push(c.clone());
+            lowers.push(c);
         } else {
-            rest.push(c.clone());
+            out.constraints.push(c.clone());
         }
     }
-    let mut out = System::new(sys.vars);
-    out.constraints = rest;
     for u in &uppers {
         for l in &lowers {
             // u: a·x ≤ b with a_k > 0;  l: c·x ≤ d with c_k < 0.

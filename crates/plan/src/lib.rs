@@ -67,7 +67,7 @@ pub use rank::{
 pub use shard::{Fetched, ShardOccupancy, ShardedCacheStats, ShardedPlanCache};
 pub use store::{PlanStore, RecoveryReport, StoreConfig, StoredEntry};
 pub use tiles::{IterBox, Tiling};
-pub use transform::{skewed_candidates, SkewedCandidate, Transform, TransformedDomain};
+pub use transform::{skewed_candidates, SkewedCandidate, Transform};
 
 /// Everything that can go wrong building, encoding, or decoding a plan.
 #[derive(Debug, Clone, PartialEq, Eq)]

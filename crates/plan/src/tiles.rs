@@ -1,18 +1,20 @@
 //! The ONE tile enumerator of the workspace.
 //!
 //! Every consumer of a partition — `alp-codegen`'s
-//! iteration-to-processor assignment, `alp-runtime`'s native executor,
-//! `alp-certify`'s coverage proof, `alp-calibrate`'s features,
-//! `alp-machine`'s simulator driver — takes a [`Tiling`] from this
-//! module, so "which iterations does processor `t` own?" has exactly one
-//! answer for rectangular and skewed plans alike: the same
+//! iteration-to-processor assignment and emitted loops, `alp-runtime`'s
+//! native executor, `alp-certify`'s coverage proof, `alp-calibrate`'s
+//! features, `alp-machine`'s simulator driver — takes a [`Tiling`] from
+//! this module, so "which iterations does processor `t` own?" has exactly
+//! one answer for rectangular and skewed plans alike: the same
 //! ceiling-division chunking, the same row-major tile→processor
-//! numbering, and the same clamping at the upper boundary.
+//! numbering, and the same loop bounds, which `emit_code` prints and
+//! [`Tiling::for_each_panel`] walks.
 
-use crate::transform::{Transform, TransformedDomain};
+use crate::transform::Transform;
 use crate::PlanError;
-use alp_linalg::{walk_box, IVec};
-use alp_loopir::LoopNest;
+use alp_linalg::fm::{eliminate, System};
+use alp_linalg::{gcd, walk_box, IVec, Rat};
+use alp_loopir::{AffineExpr, LoopNest};
 
 /// An axis-aligned box of iterations, inclusive on both ends per
 /// dimension.  Empty when any `lo > hi`.
@@ -52,47 +54,6 @@ impl IterBox {
             true
         });
     }
-
-    /// Visit the box as panels, in row-major order: one per outer
-    /// prefix `i₀..i_{n−3}`, spanning the whole next-outer extent (see
-    /// [`Tiling::for_each_panel`] for the callback).  Returns `true` when
-    /// every panel was visited.  A box of depth 0 has none.
-    pub fn for_each_panel(&self, mut f: impl FnMut(&mut [i64], u64, i64, i64) -> bool) -> bool {
-        let n = self.lo.len();
-        if n == 0 || self.lo.iter().zip(&self.hi).any(|(l, h)| l > h) {
-            return true;
-        }
-        let (lo, hi) = (self.lo[n - 1], self.hi[n - 1]);
-        let mut i = self.lo.clone();
-        let Some(across) = n.checked_sub(2) else {
-            return f(&mut i, 1, lo, hi);
-        };
-        let first = self.lo[across];
-        let rows = self.hi[across].abs_diff(first) + 1;
-        walk_box(&self.lo[..across], &self.hi[..across], &mut i, |i| {
-            i[across] = first;
-            f(i, rows, lo, hi)
-        })
-    }
-}
-
-/// Run `f` over the rows of the panel `(i, rows, lo, hi)`, in order,
-/// until it returns `false`; returns `false` when it did.
-fn panel_rows(
-    i: &mut [i64],
-    rows: u64,
-    lo: i64,
-    hi: i64,
-    f: &mut impl FnMut(&mut [i64], i64, i64) -> bool,
-) -> bool {
-    let Some(across) = i.len().checked_sub(2) else {
-        return f(i, lo, hi);
-    };
-    let first = i[across];
-    (0..rows as i64).all(|r| {
-        i[across] = first + r;
-        f(i, lo, hi)
-    })
 }
 
 /// Which iterations tile `t` owns, and in what row order: `Π grid`
@@ -105,15 +66,39 @@ fn panel_rows(
 /// plan, whose boxes are then *exact*; for a plan with a [`Transform`]
 /// it is the bounding box of the transformed domain, and a tile is the
 /// set of in-bounds `ī` whose image `ī·U` lies in its box.  Either way
-/// every walk — rows, points, counts — runs in the nest's own
-/// coordinates and order.
+/// a tile is one system over `ī` and its grid coordinates `p`: the loop
+/// bounds `lo ≤ ī ≤ hi` and the tile box
+/// `b_k + c_k·p_k ≤ (ī·U)_k ≤ b_k + c_k·p_k + c_k − 1`, with cuts
+/// `(b_k, c_k)` from [`bounds`](Tiling::bounds) and
+/// [`chunks`](Tiling::chunks) and `U = I` for a rectangle.
+/// Fourier–Motzkin eliminates `ī` innermost-out once, in
+/// [`Tiling::new`], and leaves the [`loop_rows`](Tiling::loop_rows) of
+/// each index; every walk — panels, rows, points, counts — evaluates
+/// those rows in the nest's own coordinates and order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tiling {
     boxes: Vec<IterBox>,
     bounds: Vec<(i128, i128)>,
     chunks: Vec<i128>,
-    /// `None` means the boxes are exact.
-    domain: Option<TransformedDomain>,
+    levels: Vec<Level>,
+    /// `free[m]`: no row of a deeper index mentions `i_m`, so the ranges
+    /// below `i_m` are the same for each of its values.
+    free: Vec<bool>,
+    /// True when a transform cut the boxes.
+    clipped: bool,
+}
+
+/// One index's bounds, for every tile.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Level {
+    /// Its rows `[a_0…a_{n−1}, b_0…b_{n−1}, d]` (see
+    /// [`Tiling::loop_rows`]), flat.
+    rows: Vec<i128>,
+    /// Its rows that mention an outer index, as the walk reads them:
+    /// `[a_k, a_0, …, a_{n−1}]`, flat.
+    outer: Vec<i64>,
+    /// Where the walk keeps those rows' constants, `d − Σ_m b_m·p_m`.
+    first: usize,
 }
 
 impl Tiling {
@@ -121,7 +106,8 @@ impl Tiling {
     /// `grid`.  Fails with [`PlanError::BadGrid`] on a grid of the wrong
     /// rank, a non-positive factor, or bounds that overflow `i64` /
     /// a tile count that overflows `usize`, and with
-    /// [`PlanError::Transform`] when the transform does not fit the nest.
+    /// [`PlanError::Transform`] when the transform does not fit the nest
+    /// or a sum the walk forms could leave `i64`.
     pub fn new(
         nest: &LoopNest,
         transform: Option<&Transform>,
@@ -150,12 +136,9 @@ impl Tiling {
             to_i64(l.lower, "loop bound")?;
             to_i64(l.upper, "loop bound")?;
         }
-        let domain = transform.map(|t| t.domain(nest)).transpose()?;
-        let bounds: Vec<(i128, i128)> = match &domain {
+        let bounds: Vec<(i128, i128)> = match transform {
             None => nest.bounds().collect(),
-            Some(d) => (d.jlo().iter().zip(d.jhi()))
-                .map(|(&lo, &hi)| (i128::from(lo), i128::from(hi)))
-                .collect(),
+            Some(t) => t.bounds(nest)?,
         };
         let chunks: Vec<i128> = (bounds.iter().zip(grid))
             .map(|(&(lo, hi), &g)| ((hi - lo + 1).max(0) + g - 1) / g)
@@ -183,11 +166,15 @@ impl Tiling {
             built.is_ok()
         });
         built?;
+        let rows = loop_rows(nest, transform, &bounds, &chunks)?;
+        let (levels, free) = walk_levels(nest, grid, rows)?;
         Ok(Tiling {
             boxes,
             bounds,
             chunks,
-            domain,
+            levels,
+            free,
+            clipped: transform.is_some(),
         })
     }
 
@@ -231,60 +218,71 @@ impl Tiling {
     /// True when the boxes over-approximate the tiles and walks clip
     /// them against a transformed domain.
     pub fn is_clipped(&self) -> bool {
-        self.domain.is_some()
+        self.clipped
+    }
+
+    /// Loop `k`'s bounds, for every tile at once: each row
+    /// `[a_0, …, a_{n−1}, b_0, …, b_{n−1}, d]` is the inequality
+    /// `Σ_j a_j·i_j + Σ_m b_m·p_m ≤ d` over the indices `ī` and the grid
+    /// coordinates `p`, in coprime integers, with `a_k ≠ 0` (an upper
+    /// bound on `i_k` when `a_k > 0`, a lower one otherwise) and
+    /// `a_j = 0` for `j > k`.  Distinct, in the order Fourier–Motzkin
+    /// first produced them.
+    pub fn loop_rows(&self, k: usize) -> impl Iterator<Item = &[i128]> + '_ {
+        self.levels[k].rows.chunks_exact(2 * self.bounds.len() + 1)
     }
 
     /// Exact number of iterations tile `t` owns.
     pub fn points(&self, t: usize) -> u64 {
-        match &self.domain {
-            None => self.boxes[t].volume(),
-            Some(d) => u64::try_from(d.count(&self.boxes[t])).expect("tile point count fits u64"),
-        }
+        let count = self.scan(t, |s, i| s.count(0, i)).unwrap_or(0);
+        u64::try_from(count).expect("tile point count fits u64")
     }
 
     /// Visit tile `t` as *panels* of the nest's **own** iteration space,
     /// in lexicographic order, until `f` returns `false`; returns `false`
     /// when the walk was stopped early.  A panel is a run of consecutive
     /// rows that step the next-outer index and share the outer prefix and
-    /// the innermost range: `f` receives a scratch point with the prefix
-    /// `i₀..i_{n−2}` of its first row filled in (the last entry is
-    /// unspecified; `f` may change both), its row count and the inclusive
-    /// range `lo..=hi`.  An exact box gives one panel per outer prefix; a
-    /// clipped tile a maximal run of non-empty rows of one range, which
-    /// for a skewed tile is often a single row.  A nest of depth 1 has
-    /// one-row panels.
+    /// the innermost range: `f` receives a scratch point holding the
+    /// panel's first point (`f` may change its last two entries), its row
+    /// count and the inclusive range `lo..=hi`.  Panels are maximal: when
+    /// no innermost row mentions the next-outer index — every rectangle —
+    /// each outer prefix is one panel, and that index's rows are never
+    /// visited; otherwise consecutive non-empty rows of one range are
+    /// grouped, which for a skewed tile is often a single row.  A nest of
+    /// depth 1 has one-row panels.
     pub fn for_each_panel(
         &self,
         t: usize,
-        f: impl FnMut(&mut [i64], u64, i64, i64) -> bool,
+        mut f: impl FnMut(&mut [i64], u64, i64, i64) -> bool,
     ) -> bool {
-        match &self.domain {
-            None => self.boxes[t].for_each_panel(f),
-            Some(d) => d.for_each_panel(&self.boxes[t], f),
-        }
+        self.scan(t, |s, i| s.walk(0, i, &mut f)).unwrap_or(true)
     }
 
     /// Visit tile `t` as innermost rows `(i[..last], lo..=hi)`: its
     /// [panels](Tiling::for_each_panel) row by row, in the same order.
     pub fn for_each_row(&self, t: usize, mut f: impl FnMut(&mut [i64], i64, i64) -> bool) -> bool {
-        self.for_each_panel(t, |i, rows, lo, hi| panel_rows(i, rows, lo, hi, &mut f))
+        self.for_each_panel(t, |i, rows, lo, hi| {
+            let Some(across) = i.len().checked_sub(2) else {
+                return f(i, lo, hi);
+            };
+            let first = i[across];
+            (0..rows as i64).all(|r| {
+                i[across] = first + r;
+                f(i, lo, hi)
+            })
+        })
     }
 
     /// Visit every iteration tile `t` owns, in row order.
     pub fn for_each_point(&self, t: usize, mut f: impl FnMut(&[i64])) {
-        match &self.domain {
-            None => self.boxes[t].for_each_point(f),
-            Some(_) => {
-                self.for_each_row(t, |i, lo, hi| {
-                    let last = i.len() - 1;
-                    for x in lo..=hi {
-                        i[last] = x;
-                        f(i);
-                    }
-                    true
-                });
+        self.for_each_row(t, |i, lo, hi| {
+            let last = i.len() - 1;
+            for x in lo..=hi {
+                i[last] = x;
+                f(i);
             }
-        }
+            true
+        });
     }
 
     /// Every tile's iterations as explicit original-space point lists —
@@ -298,6 +296,302 @@ impl Tiling {
             })
             .collect()
     }
+
+    /// Run `body` on tile `t`'s rows with its grid coordinates
+    /// substituted and a scratch point; `None`, without running it, when
+    /// the nest has no index or a bound over `p` alone leaves one no value.
+    fn scan<R>(&self, t: usize, body: impl FnOnce(Scan, &mut [i64]) -> R) -> Option<R> {
+        let n = self.bounds.len();
+        let constants = self.levels.last()?;
+        let constants = constants.first + constants.outer.len() / (n + 1);
+        // The scratch point, then each index's fixed range, then the
+        // constants of the rows that mention an outer index.
+        let mut buf = vec![0; 3 * n + constants];
+        let (i, rest) = buf.split_at_mut(n);
+        let (fixed, consts) = rest.split_at_mut(2 * n);
+        // Until the walk starts, the scratch point holds `p`.
+        let bx = &self.boxes[t];
+        for (k, p) in i.iter_mut().enumerate() {
+            if self.chunks[k] != 0 {
+                *p = ((i128::from(bx.lo[k]) - self.bounds[k].0) / self.chunks[k]) as i64;
+            }
+        }
+        for (k, level) in self.levels.iter().enumerate() {
+            let (mut lo, mut hi) = (i128::MIN, i128::MAX);
+            let mut c = level.first;
+            for r in self.loop_rows(k) {
+                // `walk_levels` keeps these sums in `i128`.
+                let e = (0..n).fold(r[2 * n], |e, m| e - r[n + m] * i128::from(i[m]));
+                if r[..k].iter().any(|&a| a != 0) {
+                    consts[c] = e as i64;
+                    c += 1;
+                    continue;
+                }
+                match r[k] {
+                    1 => hi = hi.min(e),
+                    -1 => lo = lo.max(-e),
+                    a if a > 0 => hi = hi.min(e.div_euclid(a)),
+                    a => lo = lo.max(-e.div_euclid(-a)),
+                }
+            }
+            if lo > hi {
+                return None;
+            }
+            // Within loop `k`'s own bounds, which are among its rows.
+            (fixed[2 * k], fixed[2 * k + 1]) = (lo as i64, hi as i64);
+        }
+        let scan = Scan {
+            levels: &self.levels,
+            free: &self.free,
+            fixed,
+            consts,
+        };
+        Some(body(scan, i))
+    }
+}
+
+/// One tile's loop bounds, ready to walk.
+struct Scan<'a> {
+    levels: &'a [Level],
+    free: &'a [bool],
+    /// Per index, `lo, hi`: the range its rows without an outer index
+    /// leave.
+    fixed: &'a [i64],
+    /// Per row that mentions an outer index, `d − Σ_m b_m·p_m`.
+    consts: &'a [i64],
+}
+
+impl Scan<'_> {
+    /// The range of `i_k` given the outer indices `i[..k]`: the largest
+    /// lower bound to the smallest upper one.
+    #[inline]
+    fn range(&self, k: usize, i: &[i64]) -> (i64, i64) {
+        let (mut lo, mut hi) = (self.fixed[2 * k], self.fixed[2 * k + 1]);
+        let level = &self.levels[k];
+        let rows = level.outer.chunks_exact(i.len() + 1);
+        for (r, &e) in rows.zip(&self.consts[level.first..]) {
+            // Σ_{j<k} a_j·i_j + a_k·i_k ≤ e.
+            let s = e - (0..k).map(|j| r[1 + j] * i[j]).sum::<i64>();
+            match r[0] {
+                1 => hi = hi.min(s),
+                -1 => lo = lo.max(-s),
+                a if a > 0 => hi = hi.min(s.div_euclid(a)),
+                a => lo = lo.max(-s.div_euclid(-a)),
+            }
+        }
+        (lo, hi)
+    }
+
+    /// Visit the panels below the prefix `i[..m]` (see
+    /// [`Tiling::for_each_panel`]).
+    fn walk<F: FnMut(&mut [i64], u64, i64, i64) -> bool>(
+        &self,
+        m: usize,
+        i: &mut [i64],
+        f: &mut F,
+    ) -> bool {
+        let n = i.len();
+        let (lo, hi) = self.range(m, i);
+        if lo > hi {
+            return true;
+        }
+        // The panel of `rows` rows from `first` over `range`, handed to
+        // `f` as its first point.
+        let mut panel = |i: &mut [i64], first: i64, rows: u64, (a, b): (i64, i64)| {
+            i[m] = first;
+            i[n - 1] = a;
+            f(i, rows, a, b)
+        };
+        if m + 1 == n {
+            // Depth 1: the one row is its own panel.
+            return panel(i, lo, 1, (lo, hi));
+        }
+        if m + 2 < n {
+            return (lo..=hi).all(|x| {
+                i[m] = x;
+                self.walk(m + 1, i, f)
+            });
+        }
+        if self.free[m] {
+            // Every row of this level has one range: one panel.
+            i[m] = lo;
+            let range = self.range(m + 1, i);
+            return range.0 > range.1 || panel(i, lo, hi.abs_diff(lo) + 1, range);
+        }
+        // Consecutive rows of one range are held in `run` —
+        // `(first, rows, range)` — until one differs.
+        let mut run: Option<(i64, u64, (i64, i64))> = None;
+        for x in lo..=hi {
+            i[m] = x;
+            let range = self.range(m + 1, i);
+            match &mut run {
+                Some((_, rows, held)) if *held == range => *rows += 1,
+                _ => {
+                    if let Some((first, rows, held)) = run.take() {
+                        if !panel(i, first, rows, held) {
+                            return false;
+                        }
+                    }
+                    run = (range.0 <= range.1).then_some((x, 1, range));
+                }
+            }
+        }
+        run.is_none_or(|(first, rows, held)| panel(i, first, rows, held))
+    }
+
+    /// The number of points below the prefix `i[..m]`; an index no
+    /// deeper row mentions multiplies rather than steps.
+    fn count(&self, m: usize, i: &mut [i64]) -> u128 {
+        let n = i.len();
+        let (lo, hi) = self.range(m, i);
+        if lo > hi {
+            return 0;
+        }
+        let span = u128::from(hi.abs_diff(lo)) + 1;
+        if m + 1 == n {
+            return span;
+        }
+        if self.free[m] {
+            i[m] = lo;
+            return span.saturating_mul(self.count(m + 1, i));
+        }
+        (lo..=hi).fold(0, |total, x| {
+            i[m] = x;
+            total.saturating_add(self.count(m + 1, i))
+        })
+    }
+}
+
+/// Per index `k`, the rows bounding `i_k` in every tile (see
+/// [`Tiling::loop_rows`]), flat: the tile system eliminated
+/// innermost-out.  Rows are kept in coprime integers, equal rows once,
+/// and rows that mention no index are dropped — no loop prints them, and
+/// each is implied by the rows that remain — so the rows of index `k` are
+/// the distinct rows of the system with `i_{n−1}, …, i_{k+1}`
+/// eliminated.  Fails when an elimination could leave `i128`.
+fn loop_rows(
+    nest: &LoopNest,
+    transform: Option<&Transform>,
+    bounds: &[(i128, i128)],
+    chunks: &[i128],
+) -> Result<Vec<Vec<i128>>, PlanError> {
+    let n = nest.depth();
+    // Variables: the indices `ī` are `x_0..x_{n−1}`, the grid
+    // coordinates `p` are `x_n..x_{2n−1}`.
+    let mut sys = System::new(2 * n);
+    for (d, (lo, hi)) in nest.bounds().enumerate() {
+        let x: Vec<Rat> = (0..2 * n).map(|v| Rat::int((v == d).into())).collect();
+        sys.ge(x.clone(), Rat::int(lo));
+        sys.le(x, Rat::int(hi));
+    }
+    for (k, (&(b, _), &c)) in bounds.iter().zip(chunks).enumerate() {
+        let u = |d: usize| transform.map_or((d == k).into(), |t| t.u()[(d, k)]);
+        let p = |m: usize| if m == k { -c } else { 0 };
+        let row: Vec<Rat> = (0..n).map(u).chain((0..n).map(p)).map(Rat::int).collect();
+        sys.ge(row.clone(), Rat::int(b));
+        sys.le(row, Rat::int(b + c - 1));
+    }
+    let mut levels = vec![Vec::new(); n];
+    for k in (0..n).rev() {
+        tidy(&mut sys, n);
+        let cs = &sys.constraints;
+        levels[k] = (cs.iter().filter(|c| !c.coeffs[k].is_zero()))
+            .flat_map(|c| c.coeffs.iter().chain([&c.bound]).map(Rat::num))
+            .collect();
+        if k == 0 {
+            break;
+        }
+        // A combined row is `|a|·u + |b|·l`: each entry at most twice
+        // the largest coefficient on `x_k` times the largest entry.
+        let on_k = cs.iter().map(|c| c.coeffs[k].num().unsigned_abs()).max();
+        let entry = (cs.iter().flat_map(|c| c.coeffs.iter().chain([&c.bound])))
+            .map(|r| r.num().unsigned_abs())
+            .max();
+        let combined = on_k.zip(entry).and_then(|(a, e)| a.checked_mul(e));
+        if combined.is_none_or(|v| v > (i128::MAX / 2) as u128) {
+            return Err(PlanError::Transform(format!(
+                "eliminating index {k} from the tile bounds overflows i128"
+            )));
+        }
+        sys = eliminate(&sys, k);
+    }
+    Ok(levels)
+}
+
+/// Scale each row of `sys` (integral) to coprime integers, drop the rows
+/// that mention none of the first `n` variables, and keep each row at its
+/// first occurrence.
+fn tidy(sys: &mut System, n: usize) {
+    let cs = &mut sys.constraints;
+    cs.retain(|c| c.coeffs[..n].iter().any(|a| !a.is_zero()));
+    for c in cs.iter_mut() {
+        debug_assert!(c.coeffs.iter().chain([&c.bound]).all(|r| r.den() == 1));
+        // Most rows have a unit coefficient: stop at a gcd of 1.
+        let g = (c.coeffs.iter().chain([&c.bound]))
+            .try_fold(0, |g, r| Some(gcd(g, r.num())).filter(|&g| g != 1));
+        if let Some(g) = g.filter(|&g| g > 1) {
+            let scaled = |r: &Rat| Rat::int(r.num() / g);
+            c.coeffs.iter_mut().for_each(|a| *a = scaled(a));
+            c.bound = scaled(&c.bound);
+        }
+    }
+    // Equal rows sort together, the first occurrence first.
+    let mut order: Vec<usize> = (0..cs.len()).collect();
+    order.sort_by(|&a, &b| (&cs[a].coeffs, cs[a].bound, a).cmp(&(&cs[b].coeffs, cs[b].bound, b)));
+    let mut keep = vec![true; cs.len()];
+    for w in order.windows(2) {
+        keep[w[1]] = cs[w[0]] != cs[w[1]];
+    }
+    let mut keep = keep.into_iter();
+    cs.retain(|_| keep.next().unwrap_or(true));
+}
+
+/// The rows as the walk reads them: per index, its rows that mention an
+/// outer index in `i64`, and which indices no deeper row mentions.
+/// Refuses rows the walk could not evaluate: [`Tiling::scan`] forms
+/// `e = d − Σ_m b_m·p_m` in `i128` for every tile, and [`Scan::range`]
+/// forms `e − Σ_{j<k} a_j·i_j` for a row that mentions an outer index in
+/// `i64`, each of whose partial sums is at most
+/// `max|e| + Σ_{j<k} |a_j|·max|i_j|` in magnitude.
+fn walk_levels(
+    nest: &LoopNest,
+    grid: &[i128],
+    rows: Vec<Vec<i128>>,
+) -> Result<(Vec<Level>, Vec<bool>), PlanError> {
+    let n = nest.depth();
+    let most: Vec<u128> = (nest.bounds())
+        .map(|(lo, hi)| lo.unsigned_abs().max(hi.unsigned_abs()))
+        .collect();
+    let (mut levels, mut free, mut first) = (Vec::with_capacity(n), vec![true; n], 0);
+    for (k, rows) in rows.into_iter().enumerate() {
+        let mut outer = Vec::new();
+        for r in rows.chunks_exact(2 * n + 1) {
+            let e = AffineExpr::new(r[n..2 * n].iter().map(|b| -b).collect(), r[2 * n])
+                .range(grid.iter().map(|g| (0, g - 1)))
+                .ok_or_else(|| {
+                    PlanError::Transform(format!("the tile bounds on index {k} overflow i128"))
+                })?;
+            if r[..k].iter().all(|&a| a == 0) {
+                continue;
+            }
+            let e = e.0.unsigned_abs().max(e.1.unsigned_abs());
+            let reach = (0..k).try_fold(e, |s, j| {
+                s.checked_add(r[j].unsigned_abs().checked_mul(most[j])?)
+            });
+            let wide = |a: &i128| i64::try_from(*a).is_err();
+            if reach.is_none_or(|s| s > i64::MAX as u128) || r[..=k].iter().any(wide) {
+                return Err(PlanError::Transform(format!(
+                    "the walk over index {k} overflows i64"
+                )));
+            }
+            (0..k).filter(|&j| r[j] != 0).for_each(|j| free[j] = false);
+            outer.extend([r[k]].iter().chain(&r[..n]).map(|&a| a as i64));
+        }
+        let count = outer.len() / (n + 1);
+        levels.push(Level { rows, outer, first });
+        first += count;
+    }
+    Ok((levels, free))
 }
 
 #[cfg(test)]
@@ -374,6 +668,30 @@ mod tests {
         let t = Transform::new(u, crate::fingerprint_hex(&nest)).unwrap();
         let err = Tiling::new(&nest, Some(&t), &[2, 2]).unwrap_err();
         assert!(matches!(err, PlanError::BadGrid(_)), "{err}");
+    }
+
+    #[test]
+    fn a_rectangle_at_the_i64_extremes_walks_without_wrapping() {
+        // Loop bounds that span all but one value of i64: each tile's
+        // bounds fit, and so must every sum the walk forms.
+        let nest = parse(
+            "doall (i, -9223372036854775808, 9223372036854775806) {
+               doall (j, 0, 3) { A[i,j] = A[i,j]; } }",
+        )
+        .unwrap();
+        let tiling = Tiling::new(&nest, None, &[4, 2]).unwrap();
+        let first = |t: usize| {
+            let mut first = None;
+            tiling.for_each_panel(t, |i, rows, lo, hi| {
+                first = Some((i.to_vec(), rows, lo, hi));
+                false
+            });
+            first.expect("a panel")
+        };
+        assert_eq!(first(0), (vec![i64::MIN, 0], 1 << 62, 0, 1));
+        assert_eq!(tiling.points(0), 1 << 63);
+        assert_eq!(first(7), (vec![1 << 62, 2], (1 << 62) - 1, 2, 3));
+        assert_eq!(tiling.points(7), (1 << 63) - 2);
     }
 
     #[test]

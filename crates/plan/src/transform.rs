@@ -11,16 +11,14 @@
 //!
 //! The transform decides which iterations a tile owns, not the order
 //! they run in.  The *domain* — the image of the original rectangular
-//! bounds — is the polyhedron `{j : lo_d ≤ (j·V)_d ≤ hi_d}`, and
-//! [`TransformedDomain`] owns it: its bounding box (which
+//! bounds — is the polyhedron `{j : lo_d ≤ (j·V)_d ≤ hi_d}`;
+//! [`Transform::bounds`] is its bounding box, which
 //! [`Tiling`](crate::Tiling) chunks exactly as it chunks the loop bounds
-//! of an untransformed plan), and the one walk of a box's share of it —
-//! exact rows of the nest's own iteration space, in its own
-//! lexicographic order — behind row execution, point lists and counts.
+//! of an untransformed plan, and whose tiles it walks as exact rows of
+//! the nest's own iteration space, in its own lexicographic order.
 
 use crate::fingerprint::fingerprint_hex;
 use crate::plan::feasible;
-use crate::tiles::IterBox;
 use crate::PlanError;
 use alp_linalg::IMat;
 use alp_loopir::{AffineExpr, LoopNest};
@@ -111,11 +109,11 @@ impl Transform {
         self.u == IMat::identity(self.u.rows())
     }
 
-    /// The image of the nest's rectangular bounds in `j`-space, and the
-    /// walk that enumerates a `j`-box's share of it in original
-    /// coordinates.  Fails when a transformed bound, or any sum the walk
-    /// forms, does not fit `i64`.
-    pub fn domain(&self, nest: &LoopNest) -> Result<TransformedDomain, PlanError> {
+    /// The bounding box of the nest's image in `j`-space: per
+    /// transformed dimension `k`, the exact range of `j_k = Σ_d i_d·U[d][k]`
+    /// over the loop bounds.  Fails when the rank does not match the nest
+    /// or a bound does not fit `i64`.
+    pub fn bounds(&self, nest: &LoopNest) -> Result<Vec<(i128, i128)>, PlanError> {
         let n = self.depth();
         if n != nest.depth() {
             return Err(PlanError::Transform(format!(
@@ -124,266 +122,20 @@ impl Transform {
                 nest.depth()
             )));
         }
-        // `j_k = Σ_d i_d·U[d][k]` is affine in `ī`: its exact range over
-        // the loop-bound box.
-        let mut jlo = Vec::with_capacity(n);
-        let mut jhi = Vec::with_capacity(n);
-        for k in 0..n {
-            let (min, max) = (AffineExpr::new(self.u.col(k).0, 0).range(nest.bounds()))
-                .ok_or_else(|| PlanError::Transform("transformed bound overflows i128".into()))?;
-            jlo.push(to_i64(min, "transformed bound")?);
-            jhi.push(to_i64(max, "transformed bound")?);
-        }
-        let (lo, hi): (Vec<i128>, Vec<i128>) = nest.bounds().unzip();
-        // Every sum the walk forms — a partial `Σ i_d·U[d][k]`, a box
-        // bound minus one — is at most twice `Σ_d max|i_d|·|U[d][k]|`
-        // in magnitude: bounding that once keeps the walk in `i64`.
-        for k in 0..n {
-            let reach = (0..n).try_fold(0i128, |acc, d| {
-                let i = lo[d].unsigned_abs().max(hi[d].unsigned_abs());
-                let term = i128::try_from(i)
-                    .ok()?
-                    .checked_mul(self.u[(d, k)].checked_abs()?)?;
-                acc.checked_add(term)
-            });
-            if reach.is_none_or(|r| r > i128::from(i64::MAX / 2)) {
-                return Err(PlanError::Transform(format!(
-                    "the walk over transformed dimension {k} overflows i64"
-                )));
-            }
-        }
-        let to_i64s = |xs: Vec<i128>, what| -> Result<Vec<i64>, PlanError> {
-            xs.into_iter().map(|x| to_i64(x, what)).collect()
-        };
-        let u = (0..n).flat_map(|d| self.u.row(d).0).collect();
-        Ok(TransformedDomain {
-            u: to_i64s(u, "transform entry")?,
-            v: self.v.clone(),
-            lo: to_i64s(lo, "loop bound")?,
-            hi: to_i64s(hi, "loop bound")?,
-            jlo,
-            jhi,
-        })
-    }
-}
-
-fn to_i64(v: i128, what: &str) -> Result<i64, PlanError> {
-    i64::try_from(v).map_err(|_| PlanError::Transform(format!("{what} {v} overflows i64")))
-}
-
-fn div_floor(a: i64, b: i64) -> i64 {
-    let q = a / b;
-    if a % b != 0 && (a < 0) != (b < 0) {
-        q - 1
-    } else {
-        q
-    }
-}
-
-fn div_ceil(a: i64, b: i64) -> i64 {
-    let q = a / b;
-    if a % b != 0 && (a < 0) == (b < 0) {
-        q + 1
-    } else {
-        q
-    }
-}
-
-/// The image of a nest's rectangular iteration space under a
-/// [`Transform`]: the polyhedron `{j : lo_d ≤ (j·V)_d ≤ hi_d ∀d}`,
-/// together with its axis-aligned bounding box in `j`-space.
-///
-/// A `j`-box is walked in the nest's **own** coordinates: its share of
-/// the domain is the set of in-bounds `ī` whose image `ī·U` lies in the
-/// box, scanned as lexicographic rows of `ī` — the order in which the
-/// loops `alp-codegen`'s `emit_code` prints scan the tile.  A
-/// level's range is the loop bounds and the box's bounding box in `ī`,
-/// narrowed by each of the box's 2·l inequalities with the deeper
-/// indices relaxed to their range; at the innermost level nothing is
-/// relaxed, so each row `(i₀,…,i_{n−2}, lo..=hi)` is the exact integer
-/// interval the inequalities leave and holds exactly the tile's points.
-/// Every sum is `i64` (bounded once by [`Transform::domain`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TransformedDomain {
-    /// `U` row-major: `j_k = Σ_d i_d·u[d·n + k]`.
-    u: Vec<i64>,
-    v: IMat,
-    /// The nest's loop bounds.
-    lo: Vec<i64>,
-    hi: Vec<i64>,
-    jlo: Vec<i64>,
-    jhi: Vec<i64>,
-}
-
-/// One box's walk: its inequalities and, per level, what the indices
-/// below it can still contribute.
-struct BoxWalk {
-    blo: Vec<i64>,
-    bhi: Vec<i64>,
-    /// The box's bounding box in `ī`, within the loop bounds.
-    ibox: Vec<(i64, i64)>,
-    /// `rest[m·n + k]`: the range of `Σ_{d>m} i_d·U[d][k]` over `ibox`.
-    rest: Vec<(i64, i64)>,
-}
-
-impl TransformedDomain {
-    /// Inclusive lower corner of the `j`-space bounding box.
-    pub fn jlo(&self) -> &[i64] {
-        &self.jlo
-    }
-
-    /// Inclusive upper corner of the `j`-space bounding box.
-    pub fn jhi(&self) -> &[i64] {
-        &self.jhi
-    }
-
-    /// Nest depth.
-    pub fn depth(&self) -> usize {
-        self.v.rows()
-    }
-
-    /// Visit the in-domain points whose image lies in the `j`-box `bx`
-    /// as maximal rows of the original iteration space, in lexicographic
-    /// order, grouped into panels: maximal runs of consecutive non-empty
-    /// rows with one innermost range (the callback of
-    /// [`Tiling::for_each_panel`](crate::Tiling::for_each_panel)).
-    /// Returning `false` stops the walk early.  Returns `true` when every
-    /// panel was visited.
-    pub fn for_each_panel(
-        &self,
-        bx: &IterBox,
-        mut f: impl FnMut(&mut [i64], u64, i64, i64) -> bool,
-    ) -> bool {
-        let n = self.depth();
-        debug_assert_eq!(bx.lo.len(), n);
-        // Points of the domain have `j` inside its bounding box, so the
-        // box's own bounds can be clipped to it.
-        let blo: Vec<i64> = (bx.lo.iter().zip(&self.jlo))
-            .map(|(&b, &j)| b.max(j))
-            .collect();
-        let bhi: Vec<i64> = (bx.hi.iter().zip(&self.jhi))
-            .map(|(&b, &j)| b.min(j))
-            .collect();
-        if blo.iter().zip(&bhi).any(|(l, h)| l > h) {
-            return true;
-        }
-        let jbox = || (blo.iter().zip(&bhi)).map(|(&l, &h)| (i128::from(l), i128::from(h)));
-        let mut ibox = Vec::with_capacity(n);
-        for d in 0..n {
-            // `i_d = Σ_k j_k·V[k][d]` over the box, within the loop
-            // bounds: narrowed only when nonempty, so inside them.
-            let (mut lo, mut hi) = (i128::from(self.lo[d]), i128::from(self.hi[d]));
-            if let Some((a, b)) = AffineExpr::new(self.v.col(d).0, 0).range(jbox()) {
-                (lo, hi) = (lo.max(a), hi.min(b));
-            }
-            if lo > hi {
-                return true;
-            }
-            ibox.push((lo as i64, hi as i64));
-        }
-        let mut rest = vec![(0, 0); n * n];
-        for k in 0..n {
-            let (mut min, mut max) = (0, 0);
-            for m in (0..n).rev() {
-                rest[m * n + k] = (min, max);
-                let c = self.u[m * n + k];
-                let (a, b) = (ibox[m].0 * c, ibox[m].1 * c);
-                (min, max) = (min + a.min(b), max + a.max(b));
-            }
-        }
-        let walk = BoxWalk {
-            blo,
-            bhi,
-            ibox,
-            rest,
-        };
-        // `sums[m·n + k]`: `Σ_{d<m} i_d·U[d][k]` for the current prefix.
-        let (mut i, mut sums) = (vec![0i64; n], vec![0i64; n * n]);
-        self.walk(&walk, 0, &mut i, &mut sums, &mut f)
-    }
-
-    fn walk<F: FnMut(&mut [i64], u64, i64, i64) -> bool>(
-        &self,
-        w: &BoxWalk,
-        m: usize,
-        i: &mut [i64],
-        sums: &mut [i64],
-        f: &mut F,
-    ) -> bool {
-        let n = self.depth();
-        let (lo, hi) = self.level(w, m, &sums[m * n..(m + 1) * n]);
-        if m + 1 == n {
-            // Depth 1: the one row is its own panel.
-            return lo > hi || f(i, 1, lo, hi);
-        }
-        // At the next-outer level, consecutive rows of one range are
-        // held in `run` — `(first, rows, range)` — until one differs.
-        let mut run: Option<(i64, u64, (i64, i64))> = None;
-        for x in lo..=hi {
-            i[m] = x;
-            for k in 0..n {
-                sums[(m + 1) * n + k] = sums[m * n + k] + x * self.u[m * n + k];
-            }
-            if m + 2 < n {
-                if !self.walk(w, m + 1, i, sums, f) {
-                    return false;
+        (0..n)
+            .map(|k| {
+                let (min, max) = (AffineExpr::new(self.u.col(k).0, 0).range(nest.bounds()))
+                    .ok_or_else(|| {
+                        PlanError::Transform("transformed bound overflows i128".into())
+                    })?;
+                match [min, max].into_iter().find(|&v| i64::try_from(v).is_err()) {
+                    Some(v) => Err(PlanError::Transform(format!(
+                        "transformed bound {v} overflows i64"
+                    ))),
+                    None => Ok((min, max)),
                 }
-                continue;
-            }
-            let range = self.level(w, m + 1, &sums[(m + 1) * n..]);
-            match &mut run {
-                Some((_, rows, held)) if *held == range => *rows += 1,
-                _ => {
-                    if let Some((first, rows, (a, b))) = run.take() {
-                        i[m] = first;
-                        if !f(i, rows, a, b) {
-                            return false;
-                        }
-                    }
-                    run = (range.0 <= range.1).then_some((x, 1, range));
-                }
-            }
-        }
-        match run {
-            Some((first, rows, (a, b))) => {
-                i[m] = first;
-                f(i, rows, a, b)
-            }
-            None => true,
-        }
-    }
-
-    /// The range of `i_m` given the prefix sums `s`: every inequality
-    /// `blo_k ≤ s_k + U[m][k]·i_m + r ≤ bhi_k` must hold for some `r` the
-    /// deeper indices can still add (none at the innermost level, where
-    /// the range is exact).
-    #[inline]
-    fn level(&self, w: &BoxWalk, m: usize, s: &[i64]) -> (i64, i64) {
-        let n = self.depth();
-        let (mut lo, mut hi) = w.ibox[m];
-        for (k, &s) in s.iter().enumerate() {
-            let (rmin, rmax) = w.rest[m * n + k];
-            let (a, b) = (w.blo[k] - (s + rmax), w.bhi[k] - (s + rmin));
-            let c = self.u[m * n + k];
-            let (l, h) = match c.signum() {
-                0 if a > 0 || b < 0 => return (1, 0),
-                0 => continue,
-                1 => (div_ceil(a, c), div_floor(b, c)),
-                _ => (div_ceil(b, c), div_floor(a, c)),
-            };
-            (lo, hi) = (lo.max(l), hi.min(h));
-        }
-        (lo, hi)
-    }
-
-    /// Exact number of in-domain points of `bx`.
-    pub fn count(&self, bx: &IterBox) -> i128 {
-        let mut total: i128 = 0;
-        self.for_each_panel(bx, |_, rows, lo, hi| {
-            total += i128::from(rows) * i128::from(hi - lo + 1);
-            true
-        });
-        total
+            })
+            .collect()
     }
 }
 
@@ -429,11 +181,10 @@ pub fn skewed_candidates(
             Ok(t) => t,
             Err(_) => continue, // basis not invertible over ℤ: not a tiling we can execute
         };
-        let domain = transform.domain(nest)?;
         let mut grid = Vec::with_capacity(nest.depth());
         let mut tile_extents = Vec::with_capacity(nest.depth());
-        for k in 0..nest.depth() {
-            let extent = (domain.jhi()[k] as i128 - domain.jlo()[k] as i128 + 1).max(1);
+        for (k, (lo, hi)) in transform.bounds(nest)?.into_iter().enumerate() {
+            let extent = (hi - lo + 1).max(1);
             let lam = cand.lambda[k].max(1);
             let g = ((extent + lam - 1) / lam).max(1);
             let chunk = (extent + g - 1) / g;
@@ -455,6 +206,7 @@ pub fn skewed_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::IterBox;
     use alp_linalg::IVec;
     use alp_loopir::parse;
     use proptest::prelude::*;
@@ -589,37 +341,36 @@ mod tests {
         // U=[[1,1],[0,1]] on a small square: j = (i, i+j).
         let nest = parse("doall (i, 0, 3) { doall (j, 0, 3) { A[i,j] = A[i,j]; } }").unwrap();
         let t = Transform::new(skew2(), fingerprint_hex(&nest)).unwrap();
-        let domain = t.domain(&nest).unwrap();
-        assert_eq!(domain.jlo(), &[0, 0]);
-        assert_eq!(domain.jhi(), &[3, 6]);
-        let panels = |bx: &IterBox| {
+        let tiling = |grid: &[i128]| crate::Tiling::new(&nest, Some(&t), grid).unwrap();
+        let panels = |tiling: &crate::Tiling| {
             let mut panels = Vec::new();
-            domain.for_each_panel(bx, |i, rows, lo, hi| {
+            tiling.for_each_panel(0, |i, rows, lo, hi| {
                 panels.push((i[0], rows, lo, hi));
                 true
             });
             panels
         };
-        // The box j1 = i + j ≤ 3 is the triangle below the antidiagonal,
-        // walked as rows of `j`: the clip follows the skew, so no two
-        // rows share a range and each is a panel of its own.
+        // Tile 0 of two along j1 is the box j1 = i + j ≤ 3: the triangle
+        // below the antidiagonal, walked as rows of `j`: the clip follows
+        // the skew, so no two rows share a range and each is a panel of
+        // its own.
+        let halves = tiling(&[1, 2]);
+        assert_eq!(halves.bounds(), [(0, 3), (0, 6)]);
         let lower = IterBox {
             lo: vec![0, 0],
             hi: vec![3, 3],
         };
+        assert_eq!(halves.boxes()[0], lower);
         let staircase = [(0, 1, 0, 3), (1, 1, 0, 2), (2, 1, 0, 1), (3, 1, 0, 0)];
-        assert_eq!(panels(&lower), staircase);
-        assert_eq!(domain.count(&lower), 10);
+        assert_eq!(panels(&halves), staircase);
+        assert_eq!(halves.points(0), 10);
         // The whole domain's rows all span 0..=3: one panel of four.
-        let whole = IterBox {
-            lo: domain.jlo().to_vec(),
-            hi: domain.jhi().to_vec(),
-        };
+        let whole = tiling(&[1, 1]);
         assert_eq!(panels(&whole), [(0, 4, 0, 3)]);
-        assert_eq!(domain.count(&whole), nest.iteration_count());
+        assert_eq!(i128::from(whole.points(0)), nest.iteration_count());
         // Early stop propagates.
         let mut visited = 0;
-        let done = domain.for_each_panel(&lower, |_, _, _, _| {
+        let done = halves.for_each_panel(0, |_, _, _, _| {
             visited += 1;
             visited < 2
         });
@@ -636,7 +387,7 @@ mod tests {
             let nest = parse(&src).unwrap();
             let u = IMat::from_rows(&[&[1, 1 << 100], &[0, 1]]);
             let t = Transform::new(u, fingerprint_hex(&nest)).unwrap();
-            match t.domain(&nest) {
+            match crate::Tiling::new(&nest, Some(&t), &[1, 1]) {
                 Err(PlanError::Transform(m)) => assert!(m.contains(what), "{m}"),
                 other => panic!("{hi}: {other:?}"),
             }
@@ -646,9 +397,8 @@ mod tests {
         let near = |hi: &str| {
             let src = format!("doall (i, 0, {hi}) {{ doall (j, 0, 3) {{ A[i,j] = A[i,j]; }} }}");
             let nest = parse(&src).unwrap();
-            Transform::new(skew2(), fingerprint_hex(&nest))
-                .unwrap()
-                .domain(&nest)
+            let t = Transform::new(skew2(), fingerprint_hex(&nest)).unwrap();
+            crate::Tiling::new(&nest, Some(&t), &[1, 1])
         };
         match near("4611686018427387904") {
             Err(PlanError::Transform(m)) => assert!(m.contains("walk"), "{m}"),

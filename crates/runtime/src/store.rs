@@ -36,7 +36,9 @@ pub struct ArrayStore {
 pub(crate) enum StoreMode {
     /// [`ArrayStore::set`]: a plain assign.
     Set,
-    /// [`ArrayStore::add_relaxed`]: a certified accumulate.
+    /// A plain read-modify-write, no CAS: a certified accumulate, sound
+    /// only when a certificate proves no other thread touches the cell
+    /// (coverage + cross-tile write disjointness).
     Add,
     /// [`ArrayStore::fetch_add`]: an accumulate other tiles may race on.
     FetchAdd,
@@ -138,16 +140,6 @@ impl ArrayStore {
     #[inline]
     pub fn fetch_add(&self, idx: usize, delta: f64) {
         StoreMode::FetchAdd.publish(&self.cells[idx], delta);
-    }
-
-    /// Add `delta` to one element with a plain read-modify-write (no
-    /// CAS).  Only sound when a certificate proves no other thread can
-    /// touch this element concurrently (coverage + cross-tile write
-    /// disjointness); the executor's relaxed fast path is gated on
-    /// exactly that proof.
-    #[inline]
-    pub fn add_relaxed(&self, idx: usize, delta: f64) {
-        StoreMode::Add.publish(&self.cells[idx], delta);
     }
 
     /// The `len` cells from element `first` on: one bounds check for a

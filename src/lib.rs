@@ -596,7 +596,7 @@ pub mod prelude {
     pub use alp_plan::{
         fingerprint, fingerprint_hex, skewed_candidates, Certificate, ChosenBy, Fetched, IterBox,
         LatencyCoefficients, LegalityVerdict, PartitionPlan, PlanError, PlanKey, ShardedPlanCache,
-        SkewedCandidate, Tiling, Transform, TransformedDomain,
+        SkewedCandidate, Tiling, Transform,
     };
     pub use alp_runtime::{
         syntactic_retry_safe, CancelToken, ExecOptions, ExecOutcome, Executor, ModelComparison,
