@@ -53,22 +53,27 @@
 //!   `lo_k + m·c_k` separates them, so one integer search per ordered
 //!   pair of write references and split dimension — over the solution
 //!   lattice of `w₁(x) = w₂(y)` and the cut index `m` — replaces one per
-//!   pair of tiles.  [`recheck`] runs it: a certificate is re-checked at
-//!   every execution, and the tamper check must not cost what the proof
-//!   cost.
+//!   pair of tiles, and none is asked where the lattice fixes the
+//!   separation `x_k − y_k` at a value no cut can lie behind.
+//!   [`decide`] runs it, and issues certificates wherever no notes are
+//!   kept: [`recheck`] re-decides a certificate at every execution (the
+//!   tamper check must not cost what the proof cost), and the plan
+//!   daemon (`alp-serve`) issues every certified plan it serves with it
+//!   (a cache miss must not cost one question per tile pair either).
 //!
 //! In-bounds (interval arithmetic on the loop-bound box) and idempotence
 //! never depended on the tiles, so both procedures share them.
 //!
-//! [`certify`] has not switched to the decider, and there is no option
-//! to make it: the prover is the only producer of counterexample notes,
-//! and the benchmark's `compile-cold` window stores one sample per
-//! completed operation, so a faster `certify` reads as a memory
-//! regression until that window is bounded (ROADMAP, "Certification in
-//! time linear in tiles").  Until then `tests/certify_props.rs` holds
-//! the two to the same verdicts on random plans.  Every integer question
-//! either side asks ends in a point or a proof of emptiness, so the two
-//! agree by construction wherever their questions are equivalent.
+//! [`certify`] keeps the prover, and there is no option to switch it:
+//! the prover is the only producer of the counterexample notes the CLI
+//! prints, and the benchmark's `compile-cold` window stores one sample
+//! per completed operation, so a faster `certify` reads as a memory
+//! regression until that window is bounded (ROADMAP, "`certify()`
+//! becomes the decider").  `tests/certify_props.rs` holds the two to the
+//! same verdicts on random plans, and the daemon's certificates to the
+//! prover's.  Every integer question either side asks ends in a point
+//! or a proof of emptiness, so the two agree by construction wherever
+//! their questions are equivalent.
 
 #![warn(missing_docs)]
 
@@ -260,8 +265,11 @@ pub fn recheck(plan: &PartitionPlan) -> Result<Certificate, CertifyError> {
 }
 
 /// The four verdict bits by the structural decision procedure: no
-/// question per tile pair, no witness notes.
-fn decide(plan: &PartitionPlan) -> Result<Certificate, CertifyError> {
+/// question per tile pair, no witness notes.  Its verdicts are
+/// [`certify`]'s (see the module doc); what it cannot say is *which*
+/// tiles refute a fact, so it serves callers that keep no notes — the
+/// plan daemon, [`recheck`].
+pub fn decide(plan: &PartitionPlan) -> Result<Certificate, CertifyError> {
     let nest = plan.nest()?;
     let tiling = plan.tiling(&nest)?;
     let boxes: Vec<Box128> = tiling.boxes().iter().map(box128).collect();
@@ -440,8 +448,11 @@ fn decide_coverage(
 /// so per split dimension one search over the [`ConflictLattice`]'s
 /// coefficients and the cut index `m` asks for `x, y ∈ bounds` with
 /// `x_k < cut ≤ y_k`; the reverse orientation is the reversed pair's
-/// question.  Same coordinates and same over-approximation (unclipped
-/// boxes) as [`prove_write_disjoint`].
+/// question.  Where the lattice fixes `x_k − y_k` at some `δ ≥ 0`
+/// ([`constant_gap`]) no cut lies in `(x_k, y_k]` and there is nothing
+/// to search — the self pair of every injective write.  Same
+/// coordinates and same over-approximation (unclipped boxes) as
+/// [`prove_write_disjoint`].
 fn decide_write_disjoint(
     writes: &[ArrayRef],
     bounds: &[(i128, i128)],
@@ -461,6 +472,9 @@ fn decide_write_disjoint(
                 lattice.constrain(&mut within, q, lo, hi);
             }
             for k in (0..l).filter(|&k| grid[k] >= 2) {
+                if constant_gap(&lattice, l, k).is_some_and(|delta| delta >= 0) {
+                    continue;
+                }
                 // x_k − c_k·m ≤ lo_k − 1, y_k − c_k·m ≥ lo_k, 1 ≤ m ≤ g_k − 1.
                 let mut sys = within.clone();
                 let mut below = lattice.row(k, m + 1);
@@ -479,6 +493,14 @@ fn decide_write_disjoint(
         }
     }
     true
+}
+
+/// `δ` when `x_k − y_k = δ` at every point of the lattice of
+/// `x = (x | y)`: every basis vector has equal coordinates `k` and
+/// `l + k`, so the difference is the origin's.
+fn constant_gap(lattice: &ConflictLattice, l: usize, k: usize) -> Option<i128> {
+    let m = lattice.rank();
+    (lattice.row(k, m) == lattice.row(l + k, m)).then(|| lattice.origin(k) - lattice.origin(l + k))
 }
 
 /// Fact 3, decided by interval arithmetic: the range of an affine
@@ -865,6 +887,63 @@ mod tests {
             &[2, 2],
             tiling.chunks()
         ));
+    }
+
+    /// The decider's write-disjointness questions on `plan`, in its
+    /// order (write pair, then split dimension): `Some(δ)` where the
+    /// lattice fixes `x_k − y_k = δ`, which skips the search for `δ ≥ 0`.
+    /// Also checks that the decider's certificate is the prover's.
+    fn gaps_and_verdict(plan: &PartitionPlan) -> (Vec<Option<i128>>, bool) {
+        let nest = plan.nest().unwrap();
+        let writes = write_refs(&nest, plan).unwrap();
+        let l = plan.proc_grid.len();
+        let mut gaps = Vec::new();
+        for w1 in &writes {
+            for w2 in writes.iter().filter(|w2| w2.array == w1.array) {
+                let lattice = ConflictLattice::new(w1, w2, l).unwrap();
+                for k in (0..l).filter(|&k| plan.proc_grid[k] >= 2) {
+                    gaps.push(constant_gap(&lattice, l, k));
+                }
+            }
+        }
+        let decided = decide(plan).unwrap();
+        assert_eq!(decided, certify(plan).unwrap().certificate);
+        (gaps, decided.write_disjoint)
+    }
+
+    #[test]
+    fn separation_fixed_at_zero_skips_a_stencils_search() {
+        // An injective write meets itself only at the same iteration:
+        // x = y, δ = 0 along every split dimension.
+        let plan = plan_with_grid(
+            "doall (i, 0, 31) { doall (j, 0, 31) { A[i,j] = B[i,j] + B[i+1,j]; } }",
+            vec![2, 2],
+        );
+        assert_eq!(gaps_and_verdict(&plan), (vec![Some(0), Some(0)], true));
+    }
+
+    #[test]
+    fn separation_fixed_below_zero_is_searched_and_refuted() {
+        // A[i] at iteration x meets A[i+1] at y = x − 1 (δ = 1: the
+        // first write's iteration is the later one, skipped); the
+        // reversed pair has δ = −1, and a cut at y separates the two.
+        // Only its search can refute, and it does.
+        let plan = plan_with_grid("doall (i, 0, 15) { A[i] = B[i]; A[i+1] = C[i]; }", vec![4]);
+        assert_eq!(
+            gaps_and_verdict(&plan),
+            (vec![Some(0), Some(1), Some(-1), Some(0)], false)
+        );
+    }
+
+    #[test]
+    fn separation_left_free_is_searched() {
+        // Every k writes C[i, j]: x_k − y_k takes every value, so the k
+        // split asks the search, which refutes.
+        let src = "doall (i, 0, 15) { doall (j, 0, 15) { doall (k, 0, 15) {
+                     l$C[i,j] = l$C[i,j] + A[i,k] + B[k,j];
+                   } } }";
+        let plan = plan_with_grid(src, vec![1, 1, 4]);
+        assert_eq!(gaps_and_verdict(&plan), (vec![None], false));
     }
 
     /// The integers of a note, in order.

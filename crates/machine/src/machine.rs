@@ -121,8 +121,8 @@ impl<'h> Machine<'h> {
         home: &'h dyn HomeMap,
     ) -> Self {
         assert!(
-            (1..=128).contains(&config.processors),
-            "processors must be in 1..=128 (full-map bitmask)"
+            (1..=MAX_PROCESSORS).contains(&config.processors),
+            "processors must be in 1..={MAX_PROCESSORS} (full-map bitmask)"
         );
         let caches = (0..config.processors)
             .map(|_| Cache::new(config.cache))
@@ -326,6 +326,10 @@ impl<'h> Machine<'h> {
     }
 }
 
+/// The most processors the full-map directory tracks: one bit of a
+/// line's `u128` sharer set each.
+const MAX_PROCESSORS: usize = u128::BITS as usize;
+
 /// One logical memory access of the loop body: `(element, write-like)`.
 type Access = (u64, bool);
 
@@ -343,8 +347,9 @@ type Access = (u64, bool);
 ///
 /// # Panics
 /// Panics if the nest's arrays do not fit a `u64` line id space, its
-/// points and address forms do not fit `i64`, or its processors do not
-/// fit the mesh ([`run_plan`] reports those as errors instead).
+/// points and address forms do not fit `i64`, or its processors number
+/// more than 128 or do not fit the mesh ([`run_plan`] reports those as
+/// errors instead).
 pub fn run_nest(
     nest: &LoopNest,
     assignment: &[Vec<IVec>],
@@ -372,15 +377,17 @@ pub fn run_nest(
         out
     };
     let grid = [config.processors as i128];
-    simulate(nest, trace, config, &grid, home).expect("processors fit the mesh")
+    simulate(nest, trace, config, &grid, home).expect("processors fit the directory and mesh")
 }
 
 /// Run the protocol over one trace per processor: `trace(p)` is
 /// processor `p`'s accesses for one repetition of the doall body — for
 /// each iteration, every right-hand-side reference then the left-hand
 /// side, as an [`alp_loopir::AccessStream`] issues them.  Processors sit
-/// on the mesh where [`mesh_placement`] puts `grid`; a mesh too small for
-/// it fails before any trace is built.
+/// on the mesh where [`mesh_placement`] puts `grid`; more processors
+/// than the directory tracks, or a mesh too small for them, fail before
+/// any trace is built — and before any of the one thread per processor
+/// that builds them starts.
 fn simulate(
     nest: &LoopNest,
     trace: impl Fn(usize) -> Vec<Access> + Sync,
@@ -388,6 +395,13 @@ fn simulate(
     grid: &[i128],
     home: &dyn HomeMap,
 ) -> Result<TrafficReport, String> {
+    if config.processors > MAX_PROCESSORS {
+        return Err(format!(
+            "the simulator's full-map directory holds at most {MAX_PROCESSORS} processors; \
+             the plan has {} tiles",
+            config.processors
+        ));
+    }
     let placement = (config.mesh)
         .map(|mesh| mesh_placement(grid, mesh))
         .transpose()?;
@@ -439,8 +453,9 @@ fn simulate(
 /// exactly the tiles, in exactly the order, the native runtime and the
 /// generated code do.  `config.processors` is overridden to the plan's
 /// tile count; the plan's mesh is used unless `config` already sets one,
-/// and the plan's grid is placed on it by [`mesh_placement`] (a mesh too
-/// small for the grid is a [`PlanError::BadGrid`](alp_plan::PlanError)).
+/// and the plan's grid is placed on it by [`mesh_placement`].  A plan of
+/// more than 128 tiles, or a mesh too small for its grid, is a
+/// [`PlanError::BadGrid`](alp_plan::PlanError).
 pub fn run_plan(
     plan: &alp_plan::PartitionPlan,
     mut config: MachineConfig,

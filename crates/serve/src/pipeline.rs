@@ -14,7 +14,7 @@ use alp_certify::CertifyError;
 use alp_loopir::LoopNest;
 use alp_plan::{LegalityVerdict, PartitionPlan, PlanError, PlanKey};
 use alp_runtime::{ExecOptions, Executor, RuntimeError};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 impl From<PlanError> for ServeError {
@@ -48,10 +48,12 @@ pub struct PlanSpec {
     pub processors: i128,
     /// Run the doall legality analysis (default on).
     pub check: bool,
-    /// Embed a freshly proven certificate in the plan (`ALP0011` when
-    /// the plan cannot be interpreted by the certifier).  Certified
-    /// plans widen the client's retry policy and survive restarts with
-    /// their proofs attached.
+    /// Embed a freshly decided certificate in the plan (`ALP0011` when
+    /// the plan cannot be interpreted by the certifier): the structural
+    /// decider's verdicts, which are the pairwise prover's without its
+    /// witness notes (`alp_certify::decide`).  Certified plans widen the
+    /// client's retry policy and survive restarts with their
+    /// certificates attached.
     pub certify: bool,
 }
 
@@ -105,8 +107,8 @@ impl PlanSpec {
         };
         let plan = PartitionPlan::choose(nest, self.processors, None, verdict, false, None)?;
         if self.certify {
-            let report = alp_certify::certify(&plan)?;
-            return Ok(plan.with_certificate(report.certificate));
+            let certificate = alp_certify::decide(&plan)?;
+            return Ok(plan.with_certificate(certificate));
         }
         Ok(plan)
     }
@@ -121,7 +123,8 @@ pub fn build_plan(spec: &PlanSpec) -> Result<PartitionPlan, ServeError> {
 /// Execution knobs of one run request.
 #[derive(Debug, Clone, Default)]
 pub struct RunSpec {
-    /// OS threads (0 = one per tile).
+    /// OS threads (0 = one per tile); either way no more than the
+    /// tiles, nor than the host's available parallelism.
     pub threads: usize,
     /// Store seed for the verified run.
     pub seed: u64,
@@ -146,15 +149,35 @@ pub struct RunSummary {
     pub threads: usize,
 }
 
+/// The host's available parallelism, read once: on Linux the standard
+/// library reads the cgroup's CPU quota files for it on every call.
+pub(crate) fn host_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// The OS threads a run request asks the executor for (which caps them
+/// at the plan's tiles): the request's count, 0 meaning one per tile,
+/// capped at the host's `cores`.  Tile counts are unbounded, so one
+/// frame asking for `"processors": 4096` must not make the daemon start
+/// a thread per tile.
+fn run_threads(requested: usize, cores: usize) -> usize {
+    match requested {
+        0 => cores,
+        t => t.min(cores),
+    }
+}
+
 /// Natively execute a plan and check it against the sequential
-/// reference, under the request's deadline and memory budget.  The
+/// reference, under the request's deadline and memory budget, on
+/// [`RunSpec::threads`] threads at most the host's processors.  The
 /// summary reports no touch counts, so the run tracks none: the budget
 /// counts the store, which is all it allocates.
 pub fn run_plan(plan: &Arc<PartitionPlan>, spec: &RunSpec) -> Result<RunSummary, ServeError> {
     let exec = Executor::from_plan(plan)?;
     #[allow(unused_mut)]
     let mut opts = ExecOptions {
-        threads: spec.threads,
+        threads: run_threads(spec.threads, host_cores()),
         track_touches: false,
         deadline: spec.timeout_ms.map(Duration::from_millis),
         memory_budget: spec.max_store_bytes,
@@ -203,5 +226,16 @@ mod tests {
         assert!(summary.matches_reference);
         assert_eq!(summary.iterations, 64 * 64);
         assert_eq!(run(store_bytes - 1).unwrap_err().code, "ALP0009");
+    }
+
+    #[test]
+    fn a_run_gets_no_more_threads_than_the_host_has_processors() {
+        // One per tile of a 4 096-tile plan on a 2-processor host is
+        // two, and so is an explicit 4 096.
+        assert_eq!(run_threads(0, 2), 2);
+        assert_eq!(run_threads(4096, 2), 2);
+        // Under the cap the request stands.
+        assert_eq!(run_threads(3, 8), 3);
+        assert_eq!(run_threads(1, 1), 1);
     }
 }

@@ -10,6 +10,11 @@
 //! {"alp-serve": 1, "id": 9, "op": "stats"}
 //! ```
 //!
+//! A `run`'s `threads` (absent or 0: one per tile) is a ceiling, not a
+//! demand: the daemon runs on no more threads than the plan has tiles
+//! or the host has processors, since `processors` — and so the tile
+//! count — is unbounded.
+//!
 //! Each response is one line, echoing `id`:
 //!
 //! ```json

@@ -108,7 +108,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let cores = crate::pipeline::host_cores();
         ServeConfig {
             shards: ShardedPlanCache::<ServeError>::DEFAULT_SHARDS,
             cache_capacity: 128,

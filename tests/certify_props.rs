@@ -14,6 +14,7 @@
 //! element-precise dataflow proof must accept it too.
 
 use alp::prelude::*;
+use alp::serve::pipeline::{build_plan, PlanSpec};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -236,6 +237,35 @@ proptest! {
         let certified = plan.with_certificate(report.certificate.clone());
         let proven = recheck(&certified).expect("fresh certificate re-verifies");
         prop_assert_eq!(proven, report.certificate);
+    }
+
+    #[test]
+    fn the_daemon_issues_the_certificate_the_prover_proves(case in cases()) {
+        // The daemon issues by decision, the CLI by proof: a certified
+        // plan must carry the same bits from either, and pass the
+        // re-check every certified run starts with.  The daemon picks
+        // its own grid, for processors the case's grid caps at each
+        // loop's trip count (the planner refuses a count no grid of
+        // non-empty tiles factors); unchecked, since the generated nests
+        // may race.
+        let nest = parse(&case.src).expect("generated source parses");
+        let spec = PlanSpec {
+            source: case.src.clone(),
+            processors: (case.grid.iter().zip(&nest.loops))
+                .map(|(&g, lp)| g.min(lp.upper - lp.lower + 1))
+                .product(),
+            check: false,
+            certify: true,
+        };
+        let plan = build_plan(&spec).expect("the daemon plans and certifies");
+        let issued = plan.certificate.clone().expect("a certified spec embeds a certificate");
+        let proven = certify(&plan).expect("well-formed plan certifies");
+        prop_assert_eq!(
+            &issued, &proven.certificate,
+            "daemon and prover disagree on `{}` at P = {}: {:?}",
+            case.src, spec.processors, proven.notes
+        );
+        prop_assert_eq!(recheck(&plan).expect("the issued certificate re-verifies"), issued);
     }
 
     #[test]

@@ -51,6 +51,23 @@ fn simulates_with_mesh() {
 }
 
 #[test]
+fn simulating_more_tiles_than_the_directory_tracks_is_an_error() {
+    // 256 tiles: the full-map directory holds 128 processors, and the
+    // simulator refuses before it starts a trace thread per tile.
+    let (stdout, stderr, code) = run_cli(
+        &["-p", "256", "--simulate", "-"],
+        Some("doall (i, 1, 64) { doall (j, 1, 64) { A[i,j] = B[i-1,j] + B[i+1,j]; } }"),
+    );
+    assert_eq!(code, Some(1), "stdout: {stdout}\nstderr: {stderr}");
+    assert!(stderr.contains("error[ALP0006]"), "{stderr}");
+    assert!(
+        stderr.contains("holds at most 128 processors; the plan has 256 tiles"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn handles_multi_phase_programs() {
     let (stdout, stderr, code) = run_cli(
         &["-p", "16", "--no-check", "-"],
