@@ -121,8 +121,8 @@ impl<'h> Machine<'h> {
         home: &'h dyn HomeMap,
     ) -> Self {
         assert!(
-            (1..=MAX_PROCESSORS).contains(&config.processors),
-            "processors must be in 1..={MAX_PROCESSORS} (full-map bitmask)"
+            (1..=128).contains(&config.processors),
+            "processors must be in 1..=128 (full-map bitmask)"
         );
         let caches = (0..config.processors)
             .map(|_| Cache::new(config.cache))
@@ -326,10 +326,6 @@ impl<'h> Machine<'h> {
     }
 }
 
-/// The most processors the full-map directory tracks: one bit of a
-/// line's `u128` sharer set each.
-const MAX_PROCESSORS: usize = u128::BITS as usize;
-
 /// One logical memory access of the loop body: `(element, write-like)`.
 type Access = (u64, bool);
 
@@ -377,7 +373,7 @@ pub fn run_nest(
         out
     };
     let grid = [config.processors as i128];
-    simulate(nest, trace, config, &grid, home).expect("processors fit the directory and mesh")
+    simulate(nest, trace, config, &grid, home).expect("processors fit the mesh")
 }
 
 /// Run the protocol over one trace per processor: `trace(p)` is
@@ -395,9 +391,11 @@ fn simulate(
     grid: &[i128],
     home: &dyn HomeMap,
 ) -> Result<TrafficReport, String> {
-    if config.processors > MAX_PROCESSORS {
+    // `Machine::new`'s bound: one bit of a line's `u128` sharer set
+    // per processor.
+    if config.processors > 128 {
         return Err(format!(
-            "the simulator's full-map directory holds at most {MAX_PROCESSORS} processors; \
+            "the simulator's full-map directory holds at most 128 processors; \
              the plan has {} tiles",
             config.processors
         ));
