@@ -16,18 +16,27 @@
 use alp_loopir::LoopNest;
 use std::fmt;
 
-/// A running 64-bit FNV-1a hash; as a [`fmt::Write`] it is a sink the
-/// nest renders into.
-struct Fnv1a(u64);
+/// A running 64-bit FNV-1a hash, fed in pieces; as a [`fmt::Write`] it
+/// is a sink the nest renders into.
+pub(crate) struct Fnv1a(u64);
 
 impl Fnv1a {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
 
-    fn update(&mut self, bytes: &[u8]) {
+    pub(crate) fn new() -> Fnv1a {
+        Fnv1a(Self::OFFSET)
+    }
+
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 = (self.0 ^ b as u64).wrapping_mul(Self::PRIME);
         }
+    }
+
+    /// The hash of every byte fed so far.
+    pub(crate) fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -40,9 +49,9 @@ impl fmt::Write for Fnv1a {
 
 /// 64-bit FNV-1a over a byte string.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = Fnv1a(Fnv1a::OFFSET);
+    let mut hash = Fnv1a::new();
     hash.update(bytes);
-    hash.0
+    hash.finish()
 }
 
 /// Index `k` named by its position: `i0`, `s1`.
@@ -72,9 +81,9 @@ pub fn canonical_source(nest: &LoopNest) -> String {
 /// Structural fingerprint of a nest (see the module docs): the hash of
 /// [`canonical_source`], rendered straight into the hash.
 pub fn fingerprint(nest: &LoopNest) -> u64 {
-    let mut hash = Fnv1a(Fnv1a::OFFSET);
+    let mut hash = Fnv1a::new();
     render_canonical(nest, &mut hash);
-    hash.0
+    hash.finish()
 }
 
 /// [`fingerprint`] rendered as the 16-digit lowercase hex string used in

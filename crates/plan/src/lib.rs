@@ -65,7 +65,7 @@ pub use rank::{
     choose_calibrated, rank, rank_candidates, rank_skewed, ranking_is_degenerate, Ranked,
 };
 pub use shard::{Fetched, ShardOccupancy, ShardedCacheStats, ShardedPlanCache};
-pub use store::{PlanStore, RecoveryReport, StoreConfig, StoredEntry};
+pub use store::{JournalFrame, PlanStore, RecoveryReport, StoreConfig, StoredEntry};
 pub use tiles::{IterBox, Tiling};
 pub use transform::{skewed_candidates, SkewedCandidate, Transform};
 

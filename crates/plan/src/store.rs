@@ -18,10 +18,10 @@
 //! [u32 LE payload length][u64 LE FNV-1a checksum][payload bytes]
 //! ```
 //!
-//! The checksum is [`fnv1a64`] over the length prefix *and* the
-//! payload, so a frame whose length field was torn fails the checksum
-//! even when the bytes at the (wrong) payload boundary happen to look
-//! plausible.  The payload is a single-line integer-only JSON envelope
+//! The checksum is [`fnv1a64`](crate::fnv1a64) over the length prefix
+//! *and* the payload, streamed rather than copied into one buffer, so a
+//! frame whose length field was torn fails the checksum even when the
+//! bytes at the (wrong) payload boundary happen to look plausible.  The payload is a single-line integer-only JSON envelope
 //! carrying the journal sequence number, every [`PlanKey`] field, and
 //! the canonical plan artifact itself.
 //!
@@ -48,15 +48,35 @@
 //! atomic rename, then deletes every older segment — a crash at any
 //! point leaves either the old segments or the complete new one, never
 //! a half-state.  Within and across segments, a later sequence number
-//! for the same key supersedes earlier frames, so re-planning a nest
-//! (e.g. after calibration) simply appends.
+//! for the same key supersedes earlier frames, so a plan built again for
+//! a key — its frame read back corrupt, say — simply appends.
+//!
+//! # Reading back
+//!
+//! The store keeps, in memory, where each journaled key's newest
+//! committed frame lies (segment, offset, length): Bitcask's keydir
+//! over an append-only log.  Replay builds it in the same scan that
+//! resolves the live set, [`PlanStore::append`] adds a frame only once
+//! the whole frame is written, and [`PlanStore::compact`] rebuilds it
+//! from the frames it rewrites.  [`PlanStore::read`] then fetches a
+//! key's frame with one positioned read, and [`JournalFrame::plan`]
+//! checks it the way replay does — checksum, envelope, plan decode —
+//! and gives the plan only when the frame holds the key asked for.  So a
+//! plan the daemon's memory cache evicted is read back, not re-planned,
+//! and each key is journaled once.  Entries are a 64-bit hash of the key
+//! and a packed location; two keys whose hashes collide share one entry,
+//! and the key check turns the other key's read into a miss, never into
+//! a wrong plan.
 
-use crate::fingerprint::fnv1a64;
+use crate::fingerprint::Fnv1a;
 use crate::json::{self, FieldError, Item};
 use crate::{PartitionPlan, PlanKey};
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
+use std::hash::BuildHasher as _;
 use std::io::{self, Write as _};
+use std::os::unix::fs::FileExt as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -227,10 +247,10 @@ fn encode_payload(seq: u64, key: &PlanKey, plan: &PartitionPlan) -> Vec<u8> {
 
 /// A frame's checksum: over the length prefix and the payload.
 fn checksum(len: [u8; 4], payload: &[u8]) -> u64 {
-    let mut sum_input = Vec::with_capacity(4 + payload.len());
-    sum_input.extend_from_slice(&len);
-    sum_input.extend_from_slice(payload);
-    fnv1a64(&sum_input)
+    let mut sum = Fnv1a::new();
+    sum.update(&len);
+    sum.update(payload);
+    sum.finish()
 }
 
 /// Frame a payload: length, checksum over length + payload, payload.
@@ -243,17 +263,20 @@ fn encode_frame(payload: &[u8]) -> Vec<u8> {
     frame
 }
 
-fn decode_payload(payload: &[u8]) -> Result<StoredEntry, String> {
+/// One frame's record, decoded.
+struct Record {
+    seq: u64,
+    key: PlanKey,
+    plan: PartitionPlan,
+}
+
+fn decode_payload(payload: &[u8]) -> Result<Record, String> {
     let text = std::str::from_utf8(payload).map_err(|_| "payload is not UTF-8".to_string())?;
     let j = json::parse(text).map_err(|e| format!("payload is not JSON: {e}"))?;
     let (seq, key, plan_text) = decode_envelope(Item::root(&j)).map_err(|e| e.to_string())?;
     let plan =
         PartitionPlan::from_json_str(plan_text).map_err(|e| format!("embedded plan: {e}"))?;
-    Ok(StoredEntry {
-        seq,
-        key,
-        plan: Arc::new(plan),
-    })
+    Ok(Record { seq, key, plan })
 }
 
 /// The envelope around the plan text: a frame that passed its checksum
@@ -284,17 +307,17 @@ fn decode_envelope(f: Item<'_>) -> Result<(u64, PlanKey, &str), FieldError> {
 }
 
 struct SegmentScan {
-    /// Valid frames, in file order.
-    entries: Vec<StoredEntry>,
+    /// Valid frames.
+    frames: u64,
     /// Offset just past the last valid frame.
     good_len: u64,
     /// Why the scan stopped early, if it did.
     bad: Option<String>,
 }
 
-/// The frame at the head of `rest`: its entry and its length, `None` at
-/// the segment's end, or why it is bad.
-fn read_frame(rest: &[u8]) -> Result<Option<(StoredEntry, usize)>, String> {
+/// The frame at the head of `rest`: its record and its length, `None`
+/// at the segment's end, or why it is bad.
+fn read_frame(rest: &[u8]) -> Result<Option<(Record, usize)>, String> {
     if rest.is_empty() {
         return Ok(None);
     }
@@ -316,22 +339,24 @@ fn read_frame(rest: &[u8]) -> Result<Option<(StoredEntry, usize)>, String> {
     if checksum(prefix, &rest[HEADER..end]) != stored {
         return Err("frame checksum mismatch".to_string());
     }
-    let entry = decode_payload(&rest[HEADER..end])
+    let record = decode_payload(&rest[HEADER..end])
         .map_err(|reason| format!("undecodable frame payload: {reason}"))?;
-    Ok(Some((entry, end)))
+    Ok(Some((record, end)))
 }
 
-/// Walk one segment's bytes; never fails, just stops at the first bad
+/// Walk one segment's bytes, handing each valid frame's record, offset
+/// and length to `frame`; never fails, just stops at the first bad
 /// frame.
-fn scan_segment(buf: &[u8]) -> SegmentScan {
-    let mut entries = Vec::new();
+fn scan_segment(buf: &[u8], mut frame: impl FnMut(Record, u64, usize)) -> SegmentScan {
+    let mut frames = 0;
     let mut pos = 0;
     let bad = if buf.starts_with(MAGIC) {
         pos = MAGIC.len();
         loop {
             match read_frame(&buf[pos..]) {
-                Ok(Some((entry, len))) => {
-                    entries.push(entry);
+                Ok(Some((record, len))) => {
+                    frame(record, pos as u64, len);
+                    frames += 1;
                     pos += len;
                 }
                 Ok(None) => break None,
@@ -342,7 +367,7 @@ fn scan_segment(buf: &[u8]) -> SegmentScan {
         Some("bad segment header".to_string())
     };
     SegmentScan {
-        entries,
+        frames,
         good_len: pos as u64,
         bad,
     }
@@ -366,26 +391,88 @@ fn segment_indices(dir: &Path) -> io::Result<Vec<u64>> {
     Ok(indices)
 }
 
-/// Resolve the raw frame stream into the live set (latest seq per key).
-fn resolve_live(all: Vec<StoredEntry>) -> Vec<StoredEntry> {
-    let mut latest: HashMap<PlanKey, StoredEntry> = HashMap::new();
-    for e in all {
-        match latest.get(&e.key) {
-            Some(prev) if prev.seq >= e.seq => {}
-            _ => {
-                latest.insert(e.key, e);
+/// Where one frame lies: its segment, its byte offset there and its
+/// length, header included.  Packed to 16 bytes; a frame whose segment
+/// index or length does not fit is not indexed, and reads as a miss.
+#[derive(Debug, Clone, Copy)]
+struct FrameLoc {
+    segment: u32,
+    len: u32,
+    offset: u64,
+}
+
+impl FrameLoc {
+    fn new(segment: u64, offset: u64, len: usize) -> Option<FrameLoc> {
+        Some(FrameLoc {
+            segment: u32::try_from(segment).ok()?,
+            len: u32::try_from(len).ok()?,
+            offset,
+        })
+    }
+}
+
+/// Each journaled key's newest committed frame (see the module docs),
+/// by a 64-bit hash of the key rather than the key itself (24 bytes an
+/// entry, not 64), and [`JournalFrame::plan`] checks the key it reads.  The hash
+/// is keyed per process, so no client can pick nests whose keys collide.
+#[derive(Debug, Default)]
+struct KeyIndex {
+    hasher: RandomState,
+    locs: HashMap<u64, FrameLoc>,
+}
+
+impl KeyIndex {
+    fn hash(&self, key: &PlanKey) -> u64 {
+        self.hasher.hash_one(key)
+    }
+
+    fn get(&self, key: &PlanKey) -> Option<FrameLoc> {
+        self.locs.get(&self.hash(key)).copied()
+    }
+
+    /// Point `key` at its newest frame; a frame that cannot be located
+    /// in 16 bytes (`None`) unindexes the key instead, since the older
+    /// frame it would otherwise read is superseded.
+    fn set(&mut self, key: &PlanKey, loc: Option<FrameLoc>) {
+        let hash = self.hash(key);
+        match loc {
+            Some(loc) => self.locs.insert(hash, loc),
+            None => self.locs.remove(&hash),
+        };
+    }
+}
+
+/// A key's journaled frame as [`PlanStore::read`] read it: raw bytes,
+/// so the caller can check and decode them after releasing whatever
+/// lock guards the store.
+#[derive(Debug)]
+pub struct JournalFrame {
+    key: PlanKey,
+    bytes: Vec<u8>,
+}
+
+impl JournalFrame {
+    /// The plan this frame holds: the frame must pass the checks replay
+    /// makes (checksum, envelope, plan decode), fill the bytes read, and
+    /// hold the key it was read for.  `Err` says which check failed.
+    pub fn plan(self) -> Result<PartitionPlan, String> {
+        match read_frame(&self.bytes)? {
+            Some((record, len)) if len == self.bytes.len() && record.key == self.key => {
+                Ok(record.plan)
             }
+            Some((record, _)) if record.key != self.key => {
+                Err("indexed frame holds another key's plan".to_string())
+            }
+            _ => Err("indexed frame does not fill its extent".to_string()),
         }
     }
-    let mut live: Vec<StoredEntry> = latest.into_values().collect();
-    live.sort_by_key(|e| e.seq);
-    live
 }
 
 /// The append handle over a store directory.  Not internally
-/// synchronized — the server wraps it in a mutex, and appends are
-/// off the request fast path (journaling happens only on a computed
-/// plan, which already paid a compile).
+/// synchronized — the server wraps it in a mutex.  Appends happen only
+/// for a plan that was built, which already paid a compile; reads, on a
+/// memory-cache miss, copy one frame's bytes out under that mutex and
+/// leave the decode to the caller.
 pub struct PlanStore {
     dir: PathBuf,
     cfg: StoreConfig,
@@ -401,6 +488,11 @@ pub struct PlanStore {
     ops: u64,
     appended: u64,
     hook: Option<WriteFaultHook>,
+    /// Where each journaled key's newest committed frame lies.
+    index: KeyIndex,
+    /// Read handles of the segments [`PlanStore::read`] has read from,
+    /// opened on first use.
+    readers: HashMap<u64, File>,
 }
 
 impl std::fmt::Debug for PlanStore {
@@ -424,7 +516,7 @@ impl PlanStore {
     /// [`open`](PlanStore::open) with explicit tunables.
     pub fn open_with(dir: &Path, cfg: StoreConfig) -> io::Result<(PlanStore, RecoveryReport)> {
         fs::create_dir_all(dir)?;
-        let report = recover(dir, true)?;
+        let (report, index) = recover(dir, true)?;
         let next_seq = report.live.iter().map(|e| e.seq + 1).max().unwrap_or(0);
         let indices = segment_indices(dir)?;
         let (active_index, active, active_len) = match indices.last() {
@@ -448,6 +540,8 @@ impl PlanStore {
                 ops: 0,
                 appended: 0,
                 hook: None,
+                index,
+                readers: HashMap::new(),
             },
             report,
         ))
@@ -456,7 +550,7 @@ impl PlanStore {
     /// Read-only integrity scan: decode every segment without
     /// repairing anything.  What `alp-cli store verify` runs.
     pub fn scan(dir: &Path) -> io::Result<RecoveryReport> {
-        recover(dir, false)
+        Ok(recover(dir, false)?.0)
     }
 
     /// The directory this store journals into.
@@ -477,7 +571,8 @@ impl PlanStore {
     /// Journal one plan.  Returns the record's sequence number.  On
     /// error the frame may be partially on disk; the next append (or
     /// the next recovery) rolls the tail back to the last committed
-    /// frame, so a failed append never corrupts its successors.
+    /// frame, so a failed append never corrupts its successors.  The
+    /// key index points at the frame only once all of it is written.
     pub fn append(&mut self, key: &PlanKey, plan: &PartitionPlan) -> io::Result<u64> {
         self.repair_tail()?;
         let seq = self.next_seq;
@@ -487,11 +582,31 @@ impl PlanStore {
         {
             self.rotate()?;
         }
+        let offset = self.committed_len;
         self.write_faulty(&frame)?;
+        let loc = FrameLoc::new(self.active_index, offset, frame.len());
+        self.index.set(key, loc);
         self.committed_len = self.active_len;
         self.next_seq += 1;
         self.appended += 1;
         Ok(seq)
+    }
+
+    /// The newest committed frame journaled under `key`, read with one
+    /// positioned read: `Ok(None)` when the journal holds none.  Check
+    /// and decode it with [`JournalFrame::plan`].
+    pub fn read(&mut self, key: &PlanKey) -> io::Result<Option<JournalFrame>> {
+        let Some(loc) = self.index.get(key) else {
+            return Ok(None);
+        };
+        let segment = u64::from(loc.segment);
+        let file = match self.readers.entry(segment) {
+            Entry::Occupied(file) => file.into_mut(),
+            Entry::Vacant(slot) => slot.insert(File::open(seg_path(&self.dir, segment))?),
+        };
+        let mut bytes = vec![0; loc.len as usize];
+        file.read_exact_at(&mut bytes, loc.offset)?;
+        Ok(Some(JournalFrame { key: *key, bytes }))
     }
 
     /// Flush the active segment to stable storage (fsync).  Appends
@@ -503,7 +618,9 @@ impl PlanStore {
     }
 
     /// Rewrite the live set into one fresh segment (tempfile + fsync +
-    /// atomic rename), then delete every older segment.
+    /// atomic rename), then delete every older segment.  From the
+    /// rename on, the key index knows only the rewritten frames: a key
+    /// `live` does not name reads nothing.
     pub fn compact(&mut self, live: &[(PlanKey, Arc<PartitionPlan>)]) -> io::Result<CompactReport> {
         let bytes_before = segment_indices(&self.dir)?
             .iter()
@@ -511,17 +628,24 @@ impl PlanStore {
             .sum::<io::Result<u64>>()?;
         let next_index = self.active_index + 1;
         let tmp = self.dir.join("compact.tmp");
+        let mut index = KeyIndex::default();
         {
             let mut f = File::create(&tmp)?;
             f.write_all(MAGIC)?;
+            let mut offset = MAGIC.len() as u64;
             for (key, plan) in live {
                 let seq = self.next_seq;
                 self.next_seq += 1;
-                f.write_all(&encode_frame(&encode_payload(seq, key, plan)))?;
+                let frame = encode_frame(&encode_payload(seq, key, plan));
+                f.write_all(&frame)?;
+                index.set(key, FrameLoc::new(next_index, offset, frame.len()));
+                offset += frame.len() as u64;
             }
             f.sync_all()?;
         }
         fs::rename(&tmp, seg_path(&self.dir, next_index))?;
+        self.index = index;
+        self.readers.clear();
         // Make the rename itself durable before deleting the old
         // segments (best effort: not every filesystem lets you fsync a
         // directory handle).
@@ -627,21 +751,33 @@ fn new_segment(dir: &Path, index: u64) -> io::Result<(u64, File, u64)> {
 }
 
 /// Scan every segment; with `repair` also quarantine bad tails and
-/// truncate segments back to their last good frame.
-fn recover(dir: &Path, repair: bool) -> io::Result<RecoveryReport> {
+/// truncate segments back to their last good frame.  The scan keeps
+/// only the newest frame per key as it goes (a later sequence number
+/// supersedes, wherever it lies), and gives the key index of those
+/// frames beside the report.
+fn recover(dir: &Path, repair: bool) -> io::Result<(RecoveryReport, KeyIndex)> {
     let mut report = RecoveryReport::default();
     if !dir.exists() {
-        return Ok(report);
+        return Ok((report, KeyIndex::default()));
     }
-    let mut all = Vec::new();
+    let mut latest: HashMap<PlanKey, (StoredEntry, Option<FrameLoc>)> = HashMap::new();
     for index in segment_indices(dir)? {
         report.segments += 1;
         let path = seg_path(dir, index);
         let buf = fs::read(&path)?;
-        let scan = scan_segment(&buf);
-        report.frames += scan.entries.len() as u64;
+        let scan = scan_segment(&buf, |record, offset, len| match latest.entry(record.key) {
+            Entry::Occupied(prev) if prev.get().0.seq >= record.seq => {}
+            slot => {
+                let entry = StoredEntry {
+                    seq: record.seq,
+                    key: record.key,
+                    plan: Arc::new(record.plan),
+                };
+                slot.insert_entry((entry, FrameLoc::new(index, offset, len)));
+            }
+        });
+        report.frames += scan.frames;
         report.bytes += scan.good_len;
-        all.extend(scan.entries);
         if let Some(reason) = scan.bad {
             let event = QuarantineEvent {
                 segment: index,
@@ -655,8 +791,14 @@ fn recover(dir: &Path, repair: bool) -> io::Result<RecoveryReport> {
             report.quarantined.push(event);
         }
     }
-    report.live = resolve_live(all);
-    Ok(report)
+    let mut live: Vec<_> = latest.into_values().collect();
+    live.sort_by_key(|(entry, _)| entry.seq);
+    let mut keys = KeyIndex::default();
+    for (entry, loc) in &live {
+        keys.set(&entry.key, *loc);
+    }
+    report.live = live.into_iter().map(|(entry, _)| entry).collect();
+    Ok((report, keys))
 }
 
 /// Copy a segment's bad tail to a sidecar for post-mortem, then
@@ -711,6 +853,171 @@ mod tests {
     fn plan(trip: i128) -> PartitionPlan {
         let nest = parse(&format!("doall (i, 0, {trip}) {{ A[i] = A[i]; }}")).unwrap();
         PartitionPlan::build(&nest, 4, None, LegalityVerdict::Unchecked).unwrap()
+    }
+
+    /// What `store` reads back for `key`, as the plan's bytes.
+    fn read_back(store: &mut PlanStore, key: &PlanKey) -> Option<String> {
+        let frame = store.read(key).unwrap()?;
+        Some(frame.plan().unwrap().to_json_string())
+    }
+
+    #[test]
+    fn the_checksum_of_a_fixed_frame_is_pinned() {
+        // Frames on disk carry it, so streaming the two slices into the
+        // hash must give what hashing one copy of them gave.
+        let len = 5u32.to_le_bytes();
+        assert_eq!(checksum(len, b"hello"), 0x578b_e629_69f4_2978);
+        let copied = [&len[..], b"hello"].concat();
+        assert_eq!(checksum(len, b"hello"), crate::fnv1a64(&copied));
+    }
+
+    #[test]
+    fn an_appended_plan_reads_back_byte_identical() {
+        let dir = tmp_dir("read");
+        let (mut store, _) = PlanStore::open(&dir).unwrap();
+        assert!(store.read(&key(1)).unwrap().is_none(), "nothing journaled");
+        for fp in 0..3u64 {
+            store.append(&key(fp), &plan(31 + fp as i128)).unwrap();
+        }
+        for fp in 0..3u64 {
+            let want = plan(31 + fp as i128).to_json_string();
+            assert_eq!(read_back(&mut store, &key(fp)), Some(want), "key {fp}");
+        }
+        // A later frame supersedes an earlier one for the same key.
+        store.append(&key(1), &plan(255)).unwrap();
+        let want = plan(255).to_json_string();
+        assert_eq!(read_back(&mut store, &key(1)), Some(want));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_plan_reads_back_from_a_rotated_away_segment() {
+        let dir = tmp_dir("read-rotate");
+        let cfg = StoreConfig { segment_bytes: 1 };
+        let (mut store, _) = PlanStore::open_with(&dir, cfg).unwrap();
+        for fp in 0..4u64 {
+            store.append(&key(fp), &plan(31 + fp as i128)).unwrap();
+        }
+        assert!(segment_indices(&dir).unwrap().len() >= 4);
+        for fp in 0..4u64 {
+            let want = plan(31 + fp as i128).to_json_string();
+            assert_eq!(read_back(&mut store, &key(fp)), Some(want), "key {fp}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_reopened_store_reads_back_through_the_index_replay_built() {
+        let dir = tmp_dir("read-reopen");
+        let cfg = StoreConfig { segment_bytes: 1 };
+        let (mut store, _) = PlanStore::open_with(&dir, cfg).unwrap();
+        for fp in 0..3u64 {
+            store.append(&key(fp), &plan(31)).unwrap();
+        }
+        // Superseded across segments: replay must index the newest.
+        store.append(&key(0), &plan(127)).unwrap();
+        drop(store);
+        let (mut store, report) = PlanStore::open_with(&dir, cfg).unwrap();
+        assert_eq!((report.frames, report.replayed()), (4, 3));
+        let seqs: Vec<u64> = report.live.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, [1, 2, 3], "the live set in sequence order");
+        let want = plan(127).to_json_string();
+        assert_eq!(read_back(&mut store, &key(0)), Some(want));
+        for fp in 1..3u64 {
+            let want = plan(31).to_json_string();
+            assert_eq!(read_back(&mut store, &key(fp)), Some(want), "key {fp}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compaction_reindexes_the_frames_it_keeps_and_drops_the_rest() {
+        let dir = tmp_dir("read-compact");
+        let cfg = StoreConfig { segment_bytes: 1 };
+        let (mut store, _) = PlanStore::open_with(&dir, cfg).unwrap();
+        for fp in 0..3u64 {
+            store.append(&key(fp), &plan(31 + fp as i128)).unwrap();
+        }
+        for fp in 0..3u64 {
+            assert!(
+                read_back(&mut store, &key(fp)).is_some(),
+                "key {fp} opens a reader"
+            );
+        }
+        let kept: Vec<(PlanKey, Arc<PartitionPlan>)> = [0u64, 2]
+            .iter()
+            .map(|&fp| (key(fp), Arc::new(plan(31 + fp as i128))))
+            .collect();
+        store.compact(&kept).unwrap();
+        assert_eq!(segment_indices(&dir).unwrap().len(), 1);
+        assert!(
+            store.read(&key(1)).unwrap().is_none(),
+            "not kept, not indexed"
+        );
+        for fp in [0u64, 2] {
+            let want = plan(31 + fp as i128).to_json_string();
+            assert_eq!(read_back(&mut store, &key(fp)), Some(want), "key {fp}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_corrupt_indexed_frame_reads_nothing_until_an_append_supersedes_it() {
+        let dir = tmp_dir("read-corrupt");
+        let (mut store, _) = PlanStore::open(&dir).unwrap();
+        store.append(&key(1), &plan(63)).unwrap();
+        store.append(&key(2), &plan(127)).unwrap();
+        // Flip one payload byte of the first frame.
+        let path = seg_path(&dir, 1);
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[MAGIC.len() + HEADER + 20] ^= 0x01;
+        fs::write(&path, &bytes).unwrap();
+        let frame = store.read(&key(1)).unwrap().expect("indexed");
+        assert_eq!(frame.plan().unwrap_err(), "frame checksum mismatch");
+        // The untouched neighbour still reads.
+        let want = plan(127).to_json_string();
+        assert_eq!(read_back(&mut store, &key(2)), Some(want));
+        // Built again, the key's new frame supersedes the bad one.
+        store.append(&key(1), &plan(63)).unwrap();
+        let want = plan(63).to_json_string();
+        assert_eq!(read_back(&mut store, &key(1)), Some(want));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_frame_read_for_another_key_gives_no_plan() {
+        let dir = tmp_dir("read-collide");
+        let (mut store, _) = PlanStore::open(&dir).unwrap();
+        store.append(&key(1), &plan(63)).unwrap();
+        // What a hash collision does: key 2's entry points at key 1's
+        // frame.
+        let loc = store.index.get(&key(1));
+        store.index.set(&key(2), loc);
+        let frame = store.read(&key(2)).unwrap().expect("indexed");
+        assert_eq!(
+            frame.plan().unwrap_err(),
+            "indexed frame holds another key's plan"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_append_is_not_indexed() {
+        let dir = tmp_dir("read-fault");
+        let (mut store, _) = PlanStore::open(&dir).unwrap();
+        store.set_write_fault(Arc::new(|op, _| match op {
+            0 => Some(WriteFault::Short(7)),
+            1 => Some(WriteFault::Err(io::ErrorKind::ConnectionReset)),
+            _ => None,
+        }));
+        store.append(&key(2), &plan(127)).unwrap_err();
+        assert!(store.read(&key(2)).unwrap().is_none(), "a torn frame");
+        // The next append repairs the tail and is read back.
+        store.append(&key(3), &plan(255)).unwrap();
+        assert!(store.read(&key(2)).unwrap().is_none());
+        let want = plan(255).to_json_string();
+        assert_eq!(read_back(&mut store, &key(3)), Some(want));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -22,6 +22,11 @@
 //! {"id": 8, "ok": false, "code": "ALP0012", "error": "server overloaded: …"}
 //! ```
 //!
+//! `cache` says how the plan was had: `hit` from the memory cache,
+//! `coalesced` from another request's in-flight fetch, `computed` when
+//! this request fetched it — planned, or read back from the daemon's
+//! journal after the cache evicted it.
+//!
 //! Frames are read and written by [`alp_plan::json`], the tree's one
 //! codec (no serde, no floats, byte-deterministic output), in its
 //! one-line layout: a frame is a single line — the framing IS the
@@ -220,7 +225,8 @@ pub struct Response {
     /// Success flag; `false` pairs with `code`/`error`.
     pub ok: bool,
     /// How the cache satisfied the request (`hit` / `coalesced` /
-    /// `computed`), when applicable.
+    /// `computed`, which also covers a plan read back from the journal),
+    /// when applicable.
     pub cache: Option<String>,
     /// Plan fingerprint (plan/run successes).
     pub fingerprint: Option<String>,
@@ -468,6 +474,14 @@ mod tests {
         // Plain stats responses carry no shard block.
         let plain = Response::decode(&Response::stats(1, ServerStats::default()).encode()).unwrap();
         assert!(plain.shards.is_none());
+    }
+
+    #[test]
+    fn a_stats_object_without_journal_reads_decodes_it_as_zero() {
+        // What a daemon from before the counter answers.
+        let old = r#"{"id": 6, "ok": true, "stats": {"hits": 1, "misses": 2, "replayed": 3}}"#;
+        let stats = Response::decode(old).unwrap().stats.expect("stats");
+        assert_eq!((stats.replayed, stats.journal_reads), (3, 0));
     }
 
     #[test]

@@ -33,9 +33,9 @@
 //! The resolution rides in the queued job, so the worker plans the nest
 //! it was handed; the socket reader, an in-process
 //! [`Server::handle_now`] and the prewarm loop resolve through one
-//! function and take the plan through one more (memoize, then journal
-//! what was computed), one function words the plan reply, one answers
-//! the control ops.
+//! function and take the plan through one more (memoize; on a miss read
+//! the journal, else build and journal), one function words the plan
+//! reply, one answers the control ops.
 //!
 //! Within an admitted request, the hardened executor's own guards
 //! apply: per-request deadline (`ALP0007`) and memory budget
@@ -47,12 +47,17 @@
 //!
 //! ## Durability and graceful drain
 //!
-//! With [`ServeConfig::store_dir`] set, every *computed* plan is also
-//! appended to a crash-safe [`PlanStore`] journal, and startup replays
-//! the journal into the sharded cache before the first request —
+//! With [`ServeConfig::store_dir`] set, every plan the daemon *builds*
+//! is also appended to a crash-safe [`PlanStore`] journal, and startup
+//! replays the journal into the sharded cache before the first request —
 //! a restarted daemon keeps its hot set instead of paying a recompile
 //! storm (`replayed` counter; corrupt tail frames are quarantined with
-//! `ALP0014`, never fatal).
+//! `ALP0014`, never fatal).  The journal also stands beneath the cache
+//! while serving: a key the cache evicted is read back from its frame
+//! (`journal_reads` counter) instead of re-planned, and is not journaled
+//! again, so each key compiles and is journaled once.  Its reply is still
+//! labelled `computed`.  A frame that cannot be read or does not check
+//! is logged and the plan is built and appended, superseding it.
 //!
 //! Shutdown is a two-phase drain rather than a cliff, and the
 //! lifecycle is one word that only moves forward (serving → draining →
@@ -99,7 +104,8 @@ pub struct ServeConfig {
     /// cache for tests and benchmarks).
     pub prewarm: Vec<PlanSpec>,
     /// Directory of the durable plan journal; `None` disables
-    /// persistence.  Computed plans are appended, startup replays.
+    /// persistence.  Built plans are appended, startup replays, and a
+    /// cache miss reads the key's plan back before it builds one.
     pub store_dir: Option<PathBuf>,
     /// Default bound on the graceful drain, in milliseconds; past it,
     /// still-queued jobs are refused unexecuted.
@@ -175,7 +181,8 @@ macro_rules! server_stats {
 server_stats! {
     /// Cache hits (inline fast path plus worker-path hits).
     hits,
-    /// Compile leaders (each built one plan).
+    /// Compile leaders: each built one plan or read it back from the
+    /// journal (`journal_reads`).
     misses,
     /// Requests that waited on another request's in-flight compile.
     coalesced,
@@ -212,6 +219,9 @@ server_stats! {
     refused,
     /// Plans re-warmed from the durable journal at startup.
     replayed,
+    /// Cache misses answered by reading the key's plan back from the
+    /// durable journal instead of building it.
+    journal_reads,
 }
 
 impl ServerStats {
@@ -291,7 +301,7 @@ struct Inner {
     /// advances, and once draining whenever a worker ends a batch.
     drain_mx: Mutex<()>,
     drain_cv: Condvar,
-    /// Durable journal of computed plans, when configured.
+    /// Durable journal of built plans, when configured.
     store: Option<Mutex<PlanStore>>,
     /// `depth` follows the queue under its lock; `replayed` is fixed at
     /// construction.
@@ -371,23 +381,57 @@ impl Inner {
     }
 
     /// The plan under `key`: cached, awaited from another request's
-    /// in-flight compile, or made here — and then journaled, whoever
+    /// in-flight compile, or fetched here — read back from the journal
+    /// when it holds the key, otherwise made and then journaled, whoever
     /// asked (a worker, an in-process caller, the prewarm loop): the
     /// store must cover everything computed, or a restart would
-    /// cold-start exactly the plans that matter most.
+    /// cold-start exactly the plans that matter most.  The read runs as
+    /// the compile does, so coalesced waiters share it.
     fn fetch(
         &self,
         key: PlanKey,
         make: impl FnOnce() -> Result<PartitionPlan, ServeError>,
     ) -> Result<(Arc<PartitionPlan>, Fetched), ServeError> {
-        let (plan, how) = self.cache.get_or_compute(key, make)?;
-        if how == Fetched::Computed {
+        let mut built = false;
+        let (plan, how) = self.cache.get_or_compute(key, || {
+            if let Some(plan) = self.read_back(&key) {
+                return Ok(plan);
+            }
+            built = true;
+            make()
+        })?;
+        if built {
             self.journal(&key, &plan);
         }
         Ok((plan, how))
     }
 
-    /// Append a freshly computed plan to the durable journal, if one is
+    /// The plan the journal holds for `key`, if one is configured and
+    /// holds it.  The frame's bytes are read under the store's lock and
+    /// checked and decoded after it; a frame that cannot be read or does
+    /// not check is logged and reads as nothing, and the plan the caller
+    /// then builds supersedes it.
+    fn read_back(&self, key: &PlanKey) -> Option<PartitionPlan> {
+        let store = self.store.as_ref()?;
+        let frame = store.lock().ok()?.read(key);
+        let plan = match frame {
+            Ok(None) => return None,
+            Ok(Some(frame)) => frame.plan(),
+            Err(e) => Err(e.to_string()),
+        };
+        match plan {
+            Ok(plan) => {
+                self.n.journal_reads.fetch_add(1, Ordering::Relaxed);
+                Some(plan)
+            }
+            Err(e) => {
+                eprintln!("alp-serve: warning: journal read failed: {e}");
+                None
+            }
+        }
+    }
+
+    /// Append a freshly built plan to the durable journal, if one is
     /// configured.  Journaling is best-effort: the serving path never
     /// fails because the disk did — the plan is already cached and the
     /// response already correct — but each incident is logged.

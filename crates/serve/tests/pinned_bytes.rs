@@ -66,6 +66,7 @@ fn stats() -> ServerStats {
         expired: 13,
         refused: 14,
         replayed: u64::MAX,
+        journal_reads: 15,
     }
 }
 
@@ -106,9 +107,9 @@ fn response_frames_are_pinned() {
         r#"{"id": 3, "ok": true, "cache": "hit", "fingerprint": "fnv1a64:00ff", "tiles": 16}"#,
         r#"{"id": 4, "ok": true, "cache": "computed", "fingerprint": "fnv1a64:00ff", "tiles": 16, "plan": "{\n  \"v\": 1\n}\n"}"#,
         r#"{"id": 5, "ok": true, "cache": "coalesced", "fingerprint": "fnv1a64:00ff", "tiles": 4, "matches_reference": true, "iterations": 4096}"#,
-        r#"{"id": 6, "ok": true, "stats": {"hits": 1, "misses": 2, "coalesced": 3, "evictions": 4, "inline_hits": 5, "shed_plan": 6, "shed_run": 7, "runs_ok": 8, "failures": 9, "depth": 10, "batched": 11, "malformed": 12, "expired": 13, "refused": 14, "replayed": 18446744073709551615}}"#,
-        r#"{"id": 7, "ok": true, "stats": {"hits": 1, "misses": 2, "coalesced": 3, "evictions": 4, "inline_hits": 5, "shed_plan": 6, "shed_run": 7, "runs_ok": 8, "failures": 9, "depth": 10, "batched": 11, "malformed": 12, "expired": 13, "refused": 14, "replayed": 18446744073709551615}, "shards": [{"len": 3, "capacity": 64, "hits": 10, "misses": 2, "coalesced": 1}, {"len": 0, "capacity": 64, "hits": 10, "misses": 2, "coalesced": 1}]}"#,
-        r#"{"id": 8, "ok": true, "stats": {"hits": 0, "misses": 0, "coalesced": 0, "evictions": 0, "inline_hits": 0, "shed_plan": 0, "shed_run": 0, "runs_ok": 0, "failures": 0, "depth": 0, "batched": 0, "malformed": 0, "expired": 0, "refused": 0, "replayed": 0}, "shards": []}"#,
+        r#"{"id": 6, "ok": true, "stats": {"hits": 1, "misses": 2, "coalesced": 3, "evictions": 4, "inline_hits": 5, "shed_plan": 6, "shed_run": 7, "runs_ok": 8, "failures": 9, "depth": 10, "batched": 11, "malformed": 12, "expired": 13, "refused": 14, "replayed": 18446744073709551615, "journal_reads": 15}}"#,
+        r#"{"id": 7, "ok": true, "stats": {"hits": 1, "misses": 2, "coalesced": 3, "evictions": 4, "inline_hits": 5, "shed_plan": 6, "shed_run": 7, "runs_ok": 8, "failures": 9, "depth": 10, "batched": 11, "malformed": 12, "expired": 13, "refused": 14, "replayed": 18446744073709551615, "journal_reads": 15}, "shards": [{"len": 3, "capacity": 64, "hits": 10, "misses": 2, "coalesced": 1}, {"len": 0, "capacity": 64, "hits": 10, "misses": 2, "coalesced": 1}]}"#,
+        r#"{"id": 8, "ok": true, "stats": {"hits": 0, "misses": 0, "coalesced": 0, "evictions": 0, "inline_hits": 0, "shed_plan": 0, "shed_run": 0, "runs_ok": 0, "failures": 0, "depth": 0, "batched": 0, "malformed": 0, "expired": 0, "refused": 0, "replayed": 0, "journal_reads": 0}, "shards": []}"#,
     ];
     assert_eq!(frames.each_ref().map(String::as_str), pinned);
 }

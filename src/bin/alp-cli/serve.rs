@@ -153,7 +153,7 @@ fn daemon(sock: &str, cfg: ServeConfig) -> Result<ExitCode, ExitCode> {
     let stats = out.stats;
     eprintln!(
         "alp-cli: serve: {} after {} hits, {} compiles, {} coalesced, {} shed, \
-         {} refused{}",
+         {} refused{}{}",
         if out.drained {
             "drained cleanly".to_string()
         } else {
@@ -163,12 +163,17 @@ fn daemon(sock: &str, cfg: ServeConfig) -> Result<ExitCode, ExitCode> {
             )
         },
         stats.hits,
-        stats.misses,
+        stats.misses.saturating_sub(stats.journal_reads),
         stats.coalesced,
         stats.shed(),
         stats.refused,
         if stats.replayed > 0 {
             format!(", {} replayed", stats.replayed)
+        } else {
+            String::new()
+        },
+        if stats.journal_reads > 0 {
+            format!(", {} read back", stats.journal_reads)
         } else {
             String::new()
         }

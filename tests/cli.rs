@@ -790,6 +790,41 @@ fn sigterm_drains_the_daemon_and_exits_zero() {
 }
 
 #[test]
+fn an_evicted_plan_is_read_back_and_journaled_once() {
+    // A one-plan cache and two nests in turn: every request after the
+    // first two misses the cache and reads its plan back.
+    let store = std::env::temp_dir().join(format!("alp-cli-read-back-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let path = store.to_str().unwrap();
+    let (mut daemon, sock) =
+        spawn_serve(&["--shards", "1", "--cache-capacity", "1", "--store", path]);
+    let nests = [
+        "doall (i, 0, 63) { A[i] = A[i] + B[i]; }",
+        "doall (i, 0, 31) { doall (j, 0, 31) { A[i,j] = B[i,j]; } }",
+    ];
+    for _ in 0..3 {
+        for nest in nests {
+            let (stdout, stderr, code) = serve_client(&sock, &["--op", "plan", "-"], Some(nest));
+            assert_eq!(code, Some(0), "stderr: {stderr}");
+            assert!(stdout.contains("cache computed"), "{stdout}");
+        }
+    }
+    let (stdout, _, code) = serve_client(&sock, &["--op", "stats"], None);
+    assert_eq!(code, Some(0));
+    assert!(stdout.contains("\"journal_reads\": 4"), "{stdout}");
+    let (_, _, code) = serve_client(&sock, &["--op", "shutdown"], None);
+    assert_eq!(code, Some(0));
+    assert_eq!(daemon.wait().expect("daemon exits").code(), Some(0));
+    let (stdout, stderr, code) = run_cli(&["store", "stats", path], None);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert!(
+        stdout.contains(" 2 frame(s), ") && stdout.contains(" 2 live plan(s), "),
+        "as many frames as live plans: {stdout}"
+    );
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
 fn second_sigterm_aborts_the_drain_with_exit_12() {
     // One worker, a long drain deadline, and a queue of slow runs: the
     // first SIGTERM leaves the daemon draining for a long time, so the
