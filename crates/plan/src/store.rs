@@ -31,11 +31,16 @@
 //! `kill -9` after `append` returns can lose at most the frames still
 //! in the page cache, and a kill *during* the write leaves at most one
 //! torn frame at the tail.  Recovery ([`PlanStore::open`]) walks every
-//! segment frame by frame; the first bad frame (short header, oversized
-//! or truncated length, checksum mismatch, undecodable payload) ends
-//! that segment: the offending tail bytes are copied to a
-//! `quarantine/` sidecar for post-mortem, the segment is truncated back
-//! to its last good frame, and replay continues — corruption is
+//! segment frame by frame.  A frame whose header is plausible (its
+//! length is in bounds and fits the segment) but whose checksum or
+//! payload fails is *skipped* when the frame after it is good: its
+//! bytes are copied to a `quarantine/` sidecar and reported at every
+//! open until [`PlanStore::compact`] rewrites the segment, and the
+//! frames behind it still replay.  Any other bad frame (short header,
+//! oversized or truncated length, a bad frame followed by another or
+//! by the segment's end) begins the segment's bad *tail*: the tail
+//! bytes are copied to a sidecar, the segment is truncated back to
+//! where the tail begins, and replay continues — corruption is
 //! diagnosed (`ALP0014`) but **never fatal**.  [`PlanStore::sync`]
 //! exists for the graceful-drain path, where the daemon wants the
 //! journal on stable storage before exiting 0.
@@ -150,7 +155,8 @@ pub struct QuarantineEvent {
     pub segment: u64,
     /// Byte offset of the first bad byte.
     pub offset: u64,
-    /// Number of bytes quarantined (bad byte to end of segment).
+    /// Number of bytes quarantined: a skipped frame's own length, or,
+    /// for a bad tail, from the bad byte to the end of the segment.
     pub bytes: u64,
     /// What failed: header, length bound, checksum, or payload decode.
     pub reason: String,
@@ -309,15 +315,17 @@ fn decode_envelope(f: Item<'_>) -> Result<(u64, PlanKey, &str), FieldError> {
 struct SegmentScan {
     /// Valid frames.
     frames: u64,
-    /// Offset just past the last valid frame.
+    /// Frames skipped inside the segment: offset, length, why.
+    skipped: Vec<(u64, u64, String)>,
+    /// Where the bad tail begins: the segment's length when it has none.
     good_len: u64,
-    /// Why the scan stopped early, if it did.
+    /// Why the segment has a bad tail, if it does.
     bad: Option<String>,
 }
 
-/// The frame at the head of `rest`: its record and its length, `None`
-/// at the segment's end, or why it is bad.
-fn read_frame(rest: &[u8]) -> Result<Option<(Record, usize)>, String> {
+/// The length (header included) of the frame at the head of `rest`,
+/// `None` at the segment's end, or why its header cannot be trusted.
+fn frame_extent(rest: &[u8]) -> Result<Option<usize>, String> {
     if rest.is_empty() {
         return Ok(None);
     }
@@ -325,8 +333,7 @@ fn read_frame(rest: &[u8]) -> Result<Option<(Record, usize)>, String> {
         let got = rest.len();
         return Err(format!("truncated frame header ({got} of {HEADER} bytes)"));
     }
-    let prefix: [u8; 4] = rest[..4].try_into().expect("4 bytes");
-    let len = u32::from_le_bytes(prefix);
+    let len = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes"));
     if len > MAX_FRAME_BYTES {
         return Err(format!("implausible frame length {len}"));
     }
@@ -335,42 +342,75 @@ fn read_frame(rest: &[u8]) -> Result<Option<(Record, usize)>, String> {
         let got = rest.len() - HEADER;
         return Err(format!("truncated frame payload ({got} of {len} bytes)"));
     }
-    let stored = u64::from_le_bytes(rest[4..HEADER].try_into().expect("8 bytes"));
-    if checksum(prefix, &rest[HEADER..end]) != stored {
+    Ok(Some(end))
+}
+
+/// The record one whole frame holds, or why it holds none: its checksum
+/// fails or its payload does not decode.
+fn check_frame(frame: &[u8]) -> Result<Record, String> {
+    let prefix: [u8; 4] = frame[..4].try_into().expect("4 bytes");
+    let stored = u64::from_le_bytes(frame[4..HEADER].try_into().expect("8 bytes"));
+    if checksum(prefix, &frame[HEADER..]) != stored {
         return Err("frame checksum mismatch".to_string());
     }
-    let record = decode_payload(&rest[HEADER..end])
-        .map_err(|reason| format!("undecodable frame payload: {reason}"))?;
-    Ok(Some((record, end)))
+    decode_payload(&frame[HEADER..])
+        .map_err(|reason| format!("undecodable frame payload: {reason}"))
+}
+
+/// The frame at the head of `rest`: its record and its length, `None`
+/// at the segment's end, or why it is bad.
+fn read_frame(rest: &[u8]) -> Result<Option<(Record, usize)>, String> {
+    let Some(end) = frame_extent(rest)? else {
+        return Ok(None);
+    };
+    Ok(Some((check_frame(&rest[..end])?, end)))
 }
 
 /// Walk one segment's bytes, handing each valid frame's record, offset
-/// and length to `frame`; never fails, just stops at the first bad
-/// frame.
+/// and length to `frame`; never fails.  A frame whose header is
+/// plausible but whose checksum or payload fails is skipped when the
+/// frame after it is good; any other bad frame, one at the segment's
+/// end included, begins the segment's bad tail.
 fn scan_segment(buf: &[u8], mut frame: impl FnMut(Record, u64, usize)) -> SegmentScan {
-    let mut frames = 0;
-    let mut pos = 0;
-    let bad = if buf.starts_with(MAGIC) {
-        pos = MAGIC.len();
-        loop {
-            match read_frame(&buf[pos..]) {
-                Ok(Some((record, len))) => {
-                    frame(record, pos as u64, len);
-                    frames += 1;
-                    pos += len;
-                }
-                Ok(None) => break None,
-                Err(reason) => break Some(reason),
-            }
-        }
-    } else {
-        Some("bad segment header".to_string())
+    let mut scan = SegmentScan {
+        frames: 0,
+        skipped: Vec::new(),
+        good_len: 0,
+        bad: Some("bad segment header".to_string()),
     };
-    SegmentScan {
-        frames,
-        good_len: pos as u64,
-        bad,
+    if !buf.starts_with(MAGIC) {
+        return scan;
     }
+    let mut pos = MAGIC.len();
+    // A whole frame that failed its checks, skipped once a good frame
+    // follows it.
+    let mut suspect: Option<(usize, String)> = None;
+    let tail = loop {
+        let end = match frame_extent(&buf[pos..]) {
+            Ok(Some(end)) => end,
+            Ok(None) => break None,
+            Err(reason) => break Some(reason),
+        };
+        match check_frame(&buf[pos..pos + end]) {
+            Ok(record) => {
+                if let Some((at, reason)) = suspect.take() {
+                    scan.skipped.push((at as u64, (pos - at) as u64, reason));
+                }
+                frame(record, pos as u64, end);
+                scan.frames += 1;
+            }
+            // Two bad frames in a row: the tail begins at the first.
+            Err(_) if suspect.is_some() => break None,
+            Err(reason) => suspect = Some((pos, reason)),
+        }
+        pos += end;
+    };
+    // A bad frame with no good frame after it begins the bad tail.
+    (scan.good_len, scan.bad) = match suspect {
+        Some((at, reason)) => (at as u64, Some(reason)),
+        None => (pos as u64, tail),
+    };
+    scan
 }
 
 fn segment_indices(dir: &Path) -> io::Result<Vec<u64>> {
@@ -750,8 +790,8 @@ fn new_segment(dir: &Path, index: u64) -> io::Result<(u64, File, u64)> {
     Ok((index, file, MAGIC.len() as u64))
 }
 
-/// Scan every segment; with `repair` also quarantine bad tails and
-/// truncate segments back to their last good frame.  The scan keeps
+/// Scan every segment; with `repair` also copy every bad region to
+/// `quarantine/` and truncate each bad tail off its segment.  The scan keeps
 /// only the newest frame per key as it goes (a later sequence number
 /// supersedes, wherever it lies), and gives the key index of those
 /// frames beside the report.
@@ -776,19 +816,31 @@ fn recover(dir: &Path, repair: bool) -> io::Result<(RecoveryReport, KeyIndex)> {
                 slot.insert_entry((entry, FrameLoc::new(index, offset, len)));
             }
         });
+        let skipped: u64 = scan.skipped.iter().map(|&(_, bytes, _)| bytes).sum();
         report.frames += scan.frames;
-        report.bytes += scan.good_len;
-        if let Some(reason) = scan.bad {
-            let event = QuarantineEvent {
-                segment: index,
-                offset: scan.good_len,
-                bytes: buf.len() as u64 - scan.good_len,
-                reason,
-            };
+        report.bytes += scan.good_len - skipped;
+        let tail = scan.bad.map(|reason| {
+            let bytes = buf.len() as u64 - scan.good_len;
+            (scan.good_len, bytes, reason)
+        });
+        // Skipped frames stay in place until compaction rewrites the
+        // segment; only a bad tail is cut off, once it is copied aside.
+        let cut = repair && tail.is_some();
+        for (offset, bytes, reason) in scan.skipped.into_iter().chain(tail) {
             if repair {
-                quarantine(dir, &path, index, &buf, scan.good_len)?;
+                let bad = &buf[offset as usize..(offset + bytes) as usize];
+                fs::create_dir_all(dir.join("quarantine"))?;
+                fs::write(sidecar(dir, index, offset), bad)?;
             }
-            report.quarantined.push(event);
+            report.quarantined.push(QuarantineEvent {
+                segment: index,
+                offset,
+                bytes,
+                reason,
+            });
+        }
+        if cut {
+            truncate(&path, scan.good_len)?;
         }
     }
     let mut live: Vec<_> = latest.into_values().collect();
@@ -801,23 +853,20 @@ fn recover(dir: &Path, repair: bool) -> io::Result<(RecoveryReport, KeyIndex)> {
     Ok((report, keys))
 }
 
-/// Copy a segment's bad tail to a sidecar for post-mortem, then
-/// truncate the segment back to its last good frame.  A segment whose
-/// header itself is bad (good_len 0) is moved aside wholesale.
-fn quarantine(dir: &Path, path: &Path, index: u64, buf: &[u8], good_len: u64) -> io::Result<()> {
-    let qdir = dir.join("quarantine");
-    fs::create_dir_all(&qdir)?;
-    let sidecar = qdir.join(format!("segment-{index:06}-at-{good_len}.bad"));
-    fs::write(&sidecar, &buf[good_len as usize..])?;
+/// Where a quarantined region's bytes are copied for post-mortem.
+fn sidecar(dir: &Path, index: u64, offset: u64) -> PathBuf {
+    dir.join("quarantine")
+        .join(format!("segment-{index:06}-at-{offset}.bad"))
+}
+
+/// Cut a segment back to `good_len`, where its bad tail begins; a
+/// segment whose header itself is bad (`good_len` 0) is removed.
+fn truncate(path: &Path, good_len: u64) -> io::Result<()> {
     if good_len == 0 {
-        fs::remove_file(path)?;
+        fs::remove_file(path)
     } else {
-        OpenOptions::new()
-            .write(true)
-            .open(path)?
-            .set_len(good_len)?;
+        OpenOptions::new().write(true).open(path)?.set_len(good_len)
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -981,6 +1030,84 @@ mod tests {
         store.append(&key(1), &plan(63)).unwrap();
         let want = plan(63).to_json_string();
         assert_eq!(read_back(&mut store, &key(1)), Some(want));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_bad_frame_before_a_good_one_is_skipped_until_compaction() {
+        let dir = tmp_dir("skip");
+        let (mut store, _) = PlanStore::open(&dir).unwrap();
+        store.append(&key(1), &plan(63)).unwrap();
+        store.append(&key(2), &plan(127)).unwrap();
+        drop(store);
+        // Flip one payload byte of the first frame.
+        let path = seg_path(&dir, 1);
+        let mut bytes = fs::read(&path).unwrap();
+        let first = MAGIC.len() + frame_extent(&bytes[MAGIC.len()..]).unwrap().unwrap();
+        bytes[MAGIC.len() + HEADER + 20] ^= 0x01;
+        fs::write(&path, &bytes).unwrap();
+        // Reported at every open, and never cut: the frame behind it
+        // replays and reads back.
+        for _ in 0..2 {
+            let (mut store, report) = PlanStore::open(&dir).unwrap();
+            let counts = (report.frames, report.live.len(), report.quarantined.len());
+            assert_eq!(counts, (1, 1, 1), "{report:?}");
+            let q = &report.quarantined[0];
+            assert_eq!(
+                (q.offset, q.bytes),
+                (MAGIC.len() as u64, (first - MAGIC.len()) as u64)
+            );
+            assert_eq!(q.reason, "frame checksum mismatch");
+            assert_eq!(report.bytes, (bytes.len() - first + MAGIC.len()) as u64);
+            assert_eq!(
+                fs::read(&path).unwrap(),
+                bytes,
+                "a skipped frame is not cut"
+            );
+            let sidecar = fs::read(sidecar(&dir, 1, MAGIC.len() as u64)).unwrap();
+            assert_eq!(sidecar, bytes[MAGIC.len()..first]);
+            assert_eq!(read_back(&mut store, &key(1)), None);
+            let want = plan(127).to_json_string();
+            assert_eq!(read_back(&mut store, &key(2)), Some(want));
+        }
+        // Compaction rewrites the segment without it.
+        let (mut store, _) = PlanStore::open(&dir).unwrap();
+        store.compact(&[(key(2), Arc::new(plan(127)))]).unwrap();
+        drop(store);
+        let (_, report) = PlanStore::open(&dir).unwrap();
+        assert!(!report.corrupt(), "{report:?}");
+        assert_eq!(report.replayed(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn two_bad_frames_in_a_row_begin_the_bad_tail() {
+        let dir = tmp_dir("skip-two");
+        let (mut store, _) = PlanStore::open(&dir).unwrap();
+        for k in 1..=3 {
+            store.append(&key(k), &plan(31 + k as i128)).unwrap();
+        }
+        drop(store);
+        let path = seg_path(&dir, 1);
+        let mut bytes = fs::read(&path).unwrap();
+        let second = MAGIC.len() + frame_extent(&bytes[MAGIC.len()..]).unwrap().unwrap();
+        let third = second + frame_extent(&bytes[second..]).unwrap().unwrap();
+        bytes[second + HEADER + 20] ^= 0x01;
+        bytes[third + HEADER + 20] ^= 0x01;
+        fs::write(&path, &bytes).unwrap();
+        let (_, report) = PlanStore::open(&dir).unwrap();
+        assert_eq!((report.frames, report.replayed()), (1, 1), "{report:?}");
+        let q = &report.quarantined;
+        assert_eq!(q.len(), 1, "{q:?}");
+        assert_eq!(
+            (q[0].offset, q[0].bytes),
+            (second as u64, (bytes.len() - second) as u64)
+        );
+        assert_eq!(
+            fs::metadata(&path).unwrap().len(),
+            second as u64,
+            "the tail is cut"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

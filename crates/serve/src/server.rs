@@ -11,7 +11,10 @@
 //!    the server still answers every request whose plan it has.
 //! 2. **Bounded queue** — work that needs a worker (compiles, all
 //!    executions) passes admission: the queue never exceeds
-//!    [`ServeConfig::queue_cap`].
+//!    [`ServeConfig::queue_cap`].  Admission is one value under one
+//!    lock — the queued jobs, the lifecycle phase and the count of jobs
+//!    in execution — so the phase check, the depth check and the push
+//!    are one step, and a worker takes one job per wakeup.
 //! 3. **Graceful degradation** — `run` requests cost strictly more
 //!    than `plan` requests (compile *plus* native execution), so they
 //!    shed earlier: at [`ServeConfig::run_high_water`] (default half
@@ -60,13 +63,14 @@
 //! is logged and the plan is built and appended, superseding it.
 //!
 //! Shutdown is a two-phase drain rather than a cliff, and the
-//! lifecycle is one word that only moves forward (serving → draining →
-//! stopped): a protocol `shutdown` (or the daemon's SIGTERM) moves the
-//! server to **draining** — new `plan`/`run` requests are refused with
-//! `ALP0015` (`stats`/`ping` still answer) while workers finish
-//! everything already admitted.  [`ServerHandle::finish`] bounds the
-//! drain with a deadline; past it, still-queued jobs are answered with
-//! `ALP0015` *unexecuted* and the journal is fsynced before the
+//! lifecycle only moves forward (serving → draining → stopped): a
+//! protocol `shutdown` (or the daemon's SIGTERM) moves the server to
+//! **draining** — new `plan`/`run` requests are refused with `ALP0015`
+//! (`stats`/`ping` still answer) while workers finish everything
+//! already admitted.  [`ServerHandle::finish`] bounds the drain with a
+//! deadline; past it, the move to **stopped** takes the still-queued
+//! jobs under the same lock that moves the phase, `finish` answers each
+//! with `ALP0015` *unexecuted*, and the journal is fsynced before the
 //! process exits.
 
 use crate::pipeline::{run_plan, PlanSpec};
@@ -80,8 +84,8 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -161,8 +165,8 @@ macro_rules! server_stats {
         }
 
         /// [`ServerStats`] while the server runs.  The cache counts its
-        /// own four under the shard locks; theirs here stay zero and
-        /// [`Inner::stats`] overlays them.
+        /// own four under the shard locks and admission holds the depth;
+        /// theirs here stay zero and [`Inner::stats`] overlays them.
         #[derive(Default)]
         struct Counters {
             $($name: AtomicU64,)*
@@ -200,10 +204,9 @@ server_stats! {
     failures,
     /// Queue depth at snapshot time.
     depth,
-    /// Jobs drained as the *tail* of a worker-wakeup batch: a waking
-    /// worker takes every queued job with a distinct plan key (up to a
-    /// small cap) instead of one job per wakeup, and this counts the
-    /// extras beyond the first.
+    /// Always 0: a worker takes one job per wakeup, so no job is the
+    /// tail of a batch.  The counter stays so every `stats` frame keeps
+    /// its keys.
     batched,
     /// Malformed or oversized request frames (undecodable JSON, bytes
     /// that are not UTF-8, bad version, a field that is mistyped or
@@ -252,21 +255,14 @@ impl Resolved {
 struct Job {
     req: Request,
     /// The reader thread's resolution of `req.plan`, made once at
-    /// admission: the inline fast path needed the key, the worker's
-    /// batch drain compares keys without re-parsing under the queue
-    /// lock, and the worker plans the nest (or reports the parse error)
-    /// it carries instead of resolving again.
+    /// admission: the inline fast path needed the key, and the worker
+    /// plans the nest (or reports the parse error) it carries instead of
+    /// resolving again.
     resolved: Resolved,
     /// Absolute expiry derived from the client's `deadline_ms` at
     /// admission; a worker sheds the job unexecuted once past it.
     expires: Option<Instant>,
     out: Arc<Mutex<UnixStream>>,
-}
-
-impl Job {
-    fn key(&self) -> Option<PlanKey> {
-        self.resolved.key()
-    }
 }
 
 /// The longest request frame (newline excluded) the server reads.  The
@@ -275,43 +271,102 @@ impl Job {
 /// it buffer unbounded JSON — with or without a newline in sight.
 pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
-/// The server's lifecycle, one monotone word.  `Draining` refuses new
-/// plan/run work (`ALP0015`) while workers finish what was already
-/// admitted; `Stopped` ends the accept loop, and whatever a worker
-/// still finds queued after it — the drain deadline passed — is
-/// answered `ALP0015` instead of executed.
-#[derive(Clone, Copy)]
+/// The server's lifecycle; it only moves forward.  `Draining` refuses
+/// new plan/run work (`ALP0015`) while workers finish what was already
+/// admitted; `Stopped` ends the accept loop and hands back whatever is
+/// still queued — the drain deadline passed — to be answered `ALP0015`
+/// instead of executed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Phase {
     Serving,
     Draining,
     Stopped,
 }
 
+/// Why [`Admission::admit`] turned a job away.
+enum Refusal {
+    /// The server is past `Serving` (`ALP0015`).
+    Draining,
+    /// The queue already held `depth` jobs, the job's class limit or
+    /// more (`ALP0012`).
+    Full { depth: usize },
+}
+
+/// Admission as one value: the queued jobs, the lifecycle phase, and how
+/// many taken jobs workers are still executing.  The server keeps it
+/// under one mutex; its transitions are plain steps with no socket,
+/// thread or clock, so a test walks their schedules directly.
+struct Admission<J> {
+    jobs: VecDeque<J>,
+    phase: Phase,
+    busy: usize,
+}
+
+impl<J> Admission<J> {
+    fn new() -> Self {
+        Admission {
+            jobs: VecDeque::new(),
+            phase: Phase::Serving,
+            busy: 0,
+        }
+    }
+
+    /// Queue `job`, unless the server is past `Serving` or the queue
+    /// already holds `limit` jobs (the job's class limit): the bound is
+    /// exact.
+    fn admit(&mut self, job: J, limit: usize) -> Result<(), Refusal> {
+        if self.phase != Phase::Serving {
+            return Err(Refusal::Draining);
+        }
+        let depth = self.jobs.len();
+        if depth >= limit {
+            return Err(Refusal::Full { depth });
+        }
+        self.jobs.push_back(job);
+        Ok(())
+    }
+
+    /// The oldest queued job, counted busy until [`Admission::done`].
+    fn take(&mut self) -> Option<J> {
+        self.busy += usize::from(!self.jobs.is_empty());
+        self.jobs.pop_front()
+    }
+
+    /// A worker finished the job it took.
+    fn done(&mut self) {
+        self.busy -= 1;
+    }
+
+    /// Move on to `phase`, never back.  The move to `Stopped` hands back
+    /// the jobs still queued; no other move hands back any.
+    fn advance(&mut self, phase: Phase) -> VecDeque<J> {
+        self.phase = self.phase.max(phase);
+        match self.phase {
+            Phase::Stopped => std::mem::take(&mut self.jobs),
+            _ => VecDeque::new(),
+        }
+    }
+
+    /// No admitted work remains: nothing queued and no job in execution.
+    fn idle(&self) -> bool {
+        self.jobs.is_empty() && self.busy == 0
+    }
+}
+
 struct Inner {
     cfg: ServeConfig,
     cache: ShardedPlanCache<ServeError>,
-    queue: Mutex<VecDeque<Job>>,
-    cv: Condvar,
-    /// The furthest [`Phase`] reached.
-    phase: AtomicU8,
-    /// Workers currently executing a batch (drain completion is
-    /// "queue empty AND busy == 0", not just an empty queue).
-    busy: AtomicUsize,
-    /// Parked `wait()` and `finish()` callers: notified when the phase
-    /// advances, and once draining whenever a worker ends a batch.
-    drain_mx: Mutex<()>,
-    drain_cv: Condvar,
+    admission: Mutex<Admission<Job>>,
+    /// Wakes workers: a job was admitted or the phase moved.
+    work: Condvar,
+    /// Wakes a parked `wait()` or `finish()`: the phase moved, or the
+    /// last admitted job finished after the drain began.
+    idle: Condvar,
     /// Durable journal of built plans, when configured.
     store: Option<Mutex<PlanStore>>,
-    /// `depth` follows the queue under its lock; `replayed` is fixed at
-    /// construction.
+    /// `replayed` is fixed at construction.
     n: Counters,
 }
-
-/// Max jobs one worker wakeup drains.  Small enough that a batch never
-/// starves the other workers of queued work, large enough to amortize
-/// the lock/condvar round trip under bursts.
-const WORKER_BATCH: usize = 8;
 
 impl Inner {
     /// Answer a control op (`ping` / `stats` / `shutdown`).
@@ -445,20 +500,26 @@ impl Inner {
         }
     }
 
+    fn admission(&self) -> MutexGuard<'_, Admission<Job>> {
+        self.admission.lock().expect("admission lock")
+    }
+
     fn reached(&self, phase: Phase) -> bool {
-        self.phase.load(Ordering::SeqCst) >= phase as u8
+        self.admission().phase >= phase
     }
 
     /// Move on to `phase` (never back) and wake whoever waits on it:
-    /// idle workers, and any parked `wait()` or `finish()`.  Each is
-    /// woken through the lock it checks the phase under, so one that
-    /// saw the old phase is already waiting when the wake-up comes.
-    fn advance(&self, phase: Phase) {
-        let _g = self.drain_mx.lock().expect("drain lock");
-        self.phase.fetch_max(phase as u8, Ordering::SeqCst);
-        drop(self.queue.lock());
-        self.cv.notify_all();
-        self.drain_cv.notify_all();
+    /// idle workers, and any parked `wait()` or `finish()`.  The jobs
+    /// the move to `Stopped` hands back are answered `ALP0015` here,
+    /// unexecuted; returns how many there were.
+    fn advance(&self, phase: Phase) -> usize {
+        let left = self.admission().advance(phase);
+        self.work.notify_all();
+        self.idle.notify_all();
+        for job in &left {
+            write_line(&job.out, &Response::err(job.req.id, &self.refuse()));
+        }
+        left.len()
     }
 
     /// Count and word one `ALP0015` refusal.
@@ -467,17 +528,8 @@ impl Inner {
         ServeError::draining()
     }
 
-    /// True when no admitted work remains: nothing queued and no worker
-    /// mid-batch.
-    fn queue_idle(&self) -> bool {
-        let q = self.queue.lock().expect("queue lock");
-        q.is_empty() && self.busy.load(Ordering::SeqCst) == 0
-    }
-
-    /// Admission: push the job or shed it with `ALP0012` (or refuse it
-    /// with `ALP0015` once draining).  The phase check, the depth check
-    /// and the push are atomic under the queue lock, so the bound is
-    /// exact and nothing is admitted behind a drain.
+    /// Admission: queue the job or shed it with `ALP0012` at its class
+    /// limit (or refuse it with `ALP0015` once draining).
     fn submit(&self, job: Job) -> Result<(), ServeError> {
         let cap = self.cfg.queue_cap;
         let (limit, shed) = match job.req.op {
@@ -487,19 +539,15 @@ impl Inner {
             ),
             _ => (cap, &self.n.shed_plan),
         };
-        let mut q = self.queue.lock().expect("queue lock");
-        if self.reached(Phase::Draining) {
-            return Err(self.refuse());
+        let admitted = self.admission().admit(job, limit);
+        match admitted {
+            Ok(()) => self.work.notify_one(),
+            Err(Refusal::Draining) => return Err(self.refuse()),
+            Err(Refusal::Full { depth }) => {
+                shed.fetch_add(1, Ordering::Relaxed);
+                return Err(ServeError::overloaded(depth, cap));
+            }
         }
-        let depth = q.len();
-        if depth >= limit {
-            shed.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::overloaded(depth, cap));
-        }
-        q.push_back(job);
-        self.n.depth.store(q.len() as u64, Ordering::Relaxed);
-        drop(q);
-        self.cv.notify_one();
         Ok(())
     }
 
@@ -510,78 +558,43 @@ impl Inner {
             misses: c.misses,
             coalesced: c.coalesced,
             evictions: c.evictions,
+            depth: self.admission().jobs.len() as u64,
             ..self.n.snapshot()
         }
     }
 
-    /// Worker loop: each wakeup drains a *batch* of queued jobs with
-    /// pairwise-distinct plan keys (up to [`WORKER_BATCH`]) instead of
-    /// one job per wakeup, amortizing the lock/condvar round trip under
-    /// bursts.  The batch stops at the first job whose key repeats one
-    /// already taken: by the time a later wakeup reaches that job its
-    /// leader has published the plan, so it resolves as a cache hit
-    /// instead of serializing behind an identical compile in the same
-    /// batch.  Past `Serving`, workers finish what is queued, then exit.
-    /// Each job runs under panic containment so a handler bug drops one
-    /// response, never a worker.
+    /// Worker loop: take one job per wakeup and answer it under panic
+    /// containment, so a handler bug drops one response, never a
+    /// worker.  Past `Serving`, workers finish what is queued, then
+    /// exit; the worker that finishes the last job of a drain wakes
+    /// `finish`.
     fn worker(&self) {
-        loop {
-            let batch = {
-                let idle = |q: &mut VecDeque<Job>| q.is_empty() && !self.reached(Phase::Draining);
-                let q = self.queue.lock().expect("queue lock");
-                let mut q = self.cv.wait_while(q, idle).expect("queue lock");
-                if q.is_empty() {
-                    return;
-                }
-                let mut batch: Vec<Job> = Vec::new();
-                while batch.len() < WORKER_BATCH {
-                    let Some(key) = q.front().map(Job::key) else {
-                        break;
-                    };
-                    if key.is_some() && batch.iter().any(|b| b.key() == key) {
-                        break;
-                    }
-                    batch.extend(q.pop_front());
-                }
-                let tail = (batch.len() - 1) as u64;
-                self.n.depth.store(q.len() as u64, Ordering::Relaxed);
-                self.n.batched.fetch_add(tail, Ordering::Relaxed);
-                // Claimed under the queue lock, so a drain observer
-                // never sees "queue empty" between a pop and the busy
-                // increment.
-                self.busy.fetch_add(1, Ordering::SeqCst);
-                batch
+        let waiting = |a: &mut Admission<Job>| a.jobs.is_empty() && a.phase == Phase::Serving;
+        let mut a = self.admission();
+        a = self.work.wait_while(a, waiting).expect("admission lock");
+        while let Some(job) = a.take() {
+            drop(a);
+            let answered = if job.expires.is_some_and(|t| Instant::now() > t) {
+                self.n.expired.fetch_add(1, Ordering::Relaxed);
+                Err(ServeError::new(
+                    "ALP0007",
+                    "client deadline passed while queued; shed unexecuted",
+                ))
+            } else {
+                let answer = AssertUnwindSafe(|| self.answer(&job.req, job.resolved));
+                catch_unwind(answer).map_err(|_| {
+                    self.n.failures.fetch_add(1, Ordering::Relaxed);
+                    ServeError::new("ALP0008", "request handler panicked; fault contained")
+                })
             };
-            for job in batch {
-                let answered = if self.reached(Phase::Stopped) {
-                    // Drain deadline passed: answer fast, execute
-                    // nothing.  The job never started, so the client's
-                    // retry policy treats it like a shed.
-                    Err(self.refuse())
-                } else if job.expires.is_some_and(|t| Instant::now() > t) {
-                    self.n.expired.fetch_add(1, Ordering::Relaxed);
-                    Err(ServeError::new(
-                        "ALP0007",
-                        "client deadline passed while queued; shed unexecuted",
-                    ))
-                } else {
-                    catch_unwind(AssertUnwindSafe(|| self.answer(&job.req, job.resolved))).map_err(
-                        |_| {
-                            self.n.failures.fetch_add(1, Ordering::Relaxed);
-                            ServeError::new("ALP0008", "request handler panicked; fault contained")
-                        },
-                    )
-                };
-                let resp = answered.unwrap_or_else(|e| Response::err(job.req.id, &e));
-                write_line(&job.out, &resp);
+            let resp = answered.unwrap_or_else(|e| Response::err(job.req.id, &e));
+            write_line(&job.out, &resp);
+            a = self.admission();
+            a.done();
+            if a.idle() && a.phase != Phase::Serving {
+                self.idle.notify_all();
             }
-            self.busy.fetch_sub(1, Ordering::SeqCst);
-            if self.reached(Phase::Draining) {
-                // Through the drain lock: `finish` has either not looked
-                // at the queue yet or is already waiting.
-                drop(self.drain_mx.lock());
-                self.drain_cv.notify_all();
-            }
+            a = self.work.wait_while(a, waiting).expect("admission lock");
         }
     }
 
@@ -740,12 +753,9 @@ impl Server {
             .count();
         let inner = Arc::new(Inner {
             cache,
-            queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            phase: AtomicU8::new(Phase::Serving as u8),
-            busy: AtomicUsize::new(0),
-            drain_mx: Mutex::new(()),
-            drain_cv: Condvar::new(),
+            admission: Mutex::new(Admission::new()),
+            work: Condvar::new(),
+            idle: Condvar::new(),
             store,
             n: Counters {
                 replayed: AtomicU64::new(replayed as u64),
@@ -849,14 +859,9 @@ impl ServerHandle {
         self.inner.stats()
     }
 
-    /// True once the server stopped admitting new plan/run work — a
-    /// `shutdown` request arrived, a drain began, or
-    /// [`ServerHandle::shutdown`] was called.
-    pub fn is_shutting_down(&self) -> bool {
-        self.inner.reached(Phase::Draining)
-    }
-
-    /// True once the graceful drain has begun.
+    /// True once the graceful drain has begun: the server stopped
+    /// admitting new plan/run work because a `shutdown` request arrived
+    /// or [`ServerHandle::begin_drain`] was called.
     pub fn is_draining(&self) -> bool {
         self.inner.reached(Phase::Draining)
     }
@@ -876,17 +881,14 @@ impl ServerHandle {
     /// `ALP0015` unexecuted and counted as `abandoned`.
     pub fn finish(mut self, deadline: Duration) -> DrainOutcome {
         self.inner.advance(Phase::Draining);
-        let drained = {
-            let g = self.inner.drain_mx.lock().expect("drain lock");
-            let busy = |_: &mut ()| !self.inner.queue_idle();
-            let waited = self.inner.drain_cv.wait_timeout_while(g, deadline, busy);
-            !waited.expect("drain lock").1.timed_out()
-        };
+        let busy = |a: &mut Admission<Job>| !a.idle();
+        let a = self.inner.admission();
+        let waited = self.inner.idle.wait_timeout_while(a, deadline, busy);
+        let drained = !waited.expect("admission lock").1.timed_out();
         // Drained, nothing is queued and nothing can be any more; cut
-        // short, workers answer the leftovers with `ALP0015` on their
-        // way out instead of executing them.
-        let abandoned = self.inner.queue.lock().expect("queue lock").len();
-        self.inner.advance(Phase::Stopped);
+        // short, the move to `Stopped` takes the leftovers and answers
+        // them with `ALP0015` instead of executing them.
+        let abandoned = self.inner.advance(Phase::Stopped);
         // Wake the blocking accept with a throwaway connection.
         let _ = UnixStream::connect(&self.path);
         if let Some(a) = self.accept.take() {
@@ -921,14 +923,9 @@ impl ServerHandle {
     /// handler called [`ServerHandle::begin_drain`]), then run the
     /// bounded drain and clean up — the daemon's main thread parks here.
     pub fn wait(self) -> ServerStats {
-        let g = self.inner.drain_mx.lock().expect("drain lock");
-        let serving = |_: &mut ()| !self.inner.reached(Phase::Draining);
-        drop(
-            self.inner
-                .drain_cv
-                .wait_while(g, serving)
-                .expect("drain lock"),
-        );
+        let serving = |a: &mut Admission<Job>| a.phase == Phase::Serving;
+        let waited = self.inner.idle.wait_while(self.inner.admission(), serving);
+        drop(waited.expect("admission lock"));
         self.shutdown()
     }
 }
@@ -937,79 +934,103 @@ impl ServerHandle {
 mod tests {
     use super::*;
 
-    /// Preload the queue with plan requests for `sources`, begin the
-    /// drain, and run one worker to completion: every batch the worker
-    /// takes is observable through the `batched` counter, with no
-    /// socket or timing in the loop.
-    fn drain_once(sources: &[&str]) -> (ServerStats, Vec<UnixStream>) {
-        let server = Server::new(ServeConfig {
-            workers: 1,
-            ..ServeConfig::default()
-        });
-        let inner = Arc::clone(&server.inner);
-        let mut readers = Vec::new();
-        {
-            let mut q = inner.queue.lock().expect("queue lock");
-            for (i, src) in sources.iter().enumerate() {
-                let req = Request::plan(i as i128, src);
-                let resolved = inner.resolve(&req.plan);
-                let (a, b) = UnixStream::pair().expect("socketpair");
-                readers.push(b);
-                q.push_back(Job {
-                    req,
-                    resolved,
-                    expires: None,
-                    out: Arc::new(Mutex::new(a)),
-                });
-            }
-        }
-        // The worker drains everything queued, then exits on the phase.
-        inner.advance(Phase::Draining);
-        inner.worker();
-        (inner.stats(), readers)
-    }
+    /// SplitMix64: a seeded stream of events for the schedule walk.
+    struct Rng(u64);
 
-    fn responses(readers: Vec<UnixStream>) -> Vec<Response> {
-        let mut answered = Vec::new();
-        for r in readers {
-            // Drop the server-side writer clones first: worker already
-            // ran, so the response (if any) is buffered in the socket.
-            r.set_nonblocking(true).expect("nonblocking");
-            let mut line = String::new();
-            if BufReader::new(r).read_line(&mut line).is_ok() && !line.trim().is_empty() {
-                answered.push(Response::decode(&line).expect("response decodes"));
-            }
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
         }
-        answered
     }
 
     #[test]
-    fn one_wakeup_drains_all_distinct_fingerprints() {
-        // Four distinct nests queued before the worker wakes: one batch
-        // takes them all, so three are batch tails.
-        let sources: Vec<String> = (0..4)
-            .map(|k| format!("doall (i, 0, {}) {{ A[i] = A[i]; }}", 15 + k))
-            .collect();
-        let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
-        let (stats, readers) = drain_once(&refs);
-        assert_eq!(stats.batched, 3, "one wakeup, four distinct jobs");
-        assert_eq!(stats.misses, 4, "each distinct nest compiled once");
-        assert_eq!(responses(readers).len(), 4, "every job answered");
-    }
-
-    #[test]
-    fn duplicate_fingerprint_splits_the_batch() {
-        // Keys A B A C: the first batch stops at the repeated A (by the
-        // time a later wakeup takes it, its leader has published the
-        // plan), so the drain is [A B] then [A C] — one tail each.
-        let a = "doall (i, 0, 15) { A[i] = A[i]; }";
-        let b = "doall (i, 0, 31) { B[i] = B[i]; }";
-        let c = "doall (i, 0, 63) { C[i] = C[i]; }";
-        let (stats, readers) = drain_once(&[a, b, a, c]);
-        assert_eq!(stats.batched, 2, "two batches of two");
-        assert_eq!(stats.misses, 3, "three distinct nests compiled");
-        assert_eq!(stats.hits, 1, "the repeated key hits the cache");
-        assert_eq!(responses(readers).len(), 4);
+    fn admission_keeps_its_invariants_over_seeded_schedules() {
+        // Random interleavings of what the reader, the workers and the
+        // drain do to admission, checked against a model after every
+        // event: the jobs admitted and not yet taken or handed back, in
+        // order, and the jobs taken and not yet done.
+        const CAP: usize = 5;
+        const HIGH_WATER: usize = 2;
+        for seed in 0..2_000 {
+            let mut rng = Rng(seed);
+            let mut a = Admission::<u32>::new();
+            let mut queued = VecDeque::new();
+            let mut busy = 0;
+            let mut next = 0;
+            for step in 0..200 {
+                let before = a.phase;
+                match rng.below(1_000) {
+                    // Admit a plan (30 %) or a run (20 %).
+                    event @ 0..=499 => {
+                        let limit = if event < 300 { CAP } else { HIGH_WATER };
+                        let depth = queued.len();
+                        match a.admit(next, limit) {
+                            Ok(()) => {
+                                assert!(
+                                    before == Phase::Serving && depth < limit,
+                                    "seed {seed} step {step}: admitted at depth {depth} \
+                                     of limit {limit} while {before:?}"
+                                );
+                                queued.push_back(next);
+                                next += 1;
+                            }
+                            Err(Refusal::Draining) => {
+                                assert_ne!(before, Phase::Serving, "seed {seed} step {step}")
+                            }
+                            Err(Refusal::Full { depth: d }) => assert!(
+                                before == Phase::Serving && d == depth && depth >= limit,
+                                "seed {seed} step {step}: shed at depth {d} of limit {limit}"
+                            ),
+                        }
+                    }
+                    // A worker takes a job.
+                    500..=749 => {
+                        let job = a.take();
+                        busy += usize::from(job.is_some());
+                        assert_eq!(job, queued.pop_front(), "seed {seed} step {step}: FIFO");
+                    }
+                    // A worker finishes one.
+                    750..=979 => {
+                        if busy > 0 {
+                            a.done();
+                            busy -= 1;
+                        }
+                    }
+                    // The drain begins.
+                    980..=994 => assert!(
+                        a.advance(Phase::Draining).is_empty(),
+                        "seed {seed} step {step}: only the move to Stopped hands jobs back"
+                    ),
+                    // The drain deadline passes.
+                    _ => assert!(
+                        a.advance(Phase::Stopped).into_iter().eq(queued.drain(..)),
+                        "seed {seed} step {step}: Stopped hands back the queue, in order"
+                    ),
+                }
+                assert!(
+                    a.jobs.len() <= CAP,
+                    "seed {seed} step {step}: over capacity"
+                );
+                assert!(
+                    a.phase >= before,
+                    "seed {seed} step {step}: phase moved back"
+                );
+                assert!(
+                    a.jobs.iter().eq(queued.iter()),
+                    "seed {seed} step {step}: the queue is not the jobs admitted and not taken"
+                );
+                assert_eq!(
+                    a.idle(),
+                    queued.is_empty() && busy == 0,
+                    "seed {seed} step {step}: idle with {} queued and {busy} busy",
+                    queued.len()
+                );
+            }
+        }
     }
 
     #[test]
@@ -1045,23 +1066,28 @@ mod tests {
     fn the_worker_reports_the_parse_error_the_reader_saw() {
         // The job carries the reader thread's resolution, not a key: a
         // source that did not parse must still come out of the worker
-        // as its own `ALP0001`, counted once.
-        let (stats, readers) = drain_once(&["doall (i, 0"]);
-        let answers = responses(readers);
-        assert_eq!(answers.len(), 1);
-        assert_eq!(answers[0].code.as_deref(), Some("ALP0001"), "{answers:?}");
+        // as its own `ALP0001`, counted once.  Admitted, then drained by
+        // one worker on this thread: no socket or timing in the loop.
+        let server = Server::new(ServeConfig::default());
+        let inner = Arc::clone(&server.inner);
+        let req = Request::plan(1, "doall (i, 0");
+        let resolved = inner.resolve(&req.plan);
+        let (out, reply) = UnixStream::pair().expect("socketpair");
+        let out = Arc::new(Mutex::new(out));
+        let job = Job {
+            req,
+            resolved,
+            expires: None,
+            out,
+        };
+        inner.submit(job).expect("admitted");
+        inner.advance(Phase::Draining);
+        inner.worker();
+        let mut line = String::new();
+        BufReader::new(reply).read_line(&mut line).expect("reply");
+        let answer = Response::decode(&line).expect("response decodes");
+        assert_eq!(answer.code.as_deref(), Some("ALP0001"), "{answer:?}");
+        let stats = inner.stats();
         assert_eq!((stats.failures, stats.misses), (1, 0), "{stats:?}");
-    }
-
-    #[test]
-    fn batch_cap_bounds_a_single_drain() {
-        let sources: Vec<String> = (0..WORKER_BATCH + 3)
-            .map(|k| format!("doall (i, 0, {}) {{ A[i] = A[i]; }}", 7 + k))
-            .collect();
-        let refs: Vec<&str> = sources.iter().map(String::as_str).collect();
-        let (stats, readers) = drain_once(&refs);
-        // Two wakeups: a full batch of WORKER_BATCH, then the 3 left.
-        assert_eq!(stats.batched, (WORKER_BATCH - 1 + 2) as u64);
-        assert_eq!(responses(readers).len(), WORKER_BATCH + 3);
     }
 }

@@ -143,7 +143,7 @@ fn daemon(sock: &str, cfg: ServeConfig) -> Result<ExitCode, ExitCode> {
         .serve(Path::new(sock))
         .map_err(|e| fail_io(format_args!("serve: {sock}"), e))?;
     eprintln!("alp-cli: serving on {sock}");
-    while !stop.load(Ordering::SeqCst) && !handle.is_shutting_down() {
+    while !stop.load(Ordering::SeqCst) && !handle.is_draining() {
         std::thread::sleep(Duration::from_millis(25));
     }
     if stop.load(Ordering::SeqCst) {

@@ -266,6 +266,62 @@ fn store_verify_maps_corruption_to_exit_11_and_stats_stays_zero() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn a_bad_frame_before_a_good_one_loses_only_itself() {
+    // Two journaled plans, one payload byte of the first frame flipped:
+    // the first is quarantined, the second still replays and reads back.
+    use alp::plan::{LegalityVerdict, PartitionPlan, PlanKey};
+    let dir = tmp_path("skip");
+    let (mut store, _) = PlanStore::open(&dir).expect("open");
+    let mut keys = Vec::new();
+    for i in 0..2 {
+        let nest = alp::loopir::parse(&source(i)).expect("parses");
+        let key = PlanKey {
+            fingerprint: alp::plan::fingerprint(&nest),
+            processors: 8,
+            mesh: None,
+            checked: true,
+            calibrated: false,
+            skewed: false,
+            certified: false,
+        };
+        let plan = PartitionPlan::build(&nest, 8, None, LegalityVerdict::Unchecked).expect("plan");
+        store.append(&key, &plan).expect("append");
+        keys.push((key, plan.to_json_string()));
+    }
+    drop(store);
+    let segment = dir.join("segment-000001.alpj");
+    let mut bytes = std::fs::read(&segment).expect("read segment");
+    bytes[b"ALPSTORE1\n".len() + 12 + 5] ^= 0x40;
+    std::fs::write(&segment, &bytes).expect("write segment");
+
+    let stats = Command::new(env!("CARGO_BIN_EXE_alp-cli"))
+        .args(["store", "stats"])
+        .arg(&dir)
+        .output()
+        .expect("store stats runs");
+    let stdout = String::from_utf8_lossy(&stats.stdout);
+    assert!(
+        stdout.contains(" 1 frame(s), ") && stdout.contains(" 1 live plan(s), 1 quarantined"),
+        "{stdout}"
+    );
+
+    // Opened twice: the repair the first open makes cuts nothing.
+    let (_, report) = PlanStore::open(&dir).expect("open");
+    assert_eq!(report.quarantined.len(), 1, "{report:?}");
+    let (mut store, report) = PlanStore::open(&dir).expect("reopen");
+    assert_eq!(
+        (report.frames, report.quarantined.len()),
+        (1, 1),
+        "{report:?}"
+    );
+    let (key, want) = &keys[1];
+    let frame = store.read(key).expect("read").expect("journaled");
+    assert_eq!(&frame.plan().expect("checks").to_json_string(), want);
+    assert!(store.read(&keys[0].0).expect("read").is_none());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Regenerates `tests/corpus/store/` — run once with `--ignored` when
 /// the frame format changes, then commit the bytes.
 #[test]
