@@ -11,7 +11,8 @@ use std::time::Duration;
 /// Knobs for a calibration probe.
 #[derive(Debug, Clone)]
 pub struct ProbeConfig {
-    /// OS threads per run (0 = one per tile).
+    /// OS threads per run (0 = one per tile: the probe builds its
+    /// executors from grids, not plans).
     pub threads: usize,
     /// Timed trials per candidate grid; per-tile busy times keep the
     /// minimum across trials (noise floors, not noise averages).

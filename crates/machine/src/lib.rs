@@ -15,10 +15,12 @@
 //! does tile-boundary sharing generate, and — with distributed memory —
 //! how many misses are served remotely (the data-alignment experiments).
 //!
-//! Determinism: per-processor access traces are generated in parallel
-//! (crossbeam scoped threads), then the coherence protocol processes
-//! accesses in a fixed round-robin interleaving, so every run of the same
-//! input produces the same counters.
+//! Determinism: per-processor access traces are built one after another
+//! on the calling thread, then the coherence protocol processes accesses
+//! in a fixed round-robin interleaving, so every run of the same input
+//! produces the same counters.  [`run_plan`] simulates a plan on its own
+//! `P` processors, each running the tiles the executor's static schedule
+//! gives the same worker ([`alp_plan::Tiling::worker_tiles`]).
 
 pub mod cache;
 pub mod layout;

@@ -17,8 +17,8 @@ pub struct MachineConfig {
     pub cache: CacheConfig,
     /// Optional 2-D mesh (width, height) for hop-weighted traffic; the
     /// processors sit where [`mesh_placement`] puts their grid —
-    /// [`run_plan`]'s is the plan's, [`run_nest`]'s the 1-D grid of its
-    /// iteration lists.
+    /// [`run_plan`]'s is the plan's when each processor runs one tile,
+    /// otherwise, like [`run_nest`]'s, a 1-D grid of the processors.
     pub mesh: Option<(usize, usize)>,
     /// Elements per cache line.  The paper assumes 1 (§2.2) and notes
     /// that larger lines "can be included as suggested in \[6\]"; values
@@ -337,9 +337,8 @@ type Access = (u64, bool);
 /// assignments).  Outer `doseq` loops replay the whole doall that many
 /// times with warm caches, exposing coherence traffic (Fig. 9).
 ///
-/// Traces are generated in parallel; the protocol then consumes them in
-/// a deterministic round-robin interleaving (one access per processor
-/// per round).
+/// The protocol consumes the processors' traces in a deterministic
+/// round-robin interleaving (one access per processor per round).
 ///
 /// # Panics
 /// Panics if the nest's arrays do not fit a `u64` line id space, its
@@ -372,23 +371,22 @@ pub fn run_nest(
         }
         out
     };
-    let grid = [config.processors as i128];
-    simulate(nest, trace, config, &grid, home).expect("processors fit the mesh")
+    simulate(nest, trace, config, None, home).expect("processors fit the mesh")
 }
 
 /// Run the protocol over one trace per processor: `trace(p)` is
 /// processor `p`'s accesses for one repetition of the doall body — for
 /// each iteration, every right-hand-side reference then the left-hand
 /// side, as an [`alp_loopir::AccessStream`] issues them.  Processors sit
-/// on the mesh where [`mesh_placement`] puts `grid`; more processors
-/// than the directory tracks, or a mesh too small for them, fail before
-/// any trace is built — and before any of the one thread per processor
-/// that builds them starts.
+/// on the mesh where [`mesh_placement`] puts `grid`, or a 1-D grid of
+/// them without one; more processors than the directory tracks, or a
+/// mesh too small for them, fail before any trace is built.  The traces
+/// are built one after another on the calling thread.
 fn simulate(
     nest: &LoopNest,
-    trace: impl Fn(usize) -> Vec<Access> + Sync,
+    trace: impl Fn(usize) -> Vec<Access>,
     config: MachineConfig,
-    grid: &[i128],
+    grid: Option<&[i128]>,
     home: &dyn HomeMap,
 ) -> Result<TrafficReport, String> {
     // `Machine::new`'s bound: one bit of a line's `u128` sharer set
@@ -396,30 +394,14 @@ fn simulate(
     if config.processors > 128 {
         return Err(format!(
             "the simulator's full-map directory holds at most 128 processors; \
-             the plan has {} tiles",
+             the plan has {} processors",
             config.processors
         ));
     }
     let placement = (config.mesh)
-        .map(|mesh| mesh_placement(grid, mesh))
+        .map(|mesh| mesh_placement(grid.unwrap_or(&[config.processors as i128]), mesh))
         .transpose()?;
-    // Parallel trace generation (deterministic: output order is fixed by
-    // the assignment, not by thread timing).
-    let traces: Vec<Vec<Access>> = if config.processors > 1 {
-        crossbeam::scope(|scope| {
-            let trace = &trace;
-            let handles: Vec<_> = (0..config.processors)
-                .map(|p| scope.spawn(move |_| trace(p)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("trace worker"))
-                .collect()
-        })
-        .expect("crossbeam scope")
-    } else {
-        (0..config.processors).map(trace).collect()
-    };
+    let traces: Vec<Vec<Access>> = (0..config.processors).map(trace).collect();
 
     let reps = nest.seq_repetitions().max(1) as u64;
     let mut machine = Machine::new(config, placement, home);
@@ -445,14 +427,19 @@ fn simulate(
 ///
 /// The nest is reconstructed from the plan's embedded source (with its
 /// fingerprint re-verified) and each processor's trace comes from
-/// walking its tile of the plan's [`alp_plan::Tiling`] row by row under
-/// the nest's own forms.  That walk runs in the nest's own coordinates
-/// and order for a skewed plan too, so the simulated machine executes
-/// exactly the tiles, in exactly the order, the native runtime and the
-/// generated code do.  `config.processors` is overridden to the plan's
-/// tile count; the plan's mesh is used unless `config` already sets one,
-/// and the plan's grid is placed on it by [`mesh_placement`].  A plan of
-/// more than 128 tiles, or a mesh too small for its grid, is a
+/// walking its tiles of the plan's [`alp_plan::Tiling`] row by row under
+/// the nest's own forms.  The machine has the plan's `processors`, at
+/// most one per tile ([`alp_plan::Tiling::workers`]), and processor `p`
+/// runs [`alp_plan::Tiling::worker_tiles`]`(p, ..)` in order, as the
+/// executor's worker `p` does under the static schedule; the walk runs
+/// in the nest's own coordinates and order for a skewed plan too, so
+/// the simulated machine executes exactly the tiles, in exactly the
+/// order, the native runtime and the generated code do.
+/// `config.processors` is overridden by that count; the plan's mesh is
+/// used unless `config` already sets one, and [`mesh_placement`] puts
+/// the plan's grid on it when each processor runs one tile, a 1-D grid
+/// of the processors otherwise.  A plan of more than 128 processors, or
+/// a mesh too small for them, is a
 /// [`PlanError::BadGrid`](alp_plan::PlanError).
 pub fn run_plan(
     plan: &alp_plan::PartitionPlan,
@@ -463,17 +450,21 @@ pub fn run_plan(
     let layout = ArrayLayout::from_nest(&nest)?;
     let tiling = plan.tiling(&nest)?;
     let accesses = layout.accesses(&nest, None)?;
-    config.processors = tiling.len();
+    let workers = tiling.workers(plan.processors);
+    config.processors = workers;
     config.mesh = config.mesh.or(plan.mesh);
-    let trace = |t: usize| {
-        let mut out = Vec::with_capacity(tiling.points(t) as usize * accesses.refs().len());
-        tiling.for_each_row(t, |i, lo, hi| {
-            accesses.for_each(i, lo, hi, |element, write| out.push((element, write)));
-            true
-        });
+    let trace = |p: usize| {
+        let mut out = Vec::new();
+        for t in tiling.worker_tiles(p, workers) {
+            tiling.for_each_row(t, |i, lo, hi| {
+                accesses.for_each(i, lo, hi, |element, write| out.push((element, write)));
+                true
+            });
+        }
         out
     };
-    simulate(&nest, trace, config, &plan.proc_grid, home).map_err(alp_plan::PlanError::BadGrid)
+    let grid = (workers == tiling.len()).then_some(&plan.proc_grid[..]);
+    simulate(&nest, trace, config, grid, home).map_err(alp_plan::PlanError::BadGrid)
 }
 
 #[cfg(test)]
@@ -495,8 +486,10 @@ mod tests {
     fn run_plan_is_run_nest_over_the_tilings_assignment() {
         // The row walk issues exactly the accesses, in exactly the
         // order, that interpreting the tiling's explicit point lists
-        // does: Examples 2, 8 and 10 (a `doseq` around the last),
-        // rectangular, and the skewed Example-2 golden.
+        // does, each processor's lists joined in `worker_tiles` order:
+        // Examples 2, 8 and 10 (a `doseq` around the last), rectangular
+        // with one tile a processor, and the skewed Example-2 golden,
+        // whose 16 processors run 32 tiles.
         let build = |src: &str, p| {
             let legality = alp_plan::LegalityVerdict::Unchecked;
             alp_plan::PartitionPlan::build(&parse(src).unwrap(), p, None, legality).unwrap()
@@ -524,7 +517,17 @@ mod tests {
         assert!(plans[3].transform.is_some());
         for (k, plan) in plans.iter().enumerate() {
             let nest = plan.nest().unwrap();
-            let assignment = plan.tiling(&nest).unwrap().assignment();
+            let tiling = plan.tiling(&nest).unwrap();
+            let lists = tiling.assignment();
+            let workers = tiling.workers(plan.processors);
+            assert_eq!(workers == lists.len(), k < 3);
+            let assignment: Vec<Vec<IVec>> = (0..workers)
+                .map(|p| {
+                    (tiling.worker_tiles(p, workers))
+                        .flat_map(|t| lists[t].clone())
+                        .collect()
+                })
+                .collect();
             // The golden is 512 × 512 points: one line size is enough.
             for line_size in [1, 8].into_iter().take(if k == 3 { 1 } else { 2 }) {
                 let cfg = |processors| MachineConfig {
@@ -545,7 +548,7 @@ mod tests {
         // Every line homed at processor 0 and no sharing: each miss costs
         // a request and a reply between its processor and 0, on the mesh
         // position `mesh_placement` gives the plan's grid — or, for
-        // `run_nest`'s lists, a 1-D grid.
+        // `run_nest`'s lists and processors that share tiles, a 1-D grid.
         let nest = parse("doall (i, 0, 7) { doall (j, 0, 7) { A[i,j] = A[i,j]; } }").unwrap();
         let legality = alp_plan::LegalityVerdict::Unchecked;
         let plan = alp_plan::PartitionPlan::build(&nest, 8, Some((4, 2)), legality).unwrap();
@@ -573,8 +576,24 @@ mod tests {
             mesh: Some((2, 2)),
             ..MachineConfig::uniform(0)
         };
-        let err = run_plan(&plan, cfg, &UniformHome).unwrap_err();
+        let err = run_plan(&plan, cfg.clone(), &UniformHome).unwrap_err();
         assert!(matches!(err, alp_plan::PlanError::BadGrid(_)), "{err:?}");
+
+        // A skewed plan's 4 processors share its [4, 2] grid of tiles,
+        // which would not fit the 2 × 2 mesh: they sit on it in a row.
+        let skew = parse(
+            "doall (i, 1, 16) { doall (j, 1, 16) { A[i,j] = B[i+j,i-j-1] + B[i+j+4,i-j+3]; } }",
+        )
+        .unwrap();
+        let plan = alp_plan::PartitionPlan::choose(&skew, 4, None, legality, true, None).unwrap();
+        assert_eq!(
+            (plan.proc_grid.as_slice(), plan.processors),
+            (&[4, 2][..], 4)
+        );
+        let by_plan = run_plan(&plan, cfg, &UniformHome).unwrap();
+        let snaked = mesh_placement(&[4], (2, 2)).unwrap();
+        assert_eq!(by_plan.total_hop_traffic(), expected(&by_plan, snaked));
+        assert!(by_plan.total_hop_traffic() > 0);
     }
 
     #[test]

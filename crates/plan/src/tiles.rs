@@ -1,14 +1,16 @@
 //! The ONE tile enumerator of the workspace.
 //!
 //! Every consumer of a partition — `alp-codegen`'s
-//! iteration-to-processor assignment and emitted loops, `alp-runtime`'s
+//! iteration-to-tile assignment and emitted loops, `alp-runtime`'s
 //! native executor, `alp-certify`'s coverage proof, `alp-calibrate`'s
 //! features, `alp-machine`'s simulator driver — takes a [`Tiling`] from
-//! this module, so "which iterations does processor `t` own?" has exactly
+//! this module, so "which iterations does tile `t` own?" has exactly
 //! one answer for rectangular and skewed plans alike: the same
-//! ceiling-division chunking, the same row-major tile→processor
-//! numbering, and the same loop bounds, which `emit_code` prints and
-//! [`Tiling::for_each_panel`] walks.
+//! ceiling-division chunking, the same row-major tile numbering over
+//! the grid, and the same loop bounds, which `emit_code` prints and
+//! [`Tiling::for_each_panel`] walks.  "Which tiles does worker `w` run?"
+//! has one answer too, [`Tiling::worker_tiles`], for the executor's
+//! threads and the simulator's processors alike.
 
 use crate::transform::Transform;
 use crate::PlanError;
@@ -57,10 +59,13 @@ impl IterBox {
 }
 
 /// Which iterations tile `t` owns, and in what row order: `Π grid`
-/// tiles, one per virtual processor, row-major over the grid (last
-/// dimension fastest), cut by ceiling division out of a bounding box
-/// and clamped at its upper boundary.  Empty boundary tiles are kept so
-/// the numbering stays aligned with the processor grid.
+/// tiles, row-major over the grid (last dimension fastest), cut by
+/// ceiling division out of a bounding box and clamped at its upper
+/// boundary.  Empty boundary tiles are kept so the numbering stays
+/// aligned with the grid.  A plan's `P` processors run them round-robin
+/// ([`workers`](Tiling::workers), [`worker_tiles`](Tiling::worker_tiles)):
+/// one tile each for a rectangular plan, whose grid factors `P`, and
+/// several for a skewed plan, whose grid cuts a bounding box.
 ///
 /// The bounding box is the loop bounds themselves for a rectangular
 /// plan, whose boxes are then *exact*; for a plan with a [`Transform`]
@@ -187,6 +192,19 @@ impl Tiling {
     /// [`Tiling::new`]: every grid factor is at least one).
     pub fn is_empty(&self) -> bool {
         self.boxes.is_empty()
+    }
+
+    /// How many workers `processors` processors make of these tiles:
+    /// `processors`, at least one and at most the tile count.
+    pub fn workers(&self, processors: i128) -> usize {
+        processors.clamp(1, self.len().max(1) as i128) as usize
+    }
+
+    /// The tiles worker `worker` of `workers` (≥ 1) runs, in order:
+    /// `worker`, `worker + workers`, … — the executor's static schedule
+    /// and the simulator's processors alike.
+    pub fn worker_tiles(&self, worker: usize, workers: usize) -> impl Iterator<Item = usize> {
+        (worker..self.len()).step_by(workers)
     }
 
     /// The tiles' boxes, in tile order — iteration space for a
@@ -646,6 +664,19 @@ mod tests {
         // Tile 1 is (rows 0-1, cols 2-3): the j coordinate moves fastest.
         assert_eq!(tiles[1].lo, vec![0, 2]);
         assert_eq!(tiles[2].lo, vec![2, 0]);
+    }
+
+    #[test]
+    fn workers_deal_the_tiles_round_robin() {
+        let nest = parse("doall (i, 0, 5) { doall (j, 0, 8) { A[i,j] = A[i,j]; } }").unwrap();
+        let tiling = Tiling::new(&nest, None, &[2, 3]).unwrap();
+        // At least one worker, at most one a tile.
+        assert_eq!([0, 4, 6, 100].map(|p| tiling.workers(p)), [1, 4, 6, 6]);
+        let dealt: Vec<Vec<usize>> = (0..4)
+            .map(|w| tiling.worker_tiles(w, 4).collect())
+            .collect();
+        assert_eq!(dealt, [vec![0, 4], vec![1, 5], vec![2], vec![3]]);
+        assert!((0..6).all(|w| tiling.worker_tiles(w, 6).eq([w])));
     }
 
     #[test]

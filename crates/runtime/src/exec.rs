@@ -72,10 +72,12 @@ const DEADLINE_POLL_STRIDE: u64 = 8;
 /// Knobs for one run.
 #[derive(Clone)]
 pub struct ExecOptions {
-    /// OS threads to use; 0 means one per tile (capped at the tile
-    /// count either way).
+    /// OS threads to use, capped at the tile count; 0 means the plan's
+    /// processors for an executor built by [`Executor::from_plan`], one
+    /// per tile for the others.
     pub threads: usize,
-    /// Static round-robin or dynamic self-scheduling.
+    /// Static round-robin ([`Tiling::worker_tiles`]) or dynamic
+    /// self-scheduling.
     pub schedule: Schedule,
     /// Elements per cache line for touch counting.
     pub line_size: u64,
@@ -223,6 +225,9 @@ pub struct Executor {
     points: Vec<u64>,
     /// Interior-tile extents λ.
     tile_extents: Vec<i128>,
+    /// Workers a run takes when [`ExecOptions::threads`] is 0: the
+    /// plan's processors ([`Tiling::workers`]), or the tile count.
+    workers: usize,
     repetitions: u64,
     /// Whether re-running a partially executed tile recomputes the same
     /// values, at any repetition: the single retry decision.  The
@@ -254,13 +259,17 @@ impl Executor {
     /// the nest is reconstructed from the plan's embedded source (with
     /// its fingerprint re-verified) and tiled on the plan's processor
     /// grid.  A schema-v4 plan carrying a [`Transform`] executes its
-    /// skewed tiles natively via [`Executor::from_transformed`].
+    /// skewed tiles natively via [`Executor::from_transformed`].  A run
+    /// takes the plan's processors by default, however many tiles they
+    /// share.
     pub fn from_plan(plan: &alp_plan::PartitionPlan) -> Result<Executor, RuntimeError> {
         let nest = plan.nest()?;
-        match &plan.transform {
+        let mut exec = match &plan.transform {
             None => Executor::from_grid(&nest, &plan.proc_grid),
             Some(t) => Executor::from_transformed(&nest, t, &plan.proc_grid),
-        }
+        }?;
+        exec.workers = exec.tiling.workers(plan.processors);
+        Ok(exec)
     }
 
     /// Partition the *transformed* space `j = i·U` over a rectangular
@@ -315,6 +324,7 @@ impl Executor {
             kernel,
             points: (0..tiling.len()).map(|t| tiling.points(t)).collect(),
             tile_extents: tiling.extents(),
+            workers: tiling.len(),
             tiling,
         })
     }
@@ -421,8 +431,8 @@ impl Executor {
 
     fn resolve_threads(&self, opts: &ExecOptions) -> usize {
         match opts.threads {
-            0 => self.tiling.len().max(1),
-            t => t.min(self.tiling.len().max(1)),
+            0 => self.workers,
+            t => t.min(self.tiling.len()),
         }
     }
 
@@ -490,12 +500,10 @@ impl Executor {
             'reps: for rep in 0..self.repetitions {
                 match opts.schedule {
                     Schedule::Static => {
-                        let mut tile = t;
-                        while tile < tiles {
+                        for tile in self.tiling.worker_tiles(t, threads) {
                             if !w.run_tile(tile, rep) {
                                 break 'reps;
                             }
-                            tile += threads;
                         }
                     }
                     Schedule::Dynamic => loop {

@@ -144,7 +144,10 @@ impl RunReport {
     /// Compare per-tile distinct lines against the simulator's
     /// per-processor cold misses.  With unit lines and infinite caches
     /// both count exactly "first touches", so tile `t` should match the
-    /// simulator's processor `t` up to repetition effects.
+    /// simulator's processor `t` up to repetition effects — where each
+    /// processor runs one tile, as a rectangular plan's do.  Where a
+    /// plan's processors share its tiles, a static run on as many
+    /// threads matches thread by processor instead (`per_thread`).
     pub fn compare_with_traffic(&self, traffic: &TrafficReport) -> Vec<(u64, u64)> {
         self.per_tile
             .iter()

@@ -123,8 +123,8 @@ pub fn build_plan(spec: &PlanSpec) -> Result<PartitionPlan, ServeError> {
 /// Execution knobs of one run request.
 #[derive(Debug, Clone, Default)]
 pub struct RunSpec {
-    /// OS threads (0 = one per tile); either way no more than the
-    /// tiles, nor than the host's available parallelism.
+    /// OS threads (0 = the host's available parallelism); either way no
+    /// more than the tiles, nor than the host's available parallelism.
     pub threads: usize,
     /// Store seed for the verified run.
     pub seed: u64,
@@ -157,10 +157,10 @@ pub(crate) fn host_cores() -> usize {
 }
 
 /// The OS threads a run request asks the executor for (which caps them
-/// at the plan's tiles): the request's count, 0 meaning one per tile,
-/// capped at the host's `cores`.  Tile counts are unbounded, so one
-/// frame asking for `"processors": 4096` must not make the daemon start
-/// a thread per tile.
+/// at the plan's tiles): the request's count, 0 meaning all the host's
+/// `cores`, capped at `cores`.  Processor and tile counts are unbounded,
+/// so one frame asking for `"processors": 4096` must not make the
+/// daemon start a thread per processor.
 fn run_threads(requested: usize, cores: usize) -> usize {
     match requested {
         0 => cores,

@@ -10,10 +10,10 @@
 //! {"alp-serve": 1, "id": 9, "op": "stats"}
 //! ```
 //!
-//! A `run`'s `threads` (absent or 0: one per tile) is a ceiling, not a
-//! demand: the daemon runs on no more threads than the plan has tiles
-//! or the host has processors, since `processors` — and so the tile
-//! count — is unbounded.
+//! A `run`'s `threads` (absent or 0: as many as the host has
+//! processors) is a ceiling, not a demand: the daemon runs on no more
+//! threads than the plan has tiles or the host has processors, since
+//! `processors` — and so the tile count — is unbounded.
 //!
 //! Each response is one line, echoing `id`:
 //!

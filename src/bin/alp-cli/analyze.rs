@@ -181,7 +181,7 @@ fn run(args: &Args) -> Result<ExitCode, ExitCode> {
         let machine = MachineConfig {
             mesh,
             line_size,
-            // `run_plan` sets the processor count to the plan's tile count.
+            // `run_plan` sets the processor count to the plan's processors.
             ..MachineConfig::uniform(0)
         };
         let report = run_plan(&result.plan, machine.clone(), &UniformHome).map_err(fail)?;

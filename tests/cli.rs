@@ -52,8 +52,8 @@ fn simulates_with_mesh() {
 
 #[test]
 fn simulating_more_tiles_than_the_directory_tracks_is_an_error() {
-    // 256 tiles: the full-map directory holds 128 processors, and the
-    // simulator refuses before it starts a trace thread per tile.
+    // 256 processors, one tile each: the full-map directory holds 128,
+    // and the simulator refuses before it builds a trace.
     let (stdout, stderr, code) = run_cli(
         &["-p", "256", "--simulate", "-"],
         Some("doall (i, 1, 64) { doall (j, 1, 64) { A[i,j] = B[i-1,j] + B[i+1,j]; } }"),
@@ -61,10 +61,37 @@ fn simulating_more_tiles_than_the_directory_tracks_is_an_error() {
     assert_eq!(code, Some(1), "stdout: {stdout}\nstderr: {stderr}");
     assert!(stderr.contains("error[ALP0006]"), "{stderr}");
     assert!(
-        stderr.contains("holds at most 128 processors; the plan has 256 tiles"),
+        stderr.contains("holds at most 128 processors; the plan has 256 processors"),
         "{stderr}"
     );
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn a_skewed_plan_simulates_and_runs_on_its_processors() {
+    // Example 2's skewed plan at P = 4 cuts a [4, 2] grid: 8 tiles, two
+    // for each processor of the simulator and thread of `run`.
+    let (plan, stderr, code) = run_cli(
+        &["plan", "--skewed", "-p", "4", "-"],
+        Some("doall (i, 1, 16) { doall (j, 1, 16) { A[i,j] = B[i+j,i-j-1] + B[i+j+4,i-j+3]; } }"),
+    );
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert!(plan.contains("\"proc_grid\": [4, 2]"), "{plan}");
+    let path = std::env::temp_dir().join(format!("alp-cli-skewed-{}.json", std::process::id()));
+    std::fs::write(&path, &plan).expect("plan file writes");
+    let path = path.to_str().expect("utf-8 temp path");
+
+    let (stdout, stderr, code) = run_cli(&["--from-plan", path, "--simulate"], None);
+    assert_eq!(code, Some(0), "stdout: {stdout}\nstderr: {stderr}");
+    assert!(stdout.contains("== simulation =="), "{stdout}");
+    let (stdout, stderr, code) = run_cli(&["run", "--from-plan", path], None);
+    std::fs::remove_file(path).ok();
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert!(stdout.contains("threads 4  tiles 8"), "{stdout}");
+    assert!(
+        stdout.contains("matches the sequential reference"),
+        "{stdout}"
+    );
 }
 
 #[test]

@@ -144,5 +144,69 @@ pub fn run() -> String {
         "\nbeyond the paper: communication-free normals exist for Example 8: {:?}",
         normals.iter().map(|h| h.to_string()).collect::<Vec<_>>()
     );
+
+    // The planner's skewed plans beside its rectangles, each run on its
+    // own P processors: a skewed grid cuts the transformed space's
+    // bounding box into more tiles than P, dealt round-robin, so the
+    // machine's count is per processor (model traffic is rectangular
+    // only).
+    outln!(
+        out,
+        "\nplanner's plans, each simulated on its P processors (64^3 space):"
+    );
+    let t = Table::new(
+        &mut out,
+        &[
+            ("P", 3),
+            ("plan", 7),
+            ("grid", 12),
+            ("tile", 12),
+            ("model/tile", 10),
+            ("sim/tile", 10),
+            ("traffic/tile", 12),
+        ],
+    );
+    let mut verdicts = Vec::new();
+    for (p, model_cost) in [(64i128, 8704), (8, 67584)] {
+        let mut sims = Vec::new();
+        for compiler in [Compiler::new(p), Compiler::new(p).with_skewed_tiles()] {
+            let plan = compiler.plan(&nest).unwrap();
+            let skewed = plan.transform.is_some();
+            let report = run_plan(&plan, MachineConfig::uniform(0), &UniformHome).unwrap();
+            assert_eq!(report.per_processor.len() as i128, p);
+            let per_proc = report.total_cold_misses() / p as u64;
+            let chunks: Vec<String> = plan
+                .tile_extents
+                .iter()
+                .map(|e| (e + 1).to_string())
+                .collect();
+            let traffic = if skewed {
+                "n/a".to_string()
+            } else {
+                model.traffic_rect(&plan.tile_extents).to_string()
+            };
+            t.row(
+                &mut out,
+                &[
+                    &p,
+                    &if skewed { "skewed" } else { "rect" },
+                    &format!("{:?}", plan.proc_grid),
+                    &chunks.join("x"),
+                    &plan.cost,
+                    &per_proc,
+                    &traffic,
+                ],
+            );
+            sims.push((plan.cost, per_proc));
+        }
+        assert_eq!(sims[1].0, Rat::int(model_cost));
+        let pick = |skewed_wins: bool| if skewed_wins { "skewed" } else { "rect" };
+        verdicts.push(format!(
+            "P = {p}: model prefers {}, machine prefers {}",
+            pick(sims[1].0 < sims[0].0),
+            pick(sims[1].1 < sims[0].1)
+        ));
+    }
+    outln!(out, "\n{}", verdicts.join("\n"));
     out
 }

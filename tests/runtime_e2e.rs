@@ -71,9 +71,11 @@ fn example8_dynamic_schedule_agrees() {
 
 #[test]
 fn runtime_footprints_agree_with_simulator() {
-    // Unit lines + infinite caches: the runtime's per-tile distinct-line
-    // counts and the simulator's per-processor cold misses both count
-    // "first touches", so they must agree tile by tile.
+    // Unit lines + infinite caches: the runtime's distinct-line counts
+    // and the simulator's per-processor cold misses both count "first
+    // touches", so they must agree — tile by tile where each processor
+    // runs one tile, and thread by processor where a plan's processors
+    // share more tiles than they number.
     let nest = parse(
         "doall (i, 1, 32) { doall (j, 1, 32) {
            A[i,j] = B[i,j] + B[i+1,j+3];
@@ -92,4 +94,29 @@ fn runtime_footprints_agree_with_simulator() {
             "tile {tile}: runtime touched {measured} lines, simulator took {cold} cold misses"
         );
     }
+
+    // The skewed Example-2 golden: P = 16 over a [8, 4] grid of 32
+    // tiles, dealt round-robin to threads and processors alike.
+    let golden = include_str!("golden/example2.v4.plan.json");
+    let plan = alp::plan::PartitionPlan::from_json_str(golden).unwrap();
+    assert_eq!((plan.processors, plan.tiles()), (16, 32));
+    let traffic = run_plan(&plan, MachineConfig::uniform(0), &UniformHome).unwrap();
+    let exec = Executor::from_plan(&plan).unwrap();
+    let opts = ExecOptions {
+        threads: 16,
+        schedule: Schedule::Static,
+        line_size: 1,
+        track_touches: true,
+        ..ExecOptions::default()
+    };
+    let report = exec.run(&exec.seeded_store(3), &opts).unwrap();
+    assert!(report.touches_exact);
+    let measured: Vec<u64> = (report.per_thread.iter())
+        .map(|t| t.distinct_lines.unwrap())
+        .collect();
+    let cold: Vec<u64> = (traffic.per_processor.iter())
+        .map(|c| c.cold_misses)
+        .collect();
+    assert_eq!(measured.len(), 16);
+    assert_eq!(measured, cold);
 }
