@@ -585,7 +585,7 @@ mod tests {
             "doall (i, 1, 16) { doall (j, 1, 16) { A[i,j] = B[i+j,i-j-1] + B[i+j+4,i-j+3]; } }",
         )
         .unwrap();
-        let plan = alp_plan::PartitionPlan::choose(&skew, 4, None, legality, true, None).unwrap();
+        let plan = alp_plan::PartitionPlan::choose(&skew, 4, None, legality, true).unwrap();
         assert_eq!(
             (plan.proc_grid.as_slice(), plan.processors),
             (&[4, 2][..], 4)

@@ -86,7 +86,7 @@ pub fn optimize_parallelepiped(
 
 /// Evaluate *every* candidate basis and return the full field, best
 /// first — the hook a downstream ranker (the plan crate's skewed-tile
-/// enumerator, the calibrated hybrid re-ranking) uses to score the
+/// enumerator) uses to score the
 /// whole `(H, γ, λ)` candidate class instead of just the analytic
 /// winner.  The one sweep: chunked over `config.threads` when the
 /// candidate set is large, gathered in enumeration order, then sorted

@@ -43,9 +43,9 @@ pub struct PlanKey {
     /// Whether legality analysis ran (checked and unchecked plans for
     /// the same nest must not alias).
     pub checked: bool,
-    /// Whether a calibrated latency model drove the tile-shape choice
-    /// (calibrated and analytic plans for the same nest must not
-    /// alias).
+    /// Always `false`: the planner has one objective.  The field stays
+    /// because the journal's frame envelope carries it; it goes with
+    /// the next change of the key.
     pub calibrated: bool,
     /// Whether the plan partitions a transformed (skewed) space —
     /// skewed and rectangular plans for the same nest must not alias.

@@ -1,8 +1,7 @@
 //! Per-candidate-grid features of the hybrid cost model.
 //!
 //! Everything here is computed *analytically* from the nest — no probe
-//! runs — so the same features score candidates at plan time and label
-//! probe measurements at calibration time.
+//! runs.
 
 use crate::tiles::{IterBox, Tiling};
 use crate::PlanError;
@@ -22,8 +21,7 @@ pub struct GridFeatures {
     /// Non-empty tiles in the partition.
     pub tiles: i128,
     /// Modeled worst-tile cumulative footprint — the analytic
-    /// objective's own value (Theorem 4 / [`CostModel::cost_rect`] for
-    /// a rectangular candidate).
+    /// objective's own value (Theorem 4, [`CostModel::cost_rect`]).
     pub lines: Rat,
     /// Worst-tile address envelope in cache lines: per referenced
     /// array, the span from the lowest to the highest line any
@@ -39,16 +37,12 @@ pub struct GridFeatures {
 
 /// The address envelope (in lines) of one tile box: for each array, the
 /// min and max row-major address — counted from the array's own first
-/// element — any of its references' forms takes over the box, widened
-/// to whole lines and summed over arrays.
-///
-/// The forms are [`ArrayLayout::form`]s, composed with `V = U⁻¹` when
-/// the box lives in the transformed `j = i·U` space, so the envelope is
-/// taken over the pre-image parallelepiped.  A form's range over a box
-/// is exact for the unclipped box (a sound over-approximation of the
-/// clipped tile) — whose corners may fall outside the arrays, hence
-/// signed addresses rather than [`ArrayLayout::line`].  `None` when an
-/// address does not fit `i128`.
+/// element — any of its references' [`ArrayLayout::form`]s takes over
+/// the box, widened to whole lines and summed over arrays.  A form's
+/// range over a box is exact for the unclipped box (a sound
+/// over-approximation of the clipped tile) — whose corners may fall
+/// outside the arrays, hence signed addresses rather than
+/// [`ArrayLayout::line`].  `None` when an address does not fit `i128`.
 fn span_lines(
     forms: &[(usize, i128, ElementForm)],
     arrays: usize,
@@ -67,59 +61,46 @@ fn span_lines(
     Some(spans.map(|&(mn, mx)| mx / line - mn / line + 1).sum())
 }
 
-/// Per-tile `(span, iters)` labels for every tile of one tiling, indexed
-/// like the executor's tile numbering (`None` for a tile that owns no
-/// iteration) — the labels probe measurements are fitted against.  `v`
-/// is the inverse of the transform the tiling was built with, if any.
-/// Fails with [`PlanError::Infeasible`] when the nest's arrays have no
-/// `u64` address space to take an envelope in.
-pub fn per_tile_features(
+/// Each reference's array id, array base and element form, composed
+/// with `v` when the boxes live in a transformed space.
+fn ref_forms(
     nest: &LoopNest,
-    tiling: &Tiling,
+    lay: &ArrayLayout,
     v: Option<&IMat>,
-    line_size: u64,
-) -> Result<Vec<Option<(i128, i128)>>, PlanError> {
-    let lay = ArrayLayout::from_nest(nest)?;
-    let forms = (nest.all_refs().into_iter())
+) -> Result<Vec<(usize, i128, ElementForm)>, LayoutOverflow> {
+    (nest.all_refs().into_iter())
         .map(|r| {
             let id = lay.array_id(&r.array).expect("laid out from this nest");
             Ok((id, lay.base(id).into(), lay.form(r, v)?))
         })
-        .collect::<Result<Vec<_>, LayoutOverflow>>()?;
-    (tiling.boxes().iter().enumerate())
-        .map(|(t, bx)| match tiling.points(t) {
-            0 => Ok(None),
-            points => span_lines(&forms, lay.array_count(), bx, line_size)
-                .map(|span| Some((span, points.into())))
-                .ok_or_else(|| PlanError::Infeasible("tile addresses overflow i128".into())),
-        })
         .collect()
 }
 
-/// Hybrid-cost features of one candidate tiling, rectangular or skewed:
-/// tiles are `grid` cells of `tiling` (rectangular in the transformed
-/// `j = i·U` space when it was built with a transform, whose inverse is
-/// `v`), iterations are counted exactly, and `lines` is the analytic
-/// objective's value for the candidate — Theorem 4 for a rectangular
-/// one, the parallelepiped Eq.-2 cost for a skewed one.  One feature
-/// vector shape scores both, so one fitted latency model ranks both
-/// classes.
-pub fn features(
+/// Hybrid-cost features of one rectangular candidate grid: its
+/// non-empty tiles and their exact iteration counts, the worst tile's
+/// address span, and `lines`, the Theorem-4 cost of the grid's interior
+/// tile.  Fails with [`PlanError::Infeasible`] when the nest's arrays
+/// have no `u64` address space to take an envelope in.
+pub fn grid_features(
     nest: &LoopNest,
-    tiling: &Tiling,
-    v: Option<&IMat>,
+    model: &CostModel,
     grid: &[i128],
-    lines: Rat,
     line_size: u64,
 ) -> Result<GridFeatures, PlanError> {
-    let (mut tiles, mut span_lines, mut iters) = (0i128, 0i128, 0i128);
-    for (span, points) in per_tile_features(nest, tiling, v, line_size)?
-        .into_iter()
-        .flatten()
-    {
+    let tiling = Tiling::new(nest, None, grid)?;
+    let lay = ArrayLayout::from_nest(nest)?;
+    let forms = ref_forms(nest, &lay, None)?;
+    let (mut tiles, mut span, mut iters) = (0i128, 0i128, 0i128);
+    for (t, bx) in tiling.boxes().iter().enumerate() {
+        let points = tiling.points(t);
+        if points == 0 {
+            continue;
+        }
+        let tile_span = span_lines(&forms, lay.array_count(), bx, line_size)
+            .ok_or_else(|| PlanError::Infeasible("tile addresses overflow i128".into()))?;
         tiles += 1;
-        span_lines = span_lines.max(span);
-        iters = iters.max(points);
+        span = span.max(tile_span);
+        iters = iters.max(points.into());
     }
     if tiles == 0 {
         return Err(PlanError::BadGrid(format!(
@@ -130,24 +111,11 @@ pub fn features(
         grid: grid.to_vec(),
         tile_extents: tiling.extents(),
         tiles,
-        lines,
-        span_lines,
+        lines: model.cost_rect(&tiling.extents()),
+        span_lines: span,
         iters,
         reps: nest.seq_repetitions(),
     })
-}
-
-/// [`features`] of one rectangular candidate grid, its analytic lines
-/// the Theorem-4 cost of the grid's interior tile.
-pub fn grid_features(
-    nest: &LoopNest,
-    model: &CostModel,
-    grid: &[i128],
-    line_size: u64,
-) -> Result<GridFeatures, PlanError> {
-    let tiling = Tiling::new(nest, None, grid)?;
-    let lines = model.cost_rect(&tiling.extents());
-    features(nest, &tiling, None, grid, lines, line_size)
 }
 
 #[cfg(test)]
@@ -156,8 +124,8 @@ mod tests {
     use alp_loopir::parse;
 
     fn example2() -> LoopNest {
-        // The skewed nest whose measured ordering inverts the analytic
-        // one: strips [1,16] minimize lines, blocks [4,4] minimize span.
+        // The skewed nest whose two features disagree: strips [1,16]
+        // minimize lines, blocks [4,4] minimize span.
         parse(
             "doall (i, 101, 612) { doall (j, 1, 512) {
                A[i,j] = B[i+j,i-j-1] + B[i+j+4,i-j+3];
@@ -182,31 +150,13 @@ mod tests {
             strips.lines,
             blocks.lines
         );
-        // ...but their per-tile address envelope is far wider — the
-        // signal the measured inversion rides on.
+        // ...but their per-tile address envelope is far wider.
         assert!(
             strips.span_lines > 2 * blocks.span_lines,
             "strips span {} vs blocks span {}",
             strips.span_lines,
             blocks.span_lines
         );
-    }
-
-    #[test]
-    fn identity_transform_candidate_has_the_rectangular_features() {
-        // One extractor: the same grid tiled through the identity
-        // transform (clipped walk, corners mapped through V = I) yields
-        // the rectangular tile count, span and iteration features.
-        let nest = example2();
-        let model = CostModel::from_nest(&nest);
-        let identity =
-            crate::Transform::new(IMat::identity(2), crate::fingerprint_hex(&nest)).unwrap();
-        for grid in [[4, 4], [1, 16], [3, 5]] {
-            let rect = grid_features(&nest, &model, &grid, 1).unwrap();
-            let tiling = Tiling::new(&nest, Some(&identity), &grid).unwrap();
-            let skew = features(&nest, &tiling, Some(identity.v()), &grid, rect.lines, 1).unwrap();
-            assert_eq!(skew, rect);
-        }
     }
 
     #[test]
@@ -237,9 +187,13 @@ mod tests {
         let skewed = &crate::skewed_candidates(&nest, 16, &config).unwrap()[0];
         assert_eq!(skewed.grid, [8, 4]);
         let tiling = Tiling::new(&nest, Some(&skewed.transform), &skewed.grid).unwrap();
-        let v = Some(skewed.transform.v());
-        let f = features(&nest, &tiling, v, &skewed.grid, Rat::ZERO, 1).unwrap();
-        assert_eq!(f.span_lines, 264_845);
+        let lay = ArrayLayout::from_nest(&nest).unwrap();
+        let forms = ref_forms(&nest, &lay, Some(skewed.transform.v())).unwrap();
+        let worst = (tiling.boxes().iter().enumerate())
+            .filter(|&(t, _)| tiling.points(t) > 0)
+            .map(|(_, bx)| span_lines(&forms, lay.array_count(), bx, 1).unwrap())
+            .max();
+        assert_eq!(worst, Some(264_845));
     }
 
     /// The enumeration `span_lines` used to run: every reference
@@ -283,10 +237,14 @@ mod tests {
         for (transform, grid) in rect.into_iter().chain(skew) {
             let tiling = Tiling::new(&nest, transform, &grid).unwrap();
             let v = transform.map(crate::Transform::v);
+            let lay = ArrayLayout::from_nest(&nest).unwrap();
+            let forms = ref_forms(&nest, &lay, v).unwrap();
             for line in [1u64, 8] {
-                let per = per_tile_features(&nest, &tiling, v, line).unwrap();
-                for (bx, f) in tiling.boxes().iter().zip(per) {
-                    let Some((span, _)) = f else { continue };
+                for (t, bx) in tiling.boxes().iter().enumerate() {
+                    if tiling.points(t) == 0 {
+                        continue;
+                    }
+                    let span = span_lines(&forms, lay.array_count(), bx, line).unwrap();
                     assert_eq!(span, span_by_corners(&nest, bx, v, line.into()), "{grid:?}");
                 }
             }
@@ -303,13 +261,11 @@ mod tests {
     }
 
     #[test]
-    fn per_tile_features_align_with_tiles() {
+    fn features_count_every_tile_and_its_iterations() {
         let nest = example2();
-        let tiling = Tiling::new(&nest, None, &[4, 4]).unwrap();
-        let per = per_tile_features(&nest, &tiling, None, 1).unwrap();
-        assert_eq!(per.len(), 16);
-        assert!(per.iter().all(|f| f.is_some()));
-        // Interior tiles of a 512/4 × 512/4 split: 128×128 iterations.
-        assert_eq!(per[0].unwrap().1, 128 * 128);
+        let model = CostModel::from_nest(&nest);
+        let f = grid_features(&nest, &model, &[4, 4], 1).unwrap();
+        // A 512/4 × 512/4 split: 16 tiles of 128×128 iterations.
+        assert_eq!((f.tiles, f.iters), (16, 128 * 128));
     }
 }

@@ -1,9 +1,9 @@
 //! The tree's one JSON codec — hand-rolled so the workspace stays
 //! dependency-free (no serde).  Every JSON object the tree reads or
-//! writes goes through here: the plan file, the calibration file, the
-//! journal's frame payloads and the serve wire's frames.
+//! writes goes through here: the plan file, the journal's frame
+//! payloads and the serve wire's frames.
 //!
-//! The subset is what those four need: objects, arrays, strings, `i128`
+//! The subset is what those three need: objects, arrays, strings, `i128`
 //! integers, booleans, and `null`.  Floating-point literals are
 //! rejected — every quantity is exact (integers and `num/den`
 //! rationals), which is also what makes the encoding canonical and
@@ -313,7 +313,7 @@ impl<'a> Parser<'a> {
 
 /// What a typed read found wrong with one field.  It names the key, so
 /// each caller's own error (`PlanError::{Schema, Certificate,
-/// Transform}`, `CalibrateError::Schema`, the wire's `ALP0006`, a
+/// Transform}`, the wire's `ALP0006`, a
 /// journal quarantine reason) can say which field to fix.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldError {

@@ -21,22 +21,22 @@
 //! [`PartitionPlan::choose`] is **the planner**: the one function that
 //! owns the tile-shape policy — the candidate set (feasible processor
 //! grids, or the skewed parallelepiped candidates), the pick (the
-//! analytic objective, or with [`LatencyCoefficients`] attached the head
-//! of the hybrid [`rank()`] over the candidates' [`GridFeatures`]), and
-//! the `+latency` / `chosen_by` label rule.  The facade, the CLI and the
-//! daemon bracket it with analysis and certification and decide nothing
-//! themselves.
+//! paper's analytic objective), and the optimizer label.  The facade,
+//! the CLI and the daemon bracket it with analysis and certification
+//! and decide nothing themselves.  [`choose_calibrated`] re-ranks the
+//! rectangular candidates under a [`LatencyCoefficients`] hybrid cost;
+//! the planner never calls it (the benchmark times it).
 //!
 //! Plans serialize to a versioned JSON schema through [`json`], the
-//! tree's one hand-rolled, float-free codec (the journal, the wire and
-//! the calibration file use it too), whose output is byte-deterministic
+//! tree's one hand-rolled, float-free codec (the journal and the wire
+//! use it too), whose output is byte-deterministic
 //! — the golden-snapshot tests diff the exact bytes.
 //! [`ShardedPlanCache::get_or_compute`] memoizes plans by [`PlanKey`]
 //! (fingerprint plus every parameter that can change the plan) with
 //! hit/miss/coalesced/eviction counters, and a [`Tiling`]
 //! ([`PartitionPlan::tiling`]) is the one answer to "which iterations
 //! does tile `t` own, and in what row order" that every consumer
-//! (codegen, runtime, certifier, calibration, machine simulation) takes
+//! (codegen, runtime, certifier, machine simulation) takes
 //! instead of branching on the plan's shape.  Every [`PlanError`] names
 //! its own stable `ALP00xx` code ([`PlanError::code`]).
 
@@ -54,16 +54,14 @@ pub mod tiles;
 pub mod transform;
 
 pub use cache::PlanKey;
-pub use features::{features, grid_features, per_tile_features, GridFeatures};
+pub use features::{grid_features, GridFeatures};
 pub use fingerprint::{canonical_source, fingerprint, fingerprint_hex, fnv1a64};
 pub use json::{Json, JsonError};
 pub use plan::{
     Certificate, ChosenBy, ClassFootprint, LatencyCoefficients, LegalityVerdict, PartitionPlan,
     MIN_SCHEMA_VERSION, SCHEMA_VERSION,
 };
-pub use rank::{
-    choose_calibrated, rank, rank_candidates, rank_skewed, ranking_is_degenerate, Ranked,
-};
+pub use rank::{choose_calibrated, rank, rank_candidates, ranking_is_degenerate, Ranked};
 pub use shard::{Fetched, ShardOccupancy, ShardedCacheStats, ShardedPlanCache};
 pub use store::{JournalFrame, PlanStore, RecoveryReport, StoreConfig, StoredEntry};
 pub use tiles::{IterBox, Tiling};

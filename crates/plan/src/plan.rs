@@ -2,7 +2,6 @@
 
 use crate::fingerprint::fingerprint_hex;
 use crate::json::{self, FieldError, Item, ObjWriter, ValueWriter};
-use crate::rank::{choose_calibrated, rank_skewed};
 use crate::tiles::Tiling;
 use crate::transform::{skewed_candidates, SkewedCandidate, Transform};
 use crate::PlanError;
@@ -69,9 +68,10 @@ pub enum ChosenBy {
     /// and the only option before schema version 2).
     #[default]
     Analytic,
-    /// A measured-latency hybrid ranking: the analytic candidate set
-    /// re-ranked under fitted coefficients (see the plan's
-    /// [`calibration`](PartitionPlan::calibration) block).
+    /// A measured-latency hybrid ranking (see the plan's
+    /// [`calibration`](PartitionPlan::calibration) block).  Older
+    /// builds wrote it; this one decodes and re-encodes it but never
+    /// ranks by it.
     Calibrated,
 }
 
@@ -84,9 +84,10 @@ impl ChosenBy {
     }
 }
 
-/// Fitted per-machine latency coefficients: the model
+/// Per-machine latency coefficients: the model
 /// [`hybrid_cost`](LatencyCoefficients::hybrid_cost) scores candidate
-/// tilings with, and the provenance a calibrated plan persists (all in
+/// tilings with ([`choose_calibrated`](crate::choose_calibrated)), and
+/// the provenance a schema-2 calibrated plan carries (all in
 /// nanoseconds, non-negative exact rationals so the codec stays
 /// float-free and byte-deterministic).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,10 +109,9 @@ pub struct LatencyCoefficients {
 }
 
 impl LatencyCoefficients {
-    /// Append the six coefficient fields, in schema order — the one
-    /// encoder behind a plan's `calibration` block and the calibration
-    /// artifact.
-    pub fn write_fields(&self, w: &mut ObjWriter<'_>) {
+    /// Append the six coefficient fields of a plan's `calibration`
+    /// block, in schema order.
+    fn write_fields(&self, w: &mut ObjWriter<'_>) {
         w.field("per_tile_ns").str(&rat_str(&self.per_tile_ns));
         w.field("per_line_ns").str(&rat_str(&self.per_line_ns));
         w.field("per_span_line_ns")
@@ -124,7 +124,7 @@ impl LatencyCoefficients {
     /// Decode the six coefficient fields from the object holding them
     /// (the inverse of [`write_fields`](Self::write_fields)); other
     /// fields of `v` are ignored.
-    pub fn from_json(v: Item<'_>) -> Result<LatencyCoefficients, FieldError> {
+    fn from_json(v: Item<'_>) -> Result<LatencyCoefficients, FieldError> {
         Ok(LatencyCoefficients {
             per_tile_ns: v.req("per_tile_ns", rat)?,
             per_line_ns: v.req("per_line_ns", rat)?,
@@ -241,14 +241,10 @@ impl PartitionPlan {
     ///   factorization ([`feasible_grids`](alp_partition::feasible_grids)),
     ///   or with `skewed` the non-identity parallelepiped bases of
     ///   [`skewed_candidates`] under [`ParaSearchConfig::default`];
-    /// * the **pick** — the analytic winner (Theorem 4, or the
-    ///   parallelepiped Eq.-2 cost the skewed candidates arrive sorted
-    ///   by), or with `latency` the head of the hybrid [`rank`](crate::rank())
-    ///   at line size 1;
-    /// * the **label** — `rect-exhaustive` / `para-exhaustive`, with
-    ///   `+latency` and [`with_calibration`](Self::with_calibration)
-    ///   marking a plan a calibration was attached to, whatever its
-    ///   coefficients.
+    /// * the **pick** — the paper's objective: the least Theorem-4
+    ///   cumulative footprint, or the parallelepiped Eq.-2 cost the
+    ///   skewed candidates arrive sorted by;
+    /// * the **label** — `rect-exhaustive` / `para-exhaustive`.
     ///
     /// The caller supplies the legality verdict (the analysis lives a
     /// layer above this crate).  Fails with [`PlanError::Infeasible`]
@@ -260,54 +256,38 @@ impl PartitionPlan {
         mesh: Option<(usize, usize)>,
         legality: LegalityVerdict,
         skewed: bool,
-        latency: Option<&LatencyCoefficients>,
     ) -> Result<PartitionPlan, PlanError> {
         feasible(nest, processors)?;
         let model = CostModel::from_nest(nest);
-        let optimizer = |base: &str| match latency {
-            Some(_) => format!("{base}+latency"),
-            None => base.to_string(),
-        };
-        let plan = if skewed {
+        if skewed {
             let cands = skewed_candidates(nest, processors, &ParaSearchConfig::default())?;
-            if cands.is_empty() {
+            let Some(best) = cands.first() else {
                 return Err(PlanError::Infeasible(
                     "nest has no skewed parallelepiped candidate bases".into(),
                 ));
-            }
-            let pick = match latency {
-                None => 0,
-                Some(latency) => rank_skewed(nest, latency, &cands, 1)?[0].index,
             };
             Self::skewed(
                 nest,
                 processors,
                 mesh,
                 legality,
-                &cands[pick],
-                &optimizer("para-exhaustive"),
+                best,
+                "para-exhaustive",
                 &model,
-            )?
+            )
         } else {
-            let partition = match latency {
-                None => try_partition_rect(nest, processors, &model)
-                    .ok_or_else(|| no_factorization(processors))?,
-                Some(latency) => choose_calibrated(nest, &model, latency, processors, 1)?,
-            };
+            let partition = try_partition_rect(nest, processors, &model)
+                .ok_or_else(|| no_factorization(processors))?;
             Self::rect(
                 nest,
                 processors,
                 mesh,
                 legality,
                 partition,
-                &optimizer("rect-exhaustive"),
+                "rect-exhaustive",
                 &model,
-            )?
-        };
-        Ok(match latency {
-            Some(latency) => plan.with_calibration(latency.clone()),
-            None => plan,
-        })
+            )
+        }
     }
 
     /// [`choose`](Self::choose) with rectangular tiles under the
@@ -318,7 +298,7 @@ impl PartitionPlan {
         mesh: Option<(usize, usize)>,
         legality: LegalityVerdict,
     ) -> Result<PartitionPlan, PlanError> {
-        Self::choose(nest, processors, mesh, legality, false, None)
+        Self::choose(nest, processors, mesh, legality, false)
     }
 
     /// Persist a caller-chosen rectangular partition under a
@@ -423,15 +403,6 @@ impl PartitionPlan {
             MIN_SCHEMA_VERSION
         };
         carries.max(self.schema_version)
-    }
-
-    /// Mark the plan as chosen by a calibrated hybrid ranking and
-    /// persist the fitted coefficients as provenance (schema ≥ 2).
-    pub fn with_calibration(mut self, coefficients: LatencyCoefficients) -> Self {
-        self.chosen_by = ChosenBy::Calibrated;
-        self.calibration = Some(coefficients);
-        self.schema_version = self.version();
-        self
     }
 
     /// Attach a certificate (schema ≥ 3: a silently dropped certificate
@@ -621,7 +592,10 @@ impl PartitionPlan {
                 supported: SCHEMA_VERSION,
             })?;
         let fingerprint = f.req("fingerprint", Item::str)?.to_string();
-        let processors = f.req("processors", Item::int)?;
+        let processors = f.req("processors", |p| match p.int()? {
+            n if n >= 1 => Ok(n),
+            _ => Err(p.refuse("must be a positive processor count")),
+        })?;
         let mesh = f.opt("mesh", |m| match m.list(Item::int::<usize>)?[..] {
             [w, h] => Ok((w, h)),
             _ => Err(m.refuse("must be null or [w, h]")),
@@ -854,11 +828,20 @@ mod tests {
         }
     }
 
+    /// `plan` with a `calibration` block, as calibrated builds wrote
+    /// them (schema ≥ 2).
+    fn with_calibration(mut plan: PartitionPlan) -> PartitionPlan {
+        plan.chosen_by = ChosenBy::Calibrated;
+        plan.calibration = Some(coefficients());
+        plan.schema_version = plan.version();
+        plan
+    }
+
     #[test]
     fn calibration_provenance_round_trips() {
-        let plan = PartitionPlan::build(&example8(), 16, None, LegalityVerdict::Unchecked)
-            .unwrap()
-            .with_calibration(coefficients());
+        let plan = with_calibration(
+            PartitionPlan::build(&example8(), 16, None, LegalityVerdict::Unchecked).unwrap(),
+        );
         assert_eq!(plan.chosen_by, ChosenBy::Calibrated);
         let text = plan.to_json_string();
         assert!(text.contains("\"chosen_by\": \"calibrated\""));
@@ -988,9 +971,9 @@ mod tests {
 
     #[test]
     fn bad_chosen_by_and_calibration_are_rejected() {
-        let plan = PartitionPlan::build(&example8(), 16, None, LegalityVerdict::Unchecked)
-            .unwrap()
-            .with_calibration(coefficients());
+        let plan = with_calibration(
+            PartitionPlan::build(&example8(), 16, None, LegalityVerdict::Unchecked).unwrap(),
+        );
         let text = plan.to_json_string();
         let bad = text.replace("\"chosen_by\": \"calibrated\"", "\"chosen_by\": \"vibes\"");
         assert!(matches!(
@@ -1063,7 +1046,7 @@ mod tests {
         // (block name, version that introduced it), indexed like `attach`.
         let blocks = [("calibration", 2), ("certificate", 3), ("transform", 4)];
         let attach = |s: usize, plan: PartitionPlan| match s {
-            0 => plan.with_calibration(coefficients()),
+            0 => with_calibration(plan),
             1 => {
                 let cert = certificate_for(&plan);
                 plan.with_certificate(cert)

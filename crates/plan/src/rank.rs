@@ -1,9 +1,9 @@
-//! Re-ranking the candidate tilings with the hybrid cost model.
+//! Re-ranking the rectangular candidate tilings with the hybrid cost
+//! model.  The planner does not call it: it is the ledger's
+//! `calibrate.choose_us` probe, timed under fixed coefficients.
 
-use crate::features::{features, grid_features, GridFeatures};
+use crate::features::{grid_features, GridFeatures};
 use crate::plan::{no_factorization, LatencyCoefficients};
-use crate::tiles::Tiling;
-use crate::transform::SkewedCandidate;
 use crate::PlanError;
 use alp_footprint::CostModel;
 use alp_linalg::Rat;
@@ -33,14 +33,11 @@ impl LatencyCoefficients {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ranked {
     /// Which candidate this is: its position in the enumeration order
-    /// of [`feasible_grids`] for [`rank_candidates`], its index into
-    /// the caller's slice for [`rank_skewed`].
+    /// of [`feasible_grids`].
     pub index: usize,
     /// The hybrid-cost features (grid, extents, lines, span, …).
     pub features: GridFeatures,
-    /// The analytic objective (worst-tile footprint): Theorem 4 for a
-    /// rectangular candidate, the parallelepiped Eq.-2 cost for a
-    /// skewed one.
+    /// The analytic objective (worst-tile footprint, Theorem 4).
     pub analytic_cost: Rat,
     /// The calibrated hybrid cost, in model nanoseconds.
     pub hybrid_cost: Rat,
@@ -53,8 +50,6 @@ pub struct Ranked {
 /// precisely when the fitted per-line *and* per-span coefficients are
 /// zero — the model then ranks nothing, and any "calibrated" order out
 /// of it is an artifact of sort stability rather than a prediction.
-/// (Skewed candidates differ in tile count and worst-tile iterations,
-/// so for them only the all-zero model is signal-free.)
 pub fn ranking_is_degenerate(ranked: &[Ranked]) -> bool {
     ranked.len() > 1
         && ranked
@@ -108,32 +103,6 @@ pub fn rank_candidates(
     let mut scored = Vec::with_capacity(grids.len());
     for (index, (grid, _)) in grids.iter().enumerate() {
         scored.push((index, grid_features(nest, model, grid, line_size)?));
-    }
-    Ok(rank(scored, latency))
-}
-
-/// [`rank`] skewed parallelepiped candidates.  Candidates whose feature
-/// extraction fails (e.g. a grid whose clipping empties every tile) are
-/// dropped rather than failing the whole ranking.
-pub fn rank_skewed(
-    nest: &LoopNest,
-    latency: &LatencyCoefficients,
-    candidates: &[SkewedCandidate],
-    line_size: u64,
-) -> Result<Vec<Ranked>, PlanError> {
-    let scored: Vec<(usize, GridFeatures)> = (candidates.iter().enumerate())
-        .filter_map(|(index, cand)| {
-            let tiling = Tiling::new(nest, Some(&cand.transform), &cand.grid).ok()?;
-            let lines = Rat::int(cand.analytic_cost);
-            let v = Some(cand.transform.v());
-            let f = features(nest, &tiling, v, &cand.grid, lines, line_size).ok()?;
-            Some((index, f))
-        })
-        .collect();
-    if scored.is_empty() {
-        return Err(PlanError::Infeasible(
-            "no skewed candidate produced usable features".into(),
-        ));
     }
     Ok(rank(scored, latency))
 }
@@ -258,51 +227,6 @@ mod tests {
         let cost = CostModel::from_nest(&nest);
         let ranked = rank_candidates(&nest, &cost, &model_with((2, 1), (1, 10)), 16, 1).unwrap();
         assert!(!ranking_is_degenerate(&ranked));
-    }
-
-    #[test]
-    fn skewed_candidates_rank_under_the_hybrid_cost() {
-        let nest = example2();
-        let cands =
-            crate::skewed_candidates(&nest, 16, &alp_partition::ParaSearchConfig::default())
-                .unwrap();
-        assert!(!cands.is_empty());
-        let ranked = rank_skewed(&nest, &model_with((2, 1), (1, 10)), &cands, 1).unwrap();
-        assert!(!ranking_is_degenerate(&ranked));
-        for w in ranked.windows(2) {
-            assert!(w[0].hybrid_cost <= w[1].hybrid_cost);
-        }
-        // Every ranked entry points back into the candidate slice and
-        // carries that candidate's analytic parallelepiped cost.
-        for r in &ranked {
-            assert!(r.index < cands.len());
-            assert_eq!(r.analytic_cost, Rat::int(cands[r.index].analytic_cost));
-        }
-    }
-
-    #[test]
-    fn degenerate_calibration_ranks_skewed_candidates_analytically() {
-        let nest = example2();
-        let cands =
-            crate::skewed_candidates(&nest, 16, &alp_partition::ParaSearchConfig::default())
-                .unwrap();
-        // Unlike rectangular factorizations of a fixed p, skewed
-        // candidates differ in tile count and worst-tile iterations, so
-        // even the per-tile/per-iter terms discriminate; only the
-        // all-zero model is truly signal-free.
-        let zero = LatencyCoefficients {
-            per_tile_ns: Rat::ZERO,
-            per_line_ns: Rat::ZERO,
-            per_span_line_ns: Rat::ZERO,
-            per_iter_ns: Rat::ZERO,
-            per_rep_ns: Rat::ZERO,
-            samples: 0,
-        };
-        let ranked = rank_skewed(&nest, &zero, &cands, 1).unwrap();
-        assert!(ranking_is_degenerate(&ranked));
-        for w in ranked.windows(2) {
-            assert!(w[0].analytic_cost <= w[1].analytic_cost);
-        }
     }
 
     #[test]

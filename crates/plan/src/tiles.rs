@@ -2,8 +2,8 @@
 //!
 //! Every consumer of a partition — `alp-codegen`'s
 //! iteration-to-tile assignment and emitted loops, `alp-runtime`'s
-//! native executor, `alp-certify`'s coverage proof, `alp-calibrate`'s
-//! features, `alp-machine`'s simulator driver — takes a [`Tiling`] from
+//! native executor, `alp-certify`'s coverage proof, the hybrid
+//! ranking's features, `alp-machine`'s simulator driver — takes a [`Tiling`] from
 //! this module, so "which iterations does tile `t` own?" has exactly
 //! one answer for rectangular and skewed plans alike: the same
 //! ceiling-division chunking, the same row-major tile numbering over

@@ -141,7 +141,7 @@ impl Transform {
 
 /// One skewed-tile candidate `(H, γ, λ)` realized as a transform plus a
 /// rectangular `j`-space grid — the currency of the plan-level skewed
-/// candidate enumeration and of the calibrated hybrid re-ranking.
+/// candidate enumeration.
 #[derive(Debug, Clone)]
 pub struct SkewedCandidate {
     /// The unimodular transform (`U = basis⁻¹`).

@@ -521,7 +521,7 @@ impl Executor {
                 // is being torn down — drain with partial metrics.  The
                 // time parked here is measured per repetition: it is the
                 // synchronization cost (load imbalance + barrier
-                // mechanics) a latency calibration fits against.
+                // mechanics).
                 let wait_start = Instant::now();
                 let Ok(leader) = ctrl.barrier.wait() else {
                     break 'reps;

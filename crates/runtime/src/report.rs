@@ -95,9 +95,9 @@ pub struct RunReport {
     /// Per-tile metrics, indexed by tile.
     pub per_tile: Vec<TileMetrics>,
     /// Per-repetition barrier cost: the longest time any thread spent
-    /// parked at that repetition's end-of-doall barrier(s) — the
-    /// synchronization term a latency calibration fits its per-barrier
-    /// coefficient from.  One entry per completed repetition.
+    /// parked at that repetition's end-of-doall barrier(s), the
+    /// repetition's synchronization cost.  One entry per completed
+    /// repetition.
     pub barrier_waits: Vec<Duration>,
 }
 

@@ -105,7 +105,7 @@ impl PlanSpec {
         } else {
             LegalityVerdict::Unchecked
         };
-        let plan = PartitionPlan::choose(nest, self.processors, None, verdict, false, None)?;
+        let plan = PartitionPlan::choose(nest, self.processors, None, verdict, false)?;
         if self.certify {
             let certificate = alp_certify::decide(&plan)?;
             return Ok(plan.with_certificate(certificate));

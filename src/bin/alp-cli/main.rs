@@ -6,7 +6,6 @@
 //! alp-cli plan [OPTIONS] <FILE|->       # emit the partition plan as JSON
 //! alp-cli run [OPTIONS] <FILE|->        # partition AND execute on threads
 //! alp-cli certify [OPTIONS] <PLAN|->    # prove/re-check a plan's certificate
-//! alp-cli calibrate [OPTIONS] [FILE|-]  # fit a latency model from probe runs
 //! alp-cli serve --socket PATH [...]     # the plan service (daemon / --connect)
 //! alp-cli store verify|stats|compact DIR
 //! ```
@@ -46,7 +45,6 @@
 
 mod analyze;
 mod args;
-mod calibrate;
 mod certify;
 mod front;
 mod plan;
@@ -60,12 +58,11 @@ use std::process::ExitCode;
 
 /// Every command; the first row is the default mode, chosen when the
 /// first argument names no other.
-pub static COMMANDS: [Command; 7] = [
+pub static COMMANDS: [Command; 6] = [
     analyze::COMMAND,
     plan::COMMAND,
     run::COMMAND,
     certify::COMMAND,
-    calibrate::COMMAND,
     serve::COMMAND,
     store::COMMAND,
 ];

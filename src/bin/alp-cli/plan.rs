@@ -3,9 +3,8 @@
 
 use crate::args::{self, value, Args, Command, Positional};
 use crate::front;
-use crate::report::{fail, fail_in};
+use crate::report::fail_in;
 use crate::serve::call_server;
-use alp::prelude::Calibration;
 use alp::serve::client::RetryPolicy;
 use alp::serve::{ClientConfig, Request};
 use std::process::ExitCode;
@@ -18,7 +17,6 @@ pub const COMMAND: Command = Command {
         args::PARAM,
         args::NO_CHECK,
         args::EMIT,
-        value(&["--calibrated"], "FILE", "rank tilings by a fitted model"),
         args::CERTIFY,
         args::SKEWED,
         value(&["--via-server"], "SOCK", "plan through a `serve` daemon"),
@@ -33,12 +31,8 @@ fn run(args: &Args) -> Result<ExitCode, ExitCode> {
     if let Some(sock) = args.get::<String>("--via-server") {
         return via_server(args, &sock, &emit);
     }
-    let mut compiler = front::compiler_from(args);
+    let compiler = front::compiler_from(args);
     let (src, nest) = front::load_single_nest(args)?;
-    if let Some(path) = args.get::<String>("--calibrated") {
-        let calib = Calibration::from_json_str(&front::read_source(&path)?).map_err(fail)?;
-        compiler = compiler.with_calibration(calib.model);
-    }
     let mut plan = compiler.plan(&nest).map_err(|e| fail_in(&src, e))?;
     if args.has("--certify") {
         plan = front::certify_into(plan)?;
@@ -67,13 +61,13 @@ fn via_server(args: &Args, sock: &str, emit: &str) -> Result<ExitCode, ExitCode>
     // The source is read before anything can refuse the request, so a
     // caller piping it in never writes to a closed pipe.
     let src = front::read_source(args.positional(0).expect("plan requires an input"))?;
-    if ["--mesh", "--calibrated", "--skewed", "--param"]
+    if ["--mesh", "--skewed", "--param"]
         .iter()
         .any(|local| args.has(local))
     {
         eprintln!(
             "alp-cli: plan --via-server supports -p/--no-check/--certify/--emit only \
-             (--mesh, --calibrated, --skewed, --param plan locally)"
+             (--mesh, --skewed, --param plan locally)"
         );
         return Err(ExitCode::from(2));
     }

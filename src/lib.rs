@@ -116,10 +116,6 @@ pub enum AlpError {
     /// ([`PlanError::Transform`]: non-unimodular matrix, det ≠ ±1,
     /// wrong rank, stale fingerprint) reports `ALP0013` instead.
     Plan(PlanError),
-    /// A calibration artifact could not be read, or calibration probing
-    /// / fitting failed (`ALP0010`; a wrapped plan error keeps its own
-    /// code).
-    Calibration(alp_calibrate::CalibrateError),
     /// A plan certificate is missing, stale, or disagrees with fresh
     /// recomputation (`ALP0011`).  Structural certificate damage caught
     /// at decode time ([`PlanError::Certificate`]) reports the same
@@ -142,16 +138,16 @@ impl AlpError {
     /// illegal doall, `ALP0004` infeasible, `ALP0005` runtime lowering,
     /// `ALP0006` plan artifact, `ALP0007` deadline exceeded / run
     /// cancelled, `ALP0008` contained tile fault, `ALP0009` memory
-    /// budget exceeded, `ALP0010` calibration artifact / probe failure,
-    /// `ALP0011` certificate missing / stale / tampered, `ALP0012`
+    /// budget exceeded, `ALP0011` certificate missing / stale / tampered, `ALP0012`
     /// request shed by an overloaded plan service, `ALP0013` plan
     /// transform invalid (non-unimodular, wrong rank, or stale
     /// fingerprint).
-    /// Codes never change meaning across releases; new variants get new
-    /// codes.  Each wrapped error type owns its part of the table
-    /// (`PlanError::code`, `RuntimeError::code`, `CertifyError::code`,
-    /// `CalibrateError::code`), and the plan service answers with the
-    /// same methods.
+    /// `ALP0010` (calibration artifact) is retired with the calibrated
+    /// planner and never reused.  Codes never change meaning across
+    /// releases; new variants get new codes.  Each wrapped error type
+    /// owns its part of the table (`PlanError::code`,
+    /// `RuntimeError::code`, `CertifyError::code`), and the plan service
+    /// answers with the same methods.
     pub fn code(&self) -> &'static str {
         match self {
             AlpError::Parse(_) => "ALP0001",
@@ -160,7 +156,6 @@ impl AlpError {
             AlpError::Infeasible(_) => PlanError::INFEASIBLE_CODE,
             AlpError::Runtime(e) => e.code(),
             AlpError::Plan(e) => e.code(),
-            AlpError::Calibration(e) => e.code(),
             AlpError::Certify(e) => e.code(),
             AlpError::Overloaded { .. } => "ALP0012",
         }
@@ -176,7 +171,6 @@ impl std::fmt::Display for AlpError {
             AlpError::Infeasible(m) => write!(f, "infeasible: {m}"),
             AlpError::Runtime(e) => write!(f, "{e}"),
             AlpError::Plan(e) => write!(f, "{e}"),
-            AlpError::Calibration(e) => write!(f, "{e}"),
             AlpError::Certify(e) => write!(f, "{e}"),
             AlpError::Overloaded { depth, capacity } => write!(
                 f,
@@ -194,7 +188,6 @@ impl std::error::Error for AlpError {
             AlpError::Ir(e) => Some(e),
             AlpError::Runtime(e) => Some(e),
             AlpError::Plan(e) => Some(e),
-            AlpError::Calibration(e) => Some(e),
             AlpError::Certify(e) => Some(e),
             // A Report is diagnostics, not an error value; Infeasible
             // and Overloaded are leaf messages.
@@ -243,19 +236,6 @@ impl From<alp_certify::CertifyError> for AlpError {
     }
 }
 
-impl From<alp_calibrate::CalibrateError> for AlpError {
-    fn from(e: alp_calibrate::CalibrateError) -> Self {
-        match e {
-            // Infeasibility means the same thing whichever objective
-            // found it.
-            alp_calibrate::CalibrateError::Plan(PlanError::Infeasible(m)) => {
-                AlpError::Infeasible(m)
-            }
-            e => AlpError::Calibration(e),
-        }
-    }
-}
-
 /// The compiler pipeline of §4 (Fig. 10), split at its one decision.
 /// The **front half** is a request: [`Compiler::plan`] runs the legality
 /// analysis and the tile-shape search under this compiler's parameters
@@ -275,10 +255,6 @@ pub struct Compiler {
     /// Run the doall legality analysis and refuse racy nests (default
     /// on; [`Compiler::unchecked`] turns it off).
     pub check: bool,
-    /// Measured-latency coefficients for the hybrid tile-shape
-    /// objective ([`Compiler::with_calibration`]); `None` keeps the
-    /// pure analytic Theorem-4 objective.
-    pub calibration: Option<alp_calibrate::LatencyModel>,
     /// Partition the nest's *transformed* space instead of the original
     /// one ([`Compiler::with_skewed_tiles`]): search the §3.6
     /// parallelepiped candidates, realize the winner as rectangular
@@ -344,7 +320,6 @@ impl Compiler {
             processors,
             mesh: None,
             check: true,
-            calibration: None,
             skewed: false,
         }
     }
@@ -352,9 +327,8 @@ impl Compiler {
     /// Partition with skewed parallelepiped tiles: the plan carries a
     /// unimodular [`Transform`](alp_plan::Transform) and every
     /// downstream layer (runtime, certifier, simulator) works with
-    /// rectangular tiles in the transformed space.  With a calibration
-    /// attached, the hybrid latency cost ranks the skewed candidates;
-    /// otherwise the analytic parallelepiped objective picks.
+    /// rectangular tiles in the transformed space.  The analytic
+    /// parallelepiped objective picks among the skewed candidates.
     pub fn with_skewed_tiles(mut self) -> Self {
         self.skewed = true;
         self
@@ -363,16 +337,6 @@ impl Compiler {
     /// Configure an Alewife-style 2-D mesh.
     pub fn with_mesh(mut self, w: usize, h: usize) -> Self {
         self.mesh = Some((w, h));
-        self
-    }
-
-    /// Rank candidate tilings with a fitted latency model (the hybrid
-    /// `a·tiles + reps·(b·lines + s·span + d·iters) + c·reps` cost)
-    /// instead of the pure footprint objective.  Plans produced this
-    /// way record `chosen_by: calibrated` and carry the coefficients in
-    /// their provenance.
-    pub fn with_calibration(mut self, model: alp_calibrate::LatencyModel) -> Self {
-        self.calibration = Some(model);
         self
     }
 
@@ -394,7 +358,7 @@ impl Compiler {
             processors: self.processors,
             mesh: self.mesh,
             checked: self.check,
-            calibrated: self.calibration.is_some(),
+            calibrated: false,
             skewed: self.skewed,
             // The facade certifies *after* compilation (certify is a
             // plan-to-certificate pass, not a compile parameter), so
@@ -427,14 +391,7 @@ impl Compiler {
         } else {
             (alp_analysis::Report::default(), LegalityVerdict::Unchecked)
         };
-        let plan = PartitionPlan::choose(
-            nest,
-            self.processors,
-            self.mesh,
-            verdict,
-            self.skewed,
-            self.calibration.as_ref(),
-        )?;
+        let plan = PartitionPlan::choose(nest, self.processors, self.mesh, verdict, self.skewed)?;
         Ok((plan, report))
     }
 
@@ -565,11 +522,6 @@ pub fn aligned_home(plan: &PartitionPlan) -> Result<alp_machine::TiledHome, Plan
 pub mod prelude {
     pub use crate::{AlpError, CompileResult, Compiler, ExecutionSummary};
     pub use alp_analysis::{analyze, analyze_program, pair_conflict, Report, Witness};
-    pub use alp_calibrate::{
-        choose_calibrated, fit, fit_nest, probe_nest, rank_candidates, rank_skewed,
-        ranking_is_degenerate, CalibrateError, Calibration, GridFeatures, LatencyModel,
-        ProbeConfig, Ranked, TileSample,
-    };
     pub use alp_certify::{certify, recheck, CertifyError, CertifyReport};
     pub use alp_codegen::{assign_para, assign_rect, assign_slabs, emit_code, emit_rect_code};
     pub use alp_footprint::{

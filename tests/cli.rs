@@ -295,77 +295,6 @@ fn unsupported_plan_version_is_rejected() {
 }
 
 #[test]
-fn calibrate_emits_versioned_artifact_to_stdout() {
-    let (stdout, stderr, code) = run_cli(&["calibrate", "--trials", "1", "--threads", "2"], None);
-    assert_eq!(code, Some(0), "stderr: {stderr}");
-    assert!(
-        stdout.starts_with("{\n  \"alp-calibration\": 1,"),
-        "{stdout}"
-    );
-    assert!(stdout.contains("\"per_span_line_ns\""), "{stdout}");
-    assert!(stderr.contains("fitted over"), "{stderr}");
-}
-
-#[test]
-fn calibrate_then_plan_calibrated_records_provenance() {
-    let calib_path =
-        std::env::temp_dir().join(format!("alp-cli-test-{}.calib.json", std::process::id()));
-    let calib_path = calib_path.to_str().expect("utf-8 temp path").to_string();
-    let (_, stderr, code) = run_cli(
-        &[
-            "calibrate",
-            "--trials",
-            "1",
-            "--threads",
-            "2",
-            "--emit",
-            &calib_path,
-        ],
-        None,
-    );
-    assert_eq!(code, Some(0), "stderr: {stderr}");
-    assert!(stderr.contains("wrote calibration"), "{stderr}");
-
-    let (stdout, stderr, code) = run_cli(
-        &["plan", "-p", "4", "--calibrated", &calib_path, "-"],
-        Some(STENCIL),
-    );
-    std::fs::remove_file(&calib_path).ok();
-    assert_eq!(code, Some(0), "stderr: {stderr}");
-    assert!(
-        stdout.contains("\"optimizer\": \"rect-exhaustive+latency\""),
-        "{stdout}"
-    );
-    assert!(stdout.contains("\"chosen_by\": \"calibrated\""), "{stdout}");
-    assert!(stdout.contains("\"calibration\""), "{stdout}");
-    // The calibrated plan is a valid artifact: run --from-plan accepts it.
-    let (run_out, stderr, code) = run_cli(&["run", "--from-plan", "-"], Some(&stdout));
-    assert_eq!(code, Some(0), "stderr: {stderr}");
-    assert!(
-        run_out.contains("matches the sequential reference bitwise"),
-        "{run_out}"
-    );
-}
-
-#[test]
-fn malformed_calibration_artifact_exits_1_with_alp0010() {
-    let bad_path = std::env::temp_dir().join(format!(
-        "alp-cli-test-{}.bad.calib.json",
-        std::process::id()
-    ));
-    std::fs::write(&bad_path, "{ \"alp-calibration\": 99 }\n").expect("temp file writes");
-    let bad_path = bad_path.to_str().expect("utf-8 temp path").to_string();
-    let (_, stderr, code) = run_cli(
-        &["plan", "-p", "4", "--calibrated", &bad_path, "-"],
-        Some(STENCIL),
-    );
-    std::fs::remove_file(&bad_path).ok();
-    assert_eq!(code, Some(1), "stderr: {stderr}");
-    assert!(stderr.contains("error[ALP0010]"), "{stderr}");
-    assert!(stderr.contains("version 99 is not supported"), "{stderr}");
-}
-
-#[test]
 fn run_mismatch_exits_5() {
     // One worker thread executes tiles in ascending order, so a race that
     // crosses the j-boundary backwards gives a deterministic mismatch.
@@ -749,7 +678,7 @@ fn bench_serve_is_not_a_command() {
     let footer = stderr.lines().last().expect("usage footer");
     assert_eq!(
         footer,
-        "commands (alp-cli <COMMAND> --help): plan, run, certify, calibrate, serve, store"
+        "commands (alp-cli <COMMAND> --help): plan, run, certify, serve, store"
     );
     let (stdout, stderr, code) = run_cli(&["bench-serve"], None);
     assert_eq!(code, Some(1), "{stderr}");
@@ -955,6 +884,10 @@ fn plan_via_server_delegates_to_the_daemon() {
         Some(nest),
     );
     assert_eq!(code, Some(2), "local-only flag refused: {stderr}");
+    assert!(
+        stderr.ends_with("(--mesh, --skewed, --param plan locally)\n"),
+        "{stderr}"
+    );
 
     let (_, _, code) = serve_client(&sock, &["--op", "shutdown"], None);
     assert_eq!(code, Some(0));
@@ -988,7 +921,7 @@ fn assert_usage_error(args: &[&str]) {
 
 #[test]
 fn every_command_reports_malformed_command_lines_as_usage_errors() {
-    // One parser serves all seven commands, so each kind of malformed
+    // One parser serves all six commands, so each kind of malformed
     // command line fails the same way everywhere: a value flag at the
     // end of argv, a non-numeric value for a numeric flag, an unknown
     // flag, a surplus positional, a missing required positional.
@@ -1014,10 +947,9 @@ fn every_command_reports_malformed_command_lines_as_usage_errors() {
         &["certify", "--emitt", "x", "plan.json"],
         &["certify", "a", "b"],
         &["certify"],
-        &["calibrate", "--trials"],
-        &["calibrate", "--trials", "x"],
-        &["calibrate", "--bogus"],
-        &["calibrate", "a", "b"],
+        // The calibrated ranking is gone: its flag is refused, not
+        // ignored.
+        &["plan", "--calibrated", "F"],
         &["serve"],
         &["serve", "--socket"],
         &["serve", "--socket", "s", "--workers", "x"],
@@ -1037,7 +969,7 @@ fn every_command_reports_malformed_command_lines_as_usage_errors() {
 
 #[test]
 fn every_command_answers_help_with_its_usage() {
-    for cmd in ["", "plan", "run", "certify", "calibrate", "serve", "store"] {
+    for cmd in ["", "plan", "run", "certify", "serve", "store"] {
         for help in ["--help", "-h"] {
             let args: Vec<&str> = [cmd, help].into_iter().filter(|a| !a.is_empty()).collect();
             assert_usage_error(&args);
@@ -1081,8 +1013,9 @@ fn infeasible_requests_render_the_same_from_every_command() {
 #[test]
 fn damaged_plan_grids_exit_1_with_alp0006() {
     // A hand-edited `proc_grid` — a zero factor, or the wrong rank for
-    // the nest — is a plan-artifact error from every consumer, for
-    // rectangular and skewed plans alike; no backend indexes by it.
+    // the nest — or a `processors` below one is a plan-artifact error
+    // from every consumer, for rectangular and skewed plans alike; no
+    // backend indexes by it.
     let skewed = include_str!("golden/example2.v4.plan.json");
     let skewed_zero = skewed.replace("\"proc_grid\": [8, 4]", "\"proc_grid\": [0, 4]");
     let skewed_rank = skewed
@@ -1108,6 +1041,10 @@ fn damaged_plan_grids_exit_1_with_alp0006() {
         ),
         ("skewed zero factor", &skewed_zero),
         ("skewed rank mismatch", &skewed_rank),
+        (
+            "zero processors",
+            include_str!("corpus/ALP0006__zero_processors.plan.json"),
+        ),
     ] {
         for args in [
             &["run", "--from-plan", "-"][..],
@@ -1119,6 +1056,7 @@ fn damaged_plan_grids_exit_1_with_alp0006() {
                 stderr.contains("error[ALP0006]"),
                 "{name} {args:?}: {stderr}"
             );
+            assert!(!stderr.contains("panicked"), "{name} {args:?}: {stderr}");
         }
     }
 }

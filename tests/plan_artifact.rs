@@ -89,6 +89,26 @@ fn version_2_golden_decodes_and_reencodes_byte_stably() {
     let v3 = PartitionPlan::from_json_str(GOLDEN_PLAN).expect("v3 plan decodes");
     assert_eq!(plan.proc_grid, v3.proc_grid);
     assert_eq!(plan.fingerprint, v3.fingerprint);
+    // What a build with the calibrated ranking wrote at version 2: the
+    // same plan with a `calibration` block, byte-stable too.
+    let block = "  \"calibration\": {\n    \"per_tile_ns\": \"1507/1000\",\n    \
+                 \"per_line_ns\": \"0/1\",\n    \"per_span_line_ns\": \"3/1000\",\n    \
+                 \"per_iter_ns\": \"911/1000\",\n    \"per_rep_ns\": \"42000/1\",\n    \
+                 \"samples\": 36\n  },\n";
+    let calibrated = GOLDEN_PLAN_V2
+        .replace("\"rect-exhaustive\"", "\"rect-exhaustive+latency\"")
+        .replace(
+            "\"chosen_by\": \"analytic\"",
+            "\"chosen_by\": \"calibrated\"",
+        )
+        .replace(
+            "  \"class_footprints\"",
+            &format!("{block}  \"class_footprints\""),
+        );
+    let plan = PartitionPlan::from_json_str(&calibrated).expect("calibrated v2 plan decodes");
+    assert_eq!(plan.chosen_by, ChosenBy::Calibrated);
+    assert_eq!(plan.calibration.as_ref().map(|c| c.samples), Some(36));
+    assert_eq!(plan.to_json_string(), calibrated);
 }
 
 #[test]
@@ -124,92 +144,6 @@ fn version_4_golden_decodes_round_trips_and_carries_the_transform() {
     // The certificate re-proves in transformed coordinates.
     let cert = recheck(&plan).expect("v4 certificate re-verifies");
     assert!(cert.coverage && cert.write_disjoint && cert.in_bounds && cert.idempotent);
-}
-
-#[test]
-fn calibrated_plan_round_trips_with_provenance() {
-    let latency = LatencyModel {
-        per_tile_ns: Rat::new(1507, 1000),
-        per_line_ns: Rat::new(21, 1000),
-        per_span_line_ns: Rat::new(3, 1000),
-        per_iter_ns: Rat::new(911, 1000),
-        per_rep_ns: Rat::int(42_000),
-        samples: 36,
-    };
-    let plan = golden_compiler()
-        .with_calibration(latency.clone())
-        .plan(&golden_nest())
-        .expect("calibrated plan builds");
-    assert_eq!(plan.chosen_by, ChosenBy::Calibrated);
-    assert_eq!(plan.optimizer, "rect-exhaustive+latency");
-    assert_eq!(plan.calibration, Some(latency));
-    let text = plan.to_json_string();
-    assert!(text.contains("\"chosen_by\": \"calibrated\""), "{text}");
-    assert!(text.contains("\"calibration\""), "{text}");
-    let back = PartitionPlan::from_json_str(&text).expect("calibrated plan decodes");
-    assert_eq!(back, plan);
-    assert_eq!(back.to_json_string(), text);
-}
-
-#[test]
-fn skewed_calibrated_plan_carries_transform_provenance_and_certificate() {
-    // The one planner path nothing else reaches: skewed candidates
-    // ranked by the hybrid cost.
-    let nest = parse(GOLDEN_SOURCE_EX2).expect("example 2 parses");
-    let live = LatencyModel {
-        per_tile_ns: Rat::int(1500),
-        per_line_ns: Rat::int(2),
-        per_span_line_ns: Rat::new(1, 10),
-        per_iter_ns: Rat::new(3, 4),
-        per_rep_ns: Rat::int(40_000),
-        samples: 32,
-    };
-    let compiler = Compiler::new(16).with_skewed_tiles();
-    let plan = compiler
-        .clone()
-        .with_calibration(live.clone())
-        .plan(&nest)
-        .expect("skewed calibrated plan builds");
-    assert!(!plan.transform.as_ref().expect("transform").is_identity());
-    assert_eq!(plan.optimizer, "para-exhaustive+latency");
-    assert_eq!(plan.chosen_by, ChosenBy::Calibrated);
-    assert_eq!(plan.calibration, Some(live));
-
-    let cert = certify(&plan).expect("certifies").certificate;
-    assert!(cert.coverage && cert.write_disjoint && cert.in_bounds && cert.idempotent);
-    let certified = plan.with_certificate(cert);
-    let text = certified.to_json_string();
-    let back = PartitionPlan::from_json_str(&text).expect("decodes");
-    assert_eq!(back, certified);
-    assert_eq!(back.to_json_string(), text);
-    let outcome = Executor::from_plan(&back)
-        .expect("lowers")
-        .verify(7, &ExecOptions::default())
-        .expect("runs");
-    assert!(outcome.matches_reference);
-
-    // A calibration is provenance, whatever its coefficients: the
-    // all-zero model ranks nothing, so the analytic winner is chosen,
-    // and the plan still says a calibration was attached.
-    let zero = LatencyModel {
-        per_tile_ns: Rat::ZERO,
-        per_line_ns: Rat::ZERO,
-        per_span_line_ns: Rat::ZERO,
-        per_iter_ns: Rat::ZERO,
-        per_rep_ns: Rat::ZERO,
-        samples: 0,
-    };
-    let analytic = compiler.plan(&nest).expect("skewed plan builds");
-    let degenerate = compiler
-        .clone()
-        .with_calibration(zero)
-        .plan(&nest)
-        .expect("skewed plan with a no-signal calibration builds");
-    assert_eq!(analytic.optimizer, "para-exhaustive");
-    assert_eq!(degenerate.optimizer, "para-exhaustive+latency");
-    assert_eq!(degenerate.chosen_by, ChosenBy::Calibrated);
-    assert_eq!(degenerate.transform, analytic.transform);
-    assert_eq!(degenerate.proc_grid, analytic.proc_grid);
 }
 
 #[test]
@@ -264,11 +198,10 @@ fn tampered_source_is_rejected_on_load() {
 #[test]
 fn malformed_corpus_is_rejected_with_stable_codes() {
     // Every file in tests/corpus/ is a deliberately broken artifact
-    // named `<ALP code>__<defect>.<kind>.json`: `.plan.json` decodes as
-    // a PartitionPlan, `.calib.json` as a Calibration.  Decode, the
-    // post-decode fingerprint check in `nest()`, or the certificate
-    // re-check must reject each with exactly the code in its filename —
-    // never a panic or a silent partial decode.
+    // named `<ALP code>__<defect>.plan.json`.  Decode, the post-decode
+    // fingerprint check in `nest()`, or the certificate re-check must
+    // reject each with exactly the code in its filename — never a panic
+    // or a silent partial decode.
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus");
     let mut checked = 0;
     for entry in std::fs::read_dir(&dir).expect("corpus dir exists") {
@@ -281,11 +214,7 @@ fn malformed_corpus_is_rejected_with_stable_codes() {
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
         let expected = name.split("__").next().expect("code prefix");
         let text = std::fs::read_to_string(&path).expect("corpus file reads");
-        let err: AlpError = if name.ends_with(".calib.json") {
-            Calibration::from_json_str(&text)
-                .expect_err(&format!("{name} must be rejected"))
-                .into()
-        } else {
+        let err: AlpError =
             match PartitionPlan::from_json_str(&text).and_then(|p| p.nest().map(|_| p)) {
                 Err(e) => e.into(),
                 // Semantic certificate tampering (a flipped verdict bit)
@@ -294,8 +223,7 @@ fn malformed_corpus_is_rejected_with_stable_codes() {
                     .map(|_| ())
                     .expect_err(&format!("{name} must be rejected"))
                     .into(),
-            }
-        };
+            };
         assert!(!err.to_string().is_empty(), "{name}: diagnostic is empty");
         assert_eq!(err.code(), expected, "{name}");
         checked += 1;
@@ -415,34 +343,22 @@ fn facade_adds_no_decision_to_the_planner() {
     // `Compiler::plan` is analysis + verdict around
     // `PartitionPlan::choose`: whatever the request, the facade emits
     // the planner's bytes (or refuses with the planner's error).
-    let live = LatencyModel {
-        per_tile_ns: Rat::int(1500),
-        per_line_ns: Rat::int(2),
-        per_span_line_ns: Rat::new(1, 10),
-        per_iter_ns: Rat::new(3, 4),
-        per_rep_ns: Rat::int(40_000),
-        samples: 32,
-    };
     for source in PARITY_SOURCES {
         let nest = parse(source).expect("source parses");
         let warnings = analyze(&nest).count(alp::analysis::Severity::Warning);
         for processors in [1, 8, 24] {
             // Every request shape `Compiler` has.
-            for mode in 0..8 {
-                let (skewed, calibrated, check) = (mode & 1 != 0, mode & 2 != 0, mode & 4 == 0);
-                // The 3-D parallelepiped search is 10⁴ rectangular plans
-                // and its hybrid ranking walks every candidate's tiles
-                // (minutes): one analytic request per 3-D nest covers
-                // the path, the 2-D nests cover the matrix.
-                if nest.depth() > 2 && skewed && (calibrated || !check || processors != 8) {
+            for mode in 0..4 {
+                let (skewed, check) = (mode & 1 != 0, mode & 2 == 0);
+                // The 3-D parallelepiped search is 10⁴ rectangular
+                // plans: one request per 3-D nest covers the path, the
+                // 2-D nests cover the matrix.
+                if nest.depth() > 2 && skewed && (!check || processors != 8) {
                     continue;
                 }
                 let mut compiler = Compiler::new(processors);
                 if skewed {
                     compiler = compiler.with_skewed_tiles();
-                }
-                if calibrated {
-                    compiler = compiler.with_calibration(live.clone());
                 }
                 if !check {
                     compiler = compiler.unchecked();
@@ -451,7 +367,6 @@ fn facade_adds_no_decision_to_the_planner() {
                     true => LegalityVerdict::Checked { warnings },
                     false => LegalityVerdict::Unchecked,
                 };
-                let latency = calibrated.then_some(&live);
                 let bytes = |r: Result<PartitionPlan, AlpError>| {
                     r.map(|plan| plan.to_json_string())
                         .map_err(|e| (e.code(), e.to_string()))
@@ -459,11 +374,10 @@ fn facade_adds_no_decision_to_the_planner() {
                 assert_eq!(
                     bytes(compiler.plan(&nest)),
                     bytes(
-                        PartitionPlan::choose(&nest, processors, None, verdict, skewed, latency)
+                        PartitionPlan::choose(&nest, processors, None, verdict, skewed)
                             .map_err(AlpError::from)
                     ),
-                    "P = {processors}, skewed {skewed}, calibrated {calibrated}, \
-                     check {check}: {source}"
+                    "P = {processors}, skewed {skewed}, check {check}: {source}"
                 );
             }
         }
@@ -540,7 +454,7 @@ fn daemon_and_facade_report_the_same_codes() {
     let (found, supported) = (9, 4);
     let plan_errors = [
         (PlanError::BadGrid("rank".into()), "ALP0006"),
-        (PlanError::Json(json.clone()), "ALP0006"),
+        (PlanError::Json(json), "ALP0006"),
         (
             PlanError::UnsupportedVersion { found, supported },
             "ALP0006",
@@ -603,20 +517,6 @@ fn daemon_and_facade_report_the_same_codes() {
             "ALP0011",
         ),
     ];
-    let mut calibrate_errors = vec![
-        (CalibrateError::Json(json), "ALP0010"),
-        (CalibrateError::Schema("field".into()), "ALP0010"),
-        (
-            CalibrateError::UnsupportedVersion { found, supported },
-            "ALP0010",
-        ),
-        (
-            CalibrateError::NotEnoughSamples { got: 1, need: 8 },
-            "ALP0010",
-        ),
-        (CalibrateError::Degenerate("singular".into()), "ALP0010"),
-        (CalibrateError::Runtime("probe".into()), "ALP0010"),
-    ];
     fn agree<E: Clone + std::fmt::Display>(e: &E, leaf: &str, code: &str)
     where
         ServeError: From<E>,
@@ -630,7 +530,6 @@ fn daemon_and_facade_report_the_same_codes() {
         // A wrapped plan error keeps the plan's code.
         runtime_errors.push((RuntimeError::BadPlan(e.clone()), code));
         certify_errors.push((CertifyError::Plan(e.clone()), code));
-        calibrate_errors.push((CalibrateError::Plan(e.clone()), code));
         agree(&e, e.code(), code);
     }
     for (e, code) in runtime_errors {
@@ -638,10 +537,5 @@ fn daemon_and_facade_report_the_same_codes() {
     }
     for (e, code) in certify_errors {
         agree(&e, e.code(), code);
-    }
-    // The daemon takes no calibration (no wire field): facade only.
-    for (e, code) in calibrate_errors {
-        assert_eq!(e.code(), code, "{e}");
-        assert_eq!(AlpError::from(e).code(), code);
     }
 }
