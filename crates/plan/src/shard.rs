@@ -203,11 +203,6 @@ impl<E: Clone> ShardedPlanCache<E> {
         }
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Total cached plans across all shards.
     pub fn len(&self) -> usize {
         self.shards

@@ -677,15 +677,6 @@ impl Executor {
         data
     }
 
-    /// Run the nest sequentially on freshly seeded data, without the
-    /// parallel machinery (no threads, no touch bitsets, no snapshot
-    /// copies) — the degraded mode `--fallback-seq` uses when a run is
-    /// over its memory budget.
-    pub fn run_sequential(&self, seed: u64) -> Vec<f64> {
-        let init = crate::store::seeded_values(self.layout.total_lines(), seed);
-        self.run_reference(&init)
-    }
-
     /// Run on a seeded store and check the parallel result against the
     /// sequential reference, bit for bit.  A mismatch on a nest with a
     /// cross-iteration dependence is expected, not an executor fault:

@@ -347,14 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn run_sequential_matches_reference_path() {
-        let exec = Executor::from_grid(&example2(), &[2, 2]).unwrap();
-        let store = exec.seeded_store(11);
-        let init = store.snapshot();
-        assert_eq!(exec.run_sequential(11), exec.run_reference(&init));
-    }
-
-    #[test]
     fn retry_safety_classification() {
         // Plain assigns reading a disjoint array: safe to re-run.
         let safe = parse("doall (i, 0, 3) { A[i] = B[i] + B[i+1]; }").unwrap();

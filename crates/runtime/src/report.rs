@@ -109,16 +109,6 @@ impl RunReport {
         self.per_tile.iter().filter_map(|t| t.distinct_lines).max()
     }
 
-    /// Mean per-repetition barrier wait on the critical path, or `None`
-    /// when no repetition completed a barrier (e.g. an empty run).
-    pub fn mean_barrier_wait(&self) -> Option<Duration> {
-        if self.barrier_waits.is_empty() {
-            return None;
-        }
-        let total: Duration = self.barrier_waits.iter().sum();
-        Some(total / self.barrier_waits.len() as u32)
-    }
-
     /// Compare measured per-tile footprints against the model's
     /// cumulative-footprint prediction for tiles of `tile_extents`
     /// (Theorem 4 / Eq. 2).

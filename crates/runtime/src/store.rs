@@ -72,20 +72,12 @@ pub(crate) fn load(cell: &AtomicU64) -> f64 {
 /// Integer values keep every sum a nest can produce exact in f64 (far
 /// below 2^53), so accumulate results are independent of the order
 /// threads interleave their additions — which is what makes bitwise
-/// parallel-vs-sequential comparison meaningful.  Shared by
-/// [`ArrayStore::seeded`] and the executor's sequential fallback so
-/// both paths start from identical data.
-pub(crate) fn seeded_value(seed: u64, k: u64) -> f64 {
+/// parallel-vs-sequential comparison meaningful.
+fn seeded_value(seed: u64, k: u64) -> f64 {
     let mut z = seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     ((z ^ (z >> 31)) & 0xFF) as f64
-}
-
-/// Seeded initial data as a plain `Vec<f64>` (no atomics), for
-/// sequential execution paths that never share the array.
-pub(crate) fn seeded_values(len: u64, seed: u64) -> Vec<f64> {
-    (0..len).map(|k| seeded_value(seed, k)).collect()
 }
 
 impl ArrayStore {
@@ -185,14 +177,6 @@ mod tests {
             assert_eq!(v, v.trunc());
             assert!((0.0..=255.0).contains(&v));
         }
-    }
-
-    #[test]
-    fn seeded_values_matches_seeded_store() {
-        // The sequential fallback and the parallel store must start
-        // from identical data.
-        let store = ArrayStore::seeded(97, 41);
-        assert_eq!(store.snapshot(), seeded_values(97, 41));
     }
 
     #[test]

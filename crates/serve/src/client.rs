@@ -11,21 +11,16 @@
 //! dead-on-arrival job is shed from the queue instead of executed for
 //! nobody.
 //!
-//! ## Retry budget and idempotence
+//! ## One retry rule
 //!
-//! Retrying is only free when the request is.  The policy lattice:
-//!
-//! * [`RetryPolicy::Idempotent`] — `plan` / `stats` / `ping`: always
-//!   safe to resend, whether or not the lost attempt executed.
-//! * [`RetryPolicy::Certified`] — a `run` whose plan carries a
-//!   certificate proving idempotent execution
-//!   (`Certificate::idempotent`): re-execution converges to the same
-//!   store, so the full retry budget applies.
-//! * [`RetryPolicy::None`] — an uncertified `run`: retried **only**
-//!   when the failure proves the server never saw the frame (connect
-//!   refused, nothing written).  A failure after bytes went out aborts
-//!   with [`ClientError::NotRetryable`] rather than risk a double
-//!   execution.
+//! A transient failure is retried within the attempt budget and the
+//! deadline, whatever the op — with one exception: a `run` whose frame
+//! may already have reached the daemon (bytes went out, no answer came
+//! back) is not resent, and the call ends in
+//! [`ClientError::NotRetryable`].  Runs are not coalesced, so a resend
+//! after a timeout would execute the nest a second time.  A `run` that
+//! provably never reached the daemon (connect refused, nothing written)
+//! is retried like any other request.
 //!
 //! A server *response* is never retried blindly: any answer other than
 //! the shed/drain codes is the answer, errors included.
@@ -35,19 +30,6 @@ use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-
-/// How freely one logical request may be resent.  See the module docs
-/// for the idempotence reasoning behind each level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetryPolicy {
-    /// Resend on any transient failure (reads, pure compiles).
-    Idempotent,
-    /// Resend on any transient failure because the plan's certificate
-    /// proves re-execution is harmless.
-    Certified,
-    /// Resend only when the frame provably never reached the server.
-    None,
-}
 
 /// Client tuning knobs.
 #[derive(Debug, Clone)]
@@ -92,8 +74,8 @@ pub enum ClientError {
         /// The last transient failure, rendered.
         last: String,
     },
-    /// The failure happened after the frame may have executed and the
-    /// policy forbids re-sending (uncertified `run`).
+    /// A `run` failed after its frame may have reached the daemon, so
+    /// resending it could execute it twice.
     NotRetryable {
         /// What failed, rendered.
         reason: String,
@@ -109,10 +91,7 @@ impl std::fmt::Display for ClientError {
                 write!(f, "retries exhausted after {attempts} attempts: {last}")
             }
             ClientError::NotRetryable { reason } => {
-                write!(
-                    f,
-                    "not retried (request may have executed; plan uncertified): {reason}"
-                )
+                write!(f, "not retried (request may have executed): {reason}")
             }
             ClientError::DeadlineExceeded => write!(f, "client deadline exceeded"),
         }
@@ -122,7 +101,7 @@ impl std::fmt::Display for ClientError {
 impl std::error::Error for ClientError {}
 
 /// Where in the attempt a transport failure happened — the fact the
-/// retry policy turns on.
+/// retry rule turns on for a `run`.
 enum Transport {
     /// The server provably never saw the frame.
     BeforeSend(String),
@@ -202,19 +181,11 @@ impl Client {
         &self.sleeps
     }
 
-    /// The policy a request deserves with no extra knowledge: reads and
-    /// compiles are idempotent, runs are not.
-    pub fn default_policy(req: &Request) -> RetryPolicy {
-        match req.op {
-            RequestOp::Run => RetryPolicy::None,
-            _ => RetryPolicy::Idempotent,
-        }
-    }
-
-    /// Issue one logical request under `policy`.  Returns the server's
-    /// answer (including non-transient server errors — those are
-    /// answers, not failures) or why the budget ran out.
-    pub fn call(&mut self, req: &Request, policy: RetryPolicy) -> Result<Response, ClientError> {
+    /// Issue one logical request under the module's retry rule.
+    /// Returns the server's answer (including non-transient server
+    /// errors — those are answers, not failures) or why the budget ran
+    /// out.
+    pub fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
         let start = Instant::now();
         let overall = self.cfg.deadline_ms.map(Duration::from_millis);
         let mut last = String::new();
@@ -244,11 +215,7 @@ impl Client {
                     );
                 }
                 Err(t) => {
-                    let resendable = match policy {
-                        RetryPolicy::Idempotent | RetryPolicy::Certified => true,
-                        RetryPolicy::None => matches!(t, Transport::BeforeSend(_)),
-                    };
-                    if !resendable {
+                    if req.op == RequestOp::Run && matches!(t, Transport::AfterSend(_)) {
                         return Err(ClientError::NotRetryable {
                             reason: t.render().to_string(),
                         });
@@ -354,7 +321,7 @@ mod tests {
             },
         );
         let req = Request::plan(1, "doall (i, 0, 15) { A[i] = A[i]; }");
-        let err = client.call(&req, RetryPolicy::Idempotent).unwrap_err();
+        let err = client.call(&req).unwrap_err();
         assert!(
             matches!(err, ClientError::Exhausted { attempts: 4, .. }),
             "{err:?}"
@@ -363,8 +330,8 @@ mod tests {
     }
 
     #[test]
-    fn uncertified_run_does_not_resend_after_bytes_left() {
-        // BeforeSend (connect refused) is retried even for policy None.
+    fn a_run_that_never_reached_the_server_is_retried() {
+        // BeforeSend (connect refused) is retried even for a run.
         let dir = std::env::temp_dir().join(format!("alp-client-none-{}", std::process::id()));
         let mut client = Client::new(
             &dir.join("missing.sock"),
@@ -376,11 +343,11 @@ mod tests {
             },
         );
         let req = Request::run(1, "doall (i, 0, 15) { A[i] = A[i]; }");
-        let err = client.call(&req, RetryPolicy::None).unwrap_err();
+        let err = client.call(&req).unwrap_err();
         assert!(
             matches!(err, ClientError::Exhausted { attempts: 3, .. }),
-            "connect refusal never reached the server, so even an \
-             uncertified run retries: {err:?}"
+            "connect refusal never reached the server, so even a run \
+             retries: {err:?}"
         );
     }
 }

@@ -25,6 +25,10 @@
 //!   served inline from the connection reader, bypassing the queue
 //!   entirely — so a saturated worker pool still answers every request
 //!   whose plan is already cached.
+//! * **Resilient client** ([`client`]) — retries shed, drain and
+//!   transport failures within a budget and a deadline, but never
+//!   resends a `run` whose frame may already have reached the daemon:
+//!   runs are not coalesced, so a resend would execute twice.
 //!
 //! The crate depends only on the leaf pipeline crates (`alp-loopir`,
 //! `alp-analysis`, `alp-plan`, `alp-certify`, `alp-runtime`), not on the
@@ -94,11 +98,6 @@ impl ServeError {
             "ALP0015",
             "server draining: new work refused; retry against a live instance",
         )
-    }
-
-    /// True when this is the `ALP0015` draining refusal.
-    pub fn is_draining(&self) -> bool {
-        self.code == "ALP0015"
     }
 }
 

@@ -51,9 +51,8 @@ pub struct PlanSpec {
     /// Embed a freshly decided certificate in the plan (`ALP0011` when
     /// the plan cannot be interpreted by the certifier): the structural
     /// decider's verdicts, which are the pairwise prover's without its
-    /// witness notes (`alp_certify::decide`).  Certified plans widen the
-    /// client's retry policy and survive restarts with their
-    /// certificates attached.
+    /// witness notes (`alp_certify::decide`).  Certified plans survive
+    /// restarts with their certificates attached.
     pub certify: bool,
 }
 

