@@ -1,5 +1,6 @@
 //! Affine subscript expressions.
 
+use crate::IndexName;
 use alp_linalg::{IMat, IVec};
 use std::fmt;
 
@@ -19,7 +20,11 @@ impl AffineExpr {
     /// The constant expression `c`.
     pub fn constant(depth: usize, c: i128) -> Self {
         AffineExpr {
-            coeffs: vec![0; depth],
+            // Not `vec![0; depth]`: that asks the allocator for zeroed
+            // memory, which glibc's `calloc` serves slower than a plain
+            // allocation of a few bytes (the parser builds one of these
+            // per subscript).
+            coeffs: std::iter::repeat_n(0, depth).collect(),
             constant: c,
         }
     }
@@ -128,29 +133,34 @@ impl AffineExpr {
     }
 
     /// Render into `out`, index `k` spelled as the `k`-th of `names`.
-    pub fn render<N: fmt::Display>(
+    pub fn render<N: IndexName>(
         &self,
         out: &mut impl fmt::Write,
         names: impl Iterator<Item = N>,
     ) -> fmt::Result {
         let mut empty = true;
         for (&c, n) in self.coeffs.iter().zip(names) {
-            let plus = if c > 0 && !empty { "+" } else { "" };
             match c {
                 0 => continue,
-                1 => write!(out, "{plus}{n}")?,
-                -1 => write!(out, "-{n}")?,
-                c => write!(out, "{plus}{c}*{n}")?,
+                1 if empty => {}
+                1 => out.write_char('+')?,
+                -1 => out.write_char('-')?,
+                c => {
+                    if c > 0 && !empty {
+                        out.write_char('+')?;
+                    }
+                    write_int(out, c)?;
+                    out.write_char('*')?;
+                }
             }
+            n.write_to(out)?;
             empty = false;
         }
         if self.constant != 0 || empty {
-            let plus = if self.constant >= 0 && !empty {
-                "+"
-            } else {
-                ""
-            };
-            write!(out, "{plus}{}", self.constant)?;
+            if self.constant >= 0 && !empty {
+                out.write_char('+')?;
+            }
+            write_int(out, self.constant)?;
         }
         Ok(())
     }
@@ -159,6 +169,42 @@ impl AffineExpr {
     pub fn display(&self, names: &[String]) -> String {
         crate::rendered(|s| self.render(s, names.iter()))
     }
+}
+
+/// Write `n` in decimal, as `{}` does, without the formatter: the
+/// renderer writes every bound, coefficient and constant through it,
+/// and the plan fingerprint the position of every index.
+pub fn write_int(out: &mut impl fmt::Write, n: i128) -> fmt::Result {
+    // `u128` division is a library call, so it only splits off 19
+    // digits at a time; `u64` writes each chunk.
+    const TEN19: u128 = 10_000_000_000_000_000_000;
+    // |i128::MIN| has 39 digits, and the sign takes one byte more.
+    let mut buf = [0u8; 40];
+    let mut at = buf.len();
+    let mut m = n.unsigned_abs();
+    loop {
+        let (rest, mut chunk) = match u64::try_from(m) {
+            Ok(chunk) => (0, chunk),
+            Err(_) => (m / TEN19, (m % TEN19) as u64),
+        };
+        // A chunk below a higher one is zero-padded to 19 digits; the
+        // highest has at least one.
+        let floor = at - if rest > 0 { 19 } else { 1 };
+        while at > floor || chunk > 0 {
+            at -= 1;
+            buf[at] = b'0' + (chunk % 10) as u8;
+            chunk /= 10;
+        }
+        if rest == 0 {
+            break;
+        }
+        m = rest;
+    }
+    if n < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.write_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"))
 }
 
 /// `[min, max]` of `constant + Σ c·x` over `lo ≤ x ≤ hi` per
@@ -194,6 +240,26 @@ mod tests {
         // 2^126 · 4 and MAX + 1 do not fit: refused, not wrapped.
         assert_eq!(AffineExpr::new(vec![1 << 126], 0).range([(0, 4)]), None);
         assert_eq!(AffineExpr::new(vec![1], i128::MAX).range([(0, 1)]), None);
+    }
+
+    #[test]
+    fn write_int_matches_the_formatter() {
+        let edges = [
+            0,
+            1,
+            9,
+            10,
+            1 << 63,
+            1 << 64,
+            10_i128.pow(19),
+            10_i128.pow(38),
+        ];
+        let around = edges.iter().flat_map(|&e| [e - 1, e, e + 1]);
+        for n in around.flat_map(|n| [n, -n]).chain([i128::MIN, i128::MAX]) {
+            let mut text = String::new();
+            write_int(&mut text, n).unwrap();
+            assert_eq!(text, n.to_string());
+        }
     }
 
     #[test]

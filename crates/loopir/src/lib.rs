@@ -32,12 +32,26 @@ pub mod refs;
 pub mod span;
 
 pub use distribution::{mesh_placement, ArrayPartition, MeshPlacement};
-pub use expr::AffineExpr;
+pub use expr::{write_int, AffineExpr};
 pub use layout::{AccessStream, ArrayLayout, ElementForm, LayoutOverflow};
 pub use nest::{LoopIndex, LoopNest, Statement};
 pub use parser::{parse, parse_program, parse_program_with_params, parse_with_params, ParseError};
 pub use refs::{AccessKind, ArrayRef};
 pub use span::{line_col, line_text, Span};
+
+/// How the renderer spells a loop index: a name as written, or any
+/// other spelling that writes itself (the fingerprint's positional
+/// `i0`, `s1`).
+pub trait IndexName {
+    /// Write the spelling into `out`.
+    fn write_to(&self, out: &mut impl std::fmt::Write) -> std::fmt::Result;
+}
+
+impl IndexName for &String {
+    fn write_to(&self, out: &mut impl std::fmt::Write) -> std::fmt::Result {
+        out.write_str(self)
+    }
+}
 
 /// The text a renderer writes, as a `String` (which never refuses a
 /// write).

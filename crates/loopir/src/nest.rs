@@ -1,8 +1,9 @@
 //! Loop nests: the unit of partitioning.
 
+use crate::expr::write_int;
 use crate::refs::{AccessKind, ArrayRef};
 use crate::span::Span;
-use crate::{IrError, LayoutOverflow};
+use crate::{IndexName, IrError, LayoutOverflow};
 use alp_linalg::{walk_box, IVec};
 use std::collections::HashMap;
 use std::fmt;
@@ -91,6 +92,16 @@ impl Statement {
     /// Every reference of the statement: the write first, then the reads.
     pub fn refs(&self) -> impl Iterator<Item = &ArrayRef> {
         std::iter::once(&self.lhs).chain(self.rhs.iter())
+    }
+
+    /// Whether the right-hand side holds the accumulate-kind read of
+    /// the target, the self-read the parser gives `lhs += rhs`.
+    pub fn reads_its_target(&self) -> bool {
+        self.rhs.iter().any(|r| {
+            r.kind == AccessKind::Accumulate
+                && r.array == self.lhs.array
+                && r.subscripts == self.lhs.subscripts
+        })
     }
 }
 
@@ -215,24 +226,35 @@ impl LoopNest {
     /// of `names`.  This is the one renderer: [`display`](Self::display)
     /// is it with the nest's own names into a `String`, and the plan
     /// fingerprint is it with positional names into a hash.
-    pub fn render<W: fmt::Write, N: fmt::Display>(
+    pub fn render<W: fmt::Write, N: IndexName>(
         &self,
         out: &mut W,
         seq_names: impl Iterator<Item = N>,
         names: impl Iterator<Item = N> + Clone,
     ) -> fmt::Result {
         let pad = |out: &mut W, indent| (0..indent).try_for_each(|_| out.write_str("  "));
-        let seq = self.seq_loops.iter().zip(seq_names).map(|h| ("doseq", h));
-        let par = self.loops.iter().zip(names.clone()).map(|h| ("doall", h));
+        let seq = self.seq_loops.iter().zip(seq_names).map(|h| ("doseq (", h));
+        let par = self.loops.iter().zip(names.clone()).map(|h| ("doall (", h));
         for (indent, (keyword, (l, name))) in seq.chain(par).enumerate() {
             pad(out, indent)?;
-            writeln!(out, "{keyword} ({name}, {}, {}) {{", l.lower, l.upper)?;
+            out.write_str(keyword)?;
+            name.write_to(out)?;
+            out.write_str(", ")?;
+            write_int(out, l.lower)?;
+            out.write_str(", ")?;
+            write_int(out, l.upper)?;
+            out.write_str(") {\n")?;
         }
         let depth = self.seq_loops.len() + self.loops.len();
         for st in &self.body {
             pad(out, depth)?;
             st.lhs.render(out, names.clone())?;
-            let accumulates = st.lhs.kind == AccessKind::Accumulate;
+            // `+=` where the statement reads its target, so that the
+            // parser adds no second self-read; an `l$` store without one
+            // keeps `=`.  An accumulate of nothing keeps the `+= 0` its
+            // pinned fingerprint was taken from.
+            let accumulates = st.lhs.kind == AccessKind::Accumulate
+                && (st.rhs.is_empty() || st.reads_its_target());
             out.write_str(if accumulates { " += " } else { " = " })?;
             out.write_str(if st.rhs.is_empty() { "0" } else { "" })?;
             for (k, r) in st.rhs.iter().enumerate() {
@@ -256,21 +278,23 @@ impl LoopNest {
     }
 
     fn validate(&self) -> Result<(), IrError> {
-        let mut names = std::collections::HashSet::new();
-        for l in self.seq_loops.iter().chain(&self.loops) {
+        let levels = || self.seq_loops.iter().chain(&self.loops);
+        for (k, l) in levels().enumerate() {
             if l.lower > l.upper {
                 return Err(IrError::EmptyLoop {
                     index: l.name.clone(),
                 });
             }
-            if !names.insert(l.name.as_str()) {
+            if levels().take(k).any(|e| e.name == l.name) {
                 return Err(IrError::DuplicateIndex {
                     index: l.name.clone(),
                 });
             }
         }
         let depth = self.depth();
-        let mut dims: HashMap<&str, usize> = HashMap::new();
+        // Each array's dimensionality where it first appears: a nest
+        // names a handful of arrays, so a scan beats a hash.
+        let mut dims: Vec<(&str, usize)> = Vec::new();
         for r in self.body.iter().flat_map(Statement::refs) {
             for sub in &r.subscripts {
                 if sub.depth() != depth {
@@ -280,17 +304,16 @@ impl LoopNest {
                     });
                 }
             }
-            match dims.get(r.array.as_str()) {
-                Some(&d) if d != r.dim() => {
+            match dims.iter().find(|(a, _)| *a == r.array) {
+                Some(&(_, d)) if d != r.dim() => {
                     return Err(IrError::DimensionMismatch {
                         array: r.array.clone(),
                         expected: d,
                         found: r.dim(),
                     });
                 }
-                _ => {
-                    dims.insert(&r.array, r.dim());
-                }
+                Some(_) => {}
+                None => dims.push((&r.array, r.dim())),
             }
         }
         Ok(())
@@ -395,5 +418,20 @@ mod tests {
         let text = n.display();
         let reparsed = crate::parse(&text).unwrap();
         assert_eq!(n, reparsed);
+        // An accumulate with its self-read, and an `l$` store without.
+        for (src, text) in [
+            (
+                "doall (i, 0, 3) { C[i] += A[i]; }",
+                "doall (i, 0, 3) {\n  l$C[i] += l$C[i] + A[i];\n}\n",
+            ),
+            (
+                "doall (i, 0, 3) { l$C[i] = A[i]; }",
+                "doall (i, 0, 3) {\n  l$C[i] = A[i];\n}\n",
+            ),
+        ] {
+            let n = crate::parse(src).unwrap();
+            assert_eq!(n.display(), text);
+            assert_eq!(crate::parse(text).unwrap(), n);
+        }
     }
 }

@@ -95,10 +95,11 @@ pub fn parse_with_params(
     src: &str,
     params: &HashMap<String, i128>,
 ) -> Result<LoopNest, ParseError> {
-    let mut p = Parser::new(src, params)?;
-    let nest = p.parse_nest()?;
-    p.expect_eof()?;
-    Ok(nest)
+    let mut p = Parser::new(src, params);
+    let nest = p
+        .parse_nest()
+        .and_then(|nest| p.expect_eof().map(|()| nest));
+    p.finish(nest)
 }
 
 /// Parse a **program**: a sequence of loop nests executed one after the
@@ -113,14 +114,18 @@ pub fn parse_program_with_params(
     src: &str,
     params: &HashMap<String, i128>,
 ) -> Result<Vec<LoopNest>, ParseError> {
-    let mut p = Parser::new(src, params)?;
+    let mut p = Parser::new(src, params);
     let mut nests = Vec::new();
-    loop {
-        nests.push(p.parse_nest()?);
-        if p.pos == p.tokens.len() {
-            break;
+    let parsed = loop {
+        match p.parse_nest() {
+            Ok(nest) => nests.push(nest),
+            Err(e) => break Err(e),
         }
-    }
+        if p.tok.is_none() {
+            break Ok(());
+        }
+    };
+    p.finish(parsed)?;
     // Cross-nest validation: arrays keep one dimensionality everywhere.
     let mut dims: HashMap<String, usize> = HashMap::new();
     for nest in &nests {
@@ -158,188 +163,207 @@ enum Tok<'a> {
     AccSigil, // `l$`
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Spanned<'a> {
-    tok: Tok<'a>,
-    offset: usize,
-    end: usize,
-}
-
-fn tokenize(src: &str) -> Result<Vec<Spanned<'_>>, ParseError> {
+/// The token that starts at or after byte `i` of `src`, with its byte
+/// range; `Ok(None)` at the end of the source, `Err(at)` at a byte no
+/// token starts with or a literal beyond `i128` ([`lex_error`] says
+/// which).
+fn lex(src: &str, mut i: usize) -> Result<Option<(Tok<'_>, usize, usize)>, usize> {
     let bytes = src.as_bytes();
-    // The length of the run of bytes from `start` that satisfy `keep`.
-    let run = |start: usize, keep: fn(&u8) -> bool| {
-        let rest = &bytes[start..];
-        rest.iter().position(|b| !keep(b)).unwrap_or(rest.len())
-    };
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let c = bytes[i] as char;
-        let (tok, len) = match c {
-            ' ' | '\t' | '\n' | '\r' => {
-                i += 1;
+    while let Some(&b) = bytes.get(i) {
+        let mut end = i + 1;
+        let tok = match b {
+            b' ' | b'\t' | b'\n' | b'\r' => {
+                i = end;
                 continue;
             }
-            '/' if bytes.get(i + 1) == Some(&b'/') => {
-                i += run(i, |&b| b != b'\n');
+            b'/' if bytes.get(end) == Some(&b'/') => {
+                while bytes.get(i).is_some_and(|&b| b != b'\n') {
+                    i += 1;
+                }
                 continue;
             }
-            '0'..='9' => {
-                let len = run(i, u8::is_ascii_digit);
-                let n = src[i..i + len]
-                    .parse()
-                    .map_err(|_| ParseError::at("integer literal out of range", i, src))?;
-                (Tok::Int(n), len)
+            b'0'..=b'9' => {
+                // Up to `i128::MAX`, whose last digit is 7.
+                const TENTH: u128 = i128::MAX as u128 / 10;
+                let mut n = u128::from(b - b'0');
+                while let Some(&d @ b'0'..=b'9') = bytes.get(end) {
+                    let d = d - b'0';
+                    if n > TENTH || (n == TENTH && d > 7) {
+                        return Err(i);
+                    }
+                    n = n * 10 + u128::from(d);
+                    end += 1;
+                }
+                Tok::Int(n as i128)
             }
-            'a'..='z' | 'A'..='Z' | '_' => {
-                let len = run(i, |&b| b.is_ascii_alphanumeric() || b == b'_');
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                while bytes
+                    .get(end)
+                    .is_some_and(|&b| b.is_ascii_alphanumeric() || b == b'_')
+                {
+                    end += 1;
+                }
                 // `l$` accumulate sigil.
-                if &src[i..i + len] == "l" && bytes.get(i + 1) == Some(&b'$') {
-                    (Tok::AccSigil, 2)
+                if end == i + 1 && b == b'l' && bytes.get(end) == Some(&b'$') {
+                    end += 1;
+                    Tok::AccSigil
                 } else {
-                    (Tok::Ident(&src[i..i + len]), len)
+                    Tok::Ident(&src[i..end])
                 }
             }
-            '+' if bytes.get(i + 1) == Some(&b'=') => (Tok::PlusEq, 2),
-            '(' | ')' | '{' | '}' | '[' | ']' | ',' | ';' | '=' | '+' | '-' | '*' => {
-                (Tok::Sym(c), 1)
+            b'+' if bytes.get(end) == Some(&b'=') => {
+                end += 1;
+                Tok::PlusEq
             }
-            other => {
-                return Err(ParseError::at(
-                    format!("unexpected character `{other}`"),
-                    i,
-                    src,
-                ))
+            b'(' | b')' | b'{' | b'}' | b'[' | b']' | b',' | b';' | b'=' | b'+' | b'-' | b'*' => {
+                Tok::Sym(char::from(b))
             }
+            _ => return Err(i),
         };
-        out.push(Spanned {
-            tok,
-            offset: i,
-            end: i + len,
-        });
-        i += len;
+        return Ok(Some((tok, i, end)));
     }
-    Ok(out)
+    Ok(None)
 }
 
+/// The error of a lexer that stopped at byte `at`.
+#[cold]
+fn lex_error(src: &str, at: usize) -> ParseError {
+    if src.as_bytes()[at].is_ascii_digit() {
+        return ParseError::at("integer literal out of range", at, src);
+    }
+    // Every token is ASCII, so `at` is on a character boundary.
+    let c = src[at..].chars().next().expect("a byte starts here");
+    ParseError::at(format!("unexpected character `{c}`"), at, src)
+}
+
+/// A recursive-descent parser over tokens lexed on demand, one token
+/// of lookahead.
 struct Parser<'a> {
-    tokens: Vec<Spanned<'a>>,
-    pos: usize,
-    params: &'a HashMap<String, i128>,
     src: &'a str,
+    params: &'a HashMap<String, i128>,
+    /// The lookahead token; `None` at the end of the source or where
+    /// the lexer stopped.
+    tok: Option<Tok<'a>>,
+    /// Byte offset of `tok` (the source length when there is none).
+    at: usize,
+    /// Where the lexer resumes: one past `tok`.
+    next: usize,
+    /// One past the most recently bumped token.
+    prev_end: usize,
+    /// Where the lexer stopped at a byte no token starts with, or at a
+    /// literal beyond `i128`.
+    stopped: Option<usize>,
 }
 
 impl<'a> Parser<'a> {
-    fn new(src: &'a str, params: &'a HashMap<String, i128>) -> Result<Self, ParseError> {
-        Ok(Parser {
-            tokens: tokenize(src)?,
-            pos: 0,
-            params,
+    fn new(src: &'a str, params: &'a HashMap<String, i128>) -> Self {
+        let mut p = Parser {
             src,
-        })
+            params,
+            tok: None,
+            at: 0,
+            next: 0,
+            prev_end: 0,
+            stopped: None,
+        };
+        p.advance();
+        p
     }
 
-    fn peek(&self) -> Option<Tok<'a>> {
-        self.tokens.get(self.pos).map(|s| s.tok)
+    /// Lex the next lookahead token.
+    fn advance(&mut self) {
+        match lex(self.src, self.next) {
+            Ok(Some((tok, at, end))) => (self.tok, self.at, self.next) = (Some(tok), at, end),
+            Ok(None) => (self.tok, self.at) = (None, self.src.len()),
+            Err(at) => (self.tok, self.at, self.stopped) = (None, self.src.len(), Some(at)),
+        }
     }
 
-    fn offset(&self) -> usize {
-        self.tokens
-            .get(self.pos)
-            .map_or(self.src.len(), |s| s.offset)
+    /// `result`, unless the lexer stops somewhere in the source: that
+    /// error outranks any other, wherever the parser stopped, so lex on
+    /// to the end first.
+    fn finish<T>(mut self, result: Result<T, ParseError>) -> Result<T, ParseError> {
+        while self.tok.is_some() {
+            self.advance();
+        }
+        match self.stopped {
+            Some(at) => Err(lex_error(self.src, at)),
+            None => result,
+        }
     }
 
-    /// Offset one past the end of the most recently bumped token.
-    fn prev_end(&self) -> usize {
-        self.pos
-            .checked_sub(1)
-            .and_then(|p| self.tokens.get(p))
-            .map_or(self.src.len(), |s| s.end)
-    }
-
-    fn bump(&mut self) -> Option<Tok<'a>> {
-        let t = self.peek();
-        self.pos += 1;
-        t
+    fn bump(&mut self) {
+        self.prev_end = self.next;
+        self.advance();
     }
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
-        Err(ParseError::at(msg, self.offset(), self.src))
+        Err(ParseError::at(msg, self.at, self.src))
     }
 
     fn expect_sym(&mut self, c: char) -> Result<(), ParseError> {
-        match self.bump() {
-            Some(Tok::Sym(s)) if s == c => Ok(()),
-            other => {
-                self.pos -= 1;
-                self.err(format!("expected `{c}`, found {other:?}"))
+        match self.tok {
+            Some(Tok::Sym(s)) if s == c => {
+                self.bump();
+                Ok(())
             }
+            other => self.err(format!("expected `{c}`, found {other:?}")),
         }
     }
 
     fn expect_eof(&self) -> Result<(), ParseError> {
-        if self.pos == self.tokens.len() {
-            Ok(())
-        } else {
-            self.err("trailing input after loop nest")
+        match self.tok {
+            None => Ok(()),
+            Some(_) => self.err("trailing input after loop nest"),
         }
     }
 
     fn parse_nest(&mut self) -> Result<LoopNest, ParseError> {
-        let nest_start = self.offset();
+        let nest_start = self.at;
         let mut seq_loops: Vec<LoopIndex> = Vec::new();
-        let mut seq_strides: Vec<i128> = Vec::new();
         let mut loops: Vec<LoopIndex> = Vec::new();
-        let mut strides: Vec<i128> = Vec::new();
-        let mut opened = 0usize;
+        // `(level, stride)` of each header with a stride other than 1.
+        let mut seq_strides: Vec<(usize, i128)> = Vec::new();
+        let mut strides: Vec<(usize, i128)> = Vec::new();
         // Headers: doseq* doall+
         loop {
-            match self.peek() {
-                Some(Tok::Ident("doseq")) => {
-                    if !loops.is_empty() {
-                        return self.err("doseq must enclose all doall loops");
-                    }
-                    self.bump();
-                    let (l, s) = self.parse_header()?;
-                    seq_loops.push(l);
-                    seq_strides.push(s);
-                    opened += 1;
-                }
-                Some(Tok::Ident("doall")) => {
-                    self.bump();
-                    let (l, s) = self.parse_header()?;
-                    loops.push(l);
-                    strides.push(s);
-                    opened += 1;
-                }
+            let seq = match self.tok {
+                Some(Tok::Ident("doseq")) => true,
+                Some(Tok::Ident("doall")) => false,
                 _ => break,
+            };
+            if seq && !loops.is_empty() {
+                return self.err("doseq must enclose all doall loops");
             }
+            self.bump();
+            let (l, s) = self.parse_header()?;
             // Reject shadowed indices at the duplicate's own position.
-            let latest = loops
-                .last()
-                .unwrap_or_else(|| seq_loops.last().expect("just pushed"));
-            let earlier = seq_loops
-                .iter()
-                .chain(&loops)
-                .filter(|l| l.name == latest.name);
-            if earlier.count() > 1 {
+            if seq_loops.iter().chain(&loops).any(|e| e.name == l.name) {
                 return Err(ParseError::at(
-                    format!("index `{}` is declared by more than one loop", latest.name),
-                    latest.span.map_or(nest_start, |s| s.start),
+                    format!("index `{}` is declared by more than one loop", l.name),
+                    l.span.map_or(nest_start, |s| s.start),
                     self.src,
                 ));
             }
+            let (levels, level_strides) = if seq {
+                (&mut seq_loops, &mut seq_strides)
+            } else {
+                (&mut loops, &mut strides)
+            };
+            if s != 1 {
+                level_strides.push((levels.len(), s));
+            }
+            levels.push(l);
         }
         if loops.is_empty() {
             return self.err("expected at least one doall loop");
         }
         // Body statements.
         let mut body = Vec::new();
-        while !matches!(self.peek(), Some(Tok::Sym('}')) | None) {
+        while !matches!(self.tok, Some(Tok::Sym('}')) | None) {
             body.push(self.parse_statement(&loops)?);
         }
-        for _ in 0..opened {
+        for _ in 0..seq_loops.len() + loops.len() {
             self.expect_sym('}')?;
         }
         // Normalize non-unit strides: substituting `i = lo + s·i′` turns
@@ -347,10 +371,8 @@ impl<'a> Parser<'a> {
         // ⌊(hi−lo)/s⌋]` with each subscript coefficient scaled by `s`
         // and `coeff·lo` folded into the constant — the touched element
         // set is unchanged.
-        for (k, s) in strides.iter().copied().enumerate() {
-            if s == 1 {
-                continue;
-            }
+        let overflow = |at| ParseError::at("stride normalization overflows i128", at, self.src);
+        for (k, s) in strides {
             let l = &mut loops[k];
             let at = l.span.map_or(nest_start, |sp| sp.start);
             let lo = l.lower;
@@ -358,9 +380,7 @@ impl<'a> Parser<'a> {
                 .upper
                 .checked_sub(lo)
                 .map(|w| w.div_euclid(s))
-                .ok_or_else(|| {
-                    ParseError::at("stride normalization overflows i128", at, self.src)
-                })?;
+                .ok_or_else(|| overflow(at))?;
             l.lower = 0;
             for st in &mut body {
                 for r in std::iter::once(&mut st.lhs).chain(st.rhs.iter_mut()) {
@@ -370,31 +390,22 @@ impl<'a> Parser<'a> {
                         sub.constant = c
                             .checked_mul(lo)
                             .and_then(|t| sub.constant.checked_add(t))
-                            .ok_or_else(|| {
-                                ParseError::at("stride normalization overflows i128", at, self.src)
-                            })?;
-                        sub.coeffs[k] = c.checked_mul(s).ok_or_else(|| {
-                            ParseError::at("stride normalization overflows i128", at, self.src)
-                        })?;
+                            .ok_or_else(|| overflow(at))?;
+                        sub.coeffs[k] = c.checked_mul(s).ok_or_else(|| overflow(at))?;
                     }
                 }
             }
         }
         // Sequential indices cannot appear in subscripts, so a strided
         // doseq only renormalizes its trip count.
-        for (k, s) in seq_strides.iter().copied().enumerate() {
-            if s == 1 {
-                continue;
-            }
+        for (k, s) in seq_strides {
             let l = &mut seq_loops[k];
             let at = l.span.map_or(nest_start, |sp| sp.start);
             l.upper = l
                 .upper
                 .checked_sub(l.lower)
                 .map(|w| w.div_euclid(s))
-                .ok_or_else(|| {
-                    ParseError::at("stride normalization overflows i128", at, self.src)
-                })?;
+                .ok_or_else(|| overflow(at))?;
             l.lower = 0;
         }
         LoopNest::with_seq(seq_loops, loops, body)
@@ -405,22 +416,18 @@ impl<'a> Parser<'a> {
     /// (`1` when the optional fourth argument is omitted).
     fn parse_header(&mut self) -> Result<(LoopIndex, i128), ParseError> {
         self.expect_sym('(')?;
-        let name_start = self.offset();
-        let name = match self.bump() {
-            Some(Tok::Ident(n)) => n,
-            _ => {
-                self.pos -= 1;
-                return self.err("expected loop index name");
-            }
+        let Some(Tok::Ident(name)) = self.tok else {
+            return self.err("expected loop index name");
         };
-        let name_span = Span::new(name_start, self.prev_end());
+        let name_span = Span::new(self.at, self.next);
+        self.bump();
         self.expect_sym(',')?;
         let lower = self.parse_bound()?;
         self.expect_sym(',')?;
         let upper = self.parse_bound()?;
-        let stride = if matches!(self.peek(), Some(Tok::Sym(','))) {
+        let stride = if self.tok == Some(Tok::Sym(',')) {
             self.bump();
-            let at = self.offset();
+            let at = self.at;
             let s = self.parse_bound()?;
             if s < 1 {
                 return Err(ParseError::at(
@@ -443,78 +450,60 @@ impl<'a> Parser<'a> {
 
     /// Integer literal, optionally negated, or a named parameter.
     fn parse_bound(&mut self) -> Result<i128, ParseError> {
-        match self.bump() {
-            Some(Tok::Int(n)) => Ok(n),
-            Some(Tok::Sym('-')) => match self.bump() {
-                Some(Tok::Int(n)) => Ok(-n),
-                _ => {
-                    self.pos -= 1;
-                    self.err("expected integer after `-`")
+        let value = match self.tok {
+            Some(Tok::Int(n)) => n,
+            Some(Tok::Sym('-')) => {
+                self.bump();
+                match self.tok {
+                    Some(Tok::Int(n)) => -n,
+                    _ => return self.err("expected integer after `-`"),
                 }
-            },
-            Some(Tok::Ident(name)) => match self.params.get(name) {
-                Some(&v) => Ok(v),
-                None => {
-                    self.pos -= 1;
-                    self.err(format!("unbound loop-bound parameter `{name}`"))
-                }
-            },
-            _ => {
-                self.pos -= 1;
-                self.err("expected loop bound")
             }
-        }
+            Some(Tok::Ident(name)) => match self.params.get(name) {
+                Some(&v) => v,
+                None => return self.err(format!("unbound loop-bound parameter `{name}`")),
+            },
+            _ => return self.err("expected loop bound"),
+        };
+        self.bump();
+        Ok(value)
     }
 
     fn parse_statement(&mut self, loops: &[LoopIndex]) -> Result<Statement, ParseError> {
-        let stmt_start = self.offset();
-        let (mut lhs, _) = self.parse_ref(loops, AccessKind::Write)?;
-        let acc = match self.bump() {
+        let stmt_start = self.at;
+        let mut lhs = self.parse_ref(loops, AccessKind::Write)?;
+        let acc = match self.tok {
             Some(Tok::Sym('=')) => false,
             Some(Tok::PlusEq) => true,
-            _ => {
-                self.pos -= 1;
-                return self.err("expected `=` or `+=`");
-            }
+            _ => return self.err("expected `=` or `+=`"),
         };
-        if acc || lhs.kind == AccessKind::Accumulate {
+        self.bump();
+        if acc {
             lhs.kind = AccessKind::Accumulate;
         }
         let mut rhs = Vec::new();
         loop {
-            // term: optional sign, then int [ '*' ref ] | ref
-            let mut negated = false;
-            while let Some(Tok::Sym(s)) = self.peek() {
-                match s {
-                    '+' => {
-                        self.bump();
-                    }
-                    '-' => {
-                        negated = !negated;
-                        self.bump();
-                    }
-                    _ => break,
-                }
+            // term: signs (irrelevant to the reference structure), then
+            // int [ '*' ref ] | ref
+            while let Some(Tok::Sym('+' | '-')) = self.tok {
+                self.bump();
             }
-            let _ = negated; // sign is irrelevant to reference structure
-            match self.peek() {
+            match self.tok {
                 Some(Tok::Int(_)) => {
                     self.bump();
-                    if matches!(self.peek(), Some(Tok::Sym('*'))) {
+                    if self.tok == Some(Tok::Sym('*')) {
                         self.bump();
-                        let (r, _) = self.parse_ref(loops, AccessKind::Read)?;
-                        rhs.push(r);
+                        rhs.push(self.parse_ref(loops, AccessKind::Read)?);
                     }
                     // else: pure constant term, no reference
                 }
-                Some(Tok::Ident(_)) | Some(Tok::AccSigil) => {
-                    let (r, _) = self.parse_ref(loops, AccessKind::Read)?;
-                    rhs.push(r);
+                Some(Tok::Ident(_) | Tok::AccSigil) => {
+                    rhs.push(self.parse_ref(loops, AccessKind::Read)?);
                 }
                 _ => return self.err("expected term on right-hand side"),
             }
-            match self.peek() {
-                Some(Tok::Sym('+')) | Some(Tok::Sym('-')) => continue,
+            match self.tok {
+                Some(Tok::Sym('+' | '-')) => continue,
                 Some(Tok::Sym(';')) => {
                     self.bump();
                     break;
@@ -525,17 +514,11 @@ impl<'a> Parser<'a> {
         }
         // `lhs += rhs` is sugar for `l$lhs = l$lhs + rhs`: make the
         // implicit self-read explicit so both spellings yield one IR.
-        if acc {
-            let has_self = rhs.iter().any(|r| {
-                r.kind == AccessKind::Accumulate
-                    && r.array == lhs.array
-                    && r.subscripts == lhs.subscripts
-            });
-            if !has_self {
-                rhs.insert(0, lhs.clone());
-            }
+        let mut st = Statement::new(lhs, rhs);
+        if acc && !st.reads_its_target() {
+            st.rhs.insert(0, st.lhs.clone());
         }
-        Ok(Statement::new(lhs, rhs).with_span(Span::new(stmt_start, self.prev_end())))
+        Ok(st.with_span(Span::new(stmt_start, self.prev_end)))
     }
 
     /// `[l$]Name[affine, affine, …]`
@@ -543,102 +526,88 @@ impl<'a> Parser<'a> {
         &mut self,
         loops: &[LoopIndex],
         default_kind: AccessKind,
-    ) -> Result<(ArrayRef, usize), ParseError> {
-        let ref_start = self.offset();
-        let kind = if matches!(self.peek(), Some(Tok::AccSigil)) {
+    ) -> Result<ArrayRef, ParseError> {
+        let ref_start = self.at;
+        let kind = if self.tok == Some(Tok::AccSigil) {
             self.bump();
             AccessKind::Accumulate
         } else {
             default_kind
         };
-        let array = match self.bump() {
-            Some(Tok::Ident(n)) => n,
-            _ => {
-                self.pos -= 1;
-                return self.err("expected array name");
-            }
+        let Some(Tok::Ident(array)) = self.tok else {
+            return self.err("expected array name");
         };
+        self.bump();
         self.expect_sym('[')?;
         let mut subs = Vec::new();
         loop {
             subs.push(self.parse_affine(loops)?);
-            match self.bump() {
-                Some(Tok::Sym(',')) => continue,
-                Some(Tok::Sym(']')) => break,
-                _ => {
-                    self.pos -= 1;
-                    return self.err("expected `,` or `]` in subscripts");
+            match self.tok {
+                Some(Tok::Sym(',')) => self.bump(),
+                Some(Tok::Sym(']')) => {
+                    self.bump();
+                    break;
                 }
+                _ => return self.err("expected `,` or `]` in subscripts"),
             }
         }
-        let d = subs.len();
-        let span = Span::new(ref_start, self.prev_end());
-        Ok((ArrayRef::new(array, subs, kind).with_span(span), d))
+        let span = Span::new(ref_start, self.prev_end);
+        Ok(ArrayRef::new(array, subs, kind).with_span(span))
     }
 
     /// Sum of `[int *] index` and integer terms with `+`/`-` signs.
     fn parse_affine(&mut self, loops: &[LoopIndex]) -> Result<AffineExpr, ParseError> {
-        let depth = loops.len();
-        let mut expr = AffineExpr::constant(depth, 0);
+        let mut expr = AffineExpr::constant(loops.len(), 0);
         loop {
-            let mut sign = 1i128;
+            let mut negated = false;
             loop {
-                match self.peek() {
-                    Some(Tok::Sym('+')) => {
-                        self.bump();
-                    }
+                match self.tok {
+                    Some(Tok::Sym('+')) => self.bump(),
                     Some(Tok::Sym('-')) => {
-                        sign = -sign;
+                        negated = !negated;
                         self.bump();
                     }
                     _ => break,
                 }
             }
-            let term_start = self.offset();
-            match self.bump() {
+            let term_start = self.at;
+            // The coefficient and the index it scales (`None`: a constant).
+            let (n, index) = match self.tok {
                 Some(Tok::Int(n)) => {
-                    if matches!(self.peek(), Some(Tok::Sym('*'))) {
+                    self.bump();
+                    if self.tok == Some(Tok::Sym('*')) {
                         self.bump();
-                        match self.bump() {
-                            Some(Tok::Ident(id)) => {
-                                let k = self.index_of(id, loops)?;
-                                expr.coeffs[k] =
-                                    self.add_term(expr.coeffs[k], sign, n, term_start)?;
-                            }
-                            _ => {
-                                self.pos -= 1;
-                                return self.err("expected index after `*`");
-                            }
-                        }
+                        let Some(Tok::Ident(id)) = self.tok else {
+                            return self.err("expected index after `*`");
+                        };
+                        self.bump();
+                        (n, Some(id))
                     } else {
-                        expr.constant = self.add_term(expr.constant, sign, n, term_start)?;
+                        (n, None)
                     }
                 }
                 Some(Tok::Ident(id)) => {
-                    let k = self.index_of(id, loops)?;
-                    expr.coeffs[k] = self.add_term(expr.coeffs[k], sign, 1, term_start)?;
+                    self.bump();
+                    (1, Some(id))
                 }
-                _ => {
-                    self.pos -= 1;
-                    return self.err("expected subscript term");
-                }
-            }
-            match self.peek() {
-                Some(Tok::Sym('+')) | Some(Tok::Sym('-')) => continue,
-                _ => break,
+                _ => return self.err("expected subscript term"),
+            };
+            let slot = match index {
+                Some(id) => &mut expr.coeffs[self.index_of(id, loops)?],
+                None => &mut expr.constant,
+            };
+            // A literal is at most `i128::MAX`, so only the sum can
+            // overflow.
+            *slot = (slot.checked_add(if negated { -n } else { n })).ok_or_else(|| {
+                ParseError::at("affine subscript term overflows i128", term_start, self.src)
+            })?;
+            if !matches!(self.tok, Some(Tok::Sym('+' | '-'))) {
+                return Ok(expr);
             }
         }
-        Ok(expr)
     }
 
-    /// `acc + sign * n` with overflow reported as a parse error at the
-    /// term's source position instead of a panic/wrap.
-    fn add_term(&self, acc: i128, sign: i128, n: i128, at: usize) -> Result<i128, ParseError> {
-        n.checked_mul(sign)
-            .and_then(|t| acc.checked_add(t))
-            .ok_or_else(|| ParseError::at("affine subscript term overflows i128", at, self.src))
-    }
-
+    /// The position of index `id`; reported at the token after it.
     fn index_of(&self, id: &str, loops: &[LoopIndex]) -> Result<usize, ParseError> {
         match loops.iter().position(|l| l.name == id) {
             Some(k) => Ok(k),

@@ -2,6 +2,7 @@
 
 use crate::expr::AffineExpr;
 use crate::span::Span;
+use crate::IndexName;
 use alp_linalg::{IMat, IVec};
 use std::fmt;
 
@@ -128,7 +129,7 @@ impl ArrayRef {
     }
 
     /// Render into `out`, index `k` spelled as the `k`-th of `names`.
-    pub fn render<N: fmt::Display>(
+    pub fn render<N: IndexName>(
         &self,
         out: &mut impl fmt::Write,
         names: impl Iterator<Item = N> + Clone,
@@ -136,7 +137,8 @@ impl ArrayRef {
         if self.kind == AccessKind::Accumulate {
             out.write_str("l$")?;
         }
-        write!(out, "{}[", self.array)?;
+        out.write_str(&self.array)?;
+        out.write_char('[')?;
         for (k, sub) in self.subscripts.iter().enumerate() {
             out.write_str(if k > 0 { ", " } else { "" })?;
             sub.render(out, names.clone())?;

@@ -4,91 +4,13 @@
 //! ships (examples, the paper's, the goldens, the ledger generator's six
 //! families) and for a table of malformed inputs that reaches each
 //! error site of the parser.  The pins were taken before the tokens
-//! borrowed their text from the source, and hold unchanged after it.
+//! borrowed their text from the source, and hold unchanged since the
+//! tokens are lexed on demand instead of into a vector first.
+
+mod nests;
 
 use alp_loopir::{parse_program_with_params, parse_with_params};
-use std::collections::HashMap;
-
-fn params() -> HashMap<String, i128> {
-    [("N".to_string(), 8), ("S".to_string(), 2)].into()
-}
-
-/// Well-formed nests; `parser_differential.expected` holds their IR,
-/// one `nest <k>: <Debug>` line each, in this order.
-const NESTS: &[&str] = &[
-    // examples/*.rs
-    "doseq (t, 1, 4) {
-                 doall (i, 1, 64) { doall (j, 1, 64) {
-                   A[i,j] = A[i-1,j] + A[i+1,j] + A[i,j-1] + A[i,j+1];
-                 } }
-               }",
-    "doall (i, 1, 32) { doall (j, 1, 32) { doall (k, 1, 32) {
-                 l$C[i,j] = l$C[i,j] + A[i,k] + B[k,j];
-               } } }",
-    "doall (i, 1, 64) { doall (j, 1, 64) { doall (k, 1, 64) {
-                 A[i,j,k] = B[i-1,j,k+1] + B[i,j+1,k] + B[i+1,j-2,k-3];
-               } } }",
-    "doall (i, 101, 200) { doall (j, 1, 100) {
-                 A[i,j] = B[i+j,i-j-1] + B[i+j+4,i-j+3];
-               } }",
-    "doall (i, 1, 64) { doall (j, 1, 64) {
-                 A[i,j] = B[i,j] + B[i+1,j+3];
-               } }",
-    // tests/paper_examples.rs
-    "doall (i1, 0, 9) { doall (i2, 0, 9) { doall (i3, 0, 9) {
-           A[i3+2, 5, i2-1, 4] = A[i3+2, 5, i2-1, 4];
-         } } }",
-    "doall (i, 0, 99) { doall (j, 0, 99) {
-           A[i,j] = B[i+j,j] + B[i+j+1,j+2];
-         } }",
-    "doall (i, 0, 9) { doall (j, 0, 9) { A[i, 2*i, i+j] = A[i, 2*i, i+j]; } }",
-    "doall (i, 1, 64) { doall (j, 1, 64) { doall (k, 1, 64) {
-           A[i,j,k] = A[i-1,j,k+1] + A[i,j+1,k] + A[i+1,j-2,k-3];
-         } } }",
-    "doseq (t, 1, 3) {
-           doall (i, 1, 16) { doall (j, 1, 16) { doall (k, 1, 16) {
-             A[i,j,k] = A[i-1,j,k+1] + A[i,j+1,k] + A[i+1,j-2,k-3];
-           } } }
-         }",
-    "doall (i, 1, 100) { doall (j, 1, 100) {
-                 A[i,j] = B[i-2,j] + B[i,j-1] + C[i+j,j] + C[i+j+1,j+3];
-               } }",
-    "doall (i, 1, 64) { doall (j, 1, 64) {
-                 A[i,j] = B[i+j,i-j] + B[i+j+4,i-j+2]
-                        + C[i,2*i,i+2*j-1] + C[i+1,2*i+2,i+2*j+1] + C[i,2*i,i+2*j+1];
-               } }",
-    "doall (i, 1, 8) { doall (j, 1, 8) { doall (k, 1, 8) {
-           l$C[i,j] = l$C[i,j] + A[i,k] + B[k,j];
-         } } }",
-    "doall (i, 101, 200) { doall (j, 1, 100) { A[i,j] = B[i+j,i-j-1] + B[i+j+4,i-j+3]; } }",
-    // tests/golden/*.alp, then the `source` fields of the golden plans
-    "doall (i, 101, 612) { doall (j, 1, 512) {
-  A[i,j] = B[i+j,i-j-1] + B[i+j+4,i-j+3];
-} }
-",
-    "doall (i, 1, 64) { doall (j, 1, 64) { doall (k, 1, 64) {
-  A[i,j,k] = B[i-1,j,k+1] + B[i,j+1,k] + B[i+1,j-2,k-3];
-} } }
-",
-    "doall (i, 101, 612) {\n  doall (j, 1, 512) {\n    A[i, j] = B[i+j, i-j-1] + B[i+j+4, i-j+3];\n  }\n}\n",
-    "doall (i, 1, 64) {\n  doall (j, 1, 64) {\n    doall (k, 1, 64) {\n      A[i, j, k] = B[i-1, j, k+1] + B[i, j+1, k] + B[i+1, j-2, k-3];\n    }\n  }\n}\n",
-    // one nest of each family of the ledger's generator (ledger/src/gen.rs)
-    "doall (i, 3, 26) { doall (j, 5, 41) { A[i,j] = B[i-1,j+2] + B[i,j-3] + B[i+3,j]; } }",
-    "doall (i, 2, 8) { doall (j, 7, 12) { doall (k, 1, 9) { A[i,j,k] = B[i+1,j,k-2] + B[i-3,j+2,k]; } } }",
-    "doall (i, 0, 5) { doall (j, 0, 8) { doall (k, 0, 3) { l$C[i,j] = l$C[i,j] + A[i,k] + B[k,j]; } } }",
-    "doall (i, 0, 21) { doall (j, 0, 13) { l$S[i] = l$S[i] + A[i,j+2]; } }",
-    "doall (i, 97, 120) { doall (j, 4, 30) { A[i,j] = B[i+j,i-j-2] + B[i+j+3,i-j+1] + C[i+2*j,j] + C[i+2*j+4,j+2]; } }",
-    "doall (i, 5, 50, 3) { doall (j, 2, 19) { A[i,j] = B[i,j] + B[i+3,j+2]; } }",
-    // the rest of the grammar: parameters, strided doseq, `+=`, signs,
-    // coefficients on references, constant terms, comments
-    "doseq (t, 1, 10, 4) { doall (i, 1, N, S) { A[i] = A[i]; } }",
-    "doall (i, 0, 3) { C[i] += A[i]; }",
-    "doall (i, 0, 3) { l$C[i] += l$C[i] + A[i]; C[i] += C[i]; }",
-    "// negative lower bound
-             doall (i, -5, 5) { A[i] = 2*B[i] - C[-i + 3] + 7; } // done",
-    "doall (i, 0, 3) { doall (j, 0, 3) { A[-i - -2*j + +3, 0] = - B[j - 2*i, 4*j] - + - 3; } }",
-    "doall (l, 0, 3) { l[l] = l$l[2*l]; }",
-];
+use nests::{params, NESTS};
 
 /// Programs (`parse_program`): `program <k>: <Debug>` lines, after the
 /// nests'.
@@ -99,6 +21,34 @@ const PROGRAMS: &[&str] = &[
     "doall (i, 0, 3) { A[i] = A[i]; } doall (i, 0, 3) { A[i, i] = B[i]; }",
     "doall (i, 0, 3) { A[i] = A[i]; } garbage",
     "",
+];
+
+/// Nests whose bounds, constants, coefficients and strides sit at the
+/// `i64` and `u64` edges (±2⁶³, 2⁶⁴) and at or near the `i128` ones
+/// (±2¹²⁷, reached by a sum where no literal spells it), with their IR
+/// — taken from the parser that built a token vector and read literals
+/// with `str::parse`.
+const EDGES: &[(&str, &str)] = &[
+    (
+        "doall (i, -9223372036854775808, 9223372036854775807) { A[9223372036854775808*i - 9223372036854775808] = B[-9223372036854775809*i + 9223372036854775807, 18446744073709551615 - i]; }",
+        r#"Ok(LoopNest { seq_loops: [], loops: [LoopIndex { name: "i", lower: -9223372036854775808, upper: 9223372036854775807, span: Some(Span { start: 7, end: 8 }) }], body: [Statement { lhs: ArrayRef { array: "A", subscripts: [AffineExpr { coeffs: [9223372036854775808], constant: -9223372036854775808 }], kind: Write, span: Some(Span { start: 55, end: 101 }) }, rhs: [ArrayRef { array: "B", subscripts: [AffineExpr { coeffs: [-9223372036854775809], constant: 9223372036854775807 }, AffineExpr { coeffs: [-1], constant: 18446744073709551615 }], kind: Read, span: Some(Span { start: 104, end: 177 }) }], span: Some(Span { start: 55, end: 178 }) }] })"#,
+    ),
+    (
+        "doall (i, 18446744073709551615, 18446744073709551616) { doall (j, -18446744073709551616, -18446744073709551615) { A[18446744073709551616*i, 10000000000000000000*j - 9999999999999999999] = B[i - 170141183460469231731687303715884105727 - 1, -170141183460469231731687303715884105727*j + 170141183460469231731687303715884105727]; } }",
+        r#"Ok(LoopNest { seq_loops: [], loops: [LoopIndex { name: "i", lower: 18446744073709551615, upper: 18446744073709551616, span: Some(Span { start: 7, end: 8 }) }, LoopIndex { name: "j", lower: -18446744073709551616, upper: -18446744073709551615, span: Some(Span { start: 63, end: 64 }) }], body: [Statement { lhs: ArrayRef { array: "A", subscripts: [AffineExpr { coeffs: [18446744073709551616, 0], constant: 0 }, AffineExpr { coeffs: [0, 10000000000000000000], constant: -9999999999999999999 }], kind: Write, span: Some(Span { start: 114, end: 185 }) }, rhs: [ArrayRef { array: "B", subscripts: [AffineExpr { coeffs: [1, 0], constant: -170141183460469231731687303715884105728 }, AffineExpr { coeffs: [0, -170141183460469231731687303715884105727], constant: 170141183460469231731687303715884105727 }], kind: Read, span: Some(Span { start: 188, end: 324 }) }], span: Some(Span { start: 114, end: 325 }) }] })"#,
+    ),
+    (
+        "doseq (t, -9223372036854775808, 9223372036854775807, 18446744073709551615) { doall (i, 0, 170141183460469231731687303715884105727, 9223372036854775808) { doall (j, 0, 1, 170141183460469231731687303715884105727) { l$C[9223372036854775807*i - 99999999999999999999999999999999999999, j] += B[-i + 100000000000000000000000000000000000000, -j]; } } }",
+        r#"Ok(LoopNest { seq_loops: [LoopIndex { name: "t", lower: 0, upper: 1, span: Some(Span { start: 7, end: 8 }) }], loops: [LoopIndex { name: "i", lower: 0, upper: 18446744073709551615, span: Some(Span { start: 84, end: 85 }) }, LoopIndex { name: "j", lower: 0, upper: 0, span: Some(Span { start: 161, end: 162 }) }], body: [Statement { lhs: ArrayRef { array: "C", subscripts: [AffineExpr { coeffs: [85070591730234615856620279821087277056, 0], constant: -99999999999999999999999999999999999999 }, AffineExpr { coeffs: [0, 170141183460469231731687303715884105727], constant: 0 }], kind: Accumulate, span: Some(Span { start: 213, end: 283 }) }, rhs: [ArrayRef { array: "C", subscripts: [AffineExpr { coeffs: [85070591730234615856620279821087277056, 0], constant: -99999999999999999999999999999999999999 }, AffineExpr { coeffs: [0, 170141183460469231731687303715884105727], constant: 0 }], kind: Accumulate, span: Some(Span { start: 213, end: 283 }) }, ArrayRef { array: "B", subscripts: [AffineExpr { coeffs: [-9223372036854775808, 0], constant: 100000000000000000000000000000000000000 }, AffineExpr { coeffs: [0, -170141183460469231731687303715884105727], constant: 0 }], kind: Read, span: Some(Span { start: 287, end: 338 }) }], span: Some(Span { start: 213, end: 339 }) }] })"#,
+    ),
+    (
+        "doall (i, 0, 1) { A[-170141183460469231731687303715884105727*i - i] = B[-9223372036854775808*i - 9223372036854775808, 9223372036854775808*i + 18446744073709551616]; }",
+        r#"Ok(LoopNest { seq_loops: [], loops: [LoopIndex { name: "i", lower: 0, upper: 1, span: Some(Span { start: 7, end: 8 }) }], body: [Statement { lhs: ArrayRef { array: "A", subscripts: [AffineExpr { coeffs: [-170141183460469231731687303715884105728], constant: 0 }], kind: Write, span: Some(Span { start: 18, end: 67 }) }, rhs: [ArrayRef { array: "B", subscripts: [AffineExpr { coeffs: [-9223372036854775808], constant: -9223372036854775808 }, AffineExpr { coeffs: [9223372036854775808], constant: 18446744073709551616 }], kind: Read, span: Some(Span { start: 70, end: 163 }) }], span: Some(Span { start: 18, end: 164 }) }] })"#,
+    ),
+    (
+        "doall (i, 170141183460469231731687303715884105726, 170141183460469231731687303715884105727) { doall (j, -170141183460469231731687303715884105727, -170141183460469231731687303715884105726) { A[i, j] = A[i - 1, j + 1] + B[-1 - 170141183460469231731687303715884105727, 170141183460469231731687303715884105727 - 1]; } }",
+        r#"Ok(LoopNest { seq_loops: [], loops: [LoopIndex { name: "i", lower: 170141183460469231731687303715884105726, upper: 170141183460469231731687303715884105727, span: Some(Span { start: 7, end: 8 }) }, LoopIndex { name: "j", lower: -170141183460469231731687303715884105727, upper: -170141183460469231731687303715884105726, span: Some(Span { start: 101, end: 102 }) }], body: [Statement { lhs: ArrayRef { array: "A", subscripts: [AffineExpr { coeffs: [1, 0], constant: 0 }, AffineExpr { coeffs: [0, 1], constant: 0 }], kind: Write, span: Some(Span { start: 190, end: 197 }) }, rhs: [ArrayRef { array: "A", subscripts: [AffineExpr { coeffs: [1, 0], constant: -1 }, AffineExpr { coeffs: [0, 1], constant: 1 }], kind: Read, span: Some(Span { start: 200, end: 215 }) }, ArrayRef { array: "B", subscripts: [AffineExpr { coeffs: [0, 0], constant: -170141183460469231731687303715884105728 }, AffineExpr { coeffs: [0, 0], constant: 170141183460469231731687303715884105726 }], kind: Read, span: Some(Span { start: 218, end: 310 }) }], span: Some(Span { start: 190, end: 311 }) }] })"#,
+    ),
 ];
 
 /// Malformed inputs with the error they get, each error site of the
@@ -114,7 +64,7 @@ const MALFORMED: &[(&str, &str)] = &[
     ),
     (
         "doall (i, 0, 3) { A[i] = B[i]; } é",
-        r#"Err(ParseError { message: "unexpected character `Ã`", offset: 33, line: 1, column: 34 })"#,
+        r#"Err(ParseError { message: "unexpected character `é`", offset: 33, line: 1, column: 34 })"#,
     ),
     (
         "doall (i, 0, 340282366920938463463374607431768211456) { A[i] = A[i]; }",
@@ -356,6 +306,15 @@ fn malformed_inputs_fail_with_the_pinned_error() {
     assert!(MALFORMED.len() >= 30);
     let params = params();
     for (src, expected) in MALFORMED {
+        let got = format!("{:?}", parse_with_params(src, &params));
+        assert_eq!(&got, expected, "{src}");
+    }
+}
+
+#[test]
+fn integer_edges_parse_to_the_pinned_ir() {
+    let params = params();
+    for (src, expected) in EDGES {
         let got = format!("{:?}", parse_with_params(src, &params));
         assert_eq!(&got, expected, "{src}");
     }

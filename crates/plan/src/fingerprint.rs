@@ -13,7 +13,7 @@
 //! names appear nowhere except the loop headers — renaming the headers
 //! is a complete canonicalization.
 
-use alp_loopir::LoopNest;
+use alp_loopir::{write_int, IndexName, LoopNest};
 use std::fmt;
 
 /// A running 64-bit FNV-1a hash, fed in pieces; as a [`fmt::Write`] it
@@ -57,9 +57,11 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Index `k` named by its position: `i0`, `s1`.
 struct Positional(char, usize);
 
-impl fmt::Display for Positional {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}{}", self.0, self.1)
+impl IndexName for Positional {
+    fn write_to(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        let &Positional(prefix, k) = self;
+        out.write_char(prefix)?;
+        write_int(out, k as i128)
     }
 }
 
@@ -89,7 +91,12 @@ pub fn fingerprint(nest: &LoopNest) -> u64 {
 /// [`fingerprint`] rendered as the 16-digit lowercase hex string used in
 /// plan files.
 pub fn fingerprint_hex(nest: &LoopNest) -> String {
-    format!("{:016x}", fingerprint(nest))
+    let hash = fingerprint(nest);
+    let digits = (0..16)
+        .rev()
+        .map(|k| b"0123456789abcdef"[(hash >> (4 * k)) as usize & 0xf])
+        .collect();
+    String::from_utf8(digits).expect("hex digits are ASCII")
 }
 
 #[cfg(test)]
@@ -125,6 +132,15 @@ mod tests {
         let a = parse("doseq (t, 0, 3) { doall (i, 0, 7) { l$A[0] = l$A[0] + B[i]; } }").unwrap();
         let b = parse("doseq (q, 0, 3) { doall (k, 0, 7) { l$A[0] = l$A[0] + B[k]; } }").unwrap();
         assert_eq!(fingerprint(&a), fingerprint(&b));
+    }
+
+    #[test]
+    fn positional_names_spell_every_digit() {
+        for k in [0, 7, 9, 10, 11, 99, 100, 12_345, usize::MAX] {
+            let mut name = String::new();
+            Positional('i', k).write_to(&mut name).unwrap();
+            assert_eq!(name, format!("i{k}"));
+        }
     }
 
     #[test]

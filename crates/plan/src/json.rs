@@ -106,6 +106,14 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// The character at the failure, for a message: the byte there as
+    /// a `char` would misreport anything beyond ASCII (`é` as `Ã`).
+    fn found(&self) -> char {
+        (self.src.get(self.pos..))
+            .and_then(|rest| rest.chars().next())
+            .unwrap_or(char::REPLACEMENT_CHARACTER)
+    }
+
     fn eof_err(&self) -> JsonError {
         self.err("unexpected end of input (document truncated?)")
     }
@@ -126,7 +134,11 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
                 Ok(())
             }
-            Some(c) => Err(self.err(format!("expected `{}`, found `{}`", b as char, c as char))),
+            Some(_) => Err(self.err(format!(
+                "expected `{}`, found `{}`",
+                b as char,
+                self.found()
+            ))),
             None => Err(self.eof_err()),
         }
     }
@@ -146,7 +158,7 @@ impl<'a> Parser<'a> {
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(c) => Err(self.err(format!("unexpected character `{}`", c as char))),
+            Some(_) => Err(self.err(format!("unexpected character `{}`", self.found()))),
         }
     }
 
@@ -173,8 +185,8 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     return Ok(());
                 }
-                Some(c) => {
-                    let (close, c) = (close as char, c as char);
+                Some(_) => {
+                    let (close, c) = (close as char, self.found());
                     return Err(self.err(format!("expected `,` or `{close}`, found `{c}`")));
                 }
                 None => return Err(self.eof_err()),
@@ -270,7 +282,7 @@ impl<'a> Parser<'a> {
                     out.push(c);
                     self.pos += 4;
                 }
-                Some(c) => return Err(self.err(format!("unknown escape `\\{}`", c as char))),
+                Some(_) => return Err(self.err(format!("unknown escape `\\{}`", self.found()))),
             }
             self.pos += 1;
         }
@@ -688,6 +700,22 @@ mod tests {
     #[test]
     fn trailing_garbage_rejected() {
         assert!(parse("{} x").is_err());
+    }
+
+    /// A character beyond ASCII is named as itself, not as its first
+    /// byte read as Latin-1.
+    #[test]
+    fn non_ascii_is_reported_as_itself() {
+        for (doc, offset, message) in [
+            ("é", 0, "unexpected character `é`"),
+            ("tré", 2, "expected `u`, found `é`"),
+            ("[1 é]", 3, "expected `,` or `]`, found `é`"),
+            (r#"{"a": 1 —}"#, 8, "expected `,` or `}`, found `—`"),
+            (r#""\é""#, 2, "unknown escape `\\é`"),
+        ] {
+            let e = parse(doc).unwrap_err();
+            assert_eq!((e.offset, e.message.as_str()), (offset, message), "{doc}");
+        }
     }
 
     /// A repeated key is refused just past its value, on both sides of

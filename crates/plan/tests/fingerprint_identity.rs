@@ -125,6 +125,39 @@ const PINNED: &[(&str, &str)] = &[
     ),
 ];
 
+/// `(source, canonical_source, fingerprint_hex)` of nests whose bounds,
+/// constants, coefficients and strides sit at the `i64` and `u64` edges
+/// (±2⁶³, 2⁶⁴) and at or near the `i128` ones (±2¹²⁷): where a digit
+/// writer with a machine-word fast path would differ.  Taken before the
+/// renderer wrote integers without the formatter.
+const EDGES: &[(&str, &str, &str)] = &[
+    (
+        "doall (i, -9223372036854775808, 9223372036854775807) { A[9223372036854775808*i - 9223372036854775808] = B[-9223372036854775809*i + 9223372036854775807, 18446744073709551615 - i]; }",
+        "doall (i0, -9223372036854775808, 9223372036854775807) {\n  A[9223372036854775808*i0-9223372036854775808] = B[-9223372036854775809*i0+9223372036854775807, -i0+18446744073709551615];\n}\n",
+        "cc2811ab89e80491",
+    ),
+    (
+        "doall (i, 18446744073709551615, 18446744073709551616) { doall (j, -18446744073709551616, -18446744073709551615) { A[18446744073709551616*i, 10000000000000000000*j - 9999999999999999999] = B[i - 170141183460469231731687303715884105727 - 1, -170141183460469231731687303715884105727*j + 170141183460469231731687303715884105727]; } }",
+        "doall (i0, 18446744073709551615, 18446744073709551616) {\n  doall (i1, -18446744073709551616, -18446744073709551615) {\n    A[18446744073709551616*i0, 10000000000000000000*i1-9999999999999999999] = B[i0-170141183460469231731687303715884105728, -170141183460469231731687303715884105727*i1+170141183460469231731687303715884105727];\n  }\n}\n",
+        "a15e0b5a1828d0d2",
+    ),
+    (
+        "doseq (t, -9223372036854775808, 9223372036854775807, 18446744073709551615) { doall (i, 0, 170141183460469231731687303715884105727, 9223372036854775808) { doall (j, 0, 1, 170141183460469231731687303715884105727) { l$C[9223372036854775807*i - 99999999999999999999999999999999999999, j] += B[-i + 100000000000000000000000000000000000000, -j]; } } }",
+        "doseq (s0, 0, 1) {\n  doall (i0, 0, 18446744073709551615) {\n    doall (i1, 0, 0) {\n      l$C[85070591730234615856620279821087277056*i0-99999999999999999999999999999999999999, 170141183460469231731687303715884105727*i1] += l$C[85070591730234615856620279821087277056*i0-99999999999999999999999999999999999999, 170141183460469231731687303715884105727*i1] + B[-9223372036854775808*i0+100000000000000000000000000000000000000, -170141183460469231731687303715884105727*i1];\n    }\n  }\n}\n",
+        "f933ee36b97caa04",
+    ),
+    (
+        "doall (i, 0, 1) { A[-170141183460469231731687303715884105727*i - i] = B[-9223372036854775808*i - 9223372036854775808, 9223372036854775808*i + 18446744073709551616]; }",
+        "doall (i0, 0, 1) {\n  A[-170141183460469231731687303715884105728*i0] = B[-9223372036854775808*i0-9223372036854775808, 9223372036854775808*i0+18446744073709551616];\n}\n",
+        "8cc1ce5ec9f5e114",
+    ),
+    (
+        "doall (i, 170141183460469231731687303715884105726, 170141183460469231731687303715884105727) { doall (j, -170141183460469231731687303715884105727, -170141183460469231731687303715884105726) { A[i, j] = A[i - 1, j + 1] + B[-1 - 170141183460469231731687303715884105727, 170141183460469231731687303715884105727 - 1]; } }",
+        "doall (i0, 170141183460469231731687303715884105726, 170141183460469231731687303715884105727) {\n  doall (i1, -170141183460469231731687303715884105727, -170141183460469231731687303715884105726) {\n    A[i0, i1] = A[i0-1, i1+1] + B[-170141183460469231731687303715884105728, 170141183460469231731687303715884105726];\n  }\n}\n",
+        "f452656dd04a6114",
+    ),
+];
+
 fn nests() -> Vec<LoopNest> {
     let parsed = SOURCES.iter().map(|src| parse(src).expect("parses"));
     built().into_iter().chain(parsed).collect()
@@ -177,5 +210,15 @@ fn the_goldens_keep_the_fingerprints_their_plans_record() {
             plan.contains(&format!("\"fingerprint\": \"{hex}\"")),
             "{hex}"
         );
+    }
+}
+
+#[test]
+fn integer_edges_keep_their_pinned_text_and_fingerprint() {
+    for (src, canonical, hex) in EDGES {
+        let nest = parse(src).expect("parses");
+        assert_eq!(&canonical_source(&nest), canonical, "{src}");
+        assert_eq!(&fingerprint_hex(&nest), hex, "{src}");
+        assert_eq!(fingerprint(&nest), fnv1a64(canonical.as_bytes()));
     }
 }

@@ -239,6 +239,20 @@ pub struct Executor {
     relaxed_stores: bool,
 }
 
+/// Refuse a transform derived for another nest than the one that
+/// hashes to `fp`.
+fn transform_fits(transform: &Transform, fp: &str) -> Result<(), RuntimeError> {
+    if transform.fingerprint() == fp {
+        return Ok(());
+    }
+    Err(RuntimeError::BadPlan(alp_plan::PlanError::Transform(
+        format!(
+            "transform was derived for fingerprint {} but the nest hashes to {fp}",
+            transform.fingerprint()
+        ),
+    )))
+}
+
 impl Executor {
     /// Partition the nest's iteration space over a rectangular virtual
     /// processor grid (one tile per grid cell, `assign_rect` numbering).
@@ -259,15 +273,16 @@ impl Executor {
     /// the nest is reconstructed from the plan's embedded source (with
     /// its fingerprint re-verified) and tiled on the plan's processor
     /// grid.  A schema-v4 plan carrying a [`Transform`] executes its
-    /// skewed tiles natively via [`Executor::from_transformed`].  A run
-    /// takes the plan's processors by default, however many tiles they
-    /// share.
+    /// skewed tiles natively, as [`Executor::from_transformed`] does.  A
+    /// run takes the plan's processors by default, however many tiles
+    /// they share.
     pub fn from_plan(plan: &alp_plan::PartitionPlan) -> Result<Executor, RuntimeError> {
+        // `plan.nest()` checked that the nest hashes to `plan.fingerprint`.
         let nest = plan.nest()?;
-        let mut exec = match &plan.transform {
-            None => Executor::from_grid(&nest, &plan.proc_grid),
-            Some(t) => Executor::from_transformed(&nest, t, &plan.proc_grid),
-        }?;
+        if let Some(t) = &plan.transform {
+            transform_fits(t, &plan.fingerprint)?;
+        }
+        let mut exec = Executor::build(&nest, plan.transform.as_ref(), &plan.proc_grid)?;
         exec.workers = exec.tiling.workers(plan.processors);
         Ok(exec)
     }
@@ -284,15 +299,7 @@ impl Executor {
         transform: &Transform,
         grid: &[i128],
     ) -> Result<Executor, RuntimeError> {
-        let fp = alp_plan::fingerprint_hex(nest);
-        if transform.fingerprint() != fp {
-            return Err(RuntimeError::BadPlan(alp_plan::PlanError::Transform(
-                format!(
-                    "transform was derived for fingerprint {} but the nest hashes to {fp}",
-                    transform.fingerprint()
-                ),
-            )));
-        }
+        transform_fits(transform, &alp_plan::fingerprint_hex(nest))?;
         Executor::build(nest, Some(transform), grid)
     }
 
@@ -637,6 +644,15 @@ impl Executor {
     /// `ArrayLayout::line`) rather than through the compiled kernel — an
     /// independent implementation path that the parallel result must
     /// match bit for bit.
+    ///
+    /// It materialises `nest.iteration_points()` once per repetition:
+    /// one `IVec` per point, about 500 MB for the ledger's 4–7 M-point
+    /// cases.  Walking the box instead (`alp_linalg::walk_box`) reads
+    /// `exec-rect-atomic` `peak_rss_mb` 857 → 358, but the ledger runs
+    /// this oracle before its set-up, whose stores then no longer reuse
+    /// the pages it freed: their floors double and `setup_s` moves past
+    /// its bound (ROADMAP 12(b)).  Streaming waits on the ledger running
+    /// its oracle after set-up.
     pub fn run_reference(&self, init: &[f64]) -> Vec<f64> {
         let mut data = init.to_vec();
         let layout = &self.layout;
@@ -1072,6 +1088,33 @@ mod tests {
         let exec = Executor::from_grid(&alp_loopir::parse(huge).unwrap(), &[2, 2]).unwrap();
         assert_eq!(exec.points.iter().sum::<u64>(), 1 << 40);
         assert_eq!(exec.store_bytes(), 16);
+    }
+
+    #[test]
+    fn a_plan_whose_transform_fits_another_nest_is_refused() {
+        // `from_plan` checks the transform against the plan's verified
+        // fingerprint instead of hashing the nest a second time, with
+        // the error `from_transformed` gives.
+        let nest =
+            alp_loopir::parse("doall (i, 0, 39) { doall (j, 0, 22) { A[i,j] = B[i+j,j]; } }")
+                .unwrap();
+        let other =
+            alp_loopir::parse("doall (i, 0, 39) { doall (j, 0, 23) { A[i,j] = B[i+j,j]; } }")
+                .unwrap();
+        let mut plan =
+            alp_plan::PartitionPlan::build(&nest, 4, None, alp_plan::LegalityVerdict::Unchecked)
+                .unwrap();
+        let u = alp_linalg::IMat::from_rows(&[&[1, 0], &[1, 1]]);
+        let stale = Transform::new(u.clone(), alp_plan::fingerprint_hex(&other)).unwrap();
+        let refused = Executor::from_transformed(&nest, &stale, &plan.proc_grid).err();
+        assert!(
+            matches!(&refused, Some(RuntimeError::BadPlan(e)) if e.to_string().contains(&plan.fingerprint)),
+            "{refused:?}"
+        );
+        plan.transform = Some(stale);
+        assert_eq!(Executor::from_plan(&plan).err(), refused);
+        plan.transform = Some(Transform::new(u, plan.fingerprint.clone()).unwrap());
+        assert!(Executor::from_plan(&plan).is_ok());
     }
 
     #[test]
