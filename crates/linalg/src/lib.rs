@@ -58,6 +58,8 @@ pub enum LinalgError {
     NotIntegral,
     /// The requested operation needs a nonempty matrix.
     Empty,
+    /// An exact result, or a step towards it, does not fit `i128`.
+    Overflow,
 }
 
 impl std::fmt::Display for LinalgError {
@@ -73,6 +75,7 @@ impl std::fmt::Display for LinalgError {
             LinalgError::Singular => write!(f, "matrix is singular"),
             LinalgError::NotIntegral => write!(f, "result is not integral"),
             LinalgError::Empty => write!(f, "empty matrix"),
+            LinalgError::Overflow => write!(f, "exact result overflows i128"),
         }
     }
 }

@@ -203,7 +203,8 @@ impl IMat {
     }
 
     /// Determinant by Bareiss fraction-free elimination — exact, no
-    /// rationals required.
+    /// rationals required; [`LinalgError::Overflow`] when a step leaves
+    /// `i128`.
     pub fn det(&self) -> Result<i128> {
         if !self.is_square() {
             return Err(LinalgError::ShapeMismatch {
@@ -239,7 +240,7 @@ impl IMat {
                                 .checked_mul(a[idx(k, j)])
                                 .and_then(|y| x.checked_sub(y))
                         })
-                        .expect("determinant overflow");
+                        .ok_or(LinalgError::Overflow)?;
                     debug_assert_eq!(num % prev, 0, "Bareiss divisibility invariant");
                     a[idx(i, j)] = num / prev;
                 }
@@ -247,7 +248,9 @@ impl IMat {
             }
             prev = a[idx(k, k)];
         }
-        Ok(sign * a[idx(n - 1, n - 1)])
+        a[idx(n - 1, n - 1)]
+            .checked_mul(sign)
+            .ok_or(LinalgError::Overflow)
     }
 
     /// Rank over the rationals (via fraction-free elimination).
@@ -293,13 +296,17 @@ impl IMat {
 
     /// True if the matrix is square with nonzero determinant (Theorem 4's
     /// condition).
+    ///
+    /// # Panics
+    /// Panics when the determinant does not fit `i128`: an overflow is
+    /// no evidence of singularity either way.
     pub fn is_nonsingular(&self) -> bool {
-        self.is_square() && matches!(self.det(), Ok(d) if d != 0)
+        self.is_square() && self.det().expect("determinant fits i128") != 0
     }
 
     /// Determinant of the submatrix with row `skip_r` and column
     /// `skip_c` removed (a first minor), used by the adjugate.
-    fn minor_det(&self, skip_r: usize, skip_c: usize) -> i128 {
+    fn minor_det(&self, skip_r: usize, skip_c: usize) -> Result<i128> {
         let n = self.rows;
         let mut sub = IMat::zeros(n - 1, n - 1);
         let mut si = 0;
@@ -317,7 +324,7 @@ impl IMat {
             }
             si += 1;
         }
-        sub.det().expect("minor of a square matrix is square")
+        sub.det()
     }
 
     /// Exact inverse of a unimodular matrix, via the adjugate:
@@ -328,8 +335,9 @@ impl IMat {
     /// rational arithmetic.
     ///
     /// Returns [`LinalgError::NotIntegral`] when the determinant is not
-    /// ±1 (the inverse exists over the rationals but not the integers)
-    /// and [`LinalgError::Singular`] for a singular matrix.
+    /// ±1 (the inverse exists over the rationals but not the integers),
+    /// [`LinalgError::Singular`] for a singular matrix and
+    /// [`LinalgError::Overflow`] when a cofactor does not fit `i128`.
     pub fn unimodular_inverse(&self) -> Result<IMat> {
         if !self.is_square() {
             return Err(LinalgError::ShapeMismatch {
@@ -353,7 +361,9 @@ impl IMat {
             for j in 0..n {
                 // Cofactor C_ji transposed into (i, j): the adjugate.
                 let sign = if (i + j) % 2 == 0 { 1 } else { -1 };
-                inv[(i, j)] = sign * self.minor_det(j, i) * det;
+                inv[(i, j)] = (self.minor_det(j, i)?)
+                    .checked_mul(sign * det)
+                    .ok_or(LinalgError::Overflow)?;
             }
         }
         Ok(inv)
@@ -481,6 +491,17 @@ mod tests {
         let m = IMat::from_rows(&[&[2, 0, 1], &[1, 3, 2], &[1, 1, 1]]);
         // Cofactor expansion along the first row: 2*(3-2) + 1*(1-3) = 0.
         assert_eq!(m.det().unwrap(), 0);
+    }
+
+    #[test]
+    fn a_determinant_beyond_i128_is_an_error() {
+        let big = i128::MAX / 2;
+        let m = IMat::from_rows(&[&[big, 1], &[-1, big]]);
+        assert_eq!(m.det(), Err(LinalgError::Overflow));
+        assert_eq!(m.unimodular_inverse(), Err(LinalgError::Overflow));
+        // `i128::MIN` negated by a row swap does not fit either.
+        let m = IMat::from_rows(&[&[0, 1], &[i128::MIN, 0]]);
+        assert_eq!(m.det(), Err(LinalgError::Overflow));
     }
 
     #[test]

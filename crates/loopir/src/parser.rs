@@ -157,6 +157,8 @@ pub fn parse_program_with_params(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Tok<'a> {
     Ident(&'a str),
+    /// A literal of at most 2¹²⁷, which reads as `i128::MIN` and only
+    /// where a run of signs negates it ([`Parser::advance`]).
     Int(i128),
     Sym(char),
     PlusEq,
@@ -165,7 +167,7 @@ enum Tok<'a> {
 
 /// The token that starts at or after byte `i` of `src`, with its byte
 /// range; `Ok(None)` at the end of the source, `Err(at)` at a byte no
-/// token starts with or a literal beyond `i128` ([`lex_error`] says
+/// token starts with or a literal beyond 2¹²⁷ ([`lex_error`] says
 /// which).
 fn lex(src: &str, mut i: usize) -> Result<Option<(Tok<'_>, usize, usize)>, usize> {
     let bytes = src.as_bytes();
@@ -183,12 +185,12 @@ fn lex(src: &str, mut i: usize) -> Result<Option<(Tok<'_>, usize, usize)>, usize
                 continue;
             }
             b'0'..=b'9' => {
-                // Up to `i128::MAX`, whose last digit is 7.
+                // Up to 2¹²⁷ (`-i128::MIN`), whose last digit is 8.
                 const TENTH: u128 = i128::MAX as u128 / 10;
                 let mut n = u128::from(b - b'0');
                 while let Some(&d @ b'0'..=b'9') = bytes.get(end) {
                     let d = d - b'0';
-                    if n > TENTH || (n == TENTH && d > 7) {
+                    if n > TENTH || (n == TENTH && d > 8) {
                         return Err(i);
                     }
                     n = n * 10 + u128::from(d);
@@ -253,6 +255,8 @@ struct Parser<'a> {
     /// Where the lexer stopped at a byte no token starts with, or at a
     /// literal beyond `i128`.
     stopped: Option<usize>,
+    /// The run of `+`/`-` tokens that ends at `tok` negates.
+    negates: bool,
 }
 
 impl<'a> Parser<'a> {
@@ -265,18 +269,36 @@ impl<'a> Parser<'a> {
             next: 0,
             prev_end: 0,
             stopped: None,
+            negates: false,
         };
         p.advance();
         p
     }
 
-    /// Lex the next lookahead token.
+    /// Lex the next lookahead token.  A literal of 2¹²⁷ is beyond
+    /// `i128` unless the run of signs before it negates it, so the lexer
+    /// stops there as it stops at a larger one: its error still
+    /// outranks every parse error.
     fn advance(&mut self) {
+        let negated = self.negates;
         match lex(self.src, self.next) {
-            Ok(Some((tok, at, end))) => (self.tok, self.at, self.next) = (Some(tok), at, end),
+            Ok(Some((Tok::Int(i128::MIN), at, _))) if !negated => self.stop(at),
+            Ok(Some((tok, at, end))) => {
+                self.negates = match tok {
+                    Tok::Sym('-') => !negated,
+                    Tok::Sym('+') => negated,
+                    _ => false,
+                };
+                (self.tok, self.at, self.next) = (Some(tok), at, end);
+            }
             Ok(None) => (self.tok, self.at) = (None, self.src.len()),
-            Err(at) => (self.tok, self.at, self.stopped) = (None, self.src.len(), Some(at)),
+            Err(at) => self.stop(at),
         }
+    }
+
+    /// The lexer stops at byte `at`: no more tokens.
+    fn stop(&mut self, at: usize) {
+        (self.tok, self.at, self.stopped) = (None, self.src.len(), Some(at));
     }
 
     /// `result`, unless the lexer stops somewhere in the source: that
@@ -455,7 +477,8 @@ impl<'a> Parser<'a> {
             Some(Tok::Sym('-')) => {
                 self.bump();
                 match self.tok {
-                    Some(Tok::Int(n)) => -n,
+                    // 2¹²⁷ reads as `i128::MIN`, its own negation.
+                    Some(Tok::Int(n)) => n.wrapping_neg(),
                     _ => return self.err("expected integer after `-`"),
                 }
             }
@@ -596,9 +619,11 @@ impl<'a> Parser<'a> {
                 Some(id) => &mut expr.coeffs[self.index_of(id, loops)?],
                 None => &mut expr.constant,
             };
-            // A literal is at most `i128::MAX`, so only the sum can
-            // overflow.
-            *slot = (slot.checked_add(if negated { -n } else { n })).ok_or_else(|| {
+            // A literal is at most `i128::MAX`, or 2¹²⁷ negated (which
+            // reads as `i128::MIN`, its own negation), so only the sum
+            // can overflow.
+            let term = if negated { n.wrapping_neg() } else { n };
+            *slot = slot.checked_add(term).ok_or_else(|| {
                 ParseError::at("affine subscript term overflows i128", term_start, self.src)
             })?;
             if !matches!(self.tok, Some(Tok::Sym('+' | '-'))) {

@@ -29,5 +29,5 @@ pub mod report;
 
 pub use cache::{Cache, CacheConfig};
 pub use layout::{ArrayLayout, BlockRowMajorHome, FnHome, HomeMap, TiledHome, UniformHome};
-pub use machine::{run_nest, run_plan, DirectoryKind, Machine, MachineConfig};
+pub use machine::{run_plan, DirectoryKind, Machine, MachineConfig};
 pub use report::{MissKind, ProcessorCounters, TrafficReport};

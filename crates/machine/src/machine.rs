@@ -3,7 +3,6 @@
 use crate::cache::{Cache, CacheConfig, LineState, LocalMiss};
 use crate::layout::{ArrayLayout, HomeMap};
 use crate::report::{ProcessorCounters, TrafficReport};
-use alp_linalg::IVec;
 use alp_loopir::{mesh_placement, LoopNest, MeshPlacement};
 use std::collections::HashMap;
 
@@ -18,7 +17,7 @@ pub struct MachineConfig {
     /// Optional 2-D mesh (width, height) for hop-weighted traffic; the
     /// processors sit where [`mesh_placement`] puts their grid —
     /// [`run_plan`]'s is the plan's when each processor runs one tile,
-    /// otherwise, like [`run_nest`]'s, a 1-D grid of the processors.
+    /// otherwise a 1-D grid of the processors.
     pub mesh: Option<(usize, usize)>,
     /// Elements per cache line.  The paper assumes 1 (§2.2) and notes
     /// that larger lines "can be included as suggested in \[6\]"; values
@@ -98,7 +97,9 @@ struct DirEntry {
     broadcast: bool,
 }
 
-/// A cache-coherent multiprocessor executing memory access traces.
+/// A cache-coherent multiprocessor executing memory access traces:
+/// [`run_plan`] drives it with a plan's tiles; a caller with traces of
+/// its own issues them through [`access`](Machine::access).
 pub struct Machine<'h> {
     config: MachineConfig,
     placement: Option<MeshPlacement>,
@@ -329,51 +330,6 @@ impl<'h> Machine<'h> {
 /// One logical memory access of the loop body: `(element, write-like)`.
 type Access = (u64, bool);
 
-/// Simulate a partitioned loop nest.
-///
-/// `assignment[p]` lists the iterations processor `p` executes (every
-/// iteration of the nest must appear in exactly one processor's list for
-/// the run to model the real execution; `alp-codegen` produces such
-/// assignments).  Outer `doseq` loops replay the whole doall that many
-/// times with warm caches, exposing coherence traffic (Fig. 9).
-///
-/// The protocol consumes the processors' traces in a deterministic
-/// round-robin interleaving (one access per processor per round).
-///
-/// # Panics
-/// Panics if the nest's arrays do not fit a `u64` line id space, its
-/// points and address forms do not fit `i64`, or its processors number
-/// more than 128 or do not fit the mesh ([`run_plan`] reports those as
-/// errors instead).
-pub fn run_nest(
-    nest: &LoopNest,
-    assignment: &[Vec<IVec>],
-    config: MachineConfig,
-    home: &dyn HomeMap,
-) -> TrafficReport {
-    assert_eq!(
-        assignment.len(),
-        config.processors,
-        "one iteration list per processor"
-    );
-    let layout = ArrayLayout::from_nest(nest).expect("array layout fits u64");
-    let accesses = layout.accesses(nest, None).expect("addresses fit i64");
-    // Each listed point is a row of one iteration.
-    let trace = |p: usize| {
-        let mut out = Vec::with_capacity(assignment[p].len() * accesses.refs().len());
-        let mut j = vec![0i64; nest.depth()];
-        for i in &assignment[p] {
-            for (to, &from) in j.iter_mut().zip(&i.0) {
-                *to = i64::try_from(from).expect("iteration point fits i64");
-            }
-            let x = j[j.len() - 1];
-            accesses.for_each(&j, x, x, |element, write| out.push((element, write)));
-        }
-        out
-    };
-    simulate(nest, trace, config, None, home).expect("processors fit the mesh")
-}
-
 /// Run the protocol over one trace per processor: `trace(p)` is
 /// processor `p`'s accesses for one repetition of the doall body — for
 /// each iteration, every right-hand-side reference then the left-hand
@@ -471,7 +427,39 @@ pub fn run_plan(
 mod tests {
     use super::*;
     use crate::layout::{BlockRowMajorHome, UniformHome};
+    use alp_linalg::IVec;
     use alp_loopir::parse;
+
+    /// Simulate explicit point lists, `lists[p]` the iterations
+    /// processor `p` runs in order (the oracle [`run_plan`]'s row walk
+    /// is held to); outer `doseq` loops replay them.
+    fn run_lists(
+        nest: &LoopNest,
+        lists: &[Vec<IVec>],
+        config: MachineConfig,
+        home: &dyn HomeMap,
+    ) -> TrafficReport {
+        assert_eq!(lists.len(), config.processors, "one list per processor");
+        let layout = ArrayLayout::from_nest(nest).unwrap();
+        let accesses = layout.accesses(nest, None).unwrap();
+        let trace = |p: usize| {
+            let mut out = Vec::new();
+            for i in &lists[p] {
+                let j: Vec<i64> = i.0.iter().map(|&x| i64::try_from(x).unwrap()).collect();
+                let x = j[j.len() - 1];
+                accesses.for_each(&j, x, x, |element, write| out.push((element, write)));
+            }
+            out
+        };
+        simulate(nest, trace, config, None, home).unwrap()
+    }
+
+    /// Tile `t`'s iterations as an explicit point list.
+    fn tile_points(tiling: &alp_plan::Tiling, t: usize) -> Vec<IVec> {
+        let mut pts = Vec::new();
+        tiling.for_each_point(t, |i| pts.push(IVec(i.iter().map(|&x| x.into()).collect())));
+        pts
+    }
 
     /// Split iterations contiguously along the outermost loop.
     fn rows_assignment(nest: &LoopNest, p: usize) -> Vec<Vec<IVec>> {
@@ -483,7 +471,7 @@ mod tests {
     }
 
     #[test]
-    fn run_plan_is_run_nest_over_the_tilings_assignment() {
+    fn run_plan_is_the_point_lists_of_its_tiles() {
         // The row walk issues exactly the accesses, in exactly the
         // order, that interpreting the tiling's explicit point lists
         // does, each processor's lists joined in `worker_tiles` order:
@@ -518,13 +506,12 @@ mod tests {
         for (k, plan) in plans.iter().enumerate() {
             let nest = plan.nest().unwrap();
             let tiling = plan.tiling(&nest).unwrap();
-            let lists = tiling.assignment();
             let workers = tiling.workers(plan.processors);
-            assert_eq!(workers == lists.len(), k < 3);
+            assert_eq!(workers == tiling.len(), k < 3);
             let assignment: Vec<Vec<IVec>> = (0..workers)
                 .map(|p| {
                     (tiling.worker_tiles(p, workers))
-                        .flat_map(|t| lists[t].clone())
+                        .flat_map(|t| tile_points(&tiling, t))
                         .collect()
                 })
                 .collect();
@@ -535,7 +522,7 @@ mod tests {
                     ..MachineConfig::uniform(processors).with_line_size(line_size)
                 };
                 let by_rows = run_plan(plan, cfg(0), &UniformHome).unwrap();
-                let by_points = run_nest(&nest, &assignment, cfg(assignment.len()), &UniformHome);
+                let by_points = run_lists(&nest, &assignment, cfg(assignment.len()), &UniformHome);
                 assert_eq!(by_rows.per_processor, by_points.per_processor);
                 assert_eq!(by_rows.repetitions, by_points.repetitions);
                 assert!(by_rows.total_accesses() > 0);
@@ -548,7 +535,7 @@ mod tests {
         // Every line homed at processor 0 and no sharing: each miss costs
         // a request and a reply between its processor and 0, on the mesh
         // position `mesh_placement` gives the plan's grid — or, for
-        // `run_nest`'s lists and processors that share tiles, a 1-D grid.
+        // explicit point lists and processors that share tiles, a 1-D grid.
         let nest = parse("doall (i, 0, 7) { doall (j, 0, 7) { A[i,j] = A[i,j]; } }").unwrap();
         let legality = alp_plan::LegalityVerdict::Unchecked;
         let plan = alp_plan::PartitionPlan::build(&nest, 8, Some((4, 2)), legality).unwrap();
@@ -562,12 +549,13 @@ mod tests {
         assert_eq!(by_plan.total_hop_traffic(), expected(&by_plan, placed));
         assert!(by_plan.total_hop_traffic() > 0);
 
-        let lists = plan.tiling(&nest).unwrap().assignment();
+        let tiling = plan.tiling(&nest).unwrap();
+        let lists: Vec<Vec<IVec>> = (0..tiling.len()).map(|t| tile_points(&tiling, t)).collect();
         let cfg = MachineConfig {
             mesh: Some((4, 2)),
             ..MachineConfig::uniform(8)
         };
-        let by_lists = run_nest(&nest, &lists, cfg, &UniformHome);
+        let by_lists = run_lists(&nest, &lists, cfg, &UniformHome);
         let snaked = mesh_placement(&[8], (4, 2)).unwrap();
         assert_eq!(by_lists.total_hop_traffic(), expected(&by_lists, snaked));
 
@@ -600,7 +588,7 @@ mod tests {
     fn single_processor_cold_misses_equal_footprint() {
         let nest = parse("doall (i, 0, 9) { A[i] = B[i] + B[i+1]; }").unwrap();
         let assignment = vec![nest.iteration_points()];
-        let r = run_nest(&nest, &assignment, MachineConfig::uniform(1), &UniformHome);
+        let r = run_lists(&nest, &assignment, MachineConfig::uniform(1), &UniformHome);
         assert!(r.check_conservation());
         // Footprint: A 10 + B 11 = 21 cold misses; accesses 3 per iter.
         assert_eq!(r.total_accesses(), 30);
@@ -614,7 +602,7 @@ mod tests {
         // Second repetition of a read-only sweep hits entirely.
         let nest = parse("doseq (t, 0, 1) { doall (i, 0, 9) { A[i] = B[i]; } }").unwrap();
         let assignment = vec![nest.iteration_points()];
-        let r = run_nest(&nest, &assignment, MachineConfig::uniform(1), &UniformHome);
+        let r = run_lists(&nest, &assignment, MachineConfig::uniform(1), &UniformHome);
         assert_eq!(r.repetitions, 2);
         assert_eq!(r.total_cold_misses(), 20);
         assert_eq!(r.total_coherence_misses(), 0);
@@ -628,7 +616,7 @@ mod tests {
         // Both iterations touch A[0]; split them across 2 processors.
         let pts = nest.iteration_points();
         let assignment = vec![vec![pts[0].clone()], vec![pts[1].clone()]];
-        let r = run_nest(&nest, &assignment, MachineConfig::uniform(2), &UniformHome);
+        let r = run_lists(&nest, &assignment, MachineConfig::uniform(2), &UniformHome);
         assert!(r.check_conservation());
         assert!(
             r.total_invalidations() > 0,
@@ -641,7 +629,7 @@ mod tests {
     fn disjoint_tiles_have_no_invalidations() {
         let nest = parse("doall (i, 0, 19) { A[i] = A[i]; }").unwrap();
         let assignment = rows_assignment(&nest, 4);
-        let r = run_nest(&nest, &assignment, MachineConfig::uniform(4), &UniformHome);
+        let r = run_lists(&nest, &assignment, MachineConfig::uniform(4), &UniformHome);
         assert_eq!(r.total_invalidations(), 0);
         assert_eq!(r.total_cold_misses(), 20);
     }
@@ -652,7 +640,7 @@ mod tests {
         // lines: all extra traffic is cold misses.
         let nest = parse("doall (i, 0, 19) { A[i] = B[i] + B[i+1]; }").unwrap();
         let assignment = rows_assignment(&nest, 4);
-        let r = run_nest(&nest, &assignment, MachineConfig::uniform(4), &UniformHome);
+        let r = run_lists(&nest, &assignment, MachineConfig::uniform(4), &UniformHome);
         assert_eq!(r.total_invalidations(), 0);
         // B boundary elements counted once per sharing processor:
         // footprint per tile = 5 (A) + 6 (B) = 11; 4 tiles -> 44.
@@ -665,7 +653,7 @@ mod tests {
         // repetitions, boundary sharing becomes coherence traffic.
         let nest = parse("doseq (t, 0, 3) { doall (i, 0, 19) { A[i] = A[i+1]; } }").unwrap();
         let assignment = rows_assignment(&nest, 4);
-        let r = run_nest(&nest, &assignment, MachineConfig::uniform(4), &UniformHome);
+        let r = run_lists(&nest, &assignment, MachineConfig::uniform(4), &UniformHome);
         assert!(r.check_conservation());
         assert!(r.total_coherence_misses() > 0);
         assert!(r.total_invalidations() > 0);
@@ -687,7 +675,7 @@ mod tests {
             line_size: 1,
             directory: DirectoryKind::FullMap,
         };
-        let r = run_nest(&nest, &assignment, cfg, &home);
+        let r = run_lists(&nest, &assignment, cfg, &home);
         // Block distribution matches the contiguous assignment: all local.
         assert_eq!(r.total_remote_misses(), 0);
         assert_eq!(r.total_hop_traffic(), 0);
@@ -695,7 +683,7 @@ mod tests {
         // Shifted home map (each 4-line chunk homed one processor over):
         // everything lands remote.
         let scrambled = crate::layout::FnHome(|l| (((l / 4) + 1) % 4) as usize);
-        let r2 = run_nest(
+        let r2 = run_lists(
             &nest,
             &assignment,
             MachineConfig {
@@ -723,7 +711,7 @@ mod tests {
             line_size: 1,
             directory: DirectoryKind::FullMap,
         };
-        let r = run_nest(&nest, &assignment, cfg, &UniformHome);
+        let r = run_lists(&nest, &assignment, cfg, &UniformHome);
         assert!(r.total_capacity_misses() > 0);
         assert!(r.check_conservation());
     }
@@ -732,8 +720,8 @@ mod tests {
     fn determinism() {
         let nest = parse("doseq (t, 0, 2) { doall (i, 0, 31) { A[i] = A[i+1] + B[i]; } }").unwrap();
         let assignment = rows_assignment(&nest, 4);
-        let r1 = run_nest(&nest, &assignment, MachineConfig::uniform(4), &UniformHome);
-        let r2 = run_nest(&nest, &assignment, MachineConfig::uniform(4), &UniformHome);
+        let r1 = run_lists(&nest, &assignment, MachineConfig::uniform(4), &UniformHome);
+        let r2 = run_lists(&nest, &assignment, MachineConfig::uniform(4), &UniformHome);
         assert_eq!(r1.per_processor, r2.per_processor);
     }
 
@@ -741,7 +729,7 @@ mod tests {
     fn accumulate_counts_as_write() {
         let nest = parse("doall (i, 0, 9) { l$C[0] = l$C[0] + A[i]; }").unwrap();
         let assignment = rows_assignment(&nest, 2);
-        let r = run_nest(&nest, &assignment, MachineConfig::uniform(2), &UniformHome);
+        let r = run_lists(&nest, &assignment, MachineConfig::uniform(2), &UniformHome);
         // Both processors hammer C[0] with write-like accesses.
         assert!(r.total_invalidations() > 0);
     }
@@ -758,8 +746,8 @@ mod tests {
         // cold misses 4x.
         let nest = parse("doall (i, 0, 63) { A[i] = A[i]; }").unwrap();
         let assignment = vec![nest.iteration_points()];
-        let r1 = run_nest(&nest, &assignment, MachineConfig::uniform(1), &UniformHome);
-        let r4 = run_nest(
+        let r1 = run_lists(&nest, &assignment, MachineConfig::uniform(1), &UniformHome);
+        let r4 = run_lists(
             &nest,
             &assignment,
             MachineConfig::uniform(1).with_line_size(4),
@@ -776,9 +764,9 @@ mod tests {
         // boundary lines ping-pong across repetitions.
         let nest = parse("doseq (t, 0, 3) { doall (i, 0, 31) { A[i] = A[i]; } }").unwrap();
         let assignment = rows_assignment(&nest, 4);
-        let unit = run_nest(&nest, &assignment, MachineConfig::uniform(4), &UniformHome);
+        let unit = run_lists(&nest, &assignment, MachineConfig::uniform(4), &UniformHome);
         assert_eq!(unit.total_invalidations(), 0);
-        let wide = run_nest(
+        let wide = run_lists(
             &nest,
             &assignment,
             MachineConfig::uniform(4).with_line_size(16),
@@ -814,7 +802,7 @@ mod tests {
     fn full_map_has_no_overflows() {
         let nest = widely_shared_nest();
         let a = one_iter_per_proc(&nest);
-        let r = run_nest(&nest, &a, MachineConfig::uniform(8), &UniformHome);
+        let r = run_lists(&nest, &a, MachineConfig::uniform(8), &UniformHome);
         assert_eq!(r.total_directory_overflows(), 0);
         assert!(r.check_conservation());
     }
@@ -823,8 +811,8 @@ mod tests {
     fn limited_nb_evicts_readers() {
         let nest = widely_shared_nest();
         let a = one_iter_per_proc(&nest);
-        let full = run_nest(&nest, &a, MachineConfig::uniform(8), &UniformHome);
-        let nb = run_nest(
+        let full = run_lists(&nest, &a, MachineConfig::uniform(8), &UniformHome);
+        let nb = run_lists(
             &nest,
             &a,
             MachineConfig::uniform(8)
@@ -849,7 +837,7 @@ mod tests {
         let nest =
             parse("doseq (t, 0, 2) { doall (i, 0, 7) { l$C[0] = l$C[0] + A[i]; } }").unwrap();
         let a = one_iter_per_proc(&nest);
-        let b = run_nest(
+        let b = run_lists(
             &nest,
             &a,
             MachineConfig::uniform(8)
@@ -857,7 +845,7 @@ mod tests {
             &UniformHome,
         );
         assert!(b.check_conservation());
-        let full = run_nest(&nest, &a, MachineConfig::uniform(8), &UniformHome);
+        let full = run_lists(&nest, &a, MachineConfig::uniform(8), &UniformHome);
         assert!(full.check_conservation());
         // Same sharing pattern; broadcast never loses correctness.
         assert_eq!(b.total_accesses(), full.total_accesses());
@@ -869,8 +857,8 @@ mod tests {
         // exactly like full-map.
         let nest = parse("doseq (t, 0, 2) { doall (i, 0, 1) { A[i] = B[0]; } }").unwrap();
         let a = one_iter_per_proc(&nest);
-        let full = run_nest(&nest, &a, MachineConfig::uniform(2), &UniformHome);
-        let lim = run_nest(
+        let full = run_lists(&nest, &a, MachineConfig::uniform(2), &UniformHome);
+        let lim = run_lists(
             &nest,
             &a,
             MachineConfig::uniform(2)

@@ -1,9 +1,12 @@
 //! Property tests: conservation laws of the coherence protocol on random
-//! partitioned nests.
+//! partitioned nests.  The multi-processor properties drive the public
+//! [`Machine`] from explicit point lists, round-robin or contiguous
+//! (neither is a plan's tiling); one processor runs a plan.
 
 use alp_linalg::IVec;
-use alp_loopir::{parse, LoopNest};
-use alp_machine::{run_nest, DirectoryKind, MachineConfig, UniformHome};
+use alp_loopir::{parse, ArrayLayout, LoopNest};
+use alp_machine::{run_plan, DirectoryKind, Machine, MachineConfig, TrafficReport, UniformHome};
+use alp_plan::{LegalityVerdict, PartitionPlan};
 use proptest::prelude::*;
 
 /// A random small stencil nest (with a doseq wrapper half the time).
@@ -29,6 +32,44 @@ fn arb_nest() -> impl Strategy<Value = LoopNest> {
             };
             parse(&src).expect("generated source parses")
         })
+}
+
+/// Run processor `p`'s points in the order `lists[p]` gives them, the
+/// accesses interleaved one per processor per round, every outer
+/// `doseq` iteration replaying the lists with warm caches.
+fn run_lists(nest: &LoopNest, lists: &[Vec<IVec>], config: MachineConfig) -> TrafficReport {
+    let layout = ArrayLayout::from_nest(nest).unwrap();
+    let accesses = layout.accesses(nest, None).unwrap();
+    let traces: Vec<Vec<(u64, bool)>> = (lists.iter())
+        .map(|points| {
+            let mut trace = Vec::new();
+            for i in points {
+                let j: Vec<i64> = i.0.iter().map(|&x| i64::try_from(x).unwrap()).collect();
+                let x = j[j.len() - 1];
+                accesses.for_each(&j, x, x, |element, write| trace.push((element, write)));
+            }
+            trace
+        })
+        .collect();
+    let reps = nest.seq_repetitions().max(1) as u64;
+    let longest = traces.iter().map(Vec::len).max().unwrap_or(0);
+    let mut machine = Machine::new(config, None, &UniformHome);
+    for _ in 0..reps {
+        for k in 0..longest {
+            for (p, trace) in traces.iter().enumerate() {
+                if let Some(&(element, write)) = trace.get(k) {
+                    machine.access(p, element, write);
+                }
+            }
+        }
+    }
+    machine.into_report(reps)
+}
+
+/// The nest on one processor: its one-tile plan, simulated.
+fn run_alone(nest: &LoopNest, config: MachineConfig) -> TrafficReport {
+    let plan = PartitionPlan::build(nest, 1, None, LegalityVerdict::Unchecked).unwrap();
+    run_plan(&plan, config, &UniformHome).unwrap()
 }
 
 /// Split iterations across `p` processors round-robin (an adversarial,
@@ -61,12 +102,7 @@ proptest! {
             DirectoryKind::LimitedNoBroadcast { pointers: 2 },
             DirectoryKind::LimitedBroadcast { pointers: 2 },
         ] {
-            let r = run_nest(
-                &nest,
-                &assignment,
-                MachineConfig::uniform(p).with_directory(dir),
-                &UniformHome,
-            );
+            let r = run_lists(&nest, &assignment, MachineConfig::uniform(p).with_directory(dir));
             // hits + misses == accesses, per processor.
             prop_assert!(r.check_conservation(), "{dir:?}");
             // Every access is either a hit or one of the three miss kinds.
@@ -90,7 +126,7 @@ proptest! {
     #[test]
     fn cold_misses_bounded_by_footprint_times_p(nest in arb_nest(), p in 1usize..=6) {
         let assignment = contiguous(&nest, p);
-        let r = run_nest(&nest, &assignment, MachineConfig::uniform(p), &UniformHome);
+        let r = run_lists(&nest, &assignment, MachineConfig::uniform(p));
         // Each processor cold-misses each distinct element at most once.
         let total_elems: i128 = nest
             .try_array_extents()
@@ -106,8 +142,7 @@ proptest! {
 
     #[test]
     fn single_processor_never_invalidates(nest in arb_nest()) {
-        let assignment = vec![nest.iteration_points()];
-        let r = run_nest(&nest, &assignment, MachineConfig::uniform(1), &UniformHome);
+        let r = run_alone(&nest, MachineConfig::uniform(1));
         prop_assert_eq!(r.total_invalidations(), 0);
         prop_assert_eq!(r.total_coherence_misses(), 0);
         // Second and later repetitions hit entirely.
@@ -119,15 +154,9 @@ proptest! {
     fn line_size_monotonicity_single_proc(nest in arb_nest()) {
         // For one processor, larger lines can only reduce (or keep) cold
         // misses: every line fetch covers at least as many elements.
-        let assignment = vec![nest.iteration_points()];
         let mut prev = u64::MAX;
         for ls in [1u64, 2, 4, 8] {
-            let r = run_nest(
-                &nest,
-                &assignment,
-                MachineConfig::uniform(1).with_line_size(ls),
-                &UniformHome,
-            );
+            let r = run_alone(&nest, MachineConfig::uniform(1).with_line_size(ls));
             prop_assert!(r.total_cold_misses() <= prev,
                 "line {ls}: {} > previous {prev}", r.total_cold_misses());
             prev = r.total_cold_misses();

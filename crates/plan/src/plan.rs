@@ -455,14 +455,7 @@ impl PartitionPlan {
         model: &CostModel,
     ) -> Result<PartitionPlan, PlanError> {
         let base = Self::base(nest, processors, mesh, legality, optimizer, &candidate.grid)?;
-        // The tile actually executed: edge k is chunk_k · basis_k.
-        let rows: Vec<IVec> = candidate
-            .tile_extents
-            .iter()
-            .enumerate()
-            .map(|(k, &e)| candidate.basis.row(k).scale(e + 1))
-            .collect();
-        let lmat = IMat::from_row_vecs(&rows);
+        let lmat = candidate.tile();
         let tile = Tile::general(lmat.clone());
         let plan = PartitionPlan {
             class_footprints: class_footprints(model, |cc| {
@@ -683,7 +676,7 @@ impl PartitionPlan {
                 Some(Transform::new(IMat::from_vec(n, n, rows.concat()), fp)?)
             }
         };
-        Ok(PartitionPlan {
+        let plan = PartitionPlan {
             schema_version,
             fingerprint,
             processors,
@@ -713,6 +706,13 @@ impl PartitionPlan {
                 normals.list(|n| ints(n).map(IVec))
             })?,
             source: f.req("source", Item::str)?.to_string(),
+        };
+        // A header below what the document carries (version 1 over a
+        // certificate) reads as the version `to_json_string` writes it
+        // at, so a decoded plan re-encodes to a fixed point.
+        Ok(PartitionPlan {
+            schema_version: plan.version(),
+            ..plan
         })
     }
 }
@@ -898,6 +898,20 @@ mod tests {
         assert_eq!(back.schema_version, 2);
         assert_eq!(back.certificate, None);
         assert_eq!(back.to_json_string(), v2, "v2 re-encode is byte-stable");
+    }
+
+    #[test]
+    fn a_header_below_what_the_plan_carries_reads_as_the_version_it_is_written_at() {
+        // A version-1 header over a certificate block (one flipped bit
+        // of "3"): it decodes at version 3, the version it re-encodes
+        // at, so the decoded plan and its re-encoding agree.
+        let plan = PartitionPlan::build(&example8(), 16, None, LegalityVerdict::Unchecked).unwrap();
+        let certified = plan.clone().with_certificate(certificate_for(&plan));
+        let text = certified.to_json_string();
+        let v1 = text.replace("\"alp-plan\": 3", "\"alp-plan\": 1");
+        let back = PartitionPlan::from_json_str(&v1).unwrap();
+        assert_eq!(back, certified);
+        assert_eq!(back.to_json_string(), text);
     }
 
     fn certificate_for(plan: &PartitionPlan) -> Certificate {

@@ -15,7 +15,7 @@
 use crate::transform::Transform;
 use crate::PlanError;
 use alp_linalg::fm::{eliminate, System};
-use alp_linalg::{gcd, walk_box, IVec, Rat};
+use alp_linalg::{gcd, walk_box, Rat};
 use alp_loopir::{AffineExpr, LoopNest};
 
 /// An axis-aligned box of iterations, inclusive on both ends per
@@ -301,18 +301,6 @@ impl Tiling {
             }
             true
         });
-    }
-
-    /// Every tile's iterations as explicit original-space point lists —
-    /// the form the simulator and the code generator consume.
-    pub fn assignment(&self) -> Vec<Vec<IVec>> {
-        (0..self.len())
-            .map(|t| {
-                let mut pts = Vec::new();
-                self.for_each_point(t, |i| pts.push(IVec(i.iter().map(|&x| x.into()).collect())));
-                pts
-            })
-            .collect()
     }
 
     /// Run `body` on tile `t`'s rows with its grid coordinates
@@ -788,11 +776,16 @@ mod tests {
                 });
                 rows
             };
+            let points = |tiling: &Tiling, t: usize| {
+                let mut points = Vec::new();
+                tiling.for_each_point(t, |i| points.push(i.to_vec()));
+                points
+            };
             for t in 0..rect.len() {
                 prop_assert_eq!(rect.points(t), skew.points(t));
                 prop_assert_eq!(rows(&rect, t), rows(&skew, t));
+                prop_assert_eq!(points(&rect, t), points(&skew, t));
             }
-            prop_assert_eq!(rect.assignment(), skew.assignment());
             let total: u64 = (0..rect.len()).map(|t| rect.points(t)).sum();
             prop_assert_eq!(i128::from(total), nest.iteration_count());
         }

@@ -20,7 +20,8 @@
 use crate::fingerprint::fingerprint_hex;
 use crate::plan::feasible;
 use crate::PlanError;
-use alp_linalg::IMat;
+use alp_footprint::CostModel;
+use alp_linalg::{row_hnf, IMat, IVec};
 use alp_loopir::{AffineExpr, LoopNest};
 use alp_partition::{para_candidates, ParaSearchConfig};
 
@@ -157,6 +158,55 @@ pub struct SkewedCandidate {
     pub tile_extents: Vec<i128>,
     /// The Theorem-2 modeled cumulative footprint of one tile.
     pub analytic_cost: i128,
+}
+
+impl SkewedCandidate {
+    /// The slabs along the hyperplane normal `h` (§3.6's
+    /// communication-free partitions) for `p` processors: the transform
+    /// whose first coordinate is `j_0 = h·ī`, with `h` divided by its
+    /// gcd, on the grid `[p, 1, …]`.  Tile `t` owns the points with
+    /// `⌊(h·ī − min)/⌈span/p⌉⌋ = t`, where `min` and `span` are those of
+    /// `h·ī` over the loop bounds.  `row_hnf` gives a unimodular `u` with
+    /// `u·h = e₁`, so `U = u⁻¹` has `h` as its first column.  Fails
+    /// when `h` is zero or does not match the nest's depth, and as
+    /// [`skewed_candidates`] does.
+    pub fn slabs(nest: &LoopNest, h: &IVec, p: i128) -> Result<SkewedCandidate, PlanError> {
+        feasible(nest, p)?;
+        let n = nest.depth();
+        if h.len() != n || h.is_zero() {
+            return Err(PlanError::Transform(format!(
+                "slab normal {h} is not a nonzero vector of depth {n}"
+            )));
+        }
+        let u = row_hnf(&IMat::from_vec(n, 1, h.primitive().0)).u;
+        let u = u
+            .unimodular_inverse()
+            .map_err(|e| PlanError::Transform(format!("Hermite transform does not invert: {e}")))?;
+        let transform = Transform::new(u, fingerprint_hex(nest))?;
+        let grid: Vec<i128> = (0..n).map(|k| if k == 0 { p } else { 1 }).collect();
+        let lambda: Vec<i128> = (transform.bounds(nest)?.iter().zip(&grid))
+            .map(|(&(lo, hi), &g)| (hi - lo + g) / g)
+            .collect();
+        let mut slabs = SkewedCandidate {
+            basis: transform.v().clone(),
+            transform,
+            tile_extents: lambda.iter().map(|c| c - 1).collect(),
+            lambda,
+            grid,
+            analytic_cost: 0,
+        };
+        slabs.analytic_cost = CostModel::from_nest(nest).cost_general(&slabs.tile());
+        Ok(slabs)
+    }
+
+    /// The tile the candidate's grid actually cuts, as the rows of `L`:
+    /// edge `k` is `(tile_extents[k] + 1)·basis[k]`.
+    pub(crate) fn tile(&self) -> IMat {
+        let rows: Vec<IVec> = (self.tile_extents.iter().enumerate())
+            .map(|(k, &e)| self.basis.row(k).scale(e + 1))
+            .collect();
+        IMat::from_row_vecs(&rows)
+    }
 }
 
 /// Enumerate skewed-tile candidates for `p` processors: every

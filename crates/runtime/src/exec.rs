@@ -255,7 +255,8 @@ fn transform_fits(transform: &Transform, fp: &str) -> Result<(), RuntimeError> {
 
 impl Executor {
     /// Partition the nest's iteration space over a rectangular virtual
-    /// processor grid (one tile per grid cell, `assign_rect` numbering).
+    /// processor grid (one tile per grid cell, numbered as [`Tiling`]
+    /// numbers them: row-major, last dimension fastest).
     ///
     /// The nest must be a *legal* doall — no dependence between
     /// different iterations, accumulates aside — which this constructor

@@ -29,7 +29,7 @@ impl std::fmt::Display for Schedule {
 /// sequential repetition; later repetitions touch the same lines).
 #[derive(Debug, Clone)]
 pub struct TileMetrics {
-    /// Tile id (== the processor id of `assign_rect`'s numbering).
+    /// Tile id, as [`alp_plan::Tiling`] numbers the plan's tiles.
     pub tile: usize,
     /// Thread that executed the tile in the first repetition (under
     /// [`Schedule::Dynamic`] a later repetition may run it elsewhere).

@@ -62,18 +62,8 @@ fn main() {
         // approximate: phase 1 misses + phase 2 misses where phase 2's
         // cold misses against data phase 1 loaded are what
         // redistribution models.
-        let r1 = run_nest(
-            &nests[0],
-            &assign_rect(&nests[0], grids[0]),
-            MachineConfig::uniform(p as usize),
-            &UniformHome,
-        );
-        let r2 = run_nest(
-            &nests[1],
-            &assign_rect(&nests[1], grids[1]),
-            MachineConfig::uniform(p as usize),
-            &UniformHome,
-        );
+        let r1 = simulate_grid(&nests[0], grids[0]);
+        let r2 = simulate_grid(&nests[1], grids[1]);
         r1.total_misses() + r2.total_misses()
     };
     let common = prog.phases[0].proc_grid.clone();
@@ -93,4 +83,21 @@ fn main() {
         prog.redistribution
     );
     println!("\nwith a shared array, the common grid avoids moving A between\nphases — the compiler-level choice §4's pipeline has to make.");
+}
+
+/// Simulate `grid`'s rectangles, one processor each, as the plan that
+/// runs them (infinite caches, unit lines).
+fn simulate_grid(nest: &LoopNest, grid: &[i128]) -> TrafficReport {
+    let extents = Tiling::new(nest, None, grid)
+        .expect("the grid fits")
+        .extents();
+    let partition = RectPartition {
+        cost: CostModel::from_nest(nest).cost_rect(&extents),
+        tile_extents: extents,
+        proc_grid: grid.to_vec(),
+    };
+    let (p, verdict) = (grid.iter().product(), LegalityVerdict::Unchecked);
+    let plan = PartitionPlan::build_with_partition(nest, p, None, verdict, partition, "grid")
+        .expect("a rectangular plan");
+    run_plan(&plan, MachineConfig::uniform(0), &UniformHome).expect("the plan simulates")
 }

@@ -44,8 +44,7 @@ fn main() {
     );
     let mut rows = Vec::new();
     for (name, grid) in shapes {
-        let assignment = assign_rect(&nest, &grid);
-        let report = run_nest(&nest, &assignment, MachineConfig::uniform(p), &UniformHome);
+        let report = simulate_grid(&nest, &grid);
         assert!(report.check_conservation());
         println!(
             "{:<22} {:>12} {:>12} {:>14} {:>12}",
@@ -60,8 +59,7 @@ fn main() {
 
     // The framework's own choice.
     let part = partition_rect(&nest, p as i128);
-    let assignment = assign_rect(&nest, &part.proc_grid);
-    let report = run_nest(&nest, &assignment, MachineConfig::uniform(p), &UniformHome);
+    let report = simulate_grid(&nest, &part.proc_grid);
     println!(
         "{:<22} {:>12} {:>12} {:>14} {:>12}   <- partition_rect {:?}",
         "framework optimum",
@@ -86,6 +84,23 @@ fn main() {
          higher; `partition_rect` faithfully optimizes the paper's\n\
          footprint objective."
     );
+}
+
+/// Simulate `grid`'s rectangles, one processor each, as the plan that
+/// runs them (infinite caches, unit lines).
+fn simulate_grid(nest: &LoopNest, grid: &[i128]) -> TrafficReport {
+    let extents = Tiling::new(nest, None, grid)
+        .expect("the grid fits")
+        .extents();
+    let partition = RectPartition {
+        cost: CostModel::from_nest(nest).cost_rect(&extents),
+        tile_extents: extents,
+        proc_grid: grid.to_vec(),
+    };
+    let (p, verdict) = (grid.iter().product(), LegalityVerdict::Unchecked);
+    let plan = PartitionPlan::build_with_partition(nest, p, None, verdict, partition, "grid")
+        .expect("a rectangular plan");
+    run_plan(&plan, MachineConfig::uniform(0), &UniformHome).expect("the plan simulates")
 }
 
 fn indent(s: &str, by: usize) -> String {

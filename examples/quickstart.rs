@@ -64,13 +64,11 @@ fn main() {
     println!("  miss rate     : {:.4}", report.miss_rate());
 
     let naive = naive_partition(&result.nest, 64, NaiveShape::ByRows).expect("feasible");
-    let naive_assign = assign_rect(&result.nest, &naive.proc_grid);
-    let naive_report = run_nest(
-        &result.nest,
-        &naive_assign,
-        MachineConfig::uniform(64),
-        &UniformHome,
-    );
+    let verdict = LegalityVerdict::Unchecked;
+    let naive = PartitionPlan::build_with_partition(&result.nest, 64, None, verdict, naive, "rows")
+        .expect("a by-rows plan");
+    let naive_report =
+        run_plan(&naive, MachineConfig::uniform(0), &UniformHome).expect("the plan simulates");
     println!("\n== simulated (naive by-rows partition) ==");
     println!("  cold misses   : {}", naive_report.total_cold_misses());
     println!(

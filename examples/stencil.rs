@@ -27,13 +27,7 @@ fn example2() {
         ("a: strips (1x100)", vec![1i128, 100]),
         ("b: blocks (10x10)", vec![10, 10]),
     ] {
-        let assignment = assign_rect(&nest, &grid);
-        let report = run_nest(
-            &nest,
-            &assignment,
-            MachineConfig::uniform(100),
-            &UniformHome,
-        );
+        let report = simulate_grid(&nest, &grid);
         // Per-tile misses: paper counts the B-class footprint (A adds a
         // constant 100 per tile).
         let per_tile = report.total_cold_misses() / 100;
@@ -91,24 +85,17 @@ fn example3() {
         para.cost
     );
 
-    // Simulate both: slab assignment along the comm-free normal vs the
+    // Simulate both: the plan of the slabs along the comm-free normal
+    // (a skewed plan whose first transformed coordinate is `h·ī`) vs the
     // rectangle.
-    let rect_assign = assign_rect(&nest, &rect.proc_grid);
-    let rect_report = run_nest(
-        &nest,
-        &rect_assign,
-        MachineConfig::uniform(p as usize),
-        &UniformHome,
-    );
-
+    let rect_report = simulate_grid(&nest, &rect.proc_grid);
     let normals = communication_free_normals(&nest);
-    let slab_assign = assign_slabs(&nest, &normals[0], p);
-    let slab_report = run_nest(
-        &nest,
-        &slab_assign,
-        MachineConfig::uniform(p as usize),
-        &UniformHome,
-    );
+    let slabs = SkewedCandidate::slabs(&nest, &normals[0], p).expect("slabs of 16");
+    let verdict = LegalityVerdict::Unchecked;
+    let slab_plan =
+        PartitionPlan::build_skewed(&nest, p, None, verdict, &slabs, "slabs").expect("a slab plan");
+    let slab_report =
+        run_plan(&slab_plan, MachineConfig::uniform(0), &UniformHome).expect("the plan simulates");
 
     println!(
         "  simulated misses : rectangle {} vs parallelogram-slabs {}",
@@ -123,4 +110,21 @@ fn example3() {
         .compile(nest)
         .expect("a skewed plan for 16 processors");
     println!("  code for the skewed plan:\n{}", skewed.code);
+}
+
+/// Simulate `grid`'s rectangles, one processor each, as the plan that
+/// runs them (infinite caches, unit lines).
+fn simulate_grid(nest: &LoopNest, grid: &[i128]) -> TrafficReport {
+    let extents = Tiling::new(nest, None, grid)
+        .expect("the grid fits")
+        .extents();
+    let partition = RectPartition {
+        cost: CostModel::from_nest(nest).cost_rect(&extents),
+        tile_extents: extents,
+        proc_grid: grid.to_vec(),
+    };
+    let (p, verdict) = (grid.iter().product(), LegalityVerdict::Unchecked);
+    let plan = PartitionPlan::build_with_partition(nest, p, None, verdict, partition, "grid")
+        .expect("a rectangular plan");
+    run_plan(&plan, MachineConfig::uniform(0), &UniformHome).expect("the plan simulates")
 }

@@ -56,7 +56,7 @@
 //!   [`ShardedPlanCache`](alp_plan::ShardedPlanCache);
 //! * [`machine`] — a deterministic cache-coherent multiprocessor
 //!   simulator (full-map MSI directory);
-//! * [`codegen`] — iteration assignment and per-processor code emission;
+//! * [`codegen`] — per-processor code emission for a plan's tiles;
 //! * [`runtime`] — a native multithreaded executor that actually runs
 //!   partitioned nests on OS threads, with per-thread footprint metrics
 //!   validated against the model and the simulator;
@@ -523,7 +523,7 @@ pub mod prelude {
     pub use crate::{AlpError, CompileResult, Compiler, ExecutionSummary};
     pub use alp_analysis::{analyze, analyze_program, pair_conflict, Report, Witness};
     pub use alp_certify::{certify, recheck, CertifyError, CertifyReport};
-    pub use alp_codegen::{assign_para, assign_rect, assign_slabs, emit_code, emit_rect_code};
+    pub use alp_codegen::{emit_code, emit_rect_code};
     pub use alp_footprint::{
         classify, cumulative_footprint_exact, cumulative_footprint_general,
         cumulative_footprint_rect, single_footprint_estimate, single_footprint_exact, CostModel,
@@ -536,8 +536,8 @@ pub mod prelude {
         LoopNest,
     };
     pub use alp_machine::{
-        run_nest, run_plan, ArrayLayout, BlockRowMajorHome, CacheConfig, DirectoryKind,
-        MachineConfig, TrafficReport, UniformHome,
+        run_plan, ArrayLayout, BlockRowMajorHome, CacheConfig, DirectoryKind, MachineConfig,
+        TrafficReport, UniformHome,
     };
     pub use alp_partition::{
         abraham_hudak_rect, align_arrays, aspect_ratio_with_spread, communication_free_normals,

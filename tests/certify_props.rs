@@ -13,8 +13,11 @@
 //! whenever the array-name-granularity rule accepts a nest, the
 //! element-precise dataflow proof must accept it too.
 
+mod common;
+
 use alp::prelude::*;
 use alp::serve::pipeline::{build_plan, PlanSpec};
+use common::tile_points;
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -208,7 +211,8 @@ proptest! {
     #[test]
     fn certifier_verdicts_match_brute_force_enumeration(case in cases()) {
         let (nest, plan) = plan_for(&case);
-        let tiles = plan.tiling(&nest).expect("grid matches depth").assignment();
+        let tiling = plan.tiling(&nest).expect("grid matches depth");
+        let tiles: Vec<Vec<IVec>> = (0..tiling.len()).map(|t| tile_points(&tiling, t)).collect();
         let report = certify(&plan).expect("well-formed plan certifies");
         let cert = &report.certificate;
         let (coverage, write_disjoint, in_bounds, idempotent) = brute_force(&nest, &tiles);

@@ -428,9 +428,11 @@ fn run_over_budget_has_no_sequential_degraded_mode() {
     // so CI's "One retry rule" grep stays empty): the command line that
     // used to degrade an over-budget run is refused before anything runs.
     let gone = concat!("--fallback", "-seq");
+    // A usage error is found before any input is read, so no stdin is
+    // piped (a write into a process that has exited is a broken pipe).
     let (stdout, stderr, code) = run_cli(
         &["run", "-p", "4", "--max-store-bytes", "10", gone, "-"],
-        Some(STENCIL),
+        None,
     );
     assert_eq!(code, Some(2), "stderr: {stderr}");
     assert!(stdout.is_empty(), "{stdout}");

@@ -7,9 +7,18 @@
 //! cumulative footprint, and the model's *ranking* of partitions matches
 //! the machine's.
 
+mod common;
+
 use alp::machine::HomeMap;
 use alp::prelude::*;
+use common::{grid_plan, tile_points};
 use proptest::prelude::*;
+
+/// Simulate a plan on its own processors and mesh (infinite caches,
+/// unit lines) with memory laid out by `home`.
+fn simulate(plan: &PartitionPlan, home: &dyn HomeMap) -> TrafficReport {
+    run_plan(plan, MachineConfig::uniform(0), home).unwrap()
+}
 
 /// Infinite caches: each processor's cold misses are exactly the size of
 /// its tile's cumulative footprint.
@@ -20,9 +29,7 @@ fn cold_misses_equal_exact_footprint_per_tile() {
                } }";
     let nest = parse(src).unwrap();
     let classes = classify(&nest);
-    let grid = vec![4i128, 2];
-    let assignment = assign_rect(&nest, &grid);
-    let report = run_nest(&nest, &assignment, MachineConfig::uniform(8), &UniformHome);
+    let report = simulate(&grid_plan(&nest, &[4, 2]), &UniformHome);
 
     // Interior tiles all have the same extents: 12x24.
     let tile = Tile::rect(&[11, 23]);
@@ -56,8 +63,7 @@ fn theorem4_estimate_tracks_simulation() {
     ] {
         let extents: Vec<i128> = grid.iter().map(|&g| 64 / g - 1).collect();
         let est = model.cost_rect(&extents);
-        let assignment = assign_rect(&nest, &grid);
-        let report = run_nest(&nest, &assignment, MachineConfig::uniform(16), &UniformHome);
+        let report = simulate(&grid_plan(&nest, &grid), &UniformHome);
         let per_tile = report.total_cold_misses() as i128 / 16;
         let diff = (est - Rat::int(per_tile)).abs();
         // Slack: Theorem 4 over-counts by at most the corner product and
@@ -81,12 +87,7 @@ fn model_ranking_matches_machine() {
     for grid in [vec![16i128, 1], vec![4, 4], vec![1, 16]] {
         let extents: Vec<i128> = grid.iter().map(|&g| 64 / g - 1).collect();
         let est = model.cost_rect(&extents);
-        let report = run_nest(
-            &nest,
-            &assign_rect(&nest, &grid),
-            MachineConfig::uniform(16),
-            &UniformHome,
-        );
+        let report = simulate(&grid_plan(&nest, &grid), &UniformHome);
         results.push((est, report.total_cold_misses()));
     }
     // Spread is (4, 1): splitting j is cheap, splitting i is expensive.
@@ -113,12 +114,7 @@ fn comm_free_partition_is_invalidation_free() {
                }";
     let nest = parse(src).unwrap();
     assert!(is_communication_free(&nest));
-    let report = run_nest(
-        &nest,
-        &assign_rect(&nest, &[1, 100]),
-        MachineConfig::uniform(100),
-        &UniformHome,
-    );
+    let report = simulate(&grid_plan(&nest, &[1, 100]), &UniformHome);
     assert_eq!(report.total_invalidations(), 0);
     assert_eq!(report.total_coherence_misses(), 0);
     // All repeat sweeps hit: misses = first-sweep footprint only.
@@ -136,22 +132,12 @@ fn optimizer_beats_naive_on_machine() {
     for src in sources {
         let nest = parse(src).unwrap();
         let ours = partition_rect(&nest, 16);
-        let our_misses = run_nest(
-            &nest,
-            &assign_rect(&nest, &ours.proc_grid),
-            MachineConfig::uniform(16),
-            &UniformHome,
-        )
-        .total_cold_misses();
+        let our_misses =
+            simulate(&grid_plan(&nest, &ours.proc_grid), &UniformHome).total_cold_misses();
         for shape in [NaiveShape::ByRows, NaiveShape::ByColumns] {
             if let Some(n) = naive_partition(&nest, 16, shape) {
-                let naive_misses = run_nest(
-                    &nest,
-                    &assign_rect(&nest, &n.proc_grid),
-                    MachineConfig::uniform(16),
-                    &UniformHome,
-                )
-                .total_cold_misses();
+                let naive_misses =
+                    simulate(&grid_plan(&nest, &n.proc_grid), &UniformHome).total_cold_misses();
                 assert!(
                     our_misses <= naive_misses,
                     "{src}: ours {our_misses} vs {shape:?} {naive_misses}"
@@ -159,12 +145,6 @@ fn optimizer_beats_naive_on_machine() {
             }
         }
     }
-}
-
-/// Simulate a plan on its own mesh (infinite caches, unit lines) with
-/// memory laid out by `home`.
-fn simulate(plan: &PartitionPlan, home: &dyn alp::machine::HomeMap) -> TrafficReport {
-    run_plan(plan, MachineConfig::uniform(0), home).unwrap()
 }
 
 /// Alignment reduces remote misses on the distributed machine (the §4
@@ -343,7 +323,8 @@ proptest! {
             }
             c
         };
-        for (t, points) in plan.tiling(&nest).unwrap().assignment().iter().enumerate() {
+        let tiling = plan.tiling(&nest).unwrap();
+        for t in 0..tiling.len() {
             let tile = coords(t);
             for part in &lowered.data_partitions {
                 let class = classes.iter().find(|c| c.array == part.array).unwrap();
@@ -352,7 +333,7 @@ proptest! {
                     prop_assert!((0..col.len()).all(|s| (col[s] != 0) == (s == r)));
                 }
                 let id = layout.array_id(&part.array).unwrap();
-                for i in points {
+                for i in &tile_points(&tiling, t) {
                     let x = IVec((0..class.g.cols())
                         .map(|k| (0..i.len()).map(|r| i[r] * class.g[(r, k)]).sum::<i128>() + part.offset[k])
                         .collect());

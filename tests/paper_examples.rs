@@ -1,7 +1,15 @@
 //! Integration tests: every numbered example of the paper, end to end
 //! through the public facade.
 
+mod common;
+
 use alp::prelude::*;
+use common::{grid_plan, slab_plan};
+
+/// Simulate a plan on its own processors: infinite caches, unit lines.
+fn simulate(plan: &PartitionPlan) -> TrafficReport {
+    run_plan(plan, MachineConfig::uniform(0), &UniformHome).unwrap()
+}
 
 /// Example 1: `(G, ā)` extraction and zero-column elimination.
 #[test]
@@ -35,13 +43,7 @@ fn example2_end_to_end() {
 
     // Simulated per-tile misses match the paper's counts.
     for (grid, expected_b_misses) in [(vec![1i128, 100], 104u64), (vec![10, 10], 140)] {
-        let assignment = assign_rect(&nest, &grid);
-        let report = run_nest(
-            &nest,
-            &assignment,
-            MachineConfig::uniform(100),
-            &UniformHome,
-        );
+        let report = simulate(&grid_plan(&nest, &grid));
         assert!(report.check_conservation());
         let per_tile = report.total_cold_misses() / 100;
         assert_eq!(per_tile - 100, expected_b_misses, "grid {grid:?}");
@@ -72,22 +74,12 @@ fn example3_parallelogram() {
         rect.cost
     );
 
-    // Simulated: slabs along the communication-free normal beat the
-    // rectangle.
+    // Simulated: the plan of the slabs along the communication-free
+    // normal beats the rectangle's.
     let normals = communication_free_normals(&nest);
     assert_eq!(normals.len(), 1);
-    let rect_r = run_nest(
-        &nest,
-        &assign_rect(&nest, &rect.proc_grid),
-        MachineConfig::uniform(p as usize),
-        &UniformHome,
-    );
-    let slab_r = run_nest(
-        &nest,
-        &assign_slabs(&nest, &normals[0], p),
-        MachineConfig::uniform(p as usize),
-        &UniformHome,
-    );
+    let rect_r = simulate(&grid_plan(&nest, &rect.proc_grid));
+    let slab_r = simulate(&slab_plan(&nest, &normals[0], p));
     assert!(slab_r.total_cold_misses() < rect_r.total_cold_misses());
 }
 
@@ -162,13 +154,7 @@ fn example8_end_to_end() {
          }",
     )
     .unwrap();
-    let part = partition_rect(&seq, 8);
-    let r = run_nest(
-        &seq,
-        &assign_rect(&seq, &part.proc_grid),
-        MachineConfig::uniform(8),
-        &UniformHome,
-    );
+    let r = simulate(&grid_plan(&seq, &partition_rect(&seq, 8).proc_grid));
     assert!(
         r.total_coherence_misses() > 0,
         "repeated sweeps share tile halos"
@@ -276,21 +262,11 @@ fn fig11_accumulate_semantics() {
     assert!(nest.body[0].lhs.kind.is_write_like());
 
     // Splitting k shares C tiles: invalidations appear.
-    let r = run_nest(
-        &nest,
-        &assign_rect(&nest, &[1, 1, 8]),
-        MachineConfig::uniform(8),
-        &UniformHome,
-    );
+    let r = simulate(&grid_plan(&nest, &[1, 1, 8]));
     assert!(r.total_invalidations() > 0);
 
     // Splitting (i, j) keeps C private: no invalidations.
-    let r = run_nest(
-        &nest,
-        &assign_rect(&nest, &[4, 2, 1]),
-        MachineConfig::uniform(8),
-        &UniformHome,
-    );
+    let r = simulate(&grid_plan(&nest, &[4, 2, 1]));
     assert_eq!(r.total_invalidations(), 0);
 }
 

@@ -2,7 +2,7 @@
 //! alignment turns remote misses into local ones, and mesh placement
 //! keeps the halo exchange short.
 
-use crate::{header, pct, Table};
+use crate::{header, pct, simulate, tile_points, Table};
 use alp::machine::{FnHome, HomeMap};
 use alp::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -46,7 +46,7 @@ pub fn run() -> String {
     // Three data layouts: block row-major (naive), aligned (what
     // `lower` emits, §4), and a deliberately scrambled layout (worst
     // case).  Infinite caches, unit lines, the plan's 4x4 mesh.
-    let simulate = |home: &dyn HomeMap| run_plan(plan, MachineConfig::uniform(0), home).unwrap();
+    let simulate = |home: &dyn HomeMap| simulate(plan, MachineConfig::uniform(0), home);
     let layout = ArrayLayout::from_nest(nest).expect("arrays fit");
     let r_block = simulate(&BlockRowMajorHome::new(16, layout.total_lines()));
     let r_aligned = simulate(&alp::aligned_home(plan).unwrap());
@@ -83,7 +83,8 @@ pub fn run() -> String {
 
     // The halo, counted from the tiles alone: each sweep, a tile re-reads
     // every element a neighbouring tile wrote since.
-    let tiles = plan.tiling(nest).unwrap().assignment();
+    let tiling = plan.tiling(nest).unwrap();
+    let tiles: Vec<Vec<IVec>> = (0..tiling.len()).map(|t| tile_points(&tiling, t)).collect();
     let stmt = &nest.body[0];
     let mut writer = HashMap::new();
     for (t, points) in tiles.iter().enumerate() {

@@ -2,7 +2,7 @@
 //! whenever their conditions hold, the framework finds a zero-coherence
 //! partition; when they don't, it still returns a traffic-minimal one.
 
-use crate::{header, Table};
+use crate::{grid_plan, header, simulate, slab_plan, Table};
 use alp::prelude::*;
 
 pub fn run() -> String {
@@ -63,23 +63,17 @@ pub fn run() -> String {
         let found = !normals.is_empty();
         assert_eq!(found, expected, "{name}");
 
-        // Simulate: comm-free cases via slabs along the first normal;
-        // others via the optimizer's rectangle.  Wrap in 2 repetitions so
-        // coherence traffic (if any) is visible.
+        // Simulate: comm-free cases as the plan of the slabs along the
+        // first normal; others as the optimizer's rectangle.  Wrap in 2
+        // repetitions so coherence traffic (if any) is visible.
         let wrapped = parse(&format!("doseq (t, 1, 2) {{ {src} }}")).unwrap();
         let p = 8i128;
-        let assignment = if found {
-            assign_slabs(&wrapped, &normals[0], p)
+        let plan = if found {
+            slab_plan(&wrapped, &normals[0], p)
         } else {
-            let part = partition_rect(&wrapped, p);
-            assign_rect(&wrapped, &part.proc_grid)
+            grid_plan(&wrapped, &partition_rect(&wrapped, p).proc_grid)
         };
-        let report = run_nest(
-            &wrapped,
-            &assignment,
-            MachineConfig::uniform(p as usize),
-            &UniformHome,
-        );
+        let report = simulate(&plan, MachineConfig::uniform(p as usize), &UniformHome);
         if found {
             assert_eq!(
                 report.total_coherence_misses(),

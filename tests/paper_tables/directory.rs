@@ -5,7 +5,7 @@
 //! Dir_i-NB (pointer eviction) vs Dir_i-B (broadcast) on a widely-read
 //! boundary.
 
-use crate::{header, Table};
+use crate::{grid_plan, header, simulate, Table};
 use alp::prelude::*;
 
 pub fn run() -> String {
@@ -25,7 +25,7 @@ pub fn run() -> String {
     let nest = parse(src).unwrap();
     let p = 16usize;
     // Split i only: all 16 processors share every B[0,j] element.
-    let assignment = assign_rect(&nest, &[16, 1]);
+    let plan = grid_plan(&nest, &[16, 1]);
 
     let t = Table::new(
         &mut out,
@@ -53,9 +53,8 @@ pub fn run() -> String {
             DirectoryKind::LimitedNoBroadcast { pointers: 1 },
         ),
     ] {
-        let report = run_nest(
-            &nest,
-            &assignment,
+        let report = simulate(
+            &plan,
             MachineConfig::uniform(p).with_directory(dir),
             &UniformHome,
         );
@@ -106,7 +105,7 @@ pub fn run() -> String {
     // processor a private slice of B[0,*].
     outln!(out, "\nwith the optimizer's grid (splits j too):");
     let part = partition_rect(&nest, p as i128);
-    let opt_assign = assign_rect(&nest, &part.proc_grid);
+    let opt_plan = grid_plan(&nest, &part.proc_grid);
     let t = Table::new(
         &mut out,
         &[("directory", 22), ("misses", 8), ("overflows", 9)],
@@ -118,9 +117,8 @@ pub fn run() -> String {
             DirectoryKind::LimitedNoBroadcast { pointers: 4 },
         ),
     ] {
-        let report = run_nest(
-            &nest,
-            &opt_assign,
+        let report = simulate(
+            &opt_plan,
             MachineConfig::uniform(p).with_directory(dir),
             &UniformHome,
         );

@@ -2,7 +2,7 @@
 //! column selection, a reference that is uniformly generated but not
 //! intersecting, and an optimum beyond communication-free methods.
 
-use crate::{header, Table};
+use crate::{grid_plan, header, simulate, Table};
 use alp::prelude::*;
 
 pub fn run() -> String {
@@ -117,9 +117,8 @@ pub fn run() -> String {
         vec![1, 36],
     ] {
         let extents: Vec<i128> = grid.iter().map(|&g| 60 / g - 1).collect();
-        let report = run_nest(
-            &nest,
-            &assign_rect(&nest, &grid),
+        let report = simulate(
+            &grid_plan(&nest, &grid),
             MachineConfig::uniform(36),
             &UniformHome,
         );

@@ -4,7 +4,7 @@
 //! Paper: 104 vs 140 cache misses per tile (B-class footprints), and
 //! partition a has zero coherence traffic.
 
-use crate::{header, Table};
+use crate::{grid_plan, header, simulate, Table};
 use alp::prelude::*;
 
 pub fn run() -> String {
@@ -42,13 +42,8 @@ pub fn run() -> String {
             .map(|(&g, n)| (n + g - 1) / g - 1)
             .collect();
         let modeled = model.cost_rect(&extents);
-        let assignment = assign_rect(&nest, &grid);
-        let report = run_nest(
-            &nest,
-            &assignment,
-            MachineConfig::uniform(100),
-            &UniformHome,
-        );
+        let plan = grid_plan(&nest, &grid);
+        let report = simulate(&plan, MachineConfig::uniform(100), &UniformHome);
         let per_tile = report.total_cold_misses() / 100;
         let b_class = per_tile as i128 - 100;
         t.row(
@@ -94,9 +89,8 @@ pub fn run() -> String {
         ("a: strips 1x100", vec![1i128, 100]),
         ("b: blocks 10x10", vec![10, 10]),
     ] {
-        let report = run_nest(
-            &seq,
-            &assign_rect(&seq, &grid),
+        let report = simulate(
+            &grid_plan(&seq, &grid),
             MachineConfig::uniform(100),
             &UniformHome,
         );

@@ -3,7 +3,7 @@
 //! Doseq variant, and the shape sweep showing the model's minimum is the
 //! machine's minimum.
 
-use crate::{header, Table};
+use crate::{grid_plan, header, simulate, Table};
 use alp::prelude::*;
 
 pub fn run() -> String {
@@ -51,9 +51,8 @@ pub fn run() -> String {
         let extents: Vec<i128> = grid.iter().map(|&g| 64 / g - 1).collect();
         let cost = model.cost_rect(&extents);
         let traffic = model.traffic_rect(&extents);
-        let report = run_nest(
-            &nest,
-            &assign_rect(&nest, &grid),
+        let report = simulate(
+            &grid_plan(&nest, &grid),
             MachineConfig::uniform(64),
             &UniformHome,
         );
@@ -120,9 +119,8 @@ pub fn run() -> String {
         &[("grid", 12), ("coherence", 10), ("invalidations", 13)],
     );
     for grid in [vec![8i128, 1, 1], vec![2, 2, 2], vec![1, 2, 4]] {
-        let report = run_nest(
-            &seq,
-            &assign_rect(&seq, &grid),
+        let report = simulate(
+            &grid_plan(&seq, &grid),
             MachineConfig::uniform(8),
             &UniformHome,
         );

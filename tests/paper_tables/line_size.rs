@@ -3,7 +3,7 @@
 //! tiles contiguous in the fastest-varying dimension, and false sharing
 //! punishes tiles that cut across lines.
 
-use crate::{header, Table};
+use crate::{grid_plan, header, simulate, Table};
 use alp::prelude::*;
 
 pub fn run() -> String {
@@ -39,11 +39,10 @@ pub fn run() -> String {
     );
     let mut summary: Vec<(String, u64, u64)> = Vec::new();
     for grid in [vec![16i128, 1], vec![4, 4], vec![1, 16]] {
-        let assignment = assign_rect(&nest, &grid);
+        let plan = grid_plan(&nest, &grid);
         for line in [1u64, 4, 16] {
-            let report = run_nest(
-                &nest,
-                &assignment,
+            let report = simulate(
+                &plan,
                 MachineConfig::uniform(p).with_line_size(line),
                 &UniformHome,
             );

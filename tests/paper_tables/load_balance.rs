@@ -2,9 +2,42 @@
 //! constraint (§2.1) — how the three partition families trade traffic
 //! against balance.
 
-use crate::{header, Table};
+use crate::{grid_plan, header, simulate, slab_plan, Table};
 use alp::prelude::*;
-use alp_codegen::assignment_stats;
+
+/// How evenly a plan spreads its iterations over the processors that
+/// run any: §2.1's equal-size-tiles constraint, measured.
+struct Balance {
+    /// Processors with at least one iteration.
+    busy: usize,
+    min: u64,
+    max: u64,
+    /// `max / mean` over the busy processors: 1.0 is perfect balance,
+    /// and the parallel completion time is proportional to it.
+    imbalance: f64,
+}
+
+fn balance(plan: &PartitionPlan) -> Balance {
+    let tiling = plan.tiling(&plan.nest().unwrap()).unwrap();
+    let workers = tiling.workers(plan.processors);
+    let sizes: Vec<u64> = (0..workers)
+        .map(|w| {
+            tiling
+                .worker_tiles(w, workers)
+                .map(|t| tiling.points(t))
+                .sum::<u64>()
+        })
+        .filter(|&n| n > 0)
+        .collect();
+    let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+    let mean = sizes.iter().sum::<u64>() as f64 / sizes.len() as f64;
+    Balance {
+        busy: sizes.len(),
+        min: *min,
+        max: *max,
+        imbalance: *max as f64 / mean,
+    }
+}
 
 pub fn run() -> String {
     let mut out = String::new();
@@ -30,63 +63,49 @@ pub fn run() -> String {
             ("misses", 8),
         ],
     );
+    let row = |out: &mut String, name: String, plan: &PartitionPlan| {
+        let b = balance(plan);
+        let r = simulate(plan, MachineConfig::uniform(0), &UniformHome);
+        let imbalance = format!("{:.3}", b.imbalance);
+        t.row(
+            out,
+            &[
+                &name,
+                &b.busy,
+                &b.min,
+                &b.max,
+                &imbalance,
+                &r.total_cold_misses(),
+            ],
+        );
+        b
+    };
 
     // Rectangle.
     let rect = partition_rect(&nest, p);
-    let ra = assign_rect(&nest, &rect.proc_grid);
-    let rs = assignment_stats(&ra);
-    let rr = run_nest(&nest, &ra, MachineConfig::uniform(p as usize), &UniformHome);
-    t.row(
+    let rs = row(
         &mut out,
-        &[
-            &format!("rect {:?}", rect.proc_grid),
-            &rs.nonempty,
-            &rs.min,
-            &rs.max,
-            &format!("{:.3}", rs.imbalance),
-            &rr.total_cold_misses(),
-        ],
+        format!("rect {:?}", rect.proc_grid),
+        &grid_plan(&nest, &rect.proc_grid),
     );
 
     // Communication-free slabs.
     let normals = communication_free_normals(&nest);
-    let sa = assign_slabs(&nest, &normals[0], p);
-    let ss = assignment_stats(&sa);
-    let sr = run_nest(&nest, &sa, MachineConfig::uniform(p as usize), &UniformHome);
-    t.row(
-        &mut out,
-        &[
-            &format!("slabs h={}", normals[0]),
-            &ss.nonempty,
-            &ss.min,
-            &ss.max,
-            &format!("{:.3}", ss.imbalance),
-            &sr.total_cold_misses(),
-        ],
-    );
+    let slabs = slab_plan(&nest, &normals[0], p);
+    let ss = row(&mut out, format!("slabs h={}", normals[0]), &slabs);
 
-    // Parallelepiped cells (lattice tiling, boundary fragments and all).
-    let para = optimize_parallelepiped(&nest, p, &ParaSearchConfig::default());
-    let (pa, cells) = assign_para(&nest, para.tile.l_matrix());
-    let ps = assignment_stats(&pa);
-    let procs = pa.len().max(1);
-    let pr = run_nest(
-        &nest,
-        &pa,
-        MachineConfig::uniform(procs.min(128)),
-        &UniformHome,
-    );
-    t.row(
-        &mut out,
-        &[
-            &format!("para cells ({} tiles)", cells.len()),
-            &ps.nonempty,
-            &ps.min,
-            &ps.max,
-            &format!("{:.3}", ps.imbalance),
-            &pr.total_cold_misses(),
-        ],
-    );
+    // Parallelepiped cells: the search's winning basis as a skewed plan
+    // with one processor per cell, boundary fragments and all.
+    let config = ParaSearchConfig::default();
+    let para = optimize_parallelepiped(&nest, p, &config);
+    let cells = (skewed_candidates(&nest, p, &config).unwrap().into_iter())
+        .find(|c| c.basis == para.basis)
+        .expect("the winning basis is skewed");
+    let tiles: i128 = cells.grid.iter().product();
+    let verdict = LegalityVerdict::Unchecked;
+    let cell_plan =
+        PartitionPlan::build_skewed(&nest, tiles, None, verdict, &cells, "cells").unwrap();
+    let ps = row(&mut out, format!("para cells ({tiles} tiles)"), &cell_plan);
 
     outln!(
         out,
@@ -98,7 +117,7 @@ pub fn run() -> String {
         rs.imbalance,
         ss.imbalance,
         ps.imbalance,
-        cells.len(),
+        ps.busy,
         p
     );
     assert!(rs.imbalance <= ss.imbalance);

@@ -9,7 +9,13 @@
 //! and run in release:
 //! `cargo test --release --test paper_tables -- --ignored`.
 
+use alp::machine::HomeMap;
+use alp::prelude::*;
 use std::fmt::Display;
+
+#[path = "../common/mod.rs"]
+mod common;
+pub use common::{grid_plan, slab_plan, tile_points};
 
 /// `println!` into an experiment's output.
 macro_rules! outln {
@@ -55,6 +61,15 @@ impl Table {
         }
         outln!(out, "{}", line.trim_end());
     }
+}
+
+/// Simulate `plan` as a saved plan file runs: it must read back from its
+/// JSON as itself and lower to a native executor first.
+pub fn simulate(plan: &PartitionPlan, config: MachineConfig, home: &dyn HomeMap) -> TrafficReport {
+    let saved = PartitionPlan::from_json_str(&plan.to_json_string()).unwrap();
+    assert_eq!(&saved, plan, "a plan reads back from its JSON");
+    Executor::from_plan(&saved).unwrap();
+    run_plan(&saved, config, home).unwrap()
 }
 
 /// A ratio as a percentage.

@@ -2,7 +2,7 @@
 //! synchronized accumulates: blocks beat rows/columns; accumulate
 //! references behave as writes in the protocol.
 
-use crate::{header, Table};
+use crate::{grid_plan, header, simulate, Table};
 use alp::prelude::*;
 
 pub fn run() -> String {
@@ -32,9 +32,8 @@ pub fn run() -> String {
         ("blocks 4x4x1", vec![4, 4, 1]),
         ("k-split 1x1x16", vec![1, 1, 16]),
     ] {
-        let report = run_nest(
-            &nest,
-            &assign_rect(&nest, &grid),
+        let report = simulate(
+            &grid_plan(&nest, &grid),
             MachineConfig::uniform(p),
             &UniformHome,
         );
@@ -66,9 +65,8 @@ pub fn run() -> String {
     );
 
     // Accumulate semantics: k-split shares C lines and must invalidate.
-    let ksplit = run_nest(
-        &nest,
-        &assign_rect(&nest, &[1, 1, 16]),
+    let ksplit = simulate(
+        &grid_plan(&nest, &[1, 1, 16]),
         MachineConfig::uniform(p),
         &UniformHome,
     );
@@ -76,9 +74,8 @@ pub fn run() -> String {
         ksplit.total_invalidations() > 0,
         "accumulates are writes to the protocol"
     );
-    let blocks = run_nest(
-        &nest,
-        &assign_rect(&nest, &[4, 4, 1]),
+    let blocks = simulate(
+        &grid_plan(&nest, &[4, 4, 1]),
         MachineConfig::uniform(p),
         &UniformHome,
     );

@@ -1,7 +1,7 @@
 //! E3: Example 3 — parallelogram tiles beat every rectangle for
 //! `A[i,j] = B[i,j] + B[i+1,j+3]`.
 
-use crate::{header, Table};
+use crate::{grid_plan, header, simulate, slab_plan, Table};
 use alp::prelude::*;
 
 pub fn run() -> String {
@@ -33,9 +33,8 @@ pub fn run() -> String {
     ] {
         let extents: Vec<i128> = grid.iter().map(|&g| 64 / g - 1).collect();
         let cost = model.cost_rect(&extents);
-        let report = run_nest(
-            &nest,
-            &assign_rect(&nest, &grid),
+        let report = simulate(
+            &grid_plan(&nest, &grid),
             MachineConfig::uniform(p as usize),
             &UniformHome,
         );
@@ -68,13 +67,12 @@ pub fn run() -> String {
         para.cost
     );
 
-    // Simulate the skewed partition via slabs along the comm-free normal
-    // (the same internalization the parallelogram achieves, with exact
-    // load balance).
+    // Simulate the skewed partition as the plan of the slabs along the
+    // comm-free normal (the same internalization the parallelogram
+    // achieves, with exact load balance).
     let normals = communication_free_normals(&nest);
-    let slab_report = run_nest(
-        &nest,
-        &assign_slabs(&nest, &normals[0], p),
+    let slab_report = simulate(
+        &slab_plan(&nest, &normals[0], p),
         MachineConfig::uniform(p as usize),
         &UniformHome,
     );
