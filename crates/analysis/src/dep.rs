@@ -70,7 +70,7 @@ impl ConflictLattice {
                 m[(l + r, c)] = -g2[(r, c)];
             }
         }
-        let b = r2.offset().sub(&r1.offset()).expect("dims match");
+        let b = r2.offset().sub(r1.offset()).expect("dims match");
         ConflictLattice::solutions(&m, &b)
     }
 

@@ -85,11 +85,7 @@ fn races(nest: &LoopNest) -> Vec<Diagnostic> {
     // `LoopNest::validate` and the lints; the Diophantine machinery
     // needs consistent shapes.
     let depth = nest.depth();
-    if nest
-        .all_refs()
-        .iter()
-        .any(|r| r.subscripts.iter().any(|s| s.depth() != depth))
-    {
+    if nest.all_refs().iter().any(|r| r.depth() != depth) {
         return Vec::new();
     }
     let names = nest.index_names();

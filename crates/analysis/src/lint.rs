@@ -68,10 +68,10 @@ pub fn dead_doall_dims(nest: &LoopNest) -> Vec<Diagnostic> {
     }
     let mut out = Vec::new();
     for (k, l) in nest.loops.iter().enumerate() {
-        let used = refs
-            .iter()
-            .flat_map(|r| r.subscripts.iter())
-            .any(|s| s.coeffs.get(k).is_some_and(|&c| c != 0));
+        let used = (refs.iter()).any(|r| {
+            let g = r.g_matrix();
+            k < g.rows() && (0..g.cols()).any(|c| g[(k, c)] != 0)
+        });
         if !used {
             out.push(Diagnostic::new(
                 Rule::DeadDoallDim,
@@ -91,7 +91,7 @@ pub fn rank_deficient_refs(nest: &LoopNest) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let mut reported: Vec<&alp_loopir::ArrayRef> = Vec::new();
     for r in nest.all_refs() {
-        if r.subscripts.iter().any(|s| s.depth() != nest.depth()) {
+        if r.depth() != nest.depth() {
             continue; // malformed; depth lints are not this rule's job
         }
         let g = r.g_matrix();
@@ -127,10 +127,7 @@ pub fn reduction_candidates(nest: &LoopNest) -> Vec<Diagnostic> {
         if st.lhs.kind != AccessKind::Write {
             continue;
         }
-        let is_reduction = st
-            .rhs
-            .iter()
-            .any(|r| r.array == st.lhs.array && r.subscripts == st.lhs.subscripts);
+        let is_reduction = st.rhs.iter().any(|r| r.same_element(&st.lhs));
         if is_reduction && pair_conflict(nest, &st.lhs, &st.lhs).is_some() {
             out.push(
                 Diagnostic::new(
@@ -156,7 +153,8 @@ pub fn reduction_candidates(nest: &LoopNest) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alp_loopir::{parse, AffineExpr, ArrayRef, LoopIndex, Statement};
+    use alp_linalg::{IMat, IVec};
+    use alp_loopir::{parse, ArrayRef, LoopIndex, Statement};
 
     #[test]
     fn dead_dim_fires() {
@@ -247,7 +245,8 @@ mod tests {
 
     #[test]
     fn hand_built_malformed_depth_is_tolerated() {
-        let bad = ArrayRef::new("A", vec![AffineExpr::index(3, 0)], AccessKind::Write);
+        let g = IMat::from_rows(&[&[1], &[0], &[0]]);
+        let bad = ArrayRef::new("A", g, IVec::new(&[0]), AccessKind::Write);
         let nest = LoopNest {
             seq_loops: vec![],
             loops: vec![LoopIndex::new("i", 0, 3)],

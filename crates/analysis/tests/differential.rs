@@ -10,8 +10,18 @@
 use alp_analysis::search::{integer_point, satisfies};
 use alp_analysis::{brute_force_conflict, pair_conflict, witness_is_valid};
 use alp_linalg::fm::System;
-use alp_linalg::Rat;
-use alp_loopir::{AccessKind, AffineExpr, ArrayRef, LoopIndex, LoopNest, Statement};
+use alp_linalg::{IMat, IVec, Rat};
+use alp_loopir::{AccessKind, ArrayRef, LoopIndex, LoopNest, Statement};
+
+/// A one-dimensional reference `A[c·ī + o]`.
+fn a_ref(c: &[i128], o: i128, kind: AccessKind) -> ArrayRef {
+    ArrayRef::new(
+        "A",
+        IMat::from_vec(c.len(), 1, c.to_vec()),
+        IVec::new(&[o]),
+        kind,
+    )
+}
 
 /// Deterministic xorshift-free LCG (no external RNG crates available in
 /// the verification environment).
@@ -67,10 +77,8 @@ fn exhaustive_depth1_pairs() {
         for o1 in -2i128..=2 {
             for c2 in -2i128..=2 {
                 for o2 in -2i128..=2 {
-                    let r1 =
-                        ArrayRef::new("A", vec![AffineExpr::new(vec![c1], o1)], AccessKind::Write);
-                    let r2 =
-                        ArrayRef::new("A", vec![AffineExpr::new(vec![c2], o2)], AccessKind::Read);
+                    let r1 = a_ref(&[c1], o1, AccessKind::Write);
+                    let r2 = a_ref(&[c2], o2, AccessKind::Read);
                     let nest = LoopNest::new(
                         vec![LoopIndex::new("i", 0, 5)],
                         vec![Statement::new(r1, vec![r2])],
@@ -92,10 +100,8 @@ fn exhaustive_depth2_diagonals() {
         for c in -1i128..=1 {
             for d in -1i128..=1 {
                 for e in -2i128..=2 {
-                    let r1 =
-                        ArrayRef::new("A", vec![AffineExpr::new(vec![1, b], 0)], AccessKind::Write);
-                    let r2 =
-                        ArrayRef::new("A", vec![AffineExpr::new(vec![c, d], e)], AccessKind::Read);
+                    let r1 = a_ref(&[1, b], 0, AccessKind::Write);
+                    let r2 = a_ref(&[c, d], e, AccessKind::Read);
                     let nest = LoopNest::new(
                         vec![LoopIndex::new("i", 0, 3), LoopIndex::new("j", 0, 3)],
                         vec![Statement::new(r1, vec![r2])],
@@ -131,15 +137,14 @@ fn random_nests_agree_with_oracle() {
             } else {
                 ("B", dim_b)
             };
-            let subs: Vec<AffineExpr> = (0..dim)
-                .map(|_| {
-                    AffineExpr::new(
-                        (0..depth).map(|_| rng.range(-2, 2)).collect(),
-                        rng.range(-3, 3),
-                    )
-                })
-                .collect();
-            ArrayRef::new(name, subs, kind)
+            // Subscript by subscript: a column of `G`, then its offset.
+            let (mut cols, mut a) = (Vec::new(), Vec::new());
+            for _ in 0..dim {
+                cols.extend((0..depth).map(|_| rng.range(-2, 2)));
+                a.push(rng.range(-3, 3));
+            }
+            let g = IMat::from_vec(dim, depth, cols).transpose();
+            ArrayRef::new(name, g, IVec(a), kind)
         };
         let body: Vec<Statement> = (0..rng.range(1, 2))
             .map(|_| {

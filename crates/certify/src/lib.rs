@@ -293,14 +293,9 @@ pub fn decide(plan: &PartitionPlan) -> Result<Certificate, CertifyError> {
 /// nothing is proven about such a plan.
 fn write_refs(nest: &LoopNest, plan: &PartitionPlan) -> Option<Vec<ArrayRef>> {
     (nest.body.iter())
-        .map(|st| {
-            let mut w = st.lhs.clone();
-            if let Some(t) = &plan.transform {
-                for sub in &mut w.subscripts {
-                    *sub = sub.composed(t.v())?;
-                }
-            }
-            Some(w)
+        .map(|st| match &plan.transform {
+            Some(t) => st.lhs.composed(t.v()),
+            None => Some(st.lhs.clone()),
         })
         .collect()
 }
@@ -514,8 +509,8 @@ fn decide_in_bounds(nest: &LoopNest) -> bool {
     let full: Box128 = nest.bounds().collect();
     nest.all_refs().iter().all(|r| {
         extents.get(&r.array).is_none_or(|ext| {
-            (r.subscripts.iter().zip(ext)).all(|(sub, &(lo, hi))| {
-                (sub.range(full.iter().copied())).is_some_and(|(min, max)| lo <= min && max <= hi)
+            (0..r.dim()).zip(ext).all(|(k, &(lo, hi))| {
+                (r.range(k, full.iter().copied())).is_some_and(|(min, max)| lo <= min && max <= hi)
             })
         })
     })
@@ -616,10 +611,8 @@ fn footprint_boxes_disjoint(r1: &ArrayRef, b1: &Box128, r2: &ArrayRef, b2: &Box1
         return true;
     }
     // A range beyond `i128` rejects nothing: the solve settles it.
-    (r1.subscripts.iter().zip(&r2.subscripts)).any(|(s1, s2)| {
-        let ranges = s1
-            .range(b1.iter().copied())
-            .zip(s2.range(b2.iter().copied()));
+    (0..r1.dim()).any(|k| {
+        let ranges = (r1.range(k, b1.iter().copied())).zip(r2.range(k, b2.iter().copied()));
         ranges.is_some_and(|((lo1, hi1), (lo2, hi2))| hi1 < lo2 || hi2 < lo1)
     })
 }

@@ -66,7 +66,7 @@ pub fn intersecting(a: &ArrayRef, b: &ArrayRef) -> bool {
     let mut rows: Vec<IVec> = g1.row_vecs();
     rows.extend(g2.scale(-1).row_vecs());
     let stacked = IMat::from_row_vecs(&rows);
-    let diff = b.offset().sub(&a.offset()).expect("dim checked");
+    let diff = b.offset().sub(a.offset()).expect("dim checked");
     Lattice::new(stacked).contains(&diff)
 }
 
@@ -130,7 +130,7 @@ pub fn classify(nest: &LoopNest) -> Vec<RefClass> {
         let mut placed = false;
         for (class, witness) in classes.iter_mut() {
             if uniformly_intersecting(witness, r) {
-                class.offsets.push(r.offset());
+                class.offsets.push(r.offset().clone());
                 class.kinds.push(r.kind);
                 placed = true;
                 break;
@@ -140,8 +140,8 @@ pub fn classify(nest: &LoopNest) -> Vec<RefClass> {
             classes.push((
                 RefClass {
                     array: r.array.clone(),
-                    g: r.g_matrix(),
-                    offsets: vec![r.offset()],
+                    g: r.g_matrix().clone(),
+                    offsets: vec![r.offset().clone()],
                     kinds: vec![r.kind],
                 },
                 r.clone(),

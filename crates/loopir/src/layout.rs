@@ -9,8 +9,8 @@
 //! [`ArrayLayout::line`] stays as the interpreted oracle the form is
 //! checked against.
 
-use crate::expr::range_over;
-use crate::{AffineExpr, ArrayRef, LoopNest};
+use crate::expr::{checked_dot, range_over};
+use crate::{ArrayRef, LoopNest};
 use alp_linalg::{IMat, IVec};
 use std::collections::HashMap;
 
@@ -167,37 +167,38 @@ impl ArrayLayout {
         self.arrays[array_id].base
     }
 
-    /// Fold a reference's subscripts through its array's strides:
-    /// `element(ī) = base + Σ_d stride_d · (sub_d(ī) − lo_d)`, as one
-    /// linear form over the parallel iteration vector.  With `v = U⁻¹`
-    /// of a plan's transform the form is
-    /// [`composed`](AffineExpr::composed) with it and takes `j = i·U`
-    /// points instead.  Fails when a coefficient or the constant does
-    /// not fit `i64`.
+    /// Fold a reference through its array's strides:
+    /// `element(ī) = base + (ī·G + ā − lo)·stride`, as one linear form
+    /// `ī·(G·stride) + c₀` over the parallel iteration vector.  With
+    /// `v = U⁻¹` of a plan's transform its coefficients are
+    /// `V·(G·stride)`, as in [`ArrayRef::composed`], and it takes
+    /// `j = i·U` points instead.  Fails when a coefficient or the
+    /// constant does not fit `i64`.
     ///
     /// # Panics
     /// Panics if the layout does not hold the reference's array.
     pub fn form(&self, r: &ArrayRef, v: Option<&IMat>) -> Result<ElementForm, LayoutOverflow> {
         let a = &self.arrays[self.by_name[&r.array]];
         let fold = || {
-            let mut e = AffineExpr::constant(r.depth(), a.base.into());
-            for ((sub, &(lo, _)), &stride) in r.subscripts.iter().zip(&a.extents).zip(&a.strides) {
-                let stride = i128::from(stride);
-                for (acc, &c) in e.coeffs.iter_mut().zip(&sub.coeffs) {
-                    *acc = acc.checked_add(stride.checked_mul(c)?)?;
-                }
-                let offset = sub.constant.checked_sub(lo)?.checked_mul(stride)?;
-                e.constant = e.constant.checked_add(offset)?;
-            }
-            let e = match v {
-                Some(v) => e.composed(v)?,
-                None => e,
+            let strides = || a.strides.iter().map(|&s| i128::from(s));
+            // `G·stride`, then `V·(G·stride)`, and `base + (ā − lo)·stride`.
+            let rows = 0..r.depth();
+            let folded: Vec<i128> = (rows.clone())
+                .map(|k| checked_dot(r.g_matrix(), k, strides()))
+                .collect::<Option<_>>()?;
+            let composed = |k| match v {
+                Some(v) => checked_dot(v, k, folded.iter().copied()),
+                None => Some(folded[k]),
             };
+            let lows = a.extents.iter().map(|&(lo, _)| lo);
+            let constant = (r.offset().0.iter().zip(lows).zip(strides()))
+                .try_fold(i128::from(a.base), |acc, ((&off, lo), s)| {
+                    acc.checked_add(off.checked_sub(lo)?.checked_mul(s)?)
+                })?;
+            let narrow = |c: i128| i64::try_from(c).ok();
             Some(ElementForm {
-                coeffs: (e.coeffs.iter())
-                    .map(|&c| i64::try_from(c).ok())
-                    .collect::<Option<_>>()?,
-                constant: i64::try_from(e.constant).ok()?,
+                coeffs: rows.map(|k| narrow(composed(k)?)).collect::<Option<_>>()?,
+                constant: narrow(constant)?,
             })
         };
         fold().ok_or_else(|| LayoutOverflow {
@@ -325,9 +326,16 @@ mod tests {
     /// (written) and `B` (read, maybe accumulated), subscripts strided,
     /// transposed and mixed as the coefficients fall.
     fn arb_nest() -> impl Strategy<Value = LoopNest> {
+        // `(G, ā)`, drawn subscript by subscript (a column of `G` each).
         let subs = |depth, dims| {
             let sub = (proptest::collection::vec(-3i128..=3, depth), -5i128..=5);
-            proptest::collection::vec(sub.prop_map(|(c, k)| AffineExpr::new(c, k)), dims)
+            proptest::collection::vec(sub, dims).prop_map(move |subs| {
+                let (cols, a): (Vec<Vec<i128>>, Vec<i128>) = subs.into_iter().unzip();
+                (
+                    IMat::from_vec(dims, depth, cols.concat()).transpose(),
+                    IVec(a),
+                )
+            })
         };
         (1usize..=3, 1usize..=3, 1usize..=3).prop_flat_map(move |(depth, da, db)| {
             let bounds = proptest::collection::vec((-3i128..=3, 0i128..=3), depth);
@@ -341,9 +349,10 @@ mod tests {
                     false => AccessKind::Read,
                 };
                 let rhs = (reads.into_iter())
-                    .map(|(s, acc)| ArrayRef::new("B", s, kind(acc)))
+                    .map(|((g, a), acc)| ArrayRef::new("B", g, a, kind(acc)))
                     .collect();
-                let st = Statement::new(ArrayRef::new("A", lhs, AccessKind::Write), rhs);
+                let (g, a) = lhs;
+                let st = Statement::new(ArrayRef::new("A", g, a, AccessKind::Write), rhs);
                 LoopNest::new(loops, vec![st.clone(), st]).unwrap()
             })
         })

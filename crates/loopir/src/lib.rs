@@ -5,10 +5,9 @@
 //! subscripts are affine in the loop indices, `ḡ(ī) = ī·G + ā` (Eq. 1).
 //! This crate provides:
 //!
-//! * [`AffineExpr`] — one affine subscript (a row of `G` plus a component
-//!   of `ā` in the making);
-//! * [`ArrayRef`] — a full reference `A[ḡ(ī)]` with its access kind
-//!   (read / write / fine-grain-synchronized accumulate, cf. Appendix A);
+//! * [`ArrayRef`] — a reference `A[ī·G + ā]` stored as its pair `(G, ā)`,
+//!   with its access kind (read / write / `l$` accumulate, Appendix A);
+//! * [`AffineExpr`] — the general affine form (tile and transformed bounds);
 //! * [`LoopNest`] — the nest itself, with optional outer sequential loops
 //!   (Fig. 9's `Doseq`), bounds, and a statement list;
 //! * a small text DSL ([`parse`]) so the paper's examples can be written

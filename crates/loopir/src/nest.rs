@@ -97,11 +97,9 @@ impl Statement {
     /// Whether the right-hand side holds the accumulate-kind read of
     /// the target, the self-read the parser gives `lhs += rhs`.
     pub fn reads_its_target(&self) -> bool {
-        self.rhs.iter().any(|r| {
-            r.kind == AccessKind::Accumulate
-                && r.array == self.lhs.array
-                && r.subscripts == self.lhs.subscripts
-        })
+        self.rhs
+            .iter()
+            .any(|r| r.kind == AccessKind::Accumulate && r.same_element(&self.lhs))
     }
 }
 
@@ -188,8 +186,8 @@ impl LoopNest {
     pub fn try_array_extents(&self) -> Result<HashMap<String, Vec<(i128, i128)>>, LayoutOverflow> {
         let mut out: HashMap<String, Vec<(i128, i128)>> = HashMap::new();
         for r in self.all_refs() {
-            let lo_hi = (r.subscripts.iter())
-                .map(|s| s.range(self.bounds()))
+            let lo_hi = (0..r.dim())
+                .map(|k| r.range(k, self.bounds()))
                 .collect::<Option<Vec<_>>>()
                 .ok_or_else(|| LayoutOverflow {
                     array: r.array.clone(),
@@ -250,11 +248,9 @@ impl LoopNest {
             pad(out, depth)?;
             st.lhs.render(out, names.clone())?;
             // `+=` where the statement reads its target, so that the
-            // parser adds no second self-read; an `l$` store without one
-            // keeps `=`.  An accumulate of nothing keeps the `+= 0` its
-            // pinned fingerprint was taken from.
-            let accumulates = st.lhs.kind == AccessKind::Accumulate
-                && (st.rhs.is_empty() || st.reads_its_target());
+            // parser adds no second self-read; an `l$` store without one,
+            // an accumulate of nothing included, keeps `=`.
+            let accumulates = st.lhs.kind == AccessKind::Accumulate && st.reads_its_target();
             out.write_str(if accumulates { " += " } else { " = " })?;
             out.write_str(if st.rhs.is_empty() { "0" } else { "" })?;
             for (k, r) in st.rhs.iter().enumerate() {
@@ -296,13 +292,11 @@ impl LoopNest {
         // names a handful of arrays, so a scan beats a hash.
         let mut dims: Vec<(&str, usize)> = Vec::new();
         for r in self.body.iter().flat_map(Statement::refs) {
-            for sub in &r.subscripts {
-                if sub.depth() != depth {
-                    return Err(IrError::DepthMismatch {
-                        depth,
-                        found: sub.depth(),
-                    });
-                }
+            if r.depth() != depth {
+                return Err(IrError::DepthMismatch {
+                    depth,
+                    found: r.depth(),
+                });
             }
             match dims.iter().find(|(a, _)| *a == r.array) {
                 Some(&(_, d)) if d != r.dim() => {
@@ -323,27 +317,18 @@ impl LoopNest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::AffineExpr;
+    use alp_linalg::IMat;
 
-    fn idx(depth: usize, k: usize) -> AffineExpr {
-        AffineExpr::index(depth, k)
+    /// `G` and `ā` from rows of `G` and the offsets.
+    fn r(array: &str, g: &[&[i128]], a: &[i128], kind: AccessKind) -> ArrayRef {
+        ArrayRef::new(array, IMat::from_rows(g), IVec::new(a), kind)
     }
 
     fn example2() -> LoopNest {
-        // Example 2 of the paper.
-        let i = idx(2, 0);
-        let j = idx(2, 1);
-        let a = ArrayRef::new("A", vec![i.clone(), j.clone()], AccessKind::Write);
-        let b1 = ArrayRef::new(
-            "B",
-            vec![i.add(&j), i.add(&j.scale(-1)).offset(-1)],
-            AccessKind::Read,
-        );
-        let b2 = ArrayRef::new(
-            "B",
-            vec![i.add(&j).offset(4), i.add(&j.scale(-1)).offset(3)],
-            AccessKind::Read,
-        );
+        // Example 2 of the paper: A[i, j] = B[i+j, i-j-1] + B[i+j+4, i-j+3].
+        let a = r("A", &[&[1, 0], &[0, 1]], &[0, 0], AccessKind::Write);
+        let b1 = r("B", &[&[1, 1], &[1, -1]], &[0, -1], AccessKind::Read);
+        let b2 = r("B", &[&[1, 1], &[1, -1]], &[4, 3], AccessKind::Read);
         LoopNest::new(
             vec![LoopIndex::new("i", 101, 200), LoopIndex::new("j", 1, 100)],
             vec![Statement::new(a, vec![b1, b2])],
@@ -393,8 +378,8 @@ mod tests {
 
     #[test]
     fn validation_rejects_dim_mismatch() {
-        let a1 = ArrayRef::new("A", vec![idx(1, 0)], AccessKind::Write);
-        let a2 = ArrayRef::new("A", vec![idx(1, 0), idx(1, 0)], AccessKind::Read);
+        let a1 = r("A", &[&[1]], &[0], AccessKind::Write);
+        let a2 = r("A", &[&[1, 1]], &[0, 0], AccessKind::Read);
         let r = LoopNest::new(
             vec![LoopIndex::new("i", 0, 9)],
             vec![Statement::new(a1, vec![a2])],
@@ -404,7 +389,7 @@ mod tests {
 
     #[test]
     fn validation_rejects_depth_mismatch() {
-        let bad = ArrayRef::new("A", vec![idx(3, 0)], AccessKind::Write);
+        let bad = r("A", &[&[1], &[0], &[0]], &[0], AccessKind::Write);
         let r = LoopNest::new(
             vec![LoopIndex::new("i", 0, 9)],
             vec![Statement::new(bad, vec![])],
@@ -418,7 +403,7 @@ mod tests {
         let text = n.display();
         let reparsed = crate::parse(&text).unwrap();
         assert_eq!(n, reparsed);
-        // An accumulate with its self-read, and an `l$` store without.
+        // An accumulate with its self-read, and `l$` stores without one.
         for (src, text) in [
             (
                 "doall (i, 0, 3) { C[i] += A[i]; }",
@@ -427,6 +412,10 @@ mod tests {
             (
                 "doall (i, 0, 3) { l$C[i] = A[i]; }",
                 "doall (i, 0, 3) {\n  l$C[i] = A[i];\n}\n",
+            ),
+            (
+                "doall (i, 0, 3) { l$C[i] = 0; }",
+                "doall (i, 0, 3) {\n  l$C[i] = 0;\n}\n",
             ),
         ] {
             let n = crate::parse(src).unwrap();

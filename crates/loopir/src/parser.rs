@@ -20,12 +20,13 @@
 //!   analyses only ever see the paper's unit-stride canonical form
 //!   (§2.1).
 
-use crate::expr::AffineExpr;
 use crate::nest::{LoopIndex, LoopNest, Statement};
 use crate::refs::{AccessKind, ArrayRef};
 use crate::span::{line_col, Span};
 use crate::IrError;
+use alp_linalg::{IMat, IVec};
 use std::collections::HashMap;
+use std::iter::repeat_n;
 
 /// Parse failure, with a human-oriented message and source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -257,6 +258,9 @@ struct Parser<'a> {
     stopped: Option<usize>,
     /// The run of `+`/`-` tokens that ends at `tok` negates.
     negates: bool,
+    /// The reference being read, subscript by subscript: its column of
+    /// `G` (`l` coefficients), then its entry of `ā`.
+    columns: Vec<i128>,
 }
 
 impl<'a> Parser<'a> {
@@ -270,6 +274,9 @@ impl<'a> Parser<'a> {
             prev_end: 0,
             stopped: None,
             negates: false,
+            // Room for a reference's 64 numbers, so that the count of
+            // blocks a parse allocates does not grow with the rank.
+            columns: Vec::with_capacity(64),
         };
         p.advance();
         p
@@ -329,7 +336,11 @@ impl<'a> Parser<'a> {
                 self.bump();
                 Ok(())
             }
-            other => self.err(format!("expected `{c}`, found {other:?}")),
+            Some(_) => {
+                let found = &self.src[self.at..self.next];
+                self.err(format!("expected `{c}`, found `{found}`"))
+            }
+            None => self.err(format!("expected `{c}`, found end of input")),
         }
     }
 
@@ -407,13 +418,13 @@ impl<'a> Parser<'a> {
             for st in &mut body {
                 for r in std::iter::once(&mut st.lhs).chain(st.rhs.iter_mut()) {
                     let at = r.span.map_or(at, |sp| sp.start);
-                    for sub in &mut r.subscripts {
-                        let c = sub.coeffs[k];
-                        sub.constant = c
+                    for col in 0..r.dim() {
+                        let c = r.g[(k, col)];
+                        r.a[col] = c
                             .checked_mul(lo)
-                            .and_then(|t| sub.constant.checked_add(t))
+                            .and_then(|t| r.a[col].checked_add(t))
                             .ok_or_else(|| overflow(at))?;
-                        sub.coeffs[k] = c.checked_mul(s).ok_or_else(|| overflow(at))?;
+                        r.g[(k, col)] = c.checked_mul(s).ok_or_else(|| overflow(at))?;
                     }
                 }
             }
@@ -562,9 +573,9 @@ impl<'a> Parser<'a> {
         };
         self.bump();
         self.expect_sym('[')?;
-        let mut subs = Vec::new();
+        self.columns.clear();
         loop {
-            subs.push(self.parse_affine(loops)?);
+            self.parse_affine(loops)?;
             match self.tok {
                 Some(Tok::Sym(',')) => self.bump(),
                 Some(Tok::Sym(']')) => {
@@ -574,13 +585,24 @@ impl<'a> Parser<'a> {
                 _ => return self.err("expected `,` or `]` in subscripts"),
             }
         }
+        // Subscript `k` is column `k` of `G` and entry `k` of `ā`.
+        let (l, subs) = (loops.len(), &self.columns);
+        let d = subs.len() / (l + 1);
+        let mut g = Vec::with_capacity(l * d);
+        for r in 0..l {
+            g.extend((0..d).map(|k| subs[k * (l + 1) + r]));
+        }
+        let a = IVec((0..d).map(|k| subs[k * (l + 1) + l]).collect());
+        let g = IMat::from_vec(l, d, g);
         let span = Span::new(ref_start, self.prev_end);
-        Ok(ArrayRef::new(array, subs, kind).with_span(span))
+        Ok(ArrayRef::new(array, g, a, kind).with_span(span))
     }
 
-    /// Sum of `[int *] index` and integer terms with `+`/`-` signs.
-    fn parse_affine(&mut self, loops: &[LoopIndex]) -> Result<AffineExpr, ParseError> {
-        let mut expr = AffineExpr::constant(loops.len(), 0);
+    /// One subscript, a sum of `[int *] index` and integer terms with
+    /// `+`/`-` signs, appended to `columns`.
+    fn parse_affine(&mut self, loops: &[LoopIndex]) -> Result<(), ParseError> {
+        let at = self.columns.len();
+        self.columns.extend(repeat_n(0, loops.len() + 1));
         loop {
             let mut negated = false;
             loop {
@@ -616,9 +638,10 @@ impl<'a> Parser<'a> {
                 _ => return self.err("expected subscript term"),
             };
             let slot = match index {
-                Some(id) => &mut expr.coeffs[self.index_of(id, loops)?],
-                None => &mut expr.constant,
+                Some(id) => self.index_of(id, loops)?,
+                None => loops.len(),
             };
+            let slot = &mut self.columns[at + slot];
             // A literal is at most `i128::MAX`, or 2¹²⁷ negated (which
             // reads as `i128::MIN`, its own negation), so only the sum
             // can overflow.
@@ -627,7 +650,7 @@ impl<'a> Parser<'a> {
                 ParseError::at("affine subscript term overflows i128", term_start, self.src)
             })?;
             if !matches!(self.tok, Some(Tok::Sym('+' | '-'))) {
-                return Ok(expr);
+                return Ok(());
             }
         }
     }
@@ -649,7 +672,6 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alp_linalg::{IMat, IVec};
 
     #[test]
     fn parses_example2() {
@@ -666,10 +688,10 @@ mod tests {
         let refs = n.all_refs();
         assert_eq!(refs.len(), 3);
         let b1 = refs[1];
-        assert_eq!(b1.g_matrix(), IMat::from_rows(&[&[1, 1], &[1, -1]]));
-        assert_eq!(b1.offset(), IVec::new(&[0, -1]));
+        assert_eq!(b1.g_matrix(), &IMat::from_rows(&[&[1, 1], &[1, -1]]));
+        assert_eq!(b1.offset(), &IVec::new(&[0, -1]));
         let b2 = refs[2];
-        assert_eq!(b2.offset(), IVec::new(&[4, 3]));
+        assert_eq!(b2.offset(), &IVec::new(&[4, 3]));
     }
 
     #[test]
@@ -686,8 +708,8 @@ mod tests {
         assert_eq!(n.depth(), 3);
         assert_eq!(n.iteration_count(), 32 * 32 * 32);
         let b = &n.body[0].rhs[0];
-        assert_eq!(b.g_matrix(), IMat::identity(3));
-        assert_eq!(b.offset(), IVec::new(&[-1, 0, 1]));
+        assert_eq!(b.g_matrix(), &IMat::identity(3));
+        assert_eq!(b.offset(), &IVec::new(&[-1, 0, 1]));
     }
 
     #[test]
@@ -783,8 +805,8 @@ mod tests {
         let n = parse("doall (i, 0, 3) { doall (j, 0, 3) { A[2*i, i+2*j-1] = A[2*i, i+2*j-1]; } }")
             .unwrap();
         let a = &n.body[0].lhs;
-        assert_eq!(a.g_matrix(), IMat::from_rows(&[&[2, 1], &[0, 2]]));
-        assert_eq!(a.offset(), IVec::new(&[0, -1]));
+        assert_eq!(a.g_matrix(), &IMat::from_rows(&[&[2, 1], &[0, 2]]));
+        assert_eq!(a.offset(), &IVec::new(&[0, -1]));
     }
 
     #[test]
@@ -855,8 +877,8 @@ mod tests {
         // i ∈ {2, 6}: 9 is not on the lattice, ⌊(9−2)/4⌋ = 1.
         let n = parse("doall (i, 2, 9, 4) { A[i] = A[i]; }").unwrap();
         assert_eq!(n.iteration_count(), 2);
-        assert_eq!(n.body[0].lhs.subscripts[0].coeffs, vec![4]);
-        assert_eq!(n.body[0].lhs.subscripts[0].constant, 2);
+        assert_eq!(n.body[0].lhs.g_matrix(), &IMat::from_rows(&[&[4]]));
+        assert_eq!(n.body[0].lhs.offset(), &IVec::new(&[2]));
     }
 
     #[test]
@@ -864,7 +886,7 @@ mod tests {
         // t ∈ {1, 5, 9}: three repetitions.
         let n = parse("doseq (t, 1, 10, 4) { doall (i, 0, 3) { A[i] = A[i]; } }").unwrap();
         assert_eq!(n.seq_repetitions(), 3);
-        assert_eq!(n.body[0].lhs.subscripts[0].coeffs, vec![1]);
+        assert_eq!(n.body[0].lhs.g_matrix(), &IMat::from_rows(&[&[1]]));
     }
 
     #[test]
@@ -891,7 +913,7 @@ mod tests {
         params.insert("S".to_string(), 2i128);
         let n = parse_with_params("doall (i, 0, 9, S) { A[i] = A[i]; }", &params).unwrap();
         assert_eq!(n.iteration_count(), 5);
-        assert_eq!(n.body[0].lhs.subscripts[0].coeffs, vec![2]);
+        assert_eq!(n.body[0].lhs.g_matrix(), &IMat::from_rows(&[&[2]]));
     }
 
     #[test]

@@ -72,31 +72,31 @@ const MALFORMED: &[(&str, &str)] = &[
     ),
     (
         "doall (i, 0, 3 { A[i] = A[i]; }",
-        r#"Err(ParseError { message: "expected `)`, found Some(Sym('{'))", offset: 15, line: 1, column: 16 })"#,
+        r#"Err(ParseError { message: "expected `)`, found `{`", offset: 15, line: 1, column: 16 })"#,
     ),
     (
         "doall i, 0, 3) { A[i] = A[i]; }",
-        r#"Err(ParseError { message: "expected `(`, found Some(Ident(\"i\"))", offset: 6, line: 1, column: 7 })"#,
+        r#"Err(ParseError { message: "expected `(`, found `i`", offset: 6, line: 1, column: 7 })"#,
     ),
     (
         "doall (i, 0, 3) A[i] = A[i]; }",
-        r#"Err(ParseError { message: "expected `{`, found Some(Ident(\"A\"))", offset: 16, line: 1, column: 17 })"#,
+        r#"Err(ParseError { message: "expected `{`, found `A`", offset: 16, line: 1, column: 17 })"#,
     ),
     (
         "doall (i, 0, 3) { A[i] = A[i]; ",
-        r#"Err(ParseError { message: "expected `}`, found None", offset: 31, line: 1, column: 32 })"#,
+        r#"Err(ParseError { message: "expected `}`, found end of input", offset: 31, line: 1, column: 32 })"#,
     ),
     (
         "doall += (i, 0, 3) { A[i] = A[i]; }",
-        r#"Err(ParseError { message: "expected `(`, found Some(PlusEq)", offset: 6, line: 1, column: 7 })"#,
+        r#"Err(ParseError { message: "expected `(`, found `+=`", offset: 6, line: 1, column: 7 })"#,
     ),
     (
         "doall l$ (i, 0, 3) { A[i] = A[i]; }",
-        r#"Err(ParseError { message: "expected `(`, found Some(AccSigil)", offset: 6, line: 1, column: 7 })"#,
+        r#"Err(ParseError { message: "expected `(`, found `l$`", offset: 6, line: 1, column: 7 })"#,
     ),
     (
         "doall 3",
-        r#"Err(ParseError { message: "expected `(`, found Some(Int(3))", offset: 6, line: 1, column: 7 })"#,
+        r#"Err(ParseError { message: "expected `(`, found `3`", offset: 6, line: 1, column: 7 })"#,
     ),
     (
         "doall (",
@@ -216,7 +216,7 @@ const MALFORMED: &[(&str, &str)] = &[
     ),
     (
         "doall (i, 0, 3) { A[i] = l B[i]; }",
-        r#"Err(ParseError { message: "expected `[`, found Some(Ident(\"B\"))", offset: 27, line: 1, column: 28 })"#,
+        r#"Err(ParseError { message: "expected `[`, found `B`", offset: 27, line: 1, column: 28 })"#,
     ),
     (
         "doall (i, 0, 3) { A[i; i] = B[i]; }",

@@ -1,23 +1,28 @@
 //! Property tests: the pretty-printer and the parser are inverses, and
 //! the `(G, ā)` extraction is faithful to evaluation.
 
-use alp_linalg::IVec;
-use alp_loopir::{parse, AccessKind, AffineExpr, ArrayRef, LoopIndex, LoopNest, Statement};
+use alp_linalg::{IMat, IVec};
+use alp_loopir::{parse, AccessKind, ArrayRef, LoopIndex, LoopNest, Statement};
 use proptest::prelude::*;
 
-/// Generate a random affine expression over `depth` indices.
-fn arb_expr(depth: usize) -> impl Strategy<Value = AffineExpr> {
+/// Generate a random affine subscript over `depth` indices: a column of
+/// `G` and its entry of `ā`.
+fn arb_subscript(depth: usize) -> impl Strategy<Value = (Vec<i128>, i128)> {
     (proptest::collection::vec(-4i128..=4, depth), -9i128..=9)
-        .prop_map(|(coeffs, c)| AffineExpr::new(coeffs, c))
 }
 
 /// Generate a random reference to one of a few arrays.
 fn arb_ref(depth: usize, kind: AccessKind) -> impl Strategy<Value = ArrayRef> {
     (
         prop_oneof![Just("A"), Just("B"), Just("C")],
-        proptest::collection::vec(arb_expr(depth), 1..=3),
+        proptest::collection::vec(arb_subscript(depth), 1..=3),
     )
-        .prop_map(move |(name, subs)| ArrayRef::new(name, subs, kind))
+        .prop_map(move |(name, subs)| {
+            let d = subs.len();
+            let (cols, a): (Vec<Vec<i128>>, Vec<i128>) = subs.into_iter().unzip();
+            let g = IMat::from_vec(d, depth, cols.concat()).transpose();
+            ArrayRef::new(name, g, IVec(a), kind)
+        })
 }
 
 /// Generate a random valid nest (consistent array dimensionality).
@@ -63,7 +68,7 @@ proptest! {
                 .g_matrix()
                 .apply_row(&i)
                 .unwrap()
-                .add(&r.offset())
+                .add(r.offset())
                 .unwrap();
             prop_assert_eq!(direct, via_matrix);
         }
@@ -92,9 +97,9 @@ proptest! {
         // The normalized subscript touches exactly the strided image.
         let want: std::collections::BTreeSet<i128> =
             (0..trips).map(|t| c * (lo + s * t) + d).collect();
-        let sub = &n.body[0].lhs.subscripts[0];
+        let r = &n.body[0].lhs;
         let got: std::collections::BTreeSet<i128> = (n.loops[0].lower..=n.loops[0].upper)
-            .map(|i| sub.coeffs[0] * i + sub.constant)
+            .map(|i| r.g_matrix()[(0, 0)] * i + r.offset()[0])
             .collect();
         prop_assert_eq!(got, want);
         // display() emits the unit-stride form, which reparses exactly.

@@ -28,7 +28,7 @@ pub fn abraham_hudak_rect(nest: &LoopNest, p: i128) -> Option<RectPartition> {
     let array = &refs.first()?.array;
     let identity = alp_linalg::IMat::identity(l);
     for r in &refs {
-        if &r.array != array || r.dim() != l || r.g_matrix() != identity {
+        if &r.array != array || r.dim() != l || *r.g_matrix() != identity {
             return None;
         }
     }
@@ -140,7 +140,7 @@ pub fn in_abraham_hudak_domain(nest: &LoopNest) -> bool {
         None => false,
         Some(first) => refs
             .iter()
-            .all(|r| r.array == first.array && r.dim() == l && r.g_matrix() == identity),
+            .all(|r| r.array == first.array && r.dim() == l && *r.g_matrix() == identity),
     }
 }
 

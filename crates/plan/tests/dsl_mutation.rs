@@ -6,8 +6,7 @@
 //! `parse` and `parse_program` must return without unwinding — `Ok`, or
 //! a `ParseError` at a character boundary of the input — and a nest that
 //! parses must read back from its own `display()` as the same IR with
-//! the same `fingerprint_hex`, but for one known gap, pinned by a test
-//! of its own below (CHANGES.md records it as FOUND).
+//! the same `fingerprint_hex`.
 //!
 //! Seeds `0..2000` by default; `DSL_MUTATION_SEEDS=lo..hi` picks the
 //! range (CI runs a wider one on the release build).  A failure names
@@ -17,9 +16,7 @@ mod mutation;
 #[path = "../../loopir/tests/nests/mod.rs"]
 mod nests;
 
-use alp_loopir::{
-    parse, parse_program_with_params, parse_with_params, AccessKind, LoopNest, ParseError,
-};
+use alp_loopir::{parse, parse_program_with_params, parse_with_params, ParseError};
 use alp_plan::fingerprint_hex;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -46,13 +43,6 @@ fn check_error(e: &ParseError, src: &str) -> Result<(), String> {
     }
 }
 
-/// Whether `display()` of `nest` is known not to read back as `nest`:
-/// when a statement accumulates nothing (its `+= 0` reads back with a
-/// self-read).
-fn known_gap(nest: &LoopNest) -> bool {
-    (nest.body.iter()).any(|st| st.lhs.kind == AccessKind::Accumulate && st.rhs.is_empty())
-}
-
 fn check(src: &str, params: &HashMap<String, i128>) -> Result<(), String> {
     let parsed =
         catch_unwind(|| parse_with_params(src, params)).map_err(|_| "parse unwound".to_string())?;
@@ -69,14 +59,6 @@ fn check(src: &str, params: &HashMap<String, i128>) -> Result<(), String> {
         (nest.display(), fingerprint_hex(&nest))
     }))
     .map_err(|_| "display or fingerprint unwound".to_string())?;
-    if known_gap(&nest) {
-        // Reading back must still return, `Ok` or an error inside it.
-        return match catch_unwind(|| parse_with_params(&text, params)) {
-            Err(_) => Err(format!("display unwound when read back:\n{text}")),
-            Ok(Err(e)) => check_error(&e, &text),
-            Ok(Ok(_)) => Ok(()),
-        };
-    }
     let again = parse_with_params(&text, params)
         .map_err(|e| format!("display does not parse back: {e}\n{text}"))?;
     if again != nest {
@@ -128,14 +110,17 @@ fn an_i128_min_value_reads_back() {
     }
 }
 
-/// Known gap: an accumulate with nothing on its right-hand side (`l$C[i]
-/// = 0`) displays as the `+= 0` of its pinned fingerprint, which reads
-/// back with the self-read `+=` implies.
+/// An accumulate with nothing on its right-hand side (`l$C[i] = 0`) is
+/// a synchronized store: it displays with `=`, which reads back as
+/// itself and keeps its fingerprint, where a `+=` would read back with
+/// the self-read it implies.
 #[test]
-fn an_accumulate_of_nothing_reads_back_with_a_self_read() {
+fn an_accumulate_of_nothing_reads_back() {
     let nest = parse("doall (i, 0, 3) { l$C[i] = 0; }").unwrap();
+    assert!(nest.body[0].rhs.is_empty());
     let text = nest.display();
-    assert_eq!(text, "doall (i, 0, 3) {\n  l$C[i] += 0;\n}\n");
+    assert_eq!(text, "doall (i, 0, 3) {\n  l$C[i] = 0;\n}\n");
     let again = parse(&text).unwrap();
-    assert_eq!(again.body[0].rhs, [nest.body[0].lhs.clone()]);
+    assert_eq!(again, nest);
+    assert_eq!(fingerprint_hex(&again), fingerprint_hex(&nest));
 }

@@ -641,10 +641,10 @@ impl Executor {
     }
 
     /// Execute the nest *sequentially* from `init`, interpreting the IR
-    /// directly (each `ArrayRef` subscript's `AffineExpr::eval` +
-    /// `ArrayLayout::line`) rather than through the compiled kernel — an
-    /// independent implementation path that the parallel result must
-    /// match bit for bit.
+    /// directly (each `ArrayRef`'s `ī·G + ā`, then `ArrayLayout::line`)
+    /// rather than through the compiled kernel — an independent
+    /// implementation path that the parallel result must match bit for
+    /// bit.
     ///
     /// It materialises `nest.iteration_points()` once per repetition:
     /// one `IVec` per point, about 500 MB for the ledger's 4–7 M-point
@@ -666,8 +666,7 @@ impl Executor {
         for _rep in 0..self.repetitions {
             for pt in self.nest.iteration_points() {
                 let mut line = |&(id, r): &(usize, &ArrayRef)| {
-                    index.0.clear();
-                    index.0.extend(r.subscripts.iter().map(|s| s.eval(&pt)));
+                    r.eval_into(&pt, &mut index.0);
                     layout.line(id, &index) as usize
                 };
                 for st in &stmts {
@@ -1011,11 +1010,7 @@ impl<'a> RefStmt<'a> {
         // Unreachable expect: the layout was built from this same nest,
         // so every array the body names has an id.
         let with_id = |r: &'a ArrayRef| (layout.array_id(&r.array).expect("known array"), r);
-        let is_self = |r: &ArrayRef| {
-            r.kind == AccessKind::Accumulate
-                && r.array == st.lhs.array
-                && r.subscripts == st.lhs.subscripts
-        };
+        let is_self = |r: &ArrayRef| r.kind == AccessKind::Accumulate && r.same_element(&st.lhs);
         let accumulate = st.lhs.kind == AccessKind::Accumulate
             && st.rhs.iter().filter(|r| is_self(r)).count() == 1;
         let (mode, sources) = if accumulate {

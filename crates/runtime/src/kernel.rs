@@ -114,11 +114,8 @@ impl Kernel {
             // The stream issues a statement's rhs in order, then its lhs.
             let rhs: Vec<ElementForm> = forms.by_ref().take(st.rhs.len()).collect();
             let lhs = forms.next().expect("one form per reference");
-            let is_self = |r: &ArrayRef| {
-                r.kind == AccessKind::Accumulate
-                    && r.array == st.lhs.array
-                    && r.subscripts == st.lhs.subscripts
-            };
+            let is_self =
+                |r: &ArrayRef| r.kind == AccessKind::Accumulate && r.same_element(&st.lhs);
             let self_reads = match st.lhs.kind {
                 AccessKind::Accumulate => st.rhs.iter().filter(|r| is_self(r)).count(),
                 _ => 0,

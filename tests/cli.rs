@@ -276,6 +276,23 @@ fn plan_emit_then_run_from_plan_matches_source_run() {
     assert_eq!(footprint(&from_plan), footprint(&from_source));
 }
 
+/// A plan embeds its nest's `display()` as its source, so a plan that
+/// `plan` writes, `run --from-plan` must read back: here for an
+/// accumulate of nothing, whose display must not read back with the
+/// self-read a `+=` implies (another fingerprint, `ALP0006`).
+#[test]
+fn an_accumulate_of_nothing_runs_from_its_own_plan() {
+    let nest = "doall (i, 0, 7) { l$C[i] = 0; }";
+    let (plan, stderr, code) = run_cli(&["plan", "-p", "4", "-"], Some(nest));
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    let (out, stderr, code) = run_cli(&["run", "--from-plan", "-"], Some(&plan));
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert!(
+        out.contains("matches the sequential reference bitwise"),
+        "{out}"
+    );
+}
+
 #[test]
 fn truncated_plan_fails_with_code_and_exit_1() {
     let (_, stderr, code) = run_cli(&["run", "--from-plan", "-"], Some("{\"alp-plan\": 1, "));

@@ -260,7 +260,7 @@ fn arb_array(depth: usize) -> impl Strategy<Value = (Vec<(usize, i128)>, bool, V
 }
 
 fn arb_nest() -> impl Strategy<Value = LoopNest> {
-    use alp::loopir::{AffineExpr, ArrayRef, LoopIndex, Statement};
+    use alp::loopir::{ArrayRef, LoopIndex, Statement};
     use proptest::collection::vec as pvec;
     (1usize..=3).prop_flat_map(|depth| {
         let bounds = pvec((-3i128..=3, 0i128..=11), depth);
@@ -273,7 +273,6 @@ fn arb_nest() -> impl Strategy<Value = LoopNest> {
                 v[r] = c;
                 v
             };
-            let lhs = (0..depth).map(|r| AffineExpr::new(unit(r, 1), 0)).collect();
             let mut rhs = Vec::new();
             for (a, (cols, mixed, consts)) in arrays.into_iter().enumerate() {
                 let mut rows: Vec<Vec<i128>> = cols.iter().map(|&(r, c)| unit(r, c)).collect();
@@ -282,14 +281,19 @@ fn arb_nest() -> impl Strategy<Value = LoopNest> {
                     both[depth - 1] += 1;
                     rows.push(both);
                 }
+                // Each of `rows` is one subscript's coefficients: a column of `G`.
+                let g = IMat::from_vec(rows.len(), depth, rows.concat()).transpose();
                 for k in consts {
-                    let subs = (rows.iter().zip(k))
-                        .map(|(row, k)| AffineExpr::new(row.clone(), k))
-                        .collect();
-                    rhs.push(ArrayRef::new(format!("B{a}"), subs, AccessKind::Read));
+                    rhs.push(ArrayRef::new(
+                        format!("B{a}"),
+                        g.clone(),
+                        IVec(k),
+                        AccessKind::Read,
+                    ));
                 }
             }
-            let lhs = ArrayRef::new("A", lhs, AccessKind::Write);
+            let (g, a) = (IMat::identity(depth), IVec::zeros(depth));
+            let lhs = ArrayRef::new("A", g, a, AccessKind::Write);
             LoopNest::new(loops, vec![Statement::new(lhs, rhs)]).unwrap()
         })
     })

@@ -22,10 +22,10 @@ fn example1_reference_model() {
     .unwrap();
     let r = &nest.body[0].lhs;
     assert_eq!(
-        r.g_matrix(),
+        *r.g_matrix(),
         IMat::from_rows(&[&[0, 0, 0, 0], &[0, 0, 1, 0], &[1, 0, 0, 0]])
     );
-    assert_eq!(r.offset(), IVec::new(&[2, 5, -1, 4]));
+    assert_eq!(*r.offset(), IVec::new(&[2, 5, -1, 4]));
     let (reduced, kept) = r.drop_constant_subscripts();
     assert_eq!(kept, vec![0, 2]);
     assert_eq!(reduced.dim(), 2);
@@ -111,13 +111,13 @@ fn example7_column_reduction() {
         parse("doall (i, 0, 9) { doall (j, 0, 9) { A[i, 2*i, i+j] = A[i, 2*i, i+j]; } }").unwrap();
     let r = &nest.body[0].lhs;
     let g = r.g_matrix();
-    assert_eq!(g, IMat::from_rows(&[&[1, 2, 1], &[0, 0, 1]]));
-    let keep = alp::linalg::max_independent_columns(&g);
+    assert_eq!(*g, IMat::from_rows(&[&[1, 2, 1], &[0, 0, 1]]));
+    let keep = alp::linalg::max_independent_columns(g);
     let g_red = g.select_columns(&keep);
     assert!(g_red.is_unimodular());
     // Footprint = tile size (Theorem 5: rows of G independent).
     let tile = Tile::rect(&[4, 6]);
-    assert_eq!(single_footprint_exact(&tile, &g), 5 * 7);
+    assert_eq!(single_footprint_exact(&tile, g), 5 * 7);
 }
 
 /// Example 8: aspect ratio 2:3:4, agreement with Abraham & Hudak, and

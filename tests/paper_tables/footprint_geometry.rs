@@ -58,9 +58,9 @@ pub fn run() -> String {
     outln!(
         out,
         "  tile 0..=9: |det LG| = {}, touched = {} (density 1/2: Smith index {})",
-        single_footprint_estimate(&tile2, &g2),
-        single_footprint_exact(&tile2, &g2),
-        alp::linalg::smith_normal_form(&g2)
+        single_footprint_estimate(&tile2, g2),
+        single_footprint_exact(&tile2, g2),
+        alp::linalg::smith_normal_form(g2)
             .invariants
             .iter()
             .product::<i128>()
