@@ -137,7 +137,7 @@ impl FaultPlan {
 
     /// Like [`seeded`](FaultPlan::seeded) but always a **panic** — the
     /// fault class the serve-path containment tests need (a panic
-    /// exercises abandon/recovery in the coalescing cache and the
+    /// exercises an unwound compile in the coalescing cache and the
     /// executor's `ALP0008` containment, where a delay or flip would
     /// not).  Same determinism contract: one `(seed, tiles, reps)`
     /// always aims at the same `(tile, rep)`.

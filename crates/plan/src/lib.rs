@@ -63,7 +63,7 @@ pub use plan::{
 };
 pub use rank::{choose_calibrated, rank, rank_candidates, ranking_is_degenerate, Ranked};
 pub use shard::{Fetched, ShardOccupancy, ShardedCacheStats, ShardedPlanCache};
-pub use store::{JournalFrame, PlanStore, RecoveryReport, StoreConfig, StoredEntry};
+pub use store::{JournalFrame, PlanStore, RecoveryReport, StoredEntry};
 pub use tiles::{IterBox, Tiling};
 pub use transform::{skewed_candidates, SkewedCandidate, Transform};
 

@@ -12,17 +12,24 @@
 //! The second concurrency problem a server has is the *thundering
 //! herd*: N simultaneous requests for the same cold [`PlanKey`] would
 //! each pay the full compile.  [`ShardedPlanCache::get_or_compute`] —
-//! the only memoizer in the tree — coalesces them: the first requester
-//! becomes the **leader** and compiles; the rest find the in-flight
-//! slot and block on its condvar until the leader publishes.  Exactly
-//! one compile runs per in-flight key, and every waiter receives the
-//! same `Arc`'d plan (or the same error — failures are shared but never
-//! cached).
+//! the only memoizer in the tree — coalesces them through one
+//! [`OnceLock`] per key in flight: the first call to find the key
+//! uncached puts the cell in the shard's in-flight map, and every call
+//! that finds it there initializes it outside the lock.  `OnceLock`
+//! runs one initializer at a time and hands every caller the one
+//! value, so exactly one compile runs per in-flight key and every
+//! caller receives the same `Arc`'d plan (or the same error — failures
+//! are shared but never cached).
 //!
-//! A leader that *panics* mid-compile publishes an `Abandoned` state
-//! from its drop guard; waiters then re-enter the protocol (one of
-//! them becomes the new leader) instead of deadlocking.  This is what
-//! keeps a chaos-injected tile panic from poisoning a shard.
+//! A compile that *panics* leaves the cell empty, and `OnceLock` lets a
+//! caller blocked on it, or the next one to come, run its own compile
+//! instead of deadlocking.  This is what keeps a chaos-injected tile
+//! panic from poisoning a shard.  The caller whose own compile filled
+//! the cell retires it: it caches a success and removes the cell under
+//! one lock acquisition.  A cell whose compile unwound with nobody
+//! waiting stays in the map until the next call for its key compiles in
+//! it and retires it; so the map holds at most one such cell per
+//! distinct key whose compile panicked.
 //!
 //! The third is the price of a repeat.  A key is a fingerprint, and a
 //! fingerprint needs a parse of the request's text; a server that has
@@ -44,7 +51,7 @@ use crate::{PartitionPlan, PlanError, PlanKey};
 use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The longest request text the text index records.  A longer one is
 /// parsed every time it comes, so the index holds at most the cache's
@@ -57,9 +64,9 @@ pub const MAX_TEXT_BYTES: usize = 4 << 10;
 pub enum Fetched {
     /// Served from the shard's cache.
     Hit,
-    /// Blocked on another thread's in-flight compile of the same key.
+    /// Received the outcome of another call's compile of the same key.
     Coalesced,
-    /// This call ran the compile (it was the leader).
+    /// This call's own compile ran.
     Computed,
 }
 
@@ -75,40 +82,30 @@ impl Fetched {
 }
 
 /// Cumulative counters for the sharded cache.  `hits`, `misses`, and
-/// `coalesced` are request-level (one per `get_or_compute` /
-/// `get_cached` call); `evictions` is summed from the per-shard SIEVE maps.
+/// `coalesced` are request-level: a `get_or_compute` call counts exactly
+/// one of them, a `get_cached` call a hit or nothing; `evictions` is
+/// summed from the per-shard SIEVE maps.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardedCacheStats {
     /// Calls answered directly from a shard's cache.
     pub hits: u64,
-    /// Calls that became compile leaders.
+    /// Calls whose own compile ran, counted before it starts, so one
+    /// that unwound counts too.
     pub misses: u64,
-    /// Calls that waited on another thread's in-flight compile.
+    /// Calls that received another call's outcome.
     pub coalesced: u64,
     /// Plans evicted across all shards: each the first unvisited entry
     /// its shard's SIEVE hand reached when a new key needed the room.
     pub evictions: u64,
 }
 
-/// State of one in-flight compile slot.
-enum Slot<E> {
-    /// The leader is still compiling.
-    Pending,
-    /// The leader finished; the shared outcome (errors are shared too,
-    /// but only successes were inserted into the cache).
-    Done(Result<Arc<PartitionPlan>, E>),
-    /// The leader panicked before publishing; waiters must retry.
-    Abandoned,
-}
-
-struct InFlight<E> {
-    slot: Mutex<Slot<E>>,
-    cv: Condvar,
-}
+/// What a compile gives every call that shares it.
+type Outcome<E> = Result<Arc<PartitionPlan>, E>;
 
 struct ShardState<E> {
     cache: Sieve,
-    inflight: HashMap<PlanKey, Arc<InFlight<E>>>,
+    /// A cell per key whose compile is running or has not been retired.
+    inflight: HashMap<PlanKey, Arc<OnceLock<Outcome<E>>>>,
     /// The text index: a recorded request's text and the key it parsed
     /// to, by the request's hash — for the requests whose hash falls on
     /// this shard, wherever their plans live.
@@ -132,36 +129,10 @@ pub struct ShardOccupancy {
     pub capacity: usize,
     /// Lookups this shard answered from cache.
     pub hits: u64,
-    /// Lookups that became compile leaders on this shard.
+    /// Lookups on this shard whose own compile ran.
     pub misses: u64,
-    /// Lookups that waited on this shard's in-flight compiles.
+    /// Lookups that received another lookup's outcome on this shard.
     pub coalesced: u64,
-}
-
-/// Removes the in-flight entry and publishes `Abandoned` unless the
-/// leader defused it by publishing a real outcome first.  Runs during
-/// unwinding, so a panicking compile wakes its waiters instead of
-/// stranding them.
-struct LeaderGuard<'a, E> {
-    shard: &'a Mutex<ShardState<E>>,
-    flight: &'a Arc<InFlight<E>>,
-    key: PlanKey,
-    defused: bool,
-}
-
-impl<E> Drop for LeaderGuard<'_, E> {
-    fn drop(&mut self) {
-        if self.defused {
-            return;
-        }
-        if let Ok(mut st) = self.shard.lock() {
-            st.inflight.remove(&self.key);
-        }
-        if let Ok(mut slot) = self.flight.slot.lock() {
-            *slot = Slot::Abandoned;
-        }
-        self.flight.cv.notify_all();
-    }
 }
 
 /// A sharded SIEVE plan cache with cross-thread request coalescing.
@@ -169,7 +140,8 @@ impl<E> Drop for LeaderGuard<'_, E> {
 /// The error type `E` is generic (default [`PlanError`]) so callers
 /// with richer error currencies — the serve layer shares whole
 /// pipeline failures between coalesced waiters — can use the same
-/// machinery; it only needs to be `Clone + Send`.
+/// machinery; it only needs to be `Clone`, and `Send + Sync` to be
+/// shared across threads.
 pub struct ShardedPlanCache<E = PlanError> {
     shards: Vec<Mutex<ShardState<E>>>,
     /// Keyed per cache, so request texts cannot be chosen to collide.
@@ -345,82 +317,54 @@ impl<E: Clone> ShardedPlanCache<E> {
         found
     }
 
-    /// Memoize across threads: return the cached plan for `key`, wait
-    /// on an in-flight compile of the same key, or run `make` as the
-    /// leader, cache a success, and share the outcome with every
-    /// coalesced waiter.  Failed builds are shared with waiters already
-    /// blocked on the slot but cache nothing, so a later call retries.
+    /// Memoize across threads: return the cached plan for `key`, or the
+    /// outcome of the one compile of `key` in flight, run by this call's
+    /// `make` when no other call's is running.  The call whose `make`
+    /// ran caches a success and retires the key's cell; a failure is
+    /// shared with every call that received it and cached nowhere, so a
+    /// later call retries.  A call that arrives between a failed outcome
+    /// and its retirement shares that failure too.
+    ///
+    /// Each call counts once: a `miss` when its own `make` ran (counted
+    /// before `make` starts, so a compile that unwinds counts), a
+    /// `coalesced` when it received another call's outcome, a `hit`
+    /// from the cache.  When `make` panics, the panic goes on to this
+    /// caller and the key's cell stays empty: a call blocked on it, or
+    /// the next call for the key, runs its own `make` in it.
     pub fn get_or_compute(
         &self,
         key: PlanKey,
         make: impl FnOnce() -> Result<PartitionPlan, E>,
     ) -> Result<(Arc<PartitionPlan>, Fetched), E> {
-        let mut make = Some(make);
-        loop {
-            let shard = self.shard_for(&key);
-            let flight = {
-                let mut st = shard.lock().expect("shard lock");
-                // Leader inserts into the cache and removes the
-                // in-flight entry under one lock acquisition, so
-                // "in flight" implies "not yet cached" — check the
-                // in-flight map first and a waiter is never
-                // double-counted as a miss.
-                if let Some(f) = st.inflight.get(&key).map(Arc::clone) {
-                    st.coalesced += 1;
-                    f
-                } else if let Some(plan) = st.cache.peek(&key).cloned() {
-                    st.hits += 1;
-                    return Ok((plan, Fetched::Hit));
-                } else {
-                    st.misses += 1;
-                    let f = Arc::new(InFlight {
-                        slot: Mutex::new(Slot::Pending),
-                        cv: Condvar::new(),
-                    });
-                    st.inflight.insert(key, Arc::clone(&f));
-                    drop(st);
-                    // Leader path: compile OUTSIDE the shard lock, so
-                    // other keys on this shard stay serviceable.
-                    let mut guard = LeaderGuard {
-                        shard,
-                        flight: &f,
-                        key,
-                        defused: false,
-                    };
-                    let made = make.take().expect("leader runs make exactly once")().map(Arc::new);
-                    {
-                        let mut st = shard.lock().expect("shard lock");
-                        if let Ok(plan) = &made {
-                            st.cache.insert(key, Arc::clone(plan));
-                        }
-                        st.inflight.remove(&key);
-                    }
-                    guard.defused = true;
-                    *f.slot.lock().expect("slot lock") = Slot::Done(made.clone());
-                    f.cv.notify_all();
-                    return made.map(|p| (p, Fetched::Computed));
-                }
-            };
-            // Waiter path: block until the leader publishes.
-            let mut slot = flight.slot.lock().expect("slot lock");
-            loop {
-                match &*slot {
-                    Slot::Pending => {
-                        slot = flight.cv.wait(slot).expect("slot lock");
-                    }
-                    Slot::Done(outcome) => {
-                        return outcome.clone().map(|p| (p, Fetched::Coalesced));
-                    }
-                    Slot::Abandoned => break,
-                }
+        let shard = self.shard_for(&key);
+        let cell = {
+            let mut st = shard.lock().expect("shard lock");
+            if let Some(plan) = st.cache.peek(&key).cloned() {
+                st.hits += 1;
+                return Ok((plan, Fetched::Hit));
             }
-            // The leader died without publishing (panicked compile):
-            // retry from the top.  If this call still holds its `make`
-            // closure it may become the new leader.
-            if make.is_none() {
-                unreachable!("only waiters reach the retry path");
-            }
+            Arc::clone(st.inflight.entry(key).or_default())
+        };
+        // The compile runs OUTSIDE the shard lock, so other keys on
+        // this shard stay serviceable.
+        let mut ran = false;
+        let outcome = cell.get_or_init(|| {
+            ran = true;
+            shard.lock().expect("shard lock").misses += 1;
+            make().map(Arc::new)
+        });
+        let mut st = shard.lock().expect("shard lock");
+        if !ran {
+            st.coalesced += 1;
+            return outcome.clone().map(|p| (p, Fetched::Coalesced));
         }
+        // Cache and retire under one lock acquisition, so "in flight"
+        // implies "not cached".
+        if let Ok(plan) = outcome {
+            st.cache.insert(key, Arc::clone(plan));
+        }
+        st.inflight.remove(&key);
+        outcome.clone().map(|p| (p, Fetched::Computed))
     }
 }
 
@@ -672,6 +616,29 @@ mod tests {
         let longest = &long[1..];
         cache.record_text(longest, key(2));
         assert_eq!(cache.key_by_text(longest, key), Some(key(2)));
+    }
+
+    #[test]
+    fn an_unwound_cell_stays_until_the_next_call_compiles_in_it() {
+        let cache: ShardedPlanCache = ShardedPlanCache::new(1, 8);
+        let inflight = |cache: &ShardedPlanCache| cache.shards[0].lock().unwrap().inflight.len();
+        let unwound = std::panic::catch_unwind(|| {
+            cache.get_or_compute(key(5), || panic!("injected compile panic"))
+        });
+        assert!(unwound.is_err());
+        assert_eq!(
+            (inflight(&cache), cache.len()),
+            (1, 0),
+            "the empty cell stays"
+        );
+        let (_, how) = cache.get_or_compute(key(5), || Ok(plan(63))).unwrap();
+        assert_eq!(how, Fetched::Computed);
+        assert_eq!(
+            (inflight(&cache), cache.len()),
+            (0, 1),
+            "retired and cached"
+        );
+        assert_eq!(cache.stats().misses, 2);
     }
 
     #[test]

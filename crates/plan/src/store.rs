@@ -47,14 +47,15 @@
 //!
 //! # Rotation and compaction
 //!
-//! When the active segment exceeds [`StoreConfig::segment_bytes`] the
-//! store rotates to a fresh segment.  [`PlanStore::compact`] rewrites
-//! the live set into a brand-new segment via tempfile + fsync +
-//! atomic rename, then deletes every older segment — a crash at any
-//! point leaves either the old segments or the complete new one, never
-//! a half-state.  Within and across segments, a later sequence number
-//! for the same key supersedes earlier frames, so a plan built again for
-//! a key — its frame read back corrupt, say — simply appends.
+//! When an append would take the active segment past 4 MiB
+//! (`SEGMENT_BYTES`) the store rotates to a fresh segment.
+//! [`PlanStore::compact`] rewrites the live set into a brand-new
+//! segment via tempfile + fsync + atomic rename, then deletes every
+//! older segment — a crash at any point leaves either the old segments
+//! or the complete new one, never a half-state.  Within and across
+//! segments, a later sequence number for the same key supersedes
+//! earlier frames, so a plan built again for a key — its frame read
+//! back corrupt, say — simply appends.
 //!
 //! # Reading back
 //!
@@ -120,21 +121,10 @@ pub enum WriteFault {
 /// monotone operation index.  Returning `None` lets the write proceed.
 pub type WriteFaultHook = Arc<dyn Fn(u64, usize) -> Option<WriteFault> + Send + Sync>;
 
-/// Tunables for a [`PlanStore`].
-#[derive(Debug, Clone, Copy)]
-pub struct StoreConfig {
-    /// Rotate to a fresh segment once the active one exceeds this many
-    /// bytes (checked before each append).
-    pub segment_bytes: u64,
-}
-
-impl Default for StoreConfig {
-    fn default() -> Self {
-        StoreConfig {
-            segment_bytes: 4 << 20,
-        }
-    }
-}
+/// A segment's size past which [`PlanStore::append`] rotates to a fresh
+/// one: an append that would take the active segment beyond it starts
+/// the next segment, unless the active one holds no frame yet.
+const SEGMENT_BYTES: u64 = 4 << 20;
 
 /// One live record replayed from the journal.
 #[derive(Debug, Clone)]
@@ -182,7 +172,8 @@ pub struct RecoveryReport {
     pub frames: u64,
     /// Total valid bytes scanned.
     pub bytes: u64,
-    /// The live set: latest frame per key, ordered by sequence number.
+    /// The live set: latest frame per key, ordered by sequence number,
+    /// and frames of one sequence number by where they lie.
     pub live: Vec<StoredEntry>,
     /// Corrupt regions found; empty for a clean store.
     pub quarantined: Vec<QuarantineEvent>,
@@ -515,7 +506,8 @@ impl JournalFrame {
 /// leave the decode to the caller.
 pub struct PlanStore {
     dir: PathBuf,
-    cfg: StoreConfig,
+    /// `SEGMENT_BYTES`, but for unit tests that rotate at every frame.
+    segment_bytes: u64,
     active: File,
     active_index: u64,
     /// Bytes physically in the active segment (including any torn tail
@@ -547,14 +539,9 @@ impl std::fmt::Debug for PlanStore {
 }
 
 impl PlanStore {
-    /// Open (creating if needed) the store at `dir` with default
-    /// tunables, repairing and reporting any corruption found.
+    /// Open (creating if needed) the store at `dir`, repairing and
+    /// reporting any corruption found.
     pub fn open(dir: &Path) -> io::Result<(PlanStore, RecoveryReport)> {
-        Self::open_with(dir, StoreConfig::default())
-    }
-
-    /// [`open`](PlanStore::open) with explicit tunables.
-    pub fn open_with(dir: &Path, cfg: StoreConfig) -> io::Result<(PlanStore, RecoveryReport)> {
         fs::create_dir_all(dir)?;
         let (report, index) = recover(dir, true)?;
         let next_seq = report.live.iter().map(|e| e.seq + 1).max().unwrap_or(0);
@@ -571,7 +558,7 @@ impl PlanStore {
         Ok((
             PlanStore {
                 dir: dir.to_path_buf(),
-                cfg,
+                segment_bytes: SEGMENT_BYTES,
                 active,
                 active_index,
                 active_len,
@@ -617,7 +604,7 @@ impl PlanStore {
         self.repair_tail()?;
         let seq = self.next_seq;
         let frame = encode_frame(&encode_payload(seq, key, plan));
-        if self.committed_len + frame.len() as u64 > self.cfg.segment_bytes
+        if self.committed_len + frame.len() as u64 > self.segment_bytes
             && self.committed_len > MAGIC.len() as u64
         {
             self.rotate()?;
@@ -800,7 +787,8 @@ fn recover(dir: &Path, repair: bool) -> io::Result<(RecoveryReport, KeyIndex)> {
     if !dir.exists() {
         return Ok((report, KeyIndex::default()));
     }
-    let mut latest: HashMap<PlanKey, (StoredEntry, Option<FrameLoc>)> = HashMap::new();
+    // Each key's newest frame, with where it lies: segment, offset, length.
+    let mut latest: HashMap<PlanKey, (StoredEntry, (u64, u64, usize))> = HashMap::new();
     for index in segment_indices(dir)? {
         report.segments += 1;
         let path = seg_path(dir, index);
@@ -813,7 +801,7 @@ fn recover(dir: &Path, repair: bool) -> io::Result<(RecoveryReport, KeyIndex)> {
                     key: record.key,
                     plan: Arc::new(record.plan),
                 };
-                slot.insert_entry((entry, FrameLoc::new(index, offset, len)));
+                slot.insert_entry((entry, (index, offset, len)));
             }
         });
         let skipped: u64 = scan.skipped.iter().map(|&(_, bytes, _)| bytes).sum();
@@ -843,11 +831,13 @@ fn recover(dir: &Path, repair: bool) -> io::Result<(RecoveryReport, KeyIndex)> {
             truncate(&path, scan.good_len)?;
         }
     }
+    // Frames of one sequence number (only damage makes two) go in the
+    // order they lie, so the live set is a function of the bytes.
     let mut live: Vec<_> = latest.into_values().collect();
-    live.sort_by_key(|(entry, _)| entry.seq);
+    live.sort_by_key(|&(ref entry, (index, offset, _))| (entry.seq, index, offset));
     let mut keys = KeyIndex::default();
-    for (entry, loc) in &live {
-        keys.set(&entry.key, *loc);
+    for &(ref entry, (index, offset, len)) in &live {
+        keys.set(&entry.key, FrameLoc::new(index, offset, len));
     }
     report.live = live.into_iter().map(|(entry, _)| entry).collect();
     Ok((report, keys))
@@ -904,6 +894,13 @@ mod tests {
         PartitionPlan::build(&nest, 4, None, LegalityVerdict::Unchecked).unwrap()
     }
 
+    /// A store at `dir` that rotates to a fresh segment at every append.
+    fn rotating(dir: &Path) -> PlanStore {
+        let (mut store, _) = PlanStore::open(dir).unwrap();
+        store.segment_bytes = 1;
+        store
+    }
+
     /// What `store` reads back for `key`, as the plan's bytes.
     fn read_back(store: &mut PlanStore, key: &PlanKey) -> Option<String> {
         let frame = store.read(key).unwrap()?;
@@ -942,8 +939,7 @@ mod tests {
     #[test]
     fn a_plan_reads_back_from_a_rotated_away_segment() {
         let dir = tmp_dir("read-rotate");
-        let cfg = StoreConfig { segment_bytes: 1 };
-        let (mut store, _) = PlanStore::open_with(&dir, cfg).unwrap();
+        let mut store = rotating(&dir);
         for fp in 0..4u64 {
             store.append(&key(fp), &plan(31 + fp as i128)).unwrap();
         }
@@ -958,15 +954,14 @@ mod tests {
     #[test]
     fn a_reopened_store_reads_back_through_the_index_replay_built() {
         let dir = tmp_dir("read-reopen");
-        let cfg = StoreConfig { segment_bytes: 1 };
-        let (mut store, _) = PlanStore::open_with(&dir, cfg).unwrap();
+        let mut store = rotating(&dir);
         for fp in 0..3u64 {
             store.append(&key(fp), &plan(31)).unwrap();
         }
         // Superseded across segments: replay must index the newest.
         store.append(&key(0), &plan(127)).unwrap();
         drop(store);
-        let (mut store, report) = PlanStore::open_with(&dir, cfg).unwrap();
+        let (mut store, report) = PlanStore::open(&dir).unwrap();
         assert_eq!((report.frames, report.replayed()), (4, 3));
         let seqs: Vec<u64> = report.live.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, [1, 2, 3], "the live set in sequence order");
@@ -982,8 +977,7 @@ mod tests {
     #[test]
     fn compaction_reindexes_the_frames_it_keeps_and_drops_the_rest() {
         let dir = tmp_dir("read-compact");
-        let cfg = StoreConfig { segment_bytes: 1 };
-        let (mut store, _) = PlanStore::open_with(&dir, cfg).unwrap();
+        let mut store = rotating(&dir);
         for fp in 0..3u64 {
             store.append(&key(fp), &plan(31 + fp as i128)).unwrap();
         }
@@ -1191,8 +1185,7 @@ mod tests {
     #[test]
     fn rotation_splits_segments_and_replay_sees_all() {
         let dir = tmp_dir("rotate");
-        let cfg = StoreConfig { segment_bytes: 1 };
-        let (mut store, _) = PlanStore::open_with(&dir, cfg).unwrap();
+        let mut store = rotating(&dir);
         for fp in 0..5u64 {
             store.append(&key(fp), &plan(63)).unwrap();
         }
@@ -1210,8 +1203,7 @@ mod tests {
     #[test]
     fn compaction_collapses_to_one_segment_and_preserves_live_bytes() {
         let dir = tmp_dir("compact");
-        let cfg = StoreConfig { segment_bytes: 1 };
-        let (mut store, _) = PlanStore::open_with(&dir, cfg).unwrap();
+        let mut store = rotating(&dir);
         for fp in 0..4u64 {
             store.append(&key(fp), &plan(63)).unwrap();
         }

@@ -79,13 +79,20 @@ pub fn mutate(bytes: &mut Vec<u8>, other: &[u8], inserts: &[u8], rng: &mut Rng) 
 
 /// The mutant of seed `seed`: one to three mutations of one input.
 pub fn mutant(seed: u64, inputs: &[&str], inserts: &[u8]) -> String {
+    let inputs: Vec<&[u8]> = inputs.iter().map(|s| s.as_bytes()).collect();
+    String::from_utf8_lossy(&mutant_bytes(seed, &inputs, inserts)).into_owned()
+}
+
+/// [`mutant`] over inputs that need not be text, such as journal
+/// segments.
+pub fn mutant_bytes(seed: u64, inputs: &[&[u8]], inserts: &[u8]) -> Vec<u8> {
     let mut rng = Rng(seed);
-    let mut bytes = inputs[rng.below(inputs.len())].as_bytes().to_vec();
+    let mut bytes = inputs[rng.below(inputs.len())].to_vec();
     for _ in 0..1 + rng.below(3) {
-        let other = inputs[rng.below(inputs.len())].as_bytes();
+        let other = inputs[rng.below(inputs.len())];
         mutate(&mut bytes, other, inserts, &mut rng);
     }
-    String::from_utf8_lossy(&bytes).into_owned()
+    bytes
 }
 
 /// The seeds the environment variable `var` names as `lo..hi`, or

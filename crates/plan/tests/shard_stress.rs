@@ -224,6 +224,40 @@ fn coalesced_waiters_share_the_leaders_error() {
     assert_eq!(how, Fetched::Computed, "key retryable after failure");
 }
 
+/// A call blocked on a compile that panics runs its own compile in the
+/// same cell and counts one miss, not a coalesced wait and then a miss:
+/// every call counts exactly one of hit, miss and coalesced.
+#[test]
+fn a_waiter_that_compiles_after_a_panicking_leader_counts_once() {
+    let cache: Arc<ShardedPlanCache> = Arc::new(ShardedPlanCache::new(1, 8));
+    let in_compile = Arc::new(Barrier::new(2));
+    let leader = {
+        let cache = Arc::clone(&cache);
+        let in_compile = Arc::clone(&in_compile);
+        thread::spawn(move || {
+            cache.get_or_compute(key(9), move || -> Result<PartitionPlan, PlanError> {
+                in_compile.wait();
+                // Long enough for the waiter below to block on the cell.
+                thread::sleep(Duration::from_millis(50));
+                panic!("injected compile panic");
+            })
+        })
+    };
+    in_compile.wait();
+    let (_, how) = cache
+        .get_or_compute(key(9), || Ok(build_plan(63)))
+        .expect("the waiter compiles");
+    assert_eq!(how, Fetched::Computed);
+    assert!(leader.join().is_err(), "the leader panicked");
+    let (_, how) = cache
+        .get_or_compute(key(9), || panic!("cached"))
+        .expect("a hit");
+    assert_eq!(how, Fetched::Hit);
+    let s = cache.stats();
+    assert_eq!((s.hits, s.misses, s.coalesced), (1, 2, 0));
+    assert_eq!(s.hits + s.misses + s.coalesced, 3, "three calls");
+}
+
 /// Mixed random workload under contention: interleaved hot hits, cold
 /// misses, and evictions settle with coherent global counters and no
 /// deadlock.  splitmix64 keeps the schedule deterministic per thread.

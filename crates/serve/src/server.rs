@@ -44,9 +44,9 @@
 //! apply: per-request deadline (`ALP0007`) and memory budget
 //! (`ALP0009`).  A tile panic (chaos-injected or real) is contained by
 //! the executor (`ALP0008`) and, because compiles run outside the
-//! shard locks and publish through the leader-abandon protocol, a
-//! panicking request can never poison a shard or wedge coalesced
-//! waiters of other requests.
+//! shard locks and coalesce through a `OnceLock` that a panicking
+//! compile leaves empty, a panicking request can never poison a shard
+//! or wedge coalesced waiters of other requests.
 //!
 //! ## Durability and graceful drain
 //!
@@ -185,10 +185,10 @@ macro_rules! server_stats {
 server_stats! {
     /// Cache hits (inline fast path plus worker-path hits).
     hits,
-    /// Compile leaders: each built one plan or read it back from the
-    /// journal (`journal_reads`).
+    /// Requests whose own compile ran: each built one plan or read it
+    /// back from the journal (`journal_reads`).
     misses,
-    /// Requests that waited on another request's in-flight compile.
+    /// Requests that received another request's compile outcome.
     coalesced,
     /// SIEVE evictions across shards.
     evictions,
@@ -1035,11 +1035,11 @@ mod tests {
 
     #[test]
     fn abandoned_leader_is_re_elected_during_drain() {
-        // A compile leader that dies mid-flight marks its shard slot
-        // Abandoned; the drain phase must not prevent a successor from
-        // claiming the slot and finishing the admitted work — drain
-        // refuses *new* requests at the door, it never wedges work
-        // already inside.
+        // A compile that dies mid-flight leaves its key's cell empty in
+        // the shard's in-flight map; the drain phase must not prevent a
+        // successor from compiling in that cell and finishing the
+        // admitted work — drain refuses *new* requests at the door, it
+        // never wedges work already inside.
         let server = Server::new(ServeConfig::default());
         let inner = Arc::clone(&server.inner);
         inner.advance(Phase::Draining);
@@ -1055,8 +1055,8 @@ mod tests {
             .join()
             .expect("leader thread joins");
         }
-        // The successor — an admitted job a worker is draining — takes
-        // over the abandoned slot and completes.
+        // The successor — an admitted job a worker is draining — runs
+        // its own compile in the empty cell and completes.
         let resp = server.handle_now(&req);
         assert!(resp.ok, "{resp:?}");
         assert_eq!(resp.cache.as_deref(), Some("computed"), "{resp:?}");
